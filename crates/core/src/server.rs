@@ -712,38 +712,40 @@ where
         let mut next_lane_idx = meta.len() as u64;
         let mut drain_started: Option<Instant> = None;
         loop {
+            // Observe a drain before the idle exit below, so a run whose
+            // last connection closed ahead of the drain still records
+            // the transition and drops its pool.
+            if sup.draining() && drain_started.is_none() {
+                drain_started = Some(Instant::now());
+                self.record_run_transition(DETAIL_DRAIN_BEGAN);
+                // No precomputed material outlives the run that
+                // drew it.
+                if let Some(p) = pool {
+                    p.clear();
+                }
+                // Admission is over. Pending (sessionless) connections
+                // get one short slice so a HELLO already in flight is
+                // still answered with `KIND_BUSY` — exactly the window
+                // a blocking lane has before its recv slice times out
+                // — then close; in-flight sessions get the grace
+                // period.
+                for id in driver.conn_ids() {
+                    if driver.is_pending(id) {
+                        driver.set_idle_deadline(id, Some(POLL_SLICE));
+                    }
+                }
+                continue;
+            }
             let idle_now = driver.conns() == 0;
             if idle_now && (!accepting || sup.draining()) {
                 break;
             }
-            if sup.draining() {
-                if drain_started.is_none() {
-                    drain_started = Some(Instant::now());
-                    self.record_run_transition(DETAIL_DRAIN_BEGAN);
-                    // No precomputed material outlives the run that
-                    // drew it.
-                    if let Some(p) = pool {
-                        p.clear();
-                    }
-                    // Admission is over. Pending (sessionless) connections
-                    // get one short slice so a HELLO already in flight is
-                    // still answered with `KIND_BUSY` — exactly the window
-                    // a blocking lane has before its recv slice times out
-                    // — then close; in-flight sessions get the grace
-                    // period.
-                    for id in driver.conn_ids() {
-                        if driver.is_pending(id) {
-                            driver.set_idle_deadline(id, Some(POLL_SLICE));
-                        }
-                    }
-                    continue;
-                }
-                if !sup.cut()
-                    && drain_started.is_some_and(|t0| t0.elapsed() >= self.config.drain_deadline)
-                {
-                    sup.force_cut();
-                    self.record_run_transition(DETAIL_DRAIN_CUT);
-                }
+            if sup.draining()
+                && !sup.cut()
+                && drain_started.is_some_and(|t0| t0.elapsed() >= self.config.drain_deadline)
+            {
+                sup.force_cut();
+                self.record_run_transition(DETAIL_DRAIN_CUT);
             }
             // While a drain grace period runs, wake at its deadline (or
             // sooner); otherwise a coarse slice — every actual event

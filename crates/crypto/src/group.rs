@@ -5,9 +5,10 @@
 //! (security-grade) and the RFC 2409 768-bit Oakley group 1 (fast, for
 //! tests and micro-benchmarks — *not* for production security).
 
-use num_bigint::{BigUint, RandBigInt};
-use num_traits::One;
+use num_bigint::{BigUint, Monty, RandBigInt};
+use num_traits::{One, Zero};
 use rand::Rng;
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::hmac::hkdf;
@@ -35,6 +36,21 @@ const MODP_768_HEX: &str = concat!(
     "E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF"
 );
 
+/// Rows of the Lim–Lee comb behind [`DhGroup::power_g`]: the exponent is
+/// cut into this many blocks, and one table entry covers one bit of each.
+const COMB_ROWS: usize = 8;
+/// Columns of the comb: every block is cut into this many sub-blocks,
+/// each with a table of its own, so a sub-block's length in squarings
+/// serves the whole exponent. 4 × 2⁸ entries of 256 bytes are the
+/// 256 KiB the MODP-2048 table may take.
+const COMB_COLUMNS: usize = 4;
+
+/// Where the `k` limbs of entry `u` of a comb column start and end.
+fn comb_entry(column: usize, u: usize, k: usize) -> std::ops::Range<usize> {
+    let start = ((column << COMB_ROWS) + u) * k;
+    start..start + k
+}
+
 /// A multiplicative group modulo a safe prime `p = 2q + 1` with a fixed
 /// generator, plus key-derivation from group elements.
 ///
@@ -53,12 +69,26 @@ const MODP_768_HEX: &str = concat!(
 /// let right = group.exp(&group.power_g(&b), &a);
 /// assert_eq!(left, right);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DhGroup {
     p: BigUint,
     q: BigUint,
     g: BigUint,
     element_len: usize,
+    monty: Monty,
+    /// Comb table for `g`, built by the first [`DhGroup::power_g`]: entry
+    /// `u` of a column is the Montgomery form of the product of
+    /// `g^(2^(stride·(COMB_COLUMNS·row + column)))` over the rows set in
+    /// `u`.
+    comb: OnceLock<Vec<u64>>,
+}
+
+impl fmt::Debug for DhGroup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DhGroup")
+            .field("bits", &self.p.bits())
+            .field("g", &self.g)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DhGroup {
@@ -66,12 +96,55 @@ impl DhGroup {
         let p = BigUint::parse_bytes(hex.as_bytes(), 16).expect("valid hex constant");
         let q = (&p - BigUint::one()) >> 1;
         let element_len = (p.bits() as usize).div_ceil(8);
+        let monty = Monty::new(&p).expect("a prime above two is odd");
         Self {
             p,
             q,
             g: BigUint::from(2u32),
             element_len,
+            monty,
+            comb: OnceLock::new(),
         }
+    }
+
+    /// Bits per comb sub-block: one squaring of `power_g` each.
+    fn comb_stride(&self) -> usize {
+        (self.p.bits() as usize).div_ceil(COMB_ROWS * COMB_COLUMNS)
+    }
+
+    fn build_comb(&self) -> Vec<u64> {
+        let m = &self.monty;
+        let k = m.limbs();
+        // One chain of squarings visits every g^(2^(stride·s)).
+        let mut power = m.to_monty(&self.g);
+        let mut spare = vec![0u64; k];
+        let mut generators = vec![power.clone()];
+        for _ in 1..COMB_ROWS * COMB_COLUMNS {
+            for _ in 0..self.comb_stride() {
+                m.mul(&mut spare, &power, &power);
+                std::mem::swap(&mut power, &mut spare);
+            }
+            generators.push(power.clone());
+        }
+        let mut table = vec![0u64; (COMB_COLUMNS << COMB_ROWS) * k];
+        let one = m.to_monty(&BigUint::one());
+        for column in 0..COMB_COLUMNS {
+            for u in 0..1usize << COMB_ROWS {
+                let (done, rest) = table.split_at_mut(comb_entry(column, u, k).start);
+                if u == 0 {
+                    rest[..k].copy_from_slice(&one);
+                    continue;
+                }
+                // u without its lowest row is already in the table.
+                let row = u.trailing_zeros() as usize;
+                m.mul(
+                    &mut rest[..k],
+                    &done[comb_entry(column, u & (u - 1), k)],
+                    &generators[COMB_COLUMNS * row + column],
+                );
+            }
+        }
+        table
     }
 
     /// The RFC 3526 2048-bit MODP group (security parameter ~112 bits).
@@ -107,12 +180,12 @@ impl DhGroup {
         self.element_len
     }
 
-    /// Draws a uniform exponent in `[1, q)`.
+    /// Draws a uniform exponent in `[2, q)`.
     pub fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         loop {
             let e = rng.gen_biguint_below(&self.q);
-            if !e.bits() == 0 || e > BigUint::one() {
-                return e.max(BigUint::one());
+            if e > BigUint::one() {
+                return e;
             }
         }
     }
@@ -122,9 +195,32 @@ impl DhGroup {
         base.modpow(e, &self.p)
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, by the fixed-base comb: one squaring per bit of a
+    /// sub-block and one table product per column, on the kernel
+    /// [`DhGroup::exp`] runs on. The table is built on first use.
     pub fn power_g(&self, e: &BigUint) -> BigUint {
-        self.g.modpow(e, &self.p)
+        let stride = self.comb_stride();
+        if e.bits() > (stride * COMB_ROWS * COMB_COLUMNS) as u64 {
+            return self.exp(&self.g, e);
+        }
+        let table = self.comb.get_or_init(|| self.build_comb());
+        let m = &self.monty;
+        let k = m.limbs();
+        let mut acc = table[..k].to_vec();
+        let mut spare = vec![0u64; k];
+        for bit in (0..stride).rev() {
+            m.mul(&mut spare, &acc, &acc);
+            std::mem::swap(&mut acc, &mut spare);
+            for column in 0..COMB_COLUMNS {
+                let u = (0..COMB_ROWS).fold(0, |u, row| {
+                    let at = stride * (COMB_COLUMNS * row + column) + bit;
+                    u | usize::from(e.bit(at as u64)) << row
+                });
+                m.mul(&mut spare, &acc, &table[comb_entry(column, u, k)]);
+                std::mem::swap(&mut acc, &mut spare);
+            }
+        }
+        m.from_monty(&acc)
     }
 
     /// Group multiplication `a · b mod p`.
@@ -138,10 +234,8 @@ impl DhGroup {
     ///
     /// Panics if `a` is zero (not a group element).
     pub fn inv(&self, a: &BigUint) -> BigUint {
-        // p is prime, so a^{p-2} is the inverse.
-        let exp = &self.p - BigUint::from(2u32);
-        assert!(!a.is_zero_ext(), "zero has no inverse in the group");
-        a.modpow(&exp, &self.p)
+        // p is prime, so only the multiples of p lack an inverse.
+        self.monty.inv(a).expect("zero has no inverse in the group")
     }
 
     /// Serializes a group element to fixed-length big-endian bytes.
@@ -162,7 +256,7 @@ impl DhGroup {
             return None;
         }
         let e = BigUint::from_bytes_be(bytes);
-        if e >= self.p || e.is_zero_ext() {
+        if e >= self.p || e.is_zero() {
             None
         } else {
             Some(e)
@@ -174,19 +268,6 @@ impl DhGroup {
     pub fn derive_key(&self, e: &BigUint, context: &[u8]) -> [u8; 32] {
         let okm = hkdf(b"ppcs-ot-v1", &self.element_bytes(e), context, 32);
         okm.try_into().expect("hkdf returned requested length")
-    }
-}
-
-/// Tiny extension so `is_zero` does not collide with num-traits import
-/// ambiguity at call sites.
-trait IsZeroExt {
-    fn is_zero_ext(&self) -> bool;
-}
-
-impl IsZeroExt for BigUint {
-    fn is_zero_ext(&self) -> bool {
-        use num_traits::Zero;
-        self.is_zero()
     }
 }
 
@@ -238,6 +319,92 @@ mod tests {
         let e = group.power_g(&group.random_exponent(&mut rng));
         let inv = group.inv(&e);
         assert_eq!(group.mul(&e, &inv), BigUint::one());
+        assert_eq!(group.inv(&BigUint::one()), BigUint::one());
+        let minus_one = group.modulus() - BigUint::one();
+        assert_eq!(group.inv(&minus_one), minus_one);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero has no inverse")]
+    fn zero_has_no_inverse() {
+        DhGroup::modp_768().inv(&BigUint::zero());
+    }
+
+    /// `2^e mod p` for the RFC 3526 group 14 prime, from an independent
+    /// implementation (CPython's `pow(2, e, p)`).
+    #[test]
+    fn modp_2048_known_answer() {
+        let group = DhGroup::modp_2048();
+        let e = BigUint::parse_bytes("0123456789abcdef".repeat(31).as_bytes(), 16).unwrap();
+        let want = concat!(
+            "2d2c8e1e37c5ec782d0a471999c20f64199bbec7d864136ae3908679bf716b98",
+            "1559949cbaf5373b7eed55bf64707bf1d509de1f90dfce156d855fddf7b957a3",
+            "014b48f4dd1f14f55645359b11af96019c629d57eb874b722874c9df243dfbb6",
+            "0df268fc338b5cd7f21aca5385f615d118f58d4d32aacfd8274b36a7e0aefac5",
+            "975d04218ed487aeadf06ffeba599837ff76620092c4e8b7c01dd78574e31f53",
+            "e2a4d491ed8d2e4f6178e728e87f18a431cb7de5cd3974233d7f82a77668abac",
+            "e71b301daa18db40cb38c1e66c88934baae21a6e07072d0eb639822df90ed5e1",
+            "2cb4592831beba3f52b69179b77eb845241b79334b96be58b5531d74d06f1fef"
+        );
+        let want = BigUint::parse_bytes(want.as_bytes(), 16).unwrap();
+        assert_eq!(group.power_g(&e), want);
+        assert_eq!(group.exp(group.generator(), &e), want);
+    }
+
+    #[test]
+    fn power_g_covers_every_exponent_length() {
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            let bits = group.modulus().bits() as usize;
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from(255u32),
+                group.order() - BigUint::one(),
+                group.modulus() - BigUint::one(),
+                (BigUint::one() << bits) - BigUint::one(),
+                // Longer than the comb: served by `exp`.
+                BigUint::one() << bits,
+                (BigUint::one() << (bits + 70)) + BigUint::from(3u32),
+            ];
+            for e in &exps {
+                assert_eq!(
+                    group.power_g(e),
+                    group.exp(group.generator(), e),
+                    "g^{e} in the {bits}-bit group"
+                );
+            }
+        }
+    }
+
+    /// Replays scripted limbs, then zeros.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0);
+        }
+    }
+
+    #[test]
+    fn random_exponent_redraws_zero_and_one() {
+        // The draws a transcript depends on: 0 and 1 are thrown away,
+        // whole (one draw is 12 limbs in this group), and the next value
+        // below q is returned as it is.
+        let group = DhGroup::modp_768();
+        let limbs = group.order().bits().div_ceil(64) as usize;
+        let mut script = vec![0u64; 3 * limbs];
+        script[limbs] = 1;
+        script[2 * limbs] = 5;
+        script[2 * limbs + 1] = 9;
+        let mut rng = Scripted(script.into_iter());
+        let e = group.random_exponent(&mut rng);
+        assert_eq!(e, (BigUint::from(9u32) << 64usize) + BigUint::from(5u32));
     }
 
     #[test]

@@ -98,3 +98,26 @@ proptest! {
         prop_assert_eq!(group.exp(&gb, &a), group.exp(&ga, &b));
     }
 }
+
+proptest! {
+    // Each case is three MODP-2048 exponentiations, unoptimised.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn comb_and_euclid_agree_with_exponentiation(seed in any::<u64>()) {
+        use num_bigint::BigUint;
+        use num_traits::One;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            let e = group.random_exponent(&mut rng);
+            let x = group.power_g(&e);
+            prop_assert_eq!(&x, &group.exp(group.generator(), &e));
+            let inv = group.inv(&x);
+            prop_assert!(group.mul(&x, &inv).is_one());
+            // Fermat: x^(p-2) is the inverse modulo a prime.
+            let fermat = group.exp(&x, &(group.modulus() - BigUint::from(2u32)));
+            prop_assert_eq!(inv, fermat);
+        }
+    }
+}

@@ -177,13 +177,12 @@ pub async fn ot12_send_precommitted_io(
     if m0.len() != m1.len() {
         return Err(OtError::UnequalMessageLengths);
     }
-    let big_c = big_c.clone();
     // Step 2: receive PK_0, derive PK_1.
     let pk0_bytes: Vec<u8> = io.recv_msg(KIND_OT12_PK0).await?;
     let pk0 = group
         .element_from_bytes(&pk0_bytes)
         .ok_or_else(|| OtError::Protocol("receiver sent invalid PK_0".into()))?;
-    let pk1 = group.mul(&big_c, &group.inv(&pk0));
+    let pk1 = group.mul(big_c, &group.inv(&pk0));
 
     // Step 3: encrypt both messages under ephemeral DH pads.
     let r = group.random_exponent(rng);
@@ -269,13 +268,12 @@ pub async fn ot12_receive_precommitted_io(
     tag: u64,
     big_c: &BigUint,
 ) -> Result<Vec<u8>, OtError> {
-    let big_c = big_c.clone();
     // Step 2: build the key pair so we know the discrete log of PK_choice
     // only.
     let x = group.random_exponent(rng);
     let pk_choice = group.power_g(&x);
     let pk0 = if choice {
-        group.mul(&big_c, &group.inv(&pk_choice))
+        group.mul(big_c, &group.inv(&pk_choice))
     } else {
         pk_choice.clone()
     };

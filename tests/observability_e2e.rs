@@ -444,6 +444,33 @@ fn metrics_endpoint_serves_prometheus_and_flight_dump_live() {
     );
 }
 
+/// A drain that finds the accepting reactor already idle — requested
+/// before the loop's first turn, so no scheduling decides the order —
+/// is still recorded on the tape before the run exits.
+#[test]
+fn drain_of_an_idle_accepting_server_is_recorded() {
+    let ds = blob_dataset(3, 80, 17);
+    let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
+    let trainer =
+        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let recorder = FlightRecorder::new(16);
+    let server = TrainerServer::new(&trainer, ServerConfig::default())
+        .with_flight_recorder(recorder.clone());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind serve");
+    server.supervisor().drain();
+    let summary = server.serve_async_tcp(listener, &SIM, 1).expect("reactor");
+    assert_eq!(summary.sessions_admitted, 0);
+    assert!(
+        recorder.snapshot().iter().any(|e| {
+            e.kind == FlightEventKind::StateTransition
+                && e.conn_slot == u32::MAX
+                && e.detail == DETAIL_DRAIN_BEGAN
+        }),
+        "drain transition missing from {:?}",
+        recorder.snapshot()
+    );
+}
+
 /// Every observability surface — the live `/metrics` page, the live
 /// `/flightrecorder` dump, the post-run recorder JSON, and the raw
 /// exposition — scraped around a full classification session must stay
