@@ -35,8 +35,8 @@ use ppcs_telemetry::{
     FlightEventKind, FlightRecorder, MetricsRegistry, DETAIL_DRAIN_BEGAN, DETAIL_DRAIN_CUT,
 };
 use ppcs_transport::{
-    busy_frame, AsyncDriver, AsyncEvent, ConnId, DriveOptions, Driver, Encodable, HealthStatus,
-    Lane, SessionLimits, TransportError, KIND_HEALTH,
+    busy_frame, AsyncDriver, AsyncEvent, ConnId, DriveOptions, Driver, Encodable, Frame,
+    HealthStatus, Lane, ProtocolEngine, SessionLimits, TransportError, KIND_HEALTH,
 };
 
 use crate::classify::{
@@ -215,10 +215,9 @@ struct SessionPermit {
     supervisor: SessionSupervisor,
 }
 
-/// Per-connection bookkeeping for the async serving loop: the stable
-/// lane index and session counter feeding the per-session seed formula
-/// (identical to the blocking path), plus the held admission permit
-/// while a session is in flight.
+/// Per-connection serving state, in either runtime: the stable lane
+/// index and session counter feeding the per-session seed formula, plus
+/// the held admission permit while a session is in flight.
 #[derive(Debug)]
 struct ConnMeta {
     lane_idx: u64,
@@ -240,6 +239,45 @@ impl Drop for SessionPermit {
     fn drop(&mut self) {
         self.supervisor.inner.active.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// What one serving run shares across its connections.
+struct Run<A: Algebra> {
+    sel: OtSelect,
+    seed: u64,
+    pool: Option<PrecomputePool<A>>,
+}
+
+/// What the first frame on a sessionless connection asks for, decided
+/// by [`TrainerServer::open_session`]; the serving runtime only has to
+/// carry it out.
+enum Opening<'s> {
+    /// A liveness/readiness probe: send the reply. Answered before (and
+    /// instead of) admission, even at capacity or mid-drain, and never a
+    /// reason to keep an otherwise-idle connection alive.
+    Health(Frame),
+    /// The client is done with this connection.
+    Fin,
+    /// Not a session opening: stale or hostile traffic, already counted.
+    Malformed,
+    /// At capacity or draining, already counted: answer with a
+    /// `KIND_BUSY` carrying the configured retry-after hint.
+    Shed,
+    /// Admitted: drive the engine (the opening frame is already in it)
+    /// under these options, then [`TrainerServer::settle`] the result.
+    Admit(ProtocolEngine<'s, usize, PpcsError>, DriveOptions),
+}
+
+/// What a finished session means for its connection.
+enum Settled {
+    /// Completed: this many samples were classified.
+    Served(usize),
+    /// The peer is gone; so is the connection.
+    Hangup,
+    /// Cut for exhausting a budget (drain cuts included).
+    BudgetCut,
+    /// Failed on its own account; the connection can serve another.
+    Failed,
 }
 
 /// Outcome counters for one [`TrainerServer::serve`] run.
@@ -377,18 +415,14 @@ where
         ot: &dyn ObliviousTransfer,
         seed: u64,
     ) -> ServeSummary {
-        let sel = ot.select();
         let stop_watchdog = AtomicBool::new(false);
-        let pool = self.build_pool(sel, seed);
+        let run = &self.begin_run(ot, seed);
         let served: usize = std::thread::scope(|scope| {
             let watchdog = scope.spawn(|| self.drain_watchdog(&stop_watchdog));
             let handles: Vec<_> = lanes
                 .iter()
                 .enumerate()
-                .map(|(i, lane)| {
-                    let pool = pool.as_ref();
-                    scope.spawn(move || self.serve_lane(lane, sel, seed, i as u64, pool))
-                })
+                .map(|(i, lane)| scope.spawn(move || self.serve_lane(lane, run, i as u64)))
                 .collect();
             let total = handles
                 .into_iter()
@@ -439,42 +473,132 @@ where
         self.supervisor.force_cut();
     }
 
-    /// Builds the serving run's precompute pool (when enabled), bound to
-    /// this trainer's spec and the run's OT engine, with one pack ready
-    /// before the first client arrives.
-    fn build_pool(&self, sel: OtSelect, seed: u64) -> Option<PrecomputePool<A>> {
-        if self.config.precompute_capacity == 0 {
-            return None;
-        }
-        let mut pool = PrecomputePool::new(
-            self.trainer.alg().clone(),
-            sel,
-            self.trainer.spec().ompe,
-            self.config.precompute_capacity,
-            self.config.precompute_masks,
-            // Domain-separated from the session seeds so offline draws
-            // never overlap an online session's randomness.
-            seed ^ 0x0FF1_CE0F_F1CE_0FF1,
-        );
-        if let Some(reg) = &self.metrics {
-            pool = pool.with_metrics(reg.clone());
-        }
-        pool.fill_one();
-        Some(pool)
+    /// Opens a serving run: its OT engine, its seed, and its precompute
+    /// pool (when enabled) bound to this trainer's spec, with one pack
+    /// ready before the first client arrives.
+    fn begin_run(&self, ot: &dyn ObliviousTransfer, seed: u64) -> Run<A> {
+        let sel = ot.select();
+        let pool = (self.config.precompute_capacity > 0).then(|| {
+            let mut pool = PrecomputePool::new(
+                self.trainer.alg().clone(),
+                sel,
+                self.trainer.spec().ompe,
+                self.config.precompute_capacity,
+                self.config.precompute_masks,
+                // Domain-separated from the session seeds so offline
+                // draws never overlap an online session's randomness.
+                seed ^ 0x0FF1_CE0F_F1CE_0FF1,
+            );
+            if let Some(reg) = &self.metrics {
+                pool = pool.with_metrics(reg.clone());
+            }
+            pool.fill_one();
+            pool
+        });
+        Run { sel, seed, pool }
     }
 
-    /// One lane's guarded session loop.
-    fn serve_lane<L: Lane + ?Sized>(
-        &self,
-        lane: &L,
-        sel: ppcs_ot::OtSelect,
-        seed: u64,
-        lane_idx: u64,
-        pool: Option<&PrecomputePool<A>>,
-    ) -> usize {
+    /// The per-session policy both runtimes share: triages the first
+    /// frame on a sessionless connection and, for a session opening,
+    /// admits or sheds it. An admitted session comes back as an engine
+    /// (seeded from the run seed, the lane index and the lane's session
+    /// count, fed from the pool when it has a pack) with the options to
+    /// drive it under; its permit rides in `meta` until
+    /// [`settle`](Self::settle).
+    fn open_session(&self, run: &Run<A>, meta: &mut ConnMeta, first: Frame) -> Opening<'_> {
         let sup = &self.supervisor;
+        if first.kind == KIND_HEALTH {
+            return Opening::Health(self.health_status(run.pool.as_ref()).reply());
+        }
+        if first.kind == KIND_CLS_FIN {
+            return Opening::Fin;
+        }
+        if first.kind != KIND_CLS_HELLO && first.kind != KIND_CLS_WARM_HELLO {
+            // A session must open with a (cold or warm) HELLO.
+            self.note_malformed();
+            return Opening::Malformed;
+        }
+        let Some(permit) = sup.try_admit() else {
+            // An explicit reject, not a hang.
+            sup.inner.shed.fetch_add(1, Ordering::Relaxed);
+            if let Some(reg) = &self.metrics {
+                reg.record_session_shed();
+            }
+            return Opening::Shed;
+        };
+        sup.inner.admitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(reg) = &self.metrics {
+            reg.record_session_admitted();
+        }
+        meta.permit = Some(permit);
+        meta.sessions += 1;
+        let session_seed = run
+            .seed
+            .wrapping_add(meta.lane_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(meta.sessions);
+        let warm = first.kind == KIND_CLS_WARM_HELLO;
+        // A dry pool is a miss, not a failure: the session serves
+        // monolithically. (The pool is built from this trainer's own
+        // spec, so the config-mismatch arm is unreachable here.)
+        let material = run.pool.as_ref().and_then(|p| {
+            p.take(run.sel, &self.trainer.spec().ompe)
+                .expect("pool built from this trainer's spec")
+        });
+        let mut engine = self
+            .trainer
+            .serve_session_engine(run.sel, session_seed, warm, material);
+        engine.handle_input(first);
+        let mut opts = DriveOptions::new()
+            .with_limits(self.config.limits.clone())
+            .with_cancel(sup.inner.cut.clone());
+        if let Some(reg) = &self.metrics {
+            opts = opts.with_metrics(reg.clone());
+        }
+        Opening::Admit(engine, opts)
+    }
+
+    /// Releases a finished session's permit and triages its outcome
+    /// into the run's counters. On a hostile network a peer failure is
+    /// an expected outcome, not a server fault.
+    fn settle(&self, meta: &mut ConnMeta, result: Result<usize, PpcsError>) -> Settled {
+        meta.permit = None;
+        let e = match result {
+            Ok(n) => return Settled::Served(n),
+            Err(e) => e,
+        };
+        match transport_cause(&e) {
+            Some(TransportError::Disconnected) => Settled::Hangup,
+            Some(TransportError::Budget(_)) => {
+                // The driver already counted it in the metrics.
+                let budget_exceeded = &self.supervisor.inner.budget_exceeded;
+                budget_exceeded.fetch_add(1, Ordering::Relaxed);
+                Settled::BudgetCut
+            }
+            Some(TransportError::Timeout) => Settled::Failed,
+            // Codec garbage mid-session, or a protocol-layer violation
+            // (bad spec, oversized batch, wrong counts, …): the peer
+            // deviated.
+            Some(_) | None => {
+                self.note_malformed();
+                Settled::Failed
+            }
+        }
+    }
+
+    /// One lane's guarded session loop: the blocking way of waiting for
+    /// the next opening frame.
+    fn serve_lane<L: Lane + ?Sized>(&self, lane: &L, run: &Run<A>, lane_idx: u64) -> usize {
+        let sup = &self.supervisor;
+        let pool = run.pool.as_ref();
+        // Blocking lanes have no ConnId; in the flight recorder the lane
+        // index stands in for the slot (epoch 0).
+        let record = |kind, detail| {
+            if let Some(rec) = &self.recorder {
+                rec.record(kind, lane_idx as u32, 0, detail);
+            }
+        };
+        let mut meta = ConnMeta::new(lane_idx);
         let mut served = 0usize;
-        let mut sessions: u64 = 0;
         let mut idle_since = Instant::now();
         loop {
             if sup.cut() {
@@ -513,89 +637,28 @@ where
                     continue;
                 }
             };
-            if first.kind == KIND_HEALTH {
-                // A liveness/readiness probe: answered before (and
-                // instead of) admission, even at capacity or mid-drain.
-                // Deliberately does not reset `idle_since` — probes must
-                // not keep an otherwise-idle lane alive forever.
-                let _ = lane.send(self.health_status(pool).reply());
-                continue;
-            }
-            if first.kind == KIND_CLS_FIN {
-                break;
-            }
-            if first.kind != KIND_CLS_HELLO && first.kind != KIND_CLS_WARM_HELLO {
-                // A session must open with a (cold or warm) HELLO;
-                // anything else here is stale or hostile traffic.
-                self.note_malformed();
-                continue;
-            }
-            let Some(permit) = sup.try_admit() else {
-                // At capacity or draining: explicit reject, not a hang,
-                // with the configured retry-after hint so a polite
-                // client redials when a slot is likely free.
-                let _ = lane.send(busy_frame(self.config.retry_after));
-                sup.inner.shed.fetch_add(1, Ordering::Relaxed);
-                if let Some(reg) = &self.metrics {
-                    reg.record_session_shed();
+            match self.open_session(run, &mut meta, first) {
+                // Deliberately does not reset `idle_since`.
+                Opening::Health(reply) => {
+                    let _ = lane.send(reply);
                 }
-                if let Some(rec) = &self.recorder {
-                    rec.record(FlightEventKind::Shed, lane_idx as u32, 0, 0);
+                Opening::Fin => break,
+                Opening::Malformed => {}
+                Opening::Shed => {
+                    let _ = lane.send(busy_frame(self.config.retry_after));
+                    record(FlightEventKind::Shed, 0);
                 }
-                continue;
-            };
-            sup.inner.admitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(reg) = &self.metrics {
-                reg.record_session_admitted();
-            }
-            sessions += 1;
-            if let Some(rec) = &self.recorder {
-                // Blocking lanes have no ConnId; the lane index stands
-                // in for the slot (epoch 0).
-                rec.record(FlightEventKind::Admitted, lane_idx as u32, 0, sessions);
-            }
-            let session_seed = seed
-                .wrapping_add(lane_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(sessions);
-            let warm = first.kind == KIND_CLS_WARM_HELLO;
-            // A dry pool is a miss, not a failure: the session serves
-            // monolithically. (The pool is built from this trainer's own
-            // spec, so the config-mismatch arm is unreachable here.)
-            let material = pool.and_then(|p| {
-                p.take(sel, &self.trainer.spec().ompe)
-                    .expect("pool built from this trainer's spec")
-            });
-            let mut engine = self
-                .trainer
-                .serve_session_engine(sel, session_seed, warm, material);
-            engine.handle_input(first);
-            let mut driver = Driver::new()
-                .with_limits(self.config.limits.clone())
-                .with_cancel(self.supervisor.inner.cut.clone());
-            if let Some(reg) = &self.metrics {
-                driver = driver.with_metrics(reg.clone());
-            }
-            let outcome = driver.drive(lane, &mut engine);
-            drop(permit);
-            idle_since = Instant::now();
-            match outcome {
-                Ok(n) => served += n,
-                Err(e) => match transport_cause(&e) {
-                    Some(TransportError::Disconnected) => break,
-                    Some(TransportError::Budget(_)) => {
-                        sup.inner.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                        // The driver already counted it in the metrics.
-                        if let Some(rec) = &self.recorder {
-                            rec.record(FlightEventKind::BudgetTrip, lane_idx as u32, 0, sessions);
-                        }
+                Opening::Admit(mut engine, opts) => {
+                    record(FlightEventKind::Admitted, meta.sessions);
+                    let outcome = Driver::from(opts).drive(lane, &mut engine);
+                    idle_since = Instant::now();
+                    match self.settle(&mut meta, outcome) {
+                        Settled::Served(n) => served += n,
+                        Settled::Hangup => break,
+                        Settled::BudgetCut => record(FlightEventKind::BudgetTrip, meta.sessions),
+                        Settled::Failed => {}
                     }
-                    Some(TransportError::Timeout) => {}
-                    // Codec-level garbage mid-session.
-                    Some(_) => self.note_malformed(),
-                    // Protocol-layer violation (bad spec, oversized
-                    // batch, wrong counts, …): the peer deviated.
-                    None => self.note_malformed(),
-                },
+                }
             }
         }
         served
@@ -605,11 +668,11 @@ where
     /// multiplexed through an [`AsyncDriver`] event loop instead of a
     /// thread per lane.
     ///
-    /// Behavior matches [`serve`](TrainerServer::serve) exactly —
-    /// admission control, `KIND_BUSY` shedding, session budgets, idle
-    /// timeouts, graceful drain, per-session seeds, and telemetry all
-    /// carry over unchanged — but drain timing is enforced by the event
-    /// loop itself (no watchdog thread), and parked sessions cost no OS
+    /// Admission control, `KIND_BUSY` shedding, session budgets,
+    /// per-session seeds, and outcome triage are the very code
+    /// [`serve`](TrainerServer::serve) runs; only the waiting differs —
+    /// idle timeouts and drain timing are enforced by the event loop
+    /// itself (no watchdog thread), and parked sessions cost no OS
     /// thread while they wait for the peer.
     ///
     /// Returns `Err` only if the reactor itself cannot be constructed;
@@ -621,20 +684,15 @@ where
         ot: &dyn ObliviousTransfer,
         seed: u64,
     ) -> Result<ServeSummary, TransportError> {
-        let sel = ot.select();
-        let mut driver: AsyncDriver<'_, usize, PpcsError> = AsyncDriver::new()?;
-        if let Some(reg) = &self.metrics {
-            driver = driver.with_metrics(reg.clone());
-        }
-        self.attach_observability(&mut driver)?;
+        let mut driver = self.reactor_driver()?;
         let mut meta: HashMap<ConnId, ConnMeta> = HashMap::new();
         for (i, lane) in lanes.iter().enumerate() {
             let id = driver.add_lane(lane as &dyn Lane);
             driver.set_idle_deadline(id, Some(self.config.idle_timeout));
             meta.insert(id, ConnMeta::new(i as u64));
         }
-        let pool = self.build_pool(sel, seed);
-        let served = self.pump_async(&mut driver, &mut meta, sel, seed, false, pool.as_ref());
+        let run = self.begin_run(ot, seed);
+        let served = self.pump_async(&mut driver, &mut meta, &run, false);
         Ok(self.supervisor.summary(served))
     }
 
@@ -656,25 +714,20 @@ where
         ot: &dyn ObliviousTransfer,
         seed: u64,
     ) -> Result<ServeSummary, TransportError> {
-        let sel = ot.select();
-        let mut driver: AsyncDriver<'_, usize, PpcsError> = AsyncDriver::new()?;
-        if let Some(reg) = &self.metrics {
-            driver = driver.with_metrics(reg.clone());
-        }
-        self.attach_observability(&mut driver)?;
+        let mut driver = self.reactor_driver()?;
         driver.listen(listener)?;
-        let mut meta: HashMap<ConnId, ConnMeta> = HashMap::new();
-        let pool = self.build_pool(sel, seed);
-        let served = self.pump_async(&mut driver, &mut meta, sel, seed, true, pool.as_ref());
+        let run = self.begin_run(ot, seed);
+        let served = self.pump_async(&mut driver, &mut HashMap::new(), &run, true);
         Ok(self.supervisor.summary(served))
     }
 
-    /// Hands the configured flight recorder and `/metrics` listener to
-    /// the async driver about to run.
-    fn attach_observability<'s>(
-        &'s self,
-        driver: &mut AsyncDriver<'s, usize, PpcsError>,
-    ) -> Result<(), TransportError> {
+    /// A reactor driver carrying this server's registry, flight recorder
+    /// and `/metrics` listener.
+    fn reactor_driver(&self) -> Result<AsyncDriver<'_, usize, PpcsError>, TransportError> {
+        let mut driver = AsyncDriver::new()?;
+        if let Some(reg) = &self.metrics {
+            driver = driver.with_metrics(reg.clone());
+        }
         if let Some(rec) = &self.recorder {
             driver.set_flight_recorder(rec.clone());
         }
@@ -686,7 +739,7 @@ where
         if let Some(listener) = endpoint {
             driver.listen_metrics(listener)?;
         }
-        Ok(())
+        Ok(driver)
     }
 
     /// The shared event loop behind both async entry points.
@@ -702,12 +755,11 @@ where
         &'s self,
         driver: &mut AsyncDriver<'s, usize, PpcsError>,
         meta: &mut HashMap<ConnId, ConnMeta>,
-        sel: OtSelect,
-        seed: u64,
+        run: &Run<A>,
         accepting: bool,
-        pool: Option<&PrecomputePool<A>>,
     ) -> usize {
         let sup = &self.supervisor;
+        let pool = run.pool.as_ref();
         let mut served = 0usize;
         let mut next_lane_idx = meta.len() as u64;
         let mut drain_started: Option<Instant> = None;
@@ -782,116 +834,40 @@ where
                         if !driver.is_open(conn) {
                             continue;
                         }
-                        if frame.kind == KIND_HEALTH {
-                            // A liveness/readiness probe: answered before
-                            // (and instead of) admission, even at capacity
-                            // or mid-drain. Deliberately leaves the idle
-                            // deadline unarmed/unchanged — probes must not
-                            // keep an otherwise-idle connection alive.
-                            let _ = driver.send_frame(conn, self.health_status(pool).reply());
-                            continue;
-                        }
-                        if frame.kind == KIND_CLS_FIN {
-                            driver.close(conn);
-                            meta.remove(&conn);
-                            continue;
-                        }
-                        if sup.draining() {
-                            // A session racing the drain is answered like
-                            // any over-capacity arrival: an explicit
-                            // `KIND_BUSY`, then the lane closes.
-                            if frame.kind == KIND_CLS_HELLO || frame.kind == KIND_CLS_WARM_HELLO {
-                                let _ = driver.send_busy_after(conn, self.config.retry_after);
-                                sup.inner.shed.fetch_add(1, Ordering::Relaxed);
-                                if let Some(reg) = &self.metrics {
-                                    reg.record_session_shed();
-                                }
-                            } else {
-                                self.note_malformed();
-                            }
-                            driver.close(conn);
-                            meta.remove(&conn);
-                            continue;
-                        }
-                        if frame.kind != KIND_CLS_HELLO && frame.kind != KIND_CLS_WARM_HELLO {
-                            // A session must open with a (cold or warm)
-                            // HELLO; anything else here is stale or
-                            // hostile traffic.
-                            self.note_malformed();
-                            driver.set_idle_deadline(conn, Some(self.config.idle_timeout));
-                            continue;
-                        }
-                        let Some(permit) = sup.try_admit() else {
-                            // At capacity: explicit reject, not a hang,
-                            // with the configured retry-after hint.
-                            let _ = driver.send_busy_after(conn, self.config.retry_after);
-                            sup.inner.shed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(reg) = &self.metrics {
-                                reg.record_session_shed();
-                            }
-                            driver.set_idle_deadline(conn, Some(self.config.idle_timeout));
-                            continue;
-                        };
-                        sup.inner.admitted.fetch_add(1, Ordering::Relaxed);
-                        if let Some(reg) = &self.metrics {
-                            reg.record_session_admitted();
-                        }
                         let state = meta.get_mut(&conn).expect("meta for open conn");
-                        state.sessions += 1;
-                        let session_seed = seed
-                            .wrapping_add(state.lane_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                            .wrapping_add(state.sessions);
-                        state.permit = Some(permit);
-                        let warm = frame.kind == KIND_CLS_WARM_HELLO;
-                        // A dry pool is a miss, not a failure: the
-                        // session serves monolithically.
-                        let material = pool.and_then(|p| {
-                            p.take(sel, &self.trainer.spec().ompe)
-                                .expect("pool built from this trainer's spec")
-                        });
-                        let mut engine =
-                            self.trainer
-                                .serve_session_engine(sel, session_seed, warm, material);
-                        engine.handle_input(frame);
-                        let mut opts = DriveOptions::new()
-                            .with_limits(self.config.limits.clone())
-                            .with_cancel(sup.inner.cut.clone());
-                        if let Some(reg) = &self.metrics {
-                            opts = opts.with_metrics(reg.clone());
-                        }
-                        driver.attach_engine(conn, engine, opts);
+                        let hangup = match self.open_session(run, state, frame) {
+                            // Deliberately leaves the idle deadline
+                            // as it is.
+                            Opening::Health(reply) => {
+                                let _ = driver.send_frame(conn, reply);
+                                continue;
+                            }
+                            Opening::Admit(engine, opts) => {
+                                driver.attach_engine(conn, engine, opts);
+                                continue;
+                            }
+                            Opening::Fin => true,
+                            // Refused: mid-drain the connection closes,
+                            // otherwise it may try again.
+                            Opening::Malformed => sup.draining(),
+                            Opening::Shed => {
+                                let _ = driver.send_busy_after(conn, self.config.retry_after);
+                                sup.draining()
+                            }
+                        };
+                        self.release(driver, meta, conn, hangup);
                     }
                     AsyncEvent::Finished { conn, result, .. } => {
-                        if let Some(state) = meta.get_mut(&conn) {
-                            state.permit = None;
-                        }
-                        match result {
-                            Ok(n) => served += n,
-                            Err(e) => match transport_cause(&e) {
-                                Some(TransportError::Disconnected) => {
-                                    driver.close(conn);
-                                    meta.remove(&conn);
-                                    continue;
-                                }
-                                Some(TransportError::Budget(_)) => {
-                                    sup.inner.budget_exceeded.fetch_add(1, Ordering::Relaxed);
-                                    // The driver already counted it in the
-                                    // metrics.
-                                }
-                                Some(TransportError::Timeout) => {}
-                                // Codec garbage mid-session, or a
-                                // protocol-layer violation: the peer
-                                // deviated.
-                                Some(_) | None => self.note_malformed(),
-                            },
-                        }
-                        if sup.draining() {
-                            driver.close(conn);
-                            meta.remove(&conn);
-                        } else {
-                            // Back to pending for a follow-up session.
-                            driver.set_idle_deadline(conn, Some(self.config.idle_timeout));
-                        }
+                        let state = meta.get_mut(&conn).expect("meta for open conn");
+                        let hangup = match self.settle(state, result) {
+                            Settled::Served(n) => {
+                                served += n;
+                                false
+                            }
+                            Settled::Hangup => true,
+                            Settled::BudgetCut | Settled::Failed => false,
+                        };
+                        self.release(driver, meta, conn, hangup || sup.draining());
                     }
                     AsyncEvent::Malformed { conn, .. } => {
                         self.note_malformed();
@@ -901,10 +877,7 @@ where
                             meta.remove(&conn);
                         }
                     }
-                    AsyncEvent::IdleExpired { conn } => {
-                        driver.close(conn);
-                        meta.remove(&conn);
-                    }
+                    AsyncEvent::IdleExpired { conn } => self.release(driver, meta, conn, true),
                     AsyncEvent::Closed { conn } => {
                         meta.remove(&conn);
                     }
@@ -923,6 +896,23 @@ where
         }
         ppcs_telemetry::flush_trace_out();
         served
+    }
+
+    /// Returns a connection to pending for a follow-up session, or
+    /// closes it.
+    fn release(
+        &self,
+        driver: &mut AsyncDriver<'_, usize, PpcsError>,
+        meta: &mut HashMap<ConnId, ConnMeta>,
+        conn: ConnId,
+        hangup: bool,
+    ) {
+        if hangup {
+            driver.close(conn);
+            meta.remove(&conn);
+        } else {
+            driver.set_idle_deadline(conn, Some(self.config.idle_timeout));
+        }
     }
 
     /// Records a run-level (not per-connection) state transition; the

@@ -4,13 +4,11 @@
 //! receive, `AsyncDriver` parks a *session* — an engine, its transcript
 //! recorder, and its budget state — on a readiness event from the
 //! [`Reactor`](crate::Reactor) or a deadline on the
-//! [`TimerWheel`](crate::TimerWheel). The per-session pump is a
-//! line-for-line mirror of `Driver::drive`'s loop (same transcript
-//! entries, same [`KIND_BUSY`] translation, same
-//! [`TransportError::Budget`] messages in the same order), so a session
-//! driven here produces a byte-identical [`Transcript`] and the same
-//! result as its blocking counterpart — the blocking driver stays the
-//! correctness oracle, enforced by the transcript-equality e2e suite.
+//! [`TimerWheel`](crate::TimerWheel). The session itself is the crate's
+//! one `SessionCore`, the same code [`Driver`](crate::Driver) steps, so
+//! transcripts, [`KIND_BUSY`](crate::KIND_BUSY) translation and
+//! [`TransportError::Budget`] trips cannot differ between the two; this
+//! module only adds the reactor's way of waiting.
 //!
 //! Connections come in two flavors:
 //!
@@ -31,7 +29,6 @@
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,13 +38,11 @@ use ppcs_telemetry::{
 };
 
 use crate::channel::{coalesce_frames, Frame, Lane, TrafficStats};
-use crate::driver::{
-    busy_frame, busy_retry_after, fail_engine, merge_wire_delta, Direction, RetryPolicy,
-    SessionLimits, Transcript, KIND_BUSY, KIND_RESUME,
-};
+use crate::driver::{busy_frame, Transcript};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::TransportError;
 use crate::reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
+use crate::session::{fail_engine, DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
 use crate::tcp::NbConn;
 
 /// Token reserved for the accept listener.
@@ -64,14 +59,6 @@ const METRICS_TOKEN_BASE: u64 = 1 << 32;
 /// Request-header cap for the HTTP-lite scrape parser: anything larger
 /// is answered `400` and closed.
 const METRICS_REQ_CAP: usize = 8 * 1024;
-
-/// How often a parked session with a cancel token re-checks it, the
-/// async analog of the blocking driver's 20 ms receive slices.
-const CANCEL_SLICE: Duration = Duration::from_millis(20);
-
-/// Per-receive deadline applied when [`DriveOptions::timeout`] is
-/// unset, matching the 30 s default of blocking endpoints.
-const DEFAULT_PER_RECV: Duration = Duration::from_secs(30);
 
 /// Reactor wait cap while in-memory lanes are attached: mem lanes have
 /// no fd to register, so they are probed every turn at this cadence.
@@ -103,69 +90,6 @@ impl ConnId {
 impl std::fmt::Display for ConnId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "conn {}.{}", self.slot, self.epoch)
-    }
-}
-
-/// Per-session drive configuration, mirroring the builder surface of
-/// the blocking [`Driver`](crate::Driver).
-#[derive(Debug, Default)]
-pub struct DriveOptions {
-    /// Record a [`Transcript`] (returned in [`AsyncEvent::Finished`]).
-    pub recording: bool,
-    /// Telemetry registry for this session's spans, wire deltas, frame
-    /// sizes, polls, rounds, timeouts, and budget trips.
-    pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Per-receive deadline (default 30 s, as on blocking endpoints).
-    /// Enforced by the timer wheel — never by `WouldBlock`.
-    pub timeout: Option<Duration>,
-    /// Session budgets, enforced with the exact trip order and
-    /// [`TransportError::Budget`] messages of the blocking driver.
-    pub limits: Option<SessionLimits>,
-    /// Cancellation token checked within one [`CANCEL_SLICE`] while
-    /// parked — the drain-cut mechanism of the serving runtime.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl DriveOptions {
-    /// Options with everything off: no recording, no metrics, default
-    /// per-receive deadline, no budgets, no cancel token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables transcript recording.
-    #[must_use]
-    pub fn with_recording(mut self) -> Self {
-        self.recording = true;
-        self
-    }
-
-    /// Attaches a telemetry registry.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Sets the per-receive deadline.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Attaches session budgets.
-    #[must_use]
-    pub fn with_limits(mut self, limits: SessionLimits) -> Self {
-        self.limits = Some(limits);
-        self
-    }
-
-    /// Attaches a cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 }
 
@@ -244,43 +168,11 @@ impl std::fmt::Debug for ConnLane<'_> {
 /// The engine and drive state parked on a connection.
 struct Session<'d, T, E> {
     engine: ProtocolEngine<'d, T, E>,
-    transcript: Option<Transcript>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    limits: SessionLimits,
-    budgeted: bool,
-    cancel: Option<Arc<AtomicBool>>,
-    per_recv: Duration,
-    started: Instant,
-    /// When the wait for the *current* frame began (reset on every
-    /// delivery) — the async analog of the blocking driver's per-recv
-    /// window.
-    recv_started: Instant,
-    bytes_before: u64,
-    frames_delivered: u64,
-    last_kind: Option<u16>,
-    stats_before: Option<TrafficStats>,
-    rounds_before: u64,
+    core: SessionCore,
     /// Driver-wide session sequence number: with slot reuse, the
     /// `(slot, epoch, seq)` triple pins every trace line and trace-out
     /// event to exactly one session.
     seq: u64,
-    /// Present when the session is being driven by
-    /// [`AsyncDriver::drive_resumable`]: transport failures become
-    /// [`PumpOutcome::NeedsRedial`] instead of terminal injections, and
-    /// sent frames are logged for replay after the redial handshake.
-    resume: Option<ResumeState>,
-}
-
-/// Redial bookkeeping for a resumable session, mirroring the blocking
-/// `pump_resumable`'s send-log/budget accounting.
-struct ResumeState {
-    /// Every logical frame sent this session, in order, for replay
-    /// after a reconnect (appended *before* transmission so a frame
-    /// lost mid-send is replayed too).
-    sent_log: Vec<Frame>,
-    /// Wire bytes spent on previous lanes: the byte budget is
-    /// session-logical and accumulates across redials.
-    wire_base: u64,
 }
 
 /// One in-flight HTTP-lite scrape connection on the metrics endpoint:
@@ -298,7 +190,8 @@ struct Conn<'d, T, E> {
     session: Option<Session<'d, T, E>>,
     /// Idle deadline while pending (no engine). One-shot.
     idle_deadline: Option<Instant>,
-    /// Bumped on every service: invalidates timers armed before.
+    /// Bumped whenever a timer is about to be armed: invalidates the
+    /// ones armed before.
     timer_gen: u64,
 }
 
@@ -307,17 +200,6 @@ struct Slot<'d, T, E> {
     conn: Option<Conn<'d, T, E>>,
     /// Already queued for service this turn (dedup flag).
     queued: bool,
-}
-
-enum PumpOutcome<T, E> {
-    /// Nothing more to do until an event or `wake_at`.
-    Parked { wake_at: Option<Instant> },
-    /// The session completed.
-    Finished(Box<(Result<T, E>, Option<Transcript>)>),
-    /// Resumable sessions only: the lane failed (or the peer shed or a
-    /// budget tripped) with the engine still alive — the outer
-    /// [`AsyncDriver::drive_resumable`] loop decides whether to redial.
-    NeedsRedial(TransportError),
 }
 
 /// A single-threaded multiplexer pumping many [`ProtocolEngine`]s over
@@ -575,34 +457,16 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             conn.session.is_none(),
             "attach_engine: session already attached"
         );
-        let budgeted = opts.limits.is_some() || opts.cancel.is_some();
-        let now = Instant::now();
-        let stats_before = opts.metrics.is_some().then(|| lane_stats(&conn.lane));
-        let bytes_before = if budgeted {
-            lane_stats(&conn.lane).total_bytes()
-        } else {
-            0
+        // A reactor session always runs its own per-receive window:
+        // there is no lane deadline to fall back on.
+        let opts = DriveOptions {
+            timeout: opts.timeout.or(Some(DEFAULT_PER_RECV)),
+            ..opts
         };
-        let rounds_before = engine.rounds();
+        let mut core = SessionCore::new(&opts, None);
+        core.begin_lane(&conn.lane, engine.rounds());
         conn.idle_deadline = None;
-        conn.session = Some(Session {
-            engine,
-            transcript: opts.recording.then(Transcript::new),
-            metrics: opts.metrics,
-            limits: opts.limits.unwrap_or_default(),
-            budgeted,
-            cancel: opts.cancel,
-            per_recv: opts.timeout.unwrap_or(DEFAULT_PER_RECV),
-            started: now,
-            recv_started: now,
-            bytes_before,
-            frames_delivered: 0,
-            last_kind: None,
-            stats_before,
-            rounds_before,
-            seq,
-            resume: None,
-        });
+        conn.session = Some(Session { engine, core, seq });
         self.active_sessions += 1;
         self.ready_next.push(slot);
         if let Some(rec) = &self.recorder {
@@ -610,7 +474,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         }
     }
 
-    /// Answers a pending connection with one [`KIND_BUSY`] frame — the
+    /// Answers a pending connection with one [`KIND_BUSY`](crate::KIND_BUSY) frame — the
     /// admission-control shed, with no retry-after hint. Send failures
     /// are reported but the connection stays open (the blocking serve
     /// loop ignores them too).
@@ -624,7 +488,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
 
     /// [`send_busy`](AsyncDriver::send_busy) with a retry-after hint:
     /// the shed frame tells the client how long to wait before
-    /// redialing (honored by [`RetryPolicy::delay_for`]).
+    /// redialing (honored by [`RetryPolicy::delay_for`](crate::RetryPolicy::delay_for)).
     ///
     /// # Errors
     ///
@@ -653,13 +517,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         let Some(conn) = self.conn_mut(id) else {
             return Err(TransportError::Disconnected);
         };
-        match &mut conn.lane {
-            ConnLane::Tcp(nb) => {
-                nb.queue(&frame)?;
-                nb.flush().map(|_| ())
-            }
-            ConnLane::Mem(l) => l.send(frame),
-        }
+        conn.lane.send(&Outgoing::Frame(frame))
     }
 
     /// Closes and removes a connection. An in-flight session's engine
@@ -885,184 +743,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         done
     }
 
-    /// Drives one engine to completion across connection failures — the
-    /// async mirror of
-    /// [`Driver::drive_resumable`](crate::Driver::drive_resumable): the
-    /// same [`KIND_RESUME`] handshake, the same unacknowledged-frame
-    /// replay, the same session-logical budgets (wall clock from the
-    /// first dial, wire bytes accumulated across every lane) and the
-    /// same [`TransportError::Budget`] messages, so either party of a
-    /// resumable session can run on the reactor path while the other
-    /// blocks.
-    ///
-    /// `connect(attempt)` borrows a fresh lane per attempt from a
-    /// caller-owned pool. A failed lane is *abandoned*, not dropped (the
-    /// borrow outlives this call) — a peer relying on a prompt
-    /// disconnect to notice the redial should cap its own receive
-    /// window instead.
-    ///
-    /// Transcript recording is not supported in resumable mode —
-    /// replayed frames would double-record — and is ignored.
-    ///
-    /// # Errors
-    ///
-    /// The role's own error once retries are exhausted or a
-    /// non-retryable (codec/protocol) failure occurs.
-    pub fn drive_resumable<C>(
-        &mut self,
-        engine: ProtocolEngine<'d, T, E>,
-        opts: DriveOptions,
-        policy: &RetryPolicy,
-        mut connect: C,
-    ) -> Result<T, E>
-    where
-        C: FnMut(u32) -> Result<&'d dyn Lane, TransportError>,
-    {
-        let _collector = opts.metrics.clone().map(ppcs_telemetry::install);
-        let limits = opts.limits.clone().unwrap_or_default();
-        let budgeted = opts.limits.is_some() || opts.cancel.is_some();
-        let per_recv = opts.timeout.unwrap_or(DEFAULT_PER_RECV);
-        // Budgets are session-logical: the wall clock starts at the
-        // first dial and wire bytes accumulate across every lane.
-        let started = Instant::now();
-        let mut engine = engine;
-        let mut sent_log: Vec<Frame> = Vec::new();
-        let mut delivered: u64 = 0;
-        let mut wire_total: u64 = 0;
-        let mut attempt: u32 = 0;
-        let mut jitter = policy.jitter_seed;
-        loop {
-            let lane = match connect(attempt) {
-                Ok(l) => l,
-                Err(e) => {
-                    if policy.is_retryable(&e) && attempt + 1 < policy.max_attempts {
-                        if let Some(reg) = &opts.metrics {
-                            reg.record_retry();
-                        }
-                        std::thread::sleep(policy.delay_for(&e, attempt, &mut jitter));
-                        attempt += 1;
-                        continue;
-                    }
-                    return fail_engine(&mut engine, e);
-                }
-            };
-            if attempt > 0 {
-                if let Some(reg) = &opts.metrics {
-                    reg.record_reconnect();
-                }
-            }
-            self.session_seq += 1;
-            let lane_bytes_before = lane.stats().total_bytes();
-            let rounds_before = engine.rounds();
-            let now = Instant::now();
-            // Resumable sessions never occupy a slot: the sentinel slot
-            // keeps their trace and recorder lines distinguishable from
-            // every slotted connection.
-            let id = ConnId {
-                slot: u32::MAX,
-                epoch: attempt,
-            };
-            let mut conn = Conn {
-                lane: ConnLane::Mem(lane),
-                session: Some(Session {
-                    engine,
-                    transcript: None,
-                    metrics: opts.metrics.clone(),
-                    limits: limits.clone(),
-                    budgeted,
-                    cancel: opts.cancel.clone(),
-                    per_recv,
-                    started,
-                    recv_started: now,
-                    bytes_before: lane_bytes_before,
-                    frames_delivered: delivered,
-                    last_kind: None,
-                    stats_before: opts.metrics.is_some().then(|| lane.stats()),
-                    rounds_before,
-                    seq: self.session_seq,
-                    resume: Some(ResumeState {
-                        sent_log: std::mem::take(&mut sent_log),
-                        wire_base: wire_total,
-                    }),
-                }),
-                idle_deadline: None,
-                timer_gen: 0,
-            };
-            let err: TransportError = 'attempt: {
-                {
-                    let s = conn.session.as_ref().expect("resumable session");
-                    let ack = match resume_handshake(lane, s, policy, id, self.recorder.as_deref())
-                    {
-                        Ok(ack) => ack,
-                        Err(e) => break 'attempt e,
-                    };
-                    let log = &s.resume.as_ref().expect("resume state").sent_log;
-                    let Some(ack) = usize::try_from(ack).ok().filter(|&n| n <= log.len()) else {
-                        break 'attempt TransportError::Decode(format!(
-                            "resume ack {ack} exceeds {} sent frames",
-                            log.len()
-                        ));
-                    };
-                    let mut replay_failure = None;
-                    for f in &log[ack..] {
-                        if let Err(e) = lane.send(f.clone()) {
-                            replay_failure = Some(e);
-                            break;
-                        }
-                    }
-                    if let Some(e) = replay_failure {
-                        break 'attempt e;
-                    }
-                }
-                let s = conn.session.as_mut().expect("resumable session");
-                s.recv_started = Instant::now();
-                loop {
-                    match pump(id, &mut conn, self.recorder.as_deref()) {
-                        PumpOutcome::Parked { .. } => {
-                            // Mem lanes have no readiness events; probe
-                            // at the same cadence `poll` would.
-                            std::thread::sleep(MEM_POLL_SLICE);
-                        }
-                        PumpOutcome::Finished(boxed) => return (*boxed).0,
-                        PumpOutcome::NeedsRedial(e) => break 'attempt e,
-                    }
-                }
-            };
-            // Recover the engine and redial bookkeeping from the failed
-            // attempt; pump only merges telemetry on completion, so the
-            // failure path merges this lane's share here.
-            let mut s = conn.session.take().expect("resumable session");
-            if let Some(reg) = &opts.metrics {
-                merge_wire_delta(
-                    reg,
-                    s.stats_before.as_ref().expect("snapshotted"),
-                    &lane.stats(),
-                );
-                reg.record_rounds(s.engine.rounds() - s.rounds_before);
-            }
-            wire_total += lane.stats().total_bytes() - lane_bytes_before;
-            delivered = s.frames_delivered;
-            let rs = s.resume.take().expect("resume state");
-            sent_log = rs.sent_log;
-            engine = s.engine;
-            if err == TransportError::Timeout {
-                if let Some(reg) = &opts.metrics {
-                    reg.record_timeout();
-                }
-                ppcs_telemetry::warn_event("recv timeout", None, Some(engine.rounds()));
-            }
-            if policy.is_retryable(&err) && attempt + 1 < policy.max_attempts {
-                if let Some(reg) = &opts.metrics {
-                    reg.record_retry();
-                }
-                std::thread::sleep(policy.delay_for(&err, attempt, &mut jitter));
-                attempt += 1;
-                continue;
-            }
-            return fail_engine(&mut engine, err);
-        }
-    }
-
     fn accept_all(&mut self, events: &mut Vec<AsyncEvent<T, E>>) {
         loop {
             let accepted = match &self.listener {
@@ -1089,7 +769,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         let Some(conn) = self.slots[slot as usize].conn.as_mut() else {
             return;
         };
-        conn.timer_gen += 1;
 
         // Pull everything the transport has; sticky failures surface
         // through try_recv below.
@@ -1113,52 +792,63 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             ConnLane::Mem(_) => None,
         };
 
-        if conn.session.is_some() {
-            let outcome = pump(id, conn, self.recorder.as_deref());
-            match outcome {
-                // Unreachable from `service`: resume mode only runs
-                // under `drive_resumable`, which pumps directly.
-                PumpOutcome::NeedsRedial(_) => unreachable!("slotted sessions are not resumable"),
-                PumpOutcome::Parked { wake_at } => {
-                    if let Some(at) = wake_at {
-                        if matches!(conn.lane, ConnLane::Tcp(_)) {
-                            self.wheel.arm(at, u64::from(slot), conn.timer_gen);
-                        }
+        if let Some(s) = conn.session.as_mut() {
+            conn.timer_gen += 1;
+            // Engines poll on this thread, so installing the session's
+            // scope here captures every protocol-phase span — and
+            // because the scope carries (slot, epoch, seq), interleaved
+            // sessions attribute their spans, trace lines, and trace-out
+            // events to the right ConnId.
+            let _collector = s.core.metrics().cloned().map(|reg| {
+                ppcs_telemetry::install_scope(TraceScope::for_conn(reg, slot, epoch, s.seq))
+            });
+            let result = match s.core.step(&mut s.engine, &mut conn.lane) {
+                Step::Parked { wake_at } => {
+                    // Mem conns are probed every turn; only fd conns
+                    // need a timer to wake the reactor.
+                    if matches!(conn.lane, ConnLane::Tcp(_)) {
+                        self.wheel.arm(wake_at, u64::from(slot), conn.timer_gen);
                     }
+                    return;
                 }
-                PumpOutcome::Finished(boxed) => {
-                    let (result, transcript) = *boxed;
-                    conn.session = None;
-                    self.active_sessions -= 1;
-                    let buffered = match &conn.lane {
-                        ConnLane::Tcp(nb) => nb.has_buffered(),
-                        ConnLane::Mem(_) => false,
-                    };
-                    if buffered {
-                        self.ready_next.push(slot);
-                    }
-                    if let Some(rec) = &self.recorder {
-                        let detail = if result.is_ok() {
-                            DETAIL_SESSION_OK
-                        } else {
-                            DETAIL_SESSION_ERR
-                        };
-                        rec.record(FlightEventKind::StateTransition, slot, epoch, detail);
-                    }
-                    events.push(AsyncEvent::Finished {
-                        conn: id,
-                        result,
-                        transcript,
-                    });
+                Step::Finished(result) => result,
+                // Attached sessions are not resumable; fail like any
+                // other transport error if one ever says otherwise.
+                Step::NeedsRedial(e) => fail_engine(&mut s.engine, e),
+            };
+            if let Some(rec) = &self.recorder {
+                if s.core.tripped() {
+                    let delivered = s.core.frames_delivered();
+                    rec.record(FlightEventKind::BudgetTrip, slot, epoch, delivered);
                 }
+                let detail = if result.is_ok() {
+                    DETAIL_SESSION_OK
+                } else {
+                    DETAIL_SESSION_ERR
+                };
+                rec.record(FlightEventKind::StateTransition, slot, epoch, detail);
             }
+            let transcript = s.core.take_transcript();
+            conn.session = None;
+            self.active_sessions -= 1;
+            if matches!(&conn.lane, ConnLane::Tcp(nb) if nb.has_buffered()) {
+                self.ready_next.push(slot);
+            }
+            events.push(AsyncEvent::Finished {
+                conn: id,
+                result,
+                transcript,
+            });
             return;
         }
 
         // Pending connection: deliver at most one frame per turn so the
         // caller can react (admit / shed / close) before the next one.
-        match lane_try_recv(&mut conn.lane) {
+        match conn.lane.try_recv(None) {
             Ok(Some(frame)) => {
+                // The idle timer stays armed: a handler that leaves the
+                // deadline alone (a health probe does) must not keep
+                // the connection from being reaped on time.
                 let buffered = match &conn.lane {
                     ConnLane::Tcp(nb) => nb.has_buffered(),
                     ConnLane::Mem(_) => true,
@@ -1169,13 +859,9 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                 events.push(AsyncEvent::Opening { conn: id, frame });
             }
             Ok(None) => {
-                if let Some(deadline) = conn.idle_deadline {
-                    if Instant::now() >= deadline {
-                        conn.idle_deadline = None;
-                        events.push(AsyncEvent::IdleExpired { conn: id });
-                    } else if matches!(conn.lane, ConnLane::Tcp(_)) {
-                        self.wheel.arm(deadline, u64::from(slot), conn.timer_gen);
-                    }
+                if conn.idle_deadline.is_some_and(|d| Instant::now() >= d) {
+                    conn.idle_deadline = None;
+                    events.push(AsyncEvent::IdleExpired { conn: id });
                 }
             }
             Err(TransportError::Disconnected) => {
@@ -1358,13 +1044,13 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             let label = format!("conn=\"{}.{}\"", slot, s.epoch);
             wire.push_str(&format!(
                 "ppcs_conn_wire_bytes{{{label}}} {}\n",
-                lane_stats(&conn.lane).total_bytes()
+                conn.lane.stats().total_bytes()
             ));
             match &conn.session {
                 Some(sess) => {
                     let phase = sess
-                        .metrics
-                        .as_ref()
+                        .core
+                        .metrics()
                         .and_then(|r| r.current_phase())
                         .map_or("", |p| p.name());
                     info.push_str(&format!(
@@ -1374,19 +1060,15 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                         "ppcs_conn_rounds{{{label}}} {}\n",
                         sess.engine.rounds()
                     ));
-                    if let Some(max) = sess.limits.max_frames {
+                    let (frames, bytes) = sess.core.budget_remaining(&conn.lane);
+                    if let Some(left) = frames {
                         frames_left.push_str(&format!(
-                            "ppcs_conn_budget_frames_remaining{{{label}}} {}\n",
-                            max.saturating_sub(sess.frames_delivered)
+                            "ppcs_conn_budget_frames_remaining{{{label}}} {left}\n"
                         ));
                     }
-                    if let Some(max) = sess.limits.max_wire_bytes {
-                        let moved = lane_stats(&conn.lane)
-                            .total_bytes()
-                            .saturating_sub(sess.bytes_before);
+                    if let Some(left) = bytes {
                         bytes_left.push_str(&format!(
-                            "ppcs_conn_budget_wire_bytes_remaining{{{label}}} {}\n",
-                            max.saturating_sub(moved)
+                            "ppcs_conn_budget_wire_bytes_remaining{{{label}}} {left}\n"
                         ));
                     }
                 }
@@ -1415,7 +1097,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             ),
             (
                 "ppcs_conn_budget_frames_remaining",
-                "Frames left in each live session's frame budget.",
+                "Delivered frames left in each live session's budget.",
                 &frames_left,
             ),
             (
@@ -1459,337 +1141,60 @@ impl<T, E> std::fmt::Debug for AsyncDriver<'_, T, E> {
     }
 }
 
-fn lane_stats(lane: &ConnLane<'_>) -> TrafficStats {
-    match lane {
-        ConnLane::Tcp(nb) => nb.stats(),
-        ConnLane::Mem(l) => l.stats(),
+/// The reactor's way of waiting: it doesn't. `try_recv` reports what
+/// has already arrived, and deadlines are the timer wheel's job (see
+/// the normalization notes in `tcp.rs`).
+impl SessionIo for ConnLane<'_> {
+    fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
+        match self {
+            Self::Tcp(nb) => {
+                match out {
+                    Outgoing::Frame(f) => nb.queue(f)?,
+                    Outgoing::Batch(fs) => nb.queue(&coalesce_frames(fs)?)?,
+                }
+                // Opportunistic flush: backpressure is not an error, the
+                // remainder rides the next writable event.
+                nb.flush().map(|_| ())
+            }
+            Self::Mem(l) => match out {
+                Outgoing::Frame(f) => l.send(f.clone()),
+                Outgoing::Batch(fs) => l.send_coalesced(fs),
+            },
+        }
     }
-}
 
-/// Nonblocking receive: `Ok(None)` = nothing yet (never `Timeout` —
-/// deadlines are the timer wheel's job, see the normalization notes in
-/// `tcp.rs`).
-fn lane_try_recv(lane: &mut ConnLane<'_>) -> Result<Option<Frame>, TransportError> {
-    match lane {
-        ConnLane::Tcp(nb) => {
-            nb.fill()?;
-            nb.try_recv()
-        }
-        ConnLane::Mem(l) => {
-            l.set_recv_timeout(Some(Duration::ZERO));
-            match l.recv() {
-                Ok(f) => Ok(Some(f)),
-                Err(TransportError::Timeout) => Ok(None),
-                Err(e) => Err(e),
+    fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
+        match self {
+            Self::Tcp(nb) => {
+                nb.fill()?;
+                nb.try_recv()
+            }
+            Self::Mem(l) => {
+                l.set_recv_timeout(Some(Duration::ZERO));
+                match l.recv() {
+                    Ok(f) => Ok(Some(f)),
+                    Err(TransportError::Timeout) => Ok(None),
+                    Err(e) => Err(e),
+                }
             }
         }
     }
-}
 
-fn send_out(lane: &mut ConnLane<'_>, out: &Outgoing) -> Result<(), TransportError> {
-    match lane {
-        ConnLane::Tcp(nb) => {
-            match out {
-                Outgoing::Frame(f) => nb.queue(f)?,
-                Outgoing::Batch(fs) => nb.queue(&coalesce_frames(fs)?)?,
-            }
-            // Opportunistic flush: backpressure is not an error, the
-            // remainder rides the next writable event.
-            nb.flush().map(|_| ())
-        }
-        ConnLane::Mem(l) => match out {
-            Outgoing::Frame(f) => l.send(f.clone()),
-            Outgoing::Batch(fs) => l.send_coalesced(fs),
-        },
-    }
-}
-
-/// One session pump: a faithful mirror of the blocking
-/// `Driver::drive_loop`, stepping the engine, transmitting outputs,
-/// enforcing budgets (identical messages, identical order), and
-/// delivering frames — except that where the blocking loop would park
-/// the thread in a sliced `recv`, this returns
-/// [`PumpOutcome::Parked`] with the wake-up deadline for the timer
-/// wheel.
-fn pump<'d, T, E: From<TransportError>>(
-    id: ConnId,
-    conn: &mut Conn<'d, T, E>,
-    recorder: Option<&FlightRecorder>,
-) -> PumpOutcome<T, E> {
-    let lane = &mut conn.lane;
-    let s = conn.session.as_mut().expect("pump without session");
-    // Engines poll on this thread, so installing the session's scope
-    // here captures every protocol-phase span — and because the scope
-    // carries (slot, epoch, seq), interleaved sessions attribute their
-    // spans, trace lines, and trace-out events to the right ConnId.
-    let _collector = s.metrics.clone().map(|reg| {
-        ppcs_telemetry::install_scope(TraceScope::for_conn(reg, id.slot, id.epoch, s.seq))
-    });
-    let result: Result<T, E> = loop {
-        if let Some(reg) = &s.metrics {
-            reg.record_polls(1);
-        }
-        let mut send_failure: Option<TransportError> = None;
-        while let Some(out) = s.engine.poll_output() {
-            if let Some(t) = &mut s.transcript {
-                t.record(Direction::Sent, &out);
-            }
-            if let Some(reg) = &s.metrics {
-                for f in out.frames() {
-                    reg.record_frame_size(f.payload.len() as u64);
-                }
-            }
-            s.last_kind = out.frames().last().map(|f| f.kind);
-            if let Some(rs) = &mut s.resume {
-                // Log before transmitting: a frame lost mid-send must
-                // be replayed after the redial too.
-                rs.sent_log.extend(out.frames().iter().cloned());
-            }
-            if let Err(e) = send_out(lane, &out) {
-                send_failure = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = send_failure {
-            if s.resume.is_some() {
-                return PumpOutcome::NeedsRedial(e);
-            }
-            s.engine.inject_failure(e.clone());
-            break match s.engine.take_result() {
-                Some(r) => r,
-                None => Err(E::from(e)),
-            };
-        }
-        if s.engine.is_done() {
-            break s.engine.take_result().expect("engine reported done");
-        }
-        if s.budgeted {
-            // Resumable sessions budget bytes session-logically: wire
-            // spent on previous lanes counts against this one.
-            let wire_base = s.resume.as_ref().map_or(0, |rs| rs.wire_base);
-            let wire = wire_base + lane_stats(lane).total_bytes() - s.bytes_before;
-            if let Some(e) = budget_trip(s, wire) {
-                note_budget(s, &e, id, recorder);
-                if s.resume.is_some() {
-                    return PumpOutcome::NeedsRedial(e);
-                }
-                break fail_engine(&mut s.engine, e);
-            }
-        }
-        match lane_try_recv(lane) {
-            Ok(Some(frame)) => {
-                if frame.kind == KIND_BUSY {
-                    // The peer shed this session before admission.
-                    let e = TransportError::Busy {
-                        retry_after_ms: busy_retry_after(&frame.payload),
-                    };
-                    if s.resume.is_some() {
-                        return PumpOutcome::NeedsRedial(e);
-                    }
-                    break fail_engine(&mut s.engine, e);
-                }
-                if frame.kind == KIND_RESUME && s.resume.is_some() {
-                    // A duplicate handshake ack raced the first session
-                    // frame — drop it, it is not protocol traffic.
-                    continue;
-                }
-                if let Some(t) = &mut s.transcript {
-                    t.record_received(&frame);
-                }
-                if let Some(reg) = &s.metrics {
-                    reg.record_frame_size(frame.payload.len() as u64);
-                }
-                s.frames_delivered += 1;
-                s.last_kind = Some(frame.kind);
-                s.engine.handle_input(frame);
-                s.recv_started = Instant::now();
-            }
-            Ok(None) => {
-                // Nothing to read. Either the per-recv deadline has
-                // truly elapsed (a Timeout, same meaning as on the
-                // blocking path) or the session parks until readiness
-                // or the next relevant deadline.
-                if s.recv_started.elapsed() >= s.per_recv {
-                    let e = TransportError::Timeout;
-                    if s.resume.is_some() {
-                        // The outer redial loop records the timeout and
-                        // warns, mirroring the blocking driver exactly.
-                        return PumpOutcome::NeedsRedial(e);
-                    }
-                    if let Some(reg) = &s.metrics {
-                        reg.record_timeout();
-                    }
-                    ppcs_telemetry::warn_event(
-                        "recv timeout",
-                        s.last_kind,
-                        Some(s.engine.rounds()),
-                    );
-                    break fail_engine(&mut s.engine, e);
-                }
-                let mut wake = s.recv_started + s.per_recv;
-                if let Some(deadline) = s.limits.deadline {
-                    wake = wake.min(s.started + deadline);
-                }
-                if s.cancel.is_some() {
-                    wake = wake.min(Instant::now() + CANCEL_SLICE);
-                }
-                return PumpOutcome::Parked {
-                    wake_at: Some(wake),
-                };
-            }
-            Err(e) => {
-                if s.resume.is_some() {
-                    return PumpOutcome::NeedsRedial(e);
-                }
-                if matches!(e, TransportError::Budget(_)) {
-                    note_budget(s, &e, id, recorder);
-                }
-                if e == TransportError::Timeout {
-                    if let Some(reg) = &s.metrics {
-                        reg.record_timeout();
-                    }
-                    ppcs_telemetry::warn_event(
-                        "recv timeout",
-                        s.last_kind,
-                        Some(s.engine.rounds()),
-                    );
-                }
-                s.engine.inject_failure(e.clone());
-                break match s.engine.take_result() {
-                    Some(r) => r,
-                    None => Err(E::from(e)),
-                };
-            }
-        }
-    };
-    if let Some(reg) = &s.metrics {
-        merge_wire_delta(
-            reg,
-            s.stats_before.as_ref().expect("snapshotted"),
-            &lane_stats(lane),
-        );
-        reg.record_rounds(s.engine.rounds() - s.rounds_before);
-    }
-    let transcript = s.transcript.take();
-    PumpOutcome::Finished(Box::new((result, transcript)))
-}
-
-/// The budget that has tripped, if any — cancel first (a drain cut
-/// overrides any remaining allowance), then wall-clock, frames, wire
-/// bytes, with messages identical to the blocking driver's.
-fn budget_trip<T, E>(s: &Session<'_, T, E>, wire_bytes: u64) -> Option<TransportError> {
-    if let Some(cancel) = &s.cancel {
-        if cancel.load(Ordering::Relaxed) {
-            return Some(TransportError::Budget(
-                "session cancelled (drain cut)".into(),
-            ));
+    fn stats(&self) -> TrafficStats {
+        match self {
+            Self::Tcp(nb) => nb.stats(),
+            Self::Mem(l) => l.stats(),
         }
     }
-    if let Some(deadline) = s.limits.deadline {
-        if s.started.elapsed() >= deadline {
-            return Some(TransportError::Budget(format!(
-                "wall-clock deadline {deadline:?} elapsed"
-            )));
-        }
-    }
-    if let Some(max) = s.limits.max_frames {
-        if s.frames_delivered >= max {
-            return Some(TransportError::Budget(format!(
-                "frame budget {max} exhausted"
-            )));
-        }
-    }
-    if let Some(max) = s.limits.max_wire_bytes {
-        if wire_bytes > max {
-            return Some(TransportError::Budget(format!(
-                "wire-byte budget {max} exceeded ({wire_bytes} bytes moved)"
-            )));
-        }
-    }
-    None
-}
-
-/// The announcing half of the [`KIND_RESUME`] handshake on a fresh
-/// lane, mirroring the blocking `pump_resumable` exactly: budget check
-/// first (a pre-tripped deadline or drain cut never waits out the
-/// window), the resume window clamped to the remaining session
-/// deadline, then announce our delivered count and wait for the peer's
-/// ack.
-fn resume_handshake<T, E>(
-    lane: &dyn Lane,
-    s: &Session<'_, T, E>,
-    policy: &RetryPolicy,
-    id: ConnId,
-    recorder: Option<&FlightRecorder>,
-) -> Result<u64, TransportError> {
-    let wire_base = s.resume.as_ref().map_or(0, |rs| rs.wire_base);
-    let mut window = policy.resume_window;
-    if s.budgeted {
-        if let Some(e) = budget_trip(s, wire_base) {
-            note_budget(s, &e, id, recorder);
-            return Err(e);
-        }
-        if let Some(deadline) = s.limits.deadline {
-            let remaining = deadline.saturating_sub(s.started.elapsed());
-            window = window.min(remaining).max(Duration::from_millis(1));
-        }
-    }
-    lane.set_recv_timeout(Some(window));
-    lane.send(Frame::encode(KIND_RESUME, &s.frames_delivered))?;
-    loop {
-        let f = match lane.recv() {
-            Err(TransportError::Timeout) if s.budgeted => {
-                if let Some(e) = budget_trip(s, wire_base) {
-                    note_budget(s, &e, id, recorder);
-                    return Err(e);
-                }
-                return Err(TransportError::Timeout);
-            }
-            other => other?,
-        };
-        if f.kind == KIND_BUSY {
-            // The peer shed this session: without a retry-after hint
-            // this is terminal (the same overloaded server would shed
-            // the redial too); with one, the outer loop redials after
-            // the hinted delay.
-            return Err(TransportError::Busy {
-                retry_after_ms: busy_retry_after(&f.payload),
-            });
-        }
-        if f.kind == KIND_RESUME {
-            return f.decode_as::<u64>(KIND_RESUME);
-        }
-        // A stale in-flight frame from before the reconnect: drop it.
-        // Whatever we have not acknowledged, the peer replays.
-    }
-}
-
-fn note_budget<T, E>(
-    s: &Session<'_, T, E>,
-    e: &TransportError,
-    id: ConnId,
-    recorder: Option<&FlightRecorder>,
-) {
-    if let Some(reg) = &s.metrics {
-        reg.record_budget_exceeded();
-    }
-    if let Some(rec) = recorder {
-        rec.record(
-            FlightEventKind::BudgetTrip,
-            id.slot,
-            id.epoch,
-            s.frames_delivered,
-        );
-    }
-    ppcs_telemetry::warn_event(&e.to_string(), s.last_kind, Some(s.engine.rounds()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::duplex;
-    use crate::driver::Driver;
+    use crate::driver::{Driver, SessionLimits, KIND_BUSY};
     use crate::engine::FrameIo;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A toy echo protocol: the responder doubles `rounds` numbers, the
     /// requester checks them.
@@ -1907,33 +1312,6 @@ mod tests {
             let done = ad.drive_all();
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].1.as_ref().expect("result"), &(0 + 2 + 4 + 6));
-        });
-    }
-
-    #[test]
-    fn budget_messages_match_the_blocking_driver() {
-        // Frame budget: the engine wants 3 exchanges, the budget allows
-        // one delivered frame.
-        let (a, b) = duplex();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut engine = ProtocolEngine::new(|io| responder(io, 3));
-                let _ = Driver::new().drive(&b, &mut engine);
-            });
-            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-            let conn = ad.add_lane(&a);
-            ad.attach_engine(
-                conn,
-                ProtocolEngine::new(|io| requester(io, 3)),
-                DriveOptions::new().with_limits(SessionLimits::unlimited().with_max_frames(1)),
-            );
-            let done = ad.drive_all();
-            let err = done[0].1.as_ref().expect_err("budget must trip");
-            assert_eq!(
-                err,
-                &TransportError::Budget("frame budget 1 exhausted".into()),
-                "identical message to the blocking driver"
-            );
         });
     }
 

@@ -639,6 +639,30 @@ impl Lane for Endpoint {
     }
 }
 
+/// A borrowed lane is a lane, so code that owns its lane and code that
+/// borrows one share the same generic paths.
+impl<L: Lane + ?Sized> Lane for &L {
+    fn send(&self, frame: Frame) -> Result<(), TransportError> {
+        (**self).send(frame)
+    }
+
+    fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
+        (**self).send_coalesced(frames)
+    }
+
+    fn recv(&self) -> Result<Frame, TransportError> {
+        (**self).recv()
+    }
+
+    fn set_recv_timeout(&self, timeout: Option<Duration>) {
+        (**self).set_recv_timeout(timeout)
+    }
+
+    fn stats(&self) -> TrafficStats {
+        (**self).stats()
+    }
+}
+
 /// Runs two party closures on separate threads over a fresh duplex
 /// connection and returns both results.
 ///

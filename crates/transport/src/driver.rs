@@ -9,17 +9,18 @@
 //! [`replay`] re-drives an engine from the recording, asserting it emits
 //! byte-identical output.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use ppcs_telemetry::{MetricsRegistry, WireDir};
+use ppcs_telemetry::MetricsRegistry;
 
 use crate::channel::{Frame, Lane, TrafficStats};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::{ProtocolError, TransportError};
 use crate::fault::splitmix64;
+use crate::session::{fail_engine, DriveOptions, SessionCore, SessionIo};
 use crate::wire::{decode_seq, encode_seq, Encodable};
 
 /// Frame kind for the resume handshake: after a reconnect, each side
@@ -184,14 +185,15 @@ impl RetryPolicy {
     }
 
     /// The delay before the retry prompted by `e`: a shed reply carrying
-    /// a retry-after hint is honored exactly (no jitter — the server
-    /// already knows when capacity frees up), anything else gets the
-    /// jittered exponential [`backoff_delay`](Self::backoff_delay).
+    /// a retry-after hint is honored as given (no jitter — the server
+    /// already knows when capacity frees up) up to `max_delay`, since
+    /// the hint is peer-controlled; anything else gets the jittered
+    /// exponential [`backoff_delay`](Self::backoff_delay).
     pub fn delay_for(&self, e: &TransportError, attempt: u32, jitter: &mut u64) -> Duration {
         match e {
             TransportError::Busy {
                 retry_after_ms: Some(ms),
-            } => Duration::from_millis(*ms),
+            } => Duration::from_millis(*ms).min(self.max_delay),
             _ => self.backoff_delay(attempt, jitter),
         }
     }
@@ -350,10 +352,12 @@ impl Encodable for Transcript {
 }
 
 /// Pumps a [`ProtocolEngine`] over any [`Lane`] until the role
-/// completes: outputs are transmitted (batches coalesced), and the
-/// endpoint is polled for input whenever the engine stalls. Transport
-/// failures are injected into the engine so the role surfaces the same
-/// typed error its blocking counterpart would.
+/// completes, parking the calling thread in `lane.recv()` whenever the
+/// engine stalls. The session itself — outputs, transcript, metrics,
+/// budgets, the resume handshake — is the crate's one `SessionCore`,
+/// shared with [`AsyncDriver`](crate::AsyncDriver); this type only adds
+/// the blocking way of waiting. Transport failures are injected into the
+/// engine so the role surfaces its own typed error.
 ///
 /// One driver serves one session; enable recording before driving to
 /// capture a [`Transcript`], attach a
@@ -361,12 +365,9 @@ impl Encodable for Transcript {
 /// telemetry.
 #[derive(Debug, Default)]
 pub struct Driver {
-    transcript: Option<Transcript>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    timeout: Option<Duration>,
+    opts: DriveOptions,
     retry: Option<RetryPolicy>,
-    limits: Option<SessionLimits>,
-    cancel: Option<Arc<AtomicBool>>,
+    transcript: Option<Transcript>,
 }
 
 impl Driver {
@@ -378,7 +379,7 @@ impl Driver {
     /// Enables transcript recording for the next [`drive`](Self::drive).
     #[must_use]
     pub fn with_recording(mut self) -> Self {
-        self.transcript = Some(Transcript::new());
+        self.opts.recording = true;
         self
     }
 
@@ -388,19 +389,19 @@ impl Driver {
     /// wire-traffic deltas, poll count, and round count into it.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
+        self.opts.metrics = Some(metrics);
         self
     }
 
     /// Sets the receive deadline every [`drive`](Self::drive) applies to
-    /// its endpoint before pumping. Configure the drivers on **both**
-    /// parties with the same value to get a symmetric deadline on a TCP
-    /// connection pair; a [`TransportError::Timeout`] during the drive
-    /// is counted in the attached registry and emits a `warn` trace
-    /// event carrying the frame kind last seen and the engine round.
+    /// its endpoint. Configure the drivers on **both** parties with the
+    /// same value to get a symmetric deadline on a TCP connection pair;
+    /// a [`TransportError::Timeout`] during the drive is counted in the
+    /// attached registry and emits a `warn` trace event carrying the
+    /// frame kind last seen and the engine round.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
+        self.opts.timeout = Some(timeout);
         self
     }
 
@@ -420,7 +421,7 @@ impl Driver {
     /// lane's recv deadline as they go and should own their lane.
     #[must_use]
     pub fn with_limits(mut self, limits: SessionLimits) -> Self {
-        self.limits = Some(limits);
+        self.opts.limits = Some(limits);
         self
     }
 
@@ -430,11 +431,11 @@ impl Driver {
     /// cut in-flight sessions at the drain deadline.
     #[must_use]
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
+        self.opts.cancel = Some(cancel);
         self
     }
 
-    /// Takes the recorded transcript, if recording was enabled.
+    /// Takes the transcript of the last drive, if recording was enabled.
     pub fn take_transcript(&mut self) -> Option<Transcript> {
         self.transcript.take()
     }
@@ -451,242 +452,45 @@ impl Driver {
         L: Lane + ?Sized,
         E: From<TransportError>,
     {
-        if let Some(timeout) = self.timeout {
-            ep.set_recv_timeout(Some(timeout));
-        }
         // Role futures poll on this thread, so installing the collector
         // here covers every span in the protocol stack — blocking
         // wrappers and TCP paths get telemetry for free.
-        let _collector = self.metrics.clone().map(ppcs_telemetry::install);
-        let stats_before = self.metrics.is_some().then(|| ep.stats());
-        let rounds_before = engine.rounds();
-        let result = self.drive_loop(ep, engine);
-        if let Some(reg) = &self.metrics {
-            merge_wire_delta(reg, &stats_before.expect("snapshotted"), &ep.stats());
-            reg.record_rounds(engine.rounds() - rounds_before);
-        }
+        let _collector = self.opts.metrics.clone().map(ppcs_telemetry::install);
+        let mut core = SessionCore::new(&self.opts, None);
+        let result = core
+            .drive_lane(engine, &mut Waiting::on(ep))
+            .unwrap_or_else(|e| fail_engine(engine, e));
+        self.transcript = core.take_transcript();
         result
-    }
-
-    fn drive_loop<L, T, E>(&mut self, ep: &L, engine: &mut ProtocolEngine<'_, T, E>) -> Result<T, E>
-    where
-        L: Lane + ?Sized,
-        E: From<TransportError>,
-    {
-        let started = Instant::now();
-        let limits = self.limits.clone().unwrap_or_default();
-        let budgeted = self.limits.is_some() || self.cancel.is_some();
-        let bytes_before = budgeted.then(|| ep.stats().total_bytes());
-        let mut frames_delivered: u64 = 0;
-        // The frame kind most recently sent or delivered: locates a
-        // timeout within the session for the warn event.
-        let mut last_kind: Option<u16> = None;
-        loop {
-            if let Some(reg) = &self.metrics {
-                reg.record_polls(1);
-            }
-            while let Some(out) = engine.poll_output() {
-                if let Some(t) = &mut self.transcript {
-                    t.record(Direction::Sent, &out);
-                }
-                if let Some(reg) = &self.metrics {
-                    for f in out.frames() {
-                        reg.record_frame_size(f.payload.len() as u64);
-                    }
-                }
-                last_kind = out.frames().last().map(|f| f.kind);
-                let sent = match &out {
-                    Outgoing::Frame(f) => ep.send(f.clone()),
-                    Outgoing::Batch(fs) => ep.send_coalesced(fs),
-                };
-                if let Err(e) = sent {
-                    engine.inject_failure(e.clone());
-                    return match engine.take_result() {
-                        Some(r) => r,
-                        None => Err(E::from(e)),
-                    };
-                }
-            }
-            if engine.is_done() {
-                return engine.take_result().expect("engine reported done");
-            }
-            if budgeted {
-                let wire = ep.stats().total_bytes() - bytes_before.expect("snapshotted");
-                if let Some(e) = self.budget_trip(&limits, started, frames_delivered, wire) {
-                    self.note_budget(&e, last_kind, engine.rounds());
-                    return fail_engine(engine, e);
-                }
-            }
-            match self.recv_within_budget(ep, &limits, budgeted, started) {
-                Ok(frame) => {
-                    if frame.kind == KIND_BUSY {
-                        // The peer shed this session before admission.
-                        return fail_engine(
-                            engine,
-                            TransportError::Busy {
-                                retry_after_ms: busy_retry_after(&frame.payload),
-                            },
-                        );
-                    }
-                    if let Some(t) = &mut self.transcript {
-                        t.record_received(&frame);
-                    }
-                    if let Some(reg) = &self.metrics {
-                        reg.record_frame_size(frame.payload.len() as u64);
-                    }
-                    frames_delivered += 1;
-                    last_kind = Some(frame.kind);
-                    engine.handle_input(frame);
-                }
-                Err(e) => {
-                    if matches!(e, TransportError::Budget(_)) {
-                        self.note_budget(&e, last_kind, engine.rounds());
-                    }
-                    if e == TransportError::Timeout {
-                        if let Some(reg) = &self.metrics {
-                            reg.record_timeout();
-                        }
-                        ppcs_telemetry::warn_event(
-                            "recv timeout",
-                            last_kind,
-                            Some(engine.rounds()),
-                        );
-                    }
-                    engine.inject_failure(e.clone());
-                    return match engine.take_result() {
-                        Some(r) => r,
-                        None => Err(E::from(e)),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Returns the budget that has tripped, if any. The cancel token is
-    /// checked first: a drain cut overrides any remaining allowance.
-    fn budget_trip(
-        &self,
-        limits: &SessionLimits,
-        started: Instant,
-        frames_delivered: u64,
-        wire_bytes: u64,
-    ) -> Option<TransportError> {
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Some(TransportError::Budget(
-                    "session cancelled (drain cut)".into(),
-                ));
-            }
-        }
-        if let Some(deadline) = limits.deadline {
-            if started.elapsed() >= deadline {
-                return Some(TransportError::Budget(format!(
-                    "wall-clock deadline {deadline:?} elapsed"
-                )));
-            }
-        }
-        if let Some(max) = limits.max_frames {
-            if frames_delivered >= max {
-                return Some(TransportError::Budget(format!(
-                    "frame budget {max} exhausted"
-                )));
-            }
-        }
-        if let Some(max) = limits.max_wire_bytes {
-            if wire_bytes > max {
-                return Some(TransportError::Budget(format!(
-                    "wire-byte budget {max} exceeded ({wire_bytes} bytes moved)"
-                )));
-            }
-        }
-        None
-    }
-
-    /// Counts and warns about one tripped budget.
-    fn note_budget(&self, e: &TransportError, last_kind: Option<u16>, rounds: u64) {
-        if let Some(reg) = &self.metrics {
-            reg.record_budget_exceeded();
-        }
-        ppcs_telemetry::warn_event(&e.to_string(), last_kind, Some(rounds));
-    }
-
-    /// Receives one frame. Budgeted drives slice the blocking wait into
-    /// short intervals so a cancel or an elapsed wall-clock deadline is
-    /// observed within one slice even when the peer sends nothing; the
-    /// configured per-recv timeout still applies across slices.
-    fn recv_within_budget<L>(
-        &self,
-        ep: &L,
-        limits: &SessionLimits,
-        budgeted: bool,
-        started: Instant,
-    ) -> Result<Frame, TransportError>
-    where
-        L: Lane + ?Sized,
-    {
-        if !budgeted {
-            return ep.recv();
-        }
-        const SLICE: Duration = Duration::from_millis(20);
-        let per_recv = self.timeout.unwrap_or(Duration::from_secs(30));
-        let recv_started = Instant::now();
-        loop {
-            let mut wait = per_recv.saturating_sub(recv_started.elapsed());
-            if let Some(deadline) = limits.deadline {
-                wait = wait.min(deadline.saturating_sub(started.elapsed()));
-            }
-            ep.set_recv_timeout(Some(wait.min(SLICE).max(Duration::from_millis(1))));
-            match ep.recv() {
-                Err(TransportError::Timeout) => {
-                    if let Some(cancel) = &self.cancel {
-                        if cancel.load(Ordering::Relaxed) {
-                            return Err(TransportError::Budget(
-                                "session cancelled (drain cut)".into(),
-                            ));
-                        }
-                    }
-                    if let Some(deadline) = limits.deadline {
-                        if started.elapsed() >= deadline {
-                            return Err(TransportError::Budget(format!(
-                                "wall-clock deadline {deadline:?} elapsed"
-                            )));
-                        }
-                    }
-                    if recv_started.elapsed() >= per_recv {
-                        return Err(TransportError::Timeout);
-                    }
-                }
-                other => return other,
-            }
-        }
     }
 
     /// Drives `engine` to completion across connection failures: on a
     /// retryable transport error ([`TransportError::Disconnected`],
-    /// [`TransportError::Timeout`], [`TransportError::Io`]) the current
-    /// lane is dropped, `connect(attempt)` establishes a fresh one after
-    /// a backoff, and the session resumes where it left off via a
-    /// [`KIND_RESUME`] handshake — each side announces how many logical
-    /// frames it has delivered to its engine, and the peer replays the
-    /// unacknowledged tail of its send log. The engine itself never sees
-    /// the failure: its pending receive stays suspended until the
-    /// replayed stream catches up.
+    /// [`TransportError::Timeout`], [`TransportError::Io`], or a
+    /// [`TransportError::Busy`] shed that says when to come back) the
+    /// current lane is dropped, `connect(attempt)` establishes a fresh
+    /// one after a backoff, and the session resumes where it left off
+    /// via a [`KIND_RESUME`] handshake — each side announces how many
+    /// logical frames it has delivered to its engine, and the peer
+    /// replays the unacknowledged tail of its send log. The engine
+    /// itself never sees the failure: its pending receive stays
+    /// suspended until the replayed stream catches up.
     ///
     /// Both parties must drive with this method (or otherwise speak the
-    /// resume handshake) for a reconnect to succeed. Transcript
-    /// recording is not supported in resumable mode — replayed frames
-    /// would double-record — and is ignored.
+    /// resume handshake) for a reconnect to succeed.
     ///
     /// [`SessionLimits`] and the cancel token are session-logical: the
     /// wall-clock deadline starts at the first dial and wire bytes
     /// accumulate across every lane, so a redial resumes the session's
-    /// remaining budget rather than resetting it, and the resume
-    /// handshake itself never waits past the deadline.
+    /// remaining budget rather than resetting it, and neither the
+    /// resume handshake nor a backoff sleep outlasts the deadline. A
+    /// peer's retry-after hint is honored up to
+    /// [`RetryPolicy::max_delay`].
     ///
     /// # Errors
     ///
     /// The role's own error once retries are exhausted or a
-    /// non-retryable (codec/protocol) failure occurs.
+    /// non-retryable (codec/protocol/budget) failure occurs.
     pub fn drive_resumable<L, C, T, E>(
         &mut self,
         mut connect: C,
@@ -697,255 +501,63 @@ impl Driver {
         C: FnMut(u32) -> Result<L, TransportError>,
         E: From<TransportError>,
     {
+        let _collector = self.opts.metrics.clone().map(ppcs_telemetry::install);
         let policy = self.retry.clone().unwrap_or_default();
-        let _collector = self.metrics.clone().map(ppcs_telemetry::install);
-        let mut sent_log: Vec<Frame> = Vec::new();
-        let mut delivered: u64 = 0;
-        let mut attempt: u32 = 0;
-        let mut jitter = policy.jitter_seed;
-        // Budgets are session-logical: the wall clock starts at the
-        // first dial and wire bytes accumulate across every lane, so a
-        // redial never resets what the session has already spent.
-        let started = Instant::now();
-        let limits = self.limits.clone().unwrap_or_default();
-        let budgeted = self.limits.is_some() || self.cancel.is_some();
-        let mut wire_total: u64 = 0;
-        loop {
-            let lane = match connect(attempt) {
-                Ok(l) => l,
-                Err(e) => {
-                    if policy.is_retryable(&e) && attempt + 1 < policy.max_attempts {
-                        if let Some(reg) = &self.metrics {
-                            reg.record_retry();
-                        }
-                        std::thread::sleep(policy.delay_for(&e, attempt, &mut jitter));
-                        attempt += 1;
-                        continue;
-                    }
-                    return fail_engine(engine, e);
-                }
-            };
-            if attempt > 0 {
-                if let Some(reg) = &self.metrics {
-                    reg.record_reconnect();
-                }
-            }
-            let stats_before = self.metrics.is_some().then(|| lane.stats());
-            let lane_bytes_before = lane.stats().total_bytes();
-            let rounds_before = engine.rounds();
-            let result = self.pump_resumable(
-                &lane,
-                engine,
-                &mut sent_log,
-                &mut delivered,
-                &policy,
-                started,
-                &limits,
-                budgeted,
-                wire_total,
-            );
-            if let Some(reg) = &self.metrics {
-                merge_wire_delta(reg, &stats_before.expect("snapshotted"), &lane.stats());
-                reg.record_rounds(engine.rounds() - rounds_before);
-            }
-            match result {
-                Ok(()) => return engine.take_result().expect("engine completed"),
-                Err(e) => {
-                    wire_total += lane.stats().total_bytes() - lane_bytes_before;
-                    // Drop the broken lane before backing off so the
-                    // peer observes the disconnect promptly instead of
-                    // waiting out its own deadline.
-                    drop(lane);
-                    if e == TransportError::Timeout {
-                        if let Some(reg) = &self.metrics {
-                            reg.record_timeout();
-                        }
-                        ppcs_telemetry::warn_event("recv timeout", None, Some(engine.rounds()));
-                    }
-                    if policy.is_retryable(&e) && attempt + 1 < policy.max_attempts {
-                        if let Some(reg) = &self.metrics {
-                            reg.record_retry();
-                        }
-                        std::thread::sleep(policy.delay_for(&e, attempt, &mut jitter));
-                        attempt += 1;
-                        continue;
-                    }
-                    return fail_engine(engine, e);
-                }
-            }
-        }
+        let mut core = SessionCore::new(&self.opts, Some(policy));
+        let result = core.drive_resumable(engine, |attempt| connect(attempt).map(Waiting::on));
+        self.transcript = core.take_transcript();
+        result
     }
+}
 
-    /// One connection's worth of resumable pumping: the resume
-    /// handshake, the unacknowledged-frame replay, then the normal
-    /// poll/send/recv loop. Returns `Ok(())` once the engine reports
-    /// done (its result — success or protocol error — is taken by the
-    /// caller) and `Err` on any transport failure, leaving the engine
-    /// suspended and resumable.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_resumable<L, T, E>(
-        &mut self,
-        lane: &L,
-        engine: &mut ProtocolEngine<'_, T, E>,
-        sent_log: &mut Vec<Frame>,
-        delivered: &mut u64,
-        policy: &RetryPolicy,
-        started: Instant,
-        limits: &SessionLimits,
-        budgeted: bool,
-        wire_base: u64,
-    ) -> Result<(), TransportError>
-    where
-        L: Lane + ?Sized,
-        E: From<TransportError>,
-    {
-        let lane_bytes_before = lane.stats().total_bytes();
-        // The resume handshake honours the session deadline too: a
-        // redial late in the session must not wait out the full resume
-        // window when only a sliver of wall clock remains.
-        let mut window = policy.resume_window;
-        if budgeted {
-            if let Some(e) = self.budget_trip(limits, started, *delivered, wire_base) {
-                self.note_budget(&e, None, engine.rounds());
-                return Err(e);
-            }
-            if let Some(deadline) = limits.deadline {
-                let remaining = deadline.saturating_sub(started.elapsed());
-                window = window.min(remaining).max(Duration::from_millis(1));
-            }
-        }
-        lane.set_recv_timeout(Some(window));
-        lane.send(Frame::encode(KIND_RESUME, delivered))?;
-        let peer_ack = loop {
-            let f = match lane.recv() {
-                Err(TransportError::Timeout) if budgeted => {
-                    if let Some(e) = self.budget_trip(limits, started, *delivered, wire_base) {
-                        self.note_budget(&e, None, engine.rounds());
-                        return Err(e);
-                    }
-                    return Err(TransportError::Timeout);
-                }
-                other => other?,
-            };
-            if f.kind == KIND_BUSY {
-                // The peer shed this session: without a retry-after
-                // hint this is terminal (redialing the same overloaded
-                // server would just be shed again); with one, the outer
-                // loop redials after the hinted delay.
-                return Err(TransportError::Busy {
-                    retry_after_ms: busy_retry_after(&f.payload),
-                });
-            }
-            if f.kind == KIND_RESUME {
-                break f.decode_as::<u64>(KIND_RESUME)?;
-            }
-            // A stale in-flight frame from before the reconnect: drop
-            // it. Whatever we have not acknowledged, the peer replays.
-        };
-        lane.set_recv_timeout(Some(self.timeout.unwrap_or(Duration::from_secs(30))));
-        let peer_ack = usize::try_from(peer_ack)
-            .ok()
-            .filter(|&n| n <= sent_log.len())
-            .ok_or_else(|| {
-                TransportError::Decode(format!(
-                    "resume ack {peer_ack} exceeds {} sent frames",
-                    sent_log.len()
-                ))
-            })?;
-        for f in &sent_log[peer_ack..] {
-            lane.send(f.clone())?;
-        }
-        loop {
-            if let Some(reg) = &self.metrics {
-                reg.record_polls(1);
-            }
-            while let Some(out) = engine.poll_output() {
-                if let Some(reg) = &self.metrics {
-                    for f in out.frames() {
-                        reg.record_frame_size(f.payload.len() as u64);
-                    }
-                }
-                // Log before transmitting: a frame lost inside the
-                // transport is still replayable.
-                sent_log.extend(out.frames().iter().cloned());
-                match &out {
-                    Outgoing::Frame(f) => lane.send(f.clone())?,
-                    Outgoing::Batch(fs) => lane.send_coalesced(fs)?,
-                }
-            }
-            if engine.is_done() {
-                return Ok(());
-            }
-            if budgeted {
-                let wire = wire_base + (lane.stats().total_bytes() - lane_bytes_before);
-                if let Some(e) = self.budget_trip(limits, started, *delivered, wire) {
-                    self.note_budget(&e, None, engine.rounds());
-                    return Err(e);
-                }
-            }
-            let frame = self.recv_within_budget(lane, limits, budgeted, started)?;
-            if frame.kind == KIND_BUSY {
-                return Err(TransportError::Busy {
-                    retry_after_ms: busy_retry_after(&frame.payload),
-                });
-            }
-            if frame.kind == KIND_RESUME {
-                // A duplicate handshake frame (e.g. replayed by a
-                // faulty lane): not session traffic.
-                continue;
-            }
-            if let Some(reg) = &self.metrics {
-                reg.record_frame_size(frame.payload.len() as u64);
-            }
-            *delivered += 1;
-            engine.handle_input(frame);
+impl From<DriveOptions> for Driver {
+    /// A driver for one session under `opts`, with the default retry
+    /// policy.
+    fn from(opts: DriveOptions) -> Self {
+        Self {
+            opts,
+            ..Self::default()
         }
     }
 }
 
-/// Feeds the change in an endpoint's traffic counters across one drive
-/// into a registry, kind by kind. Deltas (not absolutes) make repeated
-/// drives and concurrent lanes over shared registries compose.
-pub(crate) fn merge_wire_delta(reg: &MetricsRegistry, before: &TrafficStats, after: &TrafficStats) {
-    for k in &after.by_kind {
-        let (fs0, bs0, fr0, br0) = match before.kind(k.kind) {
-            Some(b) => (
-                b.frames_sent,
-                b.bytes_sent,
-                b.frames_received,
-                b.bytes_received,
-            ),
-            None => (0, 0, 0, 0),
-        };
-        reg.record_wire(
-            k.kind,
-            WireDir::Sent,
-            k.frames_sent - fs0,
-            k.bytes_sent - bs0,
-        );
-        reg.record_wire(
-            k.kind,
-            WireDir::Received,
-            k.frames_received - fr0,
-            k.bytes_received - br0,
-        );
+/// The blocking way of waiting: `try_recv` parks the thread in
+/// `lane.recv()` for up to the wait the core allows.
+struct Waiting<L> {
+    lane: L,
+    /// The receive deadline last set on the lane, so a steady wait sets
+    /// it once per drive rather than once per frame.
+    armed: Option<Duration>,
+}
+
+impl<L: Lane> Waiting<L> {
+    fn on(lane: L) -> Self {
+        Self { lane, armed: None }
     }
 }
 
-/// Terminates a session on an unrecoverable transport error: the failure
-/// is injected so the role surfaces its own typed error if it can, with
-/// the raw transport error as the fallback.
-pub(crate) fn fail_engine<T, E>(
-    engine: &mut ProtocolEngine<'_, T, E>,
-    e: TransportError,
-) -> Result<T, E>
-where
-    E: From<TransportError>,
-{
-    engine.inject_failure(e.clone());
-    match engine.take_result() {
-        Some(r) => r,
-        None => Err(E::from(e)),
+impl<L: Lane> SessionIo for Waiting<L> {
+    fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
+        match out {
+            Outgoing::Frame(f) => self.lane.send(f.clone()),
+            Outgoing::Batch(fs) => self.lane.send_coalesced(fs),
+        }
+    }
+
+    fn try_recv(&mut self, max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
+        if max_wait.is_some() && max_wait != self.armed {
+            self.lane.set_recv_timeout(max_wait);
+            self.armed = max_wait;
+        }
+        match self.lane.recv() {
+            Ok(frame) => Ok(Some(frame)),
+            Err(TransportError::Timeout) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn stats(&self) -> TrafficStats {
+        self.lane.stats()
     }
 }
 
@@ -1107,6 +719,7 @@ mod tests {
     use super::*;
     use crate::channel::{duplex, Endpoint};
     use crate::engine::FrameIo;
+    use std::sync::atomic::Ordering;
 
     async fn pinger(io: FrameIo) -> Result<u64, TransportError> {
         io.send_msg(1, &7u64)?;
@@ -1526,6 +1139,112 @@ mod tests {
         );
         let d = policy.delay_for(&TransportError::Disconnected, 0, &mut jitter);
         assert!(d >= policy.base_delay, "non-busy errors keep the backoff");
+    }
+
+    #[test]
+    fn hostile_retry_after_hint_is_capped_at_max_delay() {
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            max_delay: Duration::from_millis(20),
+            ..Default::default()
+        };
+        let forever = TransportError::Busy {
+            retry_after_ms: Some(u64::MAX),
+        };
+        let mut jitter = policy.jitter_seed;
+        assert_eq!(policy.delay_for(&forever, 0, &mut jitter), policy.max_delay);
+
+        // End to end, no threads: the first lane's peer already shed us
+        // with "come back in u64::MAX ms", the second lane's peer has
+        // already spoken the handshake and the reply.
+        let (shed_a, shed_b) = duplex();
+        shed_b
+            .send(Frame {
+                kind: KIND_BUSY,
+                payload: Bytes::copy_from_slice(&u64::MAX.to_le_bytes()),
+            })
+            .unwrap();
+        let (real_a, real_b) = duplex();
+        real_b.send_msg(KIND_RESUME, &0u64).unwrap();
+        real_b.send_msg(2, &21u64).unwrap();
+        let mut lanes = vec![real_a, shed_a]; // popped back-to-front
+        let mut eng = ProtocolEngine::new(pinger);
+        let t0 = std::time::Instant::now();
+        let got = Driver::new().with_retry(policy).drive_resumable(
+            |_attempt| lanes.pop().ok_or(TransportError::Disconnected),
+            &mut eng,
+        );
+        assert_eq!(got, Ok(21));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the peer chose the nap"
+        );
+    }
+
+    #[test]
+    fn backoff_sleep_never_outlasts_the_session_deadline() {
+        let reg = ppcs_telemetry::MetricsRegistry::new(12, "redialer");
+        let mut eng: ProtocolEngine<'_, u64, TransportError> =
+            ProtocolEngine::new(|io: FrameIo| async move { io.recv_msg::<u64>(1).await });
+        let mut driver = Driver::new()
+            .with_metrics(reg.clone())
+            .with_retry(RetryPolicy {
+                base_delay: Duration::from_secs(1),
+                ..Default::default()
+            })
+            .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(50)));
+        let t0 = std::time::Instant::now();
+        let err = driver
+            .drive_resumable(
+                |_attempt| -> Result<Endpoint, TransportError> {
+                    Err(TransportError::Disconnected)
+                },
+                &mut eng,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::Budget("wall-clock deadline 50ms elapsed".into())
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert_eq!(reg.report().budget_exceeded, 1);
+    }
+
+    #[test]
+    fn cancel_is_observed_before_a_backoff_sleep() {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let mut eng: ProtocolEngine<'_, u64, TransportError> =
+            ProtocolEngine::new(|io: FrameIo| async move { io.recv_msg::<u64>(1).await });
+        let mut driver = Driver::new()
+            .with_cancel(cancel.clone())
+            .with_retry(RetryPolicy {
+                base_delay: Duration::from_secs(1),
+                ..Default::default()
+            });
+        let t0 = std::time::Instant::now();
+        let err = driver
+            .drive_resumable(
+                |_attempt| -> Result<Endpoint, TransportError> {
+                    // The drain cut lands while the dial is failing.
+                    cancel.store(true, Ordering::Relaxed);
+                    Err(TransportError::Disconnected)
+                },
+                &mut eng,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::Budget("session cancelled (drain cut)".into())
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

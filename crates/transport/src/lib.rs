@@ -44,10 +44,11 @@ mod error;
 mod fault;
 mod health;
 mod reactor;
+mod session;
 mod tcp;
 mod wire;
 
-pub use async_driver::{AsyncDriver, AsyncEvent, ConnId, DriveOptions};
+pub use async_driver::{AsyncDriver, AsyncEvent, ConnId};
 
 pub use channel::{
     coalesce_frames, duplex, duplex_pool, run_pair, Endpoint, Frame, KindTraffic, Lane,
@@ -62,5 +63,6 @@ pub use error::{ErrorLayer, ProtocolError, TransportError};
 pub use fault::{faulty_pair, FaultKind, FaultSchedule, FaultStats, FaultyLane, KIND_CHAOS};
 pub use health::{probe_health, probe_health_cancellable, HealthStatus, KIND_HEALTH};
 pub use reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
+pub use session::DriveOptions;
 pub use tcp::{tcp_accept, tcp_connect};
 pub use wire::{decode_seq, encode_seq, Encodable};

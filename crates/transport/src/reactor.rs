@@ -5,7 +5,7 @@
 //! no mio, and no libc: on Linux the reactor talks to `epoll` through
 //! raw syscalls issued with inline assembly (the crate's single
 //! `allow(unsafe_code)` scope), and everywhere else — or when the
-//! `PPCS_REACTOR=sleep` kill switch is set — it degrades to a
+//! kernel refuses `epoll_create1` — it degrades to a
 //! short-sleep poller that reports every registered token as
 //! maybe-ready. Spurious readiness is safe by construction: consumers
 //! drive nonblocking try-I/O loops that simply find nothing to do.
@@ -191,8 +191,7 @@ mod sys {
 }
 
 /// Readiness backend: real epoll where available, a short-sleep poller
-/// otherwise (non-Linux platforms, kernels refusing `epoll_create1`, or
-/// the `PPCS_REACTOR=sleep` kill switch).
+/// otherwise (non-Linux platforms, or kernels refusing `epoll_create1`).
 #[derive(Debug)]
 enum Backend {
     #[cfg(all(
@@ -226,8 +225,7 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Opens a reactor, choosing epoll when the platform offers it and
-    /// the `PPCS_REACTOR=sleep` kill switch is unset.
+    /// Opens a reactor, choosing epoll when the platform offers it.
     ///
     /// # Errors
     ///
@@ -258,9 +256,6 @@ impl Reactor {
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     fn pick_backend() -> Backend {
-        if std::env::var("PPCS_REACTOR").is_ok_and(|v| v.eq_ignore_ascii_case("sleep")) {
-            return Backend::Sleep;
-        }
         match sys::epoll_create1() {
             Some(epfd) => Backend::Epoll { epfd },
             None => Backend::Sleep,

@@ -17,8 +17,8 @@ use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::MetricsRegistry;
 use ppcs_tests::{blob_dataset, random_samples};
 use ppcs_transport::{
-    busy_retry_after, duplex, Endpoint, Frame, RetryPolicy, SessionLimits, TransportError,
-    KIND_BUSY,
+    busy_retry_after, duplex, probe_health, tcp_connect, Endpoint, Frame, RetryPolicy,
+    SessionLimits, TransportError, KIND_BUSY,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -590,4 +590,53 @@ fn flood_of_sixty_four_clients_is_fully_accounted() {
         std::fs::write(&path, report.to_json()).expect("write server report artifact");
         println!("server report written to {path}");
     }
+}
+
+/// A TCP peer that probes once and goes mute is reaped at the idle
+/// timeout like one that never spoke: a `KIND_HEALTH` probe is answered
+/// but must not keep an otherwise-idle connection alive — nor, by
+/// consuming the reactor's one armed idle timer, keep it open forever.
+#[test]
+fn probing_then_mute_tcp_peer_is_reaped_at_the_idle_timeout() {
+    let (_, trainer) = fixture();
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(150),
+        ..tight_config()
+    };
+    let server = TrainerServer::new(&trainer, config);
+    let supervisor = server.supervisor();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+
+    std::thread::scope(|scope| {
+        let peers = scope.spawn(move || {
+            let unprobed = tcp_connect(addr).expect("connect control");
+            let probed = tcp_connect(addr).expect("connect probed");
+            let status = probe_health(&probed, Duration::from_secs(5));
+            // Both now say nothing. The server hanging up surfaces as
+            // `Disconnected`; a connection still open after 800 ms —
+            // five idle timeouts — as `Timeout`.
+            let started = Instant::now();
+            let ends = [&unprobed, &probed].map(|lane| {
+                let left = Duration::from_millis(800).saturating_sub(started.elapsed());
+                lane.set_recv_timeout(Some(left.max(Duration::from_millis(1))));
+                lane.recv().expect_err("nothing is ever sent")
+            });
+            // Drain before judging, so a failure cannot strand the run.
+            supervisor.drain();
+            (status, ends)
+        });
+        let summary = server
+            .serve_async_tcp(listener, &TrustedSimOt, 5)
+            .expect("reactor");
+        let (status, [unprobed, probed]) = peers.join().expect("peers");
+        assert!(!status.expect("probe answered").draining);
+        assert_eq!(unprobed, TransportError::Disconnected, "control reaped");
+        assert_eq!(
+            probed,
+            TransportError::Disconnected,
+            "the probed connection must be closed at the idle timeout too"
+        );
+        assert_eq!(summary.sessions_admitted, 0);
+    });
 }

@@ -669,14 +669,19 @@ fn resumable_deadline_survives_silent_peer_after_handshake() {
             .ok_or(TransportError::Disconnected)
     };
     let started = std::time::Instant::now();
+    let reg = MetricsRegistry::new(181, "client");
     let mut eng = client.classify_engine(sel, 181, &samples);
     let err = Driver::new()
         .with_retry(test_retry_policy())
         .with_timeout(Duration::from_secs(2))
         .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(300)))
+        .with_metrics(reg.clone())
         .drive_resumable(connect, &mut eng)
         .expect_err("silent peer must trip the deadline");
     let elapsed = started.elapsed();
+    // The deadline tripped while the session was parked in a receive
+    // slice: that trip is counted like any other.
+    assert_eq!(reg.report().budget_exceeded, 1);
     assert!(
         err_string(&err).contains("deadline"),
         "expected a wall-clock budget error, got {err:?}"
@@ -728,155 +733,6 @@ fn resumable_handshake_honours_deadline() {
     mute_peer.join().expect("peer thread");
 }
 
-/// [`AsyncDriver::drive_resumable`] port of
-/// [`resumable_deadline_survives_silent_peer_after_handshake`]: the
-/// reactor path must trip the same session-logical deadline, with the
-/// same structured budget wording, in the same bounded time.
-#[test]
-fn async_resumable_deadline_survives_silent_peer_after_handshake() {
-    use ppcs_transport::{AsyncDriver, DriveOptions};
-
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-
-    let silent_peer = std::thread::spawn(move || {
-        // Speak the handshake, then never answer session traffic.
-        loop {
-            match peer.recv() {
-                Ok(f) if f.kind == ppcs_transport::KIND_RESUME => {
-                    peer.send(Frame::encode(ppcs_transport::KIND_RESUME, &0u64))
-                        .expect("ack");
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-    });
-
-    let lanes = [ours];
-    let mut next = 0usize;
-    let connect = |_attempt: u32| -> Result<&dyn Lane, TransportError> {
-        let lane = lanes.get(next).ok_or(TransportError::Disconnected)?;
-        next += 1;
-        Ok(lane as &dyn Lane)
-    };
-    let started = std::time::Instant::now();
-    let eng = client.classify_engine(sel, 181, &samples);
-    let mut driver = AsyncDriver::new().expect("reactor");
-    let err = driver
-        .drive_resumable(
-            eng,
-            DriveOptions::new()
-                .with_timeout(Duration::from_secs(2))
-                .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(300))),
-            &test_retry_policy(),
-            connect,
-        )
-        .expect_err("silent peer must trip the deadline");
-    let elapsed = started.elapsed();
-    assert!(
-        err_string(&err).contains("deadline"),
-        "expected the blocking driver's wall-clock budget wording, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "deadline must cut the session promptly, took {elapsed:?}"
-    );
-    drop(driver);
-    drop(lanes);
-    silent_peer.join().expect("peer thread");
-}
-
-/// [`AsyncDriver::drive_resumable`] port of
-/// [`resumable_handshake_honours_deadline`]: a mute peer must not hold
-/// the reactor client for the full resume window when only a sliver of
-/// the session budget remains.
-#[test]
-fn async_resumable_handshake_honours_deadline() {
-    use ppcs_transport::{AsyncDriver, DriveOptions};
-
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-
-    let mute_peer = std::thread::spawn(move || {
-        // Swallow everything; never speak the handshake.
-        while peer.recv().is_ok() {}
-    });
-
-    let lanes = [ours];
-    let mut next = 0usize;
-    let connect = |_attempt: u32| -> Result<&dyn Lane, TransportError> {
-        let lane = lanes.get(next).ok_or(TransportError::Disconnected)?;
-        next += 1;
-        Ok(lane as &dyn Lane)
-    };
-    let started = std::time::Instant::now();
-    let eng = client.classify_engine(sel, 182, &samples);
-    let mut driver = AsyncDriver::new().expect("reactor");
-    let err = driver
-        .drive_resumable(
-            eng,
-            // resume_window is 5s: the 250ms deadline must win.
-            DriveOptions::new()
-                .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(250))),
-            &test_retry_policy(),
-            connect,
-        )
-        .expect_err("mute peer must trip the deadline");
-    let elapsed = started.elapsed();
-    assert!(
-        err_string(&err).contains("deadline"),
-        "expected the blocking driver's wall-clock budget wording, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "handshake wait must be capped by the deadline, took {elapsed:?}"
-    );
-    drop(driver);
-    drop(lanes);
-    mute_peer.join().expect("peer thread");
-}
-
-/// [`AsyncDriver::drive_resumable`] port of
-/// [`resumable_cancel_cuts_session`]: a pre-set cancel token aborts the
-/// reactor session with the same drain-cut wording before anything is
-/// dialed.
-#[test]
-fn async_resumable_cancel_cuts_session() {
-    use ppcs_transport::{AsyncDriver, DriveOptions};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-    let lanes = [ours];
-    let mut next = 0usize;
-    let connect = |_attempt: u32| -> Result<&dyn Lane, TransportError> {
-        let lane = lanes.get(next).ok_or(TransportError::Disconnected)?;
-        next += 1;
-        Ok(lane as &dyn Lane)
-    };
-    let cancel = Arc::new(AtomicBool::new(true));
-    let eng = client.classify_engine(sel, 183, &samples);
-    let mut driver = AsyncDriver::new().expect("reactor");
-    let err = driver
-        .drive_resumable(
-            eng,
-            DriveOptions::new().with_cancel(cancel),
-            &test_retry_policy(),
-            connect,
-        )
-        .expect_err("pre-cancelled session must not run");
-    assert!(
-        err_string(&err).contains("cancelled"),
-        "expected the blocking driver's drain-cut wording, got {err:?}"
-    );
-    drop(peer);
-}
-
 /// A pre-set cancel token (the drain cut) aborts a resumable session
 /// before it dials anything.
 #[test]
@@ -895,12 +751,15 @@ fn resumable_cancel_cuts_session() {
             .ok_or(TransportError::Disconnected)
     };
     let cancel = Arc::new(AtomicBool::new(true));
+    let reg = MetricsRegistry::new(183, "client");
     let mut eng = client.classify_engine(sel, 183, &samples);
     let err = Driver::new()
         .with_retry(test_retry_policy())
         .with_cancel(cancel)
+        .with_metrics(reg.clone())
         .drive_resumable(connect, &mut eng)
         .expect_err("pre-cancelled session must not run");
+    assert_eq!(reg.report().budget_exceeded, 1);
     assert!(
         err_string(&err).contains("cancelled"),
         "expected a drain-cut budget error, got {err:?}"
