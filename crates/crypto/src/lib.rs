@@ -37,6 +37,6 @@ mod hmac;
 mod sha256;
 
 pub use chacha20::ChaCha20;
-pub use group::DhGroup;
+pub use group::{DhGroup, FixedBase};
 pub use hmac::{hkdf, hkdf_expand, hkdf_extract, hmac_sha256};
 pub use sha256::Sha256;

@@ -10,18 +10,16 @@
 //! [`FrameIo`]. The blocking trait methods remain thin wrappers that
 //! drive the same role logic over an `Endpoint`.
 
-use num_bigint::BigUint;
 use ppcs_crypto::DhGroup;
 use ppcs_telemetry::Phase;
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
-use crate::base::{commit_c, commit_c_io, receive_c, receive_c_io};
-use crate::error::OtError;
-use crate::kn::{
-    otkn_receive, otkn_receive_with_c, otkn_receive_with_c_io, otkn_send, otkn_send_with_c,
-    otkn_send_with_c_io,
+use crate::base::{
+    commit_c, commit_c_io, receive_c, receive_c_io, ReceiverCommitment, SenderCommitment,
 };
+use crate::error::OtError;
+use crate::kn::{otkn_receive_io, otkn_send_io};
 use crate::knx::{knx_receive_io, knx_send_io};
 
 const KIND_SIM_INDICES: u16 = 0x0300;
@@ -33,16 +31,27 @@ const KIND_SIM_MESSAGES: u16 = 0x0301;
 /// [`ObliviousTransfer::begin_batch_receive`]; opaque to callers.
 #[derive(Clone, Debug, Default)]
 pub struct OtBatchState {
-    /// Naor–Pinkas: the base-OT commitment `C`, transmitted once per
-    /// batch. `None` for engines without a base phase.
-    np_c: Option<BigUint>,
+    /// Naor–Pinkas: this side's half of the commitment exchanged once
+    /// per batch. Both `None` for engines without a base phase, and for
+    /// a transfer outside any batch, which then commits for itself.
+    np_send: Option<SenderCommitment>,
+    np_receive: Option<ReceiverCommitment>,
 }
 
 impl OtBatchState {
-    /// Batch state carrying a Naor–Pinkas commitment produced offline
-    /// (see [`crate::offline`]).
-    pub(crate) fn with_np_c(big_c: BigUint) -> Self {
-        Self { np_c: Some(big_c) }
+    /// Sender batch state over an already transmitted commitment.
+    pub(crate) fn sender(commitment: SenderCommitment) -> Self {
+        Self {
+            np_send: Some(commitment),
+            ..Self::default()
+        }
+    }
+
+    fn receiver(commitment: ReceiverCommitment) -> Self {
+        Self {
+            np_receive: Some(commitment),
+            ..Self::default()
+        }
     }
 }
 
@@ -112,9 +121,9 @@ pub trait ObliviousTransfer: Send + Sync {
     /// over `ep`.
     ///
     /// The default is a no-op for engines without a base phase. The
-    /// Naor–Pinkas engine draws and transmits its commitment `C = g^c`
-    /// here, so every later transfer of the batch skips one modular
-    /// exponentiation and one frame per base OT. The peer must call
+    /// Naor–Pinkas engine draws and transmits its commitment
+    /// `(C, g^r)` here, so every transfer of the batch runs under it
+    /// instead of opening one of its own. The peer must call
     /// [`begin_batch_receive`](ObliviousTransfer::begin_batch_receive)
     /// symmetrically.
     ///
@@ -185,9 +194,7 @@ pub async fn ot_begin_send_io(
     match sel {
         OtSelect::NaorPinkas { group } => {
             let _span = ppcs_telemetry::span(Phase::BaseOt);
-            Ok(OtBatchState {
-                np_c: Some(commit_c_io(group, io, rng)?),
-            })
+            Ok(OtBatchState::sender(commit_c_io(group, io, rng)?))
         }
         OtSelect::Iknp { .. } | OtSelect::TrustedSim => Ok(OtBatchState::default()),
     }
@@ -202,9 +209,7 @@ pub async fn ot_begin_receive_io(sel: OtSelect, io: &FrameIo) -> Result<OtBatchS
     match sel {
         OtSelect::NaorPinkas { group } => {
             let _span = ppcs_telemetry::span(Phase::BaseOt);
-            Ok(OtBatchState {
-                np_c: Some(receive_c_io(group, io).await?),
-            })
+            Ok(OtBatchState::receiver(receive_c_io(group, io).await?))
         }
         OtSelect::Iknp { .. } | OtSelect::TrustedSim => Ok(OtBatchState::default()),
     }
@@ -228,7 +233,15 @@ pub async fn ot_send_io(
     match sel {
         OtSelect::NaorPinkas { group } => {
             let _span = ppcs_telemetry::span(Phase::KnOt);
-            otkn_send_with_c_io(group, io, rng, messages, k, state.np_c.as_ref()).await
+            let own;
+            let commitment = match &state.np_send {
+                Some(shared) => shared,
+                None => {
+                    own = commit_c_io(group, io, rng)?;
+                    &own
+                }
+            };
+            otkn_send_io(group, io, rng, messages, k, commitment).await
         }
         OtSelect::Iknp { group } => {
             let _span = ppcs_telemetry::span(Phase::OtExt);
@@ -259,7 +272,15 @@ pub async fn ot_receive_io(
     match sel {
         OtSelect::NaorPinkas { group } => {
             let _span = ppcs_telemetry::span(Phase::KnOt);
-            otkn_receive_with_c_io(group, io, rng, num_messages, indices, state.np_c.as_ref()).await
+            let own;
+            let commitment = match &state.np_receive {
+                Some(shared) => shared,
+                None => {
+                    own = receive_c_io(group, io).await?;
+                    &own
+                }
+            };
+            otkn_receive_io(group, io, rng, num_messages, indices, commitment).await
         }
         OtSelect::Iknp { group } => {
             let _span = ppcs_telemetry::span(Phase::OtExt);
@@ -412,7 +433,7 @@ impl ObliviousTransfer for NaorPinkasOt {
         messages: &[Vec<u8>],
         k: usize,
     ) -> Result<(), OtError> {
-        otkn_send(self.group, ep, rng, messages, k)
+        self.send_batched(&OtBatchState::default(), ep, rng, messages, k)
     }
 
     fn receive(
@@ -422,7 +443,7 @@ impl ObliviousTransfer for NaorPinkasOt {
         num_messages: usize,
         indices: &[usize],
     ) -> Result<Vec<Vec<u8>>, OtError> {
-        otkn_receive(self.group, ep, rng, num_messages, indices)
+        self.receive_batched(&OtBatchState::default(), ep, rng, num_messages, indices)
     }
 
     fn name(&self) -> &'static str {
@@ -442,15 +463,11 @@ impl ObliviousTransfer for NaorPinkasOt {
         ep: &Endpoint,
         rng: &mut dyn RngCore,
     ) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState {
-            np_c: Some(commit_c(self.group, ep, rng)?),
-        })
+        Ok(OtBatchState::sender(commit_c(self.group, ep, rng)?))
     }
 
     fn begin_batch_receive(&self, ep: &Endpoint) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState {
-            np_c: Some(receive_c(self.group, ep)?),
-        })
+        Ok(OtBatchState::receiver(receive_c(self.group, ep)?))
     }
 
     fn send_batched(
@@ -461,7 +478,10 @@ impl ObliviousTransfer for NaorPinkasOt {
         messages: &[Vec<u8>],
         k: usize,
     ) -> Result<(), OtError> {
-        otkn_send_with_c(self.group, ep, rng, messages, k, state.np_c.as_ref())
+        let mut engine = ProtocolEngine::new(|io| async move {
+            ot_send_io(self.select(), state, &io, rng, messages, k).await
+        });
+        drive_blocking(ep, &mut engine)
     }
 
     fn receive_batched(
@@ -472,14 +492,10 @@ impl ObliviousTransfer for NaorPinkasOt {
         num_messages: usize,
         indices: &[usize],
     ) -> Result<Vec<Vec<u8>>, OtError> {
-        otkn_receive_with_c(
-            self.group,
-            ep,
-            rng,
-            num_messages,
-            indices,
-            state.np_c.as_ref(),
-        )
+        let mut engine = ProtocolEngine::new(|io| async move {
+            ot_receive_io(self.select(), state, &io, rng, num_messages, indices).await
+        });
+        drive_blocking(ep, &mut engine)
     }
 }
 

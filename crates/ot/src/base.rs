@@ -1,26 +1,38 @@
-//! The base 1-out-of-2 oblivious transfer (Naor–Pinkas / Bellare–Micali
-//! style) over a Diffie–Hellman group.
+//! The base 1-out-of-2 oblivious transfer of Naor and Pinkas ("Efficient
+//! oblivious transfer protocols", §3) over a Diffie–Hellman group, with
+//! the sender's `C`, `r`, `g^r` and `C^r` fixed once per commitment and
+//! shared by every transfer under it.
 //!
 //! Protocol (honest-but-curious):
 //!
-//! 1. Sender draws a group element `C = g^c` whose discrete log the
-//!    receiver does not know, and sends `C`.
-//! 2. Receiver with choice bit `b` draws `x`, sets `PK_b = g^x` and
-//!    `PK_{1-b} = C / PK_b`, and sends `PK_0`. The receiver can know the
-//!    discrete log of at most one of the two keys.
-//! 3. Sender recovers `PK_1 = C / PK_0`, draws `r`, and sends
-//!    `g^r, E_0 = m_0 ⊕ KDF(PK_0^r), E_1 = m_1 ⊕ KDF(PK_1^r)`.
-//! 4. Receiver computes `(g^r)^x = PK_b^r` and decrypts `E_b`; the other
-//!    pad is indistinguishable from random without the discrete log of
-//!    `PK_{1-b}`.
+//! 1. Once per commitment, the sender draws `c` and `r`, sends
+//!    `C = g^c` and `g^r`, and keeps `r` and `C^r = g^(c·r)`: three comb
+//!    powers of `g`, none depending on any input. The receiver checks
+//!    both elements and builds a comb table over `g^r`.
+//! 2. Per transfer, the receiver with choice bit `b` draws `x`, sets
+//!    `PK_b = g^x` and `PK_{1-b} = C / PK_b`, and sends `PK_0`. It can
+//!    know the discrete log of at most one of the two keys.
+//! 3. The sender computes `PK_0^r` — its one variable-base power — and
+//!    `PK_1^r = C^r / PK_0^r` without ever forming `PK_1`, draws a fresh
+//!    string `R`, and sends `R, E_0 = m_0 ⊕ KDF(PK_0^r, tag, 0, R),
+//!    E_1 = m_1 ⊕ KDF(PK_1^r, tag, 1, R)`.
+//! 4. The receiver computes `(g^r)^x = PK_b^r` on its table and decrypts
+//!    `E_b`; the other pad is indistinguishable from random without the
+//!    discrete log of `PK_{1-b}` (CDH, random-oracle KDF).
+//!
+//! `R` is what keeps a shared `r` safe: a receiver that replays one
+//! `PK_0` under one `tag` would otherwise see the same two pads twice
+//! and learn the XOR of the two unchosen messages.
 //!
 //! The role logic lives in the sans-I/O `*_io` functions, which speak to
 //! a [`FrameIo`] mailbox and never see a transport; the same-named
 //! blocking functions wrap them in a [`ProtocolEngine`] driven over an
 //! [`Endpoint`].
 
+use std::fmt;
+
 use num_bigint::BigUint;
-use ppcs_crypto::{ChaCha20, DhGroup};
+use ppcs_crypto::{ChaCha20, DhGroup, FixedBase};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
@@ -32,16 +44,71 @@ pub(crate) const KIND_OT12_C: u16 = 0x0100;
 pub(crate) const KIND_OT12_PK0: u16 = 0x0101;
 pub(crate) const KIND_OT12_PAYLOAD: u16 = 0x0102;
 
+/// Bytes of the per-transfer string `R` bound into both pads.
+const PAD_NONCE_LEN: usize = 16;
+
+/// The sender's side of one commitment: `C`, `g^r`, and the secrets `r`
+/// and `C^r` that live exactly as long as it does.
+#[derive(Clone)]
+pub struct SenderCommitment {
+    big_c: BigUint,
+    g_r: BigUint,
+    r: BigUint,
+    c_r: BigUint,
+}
+
+impl SenderCommitment {
+    /// Draws `c` and `r` and pays the commitment's three comb powers of
+    /// `g`; needs no peer, so it can run ahead of the session.
+    pub(crate) fn draw(group: &DhGroup, rng: &mut dyn RngCore) -> Self {
+        let c = group.random_exponent(rng);
+        let r = group.random_exponent(rng);
+        // g's order divides p − 1 = 2q, so the product may be reduced there.
+        let c_times_r = (&c * &r) % (group.order() << 1usize);
+        Self {
+            big_c: group.power_g(&c),
+            g_r: group.power_g(&r),
+            c_r: group.power_g(&c_times_r),
+            r,
+        }
+    }
+
+    /// Queues the commitment frame `(C, g^r)`.
+    pub(crate) fn transmit(&self, group: &DhGroup, io: &FrameIo) -> Result<(), OtError> {
+        let body = (
+            group.element_bytes(&self.big_c),
+            group.element_bytes(&self.g_r),
+        );
+        Ok(io.send_msg(KIND_OT12_C, &body)?)
+    }
+}
+
+impl fmt::Debug for SenderCommitment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // r and C^r are secrets.
+        f.debug_struct("SenderCommitment")
+            .field("big_c", &self.big_c)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The receiver's side of one commitment: `C` and the comb table of
+/// `g^r`, dropped together with it.
+#[derive(Clone, Debug)]
+pub struct ReceiverCommitment {
+    big_c: BigUint,
+    g_r: FixedBase,
+}
+
 fn pad_apply(key: &[u8; 32], tag: u64, data: &mut [u8]) {
     let mut nonce = [0u8; 12];
     nonce[..8].copy_from_slice(&tag.to_le_bytes());
     ChaCha20::new(key, &nonce, 0).apply(data);
 }
 
-/// Sender side of a single 1-out-of-2 OT.
+/// Sender side of a single 1-out-of-2 OT under a commitment of its own.
 ///
-/// `tag` must be unique per transfer within a session; it domain-separates
-/// the derived pads.
+/// `tag` domain-separates the derived pads.
 ///
 /// # Errors
 ///
@@ -77,30 +144,27 @@ pub async fn ot12_send_io(
     if m0.len() != m1.len() {
         return Err(OtError::UnequalMessageLengths);
     }
-    // Step 1: commit to C.
-    let big_c = commit_c_io(group, io, rng)?;
-    ot12_send_precommitted_io(group, io, rng, m0, m1, tag, &big_c).await
+    let commitment = commit_c_io(group, io, rng)?;
+    ot12_send_precommitted_io(group, io, rng, m0, m1, tag, &commitment).await
 }
 
-/// Draws the sender's commitment `C = g^c` and transmits it.
-///
-/// The sender never uses the discrete log `c` — `C` only has to be a
-/// group element whose discrete log the receiver does not know — so one
-/// commitment can safely serve every transfer of a batch session. This
-/// is the base-phase work that batch mode hoists out of the per-transfer
-/// loop (one modular exponentiation and one frame per base OT).
+/// Draws a sender commitment and transmits `(C, g^r)` (step 1): the
+/// whole public-key base phase of every transfer that will run under it.
 ///
 /// # Errors
 ///
 /// Transport failures from sending the commitment frame.
-pub fn commit_c(group: &DhGroup, ep: &Endpoint, rng: &mut dyn RngCore) -> Result<BigUint, OtError> {
+pub fn commit_c(
+    group: &DhGroup,
+    ep: &Endpoint,
+    rng: &mut dyn RngCore,
+) -> Result<SenderCommitment, OtError> {
     let mut engine = ProtocolEngine::new(|io| async move { commit_c_io(group, &io, rng) });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O sender half of [`commit_c`]: draws `C` and queues the
-/// commitment frame. Synchronous because the commitment never waits for
-/// the peer.
+/// Sans-I/O sender half of [`commit_c`]. Synchronous because the
+/// commitment never waits for the peer.
 ///
 /// # Errors
 ///
@@ -109,38 +173,43 @@ pub fn commit_c_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
-) -> Result<BigUint, OtError> {
-    let c_exp = group.random_exponent(rng);
-    let big_c = group.power_g(&c_exp);
-    io.send_msg(KIND_OT12_C, &group.element_bytes(&big_c))?;
-    Ok(big_c)
+) -> Result<SenderCommitment, OtError> {
+    let commitment = SenderCommitment::draw(group, rng);
+    commitment.transmit(group, io)?;
+    Ok(commitment)
 }
 
-/// Receives the sender's commitment `C` (the receiver half of
-/// [`commit_c`]).
+/// Receives the sender's commitment (the receiver half of [`commit_c`]).
 ///
 /// # Errors
 ///
 /// Transport failures, or [`OtError::Protocol`] for an invalid element.
-pub fn receive_c(group: &DhGroup, ep: &Endpoint) -> Result<BigUint, OtError> {
+pub fn receive_c(group: &DhGroup, ep: &Endpoint) -> Result<ReceiverCommitment, OtError> {
     let mut engine = ProtocolEngine::new(|io| async move { receive_c_io(group, &io).await });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O receiver half of [`commit_c`].
+/// Sans-I/O receiver half of [`commit_c`]: checks `C` and `g^r` and
+/// builds the table every `(g^r)^x` under this commitment is read from.
 ///
 /// # Errors
 ///
 /// Same as [`receive_c`].
-pub async fn receive_c_io(group: &DhGroup, io: &FrameIo) -> Result<BigUint, OtError> {
-    let c_bytes: Vec<u8> = io.recv_msg(KIND_OT12_C).await?;
-    group
-        .element_from_bytes(&c_bytes)
-        .ok_or_else(|| OtError::Protocol("sender sent invalid C".into()))
+pub async fn receive_c_io(group: &DhGroup, io: &FrameIo) -> Result<ReceiverCommitment, OtError> {
+    let (c_bytes, g_r_bytes): (Vec<u8>, Vec<u8>) = io.recv_msg(KIND_OT12_C).await?;
+    let element = |bytes: &[u8], what: &str| {
+        group
+            .element_from_bytes(bytes)
+            .ok_or_else(|| OtError::Protocol(format!("sender sent invalid {what}")))
+    };
+    Ok(ReceiverCommitment {
+        big_c: element(&c_bytes, "C")?,
+        g_r: group.fixed_base(&element(&g_r_bytes, "g^r")?),
+    })
 }
 
-/// Sender side of a 1-out-of-2 OT whose commitment `C` was already
-/// transmitted (steps 2–3 of the protocol).
+/// Sender side of a 1-out-of-2 OT under an already transmitted
+/// commitment (steps 2–3 of the protocol).
 ///
 /// # Errors
 ///
@@ -152,10 +221,10 @@ pub fn ot12_send_precommitted(
     m0: &[u8],
     m1: &[u8],
     tag: u64,
-    big_c: &BigUint,
+    commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
-        ot12_send_precommitted_io(group, &io, rng, m0, m1, tag, big_c).await
+        ot12_send_precommitted_io(group, &io, rng, m0, m1, tag, commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
@@ -172,29 +241,31 @@ pub async fn ot12_send_precommitted_io(
     m0: &[u8],
     m1: &[u8],
     tag: u64,
-    big_c: &BigUint,
+    commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
     if m0.len() != m1.len() {
         return Err(OtError::UnequalMessageLengths);
     }
-    // Step 2: receive PK_0, derive PK_1.
+    // Step 2: receive PK_0.
     let pk0_bytes: Vec<u8> = io.recv_msg(KIND_OT12_PK0).await?;
     let pk0 = group
         .element_from_bytes(&pk0_bytes)
         .ok_or_else(|| OtError::Protocol("receiver sent invalid PK_0".into()))?;
-    let pk1 = group.mul(big_c, &group.inv(&pk0));
 
-    // Step 3: encrypt both messages under ephemeral DH pads.
-    let r = group.random_exponent(rng);
-    let g_r = group.power_g(&r);
-    let k0 = group.derive_key(&group.exp(&pk0, &r), &tag_context(tag, 0));
-    let k1 = group.derive_key(&group.exp(&pk1, &r), &tag_context(tag, 1));
+    // Step 3: PK_1^r = (C / PK_0)^r = C^r / PK_0^r, then encrypt both
+    // messages under pads no other use of this commitment repeats.
+    let z0 = group.exp(&pk0, &commitment.r);
+    let z1 = group.mul(&commitment.c_r, &group.inv(&z0));
+    let mut nonce = vec![0u8; PAD_NONCE_LEN];
+    rng.fill_bytes(&mut nonce);
+    let k0 = group.derive_key(&z0, &pad_context(tag, 0, &nonce));
+    let k1 = group.derive_key(&z1, &pad_context(tag, 1, &nonce));
     let mut e0 = m0.to_vec();
     let mut e1 = m1.to_vec();
     pad_apply(&k0, tag, &mut e0);
     pad_apply(&k1, tag, &mut e1);
 
-    io.send_msg(KIND_OT12_PAYLOAD, &(group.element_bytes(&g_r), (e0, e1)))?;
+    io.send_msg(KIND_OT12_PAYLOAD, &(nonce, (e0, e1)))?;
     Ok(())
 }
 
@@ -230,13 +301,12 @@ pub async fn ot12_receive_io(
     choice: bool,
     tag: u64,
 ) -> Result<Vec<u8>, OtError> {
-    // Step 1: receive C.
-    let big_c = receive_c_io(group, io).await?;
-    ot12_receive_precommitted_io(group, io, rng, choice, tag, &big_c).await
+    let commitment = receive_c_io(group, io).await?;
+    ot12_receive_precommitted_io(group, io, rng, choice, tag, &commitment).await
 }
 
-/// Receiver side of a 1-out-of-2 OT whose commitment `C` was already
-/// received (steps 2–4 of the protocol).
+/// Receiver side of a 1-out-of-2 OT under an already received
+/// commitment (steps 2–4 of the protocol).
 ///
 /// # Errors
 ///
@@ -247,10 +317,10 @@ pub fn ot12_receive_precommitted(
     rng: &mut dyn RngCore,
     choice: bool,
     tag: u64,
-    big_c: &BigUint,
+    commitment: &ReceiverCommitment,
 ) -> Result<Vec<u8>, OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
-        ot12_receive_precommitted_io(group, &io, rng, choice, tag, big_c).await
+        ot12_receive_precommitted_io(group, &io, rng, choice, tag, commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
@@ -266,36 +336,38 @@ pub async fn ot12_receive_precommitted_io(
     rng: &mut dyn RngCore,
     choice: bool,
     tag: u64,
-    big_c: &BigUint,
+    commitment: &ReceiverCommitment,
 ) -> Result<Vec<u8>, OtError> {
     // Step 2: build the key pair so we know the discrete log of PK_choice
     // only.
     let x = group.random_exponent(rng);
     let pk_choice = group.power_g(&x);
     let pk0 = if choice {
-        group.mul(big_c, &group.inv(&pk_choice))
+        group.mul(&commitment.big_c, &group.inv(&pk_choice))
     } else {
-        pk_choice.clone()
+        pk_choice
     };
     io.send_msg(KIND_OT12_PK0, &group.element_bytes(&pk0))?;
 
     // Step 3/4: decrypt our branch.
-    let (g_r_bytes, (e0, e1)): (Vec<u8>, (Vec<u8>, Vec<u8>)) =
-        io.recv_msg(KIND_OT12_PAYLOAD).await?;
-    let g_r: BigUint = group
-        .element_from_bytes(&g_r_bytes)
-        .ok_or_else(|| OtError::Protocol("sender sent invalid g^r".into()))?;
-    let shared = group.exp(&g_r, &x);
-    let key = group.derive_key(&shared, &tag_context(tag, u8::from(choice)));
+    let (nonce, (e0, e1)): (Vec<u8>, (Vec<u8>, Vec<u8>)) = io.recv_msg(KIND_OT12_PAYLOAD).await?;
+    if nonce.len() != PAD_NONCE_LEN {
+        return Err(OtError::Protocol(
+            "sender sent a malformed pad nonce".into(),
+        ));
+    }
+    let shared = group.power(&commitment.g_r, &x);
+    let key = group.derive_key(&shared, &pad_context(tag, u8::from(choice), &nonce));
     let mut m = if choice { e1 } else { e0 };
     pad_apply(&key, tag, &mut m);
     Ok(m)
 }
 
-fn tag_context(tag: u64, branch: u8) -> Vec<u8> {
-    let mut ctx = Vec::with_capacity(9);
+fn pad_context(tag: u64, branch: u8, nonce: &[u8]) -> Vec<u8> {
+    let mut ctx = Vec::with_capacity(9 + nonce.len());
     ctx.extend_from_slice(&tag.to_le_bytes());
     ctx.push(branch);
+    ctx.extend_from_slice(nonce);
     ctx
 }
 
@@ -367,5 +439,66 @@ mod tests {
             ppcs_transport::run_engine_pair(&mut sender, &mut receiver).expect("no deadlock");
         sent.expect("send");
         assert_eq!(got.expect("receive"), run_ot12(b"zero!", b"one!!", true));
+    }
+
+    #[test]
+    fn commitment_identities_hold_on_random_elements() {
+        // What the sender's single power per transfer rests on:
+        // C^r = (g^r)^c, and (C / PK_0)^r = C^r · (PK_0^r)⁻¹.
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let commitment = SenderCommitment::draw(group, &mut rng);
+            let c = group.random_exponent(&mut StdRng::seed_from_u64(31));
+            let SenderCommitment { big_c, g_r, r, c_r } = &commitment;
+            assert_eq!(big_c, &group.exp(group.generator(), &c));
+            assert_eq!(g_r, &group.exp(group.generator(), r));
+            assert_eq!(c_r, &group.exp(g_r, &c));
+            assert_eq!(c_r, &group.exp(big_c, r));
+            for _ in 0..3 {
+                let pk0 = group.power_g(&group.random_exponent(&mut rng));
+                let pk1 = group.mul(big_c, &group.inv(&pk0));
+                let z0 = group.exp(&pk0, r);
+                assert_eq!(group.exp(&pk1, r), group.mul(c_r, &group.inv(&z0)));
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_pk0_under_one_commitment_gets_fresh_pads() {
+        // One r serves every transfer of a commitment, so a receiver may
+        // answer two transfers of one tag with one PK_0. Were the pads a
+        // function of (PK_0, r, tag) alone, E_1 ⊕ E_1' would be m_1 ⊕ m_1'.
+        use ppcs_transport::Frame;
+        let group = DhGroup::modp_768();
+        let (m1, m1_next) = (*b"unchosen message one", *b"unchosen message two");
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let commitment = commit_c_io(group, &io, &mut rng)?;
+            ot12_send_precommitted_io(group, &io, &mut rng, &[0; 20], &m1, 7, &commitment).await?;
+            ot12_send_precommitted_io(group, &io, &mut rng, &[0; 20], &m1_next, 7, &commitment)
+                .await
+        });
+        let pk0 = group.element_bytes(&group.power_g(&BigUint::from(12345u32)));
+        let mut unchosen = Vec::new();
+        loop {
+            while let Some(out) = sender.poll_output() {
+                for frame in out.frames().iter().filter(|f| f.kind == KIND_OT12_PAYLOAD) {
+                    let (_, (_, e1)): (Vec<u8>, (Vec<u8>, Vec<u8>)) =
+                        frame.decode_as(KIND_OT12_PAYLOAD).expect("payload");
+                    unchosen.push(e1);
+                }
+            }
+            if sender.is_done() {
+                break;
+            }
+            sender.handle_input(Frame::encode(KIND_OT12_PK0, &pk0));
+        }
+        sender
+            .take_result()
+            .expect("done")
+            .expect("both transfers sent");
+        let xor = |a: &[u8], b: &[u8]| a.iter().zip(b).map(|(x, y)| x ^ y).collect::<Vec<u8>>();
+        assert_eq!(unchosen.len(), 2);
+        assert_ne!(xor(&unchosen[0], &unchosen[1]), xor(&m1, &m1_next));
     }
 }

@@ -19,7 +19,9 @@ use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::{Rng, RngCore};
 
-use crate::base::{ot12_receive_io, ot12_send_io};
+use crate::base::{
+    commit_c_io, ot12_receive_precommitted_io, ot12_send_precommitted_io, receive_c_io,
+};
 use crate::error::{read_u32_le, OtError};
 
 /// Computational security parameter: number of base OTs / matrix columns.
@@ -116,22 +118,17 @@ pub async fn iknp_send_io(
     }
     let col_bytes = m.div_ceil(8);
 
-    // Reverse-direction base OTs: we are the *receiver* with secret
-    // choice bits s.
+    // Reverse-direction base OTs, all under one commitment: we are the
+    // *receiver* with secret choice bits s.
     let mut s_bits = vec![0u8; KAPPA.div_ceil(8)];
     rng.fill_bytes(&mut s_bits);
     let mut q_columns = Vec::with_capacity(KAPPA);
     let mut seeds = Vec::with_capacity(KAPPA);
+    let commitment = receive_c_io(group, io).await?;
     for i in 0..KAPPA {
-        let seed_bytes = ot12_receive_io(
-            group,
-            io,
-            rng,
-            get_bit(&s_bits, i),
-            BASE_TAG_OFFSET + i as u64,
-        )
-        .await?;
-        let seed: [u8; 32] = seed_bytes
+        let (choice, tag) = (get_bit(&s_bits, i), BASE_TAG_OFFSET + i as u64);
+        let seed: [u8; 32] = ot12_receive_precommitted_io(group, io, rng, choice, tag, &commitment)
+            .await?
             .try_into()
             .map_err(|_| OtError::Protocol("base-OT seed has wrong length".into()))?;
         seeds.push(seed);
@@ -223,14 +220,16 @@ pub async fn iknp_receive_io(
         set_bit(&mut r_col, j, c);
     }
 
-    // Base OTs (we are the sender of seed pairs).
+    // Base OTs under one commitment (we are the sender of seed pairs).
     let mut seed_pairs = Vec::with_capacity(KAPPA);
+    let commitment = commit_c_io(group, io, rng)?;
     for i in 0..KAPPA {
         let mut s0 = [0u8; 32];
         let mut s1 = [0u8; 32];
         rng.fill_bytes(&mut s0);
         rng.fill_bytes(&mut s1);
-        ot12_send_io(group, io, rng, &s0, &s1, BASE_TAG_OFFSET + i as u64).await?;
+        let tag = BASE_TAG_OFFSET + i as u64;
+        ot12_send_precommitted_io(group, io, rng, &s0, &s1, tag, &commitment).await?;
         seed_pairs.push((s0, s1));
     }
 

@@ -12,16 +12,19 @@
 //! open unchosen messages). This matches the paper's use: the OMPE
 //! receiver opens its `m` cover positions among the `M` submitted points.
 //!
-//! As in [`base`](crate::base), the `*_io` functions are the sans-I/O
-//! role logic; the blocking functions drive them over an `Endpoint`.
+//! Every base OT of a transfer runs under one
+//! [commitment](crate::base::commit_c): the `*_io` functions — the
+//! sans-I/O role logic, as in [`base`](crate::base) — take it from the
+//! caller, and the blocking functions open one for the transfer and
+//! drive them over an `Endpoint`.
 
-use num_bigint::BigUint;
 use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::base::{
-    ot12_receive_io, ot12_receive_precommitted_io, ot12_send_io, ot12_send_precommitted_io,
+    commit_c_io, ot12_receive_precommitted_io, ot12_send_precommitted_io, receive_c_io,
+    ReceiverCommitment, SenderCommitment,
 };
 use crate::error::{read_u64_le, OtError};
 
@@ -50,10 +53,42 @@ pub(crate) fn encrypt_message(key: &[u8; 32], index: usize, data: &mut [u8]) {
     ChaCha20::new(key, &nonce, 0).apply(data);
 }
 
-/// Sender side of one 1-out-of-N query.
+fn check_index(index: usize, num_messages: usize) -> Result<(), OtError> {
+    if index >= num_messages {
+        return Err(OtError::InvalidIndex {
+            index,
+            num_messages,
+        });
+    }
+    Ok(())
+}
+
+/// Checks a peer's `count ‖ length ‖ ciphertexts` table against the
+/// agreed message count and returns the length of one ciphertext. Both
+/// header fields are the peer's, so the size they imply is computed
+/// without overflow.
+pub(crate) fn table_msg_len(blob: &[u8], num_messages: usize) -> Result<usize, OtError> {
+    if blob.len() < 16 {
+        return Err(OtError::Protocol("ciphertext table too short".into()));
+    }
+    let n = read_u64_le(blob, 0, "ciphertext count")?;
+    let msg_len = read_u64_le(blob, 8, "ciphertext length")?;
+    if n != num_messages {
+        return Err(OtError::Protocol(format!(
+            "sender transferred {n} messages, receiver expected {num_messages}"
+        )));
+    }
+    let implied = n.checked_mul(msg_len).and_then(|body| body.checked_add(16));
+    if implied != Some(blob.len()) {
+        return Err(OtError::Protocol("ciphertext table length mismatch".into()));
+    }
+    Ok(msg_len)
+}
+
+/// Sender side of one 1-out-of-N query under a commitment of its own.
 ///
-/// `query` numbers the query within a session (domain separation);
-/// `tag_base` is the base tag for the underlying 1-of-2 OTs.
+/// `query` numbers the query within a transfer (domain separation of
+/// the message pads and the base-OT tags).
 ///
 /// # Errors
 ///
@@ -66,43 +101,26 @@ pub fn ot1n_send(
     messages: &[Vec<u8>],
     query: u64,
 ) -> Result<(), OtError> {
-    ot1n_send_with_c(group, ep, rng, messages, query, None)
-}
-
-/// [`ot1n_send`] with an optional precommitted base-OT commitment `C`
-/// (see [`commit_c`](crate::base::commit_c)); `None` draws and transmits
-/// a fresh one per base OT.
-///
-/// # Errors
-///
-/// Same as [`ot1n_send`].
-pub fn ot1n_send_with_c(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    query: u64,
-    big_c: Option<&BigUint>,
-) -> Result<(), OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
-        ot1n_send_with_c_io(group, &io, rng, messages, query, big_c).await
+        let commitment = commit_c_io(group, &io, rng)?;
+        ot1n_send_io(group, &io, rng, messages, query, &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O sender role of one 1-out-of-N query (see
-/// [`ot1n_send_with_c`]).
+/// Sans-I/O sender role of one 1-out-of-N query whose base OTs run under
+/// `commitment`.
 ///
 /// # Errors
 ///
 /// Same as [`ot1n_send`].
-pub async fn ot1n_send_with_c_io(
+pub async fn ot1n_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
     messages: &[Vec<u8>],
     query: u64,
-    big_c: Option<&BigUint>,
+    commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
     let n = messages.len();
     if n == 0 {
@@ -125,7 +143,9 @@ pub async fn ot1n_send_with_c_io(
     }
 
     // Encrypt every message under the keys its index bits select.
-    let mut ciphertexts = Vec::with_capacity(n);
+    let mut blob = Vec::with_capacity(n * msg_len + 16);
+    blob.extend_from_slice(&(n as u64).to_le_bytes());
+    blob.extend_from_slice(&(msg_len as u64).to_le_bytes());
     for (i, m) in messages.iter().enumerate() {
         let selected: Vec<[u8; 32]> = (0..bits)
             .map(|b| {
@@ -137,25 +157,16 @@ pub async fn ot1n_send_with_c_io(
             })
             .collect();
         let key = message_key(&selected, i, query);
-        let mut c = m.clone();
-        encrypt_message(&key, i, &mut c);
-        ciphertexts.push(c);
-    }
-    let mut blob = Vec::with_capacity(n * msg_len + 16);
-    blob.extend_from_slice(&(n as u64).to_le_bytes());
-    blob.extend_from_slice(&(msg_len as u64).to_le_bytes());
-    for c in &ciphertexts {
-        blob.extend_from_slice(c);
+        let at = blob.len();
+        blob.extend_from_slice(m);
+        encrypt_message(&key, i, &mut blob[at..]);
     }
     io.send_msg(KIND_OT1N_CIPHERTEXTS, &blob)?;
 
     // One base OT per bit position.
     for (b, (k0, k1)) in key_pairs.iter().enumerate() {
         let tag = query.wrapping_mul(1 << 16).wrapping_add(b as u64);
-        match big_c {
-            Some(c) => ot12_send_precommitted_io(group, io, rng, k0, k1, tag, c).await?,
-            None => ot12_send_io(group, io, rng, k0, k1, tag).await?,
-        }
+        ot12_send_precommitted_io(group, io, rng, k0, k1, tag, commitment).await?;
     }
     Ok(())
 }
@@ -174,76 +185,40 @@ pub fn ot1n_receive(
     index: usize,
     query: u64,
 ) -> Result<Vec<u8>, OtError> {
-    ot1n_receive_with_c(group, ep, rng, num_messages, index, query, None)
-}
-
-/// [`ot1n_receive`] with an optional precommitted base-OT commitment
-/// `C`; must match the sender's choice.
-///
-/// # Errors
-///
-/// Same as [`ot1n_receive`].
-pub fn ot1n_receive_with_c(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    num_messages: usize,
-    index: usize,
-    query: u64,
-    big_c: Option<&BigUint>,
-) -> Result<Vec<u8>, OtError> {
+    check_index(index, num_messages)?;
     let mut engine = ProtocolEngine::new(|io| async move {
-        ot1n_receive_with_c_io(group, &io, rng, num_messages, index, query, big_c).await
+        let commitment = receive_c_io(group, &io).await?;
+        ot1n_receive_io(group, &io, rng, num_messages, index, query, &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O receiver role of one 1-out-of-N query (see
-/// [`ot1n_receive_with_c`]).
+/// Sans-I/O receiver role of one 1-out-of-N query whose base OTs run
+/// under `commitment`.
 ///
 /// # Errors
 ///
 /// Same as [`ot1n_receive`].
-pub async fn ot1n_receive_with_c_io(
+pub async fn ot1n_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
     num_messages: usize,
     index: usize,
     query: u64,
-    big_c: Option<&BigUint>,
+    commitment: &ReceiverCommitment,
 ) -> Result<Vec<u8>, OtError> {
-    if index >= num_messages {
-        return Err(OtError::InvalidIndex {
-            index,
-            num_messages,
-        });
-    }
+    check_index(index, num_messages)?;
     let blob: Vec<u8> = io.recv_msg(KIND_OT1N_CIPHERTEXTS).await?;
-    if blob.len() < 16 {
-        return Err(OtError::Protocol("ciphertext blob too short".into()));
-    }
-    let n = read_u64_le(&blob, 0, "ciphertext count")?;
-    let msg_len = read_u64_le(&blob, 8, "ciphertext length")?;
-    if n != num_messages {
-        return Err(OtError::Protocol(format!(
-            "sender transferred {n} messages, receiver expected {num_messages}"
-        )));
-    }
-    if blob.len() != 16 + n * msg_len {
-        return Err(OtError::Protocol("ciphertext blob length mismatch".into()));
-    }
+    let msg_len = table_msg_len(&blob, num_messages)?;
 
-    let bits = num_bits(n);
+    let bits = num_bits(num_messages);
     let mut keys = Vec::with_capacity(bits);
     for b in 0..bits {
         let tag = query.wrapping_mul(1 << 16).wrapping_add(b as u64);
         let choice = (index >> b) & 1 == 1;
-        let key_bytes = match big_c {
-            Some(c) => ot12_receive_precommitted_io(group, io, rng, choice, tag, c).await?,
-            None => ot12_receive_io(group, io, rng, choice, tag).await?,
-        };
-        let key: [u8; 32] = key_bytes
+        let key: [u8; 32] = ot12_receive_precommitted_io(group, io, rng, choice, tag, commitment)
+            .await?
             .try_into()
             .map_err(|_| OtError::Protocol("bit key has wrong length".into()))?;
         keys.push(key);
@@ -255,7 +230,8 @@ pub async fn ot1n_receive_with_c_io(
     Ok(m)
 }
 
-/// Sender side of a k-out-of-N transfer (k fresh 1-out-of-N queries).
+/// Sender side of a k-out-of-N transfer (k fresh 1-out-of-N queries)
+/// under a commitment of its own.
 ///
 /// # Errors
 ///
@@ -267,45 +243,29 @@ pub fn otkn_send(
     messages: &[Vec<u8>],
     k: usize,
 ) -> Result<(), OtError> {
-    otkn_send_with_c(group, ep, rng, messages, k, None)
-}
-
-/// [`otkn_send`] with an optional precommitted base-OT commitment `C`
-/// shared by every query of the transfer.
-///
-/// # Errors
-///
-/// Propagates the per-query errors of [`ot1n_send`].
-pub fn otkn_send_with_c(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    k: usize,
-    big_c: Option<&BigUint>,
-) -> Result<(), OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
-        otkn_send_with_c_io(group, &io, rng, messages, k, big_c).await
+        let commitment = commit_c_io(group, &io, rng)?;
+        otkn_send_io(group, &io, rng, messages, k, &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O sender role of a k-out-of-N transfer (see
-/// [`otkn_send_with_c`]).
+/// Sans-I/O sender role of a k-out-of-N transfer whose base OTs all run
+/// under `commitment`.
 ///
 /// # Errors
 ///
 /// Propagates the per-query errors of [`ot1n_send`].
-pub async fn otkn_send_with_c_io(
+pub async fn otkn_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
     messages: &[Vec<u8>],
     k: usize,
-    big_c: Option<&BigUint>,
+    commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
     for query in 0..k {
-        ot1n_send_with_c_io(group, io, rng, messages, query as u64, big_c).await?;
+        ot1n_send_io(group, io, rng, messages, query as u64, commitment).await?;
     }
     Ok(())
 }
@@ -323,49 +283,39 @@ pub fn otkn_receive(
     num_messages: usize,
     indices: &[usize],
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    otkn_receive_with_c(group, ep, rng, num_messages, indices, None)
-}
-
-/// [`otkn_receive`] with an optional precommitted base-OT commitment
-/// `C` shared by every query of the transfer.
-///
-/// # Errors
-///
-/// Propagates the per-query errors of [`ot1n_receive`].
-pub fn otkn_receive_with_c(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    num_messages: usize,
-    indices: &[usize],
-    big_c: Option<&BigUint>,
-) -> Result<Vec<Vec<u8>>, OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
-        otkn_receive_with_c_io(group, &io, rng, num_messages, indices, big_c).await
+        let commitment = receive_c_io(group, &io).await?;
+        otkn_receive_io(group, &io, rng, num_messages, indices, &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O receiver role of a k-out-of-N transfer (see
-/// [`otkn_receive_with_c`]).
+/// Sans-I/O receiver role of a k-out-of-N transfer whose base OTs all
+/// run under `commitment`.
 ///
 /// # Errors
 ///
 /// Propagates the per-query errors of [`ot1n_receive`].
-pub async fn otkn_receive_with_c_io(
+pub async fn otkn_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
     num_messages: usize,
     indices: &[usize],
-    big_c: Option<&BigUint>,
+    commitment: &ReceiverCommitment,
 ) -> Result<Vec<Vec<u8>>, OtError> {
     let mut out = Vec::with_capacity(indices.len());
     for (query, &index) in indices.iter().enumerate() {
-        out.push(
-            ot1n_receive_with_c_io(group, io, rng, num_messages, index, query as u64, big_c)
-                .await?,
+        let m = ot1n_receive_io(
+            group,
+            io,
+            rng,
+            num_messages,
+            index,
+            query as u64,
+            commitment,
         );
+        out.push(m.await?);
     }
     Ok(out)
 }

@@ -9,9 +9,9 @@ use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::api::{ObliviousTransfer, OtSelect};
-use crate::error::{read_u64_le, OtError};
+use crate::error::OtError;
 use crate::ext::{iknp_receive_io, iknp_send_io};
-use crate::kn::{encrypt_message, message_key, num_bits};
+use crate::kn::{encrypt_message, message_key, num_bits, table_msg_len};
 
 const KIND_KNX_TABLE: u16 = 0x0290;
 
@@ -169,14 +169,7 @@ pub async fn knx_receive_io(
     let mut out = Vec::with_capacity(indices.len());
     for (query, &index) in indices.iter().enumerate() {
         let blob: Vec<u8> = io.recv_msg(KIND_KNX_TABLE).await?;
-        if blob.len() < 16 {
-            return Err(OtError::Protocol("message table too short".into()));
-        }
-        let n = read_u64_le(&blob, 0, "table message count")?;
-        let msg_len = read_u64_le(&blob, 8, "table message length")?;
-        if n != num_messages || blob.len() != 16 + n * msg_len {
-            return Err(OtError::Protocol("message table shape mismatch".into()));
-        }
+        let msg_len = table_msg_len(&blob, num_messages)?;
         let mut keys = Vec::with_capacity(bits);
         for b in 0..bits {
             let key: [u8; 32] = keys_flat[query * bits + b]

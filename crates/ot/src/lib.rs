@@ -50,14 +50,13 @@ pub use api::{
 pub use base::{
     commit_c, commit_c_io, ot12_receive, ot12_receive_io, ot12_receive_precommitted,
     ot12_receive_precommitted_io, ot12_send, ot12_send_io, ot12_send_precommitted,
-    ot12_send_precommitted_io, receive_c, receive_c_io,
+    ot12_send_precommitted_io, receive_c, receive_c_io, ReceiverCommitment, SenderCommitment,
 };
 pub use error::OtError;
 pub use ext::{iknp_receive, iknp_receive_io, iknp_send, iknp_send_io, random_choices, KAPPA};
 pub use kn::{
-    ot1n_receive, ot1n_receive_with_c, ot1n_receive_with_c_io, ot1n_send, ot1n_send_with_c,
-    ot1n_send_with_c_io, otkn_receive, otkn_receive_with_c, otkn_receive_with_c_io, otkn_send,
-    otkn_send_with_c, otkn_send_with_c_io,
+    ot1n_receive, ot1n_receive_io, ot1n_send, ot1n_send_io, otkn_receive, otkn_receive_io,
+    otkn_send, otkn_send_io,
 };
 pub use knx::{knx_receive_io, knx_send_io, IknpOt};
 pub use offline::{ot_begin_send_precomputed_io, select_fingerprint, OtOfflineCommitment};

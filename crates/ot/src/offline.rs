@@ -1,14 +1,15 @@
 //! Offline/online phase split for the OT engines.
 //!
 //! The only input-independent, non-trivial work on the OT sender's
-//! critical path is the Naor–Pinkas base-OT commitment `C = g^c`: one
-//! modular exponentiation in the MODP group, drawn once per batch and
-//! transmitted before any transfer. [`OtOfflineCommitment::precompute`]
-//! performs that exponentiation ahead of time (e.g. from a server's idle
-//! loop) and [`ot_begin_send_precomputed_io`] replays it onto a live
-//! session — the wire format is identical to the monolithic
-//! [`ot_begin_send_io`](crate::ot_begin_send_io) path, so the receiver
-//! cannot tell the difference.
+//! critical path is the Naor–Pinkas commitment: `C = g^c`, `g^r` and
+//! `C^r`, three fixed-base powers in the MODP group, drawn once per
+//! batch and transmitted before any transfer.
+//! [`OtOfflineCommitment::precompute`] pays them ahead of time (e.g.
+//! from a server's idle loop) and [`ot_begin_send_precomputed_io`]
+//! replays the result onto a live session — the wire format is identical
+//! to the monolithic [`ot_begin_send_io`](crate::ot_begin_send_io) path,
+//! so the receiver cannot tell the difference. The commitment's secret
+//! `r` must serve one session only: consume each value once.
 //!
 //! Every piece of offline material is tagged with a configuration
 //! fingerprint ([`select_fingerprint`]): material precomputed under one
@@ -17,14 +18,13 @@
 //! configuration (say the security-grade 2048-bit group) tries to
 //! consume it.
 
-use num_bigint::BigUint;
 use ppcs_crypto::DhGroup;
 use ppcs_telemetry::Phase;
 use ppcs_transport::FrameIo;
 use rand::RngCore;
 
 use crate::api::{OtBatchState, OtSelect};
-use crate::base::KIND_OT12_C;
+use crate::base::SenderCommitment;
 use crate::error::OtError;
 
 /// A stable 64-bit fingerprint of an OT engine configuration: the engine
@@ -50,30 +50,30 @@ pub fn select_fingerprint(sel: OtSelect) -> u64 {
 /// Input-independent sender-side base-phase material for one OT batch,
 /// produced off the critical path by [`precompute`](Self::precompute).
 ///
-/// For [`OtSelect::NaorPinkas`] this holds the commitment `C = g^c`
-/// (the modular exponentiation already paid); the extension and
-/// simulator engines have no sender base phase, so their material is
+/// For [`OtSelect::NaorPinkas`] this holds the whole sender commitment
+/// (`C`, `g^r`, `r`, `C^r`: every exponentiation that does not wait for
+/// the receiver's keys already paid); the extension and simulator
+/// engines have no sender base phase, so their material is
 /// fingerprint-only and consuming it is free.
 #[derive(Clone, Debug)]
 pub struct OtOfflineCommitment {
     fingerprint: u64,
-    big_c: Option<BigUint>,
+    commitment: Option<SenderCommitment>,
 }
 
 impl OtOfflineCommitment {
     /// Performs the input-independent sender base-phase work for `sel`.
     pub fn precompute(sel: OtSelect, rng: &mut dyn RngCore) -> Self {
-        let big_c = match sel {
+        let commitment = match sel {
             OtSelect::NaorPinkas { group } => {
                 let _span = ppcs_telemetry::span(Phase::Precompute);
-                let c_exp = group.random_exponent(rng);
-                Some(group.power_g(&c_exp))
+                Some(SenderCommitment::draw(group, rng))
             }
             OtSelect::Iknp { .. } | OtSelect::TrustedSim => None,
         };
         Self {
             fingerprint: select_fingerprint(sel),
-            big_c,
+            commitment,
         }
     }
 
@@ -85,7 +85,7 @@ impl OtOfflineCommitment {
 
 /// Online half of the sender base phase over precomputed material:
 /// transmits the stored commitment instead of exponentiating inline.
-/// Byte-identical on the wire to `ot_begin_send_io` with the same `C`.
+/// Byte-identical on the wire to `ot_begin_send_io` with the same draws.
 ///
 /// # Errors
 ///
@@ -103,11 +103,11 @@ pub fn ot_begin_send_precomputed_io(
             actual: offline.fingerprint,
         });
     }
-    match (sel, &offline.big_c) {
-        (OtSelect::NaorPinkas { group }, Some(big_c)) => {
+    match (sel, &offline.commitment) {
+        (OtSelect::NaorPinkas { group }, Some(commitment)) => {
             let _span = ppcs_telemetry::span(Phase::BaseOt);
-            io.send_msg(KIND_OT12_C, &group.element_bytes(big_c))?;
-            Ok(OtBatchState::with_np_c(big_c.clone()))
+            commitment.transmit(group, io)?;
+            Ok(OtBatchState::sender(commitment.clone()))
         }
         // A Naor–Pinkas fingerprint always carries a commitment, so the
         // remaining arms are the base-phase-free engines.
@@ -118,7 +118,10 @@ pub fn ot_begin_send_precomputed_io(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ot_begin_receive_io, ot_receive_io, ot_send_io, NaorPinkasOt, TrustedSimOt};
+    use crate::api::{
+        ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, NaorPinkasOt,
+        TrustedSimOt,
+    };
     use crate::knx::IknpOt;
     use crate::ObliviousTransfer;
     use ppcs_transport::{run_engine_pair, ProtocolEngine};
@@ -143,33 +146,58 @@ mod tests {
 
     #[test]
     fn precomputed_commitment_matches_monolithic_transfers() {
+        // Drawn from one RNG stream, the offline commitment and the
+        // inline one put the same bytes on the wire, frame for frame.
+        let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i.wrapping_mul(3); 6]).collect();
+        let indices = [5usize, 2, 7];
         for sel in [
             NaorPinkasOt::fast_insecure().select(),
             IknpOt::fast_insecure().select(),
             TrustedSimOt::new().select(),
         ] {
-            let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i.wrapping_mul(3); 6]).collect();
-            let indices = vec![5usize, 2, 7];
-            let mut offline_rng = StdRng::seed_from_u64(77);
-            let offline = OtOfflineCommitment::precompute(sel, &mut offline_rng);
-            let msgs_s = msgs.clone();
-            let idx = indices.clone();
-            let mut rng_s = StdRng::seed_from_u64(21);
-            let mut rng_r = StdRng::seed_from_u64(22);
-            let mut sender = ProtocolEngine::new(|io| async move {
-                let state = ot_begin_send_precomputed_io(sel, &io, &offline)?;
-                ot_send_io(sel, &state, &io, &mut rng_s, &msgs_s, 3).await
-            });
-            let mut receiver = ProtocolEngine::new(|io| async move {
-                let state = ot_begin_receive_io(sel, &io).await?;
-                ot_receive_io(sel, &state, &io, &mut rng_r, 8, &idx).await
-            });
-            let (sent, received) = run_engine_pair(&mut sender, &mut receiver).expect("pump");
-            sent.expect("send ok");
-            let got = received.expect("receive ok");
-            for (g, &i) in got.iter().zip(&indices) {
-                assert_eq!(g, &msgs[i], "engine {sel:?}, index {i}");
-            }
+            let run = |precomputed: bool| {
+                let (msgs, indices) = (&msgs, &indices);
+                let mut rng_s = StdRng::seed_from_u64(21);
+                let mut rng_r = StdRng::seed_from_u64(22);
+                let mut sender = ProtocolEngine::new(|io| async move {
+                    let state = if precomputed {
+                        let offline = OtOfflineCommitment::precompute(sel, &mut rng_s);
+                        ot_begin_send_precomputed_io(sel, &io, &offline)?
+                    } else {
+                        ot_begin_send_io(sel, &io, &mut rng_s).await?
+                    };
+                    ot_send_io(sel, &state, &io, &mut rng_s, msgs, 3).await
+                });
+                let mut receiver = ProtocolEngine::new(|io| async move {
+                    let state = ot_begin_receive_io(sel, &io).await?;
+                    ot_receive_io(sel, &state, &io, &mut rng_r, 8, indices).await
+                });
+                let mut sent = Vec::new();
+                while !(sender.is_done() && receiver.is_done()) {
+                    while let Some(out) = sender.poll_output() {
+                        for f in out.frames() {
+                            sent.push(f.clone());
+                            receiver.handle_input(f.clone());
+                        }
+                    }
+                    while let Some(out) = receiver.poll_output() {
+                        out.frames()
+                            .iter()
+                            .for_each(|f| sender.handle_input(f.clone()));
+                    }
+                }
+                sender.take_result().expect("done").expect("send ok");
+                (
+                    sent,
+                    receiver.take_result().expect("done").expect("receive ok"),
+                )
+            };
+            let (monolithic_frames, monolithic) = run(false);
+            let (offline_frames, offline) = run(true);
+            let want: Vec<Vec<u8>> = indices.iter().map(|&i| msgs[i].clone()).collect();
+            assert_eq!(monolithic, want, "engine {sel:?}");
+            assert_eq!(offline, want, "engine {sel:?}");
+            assert_eq!(offline_frames, monolithic_frames, "engine {sel:?}");
         }
     }
 

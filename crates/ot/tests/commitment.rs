@@ -1,0 +1,291 @@
+//! The Naor–Pinkas commitment from outside the crate: the call shapes
+//! the `benchmark/` package compiles against (tier-1 does not build it,
+//! so a signature drift has to fail here), and what a hostile peer can do
+//! with the frames — every malformed commitment, payload or ciphertext
+//! table ends in a typed [`OtError`], never a panic.
+
+use ppcs_crypto::DhGroup;
+use ppcs_ot::{
+    commit_c_io, ot12_receive_io, ot12_receive_precommitted_io, ot12_send_precommitted_io,
+    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, receive_c_io, IknpOt,
+    NaorPinkasOt, ObliviousTransfer, OtBatchState, OtError, OtSelect, TrustedSimOt,
+};
+use ppcs_transport::{run_engine_pair, Frame, ProtocolEngine};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const KIND_OT12_C: u16 = 0x0100;
+const KIND_OT12_PK0: u16 = 0x0101;
+const KIND_OT12_PAYLOAD: u16 = 0x0102;
+const KIND_OT1N_CIPHERTEXTS: u16 = 0x0200;
+const KIND_KNX_TABLE: u16 = 0x0290;
+
+/// `benchmark/src/ladder.rs::base_ots_ms`, token for token where types
+/// are inferred: the commitment is bound with `let`, passed back by
+/// reference, and the two messages are `&[u8; 32]` literals.
+#[test]
+fn ladder_base_ot_shape() {
+    let group = DhGroup::modp_768();
+    let n = 4u64;
+    let mut rng_s = StdRng::seed_from_u64(1);
+    let mut rng_r = StdRng::seed_from_u64(2);
+    let mut send = ProtocolEngine::new(|io| async move {
+        let c = commit_c_io(group, &io, &mut rng_s)?;
+        for tag in 0..n {
+            ot12_send_precommitted_io(group, &io, &mut rng_s, &[1; 32], &[2; 32], tag, &c).await?;
+        }
+        Ok::<_, ppcs_ot::OtError>(())
+    });
+    let mut recv = ProtocolEngine::new(|io| async move {
+        let c = receive_c_io(group, &io).await?;
+        for tag in 0..n {
+            let got =
+                ot12_receive_precommitted_io(group, &io, &mut rng_r, tag % 2 == 1, tag, &c).await?;
+            assert_eq!(got[0], 1 + (tag % 2) as u8);
+        }
+        Ok::<_, ppcs_ot::OtError>(())
+    });
+    let (s, r) = run_engine_pair(&mut send, &mut recv).expect("base OT engines");
+    s.expect("base OT sender");
+    r.expect("base OT receiver");
+}
+
+/// `benchmark/src/ladder.rs::kn_transfer_ns` in both of its shapes, for
+/// every selector the benchmark builds.
+#[test]
+fn ladder_k_of_n_shapes() {
+    static SIM: TrustedSimOt = TrustedSimOt;
+    let np: fn() -> NaorPinkasOt = NaorPinkasOt::new;
+    assert_eq!(np().name(), "naor-pinkas-2048");
+    let selectors: [OtSelect; 3] = [
+        NaorPinkasOt::fast_insecure().select(),
+        IknpOt::fast_insecure().select(),
+        SIM.select(),
+    ];
+    let (k, n) = (2usize, 8usize);
+    let messages: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 32]).collect();
+    let indices = vec![6usize, 1];
+    for sel in selectors {
+        for in_session in [true, false] {
+            let mut rng_s = StdRng::seed_from_u64(3);
+            let mut rng_r = StdRng::seed_from_u64(4);
+            let (messages, indices) = (&messages, &indices);
+            let mut send = ProtocolEngine::new(|io| async move {
+                let state = match in_session {
+                    true => ot_begin_send_io(sel, &io, &mut rng_s).await?,
+                    false => OtBatchState::default(),
+                };
+                ot_send_io(sel, &state, &io, &mut rng_s, messages, k).await
+            });
+            let mut recv = ProtocolEngine::new(|io| async move {
+                let state = match in_session {
+                    true => ot_begin_receive_io(sel, &io).await?,
+                    false => OtBatchState::default(),
+                };
+                ot_receive_io(sel, &state, &io, &mut rng_r, n, indices).await
+            });
+            let (s, r) = run_engine_pair(&mut send, &mut recv).expect("k-of-N engines");
+            s.expect("k-of-N sender");
+            let got = r.expect("k-of-N receiver");
+            assert_eq!(
+                got,
+                vec![messages[6].clone(), messages[1].clone()],
+                "{sel:?}"
+            );
+        }
+    }
+}
+
+/// `benchmark/src/ladder.rs::{modexp_ms, power_g_ms}`.
+#[test]
+fn ladder_group_shapes() {
+    for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let e = group.random_exponent(&mut rng);
+        assert_eq!(group.exp(group.generator(), &e), group.power_g(&e));
+    }
+}
+
+/// Pumps `a` against `b` as `run_engine_pair` does, passing every frame
+/// `a` sends through `tamper`, until `b` finishes; returns `b`'s result.
+fn pump_tampered<TA, EA, TB, EB>(
+    a: &mut ProtocolEngine<'_, TA, EA>,
+    b: &mut ProtocolEngine<'_, TB, EB>,
+    mut tamper: impl FnMut(Frame) -> Frame,
+) -> Result<TB, EB> {
+    loop {
+        let mut progressed = false;
+        while let Some(out) = a.poll_output() {
+            progressed = true;
+            for f in out.frames() {
+                b.handle_input(tamper(f.clone()));
+            }
+        }
+        while let Some(out) = b.poll_output() {
+            progressed = true;
+            for f in out.frames() {
+                a.handle_input(f.clone());
+            }
+        }
+        if let Some(result) = b.take_result() {
+            return result;
+        }
+        assert!(
+            progressed,
+            "engines deadlocked before the receiver finished"
+        );
+    }
+}
+
+/// What a single-OT receiver makes of `frames` sent in place of an
+/// honest sender's.
+fn receive_against(frames: Vec<Frame>) -> Result<Vec<u8>, OtError> {
+    let group = DhGroup::modp_768();
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut receiver =
+        ProtocolEngine::new(
+            |io| async move { ot12_receive_io(group, &io, &mut rng, true, 7).await },
+        );
+    for frame in frames {
+        while receiver.poll_output().is_some() {}
+        receiver.handle_input(frame);
+    }
+    while receiver.poll_output().is_some() {}
+    receiver
+        .take_result()
+        .expect("the receiver reached a verdict")
+}
+
+fn element(group: &DhGroup, seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    group.element_bytes(&group.power_g(&group.random_exponent(&mut rng)))
+}
+
+#[test]
+fn malformed_commitments_are_typed_errors() {
+    let group = DhGroup::modp_768();
+    let good = element(group, 1);
+    let zero = vec![0u8; group.element_len()];
+    let modulus = group.element_bytes(group.modulus());
+    let mut long = good.clone();
+    long.push(1);
+    // The commitment as it was before C travelled with g^r: one element.
+    let old = receive_against(vec![Frame::encode(KIND_OT12_C, &good)]);
+    assert!(matches!(old, Err(OtError::Transport(_))), "{old:?}");
+    for g_r in [&zero, &modulus, &long, &good[1..].to_vec(), &Vec::new()] {
+        for body in [(good.clone(), g_r.clone()), (g_r.clone(), good.clone())] {
+            let got = receive_against(vec![Frame::encode(KIND_OT12_C, &body)]);
+            assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
+        }
+    }
+}
+
+#[test]
+fn malformed_payloads_are_typed_errors() {
+    let group = DhGroup::modp_768();
+    let commitment = Frame::encode(KIND_OT12_C, &(element(group, 1), element(group, 2)));
+    let pads = (vec![7u8; 32], vec![8u8; 32]);
+    // The payload as it was when every transfer carried its own g^r.
+    let old = Frame::encode(KIND_OT12_PAYLOAD, &(element(group, 3), pads.clone()));
+    let got = receive_against(vec![commitment.clone(), old]);
+    assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
+    for nonce_len in [0usize, 15, 17] {
+        let short = Frame::encode(KIND_OT12_PAYLOAD, &(vec![1u8; nonce_len], pads.clone()));
+        let got = receive_against(vec![commitment.clone(), short]);
+        assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
+    }
+    let bare = Frame::encode(KIND_OT12_PAYLOAD, &pads);
+    let got = receive_against(vec![commitment, bare]);
+    assert!(matches!(got, Err(OtError::Transport(_))), "{got:?}");
+}
+
+/// The receiver's verdict on a 1-of-8 transfer whose ciphertext table
+/// (frames of `table_kind`) is replaced by 16 bytes announcing `n = 8,
+/// msg_len = 2⁶¹`: `16 + n·msg_len` overflows in debug builds and wraps
+/// to the blob's own length in release.
+fn verdict_on_overflowing_table(sel: OtSelect, table_kind: u16) -> Result<Vec<Vec<u8>>, OtError> {
+    let mut table = 8u64.to_le_bytes().to_vec();
+    table.extend_from_slice(&(1u64 << 61).to_le_bytes());
+    let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4]).collect();
+    let (messages, state) = (&messages, &OtBatchState::default());
+    let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ot_send_io(sel, state, &io, &mut rng_s, messages, 1).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ot_receive_io(sel, state, &io, &mut rng_r, 8, &[5]).await
+    });
+    pump_tampered(&mut sender, &mut receiver, |f| match f.kind == table_kind {
+        true => Frame::encode(table_kind, &table),
+        false => f,
+    })
+}
+
+#[test]
+fn overflowing_table_header_is_a_typed_error() {
+    for (sel, table_kind) in [
+        (
+            NaorPinkasOt::fast_insecure().select(),
+            KIND_OT1N_CIPHERTEXTS,
+        ),
+        (IknpOt::fast_insecure().select(), KIND_KNX_TABLE),
+    ] {
+        let got = verdict_on_overflowing_table(sel, table_kind);
+        assert!(matches!(got, Err(OtError::Protocol(_))), "{sel:?}: {got:?}");
+    }
+}
+
+fn ot_frame() -> impl Strategy<Value = Frame> {
+    let kinds = prop::sample::select(vec![
+        KIND_OT12_C,
+        KIND_OT12_PK0,
+        KIND_OT12_PAYLOAD,
+        KIND_OT1N_CIPHERTEXTS,
+    ]);
+    // 96 bytes is the element length of the test group.
+    let bytes = || prop::collection::vec(any::<u8>(), 0..120);
+    (kinds, 0u8..3, bytes(), bytes(), bytes()).prop_map(|(kind, shape, a, b, c)| match shape {
+        // Byte soup, then bodies in the shapes the roles decode.
+        0 => Frame {
+            kind,
+            payload: a.into(),
+        },
+        1 => Frame::encode(kind, &(a, b)),
+        _ => Frame::encode(kind, &(a, (b, c))),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary frames of the OT's own kinds, fed to either role of a
+    /// Naor–Pinkas transfer, never panic it and never make it succeed.
+    #[test]
+    fn naor_pinkas_roles_survive_arbitrary_frames(
+        frames in prop::collection::vec(ot_frame(), 1..5),
+        sender_role in any::<bool>(),
+    ) {
+        let sel = NaorPinkasOt::fast_insecure().select();
+        let messages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        let state = OtBatchState::default();
+        let mut engine = ProtocolEngine::new(|io| async move {
+            match sender_role {
+                true => ot_send_io(sel, &state, &io, &mut rng, &messages, 2).await.map(|()| Vec::new()),
+                false => ot_receive_io(sel, &state, &io, &mut rng, 4, &[3, 0]).await,
+            }
+        });
+        for frame in frames {
+            while engine.poll_output().is_some() {}
+            if engine.is_done() {
+                break;
+            }
+            engine.handle_input(frame);
+        }
+        while engine.poll_output().is_some() {}
+        if let Some(result) = engine.take_result() {
+            prop_assert!(result.is_err(), "garbage frames must not complete a transfer");
+        }
+    }
+}

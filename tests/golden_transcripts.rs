@@ -1,10 +1,13 @@
 //! Golden transcripts: SHA-256 of the recorded frames of two seeded
-//! Naor–Pinkas sessions, pinned when the group arithmetic was a plain
-//! square-and-multiply loop with a Fermat inverse. Any change under the
-//! protocol — a new exponentiation kernel, a fixed-base table, another
-//! inversion — must leave every frame, and so these digests, as they
-//! are; a change to the protocol itself, to the order of RNG draws or to
-//! the codec has to re-pin them and say so.
+//! Naor–Pinkas sessions. They were last re-pinned by a change to the
+//! protocol itself: the commitment frame now carries `(C, g^r)` and is
+//! drawn as `c` then `r`, every base OT of a commitment shares that `r`,
+//! and the payload frame carries a 16-byte per-transfer string in place
+//! of a `g^r` of its own. Any change *under* the protocol — a new
+//! exponentiation kernel, a fixed-base table or its shape, another
+//! inversion — must still leave every frame, and so these digests, as
+//! they are; a change to the protocol, to the order of RNG draws or to
+//! the codec has to re-pin them and say so here.
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_crypto::Sha256;
@@ -55,7 +58,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "cf0f0c2ce16274e2293d1756ec3b588fe704bbf8226185d3a3fc61666aca6184",
+        digest, "f84fc2cfae8b9f32b2ba3f3babc76888350970cc3f843ece8a30b26b4647d64e",
         "the NP-768 classification transcript changed"
     );
 }
@@ -83,7 +86,7 @@ fn np2048_four_of_eight_transfer_is_pinned() {
     let want: Vec<Vec<u8>> = indices.iter().map(|&i| messages[i].clone()).collect();
     assert_eq!(got.expect("receive"), want);
     assert_eq!(
-        digest, "8cb9706eb55e9b0847cf1a8a042d56ee635698d8d233468dafdeeb26ec53b07e",
+        digest, "53030297be1690c52dde3653412aab4f6d067e006ff17f9ed8dd786ac5dec724",
         "the MODP-2048 4-of-8 transfer transcript changed"
     );
 }
