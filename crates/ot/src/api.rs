@@ -1,5 +1,5 @@
-//! The object-safe k-out-of-N OT interface consumed by OMPE, plus the two
-//! engines: cryptographic Naor–Pinkas and the ideal-functionality
+//! The object-safe k-out-of-N OT interface consumed by OMPE, plus two of
+//! its engines: cryptographic Naor–Pinkas and the ideal-functionality
 //! simulator used for large-scale functional benchmarks.
 //!
 //! Role logic written sans-I/O cannot hold a `&dyn ObliviousTransfer`
@@ -18,7 +18,7 @@ use rand::RngCore;
 use crate::base::{
     commit_c, commit_c_io, receive_c, receive_c_io, ReceiverCommitment, SenderCommitment,
 };
-use crate::error::OtError;
+use crate::error::{check_indices, OtError};
 use crate::kn::{otkn_receive_io, otkn_send_io};
 use crate::knx::{knx_receive_io, knx_send_io};
 
@@ -64,7 +64,7 @@ impl OtBatchState {
 pub enum OtSelect {
     /// Cryptographic Naor–Pinkas k-out-of-N over the given group.
     NaorPinkas {
-        /// The MODP group for the base OTs.
+        /// The MODP group of the commitment and the transfers under it.
         group: &'static DhGroup,
     },
     /// IKNP-extension-backed k-out-of-N over the given base-OT group.
@@ -343,14 +343,7 @@ pub async fn sim_receive_io(
     num_messages: usize,
     indices: &[usize],
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    for &i in indices {
-        if i >= num_messages {
-            return Err(OtError::InvalidIndex {
-                index: i,
-                num_messages,
-            });
-        }
-    }
+    check_indices(indices, num_messages)?;
     let mut blob = Vec::with_capacity(indices.len() * 8);
     for &i in indices {
         blob.extend_from_slice(&(i as u64).to_le_bytes());
@@ -367,7 +360,8 @@ pub async fn sim_receive_io(
     Ok(out.chunks_exact(msg_len).map(<[u8]>::to_vec).collect())
 }
 
-/// Cryptographic k-out-of-N OT (Naor–Pinkas base OTs over a MODP group).
+/// Cryptographic k-out-of-N OT: Naor–Pinkas 1-out-of-N over a MODP
+/// group, once per opened position (see [`otkn_send_io`]).
 ///
 /// # Examples
 ///
@@ -608,6 +602,30 @@ mod tests {
             },
         );
         assert!(matches!(res.unwrap_err(), OtError::Protocol(_)));
+    }
+
+    #[test]
+    fn naor_pinkas_rejects_wrong_k() {
+        // The keys frame shows the sender how many positions the receiver
+        // opens: more or fewer than agreed is an error, not a wait.
+        let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
+        for (opened, indices) in [(3, &[0usize, 1, 2][..]), (1, &[3][..])] {
+            let msgs = msgs.clone();
+            let (res, _) = run_pair(
+                move |ep| {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    NaorPinkasOt::fast_insecure().send(&ep, &mut rng, &msgs, 2)
+                },
+                move |ep| {
+                    let mut rng = StdRng::seed_from_u64(2);
+                    let _ = NaorPinkasOt::fast_insecure().receive(&ep, &mut rng, 4, indices);
+                },
+            );
+            assert_eq!(
+                res.unwrap_err(),
+                OtError::Protocol(format!("receiver opened {opened} positions, agreed k = 2"))
+            );
+        }
     }
 
     #[test]

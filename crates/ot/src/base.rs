@@ -1,7 +1,10 @@
-//! The base 1-out-of-2 oblivious transfer of Naor and Pinkas ("Efficient
+//! The 1-out-of-2 oblivious transfer of Naor and Pinkas ("Efficient
 //! oblivious transfer protocols", §3) over a Diffie–Hellman group, with
 //! the sender's `C`, `r`, `g^r` and `C^r` fixed once per commitment and
-//! shared by every transfer under it.
+//! shared by every transfer under it. It is their Protocol 3.1 at
+//! `N = 2`; [`kn`](crate::kn) runs the same protocol for any `N` under
+//! the same commitment, and the IKNP extension ([`ext`](crate::ext))
+//! takes its `κ` base OTs from here.
 //!
 //! Protocol (honest-but-curious):
 //!
@@ -44,8 +47,8 @@ pub(crate) const KIND_OT12_C: u16 = 0x0100;
 pub(crate) const KIND_OT12_PK0: u16 = 0x0101;
 pub(crate) const KIND_OT12_PAYLOAD: u16 = 0x0102;
 
-/// Bytes of the per-transfer string `R` bound into both pads.
-const PAD_NONCE_LEN: usize = 16;
+/// Bytes of the fresh string `R` bound into every pad of one answer.
+pub(crate) const PAD_NONCE_LEN: usize = 16;
 
 /// The sender's side of one commitment: `C`, `g^r`, and the secrets `r`
 /// and `C^r` that live exactly as long as it does.
@@ -53,8 +56,16 @@ const PAD_NONCE_LEN: usize = 16;
 pub struct SenderCommitment {
     big_c: BigUint,
     g_r: BigUint,
-    r: BigUint,
-    c_r: BigUint,
+    pub(crate) r: BigUint,
+    pub(crate) c_r: BigUint,
+}
+
+/// `(g^c, g^(c·r))`: a constant and its secret `r`-th power, two comb
+/// powers of `g`.
+pub(crate) fn constant(group: &DhGroup, c: &BigUint, r: &BigUint) -> (BigUint, BigUint) {
+    // g's order divides p − 1 = 2q, so the product may be reduced there.
+    let c_times_r = (c * r) % (group.order() << 1usize);
+    (group.power_g(c), group.power_g(&c_times_r))
 }
 
 impl SenderCommitment {
@@ -63,12 +74,11 @@ impl SenderCommitment {
     pub(crate) fn draw(group: &DhGroup, rng: &mut dyn RngCore) -> Self {
         let c = group.random_exponent(rng);
         let r = group.random_exponent(rng);
-        // g's order divides p − 1 = 2q, so the product may be reduced there.
-        let c_times_r = (&c * &r) % (group.order() << 1usize);
+        let (big_c, c_r) = constant(group, &c, &r);
         Self {
-            big_c: group.power_g(&c),
+            big_c,
             g_r: group.power_g(&r),
-            c_r: group.power_g(&c_times_r),
+            c_r,
             r,
         }
     }
@@ -96,8 +106,8 @@ impl fmt::Debug for SenderCommitment {
 /// `g^r`, dropped together with it.
 #[derive(Clone, Debug)]
 pub struct ReceiverCommitment {
-    big_c: BigUint,
-    g_r: FixedBase,
+    pub(crate) big_c: BigUint,
+    pub(crate) g_r: FixedBase,
 }
 
 fn pad_apply(key: &[u8; 32], tag: u64, data: &mut [u8]) {

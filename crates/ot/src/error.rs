@@ -77,6 +77,17 @@ impl From<OtError> for ProtocolError {
     }
 }
 
+/// The receiver's up-front check that every index it asks for exists.
+pub(crate) fn check_indices(indices: &[usize], num_messages: usize) -> Result<(), OtError> {
+    match indices.iter().find(|&&index| index >= num_messages) {
+        Some(&index) => Err(OtError::InvalidIndex {
+            index,
+            num_messages,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Reads a little-endian `u64` length/count field out of an untrusted
 /// peer blob, as a structured error instead of a slice panic when the
 /// blob is shorter than advertised.

@@ -1,241 +1,116 @@
-//! 1-out-of-N and k-out-of-N oblivious transfer.
+//! k-out-of-N oblivious transfer by `k` batched instances of the
+//! 1-out-of-N protocol of Naor and Pinkas ("Efficient oblivious transfer
+//! protocols", Protocol 3.1), all under one
+//! [commitment](crate::base::commit_c) `(C, g^r)` and in three frames
+//! per transfer (honest-but-curious):
 //!
-//! 1-out-of-N follows the classic Naor–Pinkas reduction: the sender draws
-//! `⌈log₂ N⌉` key pairs, encrypts message `i` under the keys selected by
-//! the bits of `i`, publishes all `N` ciphertexts, and runs one base
-//! 1-out-of-2 OT per bit position so the receiver learns exactly the keys
-//! for its index `σ` — hence can open only `c_σ`.
+//! 1. **Constants, S→R.** The commitment's `C` is `C_1`; the sender
+//!    draws `c_2 … c_{N−1}`, sends `C_i = g^{c_i}` and keeps
+//!    `C_i^r = g^{c_i·r}` — two comb powers of `g` each, none depending
+//!    on any input, none waiting for the peer. The receiver range-checks
+//!    every element.
+//! 2. **Keys, R→S.** For each of its `k` indices `σ` the receiver draws
+//!    `x`, sets `PK_σ = g^x` and sends `PK_0 = PK_σ` (`σ = 0`) or
+//!    `C_σ / PK_σ`: uniform in `⟨g⟩` whatever `σ` is. Since
+//!    `PK_i = C_i / PK_0`, it can know the discrete log of more than one
+//!    key only by knowing that of some `C_i / C_j`, which the sender drew
+//!    at random. The sender checks the count against the agreed `k`.
+//! 3. **Tables, S→R.** Per query the sender computes `z_0 = PK_0^r` — its
+//!    one variable-base power — and `z_i = PK_i^r = C_i^r / z_0` without
+//!    ever forming `PK_i`, draws a fresh string `R`, and sends
+//!    `R, E_0 … E_{N−1}` with `E_i = m_i ⊕ KDF(z_i; query, i, R)`. The
+//!    receiver reads `(g^r)^x = z_σ` off the commitment's table and opens
+//!    `E_σ`; every other pad is indistinguishable from random (CDH,
+//!    random-oracle KDF).
 //!
-//! k-out-of-N runs `k` independent 1-out-of-N queries with fresh key
-//! material and fresh ciphertexts per query (reusing ciphertexts across
-//! queries would let the receiver combine keys from different queries to
-//! open unchosen messages). This matches the paper's use: the OMPE
-//! receiver opens its `m` cover positions among the `M` submitted points.
+//! One `r` and one set of constants serve every query of a transfer, and
+//! one `r` every transfer of a commitment, so a receiver may answer two
+//! queries with one `PK_0` and meet the same `z_i` twice: the fresh `R`
+//! (and the query number) in the KDF context is what keeps the two pads
+//! of a slot apart, where equal pads would give away `m_i ⊕ m_i′`.
 //!
-//! Every base OT of a transfer runs under one
-//! [commitment](crate::base::commit_c): the `*_io` functions — the
-//! sans-I/O role logic, as in [`base`](crate::base) — take it from the
-//! caller, and the blocking functions open one for the transfer and
-//! drive them over an `Endpoint`.
+//! The reduction of 1-out-of-N to `⌈log₂ N⌉` 1-out-of-2 transfers lives
+//! in [`knx`](crate::knx), where those transfers are cheap. The `*_io`
+//! functions are the sans-I/O role logic, as in [`base`](crate::base),
+//! and take the commitment from the caller; the blocking functions open
+//! one for the transfer and drive them over an `Endpoint`.
 
-use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
+use num_bigint::BigUint;
+use ppcs_crypto::{ChaCha20, DhGroup};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::base::{
-    commit_c_io, ot12_receive_precommitted_io, ot12_send_precommitted_io, receive_c_io,
-    ReceiverCommitment, SenderCommitment,
+    commit_c_io, constant, receive_c_io, ReceiverCommitment, SenderCommitment, PAD_NONCE_LEN,
 };
-use crate::error::{read_u64_le, OtError};
+use crate::error::{check_indices, read_u64_le, OtError};
 
-pub(crate) const KIND_OT1N_CIPHERTEXTS: u16 = 0x0200;
+pub(crate) const KIND_OT1N_CONSTANTS: u16 = 0x0200;
+pub(crate) const KIND_OT1N_KEYS: u16 = 0x0201;
+pub(crate) const KIND_OT1N_TABLES: u16 = 0x0202;
 
-pub(crate) fn num_bits(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    (usize::BITS - (n - 1).max(1).leading_zeros()) as usize
+/// Bytes of the `k ‖ N ‖ length` header of a tables frame.
+const TABLES_HEADER_LEN: usize = 24;
+
+/// `data ⊕ KDF(z; query, index, R)`: encrypts or opens slot `index` of
+/// the table answering `query`. The context makes the key single-use,
+/// so the stream cipher's nonce is constant.
+fn pad(group: &DhGroup, z: &BigUint, query: usize, index: usize, nonce: &[u8], data: &mut [u8]) {
+    let mut context = b"ot1n".to_vec();
+    context.extend_from_slice(&(query as u64).to_le_bytes());
+    context.extend_from_slice(&(index as u64).to_le_bytes());
+    context.extend_from_slice(nonce);
+    ChaCha20::new(&group.derive_key(z, &context), &[0; 12], 0).apply(data);
 }
 
-/// Derives the per-message pad key from the bit keys selected by `index`.
-pub(crate) fn message_key(bit_keys: &[[u8; 32]], index: usize, query: u64) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"ppcs-ot1n-pad");
-    h.update(&query.to_le_bytes());
-    h.update(&(index as u64).to_le_bytes());
-    for k in bit_keys {
-        h.update(k);
-    }
-    h.finalize()
-}
-
-pub(crate) fn encrypt_message(key: &[u8; 32], index: usize, data: &mut [u8]) {
-    let mut nonce = [0u8; 12];
-    nonce[..8].copy_from_slice(&(index as u64).to_le_bytes());
-    ChaCha20::new(key, &nonce, 0).apply(data);
-}
-
-fn check_index(index: usize, num_messages: usize) -> Result<(), OtError> {
-    if index >= num_messages {
-        return Err(OtError::InvalidIndex {
-            index,
-            num_messages,
-        });
-    }
-    Ok(())
-}
-
-/// Checks a peer's `count ‖ length ‖ ciphertexts` table against the
-/// agreed message count and returns the length of one ciphertext. Both
-/// header fields are the peer's, so the size they imply is computed
-/// without overflow.
-pub(crate) fn table_msg_len(blob: &[u8], num_messages: usize) -> Result<usize, OtError> {
-    if blob.len() < 16 {
-        return Err(OtError::Protocol("ciphertext table too short".into()));
-    }
-    let n = read_u64_le(blob, 0, "ciphertext count")?;
-    let msg_len = read_u64_le(blob, 8, "ciphertext length")?;
-    if n != num_messages {
+/// Checks a peer's `k ‖ N ‖ length ‖ tables` frame against the agreed
+/// counts and returns the length of one ciphertext. All three header
+/// fields are the peer's, so the size they imply is computed without
+/// overflow.
+fn tables_msg_len(blob: &[u8], k: usize, num_messages: usize) -> Result<usize, OtError> {
+    let their_k = read_u64_le(blob, 0, "query count")?;
+    let their_n = read_u64_le(blob, 8, "ciphertext count")?;
+    let msg_len = read_u64_le(blob, 16, "ciphertext length")?;
+    if (their_k, their_n) != (k, num_messages) {
         return Err(OtError::Protocol(format!(
-            "sender transferred {n} messages, receiver expected {num_messages}"
+            "sender answered {their_k} queries over {their_n} messages, \
+             receiver expected {k} over {num_messages}"
         )));
     }
-    let implied = n.checked_mul(msg_len).and_then(|body| body.checked_add(16));
+    let implied = their_n
+        .checked_mul(msg_len)
+        .and_then(|table| table.checked_add(PAD_NONCE_LEN))
+        .and_then(|table| table.checked_mul(their_k))
+        .and_then(|body| body.checked_add(TABLES_HEADER_LEN));
     if implied != Some(blob.len()) {
-        return Err(OtError::Protocol("ciphertext table length mismatch".into()));
+        return Err(OtError::Protocol("tables frame length mismatch".into()));
     }
     Ok(msg_len)
 }
 
-/// Sender side of one 1-out-of-N query under a commitment of its own.
-///
-/// `query` numbers the query within a transfer (domain separation of
-/// the message pads and the base-OT tags).
-///
-/// # Errors
-///
-/// [`OtError::UnequalMessageLengths`] if messages differ in length, plus
-/// transport/protocol failures.
-pub fn ot1n_send(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    query: u64,
-) -> Result<(), OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move {
-        let commitment = commit_c_io(group, &io, rng)?;
-        ot1n_send_io(group, &io, rng, messages, query, &commitment).await
-    });
-    drive_blocking(ep, &mut engine)
+/// Splits a frame of concatenated group elements, each in range. The
+/// caller has checked how many the frame holds.
+fn elements(group: &DhGroup, body: &[u8], what: &str) -> Result<Vec<BigUint>, OtError> {
+    let chunks = body.chunks_exact(group.element_len());
+    if !chunks.remainder().is_empty() {
+        return Err(OtError::Protocol(format!("truncated {what}")));
+    }
+    chunks
+        .map(|bytes| {
+            group
+                .element_from_bytes(bytes)
+                .ok_or_else(|| OtError::Protocol(format!("peer sent an invalid {what}")))
+        })
+        .collect()
 }
 
-/// Sans-I/O sender role of one 1-out-of-N query whose base OTs run under
-/// `commitment`.
+/// Sender side of a k-out-of-N transfer under a commitment of its own.
 ///
 /// # Errors
 ///
-/// Same as [`ot1n_send`].
-pub async fn ot1n_send_io(
-    group: &DhGroup,
-    io: &FrameIo,
-    rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    query: u64,
-    commitment: &SenderCommitment,
-) -> Result<(), OtError> {
-    let n = messages.len();
-    if n == 0 {
-        return Err(OtError::Protocol("cannot transfer zero messages".into()));
-    }
-    let msg_len = messages[0].len();
-    if messages.iter().any(|m| m.len() != msg_len) {
-        return Err(OtError::UnequalMessageLengths);
-    }
-    let bits = num_bits(n);
-
-    // Fresh key pairs for each bit position.
-    let mut key_pairs = Vec::with_capacity(bits);
-    for _ in 0..bits {
-        let mut k0 = [0u8; 32];
-        let mut k1 = [0u8; 32];
-        rng.fill_bytes(&mut k0);
-        rng.fill_bytes(&mut k1);
-        key_pairs.push((k0, k1));
-    }
-
-    // Encrypt every message under the keys its index bits select.
-    let mut blob = Vec::with_capacity(n * msg_len + 16);
-    blob.extend_from_slice(&(n as u64).to_le_bytes());
-    blob.extend_from_slice(&(msg_len as u64).to_le_bytes());
-    for (i, m) in messages.iter().enumerate() {
-        let selected: Vec<[u8; 32]> = (0..bits)
-            .map(|b| {
-                if (i >> b) & 1 == 0 {
-                    key_pairs[b].0
-                } else {
-                    key_pairs[b].1
-                }
-            })
-            .collect();
-        let key = message_key(&selected, i, query);
-        let at = blob.len();
-        blob.extend_from_slice(m);
-        encrypt_message(&key, i, &mut blob[at..]);
-    }
-    io.send_msg(KIND_OT1N_CIPHERTEXTS, &blob)?;
-
-    // One base OT per bit position.
-    for (b, (k0, k1)) in key_pairs.iter().enumerate() {
-        let tag = query.wrapping_mul(1 << 16).wrapping_add(b as u64);
-        ot12_send_precommitted_io(group, io, rng, k0, k1, tag, commitment).await?;
-    }
-    Ok(())
-}
-
-/// Receiver side of one 1-out-of-N query; returns `m_index`.
-///
-/// # Errors
-///
-/// [`OtError::InvalidIndex`] if `index >= num_messages`, plus
-/// transport/protocol failures.
-pub fn ot1n_receive(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    num_messages: usize,
-    index: usize,
-    query: u64,
-) -> Result<Vec<u8>, OtError> {
-    check_index(index, num_messages)?;
-    let mut engine = ProtocolEngine::new(|io| async move {
-        let commitment = receive_c_io(group, &io).await?;
-        ot1n_receive_io(group, &io, rng, num_messages, index, query, &commitment).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O receiver role of one 1-out-of-N query whose base OTs run
-/// under `commitment`.
-///
-/// # Errors
-///
-/// Same as [`ot1n_receive`].
-pub async fn ot1n_receive_io(
-    group: &DhGroup,
-    io: &FrameIo,
-    rng: &mut dyn RngCore,
-    num_messages: usize,
-    index: usize,
-    query: u64,
-    commitment: &ReceiverCommitment,
-) -> Result<Vec<u8>, OtError> {
-    check_index(index, num_messages)?;
-    let blob: Vec<u8> = io.recv_msg(KIND_OT1N_CIPHERTEXTS).await?;
-    let msg_len = table_msg_len(&blob, num_messages)?;
-
-    let bits = num_bits(num_messages);
-    let mut keys = Vec::with_capacity(bits);
-    for b in 0..bits {
-        let tag = query.wrapping_mul(1 << 16).wrapping_add(b as u64);
-        let choice = (index >> b) & 1 == 1;
-        let key: [u8; 32] = ot12_receive_precommitted_io(group, io, rng, choice, tag, commitment)
-            .await?
-            .try_into()
-            .map_err(|_| OtError::Protocol("bit key has wrong length".into()))?;
-        keys.push(key);
-    }
-
-    let key = message_key(&keys, index, query);
-    let mut m = blob[16 + index * msg_len..16 + (index + 1) * msg_len].to_vec();
-    encrypt_message(&key, index, &mut m);
-    Ok(m)
-}
-
-/// Sender side of a k-out-of-N transfer (k fresh 1-out-of-N queries)
-/// under a commitment of its own.
-///
-/// # Errors
-///
-/// Propagates the per-query errors of [`ot1n_send`].
+/// [`OtError::UnequalMessageLengths`] if messages differ in length,
+/// [`OtError::Protocol`] if the receiver opens another number of
+/// positions than `k` or sends a malformed key, plus transport failures.
 pub fn otkn_send(
     group: &DhGroup,
     ep: &Endpoint,
@@ -250,12 +125,11 @@ pub fn otkn_send(
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O sender role of a k-out-of-N transfer whose base OTs all run
-/// under `commitment`.
+/// Sans-I/O sender role of a k-out-of-N transfer under `commitment`.
 ///
 /// # Errors
 ///
-/// Propagates the per-query errors of [`ot1n_send`].
+/// Same as [`otkn_send`].
 pub async fn otkn_send_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -264,9 +138,57 @@ pub async fn otkn_send_io(
     k: usize,
     commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
-    for query in 0..k {
-        ot1n_send_io(group, io, rng, messages, query as u64, commitment).await?;
+    let n = messages.len();
+    if n == 0 {
+        return Err(OtError::Protocol("cannot transfer zero messages".into()));
     }
+    let msg_len = messages[0].len();
+    if messages.iter().any(|m| m.len() != msg_len) {
+        return Err(OtError::UnequalMessageLengths);
+    }
+
+    // Step 1: C_1^r is the commitment's; C_2 … C_{N−1} are this transfer's.
+    let mut constants = Vec::with_capacity(n.saturating_sub(2) * group.element_len());
+    let mut powers = vec![commitment.c_r.clone()];
+    for _ in 2..n {
+        let (c_i, c_i_r) = constant(group, &group.random_exponent(rng), &commitment.r);
+        constants.extend_from_slice(&group.element_bytes(&c_i));
+        powers.push(c_i_r);
+    }
+    io.send_msg(KIND_OT1N_CONSTANTS, &constants)?;
+
+    // Step 2: one PK_0 per opened position.
+    let keys: Vec<u8> = io.recv_msg(KIND_OT1N_KEYS).await?;
+    let opened = keys.len() / group.element_len();
+    if opened != k {
+        return Err(OtError::Protocol(format!(
+            "receiver opened {opened} positions, agreed k = {k}"
+        )));
+    }
+    let keys = elements(group, &keys, "PK_0")?;
+
+    // Step 3: z_0 = PK_0^r, z_i = C_i^r / z_0, every pad under a fresh R.
+    let mut tables = Vec::with_capacity(TABLES_HEADER_LEN + k * (PAD_NONCE_LEN + n * msg_len));
+    for field in [k, n, msg_len] {
+        tables.extend_from_slice(&(field as u64).to_le_bytes());
+    }
+    for (query, pk0) in keys.iter().enumerate() {
+        let z0 = group.exp(pk0, &commitment.r);
+        let z0_inv = group.inv(&z0);
+        let mut nonce = [0u8; PAD_NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        tables.extend_from_slice(&nonce);
+        for (i, m) in messages.iter().enumerate() {
+            let z_i = match i {
+                0 => z0.clone(),
+                _ => group.mul(&powers[i - 1], &z0_inv),
+            };
+            let at = tables.len();
+            tables.extend_from_slice(m);
+            pad(group, &z_i, query, i, &nonce, &mut tables[at..]);
+        }
+    }
+    io.send_msg(KIND_OT1N_TABLES, &tables)?;
     Ok(())
 }
 
@@ -275,7 +197,10 @@ pub async fn otkn_send_io(
 ///
 /// # Errors
 ///
-/// Propagates the per-query errors of [`ot1n_receive`].
+/// [`OtError::InvalidIndex`] if an index is `>= num_messages`,
+/// [`OtError::Protocol`] for constants or tables that are malformed or
+/// disagree with `num_messages` and `indices.len()`, plus transport
+/// failures.
 pub fn otkn_receive(
     group: &DhGroup,
     ep: &Endpoint,
@@ -283,6 +208,7 @@ pub fn otkn_receive(
     num_messages: usize,
     indices: &[usize],
 ) -> Result<Vec<Vec<u8>>, OtError> {
+    check_indices(indices, num_messages)?;
     let mut engine = ProtocolEngine::new(|io| async move {
         let commitment = receive_c_io(group, &io).await?;
         otkn_receive_io(group, &io, rng, num_messages, indices, &commitment).await
@@ -290,12 +216,11 @@ pub fn otkn_receive(
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O receiver role of a k-out-of-N transfer whose base OTs all
-/// run under `commitment`.
+/// Sans-I/O receiver role of a k-out-of-N transfer under `commitment`.
 ///
 /// # Errors
 ///
-/// Propagates the per-query errors of [`ot1n_receive`].
+/// Same as [`otkn_receive`].
 pub async fn otkn_receive_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -304,26 +229,60 @@ pub async fn otkn_receive_io(
     indices: &[usize],
     commitment: &ReceiverCommitment,
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    let mut out = Vec::with_capacity(indices.len());
-    for (query, &index) in indices.iter().enumerate() {
-        let m = ot1n_receive_io(
-            group,
-            io,
-            rng,
-            num_messages,
-            index,
-            query as u64,
-            commitment,
-        );
-        out.push(m.await?);
+    check_indices(indices, num_messages)?;
+
+    // Step 1: C_2 … C_{N−1}, behind the commitment's C_1.
+    let constants: Vec<u8> = io.recv_msg(KIND_OT1N_CONSTANTS).await?;
+    let (sent, expected) = (
+        constants.len() / group.element_len(),
+        num_messages.saturating_sub(2),
+    );
+    if sent != expected {
+        return Err(OtError::Protocol(format!(
+            "sender sent {sent} constants, receiver expected {expected}"
+        )));
     }
-    Ok(out)
+    let mut constants = elements(group, &constants, "constant")?;
+    constants.insert(0, commitment.big_c.clone());
+
+    // Step 2: PK_σ = g^x, so only PK_σ's discrete log is known.
+    let mut exponents = Vec::with_capacity(indices.len());
+    let mut keys = Vec::with_capacity(indices.len() * group.element_len());
+    for &index in indices {
+        let x = group.random_exponent(rng);
+        let pk = group.power_g(&x);
+        let pk0 = match index {
+            0 => pk,
+            _ => group.mul(&constants[index - 1], &group.inv(&pk)),
+        };
+        keys.extend_from_slice(&group.element_bytes(&pk0));
+        exponents.push(x);
+    }
+    io.send_msg(KIND_OT1N_KEYS, &keys)?;
+
+    // Step 3: z_σ = (g^r)^x opens E_σ of its query's table.
+    let tables: Vec<u8> = io.recv_msg(KIND_OT1N_TABLES).await?;
+    let msg_len = tables_msg_len(&tables, indices.len(), num_messages)?;
+    let table_len = PAD_NONCE_LEN + num_messages * msg_len;
+    let opened = tables[TABLES_HEADER_LEN..].chunks_exact(table_len);
+    Ok(opened
+        .zip(indices.iter().zip(&exponents))
+        .enumerate()
+        .map(|(query, (table, (&index, x)))| {
+            let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
+            let mut m = slots[index * msg_len..][..msg_len].to_vec();
+            let z = group.power(&commitment.g_r, x);
+            pad(group, &z, query, index, nonce, &mut m);
+            m
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_transport::run_pair;
+    use crate::base::KIND_OT12_C;
+    use ppcs_transport::{run_pair, Frame};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -343,14 +302,14 @@ mod tests {
                 let (_, got) = run_pair(
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(10);
-                        ot1n_send(group, &ep, &mut rng, &msgs_s, 3).unwrap();
+                        otkn_send(group, &ep, &mut rng, &msgs_s, 1).unwrap();
                     },
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(20);
-                        ot1n_receive(group, &ep, &mut rng, n, index, 3).unwrap()
+                        otkn_receive(group, &ep, &mut rng, n, &[index]).unwrap()
                     },
                 );
-                assert_eq!(got, msgs[index], "n={n}, index={index}");
+                assert_eq!(got, [msgs[index].clone()], "n={n}, index={index}");
             }
         }
     }
@@ -385,7 +344,7 @@ mod tests {
             move |_ep| {},
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(2);
-                ot1n_receive(group, &ep, &mut rng, 4, 4, 0)
+                otkn_receive(group, &ep, &mut rng, 4, &[1, 4])
             },
         );
         assert_eq!(
@@ -405,25 +364,183 @@ mod tests {
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
                 // Sender believes there are 8 messages...
-                let _ = ot1n_send(group, &ep, &mut rng, &msgs, 0);
+                let _ = otkn_send(group, &ep, &mut rng, &msgs, 1);
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(2);
                 // ...receiver expects 16.
-                ot1n_receive(group, &ep, &mut rng, 16, 3, 0)
+                otkn_receive(group, &ep, &mut rng, 16, &[3])
             },
         );
         assert!(matches!(res.unwrap_err(), OtError::Protocol(_)));
     }
 
+    /// One answered query as it crossed the wire: `R, E_0 … E_{N−1}`.
+    struct Table {
+        nonce: Vec<u8>,
+        slots: Vec<Vec<u8>>,
+    }
+
+    /// Runs a sender through `transfers` against a scripted receiver that
+    /// opens two positions in each, with the keys `keys_for` makes of the
+    /// constants `C_1 … C_{N−1}`; returns `g^r` and the tables in order.
+    fn script_receiver(
+        group: &'static DhGroup,
+        rng: &mut dyn RngCore,
+        transfers: &[&[Vec<u8>]],
+        mut keys_for: impl FnMut(&[BigUint]) -> [BigUint; 2],
+    ) -> (BigUint, Vec<Table>) {
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let commitment = commit_c_io(group, &io, rng)?;
+            for messages in transfers {
+                otkn_send_io(group, &io, rng, messages, 2, &commitment).await?;
+            }
+            Ok::<_, OtError>(())
+        });
+        let (mut big_c, mut g_r) = (BigUint::default(), BigUint::default());
+        let mut tables = Vec::new();
+        loop {
+            let Some(out) = sender.poll_output() else {
+                assert!(
+                    sender.is_done(),
+                    "the sender waits for a frame out of script"
+                );
+                break;
+            };
+            for frame in out.frames() {
+                let body = |kind| frame.decode_as::<Vec<u8>>(kind).unwrap();
+                match frame.kind {
+                    KIND_OT12_C => {
+                        let (c, r): (Vec<u8>, Vec<u8>) = frame.decode_as(KIND_OT12_C).unwrap();
+                        big_c = group.element_from_bytes(&c).unwrap();
+                        g_r = group.element_from_bytes(&r).unwrap();
+                    }
+                    KIND_OT1N_CONSTANTS => {
+                        let mut constants = vec![big_c.clone()];
+                        let own = body(KIND_OT1N_CONSTANTS);
+                        constants.extend(elements(group, &own, "constant").unwrap());
+                        let keys = keys_for(&constants).map(|pk0| group.element_bytes(&pk0));
+                        sender.handle_input(Frame::encode(KIND_OT1N_KEYS, &keys.concat()));
+                    }
+                    _ => {
+                        let blob = body(KIND_OT1N_TABLES);
+                        let n = transfers[tables.len() / 2].len();
+                        let msg_len = tables_msg_len(&blob, 2, n).unwrap();
+                        let answered =
+                            blob[TABLES_HEADER_LEN..].chunks_exact(PAD_NONCE_LEN + n * msg_len);
+                        tables.extend(answered.map(|table| {
+                            let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
+                            Table {
+                                nonce: nonce.to_vec(),
+                                slots: slots.chunks_exact(msg_len).map(<[u8]>::to_vec).collect(),
+                            }
+                        }));
+                    }
+                }
+            }
+        }
+        let sent = sender.take_result().expect("done");
+        sent.expect("all transfers sent");
+        (g_r, tables)
+    }
+
+    fn xor(a: &[u8], b: &[u8]) -> Vec<u8> {
+        a.iter().zip(b).map(|(x, y)| x ^ y).collect()
+    }
+
     #[test]
-    fn num_bits_is_correct() {
-        assert_eq!(num_bits(1), 1);
-        assert_eq!(num_bits(2), 1);
-        assert_eq!(num_bits(3), 2);
-        assert_eq!(num_bits(4), 2);
-        assert_eq!(num_bits(5), 3);
-        assert_eq!(num_bits(1024), 10);
-        assert_eq!(num_bits(1025), 11);
+    fn replayed_pk0_under_one_commitment_gets_fresh_pads() {
+        // One r serves every query of a transfer and every transfer of a
+        // commitment, so a receiver may send one PK_0 four times and meet
+        // the same z_i in all four tables. Were a pad a function of
+        // (z_i, i) alone — or of (z_i, query, i), across transfers —
+        // E_i ⊕ E_i' would be m_i ⊕ m_i'.
+        let group = DhGroup::modp_768();
+        let first = messages(5, 20);
+        let second: Vec<Vec<u8>> = first.iter().rev().cloned().collect();
+        let pk0 = group.power_g(&BigUint::from(12345u32));
+        let mut rng = StdRng::seed_from_u64(41);
+        let (_, tables) = script_receiver(group, &mut rng, &[&first, &second], |_| {
+            [pk0.clone(), pk0.clone()]
+        });
+        assert_eq!(tables.len(), 4);
+        let sent = [&first, &first, &second, &second];
+        for a in 0..4 {
+            for b in a + 1..4 {
+                for (i, (m_a, m_b)) in sent[a].iter().zip(sent[b]).enumerate() {
+                    assert_ne!(
+                        xor(&tables[a].slots[i], &tables[b].slots[i]),
+                        xor(m_a, m_b),
+                        "tables {a} and {b} pad slot {i} alike"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An RNG that returns one byte forever: the sender's `R` repeats.
+    struct Stuck;
+
+    impl RngCore for Stuck {
+        fn next_u32(&mut self) -> u32 {
+            0x0707_0707
+        }
+        fn next_u64(&mut self) -> u64 {
+            0x0707_0707_0707_0707
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(7);
+        }
+    }
+
+    #[test]
+    fn query_number_separates_pads_when_r_repeats() {
+        // Belt and braces: with R stuck, the two queries of one transfer
+        // still get different pads for one PK_0, from the query number.
+        let group = DhGroup::modp_768();
+        let msgs = messages(4, 20);
+        let pk0 = group.power_g(&BigUint::from(777u32));
+        let (_, tables) =
+            script_receiver(group, &mut Stuck, &[&msgs], |_| [pk0.clone(), pk0.clone()]);
+        assert_eq!(tables[0].nonce, tables[1].nonce);
+        for i in 0..4 {
+            assert_ne!(tables[0].slots[i], tables[1].slots[i], "slot {i}");
+        }
+    }
+
+    #[test]
+    fn honest_key_opens_only_its_own_slot() {
+        // The receiver's z = (g^r)^x is the pad key of E_σ and of no
+        // other slot, whichever index that slot is tried under.
+        let group = DhGroup::modp_768();
+        let x = group.random_exponent(&mut StdRng::seed_from_u64(7));
+        let pk = group.power_g(&x);
+        for n in [1usize, 2, 3, 8, 26] {
+            let msgs = messages(n, 16);
+            for sigma in 0..n {
+                let mut rng = StdRng::seed_from_u64(100 + sigma as u64);
+                let (g_r, tables) = script_receiver(group, &mut rng, &[&msgs], |constants| {
+                    let pk0 = match sigma {
+                        0 => pk.clone(),
+                        _ => group.mul(&constants[sigma - 1], &group.inv(&pk)),
+                    };
+                    [pk0.clone(), pk0]
+                });
+                let z = group.exp(&g_r, &x);
+                for (query, table) in tables.iter().enumerate() {
+                    for (i, slot) in table.slots.iter().enumerate() {
+                        for tried_as in [i, sigma] {
+                            let mut m = slot.clone();
+                            pad(group, &z, query, tried_as, &table.nonce, &mut m);
+                            assert_eq!(
+                                m == msgs[i],
+                                i == sigma,
+                                "n={n}, σ={sigma}, slot {i} opened as slot {tried_as}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,70 @@
-//! k-out-of-N oblivious transfer over the IKNP extension: the same
-//! construction as [`kn`](crate::kn) (per-query bit keys + encrypted
-//! message tables), but all `k·⌈log₂N⌉` underlying 1-of-2 transfers run
-//! in a single extension batch costing `κ = 128` public-key operations
-//! total instead of four per bit.
+//! k-out-of-N oblivious transfer over the IKNP extension, by the classic
+//! Naor–Pinkas reduction of 1-out-of-N to 1-out-of-2: per query the
+//! sender draws `⌈log₂ N⌉` key pairs, encrypts message `i` under the keys
+//! the bits of `i` select and publishes all `N` ciphertexts, and one
+//! 1-out-of-2 transfer per bit position gives the receiver exactly the
+//! keys of its index `σ` — hence only `c_σ`. Every query has fresh keys
+//! and fresh ciphertexts (shared ones would let the receiver combine
+//! keys of different queries to open unchosen messages). All
+//! `k·⌈log₂N⌉` 1-out-of-2 transfers run in a single extension batch
+//! costing `κ = 128` public-key operations in total, which is what makes
+//! the reduction pay here; over public-key transfers [`kn`](crate::kn)
+//! needs one per opened position instead.
 
-use ppcs_crypto::DhGroup;
+use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::api::{ObliviousTransfer, OtSelect};
-use crate::error::OtError;
+use crate::error::{check_indices, read_u64_le, OtError};
 use crate::ext::{iknp_receive_io, iknp_send_io};
-use crate::kn::{encrypt_message, message_key, num_bits, table_msg_len};
 
 const KIND_KNX_TABLE: u16 = 0x0290;
+
+fn num_bits(n: usize) -> usize {
+    debug_assert!(n >= 1);
+    (usize::BITS - (n - 1).max(1).leading_zeros()) as usize
+}
+
+/// Derives the per-message pad key from the bit keys selected by `index`.
+fn message_key(bit_keys: &[[u8; 32]], index: usize, query: u64) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(b"ppcs-ot1n-pad");
+    h.update(&query.to_le_bytes());
+    h.update(&(index as u64).to_le_bytes());
+    for k in bit_keys {
+        h.update(k);
+    }
+    h.finalize()
+}
+
+fn encrypt_message(key: &[u8; 32], index: usize, data: &mut [u8]) {
+    let mut nonce = [0u8; 12];
+    nonce[..8].copy_from_slice(&(index as u64).to_le_bytes());
+    ChaCha20::new(key, &nonce, 0).apply(data);
+}
+
+/// Checks a peer's `count ‖ length ‖ ciphertexts` table against the
+/// agreed message count and returns the length of one ciphertext. Both
+/// header fields are the peer's, so the size they imply is computed
+/// without overflow.
+fn table_msg_len(blob: &[u8], num_messages: usize) -> Result<usize, OtError> {
+    if blob.len() < 16 {
+        return Err(OtError::Protocol("ciphertext table too short".into()));
+    }
+    let n = read_u64_le(blob, 0, "ciphertext count")?;
+    let msg_len = read_u64_le(blob, 8, "ciphertext length")?;
+    if n != num_messages {
+        return Err(OtError::Protocol(format!(
+            "sender transferred {n} messages, receiver expected {num_messages}"
+        )));
+    }
+    let implied = n.checked_mul(msg_len).and_then(|body| body.checked_add(16));
+    if implied != Some(blob.len()) {
+        return Err(OtError::Protocol("ciphertext table length mismatch".into()));
+    }
+    Ok(msg_len)
+}
 
 /// k-out-of-N OT engine backed by the IKNP extension.
 ///
@@ -112,8 +163,7 @@ pub async fn knx_send_io(
     }
     iknp_send_io(group, io, rng, &pairs).await?;
 
-    // Per-query encrypted message tables, exactly as in the
-    // non-extended construction.
+    // Per-query encrypted message tables.
     for (query, per_query) in key_table.iter().enumerate() {
         let mut blob = Vec::with_capacity(16 + n * msg_len);
         blob.extend_from_slice(&(n as u64).to_le_bytes());
@@ -151,14 +201,7 @@ pub async fn knx_receive_io(
     num_messages: usize,
     indices: &[usize],
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    for &i in indices {
-        if i >= num_messages {
-            return Err(OtError::InvalidIndex {
-                index: i,
-                num_messages,
-            });
-        }
-    }
+    check_indices(indices, num_messages)?;
     let bits = num_bits(num_messages);
     let choices: Vec<bool> = indices
         .iter()
@@ -286,6 +329,17 @@ mod tests {
                 num_messages: 4
             }
         );
+    }
+
+    #[test]
+    fn num_bits_is_correct() {
+        assert_eq!(num_bits(1), 1);
+        assert_eq!(num_bits(2), 1);
+        assert_eq!(num_bits(3), 2);
+        assert_eq!(num_bits(4), 2);
+        assert_eq!(num_bits(5), 3);
+        assert_eq!(num_bits(1024), 10);
+        assert_eq!(num_bits(1025), 11);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //!
 //! Three interchangeable engines implement the [`ObliviousTransfer`] trait:
 //!
-//! * [`NaorPinkasOt`] — real public-key OT (Naor–Pinkas base OTs over the
-//!   RFC 3526 MODP-2048 group; a 768-bit group is available for tests);
-//! * [`IknpOt`] — the same k-of-N functionality over the IKNP OT
-//!   *extension*: `κ = 128` base OTs amortized across the whole batch,
-//!   the engine of choice for selection-heavy sessions;
+//! * [`NaorPinkasOt`] — real public-key OT: Naor–Pinkas 1-out-of-N
+//!   (their Protocol 3.1) once per opened position, over the RFC 3526
+//!   MODP-2048 group (a 768-bit group is available for tests);
+//! * [`IknpOt`] — the same k-of-N functionality by the classic reduction
+//!   to 1-out-of-2 transfers, run over the IKNP OT *extension*: `κ = 128`
+//!   base OTs amortized across the whole batch, the engine of choice for
+//!   selection-heavy sessions;
 //! * [`TrustedSimOt`] — an ideal-functionality stand-in that lets the
 //!   benchmark harness sweep paper-scale workloads (32k-sample datasets)
 //!   without paying thousands of modular exponentiations per sample. It
@@ -18,7 +20,7 @@
 //!   under test.
 //!
 //! The building blocks ([`ot12_send`]/[`ot12_receive`],
-//! [`ot1n_send`]/[`ot1n_receive`], [`otkn_send`]/[`otkn_receive`]) are
+//! [`otkn_send`]/[`otkn_receive`] — 1-out-of-N is its `k = 1`) are
 //! exported for direct use and for the protocol-level tests.
 //!
 //! ## Sans-I/O roles
@@ -54,9 +56,6 @@ pub use base::{
 };
 pub use error::OtError;
 pub use ext::{iknp_receive, iknp_receive_io, iknp_send, iknp_send_io, random_choices, KAPPA};
-pub use kn::{
-    ot1n_receive, ot1n_receive_io, ot1n_send, ot1n_send_io, otkn_receive, otkn_receive_io,
-    otkn_send, otkn_send_io,
-};
+pub use kn::{otkn_receive, otkn_receive_io, otkn_send, otkn_send_io};
 pub use knx::{knx_receive_io, knx_send_io, IknpOt};
 pub use offline::{ot_begin_send_precomputed_io, select_fingerprint, OtOfflineCommitment};

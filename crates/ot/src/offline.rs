@@ -1,9 +1,12 @@
 //! Offline/online phase split for the OT engines.
 //!
-//! The only input-independent, non-trivial work on the OT sender's
-//! critical path is the Naor–Pinkas commitment: `C = g^c`, `g^r` and
-//! `C^r`, three fixed-base powers in the MODP group, drawn once per
-//! batch and transmitted before any transfer.
+//! The input-independent work on the OT sender's critical path that is
+//! known before any transfer's `N` is the Naor–Pinkas commitment:
+//! `C = g^c`, `g^r` and `C^r`, three fixed-base powers in the MODP
+//! group, drawn once per batch and transmitted before any transfer.
+//! (The per-transfer constants of [`kn`](crate::kn) are
+//! input-independent too, but sized by `N`; they are still drawn
+//! online.)
 //! [`OtOfflineCommitment::precompute`] pays them ahead of time (e.g.
 //! from a server's idle loop) and [`ot_begin_send_precomputed_io`]
 //! replays the result onto a live session — the wire format is identical

@@ -1,8 +1,8 @@
 //! The Naor–Pinkas commitment from outside the crate: the call shapes
 //! the `benchmark/` package compiles against (tier-1 does not build it,
 //! so a signature drift has to fail here), and what a hostile peer can do
-//! with the frames — every malformed commitment, payload or ciphertext
-//! table ends in a typed [`OtError`], never a panic.
+//! with the frames — every malformed commitment, payload, constants,
+//! keys or tables frame ends in a typed [`OtError`], never a panic.
 
 use ppcs_crypto::DhGroup;
 use ppcs_ot::{
@@ -18,7 +18,9 @@ use rand::SeedableRng;
 const KIND_OT12_C: u16 = 0x0100;
 const KIND_OT12_PK0: u16 = 0x0101;
 const KIND_OT12_PAYLOAD: u16 = 0x0102;
-const KIND_OT1N_CIPHERTEXTS: u16 = 0x0200;
+const KIND_OT1N_CONSTANTS: u16 = 0x0200;
+const KIND_OT1N_KEYS: u16 = 0x0201;
+const KIND_OT1N_TABLES: u16 = 0x0202;
 const KIND_KNX_TABLE: u16 = 0x0290;
 
 /// `benchmark/src/ladder.rs::base_ots_ms`, token for token where types
@@ -200,40 +202,141 @@ fn malformed_payloads_are_typed_errors() {
     assert!(matches!(got, Err(OtError::Transport(_))), "{got:?}");
 }
 
-/// The receiver's verdict on a 1-of-8 transfer whose ciphertext table
-/// (frames of `table_kind`) is replaced by 16 bytes announcing `n = 8,
-/// msg_len = 2⁶¹`: `16 + n·msg_len` overflows in debug builds and wraps
-/// to the blob's own length in release.
-fn verdict_on_overflowing_table(sel: OtSelect, table_kind: u16) -> Result<Vec<Vec<u8>>, OtError> {
-    let mut table = 8u64.to_le_bytes().to_vec();
-    table.extend_from_slice(&(1u64 << 61).to_le_bytes());
+/// A 2-of-8 transfer of 4-byte messages with every frame of `kind` on
+/// its way to the receiver (or, `to_sender`, on its way back) replaced by
+/// `body`; returns the verdict of the role that was lied to.
+fn verdict_on_forged(
+    sel: OtSelect,
+    to_sender: bool,
+    kind: u16,
+    body: &[u8],
+) -> Result<Vec<Vec<u8>>, OtError> {
     let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4]).collect();
     let (messages, state) = (&messages, &OtBatchState::default());
     let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
     let mut sender = ProtocolEngine::new(|io| async move {
-        ot_send_io(sel, state, &io, &mut rng_s, messages, 1).await
+        let sent = ot_send_io(sel, state, &io, &mut rng_s, messages, 2).await;
+        sent.map(|()| Vec::new())
     });
     let mut receiver = ProtocolEngine::new(|io| async move {
-        ot_receive_io(sel, state, &io, &mut rng_r, 8, &[5]).await
+        ot_receive_io(sel, state, &io, &mut rng_r, 8, &[5, 0]).await
     });
-    pump_tampered(&mut sender, &mut receiver, |f| match f.kind == table_kind {
-        true => Frame::encode(table_kind, &table),
+    let forge = |f: Frame| match f.kind == kind {
+        true => Frame::encode(kind, &body.to_vec()),
         false => f,
-    })
+    };
+    match to_sender {
+        true => pump_tampered(&mut receiver, &mut sender, forge),
+        false => pump_tampered(&mut sender, &mut receiver, forge),
+    }
+}
+
+fn assert_protocol_error(got: Result<Vec<Vec<u8>>, OtError>, case: &str) {
+    assert!(matches!(got, Err(OtError::Protocol(_))), "{case}: {got:?}");
+}
+
+#[test]
+fn malformed_constants_are_typed_errors() {
+    // An honest 1-of-8 constants frame is C_2 … C_7: six elements.
+    let group = DhGroup::modp_768();
+    let sel = NaorPinkasOt::fast_insecure().select();
+    let good: Vec<u8> = (1..=6).flat_map(|seed| element(group, seed)).collect();
+    let len = group.element_len();
+    let with =
+        |at: usize, bad: Vec<u8>| [&good[..at * len], &bad, &good[(at + 1) * len..]].concat();
+    for (case, body) in [
+        ("one constant short", good[len..].to_vec()),
+        ("one constant over", [&good[..], &good[..len]].concat()),
+        ("no constants", Vec::new()),
+        ("a truncated element", good[..good.len() - 1].to_vec()),
+        ("a zero element", with(2, vec![0u8; len])),
+        ("the modulus", with(5, group.element_bytes(group.modulus()))),
+    ] {
+        let got = verdict_on_forged(sel, false, KIND_OT1N_CONSTANTS, &body);
+        assert_protocol_error(got, case);
+    }
+    let honest = verdict_on_forged(sel, false, KIND_OT1N_CONSTANTS, &good);
+    assert!(honest.is_ok(), "any six group elements are constants");
+}
+
+#[test]
+fn malformed_keys_are_typed_errors() {
+    let group = DhGroup::modp_768();
+    let sel = NaorPinkasOt::fast_insecure().select();
+    let good = [element(group, 1), element(group, 2)].concat();
+    let len = group.element_len();
+    for (case, body) in [
+        (
+            "half an element over",
+            [&good[..], &good[..len / 2]].concat(),
+        ),
+        ("one byte short", good[..2 * len - 1].to_vec()),
+        ("a zero key", [&good[..len], &vec![0u8; len][..]].concat()),
+        (
+            "the modulus",
+            [&group.element_bytes(group.modulus())[..], &good[len..]].concat(),
+        ),
+    ] {
+        let got = verdict_on_forged(sel, true, KIND_OT1N_KEYS, &body);
+        assert_protocol_error(got, case);
+    }
+    let honest = verdict_on_forged(sel, true, KIND_OT1N_KEYS, &good);
+    assert!(honest.is_ok(), "any two group elements are keys");
+}
+
+/// A tables header `k ‖ N ‖ len` followed by `body_len` zero bytes.
+fn tables(k: u64, n: u64, msg_len: u64, body_len: usize) -> Vec<u8> {
+    let mut blob: Vec<u8> = [k, n, msg_len]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    blob.resize(24 + body_len, 0);
+    blob
+}
+
+#[test]
+fn malformed_tables_are_typed_errors() {
+    // The honest frame answers 2 queries over 8 messages of 4 bytes:
+    // 24 + 2·(16 + 8·4) bytes.
+    let sel = NaorPinkasOt::fast_insecure().select();
+    for (case, blob) in [
+        ("empty", Vec::new()),
+        ("shorter than its header", tables(2, 8, 4, 0)[..23].to_vec()),
+        ("one query short", tables(1, 8, 4, 48)),
+        ("one query over", tables(3, 8, 4, 144)),
+        ("another N", tables(2, 9, 4, 104)),
+        ("one byte short", tables(2, 8, 4, 95)),
+        ("one byte over", tables(2, 8, 4, 97)),
+        ("another length", tables(2, 8, 5, 96)),
+    ] {
+        let got = verdict_on_forged(sel, false, KIND_OT1N_TABLES, &blob);
+        assert_protocol_error(got, case);
+    }
 }
 
 #[test]
 fn overflowing_table_header_is_a_typed_error() {
-    for (sel, table_kind) in [
-        (
-            NaorPinkasOt::fast_insecure().select(),
-            KIND_OT1N_CIPHERTEXTS,
-        ),
-        (IknpOt::fast_insecure().select(), KIND_KNX_TABLE),
+    // Header fields whose implied size overflows `usize` in debug builds
+    // and wraps to the blob's own length in release: N·len, then the 16
+    // bytes of R on top of it, then k tables of that.
+    let np = NaorPinkasOt::fast_insecure().select();
+    for (msg_len, wrapped_body) in [
+        (1u64 << 61, 2 * 16),
+        (u64::MAX / 8, 2 * 8),
+        (1 << 60, 2 * 16),
     ] {
-        let got = verdict_on_overflowing_table(sel, table_kind);
-        assert!(matches!(got, Err(OtError::Protocol(_))), "{sel:?}: {got:?}");
+        let got = verdict_on_forged(
+            np,
+            false,
+            KIND_OT1N_TABLES,
+            &tables(2, 8, msg_len, wrapped_body),
+        );
+        assert_protocol_error(got, &format!("{np:?}, length {msg_len}"));
     }
+    // The extension engine's per-query table is `N ‖ len ‖ ciphertexts`.
+    let iknp = IknpOt::fast_insecure().select();
+    let got = verdict_on_forged(iknp, false, KIND_KNX_TABLE, &tables(8, 1 << 61, 0, 0)[..16]);
+    assert_protocol_error(got, &format!("{iknp:?}"));
 }
 
 fn ot_frame() -> impl Strategy<Value = Frame> {
@@ -241,18 +344,25 @@ fn ot_frame() -> impl Strategy<Value = Frame> {
         KIND_OT12_C,
         KIND_OT12_PK0,
         KIND_OT12_PAYLOAD,
-        KIND_OT1N_CIPHERTEXTS,
+        KIND_OT1N_CONSTANTS,
+        KIND_OT1N_KEYS,
+        KIND_OT1N_TABLES,
     ]);
     // 96 bytes is the element length of the test group.
     let bytes = || prop::collection::vec(any::<u8>(), 0..120);
-    (kinds, 0u8..3, bytes(), bytes(), bytes()).prop_map(|(kind, shape, a, b, c)| match shape {
+    (kinds, 0u8..4, bytes(), bytes(), bytes()).prop_map(|(kind, shape, a, b, c)| match shape {
         // Byte soup, then bodies in the shapes the roles decode.
         0 => Frame {
             kind,
             payload: a.into(),
         },
         1 => Frame::encode(kind, &(a, b)),
-        _ => Frame::encode(kind, &(a, (b, c))),
+        2 => Frame::encode(kind, &(a, (b, c))),
+        // Up to three whole elements: constants or keys.
+        _ => {
+            let soup = a.iter().chain(&b).chain(&c).copied().cycle();
+            Frame::encode(kind, &soup.take(96 * (a.len() % 4)).collect::<Vec<u8>>())
+        }
     })
 }
 
@@ -260,7 +370,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary frames of the OT's own kinds, fed to either role of a
-    /// Naor–Pinkas transfer, never panic it and never make it succeed.
+    /// Naor–Pinkas transfer, never panic it and never hand the receiver
+    /// a result (the sender is done once it has answered any two keys).
     #[test]
     fn naor_pinkas_roles_survive_arbitrary_frames(
         frames in prop::collection::vec(ot_frame(), 1..5),
@@ -285,7 +396,7 @@ proptest! {
         }
         while engine.poll_output().is_some() {}
         if let Some(result) = engine.take_result() {
-            prop_assert!(result.is_err(), "garbage frames must not complete a transfer");
+            prop_assert!(sender_role || result.is_err(), "garbage frames must not open a message");
         }
     }
 }

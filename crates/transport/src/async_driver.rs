@@ -1286,7 +1286,7 @@ mod tests {
             let done = ad.drive_all();
             assert_eq!(done.len(), N);
             for (_, result, _) in done {
-                assert_eq!(result.expect("session"), 0 + 2 + 4);
+                assert_eq!(result.expect("session"), 2 + 4);
             }
         });
     }
@@ -1311,7 +1311,7 @@ mod tests {
             );
             let done = ad.drive_all();
             assert_eq!(done.len(), 1);
-            assert_eq!(done[0].1.as_ref().expect("result"), &(0 + 2 + 4 + 6));
+            assert_eq!(done[0].1.as_ref().expect("result"), &(2 + 4 + 6));
         });
     }
 

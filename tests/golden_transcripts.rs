@@ -1,20 +1,25 @@
-//! Golden transcripts: SHA-256 of the recorded frames of two seeded
-//! Naor–Pinkas sessions. They were last re-pinned by a change to the
-//! protocol itself: the commitment frame now carries `(C, g^r)` and is
-//! drawn as `c` then `r`, every base OT of a commitment shares that `r`,
-//! and the payload frame carries a 16-byte per-transfer string in place
-//! of a `g^r` of its own. Any change *under* the protocol — a new
-//! exponentiation kernel, a fixed-base table or its shape, another
-//! inversion — must still leave every frame, and so these digests, as
-//! they are; a change to the protocol, to the order of RNG draws or to
-//! the codec has to re-pin them and say so here.
+//! Golden transcripts: SHA-256 of the recorded frames of seeded
+//! sessions. The two Naor–Pinkas digests were last re-pinned by a change
+//! to the protocol itself: k-out-of-N is now k instances of Naor–Pinkas
+//! 1-out-of-N (their Protocol 3.1) instead of `k·⌈log₂N⌉` 1-out-of-2
+//! transfers of bit keys, so a transfer is three frames — the sender's
+//! constants `C_2 … C_{N−1}`, the receiver's `k` keys `PK_0`, and `k`
+//! tables `R ‖ E_0 … E_{N−1}` — behind the unchanged commitment frame
+//! `(C, g^r)`. The IKNP digest was computed at the commit before that
+//! change and did not move with it: the 1-out-of-2 transfer its base
+//! phase runs on, and everything above it, are byte for byte what they
+//! were. Any change *under* the protocol — a new exponentiation kernel, a
+//! fixed-base table or its shape, another inversion — must still leave
+//! every frame, and so these digests, as they are; a change to the
+//! protocol, to the order of RNG draws or to the codec has to re-pin
+//! them and say so here.
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_crypto::Sha256;
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{
-    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, NaorPinkasOt,
-    ObliviousTransfer, OtError,
+    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, IknpOt, NaorPinkasOt,
+    ObliviousTransfer, OtError, OtSelect,
 };
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::blob_dataset;
@@ -58,16 +63,16 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "f84fc2cfae8b9f32b2ba3f3babc76888350970cc3f843ece8a30b26b4647d64e",
+        digest, "33fac674677723b2eb54858dcad6c9d14b25ae1880e9872442b8bc0774d8c5a4",
         "the NP-768 classification transcript changed"
     );
 }
 
-#[test]
-fn np2048_four_of_eight_transfer_is_pinned() {
+/// A seeded 4-of-8 transfer of 32-byte messages in a session of its own,
+/// as its receiver records it.
+fn four_of_eight(sel: OtSelect) -> String {
     let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 32]).collect();
     let indices = [0usize, 3, 5, 6];
-    let sel = NaorPinkasOt::new().select();
 
     let receiver = ProtocolEngine::new(|io| async move {
         let mut rng = StdRng::seed_from_u64(22);
@@ -85,8 +90,65 @@ fn np2048_four_of_eight_transfer_is_pinned() {
     });
     let want: Vec<Vec<u8>> = indices.iter().map(|&i| messages[i].clone()).collect();
     assert_eq!(got.expect("receive"), want);
+    digest
+}
+
+#[test]
+fn np2048_four_of_eight_transfer_is_pinned() {
     assert_eq!(
-        digest, "53030297be1690c52dde3653412aab4f6d067e006ff17f9ed8dd786ac5dec724",
+        four_of_eight(NaorPinkasOt::new().select()),
+        "ae0c87547f6af9fbd0e9b3d2e70c6b961dfc5ba4ada36a573accf9ea7e518341",
         "the MODP-2048 4-of-8 transfer transcript changed"
+    );
+}
+
+#[test]
+fn iknp768_four_of_eight_transfer_is_pinned() {
+    assert_eq!(
+        four_of_eight(IknpOt::fast_insecure().select()),
+        "9eb4fc0cef52ae6319b00723813c1e93b5be6a75fb90a1a44580fbb724bd6b8a",
+        "the IKNP-768 4-of-8 transfer transcript changed"
+    );
+}
+
+#[test]
+fn np768_classified_sample_is_four_ot_frames() {
+    // One commitment per session and three frames per transfer: a
+    // schedule regression fails here, not only in the benchmark's
+    // `frames_per_result`.
+    let ds = blob_dataset(4, 60, 7);
+    let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
+    let samples = vec![ds.features(0).to_vec()];
+    let cfg = ProtocolConfig::default();
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
+    let sel = NaorPinkasOt::fast_insecure().select();
+
+    let (ep, peer_ep) = duplex();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut engine = trainer.serve_engine(sel, 11);
+            Driver::new().drive(&peer_ep, &mut engine).expect("serve");
+        });
+        let mut engine = client.classify_engine(sel, 12, &samples);
+        Driver::new().drive(&ep, &mut engine).expect("classify");
+    });
+    // (kind, frames the client sent, frames it received) over the OT's
+    // range of kinds: commitment, constants, keys, tables.
+    let ot_frames: Vec<(u16, u64, u64)> = ep
+        .stats()
+        .by_kind
+        .iter()
+        .filter(|k| (0x0100..0x0400).contains(&k.kind))
+        .map(|k| (k.kind, k.frames_sent, k.frames_received))
+        .collect();
+    assert_eq!(
+        ot_frames,
+        [
+            (0x0100, 0, 1),
+            (0x0200, 0, 1),
+            (0x0201, 1, 0),
+            (0x0202, 0, 1)
+        ]
     );
 }

@@ -4,7 +4,7 @@
 
 use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra, MvPolynomial};
 use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-use ppcs_ot::{ot1n_receive, ot1n_send, NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
+use ppcs_ot::{otkn_receive, otkn_send, NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
 use ppcs_transport::run_pair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,14 +18,14 @@ fn naor_pinkas_2048_one_of_n_smoke() {
     let (_, got) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(1);
-            ot1n_send(group.group(), &ep, &mut rng, &msgs_s, 0).expect("send");
+            otkn_send(group.group(), &ep, &mut rng, &msgs_s, 1).expect("send");
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(2);
-            ot1n_receive(NaorPinkasOt::new().group(), &ep, &mut rng, 4, 2, 0).expect("recv")
+            otkn_receive(NaorPinkasOt::new().group(), &ep, &mut rng, 4, &[2]).expect("recv")
         },
     );
-    assert_eq!(got, msgs[2]);
+    assert_eq!(got, [msgs[2].clone()]);
 }
 
 #[test]
