@@ -6,7 +6,7 @@
 //! tests and micro-benchmarks — *not* for production security).
 
 use num_bigint::{BigUint, Monty, RandBigInt};
-use num_traits::{One, Zero};
+use num_traits::One;
 use rand::Rng;
 use std::fmt;
 use std::sync::OnceLock;
@@ -53,6 +53,16 @@ const COMB_ROWS_G: usize = 8;
 /// measured 13.1 ms with 5 rows, 11.4 ms with 6, and 10.7–11.4 ms with 7
 /// or 8 at two and four times the memory.
 const COMB_ROWS_SESSION: usize = 6;
+
+/// Bits of a short secret exponent ([`DhGroup::random_short_exponent`]).
+/// The assumption is that discrete logs with a 256-bit exponent are as
+/// hard in these groups as with a full-length one: the modulus is a safe
+/// prime, so `(p−1)/2` has no small factor for the van Oorschot–Wiener
+/// attack to use, Pollard-λ on the interval costs 2¹²⁸, and the number
+/// field sieve on a 2048-bit modulus (~2¹¹²) stays the cheaper attack.
+/// NIST SP 800-56A r3 §5.6.1.1.1 asks for 224 bits or more in RFC 3526
+/// group 14, RFC 7919 §5.2 for 225, RFC 3526 §8 for 220–320.
+const SHORT_EXPONENT_BITS: u64 = 256;
 
 /// A fixed-base comb table: everything [`DhGroup::power`] needs to raise
 /// one base to many exponents. Entry `u` of a column is the Montgomery
@@ -222,6 +232,19 @@ impl DhGroup {
         }
     }
 
+    /// Draws a uniform exponent in `[2, 2^256)` — `SHORT_EXPONENT_BITS`
+    /// names the assumption — for a secret that only has to keep a
+    /// discrete log hard. An exponent whose power must be *uniform* in
+    /// `⟨g⟩` is a [`random_exponent`](Self::random_exponent) instead.
+    pub fn random_short_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        loop {
+            let e = rng.gen_biguint(SHORT_EXPONENT_BITS);
+            if e > BigUint::one() {
+                return e;
+            }
+        }
+    }
+
     /// `base^e mod p`.
     pub fn exp(&self, base: &BigUint, e: &BigUint) -> BigUint {
         base.modpow(e, &self.p)
@@ -285,6 +308,32 @@ impl DhGroup {
         self.monty.inv(a).expect("zero has no inverse in the group")
     }
 
+    /// The inverse of every element for one [`inv`](Self::inv) and about
+    /// three products each (Montgomery's trick): the product of them all
+    /// is inverted, and peeled apart from the back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element is zero.
+    pub fn inv_many(&self, elems: &[BigUint]) -> Vec<BigUint> {
+        // before[i] = elems[0] ⋯ elems[i−1]
+        let mut before = Vec::with_capacity(elems.len());
+        let mut product = BigUint::one();
+        for e in elems {
+            before.push(product.clone());
+            product = self.mul(&product, e);
+        }
+        // after_inv = (elems[0] ⋯ elems[i])⁻¹
+        let mut after_inv = self.inv(&product);
+        let mut inverses = before;
+        for (e, slot) in elems.iter().zip(&mut inverses).rev() {
+            let inverse = self.mul(&after_inv, slot);
+            after_inv = self.mul(&after_inv, e);
+            *slot = inverse;
+        }
+        inverses
+    }
+
     /// Serializes a group element to fixed-length big-endian bytes.
     pub fn element_bytes(&self, e: &BigUint) -> Vec<u8> {
         let mut bytes = e.to_bytes_be();
@@ -297,17 +346,16 @@ impl DhGroup {
         out
     }
 
-    /// Parses a fixed-length big-endian group element, validating range.
+    /// Parses a fixed-length big-endian group element in `[2, p − 2]`,
+    /// the range RFC 7919 §5.1 and SP 800-56A §5.6.2.3.1 require of a
+    /// peer's value: `1` and `p − 1` are the subgroup of order two, where
+    /// a power tells the parity of a secret exponent and nothing else.
     pub fn element_from_bytes(&self, bytes: &[u8]) -> Option<BigUint> {
         if bytes.len() != self.element_len {
             return None;
         }
         let e = BigUint::from_bytes_be(bytes);
-        if e >= self.p || e.is_zero() {
-            None
-        } else {
-            Some(e)
-        }
+        (e > BigUint::one() && e < &self.p - BigUint::one()).then_some(e)
     }
 
     /// Derives a 256-bit symmetric key from a group element and a context
@@ -321,6 +369,7 @@ impl DhGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_traits::Zero;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -354,10 +403,18 @@ mod tests {
     fn element_from_bytes_rejects_bad_input() {
         let group = DhGroup::modp_768();
         assert_eq!(group.element_from_bytes(&[1, 2, 3]), None);
-        let too_big = group.element_bytes(&(group.modulus() - BigUint::one())); // p-1 ok
-        assert!(group.element_from_bytes(&too_big).is_some());
-        let zero = vec![0u8; group.element_len()];
-        assert_eq!(group.element_from_bytes(&zero), None);
+        // [2, p − 2] and nothing else: 0, the order-two subgroup {1, p − 1}
+        // and anything from p up are out.
+        let (p, one) = (group.modulus(), BigUint::one());
+        let two = BigUint::from(2u32);
+        for bad in [BigUint::zero(), one.clone(), p - &one, p.clone(), p + &one] {
+            let bytes = group.element_bytes(&bad);
+            assert_eq!(group.element_from_bytes(&bytes), None, "{bad}");
+        }
+        for good in [two.clone(), p - two] {
+            let bytes = group.element_bytes(&good);
+            assert_eq!(group.element_from_bytes(&bytes), Some(good));
+        }
     }
 
     #[test]
@@ -370,6 +427,23 @@ mod tests {
         assert_eq!(group.inv(&BigUint::one()), BigUint::one());
         let minus_one = group.modulus() - BigUint::one();
         assert_eq!(group.inv(&minus_one), minus_one);
+    }
+
+    #[test]
+    fn inv_many_is_inv_of_each() {
+        let group = DhGroup::modp_768();
+        let mut rng = StdRng::seed_from_u64(6);
+        for k in [0usize, 1, 2, 5, 13] {
+            let mut elems: Vec<BigUint> = (0..k)
+                .map(|_| rng.gen_biguint_range(&BigUint::one(), group.modulus()))
+                .collect();
+            // A replayed key puts one element in the batch twice.
+            if k >= 2 {
+                elems[k - 1] = elems[0].clone();
+            }
+            let each: Vec<BigUint> = elems.iter().map(|e| group.inv(e)).collect();
+            assert_eq!(group.inv_many(&elems), each, "k = {k}");
+        }
     }
 
     #[test]
@@ -497,6 +571,27 @@ mod tests {
         let mut rng = Scripted(script.into_iter());
         let e = group.random_exponent(&mut rng);
         assert_eq!(e, (BigUint::from(9u32) << 64usize) + BigUint::from(5u32));
+    }
+
+    #[test]
+    fn random_short_exponent_is_four_limbs_above_one() {
+        // The short draw a transcript depends on: four limbs whatever the
+        // group, 0 and 1 thrown away whole, the next value returned as it
+        // is — top limb included, so the width is 256 bits and not less.
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            let mut script = vec![0u64; 12];
+            script[4] = 1;
+            script[8] = 5;
+            script[11] = u64::MAX;
+            let mut rng = Scripted(script.into_iter());
+            let e = group.random_short_exponent(&mut rng);
+            assert_eq!(
+                e,
+                (BigUint::from(u64::MAX) << 192usize) + BigUint::from(5u32)
+            );
+            assert_eq!(e.bits(), SHORT_EXPONENT_BITS);
+            assert_eq!(rng.0.len(), 0, "three draws of four limbs");
+        }
     }
 
     #[test]

@@ -10,11 +10,16 @@
 //!
 //! 1. Once per commitment, the sender draws `c` and `r`, sends
 //!    `C = g^c` and `g^r`, and keeps `r` and `C^r = g^(c·r)`: three comb
-//!    powers of `g`, none depending on any input. The receiver checks
+//!    powers of `g`, none depending on any input. `c` is a full-length
+//!    exponent; `r`, which every transfer raises a peer's element to, is
+//!    a [short](DhGroup::random_short_exponent) one. The receiver checks
 //!    both elements and builds a comb table over `g^r`.
-//! 2. Per transfer, the receiver with choice bit `b` draws `x`, sets
-//!    `PK_b = g^x` and `PK_{1-b} = C / PK_b`, and sends `PK_0`. It can
-//!    know the discrete log of at most one of the two keys.
+//! 2. Per transfer, the receiver with choice bit `b` draws a full-length
+//!    `x` — `PK_0` is uniform in `⟨g⟩` whatever `b` is only if `g^x` is —
+//!    sets `PK_b = g^x` and `PK_{1-b} = C / PK_b`, and sends `PK_0`:
+//!    `g^x`, or `C · g^(p−1−x)`, a comb power either way and never an
+//!    inversion. It can know the discrete log of at most one of the two
+//!    keys.
 //! 3. The sender computes `PK_0^r` — its one variable-base power — and
 //!    `PK_1^r = C^r / PK_0^r` without ever forming `PK_1`, draws a fresh
 //!    string `R`, and sends `R, E_0 = m_0 ⊕ KDF(PK_0^r, tag, 0, R),
@@ -60,25 +65,18 @@ pub struct SenderCommitment {
     pub(crate) c_r: BigUint,
 }
 
-/// `(g^c, g^(c·r))`: a constant and its secret `r`-th power, two comb
-/// powers of `g`.
-pub(crate) fn constant(group: &DhGroup, c: &BigUint, r: &BigUint) -> (BigUint, BigUint) {
-    // g's order divides p − 1 = 2q, so the product may be reduced there.
-    let c_times_r = (c * r) % (group.order() << 1usize);
-    (group.power_g(c), group.power_g(&c_times_r))
-}
-
 impl SenderCommitment {
-    /// Draws `c` and `r` and pays the commitment's three comb powers of
-    /// `g`; needs no peer, so it can run ahead of the session.
+    /// Draws `c` and the short `r` and pays the commitment's three comb
+    /// powers of `g`; needs no peer, so it can run ahead of the session.
     pub(crate) fn draw(group: &DhGroup, rng: &mut dyn RngCore) -> Self {
         let c = group.random_exponent(rng);
-        let r = group.random_exponent(rng);
-        let (big_c, c_r) = constant(group, &c, &r);
+        let r = group.random_short_exponent(rng);
+        // g's order divides p − 1 = 2q, so the product may be reduced there.
+        let c_times_r = (&c * &r) % (group.order() << 1usize);
         Self {
-            big_c,
+            big_c: group.power_g(&c),
             g_r: group.power_g(&r),
-            c_r,
+            c_r: group.power_g(&c_times_r),
             r,
         }
     }
@@ -108,6 +106,24 @@ impl fmt::Debug for SenderCommitment {
 pub struct ReceiverCommitment {
     pub(crate) big_c: BigUint,
     pub(crate) g_r: FixedBase,
+}
+
+/// A receiver's key pair for slot `σ`: `x`, the discrete log of `PK_σ`,
+/// and the `PK_0` to send — `g^x` itself at `σ = 0` (`c_sigma` is
+/// `None`), else `C_σ / g^x`, formed as `C_σ · g^(p−1−x)`: a comb power
+/// where an inversion was. `x` is a full-length draw, so that `PK_0` is
+/// uniform in `⟨g⟩` whatever `σ` is.
+pub(crate) fn key_pair(
+    group: &DhGroup,
+    rng: &mut dyn RngCore,
+    c_sigma: Option<&BigUint>,
+) -> (BigUint, BigUint) {
+    let x = group.random_exponent(rng);
+    let pk0 = match c_sigma {
+        None => group.power_g(&x),
+        Some(c) => group.mul(c, &group.power_g(&((group.order() << 1usize) - &x))),
+    };
+    (x, pk0)
 }
 
 fn pad_apply(key: &[u8; 32], tag: u64, data: &mut [u8]) {
@@ -350,13 +366,7 @@ pub async fn ot12_receive_precommitted_io(
 ) -> Result<Vec<u8>, OtError> {
     // Step 2: build the key pair so we know the discrete log of PK_choice
     // only.
-    let x = group.random_exponent(rng);
-    let pk_choice = group.power_g(&x);
-    let pk0 = if choice {
-        group.mul(&commitment.big_c, &group.inv(&pk_choice))
-    } else {
-        pk_choice
-    };
+    let (x, pk0) = key_pair(group, rng, choice.then_some(&commitment.big_c));
     io.send_msg(KIND_OT12_PK0, &group.element_bytes(&pk0))?;
 
     // Step 3/4: decrypt our branch.
@@ -454,7 +464,10 @@ mod tests {
     #[test]
     fn commitment_identities_hold_on_random_elements() {
         // What the sender's single power per transfer rests on:
-        // C^r = (g^r)^c, and (C / PK_0)^r = C^r · (PK_0^r)⁻¹.
+        // C^r = (g^r)^c, (C / PK_0)^r = C^r · (PK_0^r)⁻¹ and, for the
+        // constants C_i = C^i of `kn`, (C^i)^r = (C^r)^i; and what the
+        // receiver's single comb power rests on: C_σ · g^(p−1−x) is the
+        // element C_σ / g^x.
         for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
             let mut rng = StdRng::seed_from_u64(31);
             let commitment = SenderCommitment::draw(group, &mut rng);
@@ -469,6 +482,28 @@ mod tests {
                 let pk1 = group.mul(big_c, &group.inv(&pk0));
                 let z0 = group.exp(&pk0, r);
                 assert_eq!(group.exp(&pk1, r), group.mul(c_r, &group.inv(&z0)));
+            }
+            let (mut c_i, mut c_r_i) = (big_c.clone(), c_r.clone());
+            for i in 1..26 {
+                assert_eq!(group.exp(&c_i, r), c_r_i, "i = {i}");
+                let (x, pk0) = key_pair(group, &mut rng, Some(&c_i));
+                assert_eq!(pk0, group.mul(&c_i, &group.inv(&group.power_g(&x))));
+                assert_eq!(group.mul(&pk0, &group.power_g(&x)), c_i);
+                (c_i, c_r_i) = (group.mul(&c_i, big_c), group.mul(&c_r_i, c_r));
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_senders_r_is_short() {
+        // r only has to keep a discrete log hard, so 256 bits serve; c
+        // stays a full-length draw (the first of the commitment's two).
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            for seed in 0..64 {
+                let drawn = SenderCommitment::draw(group, &mut StdRng::seed_from_u64(seed));
+                assert!(drawn.r.bits() <= 256 && drawn.r > BigUint::from(1u32));
+                let c = group.random_exponent(&mut StdRng::seed_from_u64(seed));
+                assert_eq!(drawn.big_c, group.power_g(&c), "seed {seed}");
             }
         }
     }

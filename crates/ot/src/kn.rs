@@ -1,33 +1,40 @@
 //! k-out-of-N oblivious transfer by `k` batched instances of the
 //! 1-out-of-N protocol of Naor and Pinkas ("Efficient oblivious transfer
 //! protocols", Protocol 3.1), all under one
-//! [commitment](crate::base::commit_c) `(C, g^r)` and in three frames
-//! per transfer (honest-but-curious):
+//! [commitment](crate::base::commit_c) `(C, g^r)` and in two frames — one
+//! round trip — per transfer (honest-but-curious).
 //!
-//! 1. **Constants, S→R.** The commitment's `C` is `C_1`; the sender
-//!    draws `c_2 … c_{N−1}`, sends `C_i = g^{c_i}` and keeps
-//!    `C_i^r = g^{c_i·r}` — two comb powers of `g` each, none depending
-//!    on any input, none waiting for the peer. The receiver range-checks
-//!    every element.
-//! 2. **Keys, R→S.** For each of its `k` indices `σ` the receiver draws
-//!    `x`, sets `PK_σ = g^x` and sends `PK_0 = PK_σ` (`σ = 0`) or
-//!    `C_σ / PK_σ`: uniform in `⟨g⟩` whatever `σ` is. Since
-//!    `PK_i = C_i / PK_0`, it can know the discrete log of more than one
-//!    key only by knowing that of some `C_i / C_j`, which the sender drew
-//!    at random. The sender checks the count against the agreed `k`.
-//! 3. **Tables, S→R.** Per query the sender computes `z_0 = PK_0^r` — its
-//!    one variable-base power — and `z_i = PK_i^r = C_i^r / z_0` without
-//!    ever forming `PK_i`, draws a fresh string `R`, and sends
-//!    `R, E_0 … E_{N−1}` with `E_i = m_i ⊕ KDF(z_i; query, i, R)`. The
-//!    receiver reads `(g^r)^x = z_σ` off the commitment's table and opens
-//!    `E_σ`; every other pad is indistinguishable from random (CDH,
-//!    random-oracle KDF).
+//! The protocol's constants are the powers of the commitment's own `C`,
+//! `C_i = C^i` for `i = 1 … N−1`, as in the 1-out-of-n form of Chou and
+//! Orlandi's "Simplest OT" (LATINCRYPT 2015): nothing is drawn or sent
+//! for them. The sender forms `C_i^r = (C^r)^i` and the receiver `C^σ`
+//! by group products.
 //!
-//! One `r` and one set of constants serve every query of a transfer, and
-//! one `r` every transfer of a commitment, so a receiver may answer two
-//! queries with one `PK_0` and meet the same `z_i` twice: the fresh `R`
-//! (and the query number) in the KDF context is what keeps the two pads
-//! of a slot apart, where equal pads would give away `m_i ⊕ m_i′`.
+//! 1. **Keys, R→S.** For each of its `k` indices `σ` the receiver draws a
+//!    full-length `x` — `PK_0` is uniform in `⟨g⟩` whatever `σ` is only
+//!    if `g^x` is — sets `PK_σ = g^x` and sends `PK_0 = PK_σ` (`σ = 0`) or
+//!    `C_σ / PK_σ` (`base::key_pair`). Since `PK_i = C_i / PK_0`, knowing
+//!    the discrete logs of two keys `PK_i`, `PK_j` means knowing that of
+//!    `C_i / C_j = C^(i−j)`, hence `c` itself, as `0 < |i − j| < N ≪ q`.
+//!    The sender checks the count against the agreed `k`.
+//! 2. **Tables, S→R.** Per query the sender computes `z_0 = PK_0^r` — its
+//!    one variable-base power, `r` being the commitment's short exponent
+//!    — and `z_i = PK_i^r = C_i^r / z_0` without ever forming `PK_i`, all
+//!    `k` values `z_0` inverted [together](DhGroup::inv_many); it draws a
+//!    fresh string `R` and sends `R, E_0 … E_{N−1}` with
+//!    `E_i = m_i ⊕ KDF(z_i; query, i, R)`. The receiver reads
+//!    `(g^r)^x = z_σ` off the commitment's table and opens `E_σ`; every
+//!    other `z_j = z_σ · (C^r)^(j−σ)` determines `C^r`, so its pad is
+//!    indistinguishable from random (CDH on `(C, g^r)`, random-oracle
+//!    KDF).
+//!
+//! Everything the sender holds before the keys arrive is the
+//! commitment's; per transfer it pays `N − 2` products, per query one
+//! power. One `r` serves every query of every transfer of a commitment,
+//! so a receiver may answer two queries with one `PK_0` and meet the same
+//! `z_i` twice: the fresh `R` (and the query number) in the KDF context
+//! is what keeps the two pads of a slot apart, where equal pads would
+//! give away `m_i ⊕ m_i′`.
 //!
 //! The reduction of 1-out-of-N to `⌈log₂ N⌉` 1-out-of-2 transfers lives
 //! in [`knx`](crate::knx), where those transfers are cheap. The `*_io`
@@ -41,11 +48,10 @@ use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::base::{
-    commit_c_io, constant, receive_c_io, ReceiverCommitment, SenderCommitment, PAD_NONCE_LEN,
+    commit_c_io, key_pair, receive_c_io, ReceiverCommitment, SenderCommitment, PAD_NONCE_LEN,
 };
 use crate::error::{check_indices, read_u64_le, OtError};
 
-pub(crate) const KIND_OT1N_CONSTANTS: u16 = 0x0200;
 pub(crate) const KIND_OT1N_KEYS: u16 = 0x0201;
 pub(crate) const KIND_OT1N_TABLES: u16 = 0x0202;
 
@@ -86,6 +92,15 @@ fn tables_msg_len(blob: &[u8], k: usize, num_messages: usize) -> Result<usize, O
         return Err(OtError::Protocol("tables frame length mismatch".into()));
     }
     Ok(msg_len)
+}
+
+/// `base^1 … base^count`, by group products: the constants `C_i = C^i`
+/// on the receiver's side, their powers `(C^r)^i` on the sender's.
+fn powers(group: &DhGroup, base: &BigUint, count: usize) -> Vec<BigUint> {
+    let next = |power: &BigUint| Some(group.mul(power, base));
+    std::iter::successors(Some(base.clone()), next)
+        .take(count)
+        .collect()
 }
 
 /// Splits a frame of concatenated group elements, each in range. The
@@ -147,17 +162,10 @@ pub async fn otkn_send_io(
         return Err(OtError::UnequalMessageLengths);
     }
 
-    // Step 1: C_1^r is the commitment's; C_2 … C_{N−1} are this transfer's.
-    let mut constants = Vec::with_capacity(n.saturating_sub(2) * group.element_len());
-    let mut powers = vec![commitment.c_r.clone()];
-    for _ in 2..n {
-        let (c_i, c_i_r) = constant(group, &group.random_exponent(rng), &commitment.r);
-        constants.extend_from_slice(&group.element_bytes(&c_i));
-        powers.push(c_i_r);
-    }
-    io.send_msg(KIND_OT1N_CONSTANTS, &constants)?;
+    // While the keys are on their way: C_i^r = (C^r)^i.
+    let c_r_powers = powers(group, &commitment.c_r, n - 1);
 
-    // Step 2: one PK_0 per opened position.
+    // Step 1: one PK_0 per opened position.
     let keys: Vec<u8> = io.recv_msg(KIND_OT1N_KEYS).await?;
     let opened = keys.len() / group.element_len();
     if opened != k {
@@ -167,21 +175,24 @@ pub async fn otkn_send_io(
     }
     let keys = elements(group, &keys, "PK_0")?;
 
-    // Step 3: z_0 = PK_0^r, z_i = C_i^r / z_0, every pad under a fresh R.
+    // Step 2: z_0 = PK_0^r, z_i = (C^r)^i / z_0, every pad under a fresh R.
+    let z0s: Vec<BigUint> = keys
+        .iter()
+        .map(|pk0| group.exp(pk0, &commitment.r))
+        .collect();
+    let z0_invs = group.inv_many(&z0s);
     let mut tables = Vec::with_capacity(TABLES_HEADER_LEN + k * (PAD_NONCE_LEN + n * msg_len));
     for field in [k, n, msg_len] {
         tables.extend_from_slice(&(field as u64).to_le_bytes());
     }
-    for (query, pk0) in keys.iter().enumerate() {
-        let z0 = group.exp(pk0, &commitment.r);
-        let z0_inv = group.inv(&z0);
+    for (query, (z0, z0_inv)) in z0s.iter().zip(&z0_invs).enumerate() {
         let mut nonce = [0u8; PAD_NONCE_LEN];
         rng.fill_bytes(&mut nonce);
         tables.extend_from_slice(&nonce);
         for (i, m) in messages.iter().enumerate() {
             let z_i = match i {
                 0 => z0.clone(),
-                _ => group.mul(&powers[i - 1], &z0_inv),
+                _ => group.mul(&c_r_powers[i - 1], z0_inv),
             };
             let at = tables.len();
             tables.extend_from_slice(m);
@@ -198,9 +209,8 @@ pub async fn otkn_send_io(
 /// # Errors
 ///
 /// [`OtError::InvalidIndex`] if an index is `>= num_messages`,
-/// [`OtError::Protocol`] for constants or tables that are malformed or
-/// disagree with `num_messages` and `indices.len()`, plus transport
-/// failures.
+/// [`OtError::Protocol`] for tables that are malformed or disagree with
+/// `num_messages` and `indices.len()`, plus transport failures.
 pub fn otkn_receive(
     group: &DhGroup,
     ep: &Endpoint,
@@ -231,36 +241,18 @@ pub async fn otkn_receive_io(
 ) -> Result<Vec<Vec<u8>>, OtError> {
     check_indices(indices, num_messages)?;
 
-    // Step 1: C_2 … C_{N−1}, behind the commitment's C_1.
-    let constants: Vec<u8> = io.recv_msg(KIND_OT1N_CONSTANTS).await?;
-    let (sent, expected) = (
-        constants.len() / group.element_len(),
-        num_messages.saturating_sub(2),
-    );
-    if sent != expected {
-        return Err(OtError::Protocol(format!(
-            "sender sent {sent} constants, receiver expected {expected}"
-        )));
-    }
-    let mut constants = elements(group, &constants, "constant")?;
-    constants.insert(0, commitment.big_c.clone());
-
-    // Step 2: PK_σ = g^x, so only PK_σ's discrete log is known.
+    // Step 1: PK_σ = g^x, so only PK_σ's discrete log is known.
+    let constants = powers(group, &commitment.big_c, num_messages.saturating_sub(1));
     let mut exponents = Vec::with_capacity(indices.len());
     let mut keys = Vec::with_capacity(indices.len() * group.element_len());
     for &index in indices {
-        let x = group.random_exponent(rng);
-        let pk = group.power_g(&x);
-        let pk0 = match index {
-            0 => pk,
-            _ => group.mul(&constants[index - 1], &group.inv(&pk)),
-        };
+        let (x, pk0) = key_pair(group, rng, index.checked_sub(1).map(|i| &constants[i]));
         keys.extend_from_slice(&group.element_bytes(&pk0));
         exponents.push(x);
     }
     io.send_msg(KIND_OT1N_KEYS, &keys)?;
 
-    // Step 3: z_σ = (g^r)^x opens E_σ of its query's table.
+    // Step 2: z_σ = (g^r)^x opens E_σ of its query's table.
     let tables: Vec<u8> = io.recv_msg(KIND_OT1N_TABLES).await?;
     let msg_len = tables_msg_len(&tables, indices.len(), num_messages)?;
     let table_len = PAD_NONCE_LEN + num_messages * msg_len;
@@ -375,6 +367,36 @@ mod tests {
         assert!(matches!(res.unwrap_err(), OtError::Protocol(_)));
     }
 
+    #[test]
+    fn receivers_x_is_a_full_length_draw() {
+        // Only the sender's r is short. PK_0 must be uniform in ⟨g⟩ for the
+        // chooser's privacy to be perfect, so x stays the draw from
+        // [2, q): at σ = 0 the key on the wire is g^x for exactly that x.
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let commitment = ReceiverCommitment {
+                big_c: group.power_g(&BigUint::from(3u32)),
+                g_r: group.fixed_base(&group.power_g(&BigUint::from(5u32))),
+            };
+            let mut receiver = ProtocolEngine::new(|io| async move {
+                otkn_receive_io(group, &io, &mut rng, 4, &[0, 2], &commitment).await
+            });
+            let out = receiver.poll_output().expect("the keys frame");
+            let keys: Vec<u8> = out.frames()[0].decode_as(KIND_OT1N_KEYS).unwrap();
+            let mut same_seed = StdRng::seed_from_u64(5);
+            let x = group.random_exponent(&mut same_seed);
+            assert_eq!(
+                keys[..group.element_len()],
+                group.element_bytes(&group.power_g(&x))
+            );
+            // …and at σ = 2 it is C² / g^x′ for the next such draw.
+            let x_next = group.random_exponent(&mut same_seed);
+            let c_squared = group.power_g(&BigUint::from(6u32));
+            let pk0_next = group.mul(&c_squared, &group.inv(&group.power_g(&x_next)));
+            assert_eq!(keys[group.element_len()..], group.element_bytes(&pk0_next));
+        }
+    }
+
     /// One answered query as it crossed the wire: `R, E_0 … E_{N−1}`.
     struct Table {
         nonce: Vec<u8>,
@@ -408,34 +430,30 @@ mod tests {
                 break;
             };
             for frame in out.frames() {
-                let body = |kind| frame.decode_as::<Vec<u8>>(kind).unwrap();
-                match frame.kind {
-                    KIND_OT12_C => {
-                        let (c, r): (Vec<u8>, Vec<u8>) = frame.decode_as(KIND_OT12_C).unwrap();
-                        big_c = group.element_from_bytes(&c).unwrap();
-                        g_r = group.element_from_bytes(&r).unwrap();
-                    }
-                    KIND_OT1N_CONSTANTS => {
-                        let mut constants = vec![big_c.clone()];
-                        let own = body(KIND_OT1N_CONSTANTS);
-                        constants.extend(elements(group, &own, "constant").unwrap());
-                        let keys = keys_for(&constants).map(|pk0| group.element_bytes(&pk0));
-                        sender.handle_input(Frame::encode(KIND_OT1N_KEYS, &keys.concat()));
-                    }
-                    _ => {
-                        let blob = body(KIND_OT1N_TABLES);
-                        let n = transfers[tables.len() / 2].len();
-                        let msg_len = tables_msg_len(&blob, 2, n).unwrap();
-                        let answered =
-                            blob[TABLES_HEADER_LEN..].chunks_exact(PAD_NONCE_LEN + n * msg_len);
-                        tables.extend(answered.map(|table| {
-                            let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
-                            Table {
-                                nonce: nonce.to_vec(),
-                                slots: slots.chunks_exact(msg_len).map(<[u8]>::to_vec).collect(),
-                            }
-                        }));
-                    }
+                // The commitment opens the first transfer, a transfer's
+                // tables the next one.
+                if frame.kind == KIND_OT12_C {
+                    let (c, r): (Vec<u8>, Vec<u8>) = frame.decode_as(KIND_OT12_C).unwrap();
+                    big_c = group.element_from_bytes(&c).unwrap();
+                    g_r = group.element_from_bytes(&r).unwrap();
+                } else {
+                    let blob: Vec<u8> = frame.decode_as(KIND_OT1N_TABLES).unwrap();
+                    let n = transfers[tables.len() / 2].len();
+                    let msg_len = tables_msg_len(&blob, 2, n).unwrap();
+                    let answered =
+                        blob[TABLES_HEADER_LEN..].chunks_exact(PAD_NONCE_LEN + n * msg_len);
+                    tables.extend(answered.map(|table| {
+                        let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
+                        Table {
+                            nonce: nonce.to_vec(),
+                            slots: slots.chunks_exact(msg_len).map(<[u8]>::to_vec).collect(),
+                        }
+                    }));
+                }
+                if let Some(next) = transfers.get(tables.len() / 2) {
+                    let constants = powers(group, &big_c, next.len() - 1);
+                    let keys = keys_for(&constants).map(|pk0| group.element_bytes(&pk0));
+                    sender.handle_input(Frame::encode(KIND_OT1N_KEYS, &keys.concat()));
                 }
             }
         }
@@ -520,6 +538,7 @@ mod tests {
             for sigma in 0..n {
                 let mut rng = StdRng::seed_from_u64(100 + sigma as u64);
                 let (g_r, tables) = script_receiver(group, &mut rng, &[&msgs], |constants| {
+                    // By the definition, not by `key_pair`: C_σ / PK_σ.
                     let pk0 = match sigma {
                         0 => pk.clone(),
                         _ => group.mul(&constants[sigma - 1], &group.inv(&pk)),

@@ -1,14 +1,13 @@
 //! Offline/online phase split for the OT engines.
 //!
-//! The input-independent work on the OT sender's critical path that is
-//! known before any transfer's `N` is the Naor–Pinkas commitment:
-//! `C = g^c`, `g^r` and `C^r`, three fixed-base powers in the MODP
-//! group, drawn once per batch and transmitted before any transfer.
-//! (The per-transfer constants of [`kn`](crate::kn) are
-//! input-independent too, but sized by `N`; they are still drawn
-//! online.)
-//! [`OtOfflineCommitment::precompute`] pays them ahead of time (e.g.
-//! from a server's idle loop) and [`ot_begin_send_precomputed_io`]
+//! All the input-independent work of a Naor–Pinkas sender is its
+//! commitment: `C = g^c`, `g^r` and `C^r`, three fixed-base powers in
+//! the MODP group, drawn once per batch and transmitted before any
+//! transfer. The constants of a [`kn`](crate::kn) transfer are powers of
+//! that `C`, whatever its `N`, so nothing else can be prepared before
+//! the receiver's keys arrive.
+//! [`OtOfflineCommitment::precompute`] pays the commitment ahead of time
+//! (e.g. from a server's idle loop) and [`ot_begin_send_precomputed_io`]
 //! replays the result onto a live session — the wire format is identical
 //! to the monolithic [`ot_begin_send_io`](crate::ot_begin_send_io) path,
 //! so the receiver cannot tell the difference. The commitment's secret

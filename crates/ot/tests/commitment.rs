@@ -1,16 +1,18 @@
 //! The Naor–Pinkas commitment from outside the crate: the call shapes
 //! the `benchmark/` package compiles against (tier-1 does not build it,
 //! so a signature drift has to fail here), and what a hostile peer can do
-//! with the frames — every malformed commitment, payload, constants,
-//! keys or tables frame ends in a typed [`OtError`], never a panic.
+//! with the frames — every malformed commitment, payload, keys or tables
+//! frame, and a frame of the retired constants kind, ends in a typed
+//! [`OtError`], never a panic.
 
+use num_bigint::BigUint;
 use ppcs_crypto::DhGroup;
 use ppcs_ot::{
     commit_c_io, ot12_receive_io, ot12_receive_precommitted_io, ot12_send_precommitted_io,
     ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, receive_c_io, IknpOt,
     NaorPinkasOt, ObliviousTransfer, OtBatchState, OtError, OtSelect, TrustedSimOt,
 };
-use ppcs_transport::{run_engine_pair, Frame, ProtocolEngine};
+use ppcs_transport::{run_engine_pair, Frame, ProtocolEngine, TransportError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +20,7 @@ use rand::SeedableRng;
 const KIND_OT12_C: u16 = 0x0100;
 const KIND_OT12_PK0: u16 = 0x0101;
 const KIND_OT12_PAYLOAD: u16 = 0x0102;
+/// Retired: the constants of a transfer are powers of `C`, not a frame.
 const KIND_OT1N_CONSTANTS: u16 = 0x0200;
 const KIND_OT1N_KEYS: u16 = 0x0201;
 const KIND_OT1N_TABLES: u16 = 0x0202;
@@ -164,18 +167,27 @@ fn element(group: &DhGroup, seed: u64) -> Vec<u8> {
     group.element_bytes(&group.power_g(&group.random_exponent(&mut rng)))
 }
 
+/// `0`, `1`, `p − 1` and `p`: the values either side of `[2, p − 2]`.
+/// `1` and `p − 1` are the subgroup of order two — a `g^r = 1` makes
+/// every pad predictable, and `PK_0 = p − 1` comes back as the parity of
+/// the sender's `r`.
+fn out_of_range(group: &DhGroup) -> [Vec<u8>; 4] {
+    let (one, p) = (BigUint::from(1u32), group.modulus());
+    [BigUint::default(), one.clone(), p - &one, p.clone()].map(|v| group.element_bytes(&v))
+}
+
 #[test]
 fn malformed_commitments_are_typed_errors() {
     let group = DhGroup::modp_768();
     let good = element(group, 1);
-    let zero = vec![0u8; group.element_len()];
-    let modulus = group.element_bytes(group.modulus());
+    let [zero, one, minus_one, modulus] = out_of_range(group);
     let mut long = good.clone();
     long.push(1);
     // The commitment as it was before C travelled with g^r: one element.
     let old = receive_against(vec![Frame::encode(KIND_OT12_C, &good)]);
     assert!(matches!(old, Err(OtError::Transport(_))), "{old:?}");
-    for g_r in [&zero, &modulus, &long, &good[1..].to_vec(), &Vec::new()] {
+    let (short, empty) = (good[1..].to_vec(), Vec::new());
+    for g_r in [&zero, &one, &minus_one, &modulus, &long, &short, &empty] {
         for body in [(good.clone(), g_r.clone()), (g_r.clone(), good.clone())] {
             let got = receive_against(vec![Frame::encode(KIND_OT12_C, &body)]);
             assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
@@ -211,6 +223,16 @@ fn verdict_on_forged(
     kind: u16,
     body: &[u8],
 ) -> Result<Vec<Vec<u8>>, OtError> {
+    verdict_on_replaced(sel, to_sender, kind, &Frame::encode(kind, &body.to_vec()))
+}
+
+/// [`verdict_on_forged`] with any frame, of any kind, as the forgery.
+fn verdict_on_replaced(
+    sel: OtSelect,
+    to_sender: bool,
+    kind: u16,
+    forgery: &Frame,
+) -> Result<Vec<Vec<u8>>, OtError> {
     let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4]).collect();
     let (messages, state) = (&messages, &OtBatchState::default());
     let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
@@ -222,7 +244,7 @@ fn verdict_on_forged(
         ot_receive_io(sel, state, &io, &mut rng_r, 8, &[5, 0]).await
     });
     let forge = |f: Frame| match f.kind == kind {
-        true => Frame::encode(kind, &body.to_vec()),
+        true => forgery.clone(),
         false => f,
     };
     match to_sender {
@@ -236,27 +258,46 @@ fn assert_protocol_error(got: Result<Vec<Vec<u8>>, OtError>, case: &str) {
 }
 
 #[test]
-fn malformed_constants_are_typed_errors() {
-    // An honest 1-of-8 constants frame is C_2 … C_7: six elements.
+fn stray_constants_frame_is_a_typed_error() {
+    // 0x0200 carried a transfer's constants until they became powers of
+    // C. Where the sender expects keys, or the receiver tables, it is a
+    // frame of the wrong kind.
     let group = DhGroup::modp_768();
     let sel = NaorPinkasOt::fast_insecure().select();
-    let good: Vec<u8> = (1..=6).flat_map(|seed| element(group, seed)).collect();
-    let len = group.element_len();
-    let with =
-        |at: usize, bad: Vec<u8>| [&good[..at * len], &bad, &good[(at + 1) * len..]].concat();
-    for (case, body) in [
-        ("one constant short", good[len..].to_vec()),
-        ("one constant over", [&good[..], &good[..len]].concat()),
-        ("no constants", Vec::new()),
-        ("a truncated element", good[..good.len() - 1].to_vec()),
-        ("a zero element", with(2, vec![0u8; len])),
-        ("the modulus", with(5, group.element_bytes(group.modulus()))),
-    ] {
-        let got = verdict_on_forged(sel, false, KIND_OT1N_CONSTANTS, &body);
-        assert_protocol_error(got, case);
+    let constants: Vec<u8> = (1..=6).flat_map(|seed| element(group, seed)).collect();
+    let stray = Frame::encode(KIND_OT1N_CONSTANTS, &constants);
+    for (to_sender, awaited) in [(true, KIND_OT1N_KEYS), (false, KIND_OT1N_TABLES)] {
+        let got = verdict_on_replaced(sel, to_sender, awaited, &stray);
+        let Err(OtError::Transport(TransportError::UnexpectedFrame { expected, got, .. })) = got
+        else {
+            panic!("a constants frame in place of 0x{awaited:04x}: {got:?}");
+        };
+        assert_eq!((expected, got), (awaited, KIND_OT1N_CONSTANTS));
     }
-    let honest = verdict_on_forged(sel, false, KIND_OT1N_CONSTANTS, &good);
-    assert!(honest.is_ok(), "any six group elements are constants");
+}
+
+#[test]
+fn malformed_pk0_is_a_typed_error() {
+    // The 1-out-of-2 sender, as the IKNP set-up runs it, lied to in its
+    // one inbound frame.
+    let group = DhGroup::modp_768();
+    let good = element(group, 1);
+    let verdict = |pk0: &[u8]| {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let c = commit_c_io(group, &io, &mut rng)?;
+            ot12_send_precommitted_io(group, &io, &mut rng, &[1; 32], &[2; 32], 7, &c).await
+        });
+        while sender.poll_output().is_some() {}
+        sender.handle_input(Frame::encode(KIND_OT12_PK0, &pk0.to_vec()));
+        while sender.poll_output().is_some() {}
+        sender.take_result().expect("the sender reached a verdict")
+    };
+    for pk0 in out_of_range(group).iter().chain([&good[1..].to_vec()]) {
+        let got = verdict(pk0);
+        assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
+    }
+    assert_eq!(verdict(&good), Ok(()), "any element of [2, p − 2] is a key");
 }
 
 #[test]
@@ -265,17 +306,18 @@ fn malformed_keys_are_typed_errors() {
     let sel = NaorPinkasOt::fast_insecure().select();
     let good = [element(group, 1), element(group, 2)].concat();
     let len = group.element_len();
+    let [zero, one, minus_one, modulus] = out_of_range(group);
     for (case, body) in [
         (
             "half an element over",
             [&good[..], &good[..len / 2]].concat(),
         ),
         ("one byte short", good[..2 * len - 1].to_vec()),
-        ("a zero key", [&good[..len], &vec![0u8; len][..]].concat()),
-        (
-            "the modulus",
-            [&group.element_bytes(group.modulus())[..], &good[len..]].concat(),
-        ),
+        ("no keys", Vec::new()),
+        ("a zero key", [&good[..len], &zero[..]].concat()),
+        ("the key 1", [&one[..], &good[len..]].concat()),
+        ("the key p − 1", [&good[..len], &minus_one[..]].concat()),
+        ("the modulus", [&modulus[..], &good[len..]].concat()),
     ] {
         let got = verdict_on_forged(sel, true, KIND_OT1N_KEYS, &body);
         assert_protocol_error(got, case);
@@ -302,6 +344,7 @@ fn malformed_tables_are_typed_errors() {
     for (case, blob) in [
         ("empty", Vec::new()),
         ("shorter than its header", tables(2, 8, 4, 0)[..23].to_vec()),
+        ("no queries", tables(0, 8, 4, 0)),
         ("one query short", tables(1, 8, 4, 48)),
         ("one query over", tables(3, 8, 4, 144)),
         ("another N", tables(2, 9, 4, 104)),
@@ -312,6 +355,31 @@ fn malformed_tables_are_typed_errors() {
         let got = verdict_on_forged(sel, false, KIND_OT1N_TABLES, &blob);
         assert_protocol_error(got, case);
     }
+}
+
+#[test]
+fn opening_nothing_is_an_empty_keys_frame_and_a_header_only_table() {
+    // k = 0 is a transfer like any other: the sender inverts no z_0.
+    let sel = NaorPinkasOt::fast_insecure().select();
+    let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4]).collect();
+    let (messages, state) = (&messages, &OtBatchState::default());
+    let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ot_send_io(sel, state, &io, &mut rng_s, messages, 0).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ot_receive_io(sel, state, &io, &mut rng_r, 8, &[]).await
+    });
+    let mut to_receiver = Vec::new();
+    let got = pump_tampered(&mut sender, &mut receiver, |f| {
+        to_receiver.push(f.clone());
+        f
+    });
+    assert_eq!(got, Ok(Vec::new()));
+    assert_eq!(to_receiver.len(), 2, "commitment, tables");
+    let header_only = Frame::encode(KIND_OT1N_TABLES, &tables(0, 8, 4, 0));
+    assert_eq!(to_receiver[1], header_only);
+    assert_eq!(sender.take_result(), Some(Ok(())));
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Golden transcripts: SHA-256 of the recorded frames of seeded
-//! sessions. The two Naor–Pinkas digests were last re-pinned by a change
-//! to the protocol itself: k-out-of-N is now k instances of Naor–Pinkas
-//! 1-out-of-N (their Protocol 3.1) instead of `k·⌈log₂N⌉` 1-out-of-2
-//! transfers of bit keys, so a transfer is three frames — the sender's
-//! constants `C_2 … C_{N−1}`, the receiver's `k` keys `PK_0`, and `k`
-//! tables `R ‖ E_0 … E_{N−1}` — behind the unchanged commitment frame
-//! `(C, g^r)`. The IKNP digest was computed at the commit before that
-//! change and did not move with it: the 1-out-of-2 transfer its base
-//! phase runs on, and everything above it, are byte for byte what they
-//! were. Any change *under* the protocol — a new exponentiation kernel, a
-//! fixed-base table or its shape, another inversion — must still leave
-//! every frame, and so these digests, as they are; a change to the
-//! protocol, to the order of RNG draws or to the codec has to re-pin
-//! them and say so here.
+//! sessions. All three digests were last re-pinned, once, by a change to
+//! the protocol itself. The sender's `r` is a 256-bit draw instead of a
+//! full-length one, which shifts every later draw from its RNG — the
+//! IKNP digest moved for that alone, its 1-out-of-2 base phase being
+//! otherwise frame for frame what it was. And the constants of a
+//! 1-out-of-N transfer are the powers `C_i = C^i` of the commitment's
+//! `C` instead of a frame of random elements, so a Naor–Pinkas transfer
+//! is two frames — the receiver's `k` keys `PK_0`, then `k` tables
+//! `R ‖ E_0 … E_{N−1}` — behind the unchanged commitment frame
+//! `(C, g^r)`. What the receiver sends did not change meaning:
+//! `C_σ · g^(p−1−x)` is the group element `C_σ / g^x` was
+//! (`base::tests::commitment_identities_hold_on_random_elements`). Any
+//! change *under* the protocol — a new exponentiation kernel, a
+//! fixed-base table or its shape, another way to invert — must still
+//! leave every frame, and so all three digests, as they are; a change to
+//! the protocol, to the order or width of RNG draws or to the codec has
+//! to re-pin them and say so here.
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_crypto::Sha256;
@@ -63,7 +66,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "33fac674677723b2eb54858dcad6c9d14b25ae1880e9872442b8bc0774d8c5a4",
+        digest, "dcf5fe571fd37053307e0718586d0e1b7349a03fea3064cb835fe44b434b65af",
         "the NP-768 classification transcript changed"
     );
 }
@@ -97,7 +100,7 @@ fn four_of_eight(sel: OtSelect) -> String {
 fn np2048_four_of_eight_transfer_is_pinned() {
     assert_eq!(
         four_of_eight(NaorPinkasOt::new().select()),
-        "ae0c87547f6af9fbd0e9b3d2e70c6b961dfc5ba4ada36a573accf9ea7e518341",
+        "16d090e1d6a16614e4a3cb3c9c0cf3a5d7aa6cb5e0c5f72dc4dc9da1f5013cee",
         "the MODP-2048 4-of-8 transfer transcript changed"
     );
 }
@@ -106,14 +109,15 @@ fn np2048_four_of_eight_transfer_is_pinned() {
 fn iknp768_four_of_eight_transfer_is_pinned() {
     assert_eq!(
         four_of_eight(IknpOt::fast_insecure().select()),
-        "9eb4fc0cef52ae6319b00723813c1e93b5be6a75fb90a1a44580fbb724bd6b8a",
+        "f116a5f21ebaa879552e93666872d492e5f248982dbf2bff95cfbe23f8f68628",
         "the IKNP-768 4-of-8 transfer transcript changed"
     );
 }
 
 #[test]
-fn np768_classified_sample_is_four_ot_frames() {
-    // One commitment per session and three frames per transfer: a
+fn np768_classified_sample_is_three_ot_frames() {
+    // One commitment per session and two frames — one round trip — per
+    // transfer, none of them the retired constants kind 0x0200: a
     // schedule regression fails here, not only in the benchmark's
     // `frames_per_result`.
     let ds = blob_dataset(4, 60, 7);
@@ -134,7 +138,7 @@ fn np768_classified_sample_is_four_ot_frames() {
         Driver::new().drive(&ep, &mut engine).expect("classify");
     });
     // (kind, frames the client sent, frames it received) over the OT's
-    // range of kinds: commitment, constants, keys, tables.
+    // range of kinds: commitment, keys, tables.
     let ot_frames: Vec<(u16, u64, u64)> = ep
         .stats()
         .by_kind
@@ -142,13 +146,5 @@ fn np768_classified_sample_is_four_ot_frames() {
         .filter(|k| (0x0100..0x0400).contains(&k.kind))
         .map(|k| (k.kind, k.frames_sent, k.frames_received))
         .collect();
-    assert_eq!(
-        ot_frames,
-        [
-            (0x0100, 0, 1),
-            (0x0200, 0, 1),
-            (0x0201, 1, 0),
-            (0x0202, 0, 1)
-        ]
-    );
+    assert_eq!(ot_frames, [(0x0100, 0, 1), (0x0201, 1, 0), (0x0202, 0, 1)]);
 }
