@@ -1,11 +1,12 @@
 //! **Fig. 8** — Accuracy of nonlinear (degree-3 polynomial kernel) data
 //! classification: original SVM vs the privacy-preserving scheme.
 //!
-//! The private leg requires the monomial expansion `C(n+2, 3)`; madelon's
-//! 500 dimensions would need ~2.1·10⁷ monomials and gigabytes of cover
-//! polynomials per sample, so its private column runs on a
-//! reduced-dimension (30-feature) variant — the protocol-parity property
-//! being verified is dimension-independent (see DESIGN.md §5).
+//! The private leg has the trainer hold one coefficient per monomial,
+//! `C(n+2, 3)` of them; madelon's 500 dimensions would mean ~2.1·10⁷
+//! coefficients (0.7 GB of field elements) and as many products per
+//! submitted point, so its private column runs on a reduced-dimension
+//! (30-feature) variant — the protocol-parity property being verified is
+//! dimension-independent (see DESIGN.md §5).
 //!
 //! ```text
 //! cargo run -p ppcs-bench --bin fig8 --release

@@ -8,10 +8,20 @@
 //!
 //! Linear models run OMPE directly on the decision function
 //! `d(t) = wᵀt + b` (§IV-A). Nonlinear models are first rewritten as a
-//! linear function of monomial features `τ` (§IV-B, see
-//! [`expansion`](crate::expansion)); the client maps `t̃ ↦ τ̃` locally and
-//! the same machinery applies, with the masking degree raised to `p·q` as
-//! in the paper.
+//! degree-`p` polynomial in the coordinates of `t` (§IV-B, see
+//! [`expansion`](crate::expansion)) and served the same way: the client
+//! hides the `n` coordinates of `t̃` — never the monomials — and the
+//! trainer evaluates the polynomial on each submitted `n`-vector, so the
+//! composite polynomial has degree `p·q` and `p·q + 1` positions are
+//! opened, as in the paper. Every model, linear included, is one
+//! [`DensePoly`] behind one code path.
+//!
+//! **Fixed point.** Inputs sit at scale 1. A degree-`j` coefficient of a
+//! degree-`p` model is encoded at scale `COEFF_SCALE + (p − j)`, the bias
+//! at `p + COEFF_SCALE`, so every term of the evaluated polynomial — and
+//! the value the client decodes — sits at scale `p + COEFF_SCALE` (2 for
+//! a linear model). [`Trainer::new`] refuses a degree the field cannot
+//! hold at that scale.
 //!
 //! A **fresh amplifier `r_a` is drawn per classification**: Section VI-A
 //! shows that reusing one would let a colluding client reconstruct the
@@ -22,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use ppcs_math::{Algebra, DenseAffine};
+use ppcs_math::{expanded_dimension, Algebra, DensePoly, FixedFpAlgebra, PolyEval};
 use ppcs_ompe::{
     ompe_receive_batch_io, ompe_receive_batch_offline_io, ompe_receive_io, ompe_send_batch_io,
     ompe_send_batch_offline_io, ompe_send_io, ompe_send_offline_io, params_fingerprint, OmpeError,
@@ -39,7 +49,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::config::ProtocolConfig;
 use crate::error::PpcsError;
-use crate::expansion::{expand_model, BasisKind};
+use crate::expansion::{expand_model, BasisKind, ExpandedDecision};
 
 pub(crate) const KIND_CLS_HELLO: u16 = 0x0500;
 pub(crate) const KIND_CLS_SPEC: u16 = 0x0501;
@@ -67,9 +77,19 @@ pub(crate) fn transport_cause(e: &PpcsError) -> Option<&TransportError> {
     }
 }
 
-/// Fixed-point scale power of the decision value both sides decode at
-/// (inputs and coefficients sit at scale 1, so products sit at 2).
-const OUTPUT_SCALE: u32 = 2;
+/// Fixed-point scale power of a top-degree coefficient (see the module
+/// docs). One is what the linear protocol has always used, so its wire
+/// bytes stay as they were; it rounds each coefficient to `2^-frac_bits`
+/// exactly as the monomial-basis path did (which rounded each monomial
+/// too), and on the 2 600-coefficient german.numer model the decoded
+/// value stays within 2.8e-4 of `SvmModel::decision`. A second scale
+/// power would leave only the inputs' own rounding (5.4e-5 there) but
+/// costs `frac_bits` bits of the degree the field can carry.
+const COEFF_SCALE: u32 = 1;
+
+/// Bits reserved for the magnitude of the decision value itself, above
+/// its scale and the amplifier: `|d(t)| < 2^32`.
+const MAGNITUDE_BITS: u32 = 32;
 
 /// Upper bound on the per-session batch size a trainer accepts from the
 /// client's HELLO. The trainer allocates one amplified secret per
@@ -78,41 +98,27 @@ const OUTPUT_SCALE: u32 = 2;
 pub const MAX_BATCH_SAMPLES: u64 = 4096;
 
 /// Upper bound on the sample dimensionality a wire-decoded spec may
-/// declare, and on the monomial arity it may expand to.
+/// declare.
 pub(crate) const MAX_SPEC_DIM: usize = 4096;
-pub(crate) const MAX_SPEC_ARITY: u64 = 1 << 20;
-
-/// How the client must derive the OMPE input vector from a raw sample —
-/// public protocol metadata sent by the trainer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InputForm {
-    /// Use the sample coordinates directly (linear models).
-    Direct,
-    /// Map the sample to monomial features in the given basis
-    /// (expanded nonlinear models).
-    Monomials(BasisKind),
-}
 
 /// The public session header describing the protocol instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassifySpec {
-    /// Raw sample dimensionality `n`.
+    /// Raw sample dimensionality `n` — the arity of the OMPE input.
     pub dim: usize,
-    /// Input derivation rule.
-    pub input_form: InputForm,
+    /// The monomial basis of the trainer's polynomial (`None`: a linear
+    /// model). Its degree is `ompe.degree_bound`, which is all the
+    /// client takes from it: the scale its result decodes at.
+    pub basis: Option<BasisKind>,
     /// OMPE parameters (degree bound, masking degree, decoy factor).
     pub ompe: OmpeParams,
 }
 
 impl ClassifySpec {
-    /// Arity of the OMPE input vector.
-    pub fn input_arity(&self) -> usize {
-        match self.input_form {
-            InputForm::Direct => self.dim,
-            InputForm::Monomials(basis) => {
-                basis.len(self.dim).expect("validated at construction") as usize
-            }
-        }
+    /// Fixed-point scale power of the decision value both sides decode
+    /// at.
+    fn output_scale(&self) -> u32 {
+        self.ompe.degree_bound as u32 + COEFF_SCALE
     }
 
     /// A short commitment to the wire form of this spec, used by warm
@@ -128,10 +134,10 @@ impl ClassifySpec {
     }
 
     pub(crate) fn encode_wire(&self) -> Vec<u64> {
-        let (tag, degree) = match self.input_form {
-            InputForm::Direct => (0u64, 0u64),
-            InputForm::Monomials(BasisKind::Homogeneous { degree }) => (1, degree as u64),
-            InputForm::Monomials(BasisKind::UpTo { degree }) => (2, degree as u64),
+        let (tag, degree) = match self.basis {
+            None => (0u64, 0u64),
+            Some(BasisKind::Homogeneous { degree }) => (1, degree as u64),
+            Some(BasisKind::UpTo { degree }) => (2, degree as u64),
         };
         vec![
             self.dim as u64,
@@ -159,32 +165,22 @@ impl ClassifySpec {
             })?;
         let degree = u32::try_from(*degree)
             .map_err(|_| PpcsError::Protocol(format!("spec degree {degree} exceeds u32")))?;
-        let input_form = match tag {
-            0 => InputForm::Direct,
-            1 => InputForm::Monomials(BasisKind::Homogeneous { degree }),
-            2 => InputForm::Monomials(BasisKind::UpTo { degree }),
-            _ => return Err(PpcsError::Protocol(format!("unknown input form {tag}"))),
+        let basis = match tag {
+            0 => None,
+            1 => Some(BasisKind::Homogeneous { degree }),
+            2 => Some(BasisKind::UpTo { degree }),
+            _ => return Err(PpcsError::Protocol(format!("unknown basis kind {tag}"))),
         };
-        // `input_arity` unwraps the basis size, so a dim/degree pair
-        // whose monomial count overflows or explodes must fail here —
-        // a typed error, not a later panic or allocation.
-        if let InputForm::Monomials(basis) = input_form {
-            basis
-                .len(dim)
-                .filter(|&arity| arity <= MAX_SPEC_ARITY)
-                .ok_or_else(|| {
-                    PpcsError::Protocol(format!(
-                        "monomial basis for dim {dim}, degree {degree} exceeds \
-                         arity cap {MAX_SPEC_ARITY}"
-                    ))
-                })?;
+        // The degree is stated twice on the wire; the client decodes its
+        // result at the scale the OMPE bound implies, so the two must
+        // agree.
+        if basis.map_or(1, |b| *b.degrees().end() as u64) != *bound {
+            return Err(PpcsError::Protocol(format!(
+                "spec basis {basis:?} disagrees with OMPE degree bound {bound}"
+            )));
         }
         let ompe = OmpeParams::new(*bound as usize, *sigma as usize, *decoy as usize)?;
-        Ok(Self {
-            dim,
-            input_form,
-            ompe,
-        })
+        Ok(Self { dim, basis, ompe })
     }
 }
 
@@ -197,7 +193,7 @@ impl ClassifySpec {
 pub struct Trainer<A: Algebra> {
     alg: A,
     cfg: ProtocolConfig,
-    base: DenseAffine<A>,
+    base: DensePoly<A>,
     spec: ClassifySpec,
     /// The serving process's incarnation, advertised in the cold `SPEC`,
     /// the warm `TICKET`, and `KIND_HEALTH` replies. A restarted trainer
@@ -206,90 +202,141 @@ pub struct Trainer<A: Algebra> {
     epoch: u64,
 }
 
+/// `r_a · P(y)`: one sample's amplified secret as a view of the trainer's
+/// one polynomial — a product per submitted point, where a scaled copy
+/// costs a product (and 32 bytes) per coefficient. Over the field
+/// `M(x) + r_a·P(y)` is the same element either way.
+struct Amplified<'a, A: Algebra> {
+    base: &'a DensePoly<A>,
+    amplifier: A::Elem,
+}
+
+impl<A: Algebra> PolyEval<A> for Amplified<'_, A> {
+    fn num_vars(&self) -> usize {
+        self.base.num_vars()
+    }
+    fn total_degree(&self) -> usize {
+        self.base.total_degree()
+    }
+    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+        alg.mul(&self.amplifier, &self.base.eval(alg, y))
+    }
+}
+
 impl<A: Algebra> Trainer<A>
 where
     A::Elem: Encodable,
 {
     /// Prepares a trained model for private serving: expands nonlinear
-    /// kernels into monomial form and fixed-point-encodes the
+    /// kernels into polynomial form and fixed-point-encodes the
     /// coefficients.
     ///
     /// # Errors
     ///
-    /// [`PpcsError::Config`] on an invalid configuration,
-    /// [`PpcsError::Expansion`] if the kernel cannot be expanded within
-    /// the configured cap.
+    /// [`PpcsError::Config`] on an invalid configuration or a model
+    /// degree the numeric backend cannot hold (the message names the
+    /// largest `frac_bits` that can), [`PpcsError::Expansion`] if the
+    /// kernel cannot be expanded within the configured cap.
     pub fn new(alg: A, model: &SvmModel, cfg: ProtocolConfig) -> Result<Self, PpcsError> {
         cfg.validate()?;
-        let (weights, bias, input_form, degree_bound) = match model.kernel() {
+        match model.kernel() {
             Kernel::Linear => {
                 let w = model
                     .linear_weights()
                     .expect("linear kernel always has weights");
-                (w, model.bias(), InputForm::Direct, 1)
+                Self::build(alg, cfg, model.dim(), None, &w, model.bias())
             }
-            kernel => {
-                let expanded = expand_model(model, &cfg)?;
-                // The paper sets the nonlinear masking degree to p·q: the
-                // OMPE degree bound is the original kernel degree even
-                // though the expanded secret is affine in τ.
-                let bound = match (kernel, expanded.basis) {
-                    (_, BasisKind::Homogeneous { degree }) => degree as usize,
-                    (_, BasisKind::UpTo { degree }) => degree as usize,
-                };
-                (
-                    expanded.coeffs,
-                    expanded.bias,
-                    InputForm::Monomials(expanded.basis),
-                    bound,
-                )
-            }
-        };
-        let spec = ClassifySpec {
-            dim: model.dim(),
-            input_form,
-            ompe: OmpeParams::new(degree_bound, cfg.sigma, cfg.decoy_factor)?,
-        };
-        let encoded_weights = weights.iter().map(|w| alg.encode(*w, 1)).collect();
-        let encoded_bias = alg.encode(bias, OUTPUT_SCALE);
-        Ok(Self {
-            alg,
-            cfg,
-            base: DenseAffine::new(encoded_weights, encoded_bias),
-            spec,
-            epoch: 0,
-        })
+            _ => Self::from_expanded(alg, &expand_model(model, &cfg)?, cfg),
+        }
     }
 
     /// Prepares an already-expanded decision function for private
     /// serving — the entry point for classifier families that are
     /// natively polynomial, such as Gaussian Naive Bayes
-    /// ([`crate::expansion::ExpandedDecision::from_quadratic_diag`]).
+    /// ([`ExpandedDecision::from_quadratic_diag`]).
     ///
     /// # Errors
     ///
-    /// [`PpcsError::Config`] on an invalid configuration.
+    /// [`PpcsError::Config`] as for [`Trainer::new`];
+    /// [`PpcsError::Expansion`] if `expanded` does not hold one
+    /// coefficient per monomial of its basis.
     pub fn from_expanded(
         alg: A,
-        expanded: &crate::expansion::ExpandedDecision,
+        expanded: &ExpandedDecision,
         cfg: ProtocolConfig,
     ) -> Result<Self, PpcsError> {
         cfg.validate()?;
-        let degree_bound = match expanded.basis {
-            BasisKind::Homogeneous { degree } => degree as usize,
-            BasisKind::UpTo { degree } => degree as usize,
-        };
+        let ExpandedDecision {
+            dim,
+            basis,
+            coeffs,
+            bias,
+        } = expanded;
+        if *dim == 0 || basis.len(*dim) != Some(coeffs.len() as u64) {
+            return Err(PpcsError::Expansion(format!(
+                "{} coefficients do not fill {basis:?} over {dim} variables",
+                coeffs.len()
+            )));
+        }
+        Self::build(alg, cfg, *dim, Some(*basis), coeffs, *bias)
+    }
+
+    /// The one construction path: `coeffs` lists the monomials of
+    /// `basis` (`None`: the `dim` linear weights) in canonical order.
+    fn build(
+        alg: A,
+        cfg: ProtocolConfig,
+        dim: usize,
+        basis: Option<BasisKind>,
+        coeffs: &[f64],
+        bias: f64,
+    ) -> Result<Self, PpcsError> {
+        let degrees = basis.map_or(1..=1, |b| b.degrees());
+        let degree = *degrees.end();
+        // A degree-`degree` product of scale-1 inputs under a top
+        // coefficient sits at `scale`; the field must hold that, the
+        // amplifier and the value's own magnitude.
+        let scale = degree + COEFF_SCALE;
+        if let Some(frac_bits) = alg.fixed_point_bits() {
+            let field = FixedFpAlgebra::BALANCED_BITS;
+            let budget =
+                (field - cfg.amplifier_bits - MAGNITUDE_BITS).min(FixedFpAlgebra::MAX_SCALE_BITS);
+            if scale.saturating_mul(frac_bits) > budget {
+                return Err(PpcsError::Config(format!(
+                    "a degree-{degree} model decodes at scale power {scale}: {scale}·{frac_bits} \
+                     scale bits + {} amplifier bits + {MAGNITUDE_BITS} magnitude bits exceed the \
+                     field's {field}; the largest frac_bits that fits is {}",
+                    cfg.amplifier_bits,
+                    budget / scale
+                )));
+            }
+        }
         let spec = ClassifySpec {
-            dim: expanded.dim,
-            input_form: InputForm::Monomials(expanded.basis),
-            ompe: OmpeParams::new(degree_bound, cfg.sigma, cfg.decoy_factor)?,
+            dim,
+            basis,
+            ompe: OmpeParams::new(degree as usize, cfg.sigma, cfg.decoy_factor)?,
         };
-        let encoded_weights = expanded.coeffs.iter().map(|w| alg.encode(*w, 1)).collect();
-        let encoded_bias = alg.encode(expanded.bias, OUTPUT_SCALE);
+        // Lower-degree terms are lifted to the common output scale by
+        // their coefficients' scale, not by extra products.
+        let mut rest = coeffs;
+        let blocks = (1..=degree)
+            .map(|j| {
+                let len = if degrees.contains(&j) {
+                    expanded_dimension(dim, j).expect("basis size checked") as usize
+                } else {
+                    0
+                };
+                let (block, tail) = rest.split_at(len);
+                rest = tail;
+                let lift = COEFF_SCALE + degree - j;
+                block.iter().map(|w| alg.encode(*w, lift)).collect()
+            })
+            .collect();
+        let base = DensePoly::new(dim, blocks, alg.encode(bias, scale));
         Ok(Self {
             alg,
             cfg,
-            base: DenseAffine::new(encoded_weights, encoded_bias),
+            base,
             spec,
             epoch: 0,
         })
@@ -355,7 +402,10 @@ where
         amplifier: A::Elem,
         material: Option<OmpeSenderOffline<A>>,
     ) -> Result<(), PpcsError> {
-        let secret = self.base.scale(&self.alg, &amplifier);
+        let secret = Amplified {
+            base: &self.base,
+            amplifier,
+        };
         match material {
             Some(pack) => {
                 ompe_send_offline_io(&self.alg, io, sel, rng, &secret, &self.spec.ompe, pack)
@@ -457,10 +507,10 @@ where
             io.send_msg(KIND_CLS_SPEC, &encode_u64s(&fields))?;
             n
         };
-        let secrets: Vec<DenseAffine<A>> = (0..num_samples)
-            .map(|_| {
-                let ra = self.alg.encode_int(self.cfg.draw_amplifier(rng));
-                self.base.scale(&self.alg, &ra)
+        let secrets: Vec<Amplified<'_, A>> = (0..num_samples)
+            .map(|_| Amplified {
+                base: &self.base,
+                amplifier: self.alg.encode_int(self.cfg.draw_amplifier(rng)),
             })
             .collect();
         match material {
@@ -680,7 +730,7 @@ where
     ) -> Result<(Label, f64), PpcsError> {
         let alpha = self.encode_input(sample, spec)?;
         let value = ompe_receive_io(&self.alg, io, sel, rng, &alpha, &spec.ompe).await?;
-        let decoded = self.alg.decode(&value, OUTPUT_SCALE);
+        let decoded = self.alg.decode(&value, spec.output_scale());
         Ok((Label::from_sign(decoded), decoded))
     }
 
@@ -791,13 +841,15 @@ where
         // Encode every sample's OMPE input up front so the whole batch
         // runs through one receiver session: cover-polynomial storage and
         // the OT base phase are reused, and all point clouds leave in one
-        // coalesced frame. The monomial expansion walks the basis
-        // enumeration once for the entire batch.
-        let alphas = self.encode_inputs(samples, &spec)?;
+        // coalesced frame.
+        let alphas: Vec<Vec<A::Elem>> = samples
+            .iter()
+            .map(|sample| self.encode_input(sample, &spec))
+            .collect::<Result<_, _>>()?;
         let values = match offline {
             Some(pack)
                 if pack.fingerprint() == params_fingerprint(sel, &spec.ompe)
-                    && pack.dim() == spec.input_arity() =>
+                    && pack.dim() == spec.dim =>
             {
                 ompe_receive_batch_offline_io(&self.alg, io, sel, rng, &alphas, &spec.ompe, pack)
                     .await?
@@ -809,7 +861,7 @@ where
         Ok(values
             .iter()
             .map(|value| {
-                let decoded = self.alg.decode(value, OUTPUT_SCALE);
+                let decoded = self.alg.decode(value, spec.output_scale());
                 (Label::from_sign(decoded), decoded)
             })
             .collect())
@@ -861,12 +913,7 @@ where
         rng: &mut dyn RngCore,
     ) -> Result<OmpeReceiverOffline<A>, PpcsError> {
         Ok(OmpeReceiverOffline::precompute(
-            &self.alg,
-            sel,
-            &spec.ompe,
-            spec.input_arity(),
-            rounds,
-            rng,
+            &self.alg, sel, &spec.ompe, spec.dim, rounds, rng,
         )?)
     }
 
@@ -932,8 +979,8 @@ where
         drive_blocking(ep, &mut engine)
     }
 
-    /// Validates a sample against the announced spec and encodes it as
-    /// the OMPE input vector.
+    /// Validates a sample against the announced spec and encodes its
+    /// coordinates — the OMPE input vector — at scale 1.
     fn encode_input(&self, sample: &[f64], spec: &ClassifySpec) -> Result<Vec<A::Elem>, PpcsError> {
         if sample.len() != spec.dim {
             return Err(PpcsError::Protocol(format!(
@@ -942,39 +989,7 @@ where
                 spec.dim
             )));
         }
-        let raw_inputs: Vec<f64> = match spec.input_form {
-            InputForm::Direct => sample.to_vec(),
-            InputForm::Monomials(basis) => basis.features(sample),
-        };
-        Ok(raw_inputs.iter().map(|v| self.alg.encode(*v, 1)).collect())
-    }
-
-    /// Batch counterpart of [`encode_input`](Client::encode_input):
-    /// validates and encodes every sample, sharing one basis-enumeration
-    /// walk across the batch for expanded nonlinear models. Row `k`
-    /// equals `encode_input(&samples[k], spec)`.
-    fn encode_inputs(
-        &self,
-        samples: &[Vec<f64>],
-        spec: &ClassifySpec,
-    ) -> Result<Vec<Vec<A::Elem>>, PpcsError> {
-        for sample in samples {
-            if sample.len() != spec.dim {
-                return Err(PpcsError::Protocol(format!(
-                    "sample has {} features, trainer expects {}",
-                    sample.len(),
-                    spec.dim
-                )));
-            }
-        }
-        let raw_rows: Vec<Vec<f64>> = match spec.input_form {
-            InputForm::Direct => samples.to_vec(),
-            InputForm::Monomials(basis) => basis.features_many(spec.dim, samples),
-        };
-        Ok(raw_rows
-            .iter()
-            .map(|row| row.iter().map(|v| self.alg.encode(*v, 1)).collect())
-            .collect())
+        Ok(sample.iter().map(|v| self.alg.encode(*v, 1)).collect())
     }
 
     /// Classifies a batch across several lanes concurrently, one session
@@ -1507,17 +1522,17 @@ mod tests {
         for spec in [
             ClassifySpec {
                 dim: 5,
-                input_form: InputForm::Direct,
+                basis: None,
                 ompe: OmpeParams::new(1, 3, 2).unwrap(),
             },
             ClassifySpec {
                 dim: 8,
-                input_form: InputForm::Monomials(BasisKind::Homogeneous { degree: 3 }),
+                basis: Some(BasisKind::Homogeneous { degree: 3 }),
                 ompe: OmpeParams::new(3, 3, 2).unwrap(),
             },
             ClassifySpec {
                 dim: 4,
-                input_form: InputForm::Monomials(BasisKind::UpTo { degree: 6 }),
+                basis: Some(BasisKind::UpTo { degree: 6 }),
                 ompe: OmpeParams::new(6, 2, 1).unwrap(),
             },
         ] {
@@ -1527,16 +1542,89 @@ mod tests {
     }
 
     #[test]
+    fn served_polynomial_is_the_expanded_decision() {
+        // The trainer's `DensePoly` and `BasisKind::features` (the
+        // oracle behind `ExpandedDecision::eval`) must enumerate the
+        // monomials in the same order, and the per-degree scale lift
+        // must land every term at the output scale.
+        let mut rng = StdRng::seed_from_u64(33);
+        let cfg = ProtocolConfig::default();
+        let fixed = FixedFpAlgebra::new(16);
+        for dim in 1..=4usize {
+            for degree in 1..=4u32 {
+                for basis in [
+                    BasisKind::Homogeneous { degree },
+                    BasisKind::UpTo { degree },
+                ] {
+                    let len = basis.len(dim).unwrap() as usize;
+                    let expanded = ExpandedDecision {
+                        dim,
+                        basis,
+                        coeffs: (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                        bias: rng.gen_range(-1.0..1.0),
+                    };
+                    let t: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let want = expanded.eval(&t);
+
+                    let float = Trainer::from_expanded(F64Algebra::new(), &expanded, cfg).unwrap();
+                    let got = float.base.eval(&float.alg, &t);
+                    assert!(
+                        (got - want).abs() < 1e-9,
+                        "{basis:?}/{dim}: {got} vs {want}"
+                    );
+
+                    let field = Trainer::from_expanded(fixed, &expanded, cfg).unwrap();
+                    let y: Vec<_> = t.iter().map(|v| fixed.encode(*v, 1)).collect();
+                    let got = fixed.decode(&field.base.eval(&fixed, &y), field.spec.output_scale());
+                    assert!(
+                        (got - want).abs() < 2e-3,
+                        "{basis:?}/{dim}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_expansions_are_typed_errors() {
+        let short = ExpandedDecision {
+            dim: 3,
+            basis: BasisKind::UpTo { degree: 2 },
+            coeffs: vec![0.5; 8],
+            bias: 0.0,
+        };
+        let cfg = ProtocolConfig::default();
+        assert!(matches!(
+            Trainer::from_expanded(F64Algebra::new(), &short, cfg),
+            Err(PpcsError::Expansion(_))
+        ));
+        let no_vars = ExpandedDecision {
+            dim: 0,
+            coeffs: Vec::new(),
+            ..short
+        };
+        assert!(matches!(
+            Trainer::from_expanded(F64Algebra::new(), &no_vars, cfg),
+            Err(PpcsError::Expansion(_))
+        ));
+    }
+
+    #[test]
+    fn spec_with_inconsistent_degrees_is_refused() {
+        // basis degree 3 under an OMPE bound of 2.
+        let err = ClassifySpec::decode_wire(&[4, 1, 3, 2, 3, 2]).unwrap_err();
+        assert!(matches!(err, PpcsError::Protocol(_)), "{err}");
+        assert!(ClassifySpec::decode_wire(&[4, 0, 0, 2, 3, 2]).is_err());
+    }
+
+    #[test]
     fn naive_bayes_private_matches_plain() {
         use ppcs_svm::GaussianNb;
         let ds = blob_data(3, 80, 12);
         let nb = GaussianNb::train(&ds);
         let form = nb.to_quadratic_form();
-        let expanded = crate::expansion::ExpandedDecision::from_quadratic_diag(
-            &form.quadratic,
-            &form.linear,
-            form.bias,
-        );
+        let expanded =
+            ExpandedDecision::from_quadratic_diag(&form.quadratic, &form.linear, form.bias);
         // The expansion must agree with the model before going private.
         for i in 0..10 {
             let t = ds.features(i);

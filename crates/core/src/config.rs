@@ -19,7 +19,8 @@ pub struct ProtocolConfig {
     pub decoy_factor: usize,
     /// Bit width of the random integer amplifiers `r_a`, `r_am`, `r_aw`.
     pub amplifier_bits: u32,
-    /// Hard cap on the monomial-basis size of expanded nonlinear models.
+    /// Hard cap on the number of coefficients (one per monomial) of an
+    /// expanded nonlinear model.
     pub max_expanded_terms: usize,
     /// Truncation order for Taylor-expanded kernels (RBF, sigmoid).
     pub taylor_order: u32,

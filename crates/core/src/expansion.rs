@@ -2,8 +2,9 @@
 //! (Section IV-B of the paper).
 //!
 //! The nonlinear protocol rests on rewriting the kernel decision function
-//! `d(t) = Σ_s c_s K(x_s, t) + b` as a *linear* function of monomial
-//! features `τ_j = Π_i t_i^{k_i}`:
+//! `d(t) = Σ_s c_s K(x_s, t) + b` as a polynomial of total degree `p` in
+//! the coordinates of `t` — one coefficient per monomial
+//! `τ_j = Π_i t_i^{k_i}`:
 //!
 //! * a homogeneous polynomial kernel `(a₀ xᵀt)^p` expands exactly over
 //!   the `C(n+p-1, p)` degree-`p` monomials (multinomial theorem);
@@ -12,11 +13,18 @@
 //! * RBF and sigmoid kernels expand approximately via Taylor truncation
 //!   (the paper's "use a large number p to approximate the infinity").
 //!
-//! Both parties derive the same deterministic monomial enumeration from
-//! the public `(dim, degree)` pair, so only the coefficient vector — the
-//! trainer's secret — differs between models.
+//! The coefficient vector is the trainer's secret and never leaves it:
+//! [`Trainer`](crate::Trainer) evaluates the polynomial on the `n`-vectors
+//! the client submits, so the client needs the public `(dim, degree)` pair
+//! only to know the scale of its result. [`BasisKind`] fixes the canonical
+//! monomial order the coefficients are listed in — the order
+//! `ppcs_math::DensePoly` reads them in — and [`BasisKind::features`] /
+//! [`ExpandedDecision::eval`] evaluate the same polynomial term by term:
+//! the in-the-clear oracle the private path is tested against, and the
+//! feature map of the nonlinear similarity protocol.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 use ppcs_svm::{Kernel, SvmModel};
 
@@ -41,6 +49,14 @@ pub enum BasisKind {
 }
 
 impl BasisKind {
+    /// The total degrees the basis holds monomials of.
+    pub fn degrees(&self) -> RangeInclusive<u32> {
+        match *self {
+            BasisKind::Homogeneous { degree } => degree..=degree,
+            BasisKind::UpTo { degree } => 1..=degree,
+        }
+    }
+
     /// The number of monomials in the basis for `dim` variables, or
     /// `None` on overflow.
     pub fn len(&self, dim: usize) -> Option<u64> {
@@ -57,13 +73,8 @@ impl BasisKind {
     /// Enumerates the basis in its canonical order, calling `f` with each
     /// monomial as a sorted (non-decreasing) tuple of variable indices.
     pub fn for_each(&self, dim: usize, mut f: impl FnMut(&[u32])) {
-        match *self {
-            BasisKind::Homogeneous { degree } => for_each_multiset(dim, degree, &mut f),
-            BasisKind::UpTo { degree } => {
-                for d in 1..=degree {
-                    for_each_multiset(dim, d, &mut f);
-                }
-            }
+        for d in self.degrees() {
+            for_each_multiset(dim, d, &mut f);
         }
     }
 
@@ -73,27 +84,6 @@ impl BasisKind {
         let mut out = Vec::new();
         self.for_each(t.len(), |tuple| {
             out.push(tuple.iter().map(|&i| t[i as usize]).product());
-        });
-        out
-    }
-
-    /// Maps every sample to its monomial features at once, walking the
-    /// basis enumeration a single time for the whole batch instead of
-    /// once per sample. Row `k` equals `features(&samples[k])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sample's length differs from `dim`.
-    pub fn features_many(&self, dim: usize, samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        for t in samples {
-            assert_eq!(t.len(), dim, "sample dimensionality mismatch");
-        }
-        let cap = self.len(dim).unwrap_or(0) as usize;
-        let mut out: Vec<Vec<f64>> = samples.iter().map(|_| Vec::with_capacity(cap)).collect();
-        self.for_each(dim, |tuple| {
-            for (t, row) in samples.iter().zip(out.iter_mut()) {
-                row.push(tuple.iter().map(|&i| t[i as usize]).product());
-            }
         });
         out
     }
@@ -142,8 +132,8 @@ pub(crate) fn multiplicities(tuple: &[u32]) -> Vec<u32> {
     out
 }
 
-/// An SVM decision function rewritten as a linear form over monomial
-/// features: `d(t) = coeffs · τ(t) + bias`.
+/// An SVM decision function rewritten as a polynomial in `t`, stored as
+/// a linear form over its monomials: `d(t) = coeffs · τ(t) + bias`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExpandedDecision {
     /// Input dimensionality `n`.
@@ -589,26 +579,6 @@ mod tests {
         let t = [2.0, 3.0, 5.0];
         // Order: 00, 01, 02, 11, 12, 22.
         assert_eq!(basis.features(&t), vec![4.0, 6.0, 10.0, 9.0, 15.0, 25.0]);
-    }
-
-    #[test]
-    fn features_many_matches_per_sample_features() {
-        let mut rng = StdRng::seed_from_u64(55);
-        for basis in [
-            BasisKind::Homogeneous { degree: 3 },
-            BasisKind::UpTo { degree: 2 },
-        ] {
-            let samples: Vec<Vec<f64>> = (0..9)
-                .map(|_| (0..4).map(|_| rng.gen_range(-2.0..2.0)).collect())
-                .collect();
-            let batch = basis.features_many(4, &samples);
-            for (t, row) in samples.iter().zip(&batch) {
-                assert_eq!(&basis.features(t), row);
-            }
-        }
-        assert!(BasisKind::UpTo { degree: 2 }
-            .features_many(3, &[])
-            .is_empty());
     }
 
     #[test]

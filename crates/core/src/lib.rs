@@ -7,8 +7,9 @@
 //! * **Private classification** (Section IV): a [`Trainer`] serves its
 //!   SVM decision function through oblivious multivariate polynomial
 //!   evaluation; a [`Client`] learns only the class of each private
-//!   sample. Nonlinear kernels run through monomial expansion
-//!   ([`expansion`]).
+//!   sample. A nonlinear kernel is served as a polynomial in the
+//!   sample's coordinates ([`expansion`]); the client hides those
+//!   coordinates, whatever the kernel.
 //! * **Private similarity evaluation** (Section V): two trainers
 //!   compute the bounded-hyperplane triangle-area metric
 //!   `T² = ¼(L⁴+L₀⁴)(sin²θ+sin²θ₀)` without revealing either model
@@ -56,7 +57,7 @@ pub mod privacy;
 mod server;
 mod similarity;
 
-pub use classify::{ClassifySpec, Client, InputForm, Trainer, WarmSessionCache, MAX_BATCH_SAMPLES};
+pub use classify::{ClassifySpec, Client, Trainer, WarmSessionCache, MAX_BATCH_SAMPLES};
 pub use config::ProtocolConfig;
 pub use error::PpcsError;
 pub use expansion::{expand_model, BasisKind, ExpandedDecision};

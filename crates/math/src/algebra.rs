@@ -9,7 +9,7 @@
 //! * [`F64Algebra`] — paper-faithful floating point. Fast, used for the
 //!   accuracy-parity and timing experiments (Table I, Figs 7–10).
 //! * [`FixedFpAlgebra`] — fixed-point values embedded in the 256-bit prime
-//!   field [`Fp256`](crate::Fp256), the sound instantiation.
+//!   field [`Fp256`], the sound instantiation.
 //!
 //! Fixed-point scale bookkeeping: encoding at *scale power* `k` stores
 //! `round(x · 2^{k·FRAC_BITS})`. A product of elements at scales `j` and
@@ -97,6 +97,13 @@ pub trait Algebra: Clone + Debug + Send + Sync + 'static {
     /// Decodes an element known to sit at scale power `scale_pow` back to a
     /// real value.
     fn decode(&self, e: &Self::Elem, scale_pow: u32) -> f64;
+
+    /// Fractional bits per scale power, or `None` for a backend whose
+    /// elements carry no fixed-point scale (floats) and hence no limit
+    /// on the scale power a protocol may reach.
+    fn fixed_point_bits(&self) -> Option<u32> {
+        None
+    }
 
     /// Encodes an exact small integer (scale power 0); integers survive
     /// multiplication without scale drift, which is what the protocols use
@@ -254,6 +261,15 @@ impl FixedFpAlgebra {
     pub fn frac_bits(&self) -> u32 {
         self.frac_bits
     }
+
+    /// Bits of the balanced range `|v| < p/2` a decoded value must stay
+    /// inside.
+    pub const BALANCED_BITS: u32 = 255;
+
+    /// The largest scale, in bits, [`encode`](Algebra::encode) accepts:
+    /// the 55 bits it leaves below the balanced range are the headroom
+    /// for the value's own magnitude and an integer amplifier.
+    pub const MAX_SCALE_BITS: u32 = 200;
 }
 
 impl Default for FixedFpAlgebra {
@@ -320,7 +336,7 @@ impl Algebra for FixedFpAlgebra {
     fn encode(&self, x: f64, scale_pow: u32) -> Fp256 {
         let scale = self.frac_bits * scale_pow;
         assert!(
-            scale <= 200,
+            scale <= Self::MAX_SCALE_BITS,
             "fixed-point scale 2^{scale} leaves no headroom below the modulus"
         );
         assert!(x.is_finite(), "cannot encode non-finite value {x}");
@@ -346,6 +362,10 @@ impl Algebra for FixedFpAlgebra {
             Some(v) => v as f64 / 2f64.powi(scale),
             None => e.to_f64_approx() / 2f64.powi(scale),
         }
+    }
+
+    fn fixed_point_bits(&self) -> Option<u32> {
+        Some(self.frac_bits)
     }
 
     fn encode_int(&self, v: i64) -> Fp256 {

@@ -2,16 +2,20 @@
 //!
 //! The OMPE sender only ever *evaluates* its secret polynomial, so the
 //! protocol is generic over this trait rather than a concrete
-//! representation. Two implementations exist:
+//! representation. Three implementations exist:
 //!
-//! * [`MvPolynomial`](crate::MvPolynomial) — general sparse terms (the
+//! * [`MvPolynomial`] — general sparse terms (the
 //!   degree-4 similarity polynomial, small linear models);
-//! * [`DenseAffine`] — a dense degree-1 form `wᵀy + b`, which is what a
-//!   monomial-expanded kernel model collapses to. Expanded models can
-//!   have millions of variables (madelon at `p = 3` has ≈ 2.1 × 10⁷
-//!   monomials), where per-term exponent vectors would be prohibitive.
+//! * [`DenseAffine`] — a dense degree-1 form `wᵀy + b` (the similarity
+//!   protocol's inner-product rounds);
+//! * [`DensePoly`] — a dense degree-`p` polynomial over the `n` raw
+//!   coordinates, which is what every classification model is served as
+//!   (§IV-B: the sender evaluates the monomials itself, so a kernel
+//!   model's `n′` coefficients need no exponent vectors and the receiver
+//!   hides `n` values, not `n′`).
 
 use crate::algebra::Algebra;
+use crate::multinomial::expanded_dimension;
 use crate::mvpoly::MvPolynomial;
 
 /// A secret polynomial the OMPE sender can evaluate.
@@ -113,6 +117,120 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
             acc = alg.add(&acc, &alg.mul(w, v));
         }
         acc
+    }
+}
+
+/// A dense polynomial `b + Σ_d Σ_{i₁ ≤ … ≤ i_d} c_{i₁…i_d} · y_{i₁} ⋯ y_{i_d}`
+/// of total degree `p` over `n` variables: one coefficient block per
+/// degree `d = 1..=p`, each listing its `C(n+d−1, d)` monomials as
+/// non-decreasing index tuples in lexicographic order (for `n = 2`,
+/// `d = 2`: `y₀², y₀y₁, y₁²`). A block may be empty — a homogeneous
+/// kernel has only the top one.
+///
+/// Evaluation is nested Horner,
+/// `b + Σ_i y_i (c_i + Σ_{j≥i} y_j (c_ij + Σ_{k≥j} y_k c_ijk))`:
+/// the canonical order is exactly the order the recursion meets the
+/// coefficients in, so each block is read front to back and the
+/// innermost level is a dot product over a contiguous slice. One
+/// product per multiset of size `≤ p` — `n′ + O(n^{p−1})` for a
+/// homogeneous model, `n′` for one with every block.
+///
+/// # Examples
+///
+/// ```
+/// use ppcs_math::{DensePoly, F64Algebra, PolyEval};
+///
+/// let alg = F64Algebra::new();
+/// // 0.5 + 2·y₀ − y₁ + 3·y₀y₁ + y₁²
+/// let p = DensePoly::new(2, vec![vec![2.0, -1.0], vec![0.0, 3.0, 1.0]], 0.5);
+/// assert_eq!(p.eval(&alg, &[2.0, 3.0]), 0.5 + 4.0 - 3.0 + 18.0 + 9.0);
+/// assert_eq!(p.total_degree(), 2);
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct DensePoly<A: Algebra> {
+    num_vars: usize,
+    /// `blocks[d − 1]`: the degree-`d` coefficients, or empty.
+    blocks: Vec<Vec<A::Elem>>,
+    bias: A::Elem,
+}
+
+impl<A: Algebra> DensePoly<A> {
+    /// Builds the polynomial from its per-degree coefficient blocks
+    /// (`blocks[d − 1]` holds degree `d`) and constant term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars` is zero, the top block is missing or empty,
+    /// or a non-empty block does not hold `C(n+d−1, d)` coefficients.
+    pub fn new(num_vars: usize, blocks: Vec<Vec<A::Elem>>, bias: A::Elem) -> Self {
+        assert!(num_vars > 0, "need at least one variable");
+        assert!(
+            blocks.last().is_some_and(|top| !top.is_empty()),
+            "the top-degree block must be present"
+        );
+        for (d, block) in (1u32..).zip(&blocks) {
+            assert!(
+                block.is_empty() || expanded_dimension(num_vars, d) == Some(block.len() as u64),
+                "degree-{d} block holds {} coefficients over {num_vars} variables",
+                block.len()
+            );
+        }
+        Self {
+            num_vars,
+            blocks,
+            bias,
+        }
+    }
+
+    /// `Σ_{i ≥ start} y_i · (c_{…i} + level(i, depth + 1))`, where `c`
+    /// is the next unread coefficient of block `depth` (if it has any).
+    fn level(
+        &self,
+        alg: &A,
+        y: &[A::Elem],
+        start: usize,
+        depth: usize,
+        read: &mut [usize],
+    ) -> A::Elem {
+        let block = &self.blocks[depth];
+        let mut acc = alg.zero();
+        if depth + 1 == self.blocks.len() {
+            let coeffs = &block[read[depth]..][..y.len() - start];
+            read[depth] += coeffs.len();
+            for (c, v) in coeffs.iter().zip(&y[start..]) {
+                acc = alg.add(&acc, &alg.mul(c, v));
+            }
+            return acc;
+        }
+        for i in start..y.len() {
+            let mut inner = self.level(alg, y, i, depth + 1, read);
+            if let Some(c) = block.get(read[depth]) {
+                inner = alg.add(&inner, c);
+                read[depth] += 1;
+            }
+            acc = alg.add(&acc, &alg.mul(&y[i], &inner));
+        }
+        acc
+    }
+}
+
+impl<A: Algebra> PolyEval<A> for DensePoly<A> {
+    fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+    fn total_degree(&self) -> usize {
+        self.blocks.len()
+    }
+    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+        assert_eq!(
+            y.len(),
+            self.num_vars,
+            "evaluation point has wrong arity: {} vs {}",
+            y.len(),
+            self.num_vars
+        );
+        let mut read = vec![0usize; self.blocks.len()];
+        alg.add(&self.bias, &self.level(alg, y, 0, 0, &mut read))
     }
 }
 

@@ -66,7 +66,7 @@ mod poly;
 mod simd;
 
 pub use algebra::{Algebra, F64Algebra, FixedFpAlgebra};
-pub use eval::{DenseAffine, PolyEval};
+pub use eval::{DenseAffine, DensePoly, PolyEval};
 pub use fp256::{Fp256, MODULUS};
 pub use interp::{
     interp_batch, interpolate_at_zero, interpolate_at_zero_weighted, interpolate_coeffs,

@@ -1,9 +1,11 @@
-//! Sparse multivariate polynomials — the sender's secret `P(y)` in OMPE.
+//! Sparse multivariate polynomials — the general form of the sender's
+//! secret `P(y)` in OMPE.
 //!
-//! The classification protocol feeds OMPE an `n`-variate degree-1
-//! polynomial (the linear decision function), an `n'`-variate degree-1
-//! polynomial in the monomial basis (expanded polynomial kernel), or the
-//! two-variate degree-4 similarity polynomial `T²(x₁, x₂)`.
+//! The similarity protocol feeds OMPE the two-variate degree-4 polynomial
+//! `T²(x₁, x₂)` in this form. Classification models — an `n`-variate
+//! polynomial of the kernel's degree `p` with up to `C(n+p, p) − 1`
+//! coefficients — are dense, and served as
+//! [`DensePoly`](crate::DensePoly), which needs no exponent vectors.
 
 use crate::algebra::Algebra;
 

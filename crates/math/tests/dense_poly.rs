@@ -1,0 +1,109 @@
+//! Property tests of `DensePoly`'s nested-Horner evaluator against the
+//! definition it implements: `b + Σ_monomials c · Π y_i`, the monomials
+//! of each degree listed as non-decreasing index tuples in lexicographic
+//! order.
+
+use ppcs_math::{Algebra, DensePoly, F64Algebra, FixedFpAlgebra, PolyEval};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Every non-decreasing tuple of `degree` indices below `dim`, in
+/// lexicographic order — written independently of the evaluator.
+fn multisets(dim: usize, degree: u32) -> Vec<Vec<usize>> {
+    fn extend(dim: usize, left: u32, tuple: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if left == 0 {
+            out.push(tuple.clone());
+            return;
+        }
+        for i in tuple.last().copied().unwrap_or(0)..dim {
+            tuple.push(i);
+            extend(dim, left - 1, tuple, out);
+            tuple.pop();
+        }
+    }
+    let mut out = Vec::new();
+    extend(dim, degree, &mut Vec::new(), &mut out);
+    out
+}
+
+/// A random model over `alg` (blocks for `lowest..=degree`, the rest
+/// empty) and a random point, with the term-by-term value of the one at
+/// the other.
+fn model_point_and_definition<A: Algebra>(
+    alg: &A,
+    dim: usize,
+    lowest: u32,
+    degree: u32,
+    seed: u64,
+) -> (DensePoly<A>, Vec<A::Elem>, A::Elem) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut draw = |scale| alg.encode(rng.gen_range(-1.0..1.0), scale);
+    let y: Vec<A::Elem> = (0..dim).map(|_| draw(1)).collect();
+    let bias = draw(degree + 1);
+    let mut expected = bias.clone();
+    let blocks = (1..=degree)
+        .map(|d| {
+            if d < lowest {
+                return Vec::new();
+            }
+            multisets(dim, d)
+                .iter()
+                .map(|tuple| {
+                    let c = draw(1 + degree - d);
+                    let term = tuple.iter().fold(c.clone(), |t, &i| alg.mul(&t, &y[i]));
+                    expected = alg.add(&expected, &term);
+                    c
+                })
+                .collect()
+        })
+        .collect();
+    (DensePoly::new(dim, blocks, bias), y, expected)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn nested_horner_is_exact_over_the_field(
+        dim in 1usize..=6,
+        degree in 1u32..=5,
+        homogeneous in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let alg = FixedFpAlgebra::new(16);
+        let lowest = if homogeneous { degree } else { 1 };
+        let (poly, y, expected) = model_point_and_definition(&alg, dim, lowest, degree, seed);
+        prop_assert_eq!(poly.total_degree(), degree as usize);
+        prop_assert_eq!(poly.num_vars(), dim);
+        prop_assert_eq!(poly.eval(&alg, &y), expected);
+    }
+
+    #[test]
+    fn nested_horner_matches_the_definition_over_floats(
+        dim in 1usize..=6,
+        degree in 1u32..=5,
+        homogeneous in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let alg = F64Algebra::new();
+        let lowest = if homogeneous { degree } else { 1 };
+        let (poly, y, expected) = model_point_and_definition(&alg, dim, lowest, degree, seed);
+        let got = poly.eval(&alg, &y);
+        prop_assert!((got - expected).abs() < 1e-9, "{} vs {}", got, expected);
+    }
+}
+
+#[test]
+#[should_panic(expected = "degree-2 block holds 2 coefficients")]
+fn a_block_of_the_wrong_size_is_refused() {
+    let _ = DensePoly::<F64Algebra>::new(2, vec![vec![1.0, 1.0], vec![1.0, 1.0]], 0.0);
+}
+
+#[test]
+#[should_panic(expected = "wrong arity")]
+fn eval_rejects_wrong_arity() {
+    let alg = F64Algebra::new();
+    let p = DensePoly::new(2, vec![vec![1.0, 1.0]], 0.0);
+    let _ = p.eval(&alg, &[1.0]);
+}

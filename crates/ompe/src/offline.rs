@@ -339,7 +339,7 @@ where
     // point cloud before any per-round OT traffic starts.
     let mut clouds = Vec::with_capacity(secrets.len());
     for secret in secrets {
-        clouds.push(session.recv_cloud_io(io, secret.num_vars()).await?);
+        clouds.push(session.recv_cloud_io(alg, io, secret.num_vars()).await?);
     }
     for (secret, cloud) in secrets.iter().zip(&clouds) {
         session

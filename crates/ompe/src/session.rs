@@ -194,7 +194,7 @@ where
         P: PolyEval<A> + ?Sized,
     {
         self.check_degree(secret)?;
-        let cloud = self.recv_cloud_io(io, secret.num_vars()).await?;
+        let cloud = self.recv_cloud_io(alg, io, secret.num_vars()).await?;
         self.answer_cloud_io(alg, io, sel, rng, secret, &cloud)
             .await
     }
@@ -213,12 +213,14 @@ where
         Ok(())
     }
 
-    /// Receives and validates one round's point cloud: `N` abscissae and
-    /// `N` `r`-dimensional input vectors. In batch mode every cloud of
-    /// the batch arrives in one coalesced frame, so these must all be
-    /// drained before the per-round oblivious transfers begin.
+    /// Receives and validates one round's point cloud: `N` distinct
+    /// nonzero abscissae and `N` `r`-dimensional input vectors. In batch
+    /// mode every cloud of the batch arrives in one coalesced frame, so
+    /// these must all be drained before the per-round oblivious
+    /// transfers begin.
     pub(crate) async fn recv_cloud_io(
         &self,
+        alg: &A,
         io: &FrameIo,
         r: usize,
     ) -> Result<PointCloud<A>, OmpeError> {
@@ -237,6 +239,18 @@ where
                 "receiver submitted {} points, parameters require {n_points}",
                 xs.len()
             )));
+        }
+        // `M(0) = 0`: the answer at a zero abscissa is the unmasked
+        // `P(y)` for a `y` of the peer's choosing. A repeated one makes
+        // its own retrieval singular — no honest receiver sends either.
+        if xs
+            .iter()
+            .enumerate()
+            .any(|(i, x)| alg.is_zero(x) || xs[..i].contains(x))
+        {
+            return Err(OmpeError::Protocol(
+                "receiver submitted a zero or repeated abscissa".into(),
+            ));
         }
         let ys_flat: Vec<A::Elem> = decode_seq(&mut payload)?;
         if ys_flat.len() != n_points * r {
@@ -654,7 +668,7 @@ where
     // the frame it expects.
     let mut clouds = Vec::with_capacity(secrets.len());
     for secret in secrets {
-        clouds.push(session.recv_cloud_io(io, secret.num_vars()).await?);
+        clouds.push(session.recv_cloud_io(alg, io, secret.num_vars()).await?);
     }
     for (secret, cloud) in secrets.iter().zip(&clouds) {
         session
@@ -851,6 +865,71 @@ mod tests {
         send_res.unwrap();
         for (got, want) in values.iter().zip(&expected) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
+        }
+    }
+
+    /// A secret that must never be evaluated: the cloud is refused first.
+    struct Untouchable;
+
+    impl PolyEval<FixedFpAlgebra> for Untouchable {
+        fn num_vars(&self) -> usize {
+            1
+        }
+        fn total_degree(&self) -> usize {
+            1
+        }
+        fn eval(&self, _: &FixedFpAlgebra, _: &[ppcs_math::Fp256]) -> ppcs_math::Fp256 {
+            panic!("the sender evaluated its secret on a malformed cloud");
+        }
+    }
+
+    #[test]
+    fn zero_or_repeated_abscissa_is_refused_by_every_sender_entry_point() {
+        use crate::offline::{ompe_send_batch_offline_io, OmpeSenderOffline};
+        use crate::protocol::ompe_send_io;
+
+        let alg = FixedFpAlgebra::new(16);
+        let params = OmpeParams::new(1, 2, 2).unwrap();
+        let sel = SIM.select();
+        let mut rng = StdRng::seed_from_u64(5);
+        let honest = draw_distinct_points(&alg, params.num_points(), &mut rng);
+        // x = 0 would be answered with M(0) + P(y) = P(y), unmasked.
+        let mut zeroed = honest.clone();
+        zeroed[3] = alg.zero();
+        let mut repeated = honest.clone();
+        repeated[4] = repeated[1];
+        for xs in [zeroed, repeated] {
+            let mut payload = BytesMut::new();
+            encode_seq(&xs, &mut payload);
+            encode_seq(&honest, &mut payload);
+            let cloud = Frame::encode(KIND_OMPE_POINTS, &payload.to_vec());
+            for entry_point in 0..3 {
+                let (alg, params, secrets) = (&alg, &params, &[Untouchable]);
+                let mut rng_s = StdRng::seed_from_u64(6);
+                let mut sender = ProtocolEngine::new(|io| async move {
+                    let rng = &mut rng_s;
+                    match entry_point {
+                        0 => ompe_send_io(alg, &io, sel, rng, &secrets[0], params).await,
+                        1 => ompe_send_batch_io(alg, &io, sel, rng, secrets, params).await,
+                        _ => {
+                            let pack = OmpeSenderOffline::precompute(alg, sel, params, 1, rng);
+                            ompe_send_batch_offline_io(alg, &io, sel, rng, secrets, params, pack)
+                                .await
+                        }
+                    }
+                });
+                let frame = cloud.clone();
+                let mut hostile =
+                    ProtocolEngine::new(
+                        |io| async move { io.send(frame).map_err(OmpeError::from) },
+                    );
+                let (sent, _) =
+                    ppcs_transport::run_engine_pair(&mut sender, &mut hostile).expect("pump");
+                assert!(
+                    matches!(&sent, Err(OmpeError::Protocol(m)) if m.contains("abscissa")),
+                    "entry point {entry_point}: {sent:?}"
+                );
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! revealing their designs.
 //!
 //! The trend here is nonlinear (a polynomial-kernel SVM over product
-//! features), exercising the §IV-B monomial-expansion path.
+//! features), exercising §IV-B: the sellers hide their design's features,
+//! the company evaluates its degree-3 polynomial on what they submit.
 //!
 //! ```text
 //! cargo run -p ppcs-examples --bin ecommerce_trend --release

@@ -9,16 +9,17 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
+use bytes::{Bytes, BytesMut};
+use ppcs_core::{Client, PpcsError, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
 use ppcs_math::F64Algebra;
+use ppcs_ompe::OmpeError;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::MetricsRegistry;
 use ppcs_tests::{blob_dataset, random_samples};
 use ppcs_transport::{
-    busy_retry_after, duplex, probe_health, tcp_connect, Endpoint, Frame, RetryPolicy,
-    SessionLimits, TransportError, KIND_BUSY,
+    busy_retry_after, duplex, encode_seq, probe_health, run_pair, tcp_connect, Endpoint, Frame,
+    RetryPolicy, SessionLimits, TransportError, KIND_BUSY,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,6 +29,7 @@ use rand::SeedableRng;
 /// raw value, exactly as these tests do.
 const CLS_HELLO: u16 = 0x0500;
 const CLS_SPEC: u16 = 0x0501;
+const OMPE_POINTS: u16 = 0x0400;
 
 fn fixture() -> (SvmModel, Trainer<F64Algebra>) {
     let ds = blob_dataset(3, 80, 17);
@@ -171,6 +173,39 @@ fn garbage_spec_kills_only_its_own_session() {
     assert_eq!(summary.malformed_rejected, 1);
     assert_eq!(summary.sessions_admitted, 2);
     assert_eq!(summary.served_samples, samples.len());
+}
+
+/// A point cloud with a zero abscissa asks the trainer for
+/// `M(0) + r_a·d(y) = r_a·d(y)` — the mask vanishes — at a `y` the
+/// peer picked in the clear. The trainer refuses the cloud as a typed
+/// protocol error before it evaluates or transfers anything.
+#[test]
+fn zero_abscissa_cloud_is_refused_before_any_answer() {
+    let (_, trainer) = fixture();
+    let (served, ()) = run_pair(
+        move |ep| {
+            let mut rng = StdRng::seed_from_u64(12);
+            trainer.serve(&ep, &TrustedSimOt, &mut rng)
+        },
+        move |ep| {
+            ep.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
+            assert_eq!(ep.recv().expect("spec").kind, CLS_SPEC);
+            // The functional fixture takes N = 2 points of 3 coordinates.
+            let mut cloud = BytesMut::new();
+            encode_seq(&[0.0f64, 1.5], &mut cloud);
+            encode_seq(&[0.25f64; 6], &mut cloud);
+            ep.send(Frame::encode(OMPE_POINTS, &cloud.to_vec()))
+                .unwrap();
+            // Stay connected while the trainer rules, so that a hang-up
+            // cannot be what ends its session.
+            ep.set_recv_timeout(Some(Duration::from_millis(300)));
+            while ep.recv().is_ok() {}
+        },
+    );
+    assert!(
+        matches!(&served, Err(PpcsError::Ompe(OmpeError::Protocol(m))) if m.contains("abscissa")),
+        "{served:?}"
+    );
 }
 
 /// A slow-loris peer (HELLO, then silence on an open lane) is cut by

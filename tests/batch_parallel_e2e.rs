@@ -105,7 +105,7 @@ proptest! {
     }
 
     /// Polynomial kernel (degree 2, exact field backend): same bitwise
-    /// guarantee through the monomial expansion path.
+    /// guarantee for a nonlinear model.
     #[test]
     fn polynomial_parallel_is_bitwise_sequential(
         n in 1usize..16,

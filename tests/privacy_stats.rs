@@ -25,6 +25,17 @@ fn chi_square_bytes(bytes: &[u8]) -> f64 {
         .sum()
 }
 
+/// The `(abscissae, flattened coordinates)` of a recorded point-cloud
+/// payload: a `Vec<u8>` wrapper around two sequences.
+fn decode_cloud(blob: Vec<u8>) -> (Vec<Fp256>, Vec<Fp256>) {
+    let mut input = Bytes::from(blob);
+    let inner: Vec<u8> = ppcs_transport::Encodable::decode(&mut input).expect("wrapper");
+    let mut inner = Bytes::from(inner);
+    let xs = decode_seq(&mut inner).expect("xs");
+    let ys = decode_seq(&mut inner).expect("ys");
+    (xs, ys)
+}
+
 /// 99.9th percentile of chi-square with 255 degrees of freedom ≈ 341.
 const CHI2_LIMIT: f64 = 341.0;
 
@@ -101,12 +112,7 @@ fn ompe_point_cloud_hides_the_input_bytes() {
                 );
             },
         );
-        // Message layout: Vec<u8> wrapper, then two sequences.
-        let mut input = Bytes::from(blob);
-        let inner: Vec<u8> = ppcs_transport::Encodable::decode(&mut input).expect("wrapper");
-        let mut inner = Bytes::from(inner);
-        let _xs: Vec<Fp256> = decode_seq(&mut inner).expect("xs");
-        let ys: Vec<Fp256> = decode_seq(&mut inner).expect("ys");
+        let (_xs, ys) = decode_cloud(blob);
         for y in ys {
             ys_bytes.extend_from_slice(&y.to_bytes());
         }
@@ -115,6 +121,65 @@ fn ompe_point_cloud_hides_the_input_bytes() {
     assert!(
         chi2 < CHI2_LIMIT,
         "submitted OMPE inputs deviate from uniform: χ² = {chi2:.1} over {} bytes",
+        ys_bytes.len()
+    );
+}
+
+#[test]
+fn polynomial_session_cloud_is_uniform_over_all_24_coordinates() {
+    // A nonlinear session submits the raw coordinates, 24 to a point —
+    // not monomials of them, whose joint distribution would have been
+    // the thing to worry about. Play a trainer that announces a
+    // degree-3 model over 24 features and records what the client
+    // sends for one fixed, very non-uniform sample, session after
+    // session.
+    use ppcs_core::{Client, ProtocolConfig};
+    use ppcs_transport::Frame;
+
+    const DIM: usize = 24;
+    let cfg = ProtocolConfig::default();
+    // [dim, basis kind (1 = homogeneous), degree, OMPE bound, σ, decoys, epoch]
+    let spec: Vec<u8> = [
+        DIM as u64,
+        1,
+        3,
+        3,
+        cfg.sigma as u64,
+        cfg.decoy_factor as u64,
+        0,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect();
+    let sample: Vec<f64> = (0..DIM).map(|i| 0.73 - 0.05 * i as f64).collect();
+
+    let mut ys_bytes = Vec::new();
+    for seed in 0..12u64 {
+        let (spec, sample) = (spec.clone(), sample.clone());
+        let (blob, _) = run_pair(
+            move |ep| {
+                let hello = ep.recv().expect("hello");
+                assert_eq!(hello.kind, 0x0500);
+                ep.send(Frame::encode(0x0501, &spec)).expect("spec");
+                ep.recv().expect("points frame").payload.to_vec()
+            },
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let client = Client::new(FixedFpAlgebra::new(16), cfg);
+                // Fails once the fake trainer hangs up.
+                let _ = client.classify_batch(&ep, &TrustedSimOt, &mut rng, &[sample]);
+            },
+        );
+        let (xs, ys) = decode_cloud(blob);
+        assert_eq!(ys.len(), xs.len() * DIM, "one 24-vector per point");
+        for y in ys {
+            ys_bytes.extend_from_slice(&y.to_bytes());
+        }
+    }
+    let chi2 = chi_square_bytes(&ys_bytes);
+    assert!(
+        chi2 < CHI2_LIMIT,
+        "submitted coordinates deviate from uniform: χ² = {chi2:.1} over {} bytes",
         ys_bytes.len()
     );
 }
