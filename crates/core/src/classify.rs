@@ -318,21 +318,43 @@ where
         };
         // Lower-degree terms are lifted to the common output scale by
         // their coefficients' scale, not by extra products.
+        let refuse = |j: u32, k: usize, w: f64, limit: String| {
+            PpcsError::Config(format!(
+                "degree-{j} coefficient {k} is {w}: it must be finite{limit}"
+            ))
+        };
+        let wide = |j: u32, k: usize, w: f64| {
+            let lift = COEFF_SCALE + degree - j;
+            alg.try_encode(w, lift)
+                .ok_or_else(|| refuse(j, k, w, format!(" and encodable at scale power {lift}")))
+        };
         let mut rest = coeffs;
-        let blocks = (1..=degree)
-            .map(|j| {
-                let len = if degrees.contains(&j) {
-                    expanded_dimension(dim, j).expect("basis size checked") as usize
-                } else {
-                    0
-                };
-                let (block, tail) = rest.split_at(len);
-                rest = tail;
-                let lift = COEFF_SCALE + degree - j;
-                block.iter().map(|w| alg.encode(*w, lift)).collect()
+        let mut lower = Vec::new();
+        for j in 1..degree {
+            let len = if degrees.contains(&j) {
+                expanded_dimension(dim, j).expect("basis size checked") as usize
+            } else {
+                0
+            };
+            let (block, tail) = rest.split_at(len);
+            rest = tail;
+            let block = block.iter().enumerate().map(|(k, w)| wide(j, k, *w));
+            lower.push(block.collect::<Result<_, _>>()?);
+        }
+        // The top block is multiplied as machine integers, so each of its
+        // coefficients must fit one: |w| < 2^(63 − frac_bits·COEFF_SCALE),
+        // at least 2^43 — far above the `MAGNITUDE_BITS` the capacity
+        // rule above assumes.
+        let top = rest.iter().enumerate().map(|(k, w)| {
+            alg.encode_coeff(*w, COEFF_SCALE).ok_or_else(|| {
+                let limit = alg.fixed_point_bits().map_or(String::new(), |f| {
+                    format!(" and below 2^{} in magnitude", 63 - f * COEFF_SCALE)
+                });
+                refuse(degree, k, *w, limit)
             })
-            .collect();
-        let base = DensePoly::new(dim, blocks, alg.encode(bias, scale));
+        });
+        let top = top.collect::<Result<_, _>>()?;
+        let base = DensePoly::new(dim, lower, top, wide(0, 0, bias)?);
         Ok(Self {
             alg,
             cfg,
@@ -989,7 +1011,12 @@ where
                 spec.dim
             )));
         }
-        Ok(sample.iter().map(|v| self.alg.encode(*v, 1)).collect())
+        let encode = |(i, v): (usize, &f64)| {
+            self.alg.try_encode(*v, 1).ok_or_else(|| {
+                PpcsError::Protocol(format!("sample coordinate {i} is {v}: not encodable"))
+            })
+        };
+        sample.iter().enumerate().map(encode).collect()
     }
 
     /// Classifies a batch across several lanes concurrently, one session
@@ -1448,6 +1475,32 @@ mod tests {
     }
 
     #[test]
+    fn unencodable_coordinate_is_rejected() {
+        let ds = blob_data(2, 40, 7);
+        let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
+        let cfg = ProtocolConfig::default();
+        for bad in [f64::NAN, f64::INFINITY, 1e40] {
+            let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+            let client = Client::new(FixedFpAlgebra::new(16), cfg);
+            let (_, res) = run_pair(
+                move |ep| {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    let _ = trainer.serve(&ep, &SIM, &mut rng);
+                },
+                move |ep| {
+                    let mut rng = StdRng::seed_from_u64(2);
+                    client.classify_batch(&ep, &SIM, &mut rng, &[vec![0.5, bad]])
+                },
+            );
+            let err = res.unwrap_err();
+            assert!(
+                matches!(&err, PpcsError::Protocol(msg) if msg.contains("coordinate 1")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn config_mismatch_is_rejected() {
         let ds = blob_data(2, 40, 8);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
@@ -1607,6 +1660,48 @@ mod tests {
             Trainer::from_expanded(F64Algebra::new(), &no_vars, cfg),
             Err(PpcsError::Expansion(_))
         ));
+    }
+
+    #[test]
+    fn unencodable_coefficients_are_typed_errors() {
+        let cfg = ProtocolConfig::default();
+        let fixed = FixedFpAlgebra::new(16);
+        // 0.5 + y₀ + y₁ + y₀² + y₀y₁ + y₁², one value replaced at a time.
+        let model = |at: usize, w: f64| {
+            let mut all = [1.0; 6];
+            all[at] = w;
+            ExpandedDecision {
+                dim: 2,
+                basis: BasisKind::UpTo { degree: 2 },
+                coeffs: all[..5].to_vec(),
+                bias: 0.5 * all[5],
+            }
+        };
+        // The top block holds 63-bit integers at 16 fractional bits.
+        let top_limit = 2f64.powi(47);
+        for (at, w, named) in [
+            (1, f64::NAN, "degree-1 coefficient 1 is NaN"),
+            (0, 1e40, "degree-1 coefficient 0 is 1000"),
+            (3, f64::NEG_INFINITY, "degree-2 coefficient 1 is -inf"),
+            (4, top_limit, "below 2^47"),
+            (4, -top_limit, "degree-2 coefficient 2"),
+            (5, f64::INFINITY, "degree-0 coefficient 0 is inf"),
+        ] {
+            match Trainer::from_expanded(fixed, &model(at, w), cfg) {
+                Err(PpcsError::Config(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("{named}: {:?}", other.map(|_| ())),
+            }
+        }
+        assert!(matches!(
+            Trainer::from_expanded(F64Algebra::new(), &model(4, f64::NAN), cfg),
+            Err(PpcsError::Config(_))
+        ));
+        // Just inside the limit is served, and exactly.
+        let w = top_limit - 1.0;
+        let trainer = Trainer::from_expanded(fixed, &model(4, w), cfg).unwrap();
+        let y = [fixed.encode(0.25, 1), fixed.encode(-2.0, 1)];
+        let got = fixed.decode(&trainer.base.eval(&fixed, &y), 3);
+        assert_eq!(got, 0.5 + 0.25 - 2.0 + 0.0625 - 0.5 + 4.0 * w);
     }
 
     #[test]

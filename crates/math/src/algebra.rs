@@ -29,6 +29,11 @@ pub trait Algebra: Clone + Debug + Send + Sync + 'static {
     /// The element type.
     type Elem: Clone + Debug + PartialEq + Send + Sync + 'static;
 
+    /// A model coefficient in the form the backend multiplies an element
+    /// by most cheaply: the float itself, or the fixed-point integer as a
+    /// machine word rather than a field element.
+    type Coeff: Clone + Debug + PartialEq + Send + Sync + 'static;
+
     /// The additive identity.
     fn zero(&self) -> Self::Elem;
     /// The multiplicative identity.
@@ -89,10 +94,55 @@ pub trait Algebra: Clone + Debug + Send + Sync + 'static {
             .collect()
     }
 
-    /// Encodes a real value at fixed-point scale power `scale_pow`.
+    /// `Σ a_k · b_k`, the operands paired as [`Iterator::zip`] pairs them.
+    /// `b` is an iterator so that a caller computing its terms one at a
+    /// time needs no buffer for them.
+    ///
+    /// The default is a multiply-and-add loop; [`FixedFpAlgebra`]
+    /// overrides it with [`Fp256::dot`], which reduces once per sum.
+    fn dot(&self, a: &[Self::Elem], b: impl IntoIterator<Item = Self::Elem>) -> Self::Elem {
+        a.iter()
+            .zip(b)
+            .fold(self.zero(), |acc, (x, y)| self.add(&acc, &self.mul(x, &y)))
+    }
+
+    /// `Σ c_k · y_k` for coefficients in the backend's narrow form.
+    /// `y_sum` must be `Σ y_k`: a backend that stores signed coefficients
+    /// with a bias removes it with one product by that sum, and a caller
+    /// walking suffixes of one point keeps the sum with a subtraction
+    /// per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    fn dot_coeffs(
+        &self,
+        coeffs: &[Self::Coeff],
+        y: &[Self::Elem],
+        y_sum: &Self::Elem,
+    ) -> Self::Elem;
+
+    /// Encodes a real value at fixed-point scale power `scale_pow`, or
+    /// `None` if it is not finite or too large for the backend.
     ///
     /// Over [`F64Algebra`] the scale power is ignored.
-    fn encode(&self, x: f64, scale_pow: u32) -> Self::Elem;
+    fn try_encode(&self, x: f64, scale_pow: u32) -> Option<Self::Elem>;
+
+    /// [`try_encode`](Algebra::try_encode) for values the caller knows to
+    /// be encodable.
+    ///
+    /// # Panics
+    ///
+    /// Panics where `try_encode` returns `None`.
+    fn encode(&self, x: f64, scale_pow: u32) -> Self::Elem {
+        self.try_encode(x, scale_pow)
+            .unwrap_or_else(|| panic!("cannot encode {x} at scale power {scale_pow}"))
+    }
+
+    /// Encodes a model coefficient at scale power `scale_pow` in the
+    /// narrow form [`dot_coeffs`](Algebra::dot_coeffs) takes, or `None`
+    /// if it is not finite or does not fit that form.
+    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<Self::Coeff>;
 
     /// Decodes an element known to sit at scale power `scale_pow` back to a
     /// real value.
@@ -151,6 +201,7 @@ impl F64Algebra {
 
 impl Algebra for F64Algebra {
     type Elem = f64;
+    type Coeff = f64;
 
     #[inline]
     fn zero(&self) -> f64 {
@@ -188,9 +239,16 @@ impl Algebra for F64Algebra {
     fn is_zero(&self, a: &f64) -> bool {
         *a == 0.0
     }
+    fn dot_coeffs(&self, coeffs: &[f64], y: &[f64], _y_sum: &f64) -> f64 {
+        self.dot(coeffs, y.iter().copied())
+    }
     #[inline]
-    fn encode(&self, x: f64, _scale_pow: u32) -> f64 {
-        x
+    fn try_encode(&self, x: f64, _scale_pow: u32) -> Option<f64> {
+        x.is_finite().then_some(x)
+    }
+    #[inline]
+    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<f64> {
+        self.try_encode(x, scale_pow)
     }
     #[inline]
     fn decode(&self, e: &f64, _scale_pow: u32) -> f64 {
@@ -280,6 +338,9 @@ impl Default for FixedFpAlgebra {
 
 impl Algebra for FixedFpAlgebra {
     type Elem = Fp256;
+    /// The fixed-point integer `round(x · 2^scale)` itself, which must
+    /// fit 63 bits and a sign.
+    type Coeff = i64;
 
     #[inline]
     fn zero(&self) -> Fp256 {
@@ -333,27 +394,39 @@ impl Algebra for FixedFpAlgebra {
         out
     }
 
-    fn encode(&self, x: f64, scale_pow: u32) -> Fp256 {
+    fn dot(&self, a: &[Fp256], b: impl IntoIterator<Item = Fp256>) -> Fp256 {
+        Fp256::dot(a, b)
+    }
+
+    fn dot_coeffs(&self, coeffs: &[i64], y: &[Fp256], y_sum: &Fp256) -> Fp256 {
+        Fp256::dot_narrow(coeffs, y, *y_sum)
+    }
+
+    fn try_encode(&self, x: f64, scale_pow: u32) -> Option<Fp256> {
         let scale = self.frac_bits * scale_pow;
         assert!(
             scale <= Self::MAX_SCALE_BITS,
             "fixed-point scale 2^{scale} leaves no headroom below the modulus"
         );
-        assert!(x.is_finite(), "cannot encode non-finite value {x}");
         // An f64 mantissa carries 53 bits; shifting by more than ~60 bits
         // adds no precision, so do the rounding at a safe shift and move
         // the rest into the field as an exact power of two.
         let safe_shift = scale.min(60);
         let scaled = x * 2f64.powi(safe_shift as i32);
-        assert!(
-            scaled.is_finite() && scaled.abs() < 1.6e38,
-            "fixed-point encode overflow: {x} at scale power {scale_pow}"
-        );
-        let mut e = Fp256::from_i128(scaled.round() as i128);
-        for _ in safe_shift..scale {
-            e = e.double();
-        }
-        e
+        // False for a NaN or an infinity too.
+        (scaled.abs() < 1.6e38).then(|| {
+            let mut e = Fp256::from_i128(scaled.round() as i128);
+            for _ in safe_shift..scale {
+                e = e.double();
+            }
+            e
+        })
+    }
+
+    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<i64> {
+        let scaled = x * 2f64.powi((self.frac_bits * scale_pow) as i32);
+        // False for a NaN too; below 2^63 the rounded cast is exact.
+        (scaled.abs() < 2f64.powi(63)).then(|| scaled.round() as i64)
     }
 
     fn decode(&self, e: &Fp256, scale_pow: u32) -> f64 {

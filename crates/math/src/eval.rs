@@ -112,11 +112,7 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
             y.len(),
             self.weights.len()
         );
-        let mut acc = self.bias.clone();
-        for (w, v) in self.weights.iter().zip(y) {
-            acc = alg.add(&acc, &alg.mul(w, v));
-        }
-        acc
+        alg.add(&self.bias, &alg.dot(&self.weights, y.iter().cloned()))
     }
 }
 
@@ -124,16 +120,19 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
 /// of total degree `p` over `n` variables: one coefficient block per
 /// degree `d = 1..=p`, each listing its `C(n+d−1, d)` monomials as
 /// non-decreasing index tuples in lexicographic order (for `n = 2`,
-/// `d = 2`: `y₀², y₀y₁, y₁²`). A block may be empty — a homogeneous
-/// kernel has only the top one.
+/// `d = 2`: `y₀², y₀y₁, y₁²`). A block below the top one may be empty —
+/// a homogeneous kernel has only the top one.
 ///
 /// Evaluation is nested Horner,
 /// `b + Σ_i y_i (c_i + Σ_{j≥i} y_j (c_ij + Σ_{k≥j} y_k c_ijk))`:
 /// the canonical order is exactly the order the recursion meets the
-/// coefficients in, so each block is read front to back and the
-/// innermost level is a dot product over a contiguous slice. One
-/// product per multiset of size `≤ p` — `n′ + O(n^{p−1})` for a
-/// homogeneous model, `n′` for one with every block.
+/// coefficients in, so each block is read front to back and every level
+/// is a dot product — the innermost one, which is all but `O(n^{p−1})`
+/// of the work, over a contiguous slice of the top block in the
+/// backend's narrow form ([`Algebra::dot_coeffs`]), the outer ones over
+/// the values the level below returns ([`Algebra::dot`]). One product
+/// per multiset of size `≤ p` — `n′ + O(n^{p−1})` for a homogeneous
+/// model, `n′` for one with every block — and no allocation.
 ///
 /// # Examples
 ///
@@ -142,75 +141,106 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
 ///
 /// let alg = F64Algebra::new();
 /// // 0.5 + 2·y₀ − y₁ + 3·y₀y₁ + y₁²
-/// let p = DensePoly::new(2, vec![vec![2.0, -1.0], vec![0.0, 3.0, 1.0]], 0.5);
+/// let p = DensePoly::new(2, vec![vec![2.0, -1.0]], vec![0.0, 3.0, 1.0], 0.5);
 /// assert_eq!(p.eval(&alg, &[2.0, 3.0]), 0.5 + 4.0 - 3.0 + 18.0 + 9.0);
 /// assert_eq!(p.total_degree(), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DensePoly<A: Algebra> {
     num_vars: usize,
-    /// `blocks[d − 1]`: the degree-`d` coefficients, or empty.
-    blocks: Vec<Vec<A::Elem>>,
+    /// The degree-`p` coefficients, in canonical order.
+    top: Vec<A::Coeff>,
+    /// `present[d − 1]`: whether degree `d < p` has a block.
+    present: Vec<bool>,
+    /// The coefficients of every lower block, interleaved in the order
+    /// evaluation reads them, so that one cursor serves all of them.
+    lower: Vec<A::Elem>,
     bias: A::Elem,
 }
 
 impl<A: Algebra> DensePoly<A> {
-    /// Builds the polynomial from its per-degree coefficient blocks
-    /// (`blocks[d − 1]` holds degree `d`) and constant term.
+    /// Builds the polynomial from its lower per-degree coefficient
+    /// blocks (`lower[d − 1]` holds degree `d < p`), its top-degree
+    /// block and its constant term.
     ///
     /// # Panics
     ///
-    /// Panics if `num_vars` is zero, the top block is missing or empty,
-    /// or a non-empty block does not hold `C(n+d−1, d)` coefficients.
-    pub fn new(num_vars: usize, blocks: Vec<Vec<A::Elem>>, bias: A::Elem) -> Self {
+    /// Panics if `num_vars` is zero, the top block is empty, or a
+    /// non-empty block does not hold `C(n+d−1, d)` coefficients.
+    pub fn new(
+        num_vars: usize,
+        lower: Vec<Vec<A::Elem>>,
+        top: Vec<A::Coeff>,
+        bias: A::Elem,
+    ) -> Self {
         assert!(num_vars > 0, "need at least one variable");
-        assert!(
-            blocks.last().is_some_and(|top| !top.is_empty()),
-            "the top-degree block must be present"
-        );
-        for (d, block) in (1u32..).zip(&blocks) {
+        assert!(!top.is_empty(), "the top-degree block must be present");
+        let lens = lower.iter().map(Vec::len).chain([top.len()]);
+        for (d, len) in (1u32..).zip(lens) {
             assert!(
-                block.is_empty() || expanded_dimension(num_vars, d) == Some(block.len() as u64),
-                "degree-{d} block holds {} coefficients over {num_vars} variables",
-                block.len()
+                len == 0 || expanded_dimension(num_vars, d) == Some(len as u64),
+                "degree-{d} block holds {len} coefficients over {num_vars} variables"
             );
         }
+        let mut unread: Vec<_> = lower.iter().map(|block| block.iter()).collect();
+        let mut interleaved = Vec::with_capacity(lower.iter().map(Vec::len).sum());
+        Self::interleave(num_vars, 0, &mut unread, &mut interleaved);
         Self {
             num_vars,
-            blocks,
+            top,
+            present: lower.iter().map(|block| !block.is_empty()).collect(),
+            lower: interleaved,
             bias,
         }
     }
 
-    /// `Σ_{i ≥ start} y_i · (c_{…i} + level(i, depth + 1))`, where `c`
-    /// is the next unread coefficient of block `depth` (if it has any).
+    /// Appends to `out` what is left of the lower blocks `unread`
+    /// (shallowest first), in the order [`level`](Self::level) reads
+    /// them when it enters the first of those blocks at index `start`.
+    fn interleave(
+        num_vars: usize,
+        start: usize,
+        unread: &mut [core::slice::Iter<'_, A::Elem>],
+        out: &mut Vec<A::Elem>,
+    ) {
+        if let Some((block, deeper)) = unread.split_first_mut() {
+            for i in start..num_vars {
+                Self::interleave(num_vars, i, deeper, out);
+                out.extend(block.next().cloned());
+            }
+        }
+    }
+
+    /// `Σ_i y_i · (c_{…i} + level(y[i..], depth + 1))`, where `c` is the
+    /// next unread coefficient of block `depth` (if it has any), `y` the
+    /// variables from the last chosen index on and `y_sum` their sum.
+    /// `top` and `lower` are what this evaluation has yet to read of the
+    /// two arrays.
     fn level(
         &self,
         alg: &A,
         y: &[A::Elem],
-        start: usize,
+        mut y_sum: A::Elem,
         depth: usize,
-        read: &mut [usize],
+        top: &mut &[A::Coeff],
+        lower: &mut &[A::Elem],
     ) -> A::Elem {
-        let block = &self.blocks[depth];
-        let mut acc = alg.zero();
-        if depth + 1 == self.blocks.len() {
-            let coeffs = &block[read[depth]..][..y.len() - start];
-            read[depth] += coeffs.len();
-            for (c, v) in coeffs.iter().zip(&y[start..]) {
-                acc = alg.add(&acc, &alg.mul(c, v));
+        let Some(&present) = self.present.get(depth) else {
+            let (coeffs, rest) = top.split_at(y.len());
+            *top = rest;
+            return alg.dot_coeffs(coeffs, y, &y_sum);
+        };
+        let inners = y.iter().enumerate().map(|(i, y_i)| {
+            let inner = self.level(alg, &y[i..], y_sum.clone(), depth + 1, top, lower);
+            y_sum = alg.sub(&y_sum, y_i);
+            if !present {
+                return inner;
             }
-            return acc;
-        }
-        for i in start..y.len() {
-            let mut inner = self.level(alg, y, i, depth + 1, read);
-            if let Some(c) = block.get(read[depth]) {
-                inner = alg.add(&inner, c);
-                read[depth] += 1;
-            }
-            acc = alg.add(&acc, &alg.mul(&y[i], &inner));
-        }
-        acc
+            let (c, rest) = lower.split_first().expect("sized by `new`");
+            *lower = rest;
+            alg.add(&inner, c)
+        });
+        alg.dot(y, inners)
     }
 }
 
@@ -219,7 +249,7 @@ impl<A: Algebra> PolyEval<A> for DensePoly<A> {
         self.num_vars
     }
     fn total_degree(&self) -> usize {
-        self.blocks.len()
+        self.present.len() + 1
     }
     fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
         assert_eq!(
@@ -229,8 +259,9 @@ impl<A: Algebra> PolyEval<A> for DensePoly<A> {
             y.len(),
             self.num_vars
         );
-        let mut read = vec![0usize; self.blocks.len()];
-        alg.add(&self.bias, &self.level(alg, y, 0, 0, &mut read))
+        let y_sum = y.iter().fold(alg.zero(), |sum, y_i| alg.add(&sum, y_i));
+        let (top, lower) = (&mut &self.top[..], &mut &self.lower[..]);
+        alg.add(&self.bias, &self.level(alg, y, y_sum, 0, top, lower))
     }
 }
 

@@ -39,6 +39,9 @@ pub(crate) const R_MOD_P: [u64; 4] = const_r_mod_p();
 /// `R^2 mod p`, used to convert into Montgomery form.
 const R2_MOD_P: [u64; 4] = const_r2_mod_p();
 
+/// `2^256 mod p = 2^32 + 977`: what one unit of a fifth limb is worth.
+const FOLD: u64 = R_MOD_P[0];
+
 /// `(p - 1) / 2`, the canonical boundary between "positive" and "negative"
 /// residues in the balanced (signed) interpretation of the field.
 const HALF_MODULUS: [u64; 4] = [
@@ -153,6 +156,47 @@ fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
     true
 }
 
+/// `r += v` over four limbs; returns the carry out of the top one.
+#[inline(always)]
+fn add_limbs(r: &mut [u64; 4], v: [u64; 4]) -> u64 {
+    let mut carry = 0u64;
+    for (ri, vi) in r.iter_mut().zip(v) {
+        (*ri, carry) = adc(*ri, vi, carry);
+    }
+    carry
+}
+
+/// `t += m · row · 2^{64i}`, the carry rippling up to the ninth limb.
+#[inline(always)]
+fn add_row(t: &mut [u64; 9], i: usize, m: u64, row: &[u64; 4]) {
+    let mut carry = 0u64;
+    for (j, r) in row.iter().enumerate() {
+        (t[i + j], carry) = mac(t[i + j], m, *r, carry);
+    }
+    for limb in &mut t[i + 4..] {
+        (*limb, carry) = adc(*limb, carry, 0);
+    }
+}
+
+/// `lo + hi · 2^256 mod p`, by the sparse-prime fold `2^256 ≡ 2^32 + 977`.
+///
+/// `hi · FOLD` is below `2^161`, so adding it to `lo` carries at most one
+/// unit of `2^256` out, worth `FOLD` again — and a sum that carried has
+/// wrapped to below `2^161`, so adding that cannot carry; one
+/// compare-and-subtract (as in `mont_mul`) then lands in `[0, p)`. The
+/// only data-dependent branch is that last one.
+#[inline]
+fn fold(mut lo: [u64; 4], hi: [u64; 2]) -> Fp256 {
+    let (h0, carry) = mac(0, hi[0], FOLD, 0);
+    let (h1, h2) = mac(0, hi[1], FOLD, carry);
+    let over = add_limbs(&mut lo, [h0, h1, h2, 0]);
+    add_limbs(&mut lo, [over * FOLD, 0, 0, 0]);
+    if geq(&lo, &MODULUS) {
+        lo = const_sub(lo, MODULUS);
+    }
+    Fp256 { mont: lo }
+}
+
 /// An element of the prime field `GF(p)` with `p = 2^256 - 2^32 - 977`,
 /// stored in Montgomery form.
 ///
@@ -178,6 +222,11 @@ impl Fp256 {
 
     /// The multiplicative identity.
     pub const ONE: Fp256 = Fp256 { mont: R_MOD_P };
+
+    /// The most terms [`Fp256::dot_narrow`] and [`Fp256::dot`] accept:
+    /// up to it the top limb of either sum — the sixth of the narrow one,
+    /// the ninth of the lazy one — stays below `2^32` and cannot overflow.
+    pub const MAX_DOT_TERMS: usize = u32::MAX as usize;
 
     /// Builds a field element from a non-negative integer.
     #[inline]
@@ -463,6 +512,86 @@ impl Fp256 {
         self + self
     }
 
+    /// `Σ c_k · y_k` for plain (not Montgomery-form) signed 64-bit
+    /// integers `c_k` — the narrow dot product a fixed-point model
+    /// coefficient needs: since `c · (yR) = (cy)R`, four word multiplies
+    /// per term and no Montgomery division at all. `y_sum` must be
+    /// `Σ y_k`, which a caller walking suffixes of one point keeps with a
+    /// subtraction per step.
+    ///
+    /// Each `c` is biased to the unsigned `c + 2^63` and the 1×4-limb
+    /// products are summed into six limbs; the result is
+    /// `fold(p · 2^64 + Σ (c_k + 2^63) · y_k − 2^63 · y_sum)`. With at
+    /// most [`MAX_DOT_TERMS`](Fp256::MAX_DOT_TERMS) terms the sum stays
+    /// below `2^320 + 2^352`, so the sixth limb cannot overflow, and
+    /// `2^63 · y_sum < 2^319 < p · 2^64`, so the difference cannot
+    /// borrow.
+    ///
+    /// The sign and value of a coefficient reach no branch and no index:
+    /// the bias is an XOR, everything after it is multiply-and-add (the
+    /// closing `fold` compares the *sum* with `p`, as `mont_mul` does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn dot_narrow(coeffs: &[i64], y: &[Fp256], y_sum: Fp256) -> Fp256 {
+        assert_eq!(coeffs.len(), y.len(), "dot product operand length mismatch");
+        debug_assert!(y.len() <= Self::MAX_DOT_TERMS, "dot product too long");
+        debug_assert_eq!(y.iter().fold(Fp256::ZERO, |s, e| s + *e), y_sum);
+        // p · 2^64 ≡ 0 keeps the subtraction below from borrowing.
+        let [p0, p1, p2, p3] = MODULUS;
+        let mut acc = [0, p0, p1, p2, p3, 0];
+        for (c, e) in coeffs.iter().zip(y) {
+            let biased = (*c as u64) ^ (1 << 63);
+            let mut carry = 0u64;
+            for (limb, y_i) in acc.iter_mut().zip(e.mont) {
+                (*limb, carry) = mac(*limb, biased, y_i, carry);
+            }
+            (acc[4], carry) = adc(acc[4], carry, 0);
+            acc[5] += carry;
+        }
+        // Minus 2^63 · y_sum: its four limbs, one limb up and one bit down.
+        let s = y_sum.mont;
+        let mut borrow = 0u64;
+        (acc[0], borrow) = sbb(acc[0], s[0] << 63, borrow);
+        for i in 1..4 {
+            (acc[i], borrow) = sbb(acc[i], s[i] << 63 | s[i - 1] >> 1, borrow);
+        }
+        (acc[4], borrow) = sbb(acc[4], s[3] >> 1, borrow);
+        acc[5] -= borrow;
+        let [a0, a1, a2, a3, a4, a5] = acc;
+        fold([a0, a1, a2, a3], [a4, a5])
+    }
+
+    /// `Σ a_k · b_k` with one reduction for the whole sum: each 4×4-limb
+    /// schoolbook product is added into nine limbs, then one REDC clears
+    /// the low four and `fold` brings in the ninth, which the division
+    /// by `R` leaves worth `2^256`. `p` has no headroom below `2^256`, so
+    /// a sum of even two products can pass `2^512`: the ninth limb is
+    /// required. With at most [`MAX_DOT_TERMS`](Fp256::MAX_DOT_TERMS)
+    /// terms — and the `< 2^512` the REDC adds — it stays below
+    /// `2^32 + 1`.
+    ///
+    /// The operands are paired as [`Iterator::zip`] pairs them; `b` is an
+    /// iterator so that a caller computing its terms one at a time needs
+    /// no buffer for them.
+    pub fn dot(a: &[Fp256], b: impl IntoIterator<Item = Fp256>) -> Fp256 {
+        debug_assert!(a.len() <= Self::MAX_DOT_TERMS, "dot product too long");
+        let mut t = [0u64; 9];
+        for (x, y) in a.iter().zip(b) {
+            for i in 0..4 {
+                add_row(&mut t, i, x.mont[i], &y.mont);
+            }
+        }
+        // REDC: round `i` adds the multiple of `p · 2^{64i}` that clears
+        // limb `i`.
+        for i in 0..4 {
+            let m = t[i].wrapping_mul(N0_INV);
+            add_row(&mut t, i, m, &MODULUS);
+        }
+        fold([t[4], t[5], t[6], t[7]], [t[8], 0])
+    }
+
     /// Inverts every element in place with Montgomery's batch trick:
     /// one Fermat inversion plus three multiplications per element,
     /// instead of one ~256-squaring inversion per element.
@@ -625,8 +754,115 @@ impl From<i64> for Fp256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_bigint::BigUint;
+    use num_traits::Zero;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn big(limbs: &[u64]) -> BigUint {
+        let bytes: Vec<u8> = limbs.iter().flat_map(|l| l.to_le_bytes()).collect();
+        BigUint::from_bytes_le(&bytes)
+    }
+
+    /// Both dot products of `y` — with `coeffs` and with `b` — against
+    /// `num-bigint` and against the term-by-term `mont_mul` sum.
+    fn check_dots(coeffs: &[i64], y: &[Fp256], b: &[Fp256]) {
+        let p = big(&MODULUS);
+        let val = |e: &Fp256| big(&e.to_raw());
+        let y_sum = y.iter().fold(Fp256::ZERO, |s, e| s + *e);
+
+        let narrow = Fp256::dot_narrow(coeffs, y, y_sum);
+        let want = coeffs.iter().zip(y).fold(BigUint::zero(), |acc, (c, e)| {
+            let c_mod_p = if *c < 0 {
+                &p - BigUint::from(c.unsigned_abs())
+            } else {
+                BigUint::from(c.unsigned_abs())
+            };
+            (acc + c_mod_p * val(e)) % &p
+        });
+        assert_eq!(val(&narrow), want);
+        let by_terms = coeffs.iter().zip(y).map(|(c, e)| Fp256::from_i64(*c) * *e);
+        assert_eq!(narrow, by_terms.fold(Fp256::ZERO, |s, t| s + t));
+
+        let lazy = Fp256::dot(y, b.iter().copied());
+        let want = y
+            .iter()
+            .zip(b)
+            .fold(BigUint::zero(), |acc, (u, v)| acc + val(u) * val(v));
+        assert_eq!(val(&lazy), want % &p);
+        let by_terms = y.iter().zip(b).map(|(u, v)| *u * *v);
+        assert_eq!(lazy, by_terms.fold(Fp256::ZERO, |s, t| s + t));
+    }
+
+    /// `len` elements: uniform, every one `p − 1`, or all equal.
+    fn elems(shape: u8, len: usize, rng: &mut StdRng) -> Vec<Fp256> {
+        let one = match shape {
+            0 => return (0..len).map(|_| Fp256::random(rng)).collect(),
+            1 => -Fp256::ONE,
+            _ => Fp256::random(rng),
+        };
+        vec![one; len]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 512 }))]
+
+        #[test]
+        fn dot_kernels_match_bigint_and_the_term_by_term_sum(
+            len in 0usize..=64,
+            y_shape in 0u8..3,
+            b_shape in 0u8..3,
+            c_shape in 0u8..6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let y = elems(y_shape, len, &mut rng);
+            let b = elems(b_shape, len, &mut rng);
+            let coeffs: Vec<i64> = (0..len)
+                .map(|k| match c_shape {
+                    0 => rng.gen(),
+                    1 => i64::MAX,
+                    2 => -i64::MAX,
+                    3 => [i64::MAX, -i64::MAX][k % 2],
+                    4 => i64::MIN,
+                    _ => 0,
+                })
+                .collect();
+            check_dots(&coeffs, &y, &b);
+        }
+
+        #[test]
+        fn fold_matches_bigint(lo in prop::array::uniform4(any::<u64>()), hi in any::<u128>()) {
+            let hi = [hi as u64, (hi >> 64) as u64];
+            let p = big(&MODULUS);
+            let want = (big(&lo) + (big(&hi) << 256u32)) % &p;
+            prop_assert_eq!(big(&fold(lo, hi).mont), want);
+        }
+    }
+
+    #[test]
+    fn dot_kernels_carry_into_their_top_limbs() {
+        // 4 096 maximal terms: the sixth limb of the narrow sum reaches
+        // 2^11, the ninth of the lazy one 2^12 − 1.
+        let len = if cfg!(miri) { 64 } else { 4096 };
+        let y = vec![-Fp256::ONE; len];
+        check_dots(&vec![i64::MAX; len], &y, &y);
+        check_dots(&vec![i64::MIN; len], &y, &y);
+    }
+
+    #[test]
+    fn fold_carries_out_of_the_fourth_limb_once() {
+        // The sum wraps past 2^256, so the second pass runs; it lands
+        // below 2^161 and cannot wrap again.
+        let p = big(&MODULUS);
+        for hi in [[1, 0], [u64::MAX, 0], [u64::MAX; 2]] {
+            let want = (big(&[u64::MAX; 4]) + (big(&hi) << 256u32)) % &p;
+            assert_eq!(big(&fold([u64::MAX; 4], hi).mont), want);
+        }
+        // And a sum in [p, 2^256) takes the compare-and-subtract.
+        assert_eq!(fold(MODULUS, [0, 0]), Fp256::ZERO);
+    }
 
     #[test]
     fn constants_are_consistent() {

@@ -7,6 +7,7 @@ use ppcs_math::{Algebra, DensePoly, F64Algebra, FixedFpAlgebra, PolyEval};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
 /// Every non-decreasing tuple of `degree` indices below `dim`, in
 /// lexicographic order — written independently of the evaluator.
@@ -29,36 +30,50 @@ fn multisets(dim: usize, degree: u32) -> Vec<Vec<usize>> {
 
 /// A random model over `alg` (blocks for `lowest..=degree`, the rest
 /// empty) and a random point, with the term-by-term value of the one at
-/// the other.
+/// the other. `elem` draws a point coordinate or lower coefficient,
+/// `coeff` a top coefficient in its narrow form and as the element the
+/// definition multiplies by.
 fn model_point_and_definition<A: Algebra>(
     alg: &A,
     dim: usize,
     lowest: u32,
     degree: u32,
-    seed: u64,
+    mut elem: impl FnMut() -> A::Elem,
+    mut coeff: impl FnMut() -> (A::Coeff, A::Elem),
 ) -> (DensePoly<A>, Vec<A::Elem>, A::Elem) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut draw = |scale| alg.encode(rng.gen_range(-1.0..1.0), scale);
-    let y: Vec<A::Elem> = (0..dim).map(|_| draw(1)).collect();
-    let bias = draw(degree + 1);
+    let y: Vec<A::Elem> = (0..dim).map(|_| elem()).collect();
+    let bias = elem();
     let mut expected = bias.clone();
-    let blocks = (1..=degree)
+    let mut term = |c: &A::Elem, tuple: &[usize]| {
+        let term = tuple.iter().fold(c.clone(), |t, &i| alg.mul(&t, &y[i]));
+        expected = alg.add(&expected, &term);
+    };
+    let lower = (1..degree)
         .map(|d| {
-            if d < lowest {
-                return Vec::new();
-            }
-            multisets(dim, d)
+            let tuples = if d < lowest {
+                Vec::new()
+            } else {
+                multisets(dim, d)
+            };
+            tuples
                 .iter()
                 .map(|tuple| {
-                    let c = draw(1 + degree - d);
-                    let term = tuple.iter().fold(c.clone(), |t, &i| alg.mul(&t, &y[i]));
-                    expected = alg.add(&expected, &term);
+                    let c = elem();
+                    term(&c, tuple);
                     c
                 })
                 .collect()
         })
         .collect();
-    (DensePoly::new(dim, blocks, bias), y, expected)
+    let top = multisets(dim, degree)
+        .iter()
+        .map(|tuple| {
+            let (narrow, c) = coeff();
+            term(&c, tuple);
+            narrow
+        })
+        .collect();
+    (DensePoly::new(dim, lower, top, bias), y, expected)
 }
 
 proptest! {
@@ -71,9 +86,23 @@ proptest! {
         homogeneous in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        // Uniform points and lower coefficients (what a cloud and an
+        // amplified model look like), top coefficients over the whole
+        // signed 63-bit range the narrow form admits.
         let alg = FixedFpAlgebra::new(16);
         let lowest = if homogeneous { degree } else { 1 };
-        let (poly, y, expected) = model_point_and_definition(&alg, dim, lowest, degree, seed);
+        let rng = RefCell::new(StdRng::seed_from_u64(seed));
+        let (poly, y, expected) = model_point_and_definition(
+            &alg,
+            dim,
+            lowest,
+            degree,
+            || alg.random_mask(&mut *rng.borrow_mut()),
+            || {
+                let c = rng.borrow_mut().gen_range(-i64::MAX..=i64::MAX);
+                (c, alg.encode_int(c))
+            },
+        );
         prop_assert_eq!(poly.total_degree(), degree as usize);
         prop_assert_eq!(poly.num_vars(), dim);
         prop_assert_eq!(poly.eval(&alg, &y), expected);
@@ -88,7 +117,13 @@ proptest! {
     ) {
         let alg = F64Algebra::new();
         let lowest = if homogeneous { degree } else { 1 };
-        let (poly, y, expected) = model_point_and_definition(&alg, dim, lowest, degree, seed);
+        let rng = RefCell::new(StdRng::seed_from_u64(seed));
+        let draw = || rng.borrow_mut().gen_range(-1.0..1.0);
+        let (poly, y, expected) =
+            model_point_and_definition(&alg, dim, lowest, degree, draw, || {
+                let c = draw();
+                (c, c)
+            });
         let got = poly.eval(&alg, &y);
         prop_assert!((got - expected).abs() < 1e-9, "{} vs {}", got, expected);
     }
@@ -97,13 +132,13 @@ proptest! {
 #[test]
 #[should_panic(expected = "degree-2 block holds 2 coefficients")]
 fn a_block_of_the_wrong_size_is_refused() {
-    let _ = DensePoly::<F64Algebra>::new(2, vec![vec![1.0, 1.0], vec![1.0, 1.0]], 0.0);
+    let _ = DensePoly::<F64Algebra>::new(2, vec![vec![1.0, 1.0]], vec![1.0, 1.0], 0.0);
 }
 
 #[test]
 #[should_panic(expected = "wrong arity")]
 fn eval_rejects_wrong_arity() {
     let alg = F64Algebra::new();
-    let p = DensePoly::new(2, vec![vec![1.0, 1.0]], 0.0);
+    let p = DensePoly::new(2, Vec::new(), vec![1.0, 1.0], 0.0);
     let _ = p.eval(&alg, &[1.0]);
 }
