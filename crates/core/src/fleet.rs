@@ -33,7 +33,7 @@
 //! ticket, so a client holding warm state from the previous incarnation
 //! falls back to a cold handshake instead of resuming into a process
 //! that no longer remembers it (see
-//! [`WarmSessionCache`](crate::WarmSessionCache)).
+//! [`WarmSessionCache`]).
 //!
 //! Every breaker transition, hedge fire, and failover is surfaced
 //! through the attached [`MetricsRegistry`] (`ppcs_replica_state`,
@@ -332,8 +332,8 @@ pub struct FleetConfig {
     /// every probe, redial, and failover. `None` leaves attempts
     /// unbounded.
     pub deadline: Option<Duration>,
-    /// Whether each attempt opens with a [`KIND_HEALTH`]
-    /// (`ppcs_transport::KIND_HEALTH`) probe on the freshly dialed lane
+    /// Whether each attempt opens with a
+    /// [`KIND_HEALTH`](ppcs_transport::KIND_HEALTH) probe on the freshly dialed lane
     /// before the session: a draining replica is then skipped without a
     /// breaker penalty, and a dead one fails fast inside
     /// [`probe_window`](FleetConfig::probe_window).
@@ -366,7 +366,7 @@ struct Replica {
 
 /// A classification client spread over N replica trainers: per-replica
 /// circuit breakers, hedged failover, end-to-end deadlines, and
-/// epoch-aware warm sessions (see the [module docs](self)).
+/// epoch-aware warm sessions (see the module comment of `fleet.rs`).
 ///
 /// The replica set is fixed after construction; per-attempt lanes are
 /// dialed fresh through each replica's [`Connector`].

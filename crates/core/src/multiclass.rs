@@ -1,5 +1,5 @@
 //! Private one-vs-rest multi-class classification — an extension of the
-//! paper's binary protocol (its related work [15] targets multi-class
+//! paper's binary protocol (its related work \[15\] targets multi-class
 //! SVM outsourcing; the OMPE machinery composes naturally).
 //!
 //! ## The amplifier subtlety

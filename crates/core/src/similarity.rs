@@ -99,6 +99,12 @@ impl SimilarityConfig {
 // Geometry: boundary points, centroids, the plain (non-private) metric.
 // ---------------------------------------------------------------------
 
+/// The largest dimension the boundary enumeration takes.
+const MAX_BOUNDARY_DIM: usize = 24;
+
+/// Two boundary points closer than this in every coordinate are one.
+const SAME_POINT: f64 = 1e-7;
+
 /// All boundary points of the hyperplane `wᵀt + b = 0` inside the box
 /// `[α, β]ⁿ`, via the paper's Eq. (5): for each dimension as the free
 /// variable, solve against every corner assignment of the others and
@@ -106,55 +112,99 @@ impl SimilarityConfig {
 ///
 /// # Panics
 ///
-/// Panics if `w` is empty or `n > 24` (the `2^{n-1}` corner enumeration
+/// Panics if `w` is empty or `n > 24` (the `n·2^{n−1}` edge enumeration
 /// is exponential by construction — the paper's similarity experiments
 /// stay at `n ≤ 8`).
 pub fn boundary_points_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<f64>> {
     let n = w.len();
-    assert!(n >= 1, "need at least one dimension");
-    assert!(
-        n <= 24,
-        "corner enumeration is 2^(n-1); {n} dims is too many"
-    );
+    let mut set = BoundarySet::new(n, bounds);
     let (alpha, beta) = bounds;
-    let mut points = Vec::new();
-    for free in 0..n {
-        if w[free] == 0.0 {
-            continue;
-        }
-        let others: Vec<usize> = (0..n).filter(|&i| i != free).collect();
-        for mask in 0u64..(1u64 << others.len()) {
-            let mut t = vec![0.0; n];
+    let mut t = vec![0.0; n];
+    let mut others = Vec::with_capacity(n - 1);
+    for free in (0..n).filter(|&free| w[free] != 0.0) {
+        others.clear();
+        others.extend((0..n).filter(|&i| i != free));
+        for mask in 0..1usize << others.len() {
             let mut rhs = -b;
             for (bit, &i) in others.iter().enumerate() {
-                let v = if mask >> bit & 1 == 1 { beta } else { alpha };
-                t[i] = v;
-                rhs -= w[i] * v;
+                rhs -= w[i] * set.corner[mask >> bit & 1];
             }
             let u = rhs / w[free];
             if u >= alpha && u <= beta {
+                for (bit, &i) in others.iter().enumerate() {
+                    t[i] = set.corner[mask >> bit & 1];
+                }
                 t[free] = u;
-                points.push(t);
+                set.edge_start = set.points.len();
+                set.push(&t, free);
             }
         }
     }
-    dedupe_points(points)
+    set.points
 }
 
-/// Boundary points form a set: a plane through a box corner is found once
-/// per incident edge, and keeping the duplicates would skew the centroid
-/// by floating-point luck.
-fn dedupe_points(points: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-    for p in points {
-        let duplicate = out
-            .iter()
-            .any(|q| p.iter().zip(q).all(|(a, b)| (a - b).abs() < 1e-7));
-        if !duplicate {
-            out.push(p);
+/// Boundary points as a set, in the order they were found: a plane
+/// through a box corner is found once per incident edge, and keeping the
+/// duplicates would skew the centroid by floating-point luck.
+///
+/// A new point found on the edge with free coordinate `i` can only
+/// duplicate a kept point `q` that is
+/// * from the same edge (same free coordinate and mask, kept since
+///   `edge_start`, which each enumeration sets per edge), or
+/// * *near-vertex* — its free coordinate within [`SAME_POINT`] of `α` or
+///   `β` — and then so is the new point. If `q`'s free coordinate is
+///   `j ≠ i`, the new point's `t_j` is a corner value and `q`'s `t_i` is
+///   one too, so each free coordinate sits near a corner. If it is `i`
+///   under another mask, the two differ by `β − α` in some corner
+///   coordinate, so the box is narrower than `SAME_POINT` and every
+///   point counts as near-vertex (`narrow`: whatever the rounding of a
+///   grid node).
+///
+/// [`push`](Self::push) compares with exactly those, and with the same
+/// float expression as an all-pairs check, so it keeps what that keeps.
+struct BoundarySet {
+    corner: [f64; 2],
+    narrow: bool,
+    points: Vec<Vec<f64>>,
+    near_vertex: Vec<usize>,
+    edge_start: usize,
+}
+
+impl BoundarySet {
+    fn new(dim: usize, (alpha, beta): (f64, f64)) -> Self {
+        assert!(dim >= 1, "need at least one dimension");
+        assert!(
+            dim <= MAX_BOUNDARY_DIM,
+            "corner enumeration is 2^(n-1); {dim} dims is too many"
+        );
+        Self {
+            corner: [alpha, beta],
+            narrow: close(alpha, beta),
+            points: Vec::new(),
+            near_vertex: Vec::new(),
+            edge_start: 0,
         }
     }
-    out
+
+    /// Keeps `t` (free coordinate `free`) unless it duplicates a kept
+    /// point.
+    fn push(&mut self, t: &[f64], free: usize) {
+        let [alpha, beta] = self.corner;
+        let near = self.narrow || close(t[free], alpha) || close(t[free], beta);
+        let same = |q: &Vec<f64>| t.iter().zip(q).all(|(&a, &b)| close(a, b));
+        let duplicate = self.points[self.edge_start..].iter().any(same)
+            || near && self.near_vertex.iter().any(|&k| same(&self.points[k]));
+        if !duplicate {
+            if near {
+                self.near_vertex.push(self.points.len());
+            }
+            self.points.push(t.to_vec());
+        }
+    }
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() < SAME_POINT
 }
 
 /// Boundary points of a general decision surface `d(t) = 0` inside the
@@ -170,21 +220,19 @@ pub fn boundary_points_decision(
     bounds: (f64, f64),
     grid: usize,
 ) -> Vec<Vec<f64>> {
-    assert!(dim >= 1, "need at least one dimension");
-    assert!(
-        dim <= 24,
-        "corner enumeration is 2^(n-1); {dim} dims is too many"
-    );
+    let mut set = BoundarySet::new(dim, bounds);
     let (alpha, beta) = bounds;
     let grid = grid.max(2);
-    let mut points = Vec::new();
+    let mut t = vec![0.0; dim];
+    let mut others = Vec::with_capacity(dim - 1);
     for free in 0..dim {
-        let others: Vec<usize> = (0..dim).filter(|&i| i != free).collect();
-        for mask in 0u64..(1u64 << others.len()) {
-            let mut t = vec![0.0; dim];
+        others.clear();
+        others.extend((0..dim).filter(|&i| i != free));
+        for mask in 0..1usize << others.len() {
             for (bit, &i) in others.iter().enumerate() {
-                t[i] = if mask >> bit & 1 == 1 { beta } else { alpha };
+                t[i] = set.corner[mask >> bit & 1];
             }
+            set.edge_start = set.points.len();
             let eval_at = |u: f64, t: &mut Vec<f64>| {
                 t[free] = u;
                 decision(t)
@@ -196,7 +244,7 @@ pub fn boundary_points_decision(
                 let v = eval_at(u, &mut t);
                 if prev_v == 0.0 {
                     t[free] = prev_u;
-                    points.push(t.clone());
+                    set.push(&t, free);
                 } else if prev_v * v < 0.0 {
                     // Bisect the bracketing interval.
                     let (mut lo, mut hi) = (prev_u, u);
@@ -212,7 +260,7 @@ pub fn boundary_points_decision(
                         }
                     }
                     t[free] = 0.5 * (lo + hi);
-                    points.push(t.clone());
+                    set.push(&t, free);
                 }
                 prev_u = u;
                 prev_v = v;
@@ -221,11 +269,11 @@ pub fn boundary_points_decision(
             // node to report it; handle it here.
             if prev_v == 0.0 {
                 t[free] = prev_u;
-                points.push(t.clone());
+                set.push(&t, free);
             }
         }
     }
-    dedupe_points(points)
+    set.points
 }
 
 /// The centroid of a point set, or `None` if empty (plane misses the
@@ -283,12 +331,20 @@ impl ModelGeometry {
     ///
     /// # Errors
     ///
-    /// [`PpcsError::Expansion`] if the surface misses the bounded box
-    /// (no boundary points) or the kernel is unsupported for similarity
-    /// (only linear and homogeneous polynomial kernels are implemented,
-    /// matching §V-B/§V-C).
+    /// [`PpcsError::Expansion`] if the model has no dimension or more than
+    /// 24 (the boundary enumeration visits `n·2^{n−1}` box edges), the
+    /// surface misses the bounded box (no boundary points) or the kernel
+    /// is unsupported for similarity (only linear and homogeneous
+    /// polynomial kernels are implemented, matching §V-B/§V-C).
     #[allow(clippy::redundant_guards)] // float literal patterns are a hard error
     pub fn from_model(model: &SvmModel, cfg: &SimilarityConfig) -> Result<Self, PpcsError> {
+        let dim = model.dim();
+        if !(1..=MAX_BOUNDARY_DIM).contains(&dim) {
+            return Err(PpcsError::Expansion(format!(
+                "the boundary enumeration visits n·2^(n−1) box edges and takes \
+                 1 ≤ n ≤ {MAX_BOUNDARY_DIM}; the model has n = {dim}"
+            )));
+        }
         match model.kernel() {
             Kernel::Linear => {
                 let w = model
@@ -311,7 +367,6 @@ impl ModelGeometry {
                 })
             }
             Kernel::Polynomial { a0, b0, degree } if b0 == 0.0 => {
-                let dim = model.dim();
                 let decision = |t: &[f64]| model.decision(t);
                 let pts = boundary_points_decision(&decision, dim, cfg.bounds, cfg.boundary_grid);
                 let m = centroid(&pts).ok_or_else(|| {
@@ -672,7 +727,7 @@ where
         ram,
         raw,
         &rb_enc,
-    );
+    )?;
     respond_round(alg, io, sel, rng, &area_poly, &cfg.ompe_area()?, off3).await?;
     Ok(())
 }
@@ -869,6 +924,9 @@ where
 /// Builds Alice's round-3 secret
 /// `4T²(x₁,x₂) = [(c₁−2d₁x₁)² + c₂][c₄ − c₃d₂(d₃+x₂)²]`
 /// with the fixed-point scale layout documented at the top of this file.
+///
+/// `c₁` and `c₃` fold in Bob's hello, so a constant the backend cannot
+/// encode is [`PpcsError::Protocol`], not a panic.
 #[allow(clippy::too_many_arguments)]
 fn build_area_polynomial<A: Algebra>(
     alg: &A,
@@ -879,28 +937,34 @@ fn build_area_polynomial<A: Algebra>(
     ram: i64,
     raw: i64,
     rb_enc: &A::Elem,
-) -> MvPolynomial<A> {
-    let d1 = alg
-        .inv(&alg.encode_int(ram))
+) -> Result<MvPolynomial<A>, PpcsError> {
+    // Amplifiers are drawn from [2, 2^bits).
+    let inv = alg
+        .batch_inv(&[alg.encode_int(ram), alg.encode_int(raw)])
         .expect("amplifiers are nonzero");
-    let raw_inv = alg
-        .inv(&alg.encode_int(raw))
-        .expect("amplifiers are nonzero");
-    let d2 = alg.mul(&raw_inv, &raw_inv);
+    let (d1, raw_inv) = (&inv[0], &inv[1]);
+    let d2 = alg.mul(raw_inv, raw_inv);
     let d3 = alg.neg(rb_enc); // scale 2
 
-    let c1 = alg.encode(c1_real, 2);
-    let c2 = alg.encode(l0.powi(4), 4);
-    let c3 = alg.encode(c3_real, 4);
-    let c4 = alg.encode(c4_real, 8);
+    let encode = |name: &str, x: f64, scale: u32| {
+        alg.try_encode(x, scale).ok_or_else(|| {
+            PpcsError::Protocol(format!(
+                "area-polynomial constant {name} is outside what the backend encodes"
+            ))
+        })
+    };
+    let c1 = encode("c₁ = |m_A|² + |m_B|²", c1_real, 2)?;
+    let c2 = encode("c₂ = L₀⁴", l0.powi(4), 4)?;
+    let c3 = encode("c₃ = 1/(|w_A|²·|w_B|²)", c3_real, 4)?;
+    let c4 = encode("c₄ = 1 + sin²θ₀", c4_real, 8)?;
 
     let two = alg.encode_int(2);
     let four = alg.encode_int(4);
 
     // A-part: a₀ + a₁x₁ + a₂x₁², uniform scale 4.
     let a0 = alg.add(&alg.mul(&c1, &c1), &c2);
-    let a1 = alg.neg(&alg.mul(&four, &alg.mul(&c1, &d1)));
-    let a2 = alg.mul(&four, &alg.mul(&d1, &d1));
+    let a1 = alg.neg(&alg.mul(&four, &alg.mul(&c1, d1)));
+    let a2 = alg.mul(&four, &alg.mul(d1, d1));
 
     // B-part: b₀ + b₁x₂ + b₂x₂², uniform scale 8.
     let c3d2 = alg.mul(&c3, &d2);
@@ -923,7 +987,7 @@ fn build_area_polynomial<A: Algebra>(
             terms.push((coeff, vec![i as u32, j as u32]));
         }
     }
-    MvPolynomial::from_terms(2, terms)
+    Ok(MvPolynomial::from_terms(2, terms))
 }
 
 fn encode_hello(dim: usize, m_norm2: f64, w_norm2: f64) -> Vec<u8> {
@@ -934,6 +998,9 @@ fn encode_hello(dim: usize, m_norm2: f64, w_norm2: f64) -> Vec<u8> {
     out
 }
 
+/// Bob's `(n, |m_B|², |w_B|²)`. A squared norm is finite and not
+/// negative, and `|w_B|² = 0` is a plane with no direction — it would
+/// put `1/(|w_A|²·|w_B|²)` into the area polynomial.
 fn decode_hello(bytes: &[u8]) -> Result<(usize, f64, f64), PpcsError> {
     if bytes.len() != 24 {
         return Err(PpcsError::Protocol("malformed similarity hello".into()));
@@ -941,6 +1008,11 @@ fn decode_hello(bytes: &[u8]) -> Result<(usize, f64, f64), PpcsError> {
     let dim = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) as usize;
     let m = f64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let w = f64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    if !(m.is_finite() && w.is_finite() && m >= 0.0 && w > 0.0) {
+        return Err(PpcsError::Protocol(
+            "similarity hello needs finite |m_B|² ≥ 0 and |w_B|² > 0".into(),
+        ));
+    }
     Ok((dim, m, w))
 }
 
@@ -993,6 +1065,286 @@ mod tests {
         }
         let m = centroid(&pts).unwrap();
         assert_eq!(m, vec![0.0, 0.0]);
+    }
+
+    // The parent's enumerations, verbatim: every candidate point in its
+    // own allocation, then an all-pairs duplicate check. The oracle the
+    // linear-time code must equal bit for bit.
+
+    fn dedupe_points(points: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(points.len());
+        for p in points {
+            let duplicate = out
+                .iter()
+                .any(|q| p.iter().zip(q).all(|(a, b)| (a - b).abs() < 1e-7));
+            if !duplicate {
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    fn oracle_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<f64>> {
+        let n = w.len();
+        let (alpha, beta) = bounds;
+        let mut points = Vec::new();
+        for free in 0..n {
+            if w[free] == 0.0 {
+                continue;
+            }
+            let others: Vec<usize> = (0..n).filter(|&i| i != free).collect();
+            for mask in 0u64..(1u64 << others.len()) {
+                let mut t = vec![0.0; n];
+                let mut rhs = -b;
+                for (bit, &i) in others.iter().enumerate() {
+                    let v = if mask >> bit & 1 == 1 { beta } else { alpha };
+                    t[i] = v;
+                    rhs -= w[i] * v;
+                }
+                let u = rhs / w[free];
+                if u >= alpha && u <= beta {
+                    t[free] = u;
+                    points.push(t);
+                }
+            }
+        }
+        dedupe_points(points)
+    }
+
+    fn oracle_decision(
+        decision: &dyn Fn(&[f64]) -> f64,
+        dim: usize,
+        bounds: (f64, f64),
+        grid: usize,
+    ) -> Vec<Vec<f64>> {
+        let (alpha, beta) = bounds;
+        let grid = grid.max(2);
+        let mut points = Vec::new();
+        for free in 0..dim {
+            let others: Vec<usize> = (0..dim).filter(|&i| i != free).collect();
+            for mask in 0u64..(1u64 << others.len()) {
+                let mut t = vec![0.0; dim];
+                for (bit, &i) in others.iter().enumerate() {
+                    t[i] = if mask >> bit & 1 == 1 { beta } else { alpha };
+                }
+                let eval_at = |u: f64, t: &mut Vec<f64>| {
+                    t[free] = u;
+                    decision(t)
+                };
+                let mut prev_u = alpha;
+                let mut prev_v = eval_at(prev_u, &mut t);
+                for g in 1..=grid {
+                    let u = alpha + (beta - alpha) * g as f64 / grid as f64;
+                    let v = eval_at(u, &mut t);
+                    if prev_v == 0.0 {
+                        t[free] = prev_u;
+                        points.push(t.clone());
+                    } else if prev_v * v < 0.0 {
+                        let (mut lo, mut hi) = (prev_u, u);
+                        let mut flo = prev_v;
+                        for _ in 0..60 {
+                            let mid = 0.5 * (lo + hi);
+                            let fmid = eval_at(mid, &mut t);
+                            if flo * fmid <= 0.0 {
+                                hi = mid;
+                            } else {
+                                lo = mid;
+                                flo = fmid;
+                            }
+                        }
+                        t[free] = 0.5 * (lo + hi);
+                        points.push(t.clone());
+                    }
+                    prev_u = u;
+                    prev_v = v;
+                }
+                if prev_v == 0.0 {
+                    t[free] = prev_u;
+                    points.push(t.clone());
+                }
+            }
+        }
+        dedupe_points(points)
+    }
+
+    fn bits(points: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        points
+            .iter()
+            .map(|p| p.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The boxes the oracle comparison sweeps: the default one, an
+    /// asymmetric one, and one narrower than the duplicate tolerance.
+    const BOXES: [(f64, f64); 3] = [(-1.0, 1.0), (-0.5, 2.0), (0.3, 0.3 + 5e-8)];
+
+    /// Planes `(w, b)` in `dim` dimensions meeting the box: through a
+    /// random interior point, through a random vertex with quarter-step
+    /// weights (so corners and grid nodes are hit exactly), with every
+    /// other weight zero, and a face `t₀ = β`.
+    fn planes(dim: usize, (alpha, beta): (f64, f64), rng: &mut StdRng) -> Vec<(Vec<f64>, f64)> {
+        let through = |w: &[f64], p: &[f64]| -ppcs_svm::dot(w, p);
+        let mut out = Vec::new();
+        for k in 0..if dim <= 6 { 4 } else { 2 } {
+            let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(alpha..=beta)).collect();
+            let w: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            out.push((w.clone(), through(&w, &p)));
+            let zeroed: Vec<f64> = (0..dim)
+                .map(|i| if (i + k) % 2 == 0 { 0.0 } else { w[i] })
+                .collect();
+            out.push((zeroed.clone(), through(&zeroed, &p)));
+            let vertex: Vec<f64> = (0..dim)
+                .map(|_| if rng.gen() { beta } else { alpha })
+                .collect();
+            let quarters: Vec<f64> = (0..dim)
+                .map(|_| f64::from(rng.gen_range(-4i32..=4)) / 4.0)
+                .collect();
+            out.push((quarters.clone(), through(&quarters, &vertex)));
+        }
+        let mut face = vec![0.0; dim];
+        face[0] = 1.0;
+        out.push((face, -beta));
+        out
+    }
+
+    #[test]
+    fn linear_enumeration_equals_the_all_pairs_oracle() {
+        let mut rng = StdRng::seed_from_u64(70);
+        for dim in 1..=10 {
+            for bounds in BOXES {
+                for (w, b) in planes(dim, bounds, &mut rng) {
+                    assert_eq!(
+                        bits(&boundary_points_linear(&w, b, bounds)),
+                        bits(&oracle_linear(&w, b, bounds)),
+                        "w = {w:?}, b = {b}, box {bounds:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decision_enumeration_equals_the_all_pairs_oracle() {
+        let mut rng = StdRng::seed_from_u64(71);
+        // Grid 8 on [-1, 1] puts a node on every multiple of ¼, where
+        // the quarter-step planes have exact zeros.
+        let grid = 8;
+        for dim in 1..=10 {
+            for bounds in BOXES {
+                let mut surfaces = planes(dim, bounds, &mut rng);
+                if dim > 6 {
+                    // A face makes every node of every edge in it a
+                    // point; the quadratic oracle is too slow for that.
+                    surfaces.pop();
+                }
+                for (w, b) in surfaces {
+                    let linear = |t: &[f64]| ppcs_svm::dot(&w, t) + b;
+                    let quadric = |t: &[f64]| {
+                        t.iter().zip(&w).map(|(ti, wi)| wi * ti * ti).sum::<f64>() + b * b - 0.25
+                    };
+                    for decision in [&linear as &dyn Fn(&[f64]) -> f64, &quadric] {
+                        assert_eq!(
+                            bits(&boundary_points_decision(decision, dim, bounds, grid)),
+                            bits(&oracle_decision(decision, dim, bounds, grid)),
+                            "w = {w:?}, b = {b}, box {bounds:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // A zero exactly on a grid node (u = ¼ is node 5 of 8).
+        let node = |t: &[f64]| t[0] - 0.25;
+        let pts = boundary_points_decision(&node, 3, (-1.0, 1.0), grid);
+        assert_eq!(
+            bits(&pts),
+            bits(&oracle_decision(&node, 3, (-1.0, 1.0), grid))
+        );
+        assert_eq!(pts.len(), 4);
+        assert!(pts.iter().all(|p| p[0] == 0.25));
+        // Two roots 2e-8 apart straddling that node: one edge, one point.
+        let straddle = |t: &[f64]| (t[0] - 0.25).powi(2) - 1e-16;
+        let pts = boundary_points_decision(&straddle, 3, (-1.0, 1.0), grid);
+        assert_eq!(
+            bits(&pts),
+            bits(&oracle_decision(&straddle, 3, (-1.0, 1.0), grid))
+        );
+        assert_eq!(pts.len(), 4);
+    }
+
+    #[test]
+    fn oversized_models_are_typed_errors() {
+        let cfg = SimilarityConfig::default();
+        for (dim, kernel) in [
+            (0, Kernel::Linear),
+            (25, Kernel::Linear),
+            (
+                25,
+                Kernel::Polynomial {
+                    a0: 1.0,
+                    b0: 0.0,
+                    degree: 2,
+                },
+            ),
+        ] {
+            let svs: Vec<Vec<f64>> = (0..dim.min(1)).map(|_| vec![0.5; dim]).collect();
+            let coeffs = vec![1.0; svs.len()];
+            let model = SvmModel::from_parts(kernel, svs, coeffs, 0.1);
+            match ModelGeometry::from_model(&model, &cfg) {
+                Err(PpcsError::Expansion(msg)) => {
+                    assert!(msg.contains(&format!("n = {dim}")), "{msg}");
+                    assert!(msg.contains("n·2^(n−1)"), "{msg}");
+                }
+                other => panic!("{dim} dims gave {other:?}"),
+            }
+        }
+    }
+
+    /// Alice's result against an honest Bob whose geometry is overwritten
+    /// with the aggregates `(|m_B|², |w_B|²)` his hello then carries.
+    fn respond_to_hello(m_norm2: f64, w_norm2: f64) -> Result<(), PpcsError> {
+        let cfg = SimilarityConfig::default();
+        let alg = FixedFpAlgebra::new(16);
+        let ma = train_rotated(2, 15.0, 4, Kernel::Linear);
+        let mb = train_rotated(2, 60.0, 5, Kernel::Linear);
+        let mut gb = ModelGeometry::from_model(&mb, &cfg).unwrap();
+        let direction = direction_input(&gb, &mb);
+        gb.m_norm2 = m_norm2;
+        gb.w_norm2 = w_norm2;
+        let (res_a, _) = run_pair(
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(50);
+                similarity_respond(&alg, &ep, &SIM_OT, &mut rng, &ma, &cfg)
+            },
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(51);
+                let _ = similarity_request_geometry(
+                    &alg, &ep, &SIM_OT, &mut rng, &gb, &direction, 2, &cfg,
+                );
+            },
+        );
+        res_a
+    }
+
+    #[test]
+    fn crafted_hello_norms_are_typed_errors() {
+        // The first five panicked the responder in `encode`; the last two
+        // were accepted.
+        for (m, w) in [
+            (1.0, 0.0),
+            (1.0, f64::NAN),
+            (1.0, 1e-300),
+            (1e300, 1.0),
+            (f64::INFINITY, 1.0),
+            (1.0, -1.0),
+            (-1.0, 1.0),
+        ] {
+            let res = respond_to_hello(m, w);
+            assert!(
+                matches!(res, Err(PpcsError::Protocol(_))),
+                "|m_B|² = {m}, |w_B|² = {w} gave {res:?}"
+            );
+        }
+        respond_to_hello(0.5, 1.0).expect("an honest hello");
     }
 
     #[test]

@@ -16,19 +16,34 @@
 //! leave every frame, and so all three digests, as they are; a change to
 //! the protocol, to the order or width of RNG draws or to the codec has
 //! to re-pin them and say so here.
+//!
+//! The fourth digest pins a similarity session over the field and an
+//! ideal OT, so it moves only with §V's protocol or with the geometry
+//! both parties derive before it: the hello carries `|m|²` and `|w|²` bit
+//! for bit. The geometry itself is pinned beside it. Both were computed
+//! on the commit before the boundary enumeration went linear-time, which
+//! must not move either.
 
-use ppcs_core::{Client, ProtocolConfig, Trainer};
+use ppcs_core::{
+    similarity_plain, similarity_request_io, similarity_respond, Client, ModelGeometry,
+    ProtocolConfig, SimilarityConfig, Trainer,
+};
 use ppcs_crypto::Sha256;
+use ppcs_datasets::diabetes_subsets;
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{
     ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, IknpOt, NaorPinkasOt,
-    ObliviousTransfer, OtError, OtSelect,
+    ObliviousTransfer, OtError, OtSelect, TrustedSimOt,
 };
-use ppcs_svm::{Kernel, Label, SvmModel};
+use ppcs_svm::{Kernel, Label, SmoParams, SvmModel};
 use ppcs_tests::blob_dataset;
 use ppcs_transport::{duplex, Driver, Endpoint, ProtocolEngine, TransportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn hex(digest: &[u8]) -> String {
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
 
 /// Drives `engine` against `run_peer` on a second thread and returns its
 /// result with the hex SHA-256 of everything it sent and received.
@@ -42,8 +57,7 @@ fn recorded<'a, T, E: From<TransportError>>(
         let mut driver = Driver::new().with_recording();
         let res = driver.drive(&ep, &mut engine);
         let transcript = driver.take_transcript().expect("recording enabled");
-        let digest = Sha256::digest(&transcript.to_bytes());
-        (res, digest.iter().map(|b| format!("{b:02x}")).collect())
+        (res, hex(&Sha256::digest(&transcript.to_bytes())))
     })
 }
 
@@ -111,6 +125,70 @@ fn iknp768_four_of_eight_transfer_is_pinned() {
         four_of_eight(IknpOt::fast_insecure().select()),
         "f116a5f21ebaa879552e93666872d492e5f248982dbf2bff95cfbe23f8f68628",
         "the IKNP-768 4-of-8 transfer transcript changed"
+    );
+}
+
+/// The `similarity_fp256` benchmark's two models
+/// (`benchmark/src/inputs.rs`): linear SVMs on Table II's diabetes
+/// subsets S1 and S2.
+fn diabetes_models() -> (SvmModel, SvmModel) {
+    let subsets = diabetes_subsets(42);
+    let params = SmoParams {
+        c: 8.0,
+        ..SmoParams::default()
+    };
+    (
+        SvmModel::train(&subsets[0], Kernel::Linear, &params),
+        SvmModel::train(&subsets[1], Kernel::Linear, &params),
+    )
+}
+
+#[test]
+fn diabetes_model_geometry_is_pinned() {
+    let (a, b) = diabetes_models();
+    let cfg = SimilarityConfig::default();
+    let mut bytes = Vec::new();
+    for model in [&a, &b] {
+        let g = ModelGeometry::from_model(model, &cfg).expect("geometry");
+        for v in g.centroid.iter().chain(&g.direction) {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&g.m_norm2.to_le_bytes());
+        bytes.extend_from_slice(&g.w_norm2.to_le_bytes());
+    }
+    assert_eq!(
+        hex(&Sha256::digest(&bytes)),
+        "782484fa283203fad432d4458e7af1827cebe65904d3306485ddb4b096b95fa0",
+        "the diabetes models' similarity geometry changed"
+    );
+}
+
+#[test]
+fn fp256_similarity_session_is_pinned() {
+    let (a, b) = diabetes_models();
+    let cfg = SimilarityConfig::default();
+    let alg = FixedFpAlgebra::new(16);
+    let sel = TrustedSimOt::new().select();
+    let requester = ProtocolEngine::new(|io| {
+        let (alg, b, cfg) = (&alg, &b, &cfg);
+        async move {
+            let mut rng = StdRng::seed_from_u64(32);
+            similarity_request_io(alg, &io, sel, &mut rng, b, cfg).await
+        }
+    });
+    let (t, digest) = recorded(requester, |ep| {
+        let mut rng = StdRng::seed_from_u64(31);
+        similarity_respond(&alg, &ep, &TrustedSimOt::new(), &mut rng, &a, &cfg).expect("respond");
+    });
+    let want = similarity_plain(&a, &b, &cfg).expect("plain");
+    let got = t.expect("request");
+    assert!(
+        (got - want).abs() < 5e-3 * want,
+        "private {got} vs plain {want}"
+    );
+    assert_eq!(
+        digest, "93df9934bdd8441ce56a6d1a4fa5ae94c7b347329be70f254ccc4b01e28eee1b",
+        "the field similarity transcript changed"
     );
 }
 
