@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppcs_core::{expand_model, ProtocolConfig};
-use ppcs_math::{F64Algebra, MvPolynomial};
+use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
 use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
@@ -19,17 +19,18 @@ use std::hint::black_box;
 static SIM: TrustedSimOt = TrustedSimOt;
 
 fn run_ompe(params: OmpeParams) {
-    let alg = F64Algebra::new();
-    let secret = MvPolynomial::affine(&alg, &[0.5, -0.25, 0.125, 1.0], 0.75);
-    let alpha = vec![0.1, 0.2, 0.3, 0.4];
+    let alg = FixedFpAlgebra::new(16);
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let secret = MvPolynomial::affine(&alg, &enc(&[0.5, -0.25, 0.125, 1.0]), alg.encode(0.75, 2));
+    let alpha = enc(&[0.1, 0.2, 0.3, 0.4]);
     let (res, v) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(1);
-            ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params)
+            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(2);
-            ompe_receive(&F64Algebra::new(), &ep, &SIM, &mut rng, &alpha, &params)
+            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
         },
     );
     res.expect("send");

@@ -1,9 +1,10 @@
 //! Field-arithmetic microbenchmarks: the in-tree `Fp256` Montgomery
-//! implementation vs native `f64` — the cost axis of choosing the
-//! cryptographically sound backend over the paper-faithful one.
+//! implementation, the fixed-point encoding into it, and a Horner loop
+//! against the same loop in plain `f64` — what computing over the field
+//! costs over the plaintext arithmetic.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra, Fp256};
+use ppcs_math::{Algebra, FixedFpAlgebra, Fp256};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -27,7 +28,6 @@ fn bench_field(c: &mut Criterion) {
     group.finish();
 
     let fixed = FixedFpAlgebra::new(16);
-    let f64a = F64Algebra::new();
     let mut group = c.benchmark_group("encode_decode");
     group.bench_function("fixed/encode_scale1", |bench| {
         bench.iter(|| black_box(fixed.encode(black_box(0.73214), 1)))
@@ -38,9 +38,6 @@ fn bench_field(c: &mut Criterion) {
     let e = fixed.encode(0.73214, 2);
     group.bench_function("fixed/decode_scale2", |bench| {
         bench.iter(|| black_box(fixed.decode(black_box(&e), 2)))
-    });
-    group.bench_function("f64/encode", |bench| {
-        bench.iter(|| black_box(f64a.encode(black_box(0.73214), 1)))
     });
     group.finish();
 

@@ -1,8 +1,8 @@
-//! OMPE protocol benchmarks: one oblivious evaluation across backends
-//! and input arities — the per-sample cost core of Fig. 9.
+//! OMPE protocol benchmarks: one oblivious evaluation across input
+//! arities — the per-sample cost core of Fig. 9.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra, MvPolynomial};
+use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
 use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
 use ppcs_ot::TrustedSimOt;
 use ppcs_transport::run_pair;
@@ -11,25 +11,6 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 static SIM: TrustedSimOt = TrustedSimOt;
-
-fn run_f64(arity: usize, params: OmpeParams) {
-    let alg = F64Algebra::new();
-    let weights: Vec<f64> = (0..arity).map(|i| 0.1 * i as f64 - 0.3).collect();
-    let secret = MvPolynomial::affine(&alg, &weights, 0.5);
-    let alpha: Vec<f64> = (0..arity).map(|i| 0.05 * i as f64 - 0.2).collect();
-    let (res, v) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(1);
-            ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params)
-        },
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(2);
-            ompe_receive(&F64Algebra::new(), &ep, &SIM, &mut rng, &alpha, &params)
-        },
-    );
-    res.expect("send");
-    black_box(v.expect("receive"));
-}
 
 fn run_fixed(arity: usize, params: OmpeParams) {
     let alg = FixedFpAlgebra::new(16);
@@ -43,25 +24,11 @@ fn run_fixed(arity: usize, params: OmpeParams) {
     let (res, v) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(1);
-            ompe_send(
-                &FixedFpAlgebra::new(16),
-                &ep,
-                &SIM,
-                &mut rng,
-                &secret,
-                &params,
-            )
+            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(2);
-            ompe_receive(
-                &FixedFpAlgebra::new(16),
-                &ep,
-                &SIM,
-                &mut rng,
-                &alpha,
-                &params,
-            )
+            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
         },
     );
     res.expect("send");
@@ -74,14 +41,9 @@ fn bench_ompe(c: &mut Criterion) {
     let mut group = c.benchmark_group("ompe_affine");
     group.sample_size(30);
     for arity in [8usize, 60, 123, 500] {
-        group.bench_with_input(BenchmarkId::new("f64", arity), &arity, |b, &n| {
-            b.iter(|| run_f64(n, params))
+        group.bench_with_input(BenchmarkId::new("fp256", arity), &arity, |b, &n| {
+            b.iter(|| run_fixed(n, params))
         });
-        if arity <= 123 {
-            group.bench_with_input(BenchmarkId::new("fp256", arity), &arity, |b, &n| {
-                b.iter(|| run_fixed(n, params))
-            });
-        }
     }
     group.finish();
 }

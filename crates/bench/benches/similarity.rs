@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppcs_core::{similarity_plain, similarity_request, similarity_respond, SimilarityConfig};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::run_pair;
@@ -43,7 +43,7 @@ fn bench_similarity(c: &mut Criterion) {
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(1);
                         similarity_respond(
-                            &F64Algebra::new(),
+                            &FixedFpAlgebra::new(16),
                             &ep,
                             &TrustedSimOt,
                             &mut rng,
@@ -54,7 +54,7 @@ fn bench_similarity(c: &mut Criterion) {
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(2);
                         similarity_request(
-                            &F64Algebra::new(),
+                            &FixedFpAlgebra::new(16),
                             &ep,
                             &TrustedSimOt,
                             &mut rng,

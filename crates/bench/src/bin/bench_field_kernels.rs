@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// (p50, p95) wall time of `reps` runs of `f`, in microseconds
-/// (nearest-rank quantiles, matching `report::quantile_ms`).
+/// (nearest-rank quantiles).
 fn time_us(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {

@@ -17,7 +17,7 @@ use ppcs_core::{
     direction_input, similarity_plain_geometry, similarity_request_geometry,
     similarity_respond_geometry, ModelGeometry, SimilarityConfig,
 };
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::run_pair;
@@ -99,7 +99,7 @@ fn main() {
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(3000 + run as u64);
                         similarity_respond_geometry(
-                            &F64Algebra::new(),
+                            &FixedFpAlgebra::new(16),
                             &ep,
                             &TrustedSimOt,
                             &mut rng,
@@ -112,7 +112,7 @@ fn main() {
                     move |ep| {
                         let mut rng = StdRng::seed_from_u64(4000 + run as u64);
                         similarity_request_geometry(
-                            &F64Algebra::new(),
+                            &FixedFpAlgebra::new(16),
                             &ep,
                             &TrustedSimOt,
                             &mut rng,

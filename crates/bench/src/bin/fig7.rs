@@ -28,14 +28,13 @@ const MAX_PRIVATE_SAMPLES: usize = 2000;
 
 fn main() {
     println!("\nFig. 7 — Accuracy of Linear Data Classification\n");
-    let widths = [14usize, 12, 14, 10, 10];
+    let widths = [14usize, 12, 14, 12];
     print_row(
         &[
             "dataset".into(),
             "original %".into(),
             "private %".into(),
-            "equal?".into(),
-            "samples".into(),
+            "labels =".into(),
         ],
         &widths,
     );
@@ -46,21 +45,21 @@ fn main() {
         let entry = train_entry(&spec);
         let cfg = ProtocolConfig::functional();
         let plain = plain_accuracy(&entry.linear, &entry.test, MAX_PRIVATE_SAMPLES);
-        let (private, n) =
+        let (private, agreeing, n) =
             private_accuracy(&entry.linear, &entry.test, MAX_PRIVATE_SAMPLES, cfg, 7);
         print_row(
             &[
                 name.into(),
                 format!("{:.2}", 100.0 * plain),
                 format!("{:.2}", 100.0 * private),
-                format!("{}", (plain - private).abs() < 1e-12),
-                format!("{n}"),
+                format!("{agreeing}/{n}"),
             ],
             &widths,
         );
     }
     println!(
-        "\nAs in the paper: the privacy-preserving scheme predicts every class\n\
-         with exactly the same accuracy as the original SVM."
+        "\nThe paper's claim: identical bars. 'labels =' counts the private labels\n\
+         equal to the original SVM's, the model and samples fixed-point encoded\n\
+         at 16 fractional bits in the 256-bit field."
     );
 }

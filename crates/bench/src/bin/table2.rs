@@ -10,7 +10,7 @@
 use ppcs_bench::{print_row, print_rule};
 use ppcs_core::{similarity_request, similarity_respond, SimilarityConfig};
 use ppcs_datasets::{diabetes_subsets, TABLE2_PAIRS, TABLE2_PAPER};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_stats::{ks_average_over_dims, spearman_rank_correlation};
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
@@ -52,12 +52,26 @@ fn main() {
         let (res, t) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(10 + row as u64);
-                similarity_respond(&F64Algebra::new(), &ep, &TrustedSimOt, &mut rng, &ma, &cfg)
+                similarity_respond(
+                    &FixedFpAlgebra::new(16),
+                    &ep,
+                    &TrustedSimOt,
+                    &mut rng,
+                    &ma,
+                    &cfg,
+                )
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(50 + row as u64);
-                similarity_request(&F64Algebra::new(), &ep, &TrustedSimOt, &mut rng, &mb, &cfg)
-                    .expect("similarity")
+                similarity_request(
+                    &FixedFpAlgebra::new(16),
+                    &ep,
+                    &TrustedSimOt,
+                    &mut rng,
+                    &mb,
+                    &cfg,
+                )
+                .expect("similarity")
             },
         );
         res.expect("responder");

@@ -8,13 +8,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-
 use std::time::Instant;
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_datasets::{generate, DatasetSpec};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::{drive_blocking, duplex, duplex_pool, run_pair, Driver, Transcript};
@@ -72,8 +70,8 @@ pub fn private_classify(
     cfg: ProtocolConfig,
     seed: u64,
 ) -> Vec<Label> {
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer setup");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer setup");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = samples.to_vec();
     let (_, labels) = run_pair(
         move |ep| {
@@ -116,8 +114,8 @@ pub fn private_classify_parallel_with_ot(
     seed: u64,
     ot: &dyn ObliviousTransfer,
 ) -> Vec<Label> {
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer setup");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer setup");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
         let t = scope.spawn(|| {
@@ -149,8 +147,8 @@ pub fn recorded_classification_session(
     cfg: ProtocolConfig,
     seed: u64,
 ) -> (Vec<Label>, Transcript) {
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer setup");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer setup");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = TrustedSimOt.select();
     let (ep_t, ep_c) = duplex();
     let (_, (values, transcript)) = std::thread::scope(|scope| {
@@ -180,28 +178,33 @@ pub fn recorded_classification_session(
     (labels, transcript)
 }
 
-/// Accuracy of the private protocol on (a subsample of) the test split.
+/// Accuracy of the private protocol on (a subsample of) the test split,
+/// how many of its labels equal the plain model's, and the subsample
+/// size: `(accuracy, agreeing, n)`.
 ///
-/// `max_samples` caps the protocol runs; because private and plain
-/// predictions agree sample-by-sample (asserted throughout the test
-/// suite), the subsample accuracy is reported alongside the subsample
-/// size.
+/// `max_samples` caps the protocol runs. The model is fixed-point
+/// encoded at 16 fractional bits, so a sample within quantization of
+/// the boundary could flip; `agreeing` would show it.
 pub fn private_accuracy(
     model: &SvmModel,
     test: &Dataset,
     max_samples: usize,
     cfg: ProtocolConfig,
     seed: u64,
-) -> (f64, usize) {
+) -> (f64, usize, usize) {
     let n = test.len().min(max_samples);
     let samples: Vec<Vec<f64>> = (0..n).map(|i| test.features(i).to_vec()).collect();
     let labels = private_classify(model, &samples, cfg, seed);
-    let correct = labels
-        .iter()
-        .zip((0..n).map(|i| test.label(i)))
-        .filter(|(a, b)| **a == *b)
-        .count();
-    (correct as f64 / n as f64, n)
+    let count = |truth: &dyn Fn(usize) -> Label| {
+        labels
+            .iter()
+            .enumerate()
+            .filter(|(i, l)| **l == truth(*i))
+            .count()
+    };
+    let correct = count(&|i| test.label(i));
+    let agreeing = count(&|i| model.predict(&samples[i]));
+    (correct as f64 / n as f64, agreeing, n)
 }
 
 /// Plain accuracy on (a subsample of) the test split, matching the
@@ -229,8 +232,8 @@ pub fn time_private_batch(
     ot: &'static dyn ObliviousTransfer,
     seed: u64,
 ) -> (Vec<Label>, f64) {
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer setup");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer setup");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = samples.to_vec();
     let start = Instant::now();
     let (_, labels) = run_pair(
@@ -298,7 +301,7 @@ mod tests {
     fn private_accuracy_matches_plain_on_subsample() {
         let spec = spec_by_name("diabetes").unwrap();
         let entry = train_entry(&spec);
-        let (private, n) = private_accuracy(
+        let (private, agreeing, n) = private_accuracy(
             &entry.linear,
             &entry.test,
             50,
@@ -306,7 +309,7 @@ mod tests {
             1,
         );
         let plain = plain_accuracy(&entry.linear, &entry.test, 50);
-        assert_eq!(n, 50);
+        assert_eq!((agreeing, n), (50, 50));
         assert!((private - plain).abs() < 1e-12);
     }
 }

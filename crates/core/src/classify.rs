@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use ppcs_math::{expanded_dimension, Algebra, DensePoly, FixedFpAlgebra, PolyEval};
+use ppcs_math::{expanded_dimension, Algebra, DensePoly, FixedFpAlgebra, Fp256, PolyEval};
 use ppcs_ompe::{
     ompe_receive_batch_io, ompe_receive_batch_offline_io, ompe_receive_io, ompe_send_batch_io,
     ompe_send_batch_offline_io, ompe_send_io, ompe_send_offline_io, params_fingerprint, OmpeError,
@@ -41,9 +41,7 @@ use ppcs_ompe::{
 use ppcs_ot::{ObliviousTransfer, OtError, OtSelect};
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{
-    drive_blocking, Encodable, Frame, FrameIo, Lane, ProtocolEngine, TransportError,
-};
+use ppcs_transport::{drive_blocking, Frame, FrameIo, Lane, ProtocolEngine, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -193,7 +191,7 @@ impl ClassifySpec {
 pub struct Trainer<A: Algebra> {
     alg: A,
     cfg: ProtocolConfig,
-    base: DensePoly<A>,
+    base: DensePoly,
     spec: ClassifySpec,
     /// The serving process's incarnation, advertised in the cold `SPEC`,
     /// the warm `TICKET`, and `KIND_HEALTH` replies. A restarted trainer
@@ -204,29 +202,26 @@ pub struct Trainer<A: Algebra> {
 
 /// `r_a · P(y)`: one sample's amplified secret as a view of the trainer's
 /// one polynomial — a product per submitted point, where a scaled copy
-/// costs a product (and 32 bytes) per coefficient. Over the field
-/// `M(x) + r_a·P(y)` is the same element either way.
-struct Amplified<'a, A: Algebra> {
-    base: &'a DensePoly<A>,
-    amplifier: A::Elem,
+/// costs a product (and 32 bytes) per coefficient. `M(x) + r_a·P(y)` is
+/// the same field element either way.
+struct Amplified<'a> {
+    base: &'a DensePoly,
+    amplifier: Fp256,
 }
 
-impl<A: Algebra> PolyEval<A> for Amplified<'_, A> {
+impl<A: Algebra> PolyEval<A> for Amplified<'_> {
     fn num_vars(&self) -> usize {
         self.base.num_vars()
     }
     fn total_degree(&self) -> usize {
         self.base.total_degree()
     }
-    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+    fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256 {
         alg.mul(&self.amplifier, &self.base.eval(alg, y))
     }
 }
 
-impl<A: Algebra> Trainer<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> Trainer<A> {
     /// Prepares a trained model for private serving: expands nonlinear
     /// kernels into polynomial form and fixed-point-encodes the
     /// coefficients.
@@ -234,7 +229,7 @@ where
     /// # Errors
     ///
     /// [`PpcsError::Config`] on an invalid configuration or a model
-    /// degree the numeric backend cannot hold (the message names the
+    /// degree the field cannot hold (the message names the
     /// largest `frac_bits` that can), [`PpcsError::Expansion`] if the
     /// kernel cannot be expanded within the configured cap.
     pub fn new(alg: A, model: &SvmModel, cfg: ProtocolConfig) -> Result<Self, PpcsError> {
@@ -297,19 +292,18 @@ where
         // coefficient sits at `scale`; the field must hold that, the
         // amplifier and the value's own magnitude.
         let scale = degree + COEFF_SCALE;
-        if let Some(frac_bits) = alg.fixed_point_bits() {
-            let field = FixedFpAlgebra::BALANCED_BITS;
-            let budget =
-                (field - cfg.amplifier_bits - MAGNITUDE_BITS).min(FixedFpAlgebra::MAX_SCALE_BITS);
-            if scale.saturating_mul(frac_bits) > budget {
-                return Err(PpcsError::Config(format!(
-                    "a degree-{degree} model decodes at scale power {scale}: {scale}·{frac_bits} \
-                     scale bits + {} amplifier bits + {MAGNITUDE_BITS} magnitude bits exceed the \
-                     field's {field}; the largest frac_bits that fits is {}",
-                    cfg.amplifier_bits,
-                    budget / scale
-                )));
-            }
+        let frac_bits = alg.fixed_point_bits();
+        let field = FixedFpAlgebra::BALANCED_BITS;
+        let budget =
+            (field - cfg.amplifier_bits - MAGNITUDE_BITS).min(FixedFpAlgebra::MAX_SCALE_BITS);
+        if scale.saturating_mul(frac_bits) > budget {
+            return Err(PpcsError::Config(format!(
+                "a degree-{degree} model decodes at scale power {scale}: {scale}·{frac_bits} \
+                 scale bits + {} amplifier bits + {MAGNITUDE_BITS} magnitude bits exceed the \
+                 field's {field}; the largest frac_bits that fits is {}",
+                cfg.amplifier_bits,
+                budget / scale
+            )));
         }
         let spec = ClassifySpec {
             dim,
@@ -347,9 +341,7 @@ where
         // rule above assumes.
         let top = rest.iter().enumerate().map(|(k, w)| {
             alg.encode_coeff(*w, COEFF_SCALE).ok_or_else(|| {
-                let limit = alg.fixed_point_bits().map_or(String::new(), |f| {
-                    format!(" and below 2^{} in magnitude", 63 - f * COEFF_SCALE)
-                });
+                let limit = format!(" and below 2^{} in magnitude", 63 - frac_bits * COEFF_SCALE);
                 refuse(degree, k, *w, limit)
             })
         });
@@ -386,7 +378,7 @@ where
         self.epoch
     }
 
-    /// The numeric backend this trainer encodes with.
+    /// The algebra this trainer encodes with.
     pub(crate) fn alg(&self) -> &A {
         &self.alg
     }
@@ -402,7 +394,7 @@ where
         sel: OtSelect,
         rounds: usize,
         rng: &mut dyn RngCore,
-    ) -> OmpeSenderOffline<A> {
+    ) -> OmpeSenderOffline {
         OmpeSenderOffline::precompute(&self.alg, sel, &self.spec.ompe, rounds, rng)
     }
 
@@ -421,8 +413,8 @@ where
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        amplifier: A::Elem,
-        material: Option<OmpeSenderOffline<A>>,
+        amplifier: Fp256,
+        material: Option<OmpeSenderOffline>,
     ) -> Result<(), PpcsError> {
         let secret = Amplified {
             base: &self.base,
@@ -499,7 +491,7 @@ where
         sel: OtSelect,
         rng: &mut dyn RngCore,
         warm: bool,
-        material: Option<OmpeSenderOffline<A>>,
+        material: Option<OmpeSenderOffline>,
     ) -> Result<usize, PpcsError> {
         let _span = ppcs_telemetry::span(Phase::Classify);
         let num_samples: u64 = if warm {
@@ -529,7 +521,7 @@ where
             io.send_msg(KIND_CLS_SPEC, &encode_u64s(&fields))?;
             n
         };
-        let secrets: Vec<Amplified<'_, A>> = (0..num_samples)
+        let secrets: Vec<Amplified<'_>> = (0..num_samples)
             .map(|_| Amplified {
                 base: &self.base,
                 amplifier: self.alg.encode_int(self.cfg.draw_amplifier(rng)),
@@ -562,7 +554,7 @@ where
         sel: OtSelect,
         seed: u64,
         warm: bool,
-        material: Option<OmpeSenderOffline<A>>,
+        material: Option<OmpeSenderOffline>,
     ) -> ProtocolEngine<'_, usize, PpcsError> {
         ProtocolEngine::new(move |io| async move {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -667,7 +659,7 @@ where
 ///
 /// ```
 /// use ppcs_core::{Client, ProtocolConfig, Trainer};
-/// use ppcs_math::F64Algebra;
+/// use ppcs_math::FixedFpAlgebra;
 /// use ppcs_ot::TrustedSimOt;
 /// use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 /// use ppcs_transport::run_pair;
@@ -682,8 +674,8 @@ where
 /// let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
 ///
 /// let cfg = ProtocolConfig::default();
-/// let trainer = Trainer::new(F64Algebra::new(), &model, cfg).unwrap();
-/// let client = Client::new(F64Algebra::new(), cfg);
+/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+/// let client = Client::new(FixedFpAlgebra::new(16), cfg);
 ///
 /// let samples = vec![vec![0.9], vec![-0.7]];
 /// let (served, labels) = run_pair(
@@ -704,10 +696,7 @@ pub struct Client<A: Algebra> {
     cfg: ProtocolConfig,
 }
 
-impl<A: Algebra> Client<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> Client<A> {
     /// Creates a client.
     pub fn new(alg: A, cfg: ProtocolConfig) -> Self {
         Self { alg, cfg }
@@ -821,7 +810,7 @@ where
         rng: &mut dyn RngCore,
         samples: &[Vec<f64>],
         warm: Option<(&WarmSessionCache, u64)>,
-        offline: Option<&mut OmpeReceiverOffline<A>>,
+        offline: Option<&mut OmpeReceiverOffline>,
     ) -> Result<Vec<(Label, f64)>, PpcsError> {
         let _span = ppcs_telemetry::span(Phase::Classify);
         let spec = match warm {
@@ -864,7 +853,7 @@ where
         // runs through one receiver session: cover-polynomial storage and
         // the OT base phase are reused, and all point clouds leave in one
         // coalesced frame.
-        let alphas: Vec<Vec<A::Elem>> = samples
+        let alphas: Vec<Vec<Fp256>> = samples
             .iter()
             .map(|sample| self.encode_input(sample, &spec))
             .collect::<Result<_, _>>()?;
@@ -933,7 +922,7 @@ where
         spec: &ClassifySpec,
         rounds: usize,
         rng: &mut dyn RngCore,
-    ) -> Result<OmpeReceiverOffline<A>, PpcsError> {
+    ) -> Result<OmpeReceiverOffline, PpcsError> {
         Ok(OmpeReceiverOffline::precompute(
             &self.alg, sel, &spec.ompe, spec.dim, rounds, rng,
         )?)
@@ -967,7 +956,7 @@ where
         samples: &'a [Vec<f64>],
         cache: &'a WarmSessionCache,
         peer: u64,
-        offline: Option<&'a mut OmpeReceiverOffline<A>>,
+        offline: Option<&'a mut OmpeReceiverOffline>,
     ) -> ProtocolEngine<'a, Vec<(Label, f64)>, PpcsError> {
         ProtocolEngine::new(move |io| async move {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1003,7 +992,7 @@ where
 
     /// Validates a sample against the announced spec and encodes its
     /// coordinates — the OMPE input vector — at scale 1.
-    fn encode_input(&self, sample: &[f64], spec: &ClassifySpec) -> Result<Vec<A::Elem>, PpcsError> {
+    fn encode_input(&self, sample: &[f64], spec: &ClassifySpec) -> Result<Vec<Fp256>, PpcsError> {
         if sample.len() != spec.dim {
             return Err(PpcsError::Protocol(format!(
                 "sample has {} features, trainer expects {}",
@@ -1283,7 +1272,7 @@ fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, PpcsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::{F64Algebra, FixedFpAlgebra};
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
     use ppcs_svm::{Dataset, SmoParams};
     use ppcs_transport::{run_pair, Endpoint};
@@ -1308,19 +1297,15 @@ mod tests {
         ds
     }
 
-    fn run_batch<A: Algebra>(
-        alg: A,
+    fn run_batch(
         model: &SvmModel,
         cfg: ProtocolConfig,
         samples: Vec<Vec<f64>>,
         ot: &'static dyn ObliviousTransfer,
         seed: u64,
-    ) -> Vec<Label>
-    where
-        A::Elem: Encodable,
-    {
-        let trainer = Trainer::new(alg.clone(), model, cfg).unwrap();
-        let client = Client::new(alg, cfg);
+    ) -> Vec<Label> {
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let (_, labels) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1341,14 +1326,7 @@ mod tests {
         let ds = blob_data(4, 80, 1);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
         let samples: Vec<Vec<f64>> = (0..ds.len()).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(
-            F64Algebra::new(),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            &SIM,
-            10,
-        );
+        let labels = run_batch(&model, ProtocolConfig::default(), samples.clone(), &SIM, 10);
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, model.predict(sample));
         }
@@ -1359,14 +1337,7 @@ mod tests {
         let ds = blob_data(3, 60, 2);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
         let samples: Vec<Vec<f64>> = (0..20).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(
-            FixedFpAlgebra::new(16),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            &SIM,
-            20,
-        );
+        let labels = run_batch(&model, ProtocolConfig::default(), samples.clone(), &SIM, 20);
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, model.predict(sample));
         }
@@ -1377,14 +1348,7 @@ mod tests {
         let ds = blob_data(4, 80, 3);
         let model = SvmModel::train(&ds, Kernel::paper_polynomial(4), &SmoParams::default());
         let samples: Vec<Vec<f64>> = (0..30).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(
-            F64Algebra::new(),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            &SIM,
-            30,
-        );
+        let labels = run_batch(&model, ProtocolConfig::default(), samples.clone(), &SIM, 30);
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, model.predict(sample));
         }
@@ -1403,14 +1367,7 @@ mod tests {
             &SmoParams::default(),
         );
         let samples: Vec<Vec<f64>> = (0..20).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(
-            F64Algebra::new(),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            &SIM,
-            40,
-        );
+        let labels = run_batch(&model, ProtocolConfig::default(), samples.clone(), &SIM, 40);
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, model.predict(sample));
         }
@@ -1425,7 +1382,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let samples: Vec<Vec<f64>> = (0..15).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(F64Algebra::new(), &model, cfg, samples.clone(), &SIM, 50);
+        let labels = run_batch(&model, cfg, samples.clone(), &SIM, 50);
         // The private result equals the sign of the *truncated* expansion.
         let expanded = expand_model(&model, &cfg).unwrap();
         for (sample, got) in samples.iter().zip(&labels) {
@@ -1441,14 +1398,7 @@ mod tests {
         let ds = blob_data(2, 40, 6);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
         let samples: Vec<Vec<f64>> = (0..4).map(|i| ds.features(i).to_vec()).collect();
-        let labels = run_batch(
-            FixedFpAlgebra::new(16),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            ot,
-            60,
-        );
+        let labels = run_batch(&model, ProtocolConfig::default(), samples.clone(), ot, 60);
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, model.predict(sample));
         }
@@ -1459,8 +1409,8 @@ mod tests {
         let ds = blob_data(3, 40, 7);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
         let cfg = ProtocolConfig::default();
-        let trainer = Trainer::new(F64Algebra::new(), &model, cfg).unwrap();
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let (_, res) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
@@ -1504,8 +1454,9 @@ mod tests {
     fn config_mismatch_is_rejected() {
         let ds = blob_data(2, 40, 8);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
-        let trainer = Trainer::new(F64Algebra::new(), &model, ProtocolConfig::default()).unwrap();
-        let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+        let trainer =
+            Trainer::new(FixedFpAlgebra::new(16), &model, ProtocolConfig::default()).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
         let (_, res) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
@@ -1527,10 +1478,10 @@ mod tests {
         let cfg = ProtocolConfig::default();
         let samples: Vec<Vec<f64>> = (0..33).map(|i| ds.features(i).to_vec()).collect();
 
-        let sequential = run_batch(F64Algebra::new(), &model, cfg, samples.clone(), &SIM, 90);
+        let sequential = run_batch(&model, cfg, samples.clone(), &SIM, 90);
 
-        let trainer = Trainer::new(F64Algebra::new(), &model, cfg).unwrap();
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         for lanes in [1usize, 2, 4] {
             let (trainer_eps, client_eps) = duplex_pool(lanes);
             let (served, labels) = std::thread::scope(|scope| {
@@ -1549,7 +1500,7 @@ mod tests {
 
     #[test]
     fn parallel_rejects_empty_lane_set() {
-        let client = Client::new(F64Algebra::new(), ProtocolConfig::default());
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
         let err = client
             .classify_batch_parallel::<Endpoint>(&[], &SIM, 0, &[vec![0.0]])
             .unwrap_err();
@@ -1619,13 +1570,6 @@ mod tests {
                     let t: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
                     let want = expanded.eval(&t);
 
-                    let float = Trainer::from_expanded(F64Algebra::new(), &expanded, cfg).unwrap();
-                    let got = float.base.eval(&float.alg, &t);
-                    assert!(
-                        (got - want).abs() < 1e-9,
-                        "{basis:?}/{dim}: {got} vs {want}"
-                    );
-
                     let field = Trainer::from_expanded(fixed, &expanded, cfg).unwrap();
                     let y: Vec<_> = t.iter().map(|v| fixed.encode(*v, 1)).collect();
                     let got = fixed.decode(&field.base.eval(&fixed, &y), field.spec.output_scale());
@@ -1648,7 +1592,7 @@ mod tests {
         };
         let cfg = ProtocolConfig::default();
         assert!(matches!(
-            Trainer::from_expanded(F64Algebra::new(), &short, cfg),
+            Trainer::from_expanded(FixedFpAlgebra::new(16), &short, cfg),
             Err(PpcsError::Expansion(_))
         ));
         let no_vars = ExpandedDecision {
@@ -1657,7 +1601,7 @@ mod tests {
             ..short
         };
         assert!(matches!(
-            Trainer::from_expanded(F64Algebra::new(), &no_vars, cfg),
+            Trainer::from_expanded(FixedFpAlgebra::new(16), &no_vars, cfg),
             Err(PpcsError::Expansion(_))
         ));
     }
@@ -1693,7 +1637,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            Trainer::from_expanded(F64Algebra::new(), &model(4, f64::NAN), cfg),
+            Trainer::from_expanded(fixed, &model(4, f64::NAN), cfg),
             Err(PpcsError::Config(_))
         ));
         // Just inside the limit is served, and exactly.
@@ -1726,8 +1670,8 @@ mod tests {
             assert!((expanded.eval(t) - nb.decision(t)).abs() < 1e-9);
         }
         let cfg = ProtocolConfig::default();
-        let trainer = Trainer::from_expanded(F64Algebra::new(), &expanded, cfg).unwrap();
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::from_expanded(FixedFpAlgebra::new(16), &expanded, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let samples: Vec<Vec<f64>> = (0..25).map(|i| ds.features(i).to_vec()).collect();
         let samples2 = samples.clone();
         let (_, labels) = run_pair(
@@ -1752,22 +1696,8 @@ mod tests {
         let ds = blob_data(3, 60, 9);
         let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
         let samples: Vec<Vec<f64>> = (0..25).map(|i| ds.features(i).to_vec()).collect();
-        let full = run_batch(
-            F64Algebra::new(),
-            &model,
-            ProtocolConfig::default(),
-            samples.clone(),
-            &SIM,
-            70,
-        );
-        let functional = run_batch(
-            F64Algebra::new(),
-            &model,
-            ProtocolConfig::functional(),
-            samples,
-            &SIM,
-            71,
-        );
+        let full = run_batch(&model, ProtocolConfig::default(), samples.clone(), &SIM, 70);
+        let functional = run_batch(&model, ProtocolConfig::functional(), samples, &SIM, 71);
         assert_eq!(full, functional);
     }
 }

@@ -54,8 +54,8 @@ use ppcs_telemetry::{
     DETAIL_BREAKER_HALF_OPEN, DETAIL_BREAKER_OPEN, DETAIL_FAILOVER, DETAIL_HEDGE_FIRED,
 };
 use ppcs_transport::{
-    probe_health, probe_health_cancellable, Driver, Encodable, Frame, HealthStatus, Lane,
-    SessionLimits, TransportError,
+    probe_health, probe_health_cancellable, Driver, Frame, HealthStatus, Lane, SessionLimits,
+    TransportError,
 };
 
 use crate::classify::{shard_evenly, transport_cause, Client, WarmSessionCache, KIND_CLS_FIN};
@@ -380,10 +380,7 @@ pub struct FleetClient<A: Algebra> {
     cache: WarmSessionCache,
 }
 
-impl<A: Algebra> FleetClient<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> FleetClient<A> {
     /// A fleet client around `client` with no replicas yet.
     pub fn new(client: Client<A>, config: FleetConfig) -> Self {
         Self {
@@ -1066,9 +1063,9 @@ mod tests {
     #[test]
     fn busy_and_budget_failures_are_not_charged_to_the_breaker() {
         use crate::ProtocolConfig;
-        use ppcs_math::F64Algebra;
+        use ppcs_math::FixedFpAlgebra;
 
-        let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
         let mut fleet = FleetClient::new(
             client,
             FleetConfig {
@@ -1106,10 +1103,10 @@ mod tests {
     #[test]
     fn settling_an_uncharged_probe_failure_releases_the_slot() {
         use crate::ProtocolConfig;
-        use ppcs_math::F64Algebra;
+        use ppcs_math::FixedFpAlgebra;
 
         let clock = Arc::new(ManualClock::new(0));
-        let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
         let mut fleet = FleetClient::new(
             client,
             FleetConfig {

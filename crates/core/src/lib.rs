@@ -34,11 +34,13 @@
 //! so sessions can be driven over any backend, recorded to a
 //! [`ppcs_transport::Transcript`], and replayed deterministically.
 //!
-//! Every protocol is generic over the numeric backend
-//! ([`ppcs_math::F64Algebra`] as in the paper's experiments,
-//! [`ppcs_math::FixedFpAlgebra`] for the cryptographically sound
-//! instantiation) and over the OT engine
-//! ([`ppcs_ot::NaorPinkasOt`] / [`ppcs_ot::TrustedSimOt`]).
+//! Every protocol computes over the 256-bit prime field: models and
+//! samples are fixed-point encoded into it
+//! ([`ppcs_math::FixedFpAlgebra`]), the one setting in which the OMPE
+//! masks hide their payload; plain-float evaluations such as
+//! `SvmModel::predict` and [`similarity_plain`] are the oracles the
+//! private results are checked against. Every protocol is generic over
+//! the OT engine ([`ppcs_ot::NaorPinkasOt`] / [`ppcs_ot::TrustedSimOt`]).
 //!
 //! See the crate examples in `examples/` for end-to-end scenarios
 //! (e-commerce trend testing, hospital diagnosis, partner matching).

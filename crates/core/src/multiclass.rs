@@ -27,7 +27,7 @@ use ppcs_math::Algebra;
 use ppcs_ompe::OmpeSenderOffline;
 use ppcs_ot::{ObliviousTransfer, OtSelect};
 use ppcs_svm::MultiClassModel;
-use ppcs_transport::{drive_blocking, Encodable, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::classify::{ClassifySpec, Client, Trainer};
@@ -76,10 +76,7 @@ pub struct MultiClassTrainer<A: Algebra> {
     cfg: ProtocolConfig,
 }
 
-impl<A: Algebra> MultiClassTrainer<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> MultiClassTrainer<A> {
     /// Prepares a multi-class model for private serving.
     ///
     /// # Errors
@@ -150,7 +147,7 @@ where
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        packs: &mut VecDeque<OmpeSenderOffline<A>>,
+        packs: &mut VecDeque<OmpeSenderOffline>,
     ) -> Result<usize, PpcsError> {
         self.serve_session_io(io, sel, rng, Some(packs)).await
     }
@@ -165,7 +162,7 @@ where
         sel: OtSelect,
         rounds: usize,
         rng: &mut dyn RngCore,
-    ) -> VecDeque<OmpeSenderOffline<A>> {
+    ) -> VecDeque<OmpeSenderOffline> {
         (0..rounds)
             .map(|_| self.trainers[0].precompute_material(sel, 1, rng))
             .collect()
@@ -176,7 +173,7 @@ where
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        mut packs: Option<&mut VecDeque<OmpeSenderOffline<A>>>,
+        mut packs: Option<&mut VecDeque<OmpeSenderOffline>>,
     ) -> Result<usize, PpcsError> {
         let num_samples: u64 = io.recv_msg(KIND_MC_HELLO).await?;
         // Peer-chosen batch size bounds the per-class serving work below.
@@ -226,10 +223,7 @@ pub struct MultiClassClient<A: Algebra> {
     alg: A,
 }
 
-impl<A: Algebra> MultiClassClient<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> MultiClassClient<A> {
     /// Creates a client.
     pub fn new(alg: A, cfg: ProtocolConfig) -> Self {
         Self {
@@ -339,7 +333,7 @@ fn decide(class_ids: &[u32], values: &[f64], mode: MultiClassMode) -> Option<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::F64Algebra;
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::TrustedSimOt;
     use ppcs_svm::{Kernel, MultiDataset, SmoParams};
     use ppcs_transport::run_pair;
@@ -373,8 +367,9 @@ mod tests {
         seed: u64,
     ) -> Vec<Option<u32>> {
         let cfg = ProtocolConfig::default();
-        let trainer = MultiClassTrainer::new(F64Algebra::new(), model, cfg, mode).expect("trainer");
-        let client = MultiClassClient::new(F64Algebra::new(), cfg);
+        let alg = FixedFpAlgebra::new(16);
+        let trainer = MultiClassTrainer::new(alg, model, cfg, mode).expect("trainer");
+        let client = MultiClassClient::new(alg, cfg);
         let (_, labels) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed);

@@ -17,7 +17,6 @@ use ppcs_math::Algebra;
 use ppcs_ompe::{params_fingerprint, OmpeError, OmpeParams, OmpeSenderOffline};
 use ppcs_ot::OtSelect;
 use ppcs_telemetry::MetricsRegistry;
-use ppcs_transport::Encodable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +37,7 @@ pub struct PrecomputePool<A: Algebra> {
     fingerprint: u64,
     capacity: usize,
     masks_per_entry: usize,
-    entries: Mutex<VecDeque<OmpeSenderOffline<A>>>,
+    entries: Mutex<VecDeque<OmpeSenderOffline>>,
     /// Fill randomness, under its own lock so a fill in progress (a
     /// modular exponentiation for Naor–Pinkas) never delays a take on
     /// the serving path.
@@ -46,10 +45,7 @@ pub struct PrecomputePool<A: Algebra> {
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
-impl<A: Algebra> PrecomputePool<A>
-where
-    A::Elem: Encodable,
-{
+impl<A: Algebra> PrecomputePool<A> {
     /// Creates an empty pool bound to the given configuration, holding
     /// at most `capacity` packs of `masks_per_entry` masking
     /// polynomials each (clamped to at least one mask — an empty pack
@@ -140,7 +136,7 @@ where
         &self,
         sel: OtSelect,
         params: &OmpeParams,
-    ) -> Result<Option<OmpeSenderOffline<A>>, PpcsError> {
+    ) -> Result<Option<OmpeSenderOffline>, PpcsError> {
         let expected = params_fingerprint(sel, params);
         if expected != self.fingerprint {
             return Err(PpcsError::Ompe(OmpeError::ConfigMismatch {
@@ -177,12 +173,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::F64Algebra;
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 
-    fn pool(capacity: usize) -> PrecomputePool<F64Algebra> {
+    fn pool(capacity: usize) -> PrecomputePool<FixedFpAlgebra> {
         PrecomputePool::new(
-            F64Algebra::new(),
+            FixedFpAlgebra::new(16),
             TrustedSimOt.select(),
             OmpeParams::new(1, 3, 2).unwrap(),
             capacity,

@@ -35,8 +35,8 @@ use ppcs_telemetry::{
     FlightEventKind, FlightRecorder, MetricsRegistry, DETAIL_DRAIN_BEGAN, DETAIL_DRAIN_CUT,
 };
 use ppcs_transport::{
-    busy_frame, AsyncDriver, AsyncEvent, ConnId, DriveOptions, Driver, Encodable, Frame,
-    HealthStatus, Lane, ProtocolEngine, SessionLimits, TransportError, KIND_HEALTH,
+    busy_frame, AsyncDriver, AsyncEvent, ConnId, DriveOptions, Driver, Frame, HealthStatus, Lane,
+    ProtocolEngine, SessionLimits, TransportError, KIND_HEALTH,
 };
 
 use crate::classify::{
@@ -303,7 +303,7 @@ pub struct ServeSummary {
 ///
 /// ```
 /// use ppcs_core::{ProtocolConfig, ServerConfig, Trainer, TrainerServer};
-/// use ppcs_math::F64Algebra;
+/// use ppcs_math::FixedFpAlgebra;
 /// use ppcs_ot::TrustedSimOt;
 /// use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 /// use ppcs_transport::duplex_pool;
@@ -312,7 +312,7 @@ pub struct ServeSummary {
 /// dataset.push(vec![1.0, 1.0], Label::Positive);
 /// dataset.push(vec![-1.0, -1.0], Label::Negative);
 /// let model = SvmModel::train(&dataset, Kernel::Linear, &SmoParams::default());
-/// let trainer = Trainer::new(F64Algebra::new(), &model, ProtocolConfig::default()).unwrap();
+/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, ProtocolConfig::default()).unwrap();
 ///
 /// let server = TrainerServer::new(&trainer, ServerConfig::default());
 /// let (server_lanes, client_lanes) = duplex_pool(2);
@@ -340,10 +340,7 @@ pub struct TrainerServer<'a, A: Algebra> {
     metrics_endpoint: Mutex<Option<TcpListener>>,
 }
 
-impl<'a, A: Algebra> TrainerServer<'a, A>
-where
-    A::Elem: Encodable,
-{
+impl<'a, A: Algebra> TrainerServer<'a, A> {
     /// Wraps `trainer` for multi-client serving under `config`.
     pub fn new(trainer: &'a Trainer<A>, config: ServerConfig) -> Self {
         let supervisor = SessionSupervisor::new(config.max_sessions);
@@ -953,17 +950,17 @@ where
 mod tests {
     use super::*;
     use crate::config::ProtocolConfig;
-    use ppcs_math::F64Algebra;
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::TrustedSimOt;
     use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
     use ppcs_transport::{duplex_pool, Frame};
 
-    fn tiny_trainer() -> Trainer<F64Algebra> {
+    fn tiny_trainer() -> Trainer<FixedFpAlgebra> {
         let mut dataset = Dataset::new(2);
         dataset.push(vec![1.0, 1.0], Label::Positive);
         dataset.push(vec![-1.0, -1.0], Label::Negative);
         let model = SvmModel::train(&dataset, Kernel::Linear, &SmoParams::default());
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::default()).unwrap()
+        Trainer::new(FixedFpAlgebra::new(16), &model, ProtocolConfig::default()).unwrap()
     }
 
     #[test]
@@ -1001,7 +998,7 @@ mod tests {
                     scope.spawn(move || {
                         use rand::SeedableRng;
                         let client =
-                            crate::Client::new(F64Algebra::new(), ProtocolConfig::default());
+                            crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
                         let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + i as u64);
                         let labels = client
                             .classify_batch(lane, &TrustedSimOt, &mut rng, std::slice::from_ref(s))
@@ -1041,7 +1038,7 @@ mod tests {
                     scope.spawn(move || {
                         use rand::SeedableRng;
                         let client =
-                            crate::Client::new(F64Algebra::new(), ProtocolConfig::default());
+                            crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
                         let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + i as u64);
                         let labels = client
                             .classify_batch(lane, &TrustedSimOt, &mut rng, std::slice::from_ref(s))
@@ -1076,7 +1073,7 @@ mod tests {
             let client = scope.spawn(move || {
                 use rand::SeedableRng;
                 let lane = ppcs_transport::tcp_connect(addr).expect("connect");
-                let client = crate::Client::new(F64Algebra::new(), ProtocolConfig::default());
+                let client = crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
                 let mut rng = rand::rngs::StdRng::seed_from_u64(7);
                 let labels = client
                     .classify_batch(&lane, &TrustedSimOt, &mut rng, &[vec![0.9f64, 1.1]])

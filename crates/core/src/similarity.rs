@@ -25,14 +25,14 @@
 //! identity to hold, so this implementation uses `d₂ = r_aw⁻²`
 //! (documented erratum, see DESIGN.md §3.4).
 
-use ppcs_math::{Algebra, DenseAffine, MvPolynomial, PolyEval};
+use ppcs_math::{Algebra, DenseAffine, Fp256, MvPolynomial, PolyEval};
 use ppcs_ompe::{
     ompe_receive_io, ompe_send_io, ompe_send_offline_io, OmpeParams, OmpeSenderOffline,
 };
 use ppcs_ot::{ObliviousTransfer, OtSelect};
 use ppcs_svm::{Kernel, SvmModel};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{drive_blocking, Encodable, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
 use crate::config::ProtocolConfig;
@@ -543,7 +543,6 @@ pub fn similarity_respond<A>(
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
     similarity_respond_geometry(alg, ep, ot, rng, &geom, model.kernel(), model.dim(), cfg)
@@ -565,7 +564,6 @@ pub async fn similarity_respond_io<A>(
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
     similarity_respond_geometry_io(alg, io, sel, rng, &geom, model.kernel(), model.dim(), cfg).await
@@ -590,7 +588,6 @@ pub fn similarity_respond_geometry<A>(
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let sel = ot.select();
     let mut engine = ProtocolEngine::new(|io| async move {
@@ -617,7 +614,6 @@ pub async fn similarity_respond_geometry_io<A>(
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     similarity_respond_session_io(alg, io, sel, rng, geom, kernel, model_dim, cfg, None).await
 }
@@ -640,11 +636,10 @@ pub async fn similarity_respond_geometry_offline_io<A>(
     kernel: Kernel,
     model_dim: usize,
     cfg: &SimilarityConfig,
-    offline: SimilarityResponderOffline<A>,
+    offline: SimilarityResponderOffline,
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     similarity_respond_session_io(
         alg,
@@ -670,11 +665,10 @@ async fn similarity_respond_session_io<A>(
     kernel: Kernel,
     model_dim: usize,
     cfg: &SimilarityConfig,
-    offline: Option<SimilarityResponderOffline<A>>,
+    offline: Option<SimilarityResponderOffline>,
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let _span = ppcs_telemetry::span(Phase::Similarity);
     cfg.protocol.validate()?;
@@ -713,7 +707,7 @@ where
             .iter()
             .map(|v| alg.mul(&alg.encode(*v, 1), &alg.encode_int(raw)))
             .collect(),
-        rb_enc.clone(),
+        rb_enc,
     );
     respond_round(alg, io, sel, rng, &secret2, &cfg.ompe_linear()?, off2).await?;
 
@@ -740,17 +734,13 @@ where
 /// The offline responder produces byte-compatible traffic, so it pairs
 /// with any requester; a requester never knows (or cares) whether the
 /// responder precomputed.
-pub struct SimilarityResponderOffline<A: Algebra> {
-    linear1: OmpeSenderOffline<A>,
-    linear2: OmpeSenderOffline<A>,
-    area: OmpeSenderOffline<A>,
+pub struct SimilarityResponderOffline {
+    linear1: OmpeSenderOffline,
+    linear2: OmpeSenderOffline,
+    area: OmpeSenderOffline,
 }
 
-impl<A> SimilarityResponderOffline<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl SimilarityResponderOffline {
     /// Precomputes the three rounds' sender material under `cfg`.
     ///
     /// # Errors
@@ -758,7 +748,7 @@ where
     /// [`PpcsError::Config`] or [`PpcsError::Ompe`] if `cfg`'s protocol
     /// parameters are invalid.
     pub fn precompute(
-        alg: &A,
+        alg: &impl Algebra,
         sel: OtSelect,
         cfg: &SimilarityConfig,
         rng: &mut dyn RngCore,
@@ -783,11 +773,10 @@ async fn respond_round<A, P>(
     rng: &mut dyn RngCore,
     secret: &P,
     params: &OmpeParams,
-    pack: Option<OmpeSenderOffline<A>>,
+    pack: Option<OmpeSenderOffline>,
 ) -> Result<(), PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A> + ?Sized,
 {
     match pack {
@@ -812,7 +801,6 @@ pub fn similarity_request<A>(
 ) -> Result<f64, PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
     let direction_input = direction_input(&geom, model);
@@ -835,7 +823,6 @@ pub async fn similarity_request_io<A>(
 ) -> Result<f64, PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
     let direction_input = direction_input(&geom, model);
@@ -863,7 +850,6 @@ pub fn similarity_request_geometry<A>(
 ) -> Result<f64, PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let sel = ot.select();
     let mut engine = ProtocolEngine::new(|io| async move {
@@ -891,7 +877,6 @@ pub async fn similarity_request_geometry_io<A>(
 ) -> Result<f64, PpcsError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let _span = ppcs_telemetry::span(Phase::Similarity);
     cfg.protocol.validate()?;
@@ -903,14 +888,14 @@ where
     )?;
 
     // Round 1.
-    let mb_inputs: Vec<A::Elem> = centroid_input(geom, dim)
+    let mb_inputs: Vec<Fp256> = centroid_input(geom, dim)
         .iter()
         .map(|v| alg.encode(*v, 1))
         .collect();
     let x1 = ompe_receive_io(alg, io, sel, rng, &mb_inputs, &cfg.ompe_linear()?).await?;
 
     // Round 2.
-    let wb_inputs: Vec<A::Elem> = direction_input.iter().map(|v| alg.encode(*v, 1)).collect();
+    let wb_inputs: Vec<Fp256> = direction_input.iter().map(|v| alg.encode(*v, 1)).collect();
     let x2 = ompe_receive_io(alg, io, sel, rng, &wb_inputs, &cfg.ompe_linear()?).await?;
 
     // Round 3: feed the raw (still-encoded) cross terms back in. The
@@ -925,7 +910,7 @@ where
 /// `4T²(x₁,x₂) = [(c₁−2d₁x₁)² + c₂][c₄ − c₃d₂(d₃+x₂)²]`
 /// with the fixed-point scale layout documented at the top of this file.
 ///
-/// `c₁` and `c₃` fold in Bob's hello, so a constant the backend cannot
+/// `c₁` and `c₃` fold in Bob's hello, so a constant the field cannot
 /// encode is [`PpcsError::Protocol`], not a panic.
 #[allow(clippy::too_many_arguments)]
 fn build_area_polynomial<A: Algebra>(
@@ -936,7 +921,7 @@ fn build_area_polynomial<A: Algebra>(
     c4_real: f64,
     ram: i64,
     raw: i64,
-    rb_enc: &A::Elem,
+    rb_enc: &Fp256,
 ) -> Result<MvPolynomial<A>, PpcsError> {
     // Amplifiers are drawn from [2, 2^bits).
     let inv = alg
@@ -949,7 +934,7 @@ fn build_area_polynomial<A: Algebra>(
     let encode = |name: &str, x: f64, scale: u32| {
         alg.try_encode(x, scale).ok_or_else(|| {
             PpcsError::Protocol(format!(
-                "area-polynomial constant {name} is outside what the backend encodes"
+                "area-polynomial constant {name} is outside what the field encodes"
             ))
         })
     };
@@ -977,7 +962,7 @@ fn build_area_polynomial<A: Algebra>(
     // when the integer fixed-point product A·B happens to be ≡ 0 (mod 4);
     // for the other residues the result lands near r·(p+1)/4 — garbage
     // after decoding. The requester applies the (public) ¼ on the decoded
-    // real value instead, which is exact for every backend.
+    // real value instead, which is exact.
     let a_coeffs = [a0, a1, a2];
     let b_coeffs = [b0, b1, b2];
     let mut terms = Vec::with_capacity(9);
@@ -1019,7 +1004,7 @@ fn decode_hello(bytes: &[u8]) -> Result<(usize, f64, f64), PpcsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::{F64Algebra, FixedFpAlgebra};
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::TrustedSimOt;
     use ppcs_svm::{Dataset, Label, SmoParams};
     use ppcs_transport::run_pair;
@@ -1407,16 +1392,17 @@ mod tests {
         let (res_a, got) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(10);
-                similarity_respond(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &ma2, &cfg)
+                similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &ma2, &cfg)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(11);
-                similarity_request(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &mb2, &cfg).unwrap()
+                similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &mb2, &cfg)
+                    .unwrap()
             },
         );
         res_a.unwrap();
         assert!(
-            (got - want).abs() < 1e-6 * want.max(1.0),
+            (got - want).abs() < 5e-3 * want,
             "private {got} vs plain {want}"
         );
     }
@@ -1469,16 +1455,17 @@ mod tests {
         let (res_a, got) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(30);
-                similarity_respond(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &ma, &cfg)
+                similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &ma, &cfg)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(31);
-                similarity_request(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &mb, &cfg).unwrap()
+                similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &mb, &cfg)
+                    .unwrap()
             },
         );
         res_a.unwrap();
         assert!(
-            (got - want).abs() < 1e-6 * want.max(1.0),
+            (got - want).abs() < 5e-3 * want,
             "private {got} vs plain {want}"
         );
     }
@@ -1491,11 +1478,12 @@ mod tests {
         let (res_a, _) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(40);
-                similarity_respond(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &ma, &cfg)
+                similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &ma, &cfg)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(41);
-                let _ = similarity_request(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &mb, &cfg);
+                let _ =
+                    similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &mb, &cfg);
             },
         );
         assert!(matches!(res_a.unwrap_err(), PpcsError::Protocol(_)));

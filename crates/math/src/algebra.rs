@@ -1,15 +1,12 @@
-//! The [`Algebra`] abstraction over which every ppcs protocol is generic.
+//! The [`Algebra`] every ppcs protocol computes in.
 //!
-//! The ICDCS'16 paper describes the protocols over the reals; its reference
-//! implementation computed with doubles. A cryptographically meaningful
-//! instantiation, however, must work over a finite field so that masking
-//! polynomials perfectly hide their payload. We therefore abstract the
-//! number system behind a trait with two implementations:
-//!
-//! * [`F64Algebra`] — paper-faithful floating point. Fast, used for the
-//!   accuracy-parity and timing experiments (Table I, Figs 7–10).
-//! * [`FixedFpAlgebra`] — fixed-point values embedded in the 256-bit prime
-//!   field [`Fp256`], the sound instantiation.
+//! The ICDCS'16 paper describes the protocols over the reals, but its
+//! hiding argument — masking polynomials that perfectly hide their
+//! payload, stripped by Lagrange interpolation — holds only over a
+//! finite field. The one implementation, [`FixedFpAlgebra`], embeds
+//! fixed-point values in the 256-bit prime field [`Fp256`]; floats
+//! remain only as the plaintext oracles the protocols are checked
+//! against.
 //!
 //! Fixed-point scale bookkeeping: encoding at *scale power* `k` stores
 //! `round(x · 2^{k·FRAC_BITS})`. A product of elements at scales `j` and
@@ -21,112 +18,64 @@ use rand::Rng;
 
 use crate::fp256::Fp256;
 
-/// A (possibly approximate) field in which the ppcs polynomials live.
-///
-/// Two implementations exist: [`F64Algebra`] (paper-faithful floats)
-/// and [`FixedFpAlgebra`] (fixed-point in the 256-bit prime field).
+/// The field, and the fixed-point encoding into it, in which the ppcs
+/// polynomials live. [`FixedFpAlgebra`] is the implementation.
 pub trait Algebra: Clone + Debug + Send + Sync + 'static {
-    /// The element type.
-    type Elem: Clone + Debug + PartialEq + Send + Sync + 'static;
-
-    /// A model coefficient in the form the backend multiplies an element
-    /// by most cheaply: the float itself, or the fixed-point integer as a
-    /// machine word rather than a field element.
-    type Coeff: Clone + Debug + PartialEq + Send + Sync + 'static;
-
     /// The additive identity.
-    fn zero(&self) -> Self::Elem;
+    fn zero(&self) -> Fp256;
     /// The multiplicative identity.
-    fn one(&self) -> Self::Elem;
+    fn one(&self) -> Fp256;
     /// `a + b`.
-    fn add(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    fn add(&self, a: &Fp256, b: &Fp256) -> Fp256;
     /// `a - b`.
-    fn sub(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    fn sub(&self, a: &Fp256, b: &Fp256) -> Fp256;
     /// `a · b`.
-    fn mul(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    fn mul(&self, a: &Fp256, b: &Fp256) -> Fp256;
     /// `-a`.
-    fn neg(&self, a: &Self::Elem) -> Self::Elem;
-    /// Multiplicative inverse, `None` for zero (or values with no inverse).
-    fn inv(&self, a: &Self::Elem) -> Option<Self::Elem>;
+    fn neg(&self, a: &Fp256) -> Fp256;
+    /// Multiplicative inverse, `None` for zero.
+    fn inv(&self, a: &Fp256) -> Option<Fp256>;
 
-    /// Inverts a whole batch at once; `None` if any element has no
-    /// inverse. The default is element-wise [`inv`](Algebra::inv);
-    /// backends with an expensive inversion override it with Montgomery's
-    /// batch trick (one inversion plus ~3 multiplications per element).
-    fn batch_inv(&self, elems: &[Self::Elem]) -> Option<Vec<Self::Elem>> {
-        elems.iter().map(|e| self.inv(e)).collect()
-    }
+    /// Inverts a whole batch at once with Montgomery's batch trick (one
+    /// inversion plus ~3 multiplications per element); `None` if any
+    /// element is zero.
+    fn batch_inv(&self, elems: &[Fp256]) -> Option<Vec<Fp256>>;
     /// `true` iff `a` is the additive identity.
-    fn is_zero(&self, a: &Self::Elem) -> bool;
+    fn is_zero(&self, a: &Fp256) -> bool;
 
-    /// Pairwise in-place product `a[i] <- a[i] * b[i]`.
-    ///
-    /// The default is an element-wise [`mul`](Algebra::mul) loop;
-    /// [`FixedFpAlgebra`] overrides it to dispatch to the SIMD batch
-    /// kernels. Results are identical either way — field arithmetic is
-    /// exact.
+    /// Pairwise in-place product `a[i] <- a[i] * b[i]` through the SIMD
+    /// batch kernels.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    fn mul_many(&self, a: &mut [Self::Elem], b: &[Self::Elem]) {
-        assert_eq!(a.len(), b.len(), "mul_many operand length mismatch");
-        for (x, y) in a.iter_mut().zip(b.iter()) {
-            *x = self.mul(x, y);
-        }
-    }
+    fn mul_many(&self, a: &mut [Fp256], b: &[Fp256]);
 
     /// Evaluates the polynomial with coefficients `coeffs` (ascending by
-    /// degree) at every point in `xs`, using the same Horner recurrence
-    /// as `Polynomial::eval`.
-    ///
-    /// The default is a per-point Horner loop; [`FixedFpAlgebra`]
-    /// overrides it to evaluate four points at a time.
-    fn eval_poly_many(&self, coeffs: &[Self::Elem], xs: &[Self::Elem]) -> Vec<Self::Elem> {
-        xs.iter()
-            .map(|x| {
-                let mut acc = self.zero();
-                for c in coeffs.iter().rev() {
-                    acc = self.add(&self.mul(&acc, x), c);
-                }
-                acc
-            })
-            .collect()
-    }
+    /// degree) at every point in `xs`, four points at a time, with the
+    /// same Horner recurrence as `Polynomial::eval`.
+    fn eval_poly_many(&self, coeffs: &[Fp256], xs: &[Fp256]) -> Vec<Fp256>;
 
-    /// `Σ a_k · b_k`, the operands paired as [`Iterator::zip`] pairs them.
-    /// `b` is an iterator so that a caller computing its terms one at a
-    /// time needs no buffer for them.
-    ///
-    /// The default is a multiply-and-add loop; [`FixedFpAlgebra`]
-    /// overrides it with [`Fp256::dot`], which reduces once per sum.
-    fn dot(&self, a: &[Self::Elem], b: impl IntoIterator<Item = Self::Elem>) -> Self::Elem {
-        a.iter()
-            .zip(b)
-            .fold(self.zero(), |acc, (x, y)| self.add(&acc, &self.mul(x, &y)))
-    }
+    /// `Σ a_k · b_k`, the operands paired as [`Iterator::zip`] pairs them
+    /// and reduced once per sum ([`Fp256::dot`]). `b` is an iterator so
+    /// that a caller computing its terms one at a time needs no buffer
+    /// for them.
+    fn dot(&self, a: &[Fp256], b: impl IntoIterator<Item = Fp256>) -> Fp256;
 
-    /// `Σ c_k · y_k` for coefficients in the backend's narrow form.
-    /// `y_sum` must be `Σ y_k`: a backend that stores signed coefficients
-    /// with a bias removes it with one product by that sum, and a caller
-    /// walking suffixes of one point keeps the sum with a subtraction
-    /// per step.
+    /// `Σ c_k · y_k` for signed fixed-point coefficients
+    /// ([`Fp256::dot_narrow`]). `y_sum` must be `Σ y_k`: the kernel
+    /// stores the coefficients with a bias and removes it with one
+    /// product by that sum, and a caller walking suffixes of one point
+    /// keeps the sum with a subtraction per step.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    fn dot_coeffs(
-        &self,
-        coeffs: &[Self::Coeff],
-        y: &[Self::Elem],
-        y_sum: &Self::Elem,
-    ) -> Self::Elem;
+    fn dot_coeffs(&self, coeffs: &[i64], y: &[Fp256], y_sum: &Fp256) -> Fp256;
 
     /// Encodes a real value at fixed-point scale power `scale_pow`, or
-    /// `None` if it is not finite or too large for the backend.
-    ///
-    /// Over [`F64Algebra`] the scale power is ignored.
-    fn try_encode(&self, x: f64, scale_pow: u32) -> Option<Self::Elem>;
+    /// `None` if it is not finite or too large for the field.
+    fn try_encode(&self, x: f64, scale_pow: u32) -> Option<Fp256>;
 
     /// [`try_encode`](Algebra::try_encode) for values the caller knows to
     /// be encodable.
@@ -134,150 +83,39 @@ pub trait Algebra: Clone + Debug + Send + Sync + 'static {
     /// # Panics
     ///
     /// Panics where `try_encode` returns `None`.
-    fn encode(&self, x: f64, scale_pow: u32) -> Self::Elem {
+    fn encode(&self, x: f64, scale_pow: u32) -> Fp256 {
         self.try_encode(x, scale_pow)
             .unwrap_or_else(|| panic!("cannot encode {x} at scale power {scale_pow}"))
     }
 
-    /// Encodes a model coefficient at scale power `scale_pow` in the
-    /// narrow form [`dot_coeffs`](Algebra::dot_coeffs) takes, or `None`
-    /// if it is not finite or does not fit that form.
-    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<Self::Coeff>;
+    /// Encodes a model coefficient at scale power `scale_pow` as the
+    /// fixed-point integer [`dot_coeffs`](Algebra::dot_coeffs) takes, or
+    /// `None` if it is not finite or does not fit 63 bits and a sign.
+    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<i64>;
 
     /// Decodes an element known to sit at scale power `scale_pow` back to a
     /// real value.
-    fn decode(&self, e: &Self::Elem, scale_pow: u32) -> f64;
+    fn decode(&self, e: &Fp256, scale_pow: u32) -> f64;
 
-    /// Fractional bits per scale power, or `None` for a backend whose
-    /// elements carry no fixed-point scale (floats) and hence no limit
-    /// on the scale power a protocol may reach.
-    fn fixed_point_bits(&self) -> Option<u32> {
-        None
-    }
+    /// Fractional bits per scale power: with the field's size, this bounds
+    /// the scale power a protocol may reach.
+    fn fixed_point_bits(&self) -> u32;
 
     /// Encodes an exact small integer (scale power 0); integers survive
     /// multiplication without scale drift, which is what the protocols use
     /// for random amplifiers such as `r_a`.
-    fn encode_int(&self, v: i64) -> Self::Elem;
+    fn encode_int(&self, v: i64) -> Fp256;
 
-    /// Draws an evaluation point: nonzero and, over floats, bounded so
-    /// that Lagrange interpolation stays well conditioned.
-    fn random_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Elem;
+    /// Draws an evaluation point: a uniform nonzero element.
+    fn random_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Fp256;
 
-    /// Draws a masking coefficient. Over a finite field this is a uniform
-    /// element (information-theoretic hiding); over floats it is a bounded
-    /// random value (heuristic hiding, as in the paper's experiments).
-    fn random_mask<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Elem;
-
-    /// Draws a disguise value used for the decoy positions of the OMPE
-    /// point cloud.
-    fn random_disguise<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Elem {
-        self.random_mask(rng)
-    }
+    /// Draws a masking coefficient, or a disguise value for the decoy
+    /// positions of an OMPE point cloud: a uniform element, so the
+    /// hiding is information-theoretic.
+    fn random_mask<R: Rng + ?Sized>(&self, rng: &mut R) -> Fp256;
 }
 
-/// Paper-faithful double-precision backend.
-///
-/// # Examples
-///
-/// ```
-/// use ppcs_math::{Algebra, F64Algebra};
-///
-/// let alg = F64Algebra::default();
-/// let x = alg.encode(0.25, 1);
-/// assert_eq!(alg.decode(&x, 1), 0.25);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct F64Algebra {
-    _priv: (),
-}
-
-impl F64Algebra {
-    /// Creates the floating-point backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Algebra for F64Algebra {
-    type Elem = f64;
-    type Coeff = f64;
-
-    #[inline]
-    fn zero(&self) -> f64 {
-        0.0
-    }
-    #[inline]
-    fn one(&self) -> f64 {
-        1.0
-    }
-    #[inline]
-    fn add(&self, a: &f64, b: &f64) -> f64 {
-        a + b
-    }
-    #[inline]
-    fn sub(&self, a: &f64, b: &f64) -> f64 {
-        a - b
-    }
-    #[inline]
-    fn mul(&self, a: &f64, b: &f64) -> f64 {
-        a * b
-    }
-    #[inline]
-    fn neg(&self, a: &f64) -> f64 {
-        -a
-    }
-    #[inline]
-    fn inv(&self, a: &f64) -> Option<f64> {
-        if *a == 0.0 {
-            None
-        } else {
-            Some(1.0 / a)
-        }
-    }
-    #[inline]
-    fn is_zero(&self, a: &f64) -> bool {
-        *a == 0.0
-    }
-    fn dot_coeffs(&self, coeffs: &[f64], y: &[f64], _y_sum: &f64) -> f64 {
-        self.dot(coeffs, y.iter().copied())
-    }
-    #[inline]
-    fn try_encode(&self, x: f64, _scale_pow: u32) -> Option<f64> {
-        x.is_finite().then_some(x)
-    }
-    #[inline]
-    fn encode_coeff(&self, x: f64, scale_pow: u32) -> Option<f64> {
-        self.try_encode(x, scale_pow)
-    }
-    #[inline]
-    fn decode(&self, e: &f64, _scale_pow: u32) -> f64 {
-        *e
-    }
-    #[inline]
-    fn encode_int(&self, v: i64) -> f64 {
-        v as f64
-    }
-
-    fn random_point<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Points away from zero in [-2, -0.25] ∪ [0.25, 2] keep the
-        // Vandermonde system of the interpolation well conditioned for the
-        // masking degrees the protocols use (≤ ~20).
-        let mag = rng.gen_range(0.25..2.0);
-        if rng.gen::<bool>() {
-            mag
-        } else {
-            -mag
-        }
-    }
-
-    fn random_mask<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.gen_range(-1.0..1.0)
-    }
-}
-
-/// Fixed-point values in the 256-bit prime field — the cryptographically
-/// sound backend.
+/// Fixed-point values in the 256-bit prime field.
 ///
 /// `frac_bits` is the number of fractional bits per scale power; 16 is a
 /// good default (similarity evaluation multiplies up to scale power 12,
@@ -300,8 +138,8 @@ pub struct FixedFpAlgebra {
 }
 
 impl FixedFpAlgebra {
-    /// Creates a fixed-point backend with `frac_bits` fractional bits per
-    /// scale power.
+    /// Creates the algebra with `frac_bits` fractional bits per scale
+    /// power.
     ///
     /// # Panics
     ///
@@ -337,11 +175,6 @@ impl Default for FixedFpAlgebra {
 }
 
 impl Algebra for FixedFpAlgebra {
-    type Elem = Fp256;
-    /// The fixed-point integer `round(x · 2^scale)` itself, which must
-    /// fit 63 bits and a sign.
-    type Coeff = i64;
-
     #[inline]
     fn zero(&self) -> Fp256 {
         Fp256::ZERO
@@ -437,8 +270,8 @@ impl Algebra for FixedFpAlgebra {
         }
     }
 
-    fn fixed_point_bits(&self) -> Option<u32> {
-        Some(self.frac_bits)
+    fn fixed_point_bits(&self) -> u32 {
+        self.frac_bits
     }
 
     fn encode_int(&self, v: i64) -> Fp256 {
@@ -459,16 +292,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn f64_backend_is_transparent() {
-        let alg = F64Algebra::new();
-        assert_eq!(alg.encode(3.25, 7), 3.25);
-        assert_eq!(alg.decode(&3.25, 7), 3.25);
-        assert_eq!(alg.encode_int(-4), -4.0);
-        assert_eq!(alg.inv(&4.0), Some(0.25));
-        assert_eq!(alg.inv(&0.0), None);
-    }
 
     #[test]
     fn fixed_encode_decode_roundtrip() {
@@ -525,12 +348,9 @@ mod tests {
     #[test]
     fn random_points_are_nonzero() {
         let alg = FixedFpAlgebra::new(16);
-        let f = F64Algebra::new();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert!(!alg.is_zero(&alg.random_point(&mut rng)));
-            let p = f.random_point(&mut rng);
-            assert!(p != 0.0 && p.abs() >= 0.25 && p.abs() <= 2.0);
         }
     }
 
@@ -560,13 +380,6 @@ mod tests {
             }
             assert_eq!(acc, *e);
         }
-
-        let f64a = F64Algebra::new();
-        let mut fa = vec![1.5, -2.0, 0.25];
-        f64a.mul_many(&mut fa, &[2.0, 3.0, 4.0]);
-        assert_eq!(fa, vec![3.0, -6.0, 1.0]);
-        let fe = f64a.eval_poly_many(&[1.0, 2.0], &[0.0, 1.0, 10.0]);
-        assert_eq!(fe, vec![1.0, 3.0, 21.0]);
     }
 
     #[test]
@@ -581,9 +394,5 @@ mod tests {
         assert!(fixed
             .batch_inv(&[Fp256::from_u64(2), Fp256::ZERO])
             .is_none());
-
-        let f64a = F64Algebra::new();
-        assert_eq!(f64a.batch_inv(&[2.0, -4.0]), Some(vec![0.5, -0.25]));
-        assert_eq!(f64a.batch_inv(&[2.0, 0.0]), None);
     }
 }

@@ -14,7 +14,10 @@
 //!   model's `n′` coefficients need no exponent vectors and the receiver
 //!   hides `n` values, not `n′`).
 
+use core::marker::PhantomData;
+
 use crate::algebra::Algebra;
+use crate::fp256::Fp256;
 use crate::multinomial::expanded_dimension;
 use crate::mvpoly::MvPolynomial;
 
@@ -29,7 +32,7 @@ pub trait PolyEval<A: Algebra>: Send + Sync {
     /// # Panics
     ///
     /// Implementations panic if `y.len() != self.num_vars()`.
-    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem;
+    fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256;
 }
 
 impl<A: Algebra> PolyEval<A> for MvPolynomial<A> {
@@ -39,7 +42,7 @@ impl<A: Algebra> PolyEval<A> for MvPolynomial<A> {
     fn total_degree(&self) -> usize {
         MvPolynomial::total_degree(self)
     }
-    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+    fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256 {
         MvPolynomial::eval(self, alg, y)
     }
 }
@@ -50,50 +53,53 @@ impl<A: Algebra> PolyEval<A> for MvPolynomial<A> {
 /// # Examples
 ///
 /// ```
-/// use ppcs_math::{DenseAffine, F64Algebra, PolyEval};
+/// use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, PolyEval};
 ///
-/// let alg = F64Algebra::new();
-/// let p = DenseAffine::new(vec![1.0, -2.0], 0.5);
-/// assert_eq!(p.eval(&alg, &[3.0, 1.0]), 3.0 - 2.0 + 0.5);
+/// let alg = FixedFpAlgebra::new(16);
+/// let p = DenseAffine::new(vec![alg.encode_int(1), alg.encode_int(-2)], alg.encode(0.5, 1));
+/// let y = [alg.encode(3.0, 1), alg.encode(1.0, 1)];
+/// assert_eq!(alg.decode(&p.eval(&alg, &y), 1), 3.0 - 2.0 + 0.5);
 /// assert_eq!(p.total_degree(), 1);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DenseAffine<A: Algebra> {
-    weights: Vec<A::Elem>,
-    bias: A::Elem,
+    weights: Vec<Fp256>,
+    bias: Fp256,
+    alg: PhantomData<A>,
 }
 
 impl<A: Algebra> DenseAffine<A> {
     /// Builds `wᵀy + b`.
-    pub fn new(weights: Vec<A::Elem>, bias: A::Elem) -> Self {
-        Self { weights, bias }
+    pub fn new(weights: Vec<Fp256>, bias: Fp256) -> Self {
+        Self {
+            weights,
+            bias,
+            alg: PhantomData,
+        }
     }
 
     /// The weight vector.
-    pub fn weights(&self) -> &[A::Elem] {
+    pub fn weights(&self) -> &[Fp256] {
         &self.weights
     }
 
     /// The bias.
-    pub fn bias(&self) -> &A::Elem {
+    pub fn bias(&self) -> &Fp256 {
         &self.bias
     }
 
     /// Returns a copy with all coefficients (weights and bias) multiplied
     /// by `k` — the protocol's random amplification.
-    pub fn scale(&self, alg: &A, k: &A::Elem) -> Self {
-        Self {
-            weights: self.weights.iter().map(|w| alg.mul(w, k)).collect(),
-            bias: alg.mul(&self.bias, k),
-        }
+    pub fn scale(&self, alg: &A, k: &Fp256) -> Self {
+        Self::new(
+            self.weights.iter().map(|w| alg.mul(w, k)).collect(),
+            alg.mul(&self.bias, k),
+        )
     }
 
     /// Returns a copy with `delta` added to the bias.
-    pub fn add_constant(&self, alg: &A, delta: &A::Elem) -> Self {
-        Self {
-            weights: self.weights.clone(),
-            bias: alg.add(&self.bias, delta),
-        }
+    pub fn add_constant(&self, alg: &A, delta: &Fp256) -> Self {
+        Self::new(self.weights.clone(), alg.add(&self.bias, delta))
     }
 }
 
@@ -104,7 +110,7 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
     fn total_degree(&self) -> usize {
         1
     }
-    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+    fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256 {
         assert_eq!(
             y.len(),
             self.weights.len(),
@@ -112,7 +118,7 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
             y.len(),
             self.weights.len()
         );
-        alg.add(&self.bias, &alg.dot(&self.weights, y.iter().cloned()))
+        alg.add(&self.bias, &alg.dot(&self.weights, y.iter().copied()))
     }
 }
 
@@ -129,7 +135,8 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
 /// coefficients in, so each block is read front to back and every level
 /// is a dot product — the innermost one, which is all but `O(n^{p−1})`
 /// of the work, over a contiguous slice of the top block in the
-/// backend's narrow form ([`Algebra::dot_coeffs`]), the outer ones over
+/// form of signed 64-bit fixed-point integers ([`Algebra::dot_coeffs`]),
+/// the outer ones over
 /// the values the level below returns ([`Algebra::dot`]). One product
 /// per multiset of size `≤ p` — `n′ + O(n^{p−1})` for a homogeneous
 /// model, `n′` for one with every block — and no allocation.
@@ -137,28 +144,29 @@ impl<A: Algebra> PolyEval<A> for DenseAffine<A> {
 /// # Examples
 ///
 /// ```
-/// use ppcs_math::{DensePoly, F64Algebra, PolyEval};
+/// use ppcs_math::{Algebra, DensePoly, FixedFpAlgebra, PolyEval};
 ///
-/// let alg = F64Algebra::new();
-/// // 0.5 + 2·y₀ − y₁ + 3·y₀y₁ + y₁²
-/// let p = DensePoly::new(2, vec![vec![2.0, -1.0]], vec![0.0, 3.0, 1.0], 0.5);
-/// assert_eq!(p.eval(&alg, &[2.0, 3.0]), 0.5 + 4.0 - 3.0 + 18.0 + 9.0);
+/// let alg = FixedFpAlgebra::new(16);
+/// let int = |v| alg.encode_int(v);
+/// // 5 + 2·y₀ − y₁ + 3·y₀y₁ + y₁²
+/// let p = DensePoly::new(2, vec![vec![int(2), int(-1)]], vec![0, 3, 1], int(5));
+/// assert_eq!(p.eval(&alg, &[int(2), int(3)]), int(5 + 4 - 3 + 18 + 9));
 /// assert_eq!(p.total_degree(), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-pub struct DensePoly<A: Algebra> {
+pub struct DensePoly {
     num_vars: usize,
     /// The degree-`p` coefficients, in canonical order.
-    top: Vec<A::Coeff>,
+    top: Vec<i64>,
     /// `present[d − 1]`: whether degree `d < p` has a block.
     present: Vec<bool>,
     /// The coefficients of every lower block, interleaved in the order
     /// evaluation reads them, so that one cursor serves all of them.
-    lower: Vec<A::Elem>,
-    bias: A::Elem,
+    lower: Vec<Fp256>,
+    bias: Fp256,
 }
 
-impl<A: Algebra> DensePoly<A> {
+impl DensePoly {
     /// Builds the polynomial from its lower per-degree coefficient
     /// blocks (`lower[d − 1]` holds degree `d < p`), its top-degree
     /// block and its constant term.
@@ -167,12 +175,7 @@ impl<A: Algebra> DensePoly<A> {
     ///
     /// Panics if `num_vars` is zero, the top block is empty, or a
     /// non-empty block does not hold `C(n+d−1, d)` coefficients.
-    pub fn new(
-        num_vars: usize,
-        lower: Vec<Vec<A::Elem>>,
-        top: Vec<A::Coeff>,
-        bias: A::Elem,
-    ) -> Self {
+    pub fn new(num_vars: usize, lower: Vec<Vec<Fp256>>, top: Vec<i64>, bias: Fp256) -> Self {
         assert!(num_vars > 0, "need at least one variable");
         assert!(!top.is_empty(), "the top-degree block must be present");
         let lens = lower.iter().map(Vec::len).chain([top.len()]);
@@ -194,14 +197,24 @@ impl<A: Algebra> DensePoly<A> {
         }
     }
 
+    /// Number of input variables.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Total degree `p`.
+    pub fn total_degree(&self) -> usize {
+        self.present.len() + 1
+    }
+
     /// Appends to `out` what is left of the lower blocks `unread`
     /// (shallowest first), in the order [`level`](Self::level) reads
     /// them when it enters the first of those blocks at index `start`.
     fn interleave(
         num_vars: usize,
         start: usize,
-        unread: &mut [core::slice::Iter<'_, A::Elem>],
-        out: &mut Vec<A::Elem>,
+        unread: &mut [core::slice::Iter<'_, Fp256>],
+        out: &mut Vec<Fp256>,
     ) {
         if let Some((block, deeper)) = unread.split_first_mut() {
             for i in start..num_vars {
@@ -218,20 +231,20 @@ impl<A: Algebra> DensePoly<A> {
     /// two arrays.
     fn level(
         &self,
-        alg: &A,
-        y: &[A::Elem],
-        mut y_sum: A::Elem,
+        alg: &impl Algebra,
+        y: &[Fp256],
+        mut y_sum: Fp256,
         depth: usize,
-        top: &mut &[A::Coeff],
-        lower: &mut &[A::Elem],
-    ) -> A::Elem {
+        top: &mut &[i64],
+        lower: &mut &[Fp256],
+    ) -> Fp256 {
         let Some(&present) = self.present.get(depth) else {
             let (coeffs, rest) = top.split_at(y.len());
             *top = rest;
             return alg.dot_coeffs(coeffs, y, &y_sum);
         };
         let inners = y.iter().enumerate().map(|(i, y_i)| {
-            let inner = self.level(alg, &y[i..], y_sum.clone(), depth + 1, top, lower);
+            let inner = self.level(alg, &y[i..], y_sum, depth + 1, top, lower);
             y_sum = alg.sub(&y_sum, y_i);
             if !present {
                 return inner;
@@ -244,14 +257,14 @@ impl<A: Algebra> DensePoly<A> {
     }
 }
 
-impl<A: Algebra> PolyEval<A> for DensePoly<A> {
+impl<A: Algebra> PolyEval<A> for DensePoly {
     fn num_vars(&self) -> usize {
-        self.num_vars
+        DensePoly::num_vars(self)
     }
     fn total_degree(&self) -> usize {
-        self.present.len() + 1
+        DensePoly::total_degree(self)
     }
-    fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+    fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256 {
         assert_eq!(
             y.len(),
             self.num_vars,
@@ -268,15 +281,16 @@ impl<A: Algebra> PolyEval<A> for DensePoly<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{F64Algebra, FixedFpAlgebra};
+    use crate::algebra::FixedFpAlgebra;
 
     #[test]
     fn dense_affine_matches_mvpolynomial() {
-        let alg = F64Algebra::new();
-        let w = vec![0.5, -1.5, 2.0];
-        let dense = DenseAffine::new(w.clone(), -0.25);
-        let sparse = MvPolynomial::affine(&alg, &w, -0.25);
-        let y = [1.0, 2.0, -0.5];
+        let alg = FixedFpAlgebra::new(16);
+        let w: Vec<Fp256> = [0.5, -1.5, 2.0].iter().map(|&v| alg.encode(v, 1)).collect();
+        let bias = alg.encode(-0.25, 2);
+        let dense = DenseAffine::new(w.clone(), bias);
+        let sparse = MvPolynomial::affine(&alg, &w, bias);
+        let y: Vec<Fp256> = [1.0, 2.0, -0.5].iter().map(|&v| alg.encode(v, 1)).collect();
         assert_eq!(PolyEval::eval(&dense, &alg, &y), sparse.eval(&alg, &y));
         assert_eq!(PolyEval::total_degree(&dense), 1);
         assert_eq!(PolyEval::num_vars(&dense), 3);
@@ -299,8 +313,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong arity")]
     fn dense_affine_rejects_wrong_arity() {
-        let alg = F64Algebra::new();
-        let dense = DenseAffine::new(vec![1.0, 2.0], 0.0);
-        let _ = PolyEval::eval(&dense, &alg, &[1.0]);
+        let alg = FixedFpAlgebra::new(16);
+        let dense = DenseAffine::new(vec![Fp256::ONE, Fp256::ONE], Fp256::ZERO);
+        let _ = PolyEval::eval(&dense, &alg, &[Fp256::ONE]);
     }
 }

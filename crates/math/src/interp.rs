@@ -8,6 +8,7 @@
 //! information from transcripts).
 
 use crate::algebra::Algebra;
+use crate::fp256::Fp256;
 use crate::poly::Polynomial;
 
 /// Errors from interpolation.
@@ -47,23 +48,24 @@ impl std::error::Error for InterpolationError {}
 /// # Examples
 ///
 /// ```
-/// use ppcs_math::{interpolate_at_zero, F64Algebra};
+/// use ppcs_math::{interpolate_at_zero, Fp256, FixedFpAlgebra};
 ///
 /// // B(v) = 5 - 2v; two points determine it.
-/// let alg = F64Algebra::new();
-/// let b0 = interpolate_at_zero(&alg, &[(1.0, 3.0), (2.0, 1.0)])?;
-/// assert!((b0 - 5.0).abs() < 1e-12);
+/// let alg = FixedFpAlgebra::new(16);
+/// let pt = |x, y| (Fp256::from_u64(x), Fp256::from_i64(y));
+/// let b0 = interpolate_at_zero(&alg, &[pt(1, 3), pt(3, -1)])?;
+/// assert_eq!(b0, Fp256::from_u64(5));
 /// # Ok::<(), ppcs_math::InterpolationError>(())
 /// ```
 pub fn interpolate_at_zero<A: Algebra>(
     alg: &A,
-    points: &[(A::Elem, A::Elem)],
-) -> Result<A::Elem, InterpolationError> {
-    validate::<A>(alg, points)?;
+    points: &[(Fp256, Fp256)],
+) -> Result<Fp256, InterpolationError> {
+    validate(alg, points)?;
     // Gather every barycentric denominator, then invert the lot with a
-    // single batch inversion — on the prime-field backend that is one
-    // Fermat inversion for the whole interpolation instead of one per
-    // point, which dominates the OMPE retrieval step.
+    // single batch inversion — one Fermat inversion for the whole
+    // interpolation instead of one per point, which dominates the OMPE
+    // retrieval step.
     let mut nums = Vec::with_capacity(points.len());
     let mut dens = Vec::with_capacity(points.len());
     for (j, (xj, _)) in points.iter().enumerate() {
@@ -95,8 +97,8 @@ pub fn interpolate_at_zero<A: Algebra>(
 ///
 /// Returns `out[k] = interpolate_at_zero(alg, &systems[k])` — results are
 /// bit-identical to the one-at-a-time calls, because field inverses are
-/// unique — but the prime-field backend pays *one* Fermat inversion for
-/// the entire batch instead of one per system, and the barycentric
+/// unique — but pays *one* Fermat inversion for the entire batch
+/// instead of one per system, and the barycentric
 /// weight products go through the SIMD `mul_many` kernel. This is the
 /// retrieval step of a whole batch OMPE session in one call.
 ///
@@ -106,10 +108,10 @@ pub fn interpolate_at_zero<A: Algebra>(
 /// order; in that case nothing is computed.
 pub fn interp_batch<A: Algebra>(
     alg: &A,
-    systems: &[Vec<(A::Elem, A::Elem)>],
-) -> Result<Vec<A::Elem>, InterpolationError> {
+    systems: &[Vec<(Fp256, Fp256)>],
+) -> Result<Vec<Fp256>, InterpolationError> {
     for points in systems {
-        validate::<A>(alg, points)?;
+        validate(alg, points)?;
     }
     let total: usize = systems.iter().map(Vec::len).sum();
     // Same numerator/denominator products as `interpolate_at_zero`,
@@ -164,8 +166,8 @@ pub fn interp_batch<A: Algebra>(
 /// abscissa, or the reserved abscissa zero.
 pub fn lagrange_zero_weights<A: Algebra>(
     alg: &A,
-    xs: &[A::Elem],
-) -> Result<Vec<A::Elem>, InterpolationError> {
+    xs: &[Fp256],
+) -> Result<Vec<Fp256>, InterpolationError> {
     if xs.is_empty() {
         return Err(InterpolationError::Empty);
     }
@@ -215,9 +217,9 @@ pub fn lagrange_zero_weights<A: Algebra>(
 /// different lengths or are empty.
 pub fn interpolate_at_zero_weighted<A: Algebra>(
     alg: &A,
-    weights: &[A::Elem],
-    ys: &[A::Elem],
-) -> Result<A::Elem, InterpolationError> {
+    weights: &[Fp256],
+    ys: &[Fp256],
+) -> Result<Fp256, InterpolationError> {
     if weights.is_empty() || weights.len() != ys.len() {
         return Err(InterpolationError::Empty);
     }
@@ -236,8 +238,8 @@ pub fn interpolate_at_zero_weighted<A: Algebra>(
 /// is permitted here (coefficient recovery does not reserve the origin).
 pub fn interpolate_coeffs<A: Algebra>(
     alg: &A,
-    points: &[(A::Elem, A::Elem)],
-) -> Result<Polynomial<A>, InterpolationError> {
+    points: &[(Fp256, Fp256)],
+) -> Result<Polynomial, InterpolationError> {
     if points.is_empty() {
         return Err(InterpolationError::Empty);
     }
@@ -270,7 +272,7 @@ pub fn interpolate_coeffs<A: Algebra>(
     Ok(result)
 }
 
-fn validate<A: Algebra>(alg: &A, points: &[(A::Elem, A::Elem)]) -> Result<(), InterpolationError> {
+fn validate(alg: &impl Algebra, points: &[(Fp256, Fp256)]) -> Result<(), InterpolationError> {
     if points.is_empty() {
         return Err(InterpolationError::Empty);
     }
@@ -290,31 +292,29 @@ fn validate<A: Algebra>(alg: &A, points: &[(A::Elem, A::Elem)]) -> Result<(), In
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{F64Algebra, FixedFpAlgebra};
-    use crate::fp256::Fp256;
-    use crate::poly::Polynomial;
+    use crate::algebra::FixedFpAlgebra;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn recovers_constant_term_over_f64() {
-        let alg = F64Algebra::new();
+        // The real 0.423 through the field: what comes back is it to
+        // within its 2^-17 encoding (the float backend's 1e-6 was its
+        // interpolation rounding).
+        let alg = FixedFpAlgebra::new(16);
         let mut rng = StdRng::seed_from_u64(11);
         for degree in 1..12 {
-            let p = Polynomial::random_with_constant(&alg, degree, 0.423, &mut rng);
-            let mut pts = Vec::new();
-            let mut used = Vec::new();
-            while pts.len() <= degree {
-                let x = alg.random_point(&mut rng);
-                if used.iter().any(|u: &f64| (u - x).abs() < 1e-9) {
-                    continue;
-                }
-                used.push(x);
-                pts.push((x, p.eval(&alg, &x)));
-            }
-            let b0 = interpolate_at_zero(&alg, &pts).unwrap();
+            let constant = alg.encode(0.423, 1);
+            let p = Polynomial::random_with_constant(&alg, degree, constant, &mut rng);
+            let pts: Vec<(Fp256, Fp256)> = (0..=degree)
+                .map(|_| {
+                    let x = alg.random_point(&mut rng);
+                    (x, p.eval(&alg, &x))
+                })
+                .collect();
+            let b0 = alg.decode(&interpolate_at_zero(&alg, &pts).unwrap(), 1);
             assert!(
-                (b0 - 0.423).abs() < 1e-6,
+                (b0 - 0.423).abs() < 1e-5,
                 "degree {degree}: got {b0}, want 0.423"
             );
         }
@@ -341,31 +341,31 @@ mod tests {
 
     #[test]
     fn full_coefficient_recovery() {
-        let alg = F64Algebra::new();
-        let p = Polynomial::new(vec![1.0, -4.0, 2.0]);
-        let pts: Vec<(f64, f64)> = [0.5, 1.5, -1.0]
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(13);
+        let p = Polynomial::random_with_constant(&alg, 2, alg.encode(1.0, 1), &mut rng);
+        let pts: Vec<(Fp256, Fp256)> = [0, 2, 5]
             .iter()
-            .map(|&x| (x, p.eval(&alg, &x)))
+            .map(|&x| (Fp256::from_u64(x), p.eval(&alg, &Fp256::from_u64(x))))
             .collect();
         let q = interpolate_coeffs(&alg, &pts).unwrap();
-        for (a, b) in p.coeffs().iter().zip(q.coeffs()) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_eq!(p.coeffs(), q.coeffs());
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let alg = F64Algebra::new();
+        let alg = FixedFpAlgebra::new(16);
+        let (one, two, three) = (Fp256::from_u64(1), Fp256::from_u64(2), Fp256::from_u64(3));
         assert_eq!(
             interpolate_at_zero(&alg, &[]),
             Err(InterpolationError::Empty)
         );
         assert_eq!(
-            interpolate_at_zero(&alg, &[(1.0, 2.0), (1.0, 3.0)]),
+            interpolate_at_zero(&alg, &[(one, two), (one, three)]),
             Err(InterpolationError::DuplicateAbscissa)
         );
         assert_eq!(
-            interpolate_at_zero(&alg, &[(0.0, 2.0)]),
+            interpolate_at_zero(&alg, &[(Fp256::ZERO, two)]),
             Err(InterpolationError::ZeroAbscissa)
         );
     }
@@ -394,17 +394,6 @@ mod tests {
         assert_eq!(interp_batch(&alg, &[]), Ok(Vec::new()));
         let bad = vec![systems[0].clone(), Vec::new()];
         assert_eq!(interp_batch(&alg, &bad), Err(InterpolationError::Empty));
-
-        // And over floats, where the default trait hooks run.
-        let f64a = F64Algebra::new();
-        let fsys = vec![
-            vec![(1.0, 3.0), (2.0, 1.0)],
-            vec![(1.0, 2.0), (-1.0, 4.0), (0.5, 2.75)],
-        ];
-        let fb = interp_batch(&f64a, &fsys).unwrap();
-        for (pts, b) in fsys.iter().zip(&fb) {
-            assert!((interpolate_at_zero(&f64a, pts).unwrap() - b).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`Fp256`] — an in-tree 256-bit prime field (4-limb Montgomery
 //!   arithmetic over the secp256k1 prime), cross-checked against
 //!   `num-bigint` in tests;
-//! * [`Algebra`] — the abstraction letting every protocol run over either
-//!   paper-faithful doubles ([`F64Algebra`]) or fixed-point field elements
-//!   ([`FixedFpAlgebra`]);
+//! * [`Algebra`] / [`FixedFpAlgebra`] — the field arithmetic and the
+//!   fixed-point encoding of reals into it that every protocol computes
+//!   with;
 //! * [`Polynomial`] / [`MvPolynomial`] — the masking and secret
 //!   polynomials of the OMPE construction;
 //! * [`interpolate_at_zero`] / [`interp_batch`] — the Lagrange retrieval
@@ -65,7 +65,7 @@ mod mvpoly;
 mod poly;
 mod simd;
 
-pub use algebra::{Algebra, F64Algebra, FixedFpAlgebra};
+pub use algebra::{Algebra, FixedFpAlgebra};
 pub use eval::{DenseAffine, DensePoly, PolyEval};
 pub use fp256::{Fp256, MODULUS};
 pub use interp::{

@@ -7,41 +7,46 @@
 //! coefficients — are dense, and served as
 //! [`DensePoly`](crate::DensePoly), which needs no exponent vectors.
 
+use core::marker::PhantomData;
+
 use crate::algebra::Algebra;
+use crate::fp256::Fp256;
 
 /// One term `c · Π_i y_i^{e_i}` of a multivariate polynomial.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MvTerm<A: Algebra> {
+pub struct MvTerm {
     /// The coefficient.
-    pub coeff: A::Elem,
+    pub coeff: Fp256,
     /// Exponents per variable; indices beyond `exponents.len()` are zero.
     pub exponents: Vec<u32>,
 }
 
-/// A sparse multivariate polynomial over `A`.
+/// A sparse multivariate polynomial, evaluated with `A`.
 ///
 /// # Examples
 ///
 /// ```
-/// use ppcs_math::{F64Algebra, MvPolynomial};
+/// use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
 ///
 /// // P(y1, y2) = 3·y1·y2² - y1 + 4
-/// let alg = F64Algebra::new();
-/// let p = MvPolynomial::from_terms(
+/// let alg = FixedFpAlgebra::new(16);
+/// let p = MvPolynomial::<FixedFpAlgebra>::from_terms(
 ///     2,
 ///     vec![
-///         (3.0, vec![1, 2]),
-///         (-1.0, vec![1, 0]),
-///         (4.0, vec![0, 0]),
+///         (alg.encode_int(3), vec![1, 2]),
+///         (alg.encode_int(-1), vec![1, 0]),
+///         (alg.encode_int(4), vec![0, 0]),
 ///     ],
 /// );
-/// assert_eq!(p.eval(&alg, &[2.0, -1.0]), 3.0 * 2.0 * 1.0 - 2.0 + 4.0);
+/// let y = [alg.encode_int(2), alg.encode_int(-1)];
+/// assert_eq!(p.eval(&alg, &y), alg.encode_int(3 * 2 * 1 - 2 + 4));
 /// assert_eq!(p.total_degree(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct MvPolynomial<A: Algebra> {
     num_vars: usize,
-    terms: Vec<MvTerm<A>>,
+    terms: Vec<MvTerm>,
+    alg: PhantomData<A>,
 }
 
 impl<A: Algebra> MvPolynomial<A> {
@@ -51,7 +56,7 @@ impl<A: Algebra> MvPolynomial<A> {
     /// # Panics
     ///
     /// Panics if any exponent vector is longer than `num_vars`.
-    pub fn from_terms(num_vars: usize, terms: Vec<(A::Elem, Vec<u32>)>) -> Self {
+    pub fn from_terms(num_vars: usize, terms: Vec<(Fp256, Vec<u32>)>) -> Self {
         let terms = terms
             .into_iter()
             .map(|(coeff, exponents)| {
@@ -64,12 +69,16 @@ impl<A: Algebra> MvPolynomial<A> {
                 MvTerm { coeff, exponents }
             })
             .collect();
-        Self { num_vars, terms }
+        Self {
+            num_vars,
+            terms,
+            alg: PhantomData,
+        }
     }
 
     /// Builds the affine polynomial `w·y + b` — the linear SVM decision
     /// function shape.
-    pub fn affine(alg: &A, weights: &[A::Elem], bias: A::Elem) -> Self {
+    pub fn affine(alg: &A, weights: &[Fp256], bias: Fp256) -> Self {
         let mut terms = Vec::with_capacity(weights.len() + 1);
         for (i, w) in weights.iter().enumerate() {
             if alg.is_zero(w) {
@@ -77,7 +86,7 @@ impl<A: Algebra> MvPolynomial<A> {
             }
             let mut e = vec![0u32; i + 1];
             e[i] = 1;
-            terms.push((w.clone(), e));
+            terms.push((*w, e));
         }
         terms.push((bias, Vec::new()));
         Self::from_terms(weights.len(), terms)
@@ -89,7 +98,7 @@ impl<A: Algebra> MvPolynomial<A> {
     }
 
     /// The terms of the polynomial.
-    pub fn terms(&self) -> &[MvTerm<A>] {
+    pub fn terms(&self) -> &[MvTerm] {
         &self.terms
     }
 
@@ -107,7 +116,7 @@ impl<A: Algebra> MvPolynomial<A> {
     /// # Panics
     ///
     /// Panics if `y.len() != num_vars`.
-    pub fn eval(&self, alg: &A, y: &[A::Elem]) -> A::Elem {
+    pub fn eval(&self, alg: &A, y: &[Fp256]) -> Fp256 {
         assert_eq!(
             y.len(),
             self.num_vars,
@@ -117,7 +126,7 @@ impl<A: Algebra> MvPolynomial<A> {
         );
         let mut acc = alg.zero();
         for term in &self.terms {
-            let mut t = term.coeff.clone();
+            let mut t = term.coeff;
             for (i, &e) in term.exponents.iter().enumerate() {
                 for _ in 0..e {
                     t = alg.mul(&t, &y[i]);
@@ -130,7 +139,7 @@ impl<A: Algebra> MvPolynomial<A> {
 
     /// Returns a copy with every coefficient multiplied by `k` — the
     /// paper's random amplification `d'(t) = r_a · d(t)`.
-    pub fn scale(&self, alg: &A, k: &A::Elem) -> Self {
+    pub fn scale(&self, alg: &A, k: &Fp256) -> Self {
         Self {
             num_vars: self.num_vars,
             terms: self
@@ -141,12 +150,13 @@ impl<A: Algebra> MvPolynomial<A> {
                     exponents: t.exponents.clone(),
                 })
                 .collect(),
+            alg: PhantomData,
         }
     }
 
     /// Returns a copy with `delta` added to the constant term — the
     /// paper's additive blinding `d'(t) = r_aw·d(t) + r_b`.
-    pub fn add_constant(&self, alg: &A, delta: &A::Elem) -> Self {
+    pub fn add_constant(&self, alg: &A, delta: &Fp256) -> Self {
         let mut out = self.clone();
         if let Some(t) = out
             .terms
@@ -156,7 +166,7 @@ impl<A: Algebra> MvPolynomial<A> {
             t.coeff = alg.add(&t.coeff, delta);
         } else {
             out.terms.push(MvTerm {
-                coeff: delta.clone(),
+                coeff: *delta,
                 exponents: Vec::new(),
             });
         }
@@ -167,38 +177,44 @@ impl<A: Algebra> MvPolynomial<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{F64Algebra, FixedFpAlgebra};
+    use crate::algebra::FixedFpAlgebra;
+
+    fn ints(alg: &FixedFpAlgebra, vs: &[i64]) -> Vec<Fp256> {
+        vs.iter().map(|&v| alg.encode_int(v)).collect()
+    }
 
     #[test]
     fn affine_matches_dot_product() {
-        let alg = F64Algebra::new();
-        let p = MvPolynomial::affine(&alg, &[1.0, -2.0, 0.5], 0.25);
-        let y = [3.0, 1.0, 4.0];
-        assert!((p.eval(&alg, &y) - (3.0 - 2.0 + 2.0 + 0.25)).abs() < 1e-12);
+        let alg = FixedFpAlgebra::new(16);
+        let p = MvPolynomial::affine(&alg, &ints(&alg, &[4, -2, 1]), alg.encode_int(3));
+        let y = ints(&alg, &[3, 1, 4]);
+        assert_eq!(p.eval(&alg, &y), alg.encode_int(12 - 2 + 4 + 3));
         assert_eq!(p.total_degree(), 1);
         assert_eq!(p.num_vars(), 3);
     }
 
     #[test]
     fn affine_skips_zero_weights() {
-        let alg = F64Algebra::new();
-        let p = MvPolynomial::affine(&alg, &[0.0, 2.0], 1.0);
+        let alg = FixedFpAlgebra::new(16);
+        let p = MvPolynomial::affine(&alg, &ints(&alg, &[0, 2]), alg.encode_int(1));
         // one weight term + bias
         assert_eq!(p.terms().len(), 2);
-        assert_eq!(p.eval(&alg, &[100.0, 3.0]), 7.0);
+        assert_eq!(p.eval(&alg, &ints(&alg, &[100, 3])), alg.encode_int(7));
     }
 
     #[test]
     fn scale_and_add_constant() {
-        let alg = F64Algebra::new();
-        let p = MvPolynomial::affine(&alg, &[2.0], -1.0);
-        let scaled = p.scale(&alg, &3.0);
-        assert_eq!(scaled.eval(&alg, &[5.0]), 3.0 * (10.0 - 1.0));
-        let shifted = scaled.add_constant(&alg, &7.0);
-        assert_eq!(shifted.eval(&alg, &[5.0]), 27.0 + 7.0);
+        let alg = FixedFpAlgebra::new(16);
+        let p = MvPolynomial::affine(&alg, &ints(&alg, &[2]), alg.encode_int(-1));
+        let five = ints(&alg, &[5]);
+        let scaled = p.scale(&alg, &alg.encode_int(3));
+        assert_eq!(scaled.eval(&alg, &five), alg.encode_int(3 * (10 - 1)));
+        let shifted = scaled.add_constant(&alg, &alg.encode_int(7));
+        assert_eq!(shifted.eval(&alg, &five), alg.encode_int(27 + 7));
         // add_constant on a polynomial with no constant term appends one.
-        let noconst = MvPolynomial::from_terms(1, vec![(2.0, vec![1])]);
-        assert_eq!(noconst.add_constant(&alg, &5.0).eval(&alg, &[0.0]), 5.0);
+        let noconst = MvPolynomial::from_terms(1, vec![(alg.encode_int(2), vec![1])]);
+        let at_zero = noconst.add_constant(&alg, &alg.encode_int(5));
+        assert_eq!(at_zero.eval(&alg, &[Fp256::ZERO]), alg.encode_int(5));
     }
 
     #[test]
@@ -228,8 +244,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong arity")]
     fn eval_rejects_wrong_arity() {
-        let alg = F64Algebra::new();
-        let p = MvPolynomial::affine(&alg, &[1.0, 1.0], 0.0);
-        let _ = p.eval(&alg, &[1.0]);
+        let alg = FixedFpAlgebra::new(16);
+        let p = MvPolynomial::affine(&alg, &ints(&alg, &[1, 1]), Fp256::ZERO);
+        let _ = p.eval(&alg, &[Fp256::ONE]);
     }
 }

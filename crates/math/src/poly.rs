@@ -7,29 +7,30 @@
 use rand::Rng;
 
 use crate::algebra::Algebra;
+use crate::fp256::Fp256;
 
 /// A dense univariate polynomial `c_0 + c_1 x + ... + c_d x^d`.
 ///
 /// # Examples
 ///
 /// ```
-/// use ppcs_math::{F64Algebra, Polynomial};
+/// use ppcs_math::{Fp256, FixedFpAlgebra, Polynomial};
 ///
-/// let alg = F64Algebra::new();
+/// let alg = FixedFpAlgebra::new(16);
 /// // 1 + 2x + 3x^2 at x = 2 is 17.
-/// let p = Polynomial::new(vec![1.0, 2.0, 3.0]);
-/// assert_eq!(p.eval(&alg, &2.0), 17.0);
+/// let p = Polynomial::new([1, 2, 3].map(Fp256::from_u64).to_vec());
+/// assert_eq!(p.eval(&alg, &Fp256::from_u64(2)), Fp256::from_u64(17));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-pub struct Polynomial<A: Algebra> {
-    coeffs: Vec<A::Elem>,
+pub struct Polynomial {
+    coeffs: Vec<Fp256>,
 }
 
-impl<A: Algebra> Polynomial<A> {
+impl Polynomial {
     /// Builds a polynomial from coefficients in ascending-degree order.
     ///
     /// An empty coefficient list denotes the zero polynomial.
-    pub fn new(coeffs: Vec<A::Elem>) -> Self {
+    pub fn new(coeffs: Vec<Fp256>) -> Self {
         Self { coeffs }
     }
 
@@ -39,7 +40,7 @@ impl<A: Algebra> Polynomial<A> {
     }
 
     /// The constant polynomial `c`.
-    pub fn constant(c: A::Elem) -> Self {
+    pub fn constant(c: Fp256) -> Self {
         Self { coeffs: vec![c] }
     }
 
@@ -50,9 +51,9 @@ impl<A: Algebra> Polynomial<A> {
     /// `h(u)` is `random_with_constant(q, 0)` and the client's `g_i(v)` is
     /// `random_with_constant(q, t̃_i)`.
     pub fn random_with_constant<R: Rng + ?Sized>(
-        alg: &A,
+        alg: &impl Algebra,
         degree: usize,
-        constant: A::Elem,
+        constant: Fp256,
         rng: &mut R,
     ) -> Self {
         let mut p = Self::zero();
@@ -68,9 +69,9 @@ impl<A: Algebra> Polynomial<A> {
     /// session and refresh it here for every round.
     pub fn refresh_random_with_constant<R: Rng + ?Sized>(
         &mut self,
-        alg: &A,
+        alg: &impl Algebra,
         degree: usize,
-        constant: A::Elem,
+        constant: Fp256,
         rng: &mut R,
     ) {
         self.coeffs.clear();
@@ -99,12 +100,12 @@ impl<A: Algebra> Polynomial<A> {
     }
 
     /// The coefficients, ascending by degree.
-    pub fn coeffs(&self) -> &[A::Elem] {
+    pub fn coeffs(&self) -> &[Fp256] {
         &self.coeffs
     }
 
     /// Evaluates at `x` using Horner's rule.
-    pub fn eval(&self, alg: &A, x: &A::Elem) -> A::Elem {
+    pub fn eval(&self, alg: &impl Algebra, x: &Fp256) -> Fp256 {
         let mut acc = alg.zero();
         for c in self.coeffs.iter().rev() {
             acc = alg.add(&alg.mul(&acc, x), c);
@@ -116,19 +117,18 @@ impl<A: Algebra> Polynomial<A> {
     ///
     /// Same Horner recurrence as [`eval`](Polynomial::eval) — results are
     /// identical point for point — but routed through
-    /// [`Algebra::eval_poly_many`] so the fixed-point backend can run the
-    /// SIMD point-cloud kernel.
-    pub fn eval_many(&self, alg: &A, xs: &[A::Elem]) -> Vec<A::Elem> {
+    /// [`Algebra::eval_poly_many`], the SIMD point-cloud kernel.
+    pub fn eval_many(&self, alg: &impl Algebra, xs: &[Fp256]) -> Vec<Fp256> {
         alg.eval_poly_many(&self.coeffs, xs)
     }
 
     /// The constant term `p(0)`.
-    pub fn constant_term(&self, alg: &A) -> A::Elem {
+    pub fn constant_term(&self, alg: &impl Algebra) -> Fp256 {
         self.coeffs.first().cloned().unwrap_or_else(|| alg.zero())
     }
 
     /// Pointwise sum.
-    pub fn add(&self, alg: &A, other: &Self) -> Self {
+    pub fn add(&self, alg: &impl Algebra, other: &Self) -> Self {
         let n = self.coeffs.len().max(other.coeffs.len());
         let mut coeffs = Vec::with_capacity(n);
         for i in 0..n {
@@ -140,14 +140,14 @@ impl<A: Algebra> Polynomial<A> {
     }
 
     /// Scales every coefficient by `k`.
-    pub fn scale(&self, alg: &A, k: &A::Elem) -> Self {
+    pub fn scale(&self, alg: &impl Algebra, k: &Fp256) -> Self {
         Self {
             coeffs: self.coeffs.iter().map(|c| alg.mul(c, k)).collect(),
         }
     }
 
     /// Full polynomial product (schoolbook; degrees here are tiny).
-    pub fn mul(&self, alg: &A, other: &Self) -> Self {
+    pub fn mul(&self, alg: &impl Algebra, other: &Self) -> Self {
         if self.coeffs.is_empty() || other.coeffs.is_empty() {
             return Self::zero();
         }
@@ -165,17 +165,19 @@ impl<A: Algebra> Polynomial<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{F64Algebra, FixedFpAlgebra};
+    use crate::algebra::FixedFpAlgebra;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn horner_matches_naive() {
-        let alg = F64Algebra::new();
-        let p = Polynomial::new(vec![4.0, -3.0, 0.5, 2.0]);
-        let x = 1.7f64;
-        let naive = 4.0 - 3.0 * x + 0.5 * x * x + 2.0 * x * x * x;
-        assert!((p.eval(&alg, &x) - naive).abs() < 1e-12);
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(4);
+        let p = Polynomial::random_with_constant(&alg, 3, alg.encode(4.0, 1), &mut rng);
+        let c = p.coeffs();
+        let x = alg.random_point(&mut rng);
+        let naive = c[0] + c[1] * x + c[2] * x * x + c[3] * x * x * x;
+        assert_eq!(p.eval(&alg, &x), naive);
     }
 
     #[test]
@@ -193,17 +195,18 @@ mod tests {
 
     #[test]
     fn add_scale_mul_are_consistent_with_eval() {
-        let alg = F64Algebra::new();
+        let alg = FixedFpAlgebra::new(16);
         let mut rng = StdRng::seed_from_u64(3);
-        let p = Polynomial::random_with_constant(&alg, 4, 1.0, &mut rng);
-        let q = Polynomial::random_with_constant(&alg, 3, -2.0, &mut rng);
-        let x = 0.9;
+        let p = Polynomial::random_with_constant(&alg, 4, alg.encode(1.0, 1), &mut rng);
+        let q = Polynomial::random_with_constant(&alg, 3, alg.encode(-2.0, 1), &mut rng);
+        let x = alg.random_point(&mut rng);
         let sum = p.add(&alg, &q);
-        assert!((sum.eval(&alg, &x) - (p.eval(&alg, &x) + q.eval(&alg, &x))).abs() < 1e-12);
-        let scaled = p.scale(&alg, &3.0);
-        assert!((scaled.eval(&alg, &x) - 3.0 * p.eval(&alg, &x)).abs() < 1e-12);
+        assert_eq!(sum.eval(&alg, &x), p.eval(&alg, &x) + q.eval(&alg, &x));
+        let three = alg.encode_int(3);
+        let scaled = p.scale(&alg, &three);
+        assert_eq!(scaled.eval(&alg, &x), three * p.eval(&alg, &x));
         let prod = p.mul(&alg, &q);
-        assert!((prod.eval(&alg, &x) - p.eval(&alg, &x) * q.eval(&alg, &x)).abs() < 1e-10);
+        assert_eq!(prod.eval(&alg, &x), p.eval(&alg, &x) * q.eval(&alg, &x));
         assert_eq!(prod.degree(), 7);
     }
 
@@ -221,9 +224,9 @@ mod tests {
 
     #[test]
     fn zero_polynomial_evaluates_to_zero() {
-        let alg = F64Algebra::new();
-        let z = Polynomial::<F64Algebra>::zero();
-        assert_eq!(z.eval(&alg, &5.0), 0.0);
-        assert_eq!(z.constant_term(&alg), 0.0);
+        let alg = FixedFpAlgebra::new(16);
+        let z = Polynomial::zero();
+        assert_eq!(z.eval(&alg, &Fp256::from_u64(5)), Fp256::ZERO);
+        assert_eq!(z.constant_term(&alg), Fp256::ZERO);
     }
 }

@@ -3,7 +3,7 @@
 //! of each degree listed as non-decreasing index tuples in lexicographic
 //! order.
 
-use ppcs_math::{Algebra, DensePoly, F64Algebra, FixedFpAlgebra, PolyEval};
+use ppcs_math::{Algebra, DensePoly, FixedFpAlgebra, Fp256, PolyEval};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,21 +31,21 @@ fn multisets(dim: usize, degree: u32) -> Vec<Vec<usize>> {
 /// A random model over `alg` (blocks for `lowest..=degree`, the rest
 /// empty) and a random point, with the term-by-term value of the one at
 /// the other. `elem` draws a point coordinate or lower coefficient,
-/// `coeff` a top coefficient in its narrow form and as the element the
+/// `coeff` a top coefficient as a signed integer and as the element the
 /// definition multiplies by.
-fn model_point_and_definition<A: Algebra>(
-    alg: &A,
+fn model_point_and_definition(
+    alg: &FixedFpAlgebra,
     dim: usize,
     lowest: u32,
     degree: u32,
-    mut elem: impl FnMut() -> A::Elem,
-    mut coeff: impl FnMut() -> (A::Coeff, A::Elem),
-) -> (DensePoly<A>, Vec<A::Elem>, A::Elem) {
-    let y: Vec<A::Elem> = (0..dim).map(|_| elem()).collect();
+    mut elem: impl FnMut() -> Fp256,
+    mut coeff: impl FnMut() -> (i64, Fp256),
+) -> (DensePoly, Vec<Fp256>, Fp256) {
+    let y: Vec<Fp256> = (0..dim).map(|_| elem()).collect();
     let bias = elem();
-    let mut expected = bias.clone();
-    let mut term = |c: &A::Elem, tuple: &[usize]| {
-        let term = tuple.iter().fold(c.clone(), |t, &i| alg.mul(&t, &y[i]));
+    let mut expected = bias;
+    let mut term = |c: &Fp256, tuple: &[usize]| {
+        let term = tuple.iter().fold(*c, |t, &i| alg.mul(&t, &y[i]));
         expected = alg.add(&expected, &term);
     };
     let lower = (1..degree)
@@ -107,38 +107,18 @@ proptest! {
         prop_assert_eq!(poly.num_vars(), dim);
         prop_assert_eq!(poly.eval(&alg, &y), expected);
     }
-
-    #[test]
-    fn nested_horner_matches_the_definition_over_floats(
-        dim in 1usize..=6,
-        degree in 1u32..=5,
-        homogeneous in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let alg = F64Algebra::new();
-        let lowest = if homogeneous { degree } else { 1 };
-        let rng = RefCell::new(StdRng::seed_from_u64(seed));
-        let draw = || rng.borrow_mut().gen_range(-1.0..1.0);
-        let (poly, y, expected) =
-            model_point_and_definition(&alg, dim, lowest, degree, draw, || {
-                let c = draw();
-                (c, c)
-            });
-        let got = poly.eval(&alg, &y);
-        prop_assert!((got - expected).abs() < 1e-9, "{} vs {}", got, expected);
-    }
 }
 
 #[test]
 #[should_panic(expected = "degree-2 block holds 2 coefficients")]
 fn a_block_of_the_wrong_size_is_refused() {
-    let _ = DensePoly::<F64Algebra>::new(2, vec![vec![1.0, 1.0]], vec![1.0, 1.0], 0.0);
+    let _ = DensePoly::new(2, vec![vec![Fp256::ONE; 2]], vec![1, 1], Fp256::ZERO);
 }
 
 #[test]
 #[should_panic(expected = "wrong arity")]
 fn eval_rejects_wrong_arity() {
-    let alg = F64Algebra::new();
-    let p = DensePoly::new(2, Vec::new(), vec![1.0, 1.0], 0.0);
-    let _ = p.eval(&alg, &[1.0]);
+    let alg = FixedFpAlgebra::new(16);
+    let p = DensePoly::new(2, Vec::new(), vec![1, 1], Fp256::ZERO);
+    let _ = p.eval(&alg, &[Fp256::ONE]);
 }

@@ -17,38 +17,39 @@
 //! oblivious transfer delivers the cover values; Lagrange interpolation
 //! at zero strips the mask: `R(0) = M(0) + P(S(0)) = P(α)`.
 //!
-//! The protocol is generic over the [`Algebra`](ppcs_math::Algebra)
-//! backend (floats as in the paper's experiments, or fixed-point field
-//! elements for the cryptographically sound instantiation) and over the
+//! The protocol computes over the 256-bit prime field
+//! ([`FixedFpAlgebra`](ppcs_math::FixedFpAlgebra)): the masks hide their
+//! payload only over a finite field. It is generic over the
 //! [`ObliviousTransfer`](ppcs_ot::ObliviousTransfer) engine.
 //!
 //! ## Example
 //!
 //! ```
-//! use ppcs_math::{F64Algebra, MvPolynomial};
+//! use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
 //! use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
 //! use ppcs_ot::TrustedSimOt;
 //! use ppcs_transport::run_pair;
 //! use rand::SeedableRng;
 //!
-//! let alg = F64Algebra::new();
-//! // Sender's secret: P(y1, y2) = 2·y1 - 3·y2 + 0.5
-//! let secret = MvPolynomial::affine(&alg, &[2.0, -3.0], 0.5);
+//! let alg = FixedFpAlgebra::new(16);
+//! // Sender's secret: P(y1, y2) = 2·y1 - 3·y2 + 0.5, inputs at scale 1.
+//! let weights = [alg.encode(2.0, 1), alg.encode(-3.0, 1)];
+//! let secret = MvPolynomial::affine(&alg, &weights, alg.encode(0.5, 2));
+//! let alpha = [alg.encode(1.0, 1), alg.encode(2.0, 1)];
 //! let params = OmpeParams::new(1, 4, 3).unwrap();
 //!
 //! let (send_res, value) = run_pair(
 //!     move |ep| {
 //!         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//!         ompe_send(&F64Algebra::new(), &ep, &TrustedSimOt, &mut rng, &secret, &params)
+//!         ompe_send(&alg, &ep, &TrustedSimOt, &mut rng, &secret, &params)
 //!     },
 //!     move |ep| {
 //!         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-//!         ompe_receive(&F64Algebra::new(), &ep, &TrustedSimOt, &mut rng, &[1.0, 2.0], &params)
-//!             .unwrap()
+//!         ompe_receive(&alg, &ep, &TrustedSimOt, &mut rng, &alpha, &params).unwrap()
 //!     },
 //! );
 //! send_res.unwrap();
-//! assert!((value - (2.0 - 6.0 + 0.5)).abs() < 1e-6);
+//! assert_eq!(alg.decode(&value, 2), 2.0 - 6.0 + 0.5);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -29,13 +29,13 @@ use std::collections::VecDeque;
 
 use bytes::BytesMut;
 use ppcs_math::{interpolate_at_zero, interpolate_at_zero_weighted, lagrange_zero_weights};
-use ppcs_math::{Algebra, PolyEval, Polynomial};
+use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{select_fingerprint, OtOfflineCommitment, OtSelect};
 use ppcs_telemetry::Phase;
 use rand::seq::index::sample;
 use rand::RngCore;
 
-use ppcs_transport::{encode_seq, Encodable, Frame, FrameIo};
+use ppcs_transport::{encode_seq, Frame, FrameIo};
 
 use crate::error::OmpeError;
 use crate::protocol::{OmpeParams, KIND_OMPE_POINTS};
@@ -71,22 +71,18 @@ pub fn params_fingerprint(sel: OtSelect, params: &OmpeParams) -> u64 {
 /// session, produced ahead of time and consumed by
 /// [`OmpeSenderSession::new_precomputed_io`].
 #[derive(Debug)]
-pub struct OmpeSenderOffline<A: Algebra> {
+pub struct OmpeSenderOffline {
     pub(crate) fingerprint: u64,
     pub(crate) commitment: OtOfflineCommitment,
-    pub(crate) masks: VecDeque<Polynomial<A>>,
+    pub(crate) masks: VecDeque<Polynomial>,
 }
 
-impl<A> OmpeSenderOffline<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl OmpeSenderOffline {
     /// Draws the OT base-phase commitment and `rounds` masking
     /// polynomials (`M(0) = 0`, degree exactly the composite degree), all
     /// off the critical path.
     pub fn precompute(
-        alg: &A,
+        alg: &impl Algebra,
         sel: OtSelect,
         params: &OmpeParams,
         rounds: usize,
@@ -121,34 +117,30 @@ where
 /// One precomputed receiver round: a full point cloud with zero-constant
 /// cover polynomials, ready to be bound to an input vector.
 #[derive(Debug)]
-pub(crate) struct BlindRound<A: Algebra> {
+pub(crate) struct BlindRound {
     /// All `N` abscissae, in submission order.
-    xs: Vec<A::Elem>,
+    xs: Vec<Fp256>,
     /// Cover positions in OT-selection (sample) order.
     cover_positions: Vec<usize>,
     /// Cover positions in ascending submission order.
     cover_rows: Vec<usize>,
     /// The flattened submitted inputs with `S̄_i(x)` (zero constant) at
     /// covers and disguises elsewhere; binding adds `α_i` per cover slot.
-    base_ys: Vec<A::Elem>,
+    base_ys: Vec<Fp256>,
     /// Lagrange-at-zero weights over `xs[cover_positions]`, in that
     /// order — the order retrieval returns the masked answers in.
-    zero_weights: Vec<A::Elem>,
+    zero_weights: Vec<Fp256>,
     /// Input dimension the round was drawn for.
     dim: usize,
 }
 
-impl<A> BlindRound<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl BlindRound {
     /// Draws one blind round, consuming the RNG in exactly the order the
     /// monolithic [`OmpeReceiverSession::prepare_round`] does (cover
     /// refreshes, abscissae, cover sampling, disguises in position
     /// order), so that binding reproduces its point cloud byte for byte.
     fn precompute(
-        alg: &A,
+        alg: &impl Algebra,
         params: &OmpeParams,
         dim: usize,
         rng: &mut dyn RngCore,
@@ -171,11 +163,11 @@ where
         for &pos in &cover_positions {
             is_cover[pos] = true;
         }
-        let cover_xs: Vec<A::Elem> = (0..n_points)
+        let cover_xs: Vec<Fp256> = (0..n_points)
             .filter(|&i| is_cover[i])
-            .map(|i| xs[i].clone())
+            .map(|i| xs[i])
             .collect();
-        let cover_evals: Vec<Vec<A::Elem>> = cover_polys
+        let cover_evals: Vec<Vec<Fp256>> = cover_polys
             .iter()
             .map(|poly| poly.eval_many(alg, &cover_xs))
             .collect();
@@ -184,16 +176,16 @@ where
         for &cover in is_cover.iter().take(n_points) {
             if cover {
                 for evals in &cover_evals {
-                    base_ys.push(evals[cover_rank].clone());
+                    base_ys.push(evals[cover_rank]);
                 }
                 cover_rank += 1;
             } else {
                 for _ in 0..dim {
-                    base_ys.push(alg.random_disguise(rng));
+                    base_ys.push(alg.random_mask(rng));
                 }
             }
         }
-        let weight_xs: Vec<A::Elem> = cover_positions.iter().map(|&p| xs[p].clone()).collect();
+        let weight_xs: Vec<Fp256> = cover_positions.iter().map(|&p| xs[p]).collect();
         let zero_weights = lagrange_zero_weights(alg, &weight_xs)?;
         let cover_rows: Vec<usize> = (0..n_points).filter(|&i| is_cover[i]).collect();
         Ok(Self {
@@ -214,9 +206,9 @@ where
     /// wire frame itself.
     fn bind(
         mut self,
-        alg: &A,
-        alpha: &[A::Elem],
-    ) -> Result<(PreparedRound<A>, Vec<A::Elem>), OmpeError> {
+        alg: &impl Algebra,
+        alpha: &[Fp256],
+    ) -> Result<(PreparedRound, Vec<Fp256>), OmpeError> {
         if alpha.len() != self.dim {
             return Err(OmpeError::Params(format!(
                 "offline round was precomputed for dimension {}, input has dimension {}",
@@ -245,17 +237,13 @@ where
 /// Receiver-side offline pack: blind rounds for a fixed parameter set and
 /// input dimension, consumed by [`ompe_receive_batch_offline_io`].
 #[derive(Debug)]
-pub struct OmpeReceiverOffline<A: Algebra> {
+pub struct OmpeReceiverOffline {
     fingerprint: u64,
     dim: usize,
-    rounds: VecDeque<BlindRound<A>>,
+    rounds: VecDeque<BlindRound>,
 }
 
-impl<A> OmpeReceiverOffline<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl OmpeReceiverOffline {
     /// Draws `rounds` blind rounds for inputs of dimension `dim`.
     ///
     /// # Errors
@@ -263,7 +251,7 @@ where
     /// [`OmpeError::Params`] if `dim` is zero; interpolation errors if a
     /// drawn abscissa set is degenerate (cannot happen for honest draws).
     pub fn precompute(
-        alg: &A,
+        alg: &impl Algebra,
         sel: OtSelect,
         params: &OmpeParams,
         dim: usize,
@@ -297,7 +285,7 @@ where
         self.rounds.len()
     }
 
-    pub(crate) fn pop_round(&mut self) -> Option<BlindRound<A>> {
+    pub(crate) fn pop_round(&mut self) -> Option<BlindRound> {
         self.rounds.pop_front()
     }
 }
@@ -321,11 +309,10 @@ pub async fn ompe_send_batch_offline_io<A, P>(
     rng: &mut dyn RngCore,
     secrets: &[P],
     params: &OmpeParams,
-    offline: OmpeSenderOffline<A>,
+    offline: OmpeSenderOffline,
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A>,
 {
     if secrets.is_empty() {
@@ -362,11 +349,10 @@ pub async fn ompe_send_offline_io<A, P>(
     rng: &mut dyn RngCore,
     secret: &P,
     params: &OmpeParams,
-    offline: OmpeSenderOffline<A>,
+    offline: OmpeSenderOffline,
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A> + ?Sized,
 {
     let mut session = OmpeSenderSession::new_precomputed_io(io, sel, *params, offline)?;
@@ -388,13 +374,12 @@ pub async fn ompe_receive_batch_offline_io<A>(
     io: &FrameIo,
     sel: OtSelect,
     rng: &mut dyn RngCore,
-    alphas: &[Vec<A::Elem>],
+    alphas: &[Vec<Fp256>],
     params: &OmpeParams,
-    offline: &mut OmpeReceiverOffline<A>,
-) -> Result<Vec<A::Elem>, OmpeError>
+    offline: &mut OmpeReceiverOffline,
+) -> Result<Vec<Fp256>, OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     if alphas.is_empty() {
         return Ok(Vec::new());
@@ -430,7 +415,7 @@ where
         let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
         let value = match w {
             Some(weights) => {
-                let ys: Vec<A::Elem> = points.into_iter().map(|(_, y)| y).collect();
+                let ys: Vec<Fp256> = points.into_iter().map(|(_, y)| y).collect();
                 interpolate_at_zero_weighted(alg, weights, &ys)?
             }
             None => interpolate_at_zero(alg, &points)?,
@@ -455,7 +440,7 @@ mod tests {
     fn test_setup() -> (
         FixedFpAlgebra,
         MvPolynomial<FixedFpAlgebra>,
-        Vec<Vec<ppcs_math::Fp256>>,
+        Vec<Vec<Fp256>>,
         OmpeParams,
     ) {
         let alg = FixedFpAlgebra::new(16);
@@ -471,7 +456,7 @@ mod tests {
         (alg, secret, alphas, params)
     }
 
-    fn run_monolithic(sel: OtSelect, seed_s: u64, seed_r: u64) -> Vec<ppcs_math::Fp256> {
+    fn run_monolithic(sel: OtSelect, seed_s: u64, seed_r: u64) -> Vec<Fp256> {
         let (alg, secret, alphas, params) = test_setup();
         let secrets = vec![secret; alphas.len()];
         let mut rng_s = StdRng::seed_from_u64(seed_s);
@@ -493,7 +478,7 @@ mod tests {
         seed_r: u64,
         sender_rounds: usize,
         receiver_rounds: usize,
-    ) -> Vec<ppcs_math::Fp256> {
+    ) -> Vec<Fp256> {
         let (alg, secret, alphas, params) = test_setup();
         let secrets = vec![secret; alphas.len()];
         // Sender offline material comes from an unrelated RNG: the masks

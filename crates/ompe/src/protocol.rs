@@ -1,8 +1,8 @@
 //! The OMPE sender and receiver.
 
-use ppcs_math::{Algebra, PolyEval};
+use ppcs_math::{Algebra, Fp256, PolyEval};
 use ppcs_ot::{ObliviousTransfer, OtSelect};
-use ppcs_transport::{Encodable, Endpoint, FrameIo};
+use ppcs_transport::{Endpoint, FrameIo};
 use rand::RngCore;
 
 use crate::error::OmpeError;
@@ -115,7 +115,6 @@ pub fn ompe_send<A, P>(
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A> + ?Sized,
 {
     OmpeSenderSession::single_shot(*params).send_round(alg, ep, ot, rng, secret)
@@ -132,12 +131,11 @@ pub fn ompe_receive<A>(
     ep: &Endpoint,
     ot: &dyn ObliviousTransfer,
     rng: &mut dyn RngCore,
-    alpha: &[A::Elem],
+    alpha: &[Fp256],
     params: &OmpeParams,
-) -> Result<A::Elem, OmpeError>
+) -> Result<Fp256, OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     OmpeReceiverSession::single_shot(*params).receive_round(alg, ep, ot, rng, alpha)
 }
@@ -158,7 +156,6 @@ pub async fn ompe_send_io<A, P>(
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A> + ?Sized,
 {
     OmpeSenderSession::single_shot(*params)
@@ -176,12 +173,11 @@ pub async fn ompe_receive_io<A>(
     io: &FrameIo,
     sel: OtSelect,
     rng: &mut dyn RngCore,
-    alpha: &[A::Elem],
+    alpha: &[Fp256],
     params: &OmpeParams,
-) -> Result<A::Elem, OmpeError>
+) -> Result<Fp256, OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     OmpeReceiverSession::single_shot(*params)
         .receive_round_io(alg, io, sel, rng, alpha)
@@ -191,25 +187,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::{F64Algebra, FixedFpAlgebra, MvPolynomial};
+    use ppcs_math::{FixedFpAlgebra, MvPolynomial};
     use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
     use ppcs_transport::run_pair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run_ompe<A>(
-        alg: A,
-        secret: MvPolynomial<A>,
-        alpha: Vec<A::Elem>,
+    fn run_ompe(
+        alg: FixedFpAlgebra,
+        secret: MvPolynomial<FixedFpAlgebra>,
+        alpha: Vec<Fp256>,
         params: OmpeParams,
         ot_engine: &'static dyn ObliviousTransfer,
         seed: u64,
-    ) -> A::Elem
-    where
-        A: Algebra,
-        A::Elem: Encodable,
-    {
-        let alg2 = alg.clone();
+    ) -> Fp256 {
+        let alg2 = alg;
         let (send_res, value) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -228,14 +220,17 @@ mod tests {
 
     #[test]
     fn linear_polynomial_over_f64() {
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[1.5, -2.0, 0.25], 3.0);
-        let alpha = vec![2.0, 1.0, 4.0];
+        // Every value is a multiple of 2^-16, so the field meets the float
+        // decision value exactly, seed after seed.
+        let alg = FixedFpAlgebra::new(16);
+        let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+        let secret = MvPolynomial::affine(&alg, &enc(&[1.5, -2.0, 0.25]), alg.encode(3.0, 2));
+        let alpha = enc(&[2.0, 1.0, 4.0]);
         let want = 1.5 * 2.0 - 2.0 + 0.25 * 4.0 + 3.0;
         let params = OmpeParams::new(1, 5, 4).unwrap();
         for seed in 0..5 {
             let got = run_ompe(alg, secret.clone(), alpha.clone(), params, &SIM, seed * 17);
-            assert!((got - want).abs() < 1e-6, "seed {seed}: {got} vs {want}");
+            assert_eq!(alg.decode(&got, 2), want, "seed {seed}");
         }
     }
 
@@ -283,11 +278,12 @@ mod tests {
     #[test]
     fn works_over_real_naor_pinkas_ot() {
         static NP: once_fast::Lazy = once_fast::Lazy;
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[2.0, 1.0], -0.5);
+        let alg = FixedFpAlgebra::new(16);
+        let int = |v| alg.encode_int(v);
+        let secret = MvPolynomial::affine(&alg, &[int(2), int(1)], int(-5));
         let params = OmpeParams::new(1, 3, 2).unwrap();
-        let got = run_ompe(alg, secret, vec![0.5, 0.5], params, NP.get(), 9);
-        assert!((got - (1.0 + 0.5 - 0.5)).abs() < 1e-6);
+        let got = run_ompe(alg, secret, vec![int(5), int(5)], params, NP.get(), 9);
+        assert_eq!(got, int(10 + 5 - 5));
     }
 
     /// Small helper to get a `&'static dyn ObliviousTransfer` for the
@@ -306,13 +302,13 @@ mod tests {
 
     #[test]
     fn sender_rejects_overdegree_secret() {
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::from_terms(1, vec![(1.0, vec![3])]);
+        let alg = FixedFpAlgebra::new(16);
+        let secret = MvPolynomial::from_terms(1, vec![(Fp256::ONE, vec![3])]);
         let params = OmpeParams::new(2, 2, 2).unwrap();
         let (send_res, _) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
-                ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params)
+                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
             },
             move |_ep| {},
         );
@@ -320,7 +316,6 @@ mod tests {
             send_res.unwrap_err(),
             OmpeError::SecretMismatch(_)
         ));
-        let _ = alg;
     }
 
     #[test]
@@ -350,18 +345,18 @@ mod tests {
     #[test]
     fn point_count_mismatch_is_detected() {
         // Receiver and sender disagree on the decoy factor.
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[1.0], 0.0);
+        let alg = FixedFpAlgebra::new(16);
+        let secret = MvPolynomial::affine(&alg, &[Fp256::ONE], Fp256::ZERO);
         let params_s = OmpeParams::new(1, 2, 4).unwrap();
         let params_r = OmpeParams::new(1, 2, 3).unwrap();
         let (send_res, _) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
-                ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params_s)
+                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params_s)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(2);
-                let _ = ompe_receive(&F64Algebra::new(), &ep, &SIM, &mut rng, &[1.0], &params_r);
+                let _ = ompe_receive(&alg, &ep, &SIM, &mut rng, &[Fp256::ONE], &params_r);
             },
         );
         assert!(matches!(send_res.unwrap_err(), OmpeError::Protocol(_)));
@@ -369,11 +364,11 @@ mod tests {
 
     #[test]
     fn distinct_points_are_distinct() {
-        let alg = F64Algebra::new();
+        let alg = FixedFpAlgebra::new(16);
         let mut rng = StdRng::seed_from_u64(7);
         let xs = crate::session::draw_distinct_points(&alg, 200, &mut rng);
         for (i, a) in xs.iter().enumerate() {
-            assert!(*a != 0.0);
+            assert!(!a.is_zero());
             for b in xs.iter().skip(i + 1) {
                 assert!(a != b);
             }

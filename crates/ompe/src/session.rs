@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use bytes::{Bytes, BytesMut};
-use ppcs_math::{interp_batch, interpolate_at_zero, Algebra, PolyEval, Polynomial};
+use ppcs_math::{interp_batch, interpolate_at_zero, Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{ot_begin_receive_io, ot_begin_send_io, ot_begin_send_precomputed_io};
 use ppcs_ot::{ot_receive_io, ot_send_io};
 use ppcs_ot::{ObliviousTransfer, OtBatchState, OtSelect};
@@ -48,26 +48,22 @@ fn encode_elems<E: Encodable>(elems: &[E]) -> Bytes {
 
 /// One received point cloud: the `N` abscissae and the `N·r` flattened
 /// input coordinates (row-major).
-pub(crate) type PointCloud<A> = (Vec<<A as Algebra>::Elem>, Vec<<A as Algebra>::Elem>);
+pub(crate) type PointCloud = (Vec<Fp256>, Vec<Fp256>);
 
 /// Sender-side batch session: owns the per-batch state reused by every
 /// [`send_round`](OmpeSenderSession::send_round).
 #[derive(Debug)]
-pub struct OmpeSenderSession<A: Algebra> {
+pub struct OmpeSenderSession {
     params: OmpeParams,
     /// Masking-polynomial storage, refreshed in place each round.
-    mask: Polynomial<A>,
+    mask: Polynomial,
     /// Masking polynomials drawn offline; each round consumes one before
     /// falling back to an inline refresh.
-    prepared_masks: VecDeque<Polynomial<A>>,
+    prepared_masks: VecDeque<Polynomial>,
     ot_state: OtBatchState,
 }
 
-impl<A> OmpeSenderSession<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl OmpeSenderSession {
     /// Sets up the per-batch state: masking-polynomial storage plus the
     /// OT engine's base-phase material (transmitted to the peer, which
     /// must construct an [`OmpeReceiverSession`] symmetrically).
@@ -123,7 +119,7 @@ where
         io: &FrameIo,
         sel: OtSelect,
         params: OmpeParams,
-        offline: OmpeSenderOffline<A>,
+        offline: OmpeSenderOffline,
     ) -> Result<Self, OmpeError> {
         let expected = params_fingerprint(sel, &params);
         if offline.fingerprint != expected {
@@ -159,7 +155,7 @@ where
     ///
     /// [`OmpeError::SecretMismatch`] if `secret` exceeds the agreed
     /// degree bound, plus transport/OT/protocol failures.
-    pub fn send_round<P>(
+    pub fn send_round<A, P>(
         &mut self,
         alg: &A,
         ep: &Endpoint,
@@ -168,6 +164,7 @@ where
         secret: &P,
     ) -> Result<(), OmpeError>
     where
+        A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
         let sel = ot.select();
@@ -182,7 +179,7 @@ where
     /// # Errors
     ///
     /// Same as [`send_round`](OmpeSenderSession::send_round).
-    pub async fn send_round_io<P>(
+    pub async fn send_round_io<A, P>(
         &mut self,
         alg: &A,
         io: &FrameIo,
@@ -191,6 +188,7 @@ where
         secret: &P,
     ) -> Result<(), OmpeError>
     where
+        A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
         self.check_degree(secret)?;
@@ -199,8 +197,9 @@ where
             .await
     }
 
-    pub(crate) fn check_degree<P>(&self, secret: &P) -> Result<(), OmpeError>
+    pub(crate) fn check_degree<A, P>(&self, secret: &P) -> Result<(), OmpeError>
     where
+        A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
         if secret.total_degree() > self.params.degree_bound {
@@ -220,17 +219,17 @@ where
     /// transfers begin.
     pub(crate) async fn recv_cloud_io(
         &self,
-        alg: &A,
+        alg: &impl Algebra,
         io: &FrameIo,
         r: usize,
-    ) -> Result<PointCloud<A>, OmpeError> {
+    ) -> Result<PointCloud, OmpeError> {
         let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
         let n_points = self.params.num_points();
         let mut payload: Bytes = {
             let blob: Vec<u8> = io.recv_msg(KIND_OMPE_POINTS).await?;
             Bytes::from(blob)
         };
-        let xs: Vec<A::Elem> = decode_seq(&mut payload)?;
+        let xs: Vec<Fp256> = decode_seq(&mut payload)?;
         // Validate the abscissa count before decoding the (much larger)
         // coordinate block: an oversized cloud is rejected on the first
         // sequence instead of being fully materialized first.
@@ -252,7 +251,7 @@ where
                 "receiver submitted a zero or repeated abscissa".into(),
             ));
         }
-        let ys_flat: Vec<A::Elem> = decode_seq(&mut payload)?;
+        let ys_flat: Vec<Fp256> = decode_seq(&mut payload)?;
         if ys_flat.len() != n_points * r {
             return Err(OmpeError::Protocol(format!(
                 "receiver submitted {} input coordinates, expected {}",
@@ -265,16 +264,17 @@ where
 
     /// Masks, evaluates, and obliviously transfers the answers for one
     /// received point cloud.
-    pub(crate) async fn answer_cloud_io<P>(
+    pub(crate) async fn answer_cloud_io<A, P>(
         &mut self,
         alg: &A,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
         secret: &P,
-        (xs, ys_flat): &PointCloud<A>,
+        (xs, ys_flat): &PointCloud,
     ) -> Result<(), OmpeError>
     where
+        A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
         let params = &self.params;
@@ -298,8 +298,8 @@ where
             }
 
             // Q(x_i, y_i) = M(x_i) + P(y_i) for every submitted point.
-            // M is evaluated over the whole cloud in one batched pass so
-            // the fixed-point backend can run the SIMD Horner kernel.
+            // M is evaluated over the whole cloud in one batched pass, the
+            // SIMD Horner kernel.
             let mask_values = self.mask.eval_many(alg, xs);
             let mut answers = Vec::with_capacity(n_points);
             for (i, m) in mask_values.iter().enumerate() {
@@ -321,16 +321,16 @@ where
 /// transmitted: the point-cloud frame plus the local state needed to
 /// finish after the oblivious transfer.
 #[derive(Debug)]
-pub struct PreparedRound<A: Algebra> {
+pub struct PreparedRound {
     frame: Frame,
-    xs: Vec<A::Elem>,
+    xs: Vec<Fp256>,
     cover_positions: Vec<usize>,
 }
 
-impl<A: Algebra> PreparedRound<A> {
+impl PreparedRound {
     /// Assembles a round from parts built elsewhere (the offline path
     /// binds precomputed blind rounds into exactly this shape).
-    pub(crate) fn from_parts(frame: Frame, xs: Vec<A::Elem>, cover_positions: Vec<usize>) -> Self {
+    pub(crate) fn from_parts(frame: Frame, xs: Vec<Fp256>, cover_positions: Vec<usize>) -> Self {
         Self {
             frame,
             xs,
@@ -348,18 +348,14 @@ impl<A: Algebra> PreparedRound<A> {
 /// Receiver-side batch session: owns the per-batch state reused by every
 /// round.
 #[derive(Debug)]
-pub struct OmpeReceiverSession<A: Algebra> {
+pub struct OmpeReceiverSession {
     params: OmpeParams,
     /// Cover-polynomial storage, refreshed in place each round.
-    cover_polys: Vec<Polynomial<A>>,
+    cover_polys: Vec<Polynomial>,
     ot_state: OtBatchState,
 }
 
-impl<A> OmpeReceiverSession<A>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
+impl OmpeReceiverSession {
     /// Sets up the per-batch state, consuming the sender's OT base-phase
     /// material from the channel.
     ///
@@ -413,10 +409,10 @@ where
     /// [`OmpeError::Params`] on an empty input vector.
     pub fn prepare_round(
         &mut self,
-        alg: &A,
+        alg: &impl Algebra,
         rng: &mut dyn RngCore,
-        alpha: &[A::Elem],
-    ) -> Result<PreparedRound<A>, OmpeError> {
+        alpha: &[Fp256],
+    ) -> Result<PreparedRound, OmpeError> {
         if alpha.is_empty() {
             return Err(OmpeError::Params("input vector must be non-empty".into()));
         }
@@ -433,7 +429,7 @@ where
             self.cover_polys.push(Polynomial::zero());
         }
         for (poly, a) in self.cover_polys.iter_mut().zip(alpha) {
-            poly.refresh_random_with_constant(alg, params.sigma, a.clone(), rng);
+            poly.refresh_random_with_constant(alg, params.sigma, *a, rng);
         }
 
         // Distinct nonzero abscissae for all N points.
@@ -448,15 +444,15 @@ where
 
         // Build the submitted input vectors: S(x) at covers, disguises
         // elsewhere. Each cover polynomial is evaluated over all genuine
-        // cover abscissae in one batched pass (the SIMD Horner kernel on
-        // the fixed-point backend); the disguise draws stay interleaved
+        // cover abscissae in one batched pass (the SIMD Horner kernel);
+        // the disguise draws stay interleaved
         // in position order so the RNG stream is identical to the
         // point-at-a-time construction.
-        let cover_xs: Vec<A::Elem> = (0..n_points)
+        let cover_xs: Vec<Fp256> = (0..n_points)
             .filter(|&i| is_cover[i])
-            .map(|i| xs[i].clone())
+            .map(|i| xs[i])
             .collect();
-        let cover_evals: Vec<Vec<A::Elem>> = self
+        let cover_evals: Vec<Vec<Fp256>> = self
             .cover_polys
             .iter()
             .map(|poly| poly.eval_many(alg, &cover_xs))
@@ -466,12 +462,12 @@ where
         for &cover in is_cover.iter().take(n_points) {
             if cover {
                 for evals in &cover_evals {
-                    ys_flat.push(evals[cover_rank].clone());
+                    ys_flat.push(evals[cover_rank]);
                 }
                 cover_rank += 1;
             } else {
                 for _ in 0..r {
-                    ys_flat.push(alg.random_disguise(rng));
+                    ys_flat.push(alg.random_mask(rng));
                 }
             }
         }
@@ -496,12 +492,12 @@ where
     /// Transport/OT/interpolation failures.
     pub fn finish_round(
         &self,
-        alg: &A,
+        alg: &impl Algebra,
         ep: &Endpoint,
         ot: &dyn ObliviousTransfer,
         rng: &mut dyn RngCore,
-        round: &PreparedRound<A>,
-    ) -> Result<A::Elem, OmpeError> {
+        round: &PreparedRound,
+    ) -> Result<Fp256, OmpeError> {
         let sel = ot.select();
         let mut engine = ProtocolEngine::new(|io| async move {
             self.finish_round_io(alg, &io, sel, rng, round).await
@@ -516,12 +512,12 @@ where
     /// Transport/OT/interpolation failures.
     pub async fn finish_round_io(
         &self,
-        alg: &A,
+        alg: &impl Algebra,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        round: &PreparedRound<A>,
-    ) -> Result<A::Elem, OmpeError> {
+        round: &PreparedRound,
+    ) -> Result<Fp256, OmpeError> {
         let points = self.finish_round_points_io(io, sel, rng, round).await?;
         // Interpolate R(v) = M(v) + P(S(v)) and evaluate at zero:
         // R(0) = M(0) + P(S(0)) = P(α).
@@ -540,8 +536,8 @@ where
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        round: &PreparedRound<A>,
-    ) -> Result<Vec<(A::Elem, A::Elem)>, OmpeError> {
+        round: &PreparedRound,
+    ) -> Result<Vec<(Fp256, Fp256)>, OmpeError> {
         let n_covers = self.params.num_covers();
         let n_points = self.params.num_points();
 
@@ -558,11 +554,11 @@ where
         let mut points = Vec::with_capacity(n_covers);
         for (raw_value, &pos) in raw.iter().zip(&round.cover_positions) {
             let mut input = Bytes::from(raw_value.clone());
-            let values: Vec<A::Elem> = decode_seq(&mut input)
+            let values: Vec<Fp256> = decode_seq(&mut input)
                 .map_err(|e| OmpeError::Protocol(format!("bad OT payload: {e}")))?;
-            let [value] = <[A::Elem; 1]>::try_from(values)
+            let [value] = <[Fp256; 1]>::try_from(values)
                 .map_err(|_| OmpeError::Protocol("OT payload is not a single element".into()))?;
-            points.push((round.xs[pos].clone(), value));
+            points.push((round.xs[pos], value));
         }
         Ok(points)
     }
@@ -576,12 +572,12 @@ where
     /// or [`finish_round`](OmpeReceiverSession::finish_round).
     pub fn receive_round(
         &mut self,
-        alg: &A,
+        alg: &impl Algebra,
         ep: &Endpoint,
         ot: &dyn ObliviousTransfer,
         rng: &mut dyn RngCore,
-        alpha: &[A::Elem],
-    ) -> Result<A::Elem, OmpeError> {
+        alpha: &[Fp256],
+    ) -> Result<Fp256, OmpeError> {
         let sel = ot.select();
         let mut engine = ProtocolEngine::new(|io| async move {
             self.receive_round_io(alg, &io, sel, rng, alpha).await
@@ -596,12 +592,12 @@ where
     /// Same as [`receive_round`](OmpeReceiverSession::receive_round).
     pub async fn receive_round_io(
         &mut self,
-        alg: &A,
+        alg: &impl Algebra,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        alpha: &[A::Elem],
-    ) -> Result<A::Elem, OmpeError> {
+        alpha: &[Fp256],
+    ) -> Result<Fp256, OmpeError> {
         let round = self.prepare_round(alg, rng, alpha)?;
         io.send(round.frame())?;
         self.finish_round_io(alg, io, sel, rng, &round).await
@@ -626,7 +622,6 @@ pub fn ompe_send_batch<A, P>(
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A>,
 {
     let sel = ot.select();
@@ -652,7 +647,6 @@ pub async fn ompe_send_batch_io<A, P>(
 ) -> Result<(), OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
     P: PolyEval<A>,
 {
     if secrets.is_empty() {
@@ -689,12 +683,11 @@ pub fn ompe_receive_batch<A>(
     ep: &Endpoint,
     ot: &dyn ObliviousTransfer,
     rng: &mut dyn RngCore,
-    alphas: &[Vec<A::Elem>],
+    alphas: &[Vec<Fp256>],
     params: &OmpeParams,
-) -> Result<Vec<A::Elem>, OmpeError>
+) -> Result<Vec<Fp256>, OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     let sel = ot.select();
     let mut engine = ProtocolEngine::new(|io| async move {
@@ -715,18 +708,17 @@ pub async fn ompe_receive_batch_io<A>(
     io: &FrameIo,
     sel: OtSelect,
     rng: &mut dyn RngCore,
-    alphas: &[Vec<A::Elem>],
+    alphas: &[Vec<Fp256>],
     params: &OmpeParams,
-) -> Result<Vec<A::Elem>, OmpeError>
+) -> Result<Vec<Fp256>, OmpeError>
 where
     A: Algebra,
-    A::Elem: Encodable,
 {
     if alphas.is_empty() {
         return Ok(Vec::new());
     }
     let mut session = OmpeReceiverSession::new_io(io, sel, *params).await?;
-    let rounds: Vec<PreparedRound<A>> = alphas
+    let rounds: Vec<PreparedRound> = alphas
         .iter()
         .map(|alpha| session.prepare_round(alg, rng, alpha))
         .collect::<Result<_, _>>()?;
@@ -735,7 +727,7 @@ where
     io.send_coalesced(&frames)?;
     // Collect every round's interpolation points first, then retrieve
     // all the constant terms through one batched interpolation: a single
-    // Fermat inversion serves the whole batch on the fixed-point backend.
+    // Fermat inversion serves the whole batch.
     let mut systems = Vec::with_capacity(rounds.len());
     for round in &rounds {
         systems.push(session.finish_round_points_io(io, sel, rng, round).await?);
@@ -745,12 +737,12 @@ where
 }
 
 /// Draws `count` pairwise-distinct nonzero evaluation points.
-pub(crate) fn draw_distinct_points<A: Algebra>(
-    alg: &A,
+pub(crate) fn draw_distinct_points(
+    alg: &impl Algebra,
     count: usize,
     rng: &mut dyn RngCore,
-) -> Vec<A::Elem> {
-    let mut xs: Vec<A::Elem> = Vec::with_capacity(count);
+) -> Vec<Fp256> {
+    let mut xs: Vec<Fp256> = Vec::with_capacity(count);
     while xs.len() < count {
         let candidate = alg.random_point(rng);
         if xs.contains(&candidate) {
@@ -764,7 +756,7 @@ pub(crate) fn draw_distinct_points<A: Algebra>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_math::{F64Algebra, FixedFpAlgebra, MvPolynomial};
+    use ppcs_math::{FixedFpAlgebra, MvPolynomial};
     use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
     use ppcs_transport::run_pair;
     use rand::rngs::StdRng;
@@ -813,11 +805,11 @@ mod tests {
 
     #[test]
     fn batch_point_clouds_travel_in_one_frame() {
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[2.0], 1.0);
+        let alg = FixedFpAlgebra::new(16);
+        let secret = MvPolynomial::affine(&alg, &[alg.encode_int(2)], alg.encode_int(1));
         let params = OmpeParams::new(1, 3, 2).unwrap();
         let secrets = vec![secret; 4];
-        let alphas: Vec<Vec<f64>> = (0..4).map(|i| vec![f64::from(i)]).collect();
+        let alphas: Vec<Vec<Fp256>> = (0..4).map(|i| vec![alg.encode_int(i)]).collect();
         let (send_res, (values, frames_sent)) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(31);
@@ -837,8 +829,8 @@ mod tests {
             1 + 4,
             "one coalesced frame + 4 OT index frames"
         );
-        for (i, v) in values.iter().enumerate() {
-            assert!((v - (2.0 * f64::from(i as u32) + 1.0)).abs() < 1e-6);
+        for (i, v) in (0..).zip(&values) {
+            assert_eq!(*v, alg.encode_int(2 * i + 1));
         }
     }
 
@@ -846,12 +838,15 @@ mod tests {
     fn batch_works_over_naor_pinkas_with_shared_commitment() {
         static CELL: std::sync::OnceLock<NaorPinkasOt> = std::sync::OnceLock::new();
         let ot: &'static dyn ObliviousTransfer = CELL.get_or_init(NaorPinkasOt::fast_insecure);
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[1.0, -1.0], 0.5);
+        let alg = FixedFpAlgebra::new(16);
+        let int = |v| alg.encode_int(v);
+        let secret = MvPolynomial::affine(&alg, &[int(1), int(-1)], int(5));
         let params = OmpeParams::new(1, 2, 2).unwrap();
         let secrets = vec![secret; 3];
-        let alphas: Vec<Vec<f64>> = vec![vec![1.0, 0.5], vec![-0.5, 0.25], vec![2.0, 2.0]];
-        let expected: Vec<f64> = alphas.iter().map(|a| a[0] - a[1] + 0.5).collect();
+        let alphas: Vec<Vec<Fp256>> = [[10, 5], [-5, 2], [20, 20]]
+            .map(|a| a.map(int).to_vec())
+            .to_vec();
+        let expected: Vec<Fp256> = alphas.iter().map(|a| a[0] - a[1] + int(5)).collect();
         let (send_res, values) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(41);
@@ -863,9 +858,7 @@ mod tests {
             },
         );
         send_res.unwrap();
-        for (got, want) in values.iter().zip(&expected) {
-            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-        }
+        assert_eq!(values, expected);
     }
 
     /// A secret that must never be evaluated: the cloud is refused first.
@@ -878,7 +871,7 @@ mod tests {
         fn total_degree(&self) -> usize {
             1
         }
-        fn eval(&self, _: &FixedFpAlgebra, _: &[ppcs_math::Fp256]) -> ppcs_math::Fp256 {
+        fn eval(&self, _: &FixedFpAlgebra, _: &[Fp256]) -> Fp256 {
             panic!("the sender evaluated its secret on a malformed cloud");
         }
     }
@@ -935,13 +928,13 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let alg = F64Algebra::new();
+        let alg = FixedFpAlgebra::new(16);
         let params = OmpeParams::new(1, 2, 2).unwrap();
         let (_, values) = run_pair(
             move |_ep| {},
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
-                ompe_receive_batch::<F64Algebra>(&alg, &ep, &SIM, &mut rng, &[], &params).unwrap()
+                ompe_receive_batch(&alg, &ep, &SIM, &mut rng, &[], &params).unwrap()
             },
         );
         assert!(values.is_empty());
@@ -951,11 +944,14 @@ mod tests {
     fn engine_batch_matches_blocking_batch() {
         // The same batch, run once over threads + duplex and once as an
         // engine pair with no transport, must produce identical values.
-        let alg = F64Algebra::new();
-        let secret = MvPolynomial::affine(&alg, &[2.0, -1.0], 0.25);
+        let alg = FixedFpAlgebra::new(16);
+        let enc = |v| alg.encode(v, 1);
+        let secret = MvPolynomial::affine(&alg, &[enc(2.0), enc(-1.0)], alg.encode(0.25, 2));
         let params = OmpeParams::new(1, 3, 2).unwrap();
         let secrets = vec![secret.clone(); 3];
-        let alphas: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![-0.5, 0.5], vec![3.0, 0.0]];
+        let alphas: Vec<Vec<Fp256>> = [[1.0, 2.0], [-0.5, 0.5], [3.0, 0.0]]
+            .map(|a| a.map(enc).to_vec())
+            .to_vec();
 
         let secrets_b = secrets.clone();
         let alphas_b = alphas.clone();

@@ -1,7 +1,7 @@
 //! Property tests for OMPE: correctness must hold for arbitrary secret
 //! polynomials, inputs, and parameter choices.
 
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra, MvPolynomial};
+use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, MvPolynomial};
 use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
 use ppcs_ot::TrustedSimOt;
 use ppcs_transport::run_pair;
@@ -11,29 +11,34 @@ use rand::SeedableRng;
 
 static SIM: TrustedSimOt = TrustedSimOt;
 
-fn run_f64(
-    weights: Vec<f64>,
+/// One affine OMPE round over the field: `(P(α), the receiver's value)`,
+/// with `P = w·y + b` and `α` encoded at scale 1 (output at scale 2).
+fn run_affine(
+    weights: &[f64],
     bias: f64,
-    alpha: Vec<f64>,
+    alpha: &[f64],
     sigma: usize,
     decoys: usize,
     seed: u64,
-) -> f64 {
-    let alg = F64Algebra::new();
-    let secret = MvPolynomial::affine(&alg, &weights, bias);
+) -> (Fp256, Fp256) {
+    let alg = FixedFpAlgebra::new(16);
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let secret = MvPolynomial::affine(&alg, &enc(weights), alg.encode(bias, 2));
+    let alpha = enc(alpha);
+    let exact = secret.eval(&alg, &alpha);
     let params = OmpeParams::new(1, sigma, decoys).expect("valid params");
     let (send, value) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(seed);
-            ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params)
+            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5555);
-            ompe_receive(&F64Algebra::new(), &ep, &SIM, &mut rng, &alpha, &params)
+            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
         },
     );
     send.expect("send");
-    value.expect("receive")
+    (exact, value.expect("receive"))
 }
 
 proptest! {
@@ -48,11 +53,15 @@ proptest! {
         decoys in 1usize..4,
         seed in 0u64..1000,
     ) {
+        // The float decision value is the oracle; the field carries it at
+        // 16 fractional bits, so the tolerance is quantization, not 1e-5.
         let alpha = alpha_raw[..weights.len()].to_vec();
         let want: f64 = weights.iter().zip(&alpha).map(|(w, a)| w * a).sum::<f64>() + bias;
-        let got = run_f64(weights, bias, alpha, sigma, decoys, seed);
+        let (exact, got) = run_affine(&weights, bias, &alpha, sigma, decoys, seed);
+        prop_assert_eq!(got, exact);
+        let got = FixedFpAlgebra::new(16).decode(&got, 2);
         prop_assert!(
-            (got - want).abs() < 1e-5 * want.abs().max(1.0),
+            (got - want).abs() < 1e-3,
             "got {got}, want {want}"
         );
     }
@@ -102,31 +111,39 @@ proptest! {
         y in -1.0f64..1.0,
         seed in 0u64..500,
     ) {
-        // P(x, y) = c2·x·y + c1·x + c0
-        let alg = F64Algebra::new();
+        // P(x, y) = c2·x·y + c1·x + c0, every term at output scale 3.
+        let alg = FixedFpAlgebra::new(16);
         let secret = MvPolynomial::from_terms(
             2,
-            vec![(c2, vec![1, 1]), (c1, vec![1, 0]), (c0, vec![0, 0])],
+            vec![
+                (alg.encode(c2, 1), vec![1, 1]),
+                (alg.encode(c1, 2), vec![1, 0]),
+                (alg.encode(c0, 3), vec![0, 0]),
+            ],
         );
         let want = c2 * x * y + c1 * x + c0;
         let params = OmpeParams::new(2, 2, 2).expect("valid params");
-        let alpha = vec![x, y];
+        let alpha = vec![alg.encode(x, 1), alg.encode(y, 1)];
+        let exact = secret.eval(&alg, &alpha);
         let (send, value) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                ompe_send(&F64Algebra::new(), &ep, &SIM, &mut rng, &secret, &params)
+                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
-                ompe_receive(&F64Algebra::new(), &ep, &SIM, &mut rng, &alpha, &params)
+                ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
             },
         );
         send.expect("send");
         let got = value.expect("receive");
+        // The receiver learns P(α) exactly; decoding it loses only the
+        // 2^-16 quantization of the inputs and coefficients.
+        prop_assert_eq!(got, exact);
+        let got = alg.decode(&got, 3);
         prop_assert!(
-            (got - want).abs() < 1e-5,
+            (got - want).abs() < 1e-3,
             "got {got}, want {want}"
         );
-        let _ = alg;
     }
 }

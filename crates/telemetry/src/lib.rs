@@ -20,8 +20,8 @@
 //!   metrics backend. Snapshot it into a [`SessionReport`] at any time.
 //! * [`SessionReport`] serializes to JSON ([`SessionReport::to_json`] /
 //!   [`SessionReport::from_json`]) and pretty-prints as a human summary
-//!   (`Display`); the `ppcs-bench` binaries build their `BENCH_*.json`
-//!   artifacts from it.
+//!   (`Display`); the `benchmark/` package's traced runs read their
+//!   per-layer numbers from it.
 //! * Setting `PPCS_TRACE=1` (or calling [`set_trace`]) turns on a
 //!   compact span layer on stderr, one line per closed span or warning
 //!   event.

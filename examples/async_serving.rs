@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_telemetry::MetricsRegistry;
@@ -47,8 +47,8 @@ fn train_model() -> SvmModel {
 fn main() {
     let model = train_model();
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer setup");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer setup");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = TrustedSimOt.select();
 
     let registry = MetricsRegistry::new(1, "trainer-server");

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::{duplex, Endpoint, Frame, SessionLimits};
@@ -46,8 +46,12 @@ fn train_model() -> SvmModel {
 
 fn main() {
     let model = train_model();
-    let trainer = Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional())
-        .expect("trainer setup");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer setup");
 
     let server = TrainerServer::new(
         &trainer,
@@ -101,7 +105,7 @@ fn main() {
                     let c = if i % 2 == 0 { 0.6 } else { -0.6 };
                     (0..4).map(|_| c + rng.gen_range(-0.5..0.5)).collect()
                 };
-                let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+                let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                 match client.classify_batch(
                     &lane,
                     &TrustedSimOt,

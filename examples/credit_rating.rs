@@ -11,7 +11,7 @@
 //! ```
 
 use ppcs_core::{MultiClassClient, MultiClassMode, MultiClassTrainer, ProtocolConfig};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, MultiClassModel, MultiDataset, SmoParams};
 use ppcs_transport::run_pair;
@@ -65,8 +65,8 @@ fn main() {
     let cfg = ProtocolConfig::default();
     for mode in [MultiClassMode::SharedAmplifier, MultiClassMode::SignOnly] {
         let trainer =
-            MultiClassTrainer::new(F64Algebra::new(), &model, cfg, mode).expect("trainer");
-        let client = MultiClassClient::new(F64Algebra::new(), cfg);
+            MultiClassTrainer::new(FixedFpAlgebra::new(16), &model, cfg, mode).expect("trainer");
+        let client = MultiClassClient::new(FixedFpAlgebra::new(16), cfg);
         let apps = applicants.clone();
         let (_, ratings) = run_pair(
             move |ep| {

@@ -13,7 +13,7 @@
 //! ```
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::run_pair;
@@ -79,8 +79,8 @@ fn main() {
     let expected: Vec<Label> = designs.iter().map(|d| model.predict(d)).collect();
 
     let cfg = ProtocolConfig::default();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("expandable model");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("expandable model");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
 
     let designs_c = designs.clone();
     let (_, verdicts) = run_pair(

@@ -14,7 +14,7 @@
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_datasets::{generate, spec_by_name};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
 use ppcs_transport::run_pair;
@@ -46,8 +46,8 @@ fn main() {
     // protocol; functional mode + ideal OT keeps this example fast while
     // computing bit-identical results (see DESIGN.md §5.4).
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
 
     let samples: Vec<Vec<f64>> = (0..data.test.len())
         .map(|i| data.test.features(i).to_vec())

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use ppcs_core::{Client, PpcsError, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
-use ppcs_math::F64Algebra;
+use ppcs_math::{FixedFpAlgebra, Fp256};
 use ppcs_ompe::OmpeError;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, Label, SvmModel};
@@ -31,11 +31,15 @@ const CLS_HELLO: u16 = 0x0500;
 const CLS_SPEC: u16 = 0x0501;
 const OMPE_POINTS: u16 = 0x0400;
 
-fn fixture() -> (SvmModel, Trainer<F64Algebra>) {
+fn fixture() -> (SvmModel, Trainer<FixedFpAlgebra>) {
     let ds = blob_dataset(3, 80, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer =
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     (model, trainer)
 }
 
@@ -62,7 +66,7 @@ fn lanes(n: usize) -> (Vec<Endpoint>, Vec<Endpoint>) {
 }
 
 fn classify_honest(lane: &Endpoint, samples: &[Vec<f64>], seed: u64) -> Vec<Label> {
-    let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+    let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
     let mut rng = StdRng::seed_from_u64(seed);
     client
         .classify_batch(lane, &TrustedSimOt, &mut rng, samples)
@@ -192,8 +196,8 @@ fn zero_abscissa_cloud_is_refused_before_any_answer() {
             assert_eq!(ep.recv().expect("spec").kind, CLS_SPEC);
             // The functional fixture takes N = 2 points of 3 coordinates.
             let mut cloud = BytesMut::new();
-            encode_seq(&[0.0f64, 1.5], &mut cloud);
-            encode_seq(&[0.25f64; 6], &mut cloud);
+            encode_seq(&[Fp256::ZERO, Fp256::from_u64(3)], &mut cloud);
+            encode_seq(&[Fp256::ONE; 6], &mut cloud);
             ep.send(Frame::encode(OMPE_POINTS, &cloud.to_vec()))
                 .unwrap();
             // Stay connected while the trainer rules, so that a hang-up
@@ -300,7 +304,7 @@ fn flood_beyond_capacity_is_shed_with_busy() {
             assert_eq!(reply.kind, KIND_BUSY, "shed must be a KIND_BUSY frame");
             drop(raw_lane);
 
-            let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+            let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
             let mut rng = StdRng::seed_from_u64(11);
             let err = client
                 .classify_batch(&typed_lane, &TrustedSimOt, &mut rng, &[vec![0.1, 0.2, 0.3]])
@@ -381,7 +385,7 @@ fn shed_reply_hint_travels_wire_to_retry_policy() {
             drop(raw_lane);
 
             // The typed level: a full client stack surfaces the hint.
-            let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+            let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
             let mut rng = StdRng::seed_from_u64(11);
             let err = client
                 .classify_batch(&typed_lane, &TrustedSimOt, &mut rng, &[vec![0.1, 0.2, 0.3]])
@@ -573,7 +577,7 @@ fn flood_of_sixty_four_clients_is_fully_accounted() {
             .map(|(i, lane)| {
                 scope.spawn(move || {
                     let sample = vec![0.4 + (i as f64) * 0.001, 0.4, 0.4];
-                    let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+                    let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                     let mut rng = StdRng::seed_from_u64(100 + i as u64);
                     let outcome = client.classify_batch(
                         &lane,

@@ -18,7 +18,7 @@ use ppcs_core::{
     ServerConfig, SimilarityConfig, Trainer, TrainerServer,
 };
 use ppcs_crypto::DhGroup;
-use ppcs_math::{DenseAffine, F64Algebra};
+use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
 use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch, OmpeParams};
 use ppcs_ot::{
     ot12_receive_io, ot12_send, ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io,
@@ -160,14 +160,16 @@ fn kn_ot_transcripts_are_byte_identical_for_every_engine() {
 
 #[test]
 fn ompe_batch_transcripts_are_byte_identical() {
-    let alg = F64Algebra::new();
+    let alg = FixedFpAlgebra::new(16);
     let params = OmpeParams::new(1, 3, 2).expect("params");
-    let secrets: Vec<DenseAffine<F64Algebra>> = vec![
-        DenseAffine::new(vec![2.0, -3.0], 0.5),
-        DenseAffine::new(vec![0.25, 1.5], -1.0),
-        DenseAffine::new(vec![-4.0, 0.0], 2.0),
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let affine = |w: &[f64], b: f64| DenseAffine::new(enc(w), alg.encode(b, 2));
+    let secrets: Vec<DenseAffine<FixedFpAlgebra>> = vec![
+        affine(&[2.0, -3.0], 0.5),
+        affine(&[0.25, 1.5], -1.0),
+        affine(&[-4.0, 0.0], 2.0),
     ];
-    let alphas: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![-0.5, 0.25], vec![3.0, -1.0]];
+    let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
     let sel = SIM.select();
 
     let (blocking, asynced) = async_vs_blocking(
@@ -181,8 +183,15 @@ fn ompe_batch_transcripts_are_byte_identical() {
         },
         |ep| {
             let mut rng = StdRng::seed_from_u64(31);
-            ompe_send_batch(&F64Algebra::new(), &ep, &SIM, &mut rng, &secrets, &params)
-                .expect("send");
+            ompe_send_batch(
+                &FixedFpAlgebra::new(16),
+                &ep,
+                &SIM,
+                &mut rng,
+                &secrets,
+                &params,
+            )
+            .expect("send");
         },
     );
     assert_eq!(asynced, blocking);
@@ -206,8 +215,8 @@ fn classification_transcripts_are_byte_identical_for_all_kernels() {
         let ds = blob_dataset(4, 60, seed);
         let model = SvmModel::train(&ds, kernel, &Default::default());
         let samples: Vec<Vec<f64>> = (0..8).map(|i| ds.features(i).to_vec()).collect();
-        let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let sel = SIM.select();
 
         let (blocking, asynced) = async_vs_blocking(
@@ -238,11 +247,11 @@ fn similarity_transcripts_are_byte_identical() {
         let (res, t) = ppcs_transport::run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(60);
-                similarity_respond(&F64Algebra::new(), &ep, &SIM, &mut rng, &ma, &cfg)
+                similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &ma, &cfg)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(61);
-                similarity_request(&F64Algebra::new(), &ep, &SIM, &mut rng, &mb, &cfg)
+                similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &mb, &cfg)
                     .expect("request")
             },
         );
@@ -256,13 +265,21 @@ fn similarity_transcripts_are_byte_identical() {
             let model_b = &model_b;
             ProtocolEngine::new(move |io| async move {
                 let mut rng = StdRng::seed_from_u64(61);
-                similarity_request_io(&F64Algebra::new(), &io, sel, &mut rng, model_b, &cfg).await
+                similarity_request_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_b, &cfg)
+                    .await
             })
         },
         |ep| {
             let mut rng = StdRng::seed_from_u64(60);
-            similarity_respond(&F64Algebra::new(), &ep, &SIM, &mut rng, &model_a, &cfg)
-                .expect("respond");
+            similarity_respond(
+                &FixedFpAlgebra::new(16),
+                &ep,
+                &SIM,
+                &mut rng,
+                &model_a,
+                &cfg,
+            )
+            .expect("respond");
         },
     );
     assert!((blocking - expected).abs() < f64::EPSILON);
@@ -281,8 +298,8 @@ fn both_session_halves_multiplex_in_one_reactor() {
     let ds = blob_dataset(3, 60, 41);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let samples: Vec<Vec<f64>> = (0..6).map(|i| ds.features(i).to_vec()).collect();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = SIM.select();
 
     let (ep_t, ep_c) = duplex();
@@ -358,8 +375,8 @@ mod proptest_transcripts {
             let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
             let samples: Vec<Vec<f64>> =
                 (0..n_samples).map(|i| ds.features(i).to_vec()).collect();
-            let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-            let client = Client::new(F64Algebra::new(), cfg);
+            let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+            let client = Client::new(FixedFpAlgebra::new(16), cfg);
             let sel = SIM.select();
 
             let (blocking, asynced) = async_vs_blocking(
@@ -388,7 +405,7 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let samples: Vec<Vec<f64>> = (0..2).map(|i| ds.features(i).to_vec()).collect();
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
     let sel = SIM.select();
 
     let mut completed = 0u32;
@@ -404,7 +421,7 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
         let (server_res, client_res) = std::thread::scope(|scope| {
             let samples = &samples;
             let hc = scope.spawn(move || {
-                let client = Client::new(F64Algebra::new(), cfg);
+                let client = Client::new(FixedFpAlgebra::new(16), cfg);
                 let mut rng = StdRng::seed_from_u64(900 + seed);
                 let r = client.classify_batch(&client_lane, &SIM, &mut rng, samples);
                 drop(client_lane);
@@ -453,11 +470,15 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
 // unchanged over `serve_async`.
 // ---------------------------------------------------------------------
 
-fn fixture() -> (SvmModel, Trainer<F64Algebra>) {
+fn fixture() -> (SvmModel, Trainer<FixedFpAlgebra>) {
     let ds = blob_dataset(3, 80, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer =
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     (model, trainer)
 }
 
@@ -661,7 +682,7 @@ fn async_honest_clients_are_correct_amid_hostile_peers() {
         let mut client_iter = client_lanes.into_iter();
         for (i, lane) in client_iter.by_ref().take(3).enumerate() {
             scope.spawn(move || {
-                let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+                let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                 let mut rng = StdRng::seed_from_u64(40 + i as u64);
                 let labels = client
                     .classify_batch(&lane, &TrustedSimOt, &mut rng, &sample_sets[i])
@@ -707,8 +728,8 @@ fn thousand_concurrent_tcp_sessions_on_one_reactor_thread() {
     let cfg = ProtocolConfig::functional();
     let ds = blob_dataset(3, 60, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = SIM.select();
 
     let config = ServerConfig {

@@ -2,35 +2,29 @@
 //! over any number of lanes must return exactly the labels the plain
 //! sequential session returns, across every kernel family.
 //!
-//! Over the fixed-point field backend the protocol arithmetic is exact,
-//! so equality here is bitwise, independent of RNG seeds, lane counts,
-//! and shard boundaries.
+//! Over the field the protocol arithmetic is exact, so equality here is
+//! bitwise, independent of RNG seeds, lane counts, and shard boundaries.
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra};
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, Label, SmoParams, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples};
-use ppcs_transport::{duplex_pool, run_pair, Encodable};
+use ppcs_transport::{duplex_pool, run_pair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 static SIM: TrustedSimOt = TrustedSimOt;
 
-fn sequential<A>(
-    alg: A,
+fn sequential(
     model: &SvmModel,
     cfg: ProtocolConfig,
     samples: &[Vec<f64>],
     seed: u64,
-) -> Vec<Label>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
-    let trainer = Trainer::new(alg.clone(), model, cfg).expect("trainer");
-    let client = Client::new(alg, cfg);
+) -> Vec<Label> {
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = samples.to_vec();
     let (_, labels) = run_pair(
         move |ep| {
@@ -47,20 +41,15 @@ where
     labels
 }
 
-fn parallel<A>(
-    alg: A,
+fn parallel(
     model: &SvmModel,
     cfg: ProtocolConfig,
     samples: &[Vec<f64>],
     lanes: usize,
     seed: u64,
-) -> (usize, Vec<Label>)
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
-    let trainer = Trainer::new(alg.clone(), model, cfg).expect("trainer");
-    let client = Client::new(alg, cfg);
+) -> (usize, Vec<Label>) {
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
         let t = scope.spawn(|| {
@@ -85,7 +74,7 @@ fn trained(kernel: Kernel) -> SvmModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Linear kernel over the exact field backend: parallel labels are
+    /// Linear kernel over the exact field: parallel labels are
     /// bitwise-identical to sequential for every lane count and seed.
     #[test]
     fn linear_parallel_is_bitwise_sequential(
@@ -97,14 +86,14 @@ proptest! {
         let model = trained(Kernel::Linear);
         let cfg = ProtocolConfig::default();
         let samples = random_samples(3, n, sample_seed);
-        let want = sequential(FixedFpAlgebra::new(16), &model, cfg, &samples, seed);
+        let want = sequential(&model, cfg, &samples, seed);
         let (served, got) =
-            parallel(FixedFpAlgebra::new(16), &model, cfg, &samples, lanes, seed + 1);
+            parallel(&model, cfg, &samples, lanes, seed + 1);
         prop_assert_eq!(served, n);
         prop_assert_eq!(got, want);
     }
 
-    /// Polynomial kernel (degree 2, exact field backend): same bitwise
+    /// Polynomial kernel (degree 2): same bitwise
     /// guarantee for a nonlinear model.
     #[test]
     fn polynomial_parallel_is_bitwise_sequential(
@@ -116,15 +105,15 @@ proptest! {
         let model = trained(Kernel::Polynomial { a0: 0.5, b0: 1.0, degree: 2 });
         let cfg = ProtocolConfig::default();
         let samples = random_samples(3, n, sample_seed);
-        let want = sequential(FixedFpAlgebra::new(16), &model, cfg, &samples, seed);
+        let want = sequential(&model, cfg, &samples, seed);
         let (served, got) =
-            parallel(FixedFpAlgebra::new(16), &model, cfg, &samples, lanes, seed + 1);
+            parallel(&model, cfg, &samples, lanes, seed + 1);
         prop_assert_eq!(served, n);
         prop_assert_eq!(got, want);
     }
 
-    /// RBF kernel through the truncated Taylor expansion (float backend,
-    /// as in the paper's experiments): parallel agrees with sequential.
+    /// RBF kernel through the truncated Taylor expansion: parallel agrees
+    /// with sequential.
     #[test]
     fn rbf_parallel_matches_sequential(
         n in 1usize..12,
@@ -135,9 +124,9 @@ proptest! {
         let model = trained(Kernel::Rbf { gamma: 0.4 });
         let cfg = ProtocolConfig { taylor_order: 4, ..ProtocolConfig::default() };
         let samples = random_samples(3, n, sample_seed);
-        let want = sequential(F64Algebra::new(), &model, cfg, &samples, seed);
+        let want = sequential(&model, cfg, &samples, seed);
         let (served, got) =
-            parallel(F64Algebra::new(), &model, cfg, &samples, lanes, seed + 1);
+            parallel(&model, cfg, &samples, lanes, seed + 1);
         prop_assert_eq!(served, n);
         prop_assert_eq!(got, want);
     }
@@ -149,7 +138,7 @@ proptest! {
 fn empty_parallel_batch_is_a_noop() {
     let model = trained(Kernel::Linear);
     let cfg = ProtocolConfig::default();
-    let (served, labels) = parallel(F64Algebra::new(), &model, cfg, &[], 3, 5);
+    let (served, labels) = parallel(&model, cfg, &[], 3, 5);
     assert_eq!(served, 0);
     assert!(labels.is_empty());
 }

@@ -1,32 +1,28 @@
 //! End-to-end classification across the full stack: datasets → SVM →
-//! polynomial expansion → OMPE → k-of-N OT → transport, in both numeric
-//! backends and both OT engines.
+//! polynomial expansion → OMPE → k-of-N OT → transport, over the field
+//! and both OT engines.
 
 use ppcs_core::{Client, ExpandedDecision, PpcsError, ProtocolConfig, Trainer};
 use ppcs_datasets::{generate, spec_by_name};
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra};
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{GaussianNb, Kernel, Label, SmoParams, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples};
-use ppcs_transport::{run_pair, Encodable};
+use ppcs_transport::run_pair;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 static SIM: TrustedSimOt = TrustedSimOt;
 
-fn roundtrip<A>(
-    alg: A,
+fn roundtrip(
+    alg: FixedFpAlgebra,
     model: &SvmModel,
     cfg: ProtocolConfig,
     samples: Vec<Vec<f64>>,
     ot: &'static dyn ObliviousTransfer,
     seed: u64,
-) -> Vec<Label>
-where
-    A: Algebra,
-    A::Elem: Encodable,
-{
-    let trainer = Trainer::new(alg.clone(), model, cfg).expect("trainer");
+) -> Vec<Label> {
+    let trainer = Trainer::new(alg, model, cfg).expect("trainer");
     let client = Client::new(alg, cfg);
     let (_, labels) = run_pair(
         move |ep| {
@@ -61,7 +57,7 @@ fn diabetes_analog_full_test_split_parity() {
         .map(|i| data.test.features(i).to_vec())
         .collect();
     let labels = roundtrip(
-        F64Algebra::new(),
+        FixedFpAlgebra::new(16),
         &model,
         ProtocolConfig::functional(),
         samples.clone(),
@@ -98,7 +94,7 @@ fn nonlinear_catalog_dataset_parity_on_subsample() {
     let (model, test) = german_poly3(spec.c_param, 200_000);
     let samples = test[..60].to_vec();
     let labels = roundtrip(
-        F64Algebra::new(),
+        FixedFpAlgebra::new(16),
         &model,
         ProtocolConfig::functional(),
         samples.clone(),
@@ -134,37 +130,13 @@ fn fixed_point_backend_with_real_ot_end_to_end() {
 }
 
 #[test]
-fn backends_agree_with_each_other() {
-    let ds = blob_dataset(4, 80, 5);
-    let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
-    let samples = random_samples(4, 40, 6);
-    let f64_labels = roundtrip(
-        F64Algebra::new(),
-        &model,
-        ProtocolConfig::default(),
-        samples.clone(),
-        &SIM,
-        4,
-    );
-    let fp_labels = roundtrip(
-        FixedFpAlgebra::new(16),
-        &model,
-        ProtocolConfig::default(),
-        samples,
-        &SIM,
-        5,
-    );
-    assert_eq!(f64_labels, fp_labels);
-}
-
-#[test]
 fn repeated_sessions_are_consistent() {
     // Fresh randomness per session must never change a prediction.
     let ds = blob_dataset(3, 60, 7);
     let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
     let samples = random_samples(3, 10, 8);
     let first = roundtrip(
-        F64Algebra::new(),
+        FixedFpAlgebra::new(16),
         &model,
         ProtocolConfig::default(),
         samples.clone(),
@@ -173,7 +145,7 @@ fn repeated_sessions_are_consistent() {
     );
     for seed in 11..16 {
         let again = roundtrip(
-            F64Algebra::new(),
+            FixedFpAlgebra::new(16),
             &model,
             ProtocolConfig::default(),
             samples.clone(),
@@ -197,8 +169,8 @@ fn traffic_grows_with_decoy_factor() {
             decoy_factor: decoys,
             ..ProtocolConfig::default()
         };
-        let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let samples = samples.clone();
         let (bytes, _) = run_pair(
             move |ep| {
@@ -375,7 +347,6 @@ fn a_degree_the_field_cannot_hold_is_a_typed_error() {
         matches!(&err, PpcsError::Config(m) if m.contains("largest frac_bits that fits is 10")),
         "{err}"
     );
-    assert!(Trainer::new(F64Algebra::new(), &model, cfg).is_ok());
 
     let expanded = ppcs_core::expand_model(&model, &cfg).expect("expansion");
     let samples: Vec<Vec<f64>> = random_samples(2, 60, 15)

@@ -149,7 +149,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = ProtocolConfig::functional();
-        let client = Client::new(ppcs_math::F64Algebra::new(), cfg);
+        let client = Client::new(ppcs_math::FixedFpAlgebra::new(16), cfg);
         let samples = vec![vec![0.5, -1.0]];
         let sel = TrustedSimOt.select();
         let mut eng = client.classify_engine(sel, seed, &samples);

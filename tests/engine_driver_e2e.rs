@@ -10,7 +10,7 @@ use ppcs_core::{
     ProtocolConfig, SimilarityConfig, Trainer,
 };
 use ppcs_crypto::DhGroup;
-use ppcs_math::{DenseAffine, F64Algebra};
+use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
 use ppcs_ompe::{
     ompe_receive_batch, ompe_receive_batch_io, ompe_send_batch, ompe_send_batch_io, OmpeParams,
 };
@@ -163,26 +163,42 @@ fn kn_ot_engines_over_driver_match_blocking() {
 
 #[test]
 fn ompe_batch_engines_over_driver_match_blocking() {
-    let alg = F64Algebra::new();
+    let alg = FixedFpAlgebra::new(16);
     let params = OmpeParams::new(1, 3, 2).expect("params");
-    let secrets: Vec<DenseAffine<F64Algebra>> = vec![
-        DenseAffine::new(vec![2.0, -3.0], 0.5),
-        DenseAffine::new(vec![0.25, 1.5], -1.0),
-        DenseAffine::new(vec![-4.0, 0.0], 2.0),
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let affine = |w: &[f64], b: f64| DenseAffine::new(enc(w), alg.encode(b, 2));
+    let secrets: Vec<DenseAffine<FixedFpAlgebra>> = vec![
+        affine(&[2.0, -3.0], 0.5),
+        affine(&[0.25, 1.5], -1.0),
+        affine(&[-4.0, 0.0], 2.0),
     ];
-    let alphas: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![-0.5, 0.25], vec![3.0, -1.0]];
+    let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
 
     let blocking = {
         let (secrets, alphas) = (secrets.clone(), alphas.clone());
         run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(31);
-                ompe_send_batch(&F64Algebra::new(), &ep, &SIM, &mut rng, &secrets, &params)
+                ompe_send_batch(
+                    &FixedFpAlgebra::new(16),
+                    &ep,
+                    &SIM,
+                    &mut rng,
+                    &secrets,
+                    &params,
+                )
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(32);
-                ompe_receive_batch(&F64Algebra::new(), &ep, &SIM, &mut rng, &alphas, &params)
-                    .expect("receive")
+                ompe_receive_batch(
+                    &FixedFpAlgebra::new(16),
+                    &ep,
+                    &SIM,
+                    &mut rng,
+                    &alphas,
+                    &params,
+                )
+                .expect("receive")
             },
         )
     };
@@ -219,8 +235,8 @@ fn blocking_labels(
     samples: &[Vec<f64>],
     seed: u64,
 ) -> Vec<Label> {
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = samples.to_vec();
     let (served, labels) = run_pair(
         move |ep| {
@@ -258,8 +274,8 @@ fn classification_engines_over_driver_match_blocking_for_all_kernels() {
         let samples: Vec<Vec<f64>> = (0..8).map(|i| ds.features(i).to_vec()).collect();
         let expected = blocking_labels(&model, cfg, &samples, seed);
 
-        let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-        let client = Client::new(F64Algebra::new(), cfg);
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
         let sel = SIM.select();
         let (served, values) = both_transports(
             |ep| {
@@ -292,11 +308,11 @@ fn similarity_engines_over_driver_match_blocking() {
         let (res, t) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(60);
-                similarity_respond(&F64Algebra::new(), &ep, &SIM, &mut rng, &ma, &cfg)
+                similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &ma, &cfg)
             },
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(61);
-                similarity_request(&F64Algebra::new(), &ep, &SIM, &mut rng, &mb, &cfg)
+                similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &mb, &cfg)
                     .expect("request")
             },
         );
@@ -310,7 +326,8 @@ fn similarity_engines_over_driver_match_blocking() {
             let model_a = &model_a;
             let mut rng = StdRng::seed_from_u64(60);
             let mut eng = ProtocolEngine::new(|io| async move {
-                similarity_respond_io(&F64Algebra::new(), &io, sel, &mut rng, model_a, &cfg).await
+                similarity_respond_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_a, &cfg)
+                    .await
             });
             Driver::new().drive(&ep, &mut eng)
         },
@@ -318,7 +335,8 @@ fn similarity_engines_over_driver_match_blocking() {
             let model_b = &model_b;
             let mut rng = StdRng::seed_from_u64(61);
             let mut eng = ProtocolEngine::new(|io| async move {
-                similarity_request_io(&F64Algebra::new(), &io, sel, &mut rng, model_b, &cfg).await
+                similarity_request_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_b, &cfg)
+                    .await
             });
             Driver::new().drive(&ep, &mut eng)
         },
@@ -337,8 +355,8 @@ fn recorded_classification_session_replays_to_same_labels() {
     let ds = blob_dataset(3, 60, 77);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let samples: Vec<Vec<f64>> = (0..10).map(|i| ds.features(i).to_vec()).collect();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = SIM.select();
 
     // Live session over a duplex, recording the client's side.

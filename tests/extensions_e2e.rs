@@ -8,7 +8,7 @@ use ppcs_core::{
     similarity_plain, similarity_request, similarity_respond, Client, MultiClassClient,
     MultiClassMode, MultiClassTrainer, ProtocolConfig, SimilarityConfig, Trainer,
 };
-use ppcs_math::{F64Algebra, FixedFpAlgebra};
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{IknpOt, TrustedSimOt};
 use ppcs_svm::{Kernel, MultiClassModel, MultiDataset, SmoParams, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples, rotated_model};
@@ -29,7 +29,7 @@ fn private_classification_over_real_tcp() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
 
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
     let server = std::thread::spawn(move || {
         let ep = tcp_accept(&listener).expect("accept");
         let mut rng = StdRng::seed_from_u64(3);
@@ -37,7 +37,7 @@ fn private_classification_over_real_tcp() {
     });
 
     let ep = tcp_connect(addr).expect("connect");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let mut rng = StdRng::seed_from_u64(4);
     let labels = client
         .classify_batch(&ep, &SIM, &mut rng, &samples)
@@ -58,18 +58,15 @@ fn private_similarity_over_real_tcp() {
     let server = std::thread::spawn(move || {
         let ep = tcp_accept(&listener).expect("accept");
         let mut rng = StdRng::seed_from_u64(12);
-        similarity_respond(&F64Algebra::new(), &ep, &SIM, &mut rng, &ma, &cfg)
+        similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &ma, &cfg)
     });
     let ep = tcp_connect(addr).expect("connect");
     let mut rng = StdRng::seed_from_u64(13);
-    let got =
-        similarity_request(&F64Algebra::new(), &ep, &SIM, &mut rng, &mb, &cfg).expect("request");
+    let got = similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &mb, &cfg)
+        .expect("request");
     server.join().expect("thread").expect("respond");
-    // These low-angle 2-D models sit near the metric's floor, where the
-    // float masking residue is visible relative to the tiny T; a few
-    // percent is the expected f64-backend noise there.
     assert!(
-        (got - want).abs() < 0.05 * want.max(1e-6),
+        (got - want).abs() < 5e-3 * want,
         "TCP similarity {got} vs plain {want}"
     );
 }
@@ -120,13 +117,13 @@ fn multiclass_shared_amplifier_parity_over_sim_ot() {
 
     let cfg = ProtocolConfig::default();
     let trainer = MultiClassTrainer::new(
-        F64Algebra::new(),
+        FixedFpAlgebra::new(16),
         &model,
         cfg,
         MultiClassMode::SharedAmplifier,
     )
     .expect("trainer");
-    let client = MultiClassClient::new(F64Algebra::new(), cfg);
+    let client = MultiClassClient::new(FixedFpAlgebra::new(16), cfg);
     let samples2 = samples.clone();
     let (_, got) = ppcs_transport::run_pair(
         move |ep| {

@@ -18,7 +18,7 @@ use ppcs_core::{
     similarity_request_io, similarity_respond_io, Client, ProtocolConfig, SimilarityConfig, Trainer,
 };
 use ppcs_crypto::DhGroup;
-use ppcs_math::{DenseAffine, F64Algebra};
+use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
 use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch_io, OmpeParams};
 use ppcs_ot::{
     ot12_receive_io, ot12_send_io, ot_begin_receive_io, ot_begin_send_io, ot_receive_io,
@@ -206,14 +206,16 @@ fn chaos_kn_ot_trichotomy() {
 
 #[test]
 fn chaos_ompe_batch_trichotomy() {
-    let alg = F64Algebra::new();
+    let alg = FixedFpAlgebra::new(16);
     let params = OmpeParams::new(1, 3, 2).expect("params");
-    let secrets: Vec<DenseAffine<F64Algebra>> = vec![
-        DenseAffine::new(vec![2.0, -3.0], 0.5),
-        DenseAffine::new(vec![0.25, 1.5], -1.0),
-        DenseAffine::new(vec![-4.0, 0.0], 2.0),
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let affine = |w: &[f64], b: f64| DenseAffine::new(enc(w), alg.encode(b, 2));
+    let secrets: Vec<DenseAffine<FixedFpAlgebra>> = vec![
+        affine(&[2.0, -3.0], 0.5),
+        affine(&[0.25, 1.5], -1.0),
+        affine(&[-4.0, 0.0], 2.0),
     ];
-    let alphas: Vec<Vec<f64>> = vec![vec![1.0, 2.0], vec![-0.5, 0.25], vec![3.0, -1.0]];
+    let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
     let sel = SIM.select();
     let run_a = |lane: &FaultyLane| {
         let (alg, secrets) = (&alg, &secrets);
@@ -240,8 +242,8 @@ fn chaos_classification_trichotomy() {
     let ds = blob_dataset(3, 80, 21);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 4, 33);
     let sel = SIM.select();
     let run_a = |lane: &FaultyLane| {
@@ -276,7 +278,7 @@ fn chaos_similarity_trichotomy() {
         let cfg = &cfg;
         let mut rng = StdRng::seed_from_u64(60);
         let mut eng = ProtocolEngine::new(|io| async move {
-            similarity_respond_io(&F64Algebra::new(), &io, sel, &mut rng, model_a, cfg).await
+            similarity_respond_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_a, cfg).await
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
@@ -285,7 +287,7 @@ fn chaos_similarity_trichotomy() {
         let cfg = &cfg;
         let mut rng = StdRng::seed_from_u64(61);
         let mut eng = ProtocolEngine::new(|io| async move {
-            similarity_request_io(&F64Algebra::new(), &io, sel, &mut rng, model_b, cfg).await
+            similarity_request_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_b, cfg).await
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
@@ -308,8 +310,8 @@ fn chaos_randomized_seed_sweep() {
     let ds = blob_dataset(3, 80, 55);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 3, 56);
     let sel = SIM.select();
     let run_a = |lane: &FaultyLane| {
@@ -336,12 +338,16 @@ fn test_retry_policy() -> RetryPolicy {
     }
 }
 
-fn classification_fixture() -> (Trainer<F64Algebra>, Client<F64Algebra>, Vec<Vec<f64>>) {
+fn classification_fixture() -> (
+    Trainer<FixedFpAlgebra>,
+    Client<FixedFpAlgebra>,
+    Vec<Vec<f64>>,
+) {
     let ds = blob_dataset(3, 80, 91);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 5, 92);
     (trainer, client, samples)
 }
@@ -527,8 +533,8 @@ fn parallel_classification_degrades_around_a_dead_lane() {
     let ds = blob_dataset(3, 80, 61);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 6, 62);
 
     // Sequential baseline over one clean lane.

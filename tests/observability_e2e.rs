@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::json::Json;
@@ -44,8 +44,8 @@ fn per_conn_attribution_reconciles_with_endpoint_traffic() {
     let cfg = ProtocolConfig::functional();
     let ds = blob_dataset(3, 60, 29);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let sel = SIM.select();
     let samples = random_samples(3, 2, 31);
 
@@ -148,7 +148,7 @@ fn flight_recorder_reconstructs_chaos_outcomes() {
     let ds = blob_dataset(3, 40, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
     let samples: Vec<Vec<f64>> = (0..2).map(|i| ds.features(i).to_vec()).collect();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
     let sel = SIM.select();
 
     for seed in 0..16u64 {
@@ -164,7 +164,7 @@ fn flight_recorder_reconstructs_chaos_outcomes() {
         let server_res = std::thread::scope(|scope| {
             let samples = &samples;
             let hc = scope.spawn(move || {
-                let client = Client::new(F64Algebra::new(), cfg);
+                let client = Client::new(FixedFpAlgebra::new(16), cfg);
                 let mut rng = StdRng::seed_from_u64(900 + seed);
                 let r = client.classify_batch(&client_lane, &SIM, &mut rng, samples);
                 drop(client_lane);
@@ -332,8 +332,12 @@ fn metrics_endpoint_serves_prometheus_and_flight_dump_live() {
     const HOLDERS: usize = 4;
     let ds = blob_dataset(3, 80, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer =
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     let config = ServerConfig {
         max_sessions: 8,
         // Finite budgets, so the per-conn remaining-budget gauges have
@@ -451,8 +455,12 @@ fn metrics_endpoint_serves_prometheus_and_flight_dump_live() {
 fn drain_of_an_idle_accepting_server_is_recorded() {
     let ds = blob_dataset(3, 80, 17);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer =
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     let recorder = FlightRecorder::new(16);
     let server = TrainerServer::new(&trainer, ServerConfig::default())
         .with_flight_recorder(recorder.clone());
@@ -480,8 +488,12 @@ fn drain_of_an_idle_accepting_server_is_recorded() {
 fn observability_surfaces_are_privacy_clean() {
     let ds = blob_dataset(3, 120, 7);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer =
-        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &model,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     let samples = random_samples(3, 4, 23);
     let config = ServerConfig {
         max_sessions: 4,
@@ -522,7 +534,7 @@ fn observability_surfaces_are_privacy_clean() {
             )
         });
         let lane = tcp_connect(addr).expect("connect");
-        let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
         let mut rng = StdRng::seed_from_u64(77);
         let labels = client
             .classify_batch(&lane, &SIM, &mut rng, &samples)

@@ -14,7 +14,7 @@ use ppcs_core::{
     ServerConfig, SimilarityConfig, SimilarityResponderOffline, Trainer, TrainerServer,
     WarmSessionCache,
 };
-use ppcs_math::F64Algebra;
+use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, MvPolynomial};
 use ppcs_ompe::{
     ompe_receive_batch_offline_io, ompe_send_batch_offline_io, OmpeParams, OmpeReceiverOffline,
     OmpeSenderOffline,
@@ -39,15 +39,15 @@ const CLS_FIN: u16 = 0x0502;
 
 fn classification_fixture() -> (
     SvmModel,
-    Trainer<F64Algebra>,
-    Client<F64Algebra>,
+    Trainer<FixedFpAlgebra>,
+    Client<FixedFpAlgebra>,
     Vec<Vec<f64>>,
 ) {
     let ds = blob_dataset(3, 80, 301);
     let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 6, 302);
     (model, trainer, client, samples)
 }
@@ -95,7 +95,7 @@ fn ot_precomputed_sender_matches_monolithic() {
 /// the secret polynomials exactly.
 #[test]
 fn ompe_batch_offline_both_sides_evaluates_correctly() {
-    let alg = F64Algebra::new();
+    let alg = FixedFpAlgebra::new(16);
     let sel = SIM.select();
     let params = OmpeParams::new(1, 4, 3).expect("params");
     let mut rng = StdRng::seed_from_u64(45);
@@ -116,9 +116,16 @@ fn ompe_batch_offline_both_sides_evaluates_correctly() {
         .map(|((w, b), a)| w.iter().zip(a).map(|(wi, ai)| wi * ai).sum::<f64>() + b)
         .collect();
 
-    let secrets: Vec<ppcs_math::MvPolynomial<F64Algebra>> = coeffs
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let secrets: Vec<MvPolynomial<FixedFpAlgebra>> = coeffs
         .iter()
-        .map(|(w, b)| ppcs_math::MvPolynomial::affine(&alg, w, *b))
+        .map(|(w, b)| MvPolynomial::affine(&alg, &enc(w), alg.encode(*b, 2)))
+        .collect();
+    let alphas: Vec<Vec<Fp256>> = alphas.iter().map(|a| enc(a)).collect();
+    let exact: Vec<Fp256> = secrets
+        .iter()
+        .zip(&alphas)
+        .map(|(p, a)| p.eval(&alg, a))
         .collect();
     let sender_pack = OmpeSenderOffline::precompute(&alg, sel, &params, secrets.len(), &mut rng);
     let mut receiver_pack =
@@ -131,7 +138,7 @@ fn ompe_batch_offline_both_sides_evaluates_correctly() {
     let mut sender = ProtocolEngine::new(move |io| async move {
         let mut rng = StdRng::seed_from_u64(46);
         ompe_send_batch_offline_io(
-            &F64Algebra::new(),
+            &FixedFpAlgebra::new(16),
             &io,
             sel,
             &mut rng,
@@ -144,7 +151,7 @@ fn ompe_batch_offline_both_sides_evaluates_correctly() {
     let mut receiver = ProtocolEngine::new(move |io| async move {
         let mut rng = StdRng::seed_from_u64(47);
         ompe_receive_batch_offline_io(
-            &F64Algebra::new(),
+            &FixedFpAlgebra::new(16),
             &io,
             sel,
             &mut rng,
@@ -157,8 +164,10 @@ fn ompe_batch_offline_both_sides_evaluates_correctly() {
     let (s, r) = run_engine_pair(&mut sender, &mut receiver).expect("pump");
     s.expect("sender");
     let got = r.expect("receiver");
+    assert_eq!(got, exact);
     for (g, w) in got.iter().zip(&want) {
-        assert!((g - w).abs() < 1e-6, "got {g}, want {w}");
+        let g = alg.decode(g, 2);
+        assert!((g - w).abs() < 1e-3, "got {g}, want {w}");
     }
 }
 
@@ -211,8 +220,12 @@ fn client_offline_config_mismatch_falls_back_monolithic() {
     let sel = SIM.select();
 
     let other = rotated_model(5, 30.0, 303, Kernel::Linear);
-    let other_trainer =
-        Trainer::new(F64Algebra::new(), &other, ProtocolConfig::functional()).expect("trainer");
+    let other_trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &other,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     let mut rng = StdRng::seed_from_u64(53);
     let mut mismatched = client
         .precompute_material(sel, &other_trainer.spec(), samples.len(), &mut rng)
@@ -262,8 +275,12 @@ fn warm_session_with_stale_spec_adopts_reannounced_spec() {
     let sel = SIM.select();
 
     let stale = rotated_model(5, 30.0, 304, Kernel::Linear);
-    let stale_trainer =
-        Trainer::new(F64Algebra::new(), &stale, ProtocolConfig::functional()).expect("trainer");
+    let stale_trainer = Trainer::new(
+        FixedFpAlgebra::new(16),
+        &stale,
+        ProtocolConfig::functional(),
+    )
+    .expect("trainer");
     let cache = WarmSessionCache::new();
     cache.insert(7, stale_trainer.spec(), stale_trainer.epoch());
 
@@ -319,10 +336,10 @@ fn warm_cache_fills_on_first_contact() {
 fn server_restart_epoch_bump_reannounces_to_stale_warm_clients() {
     let (model, _, client, samples) = classification_fixture();
     let cfg = ProtocolConfig::functional();
-    let gen1 = Trainer::new(F64Algebra::new(), &model, cfg)
+    let gen1 = Trainer::new(FixedFpAlgebra::new(16), &model, cfg)
         .expect("trainer")
         .with_epoch(1);
-    let gen2 = Trainer::new(F64Algebra::new(), &model, cfg)
+    let gen2 = Trainer::new(FixedFpAlgebra::new(16), &model, cfg)
         .expect("trainer")
         .with_epoch(2);
     let sel = SIM.select();
@@ -360,10 +377,10 @@ fn server_restart_epoch_bump_reannounces_to_stale_warm_clients() {
 fn stale_entry_removal_forces_cold_fallback_and_reprime() {
     let (model, _, client, samples) = classification_fixture();
     let cfg = ProtocolConfig::functional();
-    let gen1 = Trainer::new(F64Algebra::new(), &model, cfg)
+    let gen1 = Trainer::new(FixedFpAlgebra::new(16), &model, cfg)
         .expect("trainer")
         .with_epoch(1);
-    let gen2 = Trainer::new(F64Algebra::new(), &model, cfg)
+    let gen2 = Trainer::new(FixedFpAlgebra::new(16), &model, cfg)
         .expect("trainer")
         .with_epoch(2);
     let sel = SIM.select();
@@ -411,7 +428,7 @@ fn first_contact_race_converges_to_one_cache_entry() {
             .enumerate()
             .map(|(i, lane)| {
                 scope.spawn(move || {
-                    let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+                    let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                     let mut rng = StdRng::seed_from_u64(310 + i as u64);
                     let labels = client
                         .classify_batch_values_warm(lane, &SIM, &mut rng, samples, cache, 13)
@@ -463,7 +480,7 @@ fn server_pool_hits_then_falls_back_gracefully() {
         let cache = &cache;
         scope.spawn(move || {
             let lane = &client_lanes[0];
-            let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+            let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
             let mut rng = StdRng::seed_from_u64(306);
             for session in 0..3u64 {
                 // Session 1 drains the pre-filled pack; later sessions
@@ -516,7 +533,7 @@ fn async_server_pool_serves_warm_sessions() {
             .enumerate()
             .map(|(i, lane)| {
                 scope.spawn(move || {
-                    let client = Client::new(F64Algebra::new(), ProtocolConfig::functional());
+                    let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                     let cache = WarmSessionCache::new();
                     let mut rng = StdRng::seed_from_u64(320 + i as u64);
                     // Cold then warm against the same reactor lane.
@@ -572,18 +589,18 @@ fn multiclass_offline_packs_match_monolithic() {
     let samples: Vec<Vec<f64>> = (0..9).map(|i| ds.features(i).to_vec()).collect();
     let cfg = ProtocolConfig::functional();
     let trainer = MultiClassTrainer::new(
-        F64Algebra::new(),
+        FixedFpAlgebra::new(16),
         &model,
         cfg,
         MultiClassMode::SharedAmplifier,
     )
     .expect("trainer");
-    let client = MultiClassClient::new(F64Algebra::new(), cfg);
+    let client = MultiClassClient::new(FixedFpAlgebra::new(16), cfg);
     let sel = SIM.select();
 
     // Only half the rounds are precomputed: the tail of the session
     // exercises the dry-queue inline fallback inside one session.
-    let mut packs: VecDeque<OmpeSenderOffline<F64Algebra>> =
+    let mut packs: VecDeque<OmpeSenderOffline> =
         trainer.precompute_packs(sel, samples.len() * 3 / 2, &mut rng);
     let trainer_ref = &trainer;
     let client_ref = &client;
@@ -622,8 +639,9 @@ fn similarity_responder_offline_matches_plain_metric() {
 
     let sel = SIM.select();
     let mut rng = StdRng::seed_from_u64(342);
-    let offline = SimilarityResponderOffline::precompute(&F64Algebra::new(), sel, &cfg, &mut rng)
-        .expect("offline");
+    let offline =
+        SimilarityResponderOffline::precompute(&FixedFpAlgebra::new(16), sel, &cfg, &mut rng)
+            .expect("offline");
     let geom = ModelGeometry::from_model(&ma, &cfg).expect("geometry");
     let kernel = ma.kernel();
     let dim = ma.dim();
@@ -633,7 +651,7 @@ fn similarity_responder_offline_matches_plain_metric() {
             let mut rng = StdRng::seed_from_u64(343);
             let mut eng = ProtocolEngine::new(|io| async move {
                 similarity_respond_geometry_offline_io(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &io,
                     sel,
                     &mut rng,
@@ -649,7 +667,8 @@ fn similarity_responder_offline_matches_plain_metric() {
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(344);
-            similarity_request(&F64Algebra::new(), &ep, &SIM, &mut rng, &mb, &cfg).expect("request")
+            similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &mb, &cfg)
+                .expect("request")
         },
     );
     res.expect("responder");

@@ -1,8 +1,8 @@
 //! OT and OMPE integration: the protocol stack below the ppcs schemes,
-//! exercised across engines, groups, and backends — including one run
+//! exercised across engines and groups — including one run
 //! over the security-grade 2048-bit group.
 
-use ppcs_math::{Algebra, F64Algebra, FixedFpAlgebra, MvPolynomial};
+use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
 use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
 use ppcs_ot::{otkn_receive, otkn_send, NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
 use ppcs_transport::run_pair;
@@ -32,11 +32,12 @@ fn naor_pinkas_2048_one_of_n_smoke() {
 fn ompe_engines_agree() {
     // The same OMPE instance must return the same value regardless of the
     // OT engine underneath.
-    let alg = F64Algebra::new();
-    let secret = MvPolynomial::affine(&alg, &[1.25, -0.5, 2.0], 0.75);
-    let alpha = vec![0.4, -0.9, 0.3];
+    let alg = FixedFpAlgebra::new(16);
+    let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+    let secret = MvPolynomial::affine(&alg, &enc(&[1.25, -0.5, 2.0]), alg.encode(0.75, 2));
+    let alpha = enc(&[0.4, -0.9, 0.3]);
     let params = OmpeParams::new(1, 4, 3).unwrap();
-    let want = 1.25 * 0.4 + 0.5 * 0.9 + 2.0 * 0.3 + 0.75;
+    let want = secret.eval(&alg, &alpha);
 
     let engines: Vec<Box<dyn ObliviousTransfer>> = vec![
         Box::new(TrustedSimOt::new()),
@@ -51,7 +52,7 @@ fn ompe_engines_agree() {
             let ha = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(10);
                 ompe_send(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &ep_a,
                     engine,
                     &mut rng,
@@ -61,17 +62,19 @@ fn ompe_engines_agree() {
             });
             let hb = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(11);
-                ompe_receive(&F64Algebra::new(), &ep_b, engine, &mut rng, &alpha, &params)
+                ompe_receive(
+                    &FixedFpAlgebra::new(16),
+                    &ep_b,
+                    engine,
+                    &mut rng,
+                    &alpha,
+                    &params,
+                )
             });
             (ha.join().unwrap(), hb.join().unwrap())
         });
         res.expect("sender");
-        let got = got.expect("receiver");
-        assert!(
-            (got - want).abs() < 1e-6,
-            "{}: got {got}, want {want}",
-            engine.name()
-        );
+        assert_eq!(got.expect("receiver"), want, "{}", engine.name());
     }
 }
 
@@ -121,8 +124,9 @@ fn ompe_transcript_hides_cover_positions_from_wire_size() {
     // Every submitted point is the same size on the wire regardless of
     // whether it is a cover or a decoy — a sanity property for the
     // decoy construction.
-    let alg = F64Algebra::new();
-    let secret = MvPolynomial::affine(&alg, &[1.0, 1.0], 0.0);
+    let alg = FixedFpAlgebra::new(16);
+    let secret = MvPolynomial::affine(&alg, &[alg.encode(1.0, 1); 2], alg.zero());
+    let alpha = [alg.encode(0.5, 1), alg.encode(-0.5, 1)];
     let params = OmpeParams::new(1, 3, 4).unwrap();
 
     let mut sizes = Vec::new();
@@ -132,7 +136,7 @@ fn ompe_transcript_hides_cover_positions_from_wire_size() {
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 ompe_send(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &ep,
                     &TrustedSimOt,
                     &mut rng,
@@ -145,11 +149,11 @@ fn ompe_transcript_hides_cover_positions_from_wire_size() {
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(100 + seed);
                 ompe_receive(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &ep,
                     &TrustedSimOt,
                     &mut rng,
-                    &[0.5, -0.5],
+                    &alpha,
                     &params,
                 )
                 .expect("receive")
@@ -169,19 +173,22 @@ fn large_batch_of_random_affine_instances() {
     let mut rng = StdRng::seed_from_u64(77);
     for case in 0..25 {
         let n = rng.gen_range(1..6);
-        let alg = F64Algebra::new();
+        let alg = FixedFpAlgebra::new(16);
         let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
         let bias = rng.gen_range(-1.0..1.0);
         let alpha: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let want = ppcs_svm::dot(&weights, &alpha) + bias;
-        let secret = MvPolynomial::affine(&alg, &weights, bias);
+        let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
+        let secret = MvPolynomial::affine(&alg, &enc(&weights), alg.encode(bias, 2));
+        let alpha = enc(&alpha);
+        let exact = secret.eval(&alg, &alpha);
         let params = OmpeParams::new(1, rng.gen_range(1..5), rng.gen_range(1..4)).unwrap();
         let alpha2 = alpha.clone();
         let (res, got) = run_pair(
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(1000 + case);
                 ompe_send(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &ep,
                     &TrustedSimOt,
                     &mut rng,
@@ -192,7 +199,7 @@ fn large_batch_of_random_affine_instances() {
             move |ep| {
                 let mut rng = StdRng::seed_from_u64(2000 + case);
                 ompe_receive(
-                    &F64Algebra::new(),
+                    &FixedFpAlgebra::new(16),
                     &ep,
                     &TrustedSimOt,
                     &mut rng,
@@ -203,8 +210,10 @@ fn large_batch_of_random_affine_instances() {
             },
         );
         res.expect("send");
+        assert_eq!(got, exact, "case {case}");
+        let got = alg.decode(&got, 2);
         assert!(
-            (got - want).abs() < 1e-5 * want.abs().max(1.0),
+            (got - want).abs() < 1e-3,
             "case {case}: got {got}, want {want}"
         );
     }

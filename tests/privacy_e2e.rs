@@ -5,7 +5,7 @@
 
 use ppcs_core::privacy::{hyperplane_angle_deg, least_squares_fit};
 use ppcs_core::{Client, ProtocolConfig, Trainer};
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples};
@@ -23,8 +23,8 @@ fn pooled_protocol_values(
     seed: u64,
 ) -> Vec<(Vec<f64>, f64)> {
     let cfg = ProtocolConfig::default();
-    let trainer = Trainer::new(F64Algebra::new(), model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples_vec = samples.to_vec();
     let (_, values) = run_pair(
         move |ep| {

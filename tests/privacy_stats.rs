@@ -190,7 +190,7 @@ fn amplified_values_span_the_amplifier_range() {
     // across sessions over the amplifier's full dynamic range — the
     // magnitude carries (almost) no information about |d(t)|.
     use ppcs_core::{Client, ProtocolConfig, Trainer};
-    use ppcs_math::F64Algebra;
+    use ppcs_math::FixedFpAlgebra;
     use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 
     let mut ds = Dataset::new(2);
@@ -213,8 +213,8 @@ fn amplified_values_span_the_amplifier_range() {
 
     let sample = vec![0.4, 0.35];
     let repeated: Vec<Vec<f64>> = (0..200).map(|_| sample.clone()).collect();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let (_, values) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(70);

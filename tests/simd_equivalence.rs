@@ -82,14 +82,14 @@ proptest! {
         xs in prop::collection::vec(fp256_strategy(), 0..20),
     ) {
         let alg = FixedFpAlgebra::new(16);
-        let poly = Polynomial::<FixedFpAlgebra>::new(coeffs.clone());
+        let poly = Polynomial::new(coeffs.clone());
         let expect: Vec<Fp256> = xs.iter().map(|x| poly.eval(&alg, x)).collect();
         for backend in backends() {
             let mut got = vec![Fp256::ZERO; xs.len()];
             eval_cloud_many_with(backend, &coeffs, &xs, &mut got);
             prop_assert_eq!(&got, &expect, "backend {:?}", backend);
         }
-        // And the generic trait route lands on the same values.
+        // And the `Algebra` route lands on the same values.
         prop_assert_eq!(poly.eval_many(&alg, &xs), expect);
     }
 

@@ -4,7 +4,7 @@
 
 use ppcs_core::{similarity_plain, similarity_request, similarity_respond, SimilarityConfig};
 use ppcs_datasets::{diabetes_subsets, TABLE2_PAIRS};
-use ppcs_math::{F64Algebra, FixedFpAlgebra};
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_stats::{ks_average_over_dims, spearman_rank_correlation};
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
@@ -20,11 +20,11 @@ fn private_similarity(ma: &SvmModel, mb: &SvmModel, cfg: SimilarityConfig, seed:
     let (res, t) = run_pair(
         move |ep| {
             let mut rng = StdRng::seed_from_u64(seed);
-            similarity_respond(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &ma, &cfg)
+            similarity_respond(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &ma, &cfg)
         },
         move |ep| {
             let mut rng = StdRng::seed_from_u64(seed + 1);
-            similarity_request(&F64Algebra::new(), &ep, &SIM_OT, &mut rng, &mb, &cfg)
+            similarity_request(&FixedFpAlgebra::new(16), &ep, &SIM_OT, &mut rng, &mb, &cfg)
                 .expect("similarity")
         },
     );

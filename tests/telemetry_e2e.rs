@@ -10,7 +10,7 @@ use ppcs_core::{
     similarity_plain, similarity_request_io, similarity_respond_io, Client, ProtocolConfig,
     SimilarityConfig, Trainer,
 };
-use ppcs_math::F64Algebra;
+use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{Kernel, SvmModel};
 use ppcs_telemetry::{MetricsRegistry, SessionReport};
@@ -29,8 +29,8 @@ fn small_model() -> SvmModel {
 fn run_classification(
     ep_t: &Endpoint,
     ep_c: &Endpoint,
-    trainer: &Trainer<F64Algebra>,
-    client: &Client<F64Algebra>,
+    trainer: &Trainer<FixedFpAlgebra>,
+    client: &Client<FixedFpAlgebra>,
     samples: &[Vec<f64>],
     reg: &Arc<MetricsRegistry>,
     seed: u64,
@@ -55,8 +55,8 @@ fn run_classification(
 fn classification_report_matches_endpoint_traffic_per_kind() {
     let model = small_model();
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 6, 11);
 
     let reg = MetricsRegistry::new(42, "client");
@@ -107,8 +107,8 @@ fn classify_span_structure_is_consistent() {
     // guarantees, and they are deterministic.
     let model = small_model();
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 8, 13);
 
     let reg = MetricsRegistry::new(43, "client");
@@ -146,8 +146,8 @@ fn concurrent_lanes_update_one_registry() {
     const LANES: usize = 4;
     let model = small_model();
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 4, 17);
 
     let reg = MetricsRegistry::new(44, "client");
@@ -203,15 +203,23 @@ fn similarity_report_records_phase_and_wire() {
         let a = scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(70);
             let mut eng = ProtocolEngine::new(|io| async move {
-                similarity_respond_io(&F64Algebra::new(), &io, sel, &mut rng, model_a, cfg_ref)
-                    .await
+                similarity_respond_io(
+                    &FixedFpAlgebra::new(16),
+                    &io,
+                    sel,
+                    &mut rng,
+                    model_a,
+                    cfg_ref,
+                )
+                .await
             });
             drive_blocking(&ep_a, &mut eng).expect("respond")
         });
         let mut rng = StdRng::seed_from_u64(71);
         let mut driver = Driver::new().with_metrics(reg.clone());
         let mut eng = ProtocolEngine::new(|io| async move {
-            similarity_request_io(&F64Algebra::new(), &io, sel, &mut rng, &model_b, &cfg).await
+            similarity_request_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, &model_b, &cfg)
+                .await
         });
         let got = driver.drive(&ep_b, &mut eng).expect("request");
         a.join().expect("responder thread");
@@ -240,8 +248,8 @@ fn similarity_report_records_phase_and_wire() {
 fn trace_output_is_privacy_clean() {
     let model = small_model();
     let cfg = ProtocolConfig::functional();
-    let trainer = Trainer::new(F64Algebra::new(), &model, cfg).expect("trainer");
-    let client = Client::new(F64Algebra::new(), cfg);
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 5, 23);
 
     let captured: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
