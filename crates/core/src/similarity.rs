@@ -20,14 +20,24 @@
 //! amplifier inverses. Bob contributes `|m_B|²`, `|w_B|²` in the clear —
 //! inseparable aggregates that reveal neither vector.
 //!
+//! The three rounds are rounds of one OMPE session, under one OT
+//! commitment that Alice sends first. Rounds 1 and 2 are independent, so
+//! they run as one exchange: Bob's hello, both point clouds and both
+//! transfers' queries in one flight, both transfers' answers in one
+//! frame back. Round 3 is a second exchange of one flight each way. Bob
+//! draws all three rounds up front as [`BlindRound`]s, whose
+//! Lagrange-at-zero weights come from one field inversion; Alice inverts
+//! once more, for her amplifiers. Masks, covers and amplifiers stay
+//! fresh per round.
+//!
 //! Note: the paper prints `d₂ = r_aw⁻¹`; because `x₂ − (−d₃)` is squared
 //! inside the polynomial, the inverse must be applied twice for the
 //! identity to hold, so this implementation uses `d₂ = r_aw⁻²`
 //! (documented erratum, see DESIGN.md §3.4).
 
-use ppcs_math::{Algebra, DenseAffine, Fp256, MvPolynomial, PolyEval};
+use ppcs_math::{Algebra, DenseAffine, Fp256, MvPolynomial};
 use ppcs_ompe::{
-    ompe_receive_io, ompe_send_io, ompe_send_offline_io, OmpeParams, OmpeSenderOffline,
+    BlindRound, OmpeParams, OmpeReceiverSession, OmpeSenderOffline, OmpeSenderSession,
 };
 use ppcs_ot::{ObliviousTransfer, OtSelect};
 use ppcs_svm::{Kernel, SvmModel};
@@ -45,6 +55,8 @@ const KIND_SIM_HELLO: u16 = 0x0600;
 /// B-part at 8, product at 12.
 const CROSS_SCALE: u32 = 2;
 const OUTPUT_SCALE: u32 = 12;
+/// Total degree of the area polynomial `T²(x₁, x₂)`.
+const AREA_DEGREE: usize = 4;
 
 /// Configuration of a similarity evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,7 +100,7 @@ impl SimilarityConfig {
 
     fn ompe_area(&self) -> Result<OmpeParams, PpcsError> {
         Ok(OmpeParams::new(
-            4,
+            AREA_DEGREE,
             self.protocol.sigma,
             self.protocol.decoy_factor,
         )?)
@@ -349,7 +361,7 @@ impl ModelGeometry {
             Kernel::Linear => {
                 let w = model
                     .linear_weights()
-                    .expect("linear kernel always has weights");
+                    .ok_or_else(|| PpcsError::Expansion("a linear model without weights".into()))?;
                 let pts = boundary_points_linear(&w, model.bias(), cfg.bounds);
                 let m = centroid(&pts).ok_or_else(|| {
                     PpcsError::Expansion(
@@ -479,6 +491,8 @@ pub fn direction_input(g: &ModelGeometry, model: &SvmModel) -> Vec<f64> {
     match g.expanded {
         None => g.direction.clone(),
         Some(basis) => {
+            // Not reachable from peer input: `g` and `model` are the
+            // caller's, and `from_model` has sized this basis.
             let mut z = vec![0.0; basis.len(model.dim()).expect("validated") as usize];
             for (sv, &c) in model.support_vectors().iter().zip(model.coefficients()) {
                 for (zi, f) in z.iter_mut().zip(basis.features(sv)) {
@@ -501,13 +515,13 @@ fn centroid_input(g: &ModelGeometry, dim: usize) -> Vec<f64> {
 /// Alice's OMPE-1 coefficient vector: her centroid (linear), or the
 /// multiplicity- and `a₀^p`-weighted monomials of her centroid so that
 /// `coeffs · τ(m_B) = K(m_A, m_B)` for the homogeneous kernel.
-fn centroid_coefficients(g: &ModelGeometry, kernel: Kernel) -> Vec<f64> {
-    match g.expanded {
-        None => g.centroid.clone(),
-        Some(BasisKind::Homogeneous { degree }) => {
-            let Kernel::Polynomial { a0, .. } = kernel else {
-                unreachable!("expanded geometry implies a polynomial kernel")
-            };
+///
+/// Both arguments are Alice's own; a geometry that disagrees with the
+/// kernel is [`PpcsError::Config`].
+fn centroid_coefficients(g: &ModelGeometry, kernel: Kernel) -> Result<Vec<f64>, PpcsError> {
+    match (g.expanded, kernel) {
+        (None, _) => Ok(g.centroid.clone()),
+        (Some(BasisKind::Homogeneous { degree }), Kernel::Polynomial { a0, .. }) => {
             let scale = a0.powi(degree as i32);
             let mut out = Vec::new();
             crate::expansion::for_each_multiset(g.centroid.len(), degree, &mut |tuple| {
@@ -516,11 +530,11 @@ fn centroid_coefficients(g: &ModelGeometry, kernel: Kernel) -> Vec<f64> {
                 let prod: f64 = tuple.iter().map(|&i| g.centroid[i as usize]).product();
                 out.push(scale * mult * prod);
             });
-            out
+            Ok(out)
         }
-        Some(BasisKind::UpTo { .. }) => {
-            unreachable!("similarity only constructs homogeneous expansions")
-        }
+        (Some(basis), kernel) => Err(PpcsError::Config(format!(
+            "a {basis:?} geometry does not fit a {kernel:?} kernel"
+        ))),
     }
 }
 
@@ -672,9 +686,12 @@ where
 {
     let _span = ppcs_telemetry::span(Phase::Similarity);
     cfg.protocol.validate()?;
-    let (off1, off2, off3) = match offline {
-        Some(o) => (Some(o.linear1), Some(o.linear2), Some(o.area)),
-        None => (None, None, None),
+    // The commitment goes out before anything arrives: Bob's first
+    // flight carries his queries, which need it.
+    let linear = cfg.ompe_linear()?;
+    let mut session = match offline {
+        Some(o) => OmpeSenderSession::new_precomputed_io(io, sel, linear, o.pack)?,
+        None => OmpeSenderSession::new_io(io, sel, rng, linear).await?,
     };
 
     // Round 0: Bob's inseparable aggregates arrive in the clear.
@@ -686,30 +703,26 @@ where
         )));
     }
 
-    // Round 1: x₁ = r_am · (m_A · m_B).
-    let ram = cfg.protocol.draw_amplifier(rng);
-    let ma_inputs = centroid_coefficients(geom, kernel);
-    let secret1 = DenseAffine::new(
-        ma_inputs
+    // Rounds 1 and 2, one exchange: x₁ = r_am · (m_A · m_B) and
+    // x₂ = r_aw · (w_A · w_B) + r_b.
+    let amplified = |inputs: &[f64], r: i64| -> Vec<Fp256> {
+        inputs
             .iter()
-            .map(|v| alg.mul(&alg.encode(*v, 1), &alg.encode_int(ram)))
-            .collect(),
-        alg.zero(),
-    );
-    respond_round(alg, io, sel, rng, &secret1, &cfg.ompe_linear()?, off1).await?;
-
-    // Round 2: x₂ = r_aw · (w_A · w_B) + r_b.
+            .map(|v| alg.mul(&alg.encode(*v, 1), &alg.encode_int(r)))
+            .collect()
+    };
+    let ram = cfg.protocol.draw_amplifier(rng);
     let raw = cfg.protocol.draw_amplifier(rng);
     let rb = cfg.protocol.draw_amplifier(rng);
     let rb_enc = alg.encode(rb as f64, CROSS_SCALE);
-    let secret2 = DenseAffine::new(
-        geom.direction
-            .iter()
-            .map(|v| alg.mul(&alg.encode(*v, 1), &alg.encode_int(raw)))
-            .collect(),
-        rb_enc,
+    let secret1 = DenseAffine::new(
+        amplified(&centroid_coefficients(geom, kernel)?, ram),
+        alg.zero(),
     );
-    respond_round(alg, io, sel, rng, &secret2, &cfg.ompe_linear()?, off2).await?;
+    let secret2 = DenseAffine::new(amplified(&geom.direction, raw), rb_enc);
+    session
+        .send_rounds_io(alg, io, sel, rng, &[&secret1, &secret2])
+        .await?;
 
     // Round 3: the two-variate degree-4 area polynomial.
     let area_poly = build_area_polynomial(
@@ -722,26 +735,25 @@ where
         raw,
         &rb_enc,
     )?;
-    respond_round(alg, io, sel, rng, &area_poly, &cfg.ompe_area()?, off3).await?;
+    session.set_degree_bound(AREA_DEGREE)?;
+    session.send_round_io(alg, io, sel, rng, &area_poly).await?;
     Ok(())
 }
 
-/// Input-independent offline material for one responder session: one
-/// precomputed sender pack per OMPE round (two linear cross-term
-/// rounds, then the degree-4 area round), drawn before Bob's inputs —
-/// or Bob himself — exist.
+/// Input-independent offline material for one responder session: the
+/// OT commitment all three rounds run under and a masking polynomial
+/// per round (two linear cross-term rounds, then the degree-4 area
+/// round), drawn before Bob's inputs — or Bob himself — exist.
 ///
 /// The offline responder produces byte-compatible traffic, so it pairs
 /// with any requester; a requester never knows (or cares) whether the
 /// responder precomputed.
 pub struct SimilarityResponderOffline {
-    linear1: OmpeSenderOffline,
-    linear2: OmpeSenderOffline,
-    area: OmpeSenderOffline,
+    pack: OmpeSenderOffline,
 }
 
 impl SimilarityResponderOffline {
-    /// Precomputes the three rounds' sender material under `cfg`.
+    /// Precomputes the session's sender material under `cfg`.
     ///
     /// # Errors
     ///
@@ -754,36 +766,11 @@ impl SimilarityResponderOffline {
         rng: &mut dyn RngCore,
     ) -> Result<Self, PpcsError> {
         cfg.protocol.validate()?;
-        let linear = cfg.ompe_linear()?;
-        let area = cfg.ompe_area()?;
+        let pack = OmpeSenderOffline::precompute(alg, sel, &cfg.ompe_linear()?, 2, rng);
         Ok(Self {
-            linear1: OmpeSenderOffline::precompute(alg, sel, &linear, 1, rng),
-            linear2: OmpeSenderOffline::precompute(alg, sel, &linear, 1, rng),
-            area: OmpeSenderOffline::precompute(alg, sel, &area, 1, rng),
+            pack: pack.with_masks(alg, &cfg.ompe_area()?, 1, rng),
         })
     }
-}
-
-/// One responder OMPE round, precomputed or monolithic — the two paths
-/// emit identical frame sequences.
-async fn respond_round<A, P>(
-    alg: &A,
-    io: &FrameIo,
-    sel: OtSelect,
-    rng: &mut dyn RngCore,
-    secret: &P,
-    params: &OmpeParams,
-    pack: Option<OmpeSenderOffline>,
-) -> Result<(), PpcsError>
-where
-    A: Algebra,
-    P: PolyEval<A> + ?Sized,
-{
-    match pack {
-        Some(pack) => ompe_send_offline_io(alg, io, sel, rng, secret, params, pack).await?,
-        None => ompe_send_io(alg, io, sel, rng, secret, params).await?,
-    }
-    Ok(())
 }
 
 /// Bob's (requester) side; returns the similarity value `T`.
@@ -880,28 +867,58 @@ where
 {
     let _span = ppcs_telemetry::span(Phase::Similarity);
     cfg.protocol.validate()?;
-    let dim = model_dim;
+    let (linear, area) = (cfg.ompe_linear()?, cfg.ompe_area()?);
+    let session = OmpeReceiverSession::new_io(io, sel, linear).await?;
 
-    io.send_msg(
-        KIND_SIM_HELLO,
-        &encode_hello(dim, geom.m_norm2, geom.w_norm2),
-    )?;
-
-    // Round 1.
-    let mb_inputs: Vec<Fp256> = centroid_input(geom, dim)
+    // All three rounds up front, their retrieval weights from one
+    // inversion; round 3 is bound once x₁ and x₂ are known.
+    let mb_inputs: Vec<Fp256> = centroid_input(geom, model_dim)
         .iter()
         .map(|v| alg.encode(*v, 1))
         .collect();
-    let x1 = ompe_receive_io(alg, io, sel, rng, &mb_inputs, &cfg.ompe_linear()?).await?;
-
-    // Round 2.
     let wb_inputs: Vec<Fp256> = direction_input.iter().map(|v| alg.encode(*v, 1)).collect();
-    let x2 = ompe_receive_io(alg, io, sel, rng, &wb_inputs, &cfg.ompe_linear()?).await?;
+    let mut rounds = {
+        let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
+        [
+            BlindRound::draw(alg, &linear, mb_inputs.len(), rng)?,
+            BlindRound::draw(alg, &linear, wb_inputs.len(), rng)?,
+            BlindRound::draw(alg, &area, 2, rng)?,
+        ]
+    };
+    {
+        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
+        BlindRound::weigh(alg, &mut rounds)?;
+    }
+    let [round1, round2, round3] = rounds;
+
+    // Rounds 1 and 2: hello, both clouds and both queries in one flight.
+    let cross = [round1.bind(alg, &mb_inputs)?, round2.bind(alg, &wb_inputs)?];
+    io.hold();
+    io.send_msg(
+        KIND_SIM_HELLO,
+        &encode_hello(model_dim, geom.m_norm2, geom.w_norm2),
+    )?;
+    for (round, _) in &cross {
+        io.send(round.frame())?;
+    }
+    let x = session
+        .finish_weighted_io(alg, io, sel, rng, &cross)
+        .await?;
 
     // Round 3: feed the raw (still-encoded) cross terms back in. The
     // evaluation yields 4·T² (see `build_area_polynomial` on why the ¼
     // stays out of the field); apply the public prefactor on the reals.
-    let t2_elem = ompe_receive_io(alg, io, sel, rng, &[x1, x2], &cfg.ompe_area()?).await?;
+    let area_round = [round3.bind(alg, &x)?];
+    io.hold();
+    io.send(area_round[0].0.frame())?;
+    let values = session
+        .finish_weighted_io(alg, io, sel, rng, &area_round)
+        .await?;
+    let &[t2_elem] = &values[..] else {
+        return Err(PpcsError::Protocol(
+            "the area round returned no value".into(),
+        ));
+    };
     let t2 = 0.25 * alg.decode(&t2_elem, OUTPUT_SCALE);
     Ok(t2.max(0.0).sqrt())
 }
@@ -923,10 +940,10 @@ fn build_area_polynomial<A: Algebra>(
     raw: i64,
     rb_enc: &Fp256,
 ) -> Result<MvPolynomial<A>, PpcsError> {
-    // Amplifiers are drawn from [2, 2^bits).
+    // Amplifiers are drawn from [2, 2^bits), so both are invertible.
     let inv = alg
         .batch_inv(&[alg.encode_int(ram), alg.encode_int(raw)])
-        .expect("amplifiers are nonzero");
+        .ok_or_else(|| PpcsError::Config("an amplifier is zero in the field".into()))?;
     let (d1, raw_inv) = (&inv[0], &inv[1]);
     let d2 = alg.mul(raw_inv, raw_inv);
     let d3 = alg.neg(rb_enc); // scale 2
@@ -987,12 +1004,11 @@ fn encode_hello(dim: usize, m_norm2: f64, w_norm2: f64) -> Vec<u8> {
 /// negative, and `|w_B|² = 0` is a plane with no direction — it would
 /// put `1/(|w_A|²·|w_B|²)` into the area polynomial.
 fn decode_hello(bytes: &[u8]) -> Result<(usize, f64, f64), PpcsError> {
-    if bytes.len() != 24 {
+    let (&[dim, m, w], []) = bytes.as_chunks::<8>() else {
         return Err(PpcsError::Protocol("malformed similarity hello".into()));
-    }
-    let dim = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) as usize;
-    let m = f64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let w = f64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    };
+    let dim = u64::from_le_bytes(dim) as usize;
+    let (m, w) = (f64::from_le_bytes(m), f64::from_le_bytes(w));
     if !(m.is_finite() && w.is_finite() && m >= 0.0 && w > 0.0) {
         return Err(PpcsError::Protocol(
             "similarity hello needs finite |m_B|² ≥ 0 and |w_B|² > 0".into(),
@@ -1487,6 +1503,41 @@ mod tests {
             },
         );
         assert!(matches!(res_a.unwrap_err(), PpcsError::Protocol(_)));
+    }
+
+    #[test]
+    fn geometry_and_kernel_that_disagree_are_a_typed_error() {
+        // A polynomial geometry handed in with the linear kernel: the
+        // responder's own mistake, refused instead of panicking.
+        let cfg = SimilarityConfig::default();
+        let kernel = Kernel::Polynomial {
+            a0: 0.5,
+            b0: 0.0,
+            degree: 3,
+        };
+        let geom = ModelGeometry::from_model(&train_rotated(2, 10.0, 8, kernel), &cfg).unwrap();
+        let mb = train_rotated(2, 55.0, 9, kernel);
+        let alg = FixedFpAlgebra::new(16);
+        let (res_a, _) = run_pair(
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(60);
+                similarity_respond_geometry(
+                    &alg,
+                    &ep,
+                    &SIM_OT,
+                    &mut rng,
+                    &geom,
+                    Kernel::Linear,
+                    2,
+                    &cfg,
+                )
+            },
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(61);
+                let _ = similarity_request(&alg, &ep, &SIM_OT, &mut rng, &mb, &cfg);
+            },
+        );
+        assert!(matches!(res_a, Err(PpcsError::Config(_))), "{res_a:?}");
     }
 
     #[test]

@@ -61,35 +61,9 @@ pub fn interpolate_at_zero<A: Algebra>(
     alg: &A,
     points: &[(Fp256, Fp256)],
 ) -> Result<Fp256, InterpolationError> {
-    validate(alg, points)?;
-    // Gather every barycentric denominator, then invert the lot with a
-    // single batch inversion — one Fermat inversion for the whole
-    // interpolation instead of one per point, which dominates the OMPE
-    // retrieval step.
-    let mut nums = Vec::with_capacity(points.len());
-    let mut dens = Vec::with_capacity(points.len());
-    for (j, (xj, _)) in points.iter().enumerate() {
-        let mut num = alg.one();
-        let mut den = alg.one();
-        for (i, (xi, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            num = alg.mul(&num, &alg.neg(xi));
-            den = alg.mul(&den, &alg.sub(xj, xi));
-        }
-        nums.push(num);
-        dens.push(den);
-    }
-    let weights = alg
-        .batch_inv(&dens)
-        .expect("denominators nonzero: abscissae are distinct");
-    let mut acc = alg.zero();
-    for (((_, yj), num), weight) in points.iter().zip(&nums).zip(&weights) {
-        let term = alg.mul(yj, &alg.mul(num, weight));
-        acc = alg.add(&acc, &term);
-    }
-    Ok(acc)
+    let xs: Vec<Fp256> = points.iter().map(|(x, _)| *x).collect();
+    let weights = lagrange_zero_weights(alg, &xs)?;
+    Ok(weighted_sum(alg, &weights, points.iter().map(|(_, y)| y)))
 }
 
 /// Evaluates many independent interpolation systems at zero, sharing a
@@ -98,9 +72,8 @@ pub fn interpolate_at_zero<A: Algebra>(
 /// Returns `out[k] = interpolate_at_zero(alg, &systems[k])` — results are
 /// bit-identical to the one-at-a-time calls, because field inverses are
 /// unique — but pays *one* Fermat inversion for the entire batch
-/// instead of one per system, and the barycentric
-/// weight products go through the SIMD `mul_many` kernel. This is the
-/// retrieval step of a whole batch OMPE session in one call.
+/// instead of one per system (see [`lagrange_zero_weights_batch`]). This
+/// is the retrieval step of a whole batch OMPE session in one call.
 ///
 /// # Errors
 ///
@@ -110,45 +83,16 @@ pub fn interp_batch<A: Algebra>(
     alg: &A,
     systems: &[Vec<(Fp256, Fp256)>],
 ) -> Result<Vec<Fp256>, InterpolationError> {
-    for points in systems {
-        validate(alg, points)?;
-    }
-    let total: usize = systems.iter().map(Vec::len).sum();
-    // Same numerator/denominator products as `interpolate_at_zero`,
-    // flattened across every system so one inversion serves them all.
-    let mut nums = Vec::with_capacity(total);
-    let mut dens = Vec::with_capacity(total);
-    for points in systems {
-        for (j, (xj, _)) in points.iter().enumerate() {
-            let mut num = alg.one();
-            let mut den = alg.one();
-            for (i, (xi, _)) in points.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                num = alg.mul(&num, &alg.neg(xi));
-                den = alg.mul(&den, &alg.sub(xj, xi));
-            }
-            nums.push(num);
-            dens.push(den);
-        }
-    }
-    let weights = alg
-        .batch_inv(&dens)
-        .expect("denominators nonzero: abscissae are distinct");
-    // nums[i] <- num_i * weight_i, batched.
-    alg.mul_many(&mut nums, &weights);
-    let mut out = Vec::with_capacity(systems.len());
-    let mut off = 0;
-    for points in systems {
-        let mut acc = alg.zero();
-        for ((_, yj), w) in points.iter().zip(&nums[off..off + points.len()]) {
-            acc = alg.add(&acc, &alg.mul(yj, w));
-        }
-        off += points.len();
-        out.push(acc);
-    }
-    Ok(out)
+    let sets: Vec<Vec<Fp256>> = systems
+        .iter()
+        .map(|points| points.iter().map(|(x, _)| *x).collect())
+        .collect();
+    let weights = lagrange_zero_weights_batch(alg, &sets)?;
+    Ok(systems
+        .iter()
+        .zip(&weights)
+        .map(|(points, w)| weighted_sum(alg, w, points.iter().map(|(_, y)| y)))
+        .collect())
 }
 
 /// Precomputes the Lagrange-at-zero weights for a fixed abscissa set.
@@ -168,39 +112,65 @@ pub fn lagrange_zero_weights<A: Algebra>(
     alg: &A,
     xs: &[Fp256],
 ) -> Result<Vec<Fp256>, InterpolationError> {
-    if xs.is_empty() {
-        return Err(InterpolationError::Empty);
+    Ok(lagrange_zero_weights_batch(alg, &[xs])?.concat())
+}
+
+/// The [Lagrange-at-zero weights](lagrange_zero_weights) of every
+/// abscissa set in `sets`, `out[k]` for `sets[k]`, with every
+/// denominator of every set inverted together: one field inversion for
+/// the whole batch. The weights are bit-identical to one call per set,
+/// field inverses being unique. Every other retrieval routine here is a
+/// caller of this one.
+///
+/// # Errors
+///
+/// Returns the first validation error across the sets, checked in
+/// order: an empty set, a duplicate abscissa, or the abscissa zero.
+pub fn lagrange_zero_weights_batch<A: Algebra, S: AsRef<[Fp256]>>(
+    alg: &A,
+    sets: &[S],
+) -> Result<Vec<Vec<Fp256>>, InterpolationError> {
+    for xs in sets {
+        validate(alg, xs.as_ref())?;
     }
-    for (i, xi) in xs.iter().enumerate() {
-        if alg.is_zero(xi) {
-            return Err(InterpolationError::ZeroAbscissa);
-        }
-        for xj in xs.iter().skip(i + 1) {
-            if xi == xj {
-                return Err(InterpolationError::DuplicateAbscissa);
+    let total: usize = sets.iter().map(|xs| xs.as_ref().len()).sum();
+    let mut nums = Vec::with_capacity(total);
+    let mut dens = Vec::with_capacity(total);
+    for xs in sets {
+        let xs = xs.as_ref();
+        for (j, xj) in xs.iter().enumerate() {
+            let mut num = alg.one();
+            let mut den = alg.one();
+            for (_, xi) in xs.iter().enumerate().filter(|&(i, _)| i != j) {
+                num = alg.mul(&num, &alg.neg(xi));
+                den = alg.mul(&den, &alg.sub(xj, xi));
             }
+            nums.push(num);
+            dens.push(den);
         }
     }
-    let mut nums = Vec::with_capacity(xs.len());
-    let mut dens = Vec::with_capacity(xs.len());
-    for (j, xj) in xs.iter().enumerate() {
-        let mut num = alg.one();
-        let mut den = alg.one();
-        for (i, xi) in xs.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            num = alg.mul(&num, &alg.neg(xi));
-            den = alg.mul(&den, &alg.sub(xj, xi));
-        }
-        nums.push(num);
-        dens.push(den);
-    }
-    let weights = alg
+    // Every denominator is a product of differences of distinct
+    // abscissae, so none is zero once the sets are validated.
+    let inverses = alg
         .batch_inv(&dens)
-        .expect("denominators nonzero: abscissae are distinct");
-    alg.mul_many(&mut nums, &weights);
-    Ok(nums)
+        .ok_or(InterpolationError::DuplicateAbscissa)?;
+    alg.mul_many(&mut nums, &inverses);
+    let mut weights = nums.into_iter();
+    Ok(sets
+        .iter()
+        .map(|xs| weights.by_ref().take(xs.as_ref().len()).collect())
+        .collect())
+}
+
+fn weighted_sum<'a>(
+    alg: &impl Algebra,
+    weights: &[Fp256],
+    ys: impl Iterator<Item = &'a Fp256>,
+) -> Fp256 {
+    weights
+        .iter()
+        .zip(ys)
+        .fold(alg.zero(), |acc, (w, y)| alg.add(&acc, &alg.mul(y, w)))
 }
 
 /// Evaluates the interpolant at zero from precomputed weights.
@@ -223,11 +193,7 @@ pub fn interpolate_at_zero_weighted<A: Algebra>(
     if weights.is_empty() || weights.len() != ys.len() {
         return Err(InterpolationError::Empty);
     }
-    let mut acc = alg.zero();
-    for (w, y) in weights.iter().zip(ys) {
-        acc = alg.add(&acc, &alg.mul(y, w));
-    }
-    Ok(acc)
+    Ok(weighted_sum(alg, weights, ys.iter()))
 }
 
 /// Recovers the full coefficient vector of the interpolant.
@@ -272,15 +238,15 @@ pub fn interpolate_coeffs<A: Algebra>(
     Ok(result)
 }
 
-fn validate(alg: &impl Algebra, points: &[(Fp256, Fp256)]) -> Result<(), InterpolationError> {
-    if points.is_empty() {
+fn validate(alg: &impl Algebra, xs: &[Fp256]) -> Result<(), InterpolationError> {
+    if xs.is_empty() {
         return Err(InterpolationError::Empty);
     }
-    for (i, (xi, _)) in points.iter().enumerate() {
+    for (i, xi) in xs.iter().enumerate() {
         if alg.is_zero(xi) {
             return Err(InterpolationError::ZeroAbscissa);
         }
-        for (xj, _) in points.iter().skip(i + 1) {
+        for xj in xs.iter().skip(i + 1) {
             if xi == xj {
                 return Err(InterpolationError::DuplicateAbscissa);
             }
@@ -430,6 +396,31 @@ mod tests {
         assert_eq!(
             interpolate_at_zero_weighted(&alg, &weights, &weights[..3]),
             Err(InterpolationError::Empty)
+        );
+    }
+
+    #[test]
+    fn batched_weights_equal_one_set_at_a_time() {
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(51);
+        let sets: Vec<Vec<Fp256>> = [4usize, 1, 13, 4]
+            .iter()
+            .map(|&m| (0..m).map(|_| alg.random_point(&mut rng)).collect())
+            .collect();
+        let batch = lagrange_zero_weights_batch(&alg, &sets).unwrap();
+        assert_eq!(batch.len(), sets.len());
+        for (xs, w) in sets.iter().zip(&batch) {
+            assert_eq!(&lagrange_zero_weights(&alg, xs).unwrap(), w);
+        }
+        assert_eq!(
+            lagrange_zero_weights_batch::<_, Vec<Fp256>>(&alg, &[]),
+            Ok(Vec::new())
+        );
+        // The first bad set, in order, is the error.
+        let bad = [sets[0].clone(), vec![sets[1][0]; 2], Vec::new()];
+        assert_eq!(
+            lagrange_zero_weights_batch(&alg, &bad),
+            Err(InterpolationError::DuplicateAbscissa)
         );
     }
 

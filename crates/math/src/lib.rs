@@ -70,7 +70,7 @@ pub use eval::{DenseAffine, DensePoly, PolyEval};
 pub use fp256::{Fp256, MODULUS};
 pub use interp::{
     interp_batch, interpolate_at_zero, interpolate_at_zero_weighted, interpolate_coeffs,
-    lagrange_zero_weights, InterpolationError,
+    lagrange_zero_weights, lagrange_zero_weights_batch, InterpolationError,
 };
 pub use multinomial::{
     binomial, expand_power_dot, expanded_dimension, monomial_exponents, monomial_features,

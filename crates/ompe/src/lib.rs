@@ -63,7 +63,7 @@ mod session;
 pub use error::OmpeError;
 pub use offline::{
     ompe_receive_batch_offline_io, ompe_send_batch_offline_io, ompe_send_offline_io,
-    params_fingerprint, OmpeReceiverOffline, OmpeSenderOffline,
+    params_fingerprint, BlindRound, OmpeReceiverOffline, OmpeSenderOffline,
 };
 pub use protocol::{ompe_receive, ompe_receive_io, ompe_send, ompe_send_io, OmpeParams};
 pub use session::{

@@ -8,10 +8,11 @@
 //!   base-phase commitment (one modular exponentiation for Naor–Pinkas)
 //!   plus a queue of pre-drawn masking polynomials `M` with `M(0) = 0`;
 //! * the **receiver's** offline pack ([`OmpeReceiverOffline`]) holds
-//!   *blind rounds*: full point clouds drawn for a fixed input dimension
-//!   with every cover polynomial's constant term left at zero, plus the
-//!   Lagrange-at-zero weights over the cover abscissae. The online phase
-//!   binds an input `α` by shifting each cover column by `α_i`
+//!   [*blind rounds*](BlindRound): full point clouds drawn for a fixed
+//!   input dimension with every cover polynomial's constant term left at
+//!   zero, plus the Lagrange-at-zero weights over the cover abscissae —
+//!   every round's weights from one batched field inversion. The online
+//!   phase binds an input `α` by shifting each cover column by `α_i`
 //!   (`S_i = S̄_i + α_i`), so for a fixed RNG stream the bound point
 //!   cloud is byte-identical to the monolithic construction, and the
 //!   retrieval interpolation collapses to one dot product.
@@ -28,7 +29,7 @@
 use std::collections::VecDeque;
 
 use bytes::BytesMut;
-use ppcs_math::{interpolate_at_zero, interpolate_at_zero_weighted, lagrange_zero_weights};
+use ppcs_math::{lagrange_zero_weights, lagrange_zero_weights_batch};
 use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{select_fingerprint, OtOfflineCommitment, OtSelect};
 use ppcs_telemetry::Phase;
@@ -89,18 +90,31 @@ impl OmpeSenderOffline {
         rng: &mut dyn RngCore,
     ) -> Self {
         let _span = ppcs_telemetry::span(Phase::Precompute);
-        let commitment = OtOfflineCommitment::precompute(sel, rng);
-        let mut masks = VecDeque::with_capacity(rounds);
-        for _ in 0..rounds {
-            let mut mask = Polynomial::zero();
-            mask.refresh_random_with_constant(alg, params.composite_degree(), alg.zero(), rng);
-            masks.push_back(mask);
-        }
         Self {
             fingerprint: params_fingerprint(sel, params),
-            commitment,
-            masks,
+            commitment: OtOfflineCommitment::precompute(sel, rng),
+            masks: VecDeque::new(),
         }
+        .with_masks(alg, params, rounds, rng)
+    }
+
+    /// Queues `rounds` more masking polynomials of `params`' composite
+    /// degree after those already drawn: the pack of a session whose
+    /// rounds [differ in degree bound](OmpeSenderSession::set_degree_bound).
+    /// A round consumes the next mask only if it has that round's degree.
+    pub fn with_masks(
+        mut self,
+        alg: &impl Algebra,
+        params: &OmpeParams,
+        rounds: usize,
+        rng: &mut dyn RngCore,
+    ) -> Self {
+        let degree = params.composite_degree();
+        for _ in 0..rounds {
+            let mask = Polynomial::random_with_constant(alg, degree, alg.zero(), rng);
+            self.masks.push_back(mask);
+        }
+        self
     }
 
     /// The configuration fingerprint this pack was produced under.
@@ -116,8 +130,14 @@ impl OmpeSenderOffline {
 
 /// One precomputed receiver round: a full point cloud with zero-constant
 /// cover polynomials, ready to be bound to an input vector.
+///
+/// [`draw`](Self::draw) a set of rounds, [`weigh`](Self::weigh) them
+/// together — one field inversion for all their Lagrange-at-zero weights
+/// — then [`bind`](Self::bind) each to its input once that exists; the
+/// bound rounds finish through
+/// [`OmpeReceiverSession::finish_weighted_io`].
 #[derive(Debug)]
-pub(crate) struct BlindRound {
+pub struct BlindRound {
     /// All `N` abscissae, in submission order.
     xs: Vec<Fp256>,
     /// Cover positions in OT-selection (sample) order.
@@ -128,18 +148,24 @@ pub(crate) struct BlindRound {
     /// covers and disguises elsewhere; binding adds `α_i` per cover slot.
     base_ys: Vec<Fp256>,
     /// Lagrange-at-zero weights over `xs[cover_positions]`, in that
-    /// order — the order retrieval returns the masked answers in.
+    /// order — the order retrieval returns the masked answers in. Empty
+    /// until [`weigh`](Self::weigh).
     zero_weights: Vec<Fp256>,
     /// Input dimension the round was drawn for.
     dim: usize,
 }
 
 impl BlindRound {
-    /// Draws one blind round, consuming the RNG in exactly the order the
-    /// monolithic [`OmpeReceiverSession::prepare_round`] does (cover
-    /// refreshes, abscissae, cover sampling, disguises in position
-    /// order), so that binding reproduces its point cloud byte for byte.
-    fn precompute(
+    /// Draws one blind round of `params` for inputs of dimension `dim`,
+    /// consuming the RNG in exactly the order the monolithic
+    /// [`OmpeReceiverSession::prepare_round`] does (cover refreshes,
+    /// abscissae, cover sampling, disguises in position order), so that
+    /// binding reproduces its point cloud byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// [`OmpeError::Params`] if `dim` is zero.
+    pub fn draw(
         alg: &impl Algebra,
         params: &OmpeParams,
         dim: usize,
@@ -185,17 +211,34 @@ impl BlindRound {
                 }
             }
         }
-        let weight_xs: Vec<Fp256> = cover_positions.iter().map(|&p| xs[p]).collect();
-        let zero_weights = lagrange_zero_weights(alg, &weight_xs)?;
         let cover_rows: Vec<usize> = (0..n_points).filter(|&i| is_cover[i]).collect();
         Ok(Self {
             xs,
             cover_positions,
             cover_rows,
             base_ys,
-            zero_weights,
+            zero_weights: Vec::new(),
             dim,
         })
+    }
+
+    /// Computes the Lagrange-at-zero weights of every round in `rounds`
+    /// with one batched field inversion for all of them.
+    ///
+    /// # Errors
+    ///
+    /// Interpolation errors if a drawn abscissa set is degenerate (cannot
+    /// happen for honest draws).
+    pub fn weigh(alg: &impl Algebra, rounds: &mut [BlindRound]) -> Result<(), OmpeError> {
+        let sets: Vec<Vec<Fp256>> = rounds
+            .iter()
+            .map(|round| round.cover_positions.iter().map(|&p| round.xs[p]).collect())
+            .collect();
+        let weights = lagrange_zero_weights_batch(alg, &sets)?;
+        for (round, weights) in rounds.iter_mut().zip(weights) {
+            round.zero_weights = weights;
+        }
+        Ok(())
     }
 
     /// Binds the blind round to a concrete input: shifts each cover
@@ -204,7 +247,11 @@ impl BlindRound {
     /// the round — binding is the online phase's hot path, and moving
     /// the precomputed vectors keeps it allocation-free apart from the
     /// wire frame itself.
-    fn bind(
+    ///
+    /// # Errors
+    ///
+    /// [`OmpeError::Params`] if `alpha` is not of the round's dimension.
+    pub fn bind(
         mut self,
         alg: &impl Algebra,
         alpha: &[Fp256],
@@ -259,14 +306,14 @@ impl OmpeReceiverOffline {
         rng: &mut dyn RngCore,
     ) -> Result<Self, OmpeError> {
         let _span = ppcs_telemetry::span(Phase::Precompute);
-        let mut queue = VecDeque::with_capacity(rounds);
-        for _ in 0..rounds {
-            queue.push_back(BlindRound::precompute(alg, params, dim, rng)?);
-        }
+        let mut drawn = (0..rounds)
+            .map(|_| BlindRound::draw(alg, params, dim, rng))
+            .collect::<Result<Vec<_>, _>>()?;
+        BlindRound::weigh(alg, &mut drawn)?;
         Ok(Self {
             fingerprint: params_fingerprint(sel, params),
             dim,
-            rounds: queue,
+            rounds: drawn.into(),
         })
     }
 
@@ -318,22 +365,9 @@ where
     if secrets.is_empty() {
         return Ok(());
     }
-    let mut session = OmpeSenderSession::new_precomputed_io(io, sel, *params, offline)?;
-    for secret in secrets {
-        session.check_degree(secret)?;
-    }
-    // Same coalescing contract as the monolithic batch: drain every
-    // point cloud before any per-round OT traffic starts.
-    let mut clouds = Vec::with_capacity(secrets.len());
-    for secret in secrets {
-        clouds.push(session.recv_cloud_io(alg, io, secret.num_vars()).await?);
-    }
-    for (secret, cloud) in secrets.iter().zip(&clouds) {
-        session
-            .answer_cloud_io(alg, io, sel, rng, secret, cloud)
-            .await?;
-    }
-    Ok(())
+    OmpeSenderSession::new_precomputed_io(io, sel, *params, offline)?
+        .send_batch_io(alg, io, sel, rng, secrets)
+        .await
 }
 
 /// Single-round sender using precomputed offline material; backs the
@@ -393,34 +427,23 @@ where
     }
     let mut session = OmpeReceiverSession::new_io(io, sel, *params).await?;
     let mut rounds = Vec::with_capacity(alphas.len());
-    let mut weights = Vec::with_capacity(alphas.len());
     for alpha in alphas {
-        match offline.pop_round() {
-            Some(blind) => {
-                let (round, w) = blind.bind(alg, alpha)?;
-                rounds.push(round);
-                weights.push(Some(w));
-            }
+        rounds.push(match offline.pop_round() {
+            Some(blind) => blind.bind(alg, alpha)?,
             None => {
-                rounds.push(session.prepare_round(alg, rng, alpha)?);
-                weights.push(None);
+                let round = session.prepare_round(alg, rng, alpha)?;
+                let weights = lagrange_zero_weights(alg, &round.cover_xs())?;
+                (round, weights)
             }
-        }
+        });
     }
-    let frames: Vec<Frame> = rounds.iter().map(PreparedRound::frame).collect();
+    let frames: Vec<Frame> = rounds.iter().map(|(round, _)| round.frame()).collect();
     io.send_coalesced(&frames)?;
+    // One transfer per round, as the monolithic batch runs them.
     let mut out = Vec::with_capacity(rounds.len());
-    for (round, w) in rounds.iter().zip(&weights) {
-        let points = session.finish_round_points_io(io, sel, rng, round).await?;
-        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
-        let value = match w {
-            Some(weights) => {
-                let ys: Vec<Fp256> = points.into_iter().map(|(_, y)| y).collect();
-                interpolate_at_zero_weighted(alg, weights, &ys)?
-            }
-            None => interpolate_at_zero(alg, &points)?,
-        };
-        out.push(value);
+    for round in &rounds {
+        let value = session.finish_weighted_io(alg, io, sel, rng, std::slice::from_ref(round));
+        out.extend(value.await?);
     }
     Ok(out)
 }

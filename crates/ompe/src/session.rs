@@ -13,6 +13,14 @@
 //! * the receiver's point clouds for a whole batch travel in a single
 //!   coalesced frame — one framed write instead of one per round.
 //!
+//! A batch runs one oblivious transfer per round. Independent rounds can
+//! also run as one exchange
+//! ([`send_rounds_io`](OmpeSenderSession::send_rounds_io) /
+//! [`finish_weighted_io`](OmpeReceiverSession::finish_weighted_io)):
+//! their transfers form one list, one query message and one answer
+//! message for all of them. A session's rounds may differ in degree
+//! bound ([`set_degree_bound`](OmpeSenderSession::set_degree_bound)).
+//!
 //! The role logic lives in the `*_io` methods, written sans-I/O against a
 //! [`FrameIo`] mailbox and an [`OtSelect`] engine selector — no
 //! `Endpoint` appears in their signatures, so any driver (in-memory,
@@ -25,9 +33,10 @@
 use std::collections::VecDeque;
 
 use bytes::{Bytes, BytesMut};
-use ppcs_math::{interp_batch, interpolate_at_zero, Algebra, Fp256, PolyEval, Polynomial};
+use ppcs_math::{interp_batch, interpolate_at_zero, interpolate_at_zero_weighted};
+use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{ot_begin_receive_io, ot_begin_send_io, ot_begin_send_precomputed_io};
-use ppcs_ot::{ot_receive_io, ot_send_io};
+use ppcs_ot::{ot_receive_list_io, ot_send_list_io};
 use ppcs_ot::{ObliviousTransfer, OtBatchState, OtSelect};
 use ppcs_telemetry::Phase;
 use ppcs_transport::{
@@ -174,7 +183,8 @@ impl OmpeSenderSession {
         drive_blocking(ep, &mut engine)
     }
 
-    /// Sans-I/O variant of [`send_round`](OmpeSenderSession::send_round).
+    /// Sans-I/O variant of [`send_round`](OmpeSenderSession::send_round):
+    /// the [`send_rounds_io`](OmpeSenderSession::send_rounds_io) of one.
     ///
     /// # Errors
     ///
@@ -191,127 +201,192 @@ impl OmpeSenderSession {
         A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
-        self.check_degree(secret)?;
-        let cloud = self.recv_cloud_io(alg, io, secret.num_vars()).await?;
-        self.answer_cloud_io(alg, io, sel, rng, secret, &cloud)
-            .await
+        self.send_rounds_io(alg, io, sel, rng, &[secret]).await
     }
 
-    pub(crate) fn check_degree<A, P>(&self, secret: &P) -> Result<(), OmpeError>
-    where
-        A: Algebra,
-        P: PolyEval<A> + ?Sized,
-    {
-        if secret.total_degree() > self.params.degree_bound {
-            return Err(OmpeError::SecretMismatch(format!(
-                "secret has total degree {}, agreed bound is {}",
-                secret.total_degree(),
-                self.params.degree_bound
-            )));
-        }
-        Ok(())
-    }
-
-    /// Receives and validates one round's point cloud: `N` distinct
-    /// nonzero abscissae and `N` `r`-dimensional input vectors. In batch
-    /// mode every cloud of the batch arrives in one coalesced frame, so
-    /// these must all be drained before the per-round oblivious
-    /// transfers begin.
-    pub(crate) async fn recv_cloud_io(
-        &self,
-        alg: &impl Algebra,
-        io: &FrameIo,
-        r: usize,
-    ) -> Result<PointCloud, OmpeError> {
-        let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
-        let n_points = self.params.num_points();
-        let mut payload: Bytes = {
-            let blob: Vec<u8> = io.recv_msg(KIND_OMPE_POINTS).await?;
-            Bytes::from(blob)
-        };
-        let xs: Vec<Fp256> = decode_seq(&mut payload)?;
-        // Validate the abscissa count before decoding the (much larger)
-        // coordinate block: an oversized cloud is rejected on the first
-        // sequence instead of being fully materialized first.
-        if xs.len() != n_points {
-            return Err(OmpeError::Protocol(format!(
-                "receiver submitted {} points, parameters require {n_points}",
-                xs.len()
-            )));
-        }
-        // `M(0) = 0`: the answer at a zero abscissa is the unmasked
-        // `P(y)` for a `y` of the peer's choosing. A repeated one makes
-        // its own retrieval singular — no honest receiver sends either.
-        if xs
-            .iter()
-            .enumerate()
-            .any(|(i, x)| alg.is_zero(x) || xs[..i].contains(x))
-        {
-            return Err(OmpeError::Protocol(
-                "receiver submitted a zero or repeated abscissa".into(),
-            ));
-        }
-        let ys_flat: Vec<Fp256> = decode_seq(&mut payload)?;
-        if ys_flat.len() != n_points * r {
-            return Err(OmpeError::Protocol(format!(
-                "receiver submitted {} input coordinates, expected {}",
-                ys_flat.len(),
-                n_points * r
-            )));
-        }
-        Ok((xs, ys_flat))
-    }
-
-    /// Masks, evaluates, and obliviously transfers the answers for one
-    /// received point cloud.
-    pub(crate) async fn answer_cloud_io<A, P>(
+    /// Runs one round per secret, in order, as one exchange: the
+    /// receiver's point clouds arrive first, and the answers of all the
+    /// rounds go through one oblivious-transfer list — one query message
+    /// and one answer message for all of them.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`send_round`](OmpeSenderSession::send_round).
+    pub async fn send_rounds_io<A, P>(
         &mut self,
         alg: &A,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        secret: &P,
-        (xs, ys_flat): &PointCloud,
+        secrets: &[&P],
     ) -> Result<(), OmpeError>
     where
         A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
-        let params = &self.params;
-        let n_points = params.num_points();
-        let r = secret.num_vars();
+        let clouds = self.recv_clouds_io(alg, io, secrets).await?;
+        self.answer_clouds_io(alg, io, sel, rng, secrets, &clouds)
+            .await
+    }
 
-        let answers = {
+    /// The rounds of a batch, one oblivious transfer each, as
+    /// classification runs them.
+    pub(crate) async fn send_batch_io<A, P>(
+        mut self,
+        alg: &A,
+        io: &FrameIo,
+        sel: OtSelect,
+        rng: &mut dyn RngCore,
+        secrets: &[P],
+    ) -> Result<(), OmpeError>
+    where
+        A: Algebra,
+        P: PolyEval<A>,
+    {
+        let secrets: Vec<&P> = secrets.iter().collect();
+        let clouds = self.recv_clouds_io(alg, io, &secrets).await?;
+        for (secret, cloud) in secrets.iter().zip(&clouds) {
+            self.answer_clouds_io(alg, io, sel, rng, &[*secret], std::slice::from_ref(cloud))
+                .await?;
+        }
+        Ok(())
+    }
+
+    /// Sets the degree bound of the rounds that follow. Rounds of one
+    /// session may differ in degree bound; they share its `σ`, decoy
+    /// factor and oblivious-transfer state.
+    ///
+    /// # Errors
+    ///
+    /// [`OmpeError::Params`] if the bound is zero or exceeds the caps of
+    /// [`OmpeParams::new`].
+    pub fn set_degree_bound(&mut self, degree_bound: usize) -> Result<(), OmpeError> {
+        let (sigma, decoys) = (self.params.sigma, self.params.decoy_factor);
+        self.params = OmpeParams::new(degree_bound, sigma, decoys)?;
+        Ok(())
+    }
+
+    /// Checks every secret against the degree bound, then receives and
+    /// validates one point cloud per secret: `N` distinct nonzero
+    /// abscissae and `N` `r`-dimensional input vectors. The receiver may
+    /// send all the clouds in one coalesced frame, so every one is
+    /// drained before any oblivious transfer starts — otherwise an OT
+    /// receive would pop a queued point cloud instead of the frame it
+    /// expects.
+    async fn recv_clouds_io<A, P>(
+        &self,
+        alg: &A,
+        io: &FrameIo,
+        secrets: &[&P],
+    ) -> Result<Vec<PointCloud>, OmpeError>
+    where
+        A: Algebra,
+        P: PolyEval<A> + ?Sized,
+    {
+        let bound = self.params.degree_bound;
+        if let Some(secret) = secrets.iter().find(|s| s.total_degree() > bound) {
+            return Err(OmpeError::SecretMismatch(format!(
+                "secret has total degree {}, agreed bound is {bound}",
+                secret.total_degree(),
+            )));
+        }
+        let n_points = self.params.num_points();
+        let mut clouds = Vec::with_capacity(secrets.len());
+        for secret in secrets {
+            let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
+            let mut payload = Bytes::from(io.recv_msg::<Vec<u8>>(KIND_OMPE_POINTS).await?);
+            let xs: Vec<Fp256> = decode_seq(&mut payload)?;
+            // Validate the abscissa count before decoding the (much larger)
+            // coordinate block: an oversized cloud is rejected on the first
+            // sequence instead of being fully materialized first.
+            if xs.len() != n_points {
+                return Err(OmpeError::Protocol(format!(
+                    "receiver submitted {} points, parameters require {n_points}",
+                    xs.len()
+                )));
+            }
+            // `M(0) = 0`: the answer at a zero abscissa is the unmasked
+            // `P(y)` for a `y` of the peer's choosing. A repeated one makes
+            // its own retrieval singular — no honest receiver sends either.
+            if xs
+                .iter()
+                .enumerate()
+                .any(|(i, x)| alg.is_zero(x) || xs[..i].contains(x))
+            {
+                return Err(OmpeError::Protocol(
+                    "receiver submitted a zero or repeated abscissa".into(),
+                ));
+            }
+            let ys_flat: Vec<Fp256> = decode_seq(&mut payload)?;
+            let expected = n_points * secret.num_vars();
+            if ys_flat.len() != expected {
+                return Err(OmpeError::Protocol(format!(
+                    "receiver submitted {} input coordinates, expected {expected}",
+                    ys_flat.len(),
+                )));
+            }
+            clouds.push((xs, ys_flat));
+        }
+        Ok(clouds)
+    }
+
+    /// Masks and evaluates every received point cloud, then transfers
+    /// the answers of all of them as one oblivious-transfer list.
+    pub(crate) async fn answer_clouds_io<A, P>(
+        &mut self,
+        alg: &A,
+        io: &FrameIo,
+        sel: OtSelect,
+        rng: &mut dyn RngCore,
+        secrets: &[&P],
+        clouds: &[PointCloud],
+    ) -> Result<(), OmpeError>
+    where
+        A: Algebra,
+        P: PolyEval<A> + ?Sized,
+    {
+        let params = self.params;
+        let mut answers = Vec::with_capacity(clouds.len());
+        for (secret, (xs, ys_flat)) in secrets.iter().zip(clouds) {
             let _span = ppcs_telemetry::span(Phase::OmpeMask);
+            let r = secret.num_vars();
 
             // Fresh masking polynomial M with M(0) = 0 and degree exactly
-            // D: one drawn offline if the session was precomputed, else
-            // drawn inline into the storage set up at session creation.
-            match self.prepared_masks.pop_front() {
+            // D: the next one drawn offline if the session was
+            // precomputed and it has this round's degree, else drawn
+            // inline into the storage set up at session creation.
+            let degree = params.composite_degree();
+            match self
+                .prepared_masks
+                .pop_front_if(|mask| mask.degree() == degree)
+            {
                 Some(mask) => self.mask = mask,
-                None => self.mask.refresh_random_with_constant(
-                    alg,
-                    params.composite_degree(),
-                    alg.zero(),
-                    rng,
-                ),
+                None => self
+                    .mask
+                    .refresh_random_with_constant(alg, degree, alg.zero(), rng),
             }
 
             // Q(x_i, y_i) = M(x_i) + P(y_i) for every submitted point.
             // M is evaluated over the whole cloud in one batched pass, the
             // SIMD Horner kernel.
             let mask_values = self.mask.eval_many(alg, xs);
-            let mut answers = Vec::with_capacity(n_points);
-            for (i, m) in mask_values.iter().enumerate() {
-                let y = &ys_flat[i * r..(i + 1) * r];
-                let q = alg.add(m, &secret.eval(alg, y));
-                answers.push(encode_elems(std::slice::from_ref(&q)).to_vec());
-            }
-            answers
-        };
+            let round: Vec<Vec<u8>> = mask_values
+                .iter()
+                .enumerate()
+                .map(|(i, m)| {
+                    let q = alg.add(m, &secret.eval(alg, &ys_flat[i * r..(i + 1) * r]));
+                    encode_elems(std::slice::from_ref(&q)).to_vec()
+                })
+                .collect();
+            answers.push(round);
+        }
 
-        // n-out-of-N oblivious transfer of the answers.
-        ot_send_io(sel, &self.ot_state, io, rng, &answers, params.num_covers()).await?;
+        // n-out-of-N oblivious transfer of every round's answers.
+        let transfers: Vec<(&[Vec<u8>], usize)> = answers
+            .iter()
+            .map(|round| (round.as_slice(), params.num_covers()))
+            .collect();
+        ot_send_list_io(sel, &self.ot_state, io, rng, &transfers).await?;
         Ok(())
     }
 }
@@ -342,6 +417,12 @@ impl PreparedRound {
     /// reference-counted).
     pub fn frame(&self) -> Frame {
         self.frame.clone()
+    }
+
+    /// The abscissae of the genuine covers, in the order retrieval
+    /// returns their masked answers.
+    pub(crate) fn cover_xs(&self) -> Vec<Fp256> {
+        self.cover_positions.iter().map(|&p| self.xs[p]).collect()
     }
 }
 
@@ -518,49 +599,72 @@ impl OmpeReceiverSession {
         rng: &mut dyn RngCore,
         round: &PreparedRound,
     ) -> Result<Fp256, OmpeError> {
-        let points = self.finish_round_points_io(io, sel, rng, round).await?;
+        let values = self.fetch_io(io, sel, rng, &[round]).await?.concat();
         // Interpolate R(v) = M(v) + P(S(v)) and evaluate at zero:
         // R(0) = M(0) + P(S(0)) = P(α).
         let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
+        let points: Vec<_> = round.cover_xs().into_iter().zip(values).collect();
         Ok(interpolate_at_zero(alg, &points)?)
     }
 
-    /// The oblivious-transfer half of
-    /// [`finish_round_io`](OmpeReceiverSession::finish_round_io): fetches
-    /// and decodes the masked answers at the cover positions, returning
-    /// the interpolation points without interpolating. Batch drivers
-    /// collect the points of every round and retrieve them all through
-    /// one [`interp_batch`] call.
-    pub(crate) async fn finish_round_points_io(
+    /// Finishes rounds whose point-cloud frames have already been
+    /// transmitted, each given with its precomputed Lagrange-at-zero
+    /// weights (a bound [`BlindRound`](crate::BlindRound)), in one
+    /// oblivious-transfer list; returns every round's `P(α)`, in order.
+    ///
+    /// # Errors
+    ///
+    /// Transport/OT failures, and [`OmpeError::Interpolation`] for
+    /// weights that do not fit their round.
+    pub async fn finish_weighted_io(
+        &self,
+        alg: &impl Algebra,
+        io: &FrameIo,
+        sel: OtSelect,
+        rng: &mut dyn RngCore,
+        rounds: &[(PreparedRound, Vec<Fp256>)],
+    ) -> Result<Vec<Fp256>, OmpeError> {
+        let prepared: Vec<&PreparedRound> = rounds.iter().map(|(round, _)| round).collect();
+        let values = self.fetch_io(io, sel, rng, &prepared).await?;
+        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
+        let mut out = Vec::with_capacity(rounds.len());
+        for ((_, weights), ys) in rounds.iter().zip(&values) {
+            out.push(interpolate_at_zero_weighted(alg, weights, ys)?);
+        }
+        Ok(out)
+    }
+
+    /// The oblivious-transfer half of finishing `rounds`: fetches and
+    /// decodes every round's masked answers at its cover positions, all
+    /// rounds in one transfer list, and returns them per round, in cover
+    /// selection order.
+    pub(crate) async fn fetch_io(
         &self,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        round: &PreparedRound,
-    ) -> Result<Vec<(Fp256, Fp256)>, OmpeError> {
-        let n_covers = self.params.num_covers();
-        let n_points = self.params.num_points();
-
-        // Obliviously fetch the answers at the cover positions.
-        let raw = ot_receive_io(
-            sel,
-            &self.ot_state,
-            io,
-            rng,
-            n_points,
-            &round.cover_positions,
-        )
-        .await?;
-        let mut points = Vec::with_capacity(n_covers);
-        for (raw_value, &pos) in raw.iter().zip(&round.cover_positions) {
-            let mut input = Bytes::from(raw_value.clone());
-            let values: Vec<Fp256> = decode_seq(&mut input)
-                .map_err(|e| OmpeError::Protocol(format!("bad OT payload: {e}")))?;
-            let [value] = <[Fp256; 1]>::try_from(values)
-                .map_err(|_| OmpeError::Protocol("OT payload is not a single element".into()))?;
-            points.push((round.xs[pos], value));
+        rounds: &[&PreparedRound],
+    ) -> Result<Vec<Vec<Fp256>>, OmpeError> {
+        let transfers: Vec<(usize, &[usize])> = rounds
+            .iter()
+            .map(|round| (round.xs.len(), round.cover_positions.as_slice()))
+            .collect();
+        let raw = ot_receive_list_io(sel, &self.ot_state, io, rng, &transfers).await?;
+        let mut raw = raw.into_iter();
+        let mut out = Vec::with_capacity(rounds.len());
+        for round in rounds {
+            let mut values = Vec::with_capacity(round.cover_positions.len());
+            for raw_value in raw.by_ref().take(round.cover_positions.len()) {
+                let values_in: Vec<Fp256> = decode_seq(&mut Bytes::from(raw_value))
+                    .map_err(|e| OmpeError::Protocol(format!("bad OT payload: {e}")))?;
+                let [value] = <[Fp256; 1]>::try_from(values_in).map_err(|_| {
+                    OmpeError::Protocol("OT payload is not a single element".into())
+                })?;
+                values.push(value);
+            }
+            out.push(values);
         }
-        Ok(points)
+        Ok(out)
     }
 
     /// Prepares, transmits, and finishes one round (the non-coalesced
@@ -652,24 +756,8 @@ where
     if secrets.is_empty() {
         return Ok(());
     }
-    let mut session = OmpeSenderSession::new_io(io, sel, rng, *params).await?;
-    for secret in secrets {
-        session.check_degree(secret)?;
-    }
-    // The receiver ships every round's point cloud in one coalesced
-    // frame, so drain them all before any per-round OT traffic starts —
-    // otherwise an OT receive would pop a queued point cloud instead of
-    // the frame it expects.
-    let mut clouds = Vec::with_capacity(secrets.len());
-    for secret in secrets {
-        clouds.push(session.recv_cloud_io(alg, io, secret.num_vars()).await?);
-    }
-    for (secret, cloud) in secrets.iter().zip(&clouds) {
-        session
-            .answer_cloud_io(alg, io, sel, rng, secret, cloud)
-            .await?;
-    }
-    Ok(())
+    let session = OmpeSenderSession::new_io(io, sel, rng, *params).await?;
+    session.send_batch_io(alg, io, sel, rng, secrets).await
 }
 
 /// Receiver side of a batch of OMPE rounds: learns `P_i(α_i)` for every
@@ -725,12 +813,15 @@ where
     // One framed write carries every round's point cloud.
     let frames: Vec<Frame> = rounds.iter().map(PreparedRound::frame).collect();
     io.send_coalesced(&frames)?;
-    // Collect every round's interpolation points first, then retrieve
-    // all the constant terms through one batched interpolation: a single
-    // Fermat inversion serves the whole batch.
+    // Collect every round's interpolation points first, one transfer
+    // per round, then retrieve all the constant terms through one
+    // batched interpolation: a single Fermat inversion serves the batch.
+    // It runs after the answers arrive, where it overlaps whatever the
+    // sender still does after its last one.
     let mut systems = Vec::with_capacity(rounds.len());
     for round in &rounds {
-        systems.push(session.finish_round_points_io(io, sel, rng, round).await?);
+        let values = session.fetch_io(io, sel, rng, &[round]).await?.concat();
+        systems.push(round.cover_xs().into_iter().zip(values).collect());
     }
     let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
     Ok(interp_batch(alg, &systems)?)

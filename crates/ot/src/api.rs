@@ -5,10 +5,15 @@
 //! Role logic written sans-I/O cannot hold a `&dyn ObliviousTransfer`
 //! *and* stay transport-free (the trait's blocking methods take an
 //! `Endpoint`), so each engine exposes an [`OtSelect`] value — a plain
-//! `Copy` selector — and the [`ot_send_io`]/[`ot_receive_io`] dispatch
-//! functions execute the corresponding sans-I/O role over a
-//! [`FrameIo`]. The blocking trait methods remain thin wrappers that
-//! drive the same role logic over an `Endpoint`.
+//! `Copy` selector — and the [`ot_send_list_io`]/[`ot_receive_list_io`]
+//! dispatch functions execute the corresponding sans-I/O role over a
+//! [`FrameIo`]. They run a *list* of k-out-of-N transfers in one
+//! exchange: one query message and one answer message for the whole
+//! list (the extension engine sends one table per query, as it does for
+//! a single transfer). [`ot_send_io`]/[`ot_receive_io`] are the list of
+//! one, byte for byte what a single transfer always put on the wire. The
+//! blocking trait methods remain thin wrappers that drive the same role
+//! logic over an `Endpoint`.
 
 use ppcs_crypto::DhGroup;
 use ppcs_telemetry::Phase;
@@ -216,7 +221,8 @@ pub async fn ot_begin_receive_io(sel: OtSelect, io: &FrameIo) -> Result<OtBatchS
 }
 
 /// Sans-I/O sender side of a k-out-of-N transfer with the engine
-/// selected by `sel`, reusing per-batch `state`.
+/// selected by `sel`, reusing per-batch `state`: the
+/// [list](ot_send_list_io) of one.
 ///
 /// # Errors
 ///
@@ -230,33 +236,12 @@ pub async fn ot_send_io(
     messages: &[Vec<u8>],
     k: usize,
 ) -> Result<(), OtError> {
-    match sel {
-        OtSelect::NaorPinkas { group } => {
-            let _span = ppcs_telemetry::span(Phase::KnOt);
-            let own;
-            let commitment = match &state.np_send {
-                Some(shared) => shared,
-                None => {
-                    own = commit_c_io(group, io, rng)?;
-                    &own
-                }
-            };
-            otkn_send_io(group, io, rng, messages, k, commitment).await
-        }
-        OtSelect::Iknp { group } => {
-            let _span = ppcs_telemetry::span(Phase::OtExt);
-            knx_send_io(group, io, rng, messages, k).await
-        }
-        OtSelect::TrustedSim => {
-            let _span = ppcs_telemetry::span(Phase::KnOt);
-            sim_send_io(io, messages, k).await
-        }
-    }
+    ot_send_list_io(sel, state, io, rng, &[(messages, k)]).await
 }
 
 /// Sans-I/O receiver side of a k-out-of-N transfer with the engine
 /// selected by `sel`, reusing per-batch `state`; returns the messages at
-/// `indices`, in order.
+/// `indices`, in order. The [list](ot_receive_list_io) of one.
 ///
 /// # Errors
 ///
@@ -269,6 +254,65 @@ pub async fn ot_receive_io(
     num_messages: usize,
     indices: &[usize],
 ) -> Result<Vec<Vec<u8>>, OtError> {
+    ot_receive_list_io(sel, state, io, rng, &[(num_messages, indices)]).await
+}
+
+/// Sans-I/O sender side of a list of k-out-of-N transfers, each given as
+/// its `N` messages and its `k`, in one exchange with the engine selected
+/// by `sel`, reusing per-batch `state`. Under Naor–Pinkas without a
+/// batch `state`, the list commits once for itself.
+///
+/// # Errors
+///
+/// Engine-specific [`OtError`]s; all report transport failures, unequal
+/// message lengths and a receiver that opens another number of positions
+/// than the list's `k`s add up to.
+pub async fn ot_send_list_io(
+    sel: OtSelect,
+    state: &OtBatchState,
+    io: &FrameIo,
+    rng: &mut dyn RngCore,
+    transfers: &[(&[Vec<u8>], usize)],
+) -> Result<(), OtError> {
+    match sel {
+        OtSelect::NaorPinkas { group } => {
+            let _span = ppcs_telemetry::span(Phase::KnOt);
+            let own;
+            let commitment = match &state.np_send {
+                Some(shared) => shared,
+                None => {
+                    own = commit_c_io(group, io, rng)?;
+                    &own
+                }
+            };
+            otkn_send_io(group, io, rng, transfers, commitment).await
+        }
+        OtSelect::Iknp { group } => {
+            let _span = ppcs_telemetry::span(Phase::OtExt);
+            knx_send_io(group, io, rng, transfers).await
+        }
+        OtSelect::TrustedSim => {
+            let _span = ppcs_telemetry::span(Phase::KnOt);
+            sim_send_io(io, transfers).await
+        }
+    }
+}
+
+/// Sans-I/O receiver side of [`ot_send_list_io`]: each transfer given as
+/// its `N` and the indices it opens; returns the opened messages of every
+/// transfer, in list order.
+///
+/// # Errors
+///
+/// Engine-specific [`OtError`]s; all check each transfer's indices
+/// against its own `N`.
+pub async fn ot_receive_list_io(
+    sel: OtSelect,
+    state: &OtBatchState,
+    io: &FrameIo,
+    rng: &mut dyn RngCore,
+    transfers: &[(usize, &[usize])],
+) -> Result<Vec<Vec<u8>>, OtError> {
     match sel {
         OtSelect::NaorPinkas { group } => {
             let _span = ppcs_telemetry::span(Phase::KnOt);
@@ -280,29 +324,32 @@ pub async fn ot_receive_io(
                     &own
                 }
             };
-            otkn_receive_io(group, io, rng, num_messages, indices, commitment).await
+            otkn_receive_io(group, io, rng, transfers, commitment).await
         }
         OtSelect::Iknp { group } => {
             let _span = ppcs_telemetry::span(Phase::OtExt);
-            knx_receive_io(group, io, rng, num_messages, indices).await
+            knx_receive_io(group, io, rng, transfers).await
         }
         OtSelect::TrustedSim => {
             let _span = ppcs_telemetry::span(Phase::KnOt);
-            sim_receive_io(io, num_messages, indices).await
+            sim_receive_io(io, transfers).await
         }
     }
 }
 
 /// Sans-I/O sender role of the ideal-functionality simulator (see
-/// [`TrustedSimOt`]).
+/// [`TrustedSimOt`]) for a list of transfers. Its answer carries no
+/// lengths, so every message of the list has one length.
 ///
 /// # Errors
 ///
-/// [`OtError::UnequalMessageLengths`], malformed peer blobs, plus
+/// [`OtError::UnequalMessageLengths`], [`OtError::InvalidIndex`] for an
+/// index outside its own transfer's range, malformed peer blobs, plus
 /// transport failures.
-pub async fn sim_send_io(io: &FrameIo, messages: &[Vec<u8>], k: usize) -> Result<(), OtError> {
-    let msg_len = messages.first().map_or(0, Vec::len);
-    if messages.iter().any(|m| m.len() != msg_len) {
+pub async fn sim_send_io(io: &FrameIo, transfers: &[(&[Vec<u8>], usize)]) -> Result<(), OtError> {
+    let mut all = transfers.iter().flat_map(|(messages, _)| messages.iter());
+    let msg_len = all.clone().next().map_or(0, Vec::len);
+    if all.any(|m| m.len() != msg_len) {
         return Err(OtError::UnequalMessageLengths);
     }
     let blob: Vec<u8> = io.recv_msg(KIND_SIM_INDICES).await?;
@@ -313,6 +360,7 @@ pub async fn sim_send_io(io: &FrameIo, messages: &[Vec<u8>], k: usize) -> Result
     for off in (0..blob.len()).step_by(8) {
         indices.push(crate::error::read_u64_le(&blob, off, "sim index")?);
     }
+    let k: usize = transfers.iter().map(|&(_, k)| k).sum();
     if indices.len() != k {
         return Err(OtError::Protocol(format!(
             "receiver opened {} positions, agreed k = {k}",
@@ -320,19 +368,22 @@ pub async fn sim_send_io(io: &FrameIo, messages: &[Vec<u8>], k: usize) -> Result
         )));
     }
     let mut out = Vec::with_capacity(indices.len() * msg_len);
-    for &i in &indices {
-        let m = messages.get(i).ok_or(OtError::InvalidIndex {
-            index: i,
-            num_messages: messages.len(),
-        })?;
-        out.extend_from_slice(m);
+    let mut opened = indices.into_iter();
+    for &(messages, k) in transfers {
+        for i in opened.by_ref().take(k) {
+            let m = messages.get(i).ok_or(OtError::InvalidIndex {
+                index: i,
+                num_messages: messages.len(),
+            })?;
+            out.extend_from_slice(m);
+        }
     }
     io.send_msg(KIND_SIM_MESSAGES, &out)?;
     Ok(())
 }
 
 /// Sans-I/O receiver role of the ideal-functionality simulator (see
-/// [`TrustedSimOt`]).
+/// [`TrustedSimOt`]) for a list of transfers.
 ///
 /// # Errors
 ///
@@ -340,24 +391,27 @@ pub async fn sim_send_io(io: &FrameIo, messages: &[Vec<u8>], k: usize) -> Result
 /// failures.
 pub async fn sim_receive_io(
     io: &FrameIo,
-    num_messages: usize,
-    indices: &[usize],
+    transfers: &[(usize, &[usize])],
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    check_indices(indices, num_messages)?;
-    let mut blob = Vec::with_capacity(indices.len() * 8);
-    for &i in indices {
-        blob.extend_from_slice(&(i as u64).to_le_bytes());
+    let mut blob = Vec::new();
+    for &(num_messages, indices) in transfers {
+        check_indices(indices, num_messages)?;
+        blob.extend(indices.iter().flat_map(|&i| (i as u64).to_le_bytes()));
     }
     io.send_msg(KIND_SIM_INDICES, &blob)?;
     let out: Vec<u8> = io.recv_msg(KIND_SIM_MESSAGES).await?;
-    if indices.is_empty() {
+    let k = blob.len() / 8;
+    if k == 0 {
         return Ok(Vec::new());
     }
-    if !out.len().is_multiple_of(indices.len()) {
+    if !out.len().is_multiple_of(k) {
         return Err(OtError::Protocol("malformed message blob".into()));
     }
-    let msg_len = out.len() / indices.len();
-    Ok(out.chunks_exact(msg_len).map(<[u8]>::to_vec).collect())
+    // Not `chunks_exact`: a blob of empty messages has length zero.
+    let msg_len = out.len() / k;
+    Ok((0..k)
+        .map(|q| out[q * msg_len..][..msg_len].to_vec())
+        .collect())
 }
 
 /// Cryptographic k-out-of-N OT: Naor–Pinkas 1-out-of-N over a MODP
@@ -521,7 +575,7 @@ impl ObliviousTransfer for TrustedSimOt {
         k: usize,
     ) -> Result<(), OtError> {
         let mut engine =
-            ProtocolEngine::new(|io| async move { sim_send_io(&io, messages, k).await });
+            ProtocolEngine::new(|io| async move { sim_send_io(&io, &[(messages, k)]).await });
         drive_blocking(ep, &mut engine)
     }
 
@@ -532,10 +586,9 @@ impl ObliviousTransfer for TrustedSimOt {
         num_messages: usize,
         indices: &[usize],
     ) -> Result<Vec<Vec<u8>>, OtError> {
-        let mut engine =
-            ProtocolEngine::new(
-                |io| async move { sim_receive_io(&io, num_messages, indices).await },
-            );
+        let mut engine = ProtocolEngine::new(|io| async move {
+            sim_receive_io(&io, &[(num_messages, indices)]).await
+        });
         drive_blocking(ep, &mut engine)
     }
 

@@ -28,13 +28,20 @@
 //!    indistinguishable from random (CDH on `(C, g^r)`, random-oracle
 //!    KDF).
 //!
+//! A *list* of transfers runs in the same two frames: the keys of every
+//! transfer, in list order, in one keys frame, and one tables frame that
+//! holds, per transfer, its `k ‖ N ‖ length` header and its `k` tables.
+//! Query numbers run on across the list, and every `z_0` of the list is
+//! inverted in the same batch. A list of one transfer is the transfer
+//! above, byte for byte.
+//!
 //! Everything the sender holds before the keys arrive is the
-//! commitment's; per transfer it pays `N − 2` products, per query one
-//! power. One `r` serves every query of every transfer of a commitment,
-//! so a receiver may answer two queries with one `PK_0` and meet the same
-//! `z_i` twice: the fresh `R` (and the query number) in the KDF context
-//! is what keeps the two pads of a slot apart, where equal pads would
-//! give away `m_i ⊕ m_i′`.
+//! commitment's; per list it pays `N − 2` products for its largest `N`,
+//! per query one power. One `r` serves every query of every transfer of
+//! a commitment, so a receiver may answer two queries with one `PK_0` and
+//! meet the same `z_i` twice: the fresh `R` (and the query number) in the
+//! KDF context is what keeps the two pads of a slot apart, where equal
+//! pads would give away `m_i ⊕ m_i′`.
 //!
 //! The reduction of 1-out-of-N to `⌈log₂ N⌉` 1-out-of-2 transfers lives
 //! in [`knx`](crate::knx), where those transfers are cheap. The `*_io`
@@ -69,11 +76,12 @@ fn pad(group: &DhGroup, z: &BigUint, query: usize, index: usize, nonce: &[u8], d
     ChaCha20::new(&group.derive_key(z, &context), &[0; 12], 0).apply(data);
 }
 
-/// Checks a peer's `k ‖ N ‖ length ‖ tables` frame against the agreed
-/// counts and returns the length of one ciphertext. All three header
+/// Checks the `k ‖ N ‖ length ‖ tables` section of one transfer at the
+/// head of a peer's tables frame against the agreed counts; returns the
+/// length of one ciphertext and the section's tables. All three header
 /// fields are the peer's, so the size they imply is computed without
 /// overflow.
-fn tables_msg_len(blob: &[u8], k: usize, num_messages: usize) -> Result<usize, OtError> {
+fn tables_section(blob: &[u8], k: usize, num_messages: usize) -> Result<(usize, &[u8]), OtError> {
     let their_k = read_u64_le(blob, 0, "query count")?;
     let their_n = read_u64_le(blob, 8, "ciphertext count")?;
     let msg_len = read_u64_le(blob, 16, "ciphertext length")?;
@@ -88,10 +96,10 @@ fn tables_msg_len(blob: &[u8], k: usize, num_messages: usize) -> Result<usize, O
         .and_then(|table| table.checked_add(PAD_NONCE_LEN))
         .and_then(|table| table.checked_mul(their_k))
         .and_then(|body| body.checked_add(TABLES_HEADER_LEN));
-    if implied != Some(blob.len()) {
-        return Err(OtError::Protocol("tables frame length mismatch".into()));
+    match implied.and_then(|end| blob.get(TABLES_HEADER_LEN..end)) {
+        Some(tables) => Ok((msg_len, tables)),
+        None => Err(OtError::Protocol("tables frame length mismatch".into())),
     }
-    Ok(msg_len)
 }
 
 /// `base^1 … base^count`, by group products: the constants `C_i = C^i`
@@ -135,39 +143,43 @@ pub fn otkn_send(
 ) -> Result<(), OtError> {
     let mut engine = ProtocolEngine::new(|io| async move {
         let commitment = commit_c_io(group, &io, rng)?;
-        otkn_send_io(group, &io, rng, messages, k, &commitment).await
+        otkn_send_io(group, &io, rng, &[(messages, k)], &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O sender role of a k-out-of-N transfer under `commitment`.
+/// Sans-I/O sender role of a list of k-out-of-N transfers, each given
+/// as its `N` messages and its `k`, under `commitment`.
 ///
 /// # Errors
 ///
-/// Same as [`otkn_send`].
+/// Same as [`otkn_send`]; the receiver must open every transfer's `k`
+/// positions, `Σk` keys in all.
 pub async fn otkn_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    k: usize,
+    transfers: &[(&[Vec<u8>], usize)],
     commitment: &SenderCommitment,
 ) -> Result<(), OtError> {
-    let n = messages.len();
-    if n == 0 {
-        return Err(OtError::Protocol("cannot transfer zero messages".into()));
-    }
-    let msg_len = messages[0].len();
-    if messages.iter().any(|m| m.len() != msg_len) {
-        return Err(OtError::UnequalMessageLengths);
+    let mut max_n = 0;
+    for (messages, _) in transfers {
+        let first = messages
+            .first()
+            .ok_or_else(|| OtError::Protocol("cannot transfer zero messages".into()))?;
+        if messages.iter().any(|m| m.len() != first.len()) {
+            return Err(OtError::UnequalMessageLengths);
+        }
+        max_n = max_n.max(messages.len());
     }
 
     // While the keys are on their way: C_i^r = (C^r)^i.
-    let c_r_powers = powers(group, &commitment.c_r, n - 1);
+    let c_r_powers = powers(group, &commitment.c_r, max_n.saturating_sub(1));
 
-    // Step 1: one PK_0 per opened position.
+    // Step 1: one PK_0 per opened position of every transfer.
     let keys: Vec<u8> = io.recv_msg(KIND_OT1N_KEYS).await?;
     let opened = keys.len() / group.element_len();
+    let k: usize = transfers.iter().map(|&(_, k)| k).sum();
     if opened != k {
         return Err(OtError::Protocol(format!(
             "receiver opened {opened} positions, agreed k = {k}"
@@ -181,22 +193,27 @@ pub async fn otkn_send_io(
         .map(|pk0| group.exp(pk0, &commitment.r))
         .collect();
     let z0_invs = group.inv_many(&z0s);
-    let mut tables = Vec::with_capacity(TABLES_HEADER_LEN + k * (PAD_NONCE_LEN + n * msg_len));
-    for field in [k, n, msg_len] {
-        tables.extend_from_slice(&(field as u64).to_le_bytes());
-    }
-    for (query, (z0, z0_inv)) in z0s.iter().zip(&z0_invs).enumerate() {
-        let mut nonce = [0u8; PAD_NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        tables.extend_from_slice(&nonce);
-        for (i, m) in messages.iter().enumerate() {
-            let z_i = match i {
-                0 => z0.clone(),
-                _ => group.mul(&c_r_powers[i - 1], z0_inv),
-            };
-            let at = tables.len();
-            tables.extend_from_slice(m);
-            pad(group, &z_i, query, i, &nonce, &mut tables[at..]);
+    let mut queries = z0s.iter().zip(&z0_invs).enumerate();
+    let mut tables = Vec::new();
+    for &(messages, k) in transfers {
+        let (n, msg_len) = (messages.len(), messages[0].len());
+        tables.reserve(TABLES_HEADER_LEN + k * (PAD_NONCE_LEN + n * msg_len));
+        for field in [k, n, msg_len] {
+            tables.extend_from_slice(&(field as u64).to_le_bytes());
+        }
+        for (query, (z0, z0_inv)) in queries.by_ref().take(k) {
+            let mut nonce = [0u8; PAD_NONCE_LEN];
+            rng.fill_bytes(&mut nonce);
+            tables.extend_from_slice(&nonce);
+            for (i, m) in messages.iter().enumerate() {
+                let z_i = match i {
+                    0 => z0.clone(),
+                    _ => group.mul(&c_r_powers[i - 1], z0_inv),
+                };
+                let at = tables.len();
+                tables.extend_from_slice(m);
+                pad(group, &z_i, query, i, &nonce, &mut tables[at..]);
+            }
         }
     }
     io.send_msg(KIND_OT1N_TABLES, &tables)?;
@@ -221,31 +238,37 @@ pub fn otkn_receive(
     check_indices(indices, num_messages)?;
     let mut engine = ProtocolEngine::new(|io| async move {
         let commitment = receive_c_io(group, &io).await?;
-        otkn_receive_io(group, &io, rng, num_messages, indices, &commitment).await
+        otkn_receive_io(group, &io, rng, &[(num_messages, indices)], &commitment).await
     });
     drive_blocking(ep, &mut engine)
 }
 
-/// Sans-I/O receiver role of a k-out-of-N transfer under `commitment`.
+/// Sans-I/O receiver role of a list of k-out-of-N transfers, each given
+/// as its `N` and the indices it opens, under `commitment`; returns the
+/// opened messages of every transfer, in list order.
 ///
 /// # Errors
 ///
-/// Same as [`otkn_receive`].
+/// Same as [`otkn_receive`], for each transfer on its own.
 pub async fn otkn_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
-    num_messages: usize,
-    indices: &[usize],
+    transfers: &[(usize, &[usize])],
     commitment: &ReceiverCommitment,
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    check_indices(indices, num_messages)?;
+    let mut max_n = 0;
+    for &(num_messages, indices) in transfers {
+        check_indices(indices, num_messages)?;
+        max_n = max_n.max(num_messages);
+    }
 
     // Step 1: PK_σ = g^x, so only PK_σ's discrete log is known.
-    let constants = powers(group, &commitment.big_c, num_messages.saturating_sub(1));
-    let mut exponents = Vec::with_capacity(indices.len());
-    let mut keys = Vec::with_capacity(indices.len() * group.element_len());
-    for &index in indices {
+    let constants = powers(group, &commitment.big_c, max_n.saturating_sub(1));
+    let opened = transfers.iter().flat_map(|&(_, indices)| indices);
+    let mut exponents = Vec::new();
+    let mut keys = Vec::new();
+    for &index in opened.clone() {
         let (x, pk0) = key_pair(group, rng, index.checked_sub(1).map(|i| &constants[i]));
         keys.extend_from_slice(&group.element_bytes(&pk0));
         exponents.push(x);
@@ -254,15 +277,31 @@ pub async fn otkn_receive_io(
 
     // Step 2: z_σ = (g^r)^x opens E_σ of its query's table.
     let tables: Vec<u8> = io.recv_msg(KIND_OT1N_TABLES).await?;
-    let msg_len = tables_msg_len(&tables, indices.len(), num_messages)?;
-    let table_len = PAD_NONCE_LEN + num_messages * msg_len;
-    let opened = tables[TABLES_HEADER_LEN..].chunks_exact(table_len);
-    Ok(opened
-        .zip(indices.iter().zip(&exponents))
+    let mut rest = &tables[..];
+    let mut sealed = Vec::with_capacity(exponents.len());
+    for &(num_messages, indices) in transfers {
+        let (msg_len, section) = tables_section(rest, indices.len(), num_messages)?;
+        rest = &rest[TABLES_HEADER_LEN + section.len()..];
+        let table_len = PAD_NONCE_LEN + num_messages * msg_len;
+        sealed.extend(
+            section
+                .chunks_exact(table_len)
+                .zip(indices)
+                .map(|(table, &index)| {
+                    let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
+                    (nonce, &slots[index * msg_len..][..msg_len])
+                }),
+        );
+    }
+    if !rest.is_empty() {
+        return Err(OtError::Protocol("tables frame length mismatch".into()));
+    }
+    Ok(sealed
+        .into_iter()
+        .zip(opened.zip(&exponents))
         .enumerate()
-        .map(|(query, (table, (&index, x)))| {
-            let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
-            let mut m = slots[index * msg_len..][..msg_len].to_vec();
+        .map(|(query, ((nonce, slot), (&index, x)))| {
+            let mut m = slot.to_vec();
             let z = group.power(&commitment.g_r, x);
             pad(group, &z, query, index, nonce, &mut m);
             m
@@ -379,7 +418,7 @@ mod tests {
                 g_r: group.fixed_base(&group.power_g(&BigUint::from(5u32))),
             };
             let mut receiver = ProtocolEngine::new(|io| async move {
-                otkn_receive_io(group, &io, &mut rng, 4, &[0, 2], &commitment).await
+                otkn_receive_io(group, &io, &mut rng, &[(4, &[0, 2])], &commitment).await
             });
             let out = receiver.poll_output().expect("the keys frame");
             let keys: Vec<u8> = out.frames()[0].decode_as(KIND_OT1N_KEYS).unwrap();
@@ -414,8 +453,8 @@ mod tests {
     ) -> (BigUint, Vec<Table>) {
         let mut sender = ProtocolEngine::new(|io| async move {
             let commitment = commit_c_io(group, &io, rng)?;
-            for messages in transfers {
-                otkn_send_io(group, &io, rng, messages, 2, &commitment).await?;
+            for &messages in transfers {
+                otkn_send_io(group, &io, rng, &[(messages, 2)], &commitment).await?;
             }
             Ok::<_, OtError>(())
         });
@@ -439,9 +478,8 @@ mod tests {
                 } else {
                     let blob: Vec<u8> = frame.decode_as(KIND_OT1N_TABLES).unwrap();
                     let n = transfers[tables.len() / 2].len();
-                    let msg_len = tables_msg_len(&blob, 2, n).unwrap();
-                    let answered =
-                        blob[TABLES_HEADER_LEN..].chunks_exact(PAD_NONCE_LEN + n * msg_len);
+                    let (msg_len, section) = tables_section(&blob, 2, n).unwrap();
+                    let answered = section.chunks_exact(PAD_NONCE_LEN + n * msg_len);
                     tables.extend(answered.map(|table| {
                         let (nonce, slots) = table.split_at(PAD_NONCE_LEN);
                         Table {
@@ -524,6 +562,30 @@ mod tests {
         for i in 0..4 {
             assert_ne!(tables[0].slots[i], tables[1].slots[i], "slot {i}");
         }
+    }
+
+    #[test]
+    fn query_numbers_run_on_across_a_list() {
+        // With R stuck, two transfers of one list answered for one PK_0
+        // differ only by their query numbers: were those restarted per
+        // transfer, equal messages would get equal ciphertexts.
+        let group = DhGroup::modp_768();
+        let msgs = messages(4, 20);
+        let pk0 = group.element_bytes(&group.power_g(&BigUint::from(777u32)));
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let mut rng = Stuck;
+            let commitment = commit_c_io(group, &io, &mut rng)?;
+            let list: [(&[Vec<u8>], usize); 2] = [(&msgs, 1), (&msgs, 1)];
+            otkn_send_io(group, &io, &mut rng, &list, &commitment).await
+        });
+        while sender.poll_output().is_some() {}
+        sender.handle_input(Frame::encode(KIND_OT1N_KEYS, &[pk0.clone(), pk0].concat()));
+        let out = sender.poll_output().expect("the tables frame");
+        let blob: Vec<u8> = out.frames()[0].decode_as(KIND_OT1N_TABLES).unwrap();
+        let (_, first) = tables_section(&blob, 1, 4).unwrap();
+        let (_, second) = tables_section(&blob[TABLES_HEADER_LEN + first.len()..], 1, 4).unwrap();
+        assert_eq!(first[..PAD_NONCE_LEN], second[..PAD_NONCE_LEN], "R repeats");
+        assert_ne!(first[PAD_NONCE_LEN..], second[PAD_NONCE_LEN..]);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! `k·⌈log₂N⌉` 1-out-of-2 transfers run in a single extension batch
 //! costing `κ = 128` public-key operations in total, which is what makes
 //! the reduction pay here; over public-key transfers [`kn`](crate::kn)
-//! needs one per opened position instead.
+//! needs one per opened position instead. A list of transfers puts the
+//! key pairs of all its queries through that one batch, numbers its
+//! queries on across the list and sends one table per query, as a single
+//! transfer does.
 
 use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
@@ -122,61 +125,60 @@ impl Default for IknpOt {
     }
 }
 
-/// Sans-I/O sender role of an extension-backed k-out-of-N transfer.
+/// Sans-I/O sender role of a list of extension-backed k-out-of-N
+/// transfers, each given as its `N` messages and its `k`.
 ///
 /// # Errors
 ///
-/// [`OtError::UnequalMessageLengths`], zero-message batches, plus
+/// [`OtError::UnequalMessageLengths`], zero-message transfers, plus
 /// transport/protocol failures.
 pub async fn knx_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    k: usize,
+    transfers: &[(&[Vec<u8>], usize)],
 ) -> Result<(), OtError> {
-    let n = messages.len();
-    if n == 0 {
-        return Err(OtError::Protocol("cannot transfer zero messages".into()));
-    }
-    let msg_len = messages[0].len();
-    if messages.iter().any(|m| m.len() != msg_len) {
-        return Err(OtError::UnequalMessageLengths);
-    }
-    let bits = num_bits(n);
-
-    // Fresh 32-byte key pairs for every (query, bit) slot, shipped
-    // through one extension batch.
-    let mut pairs = Vec::with_capacity(k * bits);
-    let mut key_table = Vec::with_capacity(k);
-    for _query in 0..k {
-        let mut per_query = Vec::with_capacity(bits);
-        for _bit in 0..bits {
-            let mut k0 = [0u8; 32];
-            let mut k1 = [0u8; 32];
-            rng.fill_bytes(&mut k0);
-            rng.fill_bytes(&mut k1);
-            pairs.push((k0.to_vec(), k1.to_vec()));
-            per_query.push((k0, k1));
+    for (messages, _) in transfers {
+        let first = messages
+            .first()
+            .ok_or_else(|| OtError::Protocol("cannot transfer zero messages".into()))?;
+        if messages.iter().any(|m| m.len() != first.len()) {
+            return Err(OtError::UnequalMessageLengths);
         }
-        key_table.push(per_query);
+    }
+
+    // Fresh 32-byte key pairs for every (query, bit) slot of every
+    // transfer, shipped through one extension batch.
+    let mut pairs = Vec::new();
+    let mut key_table = Vec::new();
+    for &(messages, k) in transfers {
+        let bits = num_bits(messages.len());
+        for _query in 0..k {
+            let mut per_query = Vec::with_capacity(bits);
+            for _bit in 0..bits {
+                let mut k0 = [0u8; 32];
+                let mut k1 = [0u8; 32];
+                rng.fill_bytes(&mut k0);
+                rng.fill_bytes(&mut k1);
+                pairs.push((k0.to_vec(), k1.to_vec()));
+                per_query.push((k0, k1));
+            }
+            key_table.push((messages, per_query));
+        }
     }
     iknp_send_io(group, io, rng, &pairs).await?;
 
     // Per-query encrypted message tables.
-    for (query, per_query) in key_table.iter().enumerate() {
+    for (query, (messages, per_query)) in key_table.iter().enumerate() {
+        let (n, msg_len) = (messages.len(), messages[0].len());
         let mut blob = Vec::with_capacity(16 + n * msg_len);
         blob.extend_from_slice(&(n as u64).to_le_bytes());
         blob.extend_from_slice(&(msg_len as u64).to_le_bytes());
         for (i, msg) in messages.iter().enumerate() {
-            let selected: Vec<[u8; 32]> = (0..bits)
-                .map(|b| {
-                    if (i >> b) & 1 == 0 {
-                        per_query[b].0
-                    } else {
-                        per_query[b].1
-                    }
-                })
+            let selected: Vec<[u8; 32]> = per_query
+                .iter()
+                .enumerate()
+                .map(|(b, (k0, k1))| if (i >> b) & 1 == 0 { *k0 } else { *k1 })
                 .collect();
             let key = message_key(&selected, i, query as u64);
             let mut c = msg.clone();
@@ -188,7 +190,9 @@ pub async fn knx_send_io(
     Ok(())
 }
 
-/// Sans-I/O receiver role of an extension-backed k-out-of-N transfer.
+/// Sans-I/O receiver role of a list of extension-backed k-out-of-N
+/// transfers, each given as its `N` and the indices it opens; returns the
+/// opened messages of every transfer, in list order.
 ///
 /// # Errors
 ///
@@ -198,29 +202,31 @@ pub async fn knx_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
-    num_messages: usize,
-    indices: &[usize],
+    transfers: &[(usize, &[usize])],
 ) -> Result<Vec<Vec<u8>>, OtError> {
-    check_indices(indices, num_messages)?;
-    let bits = num_bits(num_messages);
-    let choices: Vec<bool> = indices
+    let mut queries = Vec::new();
+    for &(num_messages, indices) in transfers {
+        check_indices(indices, num_messages)?;
+        let bits = num_bits(num_messages);
+        queries.extend(indices.iter().map(|&index| (num_messages, bits, index)));
+    }
+    let choices: Vec<bool> = queries
         .iter()
-        .flat_map(|&index| (0..bits).map(move |b| (index >> b) & 1 == 1))
+        .flat_map(|&(_, bits, index)| (0..bits).map(move |b| (index >> b) & 1 == 1))
         .collect();
     let keys_flat = iknp_receive_io(group, io, rng, &choices).await?;
 
-    let mut out = Vec::with_capacity(indices.len());
-    for (query, &index) in indices.iter().enumerate() {
+    let mut out = Vec::with_capacity(queries.len());
+    let mut bit_keys = keys_flat.iter();
+    for (query, &(num_messages, bits, index)) in queries.iter().enumerate() {
         let blob: Vec<u8> = io.recv_msg(KIND_KNX_TABLE).await?;
         let msg_len = table_msg_len(&blob, num_messages)?;
-        let mut keys = Vec::with_capacity(bits);
-        for b in 0..bits {
-            let key: [u8; 32] = keys_flat[query * bits + b]
-                .as_slice()
-                .try_into()
-                .map_err(|_| OtError::Protocol("bit key has wrong length".into()))?;
-            keys.push(key);
-        }
+        let keys = bit_keys
+            .by_ref()
+            .take(bits)
+            .map(|key| <[u8; 32]>::try_from(key.as_slice()))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| OtError::Protocol("bit key has wrong length".into()))?;
         let key = message_key(&keys, index, query as u64);
         let mut m = blob[16 + index * msg_len..16 + (index + 1) * msg_len].to_vec();
         encrypt_message(&key, index, &mut m);
@@ -238,7 +244,7 @@ impl ObliviousTransfer for IknpOt {
         k: usize,
     ) -> Result<(), OtError> {
         let mut engine = ProtocolEngine::new(|io| async move {
-            knx_send_io(self.group, &io, rng, messages, k).await
+            knx_send_io(self.group, &io, rng, &[(messages, k)]).await
         });
         drive_blocking(ep, &mut engine)
     }
@@ -251,7 +257,7 @@ impl ObliviousTransfer for IknpOt {
         indices: &[usize],
     ) -> Result<Vec<Vec<u8>>, OtError> {
         let mut engine = ProtocolEngine::new(|io| async move {
-            knx_receive_io(self.group, &io, rng, num_messages, indices).await
+            knx_receive_io(self.group, &io, rng, &[(num_messages, indices)]).await
         });
         drive_blocking(ep, &mut engine)
     }

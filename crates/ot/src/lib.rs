@@ -30,8 +30,9 @@
 //! the blocking functions above are thin wrappers that drive the same
 //! logic over an `Endpoint`. Role code that must stay generic over the
 //! engine takes an [`OtSelect`] value (from
-//! [`ObliviousTransfer::select`]) and calls the [`ot_send_io`] /
-//! [`ot_receive_io`] dispatchers, so no `Endpoint` — and no engine
+//! [`ObliviousTransfer::select`]) and calls the [`ot_send_list_io`] /
+//! [`ot_receive_list_io`] dispatchers (or their one-transfer forms
+//! [`ot_send_io`] / [`ot_receive_io`]), so no `Endpoint` — and no engine
 //! borrow — appears in its signature.
 
 #![forbid(unsafe_code)]
@@ -46,8 +47,9 @@ mod knx;
 mod offline;
 
 pub use api::{
-    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, sim_receive_io, sim_send_io,
-    NaorPinkasOt, ObliviousTransfer, OtBatchState, OtSelect, TrustedSimOt,
+    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_receive_list_io, ot_send_io,
+    ot_send_list_io, sim_receive_io, sim_send_io, NaorPinkasOt, ObliviousTransfer, OtBatchState,
+    OtSelect, TrustedSimOt,
 };
 pub use base::{
     commit_c, commit_c_io, ot12_receive, ot12_receive_io, ot12_receive_precommitted,

@@ -3,14 +3,19 @@
 //! so a signature drift has to fail here), and what a hostile peer can do
 //! with the frames — every malformed commitment, payload, keys or tables
 //! frame, and a frame of the retired constants kind, ends in a typed
-//! [`OtError`], never a panic.
+//! [`OtError`], never a panic. The same holds for a list of transfers in
+//! one exchange, on every engine: a peer that opens another number of
+//! positions than the list's `k`s, an index outside its own transfer's
+//! range, and tables whose per-transfer headers are cut short, claim too
+//! much or overflow.
 
 use num_bigint::BigUint;
 use ppcs_crypto::DhGroup;
 use ppcs_ot::{
     commit_c_io, ot12_receive_io, ot12_receive_precommitted_io, ot12_send_precommitted_io,
-    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io, receive_c_io, IknpOt,
-    NaorPinkasOt, ObliviousTransfer, OtBatchState, OtError, OtSelect, TrustedSimOt,
+    ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_receive_list_io, ot_send_io,
+    ot_send_list_io, receive_c_io, IknpOt, NaorPinkasOt, ObliviousTransfer, OtBatchState, OtError,
+    OtSelect, TrustedSimOt,
 };
 use ppcs_transport::{run_engine_pair, Frame, ProtocolEngine, TransportError};
 use proptest::prelude::*;
@@ -25,6 +30,8 @@ const KIND_OT1N_CONSTANTS: u16 = 0x0200;
 const KIND_OT1N_KEYS: u16 = 0x0201;
 const KIND_OT1N_TABLES: u16 = 0x0202;
 const KIND_KNX_TABLE: u16 = 0x0290;
+const KIND_SIM_INDICES: u16 = 0x0300;
+const KIND_SIM_MESSAGES: u16 = 0x0301;
 
 /// `benchmark/src/ladder.rs::base_ots_ms`, token for token where types
 /// are inferred: the commitment is bound with `let`, passed back by
@@ -407,6 +414,204 @@ fn overflowing_table_header_is_a_typed_error() {
     assert_protocol_error(got, &format!("{iknp:?}"));
 }
 
+/// The list the list tests run: a 2-of-8 and a 3-of-26 transfer of
+/// 4-byte messages, in one exchange.
+const KS: [usize; 2] = [2, 3];
+const NS: [usize; 2] = [8, 26];
+
+/// The three engines, each over the test group.
+fn engines() -> [OtSelect; 3] {
+    [
+        NaorPinkasOt::fast_insecure().select(),
+        IknpOt::fast_insecure().select(),
+        TrustedSimOt::new().select(),
+    ]
+}
+
+/// Both roles' verdicts, `None` for a role left waiting on a peer that
+/// gave up (a closed connection, on a real transport).
+type Verdicts = (
+    Option<Result<(), OtError>>,
+    Option<Result<Vec<Vec<u8>>, OtError>>,
+);
+
+/// An honest sender of the [`KS`]-of-[`NS`] list against a receiver
+/// opening `opened`, with the body of every frame of `kind` on its way to
+/// the receiver (or, `to_sender`, back) rewritten by `tamper`.
+fn run_list(
+    sel: OtSelect,
+    opened: [&[usize]; 2],
+    to_sender: bool,
+    kind: u16,
+    tamper: impl Fn(Vec<u8>) -> Vec<u8>,
+) -> Verdicts {
+    let messages: Vec<Vec<Vec<u8>>> = NS
+        .iter()
+        .map(|&n| (0..n).map(|i| vec![i as u8; 4]).collect())
+        .collect();
+    let sent = [(&messages[0][..], KS[0]), (&messages[1][..], KS[1])];
+    let asked = [(NS[0], opened[0]), (NS[1], opened[1])];
+    let (sent, asked, state) = (&sent, &asked, &OtBatchState::default());
+    let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ot_send_list_io(sel, state, &io, &mut rng_s, sent).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ot_receive_list_io(sel, state, &io, &mut rng_r, asked).await
+    });
+    let forge =
+        |f: &Frame, towards_sender: bool| match towards_sender == to_sender && f.kind == kind {
+            true => Frame::encode(kind, &tamper(f.decode_as::<Vec<u8>>(kind).expect("a blob"))),
+            false => f.clone(),
+        };
+    loop {
+        let mut progressed = false;
+        while let Some(out) = sender.poll_output() {
+            progressed = true;
+            out.frames()
+                .iter()
+                .for_each(|f| receiver.handle_input(forge(f, false)));
+        }
+        while let Some(out) = receiver.poll_output() {
+            progressed = true;
+            out.frames()
+                .iter()
+                .for_each(|f| sender.handle_input(forge(f, true)));
+        }
+        if !progressed {
+            return (sender.take_result(), receiver.take_result());
+        }
+    }
+}
+
+/// No panic, no opened message, and no role waiting on a peer that is
+/// still waiting too: some role ends in a typed error — or the receiver,
+/// having asked for nothing, ends with nothing.
+fn assert_refused((sent, received): Verdicts, case: &str) {
+    let failed = matches!(sent, Some(Err(_))) || matches!(received, Some(Err(_)));
+    assert!(
+        failed || received == Some(Ok(Vec::new())),
+        "{case}: {sent:?}, {received:?}"
+    );
+}
+
+#[test]
+fn honest_list_opens_every_transfers_own_messages() {
+    for sel in engines() {
+        let (sent, received) = run_list(sel, [&[5, 0], &[25, 8, 3]], false, 0, |b| b);
+        sent.expect("the sender finished").expect("sent");
+        let got = received.expect("the receiver finished").expect("received");
+        let want: Vec<Vec<u8>> = [5u8, 0, 25, 8, 3].iter().map(|&i| vec![i; 4]).collect();
+        assert_eq!(got, want, "{sel:?}");
+    }
+}
+
+#[test]
+fn opening_another_k_in_a_list_is_a_typed_error() {
+    for sel in engines() {
+        for opened in [
+            [&[5usize, 0, 1][..], &[25, 8, 3][..]],
+            [&[5], &[25, 8, 3]],
+            [&[5, 0], &[25, 8, 3, 2]],
+            [&[5, 0], &[25, 8]],
+            [&[], &[]],
+        ] {
+            let case = format!("{sel:?} opening {opened:?}");
+            assert_refused(run_list(sel, opened, false, 0, |b| b), &case);
+        }
+    }
+}
+
+#[test]
+fn an_index_from_another_transfers_range_is_a_typed_error() {
+    // 20 is a position of the 26-message transfer, not of the 8-message
+    // one: the receiver refuses to ask for it, before any frame.
+    for sel in engines() {
+        let (sent, received) = run_list(sel, [&[20, 0], &[25, 8, 3]], false, 0, |b| b);
+        let want = OtError::InvalidIndex {
+            index: 20,
+            num_messages: 8,
+        };
+        assert_eq!(received, Some(Err(want)), "{sel:?}");
+        assert_eq!(sent, None, "{sel:?}: the sender heard nothing");
+    }
+    // The ideal functionality's sender is the one that sees indices: it
+    // refuses a forged one in the first transfer's place.
+    let sim = TrustedSimOt::new().select();
+    let forged = |blob: Vec<u8>| [&20u64.to_le_bytes()[..], &blob[8..]].concat();
+    let (sent, _) = run_list(sim, [&[5, 0], &[25, 8, 3]], true, KIND_SIM_INDICES, forged);
+    let want = OtError::InvalidIndex {
+        index: 20,
+        num_messages: 8,
+    };
+    assert_eq!(sent, Some(Err(want)));
+}
+
+#[test]
+fn malformed_list_headers_are_typed_errors() {
+    let honest: [&[usize]; 2] = [&[5, 0], &[25, 8, 3]];
+    // Naor–Pinkas: one tables frame, a `k ‖ N ‖ len` header per
+    // transfer. The first section is 24 + 2·(16 + 8·4) = 120 bytes.
+    let np = NaorPinkasOt::fast_insecure().select();
+    let second = |header: Vec<u8>| move |blob: Vec<u8>| [&blob[..120], &header[..]].concat();
+    for (case, section) in [
+        (
+            "a truncated second header",
+            tables(3, 26, 4, 0)[..20].to_vec(),
+        ),
+        ("a second header and no tables", tables(3, 26, 4, 0)),
+        (
+            "a second section one byte short",
+            tables(3, 26, 4, 3 * 120 - 1),
+        ),
+        ("a second section claiming more", tables(4, 26, 4, 3 * 120)),
+        (
+            "an overflowing second header",
+            tables(3, 26, 1 << 61, 3 * 16),
+        ),
+        ("another N in the second header", tables(3, 8, 4, 3 * 48)),
+    ] {
+        let verdicts = run_list(np, honest, false, KIND_OT1N_TABLES, second(section));
+        assert_refused(verdicts, case);
+    }
+    let trailing = |blob: Vec<u8>| [blob, vec![0]].concat();
+    assert_refused(
+        run_list(np, honest, false, KIND_OT1N_TABLES, trailing),
+        "a byte after the last section",
+    );
+    let first_only = |blob: Vec<u8>| blob[..120].to_vec();
+    assert_refused(
+        run_list(np, honest, false, KIND_OT1N_TABLES, first_only),
+        "the first section alone",
+    );
+    // The extension engine: one `N ‖ len` table per query of the list.
+    let iknp = IknpOt::fast_insecure().select();
+    let table = |n: u64, len: u64, body: usize| {
+        [&n.to_le_bytes()[..], &len.to_le_bytes(), &vec![0; body]].concat()
+    };
+    for (case, table) in [
+        ("a truncated header", table(26, 4, 0)[..12].to_vec()),
+        ("a table claiming more", table(26, 4, 26 * 4 - 1)),
+        ("an overflowing header", table(1 << 61, 4, 32)),
+        ("the first transfer's N for all", table(8, 4, 32)),
+    ] {
+        let verdicts = run_list(iknp, honest, false, KIND_KNX_TABLE, |_| table.clone());
+        assert_refused(verdicts, case);
+    }
+    // The ideal functionality: indices are 8-byte words, messages one
+    // length across the list.
+    let sim = TrustedSimOt::new().select();
+    let ragged = |blob: Vec<u8>| blob[..blob.len() - 1].to_vec();
+    assert_refused(
+        run_list(sim, honest, true, KIND_SIM_INDICES, ragged),
+        "a ragged index blob",
+    );
+    assert_refused(
+        run_list(sim, honest, false, KIND_SIM_MESSAGES, ragged),
+        "a ragged message blob",
+    );
+}
+
 fn ot_frame() -> impl Strategy<Value = Frame> {
     let kinds = prop::sample::select(vec![
         KIND_OT12_C,
@@ -418,7 +623,7 @@ fn ot_frame() -> impl Strategy<Value = Frame> {
     ]);
     // 96 bytes is the element length of the test group.
     let bytes = || prop::collection::vec(any::<u8>(), 0..120);
-    (kinds, 0u8..4, bytes(), bytes(), bytes()).prop_map(|(kind, shape, a, b, c)| match shape {
+    (kinds, 0u8..5, bytes(), bytes(), bytes()).prop_map(|(kind, shape, a, b, c)| match shape {
         // Byte soup, then bodies in the shapes the roles decode.
         0 => Frame {
             kind,
@@ -427,9 +632,19 @@ fn ot_frame() -> impl Strategy<Value = Frame> {
         1 => Frame::encode(kind, &(a, b)),
         2 => Frame::encode(kind, &(a, (b, c))),
         // Up to three whole elements: constants or keys.
-        _ => {
+        3 => {
             let soup = a.iter().chain(&b).chain(&c).copied().cycle();
             Frame::encode(kind, &soup.take(96 * (a.len() % 4)).collect::<Vec<u8>>())
+        }
+        // A list's tables: two `k ‖ N ‖ len` sections of small counts,
+        // each with the body its header implies or one byte off it.
+        _ => {
+            let section = |x: &[u8]| {
+                let (k, n, len) = (x.len() % 4, x.len() % 9, x.len() % 5);
+                let body = (k * (16 + n * len) + x.len() % 3).saturating_sub(1);
+                tables(k as u64, n as u64, len as u64, body)
+            };
+            Frame::encode(kind, &[section(&a), section(&b)].concat())
         }
     })
 }
@@ -438,21 +653,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary frames of the OT's own kinds, fed to either role of a
-    /// Naor–Pinkas transfer, never panic it and never hand the receiver
-    /// a result (the sender is done once it has answered any two keys).
+    /// Naor–Pinkas transfer or transfer list, never panic it and never
+    /// hand the receiver a result (the sender is done once it has
+    /// answered any keys of the right count).
     #[test]
     fn naor_pinkas_roles_survive_arbitrary_frames(
         frames in prop::collection::vec(ot_frame(), 1..5),
         sender_role in any::<bool>(),
+        list in any::<bool>(),
     ) {
         let sel = NaorPinkasOt::fast_insecure().select();
         let messages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
         let mut rng = StdRng::seed_from_u64(3);
         let state = OtBatchState::default();
+        // One transfer, or a list of two: 2-of-4 and 1-of-4.
+        let sent: &[(&[Vec<u8>], usize)] = match list {
+            true => &[(&messages, 2), (&messages, 1)],
+            false => &[(&messages, 2)],
+        };
+        let opened: &[(usize, &[usize])] = match list {
+            true => &[(4, &[3, 0]), (4, &[1])],
+            false => &[(4, &[3, 0])],
+        };
         let mut engine = ProtocolEngine::new(|io| async move {
             match sender_role {
-                true => ot_send_io(sel, &state, &io, &mut rng, &messages, 2).await.map(|()| Vec::new()),
-                false => ot_receive_io(sel, &state, &io, &mut rng, 4, &[3, 0]).await,
+                true => ot_send_list_io(sel, &state, &io, &mut rng, sent).await.map(|()| Vec::new()),
+                false => ot_receive_list_io(sel, &state, &io, &mut rng, opened).await,
             }
         });
         for frame in frames {

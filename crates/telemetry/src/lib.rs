@@ -9,7 +9,7 @@
 //! interpolation. This crate makes that breakdown a first-class,
 //! regenerable artifact instead of printf archaeology:
 //!
-//! * [`span`] opens a timing span for a protocol [`Phase`]; role logic in
+//! * [`span()`] opens a timing span for a protocol [`Phase`]; role logic in
 //!   `ppcs-ot`, `ppcs-ompe`, and `ppcs-core` is instrumented with spans,
 //!   and because the sans-I/O role futures are polled on the driving
 //!   thread, installing a collector around a blocking call (or letting

@@ -174,7 +174,7 @@ impl Default for KindSlot {
 /// * per-frame-kind wire traffic (frames + bytes, each direction),
 /// * frame payload-size histogram,
 /// * engine poll and protocol round counts,
-/// * per-phase wall-time histograms (fed by [`span`](crate::span)),
+/// * per-phase wall-time histograms (fed by [`span()`](crate::span())),
 /// * timeout and warning counts.
 ///
 /// Snapshot at any time with [`report`](MetricsRegistry::report);

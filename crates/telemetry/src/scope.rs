@@ -1,7 +1,7 @@
 //! Session-scoped trace contexts and the Chrome trace-event exporter.
 //!
-//! The PR 3 collector was a bare thread-local `Arc<MetricsRegistry>`,
-//! which is exact for the blocking [`Driver`] (one session per thread)
+//! A bare thread-local `Arc<MetricsRegistry>` collector is exact for
+//! the blocking `Driver` of `ppcs-transport` (one session per thread)
 //! but ambiguous under the async reactor: one thread pumps hundreds of
 //! engines, and a span or trace line carries no hint of *which* session
 //! produced it. A [`TraceScope`] closes that gap — it is the registry

@@ -8,10 +8,9 @@
 //! thread-local read and records nothing.
 //!
 //! The thread-local context itself lives in [`crate::scope`]: it is a
-//! full [`TraceScope`](crate::scope::TraceScope) (registry + owning
-//! connection + session sequence number), so under the async reactor's
-//! multiplexing every span and trace line stays attributed to the
-//! session that produced it.
+//! full [`TraceScope`] (registry + owning connection + session
+//! sequence number), so under the async reactor's multiplexing every
+//! span and trace line stays attributed to the session that produced it.
 
 use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -31,9 +30,8 @@ static TRACE_SINK: Mutex<Option<TraceSink>> = Mutex::new(None);
 
 /// Installs `registry` as this thread's span collector; the returned
 /// guard restores the previous collector (if any) on drop, so installs
-/// nest. Equivalent to installing an unattributed
-/// [`TraceScope`](crate::scope::TraceScope) — drivers that multiplex
-/// sessions use [`install_scope`](crate::scope::install_scope) with a
+/// nest. Equivalent to installing an unattributed [`TraceScope`] —
+/// drivers that multiplex sessions use [`install_scope`] with a
 /// connection identity instead.
 #[must_use = "dropping the guard immediately uninstalls the collector"]
 pub fn install(registry: Arc<MetricsRegistry>) -> CollectorGuard {
@@ -61,36 +59,33 @@ pub fn current() -> Option<Arc<MetricsRegistry>> {
 /// no API to attach payload data, which is what keeps telemetry
 /// privacy-clean by construction.
 pub fn span(phase: Phase) -> SpanGuard {
-    let scope = current_scope();
-    if let Some(scope) = &scope {
+    let open = current_scope().map(|scope| {
         scope.registry().set_current_phase(Some(phase));
-    }
-    SpanGuard {
-        scope,
-        phase,
-        start: Instant::now(),
-    }
+        (scope, Instant::now())
+    });
+    SpanGuard { open, phase }
 }
 
 /// A live span; see [`span`].
 #[derive(Debug)]
 pub struct SpanGuard {
-    scope: Option<TraceScope>,
+    /// The collector and the start instant; `None` (and no clock read)
+    /// when no collector was installed.
+    open: Option<(TraceScope, Instant)>,
     phase: Phase,
-    start: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(scope) = self.scope.take() else {
+        let Some((scope, start)) = self.open.take() else {
             return;
         };
         let end = Instant::now();
         let reg = scope.registry();
-        let ns = end.duration_since(self.start).as_nanos() as u64;
+        let ns = end.duration_since(start).as_nanos() as u64;
         reg.record_phase_ns(self.phase, ns);
         if trace_out_enabled() {
-            record_chrome_event(&scope, self.phase, self.start, end);
+            record_chrome_event(&scope, self.phase, start, end);
         }
         if trace_enabled() {
             emit(&format!(
@@ -174,8 +169,9 @@ mod tests {
 
     #[test]
     fn span_without_collector_is_a_noop() {
-        let _span = span(Phase::Classify);
-        // Nothing to assert beyond "does not panic / allocate a registry".
+        let span = span(Phase::Classify);
+        // One thread-local read: no registry, and no clock read either.
+        assert!(span.open.is_none());
         assert!(current().is_none());
     }
 

@@ -73,6 +73,35 @@ struct Mailbox {
     /// Frames the role has consumed so far — the "round" attached to
     /// [`ProtocolError`] context.
     frames_handled: u64,
+    /// Frames sent since [`FrameIo::hold`], not yet queued.
+    held: Option<Vec<Frame>>,
+}
+
+impl Mailbox {
+    fn push(&mut self, out: Outgoing) -> Result<(), TransportError> {
+        if let Some(e) = &self.failure {
+            return Err(e.clone());
+        }
+        match &mut self.held {
+            Some(held) => held.extend_from_slice(out.frames()),
+            None => self.outbox.push_back(out),
+        }
+        Ok(())
+    }
+
+    /// Queues the held frames as one flight: a coalesced batch, or a
+    /// lone frame as it is.
+    fn release(&mut self) {
+        let Some(mut held) = self.held.take() else {
+            return;
+        };
+        let flight = match held.len() {
+            0 => return,
+            1 => Outgoing::Frame(held.remove(0)),
+            _ => Outgoing::Batch(held),
+        };
+        self.outbox.push_back(flight);
+    }
 }
 
 /// The I/O handle a protocol role talks to instead of an
@@ -99,12 +128,7 @@ impl FrameIo {
     /// Returns the injected transport failure if the driver has reported
     /// one (mirroring a blocking `Endpoint::send` failing).
     pub fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        let mut mb = self.mailbox.lock();
-        if let Some(e) = &mb.failure {
-            return Err(e.clone());
-        }
-        mb.outbox.push_back(Outgoing::Frame(frame));
-        Ok(())
+        self.mailbox.lock().push(Outgoing::Frame(frame))
     }
 
     /// Encodes and queues a message in one call.
@@ -130,12 +154,16 @@ impl FrameIo {
                 "cannot coalesce an empty frame batch".into(),
             ));
         }
-        let mut mb = self.mailbox.lock();
-        if let Some(e) = &mb.failure {
-            return Err(e.clone());
-        }
-        mb.outbox.push_back(Outgoing::Batch(frames.to_vec()));
-        Ok(())
+        self.mailbox.lock().push(Outgoing::Batch(frames.to_vec()))
+    }
+
+    /// Holds every frame the role sends from now until it next receives
+    /// (or finishes), then queues them as one flight: a single coalesced
+    /// wire frame, or one frame as it is. A role whose next message
+    /// needs nothing from the peer sends it in the same flight as the
+    /// frames before it, whatever layer queues it.
+    pub fn hold(&self) {
+        self.mailbox.lock().held.get_or_insert_with(Vec::new);
     }
 
     /// Awaits the next inbound frame.
@@ -161,7 +189,9 @@ impl FrameIo {
     }
 
     fn pop_outbound(&self) -> Option<Outgoing> {
-        self.mailbox.lock().outbox.pop_front()
+        let mut mb = self.mailbox.lock();
+        mb.release();
+        mb.outbox.pop_front()
     }
 
     fn fail(&self, err: TransportError) {
@@ -184,6 +214,7 @@ impl Future for RecvFut<'_> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut mb = self.io.mailbox.lock();
+        mb.release();
         if let Some(frame) = mb.inbox.pop_front() {
             mb.frames_handled += 1;
             return Poll::Ready(Ok(frame));
@@ -397,6 +428,30 @@ mod tests {
         assert_eq!(err.layer(), ErrorLayer::Codec);
         assert_eq!(err.frame_kind(), Some(9));
         assert_eq!(err.round(), Some(1));
+    }
+
+    #[test]
+    fn held_frames_leave_as_one_flight_at_the_next_receive() {
+        let mut eng: ProtocolEngine<'_, (), TransportError> =
+            ProtocolEngine::new(|io| async move {
+                io.hold();
+                io.send_msg(1, &1u64)?;
+                io.send_coalesced(&[Frame::encode(2, &2u64), Frame::encode(2, &3u64)])?;
+                io.recv_msg::<u64>(4).await?;
+                io.hold();
+                io.send_msg(5, &5u64)?;
+                Ok(())
+            });
+        let first = ProtocolEngine::poll_output(&mut eng).expect("the held flight");
+        let kinds: Vec<u16> = first.frames().iter().map(|f| f.kind).collect();
+        assert!(matches!(first, Outgoing::Batch(_)));
+        assert_eq!(kinds, [1, 2, 2]);
+        assert!(ProtocolEngine::poll_output(&mut eng).is_none());
+        eng.handle_input(Frame::encode(4, &4u64));
+        // A flight of one is the frame itself, released when the role ends.
+        let last = ProtocolEngine::poll_output(&mut eng).expect("the last flight");
+        assert_eq!(last, Outgoing::Frame(Frame::encode(5, &5u64)));
+        assert!(eng.is_done());
     }
 
     #[test]

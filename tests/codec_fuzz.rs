@@ -7,11 +7,16 @@
 use bytes::{Bytes, BytesMut};
 use ppcs_core::{Client, ProtocolConfig};
 use ppcs_math::Fp256;
-use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
+use ppcs_ot::{
+    ot_begin_send_io, ot_receive_list_io, ot_send_list_io, IknpOt, NaorPinkasOt, ObliviousTransfer,
+    OtBatchState, TrustedSimOt,
+};
 use ppcs_transport::{
-    decode_seq, encode_seq, Encodable, Frame, RetryPolicy, Transcript, TransportError,
+    decode_seq, encode_seq, Encodable, Frame, ProtocolEngine, RetryPolicy, Transcript,
+    TransportError,
 };
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::time::Duration;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -20,6 +25,32 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             kind,
             payload: Bytes::from(payload),
         }
+    })
+}
+
+/// A frame of one of the OT's transfer-list kinds — commitment, keys,
+/// tables, extension table, simulator indices or messages — carrying
+/// byte soup or the layout of a list's tables: one `k ‖ N ‖ len` header
+/// per transfer, each followed by the body it implies or one byte off it.
+fn arb_ot_list_frame() -> impl Strategy<Value = Frame> {
+    let kinds = proptest::sample::select(vec![0x0100u16, 0x0201, 0x0202, 0x0290, 0x0300, 0x0301]);
+    let headers = proptest::collection::vec((0u64..4, 0u64..30, 0u64..40, 0usize..3), 0..3);
+    let soup = proptest::collection::vec(any::<u8>(), 0..64);
+    (kinds, any::<bool>(), headers, soup).prop_map(|(kind, list, headers, soup)| {
+        if !list {
+            return Frame {
+                kind,
+                payload: Bytes::from(soup),
+            };
+        }
+        let mut body = Vec::new();
+        for (k, n, len, off) in headers {
+            body.extend([k, n, len].iter().flat_map(|v| v.to_le_bytes()));
+            let implied = (k * (16 + n * len)) as usize;
+            let tables = [implied, implied + 1, implied.saturating_sub(1)][off];
+            body.resize(body.len() + tables, 0);
+        }
+        Frame::encode(kind, &body)
     })
 }
 
@@ -164,6 +195,61 @@ proptest! {
         if eng.is_done() {
             let result = eng.take_result().expect("done engine has a result");
             prop_assert!(result.is_err(), "garbage frames must not classify anything");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Either role of a list of two transfers (2-of-8 and 1-of-4), on
+    /// every engine, fed arbitrary frames of the OT's kinds: never a
+    /// panic, and never opened messages for the receiver.
+    #[test]
+    fn ot_list_roles_survive_arbitrary_frames(
+        frames in proptest::collection::vec(arb_ot_list_frame(), 1..4),
+        engine in 0usize..3,
+        sender_role in any::<bool>(),
+    ) {
+        let sel = [
+            NaorPinkasOt::fast_insecure().select(),
+            IknpOt::fast_insecure().select(),
+            TrustedSimOt.select(),
+        ][engine];
+        let (eight, four): (Vec<Vec<u8>>, Vec<Vec<u8>>) = (
+            (0..8u8).map(|i| vec![i; 4]).collect(),
+            (0..4u8).map(|i| vec![i; 4]).collect(),
+        );
+        let sent: &[(&[Vec<u8>], usize)] = &[(&eight, 2), (&four, 1)];
+        let asked: &[(usize, &[usize])] = &[(8, &[7, 0]), (4, &[2])];
+        // The Naor–Pinkas receiver reads tables only under a valid
+        // commitment: give it an honest one first.
+        let mut frames = frames;
+        if engine == 0 && !sender_role {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+            let mut committer =
+                ProtocolEngine::new(|io| async move { ot_begin_send_io(sel, &io, &mut rng).await });
+            let commitment = committer.poll_output().expect("the commitment frame");
+            frames.insert(0, commitment.frames()[0].clone());
+        }
+        let state = OtBatchState::default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut eng = ProtocolEngine::new(|io| async move {
+            match sender_role {
+                true => ot_send_list_io(sel, &state, &io, &mut rng, sent).await.map(|()| Vec::new()),
+                false => ot_receive_list_io(sel, &state, &io, &mut rng, asked).await,
+            }
+        });
+        for frame in frames {
+            while eng.poll_output().is_some() {}
+            if eng.is_done() {
+                break;
+            }
+            eng.handle_input(frame);
+        }
+        while eng.poll_output().is_some() {}
+        if let Some(result) = eng.take_result() {
+            prop_assert!(sender_role || result.is_err(), "garbage frames must not open a message");
         }
     }
 }

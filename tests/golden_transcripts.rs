@@ -20,13 +20,23 @@
 //! The fourth digest pins a similarity session over the field and an
 //! ideal OT, so it moves only with §V's protocol or with the geometry
 //! both parties derive before it: the hello carries `|m|²` and `|w|²` bit
-//! for bit. The geometry itself is pinned beside it. Both were computed
-//! on the commit before the boundary enumeration went linear-time, which
-//! must not move either.
+//! for bit. The geometry itself is pinned beside it, as computed on the
+//! commit before the boundary enumeration went linear-time, and must not
+//! move. The session digest was re-pinned once, by a change to the
+//! protocol's schedule: its three rounds are rounds of one OMPE session
+//! under one OT state, rounds 1 and 2 share one transfer list, and the
+//! requester's first flight is the hello, both point clouds and both
+//! transfers' queries coalesced. Both parties draw in a new order — the
+//! requester all three rounds up front, the responder its three
+//! amplifiers before any mask — so every frame after the hello changed,
+//! and the flights did too: four frames instead of ten, 8 318 bytes
+//! instead of 8 324. The values Bob learns did not change meaning, and
+//! `T` still meets the plain metric. Under Naor–Pinkas the same session
+//! is five frames with one commitment, counted by kind below.
 
 use ppcs_core::{
-    similarity_plain, similarity_request_io, similarity_respond, Client, ModelGeometry,
-    ProtocolConfig, SimilarityConfig, Trainer,
+    similarity_plain, similarity_request, similarity_request_io, similarity_respond, Client,
+    ModelGeometry, ProtocolConfig, SimilarityConfig, Trainer,
 };
 use ppcs_crypto::Sha256;
 use ppcs_datasets::diabetes_subsets;
@@ -187,9 +197,47 @@ fn fp256_similarity_session_is_pinned() {
         "private {got} vs plain {want}"
     );
     assert_eq!(
-        digest, "93df9934bdd8441ce56a6d1a4fa5ae94c7b347329be70f254ccc4b01e28eee1b",
+        digest, "3ad53f0fd8756ca60042841f712486e2351dd8834dc633cea59805647722f160",
         "the field similarity transcript changed"
     );
+}
+
+#[test]
+fn np768_similarity_session_is_one_commitment() {
+    // The three rounds run under the commitment the responder sends
+    // first; the requester's two flights are coalesced batches and each
+    // is answered by one tables frame: five frames where single-shot
+    // rounds took thirteen and three commitments.
+    let (a, b) = diabetes_models();
+    let cfg = SimilarityConfig::default();
+    let alg = FixedFpAlgebra::new(16);
+    let ot = NaorPinkasOt::fast_insecure();
+    let (ep, peer_ep) = duplex();
+    let t = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut rng = StdRng::seed_from_u64(41);
+            similarity_respond(&alg, &peer_ep, &ot, &mut rng, &a, &cfg).expect("respond");
+        });
+        let mut rng = StdRng::seed_from_u64(42);
+        similarity_request(&alg, &ep, &ot, &mut rng, &b, &cfg).expect("request")
+    });
+    let want = similarity_plain(&a, &b, &cfg).expect("plain");
+    assert!(
+        (t - want).abs() < 5e-3 * want,
+        "private {t} vs plain {want}"
+    );
+    let stats = ep.stats();
+    let by_kind: Vec<(u16, u64, u64)> = stats
+        .by_kind
+        .iter()
+        .map(|k| (k.kind, k.frames_sent, k.frames_received))
+        .collect();
+    assert_eq!(
+        by_kind,
+        [(0x00FF, 2, 0), (0x0100, 0, 1), (0x0202, 0, 2)],
+        "coalesced flights, one commitment, two tables frames"
+    );
+    assert!(stats.frames_sent + stats.frames_received <= 7);
 }
 
 #[test]
