@@ -6,35 +6,21 @@
 //! * Taylor truncation order vs expansion cost for RBF models.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ppcs_bench::ompe_round;
 use ppcs_core::{expand_model, ProtocolConfig};
 use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
-use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-use ppcs_ot::TrustedSimOt;
+use ppcs_ompe::OmpeParams;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
-use ppcs_transport::run_pair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-
-static SIM: TrustedSimOt = TrustedSimOt;
 
 fn run_ompe(params: OmpeParams) {
     let alg = FixedFpAlgebra::new(16);
     let enc = |v: &[f64]| v.iter().map(|x| alg.encode(*x, 1)).collect::<Vec<_>>();
     let secret = MvPolynomial::affine(&alg, &enc(&[0.5, -0.25, 0.125, 1.0]), alg.encode(0.75, 2));
     let alpha = enc(&[0.1, 0.2, 0.3, 0.4]);
-    let (res, v) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(1);
-            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
-        },
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(2);
-            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
-        },
-    );
-    res.expect("send");
-    black_box(v.expect("receive"));
+    black_box(ompe_round(&secret, &alpha, &params));
 }
 
 fn toy_model(kernel: Kernel, dim: usize) -> SvmModel {

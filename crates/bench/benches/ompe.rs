@@ -2,15 +2,10 @@
 //! arities — the per-sample cost core of Fig. 9.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ppcs_bench::ompe_round;
 use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
-use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-use ppcs_ot::TrustedSimOt;
-use ppcs_transport::run_pair;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ppcs_ompe::OmpeParams;
 use std::hint::black_box;
-
-static SIM: TrustedSimOt = TrustedSimOt;
 
 fn run_fixed(arity: usize, params: OmpeParams) {
     let alg = FixedFpAlgebra::new(16);
@@ -21,18 +16,7 @@ fn run_fixed(arity: usize, params: OmpeParams) {
     let alpha: Vec<_> = (0..arity)
         .map(|i| alg.encode(0.05 * i as f64 - 0.2, 1))
         .collect();
-    let (res, v) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(1);
-            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
-        },
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(2);
-            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
-        },
-    );
-    res.expect("send");
-    black_box(v.expect("receive"));
+    black_box(ompe_round(&secret, &alpha, &params));
 }
 
 fn bench_ompe(c: &mut Criterion) {

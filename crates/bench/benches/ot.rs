@@ -4,34 +4,35 @@
 //! motivates functional-mode sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppcs_ot::{NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
-use ppcs_transport::run_pair;
+use ppcs_ot::{ot_receive_io, ot_send_io, NaorPinkasOt, ObliviousTransfer, OtBatchState};
+use ppcs_ot::{OtSelect, TrustedSimOt};
+use ppcs_transport::{run_engine_pair, ProtocolEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn transfer(ot: &'static dyn ObliviousTransfer, n: usize, k: usize) {
+/// One single-shot k-of-N transfer, both roles pumped against each
+/// other on this thread.
+fn transfer(sel: OtSelect, n: usize, k: usize) {
     let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 32]).collect();
     let indices: Vec<usize> = (0..k).map(|i| (i * 7) % n).collect();
-    let (send, got) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(1);
-            ot.send(&ep, &mut rng, &msgs, k)
-        },
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(2);
-            ot.receive(&ep, &mut rng, n, &indices)
-        },
-    );
+    let (msgs, indices, no_batch) = (&msgs, &indices, &OtBatchState::default());
+    let mut rng_s = StdRng::seed_from_u64(1);
+    let mut rng_r = StdRng::seed_from_u64(2);
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ot_send_io(sel, no_batch, &io, &mut rng_s, msgs, k).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ot_receive_io(sel, no_batch, &io, &mut rng_r, n, indices).await
+    });
+    let (send, got) = run_engine_pair(&mut sender, &mut receiver).expect("OT engines");
     send.expect("send");
     black_box(got.expect("recv"));
 }
 
 fn bench_ot_real(c: &mut Criterion) {
-    use std::sync::OnceLock;
-    static NP768: OnceLock<NaorPinkasOt> = OnceLock::new();
-    static SIM: TrustedSimOt = TrustedSimOt;
-    let np: &'static dyn ObliviousTransfer = NP768.get_or_init(NaorPinkasOt::fast_insecure);
+    let np = NaorPinkasOt::fast_insecure().select();
+    let sim = TrustedSimOt.select();
 
     let mut group = c.benchmark_group("ot_k_of_n");
     group.sample_size(10);
@@ -44,7 +45,7 @@ fn bench_ot_real(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("trusted_sim", format!("{k}of{n}")),
             &(n, k),
-            |bench, &(n, k)| bench.iter(|| transfer(&SIM, n, k)),
+            |bench, &(n, k)| bench.iter(|| transfer(sim, n, k)),
         );
     }
     group.finish();

@@ -12,10 +12,14 @@ use std::time::Instant;
 
 use ppcs_core::{Client, ProtocolConfig, Trainer};
 use ppcs_datasets::{generate, DatasetSpec};
-use ppcs_math::FixedFpAlgebra;
-use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
+use ppcs_math::{FixedFpAlgebra, Fp256, MvPolynomial};
+use ppcs_ompe::{ompe_receive_io, ompe_send_io, OmpeParams};
+use ppcs_ot::{ObliviousTransfer, OtSelect, TrustedSimOt};
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
-use ppcs_transport::{drive_blocking, duplex, duplex_pool, run_pair, Driver, Transcript};
+use ppcs_transport::{
+    drive_blocking, duplex, duplex_pool, run_engine_pair, run_pair, Driver, ProtocolEngine,
+    Transcript,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -60,6 +64,29 @@ pub fn train_entry(spec: &DatasetSpec) -> TrainedEntry {
         linear,
         poly,
     }
+}
+
+/// One single-shot OMPE evaluation of `secret` at `alpha` over the ideal
+/// OT, both roles pumped against each other on this thread; returns the
+/// receiver's value.
+pub fn ompe_round(
+    secret: &MvPolynomial<FixedFpAlgebra>,
+    alpha: &[Fp256],
+    params: &OmpeParams,
+) -> Fp256 {
+    let alg = &FixedFpAlgebra::new(16);
+    let sel = OtSelect::TrustedSim;
+    let mut rng_s = StdRng::seed_from_u64(1);
+    let mut rng_r = StdRng::seed_from_u64(2);
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ompe_send_io(alg, &io, sel, &mut rng_s, secret, params).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ompe_receive_io(alg, &io, sel, &mut rng_r, alpha, params).await
+    });
+    let (sent, value) = run_engine_pair(&mut sender, &mut receiver).expect("OMPE engines");
+    sent.expect("send");
+    value.expect("receive")
 }
 
 /// Runs the private classification protocol over `samples` and returns

@@ -20,36 +20,43 @@
 //! The protocol computes over the 256-bit prime field
 //! ([`FixedFpAlgebra`](ppcs_math::FixedFpAlgebra)): the masks hide their
 //! payload only over a finite field. It is generic over the
-//! [`ObliviousTransfer`](ppcs_ot::ObliviousTransfer) engine.
+//! [`ObliviousTransfer`](ppcs_ot::ObliviousTransfer) engine, which it
+//! sees as an [`OtSelect`](ppcs_ot::OtSelect).
+//!
+//! Both roles are sans-I/O: async functions over a
+//! [`FrameIo`](ppcs_transport::FrameIo) mailbox that never see a
+//! transport. The caller wraps a role in a
+//! [`ProtocolEngine`](ppcs_transport::ProtocolEngine) and runs it under
+//! any driver — the blocking `drive_blocking` over a connection, the
+//! reactor, or, as below, the two engines pumped against each other.
 //!
 //! ## Example
 //!
 //! ```
 //! use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
-//! use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-//! use ppcs_ot::TrustedSimOt;
-//! use ppcs_transport::run_pair;
-//! use rand::SeedableRng;
+//! use ppcs_ompe::{ompe_receive_io, ompe_send_io, OmpeParams};
+//! use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
+//! use ppcs_transport::{run_engine_pair, ProtocolEngine};
+//! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let alg = FixedFpAlgebra::new(16);
+//! let alg = &FixedFpAlgebra::new(16);
 //! // Sender's secret: P(y1, y2) = 2·y1 - 3·y2 + 0.5, inputs at scale 1.
 //! let weights = [alg.encode(2.0, 1), alg.encode(-3.0, 1)];
-//! let secret = MvPolynomial::affine(&alg, &weights, alg.encode(0.5, 2));
-//! let alpha = [alg.encode(1.0, 1), alg.encode(2.0, 1)];
-//! let params = OmpeParams::new(1, 4, 3).unwrap();
+//! let secret = &MvPolynomial::affine(alg, &weights, alg.encode(0.5, 2));
+//! let alpha = &[alg.encode(1.0, 1), alg.encode(2.0, 1)];
+//! let params = &OmpeParams::new(1, 4, 3).unwrap();
+//! let sel = TrustedSimOt.select();
 //!
-//! let (send_res, value) = run_pair(
-//!     move |ep| {
-//!         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//!         ompe_send(&alg, &ep, &TrustedSimOt, &mut rng, &secret, &params)
-//!     },
-//!     move |ep| {
-//!         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-//!         ompe_receive(&alg, &ep, &TrustedSimOt, &mut rng, &alpha, &params).unwrap()
-//!     },
-//! );
+//! let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+//! let mut sender = ProtocolEngine::new(|io| async move {
+//!     ompe_send_io(alg, &io, sel, &mut rng_s, secret, params).await
+//! });
+//! let mut receiver = ProtocolEngine::new(|io| async move {
+//!     ompe_receive_io(alg, &io, sel, &mut rng_r, alpha, params).await
+//! });
+//! let (send_res, value) = run_engine_pair(&mut sender, &mut receiver).unwrap();
 //! send_res.unwrap();
-//! assert_eq!(alg.decode(&value, 2), 2.0 - 6.0 + 0.5);
+//! assert_eq!(alg.decode(&value.unwrap(), 2), 2.0 - 6.0 + 0.5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,8 +72,8 @@ pub use offline::{
     ompe_receive_batch_offline_io, ompe_send_batch_offline_io, ompe_send_offline_io,
     params_fingerprint, BlindRound, OmpeReceiverOffline, OmpeSenderOffline,
 };
-pub use protocol::{ompe_receive, ompe_receive_io, ompe_send, ompe_send_io, OmpeParams};
+pub use protocol::{ompe_receive_io, ompe_send_io, OmpeParams};
 pub use session::{
-    ompe_receive_batch, ompe_receive_batch_io, ompe_send_batch, ompe_send_batch_io,
-    OmpeReceiverSession, OmpeSenderSession, PreparedRound,
+    ompe_receive_batch_io, ompe_send_batch_io, OmpeReceiverSession, OmpeSenderSession,
+    PreparedRound,
 };

@@ -157,8 +157,8 @@ pub struct BlindRound {
 
 impl BlindRound {
     /// Draws one blind round of `params` for inputs of dimension `dim`,
-    /// consuming the RNG in exactly the order the monolithic
-    /// [`OmpeReceiverSession::prepare_round`] does (cover refreshes,
+    /// consuming the RNG in exactly the order a receiver session that
+    /// builds its round online does (cover refreshes,
     /// abscissae, cover sampling, disguises in position order), so that
     /// binding reproduces its point cloud byte for byte.
     ///

@@ -1,8 +1,8 @@
 //! The OMPE sender and receiver.
 
 use ppcs_math::{Algebra, Fp256, PolyEval};
-use ppcs_ot::{ObliviousTransfer, OtSelect};
-use ppcs_transport::{Endpoint, FrameIo};
+use ppcs_ot::OtSelect;
+use ppcs_transport::FrameIo;
 use rand::RngCore;
 
 use crate::error::OmpeError;
@@ -99,53 +99,13 @@ impl OmpeParams {
 }
 
 /// Sender side of OMPE: obliviously evaluates `secret` on the receiver's
-/// hidden input.
+/// hidden input, over a [`FrameIo`] mailbox and an [`OtSelect`] engine
+/// selector.
 ///
 /// # Errors
 ///
 /// [`OmpeError::SecretMismatch`] if `secret` exceeds the agreed degree
 /// bound, plus transport/OT/protocol failures.
-pub fn ompe_send<A, P>(
-    alg: &A,
-    ep: &Endpoint,
-    ot: &dyn ObliviousTransfer,
-    rng: &mut dyn RngCore,
-    secret: &P,
-    params: &OmpeParams,
-) -> Result<(), OmpeError>
-where
-    A: Algebra,
-    P: PolyEval<A> + ?Sized,
-{
-    OmpeSenderSession::single_shot(*params).send_round(alg, ep, ot, rng, secret)
-}
-
-/// Receiver side of OMPE: learns `P(α)` for the private input `alpha`.
-///
-/// # Errors
-///
-/// [`OmpeError::Params`] on empty input, plus transport/OT/interpolation
-/// failures.
-pub fn ompe_receive<A>(
-    alg: &A,
-    ep: &Endpoint,
-    ot: &dyn ObliviousTransfer,
-    rng: &mut dyn RngCore,
-    alpha: &[Fp256],
-    params: &OmpeParams,
-) -> Result<Fp256, OmpeError>
-where
-    A: Algebra,
-{
-    OmpeReceiverSession::single_shot(*params).receive_round(alg, ep, ot, rng, alpha)
-}
-
-/// Sans-I/O variant of [`ompe_send`]: the sender role over a [`FrameIo`]
-/// mailbox and an [`OtSelect`] engine selector.
-///
-/// # Errors
-///
-/// Same as [`ompe_send`].
 pub async fn ompe_send_io<A, P>(
     alg: &A,
     io: &FrameIo,
@@ -163,11 +123,12 @@ where
         .await
 }
 
-/// Sans-I/O variant of [`ompe_receive`].
+/// Receiver side of OMPE: learns `P(α)` for the private input `alpha`.
 ///
 /// # Errors
 ///
-/// Same as [`ompe_receive`].
+/// [`OmpeError::Params`] on empty input, plus transport/OT/interpolation
+/// failures.
 pub async fn ompe_receive_io<A>(
     alg: &A,
     io: &FrameIo,
@@ -179,44 +140,56 @@ pub async fn ompe_receive_io<A>(
 where
     A: Algebra,
 {
-    OmpeReceiverSession::single_shot(*params)
-        .receive_round_io(alg, io, sel, rng, alpha)
-        .await
+    let mut session = OmpeReceiverSession::single_shot(*params);
+    let round = session.prepare_round(alg, rng, alpha)?;
+    io.send(round.frame())?;
+    session.finish_round_io(alg, io, sel, rng, &round).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppcs_math::{FixedFpAlgebra, MvPolynomial};
-    use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
-    use ppcs_transport::run_pair;
+    use ppcs_ot::{NaorPinkasOt, ObliviousTransfer};
+    use ppcs_transport::{run_engine_pair, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One single-shot evaluation, sender and receiver engines pumped
+    /// against each other; returns both parties' results.
+    fn run_roles(
+        alg: &FixedFpAlgebra,
+        secret: &MvPolynomial<FixedFpAlgebra>,
+        alpha: &[Fp256],
+        (params_s, params_r): (&OmpeParams, &OmpeParams),
+        sel: OtSelect,
+        seed: u64,
+    ) -> (Result<(), OmpeError>, Result<Fp256, OmpeError>) {
+        let mut rng_s = StdRng::seed_from_u64(seed);
+        let mut rng_r = StdRng::seed_from_u64(seed + 1);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            ompe_send_io(alg, &io, sel, &mut rng_s, secret, params_s).await
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ompe_receive_io(alg, &io, sel, &mut rng_r, alpha, params_r).await
+        });
+        run_engine_pair(&mut sender, &mut receiver).expect("no deadlock")
+    }
 
     fn run_ompe(
         alg: FixedFpAlgebra,
         secret: MvPolynomial<FixedFpAlgebra>,
         alpha: Vec<Fp256>,
         params: OmpeParams,
-        ot_engine: &'static dyn ObliviousTransfer,
+        sel: OtSelect,
         seed: u64,
     ) -> Fp256 {
-        let alg2 = alg;
-        let (send_res, value) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ompe_send(&alg, &ep, ot_engine, &mut rng, &secret, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed + 1);
-                ompe_receive(&alg2, &ep, ot_engine, &mut rng, &alpha, &params)
-            },
-        );
-        send_res.unwrap();
+        let (sent, value) = run_roles(&alg, &secret, &alpha, (&params, &params), sel, seed);
+        sent.unwrap();
         value.unwrap()
     }
 
-    static SIM: TrustedSimOt = TrustedSimOt;
+    const SIM: OtSelect = OtSelect::TrustedSim;
 
     #[test]
     fn linear_polynomial_over_f64() {
@@ -229,7 +202,7 @@ mod tests {
         let want = 1.5 * 2.0 - 2.0 + 0.25 * 4.0 + 3.0;
         let params = OmpeParams::new(1, 5, 4).unwrap();
         for seed in 0..5 {
-            let got = run_ompe(alg, secret.clone(), alpha.clone(), params, &SIM, seed * 17);
+            let got = run_ompe(alg, secret.clone(), alpha.clone(), params, SIM, seed * 17);
             assert_eq!(alg.decode(&got, 2), want, "seed {seed}");
         }
     }
@@ -242,7 +215,7 @@ mod tests {
         let secret = MvPolynomial::affine(&alg, &weights, bias);
         let alpha = vec![alg.encode(0.5, 1), alg.encode(-0.25, 1)];
         let params = OmpeParams::new(1, 5, 4).unwrap();
-        let got = run_ompe(alg, secret, alpha, params, &SIM, 3);
+        let got = run_ompe(alg, secret, alpha, params, SIM, 3);
         let want = 1.5 * 0.5 - 2.0 * -0.25 + 3.0;
         assert!(
             (alg.decode(&got, 2) - want).abs() < 1e-3,
@@ -266,7 +239,7 @@ mod tests {
         let secret = MvPolynomial::from_terms(2, terms);
         let alpha = vec![alg.encode(3.0, 1), alg.encode(-2.0, 1)];
         let params = OmpeParams::new(4, 2, 3).unwrap();
-        let got = run_ompe(alg, secret, alpha, params, &SIM, 4);
+        let got = run_ompe(alg, secret, alpha, params, SIM, 4);
         let want = (3.0f64 - 1.0).powi(2) * 4.0;
         assert!(
             (alg.decode(&got, 4) - want).abs() < 1e-2,
@@ -277,27 +250,13 @@ mod tests {
 
     #[test]
     fn works_over_real_naor_pinkas_ot() {
-        static NP: once_fast::Lazy = once_fast::Lazy;
         let alg = FixedFpAlgebra::new(16);
         let int = |v| alg.encode_int(v);
         let secret = MvPolynomial::affine(&alg, &[int(2), int(1)], int(-5));
         let params = OmpeParams::new(1, 3, 2).unwrap();
-        let got = run_ompe(alg, secret, vec![int(5), int(5)], params, NP.get(), 9);
+        let sel = NaorPinkasOt::fast_insecure().select();
+        let got = run_ompe(alg, secret, vec![int(5), int(5)], params, sel, 9);
         assert_eq!(got, int(10 + 5 - 5));
-    }
-
-    /// Small helper to get a `&'static dyn ObliviousTransfer` for the
-    /// Naor–Pinkas engine.
-    mod once_fast {
-        use super::*;
-        use std::sync::OnceLock;
-        pub struct Lazy;
-        impl Lazy {
-            pub fn get(&self) -> &'static dyn ObliviousTransfer {
-                static CELL: OnceLock<NaorPinkasOt> = OnceLock::new();
-                CELL.get_or_init(NaorPinkasOt::fast_insecure)
-            }
-        }
     }
 
     #[test]
@@ -305,13 +264,8 @@ mod tests {
         let alg = FixedFpAlgebra::new(16);
         let secret = MvPolynomial::from_terms(1, vec![(Fp256::ONE, vec![3])]);
         let params = OmpeParams::new(2, 2, 2).unwrap();
-        let (send_res, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
-            },
-            move |_ep| {},
-        );
+        let alpha = [Fp256::ONE];
+        let (send_res, _) = run_roles(&alg, &secret, &alpha, (&params, &params), SIM, 1);
         assert!(matches!(
             send_res.unwrap_err(),
             OmpeError::SecretMismatch(_)
@@ -349,16 +303,9 @@ mod tests {
         let secret = MvPolynomial::affine(&alg, &[Fp256::ONE], Fp256::ZERO);
         let params_s = OmpeParams::new(1, 2, 4).unwrap();
         let params_r = OmpeParams::new(1, 2, 3).unwrap();
-        let (send_res, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params_s)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                let _ = ompe_receive(&alg, &ep, &SIM, &mut rng, &[Fp256::ONE], &params_r);
-            },
-        );
+        let alpha = [Fp256::ONE];
+        let params = (&params_s, &params_r);
+        let (send_res, _) = run_roles(&alg, &secret, &alpha, params, SIM, 1);
         assert!(matches!(send_res.unwrap_err(), OmpeError::Protocol(_)));
     }
 

@@ -23,12 +23,10 @@
 //!
 //! The role logic lives in the `*_io` methods, written sans-I/O against a
 //! [`FrameIo`] mailbox and an [`OtSelect`] engine selector — no
-//! `Endpoint` appears in their signatures, so any driver (in-memory,
-//! TCP, transcript replay) can pump them. The blocking methods and
-//! [`ompe_send_batch`] / [`ompe_receive_batch`] are thin wrappers that
-//! drive the same logic over an `Endpoint`; the single-round entry
-//! points in [`crate::protocol`] wrap one-round sessions with no batch
-//! state.
+//! `Endpoint` appears in this crate, so any driver (blocking, reactor,
+//! in-memory pair, transcript replay) can pump them. The single-round
+//! entry points in [`crate::protocol`] run one-round sessions with no
+//! batch state.
 
 use std::collections::VecDeque;
 
@@ -37,11 +35,9 @@ use ppcs_math::{interp_batch, interpolate_at_zero, interpolate_at_zero_weighted}
 use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{ot_begin_receive_io, ot_begin_send_io, ot_begin_send_precomputed_io};
 use ppcs_ot::{ot_receive_list_io, ot_send_list_io};
-use ppcs_ot::{ObliviousTransfer, OtBatchState, OtSelect};
+use ppcs_ot::{OtBatchState, OtSelect};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{
-    decode_seq, drive_blocking, encode_seq, Encodable, Endpoint, Frame, FrameIo, ProtocolEngine,
-};
+use ppcs_transport::{decode_seq, encode_seq, Encodable, Frame, FrameIo};
 use rand::seq::index::sample;
 use rand::RngCore;
 
@@ -60,7 +56,7 @@ fn encode_elems<E: Encodable>(elems: &[E]) -> Bytes {
 pub(crate) type PointCloud = (Vec<Fp256>, Vec<Fp256>);
 
 /// Sender-side batch session: owns the per-batch state reused by every
-/// [`send_round`](OmpeSenderSession::send_round).
+/// [`send_round_io`](OmpeSenderSession::send_round_io).
 #[derive(Debug)]
 pub struct OmpeSenderSession {
     params: OmpeParams,
@@ -75,25 +71,7 @@ pub struct OmpeSenderSession {
 impl OmpeSenderSession {
     /// Sets up the per-batch state: masking-polynomial storage plus the
     /// OT engine's base-phase material (transmitted to the peer, which
-    /// must construct an [`OmpeReceiverSession`] symmetrically).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures during the OT base phase.
-    pub fn new(
-        ep: &Endpoint,
-        ot: &dyn ObliviousTransfer,
-        rng: &mut dyn RngCore,
-        params: OmpeParams,
-    ) -> Result<Self, OmpeError> {
-        let sel = ot.select();
-        let mut engine =
-            ProtocolEngine::new(|io| async move { Self::new_io(&io, sel, rng, params).await });
-        drive_blocking(ep, &mut engine)
-    }
-
-    /// Sans-I/O variant of [`new`](OmpeSenderSession::new): sets up the
-    /// per-batch state over a [`FrameIo`] mailbox.
+    /// must set up an [`OmpeReceiverSession`] symmetrically).
     ///
     /// # Errors
     ///
@@ -147,7 +125,7 @@ impl OmpeSenderSession {
     }
 
     /// A one-round session with no batch state; backs the single-shot
-    /// [`ompe_send`](crate::protocol::ompe_send).
+    /// [`ompe_send_io`](crate::protocol::ompe_send_io).
     pub(crate) fn single_shot(params: OmpeParams) -> Self {
         Self {
             params,
@@ -158,37 +136,13 @@ impl OmpeSenderSession {
     }
 
     /// Obliviously evaluates `secret` on the receiver's next hidden
-    /// input (one OMPE round within the batch).
+    /// input (one OMPE round within the batch): the
+    /// [`send_rounds_io`](OmpeSenderSession::send_rounds_io) of one.
     ///
     /// # Errors
     ///
     /// [`OmpeError::SecretMismatch`] if `secret` exceeds the agreed
     /// degree bound, plus transport/OT/protocol failures.
-    pub fn send_round<A, P>(
-        &mut self,
-        alg: &A,
-        ep: &Endpoint,
-        ot: &dyn ObliviousTransfer,
-        rng: &mut dyn RngCore,
-        secret: &P,
-    ) -> Result<(), OmpeError>
-    where
-        A: Algebra,
-        P: PolyEval<A> + ?Sized,
-    {
-        let sel = ot.select();
-        let mut engine = ProtocolEngine::new(|io| async move {
-            self.send_round_io(alg, &io, sel, rng, secret).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
-    /// Sans-I/O variant of [`send_round`](OmpeSenderSession::send_round):
-    /// the [`send_rounds_io`](OmpeSenderSession::send_rounds_io) of one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`send_round`](OmpeSenderSession::send_round).
     pub async fn send_round_io<A, P>(
         &mut self,
         alg: &A,
@@ -211,7 +165,7 @@ impl OmpeSenderSession {
     ///
     /// # Errors
     ///
-    /// Same as [`send_round`](OmpeSenderSession::send_round).
+    /// Same as [`send_round_io`](OmpeSenderSession::send_round_io).
     pub async fn send_rounds_io<A, P>(
         &mut self,
         alg: &A,
@@ -391,10 +345,10 @@ impl OmpeSenderSession {
     }
 }
 
-/// One receiver round built by
-/// [`prepare_round`](OmpeReceiverSession::prepare_round) but not yet
-/// transmitted: the point-cloud frame plus the local state needed to
-/// finish after the oblivious transfer.
+/// One receiver round built but not yet transmitted — online by the
+/// session, or from a precomputed [`BlindRound`](crate::BlindRound): the
+/// point-cloud frame plus the local state needed to finish after the
+/// oblivious transfer.
 #[derive(Debug)]
 pub struct PreparedRound {
     frame: Frame,
@@ -438,23 +392,7 @@ pub struct OmpeReceiverSession {
 
 impl OmpeReceiverSession {
     /// Sets up the per-batch state, consuming the sender's OT base-phase
-    /// material from the channel.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures during the OT base phase.
-    pub fn new(
-        ep: &Endpoint,
-        ot: &dyn ObliviousTransfer,
-        params: OmpeParams,
-    ) -> Result<Self, OmpeError> {
-        let sel = ot.select();
-        let mut engine =
-            ProtocolEngine::new(|io| async move { Self::new_io(&io, sel, params).await });
-        drive_blocking(ep, &mut engine)
-    }
-
-    /// Sans-I/O variant of [`new`](OmpeReceiverSession::new).
+    /// material from the mailbox.
     ///
     /// # Errors
     ///
@@ -473,7 +411,7 @@ impl OmpeReceiverSession {
     }
 
     /// A one-round session with no batch state; backs the single-shot
-    /// [`ompe_receive`](crate::protocol::ompe_receive).
+    /// [`ompe_receive_io`](crate::protocol::ompe_receive_io).
     pub(crate) fn single_shot(params: OmpeParams) -> Self {
         Self {
             params,
@@ -488,7 +426,7 @@ impl OmpeReceiverSession {
     /// # Errors
     ///
     /// [`OmpeError::Params`] on an empty input vector.
-    pub fn prepare_round(
+    pub(crate) fn prepare_round(
         &mut self,
         alg: &impl Algebra,
         rng: &mut dyn RngCore,
@@ -571,27 +509,7 @@ impl OmpeReceiverSession {
     /// # Errors
     ///
     /// Transport/OT/interpolation failures.
-    pub fn finish_round(
-        &self,
-        alg: &impl Algebra,
-        ep: &Endpoint,
-        ot: &dyn ObliviousTransfer,
-        rng: &mut dyn RngCore,
-        round: &PreparedRound,
-    ) -> Result<Fp256, OmpeError> {
-        let sel = ot.select();
-        let mut engine = ProtocolEngine::new(|io| async move {
-            self.finish_round_io(alg, &io, sel, rng, round).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
-    /// Sans-I/O variant of [`finish_round`](OmpeReceiverSession::finish_round).
-    ///
-    /// # Errors
-    ///
-    /// Transport/OT/interpolation failures.
-    pub async fn finish_round_io(
+    pub(crate) async fn finish_round_io(
         &self,
         alg: &impl Algebra,
         io: &FrameIo,
@@ -666,46 +584,6 @@ impl OmpeReceiverSession {
         }
         Ok(out)
     }
-
-    /// Prepares, transmits, and finishes one round (the non-coalesced
-    /// path).
-    ///
-    /// # Errors
-    ///
-    /// Any error from [`prepare_round`](OmpeReceiverSession::prepare_round)
-    /// or [`finish_round`](OmpeReceiverSession::finish_round).
-    pub fn receive_round(
-        &mut self,
-        alg: &impl Algebra,
-        ep: &Endpoint,
-        ot: &dyn ObliviousTransfer,
-        rng: &mut dyn RngCore,
-        alpha: &[Fp256],
-    ) -> Result<Fp256, OmpeError> {
-        let sel = ot.select();
-        let mut engine = ProtocolEngine::new(|io| async move {
-            self.receive_round_io(alg, &io, sel, rng, alpha).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
-    /// Sans-I/O variant of [`receive_round`](OmpeReceiverSession::receive_round).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`receive_round`](OmpeReceiverSession::receive_round).
-    pub async fn receive_round_io(
-        &mut self,
-        alg: &impl Algebra,
-        io: &FrameIo,
-        sel: OtSelect,
-        rng: &mut dyn RngCore,
-        alpha: &[Fp256],
-    ) -> Result<Fp256, OmpeError> {
-        let round = self.prepare_round(alg, rng, alpha)?;
-        io.send(round.frame())?;
-        self.finish_round_io(alg, io, sel, rng, &round).await
-    }
 }
 
 /// Sender side of a batch of OMPE rounds: evaluates `secrets[i]` on the
@@ -714,33 +592,8 @@ impl OmpeReceiverSession {
 /// # Errors
 ///
 /// Any per-round error of
-/// [`OmpeSenderSession::send_round`]; the batch stops at the first
+/// [`OmpeSenderSession::send_round_io`]; the batch stops at the first
 /// failure.
-pub fn ompe_send_batch<A, P>(
-    alg: &A,
-    ep: &Endpoint,
-    ot: &dyn ObliviousTransfer,
-    rng: &mut dyn RngCore,
-    secrets: &[P],
-    params: &OmpeParams,
-) -> Result<(), OmpeError>
-where
-    A: Algebra,
-    P: PolyEval<A>,
-{
-    let sel = ot.select();
-    let mut engine = ProtocolEngine::new(|io| async move {
-        ompe_send_batch_io(alg, &io, sel, rng, secrets, params).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O variant of [`ompe_send_batch`]: the sender role of a whole
-/// batch as one engine.
-///
-/// # Errors
-///
-/// Same as [`ompe_send_batch`].
 pub async fn ompe_send_batch_io<A, P>(
     alg: &A,
     io: &FrameIo,
@@ -761,36 +614,11 @@ where
 }
 
 /// Receiver side of a batch of OMPE rounds: learns `P_i(α_i)` for every
-/// private input, transmitting all point clouds in one coalesced frame.
+/// private input. All point clouds leave in one coalesced write.
 ///
 /// # Errors
 ///
 /// Any per-round error; the batch stops at the first failure.
-pub fn ompe_receive_batch<A>(
-    alg: &A,
-    ep: &Endpoint,
-    ot: &dyn ObliviousTransfer,
-    rng: &mut dyn RngCore,
-    alphas: &[Vec<Fp256>],
-    params: &OmpeParams,
-) -> Result<Vec<Fp256>, OmpeError>
-where
-    A: Algebra,
-{
-    let sel = ot.select();
-    let mut engine = ProtocolEngine::new(|io| async move {
-        ompe_receive_batch_io(alg, &io, sel, rng, alphas, params).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O variant of [`ompe_receive_batch`]: the receiver role of a
-/// whole batch as one engine. All point clouds leave in one coalesced
-/// write, exactly as on the blocking path.
-///
-/// # Errors
-///
-/// Same as [`ompe_receive_batch`].
 pub async fn ompe_receive_batch_io<A>(
     alg: &A,
     io: &FrameIo,
@@ -848,12 +676,66 @@ pub(crate) fn draw_distinct_points(
 mod tests {
     use super::*;
     use ppcs_math::{FixedFpAlgebra, MvPolynomial};
-    use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
-    use ppcs_transport::run_pair;
+    use ppcs_ot::{NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
+    use ppcs_transport::{drive_blocking, run_engine_pair, run_pair, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     static SIM: TrustedSimOt = TrustedSimOt;
+
+    /// A whole batch, sender and receiver engines pumped against each
+    /// other with no transport; returns the receiver's values.
+    fn engine_batch<P: PolyEval<FixedFpAlgebra>>(
+        sel: OtSelect,
+        secrets: &[P],
+        alphas: &[Vec<Fp256>],
+        params: &OmpeParams,
+        seeds: (u64, u64),
+    ) -> Vec<Fp256> {
+        let alg = &FixedFpAlgebra::new(16);
+        let mut rng_s = StdRng::seed_from_u64(seeds.0);
+        let mut rng_r = StdRng::seed_from_u64(seeds.1);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            ompe_send_batch_io(alg, &io, sel, &mut rng_s, secrets, params).await
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ompe_receive_batch_io(alg, &io, sel, &mut rng_r, alphas, params).await
+        });
+        let (sent, received) = run_engine_pair(&mut sender, &mut receiver).expect("pump");
+        sent.expect("send ok");
+        received.expect("receive ok")
+    }
+
+    /// The same batch with each party on its own thread under the
+    /// blocking driver over a duplex channel; returns the receiver's
+    /// values and the frames its endpoint sent.
+    fn blocking_batch<P: PolyEval<FixedFpAlgebra> + Sync>(
+        secrets: &[P],
+        alphas: &[Vec<Fp256>],
+        params: &OmpeParams,
+        seeds: (u64, u64),
+    ) -> (Vec<Fp256>, u64) {
+        let (alg, sel) = (&FixedFpAlgebra::new(16), SIM.select());
+        let (sent, received) = run_pair(
+            |ep| {
+                let mut rng = StdRng::seed_from_u64(seeds.0);
+                let mut sender = ProtocolEngine::new(|io| async move {
+                    ompe_send_batch_io(alg, &io, sel, &mut rng, secrets, params).await
+                });
+                drive_blocking(&ep, &mut sender)
+            },
+            |ep| {
+                let mut rng = StdRng::seed_from_u64(seeds.1);
+                let mut receiver = ProtocolEngine::new(|io| async move {
+                    ompe_receive_batch_io(alg, &io, sel, &mut rng, alphas, params).await
+                });
+                let values = drive_blocking(&ep, &mut receiver);
+                (values, ep.stats().frames_sent)
+            },
+        );
+        sent.expect("send ok");
+        (received.0.expect("receive ok"), received.1)
+    }
 
     #[test]
     fn batch_matches_sequential_over_field() {
@@ -868,20 +750,7 @@ mod tests {
             })
             .collect();
         let secrets = vec![secret; inputs.len()];
-        let alg_s = alg;
-        let secrets_s = secrets.clone();
-        let alphas = inputs.clone();
-        let (send_res, values) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(21);
-                ompe_send_batch(&alg_s, &ep, &SIM, &mut rng, &secrets_s, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(22);
-                ompe_receive_batch(&alg, &ep, &SIM, &mut rng, &alphas, &params).unwrap()
-            },
-        );
-        send_res.unwrap();
+        let values = engine_batch(SIM.select(), &secrets, &inputs, &params, (21, 22));
         for (input, got) in inputs.iter().zip(&values) {
             let a = alg.decode(&input[0], 1);
             let b = alg.decode(&input[1], 1);
@@ -901,20 +770,9 @@ mod tests {
         let params = OmpeParams::new(1, 3, 2).unwrap();
         let secrets = vec![secret; 4];
         let alphas: Vec<Vec<Fp256>> = (0..4).map(|i| vec![alg.encode_int(i)]).collect();
-        let (send_res, (values, frames_sent)) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(31);
-                ompe_send_batch(&alg, &ep, &SIM, &mut rng, &secrets, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(32);
-                let vals = ompe_receive_batch(&alg, &ep, &SIM, &mut rng, &alphas, &params).unwrap();
-                // The sim OT sends one index frame per round; only ONE
-                // frame beyond those carries all four point clouds.
-                (vals, ep.stats().frames_sent)
-            },
-        );
-        send_res.unwrap();
+        let (values, frames_sent) = blocking_batch(&secrets, &alphas, &params, (31, 32));
+        // The sim OT sends one index frame per round; only ONE frame
+        // beyond those carries all four point clouds.
         assert_eq!(
             frames_sent,
             1 + 4,
@@ -927,8 +785,6 @@ mod tests {
 
     #[test]
     fn batch_works_over_naor_pinkas_with_shared_commitment() {
-        static CELL: std::sync::OnceLock<NaorPinkasOt> = std::sync::OnceLock::new();
-        let ot: &'static dyn ObliviousTransfer = CELL.get_or_init(NaorPinkasOt::fast_insecure);
         let alg = FixedFpAlgebra::new(16);
         let int = |v| alg.encode_int(v);
         let secret = MvPolynomial::affine(&alg, &[int(1), int(-1)], int(5));
@@ -938,17 +794,8 @@ mod tests {
             .map(|a| a.map(int).to_vec())
             .to_vec();
         let expected: Vec<Fp256> = alphas.iter().map(|a| a[0] - a[1] + int(5)).collect();
-        let (send_res, values) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(41);
-                ompe_send_batch(&alg, &ep, ot, &mut rng, &secrets, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(42);
-                ompe_receive_batch(&alg, &ep, ot, &mut rng, &alphas, &params).unwrap()
-            },
-        );
-        send_res.unwrap();
+        let sel = NaorPinkasOt::fast_insecure().select();
+        let values = engine_batch(sel, &secrets, &alphas, &params, (41, 42));
         assert_eq!(values, expected);
     }
 
@@ -1019,61 +866,32 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
+        // Neither role sends or waits for anything.
         let alg = FixedFpAlgebra::new(16);
         let params = OmpeParams::new(1, 2, 2).unwrap();
-        let (_, values) = run_pair(
-            move |_ep| {},
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                ompe_receive_batch(&alg, &ep, &SIM, &mut rng, &[], &params).unwrap()
-            },
-        );
-        assert!(values.is_empty());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ompe_receive_batch_io(&alg, &io, SIM.select(), &mut rng, &[], &params).await
+        });
+        assert!(receiver.poll_output().is_none());
+        assert_eq!(receiver.take_result().expect("done").unwrap(), []);
     }
 
     #[test]
     fn engine_batch_matches_blocking_batch() {
-        // The same batch, run once over threads + duplex and once as an
-        // engine pair with no transport, must produce identical values.
+        // The same batch, run once over threads + duplex under the
+        // blocking driver and once as an engine pair with no transport,
+        // must produce identical values.
         let alg = FixedFpAlgebra::new(16);
         let enc = |v| alg.encode(v, 1);
         let secret = MvPolynomial::affine(&alg, &[enc(2.0), enc(-1.0)], alg.encode(0.25, 2));
         let params = OmpeParams::new(1, 3, 2).unwrap();
-        let secrets = vec![secret.clone(); 3];
+        let secrets = vec![secret; 3];
         let alphas: Vec<Vec<Fp256>> = [[1.0, 2.0], [-0.5, 0.5], [3.0, 0.0]]
             .map(|a| a.map(enc).to_vec())
             .to_vec();
-
-        let secrets_b = secrets.clone();
-        let alphas_b = alphas.clone();
-        let alg_b = alg;
-        let (send_res, blocking_values) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(51);
-                ompe_send_batch(&alg_b, &ep, &SIM, &mut rng, &secrets_b, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(52);
-                ompe_receive_batch(&alg, &ep, &SIM, &mut rng, &alphas_b, &params).unwrap()
-            },
-        );
-        send_res.unwrap();
-
-        let sel = SIM.select();
-        let mut rng_s = StdRng::seed_from_u64(51);
-        let mut rng_r = StdRng::seed_from_u64(52);
-        let secrets_e = secrets.clone();
-        let alphas_e = alphas.clone();
-        let mut sender = ProtocolEngine::new(|io| async move {
-            ompe_send_batch_io(&alg, &io, sel, &mut rng_s, &secrets_e, &params).await
-        });
-        let mut receiver = ProtocolEngine::new(|io| async move {
-            ompe_receive_batch_io(&alg, &io, sel, &mut rng_r, &alphas_e, &params).await
-        });
-        let (sent, received) =
-            ppcs_transport::run_engine_pair(&mut sender, &mut receiver).expect("pump");
-        sent.expect("send ok");
-        let engine_values = received.expect("receive ok");
+        let (blocking_values, _) = blocking_batch(&secrets, &alphas, &params, (51, 52));
+        let engine_values = engine_batch(SIM.select(), &secrets, &alphas, &params, (51, 52));
         assert_eq!(engine_values, blocking_values);
     }
 }

@@ -2,14 +2,35 @@
 //! polynomials, inputs, and parameter choices.
 
 use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, MvPolynomial};
-use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-use ppcs_ot::TrustedSimOt;
-use ppcs_transport::run_pair;
+use ppcs_ompe::{ompe_receive_io, ompe_send_io, OmpeParams};
+use ppcs_ot::OtSelect;
+use ppcs_transport::{run_engine_pair, ProtocolEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-static SIM: TrustedSimOt = TrustedSimOt;
+/// One OMPE evaluation of `secret` at `alpha` over the ideal OT, both
+/// roles pumped against each other; returns the receiver's value.
+fn evaluate(
+    secret: &MvPolynomial<FixedFpAlgebra>,
+    alpha: &[Fp256],
+    params: &OmpeParams,
+    seeds: (u64, u64),
+) -> Fp256 {
+    let alg = &FixedFpAlgebra::new(16);
+    let mut rng_s = StdRng::seed_from_u64(seeds.0);
+    let mut rng_r = StdRng::seed_from_u64(seeds.1);
+    let sel = OtSelect::TrustedSim;
+    let mut sender = ProtocolEngine::new(|io| async move {
+        ompe_send_io(alg, &io, sel, &mut rng_s, secret, params).await
+    });
+    let mut receiver = ProtocolEngine::new(|io| async move {
+        ompe_receive_io(alg, &io, sel, &mut rng_r, alpha, params).await
+    });
+    let (send, value) = run_engine_pair(&mut sender, &mut receiver).expect("no deadlock");
+    send.expect("send");
+    value.expect("receive")
+}
 
 /// One affine OMPE round over the field: `(P(α), the receiver's value)`,
 /// with `P = w·y + b` and `α` encoded at scale 1 (output at scale 2).
@@ -27,18 +48,10 @@ fn run_affine(
     let alpha = enc(alpha);
     let exact = secret.eval(&alg, &alpha);
     let params = OmpeParams::new(1, sigma, decoys).expect("valid params");
-    let (send, value) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
-        },
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5555);
-            ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
-        },
-    );
-    send.expect("send");
-    (exact, value.expect("receive"))
+    (
+        exact,
+        evaluate(&secret, &alpha, &params, (seed, seed ^ 0x5555)),
+    )
 }
 
 proptest! {
@@ -82,18 +95,8 @@ proptest! {
         let enc_alpha: Vec<_> = alpha.iter().map(|a| alg.encode(*a, 1)).collect();
         let params = OmpeParams::new(1, 3, 2).expect("valid params");
 
-        let (send, value) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ompe_send(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &secret, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xAAAA);
-                ompe_receive(&FixedFpAlgebra::new(16), &ep, &SIM, &mut rng, &enc_alpha, &params)
-            },
-        );
-        send.expect("send");
-        let got = alg.decode(&value.expect("receive"), 2);
+        let value = evaluate(&secret, &enc_alpha, &params, (seed, seed ^ 0xAAAA));
+        let got = alg.decode(&value, 2);
         // Quantization error only: inputs and weights each quantized at
         // 2^-16, products bounded by dim · 3 · 2^-16 · 2.
         prop_assert!(
@@ -125,18 +128,7 @@ proptest! {
         let params = OmpeParams::new(2, 2, 2).expect("valid params");
         let alpha = vec![alg.encode(x, 1), alg.encode(y, 1)];
         let exact = secret.eval(&alg, &alpha);
-        let (send, value) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ompe_send(&alg, &ep, &SIM, &mut rng, &secret, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
-                ompe_receive(&alg, &ep, &SIM, &mut rng, &alpha, &params)
-            },
-        );
-        send.expect("send");
-        let got = value.expect("receive");
+        let got = evaluate(&secret, &alpha, &params, (seed, seed ^ 0x1234));
         // The receiver learns P(α) exactly; decoding it loses only the
         // 2^-16 quantization of the inputs and coefficients.
         prop_assert_eq!(got, exact);

@@ -2,27 +2,22 @@
 //! its engines: cryptographic Naor–Pinkas and the ideal-functionality
 //! simulator used for large-scale functional benchmarks.
 //!
-//! Role logic written sans-I/O cannot hold a `&dyn ObliviousTransfer`
-//! *and* stay transport-free (the trait's blocking methods take an
-//! `Endpoint`), so each engine exposes an [`OtSelect`] value — a plain
-//! `Copy` selector — and the [`ot_send_list_io`]/[`ot_receive_list_io`]
-//! dispatch functions execute the corresponding sans-I/O role over a
+//! An engine is a name and an [`OtSelect`] value — a plain `Copy`
+//! selector that role logic threads through without borrowing the
+//! engine. The [`ot_send_list_io`]/[`ot_receive_list_io`] dispatch
+//! functions execute the selected engine's sans-I/O role over a
 //! [`FrameIo`]. They run a *list* of k-out-of-N transfers in one
 //! exchange: one query message and one answer message for the whole
 //! list (the extension engine sends one table per query, as it does for
 //! a single transfer). [`ot_send_io`]/[`ot_receive_io`] are the list of
-//! one, byte for byte what a single transfer always put on the wire. The
-//! blocking trait methods remain thin wrappers that drive the same role
-//! logic over an `Endpoint`.
+//! one, byte for byte what a single transfer always put on the wire.
 
 use ppcs_crypto::DhGroup;
 use ppcs_telemetry::Phase;
-use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::FrameIo;
 use rand::RngCore;
 
-use crate::base::{
-    commit_c, commit_c_io, receive_c, receive_c_io, ReceiverCommitment, SenderCommitment,
-};
+use crate::base::{commit_c_io, receive_c_io, ReceiverCommitment, SenderCommitment};
 use crate::error::{check_indices, OtError};
 use crate::kn::{otkn_receive_io, otkn_send_io};
 use crate::knx::{knx_receive_io, knx_send_io};
@@ -32,8 +27,9 @@ const KIND_SIM_MESSAGES: u16 = 0x0301;
 
 /// Per-batch OT session state: base-phase material an engine draws once
 /// and reuses for every transfer of a batch. Created by
-/// [`ObliviousTransfer::begin_batch_send`] /
-/// [`ObliviousTransfer::begin_batch_receive`]; opaque to callers.
+/// [`ot_begin_send_io`] / [`ot_begin_receive_io`]; opaque to callers.
+/// The default state is no batch: a Naor–Pinkas transfer under it
+/// commits for itself.
 #[derive(Clone, Debug, Default)]
 pub struct OtBatchState {
     /// Naor–Pinkas: this side's half of the commitment exchanged once
@@ -81,112 +77,29 @@ pub enum OtSelect {
     TrustedSim,
 }
 
-/// A k-out-of-N oblivious transfer engine.
+/// A k-out-of-N oblivious transfer engine: a name for reports and the
+/// transport-free [`OtSelect`] its roles run under.
 ///
-/// The sender calls [`send`](ObliviousTransfer::send) with all `N`
-/// messages (and the agreed `k`); the receiver calls
-/// [`receive`](ObliviousTransfer::receive) with its `k` indices and gets
-/// exactly those messages back, in order.
+/// The roles are the sans-I/O dispatchers: the sender runs
+/// [`ot_send_io`] with all `N` messages (and the agreed `k`), the
+/// receiver [`ot_receive_io`] with its `k` indices and gets exactly those
+/// messages back, in order. A batch of transfers sets up its base phase
+/// once with [`ot_begin_send_io`] / [`ot_begin_receive_io`].
 pub trait ObliviousTransfer: Send + Sync {
-    /// Sender side of a k-out-of-N transfer.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific [`OtError`]s; all report transport
-    /// failures and unequal message lengths.
-    fn send(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError>;
-
-    /// Receiver side; returns the messages at `indices`.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific [`OtError`]s; all validate index ranges.
-    fn receive(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError>;
-
     /// A short label for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// The transport-free selector for this engine, consumed by sans-I/O
-    /// role logic via [`ot_send_io`] / [`ot_receive_io`].
+    /// The transport-free selector for this engine.
     fn select(&self) -> OtSelect;
-
-    /// One-time sender-side base-phase setup for a batch of transfers
-    /// over `ep`.
-    ///
-    /// The default is a no-op for engines without a base phase. The
-    /// Naor–Pinkas engine draws and transmits its commitment
-    /// `(C, g^r)` here, so every transfer of the batch runs under it
-    /// instead of opening one of its own. The peer must call
-    /// [`begin_batch_receive`](ObliviousTransfer::begin_batch_receive)
-    /// symmetrically.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures while transmitting setup material.
-    fn begin_batch_send(
-        &self,
-        _ep: &Endpoint,
-        _rng: &mut dyn RngCore,
-    ) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState::default())
-    }
-
-    /// Receiver half of [`begin_batch_send`](ObliviousTransfer::begin_batch_send).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures while receiving setup material.
-    fn begin_batch_receive(&self, _ep: &Endpoint) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState::default())
-    }
-
-    /// [`send`](ObliviousTransfer::send) reusing per-batch state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`send`](ObliviousTransfer::send).
-    fn send_batched(
-        &self,
-        _state: &OtBatchState,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError> {
-        self.send(ep, rng, messages, k)
-    }
-
-    /// [`receive`](ObliviousTransfer::receive) reusing per-batch state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`receive`](ObliviousTransfer::receive).
-    fn receive_batched(
-        &self,
-        _state: &OtBatchState,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        self.receive(ep, rng, num_messages, indices)
-    }
 }
 
-/// Sans-I/O sender-side base-phase setup for the engine selected by
-/// `sel` (see [`ObliviousTransfer::begin_batch_send`]).
+/// Sans-I/O sender-side base-phase setup for a batch of transfers with
+/// the engine selected by `sel`.
+///
+/// A no-op for engines without a base phase. The Naor–Pinkas engine
+/// draws and transmits its commitment `(C, g^r)` here, so every
+/// transfer of the batch runs under it instead of opening one of its
+/// own. The peer runs [`ot_begin_receive_io`] symmetrically.
 ///
 /// # Errors
 ///
@@ -346,7 +259,10 @@ pub async fn ot_receive_list_io(
 /// [`OtError::UnequalMessageLengths`], [`OtError::InvalidIndex`] for an
 /// index outside its own transfer's range, malformed peer blobs, plus
 /// transport failures.
-pub async fn sim_send_io(io: &FrameIo, transfers: &[(&[Vec<u8>], usize)]) -> Result<(), OtError> {
+pub(crate) async fn sim_send_io(
+    io: &FrameIo,
+    transfers: &[(&[Vec<u8>], usize)],
+) -> Result<(), OtError> {
     let mut all = transfers.iter().flat_map(|(messages, _)| messages.iter());
     let msg_len = all.clone().next().map_or(0, Vec::len);
     if all.any(|m| m.len() != msg_len) {
@@ -389,7 +305,7 @@ pub async fn sim_send_io(io: &FrameIo, transfers: &[(&[Vec<u8>], usize)]) -> Res
 ///
 /// [`OtError::InvalidIndex`], malformed peer blobs, plus transport
 /// failures.
-pub async fn sim_receive_io(
+pub(crate) async fn sim_receive_io(
     io: &FrameIo,
     transfers: &[(usize, &[usize])],
 ) -> Result<Vec<Vec<u8>>, OtError> {
@@ -420,25 +336,24 @@ pub async fn sim_receive_io(
 /// # Examples
 ///
 /// ```
-/// use ppcs_ot::{NaorPinkasOt, ObliviousTransfer};
-/// use ppcs_transport::run_pair;
-/// use rand::SeedableRng;
+/// use ppcs_ot::{ot_receive_io, ot_send_io, NaorPinkasOt, ObliviousTransfer, OtBatchState};
+/// use ppcs_transport::{run_engine_pair, ProtocolEngine};
+/// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let ot = NaorPinkasOt::fast_insecure(); // 768-bit group: tests only
+/// let sel = NaorPinkasOt::fast_insecure().select(); // 768-bit group: tests only
 /// let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4]).collect();
-/// let msgs2 = msgs.clone();
-/// let ot2 = ot.clone();
-/// let (_, got) = run_pair(
-///     move |ep| {
-///         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-///         ot.send(&ep, &mut rng, &msgs, 2).unwrap();
-///     },
-///     move |ep| {
-///         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-///         ot2.receive(&ep, &mut rng, 8, &[6, 1]).unwrap()
-///     },
-/// );
-/// assert_eq!(got, vec![msgs2[6].clone(), msgs2[1].clone()]);
+/// let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+/// // Outside a batch, the transfer commits for itself.
+/// let (no_batch, sent) = (OtBatchState::default(), &msgs);
+/// let mut sender = ProtocolEngine::new(|io| async move {
+///     ot_send_io(sel, &no_batch, &io, &mut rng_s, sent, 2).await
+/// });
+/// let mut receiver = ProtocolEngine::new(|io| async move {
+///     ot_receive_io(sel, &OtBatchState::default(), &io, &mut rng_r, 8, &[6, 1]).await
+/// });
+/// let (sent, got) = run_engine_pair(&mut sender, &mut receiver).unwrap();
+/// sent.unwrap();
+/// assert_eq!(got.unwrap(), vec![msgs[6].clone(), msgs[1].clone()]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct NaorPinkasOt {
@@ -474,26 +389,6 @@ impl Default for NaorPinkasOt {
 }
 
 impl ObliviousTransfer for NaorPinkasOt {
-    fn send(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError> {
-        self.send_batched(&OtBatchState::default(), ep, rng, messages, k)
-    }
-
-    fn receive(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        self.receive_batched(&OtBatchState::default(), ep, rng, num_messages, indices)
-    }
-
     fn name(&self) -> &'static str {
         if core::ptr::eq(self.group, DhGroup::modp_2048()) {
             "naor-pinkas-2048"
@@ -504,46 +399,6 @@ impl ObliviousTransfer for NaorPinkasOt {
 
     fn select(&self) -> OtSelect {
         OtSelect::NaorPinkas { group: self.group }
-    }
-
-    fn begin_batch_send(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-    ) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState::sender(commit_c(self.group, ep, rng)?))
-    }
-
-    fn begin_batch_receive(&self, ep: &Endpoint) -> Result<OtBatchState, OtError> {
-        Ok(OtBatchState::receiver(receive_c(self.group, ep)?))
-    }
-
-    fn send_batched(
-        &self,
-        state: &OtBatchState,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError> {
-        let mut engine = ProtocolEngine::new(|io| async move {
-            ot_send_io(self.select(), state, &io, rng, messages, k).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
-    fn receive_batched(
-        &self,
-        state: &OtBatchState,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let mut engine = ProtocolEngine::new(|io| async move {
-            ot_receive_io(self.select(), state, &io, rng, num_messages, indices).await
-        });
-        drive_blocking(ep, &mut engine)
     }
 }
 
@@ -567,31 +422,6 @@ impl TrustedSimOt {
 }
 
 impl ObliviousTransfer for TrustedSimOt {
-    fn send(
-        &self,
-        ep: &Endpoint,
-        _rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError> {
-        let mut engine =
-            ProtocolEngine::new(|io| async move { sim_send_io(&io, &[(messages, k)]).await });
-        drive_blocking(ep, &mut engine)
-    }
-
-    fn receive(
-        &self,
-        ep: &Endpoint,
-        _rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let mut engine = ProtocolEngine::new(|io| async move {
-            sim_receive_io(&io, &[(num_messages, indices)]).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
     fn name(&self) -> &'static str {
         "trusted-sim"
     }
@@ -604,27 +434,46 @@ impl ObliviousTransfer for TrustedSimOt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_transport::run_pair;
+    use crate::error::Transfer;
+    use ppcs_transport::{drive_blocking, run_engine_pair, run_pair, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn exercise(ot: impl ObliviousTransfer + Clone + 'static) {
-        let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 8]).collect();
-        let msgs_s = msgs.clone();
-        let ot_r = ot.clone();
-        let indices = vec![9usize, 0, 4];
-        let idx = indices.clone();
-        let (_, got) = run_pair(
-            move |ep| {
+    /// One transfer outside any batch: the sender offers `messages` with
+    /// its `k`, the receiver opens `indices`, each party on its own thread
+    /// under the blocking driver over a duplex channel.
+    fn blocking_transfer(
+        sel: OtSelect,
+        messages: &[Vec<u8>],
+        k: usize,
+        indices: &[usize],
+    ) -> Transfer {
+        let no_batch = &OtBatchState::default();
+        run_pair(
+            |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
-                ot.send(&ep, &mut rng, &msgs_s, 3).unwrap();
+                let mut engine = ProtocolEngine::new(|io| async move {
+                    ot_send_io(sel, no_batch, &io, &mut rng, messages, k).await
+                });
+                drive_blocking(&ep, &mut engine)
             },
-            move |ep| {
+            |ep| {
                 let mut rng = StdRng::seed_from_u64(2);
-                ot_r.receive(&ep, &mut rng, 10, &idx).unwrap()
+                let n = messages.len();
+                let mut engine = ProtocolEngine::new(|io| async move {
+                    ot_receive_io(sel, no_batch, &io, &mut rng, n, indices).await
+                });
+                drive_blocking(&ep, &mut engine)
             },
-        );
-        for (g, &i) in got.iter().zip(&indices) {
+        )
+    }
+
+    fn exercise(ot: impl ObliviousTransfer) {
+        let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 8]).collect();
+        let indices = [9usize, 0, 4];
+        let (sent, got) = blocking_transfer(ot.select(), &msgs, 3, &indices);
+        sent.unwrap();
+        for (g, &i) in got.unwrap().iter().zip(&indices) {
             assert_eq!(g, &msgs[i]);
         }
     }
@@ -641,20 +490,10 @@ mod tests {
 
     #[test]
     fn trusted_sim_rejects_wrong_k() {
-        let ot = TrustedSimOt::new();
         let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
-        let (res, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                TrustedSimOt::new().send(&ep, &mut rng, &msgs, 2)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                // Receiver tries to open 3 positions when k = 2.
-                let _ = ot.receive(&ep, &mut rng, 4, &[0, 1, 2]);
-            },
-        );
-        assert!(matches!(res.unwrap_err(), OtError::Protocol(_)));
+        // Receiver tries to open 3 positions when k = 2.
+        let (sent, _) = blocking_transfer(TrustedSimOt.select(), &msgs, 2, &[0, 1, 2]);
+        assert!(matches!(sent.unwrap_err(), OtError::Protocol(_)));
     }
 
     #[test]
@@ -662,51 +501,46 @@ mod tests {
         // The keys frame shows the sender how many positions the receiver
         // opens: more or fewer than agreed is an error, not a wait.
         let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
+        let sel = NaorPinkasOt::fast_insecure().select();
         for (opened, indices) in [(3, &[0usize, 1, 2][..]), (1, &[3][..])] {
-            let msgs = msgs.clone();
-            let (res, _) = run_pair(
-                move |ep| {
-                    let mut rng = StdRng::seed_from_u64(1);
-                    NaorPinkasOt::fast_insecure().send(&ep, &mut rng, &msgs, 2)
-                },
-                move |ep| {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    let _ = NaorPinkasOt::fast_insecure().receive(&ep, &mut rng, 4, indices);
-                },
-            );
+            let (sent, _) = blocking_transfer(sel, &msgs, 2, indices);
             assert_eq!(
-                res.unwrap_err(),
+                sent.unwrap_err(),
                 OtError::Protocol(format!("receiver opened {opened} positions, agreed k = 2"))
             );
         }
     }
 
+    /// `rounds` transfers of `messages`, two positions each, after one
+    /// base phase; the engines are pumped against each other.
+    fn batch(sel: OtSelect, messages: &[Vec<u8>], rounds: usize) -> Vec<Vec<Vec<u8>>> {
+        let n = messages.len();
+        let mut rng_s = StdRng::seed_from_u64(5);
+        let mut rng_r = StdRng::seed_from_u64(6);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let state = ot_begin_send_io(sel, &io, &mut rng_s).await?;
+            for _ in 0..rounds {
+                ot_send_io(sel, &state, &io, &mut rng_s, messages, 2).await?;
+            }
+            Ok::<_, OtError>(())
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            let state = ot_begin_receive_io(sel, &io).await?;
+            let mut got = Vec::with_capacity(rounds);
+            for r in 0..rounds {
+                got.push(ot_receive_io(sel, &state, &io, &mut rng_r, n, &[r, n - 1 - r]).await?);
+            }
+            Ok::<_, OtError>(got)
+        });
+        let (sent, got) = run_engine_pair(&mut sender, &mut receiver).expect("no deadlock");
+        sent.expect("send");
+        got.expect("receive")
+    }
+
     #[test]
     fn batched_transfers_share_one_commitment() {
-        let ot = NaorPinkasOt::fast_insecure();
         let msgs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 8]).collect();
-        let msgs_s = msgs.clone();
-        let ot_r = ot.clone();
-        let rounds = 3usize;
-        let (_, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(5);
-                let state = ot.begin_batch_send(&ep, &mut rng).unwrap();
-                for _ in 0..rounds {
-                    ot.send_batched(&state, &ep, &mut rng, &msgs_s, 2).unwrap();
-                }
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(6);
-                let state = ot_r.begin_batch_receive(&ep).unwrap();
-                (0..rounds)
-                    .map(|r| {
-                        ot_r.receive_batched(&state, &ep, &mut rng, 6, &[r, 5 - r])
-                            .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            },
-        );
+        let got = batch(NaorPinkasOt::fast_insecure().select(), &msgs, 3);
         for (r, round) in got.iter().enumerate() {
             assert_eq!(round[0], msgs[r]);
             assert_eq!(round[1], msgs[5 - r]);
@@ -715,24 +549,18 @@ mod tests {
 
     #[test]
     fn default_batch_state_is_a_noop() {
-        let ot = TrustedSimOt::new();
+        // The simulator has no base phase: its batch state is the default
+        // one, and its transfers run under it.
         let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
-        let msgs_s = msgs.clone();
-        let (_, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                let state = TrustedSimOt::new().begin_batch_send(&ep, &mut rng).unwrap();
-                TrustedSimOt::new()
-                    .send_batched(&state, &ep, &mut rng, &msgs_s, 1)
-                    .unwrap();
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                let state = ot.begin_batch_receive(&ep).unwrap();
-                ot.receive_batched(&state, &ep, &mut rng, 4, &[2]).unwrap()
-            },
-        );
-        assert_eq!(got, vec![msgs[2].clone()]);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let state = ot_begin_send_io(OtSelect::TrustedSim, &io, &mut rng).await?;
+            Ok::<_, OtError>(state.np_send.is_none())
+        });
+        assert!(sender.poll_output().is_none(), "no base-phase frame");
+        assert_eq!(sender.take_result(), Some(Ok(true)));
+        let opened = vec![msgs[0].clone(), msgs[3].clone()];
+        assert_eq!(batch(OtSelect::TrustedSim, &msgs, 1), [opened]);
     }
 
     #[test]
@@ -744,27 +572,26 @@ mod tests {
 
     #[test]
     fn dispatch_matches_blocking_engines() {
-        // The sans-I/O dispatch path must return the same messages as the
-        // blocking trait methods for every engine.
-        use ppcs_transport::{run_engine_pair, ProtocolEngine};
+        // The sans-I/O dispatch path, pumped with no transport, must
+        // return the same messages as the blocking driver over a duplex
+        // channel for every engine.
         let msgs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i ^ 0x5A; 6]).collect();
-        let indices = vec![7usize, 0, 3];
+        let indices = [7usize, 0, 3];
         for sel in [
             NaorPinkasOt::fast_insecure().select(),
             crate::knx::IknpOt::fast_insecure().select(),
             TrustedSimOt::new().select(),
         ] {
-            let msgs_s = msgs.clone();
-            let idx = indices.clone();
+            let (msgs_s, idx) = (&msgs, &indices);
             let mut rng_s = StdRng::seed_from_u64(11);
             let mut rng_r = StdRng::seed_from_u64(12);
             let mut sender = ProtocolEngine::new(|io| async move {
                 let state = ot_begin_send_io(sel, &io, &mut rng_s).await?;
-                ot_send_io(sel, &state, &io, &mut rng_s, &msgs_s, 3).await
+                ot_send_io(sel, &state, &io, &mut rng_s, msgs_s, 3).await
             });
             let mut receiver = ProtocolEngine::new(|io| async move {
                 let state = ot_begin_receive_io(sel, &io).await?;
-                ot_receive_io(sel, &state, &io, &mut rng_r, 8, &idx).await
+                ot_receive_io(sel, &state, &io, &mut rng_r, 8, idx).await
             });
             let (sent, received) = run_engine_pair(&mut sender, &mut receiver).expect("pump");
             sent.expect("send ok");
@@ -772,6 +599,13 @@ mod tests {
             for (g, &i) in got.iter().zip(&indices) {
                 assert_eq!(g, &msgs[i], "engine {sel:?}, index {i}");
             }
+            let (sent, blocking) = blocking_transfer(sel, &msgs, 3, &indices);
+            sent.expect("blocking send ok");
+            assert_eq!(
+                got,
+                blocking.expect("blocking receive ok"),
+                "engine {sel:?}"
+            );
         }
     }
 }

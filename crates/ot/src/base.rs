@@ -33,15 +33,13 @@
 //! and learn the XOR of the two unchosen messages.
 //!
 //! The role logic lives in the sans-I/O `*_io` functions, which speak to
-//! a [`FrameIo`] mailbox and never see a transport; the same-named
-//! blocking functions wrap them in a [`ProtocolEngine`] driven over an
-//! [`Endpoint`].
+//! a [`FrameIo`] mailbox and never see a transport.
 
 use std::fmt;
 
 use num_bigint::BigUint;
 use ppcs_crypto::{ChaCha20, DhGroup, FixedBase};
-use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::FrameIo;
 use rand::RngCore;
 
 use crate::error::OtError;
@@ -132,7 +130,7 @@ fn pad_apply(key: &[u8; 32], tag: u64, data: &mut [u8]) {
     ChaCha20::new(key, &nonce, 0).apply(data);
 }
 
-/// Sender side of a single 1-out-of-2 OT under a commitment of its own.
+/// Sender role of a single 1-out-of-2 OT under a commitment of its own.
 ///
 /// `tag` domain-separates the derived pads.
 ///
@@ -141,24 +139,6 @@ fn pad_apply(key: &[u8; 32], tag: u64, data: &mut [u8]) {
 /// [`OtError::UnequalMessageLengths`] if `m0` and `m1` differ in length,
 /// [`OtError::Transport`] / [`OtError::Protocol`] on channel or peer
 /// misbehavior.
-pub fn ot12_send(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    m0: &[u8],
-    m1: &[u8],
-    tag: u64,
-) -> Result<(), OtError> {
-    let mut engine =
-        ProtocolEngine::new(|io| async move { ot12_send_io(group, &io, rng, m0, m1, tag).await });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O sender role of a single 1-out-of-2 OT (see [`ot12_send`]).
-///
-/// # Errors
-///
-/// Same as [`ot12_send`].
 pub async fn ot12_send_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -176,21 +156,7 @@ pub async fn ot12_send_io(
 
 /// Draws a sender commitment and transmits `(C, g^r)` (step 1): the
 /// whole public-key base phase of every transfer that will run under it.
-///
-/// # Errors
-///
-/// Transport failures from sending the commitment frame.
-pub fn commit_c(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-) -> Result<SenderCommitment, OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move { commit_c_io(group, &io, rng) });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O sender half of [`commit_c`]. Synchronous because the
-/// commitment never waits for the peer.
+/// Synchronous because the commitment never waits for the peer.
 ///
 /// # Errors
 ///
@@ -205,22 +171,13 @@ pub fn commit_c_io(
     Ok(commitment)
 }
 
-/// Receives the sender's commitment (the receiver half of [`commit_c`]).
+/// Receives the sender's commitment (the receiver half of
+/// [`commit_c_io`]): checks `C` and `g^r` and builds the table every
+/// `(g^r)^x` under this commitment is read from.
 ///
 /// # Errors
 ///
 /// Transport failures, or [`OtError::Protocol`] for an invalid element.
-pub fn receive_c(group: &DhGroup, ep: &Endpoint) -> Result<ReceiverCommitment, OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move { receive_c_io(group, &io).await });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O receiver half of [`commit_c`]: checks `C` and `g^r` and
-/// builds the table every `(g^r)^x` under this commitment is read from.
-///
-/// # Errors
-///
-/// Same as [`receive_c`].
 pub async fn receive_c_io(group: &DhGroup, io: &FrameIo) -> Result<ReceiverCommitment, OtError> {
     let (c_bytes, g_r_bytes): (Vec<u8>, Vec<u8>) = io.recv_msg(KIND_OT12_C).await?;
     let element = |bytes: &[u8], what: &str| {
@@ -234,32 +191,12 @@ pub async fn receive_c_io(group: &DhGroup, io: &FrameIo) -> Result<ReceiverCommi
     })
 }
 
-/// Sender side of a 1-out-of-2 OT under an already transmitted
+/// Sender role of a 1-out-of-2 OT under an already transmitted
 /// commitment (steps 2–3 of the protocol).
 ///
 /// # Errors
 ///
-/// Same as [`ot12_send`].
-pub fn ot12_send_precommitted(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    m0: &[u8],
-    m1: &[u8],
-    tag: u64,
-    commitment: &SenderCommitment,
-) -> Result<(), OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move {
-        ot12_send_precommitted_io(group, &io, rng, m0, m1, tag, commitment).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O sender role of [`ot12_send_precommitted`].
-///
-/// # Errors
-///
-/// Same as [`ot12_send`].
+/// Same as [`ot12_send_io`].
 pub async fn ot12_send_precommitted_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -295,31 +232,13 @@ pub async fn ot12_send_precommitted_io(
     Ok(())
 }
 
-/// Receiver side of a single 1-out-of-2 OT; returns `m_choice`.
+/// Receiver role of a single 1-out-of-2 OT under a commitment of its
+/// own; returns `m_choice`.
 ///
 /// # Errors
 ///
 /// [`OtError::Transport`] / [`OtError::Protocol`] on channel or peer
 /// misbehavior.
-pub fn ot12_receive(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    choice: bool,
-    tag: u64,
-) -> Result<Vec<u8>, OtError> {
-    let mut engine =
-        ProtocolEngine::new(
-            |io| async move { ot12_receive_io(group, &io, rng, choice, tag).await },
-        );
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O receiver role of [`ot12_receive`].
-///
-/// # Errors
-///
-/// Same as [`ot12_receive`].
 pub async fn ot12_receive_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -331,31 +250,12 @@ pub async fn ot12_receive_io(
     ot12_receive_precommitted_io(group, io, rng, choice, tag, &commitment).await
 }
 
-/// Receiver side of a 1-out-of-2 OT under an already received
+/// Receiver role of a 1-out-of-2 OT under an already received
 /// commitment (steps 2–4 of the protocol).
 ///
 /// # Errors
 ///
-/// Same as [`ot12_receive`].
-pub fn ot12_receive_precommitted(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    choice: bool,
-    tag: u64,
-    commitment: &ReceiverCommitment,
-) -> Result<Vec<u8>, OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move {
-        ot12_receive_precommitted_io(group, &io, rng, choice, tag, commitment).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O receiver role of [`ot12_receive_precommitted`].
-///
-/// # Errors
-///
-/// Same as [`ot12_receive`].
+/// Same as [`ot12_receive_io`].
 pub async fn ot12_receive_precommitted_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -394,24 +294,32 @@ fn pad_context(tag: u64, branch: u8, nonce: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_transport::run_pair;
+    use ppcs_transport::{drive_blocking, run_pair, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One 1-out-of-2 transfer, each party on its own thread under the
+    /// blocking driver over a duplex channel.
     fn run_ot12(m0: &[u8], m1: &[u8], choice: bool) -> Vec<u8> {
         let group = DhGroup::modp_768();
-        let (m0, m1) = (m0.to_vec(), m1.to_vec());
-        let (_, got) = run_pair(
-            move |ep| {
+        let (sent, got) = run_pair(
+            |ep| {
                 let mut rng = StdRng::seed_from_u64(1);
-                ot12_send(group, &ep, &mut rng, &m0, &m1, 7).unwrap();
+                let mut engine = ProtocolEngine::new(|io| async move {
+                    ot12_send_io(group, &io, &mut rng, m0, m1, 7).await
+                });
+                drive_blocking(&ep, &mut engine)
             },
-            move |ep| {
+            |ep| {
                 let mut rng = StdRng::seed_from_u64(2);
-                ot12_receive(group, &ep, &mut rng, choice, 7).unwrap()
+                let mut engine = ProtocolEngine::new(|io| async move {
+                    ot12_receive_io(group, &io, &mut rng, choice, 7).await
+                });
+                drive_blocking(&ep, &mut engine)
             },
         );
-        got
+        sent.unwrap();
+        got.unwrap()
     }
 
     #[test]
@@ -422,15 +330,17 @@ mod tests {
 
     #[test]
     fn unequal_lengths_rejected() {
+        // Refused before anything is drawn or sent.
         let group = DhGroup::modp_768();
-        let (res, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                ot12_send(group, &ep, &mut rng, b"a", b"bb", 0)
-            },
-            move |_ep| {},
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            ot12_send_io(group, &io, &mut rng, b"a", b"bb", 0).await
+        });
+        assert!(sender.poll_output().is_none());
+        assert_eq!(
+            sender.take_result(),
+            Some(Err(OtError::UnequalMessageLengths))
         );
-        assert_eq!(res, Err(OtError::UnequalMessageLengths));
     }
 
     #[test]
@@ -445,7 +355,7 @@ mod tests {
     #[test]
     fn engine_pair_matches_blocking_path() {
         // The sans-I/O engines, pumped without any transport, produce the
-        // same transfer as the blocking wrappers over a duplex channel.
+        // same transfer as the blocking driver over a duplex channel.
         let group = DhGroup::modp_768();
         let mut rng_s = StdRng::seed_from_u64(1);
         let mut rng_r = StdRng::seed_from_u64(2);

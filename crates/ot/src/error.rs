@@ -108,6 +108,11 @@ pub(crate) fn read_u32_le(blob: &[u8], offset: usize, what: &str) -> Result<usiz
     Ok(u32::from_le_bytes(bytes) as usize)
 }
 
+/// Both parties' results of one transfer run in a test: the sender's,
+/// then the receiver's opened messages.
+#[cfg(test)]
+pub(crate) type Transfer = (Result<(), OtError>, Result<Vec<Vec<u8>>, OtError>);
+
 #[cfg(test)]
 mod tests {
     use super::*;

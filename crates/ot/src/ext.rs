@@ -16,8 +16,8 @@
 //! exactly `H(j, t_j) = H(j, q_j ⊕ r_j·s)` — its chosen one.
 
 use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
-use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
-use rand::{Rng, RngCore};
+use ppcs_transport::FrameIo;
+use rand::RngCore;
 
 use crate::base::{
     commit_c_io, ot12_receive_precommitted_io, ot12_send_precommitted_io, receive_c_io,
@@ -25,7 +25,7 @@ use crate::base::{
 use crate::error::{read_u32_le, OtError};
 
 /// Computational security parameter: number of base OTs / matrix columns.
-pub const KAPPA: usize = 128;
+pub(crate) const KAPPA: usize = 128;
 
 const KIND_EXT_U: u16 = 0x0280;
 const KIND_EXT_PAYLOAD: u16 = 0x0281;
@@ -75,8 +75,8 @@ fn transpose_columns(columns: &[Vec<u8>], num_rows: usize) -> Vec<Vec<u8>> {
     rows
 }
 
-/// Sender side of an IKNP batch: transfers `pairs[j] = (m₀, m₁)` such
-/// that the receiver learns exactly one of each pair.
+/// Sans-I/O sender role of an IKNP batch: transfers `pairs[j] = (m₀, m₁)`
+/// such that the receiver learns exactly one of each pair.
 ///
 /// Both messages of a pair must have equal length; different pairs may
 /// differ.
@@ -85,23 +85,7 @@ fn transpose_columns(columns: &[Vec<u8>], num_rows: usize) -> Vec<Vec<u8>> {
 ///
 /// [`OtError::UnequalMessageLengths`] on a malformed pair, plus
 /// transport/protocol failures.
-pub fn iknp_send(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    pairs: &[(Vec<u8>, Vec<u8>)],
-) -> Result<(), OtError> {
-    let mut engine =
-        ProtocolEngine::new(|io| async move { iknp_send_io(group, &io, rng, pairs).await });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O sender role of an IKNP batch (see [`iknp_send`]).
-///
-/// # Errors
-///
-/// Same as [`iknp_send`].
-pub async fn iknp_send_io(
+pub(crate) async fn iknp_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
@@ -181,28 +165,12 @@ pub async fn iknp_send_io(
     Ok(())
 }
 
-/// Receiver side of an IKNP batch: learns `pairs[j].(choices[j])`.
+/// Sans-I/O receiver role of an IKNP batch: learns `pairs[j].(choices[j])`.
 ///
 /// # Errors
 ///
 /// Transport/protocol failures.
-pub fn iknp_receive(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    choices: &[bool],
-) -> Result<Vec<Vec<u8>>, OtError> {
-    let mut engine =
-        ProtocolEngine::new(|io| async move { iknp_receive_io(group, &io, rng, choices).await });
-    drive_blocking(ep, &mut engine)
-}
-
-/// Sans-I/O receiver role of an IKNP batch (see [`iknp_receive`]).
-///
-/// # Errors
-///
-/// Same as [`iknp_receive`].
-pub async fn iknp_receive_io(
+pub(crate) async fn iknp_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
@@ -289,31 +257,25 @@ fn xor_stream(pad: &[u8; 32], row: usize, data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Draws random choice bits (test helper and a convenience for random-OT
-/// use cases).
-pub fn random_choices<R: Rng + ?Sized>(m: usize, rng: &mut R) -> Vec<bool> {
-    (0..m).map(|_| rng.gen()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_transport::run_pair;
+    use ppcs_transport::{run_engine_pair, ProtocolEngine};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    fn run_iknp(pairs: Vec<(Vec<u8>, Vec<u8>)>, choices: Vec<bool>) -> Vec<Vec<u8>> {
+    fn run_iknp(pairs: &[(Vec<u8>, Vec<u8>)], choices: &[bool]) -> Vec<Vec<u8>> {
         let group = DhGroup::modp_768();
-        let (send, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                iknp_send(group, &ep, &mut rng, &pairs)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                iknp_receive(group, &ep, &mut rng, &choices)
-            },
-        );
+        let mut rng_s = StdRng::seed_from_u64(1);
+        let mut rng_r = StdRng::seed_from_u64(2);
+        let mut sender =
+            ProtocolEngine::new(
+                |io| async move { iknp_send_io(group, &io, &mut rng_s, pairs).await },
+            );
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            iknp_receive_io(group, &io, &mut rng_r, choices).await
+        });
+        let (send, got) = run_engine_pair(&mut sender, &mut receiver).expect("no deadlock");
         send.expect("send");
         got.expect("receive")
     }
@@ -330,7 +292,7 @@ mod tests {
             })
             .collect();
         let choices: Vec<bool> = (0..m).map(|j| j % 3 == 0).collect();
-        let got = run_iknp(pairs.clone(), choices.clone());
+        let got = run_iknp(&pairs, &choices);
         for (j, (msg, &c)) in got.iter().zip(&choices).enumerate() {
             let want = if c { &pairs[j].1 } else { &pairs[j].0 };
             assert_eq!(msg, want, "row {j}");
@@ -344,7 +306,7 @@ mod tests {
             (vec![3u8; 64], vec![4u8; 64]),
             (vec![5u8; 1], vec![6u8; 1]),
         ];
-        let got = run_iknp(pairs, vec![true, false, true]);
+        let got = run_iknp(&pairs, &[true, false, true]);
         assert_eq!(got[0], vec![2u8; 4]);
         assert_eq!(got[1], vec![3u8; 64]);
         assert_eq!(got[2], vec![6u8; 1]);
@@ -352,20 +314,24 @@ mod tests {
 
     #[test]
     fn empty_batch_is_ok() {
-        assert!(run_iknp(Vec::new(), Vec::new()).is_empty());
+        assert!(run_iknp(&[], &[]).is_empty());
     }
 
     #[test]
     fn unequal_pair_rejected() {
+        // Refused before the base OTs start.
         let group = DhGroup::modp_768();
-        let (send, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                iknp_send(group, &ep, &mut rng, &[(vec![1], vec![2, 3])])
-            },
-            move |_ep| {},
+        let mut rng = StdRng::seed_from_u64(1);
+        let pairs = [(vec![1], vec![2, 3])];
+        let mut sender =
+            ProtocolEngine::new(
+                |io| async move { iknp_send_io(group, &io, &mut rng, &pairs).await },
+            );
+        assert!(sender.poll_output().is_none());
+        assert_eq!(
+            sender.take_result(),
+            Some(Err(OtError::UnequalMessageLengths))
         );
-        assert_eq!(send.unwrap_err(), OtError::UnequalMessageLengths);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! k-out-of-N oblivious transfer by `k` batched instances of the
 //! 1-out-of-N protocol of Naor and Pinkas ("Efficient oblivious transfer
 //! protocols", Protocol 3.1), all under one
-//! [commitment](crate::base::commit_c) `(C, g^r)` and in two frames — one
+//! [commitment](crate::base::commit_c_io) `(C, g^r)` and in two frames — one
 //! round trip — per transfer (honest-but-curious).
 //!
 //! The protocol's constants are the powers of the commitment's own `C`,
@@ -46,17 +46,14 @@
 //! The reduction of 1-out-of-N to `⌈log₂ N⌉` 1-out-of-2 transfers lives
 //! in [`knx`](crate::knx), where those transfers are cheap. The `*_io`
 //! functions are the sans-I/O role logic, as in [`base`](crate::base),
-//! and take the commitment from the caller; the blocking functions open
-//! one for the transfer and drive them over an `Endpoint`.
+//! and take the commitment from the caller.
 
 use num_bigint::BigUint;
 use ppcs_crypto::{ChaCha20, DhGroup};
-use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::FrameIo;
 use rand::RngCore;
 
-use crate::base::{
-    commit_c_io, key_pair, receive_c_io, ReceiverCommitment, SenderCommitment, PAD_NONCE_LEN,
-};
+use crate::base::{key_pair, ReceiverCommitment, SenderCommitment, PAD_NONCE_LEN};
 use crate::error::{check_indices, read_u64_le, OtError};
 
 pub(crate) const KIND_OT1N_KEYS: u16 = 0x0201;
@@ -127,34 +124,15 @@ fn elements(group: &DhGroup, body: &[u8], what: &str) -> Result<Vec<BigUint>, Ot
         .collect()
 }
 
-/// Sender side of a k-out-of-N transfer under a commitment of its own.
-///
-/// # Errors
-///
-/// [`OtError::UnequalMessageLengths`] if messages differ in length,
-/// [`OtError::Protocol`] if the receiver opens another number of
-/// positions than `k` or sends a malformed key, plus transport failures.
-pub fn otkn_send(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    messages: &[Vec<u8>],
-    k: usize,
-) -> Result<(), OtError> {
-    let mut engine = ProtocolEngine::new(|io| async move {
-        let commitment = commit_c_io(group, &io, rng)?;
-        otkn_send_io(group, &io, rng, &[(messages, k)], &commitment).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
 /// Sans-I/O sender role of a list of k-out-of-N transfers, each given
 /// as its `N` messages and its `k`, under `commitment`.
 ///
 /// # Errors
 ///
-/// Same as [`otkn_send`]; the receiver must open every transfer's `k`
-/// positions, `Σk` keys in all.
+/// [`OtError::UnequalMessageLengths`] if the messages of a transfer
+/// differ in length, [`OtError::Protocol`] if the receiver opens another
+/// number of positions than the list's `Σk` or sends a malformed key,
+/// plus transport failures.
 pub async fn otkn_send_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -220,36 +198,15 @@ pub async fn otkn_send_io(
     Ok(())
 }
 
-/// Receiver side of a k-out-of-N transfer; returns the messages at
-/// `indices`, in order.
-///
-/// # Errors
-///
-/// [`OtError::InvalidIndex`] if an index is `>= num_messages`,
-/// [`OtError::Protocol`] for tables that are malformed or disagree with
-/// `num_messages` and `indices.len()`, plus transport failures.
-pub fn otkn_receive(
-    group: &DhGroup,
-    ep: &Endpoint,
-    rng: &mut dyn RngCore,
-    num_messages: usize,
-    indices: &[usize],
-) -> Result<Vec<Vec<u8>>, OtError> {
-    check_indices(indices, num_messages)?;
-    let mut engine = ProtocolEngine::new(|io| async move {
-        let commitment = receive_c_io(group, &io).await?;
-        otkn_receive_io(group, &io, rng, &[(num_messages, indices)], &commitment).await
-    });
-    drive_blocking(ep, &mut engine)
-}
-
 /// Sans-I/O receiver role of a list of k-out-of-N transfers, each given
 /// as its `N` and the indices it opens, under `commitment`; returns the
 /// opened messages of every transfer, in list order.
 ///
 /// # Errors
 ///
-/// Same as [`otkn_receive`], for each transfer on its own.
+/// [`OtError::InvalidIndex`] if an index is `>= N` of its transfer,
+/// [`OtError::Protocol`] for tables that are malformed or disagree with
+/// a transfer's `N` and index count, plus transport failures.
 pub async fn otkn_receive_io(
     group: &DhGroup,
     io: &FrameIo,
@@ -312,8 +269,9 @@ pub async fn otkn_receive_io(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::KIND_OT12_C;
-    use ppcs_transport::{run_pair, Frame};
+    use crate::base::{commit_c_io, receive_c_io, KIND_OT12_C};
+    use crate::error::Transfer;
+    use ppcs_transport::{run_engine_pair, Frame, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -323,46 +281,43 @@ mod tests {
             .collect()
     }
 
+    /// One transfer under a commitment of its own: the sender offers
+    /// `msgs` with its `k`, the receiver opens `indices` of `n`.
+    fn transfer(msgs: &[Vec<u8>], k: usize, n: usize, indices: &[usize]) -> Transfer {
+        let group = DhGroup::modp_768();
+        let mut rng_s = StdRng::seed_from_u64(10);
+        let mut rng_r = StdRng::seed_from_u64(20);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            let commitment = commit_c_io(group, &io, &mut rng_s)?;
+            otkn_send_io(group, &io, &mut rng_s, &[(msgs, k)], &commitment).await
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            let commitment = receive_c_io(group, &io).await?;
+            otkn_receive_io(group, &io, &mut rng_r, &[(n, indices)], &commitment).await
+        });
+        run_engine_pair(&mut sender, &mut receiver).expect("no deadlock")
+    }
+
     #[test]
     fn one_of_n_returns_selected() {
-        let group = DhGroup::modp_768();
         for n in [1usize, 2, 3, 7, 16, 33] {
             let msgs = messages(n, 24);
             for index in [0, n / 2, n - 1] {
-                let msgs_s = msgs.clone();
-                let (_, got) = run_pair(
-                    move |ep| {
-                        let mut rng = StdRng::seed_from_u64(10);
-                        otkn_send(group, &ep, &mut rng, &msgs_s, 1).unwrap();
-                    },
-                    move |ep| {
-                        let mut rng = StdRng::seed_from_u64(20);
-                        otkn_receive(group, &ep, &mut rng, n, &[index]).unwrap()
-                    },
-                );
-                assert_eq!(got, [msgs[index].clone()], "n={n}, index={index}");
+                let (sent, got) = transfer(&msgs, 1, n, &[index]);
+                sent.unwrap();
+                assert_eq!(got.unwrap(), [msgs[index].clone()], "n={n}, index={index}");
             }
         }
     }
 
     #[test]
     fn k_of_n_returns_all_selected_in_order() {
-        let group = DhGroup::modp_768();
         let n = 12;
         let msgs = messages(n, 16);
-        let indices = vec![11usize, 0, 5, 5, 2];
-        let msgs_s = msgs.clone();
-        let idx = indices.clone();
-        let (_, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                otkn_send(group, &ep, &mut rng, &msgs_s, 5).unwrap();
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                otkn_receive(group, &ep, &mut rng, n, &idx).unwrap()
-            },
-        );
+        let indices = [11usize, 0, 5, 5, 2];
+        let (sent, got) = transfer(&msgs, 5, n, &indices);
+        sent.unwrap();
+        let got = got.unwrap();
         for (i, &index) in indices.iter().enumerate() {
             assert_eq!(got[i], msgs[index]);
         }
@@ -370,14 +325,7 @@ mod tests {
 
     #[test]
     fn out_of_range_index_rejected() {
-        let group = DhGroup::modp_768();
-        let (_, res) = run_pair(
-            move |_ep| {},
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                otkn_receive(group, &ep, &mut rng, 4, &[1, 4])
-            },
-        );
+        let (_, res) = transfer(&messages(4, 8), 2, 4, &[1, 4]);
         assert_eq!(
             res.unwrap_err(),
             OtError::InvalidIndex {
@@ -389,20 +337,8 @@ mod tests {
 
     #[test]
     fn mismatched_count_detected() {
-        let group = DhGroup::modp_768();
-        let msgs = messages(8, 8);
-        let (_, res) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1);
-                // Sender believes there are 8 messages...
-                let _ = otkn_send(group, &ep, &mut rng, &msgs, 1);
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2);
-                // ...receiver expects 16.
-                otkn_receive(group, &ep, &mut rng, 16, &[3])
-            },
-        );
+        // Sender believes there are 8 messages, receiver expects 16.
+        let (_, res) = transfer(&messages(8, 8), 1, 16, &[3]);
         assert!(matches!(res.unwrap_err(), OtError::Protocol(_)));
     }
 

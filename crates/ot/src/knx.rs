@@ -15,7 +15,7 @@
 //! transfer does.
 
 use ppcs_crypto::{ChaCha20, DhGroup, Sha256};
-use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
+use ppcs_transport::FrameIo;
 use rand::RngCore;
 
 use crate::api::{ObliviousTransfer, OtSelect};
@@ -79,24 +79,23 @@ fn table_msg_len(blob: &[u8], num_messages: usize) -> Result<usize, OtError> {
 /// # Examples
 ///
 /// ```
-/// use ppcs_ot::{IknpOt, ObliviousTransfer};
-/// use ppcs_transport::run_pair;
-/// use rand::SeedableRng;
+/// use ppcs_ot::{ot_receive_io, ot_send_io, IknpOt, ObliviousTransfer, OtBatchState};
+/// use ppcs_transport::{run_engine_pair, ProtocolEngine};
+/// use rand::{rngs::StdRng, SeedableRng};
 ///
+/// let sel = IknpOt::fast_insecure().select();
 /// let msgs: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 8]).collect();
-/// let expect = vec![msgs[3].clone(), msgs[9].clone()];
-/// let (send, got) = run_pair(
-///     move |ep| {
-///         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-///         IknpOt::fast_insecure().send(&ep, &mut rng, &msgs, 2)
-///     },
-///     move |ep| {
-///         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-///         IknpOt::fast_insecure().receive(&ep, &mut rng, 16, &[3, 9]).unwrap()
-///     },
-/// );
+/// let (mut rng_s, mut rng_r) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+/// let (no_batch, sent) = (OtBatchState::default(), &msgs);
+/// let mut sender = ProtocolEngine::new(|io| async move {
+///     ot_send_io(sel, &no_batch, &io, &mut rng_s, sent, 2).await
+/// });
+/// let mut receiver = ProtocolEngine::new(|io| async move {
+///     ot_receive_io(sel, &OtBatchState::default(), &io, &mut rng_r, 16, &[3, 9]).await
+/// });
+/// let (send, got) = run_engine_pair(&mut sender, &mut receiver).unwrap();
 /// send.unwrap();
-/// assert_eq!(got, expect);
+/// assert_eq!(got.unwrap(), vec![msgs[3].clone(), msgs[9].clone()]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct IknpOt {
@@ -132,7 +131,7 @@ impl Default for IknpOt {
 ///
 /// [`OtError::UnequalMessageLengths`], zero-message transfers, plus
 /// transport/protocol failures.
-pub async fn knx_send_io(
+pub(crate) async fn knx_send_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
@@ -198,7 +197,7 @@ pub async fn knx_send_io(
 ///
 /// [`OtError::InvalidIndex`] on out-of-range indices, plus
 /// transport/protocol failures.
-pub async fn knx_receive_io(
+pub(crate) async fn knx_receive_io(
     group: &DhGroup,
     io: &FrameIo,
     rng: &mut dyn RngCore,
@@ -236,32 +235,6 @@ pub async fn knx_receive_io(
 }
 
 impl ObliviousTransfer for IknpOt {
-    fn send(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        messages: &[Vec<u8>],
-        k: usize,
-    ) -> Result<(), OtError> {
-        let mut engine = ProtocolEngine::new(|io| async move {
-            knx_send_io(self.group, &io, rng, &[(messages, k)]).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
-    fn receive(
-        &self,
-        ep: &Endpoint,
-        rng: &mut dyn RngCore,
-        num_messages: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let mut engine = ProtocolEngine::new(|io| async move {
-            knx_receive_io(self.group, &io, rng, &[(num_messages, indices)]).await
-        });
-        drive_blocking(ep, &mut engine)
-    }
-
     fn name(&self) -> &'static str {
         if core::ptr::eq(self.group, DhGroup::modp_2048()) {
             "iknp-2048"
@@ -278,25 +251,36 @@ impl ObliviousTransfer for IknpOt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppcs_transport::run_pair;
+    use crate::api::{ot_receive_io, ot_send_io, OtBatchState};
+    use crate::error::Transfer;
+    use ppcs_transport::{run_engine_pair, ProtocolEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One transfer through `ot`'s dispatch path, engines pumped against
+    /// each other: the sender offers `msgs` with `k = indices.len()`, the
+    /// receiver opens `indices` of `n`.
+    fn transfer(
+        ot: &dyn ObliviousTransfer,
+        msgs: &[Vec<u8>],
+        n: usize,
+        indices: &[usize],
+    ) -> Transfer {
+        let (sel, no_batch) = (ot.select(), &OtBatchState::default());
+        let mut rng_s = StdRng::seed_from_u64(5);
+        let mut rng_r = StdRng::seed_from_u64(6);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            ot_send_io(sel, no_batch, &io, &mut rng_s, msgs, indices.len()).await
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ot_receive_io(sel, no_batch, &io, &mut rng_r, n, indices).await
+        });
+        run_engine_pair(&mut sender, &mut receiver).expect("no deadlock")
+    }
+
     fn exercise(n: usize, indices: Vec<usize>) {
         let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![(i * 13) as u8; 24]).collect();
-        let msgs_s = msgs.clone();
-        let idx = indices.clone();
-        let k = indices.len();
-        let (send, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(5);
-                IknpOt::fast_insecure().send(&ep, &mut rng, &msgs_s, k)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(6);
-                IknpOt::fast_insecure().receive(&ep, &mut rng, n, &idx)
-            },
-        );
+        let (send, got) = transfer(&IknpOt::fast_insecure(), &msgs, n, &indices);
         send.expect("send");
         let got = got.expect("receive");
         for (g, &i) in got.iter().zip(&indices) {
@@ -321,13 +305,8 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range() {
-        let (_, res) = run_pair(
-            move |_ep| {},
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(6);
-                IknpOt::fast_insecure().receive(&ep, &mut rng, 4, &[4])
-            },
-        );
+        let msgs = vec![vec![0u8; 4]; 4];
+        let (_, res) = transfer(&IknpOt::fast_insecure(), &msgs, 4, &[4]);
         assert_eq!(
             res.unwrap_err(),
             OtError::InvalidIndex {
@@ -353,30 +332,15 @@ mod tests {
         // Both engines implement the same ideal functionality.
         use crate::api::NaorPinkasOt;
         let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 8]).collect();
-        let indices = vec![9usize, 2, 2, 0];
-        for engine in [
-            Box::new(IknpOt::fast_insecure()) as Box<dyn ObliviousTransfer>,
-            Box::new(NaorPinkasOt::fast_insecure()),
-        ] {
-            let msgs_s = msgs.clone();
-            let idx = indices.clone();
-            let engine: &dyn ObliviousTransfer = engine.as_ref();
-            let (send, got) = std::thread::scope(|scope| {
-                let (a, b) = ppcs_transport::duplex();
-                let ha = scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(1);
-                    engine.send(&a, &mut rng, &msgs_s, 4)
-                });
-                let hb = scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    engine.receive(&b, &mut rng, 10, &idx)
-                });
-                (ha.join().unwrap(), hb.join().unwrap())
-            });
+        let indices = [9usize, 2, 2, 0];
+        let engines: [&dyn ObliviousTransfer; 2] =
+            [&IknpOt::fast_insecure(), &NaorPinkasOt::fast_insecure()];
+        for engine in engines {
+            let (send, got) = transfer(engine, &msgs, 10, &indices);
             send.expect("send");
             let got = got.expect("receive");
             for (g, &i) in got.iter().zip(&indices) {
-                assert_eq!(g, &msgs[i]);
+                assert_eq!(g, &msgs[i], "{}", engine.name());
             }
         }
     }

@@ -19,21 +19,22 @@
 //!   is clearly labeled and never used where OT security is the claim
 //!   under test.
 //!
-//! The building blocks ([`ot12_send`]/[`ot12_receive`],
-//! [`otkn_send`]/[`otkn_receive`] — 1-out-of-N is its `k = 1`) are
-//! exported for direct use and for the protocol-level tests.
-//!
 //! ## Sans-I/O roles
 //!
-//! Every protocol here is implemented as transport-free role logic over
-//! a [`FrameIo`](ppcs_transport::FrameIo) mailbox (the `*_io` functions);
-//! the blocking functions above are thin wrappers that drive the same
-//! logic over an `Endpoint`. Role code that must stay generic over the
-//! engine takes an [`OtSelect`] value (from
-//! [`ObliviousTransfer::select`]) and calls the [`ot_send_list_io`] /
-//! [`ot_receive_list_io`] dispatchers (or their one-transfer forms
-//! [`ot_send_io`] / [`ot_receive_io`]), so no `Endpoint` — and no engine
-//! borrow — appears in its signature.
+//! Every protocol here is transport-free role logic over a
+//! [`FrameIo`](ppcs_transport::FrameIo) mailbox: the `*_io` functions.
+//! No `Endpoint` appears in this crate; a caller wraps a role in a
+//! [`ProtocolEngine`](ppcs_transport::ProtocolEngine) and hands it to
+//! whichever driver it runs (blocking, reactor, in-memory pair,
+//! transcript replay). An engine is a name plus an [`OtSelect`] value
+//! (from [`ObliviousTransfer::select`]); role code that must stay generic
+//! over the engine calls the [`ot_send_list_io`] / [`ot_receive_list_io`]
+//! dispatchers (or their one-transfer forms [`ot_send_io`] /
+//! [`ot_receive_io`]). The Naor–Pinkas building blocks
+//! ([`commit_c_io`] / [`receive_c_io`], [`ot12_send_io`] /
+//! [`ot12_receive_io`] and their precommitted forms, [`otkn_send_io`] /
+//! [`otkn_receive_io`] — 1-out-of-N is its `k = 1`) are exported for the
+//! protocol-level tests and the benchmark's layer ladder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,16 +49,13 @@ mod offline;
 
 pub use api::{
     ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_receive_list_io, ot_send_io,
-    ot_send_list_io, sim_receive_io, sim_send_io, NaorPinkasOt, ObliviousTransfer, OtBatchState,
-    OtSelect, TrustedSimOt,
+    ot_send_list_io, NaorPinkasOt, ObliviousTransfer, OtBatchState, OtSelect, TrustedSimOt,
 };
 pub use base::{
-    commit_c, commit_c_io, ot12_receive, ot12_receive_io, ot12_receive_precommitted,
-    ot12_receive_precommitted_io, ot12_send, ot12_send_io, ot12_send_precommitted,
-    ot12_send_precommitted_io, receive_c, receive_c_io, ReceiverCommitment, SenderCommitment,
+    commit_c_io, ot12_receive_io, ot12_receive_precommitted_io, ot12_send_io,
+    ot12_send_precommitted_io, receive_c_io, ReceiverCommitment, SenderCommitment,
 };
 pub use error::OtError;
-pub use ext::{iknp_receive, iknp_receive_io, iknp_send, iknp_send_io, random_choices, KAPPA};
-pub use kn::{otkn_receive, otkn_receive_io, otkn_send, otkn_send_io};
-pub use knx::{knx_receive_io, knx_send_io, IknpOt};
+pub use kn::{otkn_receive_io, otkn_send_io};
+pub use knx::IknpOt;
 pub use offline::{ot_begin_send_precomputed_io, select_fingerprint, OtOfflineCommitment};

@@ -19,10 +19,10 @@ use ppcs_core::{
 };
 use ppcs_crypto::DhGroup;
 use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
-use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch, OmpeParams};
+use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch_io, OmpeParams};
 use ppcs_ot::{
-    ot12_receive_io, ot12_send, ot_begin_receive_io, ot_begin_send_io, ot_receive_io, ot_send_io,
-    IknpOt, NaorPinkasOt, ObliviousTransfer, TrustedSimOt,
+    ot12_receive_io, ot12_send_io, ot_begin_receive_io, ot_begin_send_io, ot_receive_io,
+    ot_send_io, IknpOt, NaorPinkasOt, ObliviousTransfer, TrustedSimOt,
 };
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples, rotated_model};
@@ -107,8 +107,12 @@ fn base_ot_transcripts_are_byte_identical() {
             })
         },
         |ep| {
+            let (m0, m1) = (&m0, &m1);
             let mut rng = StdRng::seed_from_u64(100);
-            ot12_send(group, &ep, &mut rng, &m0, &m1, 7).expect("send");
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ot12_send_io(group, &io, &mut rng, m0, m1, 7).await
+            });
+            Driver::new().drive(&ep, &mut eng).expect("send");
         },
     );
     assert_eq!(blocking, b"message one!".to_vec());
@@ -182,16 +186,12 @@ fn ompe_batch_transcripts_are_byte_identical() {
             })
         },
         |ep| {
+            let (alg, secrets) = (&alg, &secrets);
             let mut rng = StdRng::seed_from_u64(31);
-            ompe_send_batch(
-                &FixedFpAlgebra::new(16),
-                &ep,
-                &SIM,
-                &mut rng,
-                &secrets,
-                &params,
-            )
-            .expect("send");
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ompe_send_batch_io(alg, &io, sel, &mut rng, secrets, &params).await
+            });
+            Driver::new().drive(&ep, &mut eng).expect("send");
         },
     );
     assert_eq!(asynced, blocking);

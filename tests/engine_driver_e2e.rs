@@ -1,9 +1,10 @@
 //! End-to-end tests for the sans-I/O protocol engines: every protocol
 //! (base OT, k/N OT, OMPE batch, linear/poly/RBF classification,
 //! similarity) driven through [`Driver`] over both in-memory duplex and
-//! real TCP loopback, asserting outputs identical to the blocking entry
-//! points, plus transcript record/replay of a full classification
-//! session.
+//! real TCP loopback, asserting outputs identical to a blocking run —
+//! each party on its own thread under `drive_blocking`, through the
+//! product's blocking entry points where it has them — plus transcript
+//! record/replay of a full classification session.
 
 use ppcs_core::{
     similarity_request, similarity_request_io, similarity_respond, similarity_respond_io, Client,
@@ -11,12 +12,10 @@ use ppcs_core::{
 };
 use ppcs_crypto::DhGroup;
 use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
-use ppcs_ompe::{
-    ompe_receive_batch, ompe_receive_batch_io, ompe_send_batch, ompe_send_batch_io, OmpeParams,
-};
+use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch_io, OmpeParams};
 use ppcs_ot::{
-    ot12_receive, ot12_receive_io, ot12_send, ot12_send_io, ot_begin_receive_io, ot_begin_send_io,
-    ot_receive_io, ot_send_io, IknpOt, NaorPinkasOt, ObliviousTransfer, TrustedSimOt,
+    ot12_receive_io, ot12_send_io, ot_begin_receive_io, ot_begin_send_io, ot_receive_io,
+    ot_send_io, IknpOt, NaorPinkasOt, ObliviousTransfer, OtBatchState, TrustedSimOt,
 };
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::{blob_dataset, rotated_model};
@@ -67,19 +66,23 @@ fn base_ot_engine_over_driver_matches_blocking() {
     let group = DhGroup::modp_768();
     let (m0, m1) = (b"message zero".to_vec(), b"message one!".to_vec());
 
-    let blocking = {
-        let (m0, m1) = (m0.clone(), m1.clone());
-        run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(100);
-                ot12_send(group, &ep, &mut rng, &m0, &m1, 7)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(101);
-                ot12_receive(group, &ep, &mut rng, true, 7).expect("receive")
-            },
-        )
-    };
+    let blocking = run_pair(
+        |ep| {
+            let (m0, m1) = (&m0, &m1);
+            let mut rng = StdRng::seed_from_u64(100);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ot12_send_io(group, &io, &mut rng, m0, m1, 7).await
+            });
+            drive_blocking(&ep, &mut eng)
+        },
+        |ep| {
+            let mut rng = StdRng::seed_from_u64(101);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ot12_receive_io(group, &io, &mut rng, true, 7).await
+            });
+            drive_blocking(&ep, &mut eng).expect("receive")
+        },
+    );
     blocking.0.expect("send");
     assert_eq!(blocking.1, m1);
 
@@ -123,15 +126,22 @@ fn kn_ot_engines_over_driver_match_blocking() {
     ];
     for ot in engines {
         let sel = ot.select();
-        let msgs = messages.clone();
+        // A single-shot transfer: no shared batch state.
+        let no_batch = &OtBatchState::default();
         let blocking = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(7);
-                ot.send(&ep, &mut rng, &msgs, indices.len())
+            |ep| {
+                let (messages, mut rng) = (&messages, StdRng::seed_from_u64(7));
+                let mut eng = ProtocolEngine::new(|io| async move {
+                    ot_send_io(sel, no_batch, &io, &mut rng, messages, indices.len()).await
+                });
+                drive_blocking(&ep, &mut eng)
             },
-            move |ep| {
+            |ep| {
                 let mut rng = StdRng::seed_from_u64(8);
-                ot.receive(&ep, &mut rng, 6, &indices).expect("receive")
+                let mut eng = ProtocolEngine::new(|io| async move {
+                    ot_receive_io(sel, no_batch, &io, &mut rng, 6, &indices).await
+                });
+                drive_blocking(&ep, &mut eng).expect("receive")
             },
         );
         blocking.0.expect("blocking send");
@@ -174,37 +184,27 @@ fn ompe_batch_engines_over_driver_match_blocking() {
     ];
     let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
 
-    let blocking = {
-        let (secrets, alphas) = (secrets.clone(), alphas.clone());
-        run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(31);
-                ompe_send_batch(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &SIM,
-                    &mut rng,
-                    &secrets,
-                    &params,
-                )
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(32);
-                ompe_receive_batch(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &SIM,
-                    &mut rng,
-                    &alphas,
-                    &params,
-                )
-                .expect("receive")
-            },
-        )
-    };
+    let sel = SIM.select();
+    let blocking = run_pair(
+        |ep| {
+            let (alg, secrets) = (&alg, &secrets);
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ompe_send_batch_io(alg, &io, sel, &mut rng, secrets, &params).await
+            });
+            drive_blocking(&ep, &mut eng)
+        },
+        |ep| {
+            let (alg, alphas) = (&alg, &alphas);
+            let mut rng = StdRng::seed_from_u64(32);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ompe_receive_batch_io(alg, &io, sel, &mut rng, alphas, &params).await
+            });
+            drive_blocking(&ep, &mut eng).expect("receive")
+        },
+    );
     blocking.0.expect("blocking send");
 
-    let sel = SIM.select();
     let (sent, got) = both_transports(
         |ep| {
             let (alg, secrets) = (&alg, &secrets);
@@ -386,4 +386,34 @@ fn recorded_classification_session_replays_to_same_labels() {
     let replayed_labels: Vec<Label> = replayed.iter().map(|(label, _)| *label).collect();
     assert_eq!(replayed_labels, live_labels);
     assert_eq!(replayed, values);
+}
+
+#[test]
+fn protocol_crates_are_sans_io() {
+    // `ppcs-ot` and `ppcs-ompe` export roles over a `FrameIo` and nothing
+    // that drives one: outside their tests, no code line names a
+    // connection, a driver or a thread pair. A blocking caller builds a
+    // `ProtocolEngine` from a role and pumps it itself.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../crates");
+    for krate in ["ot", "ompe"] {
+        let dir = format!("{root}/{krate}/src");
+        for entry in std::fs::read_dir(&dir).expect("crate sources") {
+            let path = entry.expect("source entry").path();
+            let source = std::fs::read_to_string(&path).expect("source file");
+            let code = source.split("#[cfg(test)]").next().unwrap_or_default();
+            for (n, line) in code.lines().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                for name in ["Endpoint", "Lane", "Driver", "drive_blocking", "run_pair"] {
+                    assert!(
+                        !line.contains(name),
+                        "{}:{}: `{name}` in {line:?}",
+                        path.display(),
+                        n + 1
+                    );
+                }
+            }
+        }
+    }
 }

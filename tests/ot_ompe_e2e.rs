@@ -2,30 +2,71 @@
 //! exercised across engines and groups — including one run
 //! over the security-grade 2048-bit group.
 
-use ppcs_math::{Algebra, FixedFpAlgebra, MvPolynomial};
-use ppcs_ompe::{ompe_receive, ompe_send, OmpeParams};
-use ppcs_ot::{otkn_receive, otkn_send, NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
-use ppcs_transport::run_pair;
+use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, MvPolynomial};
+use ppcs_ompe::{ompe_receive_io, ompe_send_io, OmpeParams};
+use ppcs_ot::{
+    commit_c_io, otkn_receive_io, otkn_send_io, receive_c_io, NaorPinkasOt, ObliviousTransfer,
+    OtSelect, TrustedSimOt,
+};
+use ppcs_transport::{drive_blocking, run_pair, ProtocolEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One single-shot OMPE evaluation, each party on its own thread under
+/// the blocking driver over a duplex channel; returns the receiver's
+/// value and the bytes the sender's endpoint received.
+fn ompe_over_duplex(
+    sel: OtSelect,
+    secret: &MvPolynomial<FixedFpAlgebra>,
+    alpha: &[Fp256],
+    params: &OmpeParams,
+    (seed_s, seed_r): (u64, u64),
+) -> (Fp256, u64) {
+    let alg = &FixedFpAlgebra::new(16);
+    let (sent, got) = run_pair(
+        |ep| {
+            let mut rng = StdRng::seed_from_u64(seed_s);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ompe_send_io(alg, &io, sel, &mut rng, secret, params).await
+            });
+            drive_blocking(&ep, &mut eng).map(|()| ep.stats().bytes_received)
+        },
+        |ep| {
+            let mut rng = StdRng::seed_from_u64(seed_r);
+            let mut eng = ProtocolEngine::new(|io| async move {
+                ompe_receive_io(alg, &io, sel, &mut rng, alpha, params).await
+            });
+            drive_blocking(&ep, &mut eng)
+        },
+    );
+    (got.expect("receive"), sent.expect("send"))
+}
 
 #[test]
 fn naor_pinkas_2048_one_of_n_smoke() {
     // One transfer over the real security-grade group (slow: keep small).
-    let group = NaorPinkasOt::new();
+    let group = NaorPinkasOt::new().group();
     let msgs: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
-    let msgs_s = msgs.clone();
-    let (_, got) = run_pair(
-        move |ep| {
-            let mut rng = StdRng::seed_from_u64(1);
-            otkn_send(group.group(), &ep, &mut rng, &msgs_s, 1).expect("send");
+    let (sent, got) = run_pair(
+        |ep| {
+            let (msgs, mut rng) = (&msgs, StdRng::seed_from_u64(1));
+            let mut eng = ProtocolEngine::new(|io| async move {
+                let commitment = commit_c_io(group, &io, &mut rng)?;
+                otkn_send_io(group, &io, &mut rng, &[(msgs, 1)], &commitment).await
+            });
+            drive_blocking(&ep, &mut eng)
         },
-        move |ep| {
+        |ep| {
             let mut rng = StdRng::seed_from_u64(2);
-            otkn_receive(NaorPinkasOt::new().group(), &ep, &mut rng, 4, &[2]).expect("recv")
+            let mut eng = ProtocolEngine::new(|io| async move {
+                let commitment = receive_c_io(group, &io).await?;
+                otkn_receive_io(group, &io, &mut rng, &[(4, &[2])], &commitment).await
+            });
+            drive_blocking(&ep, &mut eng)
         },
     );
-    assert_eq!(got, [msgs[2].clone()]);
+    sent.expect("send");
+    assert_eq!(got.expect("recv"), [msgs[2].clone()]);
 }
 
 #[test]
@@ -39,42 +80,10 @@ fn ompe_engines_agree() {
     let params = OmpeParams::new(1, 4, 3).unwrap();
     let want = secret.eval(&alg, &alpha);
 
-    let engines: Vec<Box<dyn ObliviousTransfer>> = vec![
-        Box::new(TrustedSimOt::new()),
-        Box::new(NaorPinkasOt::fast_insecure()),
-    ];
-    for engine in &engines {
-        let secret = secret.clone();
-        let alpha = alpha.clone();
-        let engine: &dyn ObliviousTransfer = engine.as_ref();
-        let (res, got) = std::thread::scope(|scope| {
-            let (ep_a, ep_b) = ppcs_transport::duplex();
-            let ha = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(10);
-                ompe_send(
-                    &FixedFpAlgebra::new(16),
-                    &ep_a,
-                    engine,
-                    &mut rng,
-                    &secret,
-                    &params,
-                )
-            });
-            let hb = scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(11);
-                ompe_receive(
-                    &FixedFpAlgebra::new(16),
-                    &ep_b,
-                    engine,
-                    &mut rng,
-                    &alpha,
-                    &params,
-                )
-            });
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        res.expect("sender");
-        assert_eq!(got.expect("receiver"), want, "{}", engine.name());
+    let engines: [&dyn ObliviousTransfer; 2] = [&TrustedSimOt, &NaorPinkasOt::fast_insecure()];
+    for engine in engines {
+        let (got, _) = ompe_over_duplex(engine.select(), &secret, &alpha, &params, (10, 11));
+        assert_eq!(got, want, "{}", engine.name());
     }
 }
 
@@ -89,28 +98,8 @@ fn ompe_masking_degree_sweep_stays_correct() {
 
     for sigma in 1..=8 {
         let params = OmpeParams::new(1, sigma, 2).unwrap();
-        let secret = secret.clone();
-        let alpha = alpha.clone();
-        let alg2 = alg;
-        let (res, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(20 + sigma as u64);
-                ompe_send(&alg2, &ep, &TrustedSimOt, &mut rng, &secret, &params)
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(40 + sigma as u64);
-                ompe_receive(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &alpha,
-                    &params,
-                )
-                .expect("receive")
-            },
-        );
-        res.expect("send");
+        let seeds = (20 + sigma as u64, 40 + sigma as u64);
+        let (got, _) = ompe_over_duplex(TrustedSimOt.select(), &secret, &alpha, &params, seeds);
         let got = alg.decode(&got, 2);
         assert!(
             (got - want).abs() < 1e-3,
@@ -131,34 +120,8 @@ fn ompe_transcript_hides_cover_positions_from_wire_size() {
 
     let mut sizes = Vec::new();
     for seed in 0..5u64 {
-        let secret = secret.clone();
-        let (bytes, _) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                ompe_send(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &secret,
-                    &params,
-                )
-                .expect("send");
-                ep.stats().bytes_received
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(100 + seed);
-                ompe_receive(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &alpha,
-                    &params,
-                )
-                .expect("receive")
-            },
-        );
+        let seeds = (seed, 100 + seed);
+        let (_, bytes) = ompe_over_duplex(TrustedSimOt.select(), &secret, &alpha, &params, seeds);
         sizes.push(bytes);
     }
     assert!(
@@ -183,33 +146,8 @@ fn large_batch_of_random_affine_instances() {
         let alpha = enc(&alpha);
         let exact = secret.eval(&alg, &alpha);
         let params = OmpeParams::new(1, rng.gen_range(1..5), rng.gen_range(1..4)).unwrap();
-        let alpha2 = alpha.clone();
-        let (res, got) = run_pair(
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(1000 + case);
-                ompe_send(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &secret,
-                    &params,
-                )
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(2000 + case);
-                ompe_receive(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &alpha2,
-                    &params,
-                )
-                .expect("receive")
-            },
-        );
-        res.expect("send");
+        let seeds = (1000 + case, 2000 + case);
+        let (got, _) = ompe_over_duplex(TrustedSimOt.select(), &secret, &alpha, &params, seeds);
         assert_eq!(got, exact, "case {case}");
         let got = alg.decode(&got, 2);
         assert!(

@@ -3,9 +3,9 @@
 
 use bytes::Bytes;
 use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, Polynomial};
-use ppcs_ompe::{ompe_receive, OmpeParams};
-use ppcs_ot::TrustedSimOt;
-use ppcs_transport::{decode_seq, run_pair};
+use ppcs_ompe::{ompe_receive_io, OmpeParams};
+use ppcs_ot::{OtSelect, TrustedSimOt};
+use ppcs_transport::{decode_seq, run_pair, ProtocolEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,27 +92,15 @@ fn ompe_point_cloud_hides_the_input_bytes() {
 
     let mut ys_bytes = Vec::new();
     for seed in 0..80u64 {
-        let alpha = alpha.clone();
-        let (blob, _) = run_pair(
-            move |ep| {
-                // Play a sender that records the point cloud and hangs up.
-                let frame = ep.recv().expect("points frame");
-                frame.payload.to_vec()
-            },
-            move |ep| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                // The receiver will fail once the fake sender hangs up.
-                let _ = ompe_receive(
-                    &FixedFpAlgebra::new(16),
-                    &ep,
-                    &TrustedSimOt,
-                    &mut rng,
-                    &alpha,
-                    &params,
-                );
-            },
-        );
-        let (_xs, ys) = decode_cloud(blob);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (alg, alpha, params) = (&alg, &alpha, &params);
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ompe_receive_io(alg, &io, OtSelect::TrustedSim, &mut rng, alpha, params).await
+        });
+        // Play a sender that records the point cloud, the receiver's
+        // first frame, and never answers.
+        let out = receiver.poll_output().expect("points frame");
+        let (_xs, ys) = decode_cloud(out.frames()[0].payload.to_vec());
         for y in ys {
             ys_bytes.extend_from_slice(&y.to_bytes());
         }
