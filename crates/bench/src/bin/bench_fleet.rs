@@ -136,18 +136,24 @@ fn run_once(
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in &plain {
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(server_lanes, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(server_lanes, &SIM, 7)
+                    .expect("reactor");
             });
             client_banks.push(client_bank.clone());
         }
         if let Some((killed_server, _)) = &killed {
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(killed_server, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(killed_server, &SIM, 7)
+                    .expect("reactor");
             });
         }
         if let Some((server_lanes, client_bank)) = &healthy_extra {
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(server_lanes, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(server_lanes, &SIM, 7)
+                    .expect("reactor");
             });
             client_banks.push(client_bank.clone());
         }

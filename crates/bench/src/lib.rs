@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use ppcs_core::{Client, ProtocolConfig, Trainer};
+use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
 use ppcs_datasets::{generate, DatasetSpec};
 use ppcs_math::{FixedFpAlgebra, Fp256, MvPolynomial};
 use ppcs_ompe::{ompe_receive_io, ompe_send_io, OmpeParams};
@@ -117,9 +117,10 @@ pub fn private_classify(
 
 /// Runs the private classification protocol over `samples` spread across
 /// `lanes` independent transport lanes, trainer and client each fanning
-/// out one thread per lane. With `lanes == 1` this measures the batched
-/// single-session path (session reuse + coalesced point clouds) without
-/// parallelism.
+/// out one thread per lane (a [`TrainerServer`] of one lane per trainer
+/// thread, since one server runs on one reactor thread). With
+/// `lanes == 1` this measures the batched single-session path (session
+/// reuse + coalesced point clouds) without parallelism.
 pub fn private_classify_parallel(
     model: &SvmModel,
     samples: &[Vec<f64>],
@@ -143,20 +144,25 @@ pub fn private_classify_parallel_with_ot(
 ) -> Vec<Label> {
     let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer setup");
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
+    // Like the one-shot sessions it stands beside, no precomputation.
+    let config = ServerConfig {
+        precompute_capacity: 0,
+        ..ServerConfig::default()
+    };
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
-        let t = scope.spawn(|| {
-            trainer
-                .serve_parallel(&trainer_eps, ot, seed)
-                .expect("serve_parallel")
-        });
-        let c = scope.spawn(|| {
-            client
-                .classify_batch_parallel(&client_eps, ot, seed + 1000, samples)
-                .expect("classify_batch_parallel")
-        });
-        t.join().expect("trainer thread");
-        c.join().expect("client thread")
+        for (i, lane) in trainer_eps.iter().enumerate() {
+            let server = TrainerServer::new(&trainer, config.clone());
+            scope.spawn(move || {
+                let seed = seed.wrapping_add(i as u64);
+                server
+                    .serve(std::slice::from_ref(lane), ot, seed)
+                    .expect("serve")
+            });
+        }
+        client
+            .classify_batch_parallel(&client_eps, ot, seed + 1000, samples)
+            .expect("classify_batch_parallel")
     })
 }
 

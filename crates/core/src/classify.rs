@@ -562,95 +562,6 @@ impl<A: Algebra> Trainer<A> {
                 .await
         })
     }
-
-    /// Serves classification sessions per lane, each lane on its own
-    /// thread — the trainer half of
-    /// [`Client::classify_batch_parallel`]. Returns the total number of
-    /// samples served across all lanes.
-    ///
-    /// Each lane runs a **session loop**: every `HELLO` opens a fresh
-    /// session (so a client retrying or requeueing a failed chunk is
-    /// served again on the same lane), a failed session abandons only
-    /// itself, and the loop ends on a `FIN` frame, a disconnect, or a
-    /// receive timeout. One bad session therefore costs latency, not the
-    /// batch.
-    ///
-    /// Per-lane randomness is derived from `seed` (lane `i` uses
-    /// `seed + i`), so a run is reproducible without sharing one RNG
-    /// across threads.
-    ///
-    /// # Errors
-    ///
-    /// The first non-recoverable lane error, if any lane hits one.
-    pub fn serve_parallel<L: Lane>(
-        &self,
-        lanes: &[L],
-        ot: &dyn ObliviousTransfer,
-        seed: u64,
-    ) -> Result<usize, PpcsError> {
-        let sel = ot.select();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, ep)| {
-                    scope.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                        self.serve_lane(ep, sel, &mut rng)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve lane thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        results.into_iter().sum()
-    }
-
-    /// One lane's session loop: serve every `HELLO`-opened session until
-    /// the client says `FIN` or the lane dies.
-    fn serve_lane<L: Lane + ?Sized>(
-        &self,
-        ep: &L,
-        sel: OtSelect,
-        rng: &mut StdRng,
-    ) -> Result<usize, PpcsError> {
-        let mut total = 0usize;
-        loop {
-            let first = match ep.recv() {
-                Ok(f) => f,
-                // The client went away (or will never come back before
-                // the deadline): this lane is done, not failed.
-                Err(TransportError::Disconnected | TransportError::Timeout) => break,
-                Err(e) => return Err(PpcsError::Transport(e)),
-            };
-            if first.kind == KIND_CLS_FIN {
-                break;
-            }
-            if first.kind != KIND_CLS_HELLO && first.kind != KIND_CLS_WARM_HELLO {
-                // Stale traffic from an abandoned session: skip until
-                // the next HELLO opens a fresh one.
-                continue;
-            }
-            let warm = first.kind == KIND_CLS_WARM_HELLO;
-            let r = &mut *rng;
-            let mut engine = ProtocolEngine::new(|io| async move {
-                self.serve_session_io(&io, sel, r, warm, None).await
-            });
-            engine.handle_input(first);
-            match drive_blocking(ep, &mut engine) {
-                Ok(n) => total += n,
-                Err(e) => match transport_cause(&e) {
-                    Some(TransportError::Disconnected) => break,
-                    // A timed-out or derailed session abandons itself;
-                    // the lane resyncs on the next HELLO.
-                    Some(_) | None => continue,
-                },
-            }
-        }
-        Ok(total)
-    }
 }
 
 /// The client role: classifies private samples against a remote trainer.
@@ -1009,8 +920,8 @@ impl<A: Algebra> Client<A> {
     }
 
     /// Classifies a batch across several lanes concurrently, one session
-    /// per lane on its own thread — the client half of
-    /// [`Trainer::serve_parallel`].
+    /// per lane on its own thread, against a trainer serving every lane
+    /// ([`TrainerServer::serve`](crate::TrainerServer::serve)).
     ///
     /// Samples are sharded into contiguous, near-equal chunks (lane `i`
     /// takes chunk `i`) and the per-chunk labels are reassembled in the
@@ -1481,11 +1392,15 @@ mod tests {
         let sequential = run_batch(&model, cfg, samples.clone(), &SIM, 90);
 
         let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+        let server = crate::TrainerServer::new(&trainer, crate::ServerConfig::default());
         let client = Client::new(FixedFpAlgebra::new(16), cfg);
         for lanes in [1usize, 2, 4] {
             let (trainer_eps, client_eps) = duplex_pool(lanes);
             let (served, labels) = std::thread::scope(|scope| {
-                let t = scope.spawn(|| trainer.serve_parallel(&trainer_eps, &SIM, 91).unwrap());
+                let t = scope.spawn(|| {
+                    let summary = server.serve(&trainer_eps, &SIM, 91).unwrap();
+                    summary.served_samples
+                });
                 let c = scope.spawn(|| {
                     client
                         .classify_batch_parallel(&client_eps, &SIM, 92, &samples)

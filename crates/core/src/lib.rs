@@ -21,7 +21,9 @@
 //! cover-polynomial storage set up once, one OT base-phase commitment
 //! per batch) with all point clouds coalesced into a single framed
 //! write, and can be spread across independent transport lanes with
-//! [`Trainer::serve_parallel`] / [`Client::classify_batch_parallel`].
+//! [`Client::classify_batch_parallel`] against one [`TrainerServer`],
+//! which serves every lane (and every TCP connection) from one reactor
+//! thread.
 //!
 //! Every role is implemented **sans-I/O**: the `*_io` twins
 //! ([`Trainer::serve_io`], [`Client::classify_batch_values_io`],

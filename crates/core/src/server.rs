@@ -1,7 +1,8 @@
 //! Multi-client serving runtime for classification trainers.
 //!
 //! [`TrainerServer`] wraps a [`Trainer`] so it can face many concurrent
-//! client lanes while staying healthy under load and abuse:
+//! client connections from one reactor thread ([`AsyncDriver`]) while
+//! staying healthy under load and abuse:
 //!
 //! * **Admission control** — at most `max_sessions` classification
 //!   sessions run at once; a session arriving beyond capacity (or after
@@ -15,7 +16,7 @@
 //!   its budget instead of holding a slot forever.
 //! * **Graceful drain** — [`SessionSupervisor::drain`] stops admission
 //!   immediately, lets in-flight sessions finish inside the drain
-//!   deadline, then cuts the stragglers through the drivers' shared
+//!   deadline, then cuts the stragglers through the sessions' shared
 //!   cancel token.
 //!
 //! Every hostile-session outcome is counted ([`ServeSummary`]) and, when
@@ -26,7 +27,7 @@
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ppcs_math::Algebra;
@@ -35,8 +36,8 @@ use ppcs_telemetry::{
     FlightEventKind, FlightRecorder, MetricsRegistry, DETAIL_DRAIN_BEGAN, DETAIL_DRAIN_CUT,
 };
 use ppcs_transport::{
-    busy_frame, AsyncDriver, AsyncEvent, ConnId, DriveOptions, Driver, Frame, HealthStatus, Lane,
-    ProtocolEngine, SessionLimits, TransportError, KIND_HEALTH,
+    AsyncDriver, AsyncEvent, ConnId, DriveOptions, Frame, HealthStatus, Lane, ProtocolEngine,
+    SessionLimits, TransportError, KIND_HEALTH,
 };
 
 use crate::classify::{
@@ -45,7 +46,8 @@ use crate::classify::{
 use crate::error::PpcsError;
 use crate::precompute::PrecomputePool;
 
-/// How often idle lanes and draining watchdogs re-check their flags.
+/// How long a sessionless connection stays open once a drain begins,
+/// and the longest reactor wait while a drain's grace period runs.
 const POLL_SLICE: Duration = Duration::from_millis(20);
 
 /// Configuration for a [`TrainerServer`].
@@ -56,8 +58,8 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Budgets every admitted session is driven under.
     pub limits: SessionLimits,
-    /// How long an idle lane (connected, but no session opening) is kept
-    /// before its thread gives up on the client.
+    /// How long an idle connection (connected, but no session opening)
+    /// is kept before the reactor closes it.
     pub idle_timeout: Duration,
     /// Grace period between [`SessionSupervisor::drain`] and the forced
     /// cut of still-running sessions.
@@ -99,18 +101,13 @@ struct SupervisorInner {
     max_sessions: usize,
     active: AtomicUsize,
     draining: AtomicBool,
-    /// Shared with every session driver via `Driver::with_cancel`: set
-    /// once the drain deadline passes to cut in-flight sessions.
+    /// Shared with every session through [`DriveOptions::with_cancel`]:
+    /// set once the drain deadline passes to cut in-flight sessions.
     cut: Arc<AtomicBool>,
     admitted: AtomicU64,
     shed: AtomicU64,
     budget_exceeded: AtomicU64,
     malformed_rejected: AtomicU64,
-    /// Parks the drain watchdog between events. [`SessionSupervisor::drain`]
-    /// and run completion both notify here, so drain latency is bounded
-    /// by the condvar handoff rather than a sleep-poll quantum.
-    wake_lock: Mutex<()>,
-    wake: Condvar,
 }
 
 /// Cloneable control/observation handle over a serving run: admission
@@ -149,17 +146,6 @@ impl SessionSupervisor {
     /// cut token terminates whatever remains.
     pub fn drain(&self) {
         self.inner.draining.store(true, Ordering::Release);
-        self.wake_watchdog();
-    }
-
-    /// Wakes the drain watchdog (and any other condvar waiter) so it can
-    /// re-check the `draining`/stop flags. Taking the lock first closes
-    /// the store-then-park race: a waiter holding the lock has either
-    /// already seen the new flag value or is inside `wait`, where the
-    /// notification cannot be lost.
-    fn wake_watchdog(&self) {
-        let _guard = self.inner.wake_lock.lock().expect("supervisor wake lock");
-        self.inner.wake.notify_all();
     }
 
     /// Whether the forced cut (post-drain-deadline) has fired.
@@ -215,9 +201,9 @@ struct SessionPermit {
     supervisor: SessionSupervisor,
 }
 
-/// Per-connection serving state, in either runtime: the stable lane
-/// index and session counter feeding the per-session seed formula, plus
-/// the held admission permit while a session is in flight.
+/// Per-connection serving state: the stable lane index and session
+/// counter feeding the per-session seed formula, plus the held
+/// admission permit while a session is in flight.
 #[derive(Debug)]
 struct ConnMeta {
     lane_idx: u64,
@@ -249,7 +235,7 @@ struct Run<A: Algebra> {
 }
 
 /// What the first frame on a sessionless connection asks for, decided
-/// by [`TrainerServer::open_session`]; the serving runtime only has to
+/// by [`TrainerServer::open_session`]; the event loop only has to
 /// carry it out.
 enum Opening<'s> {
     /// A liveness/readiness probe: send the reply. Answered before (and
@@ -297,7 +283,9 @@ pub struct ServeSummary {
 }
 
 /// A hardened multi-client front for a [`Trainer`]: admission control,
-/// per-session budgets, and graceful drain over any set of [`Lane`]s.
+/// per-session budgets, and graceful drain over in-memory [`Lane`]s or
+/// TCP, all on one reactor thread. To use more cores, run one server
+/// per thread.
 ///
 /// # Examples
 ///
@@ -322,7 +310,7 @@ pub struct ServeSummary {
 ///         // Clients classify on `client_lanes` concurrently...
 ///         drop(client_lanes); // (here: nobody calls, lanes just close)
 ///     });
-///     let summary = server.serve(&server_lanes, &ot, 7);
+///     let summary = server.serve(&server_lanes, &ot, 7).unwrap();
 ///     assert_eq!(summary.sessions_shed, 0);
 /// });
 /// ```
@@ -331,12 +319,11 @@ pub struct TrainerServer<'a, A: Algebra> {
     config: ServerConfig,
     supervisor: SessionSupervisor,
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Post-mortem flight recorder shared with the async driver (and fed
-    /// directly by the blocking path, keyed by lane index).
+    /// Post-mortem flight recorder shared with the reactor.
     recorder: Option<Arc<FlightRecorder>>,
-    /// A `/metrics` endpoint listener handed to the next async serving
-    /// run. Interior mutability because the serve entry points take
-    /// `&self` but the driver consumes the listener.
+    /// A `/metrics` endpoint listener handed to the next serving run.
+    /// Interior mutability because the serve entry points take `&self`
+    /// but the driver consumes the listener.
     metrics_endpoint: Mutex<Option<TcpListener>>,
 }
 
@@ -365,8 +352,8 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
 
     /// Attaches a post-mortem flight recorder: admission, shedding,
     /// budget trips, malformed input, timer fires, and drain state
-    /// transitions land in its fixed-size ring. At the end of an async
-    /// run the ring is dumped to the path in `PPCS_FLIGHT_OUT` (when
+    /// transitions land in its fixed-size ring. At the end of a run the
+    /// ring is dumped to the path in `PPCS_FLIGHT_OUT` (when
     /// set); it can also be scraped live through
     /// [`with_metrics_endpoint`](TrainerServer::with_metrics_endpoint)
     /// at `GET /flightrecorder`.
@@ -378,96 +365,22 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
 
     /// Serves a live `/metrics` (Prometheus text exposition plus live
     /// session table) and `/flightrecorder` endpoint on `listener`
-    /// during the **next** async serving run, multiplexed on the same
+    /// during the **next** serving run, multiplexed on the same
     /// reactor thread as the protocol traffic. Bind to loopback unless
     /// the scrape network is trusted: the surface never carries
     /// payloads, but it is unauthenticated.
     #[must_use]
-    pub fn with_metrics_endpoint(self, listener: TcpListener) -> Self {
-        *self.metrics_endpoint.lock().expect("metrics endpoint lock") = Some(listener);
+    pub fn with_metrics_endpoint(mut self, listener: TcpListener) -> Self {
+        // No code panics while holding this lock, so a poisoned one
+        // still holds a consistent `Option`.
+        let endpoint = self.metrics_endpoint.get_mut();
+        *endpoint.unwrap_or_else(PoisonError::into_inner) = Some(listener);
         self
     }
 
     /// A handle for watching or draining the run from another thread.
     pub fn supervisor(&self) -> SessionSupervisor {
         self.supervisor.clone()
-    }
-
-    /// Serves classification sessions on every lane concurrently until
-    /// each lane closes (client `FIN`, disconnect, or idle timeout) or a
-    /// drain completes. One lane serves many back-to-back sessions; a
-    /// hostile or failed session terminates with a structured error and
-    /// costs only itself.
-    ///
-    /// Unlike [`Trainer::serve_parallel`], this never returns an error:
-    /// per-session failures are triaged into the [`ServeSummary`] (and
-    /// the attached metrics), because on a hostile network a peer
-    /// failure is an expected outcome, not a server fault.
-    ///
-    /// Per-session randomness derives from `seed`, the lane index, and a
-    /// per-lane session counter, so runs are reproducible.
-    pub fn serve<L: Lane>(
-        &self,
-        lanes: &[L],
-        ot: &dyn ObliviousTransfer,
-        seed: u64,
-    ) -> ServeSummary {
-        let stop_watchdog = AtomicBool::new(false);
-        let run = &self.begin_run(ot, seed);
-        let served: usize = std::thread::scope(|scope| {
-            let watchdog = scope.spawn(|| self.drain_watchdog(&stop_watchdog));
-            let handles: Vec<_> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, lane)| scope.spawn(move || self.serve_lane(lane, run, i as u64)))
-                .collect();
-            let total = handles
-                .into_iter()
-                .map(|h| h.join().expect("serve lane thread panicked"))
-                .sum();
-            stop_watchdog.store(true, Ordering::Release);
-            self.supervisor.wake_watchdog();
-            watchdog.join().expect("watchdog thread panicked");
-            total
-        });
-        self.supervisor.summary(served)
-    }
-
-    /// Arms the forced cut once a drain's grace period expires.
-    ///
-    /// Event-driven: the watchdog parks on the supervisor's condvar and
-    /// is notified by [`SessionSupervisor::drain`] or run completion, so
-    /// it reacts immediately instead of discovering flag flips one
-    /// sleep-poll quantum late.
-    fn drain_watchdog(&self, stop: &AtomicBool) {
-        let inner = &self.supervisor.inner;
-        let mut guard = inner.wake_lock.lock().expect("watchdog lock");
-        // Park until a drain begins (or the run finishes first).
-        while !self.supervisor.draining() && !stop.load(Ordering::Acquire) {
-            guard = inner.wake.wait(guard).expect("watchdog wait");
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Grace period: give in-flight sessions until the drain deadline,
-        // still waking immediately if the run completes underneath us.
-        let deadline = Instant::now() + self.config.drain_deadline;
-        loop {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (reacquired, _) = inner
-                .wake
-                .wait_timeout(guard, deadline - now)
-                .expect("watchdog wait");
-            guard = reacquired;
-        }
-        drop(guard);
-        self.supervisor.force_cut();
     }
 
     /// Opens a serving run: its OT engine, its seed, and its precompute
@@ -495,13 +408,12 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         Run { sel, seed, pool }
     }
 
-    /// The per-session policy both runtimes share: triages the first
-    /// frame on a sessionless connection and, for a session opening,
-    /// admits or sheds it. An admitted session comes back as an engine
-    /// (seeded from the run seed, the lane index and the lane's session
-    /// count, fed from the pool when it has a pack) with the options to
-    /// drive it under; its permit rides in `meta` until
-    /// [`settle`](Self::settle).
+    /// The per-session policy: triages the first frame on a sessionless
+    /// connection and, for a session opening, admits or sheds it. An
+    /// admitted session comes back as an engine (seeded from the run
+    /// seed, the lane index and the lane's session count, fed from the
+    /// pool when it has a pack) with the options to drive it under; its
+    /// permit rides in `meta` until [`settle`](Self::settle).
     fn open_session(&self, run: &Run<A>, meta: &mut ConnMeta, first: Frame) -> Opening<'_> {
         let sup = &self.supervisor;
         if first.kind == KIND_HEALTH {
@@ -535,12 +447,13 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
             .wrapping_add(meta.sessions);
         let warm = first.kind == KIND_CLS_WARM_HELLO;
         // A dry pool is a miss, not a failure: the session serves
-        // monolithically. (The pool is built from this trainer's own
-        // spec, so the config-mismatch arm is unreachable here.)
-        let material = run.pool.as_ref().and_then(|p| {
-            p.take(run.sel, &self.trainer.spec().ompe)
-                .expect("pool built from this trainer's spec")
-        });
+        // monolithically. `begin_run` built the pool from this trainer's
+        // spec and the run's OT, so `take` has no mismatch to report;
+        // were it to, serving monolithically would still be correct.
+        let material = run
+            .pool
+            .as_ref()
+            .and_then(|p| p.take(run.sel, &self.trainer.spec().ompe).ok().flatten());
         let mut engine = self
             .trainer
             .serve_session_engine(run.sel, session_seed, warm, material);
@@ -582,100 +495,25 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         }
     }
 
-    /// One lane's guarded session loop: the blocking way of waiting for
-    /// the next opening frame.
-    fn serve_lane<L: Lane + ?Sized>(&self, lane: &L, run: &Run<A>, lane_idx: u64) -> usize {
-        let sup = &self.supervisor;
-        let pool = run.pool.as_ref();
-        // Blocking lanes have no ConnId; in the flight recorder the lane
-        // index stands in for the slot (epoch 0).
-        let record = |kind, detail| {
-            if let Some(rec) = &self.recorder {
-                rec.record(kind, lane_idx as u32, 0, detail);
-            }
-        };
-        let mut meta = ConnMeta::new(lane_idx);
-        let mut served = 0usize;
-        let mut idle_since = Instant::now();
-        loop {
-            if sup.cut() {
-                break;
-            }
-            // Short recv slices keep the lane responsive to drain/cut
-            // even when the client sends nothing.
-            lane.set_recv_timeout(Some(POLL_SLICE));
-            let first = match lane.recv() {
-                Ok(f) => f,
-                Err(TransportError::Timeout) => {
-                    if sup.draining() {
-                        // No precomputed material outlives the run that
-                        // drew it.
-                        if let Some(p) = pool {
-                            p.clear();
-                        }
-                        break;
-                    }
-                    if idle_since.elapsed() >= self.config.idle_timeout {
-                        break;
-                    }
-                    // An idle recv slice with nothing to serve: put it
-                    // toward offline work (budgeted — one pack per
-                    // slice, so drain/cut stay responsive).
-                    if let Some(p) = pool {
-                        p.fill_one();
-                    }
-                    continue;
-                }
-                Err(TransportError::Disconnected) => break,
-                Err(_) => {
-                    // Garbage the transport itself rejected (e.g. a
-                    // malformed coalesced batch): note it, stay up.
-                    self.note_malformed();
-                    continue;
-                }
-            };
-            match self.open_session(run, &mut meta, first) {
-                // Deliberately does not reset `idle_since`.
-                Opening::Health(reply) => {
-                    let _ = lane.send(reply);
-                }
-                Opening::Fin => break,
-                Opening::Malformed => {}
-                Opening::Shed => {
-                    let _ = lane.send(busy_frame(self.config.retry_after));
-                    record(FlightEventKind::Shed, 0);
-                }
-                Opening::Admit(mut engine, opts) => {
-                    record(FlightEventKind::Admitted, meta.sessions);
-                    let outcome = Driver::from(opts).drive(lane, &mut engine);
-                    idle_since = Instant::now();
-                    match self.settle(&mut meta, outcome) {
-                        Settled::Served(n) => served += n,
-                        Settled::Hangup => break,
-                        Settled::BudgetCut => record(FlightEventKind::BudgetTrip, meta.sessions),
-                        Settled::Failed => {}
-                    }
-                }
-            }
-        }
-        served
-    }
-
     /// Serves classification sessions on every lane from **one thread**,
-    /// multiplexed through an [`AsyncDriver`] event loop instead of a
-    /// thread per lane.
+    /// multiplexed through an [`AsyncDriver`] event loop, until each lane
+    /// closes (client `FIN`, disconnect, or idle timeout) or a drain
+    /// completes. One lane serves many back-to-back sessions; a hostile
+    /// or failed session terminates with a structured error and costs
+    /// only itself. Parked sessions cost no thread while they wait for
+    /// the peer: its send wakes the reactor.
     ///
-    /// Admission control, `KIND_BUSY` shedding, session budgets,
-    /// per-session seeds, and outcome triage are the very code
-    /// [`serve`](TrainerServer::serve) runs; only the waiting differs —
-    /// idle timeouts and drain timing are enforced by the event loop
-    /// itself (no watchdog thread), and parked sessions cost no OS
-    /// thread while they wait for the peer.
+    /// Per-session failures are triaged into the [`ServeSummary`] (and
+    /// the attached metrics), because on a hostile network a peer
+    /// failure is an expected outcome, not a server fault. Per-session
+    /// randomness derives from `seed`, the lane index, and a per-lane
+    /// session counter, so runs are reproducible.
     ///
-    /// Returns `Err` only if the reactor itself cannot be constructed;
-    /// per-session failures are triaged into the [`ServeSummary`], as on
-    /// the blocking path.
-    pub fn serve_async<L: Lane>(
+    /// # Errors
+    ///
+    /// [`TransportError::Io`] if the reactor cannot be set up, and
+    /// [`TransportError::CannotNotify`] for a lane that cannot wake it.
+    pub fn serve<L: Lane>(
         &self,
         lanes: &[L],
         ot: &dyn ObliviousTransfer,
@@ -684,7 +522,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         let mut driver = self.reactor_driver()?;
         let mut meta: HashMap<ConnId, ConnMeta> = HashMap::new();
         for (i, lane) in lanes.iter().enumerate() {
-            let id = driver.add_lane(lane as &dyn Lane);
+            let id = driver.add_lane(lane as &dyn Lane)?;
             driver.set_idle_deadline(id, Some(self.config.idle_timeout));
             meta.insert(id, ConnMeta::new(i as u64));
         }
@@ -696,7 +534,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
     /// Serves classification sessions over TCP from one reactor thread:
     /// accepts on `listener`, multiplexes every connection through one
     /// [`AsyncDriver`], and runs until a drain completes (admission
-    /// semantics as in [`serve_async`](TrainerServer::serve_async)).
+    /// semantics as in [`serve`](TrainerServer::serve)).
     ///
     /// Unlike the lane-based entry points this cannot end by "all lanes
     /// closed" — new clients may always connect — so the run ends when
@@ -731,7 +569,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         let endpoint = self
             .metrics_endpoint
             .lock()
-            .expect("metrics endpoint lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .take();
         if let Some(listener) = endpoint {
             driver.listen_metrics(listener)?;
@@ -739,7 +577,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         Ok(driver)
     }
 
-    /// The shared event loop behind both async entry points.
+    /// The event loop behind both entry points.
     ///
     /// `accepting` selects the termination rule: lane-based runs end when
     /// every connection closes; accepting (TCP) runs end when a drain has
@@ -774,10 +612,8 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
                 }
                 // Admission is over. Pending (sessionless) connections
                 // get one short slice so a HELLO already in flight is
-                // still answered with `KIND_BUSY` — exactly the window
-                // a blocking lane has before its recv slice times out
-                // — then close; in-flight sessions get the grace
-                // period.
+                // still answered with `KIND_BUSY`, then close; in-flight
+                // sessions get the grace period.
                 for id in driver.conn_ids() {
                     if driver.is_pending(id) {
                         driver.set_idle_deadline(id, Some(POLL_SLICE));
@@ -831,7 +667,12 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
                         if !driver.is_open(conn) {
                             continue;
                         }
-                        let state = meta.get_mut(&conn).expect("meta for open conn");
+                        // Every connection gets its meta when it is added
+                        // or accepted; one without could not be seeded.
+                        let Some(state) = meta.get_mut(&conn) else {
+                            driver.close(conn);
+                            continue;
+                        };
                         let hangup = match self.open_session(run, state, frame) {
                             // Deliberately leaves the idle deadline
                             // as it is.
@@ -855,7 +696,10 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
                         self.release(driver, meta, conn, hangup);
                     }
                     AsyncEvent::Finished { conn, result, .. } => {
-                        let state = meta.get_mut(&conn).expect("meta for open conn");
+                        let Some(state) = meta.get_mut(&conn) else {
+                            driver.close(conn);
+                            continue;
+                        };
                         let hangup = match self.settle(state, result) {
                             Settled::Served(n) => {
                                 served += n;
@@ -923,9 +767,9 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
 
     /// The snapshot answered to a [`KIND_HEALTH`] probe: this trainer's
     /// serving epoch, the drain flag, the current precompute-pool depth,
-    /// and the live session count. Probes are answered from both serving
-    /// runtimes' pre-admission dispatch, so a fleet router can triage a
-    /// replica even when it is at capacity or draining.
+    /// and the live session count. Probes are answered before admission,
+    /// so a fleet router can triage a replica even when it is at
+    /// capacity or draining.
     fn health_status(&self, pool: Option<&PrecomputePool<A>>) -> HealthStatus {
         HealthStatus {
             epoch: self.trainer.epoch(),
@@ -1009,7 +853,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let summary = server.serve(&server_lanes, &ot, 99);
+            let summary = server.serve(&server_lanes, &ot, 99).expect("reactor");
             let labels: Vec<_> = clients
                 .into_iter()
                 .map(|h| h.join().expect("client thread"))
@@ -1023,43 +867,23 @@ mod tests {
     }
 
     #[test]
-    fn honest_clients_are_served_over_the_async_runtime() {
-        let trainer = tiny_trainer();
-        let server = TrainerServer::new(&trainer, ServerConfig::default());
-        let (server_lanes, client_lanes) = duplex_pool(2);
-        let ot = TrustedSimOt;
-        let samples = [vec![0.9f64, 1.1], vec![-1.0, -0.8]];
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = client_lanes
-                .iter()
-                .zip(&samples)
-                .enumerate()
-                .map(|(i, (lane, s))| {
-                    scope.spawn(move || {
-                        use rand::SeedableRng;
-                        let client =
-                            crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + i as u64);
-                        let labels = client
-                            .classify_batch(lane, &TrustedSimOt, &mut rng, std::slice::from_ref(s))
-                            .expect("honest session");
-                        lane.send(Frame::encode(super::KIND_CLS_FIN, &0u64))
-                            .unwrap();
-                        labels
-                    })
-                })
-                .collect();
-            let summary = server.serve_async(&server_lanes, &ot, 99).expect("reactor");
-            let labels: Vec<_> = clients
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect();
-            assert_eq!(labels[0], vec![Label::Positive]);
-            assert_eq!(labels[1], vec![Label::Negative]);
-            assert_eq!(summary.sessions_admitted, 2);
-            assert_eq!(summary.sessions_shed, 0);
-            assert_eq!(summary.served_samples, 2);
-        });
+    fn the_server_has_one_session_loop() {
+        // Outside its tests this module waits on the reactor and nothing
+        // else: no thread of its own, no blocking `Driver`.
+        let source = include_str!("server.rs");
+        let code = source.split("#[cfg(test)]").next().unwrap_or_default();
+        for (n, line) in code.lines().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for word in line.split(|c: char| !c.is_alphanumeric() && c != '_') {
+                assert!(
+                    word != "thread" && word != "Driver",
+                    "server.rs:{}: `{word}` in {line:?}",
+                    n + 1
+                );
+            }
+        }
     }
 
     #[test]

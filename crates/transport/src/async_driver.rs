@@ -18,9 +18,10 @@
 //!   writable events.
 //! * **In-memory lanes** ([`AsyncDriver::add_lane`]) — any
 //!   [`Lane`] (duplex endpoints, the chaos
-//!   [`FaultyLane`](crate::FaultyLane)) probed with a zero receive
-//!   deadline every turn, so the whole chaos and adversarial toolbox
-//!   runs unchanged through the async path.
+//!   [`FaultyLane`](crate::FaultyLane)) that can wake the reactor: the
+//!   peer's send pokes the driver's [`Waker`], and every turn probes
+//!   each lane with a zero receive deadline, so the whole chaos and
+//!   adversarial toolbox runs unchanged through the reactor.
 //!
 //! A connection with no engine attached is *pending*: its first frame
 //! surfaces as [`AsyncEvent::Opening`] so a serving layer can perform
@@ -59,10 +60,6 @@ const METRICS_TOKEN_BASE: u64 = 1 << 32;
 /// Request-header cap for the HTTP-lite scrape parser: anything larger
 /// is answered `400` and closed.
 const METRICS_REQ_CAP: usize = 8 * 1024;
-
-/// Reactor wait cap while in-memory lanes are attached: mem lanes have
-/// no fd to register, so they are probed every turn at this cadence.
-const MEM_POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// Handle to one connection owned by an [`AsyncDriver`]. Slots are
 /// reused after [`close`](AsyncDriver::close); the epoch guards against
@@ -128,8 +125,7 @@ pub enum AsyncEvent<T, E> {
     },
     /// A pending connection produced transport-level garbage (a frame
     /// the codec itself rejected). TCP connections are closed (the
-    /// stream is desynchronized); in-memory lanes stay up, mirroring
-    /// the blocking serve loop.
+    /// stream is desynchronized); in-memory lanes stay up.
     Malformed {
         /// The offending connection.
         conn: ConnId,
@@ -207,6 +203,8 @@ struct Slot<'d, T, E> {
 /// [`poll`](AsyncDriver::poll) for the turn loop.
 pub struct AsyncDriver<'d, T, E> {
     reactor: Reactor,
+    /// Handed (weakly) to every mem lane: their peers' sends wake us.
+    waker: Arc<Waker>,
     wheel: TimerWheel,
     slots: Vec<Slot<'d, T, E>>,
     free: Vec<u32>,
@@ -239,8 +237,10 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     ///
     /// [`TransportError::Io`] if the reactor cannot be set up.
     pub fn new() -> Result<Self, TransportError> {
+        let reactor = Reactor::new()?;
         Ok(Self {
-            reactor: Reactor::new()?,
+            waker: Arc::new(reactor.waker()?),
+            reactor,
             wheel: TimerWheel::new(Instant::now()),
             slots: Vec::new(),
             free: Vec::new(),
@@ -369,10 +369,19 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     }
 
     /// Adds any [`Lane`] (a duplex endpoint, a chaos
-    /// [`FaultyLane`](crate::FaultyLane)) as a pending connection. Mem
-    /// lanes are probed with a zero receive deadline every turn; the
-    /// driver owns the lane's deadline cell from here on.
-    pub fn add_lane(&mut self, lane: &'d dyn Lane) -> ConnId {
+    /// [`FaultyLane`](crate::FaultyLane)) as a pending connection. The
+    /// lane wakes the reactor when its peer sends; the driver owns the
+    /// lane's deadline cell from here on.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::CannotNotify`] for a lane whose
+    /// [`Lane::wake_on_arrival`] declines (a TCP endpoint: hand its
+    /// stream to [`add_tcp`](AsyncDriver::add_tcp) instead).
+    pub fn add_lane(&mut self, lane: &'d dyn Lane) -> Result<ConnId, TransportError> {
+        if !lane.wake_on_arrival(&self.waker) {
+            return Err(TransportError::CannotNotify);
+        }
         let id = self.insert(Conn {
             lane: ConnLane::Mem(lane),
             session: None,
@@ -380,9 +389,10 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             timer_gen: 0,
         });
         self.mem_conns += 1;
-        // Probe it on the next turn — mem lanes produce no events.
+        // Probe it on the next turn: frames sent before the lane was
+        // added woke nobody.
         self.ready_next.push(id.slot);
-        id
+        Ok(id)
     }
 
     fn insert(&mut self, conn: Conn<'d, T, E>) -> ConnId {
@@ -424,21 +434,15 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         conn.idle_deadline = deadline;
         conn.timer_gen += 1;
         let generation = conn.timer_gen;
-        let is_mem = matches!(conn.lane, ConnLane::Mem(_));
         if let Some(t) = deadline {
-            // Mem conns are probed every turn; only fd conns need a
-            // timer to wake the reactor.
-            if !is_mem {
-                self.wheel.arm(t, u64::from(id.slot), generation);
-            }
+            self.wheel.arm(t, u64::from(id.slot), generation);
         }
     }
 
     /// Attaches `engine` to a pending connection and starts pumping it
     /// under `opts`. The caller feeds any already-received opening
-    /// frame (`engine.handle_input(first)`) *before* attaching, exactly
-    /// like the blocking serve loop. The first pump happens on the next
-    /// [`poll`](AsyncDriver::poll) turn.
+    /// frame (`engine.handle_input(first)`) *before* attaching. The
+    /// first pump happens on the next [`poll`](AsyncDriver::poll) turn.
     ///
     /// # Panics
     ///
@@ -476,8 +480,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
 
     /// Answers a pending connection with one [`KIND_BUSY`](crate::KIND_BUSY) frame — the
     /// admission-control shed, with no retry-after hint. Send failures
-    /// are reported but the connection stays open (the blocking serve
-    /// loop ignores them too).
+    /// are reported but the connection stays open (a serving loop may
+    /// ignore them).
     ///
     /// # Errors
     ///
@@ -600,14 +604,13 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         let now = Instant::now();
 
         // Bound the wait by whichever comes first: the caller's cap,
-        // the next armed timer, the mem-lane probe cadence, or pending
-        // ready work (which needs a zero wait).
+        // the next armed timer, or pending ready work (which needs a
+        // zero wait). A mem lane's peer wakes the reactor itself, and
+        // `Reactor::wait` drains those wakes before any lane is probed
+        // below, so none can be lost.
         let mut wait = max_wait;
         if let Some(due) = self.wheel.next_due(now) {
             wait = wait.min(due);
-        }
-        if self.mem_conns > 0 {
-            wait = wait.min(MEM_POLL_SLICE);
         }
         if !self.ready_next.is_empty() {
             wait = Duration::ZERO;
@@ -804,11 +807,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             });
             let result = match s.core.step(&mut s.engine, &mut conn.lane) {
                 Step::Parked { wake_at } => {
-                    // Mem conns are probed every turn; only fd conns
-                    // need a timer to wake the reactor.
-                    if matches!(conn.lane, ConnLane::Tcp(_)) {
-                        self.wheel.arm(wake_at, u64::from(slot), conn.timer_gen);
-                    }
+                    self.wheel.arm(wake_at, u64::from(slot), conn.timer_gen);
                     return;
                 }
                 Step::Finished(result) => result,
@@ -831,7 +830,9 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             let transcript = s.core.take_transcript();
             conn.session = None;
             self.active_sessions -= 1;
-            if matches!(&conn.lane, ConnLane::Tcp(nb) if nb.has_buffered()) {
+            // A frame may already wait: on a mem lane, always (its wake
+            // may have been drained this very turn).
+            if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.has_buffered()) {
                 self.ready_next.push(slot);
             }
             events.push(AsyncEvent::Finished {
@@ -849,11 +850,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                 // The idle timer stays armed: a handler that leaves the
                 // deadline alone (a health probe does) must not keep
                 // the connection from being reaped on time.
-                let buffered = match &conn.lane {
-                    ConnLane::Tcp(nb) => nb.has_buffered(),
-                    ConnLane::Mem(_) => true,
-                };
-                if buffered {
+                if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.has_buffered()) {
                     self.ready_next.push(slot);
                 }
                 events.push(AsyncEvent::Opening { conn: id, frame });
@@ -1245,7 +1242,7 @@ mod tests {
                 Driver::new().drive(&b2, &mut engine).expect("responder")
             });
             let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-            let conn = ad.add_lane(&a2);
+            let conn = ad.add_lane(&a2).expect("mem lane");
             ad.attach_engine(
                 conn,
                 ProtocolEngine::new(|io| requester(io, 5)),
@@ -1276,7 +1273,7 @@ mod tests {
             }
             let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
             for (a, _) in &pairs {
-                let conn = ad.add_lane(a);
+                let conn = ad.add_lane(a).expect("mem lane");
                 ad.attach_engine(
                     conn,
                     ProtocolEngine::new(|io| requester(io, 3)),
@@ -1320,7 +1317,7 @@ mod tests {
         let (a, _b) = duplex();
         let cancel = Arc::new(AtomicBool::new(false));
         let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a);
+        let conn = ad.add_lane(&a).expect("mem lane");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1356,7 +1353,7 @@ mod tests {
     fn per_recv_timeout_comes_from_the_timer_wheel() {
         let (a, _b) = duplex();
         let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a);
+        let conn = ad.add_lane(&a).expect("mem lane");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1376,7 +1373,7 @@ mod tests {
     fn busy_frame_translates_to_busy_error() {
         let (a, b) = duplex();
         let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a);
+        let conn = ad.add_lane(&a).expect("mem lane");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1400,7 +1397,7 @@ mod tests {
     fn pending_lane_surfaces_opening_frame_and_idle_expiry() {
         let (a, b) = duplex();
         let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a);
+        let conn = ad.add_lane(&a).expect("mem lane");
         ad.set_idle_deadline(conn, Some(Duration::from_millis(40)));
         b.send(Frame::encode(0x0500, &7u64)).expect("send hello");
         let started = Instant::now();
@@ -1440,7 +1437,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         ad.listen_metrics(listener).expect("listen_metrics");
         let addr = ad.metrics_addr().expect("addr");
-        let conn = ad.add_lane(&a);
+        let conn = ad.add_lane(&a).expect("mem lane");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1492,13 +1489,69 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_mem_lane_lets_the_reactor_sleep() {
+        let reg = MetricsRegistry::new(1, "async-driver");
+        let (a, _b) = duplex();
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new()
+            .expect("driver")
+            .with_metrics(reg.clone());
+        ad.add_lane(&a).expect("mem lane");
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(100) {
+            assert!(ad.poll(Duration::from_millis(100)).is_empty());
+        }
+        // One turn probes the freshly added lane, the next sleeps out the
+        // wait: nothing polls the lane on a clock of its own.
+        let wakeups = reg.report().reactor_wakeups;
+        if ad.is_epoll() {
+            assert!(wakeups <= 2, "{wakeups} wake-ups for 100 ms of nothing");
+        }
+    }
+
+    #[test]
+    fn a_peer_send_ends_a_long_poll() {
+        let (a, b) = duplex();
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
+        let conn = ad.add_lane(&a).expect("mem lane");
+        assert!(ad.poll(Duration::ZERO).is_empty(), "nothing sent yet");
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(30));
+                let sent = Instant::now();
+                b.send(Frame::encode(0x0500, &7u64)).expect("send hello");
+                sent
+            });
+            let events = ad.poll(Duration::from_secs(5));
+            let woke = Instant::now();
+            let sent = peer.join().expect("peer");
+            assert!(
+                matches!(&events[..], [AsyncEvent::Opening { conn: c, .. }] if *c == conn),
+                "{events:?}"
+            );
+            let latency = woke.duration_since(sent);
+            assert!(latency < Duration::from_millis(20), "woke {latency:?} late");
+        });
+    }
+
+    #[test]
+    fn a_lane_that_cannot_wake_the_reactor_is_refused() {
+        // A TCP endpoint's peer lives in another process: it belongs on
+        // `add_tcp`, where the socket itself raises readiness.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let ep = crate::tcp::tcp_connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
+        assert_eq!(ad.add_lane(&ep), Err(TransportError::CannotNotify));
+        assert_eq!(ad.conns(), 0);
+    }
+
+    #[test]
     fn closed_conn_ids_are_not_reused_against_stale_handles() {
         let (a, b) = duplex();
         let (c, _d) = duplex();
         let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let first = ad.add_lane(&a);
+        let first = ad.add_lane(&a).expect("mem lane");
         ad.close(first);
-        let second = ad.add_lane(&c);
+        let second = ad.add_lane(&c).expect("mem lane");
         assert_ne!(first, second, "epoch distinguishes the recycled slot");
         assert!(!ad.is_open(first));
         assert!(ad.is_open(second));

@@ -7,7 +7,7 @@
 //! to the random-polynomial traffic, and these counters make that visible.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -15,6 +15,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::error::TransportError;
+use crate::reactor::Waker;
 use crate::wire::Encodable;
 
 /// Frame kind reserved for coalesced batches: the payload of such a frame
@@ -219,6 +220,32 @@ impl SharedStats {
     }
 }
 
+/// The reactor an in-memory endpoint's owner asked to be woken, set by
+/// [`Lane::wake_on_arrival`] and poked from the peer's side. Weak, so a
+/// dropped reactor is simply not woken.
+#[derive(Debug, Default)]
+struct ArrivalWaker(Mutex<Weak<Waker>>);
+
+impl ArrivalWaker {
+    fn wake(&self) {
+        if let Some(waker) = self.0.lock().upgrade() {
+            waker.wake();
+        }
+    }
+}
+
+/// The peer's [`ArrivalWaker`]: poked after every frame this endpoint
+/// sends and once more when it is dropped — after the sender it follows
+/// in its variant, so the woken reactor already sees the hang-up.
+#[derive(Debug)]
+struct PeerWaker(Arc<ArrivalWaker>);
+
+impl Drop for PeerWaker {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
 /// The medium an endpoint speaks over.
 #[derive(Debug)]
 enum Backend {
@@ -226,6 +253,8 @@ enum Backend {
     Memory {
         tx: Sender<Frame>,
         rx: Receiver<Frame>,
+        waker: Arc<ArrivalWaker>,
+        peer_waker: PeerWaker,
     },
     /// A framed TCP socket (real distributed deployment; see
     /// [`tcp_connect`](crate::tcp_connect) / [`tcp_accept`](crate::tcp_accept)).
@@ -284,8 +313,9 @@ impl Endpoint {
         let kind = frame.kind;
         let len = frame.wire_len() as u64;
         match &self.backend {
-            Backend::Memory { tx, .. } => {
+            Backend::Memory { tx, peer_waker, .. } => {
                 tx.send(frame).map_err(|_| TransportError::Disconnected)?;
+                peer_waker.0.wake();
             }
             Backend::Tcp(conn) => conn.lock().send(&frame)?,
         }
@@ -524,10 +554,14 @@ fn duplex_with_cells(
 ) -> (Endpoint, Endpoint) {
     let (tx_ab, rx_ab) = unbounded();
     let (tx_ba, rx_ba) = unbounded();
+    let waker_a = Arc::new(ArrivalWaker::default());
+    let waker_b = Arc::new(ArrivalWaker::default());
     let a = Endpoint {
         backend: Backend::Memory {
             tx: tx_ab,
             rx: rx_ba,
+            waker: waker_a.clone(),
+            peer_waker: PeerWaker(waker_b.clone()),
         },
         stats: Arc::new(SharedStats::default()),
         recv_timeout: cell_a,
@@ -537,6 +571,8 @@ fn duplex_with_cells(
         backend: Backend::Memory {
             tx: tx_ba,
             rx: rx_ab,
+            waker: waker_b,
+            peer_waker: PeerWaker(waker_a),
         },
         stats: Arc::new(SharedStats::default()),
         recv_timeout: cell_b,
@@ -615,6 +651,13 @@ pub trait Lane: Send + Sync {
 
     /// Snapshot of the lane's traffic counters.
     fn stats(&self) -> TrafficStats;
+
+    /// Asks the lane to wake `waker` whenever a frame reaches it or its
+    /// peer hangs up, so a reactor holding it can sleep until then.
+    /// Returns `false` when the lane cannot, which is the default.
+    fn wake_on_arrival(&self, _waker: &Arc<Waker>) -> bool {
+        false
+    }
 }
 
 impl Lane for Endpoint {
@@ -636,6 +679,16 @@ impl Lane for Endpoint {
 
     fn stats(&self) -> TrafficStats {
         Endpoint::stats(self)
+    }
+
+    /// In-memory endpoints can; TCP ones cannot, their peer lives in
+    /// another process.
+    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
+        let Backend::Memory { waker: cell, .. } = &self.backend else {
+            return false;
+        };
+        *cell.0.lock() = Arc::downgrade(waker);
+        true
     }
 }
 
@@ -660,6 +713,10 @@ impl<L: Lane + ?Sized> Lane for &L {
 
     fn stats(&self) -> TrafficStats {
         (**self).stats()
+    }
+
+    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
+        (**self).wake_on_arrival(waker)
     }
 }
 

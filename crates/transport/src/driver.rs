@@ -510,17 +510,6 @@ impl Driver {
     }
 }
 
-impl From<DriveOptions> for Driver {
-    /// A driver for one session under `opts`, with the default retry
-    /// policy.
-    fn from(opts: DriveOptions) -> Self {
-        Self {
-            opts,
-            ..Self::default()
-        }
-    }
-}
-
 /// The blocking way of waiting: `try_recv` parks the thread in
 /// `lane.recv()` for up to the wait the core allows.
 struct Waiting<L> {

@@ -26,6 +26,7 @@ use crate::channel::{
     coalesce_frames, duplex, uncoalesce, Endpoint, Frame, Lane, TrafficStats, KIND_COALESCED,
 };
 use crate::error::TransportError;
+use crate::reactor::Waker;
 
 /// Frame kind for the chaos carrier: `seq | inner kind | inner payload |
 /// checksum`. Reserved next to [`KIND_COALESCED`]; protocols never see it.
@@ -424,6 +425,10 @@ impl Lane for FaultyLane {
 
     fn stats(&self) -> TrafficStats {
         self.inner.stats()
+    }
+
+    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
+        self.inner.wake_on_arrival(waker)
     }
 }
 

@@ -1,11 +1,10 @@
 //! The fleet liveness/readiness probe: a [`KIND_HEALTH`] request/reply
-//! exchange answerable by both serving runtimes **without admitting a
+//! exchange the serving reactor answers **without admitting a
 //! session**.
 //!
 //! A probe costs the server one frame in each direction and no session
-//! slot: the blocking serve loop and the async reactor both answer it
-//! from their pre-admission dispatch, even while at capacity or
-//! draining. The reply ([`HealthStatus`]) carries everything a fleet
+//! slot: the reactor answers it from its pre-admission dispatch, even
+//! while at capacity or draining. The reply ([`HealthStatus`]) carries everything a fleet
 //! router needs to triage a replica:
 //!
 //! * **`epoch`** — the serving process's incarnation. A restarted

@@ -1,10 +1,10 @@
 //! Async serving: one reactor thread multiplexing a whole fleet of TCP
 //! classification sessions.
 //!
-//! The blocking [`TrainerServer::serve`] dedicates a thread to every
-//! lane; `serve_async_tcp` runs the same admission control, session
-//! budgets, and graceful drain on a single epoll reactor thread — here
-//! 200 concurrent clients (each its own TCP connection) are served at
+//! `serve_async_tcp` runs admission control, session budgets, and
+//! graceful drain on a single epoll reactor thread — the very loop
+//! [`TrainerServer::serve`] runs over in-memory lanes — and here 200
+//! concurrent clients (each its own TCP connection) are served at
 //! once, then the supervisor drains and the summary plus the reactor's
 //! own telemetry counters are printed. The client fleet is multiplexed
 //! too: one `AsyncDriver` on the main thread drives all 200 client

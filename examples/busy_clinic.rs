@@ -128,7 +128,9 @@ fn main() {
                 }
             });
         }
-        let summary = server.serve(&server_lanes, &TrustedSimOt, 2026);
+        let summary = server
+            .serve(&server_lanes, &TrustedSimOt, 2026)
+            .expect("server reactor");
         done.store(true, Ordering::Release);
         summary
     });

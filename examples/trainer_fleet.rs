@@ -129,14 +129,18 @@ fn main() {
         {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&killed_server, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&killed_server, &SIM, 7)
+                    .expect("reactor");
             });
         }
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in banks {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&server_lanes, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&server_lanes, &SIM, 7)
+                    .expect("reactor");
             });
             client_banks.push(client_bank);
         }
@@ -234,7 +238,9 @@ fn main() {
             };
             let (server_ep, client_ep) = duplex();
             std::thread::spawn(move || {
-                TrainerServer::new(&trainer, ServerConfig::default()).serve(&[server_ep], &SIM, 3);
+                TrainerServer::new(&trainer, ServerConfig::default())
+                    .serve(&[server_ep], &SIM, 3)
+                    .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })

@@ -95,7 +95,9 @@ fn oversized_hello_is_rejected_and_the_lane_recovers() {
             }
             drop(client_lanes);
         });
-        server.serve(&server_lanes, &TrustedSimOt, 1)
+        server
+            .serve(&server_lanes, &TrustedSimOt, 1)
+            .expect("reactor")
     });
 
     assert_eq!(summary.sessions_admitted, 2, "hostile + honest HELLO");
@@ -130,7 +132,9 @@ fn wrong_round_frames_are_counted_and_skipped() {
             assert_eq!(labels[0], model.predict(&samples[0]));
             drop(client_lanes);
         });
-        server.serve(&server_lanes, &TrustedSimOt, 2)
+        server
+            .serve(&server_lanes, &TrustedSimOt, 2)
+            .expect("reactor")
     });
 
     assert_eq!(summary.malformed_rejected, 2);
@@ -171,7 +175,9 @@ fn garbage_spec_kills_only_its_own_session() {
             }
             drop(honest);
         });
-        server.serve(&server_lanes, &TrustedSimOt, 3)
+        server
+            .serve(&server_lanes, &TrustedSimOt, 3)
+            .expect("reactor")
     });
 
     assert_eq!(summary.malformed_rejected, 1);
@@ -236,7 +242,9 @@ fn slow_loris_is_cut_inside_its_deadline() {
             }
             drop(client_lanes);
         });
-        let summary = server.serve(&server_lanes, &TrustedSimOt, 4);
+        let summary = server
+            .serve(&server_lanes, &TrustedSimOt, 4)
+            .expect("reactor");
         done.store(true, Ordering::Release);
         summary
     });
@@ -317,7 +325,9 @@ fn flood_beyond_capacity_is_shed_with_busy() {
             release.store(true, Ordering::Release);
         });
 
-        let summary = server.serve(&server_lanes, &TrustedSimOt, 5);
+        let summary = server
+            .serve(&server_lanes, &TrustedSimOt, 5)
+            .expect("reactor");
         coordinator.join().expect("coordinator");
         summary
     });
@@ -425,7 +435,9 @@ fn shed_reply_hint_travels_wire_to_retry_policy() {
             release.store(true, Ordering::Release);
         });
 
-        server.serve(&server_lanes, &TrustedSimOt, 5);
+        server
+            .serve(&server_lanes, &TrustedSimOt, 5)
+            .expect("reactor");
         coordinator.join().expect("coordinator");
     });
 }
@@ -473,7 +485,9 @@ fn honest_clients_are_correct_amid_hostile_peers() {
                 .unwrap();
             drop(oversized);
         });
-        server.serve(&server_lanes, &TrustedSimOt, 6)
+        server
+            .serve(&server_lanes, &TrustedSimOt, 6)
+            .expect("reactor")
     });
 
     assert_eq!(summary.served_samples, 6, "all honest samples answered");
@@ -528,7 +542,9 @@ fn drain_stops_admission_and_cuts_stragglers() {
             assert_eq!(reply.kind, KIND_BUSY);
             drop(late);
         });
-        let summary = server.serve(&server_lanes, &TrustedSimOt, 7);
+        let summary = server
+            .serve(&server_lanes, &TrustedSimOt, 7)
+            .expect("reactor");
         release.store(true, Ordering::Release);
         summary
     });
@@ -602,7 +618,9 @@ fn flood_of_sixty_four_clients_is_fully_accounted() {
                 })
             })
             .collect();
-        let summary = server.serve(&server_lanes, &TrustedSimOt, 8);
+        let summary = server
+            .serve(&server_lanes, &TrustedSimOt, 8)
+            .expect("reactor");
         let mut served = 0u64;
         let mut shed = 0u64;
         for h in handles {

@@ -1,17 +1,17 @@
-//! Transcript-equality and serving-parity suite for the epoll-based
+//! Transcript-equality suite for the epoll-based
 //! [`AsyncDriver`]: every protocol family (base OT, k/N OT, OMPE batch,
 //! classification, similarity) driven through the reactor must produce
 //! **byte-identical transcripts** and equal results to the blocking
 //! [`Driver`] oracle, including under seeded `FaultyLane` chaos
-//! schedules, and the `TrainerServer` admission/budget/drain behavior
-//! must carry over unchanged to `serve_async`. The `#[ignore]`d stress
-//! test at the bottom multiplexes ≥1000 concurrent TCP classification
-//! sessions through one reactor thread (run by the CI `async-stress`
-//! job).
+//! schedules. (`TrainerServer`'s admission, budget and drain behavior
+//! runs on the same reactor and is covered by `adversarial_e2e`.) The
+//! `#[ignore]`d stress test at the bottom multiplexes ≥1000 concurrent
+//! TCP classification sessions through one reactor thread (run by the
+//! CI `async-stress` job).
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ppcs_core::{
     similarity_request, similarity_request_io, similarity_respond, Client, ProtocolConfig,
@@ -25,19 +25,15 @@ use ppcs_ot::{
     ot_send_io, IknpOt, NaorPinkasOt, ObliviousTransfer, TrustedSimOt,
 };
 use ppcs_svm::{Kernel, Label, SvmModel};
-use ppcs_tests::{blob_dataset, random_samples, rotated_model};
+use ppcs_tests::{blob_dataset, rotated_model};
 use ppcs_transport::{
-    duplex, faulty_pair, AsyncDriver, DriveOptions, Driver, Endpoint, FaultSchedule, Frame, Lane,
-    ProtocolEngine, SessionLimits, TransportError, KIND_BUSY,
+    duplex, faulty_pair, AsyncDriver, DriveOptions, Driver, Endpoint, FaultSchedule, Lane,
+    ProtocolEngine, SessionLimits, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 static SIM: TrustedSimOt = TrustedSimOt;
-
-/// Wire values of the classification session kinds (kept private by
-/// `ppcs-core` on purpose; forged here exactly as a peer would).
-const CLS_HELLO: u16 = 0x0500;
 
 /// Drives the engine built by `mk_engine` twice against identical peers
 /// — once under the blocking [`Driver`], once through an [`AsyncDriver`]
@@ -69,7 +65,7 @@ where
         let peer = &run_peer;
         scope.spawn(move || peer(peer_a));
         let mut adrv: AsyncDriver<'_, T, E> = AsyncDriver::new().expect("reactor");
-        let id = adrv.add_lane(&ep_a);
+        let id = adrv.add_lane(&ep_a).expect("mem lane");
         adrv.attach_engine(id, mk_engine(), DriveOptions::new().with_recording());
         let mut done = adrv.drive_all();
         assert_eq!(done.len(), 1, "{label}: exactly one session");
@@ -305,8 +301,8 @@ fn both_session_halves_multiplex_in_one_reactor() {
     let (ep_t, ep_c) = duplex();
     let mut adrv: AsyncDriver<'_, ClsOutcome, ppcs_core::PpcsError> =
         AsyncDriver::new().expect("reactor");
-    let trainer_id = adrv.add_lane(&ep_t);
-    let client_id = adrv.add_lane(&ep_c);
+    let trainer_id = adrv.add_lane(&ep_t).expect("mem lane");
+    let client_id = adrv.add_lane(&ep_c).expect("mem lane");
     let (trainer, client, samples_ref) = (&trainer, &client, &samples);
     adrv.attach_engine(
         trainer_id,
@@ -432,7 +428,7 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
             // per-receive deadline comes from the timer wheel.
             let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> =
                 AsyncDriver::new().expect("reactor");
-            let id = adrv.add_lane(&server_lane);
+            let id = adrv.add_lane(&server_lane).expect("mem lane");
             adrv.attach_engine(
                 id,
                 trainer.serve_engine(sel, seed),
@@ -463,257 +459,6 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
         }
     }
     println!("chaos-through-reactor: {completed}/24 sessions completed cleanly");
-}
-
-// ---------------------------------------------------------------------
-// Serving parity: the adversarial admission/budget/drain guarantees,
-// unchanged over `serve_async`.
-// ---------------------------------------------------------------------
-
-fn fixture() -> (SvmModel, Trainer<FixedFpAlgebra>) {
-    let ds = blob_dataset(3, 80, 17);
-    let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let trainer = Trainer::new(
-        FixedFpAlgebra::new(16),
-        &model,
-        ProtocolConfig::functional(),
-    )
-    .expect("trainer");
-    (model, trainer)
-}
-
-fn lanes(n: usize) -> (Vec<Endpoint>, Vec<Endpoint>) {
-    (0..n).map(|_| duplex()).unzip()
-}
-
-/// Flooding past capacity over the async path: every slot pinned by a
-/// stalling holder, further HELLOs answered with `KIND_BUSY`.
-#[test]
-fn async_flood_beyond_capacity_is_shed_with_busy() {
-    let (_, trainer) = fixture();
-    let config = ServerConfig {
-        max_sessions: 2,
-        limits: SessionLimits::unlimited().with_deadline(Duration::from_secs(10)),
-        idle_timeout: Duration::from_millis(500),
-        drain_deadline: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TrainerServer::new(&trainer, config);
-    let supervisor = server.supervisor();
-    let (server_lanes, client_lanes) = lanes(3);
-    let release = AtomicBool::new(false);
-
-    let summary = std::thread::scope(|scope| {
-        let release = &release;
-        let mut client_iter = client_lanes.into_iter();
-        for lane in client_iter.by_ref().take(2) {
-            scope.spawn(move || {
-                lane.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
-                while !release.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                drop(lane);
-            });
-        }
-        let flood = client_iter.next().unwrap();
-        scope.spawn(move || {
-            let wait_start = Instant::now();
-            while supervisor.active() < 2 {
-                assert!(wait_start.elapsed() < Duration::from_secs(5));
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            flood.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
-            flood.set_recv_timeout(Some(Duration::from_secs(5)));
-            let reply = flood.recv().expect("an explicit reject, not silence");
-            assert_eq!(reply.kind, KIND_BUSY, "shed must be a KIND_BUSY frame");
-            drop(flood);
-            release.store(true, Ordering::Release);
-        });
-        server
-            .serve_async(&server_lanes, &TrustedSimOt, 5)
-            .expect("reactor")
-    });
-
-    assert_eq!(summary.sessions_admitted, 2, "exactly the holders");
-    assert_eq!(summary.sessions_shed, 1, "the flood arrival rejected");
-    assert_eq!(summary.served_samples, 0);
-}
-
-/// A slow-loris peer is cut by the wall-clock budget — enforced by the
-/// timer wheel, not a per-thread deadline — and the event loop frees
-/// itself without waiting for the peer.
-#[test]
-fn async_slow_loris_is_cut_inside_its_deadline() {
-    let (_, trainer) = fixture();
-    let config = ServerConfig {
-        max_sessions: 4,
-        limits: SessionLimits::unlimited()
-            .with_deadline(Duration::from_millis(500))
-            .with_max_frames(1 << 14)
-            .with_max_wire_bytes(32 << 20),
-        idle_timeout: Duration::from_millis(500),
-        drain_deadline: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TrainerServer::new(&trainer, config);
-    let (server_lanes, client_lanes) = lanes(1);
-    let done = AtomicBool::new(false);
-
-    let started = Instant::now();
-    let summary = std::thread::scope(|scope| {
-        let done = &done;
-        scope.spawn(move || {
-            client_lanes[0]
-                .send(Frame::encode(CLS_HELLO, &1u64))
-                .unwrap();
-            while !done.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            drop(client_lanes);
-        });
-        let summary = server
-            .serve_async(&server_lanes, &TrustedSimOt, 4)
-            .expect("reactor");
-        done.store(true, Ordering::Release);
-        summary
-    });
-
-    assert_eq!(summary.budget_exceeded, 1);
-    assert_eq!(summary.sessions_admitted, 1);
-    assert_eq!(summary.served_samples, 0);
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "the reactor must free itself without waiting for the peer"
-    );
-}
-
-/// Graceful drain over the async path: admission stops immediately (a
-/// racing HELLO still gets `KIND_BUSY`), stragglers are cut when the
-/// grace period lapses, and the event loop returns promptly.
-#[test]
-fn async_drain_stops_admission_and_cuts_stragglers() {
-    let (_, trainer) = fixture();
-    let config = ServerConfig {
-        max_sessions: 4,
-        limits: SessionLimits::unlimited().with_deadline(Duration::from_secs(30)),
-        idle_timeout: Duration::from_secs(30),
-        drain_deadline: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TrainerServer::new(&trainer, config);
-    let supervisor = server.supervisor();
-    let observer = server.supervisor();
-    let (server_lanes, client_lanes) = lanes(2);
-    let release = AtomicBool::new(false);
-
-    let started = Instant::now();
-    let summary = std::thread::scope(|scope| {
-        let release = &release;
-        let mut client_iter = client_lanes.into_iter();
-        let holder = client_iter.next().unwrap();
-        let late = client_iter.next().unwrap();
-        scope.spawn(move || {
-            holder.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
-            while !release.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            drop(holder);
-        });
-        scope.spawn(move || {
-            let wait_start = Instant::now();
-            while supervisor.active() < 1 {
-                assert!(wait_start.elapsed() < Duration::from_secs(5));
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // Send the late HELLO first, then drain: the frame is
-            // already in flight when admission closes, exactly the race
-            // the blocking suite exercises.
-            late.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
-            supervisor.drain();
-            late.set_recv_timeout(Some(Duration::from_secs(5)));
-            let reply = late.recv().expect("a draining server still answers");
-            assert_eq!(reply.kind, KIND_BUSY);
-            drop(late);
-        });
-        let summary = server
-            .serve_async(&server_lanes, &TrustedSimOt, 7)
-            .expect("reactor");
-        release.store(true, Ordering::Release);
-        summary
-    });
-
-    assert!(observer.cut(), "the grace period must have lapsed");
-    assert_eq!(summary.sessions_admitted, 1);
-    assert_eq!(summary.sessions_shed, 1, "the late arrival");
-    assert_eq!(
-        summary.budget_exceeded, 1,
-        "the straggler was cut, not abandoned"
-    );
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "drain must not wait for the stalled peer"
-    );
-}
-
-/// Honest clients interleaved with hostile peers over the async path:
-/// every honest answer matches the plaintext baseline and every hostile
-/// session is accounted, exactly as on the blocking path.
-#[test]
-fn async_honest_clients_are_correct_amid_hostile_peers() {
-    const CLS_SPEC: u16 = 0x0501;
-    let (model, trainer) = fixture();
-    let config = ServerConfig {
-        max_sessions: 8,
-        limits: SessionLimits::unlimited()
-            .with_deadline(Duration::from_millis(500))
-            .with_max_frames(1 << 14)
-            .with_max_wire_bytes(32 << 20),
-        idle_timeout: Duration::from_millis(500),
-        drain_deadline: Duration::from_millis(150),
-        ..ServerConfig::default()
-    };
-    let server = TrainerServer::new(&trainer, config);
-    let (server_lanes, client_lanes) = lanes(5);
-    let sample_sets: Vec<Vec<Vec<f64>>> = (0..3).map(|i| random_samples(3, 2, 30 + i)).collect();
-
-    let summary = std::thread::scope(|scope| {
-        let model = &model;
-        let sample_sets = &sample_sets;
-        let mut client_iter = client_lanes.into_iter();
-        for (i, lane) in client_iter.by_ref().take(3).enumerate() {
-            scope.spawn(move || {
-                let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
-                let mut rng = StdRng::seed_from_u64(40 + i as u64);
-                let labels = client
-                    .classify_batch(&lane, &TrustedSimOt, &mut rng, &sample_sets[i])
-                    .expect("honest session must succeed");
-                for (got, sample) in labels.iter().zip(&sample_sets[i]) {
-                    assert_eq!(*got, model.predict(sample), "honest client {i}");
-                }
-                drop(lane);
-            });
-        }
-        let wrong_round = client_iter.next().unwrap();
-        scope.spawn(move || {
-            wrong_round.send(Frame::encode(CLS_SPEC, &7u64)).unwrap();
-            drop(wrong_round);
-        });
-        let oversized = client_iter.next().unwrap();
-        scope.spawn(move || {
-            oversized
-                .send(Frame::encode(CLS_HELLO, &(u64::MAX / 2)))
-                .unwrap();
-            drop(oversized);
-        });
-        server
-            .serve_async(&server_lanes, &TrustedSimOt, 6)
-            .expect("reactor")
-    });
-
-    assert_eq!(summary.served_samples, 6, "all honest samples answered");
-    assert_eq!(summary.sessions_admitted, 4, "3 honest + 1 oversized HELLO");
-    assert_eq!(summary.malformed_rejected, 2);
-    assert_eq!(summary.sessions_shed, 0);
 }
 
 /// The headline scale claim: ≥1000 concurrent TCP classification

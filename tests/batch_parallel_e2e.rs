@@ -5,7 +5,7 @@
 //! Over the field the protocol arithmetic is exact, so equality here is
 //! bitwise, independent of RNG seeds, lane counts, and shard boundaries.
 
-use ppcs_core::{Client, ProtocolConfig, Trainer};
+use ppcs_core::{Client, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, Label, SmoParams, SvmModel};
@@ -49,13 +49,13 @@ fn parallel(
     seed: u64,
 ) -> (usize, Vec<Label>) {
     let trainer = Trainer::new(FixedFpAlgebra::new(16), model, cfg).expect("trainer");
+    let server = TrainerServer::new(&trainer, ServerConfig::default());
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
         let t = scope.spawn(|| {
-            trainer
-                .serve_parallel(&trainer_eps, &SIM, seed)
-                .expect("serve_parallel")
+            let summary = server.serve(&trainer_eps, &SIM, seed).expect("serve");
+            summary.served_samples
         });
         let c = scope.spawn(|| {
             client

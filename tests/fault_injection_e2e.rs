@@ -15,7 +15,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use ppcs_core::{
-    similarity_request_io, similarity_respond_io, Client, ProtocolConfig, SimilarityConfig, Trainer,
+    similarity_request_io, similarity_respond_io, Client, ProtocolConfig, ServerConfig,
+    SimilarityConfig, Trainer, TrainerServer,
 };
 use ppcs_crypto::DhGroup;
 use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
@@ -580,10 +581,11 @@ fn parallel_classification_degrades_around_a_dead_lane() {
         .collect();
     c_lanes[0].set_recv_timeout(Some(Duration::from_secs(5)));
 
-    let (served, labels) = std::thread::scope(|scope| {
-        let trainer = &trainer;
+    let server = TrainerServer::new(&trainer, ServerConfig::default());
+    let (summary, labels) = std::thread::scope(|scope| {
+        let server = &server;
         let t_lanes = &t_lanes;
-        let t = scope.spawn(move || trainer.serve_parallel(t_lanes, &SIM, 65));
+        let t = scope.spawn(move || server.serve(t_lanes, &SIM, 65));
         let client = &client;
         let samples = &samples;
         let c = scope.spawn(move || {
@@ -594,8 +596,8 @@ fn parallel_classification_degrades_around_a_dead_lane() {
             labels
         });
         let labels = c.join().expect("client");
-        let served = t.join().expect("trainer");
-        (served, labels)
+        let summary = t.join().expect("trainer");
+        (summary, labels)
     });
 
     assert_eq!(
@@ -603,7 +605,7 @@ fn parallel_classification_degrades_around_a_dead_lane() {
         expected
     );
     // Every sample was served by some surviving lane.
-    assert_eq!(served.expect("serve_parallel"), expected.len());
+    assert_eq!(summary.expect("serve").served_samples, expected.len());
 }
 
 /// Chaos and session budgets together: with every driver also enforcing

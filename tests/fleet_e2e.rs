@@ -164,14 +164,18 @@ fn killed_replica_mid_batch_completes_against_the_oracle() {
         {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&killed_server, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&killed_server, &SIM, 7)
+                    .expect("reactor");
             });
         }
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in banks {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&server_lanes, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&server_lanes, &SIM, 7)
+                    .expect("reactor");
             });
             client_banks.push(client_bank);
         }
@@ -238,7 +242,9 @@ fn replica_dead_at_first_contact_is_absorbed() {
     std::thread::scope(|scope| {
         let trainer = &trainer;
         scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default()).serve(&server_lanes, &SIM, 7);
+            TrainerServer::new(trainer, ServerConfig::default())
+                .serve(&server_lanes, &SIM, 7)
+                .expect("reactor");
         });
 
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000));
@@ -289,7 +295,9 @@ fn breaker_cycle_is_deterministic_under_a_seeded_clock() {
             let (server_ep, client_ep) = duplex();
             let trainer = trainer.clone();
             std::thread::spawn(move || {
-                TrainerServer::new(&trainer, ServerConfig::default()).serve(&[server_ep], &SIM, 3);
+                TrainerServer::new(&trainer, ServerConfig::default())
+                    .serve(&[server_ep], &SIM, 3)
+                    .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })
@@ -367,7 +375,9 @@ fn restarted_replica_with_fresh_epoch_forces_cold_fallback() {
             };
             let (server_ep, client_ep) = duplex();
             std::thread::spawn(move || {
-                TrainerServer::new(&trainer, ServerConfig::default()).serve(&[server_ep], &SIM, 3);
+                TrainerServer::new(&trainer, ServerConfig::default())
+                    .serve(&[server_ep], &SIM, 3)
+                    .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })
@@ -427,10 +437,14 @@ fn draining_replica_is_skipped_without_breaker_penalty() {
         draining_server.supervisor().drain();
         let trainer_ref = &trainer;
         scope.spawn(move || {
-            draining_server.serve(&drain_lanes, &SIM, 7);
+            draining_server
+                .serve(&drain_lanes, &SIM, 7)
+                .expect("reactor");
         });
         scope.spawn(move || {
-            TrainerServer::new(trainer_ref, ServerConfig::default()).serve(&serve_lanes, &SIM, 7);
+            TrainerServer::new(trainer_ref, ServerConfig::default())
+                .serve(&serve_lanes, &SIM, 7)
+                .expect("reactor");
         });
 
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000))
@@ -488,14 +502,18 @@ fn randomized_kill_schedule_still_completes_correctly() {
         {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&killed_server, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&killed_server, &SIM, 7)
+                    .expect("reactor");
             });
         }
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in banks {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&server_lanes, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&server_lanes, &SIM, 7)
+                    .expect("reactor");
             });
             client_banks.push(client_bank);
         }
@@ -558,7 +576,9 @@ fn kill_at_peak_concurrency_with_live_metrics_scrape() {
         {
             let trainer = &trainer;
             scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default()).serve(&killed_server, &SIM, 7);
+                TrainerServer::new(trainer, ServerConfig::default())
+                    .serve(&killed_server, &SIM, 7)
+                    .expect("reactor");
             });
         }
         let t1 = scope.spawn(|| {
@@ -678,7 +698,7 @@ fn busy_probe_releases_the_slot_instead_of_wedging_half_open() {
                 if draining {
                     server.supervisor().drain();
                 }
-                server.serve(&[server_ep], &SIM, 3);
+                server.serve(&[server_ep], &SIM, 3).expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })
@@ -689,7 +709,9 @@ fn busy_probe_releases_the_slot_instead_of_wedging_half_open() {
             let (server_ep, client_ep) = duplex();
             let trainer = trainer.clone();
             std::thread::spawn(move || {
-                TrainerServer::new(&trainer, ServerConfig::default()).serve(&[server_ep], &SIM, 3);
+                TrainerServer::new(&trainer, ServerConfig::default())
+                    .serve(&[server_ep], &SIM, 3)
+                    .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })
@@ -755,7 +777,9 @@ fn hedged_failure_is_charged_once_against_the_failing_replica() {
     std::thread::scope(|scope| {
         let trainer = &trainer;
         scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default()).serve(&serve_lanes, &SIM, 7);
+            TrainerServer::new(trainer, ServerConfig::default())
+                .serve(&serve_lanes, &SIM, 7)
+                .expect("reactor");
         });
 
         let config = FleetConfig {
@@ -815,7 +839,9 @@ fn hedge_fires_past_a_mute_primary() {
     std::thread::scope(|scope| {
         let trainer = &trainer;
         scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default()).serve(&serve_lanes, &SIM, 7);
+            TrainerServer::new(trainer, ServerConfig::default())
+                .serve(&serve_lanes, &SIM, 7)
+                .expect("reactor");
         });
 
         // The mute primary: lanes exist (the dial succeeds) but the

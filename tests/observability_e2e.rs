@@ -67,7 +67,7 @@ fn per_conn_attribution_reconciles_with_endpoint_traffic() {
             .expect("reactor")
             .with_metrics(reactor_reg.clone());
         for (i, ep_c) in client_eps.iter().enumerate() {
-            let id = adrv.add_lane(ep_c);
+            let id = adrv.add_lane(ep_c).expect("mem lane");
             adrv.attach_engine(
                 id,
                 client.classify_engine(sel, 800 + i as u64, &samples),
@@ -173,7 +173,7 @@ fn flight_recorder_reconstructs_chaos_outcomes() {
             let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> =
                 AsyncDriver::new().expect("reactor");
             adrv.set_flight_recorder(recorder.clone());
-            let id = adrv.add_lane(&server_lane);
+            let id = adrv.add_lane(&server_lane).expect("mem lane");
             adrv.attach_engine(
                 id,
                 trainer.serve_engine(sel, seed),

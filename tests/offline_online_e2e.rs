@@ -440,7 +440,7 @@ fn first_contact_race_converges_to_one_cache_entry() {
                 })
             })
             .collect();
-        let summary = server.serve(&server_lanes, &SIM, 311);
+        let summary = server.serve(&server_lanes, &SIM, 311).expect("reactor");
         for c in clients {
             c.join().expect("client thread");
         }
@@ -496,11 +496,12 @@ fn server_pool_hits_then_falls_back_gracefully() {
             lane.send(Frame::encode(CLS_FIN, &0u64)).expect("fin");
             drop(client_lanes);
         });
-        server.serve(&server_lanes, &SIM, 307)
+        server.serve(&server_lanes, &SIM, 307).expect("reactor")
     });
 
     assert_eq!(summary.sessions_admitted, 3);
     assert_eq!(summary.served_samples, 3 * samples.len());
+    assert_eq!(cache.len(), 1, "one cold handshake, then warm sessions");
     let report = registry.report();
     assert!(report.pool_filled >= 1, "the pool pre-fills one pack");
     assert!(report.pool_hits >= 1, "the first session must hit");
@@ -509,64 +510,6 @@ fn server_pool_hits_then_falls_back_gracefully() {
         3,
         "every admitted session either hits or misses the pool"
     );
-}
-
-/// The same pool and warm machinery over the async reactor runtime.
-#[test]
-fn async_server_pool_serves_warm_sessions() {
-    let (model, trainer, _, _) = classification_fixture();
-    let registry = MetricsRegistry::new(2, "trainer");
-    let config = ServerConfig {
-        precompute_capacity: 2,
-        precompute_masks: 8,
-        ..ServerConfig::default()
-    };
-    let server = TrainerServer::new(&trainer, config).with_metrics(registry.clone());
-    let (server_lanes, client_lanes) = duplex_pool(2);
-    let samples = random_samples(3, 2, 308);
-
-    let summary = std::thread::scope(|scope| {
-        let samples = &samples;
-        let model = &model;
-        let clients: Vec<_> = client_lanes
-            .iter()
-            .enumerate()
-            .map(|(i, lane)| {
-                scope.spawn(move || {
-                    let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
-                    let cache = WarmSessionCache::new();
-                    let mut rng = StdRng::seed_from_u64(320 + i as u64);
-                    // Cold then warm against the same reactor lane.
-                    for _ in 0..2 {
-                        let labels = client
-                            .classify_batch_values_warm(lane, &SIM, &mut rng, samples, &cache, 1)
-                            .expect("session");
-                        for ((l, _), sample) in labels.iter().zip(samples) {
-                            assert_eq!(*l, model.predict(sample));
-                        }
-                    }
-                    assert_eq!(cache.len(), 1);
-                    lane.send(Frame::encode(CLS_FIN, &0u64)).expect("fin");
-                })
-            })
-            .collect();
-        let summary = server
-            .serve_async(&server_lanes, &SIM, 321)
-            .expect("reactor");
-        for c in clients {
-            c.join().expect("client thread");
-        }
-        summary
-    });
-
-    assert_eq!(summary.sessions_admitted, 4, "two cold + two warm sessions");
-    assert_eq!(summary.served_samples, 4 * samples.len());
-    let report = registry.report();
-    assert!(
-        report.pool_hits >= 1,
-        "precomputed packs must serve sessions"
-    );
-    assert_eq!(report.pool_hits + report.pool_misses, 4);
 }
 
 /// Multi-class: per-class rounds drawing from a precomputed pack queue
