@@ -195,8 +195,8 @@ pub struct Trainer<A: Algebra> {
     spec: ClassifySpec,
     /// The serving process's incarnation, advertised in the cold `SPEC`,
     /// the warm `TICKET`, and `KIND_HEALTH` replies. A restarted trainer
-    /// bumps it so clients holding cached specs or resume state from the
-    /// previous incarnation fall back to a cold start.
+    /// bumps it so clients holding cached specs from the previous
+    /// incarnation fall back to a cold start.
     epoch: u64,
 }
 
@@ -504,8 +504,8 @@ impl<A: Algebra> Trainer<A> {
             // either way the session proceeds without a second
             // round-trip. A stale epoch forces the re-announcement even
             // when the spec hash still matches: the client must learn it
-            // is talking to a fresh incarnation whose warm state (resume
-            // logs, pool material) does not include it.
+            // is talking to a fresh incarnation whose warm state (pool
+            // material) does not include it.
             let current = spec_hash == self.spec.wire_hash() && client_epoch == self.epoch;
             let mut ticket = vec![u64::from(current), self.epoch];
             if !current {
@@ -1067,8 +1067,7 @@ impl<A: Algebra> Client<A> {
 ///
 /// A repeat client holding a cached spec opens its next session
 /// **warm**: the `HELLO`/`SPEC` exchange shrinks to a
-/// `WARM_HELLO`/`TICKET` hash check, riding the same resumable-session
-/// machinery that already redials the transport. The cache is
+/// `WARM_HELLO`/`TICKET` hash check. The cache is
 /// internally synchronized, so one instance can back every lane of a
 /// parallel client.
 ///

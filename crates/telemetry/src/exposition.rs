@@ -106,18 +106,6 @@ impl MetricsRegistry {
         );
         counter(
             &mut out,
-            "ppcs_retries_total",
-            "Session retries (backoffs before reconnect attempts).",
-            report.retries,
-        );
-        counter(
-            &mut out,
-            "ppcs_reconnects_total",
-            "Successful reconnects after transport failures.",
-            report.reconnects,
-        );
-        counter(
-            &mut out,
             "ppcs_faults_total",
             "Transport faults injected (chaos testing).",
             report.faults,

@@ -188,8 +188,6 @@ pub struct MetricsRegistry {
     rounds: AtomicU64,
     timeouts: AtomicU64,
     warns: AtomicU64,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
     faults: AtomicU64,
     sessions_admitted: AtomicU64,
     sessions_shed: AtomicU64,
@@ -231,8 +229,6 @@ impl MetricsRegistry {
             rounds: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             warns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             sessions_admitted: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
@@ -285,16 +281,6 @@ impl MetricsRegistry {
     /// Counts one warning event.
     pub fn record_warn(&self) {
         self.warns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one session retry (a backoff before a reconnect attempt).
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one successful reconnect after a transport failure.
-    pub fn record_reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one injected transport fault (chaos testing).
@@ -555,8 +541,6 @@ impl MetricsRegistry {
             rounds: self.rounds.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             warns: self.warns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
             faults: self.faults.load(Ordering::Relaxed),
             sessions_admitted: self.sessions_admitted.load(Ordering::Relaxed),
             sessions_shed: self.sessions_shed.load(Ordering::Relaxed),

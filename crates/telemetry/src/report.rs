@@ -94,10 +94,6 @@ pub struct SessionReport {
     pub timeouts: u64,
     /// Warning events emitted.
     pub warns: u64,
-    /// Session retries (backoffs before reconnect attempts).
-    pub retries: u64,
-    /// Successful reconnects after transport failures.
-    pub reconnects: u64,
     /// Transport faults injected (chaos testing).
     pub faults: u64,
     /// Sessions admitted by the serving runtime.
@@ -220,8 +216,6 @@ impl SessionReport {
             ("rounds", num(self.rounds)),
             ("timeouts", num(self.timeouts)),
             ("warns", num(self.warns)),
-            ("retries", num(self.retries)),
-            ("reconnects", num(self.reconnects)),
             ("faults", num(self.faults)),
             ("sessions_admitted", num(self.sessions_admitted)),
             ("sessions_shed", num(self.sessions_shed)),
@@ -359,10 +353,8 @@ impl SessionReport {
             rounds: field("rounds")?,
             timeouts: field("timeouts")?,
             warns: field("warns")?,
-            // Resilience counters postdate the first report format:
+            // The fault counter postdates the first report format:
             // parse leniently so archived bench artifacts still load.
-            retries: doc.get("retries").and_then(Json::as_u64).unwrap_or(0),
-            reconnects: doc.get("reconnects").and_then(Json::as_u64).unwrap_or(0),
             faults: doc.get("faults").and_then(Json::as_u64).unwrap_or(0),
             // Serving counters are newer still: same lenient treatment.
             sessions_admitted: doc
@@ -558,8 +550,6 @@ mod tests {
             rounds: 9,
             timeouts: 1,
             warns: 1,
-            retries: 2,
-            reconnects: 1,
             faults: 3,
             sessions_admitted: 5,
             sessions_shed: 2,
@@ -658,16 +648,15 @@ mod tests {
 
     #[test]
     fn reports_without_resilience_counters_still_parse() {
-        // Artifacts written before retries/reconnects/faults existed.
+        // Artifacts that still carry the retired retry counters.
         let mut report = sample();
-        let text = report
+        let retired = report
             .to_json()
-            .replace("\"retries\":2,", "")
-            .replace("\"reconnects\":1,", "")
-            .replace("\"faults\":3,", "");
+            .replace("\"faults\":", "\"retries\":2,\"reconnects\":1,\"faults\":");
+        assert_eq!(SessionReport::from_json(&retired).unwrap(), report);
+        // Artifacts written before the fault counter existed.
+        let text = report.to_json().replace("\"faults\":3,", "");
         let back = SessionReport::from_json(&text).unwrap();
-        report.retries = 0;
-        report.reconnects = 0;
         report.faults = 0;
         assert_eq!(back, report);
     }

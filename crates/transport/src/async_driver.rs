@@ -43,7 +43,7 @@ use crate::driver::{busy_frame, Transcript};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::TransportError;
 use crate::reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
-use crate::session::{fail_engine, DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
+use crate::session::{DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
 use crate::tcp::NbConn;
 
 /// Token reserved for the accept listener.
@@ -467,8 +467,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             timeout: opts.timeout.or(Some(DEFAULT_PER_RECV)),
             ..opts
         };
-        let mut core = SessionCore::new(&opts, None);
-        core.begin_lane(&conn.lane, engine.rounds());
+        let core = SessionCore::new(&opts, &conn.lane, engine.rounds());
         conn.idle_deadline = None;
         conn.session = Some(Session { engine, core, seq });
         self.active_sessions += 1;
@@ -492,7 +491,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
 
     /// [`send_busy`](AsyncDriver::send_busy) with a retry-after hint:
     /// the shed frame tells the client how long to wait before
-    /// redialing (honored by [`RetryPolicy::delay_for`](crate::RetryPolicy::delay_for)).
+    /// coming back; the client sees it as
+    /// [`TransportError::Busy`]'s `retry_after_ms`.
     ///
     /// # Errors
     ///
@@ -811,9 +811,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                     return;
                 }
                 Step::Finished(result) => result,
-                // Attached sessions are not resumable; fail like any
-                // other transport error if one ever says otherwise.
-                Step::NeedsRedial(e) => fail_engine(&mut s.engine, e),
             };
             if let Some(rec) = &self.recorder {
                 if s.core.tripped() {

@@ -19,23 +19,16 @@ use ppcs_telemetry::MetricsRegistry;
 use crate::channel::{Frame, Lane, TrafficStats};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::{ProtocolError, TransportError};
-use crate::fault::splitmix64;
-use crate::session::{fail_engine, DriveOptions, SessionCore, SessionIo};
+use crate::session::{DriveOptions, SessionCore, SessionIo};
 use crate::wire::{decode_seq, encode_seq, Encodable};
-
-/// Frame kind for the resume handshake: after a reconnect, each side
-/// sends one `KIND_RESUME` frame carrying the count of logical frames it
-/// has delivered to its engine, and the peer replays everything after
-/// that ack. Reserved next to [`KIND_COALESCED`](crate::KIND_COALESCED);
-/// protocols never see it.
-pub const KIND_RESUME: u16 = 0x00FE;
 
 /// Frame kind for admission-control rejection: a serving peer at
 /// capacity answers a new session's opening frame with one `KIND_BUSY`
 /// frame and hangs up, instead of silently dropping the connection. The
 /// driver translates a received `KIND_BUSY` into
 /// [`TransportError::Busy`] and fails the engine with it — protocols
-/// never see the kind itself. Reserved next to [`KIND_RESUME`].
+/// never see the kind itself. Reserved in the transport's control range
+/// with [`KIND_COALESCED`](crate::KIND_COALESCED).
 ///
 /// The payload is either empty (no guidance) or eight little-endian
 /// bytes carrying a retry-after hint in milliseconds; see [`busy_frame`]
@@ -110,92 +103,6 @@ impl SessionLimits {
     pub fn with_max_wire_bytes(mut self, max_wire_bytes: u64) -> Self {
         self.max_wire_bytes = Some(max_wire_bytes);
         self
-    }
-}
-
-/// Bounded-retry configuration for [`Driver::drive_resumable`]:
-/// exponential backoff with deterministic (seeded) jitter between
-/// reconnect attempts, and a patience window for the resume handshake.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total connection attempts (first try included). Minimum 1.
-    pub max_attempts: u32,
-    /// Backoff before attempt `n+1` starts from `base_delay * 2^n`.
-    pub base_delay: Duration,
-    /// Upper bound on any single backoff sleep (before jitter).
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter added to each backoff.
-    pub jitter_seed: u64,
-    /// Recv deadline while waiting for the peer's resume frame — longer
-    /// than the session deadline, since the peer may itself be backing
-    /// off before it reconnects.
-    pub resume_window: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_secs(1),
-            jitter_seed: 0x5EED,
-            resume_window: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Whether `e` is a transient transport failure worth a reconnect.
-    /// Codec and protocol errors are deterministic — retrying replays
-    /// the same bytes into the same failure — so only the transport
-    /// layer (disconnect, timeout, I/O) is retryable. A shed
-    /// ([`TransportError::Busy`]) is retryable exactly when the server
-    /// said when to come back: without a retry-after hint, redialing the
-    /// same overloaded server would just be shed again.
-    pub fn is_retryable(&self, e: &TransportError) -> bool {
-        matches!(
-            e,
-            TransportError::Disconnected
-                | TransportError::Timeout
-                | TransportError::Io(_)
-                | TransportError::Busy {
-                    retry_after_ms: Some(_)
-                }
-        )
-    }
-
-    /// The backoff before attempt `attempt + 1` with no jitter applied:
-    /// capped exponential growth from `base_delay`, saturating instead
-    /// of overflowing at large attempt counts.
-    pub fn backoff_base(&self, attempt: u32) -> Duration {
-        self.base_delay
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_delay)
-    }
-
-    /// The backoff before attempt `attempt + 1`:
-    /// [`backoff_base`](Self::backoff_base) plus seeded jitter in
-    /// `[0, base / 2)`, saturating at the extremes instead of panicking.
-    pub fn backoff_delay(&self, attempt: u32, jitter: &mut u64) -> Duration {
-        let capped = self.backoff_base(attempt);
-        let half = ((capped.as_nanos() / 2).min(u128::from(u64::MAX)) as u64).max(1);
-        capped
-            .checked_add(Duration::from_nanos(splitmix64(jitter) % half))
-            .unwrap_or(capped)
-    }
-
-    /// The delay before the retry prompted by `e`: a shed reply carrying
-    /// a retry-after hint is honored as given (no jitter — the server
-    /// already knows when capacity frees up) up to `max_delay`, since
-    /// the hint is peer-controlled; anything else gets the jittered
-    /// exponential [`backoff_delay`](Self::backoff_delay).
-    pub fn delay_for(&self, e: &TransportError, attempt: u32, jitter: &mut u64) -> Duration {
-        match e {
-            TransportError::Busy {
-                retry_after_ms: Some(ms),
-            } => Duration::from_millis(*ms).min(self.max_delay),
-            _ => self.backoff_delay(attempt, jitter),
-        }
     }
 }
 
@@ -354,7 +261,7 @@ impl Encodable for Transcript {
 /// Pumps a [`ProtocolEngine`] over any [`Lane`] until the role
 /// completes, parking the calling thread in `lane.recv()` whenever the
 /// engine stalls. The session itself — outputs, transcript, metrics,
-/// budgets, the resume handshake — is the crate's one `SessionCore`,
+/// budgets — is the crate's one `SessionCore`,
 /// shared with [`AsyncDriver`](crate::AsyncDriver); this type only adds
 /// the blocking way of waiting. Transport failures are injected into the
 /// engine so the role surfaces its own typed error.
@@ -366,7 +273,6 @@ impl Encodable for Transcript {
 #[derive(Debug, Default)]
 pub struct Driver {
     opts: DriveOptions,
-    retry: Option<RetryPolicy>,
     transcript: Option<Transcript>,
 }
 
@@ -402,14 +308,6 @@ impl Driver {
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.opts.timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the retry policy [`drive_resumable`](Self::drive_resumable)
-    /// uses for reconnects. Without one, the default policy applies.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 
@@ -456,55 +354,9 @@ impl Driver {
         // here covers every span in the protocol stack — blocking
         // wrappers and TCP paths get telemetry for free.
         let _collector = self.opts.metrics.clone().map(ppcs_telemetry::install);
-        let mut core = SessionCore::new(&self.opts, None);
-        let result = core
-            .drive_lane(engine, &mut Waiting::on(ep))
-            .unwrap_or_else(|e| fail_engine(engine, e));
-        self.transcript = core.take_transcript();
-        result
-    }
-
-    /// Drives `engine` to completion across connection failures: on a
-    /// retryable transport error ([`TransportError::Disconnected`],
-    /// [`TransportError::Timeout`], [`TransportError::Io`], or a
-    /// [`TransportError::Busy`] shed that says when to come back) the
-    /// current lane is dropped, `connect(attempt)` establishes a fresh
-    /// one after a backoff, and the session resumes where it left off
-    /// via a [`KIND_RESUME`] handshake — each side announces how many
-    /// logical frames it has delivered to its engine, and the peer
-    /// replays the unacknowledged tail of its send log. The engine
-    /// itself never sees the failure: its pending receive stays
-    /// suspended until the replayed stream catches up.
-    ///
-    /// Both parties must drive with this method (or otherwise speak the
-    /// resume handshake) for a reconnect to succeed.
-    ///
-    /// [`SessionLimits`] and the cancel token are session-logical: the
-    /// wall-clock deadline starts at the first dial and wire bytes
-    /// accumulate across every lane, so a redial resumes the session's
-    /// remaining budget rather than resetting it, and neither the
-    /// resume handshake nor a backoff sleep outlasts the deadline. A
-    /// peer's retry-after hint is honored up to
-    /// [`RetryPolicy::max_delay`].
-    ///
-    /// # Errors
-    ///
-    /// The role's own error once retries are exhausted or a
-    /// non-retryable (codec/protocol/budget) failure occurs.
-    pub fn drive_resumable<L, C, T, E>(
-        &mut self,
-        mut connect: C,
-        engine: &mut ProtocolEngine<'_, T, E>,
-    ) -> Result<T, E>
-    where
-        L: Lane,
-        C: FnMut(u32) -> Result<L, TransportError>,
-        E: From<TransportError>,
-    {
-        let _collector = self.opts.metrics.clone().map(ppcs_telemetry::install);
-        let policy = self.retry.clone().unwrap_or_default();
-        let mut core = SessionCore::new(&self.opts, Some(policy));
-        let result = core.drive_resumable(engine, |attempt| connect(attempt).map(Waiting::on));
+        let mut io = Waiting::on(ep);
+        let mut core = SessionCore::new(&self.opts, &io, engine.rounds());
+        let result = core.drive_lane(engine, &mut io);
         self.transcript = core.take_transcript();
         result
     }
@@ -706,7 +558,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{duplex, Endpoint};
+    use crate::channel::duplex;
     use crate::engine::FrameIo;
     use std::sync::atomic::Ordering;
 
@@ -872,97 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn resumable_drive_survives_dead_first_connection() {
-        // Pinger's first lane is dead on arrival; attempt 1 gets the
-        // real connection and the session completes via the resume
-        // handshake.
-        let (dead_a, dead_peer) = duplex();
-        drop(dead_peer);
-        let (real_a, real_b) = duplex();
-        let reg = ppcs_telemetry::MetricsRegistry::new(7, "pinger");
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(move || {
-                let mut eng = ProtocolEngine::new(ponger);
-                let mut real = Some(real_b);
-                Driver::new().drive_resumable(
-                    move |_attempt| real.take().ok_or(TransportError::Disconnected),
-                    &mut eng,
-                )
-            });
-            let mut lanes = vec![real_a, dead_a]; // popped back-to-front
-            let mut eng = ProtocolEngine::new(pinger);
-            let mut driver = Driver::new().with_metrics(reg.clone());
-            let got = driver.drive_resumable(
-                move |_attempt| lanes.pop().ok_or(TransportError::Disconnected),
-                &mut eng,
-            );
-            assert_eq!(got, Ok(21));
-            assert_eq!(handle.join().expect("peer"), Ok(7));
-        });
-        let report = reg.report();
-        assert_eq!(report.retries, 1);
-        assert_eq!(report.reconnects, 1);
-    }
-
-    #[test]
-    fn resumable_drive_exhausts_attempts_with_structured_error() {
-        let mut eng: ProtocolEngine<'_, u64, TransportError> =
-            ProtocolEngine::new(|io: FrameIo| async move { io.recv_msg::<u64>(1).await });
-        let mut attempts = 0u32;
-        let mut driver = Driver::new().with_retry(RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(1),
-            ..Default::default()
-        });
-        let err = driver
-            .drive_resumable(
-                |_attempt| -> Result<Endpoint, TransportError> {
-                    attempts += 1;
-                    Err(TransportError::Disconnected)
-                },
-                &mut eng,
-            )
-            .unwrap_err();
-        assert_eq!(err, TransportError::Disconnected);
-        assert_eq!(attempts, 3, "every allowed attempt was used");
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
-            jitter_seed: 1,
-            resume_window: Duration::from_secs(1),
-        };
-        let mut jitter = policy.jitter_seed;
-        let d0 = policy.backoff_delay(0, &mut jitter);
-        let d3 = policy.backoff_delay(3, &mut jitter);
-        let d9 = policy.backoff_delay(9, &mut jitter);
-        assert!(d0 >= Duration::from_millis(10) && d0 < Duration::from_millis(15));
-        assert!(d3 >= Duration::from_millis(80), "exponential growth");
-        // Cap plus at most half the cap of jitter.
-        assert!(d9 <= Duration::from_millis(120), "cap holds: {d9:?}");
-    }
-
-    #[test]
-    fn backoff_never_panics_at_extreme_parameters() {
-        let policy = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_delay: Duration::MAX,
-            max_delay: Duration::MAX,
-            jitter_seed: 42,
-            resume_window: Duration::from_secs(1),
-        };
-        let mut jitter = policy.jitter_seed;
-        for attempt in [0, 16, 63, u32::MAX] {
-            let d = policy.backoff_delay(attempt, &mut jitter);
-            assert!(d >= policy.backoff_base(attempt.min(16)));
-        }
-    }
-
-    #[test]
     fn budget_deadline_cuts_a_silent_peer() {
         // The peer endpoint stays alive but never sends: the per-recv
         // timeout (30 s default) would hold the session for ages, the
@@ -1106,133 +867,6 @@ mod tests {
             TransportError::Busy {
                 retry_after_ms: Some(40)
             }
-        );
-    }
-
-    #[test]
-    fn retry_policy_honors_the_busy_hint_over_backoff() {
-        let policy = RetryPolicy::default();
-        let hinted = TransportError::Busy {
-            retry_after_ms: Some(123),
-        };
-        let bare = TransportError::Busy {
-            retry_after_ms: None,
-        };
-        assert!(policy.is_retryable(&hinted));
-        assert!(!policy.is_retryable(&bare), "no hint, no blind redial");
-        let mut jitter = policy.jitter_seed;
-        assert_eq!(
-            policy.delay_for(&hinted, 0, &mut jitter),
-            Duration::from_millis(123),
-            "the hint is exact — no jitter"
-        );
-        let d = policy.delay_for(&TransportError::Disconnected, 0, &mut jitter);
-        assert!(d >= policy.base_delay, "non-busy errors keep the backoff");
-    }
-
-    #[test]
-    fn hostile_retry_after_hint_is_capped_at_max_delay() {
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            max_delay: Duration::from_millis(20),
-            ..Default::default()
-        };
-        let forever = TransportError::Busy {
-            retry_after_ms: Some(u64::MAX),
-        };
-        let mut jitter = policy.jitter_seed;
-        assert_eq!(policy.delay_for(&forever, 0, &mut jitter), policy.max_delay);
-
-        // End to end, no threads: the first lane's peer already shed us
-        // with "come back in u64::MAX ms", the second lane's peer has
-        // already spoken the handshake and the reply.
-        let (shed_a, shed_b) = duplex();
-        shed_b
-            .send(Frame {
-                kind: KIND_BUSY,
-                payload: Bytes::copy_from_slice(&u64::MAX.to_le_bytes()),
-            })
-            .unwrap();
-        let (real_a, real_b) = duplex();
-        real_b.send_msg(KIND_RESUME, &0u64).unwrap();
-        real_b.send_msg(2, &21u64).unwrap();
-        let mut lanes = vec![real_a, shed_a]; // popped back-to-front
-        let mut eng = ProtocolEngine::new(pinger);
-        let t0 = std::time::Instant::now();
-        let got = Driver::new().with_retry(policy).drive_resumable(
-            |_attempt| lanes.pop().ok_or(TransportError::Disconnected),
-            &mut eng,
-        );
-        assert_eq!(got, Ok(21));
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "the peer chose the nap"
-        );
-    }
-
-    #[test]
-    fn backoff_sleep_never_outlasts_the_session_deadline() {
-        let reg = ppcs_telemetry::MetricsRegistry::new(12, "redialer");
-        let mut eng: ProtocolEngine<'_, u64, TransportError> =
-            ProtocolEngine::new(|io: FrameIo| async move { io.recv_msg::<u64>(1).await });
-        let mut driver = Driver::new()
-            .with_metrics(reg.clone())
-            .with_retry(RetryPolicy {
-                base_delay: Duration::from_secs(1),
-                ..Default::default()
-            })
-            .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(50)));
-        let t0 = std::time::Instant::now();
-        let err = driver
-            .drive_resumable(
-                |_attempt| -> Result<Endpoint, TransportError> {
-                    Err(TransportError::Disconnected)
-                },
-                &mut eng,
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::Budget("wall-clock deadline 50ms elapsed".into())
-        );
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "{:?}",
-            t0.elapsed()
-        );
-        assert_eq!(reg.report().budget_exceeded, 1);
-    }
-
-    #[test]
-    fn cancel_is_observed_before_a_backoff_sleep() {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let mut eng: ProtocolEngine<'_, u64, TransportError> =
-            ProtocolEngine::new(|io: FrameIo| async move { io.recv_msg::<u64>(1).await });
-        let mut driver = Driver::new()
-            .with_cancel(cancel.clone())
-            .with_retry(RetryPolicy {
-                base_delay: Duration::from_secs(1),
-                ..Default::default()
-            });
-        let t0 = std::time::Instant::now();
-        let err = driver
-            .drive_resumable(
-                |_attempt| -> Result<Endpoint, TransportError> {
-                    // The drain cut lands while the dial is failing.
-                    cancel.store(true, Ordering::Relaxed);
-                    Err(TransportError::Disconnected)
-                },
-                &mut eng,
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::Budget("session cancelled (drain cut)".into())
-        );
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "{:?}",
-            t0.elapsed()
         );
     }
 

@@ -35,8 +35,8 @@ pub const KIND_CHAOS: u16 = 0x00FD;
 /// How long a [`FaultKind::Delay`] fault stalls the frame.
 const DELAY_FAULT: Duration = Duration::from_millis(2);
 
-/// splitmix64: the workspace's no-dependency seeded generator, shared by
-/// fault schedules and retry jitter.
+/// splitmix64: the workspace's no-dependency seeded generator behind
+/// fault schedules and corruption.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

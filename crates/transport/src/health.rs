@@ -9,9 +9,8 @@
 //!
 //! * **`epoch`** — the serving process's incarnation. A restarted
 //!   trainer advertises a fresh epoch, so clients holding warm-session
-//!   tickets or resumable sessions from the previous incarnation know
-//!   their server-side state (spec announcements, resume send-logs) is
-//!   gone and fall back to a cold start instead of replaying into it.
+//!   tickets from the previous incarnation know their server-side state
+//!   (spec announcements) is gone and fall back to a cold start.
 //! * **`draining`** — admission has stopped; route new sessions
 //!   elsewhere.
 //! * **`pool_depth`** — precomputed offline packs ready right now; a
@@ -38,8 +37,8 @@ pub const KIND_HEALTH: u16 = 0x00FC;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthStatus {
     /// The serving process's incarnation: bumped across a crash/restart
-    /// so clients can detect that warm tickets and resume logs from the
-    /// previous incarnation are void.
+    /// so clients can detect that warm tickets from the previous
+    /// incarnation are void.
     pub epoch: u64,
     /// Whether a drain has begun (admission is over).
     pub draining: bool,

@@ -13,6 +13,11 @@
 //! byte-serializable [`Transcript`] and re-driven deterministically with
 //! [`replay`].
 //!
+//! A session lives on one lane from its first frame to its result: a
+//! lane failure is injected into the engine, which ends with a typed
+//! error. A call that must survive a dead lane is re-run on another
+//! replica by `ppcs-core`'s `FleetClient`.
+//!
 //! ## Example
 //!
 //! ```
@@ -56,7 +61,7 @@ pub use channel::{
 };
 pub use driver::{
     busy_frame, busy_retry_after, drive_blocking, replay, run_engine_pair, Direction, Driver,
-    RetryPolicy, SessionLimits, Transcript, TranscriptEntry, KIND_BUSY, KIND_RESUME,
+    SessionLimits, Transcript, TranscriptEntry, KIND_BUSY,
 };
 pub use engine::{Engine, FrameIo, Outgoing, ProtocolEngine, RecvFut};
 pub use error::{ErrorLayer, ProtocolError, TransportError};

@@ -4,11 +4,14 @@
 //! The core steps a [`ProtocolEngine`], transmits its output, records
 //! the [`Transcript`], feeds the per-session metrics, enforces
 //! [`SessionLimits`] and the cancel token, keeps the per-receive window,
-//! translates [`KIND_BUSY`], and speaks the [`KIND_RESUME`] handshake
-//! with its send log and redial backoff. It reaches the lane through
-//! [`SessionIo`] and never blocks on its own: [`SessionCore::step`] runs
-//! until the session finishes or has nothing to read, and then says when
-//! it next needs attention. [`Driver`](crate::Driver) is the `SessionIo`
+//! and translates [`KIND_BUSY`]. A session lives on one lane from its
+//! first frame to its result: any lane failure is injected into the
+//! engine, so the role ends with its own typed error, and surviving a dead
+//! lane is the caller's business (`FleetClient` fails over to another
+//! replica). The core reaches the lane through [`SessionIo`] and never
+//! blocks on its own: [`SessionCore::step`] runs until the session
+//! finishes or has nothing to read, and then says when it next needs
+//! attention. [`Driver`](crate::Driver) is the `SessionIo`
 //! that waits inside `try_recv` and steps again;
 //! [`AsyncDriver`](crate::AsyncDriver) is the one that never waits and
 //! arms its timer wheel instead.
@@ -20,9 +23,7 @@ use std::time::{Duration, Instant};
 use ppcs_telemetry::{MetricsRegistry, WireDir};
 
 use crate::channel::{Frame, TrafficStats};
-use crate::driver::{
-    busy_retry_after, Direction, RetryPolicy, SessionLimits, Transcript, KIND_BUSY, KIND_RESUME,
-};
+use crate::driver::{busy_retry_after, Direction, SessionLimits, Transcript, KIND_BUSY};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::TransportError;
 
@@ -121,118 +122,65 @@ pub(crate) enum Step<T, E> {
     Parked { wake_at: Instant },
     /// The session completed, successfully or with the role's error.
     Finished(Result<T, E>),
-    /// Resumable sessions only: the lane failed with the engine still
-    /// suspended; [`SessionCore::drive_resumable`] decides on a redial.
-    NeedsRedial(TransportError),
-}
-
-/// Where a resumable session stands on its current lane.
-#[derive(PartialEq)]
-enum ResumePhase {
-    /// Fresh lane: our delivered count has not been announced yet.
-    Announce,
-    /// Announced; session traffic waits for the peer's count.
-    AwaitAck,
-    /// Handshake done (the unacknowledged tail has been replayed).
-    Live,
-}
-
-struct Resume {
-    policy: RetryPolicy,
-    /// Every logical frame the engine emitted, in order, for replay
-    /// after a reconnect.
-    sent_log: Vec<Frame>,
-    phase: ResumePhase,
 }
 
 /// One session's drive state. See the module docs.
 pub(crate) struct SessionCore {
     transcript: Option<Transcript>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// The session's registry, with the lane counters its wire deltas
+    /// are taken against.
+    metrics: Option<(Arc<MetricsRegistry>, TrafficStats)>,
     limits: SessionLimits,
     cancel: Option<Arc<AtomicBool>>,
     budgeted: bool,
     /// `None` leaves the lane's own receive deadline in charge.
     per_recv: Option<Duration>,
-    /// Budgets are session-logical: the wall clock starts here, at the
-    /// first dial, and a redial never resets it.
+    /// The wall clock of the session budget starts here.
     started: Instant,
     /// When the wait for the current frame began; `None` once it has
     /// been delivered.
     recv_started: Option<Instant>,
-    /// Wire bytes moved on lanes already abandoned.
-    wire_spent: u64,
     lane_bytes_before: u64,
-    stats_before: Option<TrafficStats>,
     rounds_before: u64,
     frames_delivered: u64,
     /// The frame kind most recently sent or delivered: locates a
     /// timeout or budget trip within the session for the warn event.
     last_kind: Option<u16>,
     tripped: bool,
-    resume: Option<Resume>,
 }
 
 impl SessionCore {
-    /// A session under `opts`, resumable across lanes when `retry` is
-    /// given. The session clock starts now.
-    pub(crate) fn new(opts: &DriveOptions, retry: Option<RetryPolicy>) -> Self {
+    /// A session under `opts` on the lane behind `io`, whose engine has
+    /// handled `engine_rounds` frames so far. The session clock starts
+    /// now, and the lane's counters are snapshotted for the deltas the
+    /// budgets and the registry take.
+    pub(crate) fn new(opts: &DriveOptions, io: &impl SessionIo, engine_rounds: u64) -> Self {
         let budgeted = opts.limits.is_some() || opts.cancel.is_some();
-        let owns_deadline = budgeted || retry.is_some();
+        let stats = (budgeted || opts.metrics.is_some()).then(|| io.stats());
         Self {
             transcript: opts.recording.then(Transcript::new),
-            metrics: opts.metrics.clone(),
+            lane_bytes_before: stats.as_ref().map_or(0, TrafficStats::total_bytes),
+            metrics: opts.metrics.clone().zip(stats),
             limits: opts.limits.clone().unwrap_or_default(),
             cancel: opts.cancel.clone(),
             budgeted,
             per_recv: opts
                 .timeout
-                .or_else(|| owns_deadline.then_some(DEFAULT_PER_RECV)),
+                .or_else(|| budgeted.then_some(DEFAULT_PER_RECV)),
             started: Instant::now(),
             recv_started: None,
-            wire_spent: 0,
-            lane_bytes_before: 0,
-            stats_before: None,
-            rounds_before: 0,
+            rounds_before: engine_rounds,
             frames_delivered: 0,
             last_kind: None,
             tripped: false,
-            resume: retry.map(|policy| Resume {
-                policy,
-                sent_log: Vec::new(),
-                phase: ResumePhase::Announce,
-            }),
         }
     }
 
-    /// Points the session at a (fresh) lane: snapshots the counters its
-    /// deltas are taken against and restarts the resume handshake.
-    pub(crate) fn begin_lane(&mut self, io: &impl SessionIo, engine_rounds: u64) {
-        if self.budgeted || self.metrics.is_some() || self.resume.is_some() {
-            let stats = io.stats();
-            self.lane_bytes_before = stats.total_bytes();
-            self.stats_before = self.metrics.is_some().then_some(stats);
-        }
-        self.rounds_before = engine_rounds;
-        self.recv_started = None;
-        if let Some(r) = &mut self.resume {
-            r.phase = ResumePhase::Announce;
-        }
-    }
-
-    /// Closes the books on the current lane: its traffic and rounds go
-    /// to the registry, its bytes to the session's running total (which
-    /// only a redial reads).
-    fn end_lane(&mut self, io: &impl SessionIo, engine_rounds: u64) {
-        if self.metrics.is_none() && self.resume.is_none() {
-            return;
-        }
-        let stats = io.stats();
-        self.wire_spent += stats.total_bytes() - self.lane_bytes_before;
-        self.lane_bytes_before = stats.total_bytes();
-        if let Some(reg) = &self.metrics {
-            let before = self.stats_before.take().expect("begin_lane snapshotted");
-            merge_wire_delta(reg, &before, &stats);
+    /// Closes the books on the lane: its traffic and rounds go to the
+    /// registry.
+    fn close_books(&self, io: &impl SessionIo, engine_rounds: u64) {
+        if let Some((reg, before)) = &self.metrics {
+            merge_wire_delta(reg, before, &io.stats());
             reg.record_rounds(engine_rounds - self.rounds_before);
         }
     }
@@ -244,7 +192,7 @@ impl SessionCore {
 
     /// The session's registry, for the waiter's span collector.
     pub(crate) fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+        self.metrics.as_ref().map(|(reg, _)| reg)
     }
 
     /// Whether a budget (or the cancel token) ended this session.
@@ -269,7 +217,7 @@ impl SessionCore {
     }
 
     fn wire_moved(&self, io: &impl SessionIo) -> u64 {
-        self.wire_spent + io.stats().total_bytes() - self.lane_bytes_before
+        io.stats().total_bytes() - self.lane_bytes_before
     }
 
     /// Runs the session until it finishes, fails, or has nothing to
@@ -280,79 +228,54 @@ impl SessionCore {
         engine: &mut ProtocolEngine<'_, T, E>,
         io: &mut impl SessionIo,
     ) -> Step<T, E> {
-        let failure = match self.advance(engine, io) {
-            Ok(Some(wake_at)) => return Step::Parked { wake_at },
-            Ok(None) => None,
-            Err(e) => Some(e),
+        let outcome = match self.advance(engine, io) {
+            Ok(Step::Parked { wake_at }) => return Step::Parked { wake_at },
+            Ok(Step::Finished(result)) => Ok(result),
+            Err(e) => Err(e),
         };
-        if failure == Some(TransportError::Timeout) {
-            if let Some(reg) = &self.metrics {
+        if outcome.as_ref().err() == Some(&TransportError::Timeout) {
+            if let Some(reg) = self.metrics() {
                 reg.record_timeout();
             }
             ppcs_telemetry::warn_event("recv timeout", self.last_kind, Some(engine.rounds()));
         }
-        self.end_lane(io, engine.rounds());
-        match failure {
-            None => Step::Finished(engine.take_result().expect("engine reported done")),
-            Some(e) if self.resume.is_some() => Step::NeedsRedial(e),
-            Some(e) => Step::Finished(fail_engine(engine, e)),
-        }
+        self.close_books(io, engine.rounds());
+        Step::Finished(outcome.unwrap_or_else(|e| fail_engine(engine, e)))
     }
 
-    /// The pump: `Ok(None)` once the engine is done, `Ok(Some(wake_at))`
-    /// when there is nothing to read, `Err` on any failure.
+    /// The pump: `Finished` with the role's result once the engine is
+    /// done, `Parked` when there is nothing to read, `Err` on any
+    /// transport failure.
     fn advance<T, E>(
         &mut self,
         engine: &mut ProtocolEngine<'_, T, E>,
         io: &mut impl SessionIo,
-    ) -> Result<Option<Instant>, TransportError> {
+    ) -> Result<Step<T, E>, TransportError> {
         loop {
-            let live = self
-                .resume
-                .as_ref()
-                .is_none_or(|r| r.phase == ResumePhase::Live);
-            if live {
-                if let Some(reg) = &self.metrics {
-                    reg.record_polls(1);
+            if let Some(reg) = self.metrics() {
+                reg.record_polls(1);
+            }
+            while let Some(out) = engine.poll_output() {
+                if let Some(t) = &mut self.transcript {
+                    t.record(Direction::Sent, &out);
                 }
-                while let Some(out) = engine.poll_output() {
-                    if let Some(t) = &mut self.transcript {
-                        t.record(Direction::Sent, &out);
+                if let Some(reg) = self.metrics() {
+                    for f in out.frames() {
+                        reg.record_frame_size(f.payload.len() as u64);
                     }
-                    if let Some(reg) = &self.metrics {
-                        for f in out.frames() {
-                            reg.record_frame_size(f.payload.len() as u64);
-                        }
-                    }
-                    self.last_kind = out.frames().last().map(|f| f.kind);
-                    if let Some(r) = &mut self.resume {
-                        // Log before transmitting: a frame lost inside
-                        // the transport is still replayable.
-                        r.sent_log.extend(out.frames().iter().cloned());
-                    }
-                    io.send(&out)?;
                 }
-                if engine.is_done() {
-                    return Ok(None);
-                }
+                self.last_kind = out.frames().last().map(|f| f.kind);
+                io.send(&out)?;
+            }
+            if let Some(result) = engine.take_result() {
+                return Ok(Step::Finished(result));
             }
             let now = Instant::now();
             if self.budgeted {
                 let wire = self.wire_moved(io);
                 self.check_budgets(now, wire, engine.rounds())?;
             }
-            let window = match &mut self.resume {
-                Some(r) if r.phase == ResumePhase::Announce => {
-                    io.send(&Outgoing::Frame(Frame::encode(
-                        KIND_RESUME,
-                        &self.frames_delivered,
-                    )))?;
-                    r.phase = ResumePhase::AwaitAck;
-                    Some(r.policy.resume_window)
-                }
-                Some(r) if r.phase == ResumePhase::AwaitAck => Some(r.policy.resume_window),
-                _ => self.per_recv,
-            };
+            let window = self.per_recv;
             // The window has run out only on a later visit: the first
             // one always gets its receive, however short the window.
             let since = match self.recv_started {
@@ -384,7 +307,7 @@ impl SessionCore {
                 if self.cancel.is_some() {
                     wake = wake.min(Instant::now() + SLICE);
                 }
-                return Ok(Some(wake));
+                return Ok(Step::Parked { wake_at: wake });
             };
             if frame.kind == KIND_BUSY {
                 // The peer shed this session before admission.
@@ -392,14 +315,10 @@ impl SessionCore {
                     retry_after_ms: busy_retry_after(&frame.payload),
                 });
             }
-            if self.resume.is_some() && (!live || frame.kind == KIND_RESUME) {
-                self.resume_handshake(io, &frame)?;
-                continue;
-            }
             if let Some(t) = &mut self.transcript {
                 t.record_received(&frame);
             }
-            if let Some(reg) = &self.metrics {
+            if let Some(reg) = self.metrics() {
                 reg.record_frame_size(frame.payload.len() as u64);
             }
             self.frames_delivered += 1;
@@ -407,40 +326,6 @@ impl SessionCore {
             self.recv_started = None;
             engine.handle_input(frame);
         }
-    }
-
-    /// Handles a frame that is handshake traffic rather than session
-    /// traffic. While the ack is awaited, the peer's [`KIND_RESUME`]
-    /// count selects the tail of the send log to replay and takes the
-    /// session live; anything else is a stale frame from before the
-    /// reconnect and is dropped (whatever we have not acknowledged, the
-    /// peer replays). Once live, a second `KIND_RESUME` is a duplicate
-    /// (e.g. from a faulty lane) and is dropped too.
-    fn resume_handshake(
-        &mut self,
-        io: &mut impl SessionIo,
-        frame: &Frame,
-    ) -> Result<(), TransportError> {
-        let r = self.resume.as_mut().expect("resumable session");
-        if r.phase == ResumePhase::Live || frame.kind != KIND_RESUME {
-            return Ok(());
-        }
-        let ack = frame.decode_as::<u64>(KIND_RESUME)?;
-        let tail = usize::try_from(ack)
-            .ok()
-            .and_then(|n| r.sent_log.get(n..))
-            .ok_or_else(|| {
-                TransportError::Decode(format!(
-                    "resume ack {ack} exceeds {} sent frames",
-                    r.sent_log.len()
-                ))
-            })?;
-        for f in tail {
-            io.send(&Outgoing::Frame(f.clone()))?;
-        }
-        r.phase = ResumePhase::Live;
-        self.recv_started = None;
-        Ok(())
     }
 
     /// Fails with the budget that has tripped, if any, counting and
@@ -497,90 +382,24 @@ impl SessionCore {
 
     fn note_budget(&mut self, e: &TransportError, rounds: u64) {
         self.tripped = true;
-        if let Some(reg) = &self.metrics {
+        if let Some(reg) = self.metrics() {
             reg.record_budget_exceeded();
         }
         ppcs_telemetry::warn_event(&e.to_string(), self.last_kind, Some(rounds));
     }
 
-    /// Drives one lane the blocking way: `io` waits inside `try_recv`,
-    /// so a parked session is simply stepped again. `Err` hands a
-    /// resumable session's lane failure to the redial loop.
+    /// Drives the session the blocking way: `io` waits inside
+    /// `try_recv`, so a parked session is simply stepped again.
     pub(crate) fn drive_lane<T, E: From<TransportError>>(
         &mut self,
         engine: &mut ProtocolEngine<'_, T, E>,
         io: &mut impl SessionIo,
-    ) -> Result<Result<T, E>, TransportError> {
-        self.begin_lane(io, engine.rounds());
-        loop {
-            match self.step(engine, io) {
-                Step::Parked { .. } => {}
-                Step::Finished(result) => return Ok(result),
-                Step::NeedsRedial(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The redial loop of a resumable session: dial, drive the lane,
-    /// and on a retryable failure back off and dial again, until the
-    /// engine completes, the failure is not retryable, or the attempts
-    /// run out. A failed lane is dropped before the backoff so the peer
-    /// observes the disconnect promptly instead of waiting out its own
-    /// deadline.
-    pub(crate) fn drive_resumable<IO: SessionIo, T, E: From<TransportError>>(
-        &mut self,
-        engine: &mut ProtocolEngine<'_, T, E>,
-        mut dial: impl FnMut(u32) -> Result<IO, TransportError>,
     ) -> Result<T, E> {
-        let policy = self
-            .resume
-            .as_ref()
-            .expect("resumable session")
-            .policy
-            .clone();
-        let mut jitter = policy.jitter_seed;
-        let mut attempt: u32 = 0;
         loop {
-            let err = match dial(attempt) {
-                Ok(mut io) => {
-                    if attempt > 0 {
-                        if let Some(reg) = &self.metrics {
-                            reg.record_reconnect();
-                        }
-                    }
-                    match self.drive_lane(engine, &mut io) {
-                        Ok(result) => return result,
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            if !policy.is_retryable(&err) || attempt + 1 >= policy.max_attempts {
-                return fail_engine(engine, err);
+            if let Step::Finished(result) = self.step(engine, io) {
+                return result;
             }
-            if let Some(reg) = &self.metrics {
-                reg.record_retry();
-            }
-            let delay = policy.delay_for(&err, attempt, &mut jitter);
-            if let Err(e) = self.back_off(delay, engine.rounds()) {
-                return fail_engine(engine, e);
-            }
-            attempt += 1;
         }
-    }
-
-    /// Sleeps out a redial backoff without outliving the session: the
-    /// nap is clamped to what is left of the deadline, and every budget
-    /// (cancel first) is checked before and after it.
-    fn back_off(&mut self, delay: Duration, rounds: u64) -> Result<(), TransportError> {
-        let now = Instant::now();
-        self.check_budgets(now, self.wire_spent, rounds)?;
-        let nap = match self.limits.deadline {
-            Some(deadline) => delay.min(deadline.saturating_sub(now - self.started)),
-            None => delay,
-        };
-        std::thread::sleep(nap);
-        self.check_budgets(Instant::now(), self.wire_spent, rounds)
     }
 }
 
@@ -616,10 +435,7 @@ fn merge_wire_delta(reg: &MetricsRegistry, before: &TrafficStats, after: &Traffi
 /// Terminates a session on an unrecoverable transport error: the failure
 /// is injected so the role surfaces its own typed error if it can, with
 /// the raw transport error as the fallback.
-pub(crate) fn fail_engine<T, E>(
-    engine: &mut ProtocolEngine<'_, T, E>,
-    e: TransportError,
-) -> Result<T, E>
+fn fail_engine<T, E>(engine: &mut ProtocolEngine<'_, T, E>, e: TransportError) -> Result<T, E>
 where
     E: From<TransportError>,
 {
@@ -689,30 +505,15 @@ mod tests {
         })
     }
 
-    fn start(opts: &DriveOptions, retry: Option<RetryPolicy>, io: &Script) -> SessionCore {
-        let mut core = SessionCore::new(opts, retry);
-        core.begin_lane(io, 0);
-        core
+    fn start(opts: &DriveOptions, io: &Script) -> SessionCore {
+        SessionCore::new(opts, io, 0)
     }
 
     fn finished(step: Step<u64, TransportError>) -> Result<u64, TransportError> {
         match step {
             Step::Finished(result) => result,
             Step::Parked { .. } => panic!("parked"),
-            Step::NeedsRedial(e) => panic!("needs redial: {e:?}"),
         }
-    }
-
-    fn needs_redial(step: Step<u64, TransportError>) -> TransportError {
-        match step {
-            Step::NeedsRedial(e) => e,
-            Step::Parked { .. } => panic!("parked"),
-            Step::Finished(r) => panic!("finished: {r:?}"),
-        }
-    }
-
-    fn resume_frame(delivered: u64) -> Frame {
-        Frame::encode(KIND_RESUME, &delivered)
     }
 
     #[test]
@@ -721,7 +522,7 @@ mod tests {
         let opts = DriveOptions::new()
             .with_recording()
             .with_timeout(Duration::from_secs(30));
-        let mut core = start(&opts, None, &io);
+        let mut core = start(&opts, &io);
         let mut eng = pinger();
         assert!(matches!(core.step(&mut eng, &mut io), Step::Parked { .. }));
         io.inbox.push_back(Frame::encode(2, &21u64));
@@ -745,7 +546,7 @@ mod tests {
         let expect = |opts: &DriveOptions, message: &str| {
             let reg = MetricsRegistry::new(1, "core");
             let mut io = Script::default();
-            let mut core = start(&opts.clone().with_metrics(reg.clone()), None, &io);
+            let mut core = start(&opts.clone().with_metrics(reg.clone()), &io);
             let got = finished(core.step(&mut pinger(), &mut io));
             assert_eq!(got, Err(TransportError::Budget(message.into())));
             assert!(core.tripped());
@@ -771,7 +572,7 @@ mod tests {
             (busy_frame(Some(Duration::from_millis(40))), Some(40)),
         ] {
             let mut io = Script::playing([reply]);
-            let mut core = start(&DriveOptions::new(), None, &io);
+            let mut core = start(&DriveOptions::new(), &io);
             assert_eq!(
                 finished(core.step(&mut pinger(), &mut io)),
                 Err(TransportError::Busy {
@@ -783,59 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn the_handshake_announces_replays_and_drops_a_duplicate_resume() {
-        let retry = Some(RetryPolicy::default());
-        let mut eng = pinger();
-
-        // First lane: handshake, the ping goes out, then nothing.
-        let mut io = Script::playing([resume_frame(0)]);
-        let mut core = start(&DriveOptions::new(), retry, &io);
-        assert!(matches!(core.step(&mut eng, &mut io), Step::Parked { .. }));
-        assert_eq!(io.sent, [resume_frame(0), Frame::encode(1, &7u64)]);
-
-        // Second lane: the peer never got the ping (ack 0), so it is
-        // replayed; a stale frame ahead of the ack and a duplicate ack
-        // behind it are both dropped, not delivered.
-        let stale = Frame::encode(2, &99u64);
-        let reply = Frame::encode(2, &21u64);
-        let mut io = Script::playing([stale, resume_frame(0), resume_frame(0), reply]);
-        core.begin_lane(&io, eng.rounds());
-        assert_eq!(finished(core.step(&mut eng, &mut io)), Ok(21));
-        assert_eq!(io.sent, [resume_frame(0), Frame::encode(1, &7u64)]);
-        assert_eq!(core.frames_delivered(), 1);
-    }
-
-    #[test]
-    fn a_resume_ack_beyond_the_send_log_is_a_decode_error() {
-        let mut io = Script::playing([resume_frame(5)]);
-        let mut core = start(&DriveOptions::new(), Some(RetryPolicy::default()), &io);
-        assert_eq!(
-            needs_redial(core.step(&mut pinger(), &mut io)),
-            TransportError::Decode("resume ack 5 exceeds 0 sent frames".into())
-        );
-    }
-
-    #[test]
-    fn a_send_failure_is_injected_or_handed_to_the_redial_loop() {
-        let dead = || Script {
+    fn a_send_failure_is_injected_into_the_engine() {
+        let mut io = Script {
             dead_after: Some(0),
             ..Script::default()
         };
-        let mut io = dead();
-        let mut core = start(&DriveOptions::new(), None, &io);
+        let mut core = start(&DriveOptions::new(), &io);
         assert_eq!(
             finished(core.step(&mut pinger(), &mut io)),
             Err(TransportError::Disconnected)
         );
-
-        let mut io = dead();
-        let mut core = start(&DriveOptions::new(), Some(RetryPolicy::default()), &io);
-        let mut eng = pinger();
-        assert_eq!(
-            needs_redial(core.step(&mut eng, &mut io)),
-            TransportError::Disconnected
-        );
-        assert!(!eng.is_done(), "the engine stays suspended for the redial");
     }
 
     #[test]
@@ -845,7 +603,7 @@ mod tests {
             .with_timeout(Duration::ZERO)
             .with_metrics(reg.clone());
         let mut io = Script::default();
-        let mut core = start(&opts, None, &io);
+        let mut core = start(&opts, &io);
         let mut eng = pinger();
         // Even an empty window gets its one receive.
         assert!(matches!(core.step(&mut eng, &mut io), Step::Parked { .. }));

@@ -17,6 +17,15 @@ use crate::error::TransportError;
 /// hostile length prefix allocating unbounded memory.
 const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
+/// Splits a wire header into its frame kind and announced payload
+/// length (both little-endian).
+fn decode_header(h: &[u8; Frame::HEADER_LEN]) -> (u16, u32) {
+    (
+        u16::from_le_bytes([h[0], h[1]]),
+        u32::from_le_bytes([h[2], h[3], h[4], h[5]]),
+    )
+}
+
 /// A framed TCP connection carrying [`Frame`]s.
 #[derive(Debug)]
 pub(crate) struct TcpConnection {
@@ -61,10 +70,9 @@ impl TcpConnection {
     }
 
     pub(crate) fn recv(&mut self) -> Result<Frame, TransportError> {
-        let mut header = [0u8; 6];
+        let mut header = [0u8; Frame::HEADER_LEN];
         self.reader.read_exact(&mut header).map_err(io_err)?;
-        let kind = u16::from_le_bytes(header[0..2].try_into().expect("2 bytes"));
-        let len = u32::from_le_bytes(header[2..6].try_into().expect("4 bytes"));
+        let (kind, len) = decode_header(&header);
         if len > MAX_PAYLOAD {
             return Err(TransportError::Decode(format!(
                 "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
@@ -244,10 +252,8 @@ impl NbConn {
     /// Parses as many complete frames as the buffer holds.
     fn parse_frames(&mut self) -> Result<(), TransportError> {
         let mut pos = 0usize;
-        while self.read_buf.len() - pos >= Frame::HEADER_LEN {
-            let kind = u16::from_le_bytes(self.read_buf[pos..pos + 2].try_into().expect("2 bytes"));
-            let len =
-                u32::from_le_bytes(self.read_buf[pos + 2..pos + 6].try_into().expect("4 bytes"));
+        while let Some(header) = self.read_buf[pos..].first_chunk() {
+            let (kind, len) = decode_header(header);
             if len > MAX_PAYLOAD {
                 let err = TransportError::Decode(format!(
                     "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"

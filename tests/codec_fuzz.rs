@@ -12,12 +12,10 @@ use ppcs_ot::{
     OtBatchState, TrustedSimOt,
 };
 use ppcs_transport::{
-    decode_seq, encode_seq, Encodable, Frame, ProtocolEngine, RetryPolicy, Transcript,
-    TransportError,
+    decode_seq, encode_seq, Encodable, Frame, ProtocolEngine, Transcript, TransportError,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..64)).prop_map(|(kind, payload)| {
@@ -250,71 +248,6 @@ proptest! {
         while eng.poll_output().is_some() {}
         if let Some(result) = eng.take_result() {
             prop_assert!(sender_role || result.is_err(), "garbage frames must not open a message");
-        }
-    }
-}
-
-fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
-    (0u64..10_000, 0u64..60_000, any::<u64>()).prop_map(|(base_ms, max_ms, jitter_seed)| {
-        RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_millis(base_ms),
-            max_delay: Duration::from_millis(max_ms),
-            jitter_seed,
-            resume_window: Duration::from_secs(5),
-        }
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The jitterless backoff curve is monotone non-decreasing in the
-    /// attempt number and never exceeds the configured cap.
-    #[test]
-    fn backoff_base_is_monotone_and_capped(policy in arb_policy(), attempt in 0u32..1000) {
-        let here = policy.backoff_base(attempt);
-        let next = policy.backoff_base(attempt + 1);
-        prop_assert!(here <= next, "backoff must never shrink: {here:?} -> {next:?}");
-        prop_assert!(here <= policy.max_delay, "backoff must respect the cap");
-    }
-
-    /// Extreme policies — maximal delays, arbitrary attempt numbers —
-    /// never overflow or panic anywhere in the backoff computation.
-    #[test]
-    fn backoff_never_overflows_at_extremes(attempt in any::<u32>(), jitter_seed in any::<u64>()) {
-        let policy = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_delay: Duration::MAX,
-            max_delay: Duration::MAX,
-            jitter_seed,
-            resume_window: Duration::MAX,
-        };
-        let mut jitter = policy.jitter_seed;
-        let base = policy.backoff_base(attempt);
-        let jittered = policy.backoff_delay(attempt, &mut jitter);
-        prop_assert!(jittered >= base);
-    }
-
-    /// Jitter only ever lengthens a delay, and by at most half of the
-    /// capped base delay (plus the 1ns floor for sub-2ns delays).
-    #[test]
-    fn jitter_stays_within_half_of_the_capped_delay(
-        policy in arb_policy(),
-        attempt in 0u32..64,
-        rounds in 1usize..8,
-    ) {
-        let mut jitter = policy.jitter_seed;
-        let base = policy.backoff_base(attempt);
-        let half = Duration::from_nanos(
-            ((base.as_nanos() / 2).min(u128::from(u64::MAX)) as u64).max(1),
-        );
-        for _ in 0..rounds {
-            let d = policy.backoff_delay(attempt, &mut jitter);
-            prop_assert!(d >= base, "jitter must not shorten the delay");
-            if let Some(hi) = base.checked_add(half) {
-                prop_assert!(d <= hi, "jitter bound exceeded: {d:?} > {hi:?}");
-            }
         }
     }
 }

@@ -4,14 +4,11 @@
 //! with the correct value, or both parties terminate with a structured
 //! error. Never a hang, never a panic, never a wrong answer.
 //!
-//! Also exercises the recovery path: [`Driver::drive_resumable`]
-//! reconnecting through mid-session connection cuts (in-memory and over
-//! real TCP), and graceful degradation of the parallel classification
-//! pipeline when a lane dies.
+//! Also exercises graceful degradation of the parallel classification
+//! pipeline when a lane dies. A session never outlives its lane; failing
+//! over to another replica is `fleet_e2e`'s subject.
 
-use std::collections::VecDeque;
 use std::fmt::Debug;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use ppcs_core::{
@@ -26,12 +23,10 @@ use ppcs_ot::{
     ot_send_io, ObliviousTransfer, TrustedSimOt,
 };
 use ppcs_svm::{Kernel, SvmModel};
-use ppcs_telemetry::MetricsRegistry;
 use ppcs_tests::{blob_dataset, random_samples, rotated_model};
 use ppcs_transport::{
-    drive_blocking, duplex, faulty_pair, run_pair, tcp_accept, tcp_connect, Driver, FaultKind,
-    FaultSchedule, FaultyLane, Frame, Lane, ProtocolEngine, RetryPolicy, SessionLimits,
-    TransportError,
+    drive_blocking, faulty_pair, run_pair, Driver, FaultKind, FaultSchedule, FaultyLane, Lane,
+    ProtocolEngine, SessionLimits,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -327,18 +322,6 @@ fn chaos_randomized_seed_sweep() {
     chaos_sweep("randomized", base, 16, &ea, &eb, run_a, run_b);
 }
 
-/// The retry policy for the resume tests: fast backoff, plenty of
-/// attempts, bounded waits throughout.
-fn test_retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 4,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(50),
-        jitter_seed: 0x5EED,
-        resume_window: Duration::from_secs(5),
-    }
-}
-
 fn classification_fixture() -> (
     Trainer<FixedFpAlgebra>,
     Client<FixedFpAlgebra>,
@@ -351,179 +334,6 @@ fn classification_fixture() -> (
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 5, 92);
     (trainer, client, samples)
-}
-
-/// Both parties drive resumable sessions through a lane bank whose
-/// first lane dies mid-session (a cut on the client side): the session
-/// must renegotiate onto the second lane and finish with the same
-/// values a clean run produces, recording the retry and the reconnect.
-#[test]
-fn resumable_classification_survives_mid_session_cut() {
-    let (trainer, client, samples) = classification_fixture();
-    let sel = SIM.select();
-
-    let expected = {
-        let trainer = &trainer;
-        let client = &client;
-        let samples = &samples;
-        run_pair(
-            move |ep| {
-                let mut eng = trainer.serve_engine(sel, 70);
-                drive_blocking(&ep, &mut eng).expect("clean serve")
-            },
-            move |ep| {
-                let mut eng = client.classify_engine(sel, 71, samples);
-                drive_blocking(&ep, &mut eng).expect("clean classify")
-            },
-        )
-    };
-
-    let (t0, c0) = duplex();
-    let (t1, c1) = duplex();
-    let trainer_bank = Mutex::new(VecDeque::from([
-        FaultyLane::new(t0, FaultSchedule::none()),
-        FaultyLane::new(t1, FaultSchedule::none()),
-    ]));
-    let client_bank = Mutex::new(VecDeque::from([
-        FaultyLane::new(c0, FaultSchedule::single(3, FaultKind::Cut)),
-        FaultyLane::new(c1, FaultSchedule::none()),
-    ]));
-    let connect_t = |_attempt: u32| {
-        trainer_bank
-            .lock()
-            .unwrap()
-            .pop_front()
-            .ok_or(TransportError::Disconnected)
-    };
-    let connect_c = |_attempt: u32| {
-        client_bank
-            .lock()
-            .unwrap()
-            .pop_front()
-            .ok_or(TransportError::Disconnected)
-    };
-
-    let reg_c = MetricsRegistry::new(1, "client");
-    let (served, values) = std::thread::scope(|scope| {
-        let trainer = &trainer;
-        let t = scope.spawn(move || {
-            let mut eng = trainer.serve_engine(sel, 70);
-            Driver::new()
-                .with_retry(test_retry_policy())
-                .with_timeout(Duration::from_secs(2))
-                .drive_resumable(connect_t, &mut eng)
-        });
-        let client = &client;
-        let samples = &samples;
-        let reg_c = reg_c.clone();
-        let c = scope.spawn(move || {
-            let mut eng = client.classify_engine(sel, 71, samples);
-            Driver::new()
-                .with_retry(test_retry_policy())
-                .with_timeout(Duration::from_secs(2))
-                .with_metrics(reg_c)
-                .drive_resumable(connect_c, &mut eng)
-        });
-        (t.join().expect("trainer"), c.join().expect("client"))
-    });
-
-    assert_eq!(served.expect("serve resumed"), expected.0);
-    assert_eq!(values.expect("classify resumed"), expected.1);
-
-    let report = reg_c.report();
-    assert!(report.retries >= 1, "the cut must register as a retry");
-    assert!(report.reconnects >= 1, "the second lane is a reconnect");
-}
-
-/// Retries exhaust with a structured transport error (never a hang)
-/// when every reconnect attempt fails.
-#[test]
-fn resumable_classification_exhausts_dead_connects() {
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let mut attempts = 0u32;
-    let connect = |_attempt: u32| -> Result<FaultyLane, TransportError> {
-        attempts += 1;
-        Err(TransportError::Disconnected)
-    };
-    let mut eng = client.classify_engine(sel, 99, &samples);
-    let err = Driver::new()
-        .with_retry(test_retry_policy())
-        .drive_resumable(connect, &mut eng)
-        .expect_err("no lane ever connects");
-    assert_eq!(attempts, test_retry_policy().max_attempts);
-    assert!(
-        err_string(&err).contains("Disconnected"),
-        "structured transport error expected, got {err:?}"
-    );
-}
-
-/// The same recovery over real sockets: the client's first TCP
-/// connection dies mid-session, it redials, and the resume handshake
-/// carries the session to the correct result.
-#[test]
-fn resumable_classification_reconnects_over_tcp() {
-    let (trainer, client, samples) = classification_fixture();
-    let sel = SIM.select();
-
-    let expected = {
-        let trainer = &trainer;
-        let client = &client;
-        let samples = &samples;
-        run_pair(
-            move |ep| {
-                let mut eng = trainer.serve_engine(sel, 80);
-                drive_blocking(&ep, &mut eng).expect("clean serve")
-            },
-            move |ep| {
-                let mut eng = client.classify_engine(sel, 81, samples);
-                drive_blocking(&ep, &mut eng).expect("clean classify")
-            },
-        )
-    };
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    // Both ends must speak the chaos carrier framing, so the trainer
-    // wraps its accepted sockets in clean (fault-free) lanes.
-    let connect_t = |_attempt: u32| -> Result<FaultyLane, TransportError> {
-        Ok(FaultyLane::new(
-            tcp_accept(&listener)?,
-            FaultSchedule::none(),
-        ))
-    };
-    let connect_c = |attempt: u32| -> Result<FaultyLane, TransportError> {
-        let schedule = if attempt == 0 {
-            FaultSchedule::single(4, FaultKind::Cut)
-        } else {
-            FaultSchedule::none()
-        };
-        Ok(FaultyLane::new(tcp_connect(addr)?, schedule))
-    };
-
-    let (served, values) = std::thread::scope(|scope| {
-        let trainer = &trainer;
-        let t = scope.spawn(move || {
-            let mut eng = trainer.serve_engine(sel, 80);
-            Driver::new()
-                .with_retry(test_retry_policy())
-                .with_timeout(Duration::from_secs(2))
-                .drive_resumable(connect_t, &mut eng)
-        });
-        let client = &client;
-        let samples = &samples;
-        let c = scope.spawn(move || {
-            let mut eng = client.classify_engine(sel, 81, samples);
-            Driver::new()
-                .with_retry(test_retry_policy())
-                .with_timeout(Duration::from_secs(2))
-                .drive_resumable(connect_c, &mut eng)
-        });
-        (t.join().expect("trainer"), c.join().expect("client"))
-    });
-
-    assert_eq!(served.expect("serve resumed over TCP"), expected.0);
-    assert_eq!(values.expect("classify resumed over TCP"), expected.1);
 }
 
 /// Graceful degradation in the parallel pipeline: one of three client
@@ -642,135 +452,4 @@ fn chaos_with_session_budgets_keeps_the_trichotomy() {
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(ea, samples.len());
     chaos_sweep("budgeted", 6000, 24, &ea, &eb, run_a, run_b);
-}
-
-/// The session deadline must keep biting in resumable mode. A peer that
-/// completes the resume handshake and then goes silent used to stall
-/// the client for the full per-recv timeout and then burn every redial
-/// attempt; with session-logical budgets the deadline trips first, as a
-/// structured budget error, in bounded time.
-#[test]
-fn resumable_deadline_survives_silent_peer_after_handshake() {
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-
-    let silent_peer = std::thread::spawn(move || {
-        // Speak the handshake, then never answer session traffic.
-        loop {
-            match peer.recv() {
-                Ok(f) if f.kind == ppcs_transport::KIND_RESUME => {
-                    peer.send(Frame::encode(ppcs_transport::KIND_RESUME, &0u64))
-                        .expect("ack");
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-    });
-
-    let bank = Mutex::new(VecDeque::from([ours]));
-    let connect = |_attempt: u32| {
-        bank.lock()
-            .unwrap()
-            .pop_front()
-            .ok_or(TransportError::Disconnected)
-    };
-    let started = std::time::Instant::now();
-    let reg = MetricsRegistry::new(181, "client");
-    let mut eng = client.classify_engine(sel, 181, &samples);
-    let err = Driver::new()
-        .with_retry(test_retry_policy())
-        .with_timeout(Duration::from_secs(2))
-        .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(300)))
-        .with_metrics(reg.clone())
-        .drive_resumable(connect, &mut eng)
-        .expect_err("silent peer must trip the deadline");
-    let elapsed = started.elapsed();
-    // The deadline tripped while the session was parked in a receive
-    // slice: that trip is counted like any other.
-    assert_eq!(reg.report().budget_exceeded, 1);
-    assert!(
-        err_string(&err).contains("deadline"),
-        "expected a wall-clock budget error, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "deadline must cut the session promptly, took {elapsed:?}"
-    );
-    silent_peer.join().expect("peer thread");
-}
-
-/// The resume handshake itself honours the deadline: a peer that never
-/// acks must not hold the client for the full resume window when only a
-/// sliver of the session budget remains.
-#[test]
-fn resumable_handshake_honours_deadline() {
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-
-    let mute_peer = std::thread::spawn(move || {
-        // Swallow everything; never speak the handshake.
-        while peer.recv().is_ok() {}
-    });
-
-    let bank = Mutex::new(VecDeque::from([ours]));
-    let connect = |_attempt: u32| {
-        bank.lock()
-            .unwrap()
-            .pop_front()
-            .ok_or(TransportError::Disconnected)
-    };
-    let started = std::time::Instant::now();
-    let mut eng = client.classify_engine(sel, 182, &samples);
-    let err = Driver::new()
-        .with_retry(test_retry_policy()) // resume_window: 5s
-        .with_limits(SessionLimits::unlimited().with_deadline(Duration::from_millis(250)))
-        .drive_resumable(connect, &mut eng)
-        .expect_err("mute peer must trip the deadline");
-    let elapsed = started.elapsed();
-    assert!(
-        err_string(&err).contains("deadline"),
-        "expected a wall-clock budget error, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "handshake wait must be capped by the deadline, took {elapsed:?}"
-    );
-    mute_peer.join().expect("peer thread");
-}
-
-/// A pre-set cancel token (the drain cut) aborts a resumable session
-/// before it dials anything.
-#[test]
-fn resumable_cancel_cuts_session() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let (_, client, samples) = classification_fixture();
-    let sel = SIM.select();
-    let (peer, ours) = duplex();
-    let bank = Mutex::new(VecDeque::from([ours]));
-    let connect = |_attempt: u32| {
-        bank.lock()
-            .unwrap()
-            .pop_front()
-            .ok_or(TransportError::Disconnected)
-    };
-    let cancel = Arc::new(AtomicBool::new(true));
-    let reg = MetricsRegistry::new(183, "client");
-    let mut eng = client.classify_engine(sel, 183, &samples);
-    let err = Driver::new()
-        .with_retry(test_retry_policy())
-        .with_cancel(cancel)
-        .with_metrics(reg.clone())
-        .drive_resumable(connect, &mut eng)
-        .expect_err("pre-cancelled session must not run");
-    assert_eq!(reg.report().budget_exceeded, 1);
-    assert!(
-        err_string(&err).contains("cancelled"),
-        "expected a drain-cut budget error, got {err:?}"
-    );
-    drop(peer);
 }

@@ -31,7 +31,7 @@ use ppcs_telemetry::{
 use ppcs_tests::{blob_dataset, http_body, http_get, random_samples};
 use ppcs_transport::{
     duplex, faulty_pair, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, FaultyLane,
-    TransportError,
+    Frame, Lane, TrafficStats, TransportError,
 };
 
 static SIM: TrustedSimOt = TrustedSimOt;
@@ -341,7 +341,7 @@ fn breaker_cycle_is_deterministic_under_a_seeded_clock() {
 /// Crash-restart recovery: the replica restarts with a fresh serving
 /// epoch between two sessions. The fleet's health probe sees the new
 /// epoch, discards its warm ticket, and the second session falls back
-/// to a cold handshake — same labels, no stale resume.
+/// to a cold handshake — same labels, no stale ticket.
 #[test]
 fn restarted_replica_with_fresh_epoch_forces_cold_fallback() {
     let model = trained();
@@ -874,5 +874,150 @@ fn hedge_fires_past_a_mute_primary() {
         drop(mute_server);
         mute_bank.lock().expect("bank lock").clear();
         serve_bank.lock().expect("bank lock").clear();
+    });
+}
+
+/// A client lane whose receives wait until `gate` opens: the session's
+/// opening flight is already on the wire, and the test decides what
+/// happens to the server side before the client reads a reply.
+struct GatedLane {
+    inner: Endpoint,
+    gate: Arc<AtomicBool>,
+}
+
+impl Lane for GatedLane {
+    fn send(&self, frame: Frame) -> Result<(), TransportError> {
+        self.inner.send(frame)
+    }
+
+    fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
+        self.inner.send_coalesced(frames)
+    }
+
+    fn recv(&self) -> Result<Frame, TransportError> {
+        while !self.gate.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.inner.recv()
+    }
+
+    fn set_recv_timeout(&self, timeout: Option<Duration>) {
+        self.inner.set_recv_timeout(timeout)
+    }
+
+    fn stats(&self) -> TrafficStats {
+        self.inner.stats()
+    }
+}
+
+/// Failover over real sockets: replica 0 is a TCP reactor that drains
+/// with no grace period while the call's session is in flight on it, so
+/// the client's TCP connection dies mid-session. The call must fail over
+/// to replica 1, a second TCP reactor, and return the oracle's labels,
+/// with the cut charged to replica 0's breaker exactly once: a threshold
+/// of two stays closed after the call, and the next call's refused dial
+/// (replica 0 has stopped listening) is the second charge that opens it.
+#[test]
+fn tcp_replica_cut_mid_session_fails_over_to_a_second_tcp_replica() {
+    let model = trained();
+    let cfg = ProtocolConfig::default();
+    let samples = random_samples(3, 6, 51);
+    let want = oracle_labels(&model, cfg, &samples);
+
+    let alg = FixedFpAlgebra::new(16);
+    let trainer = Trainer::new(alg, &model, cfg).expect("trainer");
+    let server0 = TrainerServer::new(
+        &trainer,
+        ServerConfig {
+            drain_deadline: Duration::ZERO,
+            ..ServerConfig::default()
+        },
+    );
+    let sup0 = server0.supervisor();
+    let listener0 = TcpListener::bind("127.0.0.1:0").expect("bind replica 0");
+    let addr0 = listener0.local_addr().expect("replica 0 addr");
+    let server1 = TrainerServer::new(&trainer, ServerConfig::default());
+    let sup1 = server1.supervisor();
+    let listener1 = TcpListener::bind("127.0.0.1:0").expect("bind replica 1");
+    let addr1 = listener1.local_addr().expect("replica 1 addr");
+    let gate = Arc::new(AtomicBool::new(false));
+
+    std::thread::scope(|scope| {
+        let t0 = scope.spawn(|| {
+            server0
+                .serve_async_tcp(listener0, &SIM, 7)
+                .expect("replica 0 reactor")
+        });
+        let t1 = scope.spawn(|| {
+            server1
+                .serve_async_tcp(listener1, &SIM, 7)
+                .expect("replica 1 reactor")
+        });
+        // Once replica 0 has admitted the session, drain it: with no
+        // grace period the session is cut and its connection closed.
+        // The reactor returns when that connection is gone; only then
+        // does the client read.
+        let cutter = {
+            let gate = gate.clone();
+            scope.spawn(move || {
+                let start = std::time::Instant::now();
+                while sup0.active() < 1 {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(10),
+                        "replica 0 must admit the session"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                sup0.drain();
+                let summary = t0.join().expect("replica 0 thread");
+                gate.store(true, Ordering::Release);
+                summary
+            })
+        };
+
+        let metrics = MetricsRegistry::new(6, "fleet-client");
+        let config = FleetConfig {
+            probe: false,
+            ..fleet_config(2, 60_000)
+        };
+        let mut fleet =
+            FleetClient::new(Client::new(alg, cfg), config).with_metrics(metrics.clone());
+        fleet.add_replica(Box::new(move || {
+            let inner = tcp_connect(addr0)?;
+            let gate = gate.clone();
+            Ok(Box::new(GatedLane { inner, gate }) as Box<dyn Lane>)
+        }));
+        fleet.add_replica(Box::new(move || {
+            tcp_connect(addr1).map(|ep| Box::new(ep) as Box<dyn Lane>)
+        }));
+
+        let got = fleet
+            .classify_batch(&SIM, 52, &samples)
+            .expect("the cut connection fails over to replica 1");
+        assert_eq!(got, want, "labels must match the single-trainer oracle");
+        assert_eq!(metrics.report().failovers, 1);
+        assert_eq!(
+            fleet.replica_state(0),
+            BreakerState::Closed,
+            "one cut, charged once, stays under a threshold of two"
+        );
+        let summary = cutter.join().expect("cutter thread");
+        assert_eq!(summary.sessions_admitted, 1);
+        assert_eq!(summary.served_samples, 0, "the cut session served nothing");
+
+        let got = fleet
+            .classify_batch(&SIM, 53, &samples)
+            .expect("replica 1 still serves");
+        assert_eq!(got, want);
+        assert_eq!(
+            fleet.replica_state(0),
+            BreakerState::Open,
+            "the refused dial is the second charge"
+        );
+        assert_eq!(metrics.report().breaker_opens, 1);
+
+        drop(fleet);
+        sup1.drain();
+        t1.join().expect("replica 1 thread");
     });
 }
