@@ -1170,13 +1170,10 @@ fn encode_u64s(vals: &[u64]) -> Vec<u8> {
 }
 
 fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, PpcsError> {
-    if !bytes.len().is_multiple_of(8) {
+    let (words, []) = bytes.as_chunks::<8>() else {
         return Err(PpcsError::Protocol("malformed u64 field block".into()));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    };
+    Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 #[cfg(test)]

@@ -43,19 +43,6 @@ pub trait Algebra: Clone + Debug + Send + Sync + 'static {
     /// `true` iff `a` is the additive identity.
     fn is_zero(&self, a: &Fp256) -> bool;
 
-    /// Pairwise in-place product `a[i] <- a[i] * b[i]` through the SIMD
-    /// batch kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    fn mul_many(&self, a: &mut [Fp256], b: &[Fp256]);
-
-    /// Evaluates the polynomial with coefficients `coeffs` (ascending by
-    /// degree) at every point in `xs`, four points at a time, with the
-    /// same Horner recurrence as `Polynomial::eval`.
-    fn eval_poly_many(&self, coeffs: &[Fp256], xs: &[Fp256]) -> Vec<Fp256>;
-
     /// `Σ a_k · b_k`, the operands paired as [`Iterator::zip`] pairs them
     /// and reduced once per sum ([`Fp256::dot`]). `b` is an iterator so
     /// that a caller computing its terms one at a time needs no buffer
@@ -217,16 +204,6 @@ impl Algebra for FixedFpAlgebra {
         a.is_zero()
     }
 
-    fn mul_many(&self, a: &mut [Fp256], b: &[Fp256]) {
-        crate::simd::mul_many(a, b);
-    }
-
-    fn eval_poly_many(&self, coeffs: &[Fp256], xs: &[Fp256]) -> Vec<Fp256> {
-        let mut out = vec![Fp256::ZERO; xs.len()];
-        crate::simd::eval_cloud_many(coeffs, xs, &mut out);
-        out
-    }
-
     fn dot(&self, a: &[Fp256], b: impl IntoIterator<Item = Fp256>) -> Fp256 {
         Fp256::dot(a, b)
     }
@@ -364,15 +341,19 @@ mod tests {
     fn batch_kernels_agree_with_scalar_ops_on_both_backends() {
         let mut rng = StdRng::seed_from_u64(8);
         let fixed = FixedFpAlgebra::new(16);
-        let a: Vec<Fp256> = (0..13).map(|_| fixed.random_mask(&mut rng)).collect();
-        let b: Vec<Fp256> = (0..13).map(|_| fixed.random_mask(&mut rng)).collect();
-        let mut prod = a.clone();
-        fixed.mul_many(&mut prod, &b);
-        for ((x, y), p) in a.iter().zip(&b).zip(&prod) {
-            assert_eq!(fixed.mul(x, y), *p);
-        }
-        let coeffs: Vec<Fp256> = (0..6).map(|_| fixed.random_mask(&mut rng)).collect();
-        let evals = fixed.eval_poly_many(&coeffs, &a);
+        // Random masks plus values at the reduction boundaries.
+        let mut a: Vec<Fp256> = (0..13).map(|_| fixed.random_mask(&mut rng)).collect();
+        a.extend([
+            Fp256::ZERO,
+            Fp256::ONE,
+            -Fp256::ONE,
+            -Fp256::from_u64(977),
+            Fp256::from_raw([u64::MAX, u64::MAX, 0, 0]),
+        ]);
+        let mut coeffs: Vec<Fp256> = (0..6).map(|_| fixed.random_mask(&mut rng)).collect();
+        coeffs.extend([-Fp256::ONE, -Fp256::from_u64(2)]);
+        let mut evals = vec![Fp256::ZERO; a.len()];
+        crate::poly::eval_cloud_many(&coeffs, &a, &mut evals);
         for (x, e) in a.iter().zip(&evals) {
             let mut acc = fixed.zero();
             for c in coeffs.iter().rev() {

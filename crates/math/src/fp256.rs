@@ -24,17 +24,10 @@ pub const MODULUS: [u64; 4] = [
 ];
 
 /// `-p^{-1} mod 2^64`, the Montgomery reduction constant.
-///
-/// Crate-visible so the SIMD kernels (which reduce with 32-bit digits)
-/// can derive `-p^{-1} mod 2^32` from its low half.
-pub(crate) const N0_INV: u64 = const_n0_inv();
+const N0_INV: u64 = const_n0_inv();
 
 /// `R mod p` where `R = 2^256`; this is the Montgomery form of 1.
-///
-/// Crate-visible because it doubles as the additive complement
-/// `2^256 - p` that the SIMD kernels use for borrow-free conditional
-/// subtraction.
-pub(crate) const R_MOD_P: [u64; 4] = const_r_mod_p();
+const R_MOD_P: [u64; 4] = const_r_mod_p();
 
 /// `R^2 mod p`, used to convert into Montgomery form.
 const R2_MOD_P: [u64; 4] = const_r2_mod_p();
@@ -365,22 +358,6 @@ impl Fp256 {
         self.mont == [0; 4]
     }
 
-    /// The Montgomery limbs, little-endian — the raw kernel representation.
-    #[inline]
-    pub(crate) fn mont_limbs(self) -> [u64; 4] {
-        self.mont
-    }
-
-    /// Rebuilds an element from Montgomery limbs already reduced to `[0, p)`.
-    #[inline]
-    pub(crate) fn from_mont_limbs(mont: [u64; 4]) -> Self {
-        debug_assert!(
-            !geq(&mont, &MODULUS),
-            "Montgomery limbs must be fully reduced"
-        );
-        Fp256 { mont }
-    }
-
     /// Draws a uniformly random field element.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // Rejection sampling keeps the distribution exactly uniform; the
@@ -396,29 +373,13 @@ impl Fp256 {
         }
     }
 
-    /// Fills a slice with uniformly random field elements.
-    ///
-    /// Draws the *exact* rejection-sampled limb stream that repeated
-    /// [`Fp256::random`] calls would draw — seeded transcripts are
-    /// unchanged — but defers the per-element Montgomery conversion to one
-    /// batched multiply over the whole slice, which the SIMD kernels
-    /// process four elements at a time.
+    /// Fills a slice with uniformly random field elements: one
+    /// [`Fp256::random`] draw per slot, so a seeded fill consumes the
+    /// same RNG stream as the equivalent sequence of draws.
     pub fn random_fill<R: Rng + ?Sized>(rng: &mut R, out: &mut [Fp256]) {
         for slot in out.iter_mut() {
-            // Same rejection loop as `random`; see the note there on the
-            // ~2^-224 retry probability.
-            let limbs = loop {
-                let limbs = [rng.gen(), rng.gen(), rng.gen(), rng.gen()];
-                if !geq(&limbs, &MODULUS) {
-                    break limbs;
-                }
-            };
-            // Canonical limbs parked in the Montgomery slot; the scale
-            // below multiplies by R^2 and reduces, which is exactly the
-            // deferred `mont_mul(R2_MOD_P)` conversion.
-            *slot = Fp256 { mont: limbs };
+            *slot = Self::random(rng);
         }
-        crate::simd::scale_many(out, Fp256 { mont: R2_MOD_P });
     }
 
     /// Draws a uniformly random *nonzero* field element.

@@ -154,7 +154,9 @@ pub fn lagrange_zero_weights_batch<A: Algebra, S: AsRef<[Fp256]>>(
     let inverses = alg
         .batch_inv(&dens)
         .ok_or(InterpolationError::DuplicateAbscissa)?;
-    alg.mul_many(&mut nums, &inverses);
+    for (num, inv) in nums.iter_mut().zip(&inverses) {
+        *num = alg.mul(num, inv);
+    }
     let mut weights = nums.into_iter();
     Ok(sets
         .iter()

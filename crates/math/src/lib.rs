@@ -16,12 +16,13 @@
 //!   polynomials of the OMPE construction;
 //! * [`interpolate_at_zero`] / [`interp_batch`] — the Lagrange retrieval
 //!   step (Eq. 3), single-system and batched;
-//! * batch field kernels ([`mul_many`], [`eval_cloud_many`], …) with
-//!   runtime AVX2 dispatch ([`simd_backend`]) and an always-available
-//!   scalar fallback;
+//! * [`eval_cloud_many`] — one polynomial over a whole point cloud, the
+//!   batch form of [`Polynomial::eval`];
 //! * monomial-basis expansion of polynomial kernels
 //!   ([`monomial_exponents`], [`expand_power_dot`]) used by the nonlinear
 //!   protocol of Section IV-B.
+//!
+//! Every kernel is one portable scalar loop.
 //!
 //! ## Example
 //!
@@ -51,9 +52,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 kernels in `simd` carry the one
-// sanctioned, per-invariant-documented `#[allow(unsafe_code)]` scope.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod algebra;
@@ -63,7 +62,6 @@ mod interp;
 mod multinomial;
 mod mvpoly;
 mod poly;
-mod simd;
 
 pub use algebra::{Algebra, FixedFpAlgebra};
 pub use eval::{DenseAffine, DensePoly, PolyEval};
@@ -77,8 +75,4 @@ pub use multinomial::{
     multinomial_coeff,
 };
 pub use mvpoly::{MvPolynomial, MvTerm};
-pub use poly::Polynomial;
-pub use simd::{
-    avx2_available, eval_cloud_many, eval_cloud_many_with, mul_many, mul_many_with, scale_many,
-    scale_many_with, simd_backend, square_many, square_many_with, SimdBackend,
-};
+pub use poly::{eval_cloud_many, simd_backend, Polynomial, SimdBackend};

@@ -113,13 +113,12 @@ impl Polynomial {
         acc
     }
 
-    /// Evaluates at every point of `xs` at once.
-    ///
-    /// Same Horner recurrence as [`eval`](Polynomial::eval) — results are
-    /// identical point for point — but routed through
-    /// [`Algebra::eval_poly_many`], the SIMD point-cloud kernel.
-    pub fn eval_many(&self, alg: &impl Algebra, xs: &[Fp256]) -> Vec<Fp256> {
-        alg.eval_poly_many(&self.coeffs, xs)
+    /// Evaluates at every point of `xs` at once ([`eval_cloud_many`]),
+    /// identical point for point to [`eval`](Polynomial::eval).
+    pub fn eval_many(&self, xs: &[Fp256]) -> Vec<Fp256> {
+        let mut out = vec![Fp256::ZERO; xs.len()];
+        eval_cloud_many(&self.coeffs, xs, &mut out);
+        out
     }
 
     /// The constant term `p(0)`.
@@ -160,6 +159,52 @@ impl Polynomial {
         }
         Self { coeffs }
     }
+}
+
+/// Evaluates one polynomial (coefficients ascending by degree) at every
+/// point of a cloud, writing `out[i] = poly(xs[i])` with the Horner
+/// recurrence of [`Polynomial::eval`].
+///
+/// Public with this signature only because the benchmark's
+/// `math.eval_cloud_ns_per_point` rung calls it; the next change to the
+/// benchmark package can move that rung onto [`Polynomial::eval_many`].
+///
+/// # Panics
+///
+/// Panics if `out` and `xs` differ in length.
+pub fn eval_cloud_many(coeffs: &[Fp256], xs: &[Fp256], out: &mut [Fp256]) {
+    assert_eq!(
+        xs.len(),
+        out.len(),
+        "eval_cloud_many output length mismatch"
+    );
+    for (x, o) in xs.iter().zip(out.iter_mut()) {
+        *o = coeffs
+            .iter()
+            .rev()
+            .fold(Fp256::ZERO, |acc, c| acc * *x + *c);
+    }
+}
+
+/// The instruction-set path of the field kernels. There is one, so
+/// [`simd_backend`] always answers [`SimdBackend::Scalar`].
+///
+/// Kept only because the benchmark's `math.simd_backend` row names it;
+/// the next change to the benchmark package removes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimdBackend {
+    /// Portable 4×64-bit limb CIOS, the one implementation.
+    Scalar,
+    /// Never returned.
+    Avx2,
+}
+
+/// Always [`SimdBackend::Scalar`].
+///
+/// Kept only because the benchmark's `math.simd_backend` row calls it;
+/// the next change to the benchmark package removes it.
+pub fn simd_backend() -> SimdBackend {
+    SimdBackend::Scalar
 }
 
 #[cfg(test)]
@@ -216,10 +261,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let p = Polynomial::random_with_constant(&alg, 7, alg.encode(0.5, 1), &mut rng);
         let xs: Vec<_> = (0..11).map(|_| alg.random_point(&mut rng)).collect();
-        let batch = p.eval_many(&alg, &xs);
+        let batch = p.eval_many(&xs);
         for (x, y) in xs.iter().zip(&batch) {
             assert_eq!(p.eval(&alg, x), *y);
         }
+    }
+
+    #[test]
+    fn eval_cloud_matches_horner() {
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(42);
+        for (deg, npts) in [(0usize, 7usize), (1, 4), (4, 9), (9, 16), (20, 3)] {
+            let coeffs: Vec<Fp256> = (0..=deg).map(|_| Fp256::random(&mut rng)).collect();
+            let xs: Vec<Fp256> = (0..npts).map(|_| Fp256::random(&mut rng)).collect();
+            let p = Polynomial::new(coeffs.clone());
+            let expect: Vec<Fp256> = xs.iter().map(|x| p.eval(&alg, x)).collect();
+            let mut out = vec![Fp256::ZERO; npts];
+            eval_cloud_many(&coeffs, &xs, &mut out);
+            assert_eq!(out, expect, "deg {deg}, {npts} pts");
+        }
+        // Empty coefficient list is the zero polynomial.
+        let xs: Vec<Fp256> = (0..5).map(|_| Fp256::random(&mut rng)).collect();
+        let mut out = vec![Fp256::ONE; 5];
+        eval_cloud_many(&[], &xs, &mut out);
+        assert!(out.iter().all(|o| o.is_zero()));
     }
 
     #[test]

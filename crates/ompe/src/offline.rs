@@ -195,7 +195,7 @@ impl BlindRound {
             .collect();
         let cover_evals: Vec<Vec<Fp256>> = cover_polys
             .iter()
-            .map(|poly| poly.eval_many(alg, &cover_xs))
+            .map(|poly| poly.eval_many(&cover_xs))
             .collect();
         let mut base_ys = Vec::with_capacity(n_points * dim);
         let mut cover_rank = 0usize;

@@ -321,9 +321,8 @@ impl OmpeSenderSession {
             }
 
             // Q(x_i, y_i) = M(x_i) + P(y_i) for every submitted point.
-            // M is evaluated over the whole cloud in one batched pass, the
-            // SIMD Horner kernel.
-            let mask_values = self.mask.eval_many(alg, xs);
+            // M is evaluated over the whole cloud in one batched pass.
+            let mask_values = self.mask.eval_many(xs);
             let round: Vec<Vec<u8>> = mask_values
                 .iter()
                 .enumerate()
@@ -463,10 +462,9 @@ impl OmpeReceiverSession {
 
         // Build the submitted input vectors: S(x) at covers, disguises
         // elsewhere. Each cover polynomial is evaluated over all genuine
-        // cover abscissae in one batched pass (the SIMD Horner kernel);
-        // the disguise draws stay interleaved
-        // in position order so the RNG stream is identical to the
-        // point-at-a-time construction.
+        // cover abscissae in one batched pass; the disguise draws stay
+        // interleaved in position order so the RNG stream is identical to
+        // the point-at-a-time construction.
         let cover_xs: Vec<Fp256> = (0..n_points)
             .filter(|&i| is_cover[i])
             .map(|i| xs[i])
@@ -474,7 +472,7 @@ impl OmpeReceiverSession {
         let cover_evals: Vec<Vec<Fp256>> = self
             .cover_polys
             .iter()
-            .map(|poly| poly.eval_many(alg, &cover_xs))
+            .map(|poly| poly.eval_many(&cover_xs))
             .collect();
         let mut ys_flat = Vec::with_capacity(n_points * r);
         let mut cover_rank = 0usize;

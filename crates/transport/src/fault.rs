@@ -251,23 +251,20 @@ impl FaultyLane {
 
     /// Unwraps a carrier, verifying the checksum.
     fn decode_carrier(payload: &Bytes) -> Result<(u64, Frame), TransportError> {
-        if payload.len() < 18 {
-            return Err(TransportError::Decode("truncated chaos carrier".into()));
-        }
-        let body_len = payload.len() - 8;
-        let sum = u64::from_le_bytes(payload[body_len..].try_into().expect("8 bytes"));
-        if fnv1a64(&payload[..body_len]) != sum {
+        let truncated = || TransportError::Decode("truncated chaos carrier".into());
+        let (body, sum) = payload.split_last_chunk::<8>().ok_or_else(truncated)?;
+        let (seq, rest) = body.split_first_chunk::<8>().ok_or_else(truncated)?;
+        let (kind, _) = rest.split_first_chunk::<2>().ok_or_else(truncated)?;
+        if fnv1a64(body) != u64::from_le_bytes(*sum) {
             return Err(TransportError::Decode(
                 "chaos carrier checksum mismatch".into(),
             ));
         }
-        let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let kind = u16::from_le_bytes(payload[8..10].try_into().expect("2 bytes"));
         Ok((
-            seq,
+            u64::from_le_bytes(*seq),
             Frame {
-                kind,
-                payload: payload.slice(10..body_len),
+                kind: u16::from_le_bytes(*kind),
+                payload: payload.slice(10..body.len()),
             },
         ))
     }
@@ -355,7 +352,9 @@ impl FaultyLane {
     fn deliver(st: &mut LaneState, frame: Frame) -> Result<Frame, TransportError> {
         if frame.kind == KIND_COALESCED {
             let mut batch = uncoalesce(&frame.payload)?;
-            let first = batch.pop_front().expect("validated batch is non-empty");
+            let first = batch
+                .pop_front()
+                .ok_or_else(|| TransportError::Decode("empty coalesced frame".into()))?;
             st.pending.extend(batch);
             return Ok(first);
         }
@@ -502,6 +501,42 @@ mod tests {
         // the lane stalls into the deadline rather than delivering junk.
         assert_eq!(b.recv().unwrap_err(), TransportError::Timeout);
         assert_eq!(b.fault_stats().discarded_corrupt, 1);
+    }
+
+    #[test]
+    fn short_carriers_are_typed_decode_errors() {
+        for len in 0..18 {
+            let short = Bytes::from(vec![0u8; len]);
+            assert!(
+                matches!(
+                    FaultyLane::decode_carrier(&short),
+                    Err(TransportError::Decode(_))
+                ),
+                "{len}-byte carrier"
+            );
+        }
+        // 18 bytes is the smallest carrier: an empty frame.
+        let empty = FaultyLane::encode_carrier(
+            7,
+            &Frame {
+                kind: 3,
+                payload: Bytes::new(),
+            },
+        );
+        assert_eq!(empty.payload.len(), 18);
+        let (seq, frame) = FaultyLane::decode_carrier(&empty.payload).unwrap();
+        assert_eq!((seq, frame.kind, frame.payload.len()), (7, 3, 0));
+        // On a lane, a short carrier is discarded like a corrupt one.
+        let (raw, inner) = duplex();
+        let lane = FaultyLane::new(inner, FaultSchedule::none());
+        short_deadline(&lane);
+        raw.send(Frame {
+            kind: KIND_CHAOS,
+            payload: Bytes::from(vec![0u8; 17]),
+        })
+        .unwrap();
+        assert_eq!(lane.recv().unwrap_err(), TransportError::Timeout);
+        assert_eq!(lane.fault_stats().discarded_corrupt, 1);
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! SIMD ≡ scalar equivalence properties for the batch field kernels.
+//! Equivalence properties for the batch field kernels.
 //!
 //! Field arithmetic is exact and every element has a unique reduced
-//! Montgomery representation, so the AVX2 kernels must be *bit-identical*
-//! to the scalar operators on every input — including values hugging the
-//! modulus, where the conditional-subtraction paths fire. These
-//! properties drive both dispatch paths explicitly; on machines without
-//! AVX2 (and under Miri, where feature detection reports false) the
-//! vector half is skipped and the scalar half still runs.
+//! Montgomery representation, so the batch forms — point-cloud
+//! evaluation and batched Lagrange interpolation — must be
+//! *bit-identical* to their one-at-a-time counterparts on every input,
+//! including values hugging the modulus, where the
+//! conditional-subtraction paths fire. The `Fp256` product itself is
+//! spot-checked at `p − 1`.
 
 use ppcs_math::{
-    avx2_available, eval_cloud_many_with, interp_batch, interpolate_at_zero, mul_many_with,
-    scale_many_with, square_many_with, Algebra, FixedFpAlgebra, Fp256, Polynomial, SimdBackend,
+    eval_cloud_many, interp_batch, interpolate_at_zero, FixedFpAlgebra, Fp256, Polynomial,
 };
 use proptest::prelude::*;
 
@@ -32,49 +31,8 @@ fn fp256_strategy() -> impl Strategy<Value = Fp256> {
     })
 }
 
-fn backends() -> Vec<SimdBackend> {
-    if avx2_available() {
-        vec![SimdBackend::Scalar, SimdBackend::Avx2]
-    } else {
-        vec![SimdBackend::Scalar]
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn mont_mul_simd_equals_scalar(
-        a in prop::collection::vec(fp256_strategy(), 0..24),
-        b_seed in prop::collection::vec(fp256_strategy(), 0..24),
-    ) {
-        let n = a.len().min(b_seed.len());
-        let a = &a[..n];
-        let b = &b_seed[..n];
-        let expect: Vec<Fp256> = a.iter().zip(b).map(|(x, y)| *x * *y).collect();
-        for backend in backends() {
-            let mut got = a.to_vec();
-            mul_many_with(backend, &mut got, b);
-            prop_assert_eq!(&got, &expect, "backend {:?}", backend);
-        }
-    }
-
-    #[test]
-    fn square_and_scale_simd_equal_scalar(
-        elems in prop::collection::vec(fp256_strategy(), 0..24),
-        k in fp256_strategy(),
-    ) {
-        let sq_expect: Vec<Fp256> = elems.iter().map(|e| e.square()).collect();
-        let scale_expect: Vec<Fp256> = elems.iter().map(|e| *e * k).collect();
-        for backend in backends() {
-            let mut sq = elems.clone();
-            square_many_with(backend, &mut sq);
-            prop_assert_eq!(&sq, &sq_expect, "square {:?}", backend);
-            let mut scaled = elems.clone();
-            scale_many_with(backend, &mut scaled, k);
-            prop_assert_eq!(&scaled, &scale_expect, "scale {:?}", backend);
-        }
-    }
 
     #[test]
     fn batch_eval_simd_equals_polynomial_eval(
@@ -84,13 +42,10 @@ proptest! {
         let alg = FixedFpAlgebra::new(16);
         let poly = Polynomial::new(coeffs.clone());
         let expect: Vec<Fp256> = xs.iter().map(|x| poly.eval(&alg, x)).collect();
-        for backend in backends() {
-            let mut got = vec![Fp256::ZERO; xs.len()];
-            eval_cloud_many_with(backend, &coeffs, &xs, &mut got);
-            prop_assert_eq!(&got, &expect, "backend {:?}", backend);
-        }
-        // And the `Algebra` route lands on the same values.
-        prop_assert_eq!(poly.eval_many(&alg, &xs), expect);
+        let mut got = vec![Fp256::ZERO; xs.len()];
+        eval_cloud_many(&coeffs, &xs, &mut got);
+        prop_assert_eq!(&got, &expect);
+        prop_assert_eq!(poly.eval_many(&xs), expect);
     }
 
     #[test]
@@ -125,22 +80,6 @@ proptest! {
             prop_assert_eq!(interpolate_at_zero(&alg, sys).unwrap(), *b);
         }
     }
-
-    #[test]
-    fn algebra_batch_hooks_equal_scalar_ops(
-        a in prop::collection::vec(fp256_strategy(), 0..20),
-        b_seed in prop::collection::vec(fp256_strategy(), 0..20),
-    ) {
-        let alg = FixedFpAlgebra::new(16);
-        let n = a.len().min(b_seed.len());
-        let a = &a[..n];
-        let b = &b_seed[..n];
-        let mut prod = a.to_vec();
-        alg.mul_many(&mut prod, b);
-        for ((x, y), p) in a.iter().zip(b).zip(&prod) {
-            prop_assert_eq!(alg.mul(x, y), *p);
-        }
-    }
 }
 
 #[test]
@@ -154,11 +93,7 @@ fn boundary_products_are_exact_on_every_backend() {
         (Fp256::ZERO, p_minus_1, Fp256::ZERO),
         (Fp256::ONE, p_minus_1, p_minus_1),
     ];
-    for backend in backends() {
-        let mut a: Vec<Fp256> = cases.iter().map(|c| c.0).collect();
-        let b: Vec<Fp256> = cases.iter().map(|c| c.1).collect();
-        let expect: Vec<Fp256> = cases.iter().map(|c| c.2).collect();
-        mul_many_with(backend, &mut a, &b);
-        assert_eq!(a, expect, "backend {backend:?}");
+    for (a, b, expect) in cases {
+        assert_eq!(a * b, expect, "{a:?} * {b:?}");
     }
 }
