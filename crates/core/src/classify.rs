@@ -29,7 +29,10 @@
 //! Fig. 6, implemented in [`privacy`](crate::privacy)).
 
 use std::collections::HashMap;
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::sync::Mutex;
+use std::task::Poll;
 use std::time::Duration;
 
 use ppcs_math::{expanded_dimension, Algebra, DensePoly, FixedFpAlgebra, Fp256, PolyEval};
@@ -54,12 +57,15 @@ pub(crate) const KIND_CLS_SPEC: u16 = 0x0501;
 /// Sent by the parallel client to tell a trainer lane that no more
 /// sessions are coming, so its serve loop can finish cleanly.
 pub(crate) const KIND_CLS_FIN: u16 = 0x0502;
-/// Opens a **warm** session: `[num_samples, spec_hash]`. A repeat client
-/// presents the hash of the spec it cached from an earlier session so
-/// the trainer can skip re-announcing it.
+/// Opens a **warm** session: `[num_samples, spec_hash, epoch]`. A repeat
+/// client presents the hash of the spec it cached from an earlier
+/// session so the trainer can skip re-announcing it, and sends its first
+/// flight right behind it. Sent again, it opens the flight a client
+/// re-sends after a changed spec.
 pub(crate) const KIND_CLS_WARM_HELLO: u16 = 0x0503;
-/// The trainer's warm-session reply: `[1]` confirms the cached spec is
-/// still current; `[0, spec…]` re-announces the full spec.
+/// The trainer's warm-session reply: `[1, epoch]` confirms the cached
+/// spec is still current; `[0, epoch, spec…]` re-announces the full
+/// spec.
 pub(crate) const KIND_CLS_TICKET: u16 = 0x0504;
 
 /// The transport failure at the root of a classification error, if any —
@@ -495,23 +501,41 @@ impl<A: Algebra> Trainer<A> {
     ) -> Result<usize, PpcsError> {
         let _span = ppcs_telemetry::span(Phase::Classify);
         let num_samples: u64 = if warm {
-            let hello = decode_u64s(&io.recv_msg::<Vec<u8>>(KIND_CLS_WARM_HELLO).await?)?;
-            let [n, spec_hash, client_epoch] = hello[..] else {
-                return Err(PpcsError::Protocol("malformed warm hello".into()));
-            };
+            let [n, spec_hash, client_epoch] =
+                decode_warm_hello(&io.recv_msg::<Vec<u8>>(KIND_CLS_WARM_HELLO).await?)?;
             check_batch_cap(n)?;
-            // Confirm the cached spec or re-announce it in the ticket;
-            // either way the session proceeds without a second
-            // round-trip. A stale epoch forces the re-announcement even
-            // when the spec hash still matches: the client must learn it
-            // is talking to a fresh incarnation whose warm state (pool
-            // material) does not include it.
-            let current = spec_hash == self.spec.wire_hash() && client_epoch == self.epoch;
+            // The client's first flight follows its hello unasked, and
+            // the ticket is the first frame it reads: send it before
+            // evaluating anything. A stale epoch forces the
+            // re-announcement even when the spec hash still matches: the
+            // client must learn it is talking to a fresh incarnation
+            // whose warm state (pool material) does not include it. The
+            // early flight is served all the same.
+            let hash = self.spec.wire_hash();
+            let current = spec_hash == hash && client_epoch == self.epoch;
             let mut ticket = vec![u64::from(current), self.epoch];
             if !current {
                 ticket.extend(self.spec.encode_wire());
             }
             io.send_msg(KIND_CLS_TICKET, &encode_u64s(&ticket))?;
+            if spec_hash != hash {
+                // The early flight was built from a spec this trainer
+                // no longer serves: drop it. The client re-sends under
+                // the re-announced spec, opening with a hello that
+                // names it, so that hello is where the stale flight
+                // ends.
+                let resent = loop {
+                    let frame = io.recv().await?;
+                    if frame.kind == KIND_CLS_WARM_HELLO {
+                        break frame.decode_as::<Vec<u8>>(KIND_CLS_WARM_HELLO)?;
+                    }
+                };
+                if decode_warm_hello(&resent)? != [n, hash, self.epoch] {
+                    return Err(PpcsError::Protocol(
+                        "re-sent flight does not follow the re-announced spec".into(),
+                    ));
+                }
+            }
             n
         } else {
             let n: u64 = io.recv_msg(KIND_CLS_HELLO).await?;
@@ -699,8 +723,9 @@ impl<A: Algebra> Client<A> {
 
     /// The session-unified client role: one batch session that opens
     /// **cold** (spec exchange) or **warm** (`warm = Some((cache,
-    /// peer))` and the cache holds `peer`'s spec — the handshake shrinks
-    /// to a hash/ticket pair), optionally consuming precomputed
+    /// peer))` and the cache holds `peer`'s spec — the hello carries the
+    /// cached spec's hash and the first flight follows it without
+    /// waiting for the ticket), optionally consuming precomputed
     /// receiver-side material so the online phase skips the point-cloud
     /// construction.
     ///
@@ -724,51 +749,110 @@ impl<A: Algebra> Client<A> {
         offline: Option<&mut OmpeReceiverOffline>,
     ) -> Result<Vec<(Label, f64)>, PpcsError> {
         let _span = ppcs_telemetry::span(Phase::Classify);
-        let spec = match warm {
-            Some((cache, peer)) => match cache.get(peer) {
-                Some((cached, cached_epoch)) => {
-                    io.send_msg(
-                        KIND_CLS_WARM_HELLO,
-                        &encode_u64s(&[samples.len() as u64, cached.wire_hash(), cached_epoch]),
-                    )?;
-                    let ticket = decode_u64s(&io.recv_msg::<Vec<u8>>(KIND_CLS_TICKET).await?)?;
-                    match ticket.split_first() {
-                        Some((&1, [_epoch])) => cached,
-                        Some((&0, [epoch, fields @ ..])) => {
-                            // The trainer's spec moved — or the trainer
-                            // itself restarted under a fresh epoch —
-                            // since we cached it: adopt the re-announced
-                            // spec and incarnation.
-                            let spec = ClassifySpec::decode_wire(fields)?;
-                            self.check_spec(&spec)?;
-                            cache.insert(peer, spec, *epoch);
-                            spec
-                        }
-                        _ => {
-                            return Err(PpcsError::Protocol("malformed warm-session ticket".into()))
-                        }
-                    }
-                }
-                None => {
-                    // First contact with this peer: cold handshake, then
-                    // remember the spec for the next session.
-                    let (spec, epoch) = self.cold_handshake_io(io, samples.len()).await?;
+        let cached = warm.and_then(|(cache, peer)| Some((cache, peer, cache.get(peer)?)));
+        let (spec, values) = match cached {
+            Some(entry) => {
+                self.warm_session_io(io, sel, rng, samples, entry, offline)
+                    .await?
+            }
+            None => {
+                // No cache, or first contact with this peer: the cold
+                // handshake, remembering the spec for the next session.
+                let (spec, epoch) = self.cold_handshake_io(io, samples.len()).await?;
+                if let Some((cache, peer)) = warm {
                     cache.insert(peer, spec, epoch);
-                    spec
                 }
-            },
-            None => self.cold_handshake_io(io, samples.len()).await?.0,
+                let values = self
+                    .receive_values_io(io, sel, rng, samples, &spec, offline)
+                    .await?;
+                (spec, values)
+            }
         };
+        Ok(values
+            .iter()
+            .map(|value| {
+                let decoded = self.alg.decode(value, spec.output_scale());
+                (Label::from_sign(decoded), decoded)
+            })
+            .collect())
+    }
 
-        // Encode every sample's OMPE input up front so the whole batch
-        // runs through one receiver session: cover-polynomial storage and
-        // the OT base phase are reused, and all point clouds leave in one
-        // coalesced frame.
+    /// The warm session: the hello and, without waiting for the ticket,
+    /// the first flight built from the cached spec, coalesced into one
+    /// frame. The ticket is the first frame read. If it re-announces a
+    /// spec other than the cached one, the trainer has dropped the early
+    /// flight, and it is re-sent under the new spec — fresh covers and
+    /// abscissae — opened by a hello naming that spec: one round trip
+    /// more. An epoch-only re-announcement re-keys the cache and keeps
+    /// the early flight. Returns the spec the session ran under and the
+    /// decision values.
+    async fn warm_session_io(
+        &self,
+        io: &FrameIo,
+        sel: OtSelect,
+        rng: &mut dyn RngCore,
+        samples: &[Vec<f64>],
+        (cache, peer, (cached, cached_epoch)): (&WarmSessionCache, u64, (ClassifySpec, u64)),
+        mut offline: Option<&mut OmpeReceiverOffline>,
+    ) -> Result<(ClassifySpec, Vec<Fp256>), PpcsError> {
+        let hello = |spec: &ClassifySpec, epoch: u64| {
+            encode_u64s(&[samples.len() as u64, spec.wire_hash(), epoch])
+        };
+        io.send_msg(KIND_CLS_WARM_HELLO, &hello(&cached, cached_epoch))?;
+        let ticket = async {
+            let ticket = decode_u64s(&io.recv_msg::<Vec<u8>>(KIND_CLS_TICKET).await?)?;
+            // `[1, epoch]` confirms the cached spec; `[0, epoch, spec…]`
+            // re-announces it: a moved spec, or a trainer restarted
+            // under a fresh epoch.
+            match ticket.split_first() {
+                Some((&1, &[epoch])) => Ok((cached, epoch)),
+                Some((&0, [epoch, fields @ ..])) => {
+                    let spec = ClassifySpec::decode_wire(fields)?;
+                    self.check_spec(&spec)?;
+                    Ok((spec, *epoch))
+                }
+                _ => Err(PpcsError::Protocol("malformed warm-session ticket".into())),
+            }
+        };
+        let early = async {
+            io.hold();
+            self.receive_values_io(io, sel, &mut *rng, samples, &cached, offline.as_deref_mut())
+                .await
+        };
+        let same_spec = |(spec, _): &(ClassifySpec, u64)| spec.wire_hash() == cached.wire_hash();
+        let ((spec, epoch), early) = lead_then(ticket, early, same_spec).await?;
+        if (spec, epoch) != (cached, cached_epoch) {
+            cache.insert(peer, spec, epoch);
+        }
+        if let Some(values) = early {
+            return Ok((spec, values?));
+        }
+        io.hold();
+        io.send_msg(KIND_CLS_WARM_HELLO, &hello(&spec, epoch))?;
+        let values = self
+            .receive_values_io(io, sel, rng, samples, &spec, offline)
+            .await?;
+        Ok((spec, values))
+    }
+
+    /// Encodes every sample's OMPE input under `spec` and runs the batch
+    /// through one receiver session: cover-polynomial storage and the OT
+    /// base phase are reused, and all point clouds leave in one coalesced
+    /// frame. Returns the decision values, in order.
+    async fn receive_values_io(
+        &self,
+        io: &FrameIo,
+        sel: OtSelect,
+        rng: &mut dyn RngCore,
+        samples: &[Vec<f64>],
+        spec: &ClassifySpec,
+        offline: Option<&mut OmpeReceiverOffline>,
+    ) -> Result<Vec<Fp256>, PpcsError> {
         let alphas: Vec<Vec<Fp256>> = samples
             .iter()
-            .map(|sample| self.encode_input(sample, &spec))
+            .map(|sample| self.encode_input(sample, spec))
             .collect::<Result<_, _>>()?;
-        let values = match offline {
+        Ok(match offline {
             Some(pack)
                 if pack.fingerprint() == params_fingerprint(sel, &spec.ompe)
                     && pack.dim() == spec.dim =>
@@ -779,14 +863,7 @@ impl<A: Algebra> Client<A> {
             // Material drawn for a different configuration (or none at
             // all): build the point clouds inline.
             _ => ompe_receive_batch_io(&self.alg, io, sel, rng, &alphas, &spec.ompe).await?,
-        };
-        Ok(values
-            .iter()
-            .map(|value| {
-                let decoded = self.alg.decode(value, spec.output_scale());
-                (Label::from_sign(decoded), decoded)
-            })
-            .collect())
+        })
     }
 
     /// The cold session opening: announce the batch size, receive and
@@ -1066,8 +1143,9 @@ impl<A: Algebra> Client<A> {
 /// slot — anything stable across sessions with the same trainer).
 ///
 /// A repeat client holding a cached spec opens its next session
-/// **warm**: the `HELLO`/`SPEC` exchange shrinks to a
-/// `WARM_HELLO`/`TICKET` hash check. The cache is
+/// **warm**: the `HELLO`/`SPEC` exchange gives way to a `WARM_HELLO`
+/// that the session's first flight follows unasked, and a `TICKET`
+/// that confirms the hash. The cache is
 /// internally synchronized, so one instance can back every lane of a
 /// parallel client.
 ///
@@ -1174,6 +1252,50 @@ fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, PpcsError> {
         return Err(PpcsError::Protocol("malformed u64 field block".into()));
     };
     Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+}
+
+/// A warm hello's `[num_samples, spec_hash, epoch]`.
+fn decode_warm_hello(bytes: &[u8]) -> Result<[u64; 3], PpcsError> {
+    <[u64; 3]>::try_from(decode_u64s(bytes)?)
+        .map_err(|_| PpcsError::Protocol("malformed warm hello".into()))
+}
+
+/// Runs `lead` and `flight` on one task, always polling `lead` first so
+/// that it takes the first inbound frame. Once `lead` has resolved,
+/// `keep` decides whether `flight` runs to its end or is dropped
+/// unfinished; `flight`'s own result, an error included, counts only
+/// when it is kept.
+async fn lead_then<T, U, E>(
+    lead: impl Future<Output = Result<T, E>>,
+    flight: impl Future<Output = U>,
+    keep: impl Fn(&T) -> bool,
+) -> Result<(T, Option<U>), E> {
+    let (mut lead, mut flight) = (pin!(lead), pin!(flight));
+    let (mut led, mut flown) = (None, None);
+    poll_fn(|cx| {
+        if led.is_none() {
+            if let Poll::Ready(t) = lead.as_mut().poll(cx) {
+                let t = t?;
+                if !keep(&t) {
+                    return Poll::Ready(Ok((t, None)));
+                }
+                led = Some(t);
+            }
+        }
+        if flown.is_none() {
+            if let Poll::Ready(u) = flight.as_mut().poll(cx) {
+                flown = Some(u);
+            }
+        }
+        match (led.take(), flown.take()) {
+            (Some(t), Some(u)) => Poll::Ready(Ok((t, Some(u)))),
+            (t, u) => {
+                (led, flown) = (t, u);
+                Poll::Pending
+            }
+        }
+    })
+    .await
 }
 
 #[cfg(test)]
@@ -1599,6 +1721,40 @@ mod tests {
         );
         for (sample, got) in samples.iter().zip(&labels) {
             assert_eq!(*got, nb.predict(sample));
+        }
+    }
+
+    #[test]
+    fn warm_opening_flight_depends_on_who_speaks_first() {
+        use ppcs_transport::run_engine_pair;
+        let ds = blob_data(3, 40, 13);
+        let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
+        let cfg = ProtocolConfig::default();
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
+        let samples: Vec<Vec<f64>> = (0..2).map(|i| ds.features(i).to_vec()).collect();
+        let cache = WarmSessionCache::new();
+        cache.insert(0, trainer.spec(), trainer.epoch());
+        let np = NaorPinkasOt::fast_insecure();
+        // Before any trainer frame: under the ideal OT the hello and one
+        // flight of clouds and query; under Naor–Pinkas, whose receiver
+        // first reads the sender's commitment, the hello alone.
+        for (sel, flight) in [(SIM.select(), 3), (np.select(), 0)] {
+            let mut engine = client.classify_warm_engine(sel, 1, &samples, &cache, 0, None);
+            let opening: Vec<Vec<u16>> = std::iter::from_fn(|| engine.poll_output())
+                .map(|out| out.frames().iter().map(|f| f.kind).collect())
+                .collect();
+            assert_eq!(opening[0], [KIND_CLS_WARM_HELLO]);
+            let flights: Vec<usize> = opening[1..].iter().map(Vec::len).collect();
+            assert_eq!(flights, [flight][..usize::from(flight > 0)]);
+
+            let mut serve = trainer.serve_session_engine(sel, 2, true, None);
+            let mut classify = client.classify_warm_engine(sel, 3, &samples, &cache, 0, None);
+            let (served, labels) = run_engine_pair(&mut serve, &mut classify).unwrap();
+            assert_eq!(served.unwrap(), samples.len());
+            for ((label, _), sample) in labels.unwrap().iter().zip(&samples) {
+                assert_eq!(*label, model.predict(sample));
+            }
         }
     }
 

@@ -43,7 +43,7 @@
 //! codes, with the replica index in the event's slot field).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ppcs_math::Algebra;
@@ -54,11 +54,11 @@ use ppcs_telemetry::{
     DETAIL_BREAKER_HALF_OPEN, DETAIL_BREAKER_OPEN, DETAIL_FAILOVER, DETAIL_HEDGE_FIRED,
 };
 use ppcs_transport::{
-    probe_health, probe_health_cancellable, Driver, Frame, HealthStatus, Lane, SessionLimits,
+    probe_health, probe_health_cancellable, Driver, HealthStatus, Lane, SessionLimits,
     TransportError,
 };
 
-use crate::classify::{shard_evenly, transport_cause, Client, WarmSessionCache, KIND_CLS_FIN};
+use crate::classify::{shard_evenly, transport_cause, Client, WarmSessionCache};
 use crate::error::PpcsError;
 
 /// A deterministic-friendly millisecond clock for breaker timing.
@@ -227,17 +227,23 @@ impl CircuitBreaker {
         }
     }
 
+    /// Locks the breaker's state. No code panics while holding this
+    /// lock, so a poisoned one still holds a consistent state.
+    fn lock(&self) -> MutexGuard<'_, BreakerInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current state (open breakers stay "open" until an `allow`
     /// call observes the elapsed cooldown and moves them to half-open).
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().expect("breaker lock").state
+        self.lock().state
     }
 
     /// Decides whether a dispatch may proceed at `now_ms`. An open
     /// breaker whose cooldown has elapsed transitions to half-open here
     /// and admits the caller as its single probe.
     pub fn allow(&self, now_ms: u64) -> BreakerDecision {
-        let mut inner = self.inner.lock().expect("breaker lock");
+        let mut inner = self.lock();
         match inner.state {
             BreakerState::Closed => BreakerDecision::Allow,
             BreakerState::Open => {
@@ -263,7 +269,7 @@ impl CircuitBreaker {
     /// Records a successful attempt. Returns `true` when this closed a
     /// non-closed breaker (i.e. a state transition happened).
     pub fn record_success(&self) -> bool {
-        let mut inner = self.inner.lock().expect("breaker lock");
+        let mut inner = self.lock();
         let transitioned = inner.state != BreakerState::Closed;
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
@@ -275,7 +281,7 @@ impl CircuitBreaker {
     /// tripped the breaker open (from closed past the threshold, or a
     /// failed half-open probe re-arming the cooldown).
     pub fn record_failure(&self, now_ms: u64) -> bool {
-        let mut inner = self.inner.lock().expect("breaker lock");
+        let mut inner = self.lock();
         inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
         match inner.state {
             BreakerState::Closed => {
@@ -308,7 +314,7 @@ impl CircuitBreaker {
     /// instead of rejecting forever behind a slot nobody will settle.
     /// Returns `true` when this moved the breaker back to open.
     pub fn release_probe(&self) -> bool {
-        let mut inner = self.inner.lock().expect("breaker lock");
+        let mut inner = self.lock();
         if inner.state == BreakerState::HalfOpen && inner.probe_inflight {
             inner.state = BreakerState::Open;
             inner.probe_inflight = false;
@@ -539,7 +545,10 @@ impl<A: Algebra> FleetClient<A> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("fleet chunk thread panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
 
@@ -570,17 +579,16 @@ impl<A: Algebra> FleetClient<A> {
         // rescue latency matters less than completing the batch. The
         // failed replica's breaker (tripped above) keeps it out of the
         // rescue rotation until its cooldown elapses.
-        for (i, slot) in out.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let rescue_seed = seed ^ 0xF1EE_7C0D_E5CA_1A7Eu64.wrapping_mul(i as u64 + 1);
-            *slot = Some(self.classify_failover(ot, rescue_seed, chunks[i], deadline, true)?);
-        }
-
         let mut labels = Vec::with_capacity(samples.len());
-        for chunk_labels in out {
-            labels.extend(chunk_labels.expect("every chunk resolved or we returned early"));
+        for (i, slot) in out.into_iter().enumerate() {
+            let chunk_labels = match slot {
+                Some(chunk_labels) => chunk_labels,
+                None => {
+                    let rescue_seed = seed ^ 0xF1EE_7C0D_E5CA_1A7Eu64.wrapping_mul(i as u64 + 1);
+                    self.classify_failover(ot, rescue_seed, chunks[i], deadline, true)?
+                }
+            };
+            labels.extend(chunk_labels);
         }
         Ok(labels)
     }
@@ -665,18 +673,19 @@ impl<A: Algebra> FleetClient<A> {
         }))
     }
 
-    /// The next healthy replica after `primary` to hedge onto, when
-    /// hedging is configured.
-    fn hedge_backup(&self, primary: usize) -> Option<usize> {
-        self.config.hedge_delay?;
+    /// The next healthy replica after `primary` to hedge onto, with the
+    /// hedge delay, when hedging is configured.
+    fn hedge_backup(&self, primary: usize) -> Option<(usize, Duration)> {
+        let delay = self.config.hedge_delay?;
         let n = self.replicas.len();
         (1..n)
             .map(|step| (primary + step) % n)
             .find(|&idx| self.replicas[idx].breaker.state() == BreakerState::Closed)
+            .map(|idx| (idx, delay))
     }
 
     /// Dispatches the primary attempt, then a backup attempt on
-    /// `backup` if no answer arrives within the hedge delay; first
+    /// `backup` if no answer arrives within `hedge_delay`; first
     /// success wins and the loser is cut through its cancel token.
     ///
     /// Owns *all* breaker bookkeeping for both attempts: each failure
@@ -690,14 +699,13 @@ impl<A: Algebra> FleetClient<A> {
     fn attempt_hedged(
         &self,
         primary: usize,
-        backup: usize,
+        (backup, hedge_delay): (usize, Duration),
         ot: &dyn ObliviousTransfer,
         seed: u64,
         samples: &[Vec<f64>],
         deadline: Option<Instant>,
         probing: bool,
     ) -> Result<Vec<Label>, PpcsError> {
-        let hedge_delay = self.config.hedge_delay.expect("hedging configured");
         let cancel_primary = Arc::new(AtomicBool::new(false));
         let cancel_backup = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Label>, PpcsError>)>();
@@ -709,13 +717,9 @@ impl<A: Algebra> FleetClient<A> {
                 let _ = tx_primary.send((primary, r));
             });
             let mut outstanding = 1usize;
-            let mut first_answer = match rx.recv_timeout(hedge_delay) {
-                Ok(answer) => Some(answer),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("primary sender outlives the wait")
-                }
-            };
+            // `tx` is still held here, so the wait ends in an answer or
+            // a timeout, never a disconnect.
+            let mut first_answer = rx.recv_timeout(hedge_delay).ok();
             if first_answer.is_none() {
                 // The primary is slow: fire the hedge.
                 self.record_hedge_fired(backup);
@@ -789,7 +793,12 @@ impl<A: Algebra> FleetClient<A> {
                     }
                 }
             }
-            Err(last_err.expect("loop exits with at least one failure"))
+            // Every attempt sends its outcome before its thread ends, so
+            // the loop only leaves with a failure in hand; a panicked
+            // attempt is re-raised when the scope joins it.
+            Err(last_err.unwrap_or_else(|| {
+                PpcsError::Protocol("hedged attempts ended without an outcome".into())
+            }))
         })
     }
 
@@ -848,10 +857,9 @@ impl<A: Algebra> FleetClient<A> {
         let mut engine =
             self.client
                 .classify_warm_engine(sel, seed, samples, &self.cache, idx as u64, None);
+        // The lane is dropped right after the call: the replica's
+        // reactor ends it on the disconnect, so no `FIN` is sent.
         let values = driver.drive(lane, &mut engine)?;
-        // Tell the replica's serve loop this lane is done. Best effort:
-        // the server ends the lane on disconnect otherwise.
-        let _ = lane.send(Frame::encode(KIND_CLS_FIN, &0u64));
         if replica.breaker.record_success() {
             self.record_breaker_transition(idx, BreakerState::Closed);
         }
@@ -1140,6 +1148,27 @@ mod tests {
             BreakerDecision::Probe,
             "a fresh probe is admitted instead of rejecting forever"
         );
+    }
+
+    #[test]
+    fn a_poisoned_breaker_still_admits_and_records() {
+        let b = Arc::new(breaker(1, 100));
+        let holder = b.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("poison the breaker lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(b.inner.is_poisoned());
+
+        assert_eq!(b.allow(0), BreakerDecision::Allow);
+        assert!(b.record_failure(0), "threshold 1 trips open");
+        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.allow(100), BreakerDecision::Probe);
+        assert!(b.release_probe());
+        assert_eq!(b.allow(100), BreakerDecision::Probe);
+        assert!(b.record_success());
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -247,8 +247,11 @@ enum Opening<'s> {
     /// Not a session opening: stale or hostile traffic, already counted.
     Malformed,
     /// At capacity or draining, already counted: answer with a
-    /// `KIND_BUSY` carrying the configured retry-after hint.
-    Shed,
+    /// `KIND_BUSY` carrying the configured retry-after hint. A shed warm
+    /// hello closes its connection: the client's first flight follows
+    /// the hello unasked, and read as an opening it would count an
+    /// honest client as malformed.
+    Shed { warm: bool },
     /// Admitted: drive the engine (the opening frame is already in it)
     /// under these options, then [`TrainerServer::settle`] the result.
     Admit(ProtocolEngine<'s, usize, PpcsError>, DriveOptions),
@@ -427,13 +430,14 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
             self.note_malformed();
             return Opening::Malformed;
         }
+        let warm = first.kind == KIND_CLS_WARM_HELLO;
         let Some(permit) = sup.try_admit() else {
             // An explicit reject, not a hang.
             sup.inner.shed.fetch_add(1, Ordering::Relaxed);
             if let Some(reg) = &self.metrics {
                 reg.record_session_shed();
             }
-            return Opening::Shed;
+            return Opening::Shed { warm };
         };
         sup.inner.admitted.fetch_add(1, Ordering::Relaxed);
         if let Some(reg) = &self.metrics {
@@ -445,7 +449,6 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
             .seed
             .wrapping_add(meta.lane_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(meta.sessions);
-        let warm = first.kind == KIND_CLS_WARM_HELLO;
         // A dry pool is a miss, not a failure: the session serves
         // monolithically. `begin_run` built the pool from this trainer's
         // spec and the run's OT, so `take` has no mismatch to report;
@@ -685,12 +688,13 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
                                 continue;
                             }
                             Opening::Fin => true,
-                            // Refused: mid-drain the connection closes,
-                            // otherwise it may try again.
+                            // Refused: mid-drain (or after a warm
+                            // hello) the connection closes, otherwise it
+                            // may try again.
                             Opening::Malformed => sup.draining(),
-                            Opening::Shed => {
+                            Opening::Shed { warm } => {
                                 let _ = driver.send_busy_after(conn, self.config.retry_after);
-                                sup.draining()
+                                warm || sup.draining()
                             }
                         };
                         self.release(driver, meta, conn, hangup);

@@ -14,12 +14,12 @@
 use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use ppcs_core::{
     BreakerConfig, BreakerState, Client, Connector, FleetClient, FleetConfig, ManualClock,
-    ProtocolConfig, ServerConfig, Trainer, TrainerServer,
+    ProtocolConfig, ServeSummary, ServerConfig, Trainer, TrainerServer,
 };
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
@@ -31,7 +31,7 @@ use ppcs_telemetry::{
 use ppcs_tests::{blob_dataset, http_body, http_get, random_samples};
 use ppcs_transport::{
     duplex, faulty_pair, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, FaultyLane,
-    Frame, Lane, TrafficStats, TransportError,
+    Frame, Lane, TrafficStats, TransportError, KIND_HEALTH,
 };
 
 static SIM: TrustedSimOt = TrustedSimOt;
@@ -1020,4 +1020,531 @@ fn tcp_replica_cut_mid_session_fails_over_to_a_second_tcp_replica() {
         sup1.drain();
         t1.join().expect("replica 1 thread");
     });
+}
+
+// Frame kinds a classification call moves (crate-private upstream).
+const CLS_HELLO: u16 = 0x0500;
+const CLS_SPEC: u16 = 0x0501;
+const CLS_WARM_HELLO: u16 = 0x0503;
+const CLS_TICKET: u16 = 0x0504;
+const OMPE_POINTS: u16 = 0x0400;
+const SIM_INDICES: u16 = 0x0300;
+const SIM_MESSAGES: u16 = 0x0301;
+
+/// One frame movement on a client lane: a plain frame sent (`'s'`), a
+/// flight sent as one coalesced frame (`'f'`), or a frame received
+/// (`'r'`), with the frames it carried.
+type Wire = (char, Vec<Frame>);
+
+/// A client lane that logs every frame it moves and, on drop, adds its
+/// wire frame count to `frames`. When `start` is given, the first
+/// receive sets it before reading: a server waiting on it only sees
+/// what the client sent before its first read.
+struct RecordingLane<L: Lane> {
+    inner: L,
+    log: Arc<Mutex<Vec<Wire>>>,
+    frames: Arc<AtomicU64>,
+    start: Option<Arc<AtomicBool>>,
+}
+
+impl<L: Lane> RecordingLane<L> {
+    fn new(inner: L, log: &Arc<Mutex<Vec<Wire>>>, frames: &Arc<AtomicU64>) -> Self {
+        Self {
+            inner,
+            log: log.clone(),
+            frames: frames.clone(),
+            start: None,
+        }
+    }
+
+    /// Sets `start` on the first receive.
+    fn starting(mut self, start: Arc<AtomicBool>) -> Self {
+        self.start = Some(start);
+        self
+    }
+
+    fn note(&self, what: char, frames: Vec<Frame>) {
+        self.log.lock().expect("log lock").push((what, frames));
+    }
+}
+
+impl<L: Lane> Lane for RecordingLane<L> {
+    fn send(&self, frame: Frame) -> Result<(), TransportError> {
+        self.note('s', vec![frame.clone()]);
+        self.inner.send(frame)
+    }
+
+    fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
+        self.note('f', frames.to_vec());
+        self.inner.send_coalesced(frames)
+    }
+
+    fn recv(&self) -> Result<Frame, TransportError> {
+        if let Some(start) = &self.start {
+            start.store(true, Ordering::Release);
+        }
+        let frame = self.inner.recv()?;
+        self.note('r', vec![frame.clone()]);
+        Ok(frame)
+    }
+
+    fn set_recv_timeout(&self, timeout: Option<Duration>) {
+        self.inner.set_recv_timeout(timeout)
+    }
+
+    fn stats(&self) -> TrafficStats {
+        self.inner.stats()
+    }
+}
+
+impl<L: Lane> Drop for RecordingLane<L> {
+    fn drop(&mut self) {
+        let stats = self.inner.stats();
+        self.frames
+            .fetch_add(stats.frames_sent + stats.frames_received, Ordering::Relaxed);
+        // A lane dropped unread still releases a server waiting on it.
+        if let Some(start) = &self.start {
+            start.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// The log as `(what, kinds)` pairs.
+fn kinds(wire: &[Wire]) -> Vec<(char, Vec<u16>)> {
+    wire.iter()
+        .map(|(what, frames)| (*what, frames.iter().map(|f| f.kind).collect()))
+        .collect()
+}
+
+/// Takes the log so far.
+fn take_log(log: &Mutex<Vec<Wire>>) -> Vec<Wire> {
+    std::mem::take(&mut *log.lock().expect("log lock"))
+}
+
+/// Takes the log so far as `(what, kinds)` pairs.
+fn take_kinds(log: &Mutex<Vec<Wire>>) -> Vec<(char, Vec<u16>)> {
+    kinds(&take_log(log))
+}
+
+/// The regression guard for the one-round-trip warm session, over real
+/// sockets. A warm fleet call moves exactly six wire frames: the health
+/// probe and its reply, the warm hello, one coalesced flight of point
+/// clouds and OT query, the ticket and the OT answer. The client's
+/// opening flight leaves before it reads any trainer frame. A
+/// first-contact call keeps the cold handshake's frames.
+#[test]
+fn warm_fleet_call_is_six_frames_over_tcp() {
+    let model = trained();
+    let cfg = ProtocolConfig::default();
+    let samples = random_samples(3, 1, 55);
+    let want = oracle_labels(&model, cfg, &samples);
+
+    let alg = FixedFpAlgebra::new(16);
+    let trainer = Trainer::new(alg, &model, cfg).expect("trainer");
+    let server = TrainerServer::new(&trainer, ServerConfig::default());
+    let sup = server.supervisor();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
+    let addr = listener.local_addr().expect("replica addr");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let frames = Arc::new(AtomicU64::new(0));
+
+    std::thread::scope(|scope| {
+        let reactor = scope.spawn(|| server.serve_async_tcp(listener, &SIM, 7).expect("reactor"));
+        let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000));
+        let (log_c, frames_c) = (log.clone(), frames.clone());
+        fleet.add_replica(Box::new(move || {
+            let inner = tcp_connect(addr)?;
+            Ok(Box::new(RecordingLane::new(inner, &log_c, &frames_c)) as Box<dyn Lane>)
+        }));
+
+        let got = fleet.classify_batch(&SIM, 56, &samples).expect("cold call");
+        assert_eq!(got, want);
+        assert_eq!(
+            take_kinds(&log),
+            [
+                ('s', vec![KIND_HEALTH]),
+                ('r', vec![KIND_HEALTH]),
+                ('s', vec![CLS_HELLO]),
+                ('r', vec![CLS_SPEC]),
+                ('f', vec![OMPE_POINTS]),
+                ('s', vec![SIM_INDICES]),
+                ('r', vec![SIM_MESSAGES]),
+            ],
+            "first contact keeps the cold handshake"
+        );
+        assert_eq!(frames.swap(0, Ordering::Relaxed), 7);
+
+        for seed in 57..60 {
+            let got = fleet
+                .classify_batch(&SIM, seed, &samples)
+                .expect("warm call");
+            assert_eq!(got, want);
+            assert_eq!(
+                take_kinds(&log),
+                [
+                    ('s', vec![KIND_HEALTH]),
+                    ('r', vec![KIND_HEALTH]),
+                    ('s', vec![CLS_WARM_HELLO]),
+                    ('f', vec![OMPE_POINTS, SIM_INDICES]),
+                    ('r', vec![CLS_TICKET]),
+                    ('r', vec![SIM_MESSAGES]),
+                ],
+                "the opening flight leaves before the ticket is read"
+            );
+            assert_eq!(
+                frames.swap(0, Ordering::Relaxed),
+                6,
+                "wire frames per warm call"
+            );
+        }
+
+        drop(fleet);
+        sup.drain();
+        let summary = reactor.join().expect("reactor thread");
+        assert_eq!(summary.sessions_admitted, 4, "one session per call");
+        assert_eq!(summary.malformed_rejected, 0);
+        assert_eq!(summary.sessions_shed, 0);
+    });
+}
+
+/// A warm call's early flight: `n` point clouds and the OT query.
+fn early_flight(n: usize) -> Vec<u16> {
+    let mut kinds = vec![OMPE_POINTS; n];
+    kinds.push(SIM_INDICES);
+    kinds
+}
+
+/// The rest of an `n`-sample session after its early flight: one OT
+/// transfer per sample, the first one's query already sent.
+fn transfers(n: usize) -> Vec<(char, Vec<u16>)> {
+    let mut wire = vec![('r', vec![SIM_MESSAGES])];
+    for _ in 1..n {
+        wire.extend([('s', vec![SIM_INDICES]), ('r', vec![SIM_MESSAGES])]);
+    }
+    wire
+}
+
+/// Dials a fresh in-memory lane to a one-lane server for `trainer` on
+/// its own thread. The server starts once `start` is set (at once
+/// without one), drains from its first turn when `drain`, and sends
+/// its run's summary to `summaries` when the lane closes.
+fn dial_one_lane_server(
+    trainer: Arc<Trainer<FixedFpAlgebra>>,
+    config: ServerConfig,
+    drain: bool,
+    start: Option<Arc<AtomicBool>>,
+    summaries: mpsc::Sender<ServeSummary>,
+) -> Endpoint {
+    let (server_ep, client_ep) = duplex();
+    std::thread::spawn(move || {
+        while start.as_ref().is_some_and(|s| !s.load(Ordering::Acquire)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let server = TrainerServer::new(&trainer, config);
+        if drain {
+            server.supervisor().drain();
+        }
+        let summary = server.serve(&[server_ep], &SIM, 3).expect("reactor");
+        let _ = summaries.send(summary);
+    });
+    client_ep
+}
+
+/// The next run summary a replica reports.
+fn next_summary(rx: &mpsc::Receiver<ServeSummary>) -> ServeSummary {
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the replica's run ends once its lane closes")
+}
+
+/// One replica that serves `before` until `restarted` is set and
+/// `after` from then on, one fresh single-lane server per dial, with
+/// every client lane recorded into `log`.
+fn restarting_replica(
+    before: Arc<Trainer<FixedFpAlgebra>>,
+    after: Arc<Trainer<FixedFpAlgebra>>,
+    restarted: &Arc<AtomicBool>,
+    log: &Arc<Mutex<Vec<Wire>>>,
+) -> (Connector, mpsc::Receiver<ServeSummary>) {
+    let (tx, rx) = mpsc::channel();
+    let (restarted, log) = (restarted.clone(), log.clone());
+    let frames = Arc::new(AtomicU64::new(0));
+    let connector: Connector = Box::new(move || {
+        let trainer = if restarted.load(Ordering::Acquire) {
+            after.clone()
+        } else {
+            before.clone()
+        };
+        let ep = dial_one_lane_server(trainer, ServerConfig::default(), false, None, tx.clone());
+        Ok(Box::new(RecordingLane::new(ep, &log, &frames)) as Box<dyn Lane>)
+    });
+    (connector, rx)
+}
+
+/// A replica restarted under a fresh epoch with the same spec, reached
+/// without a probe, so the warm hello carries the stale epoch. The
+/// ticket re-announces the spec; the early flight is served as it is,
+/// with no second flight, and the cache is re-keyed to the new epoch.
+#[test]
+fn epoch_only_restart_serves_the_early_flight_and_rekeys_the_cache() {
+    let model = trained();
+    let cfg = ProtocolConfig::default();
+    let samples = random_samples(3, 4, 60);
+    let want = oracle_labels(&model, cfg, &samples);
+
+    let alg = FixedFpAlgebra::new(16);
+    let trainer = |epoch| {
+        Arc::new(
+            Trainer::new(alg, &model, cfg)
+                .expect("trainer")
+                .with_epoch(epoch),
+        )
+    };
+    let (before, after) = (trainer(5), trainer(6));
+    let restarted = Arc::new(AtomicBool::new(false));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (connector, summaries) = restarting_replica(before, after.clone(), &restarted, &log);
+
+    let metrics = MetricsRegistry::new(7, "fleet-client");
+    let config = FleetConfig {
+        probe: false,
+        ..fleet_config(1, 60_000)
+    };
+    let mut fleet = FleetClient::new(Client::new(alg, cfg), config).with_metrics(metrics.clone());
+    fleet.add_replica(connector);
+
+    assert_eq!(
+        fleet
+            .classify_batch(&SIM, 61, &samples)
+            .expect("first call"),
+        want
+    );
+    assert_eq!(fleet.warm_cache().get(0).map(|(_, epoch)| epoch), Some(5));
+    take_log(&log);
+
+    restarted.store(true, Ordering::Release);
+    assert_eq!(
+        fleet.classify_batch(&SIM, 62, &samples).expect("warm call"),
+        want
+    );
+    let mut served = vec![
+        ('s', vec![CLS_WARM_HELLO]),
+        ('f', early_flight(samples.len())),
+        ('r', vec![CLS_TICKET]),
+    ];
+    served.extend(transfers(samples.len()));
+    assert_eq!(
+        take_kinds(&log),
+        served,
+        "the early flight is served, not re-sent"
+    );
+    assert_eq!(fleet.warm_cache().get(0), Some((after.spec(), 6)));
+    assert_eq!(fleet.replica_state(0), BreakerState::Closed);
+    let report = metrics.report();
+    assert_eq!((report.breaker_opens, report.failovers), (0, 0));
+
+    drop(fleet);
+    for _ in 0..2 {
+        let summary = next_summary(&summaries);
+        assert_eq!(summary.sessions_admitted, 1, "one session per call");
+        assert_eq!(summary.served_samples, samples.len());
+        assert_eq!(summary.malformed_rejected, 0);
+    }
+}
+
+/// A replica restarted with another model over the same features: the
+/// cached spec is stale. The trainer re-announces its spec and drops
+/// the early flight; the client re-sends the flight under the new spec,
+/// opened by a warm hello naming it and built from fresh point clouds,
+/// and the same session serves it.
+#[test]
+fn changed_spec_drops_the_stale_flight_and_serves_the_resent_one() {
+    let linear = trained();
+    let poly = SvmModel::train(
+        &blob_dataset(3, 80, 7),
+        Kernel::paper_polynomial(2),
+        &SmoParams::default(),
+    );
+    let cfg = ProtocolConfig::default();
+    let samples = random_samples(3, 3, 63);
+    let want_before = oracle_labels(&linear, cfg, &samples);
+    let want = oracle_labels(&poly, cfg, &samples);
+
+    let alg = FixedFpAlgebra::new(16);
+    let before = Arc::new(
+        Trainer::new(alg, &linear, cfg)
+            .expect("trainer")
+            .with_epoch(5),
+    );
+    let after = Arc::new(
+        Trainer::new(alg, &poly, cfg)
+            .expect("trainer")
+            .with_epoch(6),
+    );
+    assert_ne!(before.spec(), after.spec());
+    let restarted = Arc::new(AtomicBool::new(false));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (connector, summaries) = restarting_replica(before, after.clone(), &restarted, &log);
+
+    let metrics = MetricsRegistry::new(8, "fleet-client");
+    let config = FleetConfig {
+        probe: false,
+        ..fleet_config(1, 60_000)
+    };
+    let mut fleet = FleetClient::new(Client::new(alg, cfg), config).with_metrics(metrics.clone());
+    fleet.add_replica(connector);
+
+    let got = fleet
+        .classify_batch(&SIM, 64, &samples)
+        .expect("first call");
+    assert_eq!(got, want_before);
+    take_log(&log);
+
+    restarted.store(true, Ordering::Release);
+    let got = fleet
+        .classify_batch(&SIM, 65, &samples)
+        .expect("re-sent call");
+    assert_eq!(got, want, "labels follow the re-announced model");
+    let wire = take_log(&log);
+    let mut resent = vec![CLS_WARM_HELLO];
+    resent.extend(early_flight(samples.len()));
+    let mut expected = vec![
+        ('s', vec![CLS_WARM_HELLO]),
+        ('f', early_flight(samples.len())),
+        ('r', vec![CLS_TICKET]),
+        ('f', resent),
+    ];
+    expected.extend(transfers(samples.len()));
+    assert_eq!(
+        kinds(&wire),
+        expected,
+        "one round trip more: the stale flight, the ticket, the re-sent flight"
+    );
+    let (stale, fresh) = (&wire[1].1[..samples.len()], &wire[3].1[1..=samples.len()]);
+    for (old, new) in stale.iter().zip(fresh) {
+        assert_ne!(old.payload, new.payload, "the re-sent clouds are fresh");
+    }
+    assert_eq!(fleet.warm_cache().get(0), Some((after.spec(), 6)));
+    assert_eq!(fleet.replica_state(0), BreakerState::Closed);
+    let report = metrics.report();
+    assert_eq!((report.breaker_opens, report.failovers), (0, 0));
+
+    drop(fleet);
+    for _ in 0..2 {
+        let summary = next_summary(&summaries);
+        assert_eq!(summary.sessions_admitted, 1, "one session per call");
+        assert_eq!(summary.served_samples, samples.len());
+        assert_eq!(summary.malformed_rejected, 0);
+    }
+}
+
+/// A warm call's hello and early flight reach a replica that sheds them
+/// — draining, or at capacity — with no probe to warn the client. The
+/// replica answers `KIND_BUSY` and closes the lane without reading the
+/// flight as a session opening, and the call fails over with no breaker
+/// charge.
+#[test]
+fn shed_early_flight_fails_over_without_a_charge() {
+    let model = trained();
+    let cfg = ProtocolConfig::default();
+    let samples = random_samples(3, 4, 66);
+    let want = oracle_labels(&model, cfg, &samples);
+    let alg = FixedFpAlgebra::new(16);
+    let trainer = Arc::new(Trainer::new(alg, &model, cfg).expect("trainer"));
+
+    for drain in [true, false] {
+        // Replica 0 serves its first dial; every later dial meets a
+        // server that sheds — draining, or with no session slot — and
+        // only starts once the client has sent its flight and reads.
+        let shedding = ServerConfig {
+            max_sessions: if drain { 64 } else { 0 },
+            ..ServerConfig::default()
+        };
+        let (tx0, rx0) = mpsc::channel();
+        let dials = AtomicU64::new(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let frames = Arc::new(AtomicU64::new(0));
+        let replica0: Connector = {
+            let (trainer, log, frames) = (trainer.clone(), log.clone(), frames.clone());
+            Box::new(move || {
+                if dials.fetch_add(1, Ordering::Relaxed) == 0 {
+                    let config = ServerConfig::default();
+                    let ep =
+                        dial_one_lane_server(trainer.clone(), config, false, None, tx0.clone());
+                    return Ok(Box::new(ep) as Box<dyn Lane>);
+                }
+                let start = Arc::new(AtomicBool::new(false));
+                let ep = dial_one_lane_server(
+                    trainer.clone(),
+                    shedding.clone(),
+                    drain,
+                    Some(start.clone()),
+                    tx0.clone(),
+                );
+                let lane = RecordingLane::new(ep, &log, &frames).starting(start);
+                Ok(Box::new(lane) as Box<dyn Lane>)
+            })
+        };
+        let (tx1, rx1) = mpsc::channel();
+        let replica1: Connector = {
+            let trainer = trainer.clone();
+            Box::new(move || {
+                let config = ServerConfig::default();
+                let ep = dial_one_lane_server(trainer.clone(), config, false, None, tx1.clone());
+                Ok(Box::new(ep) as Box<dyn Lane>)
+            })
+        };
+
+        let metrics = MetricsRegistry::new(9, "fleet-client");
+        let config = FleetConfig {
+            probe: false,
+            ..fleet_config(1, 60_000)
+        };
+        let mut fleet =
+            FleetClient::new(Client::new(alg, cfg), config).with_metrics(metrics.clone());
+        fleet.add_replica(replica0);
+        fleet.add_replica(replica1);
+
+        let got = fleet.classify_batch(&SIM, 67, &samples).expect("warm-up");
+        assert_eq!(got, want);
+        let got = fleet.classify_batch(&SIM, 68, &samples).expect("failover");
+        assert_eq!(got, want, "drain={drain}");
+        assert_eq!(
+            take_kinds(&log),
+            [
+                ('s', vec![CLS_WARM_HELLO]),
+                ('f', early_flight(samples.len())),
+                ('r', vec![ppcs_transport::KIND_BUSY]),
+            ],
+            "drain={drain}: the early flight is shed with one busy frame"
+        );
+        assert_eq!(
+            fleet.replica_state(0),
+            BreakerState::Closed,
+            "drain={drain}"
+        );
+        let report = metrics.report();
+        assert_eq!(report.breaker_opens, 0, "drain={drain}");
+        assert_eq!(report.failovers, 1, "drain={drain}");
+
+        drop(fleet);
+        // The two runs of replica 0 may end in either order.
+        let mut runs = [next_summary(&rx0), next_summary(&rx0)];
+        runs.sort_by_key(|run| run.sessions_shed);
+        let [served, shed] = runs;
+        assert_eq!((served.sessions_admitted, served.sessions_shed), (1, 0));
+        assert_eq!(
+            (
+                shed.sessions_shed,
+                shed.sessions_admitted,
+                shed.malformed_rejected
+            ),
+            (1, 0, 0),
+            "drain={drain}: shed once, nothing read as a malformed opening"
+        );
+        let rescue = next_summary(&rx1);
+        assert_eq!(
+            (rescue.sessions_admitted, rescue.malformed_rejected),
+            (1, 0)
+        );
+    }
 }

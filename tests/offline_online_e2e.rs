@@ -268,7 +268,9 @@ fn warm_session_skips_spec_exchange() {
 
 /// A warm hello carrying a stale spec hash gets the trainer's current
 /// spec re-announced in the ticket: the client adopts it, refreshes its
-/// cache, and the session still completes in the same round-trips.
+/// cache, and re-sends its first flight in the same session — here the
+/// cached spec's dimension does not even fit the samples, so the early
+/// flight never left.
 #[test]
 fn warm_session_with_stale_spec_adopts_reannounced_spec() {
     let (model, trainer, client, samples) = classification_fixture();
