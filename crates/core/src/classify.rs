@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::task::Poll;
 use std::time::Duration;
 
@@ -1043,64 +1043,44 @@ impl<A: Algebra> Client<A> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("classify lane thread panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect::<Vec<_>>()
         });
 
-        let mut out: Vec<Option<Vec<Label>>> = Vec::with_capacity(chunks.len());
         let mut lane_ok = vec![true; lanes.len()];
-        let mut first_err: Option<PpcsError> = None;
-        for (i, r) in results.into_iter().enumerate() {
+        for (i, r) in results.iter().enumerate() {
             match r {
-                Ok(labels) => out.push(Some(labels)),
-                Err(e) => {
-                    if transport_cause(&e).is_none() {
-                        // Deterministic failure: retrying cannot help.
-                        return Err(e);
-                    }
-                    lane_ok[i] = false;
-                    first_err.get_or_insert(e);
-                    out.push(None);
-                }
+                // Deterministic failure: retrying cannot help.
+                Err(e) if transport_cause(e).is_none() => return Err(e.clone()),
+                Err(_) => lane_ok[i] = false,
+                Ok(_) => {}
             }
         }
 
         // Requeue failed chunks onto surviving lanes, sequentially: the
         // latency of a rescue matters less than completing the batch.
-        for i in 0..out.len() {
-            if out[i].is_some() {
-                continue;
-            }
-            let mut rescued = None;
-            for (j, ep) in lanes.iter().enumerate() {
-                if !lane_ok[j] {
-                    continue;
-                }
-                // Fresh deterministic randomness for the requeued
-                // attempt, domain-separated from the phase-1 streams.
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1),
-                );
-                match self.classify_batch(ep, ot, &mut rng, chunks[i]) {
-                    Ok(labels) => {
-                        rescued = Some(labels);
-                        break;
-                    }
-                    Err(e) => {
-                        if transport_cause(&e).is_none() {
-                            return Err(e);
+        // A chunk no lane can rescue fails the batch with its first
+        // transport error, which the lowest failed chunk carries.
+        let mut first_err: Option<PpcsError> = None;
+        let mut labels = Vec::with_capacity(samples.len());
+        for (i, r) in results.into_iter().enumerate() {
+            let chunk_labels = match r {
+                Ok(chunk_labels) => chunk_labels,
+                Err(e) => {
+                    let err = first_err.take().unwrap_or(e);
+                    match self.rescue_chunk(lanes, &mut lane_ok, ot, seed, i, chunks[i])? {
+                        Some(chunk_labels) => {
+                            first_err = Some(err);
+                            chunk_labels
                         }
-                        lane_ok[j] = false;
-                        first_err.get_or_insert(e);
+                        None => return Err(err),
                     }
                 }
-            }
-            match rescued {
-                Some(labels) => out[i] = Some(labels),
-                None => {
-                    return Err(first_err.expect("a lane failure put us on this path"));
-                }
-            }
+            };
+            labels.extend(chunk_labels);
         }
 
         // Tell every lane's serve loop that no more sessions are coming.
@@ -1109,12 +1089,36 @@ impl<A: Algebra> Client<A> {
         for ep in lanes {
             let _ = ep.send(Frame::encode(KIND_CLS_FIN, &0u64));
         }
-
-        let mut labels = Vec::with_capacity(samples.len());
-        for lane_labels in out {
-            labels.extend(lane_labels.expect("every chunk resolved or we returned early"));
-        }
         Ok(labels)
+    }
+
+    /// Retries chunk `i` on each surviving lane in turn; a lane that
+    /// fails it on a transport error is marked dead. `None` once every
+    /// lane is dead; a deterministic failure is returned as it is.
+    fn rescue_chunk<L: Lane>(
+        &self,
+        lanes: &[L],
+        lane_ok: &mut [bool],
+        ot: &dyn ObliviousTransfer,
+        seed: u64,
+        i: usize,
+        chunk: &[Vec<f64>],
+    ) -> Result<Option<Vec<Label>>, PpcsError> {
+        for (ep, ok) in lanes.iter().zip(lane_ok.iter_mut()) {
+            if !*ok {
+                continue;
+            }
+            // Fresh deterministic randomness for the requeued attempt,
+            // domain-separated from the phase-1 streams.
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
+            match self.classify_batch(ep, ot, &mut rng, chunk) {
+                Ok(labels) => return Ok(Some(labels)),
+                Err(e) if transport_cause(&e).is_none() => return Err(e),
+                Err(_) => *ok = false,
+            }
+        }
+        Ok(None)
     }
 
     /// One lane's phase-1 work: classify the chunk, with a single
@@ -1164,33 +1168,32 @@ impl WarmSessionCache {
         Self::default()
     }
 
+    /// Locks the map. No code panics while holding this lock, so a
+    /// poisoned one still holds a consistent map.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, (ClassifySpec, u64)>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cached `(spec, epoch)` for `peer`, if any.
     pub fn get(&self, peer: u64) -> Option<(ClassifySpec, u64)> {
-        self.inner
-            .lock()
-            .expect("warm cache lock")
-            .get(&peer)
-            .copied()
+        self.lock().get(&peer).copied()
     }
 
     /// Caches (or replaces) the spec and serving epoch for `peer`.
     pub fn insert(&self, peer: u64, spec: ClassifySpec, epoch: u64) {
-        self.inner
-            .lock()
-            .expect("warm cache lock")
-            .insert(peer, (spec, epoch));
+        self.lock().insert(peer, (spec, epoch));
     }
 
     /// Forgets the cached spec for `peer` (e.g. after observing a fresh
     /// serving epoch in a health probe: the entry would only buy a
     /// re-announce round).
     pub fn remove(&self, peer: u64) {
-        self.inner.lock().expect("warm cache lock").remove(&peer);
+        self.lock().remove(&peer);
     }
 
     /// How many peers have a cached spec.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("warm cache lock").len()
+        self.lock().len()
     }
 
     /// Whether the cache holds no specs at all.
@@ -1200,7 +1203,7 @@ impl WarmSessionCache {
 
     /// Forgets every cached spec.
     pub fn clear(&self) {
-        self.inner.lock().expect("warm cache lock").clear();
+        self.lock().clear();
     }
 }
 
@@ -1756,6 +1759,42 @@ mod tests {
                 assert_eq!(*label, model.predict(sample));
             }
         }
+    }
+
+    #[test]
+    fn a_poisoned_warm_cache_still_serves_warm_sessions() {
+        use ppcs_transport::run_engine_pair;
+        let ds = blob_data(3, 40, 17);
+        let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
+        let cfg = ProtocolConfig::default();
+        let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+        let client = Client::new(FixedFpAlgebra::new(16), cfg);
+        let samples: Vec<Vec<f64>> = (0..3).map(|i| ds.features(i).to_vec()).collect();
+        let cache = std::sync::Arc::new(WarmSessionCache::new());
+        let holder = cache.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("poison the warm cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(cache.inner.is_poisoned());
+
+        cache.insert(7, trainer.spec(), trainer.epoch());
+        cache.insert(8, trainer.spec(), trainer.epoch());
+        cache.remove(8);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(7), Some((trainer.spec(), trainer.epoch())));
+        // The warm session reads the poisoned cache and keeps it.
+        let mut serve = trainer.serve_session_engine(SIM.select(), 2, true, None);
+        let mut classify = client.classify_warm_engine(SIM.select(), 3, &samples, &cache, 7, None);
+        let (served, labels) = run_engine_pair(&mut serve, &mut classify).unwrap();
+        assert_eq!(served.unwrap(), samples.len());
+        for ((label, _), sample) in labels.unwrap().iter().zip(&samples) {
+            assert_eq!(*label, model.predict(sample));
+        }
+        assert_eq!(cache.get(7), Some((trainer.spec(), trainer.epoch())));
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl OmpeReceiverOffline {
 
 /// Sender side of a batch of OMPE rounds using precomputed offline
 /// material: the online phase is reduced to evaluating the secret on the
-/// received clouds and running the oblivious transfers.
+/// received clouds and running their one oblivious-transfer list.
 ///
 /// The offline pack is consumed whole (its commitment is single-use);
 /// rounds beyond the pack's mask supply fall back to inline draws.
@@ -365,8 +365,9 @@ where
     if secrets.is_empty() {
         return Ok(());
     }
+    let secrets: Vec<&P> = secrets.iter().collect();
     OmpeSenderSession::new_precomputed_io(io, sel, *params, offline)?
-        .send_batch_io(alg, io, sel, rng, secrets)
+        .send_rounds_io(alg, io, sel, rng, &secrets)
         .await
 }
 
@@ -437,15 +438,11 @@ where
             }
         });
     }
+    // One flight: every point cloud and the transfer list's query.
     let frames: Vec<Frame> = rounds.iter().map(|(round, _)| round.frame()).collect();
+    io.hold();
     io.send_coalesced(&frames)?;
-    // One transfer per round, as the monolithic batch runs them.
-    let mut out = Vec::with_capacity(rounds.len());
-    for round in &rounds {
-        let value = session.finish_weighted_io(alg, io, sel, rng, std::slice::from_ref(round));
-        out.extend(value.await?);
-    }
-    Ok(out)
+    session.finish_weighted_io(alg, io, sel, rng, &rounds).await
 }
 
 #[cfg(test)]

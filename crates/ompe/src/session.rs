@@ -11,15 +11,15 @@
 //!   `C = g^c`) is drawn and transmitted once per batch instead of once
 //!   per base transfer;
 //! * the receiver's point clouds for a whole batch travel in a single
-//!   coalesced frame — one framed write instead of one per round.
+//!   coalesced frame — one framed write instead of one per round;
+//! * the rounds' oblivious transfers form one list
+//!   ([`send_rounds_io`](OmpeSenderSession::send_rounds_io) /
+//!   [`fetch_io`](OmpeReceiverSession::fetch_io)): one query message,
+//!   sent in the same flight as the clouds, and one answer message for
+//!   the whole batch, so a batch of any size is one round trip.
 //!
-//! A batch runs one oblivious transfer per round. Independent rounds can
-//! also run as one exchange
-//! ([`send_rounds_io`](OmpeSenderSession::send_rounds_io) /
-//! [`finish_weighted_io`](OmpeReceiverSession::finish_weighted_io)):
-//! their transfers form one list, one query message and one answer
-//! message for all of them. A session's rounds may differ in degree
-//! bound ([`set_degree_bound`](OmpeSenderSession::set_degree_bound)).
+//! A session's rounds may differ in degree bound
+//! ([`set_degree_bound`](OmpeSenderSession::set_degree_bound)).
 //!
 //! The role logic lives in the `*_io` methods, written sans-I/O against a
 //! [`FrameIo`] mailbox and an [`OtSelect`] engine selector — no
@@ -183,29 +183,6 @@ impl OmpeSenderSession {
             .await
     }
 
-    /// The rounds of a batch, one oblivious transfer each, as
-    /// classification runs them.
-    pub(crate) async fn send_batch_io<A, P>(
-        mut self,
-        alg: &A,
-        io: &FrameIo,
-        sel: OtSelect,
-        rng: &mut dyn RngCore,
-        secrets: &[P],
-    ) -> Result<(), OmpeError>
-    where
-        A: Algebra,
-        P: PolyEval<A>,
-    {
-        let secrets: Vec<&P> = secrets.iter().collect();
-        let clouds = self.recv_clouds_io(alg, io, &secrets).await?;
-        for (secret, cloud) in secrets.iter().zip(&clouds) {
-            self.answer_clouds_io(alg, io, sel, rng, &[*secret], std::slice::from_ref(cloud))
-                .await?;
-        }
-        Ok(())
-    }
-
     /// Sets the degree bound of the rounds that follow. Rounds of one
     /// session may differ in degree bound; they share its `σ`, decoy
     /// factor and oblivious-transfer state.
@@ -222,11 +199,11 @@ impl OmpeSenderSession {
 
     /// Checks every secret against the degree bound, then receives and
     /// validates one point cloud per secret: `N` distinct nonzero
-    /// abscissae and `N` `r`-dimensional input vectors. The receiver may
-    /// send all the clouds in one coalesced frame, so every one is
-    /// drained before any oblivious transfer starts — otherwise an OT
-    /// receive would pop a queued point cloud instead of the frame it
-    /// expects.
+    /// abscissae and `N` `r`-dimensional input vectors. The receiver
+    /// sends all the clouds and its one transfer-list query in one
+    /// flight, so every cloud is drained before the list's transfer
+    /// starts — otherwise its receive would pop a queued point cloud
+    /// instead of the query.
     async fn recv_clouds_io<A, P>(
         &self,
         alg: &A,
@@ -585,13 +562,12 @@ impl OmpeReceiverSession {
 }
 
 /// Sender side of a batch of OMPE rounds: evaluates `secrets[i]` on the
-/// receiver's `i`-th hidden input, reusing per-batch state throughout.
+/// receiver's `i`-th hidden input, every round's answers in one
+/// transfer list ([`OmpeSenderSession::send_rounds_io`]).
 ///
 /// # Errors
 ///
-/// Any per-round error of
-/// [`OmpeSenderSession::send_round_io`]; the batch stops at the first
-/// failure.
+/// Any error of [`OmpeSenderSession::send_rounds_io`].
 pub async fn ompe_send_batch_io<A, P>(
     alg: &A,
     io: &FrameIo,
@@ -607,16 +583,18 @@ where
     if secrets.is_empty() {
         return Ok(());
     }
-    let session = OmpeSenderSession::new_io(io, sel, rng, *params).await?;
-    session.send_batch_io(alg, io, sel, rng, secrets).await
+    let secrets: Vec<&P> = secrets.iter().collect();
+    let mut session = OmpeSenderSession::new_io(io, sel, rng, *params).await?;
+    session.send_rounds_io(alg, io, sel, rng, &secrets).await
 }
 
 /// Receiver side of a batch of OMPE rounds: learns `P_i(α_i)` for every
-/// private input. All point clouds leave in one coalesced write.
+/// private input. All point clouds and the one transfer-list query
+/// leave in one flight, and one answer message comes back.
 ///
 /// # Errors
 ///
-/// Any per-round error; the batch stops at the first failure.
+/// Any round's error; the batch stops at the first failure.
 pub async fn ompe_receive_batch_io<A>(
     alg: &A,
     io: &FrameIo,
@@ -636,20 +614,23 @@ where
         .iter()
         .map(|alpha| session.prepare_round(alg, rng, alpha))
         .collect::<Result<_, _>>()?;
-    // One framed write carries every round's point cloud.
+    // One flight carries every round's point cloud and the transfer
+    // list's query.
     let frames: Vec<Frame> = rounds.iter().map(PreparedRound::frame).collect();
+    io.hold();
     io.send_coalesced(&frames)?;
-    // Collect every round's interpolation points first, one transfer
-    // per round, then retrieve all the constant terms through one
-    // batched interpolation: a single Fermat inversion serves the batch.
-    // It runs after the answers arrive, where it overlaps whatever the
-    // sender still does after its last one.
-    let mut systems = Vec::with_capacity(rounds.len());
-    for round in &rounds {
-        let values = session.fetch_io(io, sel, rng, &[round]).await?.concat();
-        systems.push(round.cover_xs().into_iter().zip(values).collect());
-    }
+    let prepared: Vec<&PreparedRound> = rounds.iter().collect();
+    let values = session.fetch_io(io, sel, rng, &prepared).await?;
+    // Retrieve all the constant terms through one batched
+    // interpolation: a single Fermat inversion serves the batch. It
+    // runs after the answers arrive, where it overlaps whatever the
+    // sender still does after sending them.
     let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
+    let systems: Vec<Vec<_>> = rounds
+        .iter()
+        .zip(values)
+        .map(|(round, values)| round.cover_xs().into_iter().zip(values).collect())
+        .collect();
     Ok(interp_batch(alg, &systems)?)
 }
 
@@ -769,13 +750,9 @@ mod tests {
         let secrets = vec![secret; 4];
         let alphas: Vec<Vec<Fp256>> = (0..4).map(|i| vec![alg.encode_int(i)]).collect();
         let (values, frames_sent) = blocking_batch(&secrets, &alphas, &params, (31, 32));
-        // The sim OT sends one index frame per round; only ONE frame
-        // beyond those carries all four point clouds.
-        assert_eq!(
-            frames_sent,
-            1 + 4,
-            "one coalesced frame + 4 OT index frames"
-        );
+        // ONE frame carries all four point clouds and the sim OT's
+        // index list for all four rounds.
+        assert_eq!(frames_sent, 1, "one coalesced frame: clouds ‖ indices");
         for (i, v) in (0..).zip(&values) {
             assert_eq!(*v, alg.encode_int(2 * i + 1));
         }

@@ -29,6 +29,7 @@ use parking_lot::Mutex;
 
 use crate::channel::{coalesce_frames, Frame};
 use crate::error::{ProtocolError, TransportError};
+use crate::tcp::MAX_PAYLOAD;
 use crate::wire::Encodable;
 
 /// A frame queued by a role for the driver to transmit: either a single
@@ -90,18 +91,42 @@ impl Mailbox {
     }
 
     /// Queues the held frames as one flight: a coalesced batch, or a
-    /// lone frame as it is.
+    /// lone frame as it is. A flight too large for one wire frame
+    /// leaves as several, in order, in the same round trip.
     fn release(&mut self) {
-        let Some(mut held) = self.held.take() else {
-            return;
-        };
-        let flight = match held.len() {
-            0 => return,
-            1 => Outgoing::Frame(held.remove(0)),
-            _ => Outgoing::Batch(held),
-        };
-        self.outbox.push_back(flight);
+        if let Some(held) = self.held.take() {
+            self.outbox.extend(flights(held, MAX_PAYLOAD as usize));
+        }
     }
+}
+
+/// Groups `frames`, in order, into outputs whose coalesced payload fits
+/// in `cap` bytes: a 5-byte prefix plus at most a 6-byte header per
+/// frame. A group of one is the frame as it is; a frame too large on
+/// its own is such a group, refused where it is sent.
+fn flights(frames: Vec<Frame>, cap: usize) -> Vec<Outgoing> {
+    fn flight(mut group: Vec<Frame>) -> Outgoing {
+        match group.len() {
+            1 => Outgoing::Frame(group.remove(0)),
+            _ => Outgoing::Batch(group),
+        }
+    }
+    let mut out = Vec::new();
+    let mut group = Vec::new();
+    let mut size = 5;
+    for frame in frames {
+        let add = 6 + frame.payload.len();
+        if !group.is_empty() && size + add > cap {
+            out.push(flight(std::mem::take(&mut group)));
+            size = 5;
+        }
+        size += add;
+        group.push(frame);
+    }
+    if !group.is_empty() {
+        out.push(flight(group));
+    }
+    out
 }
 
 /// The I/O handle a protocol role talks to instead of an
@@ -159,9 +184,10 @@ impl FrameIo {
 
     /// Holds every frame the role sends from now until it next receives
     /// (or finishes), then queues them as one flight: a single coalesced
-    /// wire frame, or one frame as it is. A role whose next message
-    /// needs nothing from the peer sends it in the same flight as the
-    /// frames before it, whatever layer queues it.
+    /// wire frame (several past the TCP frame cap), or one frame as it
+    /// is. A role whose next message needs nothing from the peer sends
+    /// it in the same flight as the frames before it, whatever layer
+    /// queues it.
     pub fn hold(&self) {
         self.mailbox.lock().held.get_or_insert_with(Vec::new);
     }
@@ -452,6 +478,32 @@ mod tests {
         let last = ProtocolEngine::poll_output(&mut eng).expect("the last flight");
         assert_eq!(last, Outgoing::Frame(Frame::encode(5, &5u64)));
         assert!(eng.is_done());
+    }
+
+    #[test]
+    fn a_flight_past_the_cap_leaves_as_several_in_order() {
+        let frame = |kind, len| Frame {
+            kind,
+            payload: vec![0u8; len].into(),
+        };
+        let held = vec![frame(1, 40), frame(2, 40), frame(3, 40), frame(4, 100)];
+        let kinds = |out: &Outgoing| out.frames().iter().map(|f| f.kind).collect::<Vec<_>>();
+        // 5 + 2·46 = 97 fits in 100 bytes; a third frame would not, and
+        // the oversized last frame travels on its own.
+        let out = flights(held.clone(), 100);
+        assert_eq!(
+            out.iter().map(kinds).collect::<Vec<_>>(),
+            [vec![1, 2], vec![3], vec![4]]
+        );
+        assert!(matches!(out[0], Outgoing::Batch(_)));
+        assert!(matches!(out[1], Outgoing::Frame(_)));
+        assert!(out[..2]
+            .iter()
+            .all(|o| o.wire_len() - Frame::HEADER_LEN <= 100));
+        // Under the cap, a flight is one output, as it always was.
+        let out = flights(held, 300);
+        assert_eq!(out.len(), 1);
+        assert_eq!(kinds(&out[0]), [1, 2, 3, 4]);
     }
 
     #[test]

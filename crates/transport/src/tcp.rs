@@ -14,8 +14,9 @@ use crate::channel::Frame;
 use crate::error::TransportError;
 
 /// Maximum accepted payload size (64 MiB) — guards against a corrupt or
-/// hostile length prefix allocating unbounded memory.
-const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
+/// hostile length prefix allocating unbounded memory. A held flight
+/// larger than this leaves as several coalesced frames.
+pub(crate) const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// Splits a wire header into its frame kind and announced payload
 /// length (both little-endian).

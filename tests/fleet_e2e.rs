@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ppcs_core::{
     BreakerConfig, BreakerState, Client, Connector, FleetClient, FleetConfig, ManualClock,
-    ProtocolConfig, ServeSummary, ServerConfig, Trainer, TrainerServer,
+    ProtocolConfig, ServeSummary, ServerConfig, SessionSupervisor, Trainer, TrainerServer,
 };
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
@@ -910,6 +910,20 @@ impl Lane for GatedLane {
     }
 }
 
+/// Drains its supervisors if dropped while the test thread unwinds. A
+/// TCP reactor serves until it is drained, and `std::thread::scope`
+/// joins it before re-raising a panic: without the drain, a failed
+/// assertion inside the scope hangs instead of failing.
+struct DrainOnUnwind(Vec<SessionSupervisor>);
+
+impl Drop for DrainOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.iter().for_each(SessionSupervisor::drain);
+        }
+    }
+}
+
 /// Failover over real sockets: replica 0 is a TCP reactor that drains
 /// with no grace period while the call's session is in flight on it, so
 /// the client's TCP connection dies mid-session. The call must fail over
@@ -943,6 +957,7 @@ fn tcp_replica_cut_mid_session_fails_over_to_a_second_tcp_replica() {
     let gate = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
+        let _drain = DrainOnUnwind(vec![sup0.clone(), sup1.clone()]);
         let t0 = scope.spawn(|| {
             server0
                 .serve_async_tcp(listener0, &SIM, 7)
@@ -961,7 +976,7 @@ fn tcp_replica_cut_mid_session_fails_over_to_a_second_tcp_replica() {
             let gate = gate.clone();
             scope.spawn(move || {
                 let start = std::time::Instant::now();
-                while sup0.active() < 1 {
+                while sup0.active() < 1 && !sup0.draining() {
                     assert!(
                         start.elapsed() < Duration::from_secs(10),
                         "replica 0 must admit the session"
@@ -1131,7 +1146,8 @@ fn take_kinds(log: &Mutex<Vec<Wire>>) -> Vec<(char, Vec<u16>)> {
 /// probe and its reply, the warm hello, one coalesced flight of point
 /// clouds and OT query, the ticket and the OT answer. The client's
 /// opening flight leaves before it reads any trainer frame. A
-/// first-contact call keeps the cold handshake's frames.
+/// first-contact call keeps the cold handshake, then sends the same
+/// coalesced flight: six frames too.
 #[test]
 fn warm_fleet_call_is_six_frames_over_tcp() {
     let model = trained();
@@ -1149,6 +1165,7 @@ fn warm_fleet_call_is_six_frames_over_tcp() {
     let frames = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|scope| {
+        let _drain = DrainOnUnwind(vec![sup.clone()]);
         let reactor = scope.spawn(|| server.serve_async_tcp(listener, &SIM, 7).expect("reactor"));
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000));
         let (log_c, frames_c) = (log.clone(), frames.clone());
@@ -1166,13 +1183,12 @@ fn warm_fleet_call_is_six_frames_over_tcp() {
                 ('r', vec![KIND_HEALTH]),
                 ('s', vec![CLS_HELLO]),
                 ('r', vec![CLS_SPEC]),
-                ('f', vec![OMPE_POINTS]),
-                ('s', vec![SIM_INDICES]),
+                ('f', vec![OMPE_POINTS, SIM_INDICES]),
                 ('r', vec![SIM_MESSAGES]),
             ],
             "first contact keeps the cold handshake"
         );
-        assert_eq!(frames.swap(0, Ordering::Relaxed), 7);
+        assert_eq!(frames.swap(0, Ordering::Relaxed), 6);
 
         for seed in 57..60 {
             let got = fleet
@@ -1214,14 +1230,11 @@ fn early_flight(n: usize) -> Vec<u16> {
     kinds
 }
 
-/// The rest of an `n`-sample session after its early flight: one OT
-/// transfer per sample, the first one's query already sent.
-fn transfers(n: usize) -> Vec<(char, Vec<u16>)> {
-    let mut wire = vec![('r', vec![SIM_MESSAGES])];
-    for _ in 1..n {
-        wire.extend([('s', vec![SIM_INDICES]), ('r', vec![SIM_MESSAGES])]);
-    }
-    wire
+/// The rest of a session after its early flight, whatever its sample
+/// count: the answer to the one OT transfer list, whose query the
+/// flight carried.
+fn transfers() -> Vec<(char, Vec<u16>)> {
+    vec![('r', vec![SIM_MESSAGES])]
 }
 
 /// Dials a fresh in-memory lane to a one-lane server for `trainer` on
@@ -1331,7 +1344,7 @@ fn epoch_only_restart_serves_the_early_flight_and_rekeys_the_cache() {
         ('f', early_flight(samples.len())),
         ('r', vec![CLS_TICKET]),
     ];
-    served.extend(transfers(samples.len()));
+    served.extend(transfers());
     assert_eq!(
         take_kinds(&log),
         served,
@@ -1413,7 +1426,7 @@ fn changed_spec_drops_the_stale_flight_and_serves_the_resent_one() {
         ('r', vec![CLS_TICKET]),
         ('f', resent),
     ];
-    expected.extend(transfers(samples.len()));
+    expected.extend(transfers());
     assert_eq!(
         kinds(&wire),
         expected,

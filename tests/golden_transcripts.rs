@@ -17,6 +17,16 @@
 //! the protocol, to the order or width of RNG draws or to the codec has
 //! to re-pin them and say so here.
 //!
+//! The NP-768 classification digest was re-pinned once more, alone, by
+//! a change to classification's schedule: every round of a batch goes
+//! through one transfer list. The client's point clouds and its keys
+//! for every round leave in one coalesced flight, and one tables frame
+//! answers them all, so the sender draws all its masks before its one
+//! transfer instead of a mask and a transfer per round. The frames
+//! after the commitment changed; what each one means did not. The two
+//! 4-of-8 digests, which pin a transfer in a session of its own, did
+//! not move.
+//!
 //! The fourth digest pins a similarity session over the field and an
 //! ideal OT, so it moves only with §V's protocol or with the geometry
 //! both parties derive before it: the hello carries `|m|²` and `|w|²` bit
@@ -90,7 +100,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "dcf5fe571fd37053307e0718586d0e1b7349a03fea3064cb835fe44b434b65af",
+        digest, "b1750f33e36e84a60c5f17a31cd84aa732e490c92e95e01b3753045610069bbb",
         "the NP-768 classification transcript changed"
     );
 }
@@ -243,34 +253,93 @@ fn np768_similarity_session_is_one_commitment() {
 #[test]
 fn np768_classified_sample_is_three_ot_frames() {
     // One commitment per session and two frames — one round trip — per
-    // transfer, none of them the retired constants kind 0x0200: a
+    // transfer list, none of them the retired constants kind 0x0200: a
     // schedule regression fails here, not only in the benchmark's
-    // `frames_per_result`.
+    // `frames_per_result`. The keys frame rides in the client's one
+    // coalesced flight, behind the point cloud.
+    let ep = classified_batch(NaorPinkasOt::fast_insecure().select(), 1);
+    assert_eq!(client_frames_by_kind(&ep), NP_CLIENT_FRAMES);
+}
+
+/// `(kind, frames the client sent, frames it received)` of a
+/// Naor–Pinkas classification session of any size: the flight (0x00FF)
+/// of clouds ‖ keys, the commitment, the tables, the hello and the
+/// spec.
+const NP_CLIENT_FRAMES: [(u16, u64, u64); 5] = [
+    (0x00FF, 1, 0),
+    (0x0100, 0, 1),
+    (0x0202, 0, 1),
+    (0x0500, 1, 0),
+    (0x0501, 0, 1),
+];
+
+/// `(kind, frames sent, frames received)` of every wire frame kind
+/// `ep` moved; a coalesced flight counts once, as kind 0x00FF.
+fn client_frames_by_kind(ep: &Endpoint) -> Vec<(u16, u64, u64)> {
+    ep.stats()
+        .by_kind
+        .iter()
+        .map(|k| (k.kind, k.frames_sent, k.frames_received))
+        .collect()
+}
+
+/// Classifies `b` samples over `sel` between a trainer and a client on
+/// two threads; returns the client's endpoint after checking every
+/// label against the plain model.
+fn classified_batch(sel: OtSelect, b: usize) -> Endpoint {
     let ds = blob_dataset(4, 60, 7);
     let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
-    let samples = vec![ds.features(0).to_vec()];
+    let samples: Vec<Vec<f64>> = (0..b).map(|i| ds.features(i).to_vec()).collect();
     let cfg = ProtocolConfig::default();
     let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
-    let sel = NaorPinkasOt::fast_insecure().select();
-
     let (ep, peer_ep) = duplex();
-    std::thread::scope(|scope| {
+    let labels = std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut engine = trainer.serve_engine(sel, 11);
             Driver::new().drive(&peer_ep, &mut engine).expect("serve");
         });
         let mut engine = client.classify_engine(sel, 12, &samples);
-        Driver::new().drive(&ep, &mut engine).expect("classify");
+        Driver::new().drive(&ep, &mut engine).expect("classify")
     });
-    // (kind, frames the client sent, frames it received) over the OT's
-    // range of kinds: commitment, keys, tables.
-    let ot_frames: Vec<(u16, u64, u64)> = ep
-        .stats()
-        .by_kind
-        .iter()
-        .filter(|k| (0x0100..0x0400).contains(&k.kind))
-        .map(|k| (k.kind, k.frames_sent, k.frames_received))
-        .collect();
-    assert_eq!(ot_frames, [(0x0100, 0, 1), (0x0201, 1, 0), (0x0202, 0, 1)]);
+    let labels: Vec<Label> = labels.iter().map(|(l, _)| *l).collect();
+    let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
+    assert_eq!(labels, expected);
+    ep
+}
+
+#[test]
+fn classification_batch_is_one_transfer_list() {
+    // Every round of a batch goes through one transfer list: the
+    // client's clouds and its one query leave in one flight, and one
+    // answer comes back, whatever the batch size. Under Naor–Pinkas
+    // that is one commitment, one flight and one tables frame; under
+    // IKNP one base phase of κ = 128 1-out-of-2 transfers (the
+    // commitment rides in the flight, then 128 PK0 frames in and 128
+    // payloads out), one U matrix out and one extension payload in.
+    for b in [1, 4] {
+        let ep = classified_batch(NaorPinkasOt::fast_insecure().select(), b);
+        assert_eq!(
+            client_frames_by_kind(&ep),
+            NP_CLIENT_FRAMES,
+            "NP-768, {b} samples"
+        );
+
+        let ep = classified_batch(IknpOt::fast_insecure().select(), b);
+        let base_ot: Vec<(u16, u64, u64)> = client_frames_by_kind(&ep)
+            .into_iter()
+            .filter(|&(kind, _, _)| kind < 0x0290)
+            .collect();
+        assert_eq!(
+            base_ot,
+            [
+                (0x00FF, 1, 0),
+                (0x0101, 0, 128),
+                (0x0102, 128, 0),
+                (0x0280, 1, 0),
+                (0x0281, 0, 1)
+            ],
+            "IKNP-768, {b} samples"
+        );
+    }
 }
