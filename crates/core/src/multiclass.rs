@@ -21,6 +21,7 @@
 //!   revealing the *ratios* of the class decision values for that sample
 //!   (but still neither their scale nor the models).
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use ppcs_math::Algebra;
@@ -267,26 +268,28 @@ impl<A: Algebra> MultiClassClient<A> {
     ) -> Result<Vec<Option<u32>>, PpcsError> {
         io.send_msg(KIND_MC_HELLO, &(samples.len() as u64))?;
         let header: Vec<u8> = io.recv_msg(KIND_MC_SPEC).await?;
-        if header.len() < 16 || !header.len().is_multiple_of(8) {
+        let (words, []) = header.as_chunks::<8>() else {
             return Err(PpcsError::Protocol("malformed multiclass header".into()));
-        }
-        let fields: Vec<u64> = header
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let num_classes = fields[0] as usize;
-        let mode = MultiClassMode::from_wire(fields[1])?;
+        };
+        let fields: Vec<u64> = words.iter().map(|&w| u64::from_le_bytes(w)).collect();
         // Header layout: count | mode | class ids | 6 spec fields.
-        if fields.len() != 2 + num_classes + 6 {
+        let [count, mode, rest @ ..] = &fields[..] else {
+            return Err(PpcsError::Protocol("malformed multiclass header".into()));
+        };
+        let mode = MultiClassMode::from_wire(*mode)?;
+        let Some((ids, spec_fields)) = rest
+            .len()
+            .checked_sub(6)
+            .filter(|&n| n as u64 == *count)
+            .map(|n| rest.split_at(n))
+        else {
             return Err(PpcsError::Protocol(
                 "multiclass header shape mismatch".into(),
             ));
-        }
-        let class_ids: Vec<u32> = fields[2..2 + num_classes]
-            .iter()
-            .map(|&c| c as u32)
-            .collect();
-        let spec = ClassifySpec::decode_wire(&fields[2 + num_classes..])?;
+        };
+        let num_classes = ids.len();
+        let class_ids: Vec<u32> = ids.iter().map(|&c| c as u32).collect();
+        let spec = ClassifySpec::decode_wire(spec_fields)?;
 
         let mut out = Vec::with_capacity(samples.len());
         for sample in samples {
@@ -309,10 +312,13 @@ impl<A: Algebra> MultiClassClient<A> {
 fn decide(class_ids: &[u32], values: &[f64], mode: MultiClassMode) -> Option<u32> {
     match mode {
         MultiClassMode::SharedAmplifier => {
+            // Never NaN: `FixedFpAlgebra::decode` divides a finite
+            // integer image by 2^scale, which is at least 1 (or ∞, giving
+            // ±0), so the fallback is unreachable.
             let best = values
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite values"))?;
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))?;
             Some(class_ids[best.0])
         }
         MultiClassMode::SignOnly => {
@@ -426,6 +432,38 @@ mod tests {
         // positives over many randomized runs — must never panic.
         let far = vec![vec![-0.95, 0.95]];
         let _ = run_session(&model, MultiClassMode::SignOnly, far, 30);
+    }
+
+    #[test]
+    fn crafted_headers_are_typed_errors() {
+        // A class count past the words sent (u64::MAX overflowed the
+        // shape arithmetic), too few words, a ragged length.
+        let spec = [2u64, 0, 1, 4, 40, 2];
+        let words = |head: &[u64]| -> Vec<u8> {
+            head.iter()
+                .chain(&spec)
+                .flat_map(|w| w.to_le_bytes())
+                .collect()
+        };
+        for header in [
+            words(&[u64::MAX, 1, 5]),
+            words(&[2, 1, 5]),
+            words(&[]).split_off(40),
+            words(&[1, 1, 5])[..71].to_vec(),
+        ] {
+            let client = MultiClassClient::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
+            let (_, res) = run_pair(
+                move |ep| {
+                    let _: u64 = ep.recv_msg(KIND_MC_HELLO).expect("hello");
+                    ep.send_msg(KIND_MC_SPEC, &header).expect("header");
+                },
+                move |ep| {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    client.classify_batch(&ep, &SIM, &mut rng, &[vec![0.0, 0.0]])
+                },
+            );
+            assert!(matches!(res, Err(PpcsError::Protocol(_))), "{res:?}");
+        }
     }
 
     #[test]

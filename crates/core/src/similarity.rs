@@ -128,31 +128,66 @@ const SAME_POINT: f64 = 1e-7;
 /// is exponential by construction — the paper's similarity experiments
 /// stay at `n ≤ 8`).
 pub fn boundary_points_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<f64>> {
+    let mut points = Vec::new();
+    for_each_boundary_point_linear(w, b, bounds, |t| points.push(t.to_vec()));
+    points
+}
+
+/// The low corner bits whose right-hand sides one table holds: 2¹²
+/// `f64`, 32 KiB, where a table for all of `n = 24` would be 64 MiB.
+const RHS_TABLE_BITS: usize = 12;
+
+/// [`boundary_points_linear`]'s enumeration, handing each kept point to
+/// `keep` in order instead of collecting it.
+///
+/// The right-hand side of the corner `mask` is `−b − Σ w_i·c_i` over the
+/// non-free coordinates in bit order. Its partial sums over the low bits
+/// are a table built a bit at a time — entry `m` of the next level is
+/// entry `m mod 2^bit` minus `w_i·α` or `w_i·β` — so each corner costs
+/// the same subtractions in the same order as the per-corner loop,
+/// without repeating the shared prefixes. Bits past the table are
+/// subtracted per corner, still in bit order.
+fn for_each_boundary_point_linear(w: &[f64], b: f64, bounds: (f64, f64), keep: impl FnMut(&[f64])) {
     let n = w.len();
-    let mut set = BoundarySet::new(n, bounds);
+    let mut set = BoundarySet::new(n, bounds, keep);
     let (alpha, beta) = bounds;
+    let corner = [alpha, beta];
     let mut t = vec![0.0; n];
     let mut others = Vec::with_capacity(n - 1);
+    let low_bits = (n - 1).min(RHS_TABLE_BITS);
+    let mut rhs = vec![0.0; 1 << low_bits];
     for free in (0..n).filter(|&free| w[free] != 0.0) {
         others.clear();
         others.extend((0..n).filter(|&i| i != free));
-        for mask in 0..1usize << others.len() {
-            let mut rhs = -b;
-            for (bit, &i) in others.iter().enumerate() {
-                rhs -= w[i] * set.corner[mask >> bit & 1];
+        let (low, high) = others.split_at(low_bits);
+        rhs[0] = -b;
+        for (bit, &i) in low.iter().enumerate() {
+            let (at_alpha, at_beta) = (w[i] * alpha, w[i] * beta);
+            let (lower, upper) = rhs[..2 << bit].split_at_mut(1 << bit);
+            for (r, up) in lower.iter_mut().zip(upper) {
+                *up = *r - at_beta;
+                *r -= at_alpha;
             }
-            let u = rhs / w[free];
-            if u >= alpha && u <= beta {
-                for (bit, &i) in others.iter().enumerate() {
-                    t[i] = set.corner[mask >> bit & 1];
+        }
+        for high_mask in 0..1usize << high.len() {
+            for (low_mask, &low_rhs) in rhs.iter().enumerate() {
+                let mut r = low_rhs;
+                for (bit, &i) in high.iter().enumerate() {
+                    r -= w[i] * corner[high_mask >> bit & 1];
                 }
-                t[free] = u;
-                set.edge_start = set.points.len();
-                set.push(&t, free);
+                let u = r / w[free];
+                if u >= alpha && u <= beta {
+                    let mask = high_mask << low_bits | low_mask;
+                    for (bit, &i) in others.iter().enumerate() {
+                        t[i] = corner[mask >> bit & 1];
+                    }
+                    t[free] = u;
+                    set.start_edge();
+                    set.push(&t, free);
+                }
             }
         }
     }
-    set.points
 }
 
 /// Boundary points as a set, in the order they were found: a plane
@@ -161,8 +196,8 @@ pub fn boundary_points_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<
 ///
 /// A new point found on the edge with free coordinate `i` can only
 /// duplicate a kept point `q` that is
-/// * from the same edge (same free coordinate and mask, kept since
-///   `edge_start`, which each enumeration sets per edge), or
+/// * from the same edge (same free coordinate and mask, kept since the
+///   enumeration last called [`start_edge`](Self::start_edge)), or
 /// * *near-vertex* — its free coordinate within [`SAME_POINT`] of `α` or
 ///   `β` — and then so is the new point. If `q`'s free coordinate is
 ///   `j ≠ i`, the new point's `t_j` is a corner value and `q`'s `t_i` is
@@ -172,18 +207,21 @@ pub fn boundary_points_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<
 ///   point counts as near-vertex (`narrow`: whatever the rounding of a
 ///   grid node).
 ///
-/// [`push`](Self::push) compares with exactly those, and with the same
-/// float expression as an all-pairs check, so it keeps what that keeps.
-struct BoundarySet {
+/// The set therefore holds only those two kinds of point, flat, and
+/// hands every kept point to `keep`. [`push`](Self::push) compares with
+/// the same float expression as an all-pairs check, so it keeps what
+/// that keeps.
+struct BoundarySet<K> {
     corner: [f64; 2],
     narrow: bool,
-    points: Vec<Vec<f64>>,
-    near_vertex: Vec<usize>,
-    edge_start: usize,
+    dim: usize,
+    edge: Vec<f64>,
+    near_vertex: Vec<f64>,
+    keep: K,
 }
 
-impl BoundarySet {
-    fn new(dim: usize, (alpha, beta): (f64, f64)) -> Self {
+impl<K: FnMut(&[f64])> BoundarySet<K> {
+    fn new(dim: usize, (alpha, beta): (f64, f64), keep: K) -> Self {
         assert!(dim >= 1, "need at least one dimension");
         assert!(
             dim <= MAX_BOUNDARY_DIM,
@@ -192,10 +230,17 @@ impl BoundarySet {
         Self {
             corner: [alpha, beta],
             narrow: close(alpha, beta),
-            points: Vec::new(),
+            dim,
+            edge: Vec::new(),
             near_vertex: Vec::new(),
-            edge_start: 0,
+            keep,
         }
+    }
+
+    /// Starts a new box edge: the previous edge's points can no longer
+    /// be duplicated unless they are near-vertex.
+    fn start_edge(&mut self) {
+        self.edge.clear();
     }
 
     /// Keeps `t` (free coordinate `free`) unless it duplicates a kept
@@ -203,14 +248,15 @@ impl BoundarySet {
     fn push(&mut self, t: &[f64], free: usize) {
         let [alpha, beta] = self.corner;
         let near = self.narrow || close(t[free], alpha) || close(t[free], beta);
-        let same = |q: &Vec<f64>| t.iter().zip(q).all(|(&a, &b)| close(a, b));
-        let duplicate = self.points[self.edge_start..].iter().any(same)
-            || near && self.near_vertex.iter().any(|&k| same(&self.points[k]));
+        let same = |q: &[f64]| t.iter().zip(q).all(|(&a, &b)| close(a, b));
+        let duplicate = self.edge.chunks_exact(self.dim).any(same)
+            || near && self.near_vertex.chunks_exact(self.dim).any(same);
         if !duplicate {
             if near {
-                self.near_vertex.push(self.points.len());
+                self.near_vertex.extend_from_slice(t);
             }
-            self.points.push(t.to_vec());
+            self.edge.extend_from_slice(t);
+            (self.keep)(t);
         }
     }
 }
@@ -232,7 +278,21 @@ pub fn boundary_points_decision(
     bounds: (f64, f64),
     grid: usize,
 ) -> Vec<Vec<f64>> {
-    let mut set = BoundarySet::new(dim, bounds);
+    let mut points = Vec::new();
+    for_each_boundary_point_decision(decision, dim, bounds, grid, |t| points.push(t.to_vec()));
+    points
+}
+
+/// [`boundary_points_decision`]'s enumeration, handing each kept point
+/// to `keep` in order instead of collecting it.
+fn for_each_boundary_point_decision(
+    decision: &dyn Fn(&[f64]) -> f64,
+    dim: usize,
+    bounds: (f64, f64),
+    grid: usize,
+    keep: impl FnMut(&[f64]),
+) {
+    let mut set = BoundarySet::new(dim, bounds, keep);
     let (alpha, beta) = bounds;
     let grid = grid.max(2);
     let mut t = vec![0.0; dim];
@@ -244,7 +304,7 @@ pub fn boundary_points_decision(
             for (bit, &i) in others.iter().enumerate() {
                 t[i] = set.corner[mask >> bit & 1];
             }
-            set.edge_start = set.points.len();
+            set.start_edge();
             let eval_at = |u: f64, t: &mut Vec<f64>| {
                 t[free] = u;
                 decision(t)
@@ -285,23 +345,70 @@ pub fn boundary_points_decision(
             }
         }
     }
-    set.points
+}
+
+/// The running sum of a point stream: [`centroid`] without the list.
+struct CentroidSum {
+    acc: Vec<f64>,
+    count: usize,
+}
+
+impl CentroidSum {
+    fn new(dim: usize) -> Self {
+        Self {
+            acc: vec![0.0; dim],
+            count: 0,
+        }
+    }
+
+    fn add(&mut self, p: &[f64]) {
+        for (a, v) in self.acc.iter_mut().zip(p) {
+            *a += v;
+        }
+        self.count += 1;
+    }
+
+    /// The mean of the points added, or `None` if there were none.
+    fn finish(mut self) -> Option<Vec<f64>> {
+        if self.count == 0 {
+            return None;
+        }
+        for a in &mut self.acc {
+            *a /= self.count as f64;
+        }
+        Some(self.acc)
+    }
 }
 
 /// The centroid of a point set, or `None` if empty (plane misses the
 /// box).
 pub fn centroid(points: &[Vec<f64>]) -> Option<Vec<f64>> {
-    let first = points.first()?;
-    let mut acc = vec![0.0; first.len()];
+    let mut sum = CentroidSum::new(points.first()?.len());
     for p in points {
-        for (a, v) in acc.iter_mut().zip(p) {
-            *a += v;
-        }
+        sum.add(p);
     }
-    for a in &mut acc {
-        *a /= points.len() as f64;
-    }
-    Some(acc)
+    sum.finish()
+}
+
+/// `centroid(&boundary_points_linear(w, b, bounds))`, bit for bit,
+/// summed as the points are found.
+fn boundary_centroid_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Option<Vec<f64>> {
+    let mut sum = CentroidSum::new(w.len());
+    for_each_boundary_point_linear(w, b, bounds, |t| sum.add(t));
+    sum.finish()
+}
+
+/// `centroid(&boundary_points_decision(..))`, bit for bit, summed as the
+/// points are found.
+fn boundary_centroid_decision(
+    decision: &dyn Fn(&[f64]) -> f64,
+    dim: usize,
+    bounds: (f64, f64),
+    grid: usize,
+) -> Option<Vec<f64>> {
+    let mut sum = CentroidSum::new(dim);
+    for_each_boundary_point_decision(decision, dim, bounds, grid, |t| sum.add(t));
+    sum.finish()
 }
 
 /// `cos²θ` between two normal vectors.
@@ -362,12 +469,12 @@ impl ModelGeometry {
                 let w = model
                     .linear_weights()
                     .ok_or_else(|| PpcsError::Expansion("a linear model without weights".into()))?;
-                let pts = boundary_points_linear(&w, model.bias(), cfg.bounds);
-                let m = centroid(&pts).ok_or_else(|| {
-                    PpcsError::Expansion(
-                        "decision hyperplane does not intersect the bounded box".into(),
-                    )
-                })?;
+                let m =
+                    boundary_centroid_linear(&w, model.bias(), cfg.bounds).ok_or_else(|| {
+                        PpcsError::Expansion(
+                            "decision hyperplane does not intersect the bounded box".into(),
+                        )
+                    })?;
                 let m_norm2 = ppcs_svm::dot(&m, &m);
                 let w_norm2 = ppcs_svm::dot(&w, &w);
                 Ok(Self {
@@ -380,8 +487,8 @@ impl ModelGeometry {
             }
             Kernel::Polynomial { a0, b0, degree } if b0 == 0.0 => {
                 let decision = |t: &[f64]| model.decision(t);
-                let pts = boundary_points_decision(&decision, dim, cfg.bounds, cfg.boundary_grid);
-                let m = centroid(&pts).ok_or_else(|| {
+                let m = boundary_centroid_decision(&decision, dim, cfg.bounds, cfg.boundary_grid)
+                    .ok_or_else(|| {
                     PpcsError::Expansion(
                         "decision surface does not intersect the bounded box".into(),
                     )
@@ -1086,6 +1193,10 @@ mod tests {
     }
 
     fn oracle_linear(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<f64>> {
+        dedupe_points(oracle_linear_candidates(w, b, bounds))
+    }
+
+    fn oracle_linear_candidates(w: &[f64], b: f64, bounds: (f64, f64)) -> Vec<Vec<f64>> {
         let n = w.len();
         let (alpha, beta) = bounds;
         let mut points = Vec::new();
@@ -1109,7 +1220,7 @@ mod tests {
                 }
             }
         }
-        dedupe_points(points)
+        points
     }
 
     fn oracle_decision(
@@ -1175,6 +1286,10 @@ mod tests {
             .collect()
     }
 
+    fn centroid_bits(c: Option<Vec<f64>>) -> Option<Vec<u64>> {
+        c.map(|c| c.iter().map(|v| v.to_bits()).collect())
+    }
+
     /// The boxes the oracle comparison sweeps: the default one, an
     /// asymmetric one, and one narrower than the duplicate tolerance.
     const BOXES: [(f64, f64); 3] = [(-1.0, 1.0), (-0.5, 2.0), (0.3, 0.3 + 5e-8)];
@@ -1214,9 +1329,75 @@ mod tests {
         for dim in 1..=10 {
             for bounds in BOXES {
                 for (w, b) in planes(dim, bounds, &mut rng) {
+                    let want = oracle_linear(&w, b, bounds);
                     assert_eq!(
                         bits(&boundary_points_linear(&w, b, bounds)),
-                        bits(&oracle_linear(&w, b, bounds)),
+                        bits(&want),
+                        "w = {w:?}, b = {b}, box {bounds:?}"
+                    );
+                    assert_eq!(
+                        centroid_bits(boundary_centroid_linear(&w, b, bounds)),
+                        centroid_bits(centroid(&want)),
+                        "w = {w:?}, b = {b}, box {bounds:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `kept` is an ordered subsequence of `candidates`, bit for bit, and
+    /// every candidate left out duplicates a kept point found before it.
+    fn assert_kept_in_order(kept: &[Vec<f64>], candidates: &[Vec<f64>]) {
+        let same_bits = |p: &[f64], q: &[f64]| {
+            p.iter()
+                .map(|v| v.to_bits())
+                .eq(q.iter().map(|v| v.to_bits()))
+        };
+        let close = |p: &[f64], q: &[f64]| p.iter().zip(q).all(|(a, b)| (a - b).abs() < 1e-7);
+        let mut next = 0;
+        for c in candidates {
+            if next < kept.len() && same_bits(c, &kept[next]) {
+                next += 1;
+            } else {
+                assert!(
+                    kept[..next].iter().any(|q| close(c, q)),
+                    "candidate {c:?} is neither kept nor a duplicate"
+                );
+            }
+        }
+        assert_eq!(next, kept.len(), "a kept point is no candidate");
+    }
+
+    #[test]
+    fn capped_rhs_table_keeps_the_per_corner_points() {
+        // At n = 13 the corner masks fill the right-hand-side table; at
+        // n = 15 two bits are left over, subtracted per corner in bit
+        // order. The all-pairs oracle is quadratic
+        // in the points, so these sizes check the kept points against its
+        // candidates, and the streamed centroid against the list's. (A
+        // quarter-step plane through a vertex keeps thousands of
+        // near-vertex points here, each compared with all before it: the
+        // smaller sizes cover that case against the oracle.)
+        let mut rng = StdRng::seed_from_u64(72);
+        for dim in [13, 15] {
+            for bounds in BOXES {
+                let (alpha, beta) = bounds;
+                let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(alpha..=beta)).collect();
+                let vertex: Vec<f64> = (0..dim)
+                    .map(|_| if rng.gen() { beta } else { alpha })
+                    .collect();
+                let w: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let zeroed: Vec<f64> = (0..dim)
+                    .map(|i| if i % 3 == 0 { 0.0 } else { w[i] })
+                    .collect();
+                for (w, through) in [(&w, &p), (&zeroed, &p), (&w, &vertex)] {
+                    let b = -ppcs_svm::dot(w, through);
+                    let kept = boundary_points_linear(w, b, bounds);
+                    let candidates = oracle_linear_candidates(w, b, bounds);
+                    assert_kept_in_order(&kept, &candidates);
+                    assert_eq!(
+                        centroid_bits(boundary_centroid_linear(w, b, bounds)),
+                        centroid_bits(centroid(&kept)),
                         "w = {w:?}, b = {b}, box {bounds:?}"
                     );
                 }
@@ -1244,9 +1425,15 @@ mod tests {
                         t.iter().zip(&w).map(|(ti, wi)| wi * ti * ti).sum::<f64>() + b * b - 0.25
                     };
                     for decision in [&linear as &dyn Fn(&[f64]) -> f64, &quadric] {
+                        let want = oracle_decision(decision, dim, bounds, grid);
                         assert_eq!(
                             bits(&boundary_points_decision(decision, dim, bounds, grid)),
-                            bits(&oracle_decision(decision, dim, bounds, grid)),
+                            bits(&want),
+                            "w = {w:?}, b = {b}, box {bounds:?}"
+                        );
+                        assert_eq!(
+                            centroid_bits(boundary_centroid_decision(decision, dim, bounds, grid)),
+                            centroid_bits(centroid(&want)),
                             "w = {w:?}, b = {b}, box {bounds:?}"
                         );
                     }

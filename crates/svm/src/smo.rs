@@ -78,24 +78,40 @@ impl<'a> KernelCache<'a> {
     }
 
     fn row(&mut self, i: usize) -> &[f64] {
+        self.touch(i);
+        &self.rows[&i].1
+    }
+
+    /// Rows `i` and `j`, stamped and filled in that order, as [`row`](Self::row)
+    /// twice would — without copying the first out before the second
+    /// call. The second fill cannot evict row `i`: it holds the newest
+    /// stamp, and the capacity is at least two.
+    fn rows(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
+        self.touch(i);
+        self.touch(j);
+        (&self.rows[&i].1, &self.rows[&j].1)
+    }
+
+    /// Stamps row `i` as the most recently used, computing it (and
+    /// evicting the least recently used row if full) if it is missing.
+    fn touch(&mut self, i: usize) {
         self.clock += 1;
         let clock = self.clock;
-        if !self.rows.contains_key(&i) {
-            if self.rows.len() >= self.capacity {
-                // Evict the least recently used row.
-                if let Some((&lru, _)) = self.rows.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-                    self.rows.remove(&lru);
-                }
-            }
-            let xi = self.data.features(i);
-            let row: Vec<f64> = (0..self.data.len())
-                .map(|j| self.kernel.eval(xi, self.data.features(j)))
-                .collect();
-            self.rows.insert(i, (clock, row));
+        if let Some(entry) = self.rows.get_mut(&i) {
+            entry.0 = clock;
+            return;
         }
-        let entry = self.rows.get_mut(&i).expect("row just inserted");
-        entry.0 = clock;
-        &entry.1
+        if self.rows.len() >= self.capacity {
+            // Evict the least recently used row.
+            if let Some((&lru, _)) = self.rows.iter().min_by_key(|(_, (stamp, _))| *stamp) {
+                self.rows.remove(&lru);
+            }
+        }
+        let xi = self.data.features(i);
+        let row: Vec<f64> = (0..self.data.len())
+            .map(|j| self.kernel.eval(xi, self.data.features(j)))
+            .collect();
+        self.rows.insert(i, (clock, row));
     }
 }
 
@@ -125,29 +141,34 @@ pub fn solve(data: &Dataset, kernel: Kernel, params: &SmoParams) -> SmoSolution 
     let mut iterations = 0;
     let mut converged = false;
 
+    // I_up and I_low membership, kept per sample and updated for the two
+    // samples an iteration moves.
+    let in_up = |t: usize, a: f64| (y[t] > 0.0 && a < c) || (y[t] < 0.0 && a > 0.0);
+    let in_low = |t: usize, a: f64| (y[t] > 0.0 && a > 0.0) || (y[t] < 0.0 && a < c);
+    let mut up: Vec<bool> = (0..n).map(|t| in_up(t, alphas[t])).collect();
+    let mut low: Vec<bool> = (0..n).map(|t| in_low(t, alphas[t])).collect();
+
     while iterations < params.max_iterations {
-        // Maximal violating pair selection.
-        let mut i_sel: Option<usize> = None;
+        // Maximal violating pair selection: the first strict maximum of
+        // −y·G over I_up and the first strict minimum over I_low, as
+        // selects rather than branches.
+        let mut i = usize::MAX;
         let mut g_max = f64::NEG_INFINITY;
-        let mut j_sel: Option<usize> = None;
+        let mut j = usize::MAX;
         let mut g_min = f64::INFINITY;
-        for t in 0..n {
-            let in_up = (y[t] > 0.0 && alphas[t] < c) || (y[t] < 0.0 && alphas[t] > 0.0);
-            let in_low = (y[t] > 0.0 && alphas[t] > 0.0) || (y[t] < 0.0 && alphas[t] < c);
-            let v = -y[t] * grad[t];
-            if in_up && v > g_max {
-                g_max = v;
-                i_sel = Some(t);
-            }
-            if in_low && v < g_min {
-                g_min = v;
-                j_sel = Some(t);
-            }
+        for (t, (((&yt, &gt), &up_t), &low_t)) in y.iter().zip(&grad).zip(&up).zip(&low).enumerate()
+        {
+            let v = -yt * gt;
+            let take_up = up_t & (v > g_max);
+            g_max = if take_up { v } else { g_max };
+            i = if take_up { t } else { i };
+            let take_low = low_t & (v < g_min);
+            g_min = if take_low { v } else { g_min };
+            j = if take_low { t } else { j };
         }
-        let (i, j) = match (i_sel, j_sel) {
-            (Some(i), Some(j)) => (i, j),
-            _ => break,
-        };
+        if i == usize::MAX || j == usize::MAX {
+            break;
+        }
         if g_max - g_min < params.tolerance {
             converged = true;
             break;
@@ -169,14 +190,17 @@ pub fn solve(data: &Dataset, kernel: Kernel, params: &SmoParams) -> SmoSolution 
         let d_alpha_j = -y[j] * delta;
         alphas[i] += d_alpha_i;
         alphas[j] += d_alpha_j;
+        for t in [i, j] {
+            up[t] = in_up(t, alphas[t]);
+            low[t] = in_low(t, alphas[t]);
+        }
 
-        // Gradient maintenance: ΔG_k = Q_ki Δα_i + Q_kj Δα_j.
-        {
-            let row_i = cache.row(i).to_vec();
-            let row_j = cache.row(j);
-            for k in 0..n {
-                grad[k] += y[k] * (row_i[k] * y[i] * d_alpha_i + row_j[k] * y[j] * d_alpha_j);
-            }
+        // Gradient maintenance: ΔG_k = Q_ki Δα_i + Q_kj Δα_j. With
+        // y = ±1, `(K_ki·y_i)·Δα_i` is `K_ki·(y_i·Δα_i)` bit for bit.
+        let (yd_i, yd_j) = (y[i] * d_alpha_i, y[j] * d_alpha_j);
+        let (row_i, row_j) = cache.rows(i, j);
+        for (((g, &yk), &ki), &kj) in grad.iter_mut().zip(&y).zip(row_i).zip(row_j) {
+            *g += yk * (ki * yd_i + kj * yd_j);
         }
         iterations += 1;
     }
@@ -187,13 +211,11 @@ pub fn solve(data: &Dataset, kernel: Kernel, params: &SmoParams) -> SmoSolution 
     let mut free_sum = 0.0;
     let mut free_count = 0usize;
     for t in 0..n {
-        let in_up = (y[t] > 0.0 && alphas[t] < c) || (y[t] < 0.0 && alphas[t] > 0.0);
-        let in_low = (y[t] > 0.0 && alphas[t] > 0.0) || (y[t] < 0.0 && alphas[t] < c);
         let v = -y[t] * grad[t];
-        if in_up {
+        if up[t] {
             g_max = g_max.max(v);
         }
-        if in_low {
+        if low[t] {
             g_min = g_min.min(v);
         }
         if alphas[t] > 0.0 && alphas[t] < c {
@@ -346,6 +368,72 @@ mod tests {
         ds.push(vec![1.0], Label::Positive);
         ds.push(vec![2.0], Label::Positive);
         let _ = solve(&ds, Kernel::Linear, &SmoParams::default());
+    }
+
+    /// FNV-1a over the iteration count, every alpha's bits and the
+    /// bias's bits: one number that moves if the solver's path does.
+    fn digest(sol: &SmoSolution) -> u64 {
+        let words = std::iter::once(sol.iterations as u64)
+            .chain(sol.alphas.iter().map(|a| a.to_bits()))
+            .chain(std::iter::once(sol.bias.to_bits()));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.flat_map(u64::to_le_bytes) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Overlapping classes in `dim` dimensions, so that a solution has
+    /// free and bounded support vectors both.
+    fn overlapping(n: usize, dim: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ds = Dataset::new(dim);
+        for _ in 0..n {
+            let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let score = x
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v / (i + 1) as f64)
+                .sum::<f64>()
+                + rng.gen_range(-0.3..0.3);
+            ds.push(x, Label::from_sign(score));
+        }
+        ds
+    }
+
+    #[test]
+    fn solver_paths_are_pinned() {
+        // Pinned before the solver's inner loop was restructured; a
+        // change that only removes work must leave every digest as is.
+        let poly3 = Kernel::Polynomial {
+            a0: 0.5,
+            b0: 1.0,
+            degree: 3,
+        };
+        let cases = [(Kernel::Linear, 4096), (poly3, 4096), (Kernel::Linear, 2)];
+        let got: Vec<(u64, usize)> = cases
+            .into_iter()
+            .enumerate()
+            .map(|(k, (kernel, cache_rows))| {
+                let ds = overlapping(300, 4, 90 + k as u64);
+                let params = SmoParams {
+                    c: 2.0,
+                    cache_rows,
+                    ..SmoParams::default()
+                };
+                let sol = solve(&ds, kernel, &params);
+                assert!(sol.converged, "{kernel:?}, cache_rows {cache_rows}");
+                (digest(&sol), sol.iterations)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0xd848_5fc4_afa8_7f5d, 1166),
+                (0xab63_89ad_083d_c231, 799),
+                (0x7e00_4508_243f_61a6, 746),
+            ]
+        );
     }
 
     #[test]
