@@ -1,5 +1,5 @@
-//! Field-arithmetic microbenchmarks: the in-tree `Fp256` Montgomery
-//! implementation, the fixed-point encoding into it, and a Horner loop
+//! Field-arithmetic microbenchmarks: the in-tree `Fp256` implementation,
+//! the fixed-point encoding into it, and a Horner loop
 //! against the same loop in plain `f64` — what computing over the field
 //! costs over the plaintext arithmetic.
 

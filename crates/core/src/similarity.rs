@@ -35,6 +35,8 @@
 //! identity to hold, so this implementation uses `d₂ = r_aw⁻²`
 //! (documented erratum, see DESIGN.md §3.4).
 
+use std::collections::HashMap;
+
 use ppcs_math::{Algebra, DenseAffine, Fp256, MvPolynomial};
 use ppcs_ompe::{
     BlindRound, OmpeParams, OmpeReceiverSession, OmpeSenderOffline, OmpeSenderSession,
@@ -211,14 +213,29 @@ fn for_each_boundary_point_linear(w: &[f64], b: f64, bounds: (f64, f64), keep: i
 /// hands every kept point to `keep`. [`push`](Self::push) compares with
 /// the same float expression as an all-pairs check, so it keeps what
 /// that keeps.
+///
+/// Every coordinate of a near-vertex point lies within [`SAME_POINT`] of
+/// `α` or `β`, so the point sits at a vertex: bit `i` set when `t_i` is
+/// nearer `β` (see [`vertex`](Self::vertex)). In a box at least
+/// [`BUCKET_WIDTH`] wide, two near-vertex points at different vertices
+/// differ by more than `β − α − 2·SAME_POINT` in some coordinate and are
+/// never duplicates, so the near-vertex points are kept per vertex and a
+/// new one is compared only with those at its own. A plane through many
+/// vertices then costs one comparison per point found at a vertex, not
+/// one per point kept. A narrower box keeps them all at vertex 0.
 struct BoundarySet<K> {
     corner: [f64; 2],
     narrow: bool,
+    bucketed: bool,
     dim: usize,
     edge: Vec<f64>,
-    near_vertex: Vec<f64>,
+    near_vertex: HashMap<u32, Vec<f64>>,
     keep: K,
 }
+
+/// The narrowest box whose near-vertex points are kept per vertex: above
+/// `3·SAME_POINT`, with a margin for rounding.
+const BUCKET_WIDTH: f64 = 4.0 * SAME_POINT;
 
 impl<K: FnMut(&[f64])> BoundarySet<K> {
     fn new(dim: usize, (alpha, beta): (f64, f64), keep: K) -> Self {
@@ -230,9 +247,10 @@ impl<K: FnMut(&[f64])> BoundarySet<K> {
         Self {
             corner: [alpha, beta],
             narrow: close(alpha, beta),
+            bucketed: (beta - alpha).abs() >= BUCKET_WIDTH,
             dim,
             edge: Vec::new(),
-            near_vertex: Vec::new(),
+            near_vertex: HashMap::new(),
             keep,
         }
     }
@@ -248,16 +266,39 @@ impl<K: FnMut(&[f64])> BoundarySet<K> {
     fn push(&mut self, t: &[f64], free: usize) {
         let [alpha, beta] = self.corner;
         let near = self.narrow || close(t[free], alpha) || close(t[free], beta);
-        let same = |q: &[f64]| t.iter().zip(q).all(|(&a, &b)| close(a, b));
+        let same = |q: &[f64]| {
+            #[cfg(test)]
+            tests::COMPARISONS.set(tests::COMPARISONS.get() + 1);
+            t.iter().zip(q).all(|(&a, &b)| close(a, b))
+        };
+        let vertex = if near { self.vertex(t) } else { 0 };
         let duplicate = self.edge.chunks_exact(self.dim).any(same)
-            || near && self.near_vertex.chunks_exact(self.dim).any(same);
+            || near
+                && (self.near_vertex.get(&vertex))
+                    .is_some_and(|kept| kept.chunks_exact(self.dim).any(same));
         if !duplicate {
             if near {
-                self.near_vertex.extend_from_slice(t);
+                self.near_vertex
+                    .entry(vertex)
+                    .or_default()
+                    .extend_from_slice(t);
             }
             self.edge.extend_from_slice(t);
             (self.keep)(t);
         }
+    }
+
+    /// The vertex a near-vertex point sits at, as a bit mask: bit `i`
+    /// set when `t_i` lies nearer `β` than `α`. Always 0 in a box
+    /// narrower than [`BUCKET_WIDTH`].
+    fn vertex(&self, t: &[f64]) -> u32 {
+        if !self.bucketed {
+            return 0;
+        }
+        let [alpha, beta] = self.corner;
+        t.iter().enumerate().fold(0, |mask, (i, &v)| {
+            mask | u32::from((v - alpha).abs() > (v - beta).abs()) << i
+        })
     }
 }
 
@@ -1136,6 +1177,11 @@ mod tests {
 
     static SIM_OT: TrustedSimOt = TrustedSimOt;
 
+    thread_local! {
+        /// Points `BoundarySet::push` has compared on this thread.
+        pub(super) static COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
     fn train_rotated(dim: usize, angle_deg: f64, seed: u64, kernel: Kernel) -> SvmModel {
         // Boundary through the origin rotated by `angle_deg` in the
         // (0,1)-plane.
@@ -1403,6 +1449,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn near_vertex_dedupe_compares_within_one_vertex() {
+        // The plane Σ t_i = −8 at n = 14 passes through the C(14, 3) = 364
+        // vertices with three coordinates at β, and meets the box nowhere
+        // else; each vertex is found once per incident edge. A point found
+        // at a vertex is compared only with those kept at the same vertex:
+        // about one comparison per point found, where comparing with every
+        // kept near-vertex point takes 929 656. The kept points are still
+        // the all-pairs oracle's, bit for bit.
+        let dim = 14;
+        let bounds = (-1.0, 1.0);
+        let w = vec![1.0; dim];
+        let mut vertex = vec![-1.0; dim];
+        vertex[..3].fill(1.0);
+        let b = -ppcs_svm::dot(&w, &vertex);
+
+        COMPARISONS.set(0);
+        let kept = boundary_points_linear(&w, b, bounds);
+        let compared = COMPARISONS.get();
+        let candidates = oracle_linear_candidates(&w, b, bounds);
+        assert_eq!(bits(&kept), bits(&dedupe_points(candidates.clone())));
+        assert_eq!((kept.len(), candidates.len()), (364, 14 * 364));
+        assert!(
+            compared < candidates.len(),
+            "{compared} comparisons for {} points found",
+            candidates.len()
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A 256-bit prime field with 4-limb Montgomery arithmetic.
+//! A 256-bit prime field over 4 limbs, stored in canonical form.
 //!
 //! The modulus is the secp256k1 base-field prime
 //! `p = 2^256 - 2^32 - 977`, chosen because it is large enough to hold the
@@ -7,9 +7,14 @@
 //! far below `p/2`) and because its special form makes the implementation
 //! easy to cross-check against well-known test vectors.
 //!
-//! All arithmetic is implemented in-tree (CIOS Montgomery multiplication,
-//! Fermat inversion); the `num-bigint` crate is used only in tests as a
-//! reference implementation.
+//! An element is stored as its value in `[0, p)`. The sparse form of `p`
+//! gives every wide value a cheap reduction, `fold`: `2^256 ≡ 2^32 +
+//! 977`, so the top half of a product is worth a 33-bit multiple of
+//! itself in the bottom half. A product is a 4×4-limb schoolbook sum
+//! followed by one `fold`, and encoding, decoding and drawing an element
+//! cost no product at all. Inversion is Fermat's, through an addition
+//! chain; the `num-bigint` crate is used only in tests as a reference
+//! implementation.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -23,17 +28,8 @@ pub const MODULUS: [u64; 4] = [
     0xFFFF_FFFF_FFFF_FFFF,
 ];
 
-/// `-p^{-1} mod 2^64`, the Montgomery reduction constant.
-const N0_INV: u64 = const_n0_inv();
-
-/// `R mod p` where `R = 2^256`; this is the Montgomery form of 1.
-const R_MOD_P: [u64; 4] = const_r_mod_p();
-
-/// `R^2 mod p`, used to convert into Montgomery form.
-const R2_MOD_P: [u64; 4] = const_r2_mod_p();
-
 /// `2^256 mod p = 2^32 + 977`: what one unit of a fifth limb is worth.
-const FOLD: u64 = R_MOD_P[0];
+const FOLD: u64 = (1 << 32) + 977;
 
 /// `(p - 1) / 2`, the canonical boundary between "positive" and "negative"
 /// residues in the balanced (signed) interpretation of the field.
@@ -43,35 +39,6 @@ const HALF_MODULUS: [u64; 4] = [
     0xFFFF_FFFF_FFFF_FFFF,
     0x7FFF_FFFF_FFFF_FFFF,
 ];
-
-const fn const_n0_inv() -> u64 {
-    // Newton iteration: x_{k+1} = x_k * (2 - p0 * x_k) doubles the number
-    // of correct low bits each step; 6 steps suffice for 64 bits.
-    let p0 = MODULUS[0];
-    let mut x: u64 = 1;
-    let mut i = 0;
-    while i < 6 {
-        x = x.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(x)));
-        i += 1;
-    }
-    x.wrapping_neg()
-}
-
-const fn const_geq(a: [u64; 4], b: [u64; 4]) -> bool {
-    let mut i = 3usize;
-    loop {
-        if a[i] > b[i] {
-            return true;
-        }
-        if a[i] < b[i] {
-            return false;
-        }
-        if i == 0 {
-            return true;
-        }
-        i -= 1;
-    }
-}
 
 const fn const_sub(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
     let mut r = [0u64; 4];
@@ -85,38 +52,6 @@ const fn const_sub(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
         i += 1;
     }
     r
-}
-
-const fn const_mod_double(a: [u64; 4]) -> [u64; 4] {
-    let mut r = [0u64; 4];
-    let mut carry = 0u64;
-    let mut i = 0;
-    while i < 4 {
-        r[i] = (a[i] << 1) | carry;
-        carry = a[i] >> 63;
-        i += 1;
-    }
-    if carry == 1 || const_geq(r, MODULUS) {
-        const_sub(r, MODULUS)
-    } else {
-        r
-    }
-}
-
-const fn const_r_mod_p() -> [u64; 4] {
-    // 2^256 mod p = 2^256 - p because p > 2^255.
-    const_sub([0, 0, 0, 0], MODULUS)
-}
-
-const fn const_r2_mod_p() -> [u64; 4] {
-    // Double R mod p 256 times: R * 2^256 = R^2 (mod p).
-    let mut x = const_r_mod_p();
-    let mut i = 0;
-    while i < 256 {
-        x = const_mod_double(x);
-        i += 1;
-    }
-    x
 }
 
 #[inline(always)]
@@ -171,27 +106,34 @@ fn add_row(t: &mut [u64; 9], i: usize, m: u64, row: &[u64; 4]) {
     }
 }
 
-/// `lo + hi · 2^256 mod p`, by the sparse-prime fold `2^256 ≡ 2^32 + 977`.
+/// `lo + hi · 2^256 mod p`, by the sparse-prime fold `2^256 ≡ 2^32 + 977`,
+/// for any `hi < 2^288`: the top half of a product, or the top of either
+/// dot product's sum.
 ///
-/// `hi · FOLD` is below `2^161`, so adding it to `lo` carries at most one
-/// unit of `2^256` out, worth `FOLD` again — and a sum that carried has
-/// wrapped to below `2^161`, so adding that cannot carry; one
-/// compare-and-subtract (as in `mont_mul`) then lands in `[0, p)`. The
-/// only data-dependent branch is that last one.
-#[inline]
-fn fold(mut lo: [u64; 4], hi: [u64; 2]) -> Fp256 {
-    let (h0, carry) = mac(0, hi[0], FOLD, 0);
-    let (h1, h2) = mac(0, hi[1], FOLD, carry);
-    let over = add_limbs(&mut lo, [h0, h1, h2, 0]);
-    add_limbs(&mut lo, [over * FOLD, 0, 0, 0]);
+/// The first pass adds `hi · FOLD` into `lo`; what it carries past
+/// `2^256`, with the fifth limb's share, is `over < 2^66`. The second adds
+/// `over · FOLD < 2^99`, which carries at most one unit of `2^256` out,
+/// worth `FOLD` again — and a sum that carried has wrapped to below
+/// `2^99`, so adding that cannot carry; one compare-and-subtract then
+/// lands in `[0, p)`. The only data-dependent branch is that last one.
+#[inline(always)]
+fn fold(mut lo: [u64; 4], hi: [u64; 5]) -> Fp256 {
+    let mut carry = 0u64;
+    for (l, h) in lo.iter_mut().zip(hi) {
+        (*l, carry) = mac(*l, h, FOLD, carry);
+    }
+    let over = (hi[4] as u128) * (FOLD as u128) + carry as u128;
+    let w = over * FOLD as u128;
+    let wrapped = add_limbs(&mut lo, [w as u64, (w >> 64) as u64, 0, 0]);
+    add_limbs(&mut lo, [wrapped * FOLD, 0, 0, 0]);
     if geq(&lo, &MODULUS) {
         lo = const_sub(lo, MODULUS);
     }
-    Fp256 { mont: lo }
+    Fp256 { limbs: lo }
 }
 
 /// An element of the prime field `GF(p)` with `p = 2^256 - 2^32 - 977`,
-/// stored in Montgomery form.
+/// stored as its canonical value in `[0, p)`.
 ///
 /// # Examples
 ///
@@ -205,16 +147,18 @@ fn fold(mut lo: [u64; 4], hi: [u64; 2]) -> Fp256 {
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fp256 {
-    /// Montgomery representation `a * R mod p`, little-endian limbs.
-    mont: [u64; 4],
+    /// The value in `[0, p)`, little-endian limbs.
+    limbs: [u64; 4],
 }
 
 impl Fp256 {
     /// The additive identity.
-    pub const ZERO: Fp256 = Fp256 { mont: [0; 4] };
+    pub const ZERO: Fp256 = Fp256 { limbs: [0; 4] };
 
     /// The multiplicative identity.
-    pub const ONE: Fp256 = Fp256 { mont: R_MOD_P };
+    pub const ONE: Fp256 = Fp256 {
+        limbs: [1, 0, 0, 0],
+    };
 
     /// The most terms [`Fp256::dot_narrow`] and [`Fp256::dot`] accept:
     /// up to it the top limb of either sum — the sixth of the narrow one,
@@ -257,16 +201,13 @@ impl Fp256 {
         if geq(&limbs, &MODULUS) {
             limbs = const_sub(limbs, MODULUS);
         }
-        let mut e = Fp256 { mont: limbs };
-        e = e.mont_mul(&Fp256 { mont: R2_MOD_P });
-        e
+        Fp256 { limbs }
     }
 
-    /// Returns the canonical (non-Montgomery) little-endian limbs in `[0, p)`.
+    /// Returns the canonical little-endian limbs, in `[0, p)`.
+    #[inline]
     pub fn to_raw(self) -> [u64; 4] {
-        // Multiplying by 1 (non-Montgomery) performs one Montgomery
-        // reduction, which divides by R.
-        self.mont_mul(&Fp256 { mont: [1, 0, 0, 0] }).mont
+        self.limbs
     }
 
     /// Serializes to 32 little-endian bytes (canonical form).
@@ -308,8 +249,7 @@ impl Fp256 {
         if geq(&limbs, &MODULUS) {
             return None;
         }
-        let e = Fp256 { mont: limbs };
-        Some(e.mont_mul(&Fp256 { mont: R2_MOD_P }))
+        Some(Fp256 { limbs })
     }
 
     /// Interprets the element as a signed integer in the balanced range
@@ -355,7 +295,7 @@ impl Fp256 {
     /// Returns `true` if this is the additive identity.
     #[inline]
     pub fn is_zero(self) -> bool {
-        self.mont == [0; 4]
+        self.limbs == [0; 4]
     }
 
     /// Draws a uniformly random field element.
@@ -366,9 +306,7 @@ impl Fp256 {
         loop {
             let limbs = [rng.gen(), rng.gen(), rng.gen(), rng.gen()];
             if !geq(&limbs, &MODULUS) {
-                // Already canonical: build the Montgomery form directly.
-                let e = Fp256 { mont: limbs };
-                return e.mont_mul(&Fp256 { mont: R2_MOD_P });
+                return Fp256 { limbs };
             }
         }
     }
@@ -392,51 +330,32 @@ impl Fp256 {
         }
     }
 
-    /// Montgomery product (CIOS method).
-    #[inline]
-    fn mont_mul(&self, other: &Self) -> Self {
-        let a = &self.mont;
-        let b = &other.mont;
-        let mut t = [0u64; 4];
-        let mut t4 = 0u64;
-        let mut t5 = 0u64;
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry = 0u64;
-            for j in 0..4 {
-                let (lo, hi) = mac(t[j], ai, b[j], carry);
-                t[j] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t4, carry, 0);
-            t4 = lo;
-            t5 = t5.wrapping_add(hi);
-
-            // Reduce: t += m * p, then shift one limb.
-            let m = t[0].wrapping_mul(N0_INV);
-            let (_, mut carry) = mac(t[0], m, MODULUS[0], 0);
-            for j in 1..4 {
-                let (lo, hi) = mac(t[j], m, MODULUS[j], carry);
-                t[j - 1] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t4, carry, 0);
-            t[3] = lo;
-            t4 = t5.wrapping_add(hi);
-            t5 = 0;
-        }
-        // Final conditional subtraction: the intermediate can exceed p by
-        // at most one multiple.
-        if t4 != 0 || geq(&t, &MODULUS) {
-            t = const_sub(t, MODULUS);
-        }
-        Fp256 { mont: t }
-    }
-
-    /// Squares the element.
+    /// Squares the element: the six cross products `a_i · a_j` (`i < j`)
+    /// once, doubled by a one-bit shift, plus the four squares on the
+    /// diagonal — ten word products where a product takes sixteen.
     #[inline]
     pub fn square(self) -> Self {
-        self.mont_mul(&self)
+        let a = self.limbs;
+        let mut t = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u64;
+            for j in i + 1..4 {
+                (t[i + j], carry) = mac(t[i + j], a[i], a[j], carry);
+            }
+            t[i + 4] = carry;
+        }
+        let mut shifted_out = 0u64;
+        for limb in &mut t {
+            (*limb, shifted_out) = (*limb << 1 | shifted_out, *limb >> 63);
+        }
+        let mut carry = 0u64;
+        for (i, ai) in a.into_iter().enumerate() {
+            let (lo, hi) = mac(0, ai, ai, 0);
+            (t[2 * i], carry) = adc(t[2 * i], lo, carry);
+            (t[2 * i + 1], carry) = adc(t[2 * i + 1], hi, carry);
+        }
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = t;
+        fold([t0, t1, t2, t3], [t4, t5, t6, t7, 0])
     }
 
     /// Raises the element to a 256-bit little-endian exponent.
@@ -447,7 +366,7 @@ impl Fp256 {
             let mut l = limb;
             for _ in 0..64 {
                 if l & 1 == 1 {
-                    result = result.mont_mul(&base);
+                    result *= base;
                 }
                 base = base.square();
                 l >>= 1;
@@ -501,10 +420,9 @@ impl Fp256 {
         self + self
     }
 
-    /// `Σ c_k · y_k` for plain (not Montgomery-form) signed 64-bit
-    /// integers `c_k` — the narrow dot product a fixed-point model
-    /// coefficient needs: since `c · (yR) = (cy)R`, four word multiplies
-    /// per term and no Montgomery division at all. `y_sum` must be
+    /// `Σ c_k · y_k` for signed 64-bit integers `c_k` — the narrow dot
+    /// product a fixed-point model coefficient needs: four word multiplies
+    /// per term, where a field product takes sixteen. `y_sum` must be
     /// `Σ y_k`, which a caller walking suffixes of one point keeps with a
     /// subtraction per step.
     ///
@@ -518,7 +436,7 @@ impl Fp256 {
     ///
     /// The sign and value of a coefficient reach no branch and no index:
     /// the bias is an XOR, everything after it is multiply-and-add (the
-    /// closing `fold` compares the *sum* with `p`, as `mont_mul` does).
+    /// closing `fold` compares the *sum* with `p`, as a product does).
     ///
     /// # Panics
     ///
@@ -533,14 +451,14 @@ impl Fp256 {
         for (c, e) in coeffs.iter().zip(y) {
             let biased = (*c as u64) ^ (1 << 63);
             let mut carry = 0u64;
-            for (limb, y_i) in acc.iter_mut().zip(e.mont) {
+            for (limb, y_i) in acc.iter_mut().zip(e.limbs) {
                 (*limb, carry) = mac(*limb, biased, y_i, carry);
             }
             (acc[4], carry) = adc(acc[4], carry, 0);
             acc[5] += carry;
         }
         // Minus 2^63 · y_sum: its four limbs, one limb up and one bit down.
-        let s = y_sum.mont;
+        let s = y_sum.limbs;
         let mut borrow = 0u64;
         (acc[0], borrow) = sbb(acc[0], s[0] << 63, borrow);
         for i in 1..4 {
@@ -549,17 +467,16 @@ impl Fp256 {
         (acc[4], borrow) = sbb(acc[4], s[3] >> 1, borrow);
         acc[5] -= borrow;
         let [a0, a1, a2, a3, a4, a5] = acc;
-        fold([a0, a1, a2, a3], [a4, a5])
+        fold([a0, a1, a2, a3], [a4, a5, 0, 0, 0])
     }
 
     /// `Σ a_k · b_k` with one reduction for the whole sum: each 4×4-limb
-    /// schoolbook product is added into nine limbs, then one REDC clears
-    /// the low four and `fold` brings in the ninth, which the division
-    /// by `R` leaves worth `2^256`. `p` has no headroom below `2^256`, so
-    /// a sum of even two products can pass `2^512`: the ninth limb is
+    /// schoolbook product is added into nine limbs, then one `fold`
+    /// brings the top five down. `p` has no headroom below `2^256`, so a
+    /// sum of even two products can pass `2^512`: the ninth limb is
     /// required. With at most [`MAX_DOT_TERMS`](Fp256::MAX_DOT_TERMS)
-    /// terms — and the `< 2^512` the REDC adds — it stays below
-    /// `2^32 + 1`.
+    /// terms the sum stays below `2^544`, so the ninth limb stays below
+    /// `2^32`.
     ///
     /// The operands are paired as [`Iterator::zip`] pairs them; `b` is an
     /// iterator so that a caller computing its terms one at a time needs
@@ -569,16 +486,11 @@ impl Fp256 {
         let mut t = [0u64; 9];
         for (x, y) in a.iter().zip(b) {
             for i in 0..4 {
-                add_row(&mut t, i, x.mont[i], &y.mont);
+                add_row(&mut t, i, x.limbs[i], &y.limbs);
             }
         }
-        // REDC: round `i` adds the multiple of `p · 2^{64i}` that clears
-        // limb `i`.
-        for i in 0..4 {
-            let m = t[i].wrapping_mul(N0_INV);
-            add_row(&mut t, i, m, &MODULUS);
-        }
-        fold([t[4], t[5], t[6], t[7]], [t[8], 0])
+        let [t0, t1, t2, t3, t4, t5, t6, t7, t8] = t;
+        fold([t0, t1, t2, t3], [t4, t5, t6, t7, t8])
     }
 
     /// Inverts every element in place with Montgomery's batch trick:
@@ -607,7 +519,7 @@ impl Fp256 {
         scratch.reserve(elems.len());
         let mut acc = Fp256::ONE;
         for e in elems.iter() {
-            acc = acc.mont_mul(e);
+            acc *= *e;
             scratch.push(acc);
         }
         let Some(mut suffix_inv) = acc.inv() else {
@@ -619,9 +531,9 @@ impl Fp256 {
             let inv_i = if i == 0 {
                 suffix_inv
             } else {
-                suffix_inv.mont_mul(&scratch[i - 1])
+                suffix_inv * scratch[i - 1]
             };
-            suffix_inv = suffix_inv.mont_mul(&elems[i]);
+            suffix_inv *= elems[i];
             elems[i] = inv_i;
         }
         true
@@ -636,14 +548,14 @@ impl Add for Fp256 {
         let mut r = [0u64; 4];
         let mut carry = 0u64;
         for i in 0..4 {
-            let (lo, c) = adc(self.mont[i], rhs.mont[i], carry);
+            let (lo, c) = adc(self.limbs[i], rhs.limbs[i], carry);
             r[i] = lo;
             carry = c;
         }
         if carry != 0 || geq(&r, &MODULUS) {
             r = const_sub(r, MODULUS);
         }
-        Fp256 { mont: r }
+        Fp256 { limbs: r }
     }
 }
 
@@ -655,7 +567,7 @@ impl Sub for Fp256 {
         let mut r = [0u64; 4];
         let mut borrow = 0u64;
         for i in 0..4 {
-            let (lo, b) = sbb(self.mont[i], rhs.mont[i], borrow);
+            let (lo, b) = sbb(self.limbs[i], rhs.limbs[i], borrow);
             r[i] = lo;
             borrow = b;
         }
@@ -667,15 +579,25 @@ impl Sub for Fp256 {
                 carry = c;
             }
         }
-        Fp256 { mont: r }
+        Fp256 { limbs: r }
     }
 }
 
 impl Mul for Fp256 {
     type Output = Fp256;
+    /// The 4×4-limb schoolbook product, reduced by one `fold`.
     #[inline]
     fn mul(self, rhs: Fp256) -> Fp256 {
-        self.mont_mul(&rhs)
+        let mut t = [0u64; 8];
+        for (i, a) in self.limbs.into_iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, b) in rhs.limbs.into_iter().enumerate() {
+                (t[i + j], carry) = mac(t[i + j], a, b, carry);
+            }
+            t[i + 4] = carry;
+        }
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = t;
+        fold([t0, t1, t2, t3], [t4, t5, t6, t7, 0])
     }
 }
 
@@ -755,7 +677,7 @@ mod tests {
     }
 
     /// Both dot products of `y` — with `coeffs` and with `b` — against
-    /// `num-bigint` and against the term-by-term `mont_mul` sum.
+    /// `num-bigint` and against the term-by-term sum of products.
     fn check_dots(coeffs: &[i64], y: &[Fp256], b: &[Fp256]) {
         let p = big(&MODULUS);
         let val = |e: &Fp256| big(&e.to_raw());
@@ -782,6 +704,45 @@ mod tests {
         assert_eq!(val(&lazy), want % &p);
         let by_terms = y.iter().zip(b).map(|(u, v)| *u * *v);
         assert_eq!(lazy, by_terms.fold(Fp256::ZERO, |s, t| s + t));
+    }
+
+    fn from_big(v: &BigUint) -> Fp256 {
+        let mut bytes = v.to_bytes_le();
+        bytes.resize(32, 0);
+        Fp256::from_bytes_canonical(&bytes.try_into().expect("32 bytes")).expect("below p")
+    }
+
+    /// `2^255` and an odd `b` whose product is `2^256·k + 2^255` with
+    /// `hi · FOLD` landing just below `2^256 + 2^255`: the first pass of
+    /// the fold leaves `2^256 − δ` with `0 < δ < FOLD`, so the second
+    /// pass carries out of the fourth limb.
+    fn second_fold_factors() -> (Fp256, Fp256) {
+        let hi = (BigUint::from(3u8) << 255u32) / BigUint::from(FOLD);
+        let b = hi * BigUint::from(2u8) + BigUint::from(1u8);
+        (Fp256::from_raw([0, 0, 0, 1 << 63]), from_big(&b))
+    }
+
+    /// A field element for the edge properties: from limbs biased to 0,
+    /// 1 and `u64::MAX` (reduced mod `p`), or one of `p − 1`, `2^255` and
+    /// the two factors whose product's second fold carries.
+    fn edge_elem(raw: [u64; 4], kinds: [u8; 4], shape: u8) -> Fp256 {
+        let (a, b) = second_fold_factors();
+        match shape {
+            0 => -Fp256::ONE,
+            1 => a,
+            2 => b,
+            _ => Fp256::from_raw(edge_limbs(raw, kinds)),
+        }
+    }
+
+    /// Each limb is 0, 1, `u64::MAX` or the drawn one, by its kind.
+    fn edge_limbs(raw: [u64; 4], kinds: [u8; 4]) -> [u64; 4] {
+        std::array::from_fn(|i| match kinds[i] {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            _ => raw[i],
+        })
     }
 
     /// `len` elements: uniform, every one `p − 1`, or all equal.
@@ -822,11 +783,57 @@ mod tests {
         }
 
         #[test]
-        fn fold_matches_bigint(lo in prop::array::uniform4(any::<u64>()), hi in any::<u128>()) {
-            let hi = [hi as u64, (hi >> 64) as u64];
+        fn edge_products_squares_and_inverses_match_bigint(
+            raw in prop::array::uniform4(any::<u64>()),
+            kinds in prop::array::uniform4(0u8..4),
+            shape in 0u8..6,
+            raw_b in prop::array::uniform4(any::<u64>()),
+            kinds_b in prop::array::uniform4(0u8..4),
+            shape_b in 0u8..6,
+        ) {
+            let p = big(&MODULUS);
+            let a = edge_elem(raw, kinds, shape);
+            let b = edge_elem(raw_b, kinds_b, shape_b);
+            let (va, vb) = (big(&a.limbs), big(&b.limbs));
+            prop_assert_eq!(big(&(a * b).limbs), &va * &vb % &p);
+            prop_assert_eq!(big(&a.square().limbs), &va * &va % &p);
+            match a.inv() {
+                Some(inv) => {
+                    let fermat = va.modpow(&(&p - BigUint::from(2u8)), &p);
+                    prop_assert_eq!(big(&inv.limbs), fermat);
+                    prop_assert_eq!(a * inv, Fp256::ONE);
+                }
+                None => prop_assert!(a.is_zero()),
+            }
+        }
+
+        #[test]
+        fn canonical_decode_of_edge_limbs_matches_bigint(
+            raw in prop::array::uniform4(any::<u64>()),
+            kinds in prop::array::uniform4(0u8..4),
+        ) {
+            let limbs = edge_limbs(raw, kinds);
+            let bytes: Vec<u8> = limbs.iter().flat_map(|l| l.to_le_bytes()).collect();
+            let got = Fp256::from_bytes_canonical(&bytes.clone().try_into().expect("32 bytes"));
+            let value = BigUint::from_bytes_le(&bytes);
+            if value < big(&MODULUS) {
+                prop_assert_eq!(got.map(|e| big(&e.limbs)), Some(value));
+                prop_assert_eq!(got.map(Fp256::to_bytes).map(Vec::from), Some(bytes));
+            } else {
+                prop_assert!(got.is_none());
+            }
+        }
+
+        #[test]
+        fn fold_matches_bigint(
+            lo in prop::array::uniform4(any::<u64>()),
+            hi in prop::array::uniform4(any::<u64>()),
+            top in 0..1u64 << 32,
+        ) {
+            let hi = [hi[0], hi[1], hi[2], hi[3], top];
             let p = big(&MODULUS);
             let want = (big(&lo) + (big(&hi) << 256u32)) % &p;
-            prop_assert_eq!(big(&fold(lo, hi).mont), want);
+            prop_assert_eq!(big(&fold(lo, hi).limbs), want);
         }
     }
 
@@ -842,21 +849,112 @@ mod tests {
 
     #[test]
     fn fold_carries_out_of_the_fourth_limb_once() {
-        // The sum wraps past 2^256, so the second pass runs; it lands
-        // below 2^161 and cannot wrap again.
+        // The second pass wraps past 2^256; the sum lands below 2^99 and
+        // adding the wrapped unit's FOLD cannot wrap again.
         let p = big(&MODULUS);
-        for hi in [[1, 0], [u64::MAX, 0], [u64::MAX; 2]] {
+        let top = u64::from(u32::MAX);
+        for hi in [
+            [1, 0, 0, 0, 0],
+            [u64::MAX, 0, 0, 0, 0],
+            [u64::MAX, u64::MAX, u64::MAX, u64::MAX, 0],
+            [u64::MAX, u64::MAX, u64::MAX, u64::MAX, top],
+        ] {
             let want = (big(&[u64::MAX; 4]) + (big(&hi) << 256u32)) % &p;
-            assert_eq!(big(&fold([u64::MAX; 4], hi).mont), want);
+            assert_eq!(big(&fold([u64::MAX; 4], hi).limbs), want);
         }
         // And a sum in [p, 2^256) takes the compare-and-subtract.
-        assert_eq!(fold(MODULUS, [0, 0]), Fp256::ZERO);
+        assert_eq!(fold(MODULUS, [0; 5]), Fp256::ZERO);
+    }
+
+    #[test]
+    fn the_edge_factors_carry_in_the_second_fold() {
+        let (a, b) = second_fold_factors();
+        let p = big(&MODULUS);
+        let two_256 = BigUint::from(1u8) << 256u32;
+        let wide = big(&a.limbs) * big(&b.limbs);
+        let first = &wide % &two_256 + (&wide >> 256u32) * BigUint::from(FOLD);
+        let over = &first >> 256u32;
+        assert!(over > BigUint::zero());
+        assert!(&first % &two_256 + over * BigUint::from(FOLD) >= two_256);
+        assert_eq!(big(&(a * b).limbs), wide % &p);
+    }
+
+    /// The 32-byte wire encodings (big-endian hex) of fixed elements, as
+    /// the Montgomery representation produced them: the canonical form
+    /// must encode, draw and compute the same bytes.
+    #[test]
+    fn wire_bytes_of_fixed_elements_are_pinned() {
+        let hex = |e: Fp256| -> String {
+            e.to_bytes()
+                .iter()
+                .rev()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(41);
+        let drawn = Fp256::random(&mut rng);
+        let after = Fp256::random(&mut rng);
+        let (a, b) = second_fold_factors();
+        let cases = [
+            ("one", Fp256::ONE),
+            ("p - 1", -Fp256::ONE),
+            ("-2^100", Fp256::from_i128(-(1i128 << 100))),
+            ("1 / 65537", Fp256::from_u64(65537).inv().expect("nonzero")),
+            ("draw", drawn),
+            ("second draw", after),
+            ("draw^2 * 3", drawn.square() * Fp256::from_u64(3)),
+            ("2^255 * b", a * b),
+            ("dot", Fp256::dot(&[drawn, after], [after, -Fp256::ONE])),
+        ];
+        let got: Vec<(&str, String)> = cases.iter().map(|(name, e)| (*name, hex(*e))).collect();
+        let want = [
+            (
+                "one",
+                "0000000000000000000000000000000000000000000000000000000000000001",
+            ),
+            (
+                "p - 1",
+                "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2e",
+            ),
+            (
+                "-2^100",
+                "ffffffffffffffffffffffffffffffffffffffeffffffffffffffffefffffc2f",
+            ),
+            (
+                "1 / 65537",
+                "c1a33e5cc1a33e5cc1a33e5cc1a33e5cc1a33e5cc1a33e5cc1a33e5bfffffd1d",
+            ),
+            (
+                "draw",
+                "380775ce140e343afc3169a1c64fea32f9e50e372d7e96e4878c377a9393efe4",
+            ),
+            (
+                "second draw",
+                "d91325c182cc86f120ef46bde4bdcbd2d574e24a3f78db07d1458562da538c44",
+            ),
+            (
+                "draw^2 * 3",
+                "01877d12ad8b175fd6ee217b6989d5fba23b2b939fb84614a3a1ad3629202650",
+            ),
+            (
+                "2^255 * b",
+                "0000000000000000000000000000000000000000000000000000000177ec8119",
+            ),
+            (
+                "dot",
+                "3cb4a7f620cb31984e895b964d854f74ef9612c880b097bc04af3a1ee208c247",
+            ),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((name, got), (want_name, want)) in got.iter().zip(want) {
+            assert_eq!((*name, got.as_str()), (want_name, want));
+        }
     }
 
     #[test]
     fn constants_are_consistent() {
-        // N0_INV * p[0] == -1 mod 2^64
-        assert_eq!(N0_INV.wrapping_mul(MODULUS[0]), u64::MAX);
+        // FOLD is 2^256 − p.
+        assert_eq!(const_sub([0; 4], MODULUS), [FOLD, 0, 0, 0]);
         // ONE round-trips
         assert_eq!(Fp256::ONE.to_raw(), [1, 0, 0, 0]);
         assert_eq!(Fp256::ZERO.to_raw(), [0, 0, 0, 0]);

@@ -6,9 +6,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`Fp256`] — an in-tree 256-bit prime field (4-limb Montgomery
-//!   arithmetic over the secp256k1 prime), cross-checked against
-//!   `num-bigint` in tests;
+//! * [`Fp256`] — an in-tree 256-bit prime field over the secp256k1
+//!   prime, stored in canonical form and reduced by the prime's sparse
+//!   fold, cross-checked against `num-bigint` in tests;
 //! * [`Algebra`] / [`FixedFpAlgebra`] — the field arithmetic and the
 //!   fixed-point encoding of reals into it that every protocol computes
 //!   with;

@@ -193,7 +193,7 @@ pub fn eval_cloud_many(coeffs: &[Fp256], xs: &[Fp256], out: &mut [Fp256]) {
 /// the next change to the benchmark package removes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// Portable 4×64-bit limb CIOS, the one implementation.
+    /// Portable 4×64-bit limb products, the one implementation.
     Scalar,
     /// Never returned.
     Avx2,

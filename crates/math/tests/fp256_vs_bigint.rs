@@ -1,5 +1,5 @@
-//! Property tests cross-checking the in-tree `Fp256` Montgomery
-//! implementation against `num-bigint` as a reference.
+//! Property tests cross-checking the in-tree `Fp256` implementation
+//! against `num-bigint` as a reference.
 
 use num_bigint::BigUint;
 use num_traits::One;

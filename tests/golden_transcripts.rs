@@ -68,17 +68,11 @@ fn hex(digest: &[u8]) -> String {
 /// Drives `engine` against `run_peer` on a second thread and returns its
 /// result with the hex SHA-256 of everything it sent and received.
 fn recorded<'a, T, E: From<TransportError>>(
-    mut engine: ProtocolEngine<'a, T, E>,
+    engine: ProtocolEngine<'a, T, E>,
     run_peer: impl FnOnce(Endpoint) + Send,
 ) -> (Result<T, E>, String) {
-    let (ep, peer_ep) = duplex();
-    std::thread::scope(|scope| {
-        scope.spawn(move || run_peer(peer_ep));
-        let mut driver = Driver::new().with_recording();
-        let res = driver.drive(&ep, &mut engine);
-        let transcript = driver.take_transcript().expect("recording enabled");
-        (res, hex(&Sha256::digest(&transcript.to_bytes())))
-    })
+    let (res, transcript) = ppcs_tests::recorded(engine, run_peer);
+    (res, hex(&Sha256::digest(&transcript.to_bytes())))
 }
 
 #[test]

@@ -1,8 +1,24 @@
 //! Shared helpers for the ppcs cross-crate integration tests.
 
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
+use ppcs_transport::{duplex, Driver, Endpoint, ProtocolEngine, Transcript, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Drives `engine` against `run_peer` on a second thread and returns its
+/// result with the transcript of everything it sent and received.
+pub fn recorded<'a, T, E: From<TransportError>>(
+    mut engine: ProtocolEngine<'a, T, E>,
+    run_peer: impl FnOnce(Endpoint) + Send,
+) -> (Result<T, E>, Transcript) {
+    let (ep, peer_ep) = duplex();
+    std::thread::scope(|scope| {
+        scope.spawn(move || run_peer(peer_ep));
+        let mut driver = Driver::new().with_recording();
+        let res = driver.drive(&ep, &mut engine);
+        (res, driver.take_transcript().expect("recording enabled"))
+    })
+}
 
 /// Trains a small linear model whose boundary passes through the box at
 /// the given rotation angle (in the (0,1)-plane).

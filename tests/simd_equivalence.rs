@@ -1,7 +1,7 @@
 //! Equivalence properties for the batch field kernels.
 //!
-//! Field arithmetic is exact and every element has a unique reduced
-//! Montgomery representation, so the batch forms — point-cloud
+//! Field arithmetic is exact and every element has a unique canonical
+//! representation, so the batch forms — point-cloud
 //! evaluation and batched Lagrange interpolation — must be
 //! *bit-identical* to their one-at-a-time counterparts on every input,
 //! including values hugging the modulus, where the
