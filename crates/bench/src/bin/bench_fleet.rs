@@ -20,7 +20,7 @@ use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
 use ppcs_transport::{
-    duplex, faulty_pair, Endpoint, FaultKind, FaultSchedule, FaultyLane, Lane, TransportError,
+    duplex, Endpoint, FaultKind, FaultSchedule, FaultyLane, Lane, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,18 +51,18 @@ fn connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Both halves chaos-wrapped (the carrier framing needs the peer
-/// wrapped too): the client half dies per `schedule`.
+/// Like [`lane_bank`], but the client half dies per `schedule`; the
+/// server half is a plain endpoint.
 fn killed_lane_bank(
     n: usize,
     schedule: FaultSchedule,
-) -> (Vec<FaultyLane>, Arc<Mutex<VecDeque<FaultyLane>>>) {
+) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
     let mut server = Vec::with_capacity(n);
     let mut client = VecDeque::with_capacity(n);
     for _ in 0..n {
-        let (s, c) = faulty_pair(FaultSchedule::none(), schedule.clone());
+        let (s, c) = duplex();
         server.push(s);
-        client.push_back(c);
+        client.push_back(FaultyLane::new(c, schedule.clone()));
     }
     (server, Arc::new(Mutex::new(client)))
 }

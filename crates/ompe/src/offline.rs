@@ -28,7 +28,6 @@
 
 use std::collections::VecDeque;
 
-use bytes::BytesMut;
 use ppcs_math::{lagrange_zero_weights, lagrange_zero_weights_batch};
 use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{select_fingerprint, OtOfflineCommitment, OtSelect};
@@ -36,10 +35,10 @@ use ppcs_telemetry::Phase;
 use rand::seq::index::sample;
 use rand::RngCore;
 
-use ppcs_transport::{encode_seq, Frame, FrameIo};
+use ppcs_transport::{Frame, FrameIo};
 
 use crate::error::OmpeError;
-use crate::protocol::{OmpeParams, KIND_OMPE_POINTS};
+use crate::protocol::OmpeParams;
 use crate::session::{draw_distinct_points, OmpeReceiverSession, OmpeSenderSession, PreparedRound};
 
 /// SplitMix64 finalizer: the avalanche step used to fold parameter words
@@ -270,12 +269,8 @@ impl BlindRound {
                 self.base_ys[slot] = alg.add(&self.base_ys[slot], a);
             }
         }
-        let mut payload = BytesMut::new();
-        encode_seq(&self.xs, &mut payload);
-        encode_seq(&self.base_ys, &mut payload);
-        let frame = Frame::encode(KIND_OMPE_POINTS, &payload.to_vec());
         Ok((
-            PreparedRound::from_parts(frame, self.xs, self.cover_positions),
+            PreparedRound::new(self.xs, &self.base_ys, self.cover_positions),
             self.zero_weights,
         ))
     }

@@ -37,7 +37,7 @@ use ppcs_ot::{ot_begin_receive_io, ot_begin_send_io, ot_begin_send_precomputed_i
 use ppcs_ot::{ot_receive_list_io, ot_send_list_io};
 use ppcs_ot::{OtBatchState, OtSelect};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{decode_seq, encode_seq, Encodable, Frame, FrameIo};
+use ppcs_transport::{decode_seq, encode_seq, Encodable, Frame, FrameIo, TransportError};
 use rand::seq::index::sample;
 use rand::RngCore;
 
@@ -225,7 +225,15 @@ impl OmpeSenderSession {
         let mut clouds = Vec::with_capacity(secrets.len());
         for secret in secrets {
             let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
-            let mut payload = Bytes::from(io.recv_msg::<Vec<u8>>(KIND_OMPE_POINTS).await?);
+            let frame = io.recv().await?;
+            if frame.kind != KIND_OMPE_POINTS {
+                return Err(OmpeError::Transport(TransportError::UnexpectedFrame {
+                    expected: KIND_OMPE_POINTS,
+                    got: frame.kind,
+                    payload_len: frame.payload.len(),
+                }));
+            }
+            let mut payload = frame.payload;
             let xs: Vec<Fp256> = decode_seq(&mut payload)?;
             // Validate the abscissa count before decoding the (much larger)
             // coordinate block: an oversized cloud is rejected on the first
@@ -249,6 +257,12 @@ impl OmpeSenderSession {
                 ));
             }
             let ys_flat: Vec<Fp256> = decode_seq(&mut payload)?;
+            if !payload.is_empty() {
+                return Err(OmpeError::Transport(TransportError::Decode(format!(
+                    "frame kind 0x{KIND_OMPE_POINTS:04x}: {} trailing bytes after point cloud",
+                    payload.len()
+                ))));
+            }
             let expected = n_points * secret.num_vars();
             if ys_flat.len() != expected {
                 return Err(OmpeError::Protocol(format!(
@@ -333,9 +347,19 @@ pub struct PreparedRound {
 }
 
 impl PreparedRound {
-    /// Assembles a round from parts built elsewhere (the offline path
-    /// binds precomputed blind rounds into exactly this shape).
-    pub(crate) fn from_parts(frame: Frame, xs: Vec<Fp256>, cover_positions: Vec<usize>) -> Self {
+    /// Assembles a round and frames its point cloud: the abscissae, then
+    /// the flattened input vectors, as two sequences straight in the
+    /// frame's payload. The offline path binds precomputed blind rounds
+    /// into exactly this shape.
+    pub(crate) fn new(xs: Vec<Fp256>, ys_flat: &[Fp256], cover_positions: Vec<usize>) -> Self {
+        let elems = xs.len() + ys_flat.len();
+        let mut payload = BytesMut::with_capacity(16 + elems * Fp256::MIN_WIRE_LEN);
+        encode_seq(&xs, &mut payload);
+        encode_seq(ys_flat, &mut payload);
+        let frame = Frame {
+            kind: KIND_OMPE_POINTS,
+            payload: payload.freeze(),
+        };
         Self {
             frame,
             xs,
@@ -466,15 +490,7 @@ impl OmpeReceiverSession {
             }
         }
 
-        let mut payload = BytesMut::new();
-        encode_seq(&xs, &mut payload);
-        encode_seq(&ys_flat, &mut payload);
-        let frame = Frame::encode(KIND_OMPE_POINTS, &payload.to_vec());
-        Ok(PreparedRound {
-            frame,
-            xs,
-            cover_positions,
-        })
+        Ok(PreparedRound::new(xs, &ys_flat, cover_positions))
     }
 
     /// Runs the oblivious transfer and interpolation for a prepared
@@ -654,6 +670,7 @@ pub(crate) fn draw_distinct_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use ppcs_math::{FixedFpAlgebra, MvPolynomial};
     use ppcs_ot::{NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
     use ppcs_transport::{drive_blocking, run_engine_pair, run_pair, ProtocolEngine};
@@ -789,27 +806,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zero_or_repeated_abscissa_is_refused_by_every_sender_entry_point() {
+    /// Sends `cloud` as a hostile receiver's first frame to each sender
+    /// entry point (single, batch, offline batch) and returns their
+    /// results.
+    fn send_against(cloud: &Frame) -> Vec<Result<(), OmpeError>> {
         use crate::offline::{ompe_send_batch_offline_io, OmpeSenderOffline};
         use crate::protocol::ompe_send_io;
 
         let alg = FixedFpAlgebra::new(16);
         let params = OmpeParams::new(1, 2, 2).unwrap();
         let sel = SIM.select();
-        let mut rng = StdRng::seed_from_u64(5);
-        let honest = draw_distinct_points(&alg, params.num_points(), &mut rng);
-        // x = 0 would be answered with M(0) + P(y) = P(y), unmasked.
-        let mut zeroed = honest.clone();
-        zeroed[3] = alg.zero();
-        let mut repeated = honest.clone();
-        repeated[4] = repeated[1];
-        for xs in [zeroed, repeated] {
-            let mut payload = BytesMut::new();
-            encode_seq(&xs, &mut payload);
-            encode_seq(&honest, &mut payload);
-            let cloud = Frame::encode(KIND_OMPE_POINTS, &payload.to_vec());
-            for entry_point in 0..3 {
+        (0..3)
+            .map(|entry_point| {
                 let (alg, params, secrets) = (&alg, &params, &[Untouchable]);
                 let mut rng_s = StdRng::seed_from_u64(6);
                 let mut sender = ProtocolEngine::new(|io| async move {
@@ -831,11 +839,61 @@ mod tests {
                     );
                 let (sent, _) =
                     ppcs_transport::run_engine_pair(&mut sender, &mut hostile).expect("pump");
+                sent
+            })
+            .collect()
+    }
+
+    /// A point-cloud payload: both sequences, nothing around them.
+    fn cloud(xs: &[Fp256], ys_flat: &[Fp256]) -> BytesMut {
+        let mut payload = BytesMut::new();
+        encode_seq(xs, &mut payload);
+        encode_seq(ys_flat, &mut payload);
+        payload
+    }
+
+    #[test]
+    fn zero_or_repeated_abscissa_is_refused_by_every_sender_entry_point() {
+        let alg = FixedFpAlgebra::new(16);
+        let params = OmpeParams::new(1, 2, 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let honest = draw_distinct_points(&alg, params.num_points(), &mut rng);
+        // x = 0 would be answered with M(0) + P(y) = P(y), unmasked.
+        let mut zeroed = honest.clone();
+        zeroed[3] = alg.zero();
+        let mut repeated = honest.clone();
+        repeated[4] = repeated[1];
+        for xs in [zeroed, repeated] {
+            let frame = Frame {
+                kind: KIND_OMPE_POINTS,
+                payload: cloud(&xs, &honest).freeze(),
+            };
+            for (entry_point, sent) in send_against(&frame).iter().enumerate() {
                 assert!(
-                    matches!(&sent, Err(OmpeError::Protocol(m)) if m.contains("abscissa")),
+                    matches!(sent, Err(OmpeError::Protocol(m)) if m.contains("abscissa")),
                     "entry point {entry_point}: {sent:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_cloud_with_a_trailing_byte_is_refused_by_every_sender_entry_point() {
+        let alg = FixedFpAlgebra::new(16);
+        let params = OmpeParams::new(1, 2, 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let xs = draw_distinct_points(&alg, params.num_points(), &mut rng);
+        let mut payload = cloud(&xs, &xs);
+        payload.put_u8(0);
+        let frame = Frame {
+            kind: KIND_OMPE_POINTS,
+            payload: payload.freeze(),
+        };
+        for (entry_point, sent) in send_against(&frame).iter().enumerate() {
+            assert!(
+                matches!(sent, Err(OmpeError::Transport(TransportError::Decode(m))) if m.contains("1 trailing bytes")),
+                "entry point {entry_point}: {sent:?}"
+            );
         }
     }
 

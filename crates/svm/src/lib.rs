@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod data;
-mod json;
 mod kernel;
 mod model;
 mod multiclass;
@@ -38,7 +37,6 @@ mod naive_bayes;
 mod smo;
 
 pub use data::{Dataset, Label, Scaler};
-pub use json::{Json, JsonError};
 pub use kernel::{dot, Kernel};
 pub use model::SvmModel;
 pub use multiclass::{MultiClassModel, MultiDataset};

@@ -39,7 +39,7 @@ impl SvmModel {
     /// # Panics
     ///
     /// Panics if the dataset is empty or single-class (see
-    /// [`solve`](crate::smo::solve)).
+    /// [`solve`]).
     pub fn train(data: &Dataset, kernel: Kernel, params: &SmoParams) -> Self {
         let SmoSolution {
             alphas,
@@ -94,16 +94,6 @@ impl SvmModel {
             converged: true,
             iterations: 0,
         }
-    }
-
-    /// Restores training metadata on a reconstructed model (used by the
-    /// JSON loader so a restored model reports the original training
-    /// provenance rather than `from_parts` defaults).
-    pub(crate) fn with_metadata(mut self, dim: usize, converged: bool, iterations: usize) -> Self {
-        self.dim = dim;
-        self.converged = converged;
-        self.iterations = iterations;
-        self
     }
 
     /// The decision value `d(t)`.
@@ -240,23 +230,6 @@ mod tests {
         let model = SvmModel::from_parts(Kernel::Linear, vec![vec![1.0]], vec![2.0], -1.0);
         assert!((model.decision(&[2.0]) - 3.0).abs() < 1e-12);
         assert_eq!(model.predict(&[0.0]), Label::Negative);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_decisions() {
-        let ds = blobs(40, 10);
-        let model = SvmModel::train(&ds, Kernel::Rbf { gamma: 0.5 }, &SmoParams::default());
-        let json = model.to_json();
-        let restored = SvmModel::from_json(&json).unwrap();
-        let t = [0.1, 0.2, 0.3];
-        // Shortest-round-trip float formatting makes this exact.
-        assert_eq!(
-            model.decision(&t).to_bits(),
-            restored.decision(&t).to_bits()
-        );
-        assert_eq!(restored.dim(), model.dim());
-        assert_eq!(restored.converged(), model.converged());
-        assert_eq!(restored.iterations(), model.iterations());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! One-vs-rest multi-class SVM — the natural extension of the paper's
-//! binary classifier (its related work [15] handles multi-class the same
+//! binary classifier (its related work \[15\] handles multi-class the same
 //! way).
 
 use crate::data::{Dataset, Label};

@@ -1,6 +1,6 @@
 //! Gaussian Naive Bayes — a second classifier family the private
 //! protocol can serve (the paper's closest related work, Bost et al.
-//! [17], covers hyperplane *and* Naive Bayes classifiers; here the NB
+//! \[17\], covers hyperplane *and* Naive Bayes classifiers; here the NB
 //! log-likelihood ratio is an explicit degree-2 polynomial, so it runs
 //! through the same OMPE machinery as the SVM).
 

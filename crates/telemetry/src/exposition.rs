@@ -106,12 +106,6 @@ impl MetricsRegistry {
         );
         counter(
             &mut out,
-            "ppcs_faults_total",
-            "Transport faults injected (chaos testing).",
-            report.faults,
-        );
-        counter(
-            &mut out,
             "ppcs_sessions_admitted_total",
             "Sessions admitted by the serving runtime.",
             report.sessions_admitted,

@@ -188,7 +188,6 @@ pub struct MetricsRegistry {
     rounds: AtomicU64,
     timeouts: AtomicU64,
     warns: AtomicU64,
-    faults: AtomicU64,
     sessions_admitted: AtomicU64,
     sessions_shed: AtomicU64,
     budget_exceeded: AtomicU64,
@@ -229,7 +228,6 @@ impl MetricsRegistry {
             rounds: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             warns: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
             sessions_admitted: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
             budget_exceeded: AtomicU64::new(0),
@@ -281,11 +279,6 @@ impl MetricsRegistry {
     /// Counts one warning event.
     pub fn record_warn(&self) {
         self.warns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one injected transport fault (chaos testing).
-    pub fn record_fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one session admitted by the serving runtime.
@@ -541,7 +534,6 @@ impl MetricsRegistry {
             rounds: self.rounds.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             warns: self.warns.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
             sessions_admitted: self.sessions_admitted.load(Ordering::Relaxed),
             sessions_shed: self.sessions_shed.load(Ordering::Relaxed),
             budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),

@@ -94,8 +94,6 @@ pub struct SessionReport {
     pub timeouts: u64,
     /// Warning events emitted.
     pub warns: u64,
-    /// Transport faults injected (chaos testing).
-    pub faults: u64,
     /// Sessions admitted by the serving runtime.
     pub sessions_admitted: u64,
     /// Sessions shed at admission (capacity or drain).
@@ -216,7 +214,6 @@ impl SessionReport {
             ("rounds", num(self.rounds)),
             ("timeouts", num(self.timeouts)),
             ("warns", num(self.warns)),
-            ("faults", num(self.faults)),
             ("sessions_admitted", num(self.sessions_admitted)),
             ("sessions_shed", num(self.sessions_shed)),
             ("budget_exceeded", num(self.budget_exceeded)),
@@ -353,10 +350,8 @@ impl SessionReport {
             rounds: field("rounds")?,
             timeouts: field("timeouts")?,
             warns: field("warns")?,
-            // The fault counter postdates the first report format:
-            // parse leniently so archived bench artifacts still load.
-            faults: doc.get("faults").and_then(Json::as_u64).unwrap_or(0),
-            // Serving counters are newer still: same lenient treatment.
+            // Serving counters postdate the first report format: parse
+            // leniently so archived bench artifacts still load.
             sessions_admitted: doc
                 .get("sessions_admitted")
                 .and_then(Json::as_u64)
@@ -550,7 +545,6 @@ mod tests {
             rounds: 9,
             timeouts: 1,
             warns: 1,
-            faults: 3,
             sessions_admitted: 5,
             sessions_shed: 2,
             budget_exceeded: 1,
@@ -648,17 +642,14 @@ mod tests {
 
     #[test]
     fn reports_without_resilience_counters_still_parse() {
-        // Artifacts that still carry the retired retry counters.
-        let mut report = sample();
-        let retired = report
-            .to_json()
-            .replace("\"faults\":", "\"retries\":2,\"reconnects\":1,\"faults\":");
+        // Artifacts that still carry the retired retry and fault
+        // counters.
+        let report = sample();
+        let retired = report.to_json().replace(
+            "\"sessions_admitted\":",
+            "\"retries\":2,\"reconnects\":1,\"faults\":3,\"sessions_admitted\":",
+        );
         assert_eq!(SessionReport::from_json(&retired).unwrap(), report);
-        // Artifacts written before the fault counter existed.
-        let text = report.to_json().replace("\"faults\":3,", "");
-        let back = SessionReport::from_json(&text).unwrap();
-        report.faults = 0;
-        assert_eq!(back, report);
     }
 
     #[test]

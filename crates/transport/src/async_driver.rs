@@ -3,8 +3,8 @@
 //! Where [`Driver`](crate::Driver) parks an OS thread on every blocking
 //! receive, `AsyncDriver` parks a *session* — an engine, its transcript
 //! recorder, and its budget state — on a readiness event from the
-//! [`Reactor`](crate::Reactor) or a deadline on the
-//! [`TimerWheel`](crate::TimerWheel). The session itself is the crate's
+//! [`Reactor`] or a deadline on the
+//! [`TimerWheel`]. The session itself is the crate's
 //! one `SessionCore`, the same code [`Driver`](crate::Driver) steps, so
 //! transcripts, [`KIND_BUSY`](crate::KIND_BUSY) translation and
 //! [`TransportError::Budget`] trips cannot differ between the two; this
@@ -16,12 +16,12 @@
 //!   registered edge-triggered with the reactor; reads drain to
 //!   `WouldBlock`, writes queue under backpressure and resume on
 //!   writable events.
-//! * **In-memory lanes** ([`AsyncDriver::add_lane`]) — any
-//!   [`Lane`] (duplex endpoints, the chaos
-//!   [`FaultyLane`](crate::FaultyLane)) that can wake the reactor: the
-//!   peer's send pokes the driver's [`Waker`], and every turn probes
-//!   each lane with a zero receive deadline, so the whole chaos and
-//!   adversarial toolbox runs unchanged through the reactor.
+//! * **In-memory lanes** ([`AsyncDriver::add_lane`]) — any [`Lane`]
+//!   that can wake the reactor (a duplex endpoint, or a
+//!   [`FaultyLane`](crate::FaultyLane) over one): the peer's send pokes
+//!   the driver's [`Waker`], and every turn probes each lane with a zero
+//!   receive deadline, so the delay/stall/cut schedules and the
+//!   adversarial peers run unchanged through the reactor.
 //!
 //! A connection with no engine attached is *pending*: its first frame
 //! surfaces as [`AsyncEvent::Opening`] so a serving layer can perform
@@ -368,10 +368,10 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         Ok(id)
     }
 
-    /// Adds any [`Lane`] (a duplex endpoint, a chaos
-    /// [`FaultyLane`](crate::FaultyLane)) as a pending connection. The
-    /// lane wakes the reactor when its peer sends; the driver owns the
-    /// lane's deadline cell from here on.
+    /// Adds any [`Lane`] (a duplex endpoint, or a
+    /// [`FaultyLane`](crate::FaultyLane) over one) as a pending
+    /// connection. The lane wakes the reactor when its peer sends; the
+    /// driver owns the lane's deadline cell from here on.
     ///
     /// # Errors
     ///

@@ -379,9 +379,8 @@ impl Endpoint {
         self.stats
             .record_received(frame.kind, frame.wire_len() as u64);
         if frame.kind == KIND_COALESCED {
-            let mut batch = uncoalesce(&frame.payload)?;
-            let first = batch.pop_front().expect("validated batch is non-empty");
-            self.pending.lock().extend(batch);
+            let (first, rest) = uncoalesce(&frame.payload)?;
+            self.pending.lock().extend(rest);
             return Ok(first);
         }
         Ok(frame)
@@ -460,27 +459,26 @@ pub fn coalesce_frames(frames: &[Frame]) -> Result<Frame, TransportError> {
     })
 }
 
-/// Splits a coalesced payload back into its sub-frames. Shared with the
-/// fault-injection lane, which re-sequences whole wire frames and must
-/// unpack surviving batches exactly like [`Endpoint::recv`] does.
-pub(crate) fn uncoalesce(payload: &Bytes) -> Result<VecDeque<Frame>, TransportError> {
+/// Splits a coalesced payload back into its sub-frames: the first one
+/// and the rest, so a batch is never empty. Shared by both receive
+/// paths, in-memory ([`Endpoint::recv`]) and TCP.
+pub(crate) fn uncoalesce(payload: &Bytes) -> Result<(Frame, VecDeque<Frame>), TransportError> {
     let truncated = || TransportError::Decode("truncated coalesced frame".into());
     let read_u32 = |pos: usize| -> Result<u32, TransportError> {
-        payload
-            .get(pos..pos + 4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-            .ok_or_else(truncated)
+        let (word, _) = payload
+            .get(pos..)
+            .and_then(<[u8]>::split_first_chunk)
+            .ok_or_else(truncated)?;
+        Ok(u32::from_le_bytes(*word))
     };
     let read_u16 = |pos: usize| -> Result<u16, TransportError> {
-        payload
-            .get(pos..pos + 2)
-            .map(|s| u16::from_le_bytes(s.try_into().expect("2 bytes")))
-            .ok_or_else(truncated)
+        let (half, _) = payload
+            .get(pos..)
+            .and_then(<[u8]>::split_first_chunk)
+            .ok_or_else(truncated)?;
+        Ok(u16::from_le_bytes(*half))
     };
     let count = read_u32(0)? as usize;
-    if count == 0 {
-        return Err(TransportError::Decode("empty coalesced frame".into()));
-    }
     // The count prefix is attacker-controlled: bound it before reserving
     // any memory. Size checks below handle non-empty payloads; a uniform
     // batch of zero-length payloads encodes *any* count in 11 bytes, so
@@ -543,7 +541,10 @@ pub(crate) fn uncoalesce(payload: &Bytes) -> Result<VecDeque<Frame>, TransportEr
             payload.len() - pos
         )));
     }
-    Ok(frames)
+    let first = frames
+        .pop_front()
+        .ok_or_else(|| TransportError::Decode("empty coalesced frame".into()))?;
+    Ok((first, frames))
 }
 
 /// Builds one connected in-memory pair whose endpoints use the given
@@ -615,13 +616,14 @@ pub fn duplex_pool(lanes: usize) -> (Vec<Endpoint>, Vec<Endpoint>) {
 }
 
 /// A sendable/receivable frame lane: the minimal surface protocol
-/// drivers need, implemented by plain [`Endpoint`]s and by wrappers such
-/// as the fault-injection lane ([`crate::FaultyLane`]).
+/// drivers need, implemented by plain [`Endpoint`]s (in-memory or TCP)
+/// and by wrappers such as [`crate::FaultyLane`], which delays, stalls or
+/// cuts one side's sends.
 ///
 /// Having the drivers and the parallel classification pipeline speak to
 /// this trait instead of `Endpoint` directly is what lets the chaos
-/// harness interpose a deterministic fault schedule on any session
-/// without the protocol code knowing.
+/// harness put a deterministic fault schedule on one side of any session
+/// without the protocol code, or the peer, knowing.
 pub trait Lane: Send + Sync {
     /// Sends one frame to the peer.
     ///
@@ -973,7 +975,8 @@ mod tests {
             })
             .collect();
         let packed = coalesce_frames(&frames).unwrap();
-        assert_eq!(uncoalesce(&packed.payload).unwrap().len(), 4);
+        let (_, rest) = uncoalesce(&packed.payload).unwrap();
+        assert_eq!(rest.len(), 3);
     }
 
     #[test]

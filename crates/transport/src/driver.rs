@@ -64,7 +64,7 @@ pub fn busy_retry_after(payload: &[u8]) -> Option<u64> {
 /// Each limit is independent and optional; `None` means unlimited. When
 /// any budget trips, the drive fails the engine with
 /// [`TransportError::Budget`] naming the exhausted budget, and an
-/// attached [`MetricsRegistry`](ppcs_telemetry::MetricsRegistry) counts
+/// attached [`MetricsRegistry`] counts
 /// one `budget_exceeded`.
 #[derive(Clone, Debug, Default)]
 pub struct SessionLimits {
@@ -268,7 +268,7 @@ impl Encodable for Transcript {
 ///
 /// One driver serves one session; enable recording before driving to
 /// capture a [`Transcript`], attach a
-/// [`MetricsRegistry`](ppcs_telemetry::MetricsRegistry) to collect
+/// [`MetricsRegistry`] to collect
 /// telemetry.
 #[derive(Debug, Default)]
 pub struct Driver {

@@ -29,7 +29,7 @@ use crate::wire::Encodable;
 /// Frame kind for the liveness/readiness probe. An empty-payload
 /// `KIND_HEALTH` frame is the request; the reply is a `KIND_HEALTH`
 /// frame carrying an encoded [`HealthStatus`]. Reserved next to
-/// [`KIND_BUSY`](crate::KIND_BUSY); protocols never see it, and servers
+/// [`KIND_BUSY`]; protocols never see it, and servers
 /// answer it before (and instead of) admission.
 pub const KIND_HEALTH: u16 = 0x00FC;
 

@@ -65,7 +65,7 @@ pub use driver::{
 };
 pub use engine::{Engine, FrameIo, Outgoing, ProtocolEngine, RecvFut};
 pub use error::{ErrorLayer, ProtocolError, TransportError};
-pub use fault::{faulty_pair, FaultKind, FaultSchedule, FaultStats, FaultyLane, KIND_CHAOS};
+pub use fault::{faulty_pair, FaultKind, FaultSchedule, FaultyLane};
 pub use health::{probe_health, probe_health_cancellable, HealthStatus, KIND_HEALTH};
 pub use reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
 pub use session::DriveOptions;

@@ -273,7 +273,10 @@ impl NbConn {
             self.stats.record_received(kind, frame.wire_len() as u64);
             if kind == crate::channel::KIND_COALESCED {
                 match crate::channel::uncoalesce(&frame.payload) {
-                    Ok(batch) => self.parsed.extend(batch),
+                    Ok((first, rest)) => {
+                        self.parsed.push_back(first);
+                        self.parsed.extend(rest);
+                    }
                     Err(e) => {
                         self.failed = Some(e.clone());
                         return Err(e);

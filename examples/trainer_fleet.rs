@@ -28,9 +28,7 @@ use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_telemetry::{
     FlightRecorder, MetricsRegistry, DETAIL_BREAKER_OPEN, DETAIL_FAILOVER, DETAIL_HEDGE_FIRED,
 };
-use ppcs_transport::{
-    duplex, faulty_pair, Endpoint, FaultKind, FaultSchedule, FaultyLane, TransportError,
-};
+use ppcs_transport::{duplex, Endpoint, FaultKind, FaultSchedule, FaultyLane, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,20 +71,19 @@ fn connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Like [`lane_bank`], but every pair is chaos-wrapped end to end (the
-/// carrier framing needs both halves wrapped): the client half dies per
-/// `schedule` — the instant cut standing in for a process kill — while
-/// the server half is a transparent chaos peer.
+/// Like [`lane_bank`], but the client half of each pair is a
+/// [`FaultyLane`] that dies per `schedule` — the instant cut standing in
+/// for a process kill. The server half is a plain endpoint.
 fn killed_lane_bank(
     n: usize,
     schedule: FaultSchedule,
-) -> (Vec<FaultyLane>, Arc<Mutex<VecDeque<FaultyLane>>>) {
+) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
     let mut server = Vec::with_capacity(n);
     let mut client = VecDeque::with_capacity(n);
     for _ in 0..n {
-        let (s, c) = faulty_pair(FaultSchedule::none(), schedule.clone());
+        let (s, c) = duplex();
         server.push(s);
-        client.push_back(c);
+        client.push_back(FaultyLane::new(c, schedule.clone()));
     }
     (server, Arc::new(Mutex::new(client)))
 }

@@ -204,8 +204,11 @@ fn zero_abscissa_cloud_is_refused_before_any_answer() {
             let mut cloud = BytesMut::new();
             encode_seq(&[Fp256::ZERO, Fp256::from_u64(3)], &mut cloud);
             encode_seq(&[Fp256::ONE; 6], &mut cloud);
-            ep.send(Frame::encode(OMPE_POINTS, &cloud.to_vec()))
-                .unwrap();
+            ep.send(Frame {
+                kind: OMPE_POINTS,
+                payload: cloud.freeze(),
+            })
+            .unwrap();
             // Stay connected while the trainer rules, so that a hang-up
             // cannot be what ends its session.
             ep.set_recv_timeout(Some(Duration::from_millis(300)));

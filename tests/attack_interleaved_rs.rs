@@ -60,8 +60,8 @@ struct Cloud {
 
 impl Cloud {
     fn decode(frame: &Frame) -> Cloud {
-        let body: Vec<u8> = frame.decode_as(KIND_OMPE_POINTS).expect("cloud frame");
-        let mut body = bytes::Bytes::from(body);
+        assert_eq!(frame.kind, KIND_OMPE_POINTS, "cloud frame");
+        let mut body = frame.payload.clone();
         let xs: Vec<Fp256> = decode_seq(&mut body).expect("abscissae");
         let flat: Vec<Fp256> = decode_seq(&mut body).expect("values");
         let dim = flat.len() / xs.len();

@@ -1,32 +1,36 @@
-//! Chaos soak harness: seeded fault schedules (drop, duplicate,
-//! reorder, corrupt, delay, cut) swept over every protocol family,
-//! asserting the resilience trichotomy — each session either completes
-//! with the correct value, or both parties terminate with a structured
-//! error. Never a hang, never a panic, never a wrong answer.
+//! Chaos soak harness: seeded fault schedules (delay, stall, cut — the
+//! faults a stream can have) on one side of a connection, swept over
+//! every protocol family, asserting the resilience trichotomy — each
+//! session either completes with the correct value, or both parties
+//! terminate with a structured error. Never a hang, never a panic, never
+//! a wrong answer.
 //!
-//! Also exercises graceful degradation of the parallel classification
+//! The same faults run on the client's side of a real TCP connection to
+//! a reactor `TrainerServer`, whose side is a plain socket. Also
+//! exercises graceful degradation of the parallel classification
 //! pipeline when a lane dies. A session never outlives its lane; failing
 //! over to another replica is `fleet_e2e`'s subject.
 
 use std::fmt::Debug;
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use ppcs_core::{
-    similarity_request_io, similarity_respond_io, Client, ProtocolConfig, ServerConfig,
+    similarity_request_io, similarity_respond_io, Client, PpcsError, ProtocolConfig, ServerConfig,
     SimilarityConfig, Trainer, TrainerServer,
 };
 use ppcs_crypto::DhGroup;
 use ppcs_math::{Algebra, DenseAffine, FixedFpAlgebra, Fp256};
-use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch_io, OmpeParams};
+use ppcs_ompe::{ompe_receive_batch_io, ompe_send_batch_io, OmpeError, OmpeParams};
 use ppcs_ot::{
     ot12_receive_io, ot12_send_io, ot_begin_receive_io, ot_begin_send_io, ot_receive_io,
-    ot_send_io, ObliviousTransfer, TrustedSimOt,
+    ot_send_io, ObliviousTransfer, OtError, TrustedSimOt,
 };
-use ppcs_svm::{Kernel, SvmModel};
-use ppcs_tests::{blob_dataset, random_samples, rotated_model};
+use ppcs_svm::{Kernel, Label, SvmModel};
+use ppcs_tests::{blob_dataset, random_samples, rotated_model, DrainOnUnwind};
 use ppcs_transport::{
-    drive_blocking, faulty_pair, run_pair, Driver, FaultKind, FaultSchedule, FaultyLane, Lane,
-    ProtocolEngine, SessionLimits,
+    drive_blocking, duplex_pool, faulty_pair, run_pair, tcp_connect, Driver, FaultKind,
+    FaultSchedule, FaultyLane, Lane, ProtocolEngine, SessionLimits, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,6 +88,8 @@ where
 /// the trichotomy. Joining both threads proves no hang or panic (every
 /// receive is bounded by [`CHAOS_DEADLINE`]); any `Ok` must carry the
 /// clean-run value; lossless schedules must complete on both sides.
+/// Returns how many sessions completed and how many failed on both
+/// sides, for [`assert_both_branches`].
 fn chaos_sweep<RA, RB, FA, FB>(
     family: &str,
     base: u64,
@@ -92,13 +98,14 @@ fn chaos_sweep<RA, RB, FA, FB>(
     expected_b: &RB,
     run_a: FA,
     run_b: FB,
-) where
+) -> (u64, u64)
+where
     FA: Fn(&FaultyLane) -> Result<RA, String> + Sync,
     FB: Fn(&FaultyLane) -> Result<RB, String> + Sync,
     RA: PartialEq + Debug + Send,
     RB: PartialEq + Debug + Send,
 {
-    let mut completed = 0u64;
+    let (mut completed, mut both_failed) = (0u64, 0u64);
     for seed in base..base + count {
         let (la, lb, schedule) = chaos_lanes(seed);
         let (ra, rb) = std::thread::scope(|scope| {
@@ -144,8 +151,24 @@ fn chaos_sweep<RA, RB, FA, FB>(
         if ra.is_ok() && rb.is_ok() {
             completed += 1;
         }
+        if ra.is_err() && rb.is_err() {
+            both_failed += 1;
+        }
     }
-    println!("{family}: {completed}/{count} chaotic sessions completed cleanly");
+    println!(
+        "{family}: {completed}/{count} chaotic sessions completed cleanly, \
+         {both_failed} failed on both sides"
+    );
+    (completed, both_failed)
+}
+
+/// A fixed-seed sweep must meet both branches of the trichotomy — at
+/// least one session completes and at least one fails on both sides —
+/// or it passes vacuously. (The randomized sweep draws its seeds afresh
+/// in CI, where either count may legitimately be zero.)
+fn assert_both_branches(family: &str, (completed, both_failed): (u64, u64)) {
+    assert!(completed > 0, "{family}: no session completed");
+    assert!(both_failed > 0, "{family}: no schedule failed both sides");
 }
 
 #[test]
@@ -170,8 +193,14 @@ fn chaos_base_ot_trichotomy() {
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(eb, m1);
-    chaos_sweep("base_ot", 1000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    let outcomes = chaos_sweep("base_ot", 1000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    assert_both_branches("base_ot", outcomes);
 }
+
+/// A 1-out-of-2 ideal transfer is one frame each way, and a schedule's
+/// faults fall below sequence 24: three transfers in turn under one
+/// state give the faults frames to land on.
+const KN_TRANSFERS: usize = 3;
 
 #[test]
 fn chaos_kn_ot_trichotomy() {
@@ -183,7 +212,10 @@ fn chaos_kn_ot_trichotomy() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut eng = ProtocolEngine::new(|io| async move {
             let state = ot_begin_send_io(sel, &io, &mut rng).await?;
-            ot_send_io(sel, &state, &io, &mut rng, messages, indices.len()).await
+            for _ in 0..KN_TRANSFERS {
+                ot_send_io(sel, &state, &io, &mut rng, messages, indices.len()).await?;
+            }
+            Ok::<_, OtError>(())
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
@@ -191,13 +223,18 @@ fn chaos_kn_ot_trichotomy() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut eng = ProtocolEngine::new(|io| async move {
             let state = ot_begin_receive_io(sel, &io).await?;
-            ot_receive_io(sel, &state, &io, &mut rng, 6, &indices).await
+            let mut got = Vec::with_capacity(KN_TRANSFERS);
+            for _ in 0..KN_TRANSFERS {
+                got.push(ot_receive_io(sel, &state, &io, &mut rng, 6, &indices).await?);
+            }
+            Ok::<_, OtError>(got)
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
-    assert_eq!(eb[0], messages[1]);
-    chaos_sweep("kn_ot", 2000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    assert!(eb.iter().all(|got| got[0] == messages[1]));
+    let outcomes = chaos_sweep("kn_ot", 2000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    assert_both_branches("kn_ot", outcomes);
 }
 
 #[test]
@@ -230,7 +267,8 @@ fn chaos_ompe_batch_trichotomy() {
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
-    chaos_sweep("ompe_batch", 3000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    let outcomes = chaos_sweep("ompe_batch", 3000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    assert_both_branches("ompe_batch", outcomes);
 }
 
 #[test]
@@ -252,7 +290,7 @@ fn chaos_classification_trichotomy() {
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(ea, samples.len());
-    chaos_sweep(
+    let outcomes = chaos_sweep(
         "classification",
         4000,
         SEEDS_PER_FAMILY,
@@ -261,6 +299,7 @@ fn chaos_classification_trichotomy() {
         run_a,
         run_b,
     );
+    assert_both_branches("classification", outcomes);
 }
 
 #[test]
@@ -288,7 +327,8 @@ fn chaos_similarity_trichotomy() {
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
-    chaos_sweep("similarity", 5000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    let outcomes = chaos_sweep("similarity", 5000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
+    assert_both_branches("similarity", outcomes);
 }
 
 /// A randomized lane of the sweep: the base seed comes from
@@ -369,14 +409,9 @@ fn parallel_classification_degrades_around_a_dead_lane() {
         labels
     };
 
-    let (t_eps, c_eps) = ppcs_transport::duplex_pool(3);
-    // Both ends must speak the chaos carrier framing: the trainer's
-    // lanes are clean FaultyLane wrappers, the client's lane 1 is cut
-    // before its very first frame.
-    let t_lanes: Vec<FaultyLane> = t_eps
-        .into_iter()
-        .map(|ep| FaultyLane::new(ep, FaultSchedule::none()))
-        .collect();
+    // The trainer's lanes are plain; the client's lane 1 is cut before
+    // its very first frame.
+    let (t_lanes, c_eps) = duplex_pool(3);
     let c_lanes: Vec<FaultyLane> = c_eps
         .into_iter()
         .enumerate()
@@ -451,5 +486,114 @@ fn chaos_with_session_budgets_keeps_the_trichotomy() {
     };
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(ea, samples.len());
-    chaos_sweep("budgeted", 6000, 24, &ea, &eb, run_a, run_b);
+    let outcomes = chaos_sweep("budgeted", 6000, 24, &ea, &eb, run_a, run_b);
+    assert_both_branches("budgeted", outcomes);
+}
+
+/// The transport failure under a classification error, if any.
+fn transport_cause(e: &PpcsError) -> Option<&TransportError> {
+    match e {
+        PpcsError::Transport(t)
+        | PpcsError::Ompe(OmpeError::Transport(t))
+        | PpcsError::Ompe(OmpeError::Ot(OtError::Transport(t))) => Some(t),
+        _ => None,
+    }
+}
+
+/// A server at capacity answers with `KIND_BUSY` from a plain lane; the
+/// client behind a `FaultyLane` reads it like any other frame and gets
+/// the typed `Busy` error.
+#[test]
+fn a_faulty_client_shed_at_capacity_gets_busy() {
+    let (trainer, client, samples) = classification_fixture();
+    let server = TrainerServer::new(
+        &trainer,
+        ServerConfig {
+            max_sessions: 0,
+            ..ServerConfig::default()
+        },
+    );
+    let (t_lanes, mut c_eps) = duplex_pool(1);
+    let lane = FaultyLane::new(c_eps.remove(0), FaultSchedule::none());
+    lane.set_recv_timeout(Some(Duration::from_secs(5)));
+    let (summary, res) = std::thread::scope(|scope| {
+        let server = &server;
+        let t_lanes = &t_lanes;
+        let t = scope.spawn(move || server.serve(t_lanes, &SIM, 3));
+        let mut rng = StdRng::seed_from_u64(4);
+        let res = client.classify_batch(&lane, &SIM, &mut rng, &samples);
+        drop(lane);
+        (t.join().expect("server thread"), res)
+    });
+    let err = res.expect_err("a shed session is an error");
+    assert!(
+        matches!(transport_cause(&err), Some(TransportError::Busy { .. })),
+        "expected the typed Busy error, got {err:?}"
+    );
+    assert_eq!(summary.expect("serve").sessions_shed, 1);
+}
+
+/// A `FaultyLane` on the client's side of a real TCP connection, against
+/// a reactor `TrainerServer` whose side is a plain socket. A delayed
+/// session returns the oracle labels; a stall (the client's coalesced
+/// flight, send 1, never leaves) ends in the client's deadline, and the
+/// server's session ends too, counted, its permit released; a cut
+/// fails the client with `Disconnected`.
+#[test]
+fn one_sided_faults_over_tcp_against_a_reactor_server() {
+    let ds = blob_dataset(3, 80, 91);
+    let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
+    let cfg = ProtocolConfig::functional();
+    let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).expect("trainer");
+    let client = Client::new(FixedFpAlgebra::new(16), cfg);
+    let samples = random_samples(3, 5, 92);
+    let oracle: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
+
+    let server = TrainerServer::new(&trainer, ServerConfig::default());
+    let sup = server.supervisor();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|scope| {
+        let _drain = DrainOnUnwind(vec![sup.clone()]);
+        let reactor = scope.spawn(|| server.serve_async_tcp(listener, &SIM, 7).expect("reactor"));
+        let run = |schedule: FaultSchedule, seed: u64| {
+            let lane = FaultyLane::new(tcp_connect(addr).expect("connect"), schedule);
+            lane.set_recv_timeout(Some(CHAOS_DEADLINE));
+            let mut rng = StdRng::seed_from_u64(seed);
+            client.classify_batch(&lane, &SIM, &mut rng, &samples)
+        };
+
+        let delayed = FaultSchedule::single(0, FaultKind::Delay).with(1, FaultKind::Delay);
+        assert_eq!(
+            run(delayed, 1).expect("a delayed session completes"),
+            oracle
+        );
+
+        let stalled = run(FaultSchedule::single(1, FaultKind::Stall), 2)
+            .expect_err("a stalled session fails");
+        assert_eq!(transport_cause(&stalled), Some(&TransportError::Timeout));
+
+        let cut =
+            run(FaultSchedule::single(1, FaultKind::Cut), 3).expect_err("a cut session fails");
+        assert_eq!(transport_cause(&cut), Some(&TransportError::Disconnected));
+
+        // Both failed sessions end on the server once their sockets close.
+        let start = Instant::now();
+        while sup.active() > 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the failed sessions must release their permits"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sup.drain();
+        let summary = reactor.join().expect("reactor thread");
+        assert_eq!(summary.sessions_admitted, 3, "every session was admitted");
+        assert_eq!(
+            summary.served_samples,
+            samples.len(),
+            "only the delayed one served"
+        );
+        assert_eq!(summary.malformed_rejected, 0);
+    });
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ppcs_core::{
     BreakerConfig, BreakerState, Client, Connector, FleetClient, FleetConfig, ManualClock,
-    ProtocolConfig, ServeSummary, ServerConfig, SessionSupervisor, Trainer, TrainerServer,
+    ProtocolConfig, ServeSummary, ServerConfig, Trainer, TrainerServer,
 };
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
@@ -28,10 +28,10 @@ use ppcs_telemetry::{
     FlightRecorder, MetricsRegistry, DETAIL_BREAKER_CLOSED, DETAIL_BREAKER_HALF_OPEN,
     DETAIL_BREAKER_OPEN, DETAIL_FAILOVER,
 };
-use ppcs_tests::{blob_dataset, http_body, http_get, random_samples};
+use ppcs_tests::{blob_dataset, http_body, http_get, random_samples, DrainOnUnwind};
 use ppcs_transport::{
-    duplex, faulty_pair, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, FaultyLane,
-    Frame, Lane, TrafficStats, TransportError, KIND_HEALTH,
+    duplex, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, FaultyLane, Frame, Lane,
+    TrafficStats, TransportError, KIND_HEALTH,
 };
 
 static SIM: TrustedSimOt = TrustedSimOt;
@@ -97,25 +97,24 @@ fn plain_connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Like [`lane_bank`], but every pair is chaos-wrapped end to end (the
-/// carrier framing needs both halves wrapped): the client half dies per
-/// `schedule` — the deterministic "kill" of the chaos runs — while the
-/// server half is a transparent chaos peer.
+/// Like [`lane_bank`], but the client half of each pair is a
+/// [`FaultyLane`] that dies per `schedule` — the deterministic "kill" of
+/// the chaos runs. The server half is a plain endpoint.
 fn killed_lane_bank(
     n: usize,
     schedule: FaultSchedule,
-) -> (Vec<FaultyLane>, Arc<Mutex<VecDeque<FaultyLane>>>) {
+) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
     let mut server = Vec::with_capacity(n);
     let mut client = VecDeque::with_capacity(n);
     for _ in 0..n {
-        let (s, c) = faulty_pair(FaultSchedule::none(), schedule.clone());
+        let (s, c) = duplex();
         server.push(s);
-        client.push_back(c);
+        client.push_back(FaultyLane::new(c, schedule.clone()));
     }
     (server, Arc::new(Mutex::new(client)))
 }
 
-/// A connector popping pre-wrapped chaos lanes from a killed bank.
+/// A connector popping fault lanes from a killed bank.
 fn faulty_connector(bank: Arc<Mutex<VecDeque<FaultyLane>>>) -> Connector {
     Box::new(move || {
         bank.lock()
@@ -907,20 +906,6 @@ impl Lane for GatedLane {
 
     fn stats(&self) -> TrafficStats {
         self.inner.stats()
-    }
-}
-
-/// Drains its supervisors if dropped while the test thread unwinds. A
-/// TCP reactor serves until it is drained, and `std::thread::scope`
-/// joins it before re-raising a panic: without the drain, a failed
-/// assertion inside the scope hangs instead of failing.
-struct DrainOnUnwind(Vec<SessionSupervisor>);
-
-impl Drop for DrainOnUnwind {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.iter().for_each(SessionSupervisor::drain);
-        }
     }
 }
 

@@ -43,6 +43,16 @@
 //! instead of 8 324. The values Bob learns did not change meaning, and
 //! `T` still meets the plain metric. Under Naor–Pinkas the same session
 //! is five frames with one commitment, counted by kind below.
+//!
+//! The two digests whose sessions carry point clouds — NP-768
+//! classification and the field similarity session — were re-pinned
+//! once more, together, by a change to the codec alone: a point-cloud
+//! frame (kind 0x0400) holds its two sequences, abscissae then input
+//! vectors, straight in its payload instead of inside a length-prefixed
+//! byte string. Each cloud is 8 bytes shorter, so a similarity
+//! evaluation, which sends three, takes 8 294 bytes where it took 8 318;
+//! no draw, value or frame count changed, and the two 4-of-8 digests,
+//! which carry no cloud, did not move.
 
 use ppcs_core::{
     similarity_plain, similarity_request, similarity_request_io, similarity_respond, Client,
@@ -94,7 +104,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "b1750f33e36e84a60c5f17a31cd84aa732e490c92e95e01b3753045610069bbb",
+        digest, "012296d869b19b294f639658bced74d2a3a92ee4932784237214bccd19f1958d",
         "the NP-768 classification transcript changed"
     );
 }
@@ -201,7 +211,7 @@ fn fp256_similarity_session_is_pinned() {
         "private {got} vs plain {want}"
     );
     assert_eq!(
-        digest, "3ad53f0fd8756ca60042841f712486e2351dd8834dc633cea59805647722f160",
+        digest, "487f5f4fa67722563df3f3e6cbd96b6831f65658cbea2e5c253a90d1451b92cb",
         "the field similarity transcript changed"
     );
 }

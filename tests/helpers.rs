@@ -1,5 +1,6 @@
 //! Shared helpers for the ppcs cross-crate integration tests.
 
+use ppcs_core::SessionSupervisor;
 use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_transport::{duplex, Driver, Endpoint, ProtocolEngine, Transcript, TransportError};
 use rand::rngs::StdRng;
@@ -94,4 +95,18 @@ pub fn random_samples(dim: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n)
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect()
+}
+
+/// Drains its supervisors if dropped while the test thread unwinds. A
+/// TCP reactor serves until it is drained, and `std::thread::scope`
+/// joins it before re-raising a panic: without the drain, a failed
+/// assertion inside the scope hangs instead of failing.
+pub struct DrainOnUnwind(pub Vec<SessionSupervisor>);
+
+impl Drop for DrainOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.iter().for_each(SessionSupervisor::drain);
+        }
+    }
 }

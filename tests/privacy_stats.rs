@@ -26,13 +26,12 @@ fn chi_square_bytes(bytes: &[u8]) -> f64 {
 }
 
 /// The `(abscissae, flattened coordinates)` of a recorded point-cloud
-/// payload: a `Vec<u8>` wrapper around two sequences.
+/// payload: two sequences, nothing after them.
 fn decode_cloud(blob: Vec<u8>) -> (Vec<Fp256>, Vec<Fp256>) {
     let mut input = Bytes::from(blob);
-    let inner: Vec<u8> = ppcs_transport::Encodable::decode(&mut input).expect("wrapper");
-    let mut inner = Bytes::from(inner);
-    let xs = decode_seq(&mut inner).expect("xs");
-    let ys = decode_seq(&mut inner).expect("ys");
+    let xs = decode_seq(&mut input).expect("xs");
+    let ys = decode_seq(&mut input).expect("ys");
+    assert!(input.is_empty(), "trailing bytes after the cloud");
     (xs, ys)
 }
 
