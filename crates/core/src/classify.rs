@@ -35,6 +35,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::task::Poll;
 use std::time::Duration;
 
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ppcs_math::{expanded_dimension, Algebra, DensePoly, FixedFpAlgebra, Fp256, PolyEval};
 use ppcs_ompe::{
     ompe_receive_batch_io, ompe_receive_batch_offline_io, ompe_receive_io, ompe_send_batch_io,
@@ -44,7 +45,9 @@ use ppcs_ompe::{
 use ppcs_ot::{ObliviousTransfer, OtError, OtSelect};
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{drive_blocking, Frame, FrameIo, Lane, ProtocolEngine, TransportError};
+use ppcs_transport::{
+    drive_blocking, Encodable, Frame, FrameIo, Lane, ProtocolEngine, TransportError,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -502,7 +505,7 @@ impl<A: Algebra> Trainer<A> {
         let _span = ppcs_telemetry::span(Phase::Classify);
         let num_samples: u64 = if warm {
             let [n, spec_hash, client_epoch] =
-                decode_warm_hello(&io.recv_msg::<Vec<u8>>(KIND_CLS_WARM_HELLO).await?)?;
+                decode_warm_hello(io.recv_msg(KIND_CLS_WARM_HELLO).await?)?;
             check_batch_cap(n)?;
             // The client's first flight follows its hello unasked, and
             // the ticket is the first frame it reads: send it before
@@ -517,7 +520,7 @@ impl<A: Algebra> Trainer<A> {
             if !current {
                 ticket.extend(self.spec.encode_wire());
             }
-            io.send_msg(KIND_CLS_TICKET, &encode_u64s(&ticket))?;
+            io.send_msg(KIND_CLS_TICKET, &Words(ticket))?;
             if spec_hash != hash {
                 // The early flight was built from a spec this trainer
                 // no longer serves: drop it. The client re-sends under
@@ -527,10 +530,10 @@ impl<A: Algebra> Trainer<A> {
                 let resent = loop {
                     let frame = io.recv().await?;
                     if frame.kind == KIND_CLS_WARM_HELLO {
-                        break frame.decode_as::<Vec<u8>>(KIND_CLS_WARM_HELLO)?;
+                        break frame.decode_as(KIND_CLS_WARM_HELLO)?;
                     }
                 };
-                if decode_warm_hello(&resent)? != [n, hash, self.epoch] {
+                if decode_warm_hello(resent)? != [n, hash, self.epoch] {
                     return Err(PpcsError::Protocol(
                         "re-sent flight does not follow the re-announced spec".into(),
                     ));
@@ -542,7 +545,7 @@ impl<A: Algebra> Trainer<A> {
             check_batch_cap(n)?;
             let mut fields = self.spec.encode_wire();
             fields.push(self.epoch);
-            io.send_msg(KIND_CLS_SPEC, &encode_u64s(&fields))?;
+            io.send_msg(KIND_CLS_SPEC, &Words(fields))?;
             n
         };
         let secrets: Vec<Amplified<'_>> = (0..num_samples)
@@ -777,15 +780,15 @@ impl<A: Algebra> Client<A> {
             .collect())
     }
 
-    /// The warm session: the hello and, without waiting for the ticket,
-    /// the first flight built from the cached spec, coalesced into one
-    /// frame. The ticket is the first frame read. If it re-announces a
-    /// spec other than the cached one, the trainer has dropped the early
-    /// flight, and it is re-sent under the new spec — fresh covers and
-    /// abscissae — opened by a hello naming that spec: one round trip
-    /// more. An epoch-only re-announcement re-keys the cache and keeps
-    /// the early flight. Returns the spec the session ran under and the
-    /// decision values.
+    /// The warm session: the hello, its own frame, then, without
+    /// waiting for the ticket, the first flight built from the cached
+    /// spec, coalesced into one frame. The ticket is the first frame
+    /// read. If it re-announces a spec other than the cached one, the
+    /// trainer has dropped the early flight, and it is re-sent under the
+    /// new spec — fresh covers and abscissae — opened by a hello naming
+    /// that spec: one round trip more. An epoch-only re-announcement
+    /// re-keys the cache and keeps the early flight. Returns the spec the
+    /// session ran under and the decision values.
     async fn warm_session_io(
         &self,
         io: &FrameIo,
@@ -796,11 +799,11 @@ impl<A: Algebra> Client<A> {
         mut offline: Option<&mut OmpeReceiverOffline>,
     ) -> Result<(ClassifySpec, Vec<Fp256>), PpcsError> {
         let hello = |spec: &ClassifySpec, epoch: u64| {
-            encode_u64s(&[samples.len() as u64, spec.wire_hash(), epoch])
+            Words(vec![samples.len() as u64, spec.wire_hash(), epoch])
         };
         io.send_msg(KIND_CLS_WARM_HELLO, &hello(&cached, cached_epoch))?;
         let ticket = async {
-            let ticket = decode_u64s(&io.recv_msg::<Vec<u8>>(KIND_CLS_TICKET).await?)?;
+            let Words(ticket) = io.recv_msg(KIND_CLS_TICKET).await?;
             // `[1, epoch]` confirms the cached spec; `[0, epoch, spec…]`
             // re-announces it: a moved spec, or a trainer restarted
             // under a fresh epoch.
@@ -875,7 +878,7 @@ impl<A: Algebra> Client<A> {
         num_samples: usize,
     ) -> Result<(ClassifySpec, u64), PpcsError> {
         io.send_msg(KIND_CLS_HELLO, &(num_samples as u64))?;
-        let fields = decode_u64s(&io.recv_msg::<Vec<u8>>(KIND_CLS_SPEC).await?)?;
+        let Words(fields) = io.recv_msg(KIND_CLS_SPEC).await?;
         let [spec_fields @ .., epoch] = &fields[..] else {
             return Err(PpcsError::Protocol("malformed classify spec".into()));
         };
@@ -1242,25 +1245,34 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn encode_u64s(vals: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
+/// A control frame's body: little-endian `u64` words that fill the
+/// payload, with no length prefix. It must be the whole body, since
+/// decoding consumes the rest of the payload.
+pub(crate) struct Words(pub(crate) Vec<u64>);
 
-fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, PpcsError> {
-    let (words, []) = bytes.as_chunks::<8>() else {
-        return Err(PpcsError::Protocol("malformed u64 field block".into()));
-    };
-    Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+impl Encodable for Words {
+    fn encode(&self, out: &mut BytesMut) {
+        for w in &self.0 {
+            out.put_u64_le(*w);
+        }
+    }
+
+    fn decode(input: &mut Bytes) -> Result<Self, TransportError> {
+        let (words, []) = input.as_chunks::<8>() else {
+            return Err(TransportError::Decode(format!(
+                "a {}-byte body is not a whole number of 8-byte words",
+                input.len()
+            )));
+        };
+        let words = words.iter().map(|w| u64::from_le_bytes(*w)).collect();
+        input.advance(input.remaining());
+        Ok(Self(words))
+    }
 }
 
 /// A warm hello's `[num_samples, spec_hash, epoch]`.
-fn decode_warm_hello(bytes: &[u8]) -> Result<[u64; 3], PpcsError> {
-    <[u64; 3]>::try_from(decode_u64s(bytes)?)
-        .map_err(|_| PpcsError::Protocol("malformed warm hello".into()))
+fn decode_warm_hello(Words(words): Words) -> Result<[u64; 3], PpcsError> {
+    <[u64; 3]>::try_from(words).map_err(|_| PpcsError::Protocol("malformed warm hello".into()))
 }
 
 /// Runs `lead` and `flight` on one task, always polling `lead` first so
@@ -1500,6 +1512,37 @@ mod tests {
             },
         );
         assert!(matches!(res.unwrap_err(), PpcsError::Protocol(_)));
+    }
+
+    #[test]
+    fn control_bodies_are_bare_words_and_a_partial_word_is_refused() {
+        let words = Frame::encode(KIND_CLS_SPEC, &Words(vec![3, u64::MAX]));
+        assert_eq!(words.payload.len(), 16, "no length prefix");
+        let Words(back) = words.decode_as(KIND_CLS_SPEC).unwrap();
+        assert_eq!(back, [3, u64::MAX]);
+        // A fake trainer answers the hello with a spec cut mid-word.
+        let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
+        let (_, res) = run_pair(
+            |ep| {
+                assert_eq!(ep.recv().unwrap().kind, KIND_CLS_HELLO);
+                let cut = words.payload.slice(..13);
+                ep.send(Frame {
+                    kind: KIND_CLS_SPEC,
+                    payload: cut,
+                })
+                .unwrap();
+            },
+            move |ep| {
+                let mut rng = StdRng::seed_from_u64(2);
+                client.classify_batch(&ep, &SIM, &mut rng, &[vec![0.0, 0.0]])
+            },
+        );
+        assert_eq!(
+            res.unwrap_err(),
+            PpcsError::Transport(TransportError::Decode(
+                "frame kind 0x0501: a 13-byte body is not a whole number of 8-byte words".into()
+            ))
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ use ppcs_telemetry::Phase;
 use ppcs_transport::{drive_blocking, Endpoint, FrameIo, ProtocolEngine};
 use rand::RngCore;
 
+use crate::classify::Words;
 use crate::config::ProtocolConfig;
 use crate::error::PpcsError;
 use crate::expansion::BasisKind;
@@ -843,8 +844,7 @@ where
     };
 
     // Round 0: Bob's inseparable aggregates arrive in the clear.
-    let hello: Vec<u8> = io.recv_msg(KIND_SIM_HELLO).await?;
-    let (dim, mb_norm2, wb_norm2) = decode_hello(&hello)?;
+    let (dim, mb_norm2, wb_norm2) = decode_hello(io.recv_msg(KIND_SIM_HELLO).await?)?;
     if dim != model_dim {
         return Err(PpcsError::Protocol(format!(
             "peer evaluates {dim}-dimensional models, ours is {model_dim}-dimensional"
@@ -1044,7 +1044,11 @@ where
     io.hold();
     io.send_msg(
         KIND_SIM_HELLO,
-        &encode_hello(model_dim, geom.m_norm2, geom.w_norm2),
+        &Words(vec![
+            model_dim as u64,
+            geom.m_norm2.to_bits(),
+            geom.w_norm2.to_bits(),
+        ]),
     )?;
     for (round, _) in &cross {
         io.send(round.frame())?;
@@ -1140,23 +1144,15 @@ fn build_area_polynomial<A: Algebra>(
     Ok(MvPolynomial::from_terms(2, terms))
 }
 
-fn encode_hello(dim: usize, m_norm2: f64, w_norm2: f64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24);
-    out.extend_from_slice(&(dim as u64).to_le_bytes());
-    out.extend_from_slice(&m_norm2.to_le_bytes());
-    out.extend_from_slice(&w_norm2.to_le_bytes());
-    out
-}
-
 /// Bob's `(n, |m_B|², |w_B|²)`. A squared norm is finite and not
 /// negative, and `|w_B|² = 0` is a plane with no direction — it would
 /// put `1/(|w_A|²·|w_B|²)` into the area polynomial.
-fn decode_hello(bytes: &[u8]) -> Result<(usize, f64, f64), PpcsError> {
-    let (&[dim, m, w], []) = bytes.as_chunks::<8>() else {
+fn decode_hello(Words(words): Words) -> Result<(usize, f64, f64), PpcsError> {
+    let [dim, m, w] = words[..] else {
         return Err(PpcsError::Protocol("malformed similarity hello".into()));
     };
-    let dim = u64::from_le_bytes(dim) as usize;
-    let (m, w) = (f64::from_le_bytes(m), f64::from_le_bytes(w));
+    let dim = dim as usize;
+    let (m, w) = (f64::from_bits(m), f64::from_bits(w));
     if !(m.is_finite() && w.is_finite() && m >= 0.0 && w > 0.0) {
         return Err(PpcsError::Protocol(
             "similarity hello needs finite |m_B|² ≥ 0 and |w_B|² > 0".into(),

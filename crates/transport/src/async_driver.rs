@@ -186,8 +186,9 @@ struct Conn<'d, T, E> {
     session: Option<Session<'d, T, E>>,
     /// Idle deadline while pending (no engine). One-shot.
     idle_deadline: Option<Instant>,
-    /// Bumped whenever a timer is about to be armed: invalidates the
-    /// ones armed before.
+    /// Bumped whenever the connection's one timer is about to be
+    /// re-armed or cancelled: a fired timer counts only under the
+    /// current generation.
     timer_gen: u64,
 }
 
@@ -228,6 +229,8 @@ pub struct AsyncDriver<'d, T, E> {
     recorder: Option<Arc<FlightRecorder>>,
     /// Monotonic session counter feeding [`Session::seq`].
     session_seq: u64,
+    /// The one buffer every TCP connection reads into, allocated once.
+    read_buf: Box<[u8]>,
 }
 
 impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
@@ -255,6 +258,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             next_metrics_token: METRICS_TOKEN_BASE,
             recorder: None,
             session_seq: 0,
+            read_buf: vec![0; NbConn::READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -434,8 +438,9 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         conn.idle_deadline = deadline;
         conn.timer_gen += 1;
         let generation = conn.timer_gen;
-        if let Some(t) = deadline {
-            self.wheel.arm(t, u64::from(id.slot), generation);
+        match deadline {
+            Some(t) => self.wheel.arm(t, u64::from(id.slot), generation),
+            None => self.wheel.cancel(u64::from(id.slot)),
         }
     }
 
@@ -456,6 +461,12 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         let slot = id.slot;
         self.session_seq += 1;
         let seq = self.session_seq;
+        // Peer input cannot reach either panic. A connection goes away
+        // only through `close`: called by the caller, or by `poll` right
+        // after it reports the id `Closed` or `Malformed`. A session is
+        // attached only here and detached only by `poll`, which reports
+        // it `Finished`. Both panics therefore mean that the caller
+        // attached to an id it was told is gone, or attached twice.
         let conn = self.conn_mut(id).expect("attach_engine: unknown conn");
         assert!(
             conn.session.is_none(),
@@ -540,6 +551,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         s.epoch = s.epoch.wrapping_add(1);
         s.queued = false;
         self.free.push(id.slot);
+        self.wheel.cancel(u64::from(id.slot));
         self.conns -= 1;
         if conn.session.is_some() {
             self.active_sessions -= 1;
@@ -773,11 +785,13 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             return;
         };
 
-        // Pull everything the transport has; sticky failures surface
-        // through try_recv below.
+        // Pull everything the transport has, once per turn: the session
+        // and the pending path below only pop parsed frames, and bytes
+        // that arrive after this drain raise a new edge. Sticky failures
+        // surface through try_recv.
         let fill_err = match &mut conn.lane {
             ConnLane::Tcp(nb) => {
-                let r = nb.fill();
+                let r = nb.fill(&mut self.read_buf);
                 if nb.wants_write() {
                     let _ = nb.flush();
                 }
@@ -827,9 +841,11 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             let transcript = s.core.take_transcript();
             conn.session = None;
             self.active_sessions -= 1;
-            // A frame may already wait: on a mem lane, always (its wake
-            // may have been drained this very turn).
-            if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.has_buffered()) {
+            self.wheel.cancel(u64::from(slot));
+            // A frame or the stream's end may already wait: on a mem
+            // lane, always (its wake may have been drained this very
+            // turn).
+            if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.recv_ready()) {
                 self.ready_next.push(slot);
             }
             events.push(AsyncEvent::Finished {
@@ -847,7 +863,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                 // The idle timer stays armed: a handler that leaves the
                 // deadline alone (a health probe does) must not keep
                 // the connection from being reaped on time.
-                if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.has_buffered()) {
+                if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.recv_ready()) {
                     self.ready_next.push(slot);
                 }
                 events.push(AsyncEvent::Opening { conn: id, frame });
@@ -1159,10 +1175,8 @@ impl SessionIo for ConnLane<'_> {
 
     fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
         match self {
-            Self::Tcp(nb) => {
-                nb.fill()?;
-                nb.try_recv()
-            }
+            // `service` filled the connection this turn.
+            Self::Tcp(nb) => nb.try_recv(),
             Self::Mem(l) => {
                 l.set_recv_timeout(Some(Duration::ZERO));
                 match l.recv() {
@@ -1553,5 +1567,222 @@ mod tests {
         assert!(!ad.is_open(first));
         assert!(ad.is_open(second));
         drop(b);
+    }
+
+    /// What a serving loop saw, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Opening(Frame),
+        Finished(Result<u64, TransportError>),
+        Closed,
+        IdleExpired,
+        Malformed,
+    }
+
+    /// Runs `ad` as a serving loop until `done(&log)` holds: every
+    /// accepted or released connection gets a 60 s idle deadline, and
+    /// with `admit` every opening frame starts a `responder(io, rounds)`
+    /// session. Fails after 5 s.
+    fn serve_log(
+        ad: &mut AsyncDriver<'_, u64, TransportError>,
+        rounds: u64,
+        admit: bool,
+        done: impl Fn(&[Seen]) -> bool,
+    ) -> Vec<Seen> {
+        let idle = Some(Duration::from_secs(60));
+        let mut log = Vec::new();
+        let started = Instant::now();
+        while !done(&log) {
+            assert!(started.elapsed() < Duration::from_secs(5), "{log:?}");
+            for ev in ad.poll(Duration::from_millis(10)) {
+                match ev {
+                    AsyncEvent::Accepted { conn } => ad.set_idle_deadline(conn, idle),
+                    AsyncEvent::Opening { conn, frame } => {
+                        if admit {
+                            let mut engine = ProtocolEngine::new(move |io| responder(io, rounds));
+                            engine.handle_input(frame.clone());
+                            ad.attach_engine(conn, engine, DriveOptions::new());
+                        }
+                        log.push(Seen::Opening(frame));
+                    }
+                    AsyncEvent::Finished { conn, result, .. } => {
+                        ad.set_idle_deadline(conn, idle);
+                        log.push(Seen::Finished(result));
+                    }
+                    AsyncEvent::Closed { .. } => log.push(Seen::Closed),
+                    AsyncEvent::IdleExpired { .. } => log.push(Seen::IdleExpired),
+                    AsyncEvent::Malformed { .. } => log.push(Seen::Malformed),
+                }
+            }
+        }
+        log
+    }
+
+    /// `frame` as it crosses a TCP stream.
+    fn wire(frame: &Frame) -> Vec<u8> {
+        let mut out = frame.kind.to_le_bytes().to_vec();
+        out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame.payload);
+        out
+    }
+
+    /// Reads one `0x0101` reply off a blocking stream.
+    fn read_reply(stream: &mut TcpStream) -> u64 {
+        use std::io::Read;
+        let mut buf = [0u8; Frame::HEADER_LEN + 8];
+        stream.read_exact(&mut buf).expect("reply");
+        let frame = Frame {
+            kind: u16::from_le_bytes([buf[0], buf[1]]),
+            payload: bytes::Bytes::copy_from_slice(&buf[Frame::HEADER_LEN..]),
+        };
+        frame.decode_as(0x0101).expect("a 0x0101 reply")
+    }
+
+    fn listening() -> (
+        AsyncDriver<'static, u64, TransportError>,
+        std::net::SocketAddr,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut ad = AsyncDriver::new().expect("driver");
+        ad.listen(listener).expect("listen");
+        (ad, addr)
+    }
+
+    #[test]
+    fn frames_written_in_small_segments_arrive_whole() {
+        use std::io::Write;
+        let (mut ad, addr) = listening();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.set_nodelay(true).expect("nodelay");
+                // The opening frame, then one frame of the running
+                // session, each in 3-byte segments with pauses between.
+                for i in 1..=2u64 {
+                    for segment in wire(&Frame::encode(0x0100, &i)).chunks(3) {
+                        stream.write_all(segment).expect("segment");
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    assert_eq!(read_reply(&mut stream), 2 * i);
+                }
+            });
+            let log = serve_log(&mut ad, 2, true, |log| {
+                log.iter().any(|s| matches!(s, Seen::Finished(_)))
+            });
+            assert_eq!(
+                log,
+                [
+                    Seen::Opening(Frame::encode(0x0100, &1u64)),
+                    Seen::Finished(Ok(2))
+                ]
+            );
+        });
+    }
+
+    #[test]
+    fn a_frame_followed_at_once_by_close_surfaces_as_closed() {
+        use std::io::Write;
+        let (mut ad, addr) = listening();
+        let opening = Frame::encode(0x0100, &1u64);
+        let send_and_close = || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&wire(&opening)).expect("write");
+        };
+        // A pending connection: the frame, then the close, with no idle
+        // expiry in between.
+        send_and_close();
+        let log = serve_log(&mut ad, 2, false, |log| log.contains(&Seen::Closed));
+        assert_eq!(log, [Seen::Opening(opening.clone()), Seen::Closed]);
+        // The frame opens a session that wants one more: the close ends
+        // the session, then the connection.
+        send_and_close();
+        let log = serve_log(&mut ad, 2, true, |log| log.contains(&Seen::Closed));
+        assert_eq!(
+            log,
+            [
+                Seen::Opening(opening),
+                Seen::Finished(Err(TransportError::Disconnected)),
+                Seen::Closed
+            ]
+        );
+        assert_eq!(ad.conns(), 0);
+    }
+
+    #[test]
+    fn two_sessions_back_to_back_on_one_connection() {
+        use std::io::Write;
+        let (mut ad, addr) = listening();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                // Both sessions' frames in one write: the second opens
+                // from the buffer the first one's fill left behind.
+                let mut both = wire(&Frame::encode(0x0100, &1u64));
+                both.extend(wire(&Frame::encode(0x0100, &2u64)));
+                stream.write_all(&both).expect("write");
+                assert_eq!(read_reply(&mut stream), 2);
+                assert_eq!(read_reply(&mut stream), 4);
+            });
+            let log = serve_log(&mut ad, 1, true, |log| log.contains(&Seen::Closed));
+            assert_eq!(
+                log,
+                [
+                    Seen::Opening(Frame::encode(0x0100, &1u64)),
+                    Seen::Finished(Ok(1)),
+                    Seen::Opening(Frame::encode(0x0100, &2u64)),
+                    Seen::Finished(Ok(1)),
+                    Seen::Closed
+                ]
+            );
+        });
+    }
+
+    #[test]
+    fn sequential_tcp_sessions_leave_at_most_one_timer_per_connection() {
+        const SESSIONS: usize = 2_000;
+        let (mut ad, addr) = listening();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for _ in 0..SESSIONS {
+                    let ep = crate::tcp::tcp_connect(addr).expect("connect");
+                    let mut engine = ProtocolEngine::new(|io| requester(io, 2));
+                    Driver::new().drive(&ep, &mut engine).expect("session");
+                }
+            });
+            let idle = Some(Duration::from_secs(30));
+            let cancel = Arc::new(AtomicBool::new(false));
+            let (mut finished, mut closed) = (0, 0);
+            while closed < SESSIONS {
+                for ev in ad.poll(Duration::from_millis(50)) {
+                    match ev {
+                        AsyncEvent::Accepted { conn } => ad.set_idle_deadline(conn, idle),
+                        AsyncEvent::Opening { conn, frame } => {
+                            let mut engine = ProtocolEngine::new(|io| responder(io, 2));
+                            engine.handle_input(frame);
+                            // A cancel token parks the session under a
+                            // 20 ms slice as well as its receive window.
+                            let opts = DriveOptions::new().with_cancel(cancel.clone());
+                            ad.attach_engine(conn, engine, opts);
+                        }
+                        AsyncEvent::Finished { conn, result, .. } => {
+                            assert_eq!(result, Ok(2));
+                            finished += 1;
+                            ad.set_idle_deadline(conn, idle);
+                        }
+                        AsyncEvent::Closed { .. } => closed += 1,
+                        other => panic!("{other:?}"),
+                    }
+                }
+                assert!(
+                    ad.wheel.armed() <= ad.conns(),
+                    "{} timers for {} connections",
+                    ad.wheel.armed(),
+                    ad.conns()
+                );
+            }
+            assert_eq!(finished, SESSIONS);
+            assert_eq!((ad.conns(), ad.wheel.armed()), (0, 0));
+        });
     }
 }

@@ -448,10 +448,12 @@ pub fn run_engine_pair<TA, EA, TB, EB>(
                 a.handle_input(f.clone());
             }
         }
+        // `is_done` is "a result waits to be taken", and only this
+        // return takes one: both results are there.
         if a.is_done() && b.is_done() {
-            let ra = a.take_result().expect("engine a done");
-            let rb = b.take_result().expect("engine b done");
-            return Ok((ra, rb));
+            if let (Some(ra), Some(rb)) = (a.take_result(), b.take_result()) {
+                return Ok((ra, rb));
+            }
         }
         if !progressed {
             // One side finished (or wedged) while the other still waits:

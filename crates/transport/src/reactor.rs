@@ -22,8 +22,8 @@
 //!   signals to make shutdown event-driven instead of poll-quantized.
 //! * [`TimerWheel`] — a 256-slot hashed wheel with millisecond-class
 //!   granularity carrying per-session budget deadlines (wall-clock,
-//!   per-receive, cancel-poll slices), replacing the per-thread
-//!   blocking deadlines of the synchronous driver.
+//!   per-receive, cancel-poll slices), at most one per token, replacing
+//!   the per-thread blocking deadlines of the synchronous driver.
 
 use std::collections::HashMap;
 use std::net::UdpSocket;
@@ -444,23 +444,36 @@ impl Waker {
     }
 }
 
-/// A hashed timer wheel: 256 slots of [`TimerWheel::GRANULARITY`],
-/// carrying `(deadline, token, generation)` entries. Insertions and
-/// cancellations are O(1); [`advance`](TimerWheel::advance) drains the
-/// slots the clock has passed and reports which tokens are due.
+/// A hashed timer wheel: 256 slots of [`TimerWheel::GRANULARITY`]
+/// covering the revolution ahead of the cursor, and one overflow slot
+/// for deadlines farther out, carrying `(deadline, token, generation)`
+/// entries. [`advance`](TimerWheel::advance) drains the slots the clock
+/// has passed and reports which tokens are due.
 ///
-/// Cancellation is generational: re-arming a token with a bumped
-/// generation silently invalidates every older entry, so the wheel
-/// never needs to find and remove stale timers.
+/// A token has at most one entry: [`arm`](TimerWheel::arm) replaces the
+/// token's previous entry and [`cancel`](TimerWheel::cancel) removes it,
+/// both in O(1) through a per-token index, so the wheel never holds more
+/// entries than tokens however often they are re-armed. An entry leaves
+/// the wheel when it fires or is replaced. [`next_due`](TimerWheel::next_due)
+/// reads an occupancy bitmap and each slot's earliest deadline, never
+/// the entries themselves.
 #[derive(Debug)]
 pub struct TimerWheel {
+    /// The wheel's `SLOTS` slots, then the overflow slot.
     slots: Vec<Vec<TimerEntry>>,
+    /// Per wheel slot, a lower bound on its entries' deadlines: exact
+    /// after an insert, and possibly early after a removal until
+    /// `advance_timed` re-reads the slot as the current one. `None`
+    /// while the slot is empty.
+    earliest: Vec<Option<Instant>>,
+    /// Bit `s` is set while wheel slot `s` holds an entry.
+    occupied: [u64; Self::SLOTS / 64],
+    /// Where each armed token's one entry sits: `(slot, position)`.
+    index: HashMap<u64, (usize, usize)>,
     /// The slot index the wheel has advanced to.
     cursor: usize,
     /// The wall-clock time of the cursor's slot boundary.
     cursor_time: Instant,
-    /// Live entry count (including stale generations not yet drained).
-    armed: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -478,62 +491,120 @@ impl TimerWheel {
 
     const SLOTS: usize = 256;
 
+    /// The slot for deadlines at least one revolution past the cursor:
+    /// re-sorted into the wheel each time the cursor wraps.
+    const OVERFLOW: usize = Self::SLOTS;
+
     /// An empty wheel anchored at `now`.
     pub fn new(now: Instant) -> Self {
         Self {
-            slots: vec![Vec::new(); Self::SLOTS],
+            slots: vec![Vec::new(); Self::SLOTS + 1],
+            earliest: vec![None; Self::SLOTS],
+            occupied: [0; Self::SLOTS / 64],
+            index: HashMap::new(),
             cursor: 0,
             cursor_time: now,
-            armed: 0,
         }
     }
 
-    /// Arms a timer for `token` (under `generation`) at `deadline`.
-    /// Deadlines already in the past land in the current slot and fire
-    /// on the next [`advance`](TimerWheel::advance).
+    /// Arms a timer for `token` (under `generation`) at `deadline`,
+    /// replacing the token's previous entry, if any: only the latest
+    /// arm of a token can fire. Deadlines already in the past land in
+    /// the current slot and fire on the next
+    /// [`advance`](TimerWheel::advance).
     pub fn arm(&mut self, deadline: Instant, token: u64, generation: u64) {
-        let offset = deadline.saturating_duration_since(self.cursor_time);
-        let granules = (offset.as_nanos() / Self::GRANULARITY.as_nanos()) as usize;
-        // Entries farther out than one revolution stay in their hashed
-        // slot and are re-checked against their real deadline when the
-        // cursor reaches them — `advance` re-arms the not-yet-due.
-        let slot = (self.cursor + granules) % Self::SLOTS;
-        self.slots[slot].push(TimerEntry {
+        self.cancel(token);
+        self.insert(TimerEntry {
             deadline,
             token,
             generation,
         });
-        self.armed += 1;
     }
 
-    /// Whether any entries are armed (stale generations included).
+    /// Removes `token`'s entry, if it has one.
+    pub fn cancel(&mut self, token: u64) {
+        let Some((slot, pos)) = self.index.remove(&token) else {
+            return;
+        };
+        let entries = &mut self.slots[slot];
+        entries.swap_remove(pos);
+        if let Some(moved) = entries.get(pos) {
+            self.index.insert(moved.token, (slot, pos));
+        }
+        if entries.is_empty() && slot != Self::OVERFLOW {
+            self.earliest[slot] = None;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
+    }
+
+    /// Files `e` in the slot its deadline hashes to from the cursor.
+    fn insert(&mut self, e: TimerEntry) {
+        let offset = e.deadline.saturating_duration_since(self.cursor_time);
+        let granules = offset.as_nanos() / Self::GRANULARITY.as_nanos();
+        let slot = if granules < Self::SLOTS as u128 {
+            let slot = (self.cursor + granules as usize) % Self::SLOTS;
+            let earliest = &mut self.earliest[slot];
+            *earliest = Some(earliest.map_or(e.deadline, |d| d.min(e.deadline)));
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            slot
+        } else {
+            Self::OVERFLOW
+        };
+        self.index.insert(e.token, (slot, self.slots[slot].len()));
+        self.slots[slot].push(e);
+    }
+
+    /// Whether no entry is armed.
     pub fn is_idle(&self) -> bool {
-        self.armed == 0
+        self.index.is_empty()
     }
 
-    /// The duration until the next slot that holds any entry, from
-    /// `now` — an upper bound on how long the reactor may sleep without
-    /// missing a timer. `None` when the wheel is idle.
+    /// The number of armed entries: at most one per token.
+    pub fn armed(&self) -> usize {
+        self.index.len()
+    }
+
+    /// How long the reactor may sleep from `now` without missing a
+    /// timer; `None` when the wheel is idle. This is the earliest
+    /// deadline in the wheel's first occupied slot, or the cursor's
+    /// next wrap if that comes first and the overflow slot holds an
+    /// entry (the wrap is when overflow entries move into the wheel).
+    /// It is never later than the earliest armed deadline. A slot whose
+    /// earliest entry was cancelled or re-armed keeps that deadline as
+    /// its bound until the cursor reaches it: the reactor then wakes
+    /// once early, and [`advance`](TimerWheel::advance) re-reads the
+    /// slot. It costs a scan of a 256-bit bitmap, whatever the number
+    /// of entries.
     pub fn next_due(&self, now: Instant) -> Option<Duration> {
-        if self.armed == 0 {
-            return None;
+        let mut due = self.first_occupied().and_then(|slot| self.earliest[slot]);
+        if !self.slots[Self::OVERFLOW].is_empty() {
+            let wrap = self.cursor_time + Self::GRANULARITY * (Self::SLOTS - self.cursor) as u32;
+            due = Some(due.map_or(wrap, |d| d.min(wrap)));
         }
-        let mut soonest: Option<Instant> = None;
-        for slot in &self.slots {
-            for e in slot {
-                soonest = Some(match soonest {
-                    Some(s) if s <= e.deadline => s,
-                    _ => e.deadline,
-                });
-            }
-        }
-        Some(soonest.expect("armed > 0").saturating_duration_since(now))
+        due.map(|d| d.saturating_duration_since(now))
+    }
+
+    /// The first occupied wheel slot at or after the cursor, in wheel
+    /// order (which is deadline order).
+    fn first_occupied(&self) -> Option<usize> {
+        let words = self.occupied.len();
+        let (start, bit) = (self.cursor / 64, self.cursor % 64);
+        // The cursor's word from its bit on, the other words in order,
+        // then the cursor's word below its bit.
+        (0..=words).find_map(|i| {
+            let w = (start + i) % words;
+            let bits = match i {
+                0 => self.occupied[w] & (!0u64 << bit),
+                _ if i == words => self.occupied[w] & !(!0u64 << bit),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
     /// Advances the wheel to `now`, appending `(token, generation)` for
-    /// every entry whose deadline has passed. Entries hashed into a
-    /// passed slot but due a revolution later are re-armed, not fired.
-    /// The caller matches generations to discard stale timers.
+    /// every entry whose deadline has passed. A fired entry leaves the
+    /// wheel.
     pub fn advance(&mut self, now: Instant, due: &mut Vec<(u64, u64)>) {
         let mut timed = Vec::new();
         self.advance_timed(now, &mut timed);
@@ -548,43 +619,48 @@ impl TimerWheel {
     /// carries the deadline it was armed for, so the caller can measure
     /// wheel drift (`now - deadline`) as a reactor health metric.
     pub fn advance_timed(&mut self, now: Instant, due: &mut Vec<(u64, u64, Instant)>) {
-        let mut carry: Vec<TimerEntry> = Vec::new();
         loop {
             let slot_end = self.cursor_time + Self::GRANULARITY;
             if slot_end > now {
                 break;
             }
-            let drained = std::mem::take(&mut self.slots[self.cursor]);
-            self.armed -= drained.len();
-            for e in drained {
-                if e.deadline <= now {
+            // Every entry of a passed slot is due: it was filed by a
+            // deadline before the slot's end.
+            let slot = self.cursor;
+            if self.earliest[slot].take().is_some() {
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+                for e in self.slots[slot].drain(..) {
+                    self.index.remove(&e.token);
                     due.push((e.token, e.generation, e.deadline));
-                } else {
-                    carry.push(e);
                 }
             }
             self.cursor = (self.cursor + 1) % Self::SLOTS;
             self.cursor_time = slot_end;
+            if self.cursor == 0 {
+                // A new revolution: overflow entries now less than one
+                // revolution out move into the wheel.
+                for e in std::mem::take(&mut self.slots[Self::OVERFLOW]) {
+                    self.index.remove(&e.token);
+                    self.insert(e);
+                }
+            }
         }
         // Also fire entries in the *current* slot whose deadline has
-        // passed — sub-granule deadlines must not wait a revolution.
-        let current = &mut self.slots[self.cursor];
+        // passed — sub-granule deadlines must not wait a revolution —
+        // and re-read its earliest deadline.
+        let slot = self.cursor;
+        let mut earliest: Option<Instant> = None;
         let mut i = 0;
-        while i < current.len() {
-            if current[i].deadline <= now {
-                let e = current.swap_remove(i);
-                self.armed -= 1;
+        while let Some(e) = self.slots[slot].get(i).copied() {
+            if e.deadline <= now {
+                self.cancel(e.token);
                 due.push((e.token, e.generation, e.deadline));
             } else {
+                earliest = Some(earliest.map_or(e.deadline, |d| d.min(e.deadline)));
                 i += 1;
             }
         }
-        // Entries drained from a passed slot but due a revolution later
-        // go back on the wheel (their slot release was already counted,
-        // and `arm` counts the re-insertion).
-        for e in carry {
-            self.arm(e.deadline, e.token, e.generation);
-        }
+        self.earliest[slot] = earliest;
     }
 }
 
@@ -708,18 +784,68 @@ mod tests {
         let mut wheel = TimerWheel::new(start);
         wheel.arm(start + Duration::from_millis(8), 1, 0);
         wheel.arm(start + Duration::from_millis(40), 2, 0);
-        // Token 1 re-armed under a newer generation: gen 0 is stale.
+        // Token 1 re-armed under a newer generation: the re-arm replaces
+        // the gen-0 entry, so only the live generation fires.
         wheel.arm(start + Duration::from_millis(8), 1, 1);
+        assert_eq!(wheel.armed(), 2);
 
         let mut due = Vec::new();
         wheel.advance(start + Duration::from_millis(20), &mut due);
-        assert!(due.contains(&(1, 0)) && due.contains(&(1, 1)), "{due:?}");
-        assert!(!due.iter().any(|&(t, _)| t == 2), "{due:?}");
+        assert_eq!(due, vec![(1, 1)]);
 
         due.clear();
         wheel.advance(start + Duration::from_millis(60), &mut due);
         assert_eq!(due, vec![(2, 0)]);
         assert!(wheel.is_idle());
+    }
+
+    #[test]
+    fn re_arming_keeps_one_entry_per_token_and_next_due_exact() {
+        let start = Instant::now();
+        let mut wheel = TimerWheel::new(start);
+        let ms = Duration::from_millis;
+        // 10⁵ arms over three tokens with rising generations, deadlines
+        // spread over the revolution and past it into the overflow slot.
+        for i in 0..100_000u64 {
+            let deadline = start + ms(5 + (i * 7919) % 1500);
+            wheel.arm(deadline, i % 3, i);
+            assert!(wheel.armed() <= 3);
+        }
+        // The last arms left tokens 0, 1 and 2 at these deadlines.
+        let last = |i: u64| start + ms(5 + (i * 7919) % 1500);
+        let live = [99_999u64, 99_997, 99_998].map(last);
+        let earliest = live.into_iter().min().expect("three tokens");
+        assert!(earliest < start + ms(1024), "in the wheel: {earliest:?}");
+        assert_eq!(wheel.next_due(start), Some(earliest - start));
+        // Cancelling the earliest token moves `next_due` no earlier, and
+        // one advance to that point fires nothing and re-reads the slot.
+        let token = live.iter().position(|d| *d == earliest).expect("present") as u64;
+        wheel.cancel(token);
+        assert_eq!(wheel.armed(), 2);
+        let mut due = Vec::new();
+        wheel.advance(earliest, &mut due);
+        assert!(due.is_empty(), "{due:?}");
+        let next = live
+            .into_iter()
+            .filter(|d| *d != earliest)
+            .min()
+            .expect("two left");
+        let bound = wheel.next_due(earliest).expect("armed");
+        assert!(
+            bound > Duration::ZERO && earliest + bound <= next,
+            "{bound:?}"
+        );
+        // Everything fires once, under its latest generation only.
+        wheel.advance(start + ms(3000), &mut due);
+        due.sort_unstable();
+        let mut want: Vec<(u64, u64)> = [(0, 99_999), (1, 99_997), (2, 99_998)]
+            .into_iter()
+            .filter(|&(t, _)| t != token)
+            .collect();
+        want.sort_unstable();
+        assert_eq!(due, want);
+        assert!(wheel.is_idle());
+        assert_eq!(wheel.next_due(start), None);
     }
 
     #[test]

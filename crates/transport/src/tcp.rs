@@ -190,8 +190,9 @@ pub(crate) struct NbConn {
 }
 
 impl NbConn {
-    /// Chunk size for socket reads.
-    const READ_CHUNK: usize = 64 * 1024;
+    /// Chunk size for socket reads: the size of the read buffer
+    /// [`fill`](Self::fill) is handed.
+    pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
     pub(crate) fn new(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nodelay(true).map_err(io_err)?;
@@ -221,16 +222,16 @@ impl NbConn {
         self.stats.snapshot()
     }
 
-    /// Reads everything the socket has (to `WouldBlock`) and parses
-    /// complete frames. Call on every readable event — edge-triggered
+    /// Reads everything the socket has (to `WouldBlock`) through
+    /// `chunk`, the caller's reusable read buffer, and parses complete
+    /// frames. Call on every readable event — edge-triggered
     /// registration delivers no second chance.
-    pub(crate) fn fill(&mut self) -> Result<(), TransportError> {
+    pub(crate) fn fill(&mut self, chunk: &mut [u8]) -> Result<(), TransportError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        let mut chunk = [0u8; Self::READ_CHUNK];
         loop {
-            match std::io::Read::read(&mut self.stream, &mut chunk) {
+            match std::io::Read::read(&mut self.stream, chunk) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -387,10 +388,11 @@ impl NbConn {
         self.completed_stall_ns.take()
     }
 
-    /// Whether parsed frames are ready for immediate delivery (no
-    /// readiness event required).
-    pub(crate) fn has_buffered(&self) -> bool {
-        !self.parsed.is_empty()
+    /// Whether [`try_recv`](Self::try_recv) has something to report
+    /// without a new readiness event: a parsed frame, the end of the
+    /// stream, or a failure.
+    pub(crate) fn recv_ready(&self) -> bool {
+        !self.parsed.is_empty() || self.eof || self.failed.is_some()
     }
 }
 
@@ -524,7 +526,9 @@ mod tests {
         // come from the async driver's timer wheel.
         let (server, _client) = raw_pair();
         let mut nb = NbConn::new(server).expect("nb conn");
-        nb.fill().expect("fill on an empty socket is not an error");
+        let mut buf = [0u8; NbConn::READ_CHUNK];
+        nb.fill(&mut buf)
+            .expect("fill on an empty socket is not an error");
         assert_eq!(nb.try_recv().expect("no frame is not an error"), None);
         assert!(nb.flush().expect("empty flush"), "nothing queued");
     }
@@ -533,6 +537,7 @@ mod tests {
     fn nb_conn_parses_incrementally_across_partial_reads() {
         let (server, mut client) = raw_pair();
         let mut nb = NbConn::new(server).expect("nb conn");
+        let mut buf = [0u8; NbConn::READ_CHUNK];
         let frame = Frame::encode(5, &vec![7u8; 1000]);
         let mut wire = Vec::new();
         wire.extend_from_slice(&frame.kind.to_le_bytes());
@@ -544,14 +549,14 @@ mod tests {
         client.flush().expect("flush");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while nb.read_buf.len() < 500 {
-            nb.fill().expect("fill");
+            nb.fill(&mut buf).expect("fill");
             assert!(std::time::Instant::now() < deadline, "first half lost");
         }
         assert_eq!(nb.try_recv().expect("partial"), None, "incomplete frame");
         client.write_all(&wire[500..]).expect("second half");
         client.flush().expect("flush");
         let got = loop {
-            nb.fill().expect("fill");
+            nb.fill(&mut buf).expect("fill");
             if let Some(f) = nb.try_recv().expect("recv") {
                 break f;
             }
@@ -565,13 +570,14 @@ mod tests {
     fn nb_conn_unpacks_coalesced_batches() {
         let (server, client) = raw_pair();
         let mut nb = NbConn::new(server).expect("nb conn");
+        let mut buf = [0u8; NbConn::READ_CHUNK];
         let sender = crate::Endpoint::from_tcp(client).expect("endpoint");
         let frames = vec![Frame::encode(2, &1u64), Frame::encode(2, &2u64)];
         sender.send_coalesced(&frames).expect("send");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         while got.len() < 2 {
-            nb.fill().expect("fill");
+            nb.fill(&mut buf).expect("fill");
             while let Some(f) = nb.try_recv().expect("recv") {
                 got.push(f);
             }
@@ -584,13 +590,14 @@ mod tests {
     fn nb_conn_detects_disconnect_after_drain() {
         let (server, client) = raw_pair();
         let mut nb = NbConn::new(server).expect("nb conn");
+        let mut buf = [0u8; NbConn::READ_CHUNK];
         let sender = crate::Endpoint::from_tcp(client).expect("endpoint");
         sender.send(Frame::encode(1, &9u64)).expect("send");
         drop(sender);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         // The queued frame is still delivered before the EOF surfaces.
         let got = loop {
-            nb.fill().expect("fill");
+            nb.fill(&mut buf).expect("fill");
             if let Some(f) = nb.try_recv().expect("recv") {
                 break f;
             }
@@ -598,7 +605,7 @@ mod tests {
         };
         assert_eq!(got.decode_as::<u64>(1).expect("decode"), 9);
         loop {
-            nb.fill().expect("fill past EOF is not an error");
+            nb.fill(&mut buf).expect("fill past EOF is not an error");
             match nb.try_recv() {
                 Err(TransportError::Disconnected) => break,
                 Ok(None) => {}
@@ -612,6 +619,7 @@ mod tests {
     fn nb_conn_rejects_oversized_announcements_stickily() {
         let (server, mut client) = raw_pair();
         let mut nb = NbConn::new(server).expect("nb conn");
+        let mut buf = [0u8; NbConn::READ_CHUNK];
         use std::io::Write;
         let mut header = Vec::new();
         header.extend_from_slice(&7u16.to_le_bytes());
@@ -620,7 +628,7 @@ mod tests {
         client.flush().expect("flush");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            match nb.fill() {
+            match nb.fill(&mut buf) {
                 Err(TransportError::Decode(msg)) => {
                     assert!(msg.contains("cap"), "names the cap: {msg}");
                     break;

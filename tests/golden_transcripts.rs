@@ -53,6 +53,16 @@
 //! evaluation, which sends three, takes 8 294 bytes where it took 8 318;
 //! no draw, value or frame count changed, and the two 4-of-8 digests,
 //! which carry no cloud, did not move.
+//!
+//! The same two digests were re-pinned once more, together, by another
+//! change to the codec alone: the control frames whose bodies are
+//! `u64` words — classification's spec (kind 0x0501), warm hello
+//! (0x0503) and ticket (0x0504), and the similarity hello (0x0600) —
+//! carry the words straight in the payload instead of inside a
+//! length-prefixed byte string. Each such frame is 8 bytes shorter, so
+//! a similarity evaluation takes 8 286 bytes where it took 8 294; no
+//! draw, value or frame count changed, and the two 4-of-8 digests did
+//! not move.
 
 use ppcs_core::{
     similarity_plain, similarity_request, similarity_request_io, similarity_respond, Client,
@@ -104,7 +114,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "012296d869b19b294f639658bced74d2a3a92ee4932784237214bccd19f1958d",
+        digest, "1c506371e973872d094d8887366b125de670ba631cb70dcc108bc7aeef3c9bfa",
         "the NP-768 classification transcript changed"
     );
 }
@@ -211,7 +221,7 @@ fn fp256_similarity_session_is_pinned() {
         "private {got} vs plain {want}"
     );
     assert_eq!(
-        digest, "487f5f4fa67722563df3f3e6cbd96b6831f65658cbea2e5c253a90d1451b92cb",
+        digest, "36f116d457b6f8541c165301c4b9d5c12314f1e2ab0156475b95fdf5e50f8de4",
         "the field similarity transcript changed"
     );
 }

@@ -147,7 +147,12 @@ fn polynomial_session_cloud_is_uniform_over_all_24_coordinates() {
             move |ep| {
                 let hello = ep.recv().expect("hello");
                 assert_eq!(hello.kind, 0x0500);
-                ep.send(Frame::encode(0x0501, &spec)).expect("spec");
+                // The words are the payload itself, with no length prefix.
+                ep.send(Frame {
+                    kind: 0x0501,
+                    payload: Bytes::from(spec),
+                })
+                .expect("spec");
                 ep.recv().expect("points frame").payload.to_vec()
             },
             move |ep| {
