@@ -247,7 +247,7 @@ impl<A: Algebra> Trainer<A> {
             Kernel::Linear => {
                 let w = model
                     .linear_weights()
-                    .expect("linear kernel always has weights");
+                    .ok_or_else(|| PpcsError::Expansion("a linear model without weights".into()))?;
                 Self::build(alg, cfg, model.dim(), None, &w, model.bias())
             }
             _ => Self::from_expanded(alg, &expand_model(model, &cfg)?, cfg),
@@ -335,7 +335,9 @@ impl<A: Algebra> Trainer<A> {
         let mut lower = Vec::new();
         for j in 1..degree {
             let len = if degrees.contains(&j) {
-                expanded_dimension(dim, j).expect("basis size checked") as usize
+                expanded_dimension(dim, j).ok_or_else(|| {
+                    PpcsError::Expansion(format!("the degree-{j} block over {dim} variables"))
+                })? as usize
             } else {
                 0
             };
@@ -612,22 +614,23 @@ impl<A: Algebra> Trainer<A> {
 /// let model = SvmModel::train(&ds, Kernel::Linear, &SmoParams::default());
 ///
 /// let cfg = ProtocolConfig::default();
-/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg).unwrap();
+/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, cfg)?;
 /// let client = Client::new(FixedFpAlgebra::new(16), cfg);
 ///
 /// let samples = vec![vec![0.9], vec![-0.7]];
 /// let (served, labels) = run_pair(
 ///     move |ep| {
 ///         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-///         trainer.serve(&ep, &TrustedSimOt, &mut rng).unwrap()
+///         trainer.serve(&ep, &TrustedSimOt, &mut rng)
 ///     },
 ///     move |ep| {
 ///         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-///         client.classify_batch(&ep, &TrustedSimOt, &mut rng, &samples).unwrap()
+///         client.classify_batch(&ep, &TrustedSimOt, &mut rng, &samples)
 ///     },
 /// );
-/// assert_eq!(served, 2);
-/// assert_eq!(labels, vec![Label::Positive, Label::Negative]);
+/// assert_eq!(served?, 2);
+/// assert_eq!(labels?, vec![Label::Positive, Label::Negative]);
+/// # Ok::<(), ppcs_core::PpcsError>(())
 /// ```
 pub struct Client<A: Algebra> {
     alg: A,
@@ -785,7 +788,7 @@ impl<A: Algebra> Client<A> {
     /// spec, coalesced into one frame. The ticket is the first frame
     /// read. If it re-announces a spec other than the cached one, the
     /// trainer has dropped the early flight, and it is re-sent under the
-    /// new spec — fresh covers and abscissae — opened by a hello naming
+    /// new spec — fresh cover positions and covers — opened by a hello naming
     /// that spec: one round trip more. An epoch-only re-announcement
     /// re-keys the cache and keeps the early flight. Returns the spec the
     /// session ran under and the decision values.
@@ -905,8 +908,7 @@ impl<A: Algebra> Client<A> {
     ///
     /// # Errors
     ///
-    /// [`PpcsError::Ompe`] if the spec's parameters cannot draw the
-    /// distinct abscissae a point cloud needs.
+    /// [`PpcsError::Ompe`] if the spec's input dimension is zero.
     pub fn precompute_material(
         &self,
         sel: OtSelect,

@@ -25,10 +25,10 @@
 //! they run as one exchange: Bob's hello, both point clouds and both
 //! transfers' queries in one flight, both transfers' answers in one
 //! frame back. Round 3 is a second exchange of one flight each way. Bob
-//! draws all three rounds up front as [`BlindRound`]s, whose
-//! Lagrange-at-zero weights come from one field inversion; Alice inverts
-//! once more, for her amplifiers. Masks, covers and amplifiers stay
-//! fresh per round.
+//! draws all three rounds up front as [`BlindRound`]s, whose clouds sit
+//! at the public abscissae `1..=N` and whose Lagrange-at-zero weights
+//! cost no field inversion; Alice inverts once, for her amplifiers.
+//! Masks, cover positions, covers and amplifiers stay fresh per round.
 //!
 //! Note: the paper prints `d₂ = r_aw⁻¹`; because `x₂ − (−d₃)` is squared
 //! inside the polynomial, the inverse must be applied twice for the
@@ -1018,14 +1018,14 @@ where
     let (linear, area) = (cfg.ompe_linear()?, cfg.ompe_area()?);
     let session = OmpeReceiverSession::new_io(io, sel, linear).await?;
 
-    // All three rounds up front, their retrieval weights from one
-    // inversion; round 3 is bound once x₁ and x₂ are known.
+    // All three rounds up front, with their retrieval weights; round 3
+    // is bound once x₁ and x₂ are known.
     let mb_inputs: Vec<Fp256> = centroid_input(geom, model_dim)
         .iter()
         .map(|v| alg.encode(*v, 1))
         .collect();
     let wb_inputs: Vec<Fp256> = direction_input.iter().map(|v| alg.encode(*v, 1)).collect();
-    let mut rounds = {
+    let [round1, round2, round3] = {
         let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
         [
             BlindRound::draw(alg, &linear, mb_inputs.len(), rng)?,
@@ -1033,11 +1033,6 @@ where
             BlindRound::draw(alg, &area, 2, rng)?,
         ]
     };
-    {
-        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
-        BlindRound::weigh(alg, &mut rounds)?;
-    }
-    let [round1, round2, round3] = rounds;
 
     // Rounds 1 and 2: hello, both clouds and both queries in one flight.
     let cross = [round1.bind(alg, &mb_inputs)?, round2.bind(alg, &wb_inputs)?];
@@ -1050,21 +1045,19 @@ where
             geom.w_norm2.to_bits(),
         ]),
     )?;
-    for (round, _) in &cross {
+    for round in &cross {
         io.send(round.frame())?;
     }
-    let x = session
-        .finish_weighted_io(alg, io, sel, rng, &cross)
-        .await?;
+    let x = session.finish_rounds_io(alg, io, sel, rng, &cross).await?;
 
     // Round 3: feed the raw (still-encoded) cross terms back in. The
     // evaluation yields 4·T² (see `build_area_polynomial` on why the ¼
     // stays out of the field); apply the public prefactor on the reals.
     let area_round = [round3.bind(alg, &x)?];
     io.hold();
-    io.send(area_round[0].0.frame())?;
+    io.send(area_round[0].frame())?;
     let values = session
-        .finish_weighted_io(alg, io, sel, rng, &area_round)
+        .finish_rounds_io(alg, io, sel, rng, &area_round)
         .await?;
     let &[t2_elem] = &values[..] else {
         return Err(PpcsError::Protocol(

@@ -358,6 +358,32 @@ impl Fp256 {
         fold([t0, t1, t2, t3], [t4, t5, t6, t7, 0])
     }
 
+    /// The product by a machine word: four word products into five limbs,
+    /// then one `fold` — a quarter of the word products of a full
+    /// product. Horner's rule at a public abscissa `x ≤ N` runs on it.
+    #[inline]
+    pub fn mul_u64(self, k: u64) -> Self {
+        let mut lo = [0u64; 4];
+        let mut carry = 0u64;
+        for (l, a) in lo.iter_mut().zip(self.limbs) {
+            (*l, carry) = mac(0, a, k, carry);
+        }
+        fold(lo, [carry, 0, 0, 0, 0])
+    }
+
+    /// `(⌊p / k⌋, p mod k)` for `k ≥ 2`, by long division of the
+    /// modulus' limbs: the two halves of the inverse-table recurrence.
+    pub(crate) fn modulus_div_rem(k: u64) -> (Self, u64) {
+        let mut quotient = [0u64; 4];
+        let mut rem = 0u128;
+        for (q, limb) in quotient.iter_mut().zip(MODULUS).rev() {
+            let cur = rem << 64 | limb as u128;
+            *q = (cur / k as u128) as u64;
+            rem = cur % k as u128;
+        }
+        (Self::from_raw(quotient), rem as u64)
+    }
+
     /// Raises the element to a 256-bit little-endian exponent.
     pub fn pow(self, exp: &[u64; 4]) -> Self {
         let mut result = Fp256::ONE;
@@ -834,6 +860,35 @@ mod tests {
             let p = big(&MODULUS);
             let want = (big(&lo) + (big(&hi) << 256u32)) % &p;
             prop_assert_eq!(big(&fold(lo, hi).limbs), want);
+        }
+    }
+
+    #[test]
+    fn word_products_equal_the_full_product() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (a, b) = second_fold_factors();
+        let ys = [
+            Fp256::ZERO,
+            Fp256::ONE,
+            -Fp256::ONE,
+            a,
+            b,
+            Fp256::random(&mut rng),
+        ];
+        for y in ys {
+            for k in [0, 1, 2, 977, 1 << 32, u64::MAX, rng.gen()] {
+                assert_eq!(y.mul_u64(k), y * Fp256::from_u64(k), "{y:?} · {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_modulus_divides_into_quotient_and_remainder() {
+        let p = big(&MODULUS);
+        for k in [2u64, 3, 977, 65_535, 1 << 32, u64::MAX] {
+            let (quotient, rem) = Fp256::modulus_div_rem(k);
+            assert_eq!(big(&quotient.limbs), &p / BigUint::from(k), "⌊p/{k}⌋");
+            assert_eq!(BigUint::from(rem), &p % BigUint::from(k), "p mod {k}");
         }
     }
 

@@ -164,6 +164,82 @@ pub fn lagrange_zero_weights_batch<A: Algebra, S: AsRef<[Fp256]>>(
         .collect())
 }
 
+/// The Lagrange-at-zero weights of abscissae that are distinct small
+/// positive integers — a subset `S` of the public points `1..=N` of an
+/// OMPE cloud — in the order given: equal to [`lagrange_zero_weights`]
+/// over the same points, and computed with no field inversion.
+///
+/// With `M = max S`, the denominator of `c_j = Π_{i≠j} x_i / (x_i − x_j)`
+/// is what is left of `Π_{k≤M, k≠x_j} (k − x_j) = ±(x_j − 1)!·(M − x_j)!`
+/// once the points outside `S` are divided out, so
+///
+/// ```text
+/// c_j = ± Π_{i≠j} x_i · Π_{k≤M, k∉S} |k − x_j| / ((x_j − 1)!·(M − x_j)!)
+/// ```
+///
+/// with the sign `(−1)^{#{i : x_i < x_j}}`. The `M − 1` integer factors
+/// are multiplied in machine words and folded in by [`Fp256::mul_u64`];
+/// the inverse factorials come from a table of `1/k` built by the
+/// recurrence `1/k = −⌊p/k⌋ · 1/(p mod k)`, with no inversion. That is
+/// about `2M` products for the table and two per weight, where
+/// [`lagrange_zero_weights`] pays `2(n − 1)` per weight and an
+/// inversion; only the word products grow as `n·M`.
+///
+/// # Errors
+///
+/// Same conditions as [`lagrange_zero_weights`]: empty input, a
+/// duplicate abscissa, or the reserved abscissa zero.
+pub fn lagrange_zero_weights_small(xs: &[u64]) -> Result<Vec<Fp256>, InterpolationError> {
+    let max = *xs.iter().max().ok_or(InterpolationError::Empty)?;
+    let mut chosen = vec![false; max as usize + 1];
+    for &x in xs {
+        if x == 0 {
+            return Err(InterpolationError::ZeroAbscissa);
+        }
+        if std::mem::replace(&mut chosen[x as usize], true) {
+            return Err(InterpolationError::DuplicateAbscissa);
+        }
+    }
+    let inv_fact = inverse_factorials(max - 1);
+    let outside: Vec<u64> = (1..=max).filter(|&k| !chosen[k as usize]).collect();
+    let weight = |xj: u64| {
+        let mut acc = inv_fact[(xj - 1) as usize] * inv_fact[(max - xj) as usize];
+        let others = xs.iter().copied().filter(|&x| x != xj);
+        let mut word = 1u64;
+        for factor in others.chain(outside.iter().map(|k| k.abs_diff(xj))) {
+            word = word.checked_mul(factor).unwrap_or_else(|| {
+                acc = acc.mul_u64(word);
+                factor
+            });
+        }
+        acc = acc.mul_u64(word);
+        let below = xs.iter().filter(|&&x| x < xj).count();
+        if below % 2 == 1 {
+            -acc
+        } else {
+            acc
+        }
+    };
+    Ok(xs.iter().map(|&xj| weight(xj)).collect())
+}
+
+/// `1/k!` for `k = 0 … max`, from the inverses `1/k` of the recurrence
+/// `1/k = −⌊p/k⌋ · 1/(p mod k)`: `p = ⌊p/k⌋·k + (p mod k) ≡ 0`, and
+/// `p mod k < k` is already in the table, so each `1/k` costs one
+/// product and no inversion, and each `1/k!` one more.
+fn inverse_factorials(max: u64) -> Vec<Fp256> {
+    let mut inverses = vec![Fp256::ZERO, Fp256::ONE];
+    let mut inv_fact = vec![Fp256::ONE, Fp256::ONE];
+    for k in 2..=max {
+        let (quotient, rem) = Fp256::modulus_div_rem(k);
+        let inverse = -(quotient * inverses[rem as usize]);
+        inverses.push(inverse);
+        inv_fact.push(inv_fact[k as usize - 1] * inverse);
+    }
+    inv_fact.truncate(max as usize + 1);
+    inv_fact
+}
+
 fn weighted_sum<'a>(
     alg: &impl Algebra,
     weights: &[Fp256],
@@ -422,6 +498,63 @@ mod tests {
         let bad = [sets[0].clone(), vec![sets[1][0]; 2], Vec::new()];
         assert_eq!(
             lagrange_zero_weights_batch(&alg, &bad),
+            Err(InterpolationError::DuplicateAbscissa)
+        );
+    }
+
+    #[test]
+    fn every_table_inverse_times_its_integer_is_one() {
+        let inv_fact = inverse_factorials(200);
+        assert_eq!(inv_fact.len(), 201);
+        assert_eq!(inv_fact[0], Fp256::ONE);
+        for k in 1..=200u64 {
+            // 1/k = (k − 1)!/k!, so k · (1/k!) · (k − 1)! = 1 checks both.
+            let inv_k = inv_fact[k as usize] * (1..k).fold(Fp256::ONE, |f, i| f.mul_u64(i));
+            assert_eq!(inv_k.mul_u64(k), Fp256::ONE, "k = {k}");
+            assert_eq!(
+                inv_fact[k as usize - 1] * inv_fact[k as usize].inv().unwrap(),
+                Fp256::from_u64(k)
+            );
+        }
+        assert_eq!(inverse_factorials(0), [Fp256::ONE]);
+    }
+
+    #[test]
+    fn small_weights_equal_the_general_ones_on_random_subsets() {
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(61);
+        for _ in 0..200 {
+            let n_points = rng.gen_range(1..=64usize);
+            let n = rng.gen_range(1..=n_points);
+            let xs: Vec<u64> = rand::seq::index::sample(&mut rng, n_points, n)
+                .into_vec()
+                .into_iter()
+                .map(|p| p as u64 + 1)
+                .collect();
+            let general: Vec<Fp256> = xs.iter().map(|&x| Fp256::from_u64(x)).collect();
+            assert_eq!(
+                lagrange_zero_weights_small(&xs),
+                lagrange_zero_weights(&alg, &general),
+                "{xs:?}"
+            );
+        }
+        // Large abscissae fold their word products in more than once.
+        let far = [1u64, 2, 70_000, 65_537, 123_456];
+        let general: Vec<Fp256> = far.iter().map(|&x| Fp256::from_u64(x)).collect();
+        assert_eq!(
+            lagrange_zero_weights_small(&far),
+            lagrange_zero_weights(&alg, &general)
+        );
+        assert_eq!(
+            lagrange_zero_weights_small(&[]),
+            Err(InterpolationError::Empty)
+        );
+        assert_eq!(
+            lagrange_zero_weights_small(&[3, 0]),
+            Err(InterpolationError::ZeroAbscissa)
+        );
+        assert_eq!(
+            lagrange_zero_weights_small(&[3, 5, 3]),
             Err(InterpolationError::DuplicateAbscissa)
         );
     }

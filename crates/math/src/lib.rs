@@ -15,7 +15,9 @@
 //! * [`Polynomial`] / [`MvPolynomial`] — the masking and secret
 //!   polynomials of the OMPE construction;
 //! * [`interpolate_at_zero`] / [`interp_batch`] — the Lagrange retrieval
-//!   step (Eq. 3), single-system and batched;
+//!   step (Eq. 3), single-system and batched, at any abscissae; the
+//!   protocols' clouds sit at the public points `1..=N`, whose weights
+//!   [`lagrange_zero_weights_small`] gives with no inversion;
 //! * [`eval_cloud_many`] — one polynomial over a whole point cloud, the
 //!   batch form of [`Polynomial::eval`];
 //! * monomial-basis expansion of polynomial kernels
@@ -68,7 +70,8 @@ pub use eval::{DenseAffine, DensePoly, PolyEval};
 pub use fp256::{Fp256, MODULUS};
 pub use interp::{
     interp_batch, interpolate_at_zero, interpolate_at_zero_weighted, interpolate_coeffs,
-    lagrange_zero_weights, lagrange_zero_weights_batch, InterpolationError,
+    lagrange_zero_weights, lagrange_zero_weights_batch, lagrange_zero_weights_small,
+    InterpolationError,
 };
 pub use multinomial::{
     binomial, expand_power_dot, expanded_dimension, monomial_exponents, monomial_features,

@@ -121,6 +121,16 @@ impl Polynomial {
         out
     }
 
+    /// Evaluates at a small integer `x` — a public abscissa — by Horner's
+    /// rule over [`Fp256::mul_u64`]: equal to [`eval`](Polynomial::eval)
+    /// at `Fp256::from_u64(x)`, at a quarter of its word products.
+    pub fn eval_u64(&self, x: u64) -> Fp256 {
+        self.coeffs
+            .iter()
+            .rev()
+            .fold(Fp256::ZERO, |acc, c| acc.mul_u64(x) + *c)
+    }
+
     /// The constant term `p(0)`.
     pub fn constant_term(&self, alg: &impl Algebra) -> Fp256 {
         self.coeffs.first().cloned().unwrap_or_else(|| alg.zero())
@@ -265,6 +275,23 @@ mod tests {
         for (x, y) in xs.iter().zip(&batch) {
             assert_eq!(p.eval(&alg, x), *y);
         }
+    }
+
+    #[test]
+    fn eval_at_a_word_matches_eval() {
+        let alg = FixedFpAlgebra::new(16);
+        let mut rng = StdRng::seed_from_u64(22);
+        for degree in [0usize, 1, 3, 12] {
+            let p = Polynomial::random_with_constant(&alg, degree, alg.encode(0.5, 1), &mut rng);
+            for x in [0u64, 1, 2, 26, 65_536, u64::MAX] {
+                assert_eq!(
+                    p.eval_u64(x),
+                    p.eval(&alg, &Fp256::from_u64(x)),
+                    "{degree}, {x}"
+                );
+            }
+        }
+        assert_eq!(Polynomial::zero().eval_u64(7), Fp256::ZERO);
     }
 
     #[test]

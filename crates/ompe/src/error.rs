@@ -18,8 +18,8 @@ pub enum OmpeError {
     Ot(OtError),
     /// Underlying transport failure.
     Transport(TransportError),
-    /// The retrieval interpolation failed (duplicate or zero abscissae —
-    /// indicates a protocol violation by the peer).
+    /// The retrieval interpolation failed: a degenerate abscissa set, or
+    /// fewer answers than covers — a protocol violation by the peer.
     Interpolation(InterpolationError),
     /// Precomputed offline material was produced under a different
     /// configuration (OT engine, group, or OMPE parameters) than the

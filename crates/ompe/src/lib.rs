@@ -12,7 +12,8 @@
 //! Construction: the receiver hides each `α_i` as the constant term of a
 //! random degree-`σ` polynomial `S_i`, submits `N = n·m` evaluation
 //! points of which only `n = σ·degree_bound + 1` are genuine covers
-//! `(x, S(x))`, and the sender answers with `Q(x, y) = M(x) + P(y)` where
+//! `(x, S(x))` — the abscissae are the public points `x = 1, …, N`, so
+//! only the `y` travel — and the sender answers with `Q(x, y) = M(x) + P(y)` where
 //! `M` is a random masking polynomial with `M(0) = 0`. An n-out-of-N
 //! oblivious transfer delivers the cover values; Lagrange interpolation
 //! at zero strips the mask: `R(0) = M(0) + P(S(0)) = P(α)`.

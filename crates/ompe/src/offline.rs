@@ -10,12 +10,13 @@
 //! * the **receiver's** offline pack ([`OmpeReceiverOffline`]) holds
 //!   [*blind rounds*](BlindRound): full point clouds drawn for a fixed
 //!   input dimension with every cover polynomial's constant term left at
-//!   zero, plus the Lagrange-at-zero weights over the cover abscissae —
-//!   every round's weights from one batched field inversion. The online
-//!   phase binds an input `α` by shifting each cover column by `α_i`
-//!   (`S_i = S̄_i + α_i`), so for a fixed RNG stream the bound point
-//!   cloud is byte-identical to the monolithic construction, and the
-//!   retrieval interpolation collapses to one dot product.
+//!   zero, plus the Lagrange-at-zero weights over the cover abscissae,
+//!   which are public points of `1..=N` and need no field inversion
+//!   ([`lagrange_zero_weights_small`]). The online phase binds an input
+//!   `α` by shifting each cover column by `α_i` (`S_i = S̄_i + α_i`); the
+//!   inline construction is a blind round drawn and bound at once, so
+//!   for a fixed RNG stream both send the same bytes, and the retrieval
+//!   interpolation collapses to one dot product.
 //!
 //! Offline material is **bound to the configuration that produced it**:
 //! each pack carries a [`params_fingerprint`] mixing the OT engine
@@ -28,18 +29,17 @@
 
 use std::collections::VecDeque;
 
-use ppcs_math::{lagrange_zero_weights, lagrange_zero_weights_batch};
-use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
+use bytes::BytesMut;
+use ppcs_math::{lagrange_zero_weights_small, Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{select_fingerprint, OtOfflineCommitment, OtSelect};
 use ppcs_telemetry::Phase;
+use ppcs_transport::{Encodable, Frame, FrameIo};
 use rand::seq::index::sample;
 use rand::RngCore;
 
-use ppcs_transport::{Frame, FrameIo};
-
 use crate::error::OmpeError;
-use crate::protocol::OmpeParams;
-use crate::session::{draw_distinct_points, OmpeReceiverSession, OmpeSenderSession, PreparedRound};
+use crate::protocol::{OmpeParams, KIND_OMPE_POINTS};
+use crate::session::{OmpeReceiverSession, OmpeSenderSession, PreparedRound};
 
 /// SplitMix64 finalizer: the avalanche step used to fold parameter words
 /// into the fingerprint.
@@ -130,36 +130,33 @@ impl OmpeSenderOffline {
 /// One precomputed receiver round: a full point cloud with zero-constant
 /// cover polynomials, ready to be bound to an input vector.
 ///
-/// [`draw`](Self::draw) a set of rounds, [`weigh`](Self::weigh) them
-/// together — one field inversion for all their Lagrange-at-zero weights
-/// — then [`bind`](Self::bind) each to its input once that exists; the
-/// bound rounds finish through
-/// [`OmpeReceiverSession::finish_weighted_io`].
+/// [`draw`](Self::draw) a round, then [`bind`](Self::bind) it to its
+/// input once that exists; the bound rounds finish through
+/// [`OmpeReceiverSession::finish_rounds_io`]. The cloud's abscissae are
+/// the public points `1..=N`: position `k` (0-based) is `x = k + 1`, so
+/// only its coordinates travel.
 #[derive(Debug)]
 pub struct BlindRound {
-    /// All `N` abscissae, in submission order.
-    xs: Vec<Fp256>,
+    /// `N`, the number of points.
+    points: usize,
     /// Cover positions in OT-selection (sample) order.
     cover_positions: Vec<usize>,
-    /// Cover positions in ascending submission order.
-    cover_rows: Vec<usize>,
     /// The flattened submitted inputs with `S̄_i(x)` (zero constant) at
     /// covers and disguises elsewhere; binding adds `α_i` per cover slot.
     base_ys: Vec<Fp256>,
-    /// Lagrange-at-zero weights over `xs[cover_positions]`, in that
-    /// order — the order retrieval returns the masked answers in. Empty
-    /// until [`weigh`](Self::weigh).
+    /// Lagrange-at-zero weights over the cover abscissae, in selection
+    /// order — the order retrieval returns the masked answers in.
     zero_weights: Vec<Fp256>,
     /// Input dimension the round was drawn for.
     dim: usize,
 }
 
 impl BlindRound {
-    /// Draws one blind round of `params` for inputs of dimension `dim`,
-    /// consuming the RNG in exactly the order a receiver session that
-    /// builds its round online does (cover refreshes,
-    /// abscissae, cover sampling, disguises in position order), so that
-    /// binding reproduces its point cloud byte for byte.
+    /// Draws one blind round of `params` for inputs of dimension `dim`:
+    /// the cover polynomials, the cover positions, then the disguises in
+    /// position order. Each cover polynomial's Horner steps at `x ≤ N`
+    /// are products by a word, and the retrieval weights over the
+    /// covers cost no inversion.
     ///
     /// # Errors
     ///
@@ -173,88 +170,44 @@ impl BlindRound {
         if dim == 0 {
             return Err(OmpeError::Params("input dimension must be ≥ 1".into()));
         }
-        let n_covers = params.num_covers();
         let n_points = params.num_points();
-
-        let mut cover_polys = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            let mut poly = Polynomial::zero();
-            poly.refresh_random_with_constant(alg, params.sigma, alg.zero(), rng);
-            cover_polys.push(poly);
-        }
-        let xs = draw_distinct_points(alg, n_points, rng);
-        let cover_positions: Vec<usize> = sample(rng, n_points, n_covers).into_vec();
+        let cover_polys: Vec<Polynomial> = (0..dim)
+            .map(|_| Polynomial::random_with_constant(alg, params.sigma, alg.zero(), rng))
+            .collect();
+        let cover_positions = sample(rng, n_points, params.num_covers()).into_vec();
         let mut is_cover = vec![false; n_points];
         for &pos in &cover_positions {
             is_cover[pos] = true;
         }
-        let cover_xs: Vec<Fp256> = (0..n_points)
-            .filter(|&i| is_cover[i])
-            .map(|i| xs[i])
-            .collect();
-        let cover_evals: Vec<Vec<Fp256>> = cover_polys
-            .iter()
-            .map(|poly| poly.eval_many(&cover_xs))
-            .collect();
         let mut base_ys = Vec::with_capacity(n_points * dim);
-        let mut cover_rank = 0usize;
-        for &cover in is_cover.iter().take(n_points) {
+        for (pos, &cover) in is_cover.iter().enumerate() {
             if cover {
-                for evals in &cover_evals {
-                    base_ys.push(evals[cover_rank]);
-                }
-                cover_rank += 1;
+                base_ys.extend(cover_polys.iter().map(|poly| poly.eval_u64(pos as u64 + 1)));
             } else {
-                for _ in 0..dim {
-                    base_ys.push(alg.random_mask(rng));
-                }
+                base_ys.extend((0..dim).map(|_| alg.random_mask(rng)));
             }
         }
-        let cover_rows: Vec<usize> = (0..n_points).filter(|&i| is_cover[i]).collect();
+        let cover_xs: Vec<u64> = cover_positions.iter().map(|&p| p as u64 + 1).collect();
         Ok(Self {
-            xs,
+            points: n_points,
+            zero_weights: lagrange_zero_weights_small(&cover_xs)?,
             cover_positions,
-            cover_rows,
             base_ys,
-            zero_weights: Vec::new(),
             dim,
         })
     }
 
-    /// Computes the Lagrange-at-zero weights of every round in `rounds`
-    /// with one batched field inversion for all of them.
-    ///
-    /// # Errors
-    ///
-    /// Interpolation errors if a drawn abscissa set is degenerate (cannot
-    /// happen for honest draws).
-    pub fn weigh(alg: &impl Algebra, rounds: &mut [BlindRound]) -> Result<(), OmpeError> {
-        let sets: Vec<Vec<Fp256>> = rounds
-            .iter()
-            .map(|round| round.cover_positions.iter().map(|&p| round.xs[p]).collect())
-            .collect();
-        let weights = lagrange_zero_weights_batch(alg, &sets)?;
-        for (round, weights) in rounds.iter_mut().zip(weights) {
-            round.zero_weights = weights;
-        }
-        Ok(())
-    }
-
     /// Binds the blind round to a concrete input: shifts each cover
-    /// column by `α_i` and encodes the point-cloud frame. Returns the
-    /// prepared round plus the precomputed retrieval weights. Consumes
-    /// the round — binding is the online phase's hot path, and moving
-    /// the precomputed vectors keeps it allocation-free apart from the
-    /// wire frame itself.
+    /// column by `α_i` and encodes the point-cloud frame, the `N·dim`
+    /// coordinates row-major and nothing else. Consumes the round —
+    /// binding is the online phase's hot path, and moving the
+    /// precomputed vectors keeps it allocation-free apart from the wire
+    /// frame itself.
     ///
     /// # Errors
     ///
     /// [`OmpeError::Params`] if `alpha` is not of the round's dimension.
-    pub fn bind(
-        mut self,
-        alg: &impl Algebra,
-        alpha: &[Fp256],
-    ) -> Result<(PreparedRound, Vec<Fp256>), OmpeError> {
+    pub fn bind(mut self, alg: &impl Algebra, alpha: &[Fp256]) -> Result<PreparedRound, OmpeError> {
         if alpha.len() != self.dim {
             return Err(OmpeError::Params(format!(
                 "offline round was precomputed for dimension {}, input has dimension {}",
@@ -263,16 +216,25 @@ impl BlindRound {
             )));
         }
         let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
-        for &pos in &self.cover_rows {
-            for (i, a) in alpha.iter().enumerate() {
-                let slot = pos * self.dim + i;
-                self.base_ys[slot] = alg.add(&self.base_ys[slot], a);
+        for &pos in &self.cover_positions {
+            let row = &mut self.base_ys[pos * self.dim..(pos + 1) * self.dim];
+            for (y, a) in row.iter_mut().zip(alpha) {
+                *y = alg.add(y, a);
             }
         }
-        Ok((
-            PreparedRound::new(self.xs, &self.base_ys, self.cover_positions),
-            self.zero_weights,
-        ))
+        let mut payload = BytesMut::with_capacity(self.base_ys.len() * Fp256::MIN_WIRE_LEN);
+        for y in &self.base_ys {
+            y.encode(&mut payload);
+        }
+        Ok(PreparedRound {
+            frame: Frame {
+                kind: KIND_OMPE_POINTS,
+                payload: payload.freeze(),
+            },
+            points: self.points,
+            cover_positions: self.cover_positions,
+            zero_weights: self.zero_weights,
+        })
     }
 }
 
@@ -290,8 +252,7 @@ impl OmpeReceiverOffline {
     ///
     /// # Errors
     ///
-    /// [`OmpeError::Params`] if `dim` is zero; interpolation errors if a
-    /// drawn abscissa set is degenerate (cannot happen for honest draws).
+    /// [`OmpeError::Params`] if `dim` is zero.
     pub fn precompute(
         alg: &impl Algebra,
         sel: OtSelect,
@@ -301,10 +262,9 @@ impl OmpeReceiverOffline {
         rng: &mut dyn RngCore,
     ) -> Result<Self, OmpeError> {
         let _span = ppcs_telemetry::span(Phase::Precompute);
-        let mut drawn = (0..rounds)
+        let drawn = (0..rounds)
             .map(|_| BlindRound::draw(alg, params, dim, rng))
             .collect::<Result<Vec<_>, _>>()?;
-        BlindRound::weigh(alg, &mut drawn)?;
         Ok(Self {
             fingerprint: params_fingerprint(sel, params),
             dim,
@@ -391,7 +351,7 @@ where
 
 /// Receiver side of a batch of OMPE rounds using precomputed blind
 /// rounds: the online phase binds each input into a ready point cloud
-/// and retrieves each value through a precomputed-weight dot product.
+/// and retrieves each value through a dot product with its weights.
 /// Rounds beyond the pack's supply fall back to the inline construction.
 ///
 /// # Errors
@@ -421,23 +381,19 @@ where
             actual: offline.fingerprint,
         });
     }
-    let mut session = OmpeReceiverSession::new_io(io, sel, *params).await?;
+    let session = OmpeReceiverSession::new_io(io, sel, *params).await?;
     let mut rounds = Vec::with_capacity(alphas.len());
     for alpha in alphas {
         rounds.push(match offline.pop_round() {
             Some(blind) => blind.bind(alg, alpha)?,
-            None => {
-                let round = session.prepare_round(alg, rng, alpha)?;
-                let weights = lagrange_zero_weights(alg, &round.cover_xs())?;
-                (round, weights)
-            }
+            None => session.prepare_round(alg, rng, alpha)?,
         });
     }
     // One flight: every point cloud and the transfer list's query.
-    let frames: Vec<Frame> = rounds.iter().map(|(round, _)| round.frame()).collect();
+    let frames: Vec<Frame> = rounds.iter().map(PreparedRound::frame).collect();
     io.hold();
     io.send_coalesced(&frames)?;
-    session.finish_weighted_io(alg, io, sel, rng, &rounds).await
+    session.finish_rounds_io(alg, io, sel, rng, &rounds).await
 }
 
 #[cfg(test)]
@@ -575,15 +531,16 @@ mod tests {
         let sel = SIM.select();
         let alpha = &alphas[1];
         let mut rng_mono = StdRng::seed_from_u64(7);
-        let mut mono = OmpeReceiverSession::single_shot(params);
+        let mono = OmpeReceiverSession::single_shot(params);
         let round_mono = mono.prepare_round(&alg, &mut rng_mono, alpha).unwrap();
         let mut rng_off = StdRng::seed_from_u64(7);
         let mut off =
             OmpeReceiverOffline::precompute(&alg, sel, &params, 2, 1, &mut rng_off).unwrap();
         let blind = off.pop_round().unwrap();
-        let (round_off, weights) = blind.bind(&alg, alpha).unwrap();
+        let round_off = blind.bind(&alg, alpha).unwrap();
         assert_eq!(round_mono.frame().payload, round_off.frame().payload);
-        assert_eq!(weights.len(), params.num_covers());
+        assert_eq!(round_off.zero_weights, round_mono.zero_weights);
+        assert_eq!(round_off.zero_weights.len(), params.num_covers());
     }
 
     #[test]

@@ -8,6 +8,8 @@ use rand::RngCore;
 use crate::error::OmpeError;
 use crate::session::{OmpeReceiverSession, OmpeSenderSession};
 
+/// A point cloud: the `N·r` input coordinates, row-major, of the points
+/// at the public abscissae `1..=N`, with no length prefix.
 pub(crate) const KIND_OMPE_POINTS: u16 = 0x0400;
 
 /// Public parameters both parties must agree on before running OMPE.
@@ -140,10 +142,16 @@ pub async fn ompe_receive_io<A>(
 where
     A: Algebra,
 {
-    let mut session = OmpeReceiverSession::single_shot(*params);
+    let session = OmpeReceiverSession::single_shot(*params);
     let round = session.prepare_round(alg, rng, alpha)?;
     io.send(round.frame())?;
-    session.finish_round_io(alg, io, sel, rng, &round).await
+    let values = session
+        .finish_rounds_io(alg, io, sel, rng, &[round])
+        .await?;
+    let &[value] = &values[..] else {
+        return Err(OmpeError::Protocol("one round returned no value".into()));
+    };
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -307,18 +315,5 @@ mod tests {
         let params = (&params_s, &params_r);
         let (send_res, _) = run_roles(&alg, &secret, &alpha, params, SIM, 1);
         assert!(matches!(send_res.unwrap_err(), OmpeError::Protocol(_)));
-    }
-
-    #[test]
-    fn distinct_points_are_distinct() {
-        let alg = FixedFpAlgebra::new(16);
-        let mut rng = StdRng::seed_from_u64(7);
-        let xs = crate::session::draw_distinct_points(&alg, 200, &mut rng);
-        for (i, a) in xs.iter().enumerate() {
-            assert!(!a.is_zero());
-            for b in xs.iter().skip(i + 1) {
-                assert!(a != b);
-            }
-        }
     }
 }

@@ -6,7 +6,6 @@
 //!
 //! * the sender's masking-polynomial storage is allocated once and
 //!   refreshed in place each round (fresh randomness, no reallocation);
-//! * the receiver's cover-polynomial storage is reused the same way;
 //! * the OT engine's base-phase material (the Naor–Pinkas commitment
 //!   `C = g^c`) is drawn and transmitted once per batch instead of once
 //!   per base transfer;
@@ -14,7 +13,7 @@
 //!   coalesced frame — one framed write instead of one per round;
 //! * the rounds' oblivious transfers form one list
 //!   ([`send_rounds_io`](OmpeSenderSession::send_rounds_io) /
-//!   [`fetch_io`](OmpeReceiverSession::fetch_io)): one query message,
+//!   [`finish_rounds_io`](OmpeReceiverSession::finish_rounds_io)): one query message,
 //!   sent in the same flight as the clouds, and one answer message for
 //!   the whole batch, so a batch of any size is one round trip.
 //!
@@ -31,18 +30,16 @@
 use std::collections::VecDeque;
 
 use bytes::{Bytes, BytesMut};
-use ppcs_math::{interp_batch, interpolate_at_zero, interpolate_at_zero_weighted};
-use ppcs_math::{Algebra, Fp256, PolyEval, Polynomial};
+use ppcs_math::{interpolate_at_zero_weighted, Algebra, Fp256, PolyEval, Polynomial};
 use ppcs_ot::{ot_begin_receive_io, ot_begin_send_io, ot_begin_send_precomputed_io};
 use ppcs_ot::{ot_receive_list_io, ot_send_list_io};
 use ppcs_ot::{OtBatchState, OtSelect};
 use ppcs_telemetry::Phase;
 use ppcs_transport::{decode_seq, encode_seq, Encodable, Frame, FrameIo, TransportError};
-use rand::seq::index::sample;
 use rand::RngCore;
 
 use crate::error::OmpeError;
-use crate::offline::{params_fingerprint, OmpeSenderOffline};
+use crate::offline::{params_fingerprint, BlindRound, OmpeSenderOffline};
 use crate::protocol::{OmpeParams, KIND_OMPE_POINTS};
 
 fn encode_elems<E: Encodable>(elems: &[E]) -> Bytes {
@@ -50,10 +47,6 @@ fn encode_elems<E: Encodable>(elems: &[E]) -> Bytes {
     encode_seq(elems, &mut out);
     out.freeze()
 }
-
-/// One received point cloud: the `N` abscissae and the `N·r` flattened
-/// input coordinates (row-major).
-pub(crate) type PointCloud = (Vec<Fp256>, Vec<Fp256>);
 
 /// Sender-side batch session: owns the per-batch state reused by every
 /// [`send_round_io`](OmpeSenderSession::send_round_io).
@@ -178,7 +171,7 @@ impl OmpeSenderSession {
         A: Algebra,
         P: PolyEval<A> + ?Sized,
     {
-        let clouds = self.recv_clouds_io(alg, io, secrets).await?;
+        let clouds = self.recv_clouds_io::<A, P>(io, secrets).await?;
         self.answer_clouds_io(alg, io, sel, rng, secrets, &clouds)
             .await
     }
@@ -197,19 +190,18 @@ impl OmpeSenderSession {
         Ok(())
     }
 
-    /// Checks every secret against the degree bound, then receives and
-    /// validates one point cloud per secret: `N` distinct nonzero
-    /// abscissae and `N` `r`-dimensional input vectors. The receiver
-    /// sends all the clouds and its one transfer-list query in one
-    /// flight, so every cloud is drained before the list's transfer
+    /// Checks every secret against the degree bound, then receives one
+    /// point cloud per secret: the `N·r` input coordinates of the points
+    /// at the public abscissae `1..=N`, row-major ([`decode_cloud`]). The
+    /// receiver sends all the clouds and its one transfer-list query in
+    /// one flight, so every cloud is drained before the list's transfer
     /// starts — otherwise its receive would pop a queued point cloud
     /// instead of the query.
     async fn recv_clouds_io<A, P>(
         &self,
-        alg: &A,
         io: &FrameIo,
         secrets: &[&P],
-    ) -> Result<Vec<PointCloud>, OmpeError>
+    ) -> Result<Vec<Vec<Fp256>>, OmpeError>
     where
         A: Algebra,
         P: PolyEval<A> + ?Sized,
@@ -233,44 +225,7 @@ impl OmpeSenderSession {
                     payload_len: frame.payload.len(),
                 }));
             }
-            let mut payload = frame.payload;
-            let xs: Vec<Fp256> = decode_seq(&mut payload)?;
-            // Validate the abscissa count before decoding the (much larger)
-            // coordinate block: an oversized cloud is rejected on the first
-            // sequence instead of being fully materialized first.
-            if xs.len() != n_points {
-                return Err(OmpeError::Protocol(format!(
-                    "receiver submitted {} points, parameters require {n_points}",
-                    xs.len()
-                )));
-            }
-            // `M(0) = 0`: the answer at a zero abscissa is the unmasked
-            // `P(y)` for a `y` of the peer's choosing. A repeated one makes
-            // its own retrieval singular — no honest receiver sends either.
-            if xs
-                .iter()
-                .enumerate()
-                .any(|(i, x)| alg.is_zero(x) || xs[..i].contains(x))
-            {
-                return Err(OmpeError::Protocol(
-                    "receiver submitted a zero or repeated abscissa".into(),
-                ));
-            }
-            let ys_flat: Vec<Fp256> = decode_seq(&mut payload)?;
-            if !payload.is_empty() {
-                return Err(OmpeError::Transport(TransportError::Decode(format!(
-                    "frame kind 0x{KIND_OMPE_POINTS:04x}: {} trailing bytes after point cloud",
-                    payload.len()
-                ))));
-            }
-            let expected = n_points * secret.num_vars();
-            if ys_flat.len() != expected {
-                return Err(OmpeError::Protocol(format!(
-                    "receiver submitted {} input coordinates, expected {expected}",
-                    ys_flat.len(),
-                )));
-            }
-            clouds.push((xs, ys_flat));
+            clouds.push(decode_cloud(frame.payload, n_points, secret.num_vars())?);
         }
         Ok(clouds)
     }
@@ -284,7 +239,7 @@ impl OmpeSenderSession {
         sel: OtSelect,
         rng: &mut dyn RngCore,
         secrets: &[&P],
-        clouds: &[PointCloud],
+        clouds: &[Vec<Fp256>],
     ) -> Result<(), OmpeError>
     where
         A: Algebra,
@@ -292,7 +247,7 @@ impl OmpeSenderSession {
     {
         let params = self.params;
         let mut answers = Vec::with_capacity(clouds.len());
-        for (secret, (xs, ys_flat)) in secrets.iter().zip(clouds) {
+        for (secret, ys_flat) in secrets.iter().zip(clouds) {
             let _span = ppcs_telemetry::span(Phase::OmpeMask);
             let r = secret.num_vars();
 
@@ -311,14 +266,12 @@ impl OmpeSenderSession {
                     .refresh_random_with_constant(alg, degree, alg.zero(), rng),
             }
 
-            // Q(x_i, y_i) = M(x_i) + P(y_i) for every submitted point.
-            // M is evaluated over the whole cloud in one batched pass.
-            let mask_values = self.mask.eval_many(xs);
-            let round: Vec<Vec<u8>> = mask_values
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let q = alg.add(m, &secret.eval(alg, &ys_flat[i * r..(i + 1) * r]));
+            // Q(x, y_x) = M(x) + P(y_x) at every public abscissa
+            // x = 1..=N; M's Horner steps are products by the word x.
+            let round: Vec<Vec<u8>> = (0..params.num_points())
+                .map(|i| {
+                    let m = self.mask.eval_u64(i as u64 + 1);
+                    let q = alg.add(&m, &secret.eval(alg, &ys_flat[i * r..(i + 1) * r]));
                     encode_elems(std::slice::from_ref(&q)).to_vec()
                 })
                 .collect();
@@ -335,58 +288,53 @@ impl OmpeSenderSession {
     }
 }
 
+/// Decodes a point cloud of `points` rows of `dim` coordinates: exactly
+/// `points·dim` canonical field elements and nothing around them. The
+/// length is checked before any element is read, and a payload of any
+/// other length — the old two-sequence layout included — is refused.
+fn decode_cloud(mut payload: Bytes, points: usize, dim: usize) -> Result<Vec<Fp256>, OmpeError> {
+    let elems = points * dim;
+    let expected = elems * Fp256::MIN_WIRE_LEN;
+    if payload.len() != expected {
+        return Err(OmpeError::Protocol(format!(
+            "a point cloud of {} bytes, where {points} points of {dim} coordinates take {expected}",
+            payload.len()
+        )));
+    }
+    Ok((0..elems)
+        .map(|_| Fp256::decode(&mut payload))
+        .collect::<Result<_, _>>()?)
+}
+
 /// One receiver round built but not yet transmitted — online by the
-/// session, or from a precomputed [`BlindRound`](crate::BlindRound): the
-/// point-cloud frame plus the local state needed to finish after the
-/// oblivious transfer.
+/// session, or from a precomputed [`BlindRound`]: the point-cloud frame
+/// plus the local state needed to finish after the oblivious transfer.
 #[derive(Debug)]
 pub struct PreparedRound {
-    frame: Frame,
-    xs: Vec<Fp256>,
-    cover_positions: Vec<usize>,
+    pub(crate) frame: Frame,
+    /// `N`, the cloud's size: its abscissae are `1..=N`.
+    pub(crate) points: usize,
+    /// Cover positions (0-based; abscissa `position + 1`) in OT-selection
+    /// order.
+    pub(crate) cover_positions: Vec<usize>,
+    /// Lagrange-at-zero weights over the cover abscissae, in selection
+    /// order — the order retrieval returns the masked answers in.
+    pub(crate) zero_weights: Vec<Fp256>,
 }
 
 impl PreparedRound {
-    /// Assembles a round and frames its point cloud: the abscissae, then
-    /// the flattened input vectors, as two sequences straight in the
-    /// frame's payload. The offline path binds precomputed blind rounds
-    /// into exactly this shape.
-    pub(crate) fn new(xs: Vec<Fp256>, ys_flat: &[Fp256], cover_positions: Vec<usize>) -> Self {
-        let elems = xs.len() + ys_flat.len();
-        let mut payload = BytesMut::with_capacity(16 + elems * Fp256::MIN_WIRE_LEN);
-        encode_seq(&xs, &mut payload);
-        encode_seq(ys_flat, &mut payload);
-        let frame = Frame {
-            kind: KIND_OMPE_POINTS,
-            payload: payload.freeze(),
-        };
-        Self {
-            frame,
-            xs,
-            cover_positions,
-        }
-    }
-
     /// The point-cloud frame to transmit (cheap to clone; the payload is
     /// reference-counted).
     pub fn frame(&self) -> Frame {
         self.frame.clone()
     }
-
-    /// The abscissae of the genuine covers, in the order retrieval
-    /// returns their masked answers.
-    pub(crate) fn cover_xs(&self) -> Vec<Fp256> {
-        self.cover_positions.iter().map(|&p| self.xs[p]).collect()
-    }
 }
 
-/// Receiver-side batch session: owns the per-batch state reused by every
-/// round.
+/// Receiver-side batch session: the oblivious-transfer state shared by
+/// every round.
 #[derive(Debug)]
 pub struct OmpeReceiverSession {
     params: OmpeParams,
-    /// Cover-polynomial storage, refreshed in place each round.
-    cover_polys: Vec<Polynomial>,
     ot_state: OtBatchState,
 }
 
@@ -403,11 +351,7 @@ impl OmpeReceiverSession {
         params: OmpeParams,
     ) -> Result<Self, OmpeError> {
         let ot_state = ot_begin_receive_io(sel, io).await?;
-        Ok(Self {
-            params,
-            cover_polys: Vec::new(),
-            ot_state,
-        })
+        Ok(Self { params, ot_state })
     }
 
     /// A one-round session with no batch state; backs the single-shot
@@ -415,150 +359,54 @@ impl OmpeReceiverSession {
     pub(crate) fn single_shot(params: OmpeParams) -> Self {
         Self {
             params,
-            cover_polys: Vec::new(),
             ot_state: OtBatchState::default(),
         }
     }
 
     /// Builds one round's point cloud without transmitting it, so that a
-    /// whole batch of rounds can go out in one coalesced write.
+    /// whole batch of rounds can go out in one coalesced write: a
+    /// [`BlindRound`] drawn and bound at once, so for one RNG stream the
+    /// online and offline clouds are the same bytes.
     ///
     /// # Errors
     ///
     /// [`OmpeError::Params`] on an empty input vector.
     pub(crate) fn prepare_round(
-        &mut self,
+        &self,
         alg: &impl Algebra,
         rng: &mut dyn RngCore,
         alpha: &[Fp256],
     ) -> Result<PreparedRound, OmpeError> {
-        if alpha.is_empty() {
-            return Err(OmpeError::Params("input vector must be non-empty".into()));
-        }
-        let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
-        let params = &self.params;
-        let r = alpha.len();
-        let n_covers = params.num_covers();
-        let n_points = params.num_points();
-
-        // Hide each input coordinate as the constant term of a random
-        // degree-σ polynomial, refreshing the session's storage.
-        self.cover_polys.truncate(r);
-        while self.cover_polys.len() < r {
-            self.cover_polys.push(Polynomial::zero());
-        }
-        for (poly, a) in self.cover_polys.iter_mut().zip(alpha) {
-            poly.refresh_random_with_constant(alg, params.sigma, *a, rng);
-        }
-
-        // Distinct nonzero abscissae for all N points.
-        let xs = draw_distinct_points(alg, n_points, rng);
-
-        // Choose which positions are genuine covers.
-        let cover_positions: Vec<usize> = sample(rng, n_points, n_covers).into_vec();
-        let mut is_cover = vec![false; n_points];
-        for &pos in &cover_positions {
-            is_cover[pos] = true;
-        }
-
-        // Build the submitted input vectors: S(x) at covers, disguises
-        // elsewhere. Each cover polynomial is evaluated over all genuine
-        // cover abscissae in one batched pass; the disguise draws stay
-        // interleaved in position order so the RNG stream is identical to
-        // the point-at-a-time construction.
-        let cover_xs: Vec<Fp256> = (0..n_points)
-            .filter(|&i| is_cover[i])
-            .map(|i| xs[i])
-            .collect();
-        let cover_evals: Vec<Vec<Fp256>> = self
-            .cover_polys
-            .iter()
-            .map(|poly| poly.eval_many(&cover_xs))
-            .collect();
-        let mut ys_flat = Vec::with_capacity(n_points * r);
-        let mut cover_rank = 0usize;
-        for &cover in is_cover.iter().take(n_points) {
-            if cover {
-                for evals in &cover_evals {
-                    ys_flat.push(evals[cover_rank]);
-                }
-                cover_rank += 1;
-            } else {
-                for _ in 0..r {
-                    ys_flat.push(alg.random_mask(rng));
-                }
-            }
-        }
-
-        Ok(PreparedRound::new(xs, &ys_flat, cover_positions))
-    }
-
-    /// Runs the oblivious transfer and interpolation for a prepared
-    /// round whose point-cloud frame has already been transmitted;
-    /// returns `P(α)`.
-    ///
-    /// # Errors
-    ///
-    /// Transport/OT/interpolation failures.
-    pub(crate) async fn finish_round_io(
-        &self,
-        alg: &impl Algebra,
-        io: &FrameIo,
-        sel: OtSelect,
-        rng: &mut dyn RngCore,
-        round: &PreparedRound,
-    ) -> Result<Fp256, OmpeError> {
-        let values = self.fetch_io(io, sel, rng, &[round]).await?.concat();
-        // Interpolate R(v) = M(v) + P(S(v)) and evaluate at zero:
-        // R(0) = M(0) + P(S(0)) = P(α).
-        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
-        let points: Vec<_> = round.cover_xs().into_iter().zip(values).collect();
-        Ok(interpolate_at_zero(alg, &points)?)
+        let blind = {
+            let _span = ppcs_telemetry::span(Phase::OmpePointCloud);
+            BlindRound::draw(alg, &self.params, alpha.len(), rng)?
+        };
+        blind.bind(alg, alpha)
     }
 
     /// Finishes rounds whose point-cloud frames have already been
-    /// transmitted, each given with its precomputed Lagrange-at-zero
-    /// weights (a bound [`BlindRound`](crate::BlindRound)), in one
-    /// oblivious-transfer list; returns every round's `P(α)`, in order.
+    /// transmitted, in one oblivious-transfer list: fetches every round's
+    /// masked answers at its cover positions and returns every round's
+    /// `P(α)`, in order — `R(0) = M(0) + P(S(0)) = P(α)`, one dot product
+    /// with the round's weights each.
     ///
     /// # Errors
     ///
-    /// Transport/OT failures, and [`OmpeError::Interpolation`] for
-    /// weights that do not fit their round.
-    pub async fn finish_weighted_io(
+    /// Transport/OT failures, and a malformed answer.
+    pub async fn finish_rounds_io(
         &self,
         alg: &impl Algebra,
         io: &FrameIo,
         sel: OtSelect,
         rng: &mut dyn RngCore,
-        rounds: &[(PreparedRound, Vec<Fp256>)],
+        rounds: &[PreparedRound],
     ) -> Result<Vec<Fp256>, OmpeError> {
-        let prepared: Vec<&PreparedRound> = rounds.iter().map(|(round, _)| round).collect();
-        let values = self.fetch_io(io, sel, rng, &prepared).await?;
-        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
-        let mut out = Vec::with_capacity(rounds.len());
-        for ((_, weights), ys) in rounds.iter().zip(&values) {
-            out.push(interpolate_at_zero_weighted(alg, weights, ys)?);
-        }
-        Ok(out)
-    }
-
-    /// The oblivious-transfer half of finishing `rounds`: fetches and
-    /// decodes every round's masked answers at its cover positions, all
-    /// rounds in one transfer list, and returns them per round, in cover
-    /// selection order.
-    pub(crate) async fn fetch_io(
-        &self,
-        io: &FrameIo,
-        sel: OtSelect,
-        rng: &mut dyn RngCore,
-        rounds: &[&PreparedRound],
-    ) -> Result<Vec<Vec<Fp256>>, OmpeError> {
         let transfers: Vec<(usize, &[usize])> = rounds
             .iter()
-            .map(|round| (round.xs.len(), round.cover_positions.as_slice()))
+            .map(|round| (round.points, round.cover_positions.as_slice()))
             .collect();
         let raw = ot_receive_list_io(sel, &self.ot_state, io, rng, &transfers).await?;
+        let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
         let mut raw = raw.into_iter();
         let mut out = Vec::with_capacity(rounds.len());
         for round in rounds {
@@ -571,7 +419,11 @@ impl OmpeReceiverSession {
                 })?;
                 values.push(value);
             }
-            out.push(values);
+            out.push(interpolate_at_zero_weighted(
+                alg,
+                &round.zero_weights,
+                &values,
+            )?);
         }
         Ok(out)
     }
@@ -625,7 +477,7 @@ where
     if alphas.is_empty() {
         return Ok(Vec::new());
     }
-    let mut session = OmpeReceiverSession::new_io(io, sel, *params).await?;
+    let session = OmpeReceiverSession::new_io(io, sel, *params).await?;
     let rounds: Vec<PreparedRound> = alphas
         .iter()
         .map(|alpha| session.prepare_round(alg, rng, alpha))
@@ -635,36 +487,7 @@ where
     let frames: Vec<Frame> = rounds.iter().map(PreparedRound::frame).collect();
     io.hold();
     io.send_coalesced(&frames)?;
-    let prepared: Vec<&PreparedRound> = rounds.iter().collect();
-    let values = session.fetch_io(io, sel, rng, &prepared).await?;
-    // Retrieve all the constant terms through one batched
-    // interpolation: a single Fermat inversion serves the batch. It
-    // runs after the answers arrive, where it overlaps whatever the
-    // sender still does after sending them.
-    let _span = ppcs_telemetry::span(Phase::OmpeInterpolate);
-    let systems: Vec<Vec<_>> = rounds
-        .iter()
-        .zip(values)
-        .map(|(round, values)| round.cover_xs().into_iter().zip(values).collect())
-        .collect();
-    Ok(interp_batch(alg, &systems)?)
-}
-
-/// Draws `count` pairwise-distinct nonzero evaluation points.
-pub(crate) fn draw_distinct_points(
-    alg: &impl Algebra,
-    count: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<Fp256> {
-    let mut xs: Vec<Fp256> = Vec::with_capacity(count);
-    while xs.len() < count {
-        let candidate = alg.random_point(rng);
-        if xs.contains(&candidate) {
-            continue;
-        }
-        xs.push(candidate);
-    }
-    xs
+    session.finish_rounds_io(alg, io, sel, rng, &rounds).await
 }
 
 #[cfg(test)]
@@ -844,54 +667,62 @@ mod tests {
             .collect()
     }
 
-    /// A point-cloud payload: both sequences, nothing around them.
-    fn cloud(xs: &[Fp256], ys_flat: &[Fp256]) -> BytesMut {
+    /// A point-cloud frame holding `payload`.
+    fn cloud_frame(payload: BytesMut) -> Frame {
+        Frame {
+            kind: KIND_OMPE_POINTS,
+            payload: payload.freeze(),
+        }
+    }
+
+    /// A well-formed cloud for the parameters of [`send_against`]: `N = 6`
+    /// points of one coordinate.
+    fn honest_cloud() -> BytesMut {
         let mut payload = BytesMut::new();
-        encode_seq(xs, &mut payload);
-        encode_seq(ys_flat, &mut payload);
+        for k in 1..=6 {
+            Fp256::from_u64(k).encode(&mut payload);
+        }
         payload
     }
 
     #[test]
-    fn zero_or_repeated_abscissa_is_refused_by_every_sender_entry_point() {
-        let alg = FixedFpAlgebra::new(16);
-        let params = OmpeParams::new(1, 2, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let honest = draw_distinct_points(&alg, params.num_points(), &mut rng);
-        // x = 0 would be answered with M(0) + P(y) = P(y), unmasked.
-        let mut zeroed = honest.clone();
-        zeroed[3] = alg.zero();
-        let mut repeated = honest.clone();
-        repeated[4] = repeated[1];
-        for xs in [zeroed, repeated] {
-            let frame = Frame {
-                kind: KIND_OMPE_POINTS,
-                payload: cloud(&xs, &honest).freeze(),
-            };
-            for (entry_point, sent) in send_against(&frame).iter().enumerate() {
-                assert!(
-                    matches!(sent, Err(OmpeError::Protocol(m)) if m.contains("abscissa")),
-                    "entry point {entry_point}: {sent:?}"
-                );
-            }
+    fn an_old_format_cloud_is_refused_by_every_sender_entry_point() {
+        // A cloud that still carries its abscissae — two length-prefixed
+        // sequences — is 32·N + 16 bytes longer than the N·r elements.
+        let xs: Vec<Fp256> = (1..=6).map(Fp256::from_u64).collect();
+        let mut payload = BytesMut::new();
+        encode_seq(&xs, &mut payload);
+        encode_seq(&xs, &mut payload);
+        for (entry_point, sent) in send_against(&cloud_frame(payload)).iter().enumerate() {
+            assert!(
+                matches!(sent, Err(OmpeError::Protocol(m)) if m.contains("a point cloud of 400 bytes, where 6 points of 1 coordinates take 192")),
+                "entry point {entry_point}: {sent:?}"
+            );
         }
     }
 
     #[test]
     fn a_cloud_with_a_trailing_byte_is_refused_by_every_sender_entry_point() {
-        let alg = FixedFpAlgebra::new(16);
-        let params = OmpeParams::new(1, 2, 2).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let xs = draw_distinct_points(&alg, params.num_points(), &mut rng);
-        let mut payload = cloud(&xs, &xs);
+        let mut payload = honest_cloud();
         payload.put_u8(0);
-        let frame = Frame {
-            kind: KIND_OMPE_POINTS,
-            payload: payload.freeze(),
-        };
-        for (entry_point, sent) in send_against(&frame).iter().enumerate() {
+        for (entry_point, sent) in send_against(&cloud_frame(payload)).iter().enumerate() {
             assert!(
-                matches!(sent, Err(OmpeError::Transport(TransportError::Decode(m))) if m.contains("1 trailing bytes")),
+                matches!(sent, Err(OmpeError::Protocol(m)) if m.contains("a point cloud of 193 bytes")),
+                "entry point {entry_point}: {sent:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cloud_element_at_or_above_p_is_refused_by_every_sender_entry_point() {
+        let honest = honest_cloud();
+        let mut payload = BytesMut::new();
+        payload.put_slice(&honest[..3 * 32]);
+        payload.put_slice(&[0xFF; 32]);
+        payload.put_slice(&honest[4 * 32..]);
+        for (entry_point, sent) in send_against(&cloud_frame(payload)).iter().enumerate() {
+            assert!(
+                matches!(sent, Err(OmpeError::Transport(TransportError::Decode(m))) if m.contains("non-canonical")),
                 "entry point {entry_point}: {sent:?}"
             );
         }

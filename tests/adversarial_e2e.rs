@@ -185,10 +185,13 @@ fn garbage_spec_kills_only_its_own_session() {
     assert_eq!(summary.served_samples, samples.len());
 }
 
-/// A point cloud with a zero abscissa asks the trainer for
+/// A point cloud with a zero abscissa would ask the trainer for
 /// `M(0) + r_a·d(y) = r_a·d(y)` — the mask vanishes — at a `y` the
-/// peer picked in the clear. The trainer refuses the cloud as a typed
-/// protocol error before it evaluates or transfers anything.
+/// peer picked in the clear. The abscissae are now the public points
+/// `1..=N` and a cloud carries only its coordinates, so such a cloud
+/// cannot be written: this one, in the old layout that still carried
+/// its abscissae, has the wrong length, and the trainer refuses it as a
+/// typed protocol error before it evaluates or transfers anything.
 #[test]
 fn zero_abscissa_cloud_is_refused_before_any_answer() {
     let (_, trainer) = fixture();
@@ -200,7 +203,8 @@ fn zero_abscissa_cloud_is_refused_before_any_answer() {
         move |ep| {
             ep.send(Frame::encode(CLS_HELLO, &1u64)).unwrap();
             assert_eq!(ep.recv().expect("spec").kind, CLS_SPEC);
-            // The functional fixture takes N = 2 points of 3 coordinates.
+            // The functional fixture takes N = 2 points of 3 coordinates:
+            // 192 bytes; the old layout's abscissae and prefixes make 272.
             let mut cloud = BytesMut::new();
             encode_seq(&[Fp256::ZERO, Fp256::from_u64(3)], &mut cloud);
             encode_seq(&[Fp256::ONE; 6], &mut cloud);
@@ -216,7 +220,7 @@ fn zero_abscissa_cloud_is_refused_before_any_answer() {
         },
     );
     assert!(
-        matches!(&served, Err(PpcsError::Ompe(OmpeError::Protocol(m))) if m.contains("abscissa")),
+        matches!(&served, Err(PpcsError::Ompe(OmpeError::Protocol(m))) if m.contains("a point cloud of 272 bytes")),
         "{served:?}"
     );
 }

@@ -2,10 +2,13 @@
 //! decoding of an interleaved Reed–Solomon word (Bleichenbacher, Kiayias
 //! and Yung, "Decoding of interleaved Reed–Solomon codes over noisy
 //! data", ICALP 2003). It recovers Bob's hidden input from the one cloud
-//! he sends, with one linear solve and no OT answer.
+//! he sends, with one linear solve and no OT answer. The last test runs
+//! the attack that covers `d = 1`, subset enumeration.
 //!
 //! A cloud holds `N = m·n` abscissae `x_k` and, per abscissa, `dim`
-//! values `y_jk`. At the `n = σ·d + 1` covers, column `j` is `S_j(x_k)`
+//! values `y_jk`. The abscissae are the public points `x_k = k + 1`;
+//! only the values travel. Every attack here takes the `x_k` as given,
+//! so fixing them changes none of them. At the `n = σ·d + 1` covers, column `j` is `S_j(x_k)`
 //! for a degree-σ polynomial with `S_j(0) = α_j`; at the `E = N − n`
 //! decoys it is uniform. Every column shares the cover positions, so the
 //! decoys are the roots of one error locator `Λ` of degree `E`, and
@@ -28,8 +31,16 @@
 //! more from two — every nonlinear shape of the paper's datasets, and
 //! similarity round 3. The first tests take clouds from recorded
 //! sessions and assert that the attack returns exactly the input Bob
-//! encoded and the positions he opened. The last test checks the bound
+//! encoded and the positions he opened. The next test checks the bound
 //! itself on freshly drawn clouds, on both sides.
+//!
+//! At `d = 1` a linear round has `n = σ + 1` covers among `N = 2n`
+//! points, and `C(N, n)` subsets to try: 70 at the shipped σ = 3. Only
+//! the true one interpolates to small fixed-point constants in every
+//! coordinate; any other mixes in a uniform decoy. The last test does
+//! that on recorded four-feature clouds, where the lattice attack
+//! (Bleichenbacher–Nguyen), which needs `dim > N − σ − 1 = 4`, does not
+//! reach.
 
 use ppcs_core::{
     similarity_request_io, similarity_respond, Client, ProtocolConfig, SimilarityConfig, Trainer,
@@ -39,8 +50,8 @@ use ppcs_math::{interpolate_at_zero, Algebra, FixedFpAlgebra, Fp256};
 use ppcs_ompe::{BlindRound, OmpeParams};
 use ppcs_ot::{ObliviousTransfer, TrustedSimOt};
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
-use ppcs_tests::recorded;
-use ppcs_transport::{decode_seq, Direction, Driver, Frame, ProtocolEngine, Transcript};
+use ppcs_tests::{blob_dataset, random_samples, recorded};
+use ppcs_transport::{decode_seq, Direction, Driver, Encodable, Frame, ProtocolEngine, Transcript};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,20 +62,28 @@ const KIND_SIM_INDICES: u16 = 0x0300;
 /// The ideal OT's answer blob: one encoded element per opened position.
 const KIND_SIM_MESSAGES: u16 = 0x0301;
 
-/// A point cloud as it crosses the wire: `N` abscissae and, per
-/// abscissa, `dim` values.
+/// A point cloud: `N` abscissae and, per abscissa, `dim` values.
 struct Cloud {
     xs: Vec<Fp256>,
     ys: Vec<Vec<Fp256>>,
 }
 
 impl Cloud {
-    fn decode(frame: &Frame) -> Cloud {
+    /// A cloud of `dim`-coordinate points as it crosses the wire: its
+    /// `N·dim` values, row-major, at the public abscissae `1..=N`.
+    fn decode(frame: &Frame, dim: usize) -> Cloud {
         assert_eq!(frame.kind, KIND_OMPE_POINTS, "cloud frame");
         let mut body = frame.payload.clone();
-        let xs: Vec<Fp256> = decode_seq(&mut body).expect("abscissae");
-        let flat: Vec<Fp256> = decode_seq(&mut body).expect("values");
-        let dim = flat.len() / xs.len();
+        let flat: Vec<Fp256> = (0..body.len() / 32)
+            .map(|_| Fp256::decode(&mut body).expect("value"))
+            .collect();
+        assert!(
+            body.is_empty() && flat.len().is_multiple_of(dim),
+            "whole points"
+        );
+        let xs = (1..=flat.len() / dim)
+            .map(|x| Fp256::from_u64(x as u64))
+            .collect();
         let ys = flat.chunks_exact(dim).map(<[Fp256]>::to_vec).collect();
         Cloud { xs, ys }
     }
@@ -210,7 +229,7 @@ fn classification_clouds_fall(model: &SvmModel, samples: &[Vec<f64>], degree: us
     let n = cfg.sigma * degree + 1;
     let opened = opened_positions(&transcript);
     for ((frame, sample), opened) in clouds.iter().zip(samples).zip(opened.chunks_exact(n)) {
-        let cloud = Cloud::decode(frame);
+        let cloud = Cloud::decode(frame, sample.len());
         assert_eq!(cloud.xs.len(), n * cfg.decoy_factor);
         let got = attack_a(&cloud, cfg.sigma, n).expect("the locator is determined");
         let want: Vec<Fp256> = sample.iter().map(|v| alg.encode(*v, 1)).collect();
@@ -303,9 +322,13 @@ fn similarity_round_3_input_falls_to_one_solve() {
     });
     t.expect("request");
 
+    // Rounds 1 and 2 hide Bob's centroid and direction, round 3 his two
+    // cross terms.
+    let dims = [b.dim(), b.dim(), 2];
     let clouds: Vec<Cloud> = frames(&transcript, Direction::Sent, KIND_OMPE_POINTS)
         .iter()
-        .map(Cloud::decode)
+        .zip(dims)
+        .map(|(frame, dim)| Cloud::decode(frame, dim))
         .collect();
     let [round1, round2, round3] = &clouds[..] else {
         panic!("three clouds, found {}", clouds.len());
@@ -360,8 +383,8 @@ fn the_solve_turns_at_dim_times_n_minus_sigma_minus_1_equal_to_e() {
                 .map(|_| alg.encode(rng.gen_range(-1.0..1.0), 1))
                 .collect();
             let round = BlindRound::draw(&alg, &params, dim, &mut rng).expect("draw");
-            let (prepared, _) = round.bind(&alg, &alpha).expect("bind");
-            let cloud = Cloud::decode(&prepared.frame());
+            let prepared = round.bind(&alg, &alpha).expect("bind");
+            let cloud = Cloud::decode(&prepared.frame(), dim);
             let got = attack_a(&cloud, sigma, n);
             let shape = format!("d = {degree}, σ = {sigma}, m = {decoys}, dim = {dim}, E = {e}");
             if dim * per_column >= e {
@@ -370,5 +393,83 @@ fn the_solve_turns_at_dim_times_n_minus_sigma_minus_1_equal_to_e() {
                 assert_eq!(got, None, "{shape}: rank-deficient");
             }
         }
+    }
+}
+
+/// The constant terms of `cloud`'s columns interpolated over the points
+/// `subset`, if every one is a fixed-point value of magnitude below
+/// `2^40` — a real below `2^24` at 16 fractional bits. A uniform field
+/// element is that small with probability `2^-215`.
+fn small_constants(alg: &FixedFpAlgebra, cloud: &Cloud, subset: &[usize]) -> Option<Vec<Fp256>> {
+    (0..cloud.ys[0].len())
+        .map(|j| {
+            let points: Vec<(Fp256, Fp256)> = subset
+                .iter()
+                .map(|&k| (cloud.xs[k], cloud.ys[k][j]))
+                .collect();
+            let value = interpolate_at_zero(alg, &points).expect("distinct points");
+            let small = value.to_i128().is_some_and(|v| v.unsigned_abs() < 1 << 40);
+            small.then_some(value)
+        })
+        .collect()
+}
+
+/// Every `k`-subset of `0..n`, in lexicographic order.
+fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+    if k == 0 {
+        return vec![Vec::new()];
+    }
+    (k - 1..n)
+        .flat_map(|last| {
+            subsets(last, k - 1).into_iter().map(move |mut s| {
+                s.push(last);
+                s
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn a_linear_four_feature_input_falls_to_70_subsets() {
+    // d = 1 at the shipped σ = 3, two-fold decoys: n = 4 covers among
+    // N = 8 points, C(8, 4) = 70 subsets, and dim = 4 = N − σ − 1, one
+    // coordinate short of the lattice attack's reach.
+    let cfg = ProtocolConfig::default();
+    let alg = FixedFpAlgebra::new(16);
+    let model = SvmModel::train(
+        &blob_dataset(4, 60, 7),
+        Kernel::Linear,
+        &SmoParams::default(),
+    );
+    let trainer = Trainer::new(alg, &model, cfg).expect("trainer");
+    let client = Client::new(alg, cfg);
+    let samples = random_samples(4, 3, 8);
+    let sel = TrustedSimOt::new().select();
+    let (labels, transcript) = recorded(client.classify_engine(sel, 12, &samples), |ep| {
+        let mut engine = trainer.serve_engine(sel, 11);
+        Driver::new().drive(&ep, &mut engine).expect("serve");
+    });
+    assert_eq!(labels.expect("classify").len(), samples.len());
+
+    let clouds = frames(&transcript, Direction::Sent, KIND_OMPE_POINTS);
+    assert_eq!(clouds.len(), samples.len());
+    let n = cfg.sigma + 1;
+    let opened = opened_positions(&transcript);
+    let candidates = subsets(n * cfg.decoy_factor, n);
+    assert_eq!(candidates.len(), 70);
+    for ((frame, sample), opened) in clouds.iter().zip(&samples).zip(opened.chunks_exact(n)) {
+        let cloud = Cloud::decode(frame, sample.len());
+        let found: Vec<(&Vec<usize>, Vec<Fp256>)> = candidates
+            .iter()
+            .filter_map(|subset| Some((subset, small_constants(&alg, &cloud, subset)?)))
+            .collect();
+        let [(covers, alpha)] = &found[..] else {
+            panic!("{} subsets give small constants, not one", found.len());
+        };
+        let want: Vec<Fp256> = sample.iter().map(|v| alg.encode(*v, 1)).collect();
+        assert_eq!(alpha, &want, "Bob's encoded sample");
+        let mut opened = opened.to_vec();
+        opened.sort_unstable();
+        assert_eq!(*covers, &opened, "the positions Bob opened");
     }
 }

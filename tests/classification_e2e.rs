@@ -255,7 +255,7 @@ fn nonlinear_client_traffic_is_a_function_of_the_dimension() {
     };
     let sent: Vec<u64> = [8usize, 14, 24].into_iter().map(sent_per_sample).collect();
     for (dim, bytes) in [8u64, 14, 24].into_iter().zip(&sent) {
-        let elements = n_points * (dim + 1) * 32;
+        let elements = n_points * dim * 32;
         assert!(
             (elements..elements + 256).contains(bytes),
             "dim {dim}: {bytes} bytes per sample, the cloud alone is {elements}"

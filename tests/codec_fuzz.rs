@@ -6,7 +6,8 @@
 
 use bytes::{Bytes, BytesMut};
 use ppcs_core::{Client, ProtocolConfig};
-use ppcs_math::Fp256;
+use ppcs_math::{FixedFpAlgebra, Fp256, PolyEval, MODULUS};
+use ppcs_ompe::{ompe_send_io, OmpeError, OmpeParams};
 use ppcs_ot::{
     ot_begin_send_io, ot_receive_list_io, ot_send_list_io, IknpOt, NaorPinkasOt, ObliviousTransfer,
     OtBatchState, TrustedSimOt,
@@ -15,7 +16,7 @@ use ppcs_transport::{
     decode_seq, encode_seq, Encodable, Frame, ProtocolEngine, Transcript, TransportError,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..64)).prop_map(|(kind, payload)| {
@@ -249,5 +250,111 @@ proptest! {
         if let Some(result) = eng.take_result() {
             prop_assert!(sender_role || result.is_err(), "garbage frames must not open a message");
         }
+    }
+}
+
+/// A secret an OMPE sender must never evaluate: every cloud it is shown
+/// is malformed and must be refused first.
+struct Untouchable;
+
+impl PolyEval<FixedFpAlgebra> for Untouchable {
+    fn num_vars(&self) -> usize {
+        2
+    }
+    fn total_degree(&self) -> usize {
+        1
+    }
+    fn eval(&self, _: &FixedFpAlgebra, _: &[Fp256]) -> Fp256 {
+        panic!("the sender evaluated its secret on a malformed cloud");
+    }
+}
+
+/// The ways a point cloud for `N = 6` points of two coordinates — 12
+/// elements, 384 bytes — can be malformed.
+#[derive(Clone, Copy, Debug)]
+enum BadCloud {
+    /// Whole elements missing from the end.
+    Truncated,
+    /// One byte past the last element.
+    ByteExtra,
+    /// Cut inside an element.
+    PartialElement,
+    /// One element's 32 bytes encode a value in `[p, p + 1000)`.
+    ElementAtOrAboveP,
+    /// The old layout: the abscissae `1..=6` and the coordinates, as two
+    /// length-prefixed sequences.
+    OldTwoSequences,
+}
+
+fn arb_bad_cloud() -> impl Strategy<Value = (BadCloud, Vec<u8>)> {
+    let kinds = proptest::sample::select(vec![
+        BadCloud::Truncated,
+        BadCloud::ByteExtra,
+        BadCloud::PartialElement,
+        BadCloud::ElementAtOrAboveP,
+        BadCloud::OldTwoSequences,
+    ]);
+    (kinds, any::<u64>()).prop_map(|(kind, seed)| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let ys: Vec<Fp256> = (0..12).map(|_| Fp256::random(&mut rng)).collect();
+        let mut honest = BytesMut::new();
+        for y in &ys {
+            y.encode(&mut honest);
+        }
+        let mut bytes = honest.to_vec();
+        match kind {
+            BadCloud::Truncated => bytes.truncate(32 * rng.gen_range(0..12)),
+            BadCloud::ByteExtra => bytes.push(rng.gen()),
+            BadCloud::PartialElement => {
+                bytes.truncate(32 * rng.gen_range(0..12) + rng.gen_range(1..32))
+            }
+            BadCloud::ElementAtOrAboveP => {
+                let mut limbs = MODULUS;
+                limbs[0] += rng.gen_range(0..1000);
+                let at = 32 * rng.gen_range(0..12);
+                for (i, limb) in limbs.iter().enumerate() {
+                    bytes[at + 8 * i..at + 8 * (i + 1)].copy_from_slice(&limb.to_le_bytes());
+                }
+            }
+            BadCloud::OldTwoSequences => {
+                let mut old = BytesMut::new();
+                let xs: Vec<Fp256> = (1..=6).map(Fp256::from_u64).collect();
+                encode_seq(&xs, &mut old);
+                encode_seq(&ys, &mut old);
+                bytes = old.to_vec();
+            }
+        }
+        (kind, bytes)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// An OMPE sender shown a malformed point cloud stops with a typed
+    /// error — the wrong length as a protocol violation, an element at
+    /// or above `p` as a decode error — before it evaluates its secret,
+    /// and sends nothing: no answer, no transfer.
+    #[test]
+    fn malformed_point_clouds_are_refused_before_any_answer((kind, bytes) in arb_bad_cloud()) {
+        let alg = &FixedFpAlgebra::new(16);
+        let params = &OmpeParams::new(1, 2, 2).expect("params");
+        let sel = TrustedSimOt.select();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            ompe_send_io(alg, &io, sel, &mut rng, &Untouchable, params).await
+        });
+        prop_assert!(sender.poll_output().is_none(), "the sender speaks second");
+        sender.handle_input(Frame { kind: 0x0400, payload: Bytes::from(bytes) });
+        prop_assert!(sender.poll_output().is_none(), "{kind:?}: an answer left");
+        let result = sender.take_result();
+        let refused = match kind {
+            BadCloud::ElementAtOrAboveP => matches!(
+                result,
+                Some(Err(OmpeError::Transport(TransportError::Decode(_))))
+            ),
+            _ => matches!(result, Some(Err(OmpeError::Protocol(ref m))) if m.contains("point cloud of")),
+        };
+        prop_assert!(refused, "{kind:?}: {result:?}");
     }
 }

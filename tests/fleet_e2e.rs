@@ -556,10 +556,14 @@ fn kill_at_peak_concurrency_with_live_metrics_scrape() {
         killed_lane_bank(6, FaultSchedule::single(2, FaultKind::Cut));
 
     // Replicas 1 and 2 are real TCP reactors; replica 1 also exposes
-    // the live `/metrics` scrape surface on its reactor thread.
+    // the live `/metrics` scrape surface on its reactor thread. Its
+    // registry is what the page carries when no connection is open at
+    // the instant of the scrape: without one, a scrape that lands
+    // between sessions, or after the batch, reads an empty page.
     let scrape_listener = TcpListener::bind("127.0.0.1:0").expect("bind scrape");
     let scrape_addr = scrape_listener.local_addr().expect("scrape addr");
     let server1 = TrainerServer::new(&trainer, ServerConfig::default())
+        .with_metrics(MetricsRegistry::new(5, "replica-1"))
         .with_metrics_endpoint(scrape_listener);
     let watch = server1.supervisor();
     let sup1 = server1.supervisor();

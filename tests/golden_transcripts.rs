@@ -63,6 +63,19 @@
 //! a similarity evaluation takes 8 286 bytes where it took 8 294; no
 //! draw, value or frame count changed, and the two 4-of-8 digests did
 //! not move.
+//!
+//! The same two digests were re-pinned once more, together, by a change
+//! to the protocol: a cloud's abscissae are the public points `1..=N`,
+//! position `k` at `x = k + 1`, and no longer travel. A point-cloud
+//! frame holds only the `N·r` input coordinates, row-major, with no
+//! length prefix — 32·N + 16 bytes less per cloud, so a similarity
+//! evaluation, whose clouds hold 8, 8 and 26 points, takes 6 894 bytes
+//! where it took 8 286. The receiver no longer draws `N` abscissae, so
+//! every later draw of its RNG moved: cover positions and disguises
+//! differ, and so does every frame after the first cloud. The
+//! sender's answers at the covers still interpolate to the same
+//! values; frame counts did not change, and the two 4-of-8 digests,
+//! which carry no cloud, did not move.
 
 use ppcs_core::{
     similarity_plain, similarity_request, similarity_request_io, similarity_respond, Client,
@@ -114,7 +127,7 @@ fn np768_classification_session_is_pinned() {
     let expected: Vec<Label> = samples.iter().map(|s| model.predict(s)).collect();
     assert_eq!(labels, expected);
     assert_eq!(
-        digest, "1c506371e973872d094d8887366b125de670ba631cb70dcc108bc7aeef3c9bfa",
+        digest, "875751de17bef36c4576be7529e13f1b41a7977ec2773f5caa8b70bfcb4a752b",
         "the NP-768 classification transcript changed"
     );
 }
@@ -221,7 +234,7 @@ fn fp256_similarity_session_is_pinned() {
         "private {got} vs plain {want}"
     );
     assert_eq!(
-        digest, "36f116d457b6f8541c165301c4b9d5c12314f1e2ab0156475b95fdf5e50f8de4",
+        digest, "a8d2c913cce35c9d091cc7e21f0b003248f3a1868b21f1d5693268dd5399ec24",
         "the field similarity transcript changed"
     );
 }

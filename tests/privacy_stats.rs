@@ -5,7 +5,7 @@ use bytes::Bytes;
 use ppcs_math::{Algebra, FixedFpAlgebra, Fp256, Polynomial};
 use ppcs_ompe::{ompe_receive_io, OmpeParams};
 use ppcs_ot::{OtSelect, TrustedSimOt};
-use ppcs_transport::{decode_seq, run_pair, ProtocolEngine};
+use ppcs_transport::{run_pair, Encodable, ProtocolEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,12 +26,17 @@ fn chi_square_bytes(bytes: &[u8]) -> f64 {
 }
 
 /// The `(abscissae, flattened coordinates)` of a recorded point-cloud
-/// payload: two sequences, nothing after them.
-fn decode_cloud(blob: Vec<u8>) -> (Vec<Fp256>, Vec<Fp256>) {
+/// payload of `dim`-coordinate points: the coordinates, row-major, and
+/// nothing else, at the public abscissae `1..=N`.
+fn decode_cloud(blob: Vec<u8>, dim: usize) -> (Vec<Fp256>, Vec<Fp256>) {
     let mut input = Bytes::from(blob);
-    let xs = decode_seq(&mut input).expect("xs");
-    let ys = decode_seq(&mut input).expect("ys");
+    let ys: Vec<Fp256> = (0..input.len() / 32)
+        .map(|_| Fp256::decode(&mut input).expect("ys"))
+        .collect();
     assert!(input.is_empty(), "trailing bytes after the cloud");
+    let xs = (1..=ys.len() / dim)
+        .map(|x| Fp256::from_u64(x as u64))
+        .collect();
     (xs, ys)
 }
 
@@ -41,18 +46,18 @@ const CHI2_LIMIT: f64 = 341.0;
 #[test]
 fn cover_polynomial_evaluations_look_uniform() {
     // The client hides each input coordinate as the constant term of a
-    // random degree-σ polynomial; its evaluations at random nonzero
-    // points must be indistinguishable from uniform field elements, or
+    // random degree-σ polynomial; its evaluations at the public points
+    // 1..=N must be indistinguishable from uniform field elements, or
     // the submitted covers would leak which positions are genuine.
     let alg = FixedFpAlgebra::new(16);
     let mut rng = StdRng::seed_from_u64(1);
     let secret_input = alg.encode(0.73, 1); // a fixed, very non-uniform value
 
+    // N = 8: a linear round's cloud at σ = 3 with two-fold decoys.
     let mut bytes = Vec::new();
-    for _ in 0..2000 {
+    for x in (1..=8u64).cycle().take(2000) {
         let poly = Polynomial::random_with_constant(&alg, 3, secret_input, &mut rng);
-        let x = alg.random_point(&mut rng);
-        let y = poly.eval(&alg, &x);
+        let y = poly.eval(&alg, &Fp256::from_u64(x));
         bytes.extend_from_slice(&y.to_bytes());
     }
     let chi2 = chi_square_bytes(&bytes);
@@ -99,7 +104,7 @@ fn ompe_point_cloud_hides_the_input_bytes() {
         // Play a sender that records the point cloud, the receiver's
         // first frame, and never answers.
         let out = receiver.poll_output().expect("points frame");
-        let (_xs, ys) = decode_cloud(out.frames()[0].payload.to_vec());
+        let (_xs, ys) = decode_cloud(out.frames()[0].payload.to_vec(), alpha.len());
         for y in ys {
             ys_bytes.extend_from_slice(&y.to_bytes());
         }
@@ -162,7 +167,8 @@ fn polynomial_session_cloud_is_uniform_over_all_24_coordinates() {
                 let _ = client.classify_batch(&ep, &TrustedSimOt, &mut rng, &[sample]);
             },
         );
-        let (xs, ys) = decode_cloud(blob);
+        let (xs, ys) = decode_cloud(blob, DIM);
+        assert_eq!(xs.len(), 20, "N = (3·3 + 1)·2 points");
         assert_eq!(ys.len(), xs.len() * DIM, "one 24-vector per point");
         for y in ys {
             ys_bytes.extend_from_slice(&y.to_bytes());
