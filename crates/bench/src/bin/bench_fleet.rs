@@ -20,7 +20,7 @@ use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
 use ppcs_svm::{Kernel, SmoParams, SvmModel};
 use ppcs_transport::{
-    duplex, Endpoint, FaultKind, FaultSchedule, FaultyLane, Lane, TransportError,
+    duplex, faulty_link, Endpoint, FaultKind, FaultSchedule, Lane, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,30 +51,19 @@ fn connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Like [`lane_bank`], but the client half dies per `schedule`; the
-/// server half is a plain endpoint.
+/// Like [`lane_bank`], but each link dies per `schedule` applied to the
+/// client's sends; both halves are plain endpoints.
 fn killed_lane_bank(
     n: usize,
     schedule: FaultSchedule,
-) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
-    let mut server = Vec::with_capacity(n);
-    let mut client = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        let (s, c) = duplex();
-        server.push(s);
-        client.push_back(FaultyLane::new(c, schedule.clone()));
-    }
+) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<Endpoint>>>) {
+    let (server, client): (Vec<_>, VecDeque<_>) = (0..n)
+        .map(|_| {
+            let (s, c) = duplex();
+            (s, faulty_link(c, schedule.clone()))
+        })
+        .unzip();
     (server, Arc::new(Mutex::new(client)))
-}
-
-fn faulty_connector(bank: Arc<Mutex<VecDeque<FaultyLane>>>) -> Connector {
-    Box::new(move || {
-        bank.lock()
-            .expect("bank lock")
-            .pop_front()
-            .map(|l| Box::new(l) as Box<dyn Lane>)
-            .ok_or(TransportError::Disconnected)
-    })
 }
 
 /// Which failure the run injects on replica 0.
@@ -129,39 +118,32 @@ fn run_once(
         )),
         _ => None,
     };
+    let (killed_server, killed_bank) = killed.unzip();
     let healthy_extra = matches!(cond, Condition::Healthy).then(|| lane_bank(4));
     let mute = matches!(cond, Condition::MutePrimary).then(|| lane_bank(4));
 
     std::thread::scope(|scope| {
         let mut client_banks = Vec::new();
-        for (server_lanes, client_bank) in &plain {
+        for (server_lanes, client_bank) in plain.into_iter().chain(healthy_extra) {
             scope.spawn(move || {
                 TrainerServer::new(trainer, ServerConfig::default())
                     .serve(server_lanes, &SIM, 7)
                     .expect("reactor");
             });
-            client_banks.push(client_bank.clone());
+            client_banks.push(client_bank);
         }
-        if let Some((killed_server, _)) = &killed {
+        if let Some(killed_server) = killed_server {
             scope.spawn(move || {
                 TrainerServer::new(trainer, ServerConfig::default())
                     .serve(killed_server, &SIM, 7)
                     .expect("reactor");
             });
         }
-        if let Some((server_lanes, client_bank)) = &healthy_extra {
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(server_lanes, &SIM, 7)
-                    .expect("reactor");
-            });
-            client_banks.push(client_bank.clone());
-        }
 
         let alg = FixedFpAlgebra::new(16);
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(cond));
-        if let Some((_, killed_bank)) = &killed {
-            fleet.add_replica(faulty_connector(killed_bank.clone()));
+        if let Some(killed_bank) = &killed_bank {
+            fleet.add_replica(connector(killed_bank.clone()));
         }
         if let Some((_, mute_bank)) = &mute {
             // A dialable bank with no server behind it: the probe hangs
@@ -183,7 +165,7 @@ fn run_once(
         assert_eq!(labels.len(), samples.len());
 
         drop(fleet);
-        if let Some((_, killed_bank)) = &killed {
+        if let Some(killed_bank) = &killed_bank {
             killed_bank.lock().expect("bank lock").clear();
         }
         if let Some((_, mute_bank)) = &mute {
@@ -238,7 +220,7 @@ fn main() {
     ];
 
     println!(
-        "{iters} iters x {SAMPLES}-sample batch, {REPLICAS} replicas, in-memory lanes, exact field"
+        "{iters} iters x {SAMPLES}-sample batch, {REPLICAS} replicas, socket-pair lanes, exact field"
     );
     println!("| condition | p50 (ms) | p95 (ms) | vs healthy p50 |");
     println!("|---|---:|---:|---:|");

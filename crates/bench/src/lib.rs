@@ -151,13 +151,11 @@ pub fn private_classify_parallel_with_ot(
     };
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
-        for (i, lane) in trainer_eps.iter().enumerate() {
+        for (i, lane) in trainer_eps.into_iter().enumerate() {
             let server = TrainerServer::new(&trainer, config.clone());
             scope.spawn(move || {
                 let seed = seed.wrapping_add(i as u64);
-                server
-                    .serve(std::slice::from_ref(lane), ot, seed)
-                    .expect("serve")
+                server.serve(vec![lane], ot, seed).expect("serve")
             });
         }
         client

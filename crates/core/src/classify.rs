@@ -1564,7 +1564,7 @@ mod tests {
             let (trainer_eps, client_eps) = duplex_pool(lanes);
             let (served, labels) = std::thread::scope(|scope| {
                 let t = scope.spawn(|| {
-                    let summary = server.serve(&trainer_eps, &SIM, 91).unwrap();
+                    let summary = server.serve(trainer_eps, &SIM, 91).unwrap();
                     summary.served_samples
                 });
                 let c = scope.spawn(|| {

@@ -11,7 +11,7 @@
 //! [`PrecomputePool::clear`] empties the pool when the server drains.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ppcs_math::Algebra;
 use ppcs_ompe::{params_fingerprint, OmpeError, OmpeParams, OmpeSenderOffline};
@@ -21,6 +21,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::PpcsError;
+
+/// Locks `m` even when a thread that panicked holding it poisoned it:
+/// the queue is only ever pushed, popped or cleared whole, and a
+/// generator interrupted mid-draw is still a generator, so what a
+/// poisoned pool lock guards is consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A bounded queue of precomputed [`OmpeSenderOffline`] packs for one
 /// serving configuration.
@@ -86,7 +94,7 @@ impl<A: Algebra> PrecomputePool<A> {
 
     /// How many packs are ready right now.
     pub fn depth(&self) -> usize {
-        self.entries.lock().expect("pool entries lock").len()
+        lock(&self.entries).len()
     }
 
     /// Produces one pack if the pool has room; returns whether anything
@@ -98,7 +106,7 @@ impl<A: Algebra> PrecomputePool<A> {
             return false;
         }
         let entry = {
-            let mut rng = self.rng.lock().expect("pool rng lock");
+            let mut rng = lock(&self.rng);
             OmpeSenderOffline::precompute(
                 &self.alg,
                 self.sel,
@@ -108,7 +116,7 @@ impl<A: Algebra> PrecomputePool<A> {
             )
         };
         let depth = {
-            let mut entries = self.entries.lock().expect("pool entries lock");
+            let mut entries = lock(&self.entries);
             if entries.len() >= self.capacity {
                 // A concurrent fill won the race to the last slot.
                 return false;
@@ -145,7 +153,7 @@ impl<A: Algebra> PrecomputePool<A> {
             }));
         }
         let (entry, depth) = {
-            let mut entries = self.entries.lock().expect("pool entries lock");
+            let mut entries = lock(&self.entries);
             let entry = entries.pop_front();
             (entry, entries.len())
         };
@@ -163,7 +171,7 @@ impl<A: Algebra> PrecomputePool<A> {
     /// Empties the pool — the drain path calls this so no precomputed
     /// material outlives the serving run that drew it.
     pub fn clear(&self) {
-        self.entries.lock().expect("pool entries lock").clear();
+        lock(&self.entries).clear();
         if let Some(reg) = &self.metrics {
             reg.set_pool_depth(0);
         }
@@ -185,6 +193,33 @@ mod tests {
             2,
             7,
         )
+    }
+
+    #[test]
+    fn a_poisoned_pool_still_fills_and_serves() {
+        let p = std::sync::Arc::new(pool(2));
+        for which in ["entries", "rng"] {
+            let holder = p.clone();
+            let poisoner = std::thread::spawn(move || {
+                let _entries = (which == "entries").then(|| holder.entries.lock().unwrap());
+                let _rng = (which == "rng").then(|| holder.rng.lock().unwrap());
+                panic!("poison the pool's {which} lock");
+            });
+            assert!(poisoner.join().is_err());
+        }
+        assert!(p.entries.is_poisoned() && p.rng.is_poisoned());
+
+        assert!(p.fill_one());
+        assert!(p.fill_one());
+        assert!(!p.fill_one(), "a poisoned pool keeps its capacity");
+        assert_eq!(p.depth(), 2);
+        let sel = TrustedSimOt.select();
+        let params = OmpeParams::new(1, 3, 2).unwrap();
+        assert!(p.take(sel, &params).unwrap().is_some());
+        assert_eq!(p.depth(), 1);
+        p.clear();
+        assert_eq!(p.depth(), 0);
+        assert!(p.take(sel, &params).unwrap().is_none());
     }
 
     #[test]

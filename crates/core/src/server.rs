@@ -36,7 +36,7 @@ use ppcs_telemetry::{
     FlightEventKind, FlightRecorder, MetricsRegistry, DETAIL_DRAIN_BEGAN, DETAIL_DRAIN_CUT,
 };
 use ppcs_transport::{
-    AsyncDriver, AsyncEvent, ConnId, DriveOptions, Frame, HealthStatus, Lane, ProtocolEngine,
+    AsyncDriver, AsyncEvent, ConnId, DriveOptions, Endpoint, Frame, HealthStatus, ProtocolEngine,
     SessionLimits, TransportError, KIND_HEALTH,
 };
 
@@ -286,8 +286,8 @@ pub struct ServeSummary {
 }
 
 /// A hardened multi-client front for a [`Trainer`]: admission control,
-/// per-session budgets, and graceful drain over in-memory [`Lane`]s or
-/// TCP, all on one reactor thread. To use more cores, run one server
+/// per-session budgets, and graceful drain over [`Endpoint`]s (socket
+/// pairs or TCP) or a TCP listener, all on one reactor thread. To use more cores, run one server
 /// per thread.
 ///
 /// # Examples
@@ -313,7 +313,7 @@ pub struct ServeSummary {
 ///         // Clients classify on `client_lanes` concurrently...
 ///         drop(client_lanes); // (here: nobody calls, lanes just close)
 ///     });
-///     let summary = server.serve(&server_lanes, &ot, 7).unwrap();
+///     let summary = server.serve(server_lanes, &ot, 7).unwrap();
 ///     assert_eq!(summary.sessions_shed, 0);
 /// });
 /// ```
@@ -504,7 +504,8 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
     /// completes. One lane serves many back-to-back sessions; a hostile
     /// or failed session terminates with a structured error and costs
     /// only itself. Parked sessions cost no thread while they wait for
-    /// the peer: its send wakes the reactor.
+    /// the peer: its send makes the socket readable, which wakes the
+    /// reactor.
     ///
     /// Per-session failures are triaged into the [`ServeSummary`] (and
     /// the attached metrics), because on a hostile network a peer
@@ -514,18 +515,17 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
     ///
     /// # Errors
     ///
-    /// [`TransportError::Io`] if the reactor cannot be set up, and
-    /// [`TransportError::CannotNotify`] for a lane that cannot wake it.
-    pub fn serve<L: Lane>(
+    /// [`TransportError::Io`] if a lane's socket cannot be registered.
+    pub fn serve(
         &self,
-        lanes: &[L],
+        lanes: Vec<Endpoint>,
         ot: &dyn ObliviousTransfer,
         seed: u64,
     ) -> Result<ServeSummary, TransportError> {
         let mut driver = self.reactor_driver()?;
         let mut meta: HashMap<ConnId, ConnMeta> = HashMap::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            let id = driver.add_lane(lane as &dyn Lane)?;
+        for (i, lane) in lanes.into_iter().enumerate() {
+            let id = driver.add_endpoint(lane)?;
             driver.set_idle_deadline(id, Some(self.config.idle_timeout));
             meta.insert(id, ConnMeta::new(i as u64));
         }
@@ -562,7 +562,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
     /// A reactor driver carrying this server's registry, flight recorder
     /// and `/metrics` listener.
     fn reactor_driver(&self) -> Result<AsyncDriver<'_, usize, PpcsError>, TransportError> {
-        let mut driver = AsyncDriver::new()?;
+        let mut driver = AsyncDriver::new();
         if let Some(reg) = &self.metrics {
             driver = driver.with_metrics(reg.clone());
         }
@@ -857,7 +857,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let summary = server.serve(&server_lanes, &ot, 99).expect("reactor");
+            let summary = server.serve(server_lanes, &ot, 99).expect("reactor");
             let labels: Vec<_> = clients
                 .into_iter()
                 .map(|h| h.join().expect("client thread"))

@@ -10,25 +10,21 @@
 //! [`TransportError::Budget`] trips cannot differ between the two; this
 //! module only adds the reactor's way of waiting.
 //!
-//! Connections come in two flavors:
-//!
-//! * **TCP** ([`AsyncDriver::add_tcp`]) — a nonblocking framed stream
-//!   registered edge-triggered with the reactor; reads drain to
-//!   `WouldBlock`, writes queue under backpressure and resume on
-//!   writable events.
-//! * **In-memory lanes** ([`AsyncDriver::add_lane`]) — any [`Lane`]
-//!   that can wake the reactor (a duplex endpoint, or a
-//!   [`FaultyLane`](crate::FaultyLane) over one): the peer's send pokes
-//!   the driver's [`Waker`], and every turn probes each lane with a zero
-//!   receive deadline, so the delay/stall/cut schedules and the
-//!   adversarial peers run unchanged through the reactor.
+//! Every connection is one kind: a nonblocking framed socket registered
+//! edge-triggered with the reactor, accepted from a listener
+//! ([`AsyncDriver::listen`]), handed over as a TCP stream
+//! ([`AsyncDriver::add_tcp`]), or adopted from an [`Endpoint`] — a TCP
+//! one or one half of a [`duplex`](crate::duplex) socket pair
+//! ([`AsyncDriver::add_endpoint`]). Reads drain to `WouldBlock`, writes
+//! queue under backpressure and resume on writable events, and a turn
+//! services only the connections the reactor or the timer wheel named.
 //!
 //! A connection with no engine attached is *pending*: its first frame
 //! surfaces as [`AsyncEvent::Opening`] so a serving layer can perform
 //! admission control (attach an engine, [`send_busy`](AsyncDriver::send_busy),
 //! or [`close`](AsyncDriver::close)) before any protocol work happens.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,13 +34,13 @@ use ppcs_telemetry::{
     DETAIL_CONN_CLOSED, DETAIL_SESSION_ERR, DETAIL_SESSION_OK,
 };
 
-use crate::channel::{coalesce_frames, Frame, Lane, TrafficStats};
+use crate::channel::{Endpoint, Frame};
 use crate::driver::{busy_frame, Transcript};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::TransportError;
-use crate::reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
+use crate::reactor::{Reactor, ReactorEvent, TimerWheel};
 use crate::session::{DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
-use crate::tcp::NbConn;
+use crate::tcp::{NbConn, Stream};
 
 /// Token reserved for the accept listener.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
@@ -124,8 +120,8 @@ pub enum AsyncEvent<T, E> {
         transcript: Option<Transcript>,
     },
     /// A pending connection produced transport-level garbage (a frame
-    /// the codec itself rejected). TCP connections are closed (the
-    /// stream is desynchronized); in-memory lanes stay up.
+    /// the codec itself rejected). The connection is closed: its stream
+    /// is desynchronized.
     Malformed {
         /// The offending connection.
         conn: ConnId,
@@ -144,21 +140,6 @@ pub enum AsyncEvent<T, E> {
         /// The connection that is now gone.
         conn: ConnId,
     },
-}
-
-/// One connection's transport, by flavor.
-enum ConnLane<'d> {
-    Tcp(NbConn),
-    Mem(&'d dyn Lane),
-}
-
-impl std::fmt::Debug for ConnLane<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Tcp(nb) => f.debug_tuple("Tcp").field(nb).finish(),
-            Self::Mem(_) => f.debug_tuple("Mem").finish(),
-        }
-    }
 }
 
 /// The engine and drive state parked on a connection.
@@ -182,7 +163,7 @@ struct MetricsConn {
 }
 
 struct Conn<'d, T, E> {
-    lane: ConnLane<'d>,
+    lane: NbConn,
     session: Option<Session<'d, T, E>>,
     /// Idle deadline while pending (no engine). One-shot.
     idle_deadline: Option<Instant>,
@@ -204,8 +185,6 @@ struct Slot<'d, T, E> {
 /// [`poll`](AsyncDriver::poll) for the turn loop.
 pub struct AsyncDriver<'d, T, E> {
     reactor: Reactor,
-    /// Handed (weakly) to every mem lane: their peers' sends wake us.
-    waker: Arc<Waker>,
     wheel: TimerWheel,
     slots: Vec<Slot<'d, T, E>>,
     free: Vec<u32>,
@@ -217,7 +196,6 @@ pub struct AsyncDriver<'d, T, E> {
     /// (freshly attached engines, buffered frames).
     ready_next: Vec<u32>,
     active_sessions: usize,
-    mem_conns: usize,
     conns: usize,
     /// The `/metrics` endpoint listener, when one is attached.
     metrics_listener: Option<TcpListener>,
@@ -233,17 +211,17 @@ pub struct AsyncDriver<'d, T, E> {
     read_buf: Box<[u8]>,
 }
 
+impl<T, E: From<TransportError>> Default for AsyncDriver<'_, T, E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// Opens a driver with its own reactor and timer wheel.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the reactor cannot be set up.
-    pub fn new() -> Result<Self, TransportError> {
-        let reactor = Reactor::new()?;
-        Ok(Self {
-            waker: Arc::new(reactor.waker()?),
-            reactor,
+    pub fn new() -> Self {
+        Self {
+            reactor: Reactor::new(),
             wheel: TimerWheel::new(Instant::now()),
             slots: Vec::new(),
             free: Vec::new(),
@@ -251,7 +229,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             metrics: None,
             ready_next: Vec::new(),
             active_sessions: 0,
-            mem_conns: 0,
             conns: 0,
             metrics_listener: None,
             metrics_conns: HashMap::new(),
@@ -259,7 +236,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             recorder: None,
             session_seq: 0,
             read_buf: vec![0; NbConn::READ_CHUNK].into_boxed_slice(),
-        })
+        }
     }
 
     /// Attaches a registry for reactor-level counters
@@ -274,17 +251,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// short-sleep fallback — see [`Reactor`]).
     pub fn is_epoll(&self) -> bool {
         self.reactor.is_epoll()
-    }
-
-    /// A cross-thread [`Waker`] that interrupts a blocked
-    /// [`poll`](AsyncDriver::poll) — lets drain/cut signals land
-    /// event-driven instead of waiting out the poll timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the waker socket cannot be cloned.
-    pub fn waker(&self) -> Result<Waker, TransportError> {
-        self.reactor.waker()
     }
 
     /// Registers `listener` for nonblocking accepts: every new inbound
@@ -360,42 +326,44 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// [`TransportError::Io`] on socket configuration or registration
     /// failure.
     pub fn add_tcp(&mut self, stream: TcpStream) -> Result<ConnId, TransportError> {
-        let nb = NbConn::new(stream)?;
-        let fd = nb.fd();
+        self.add(NbConn::new(
+            Stream::tcp(stream)?,
+            Vec::new(),
+            VecDeque::new(),
+            Arc::default(),
+        )?)
+    }
+
+    /// Adds `endpoint` (a TCP one, or one half of a
+    /// [`duplex`](crate::duplex) pair) as a pending connection. The
+    /// driver adopts its stream together with whatever the endpoint had
+    /// already read and not delivered, so no frame is lost, and its
+    /// traffic keeps counting into the endpoint's counters.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Io`] on socket configuration or registration
+    /// failure.
+    pub fn add_endpoint(&mut self, endpoint: Endpoint) -> Result<ConnId, TransportError> {
+        let (reader, parsed, _writer, stats) = endpoint.into_parts();
+        let (stream, read_ahead) = reader.into_parts();
+        self.add(NbConn::new(stream, read_ahead, parsed, stats)?)
+    }
+
+    fn add(&mut self, lane: NbConn) -> Result<ConnId, TransportError> {
+        let fd = lane.fd();
+        // Frames an endpoint already read out of its socket raise no edge.
+        let buffered = lane.recv_ready();
         let id = self.insert(Conn {
-            lane: ConnLane::Tcp(nb),
+            lane,
             session: None,
             idle_deadline: None,
             timer_gen: 0,
         });
         self.reactor.register(fd, u64::from(id.slot))?;
-        Ok(id)
-    }
-
-    /// Adds any [`Lane`] (a duplex endpoint, or a
-    /// [`FaultyLane`](crate::FaultyLane) over one) as a pending
-    /// connection. The lane wakes the reactor when its peer sends; the
-    /// driver owns the lane's deadline cell from here on.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::CannotNotify`] for a lane whose
-    /// [`Lane::wake_on_arrival`] declines (a TCP endpoint: hand its
-    /// stream to [`add_tcp`](AsyncDriver::add_tcp) instead).
-    pub fn add_lane(&mut self, lane: &'d dyn Lane) -> Result<ConnId, TransportError> {
-        if !lane.wake_on_arrival(&self.waker) {
-            return Err(TransportError::CannotNotify);
+        if buffered {
+            self.ready_next.push(id.slot);
         }
-        let id = self.insert(Conn {
-            lane: ConnLane::Mem(lane),
-            session: None,
-            idle_deadline: None,
-            timer_gen: 0,
-        });
-        self.mem_conns += 1;
-        // Probe it on the next turn: frames sent before the lane was
-        // added woke nobody.
-        self.ready_next.push(id.slot);
         Ok(id)
     }
 
@@ -556,10 +524,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         if conn.session.is_some() {
             self.active_sessions -= 1;
         }
-        match conn.lane {
-            ConnLane::Tcp(_) => self.reactor.deregister(u64::from(id.slot)),
-            ConnLane::Mem(_) => self.mem_conns -= 1,
-        }
+        self.reactor.deregister(u64::from(id.slot));
         if let Some(rec) = &self.recorder {
             rec.record(
                 FlightEventKind::StateTransition,
@@ -617,9 +582,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
 
         // Bound the wait by whichever comes first: the caller's cap,
         // the next armed timer, or pending ready work (which needs a
-        // zero wait). A mem lane's peer wakes the reactor itself, and
-        // `Reactor::wait` drains those wakes before any lane is probed
-        // below, so none can be lost.
+        // zero wait).
         let mut wait = max_wait;
         if let Some(due) = self.wheel.next_due(now) {
             wait = wait.min(due);
@@ -668,8 +631,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             self.service_metrics(token);
         }
 
-        // Collect the service set: explicit readiness, fired timers,
-        // carried-over ready work, and every mem lane.
+        // Collect the service set: explicit readiness, fired timers and
+        // carried-over ready work.
         let mut ready: Vec<u32> = Vec::new();
         let mut enqueue = |slots: &mut Vec<Slot<'d, T, E>>, slot: u32| {
             if let Some(s) = slots.get_mut(slot as usize) {
@@ -715,17 +678,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         }
         for slot in std::mem::take(&mut self.ready_next) {
             enqueue(&mut self.slots, slot);
-        }
-        if self.mem_conns > 0 {
-            for slot in 0..self.slots.len() as u32 {
-                let is_mem = self.slots[slot as usize]
-                    .conn
-                    .as_ref()
-                    .is_some_and(|c| matches!(c.lane, ConnLane::Mem(_)));
-                if is_mem {
-                    enqueue(&mut self.slots, slot);
-                }
-            }
         }
 
         for slot in ready {
@@ -789,25 +741,20 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         // and the pending path below only pop parsed frames, and bytes
         // that arrive after this drain raise a new edge. Sticky failures
         // surface through try_recv.
-        let fill_err = match &mut conn.lane {
-            ConnLane::Tcp(nb) => {
-                let r = nb.fill(&mut self.read_buf);
-                if nb.wants_write() {
-                    let _ = nb.flush();
-                }
-                if let Some(reg) = &self.metrics {
-                    reg.record_reactor(
-                        ReactorMetric::WriteBufDepth,
-                        nb.pending_write_bytes() as u64,
-                    );
-                    if let Some(ns) = nb.take_stall_ns() {
-                        reg.record_reactor(ReactorMetric::WritableStallNs, ns);
-                    }
-                }
-                r.err()
+        let nb = &mut conn.lane;
+        let fill_err = nb.fill(&mut self.read_buf).err();
+        if nb.wants_write() {
+            let _ = nb.flush();
+        }
+        if let Some(reg) = &self.metrics {
+            reg.record_reactor(
+                ReactorMetric::WriteBufDepth,
+                nb.pending_write_bytes() as u64,
+            );
+            if let Some(ns) = nb.take_stall_ns() {
+                reg.record_reactor(ReactorMetric::WritableStallNs, ns);
             }
-            ConnLane::Mem(_) => None,
-        };
+        }
 
         if let Some(s) = conn.session.as_mut() {
             conn.timer_gen += 1;
@@ -842,10 +789,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             conn.session = None;
             self.active_sessions -= 1;
             self.wheel.cancel(u64::from(slot));
-            // A frame or the stream's end may already wait: on a mem
-            // lane, always (its wake may have been drained this very
-            // turn).
-            if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.recv_ready()) {
+            // A frame or the stream's end may already wait.
+            if conn.lane.recv_ready() {
                 self.ready_next.push(slot);
             }
             events.push(AsyncEvent::Finished {
@@ -863,7 +808,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                 // The idle timer stays armed: a handler that leaves the
                 // deadline alone (a health probe does) must not keep
                 // the connection from being reaped on time.
-                if !matches!(&conn.lane, ConnLane::Tcp(nb) if !nb.recv_ready()) {
+                if conn.lane.recv_ready() {
                     self.ready_next.push(slot);
                 }
                 events.push(AsyncEvent::Opening { conn: id, frame });
@@ -879,7 +824,6 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                 self.close(id);
             }
             Err(e) => {
-                let fatal = matches!(conn.lane, ConnLane::Tcp(_));
                 if let Some(rec) = &self.recorder {
                     rec.record(FlightEventKind::Malformed, slot, epoch, 0);
                 }
@@ -887,9 +831,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
                     conn: id,
                     error: fill_err.unwrap_or(e),
                 });
-                if fatal {
-                    self.close(id);
-                }
+                self.close(id);
             }
         }
     }
@@ -1151,51 +1093,6 @@ impl<T, E> std::fmt::Debug for AsyncDriver<'_, T, E> {
     }
 }
 
-/// The reactor's way of waiting: it doesn't. `try_recv` reports what
-/// has already arrived, and deadlines are the timer wheel's job (see
-/// the normalization notes in `tcp.rs`).
-impl SessionIo for ConnLane<'_> {
-    fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
-        match self {
-            Self::Tcp(nb) => {
-                match out {
-                    Outgoing::Frame(f) => nb.queue(f)?,
-                    Outgoing::Batch(fs) => nb.queue(&coalesce_frames(fs)?)?,
-                }
-                // Opportunistic flush: backpressure is not an error, the
-                // remainder rides the next writable event.
-                nb.flush().map(|_| ())
-            }
-            Self::Mem(l) => match out {
-                Outgoing::Frame(f) => l.send(f.clone()),
-                Outgoing::Batch(fs) => l.send_coalesced(fs),
-            },
-        }
-    }
-
-    fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
-        match self {
-            // `service` filled the connection this turn.
-            Self::Tcp(nb) => nb.try_recv(),
-            Self::Mem(l) => {
-                l.set_recv_timeout(Some(Duration::ZERO));
-                match l.recv() {
-                    Ok(f) => Ok(Some(f)),
-                    Err(TransportError::Timeout) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            }
-        }
-    }
-
-    fn stats(&self) -> TrafficStats {
-        match self {
-            Self::Tcp(nb) => nb.stats(),
-            Self::Mem(l) => l.stats(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,8 +1149,8 @@ mod tests {
                 let mut engine = ProtocolEngine::new(|io| responder(io, 5));
                 Driver::new().drive(&b2, &mut engine).expect("responder")
             });
-            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-            let conn = ad.add_lane(&a2).expect("mem lane");
+            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+            let conn = ad.add_endpoint(a2).expect("socket pair");
             ad.attach_engine(
                 conn,
                 ProtocolEngine::new(|io| requester(io, 5)),
@@ -1274,17 +1171,17 @@ mod tests {
     #[test]
     fn async_multiplexes_many_duplex_sessions_on_one_thread() {
         const N: usize = 32;
-        let pairs: Vec<_> = (0..N).map(|_| duplex()).collect();
+        let (ours, theirs): (Vec<_>, Vec<_>) = (0..N).map(|_| duplex()).unzip();
         std::thread::scope(|scope| {
-            for (_, b) in &pairs {
+            for b in &theirs {
                 scope.spawn(move || {
                     let mut engine = ProtocolEngine::new(|io| responder(io, 3));
                     Driver::new().drive(b, &mut engine).expect("responder")
                 });
             }
-            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-            for (a, _) in &pairs {
-                let conn = ad.add_lane(a).expect("mem lane");
+            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+            for a in ours {
+                let conn = ad.add_endpoint(a).expect("socket pair");
                 ad.attach_engine(
                     conn,
                     ProtocolEngine::new(|io| requester(io, 3)),
@@ -1310,7 +1207,7 @@ mod tests {
                 Driver::new().drive(&ep, &mut engine).expect("responder")
             });
             let stream = TcpStream::connect(addr).expect("connect");
-            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
+            let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
             let conn = ad.add_tcp(stream).expect("add");
             ad.attach_engine(
                 conn,
@@ -1327,8 +1224,8 @@ mod tests {
     fn cancel_token_cuts_a_parked_session() {
         let (a, _b) = duplex();
         let cancel = Arc::new(AtomicBool::new(false));
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(a).expect("socket pair");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1363,8 +1260,8 @@ mod tests {
     #[test]
     fn per_recv_timeout_comes_from_the_timer_wheel() {
         let (a, _b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(a).expect("socket pair");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1383,8 +1280,8 @@ mod tests {
     #[test]
     fn busy_frame_translates_to_busy_error() {
         let (a, b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(a).expect("socket pair");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1407,8 +1304,8 @@ mod tests {
     #[test]
     fn pending_lane_surfaces_opening_frame_and_idle_expiry() {
         let (a, b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(a).expect("socket pair");
         ad.set_idle_deadline(conn, Some(Duration::from_millis(40)));
         b.send(Frame::encode(0x0500, &7u64)).expect("send hello");
         let started = Instant::now();
@@ -1442,13 +1339,13 @@ mod tests {
         let reg = MetricsRegistry::new(1, "async-driver");
         let recorder = FlightRecorder::new(64);
         let (a, _b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
         ad = ad.with_metrics(reg);
         ad.set_flight_recorder(recorder.clone());
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         ad.listen_metrics(listener).expect("listen_metrics");
         let addr = ad.metrics_addr().expect("addr");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let conn = ad.add_endpoint(a).expect("socket pair");
         ad.attach_engine(
             conn,
             ProtocolEngine::new(|io| requester(io, 1)),
@@ -1503,16 +1400,16 @@ mod tests {
     fn an_idle_mem_lane_lets_the_reactor_sleep() {
         let reg = MetricsRegistry::new(1, "async-driver");
         let (a, _b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new()
-            .expect("driver")
-            .with_metrics(reg.clone());
-        ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> =
+            AsyncDriver::new().with_metrics(reg.clone());
+        ad.add_endpoint(a).expect("socket pair");
         let started = Instant::now();
         while started.elapsed() < Duration::from_millis(100) {
             assert!(ad.poll(Duration::from_millis(100)).is_empty());
         }
-        // One turn probes the freshly added lane, the next sleeps out the
-        // wait: nothing polls the lane on a clock of its own.
+        // One turn services the freshly registered socket's first edge,
+        // the next sleeps out the wait: nothing polls the lane on a
+        // clock of its own.
         let wakeups = reg.report().reactor_wakeups;
         if ad.is_epoll() {
             assert!(wakeups <= 2, "{wakeups} wake-ups for 100 ms of nothing");
@@ -1520,10 +1417,10 @@ mod tests {
     }
 
     #[test]
-    fn a_peer_send_ends_a_long_poll() {
+    fn a_peer_send_over_a_socket_pair_ends_a_long_poll() {
         let (a, b) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let conn = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(a).expect("socket pair");
         assert!(ad.poll(Duration::ZERO).is_empty(), "nothing sent yet");
         std::thread::scope(|scope| {
             let peer = scope.spawn(|| {
@@ -1545,24 +1442,99 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_that_cannot_wake_the_reactor_is_refused() {
-        // A TCP endpoint's peer lives in another process: it belongs on
-        // `add_tcp`, where the socket itself raises readiness.
+    fn a_turn_services_only_the_busy_connection() {
+        let reg = MetricsRegistry::new(1, "async-driver");
+        let mut ad: AsyncDriver<'_, u64, TransportError> =
+            AsyncDriver::new().with_metrics(reg.clone());
+        let mut peers = Vec::new();
+        for _ in 0..65 {
+            let (ours, theirs) = duplex();
+            ad.add_endpoint(ours).expect("socket pair");
+            peers.push(theirs);
+        }
+        // Registration raises each socket's first (writable) edge, at
+        // most 64 per wait; let them pass.
+        for _ in 0..3 {
+            assert!(ad.poll(Duration::ZERO).is_empty());
+        }
+        peers[64]
+            .send(Frame::encode(0x0500, &7u64))
+            .expect("send hello");
+        // No timer and no carried-over work: the turn services exactly
+        // the connections the reactor reports.
+        assert!(ad.ready_next.is_empty() && ad.wheel.is_idle());
+        let before = reg.report().reactor_events;
+        let events = ad.poll(Duration::from_secs(5));
+        assert!(
+            matches!(&events[..], [AsyncEvent::Opening { conn, .. }] if conn.slot() == 64),
+            "{events:?}"
+        );
+        if ad.is_epoll() {
+            assert_eq!(
+                reg.report().reactor_events - before,
+                1,
+                "64 idle lanes stay asleep"
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_read_ahead_by_a_blocking_recv_is_not_lost() {
+        let (a, b) = duplex();
+        // One write carries a batch of two, then a plain frame: the first
+        // blocking receive leaves a sub-frame unpacked and the plain
+        // frame's bytes in the read-ahead buffer.
+        let batch = [Frame::encode(0x0500, &1u64), Frame::encode(0x0500, &2u64)];
+        b.send_coalesced(&batch).expect("batch");
+        b.send(Frame::encode(0x0500, &3u64)).expect("plain");
+        assert_eq!(a.recv().expect("first"), batch[0]);
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        ad.add_endpoint(a).expect("socket pair");
+        let mut got = Vec::new();
+        let started = Instant::now();
+        while got.len() < 2 {
+            for ev in ad.poll(Duration::from_millis(10)) {
+                if let AsyncEvent::Opening { frame, .. } = ev {
+                    got.push(frame.decode_as::<u64>(0x0500).expect("u64"));
+                }
+            }
+            assert!(started.elapsed() < Duration::from_secs(5), "{got:?}");
+        }
+        assert_eq!(got, [2, 3]);
+    }
+
+    #[test]
+    fn a_tcp_endpoint_is_adopted_like_a_socket_pair() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let ep = crate::tcp::tcp_connect(listener.local_addr().expect("addr")).expect("connect");
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        assert_eq!(ad.add_lane(&ep), Err(TransportError::CannotNotify));
-        assert_eq!(ad.conns(), 0);
+        let ours = crate::tcp::tcp_connect(listener.local_addr().expect("addr")).expect("connect");
+        let theirs = crate::tcp::tcp_accept(&listener).expect("accept");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(ours).expect("tcp endpoint");
+        theirs
+            .send(Frame::encode(0x0500, &7u64))
+            .expect("send hello");
+        let started = Instant::now();
+        let frame = 'outer: loop {
+            for ev in ad.poll(Duration::from_millis(10)) {
+                if let AsyncEvent::Opening { conn: c, frame } = ev {
+                    assert_eq!(c, conn);
+                    break 'outer frame;
+                }
+            }
+            assert!(started.elapsed() < Duration::from_secs(5), "no opening");
+        };
+        assert_eq!(frame.decode_as::<u64>(0x0500), Ok(7));
+        assert_eq!(ad.conns(), 1);
     }
 
     #[test]
     fn closed_conn_ids_are_not_reused_against_stale_handles() {
         let (a, b) = duplex();
         let (c, _d) = duplex();
-        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new().expect("driver");
-        let first = ad.add_lane(&a).expect("mem lane");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let first = ad.add_endpoint(a).expect("socket pair");
         ad.close(first);
-        let second = ad.add_lane(&c).expect("mem lane");
+        let second = ad.add_endpoint(c).expect("socket pair");
         assert_ne!(first, second, "epoch distinguishes the recycled slot");
         assert!(!ad.is_open(first));
         assert!(ad.is_open(second));
@@ -1644,7 +1616,7 @@ mod tests {
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let mut ad = AsyncDriver::new().expect("driver");
+        let mut ad = AsyncDriver::new();
         ad.listen(listener).expect("listen");
         (ad, addr)
     }

@@ -1,4 +1,4 @@
-//! In-memory duplex channels with traffic accounting.
+//! Endpoints with traffic accounting.
 //!
 //! Each protocol session runs over a pair of [`Endpoint`]s. The endpoints
 //! count frames and payload bytes in both directions, which is how the
@@ -7,15 +7,14 @@
 //! to the random-polynomial traffic, and these counters make that visible.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::error::TransportError;
-use crate::reactor::Waker;
+use crate::tcp::{framed, FrameReader, FrameWriter, Stream};
 use crate::wire::Encodable;
 
 /// Frame kind reserved for coalesced batches: the payload of such a frame
@@ -180,9 +179,9 @@ impl TrafficStats {
 
 /// Shared, thread-safe traffic accounting for one endpoint.
 ///
-/// Both halves of a TCP endpoint clone the same `Arc<SharedStats>`;
-/// the recording and snapshot APIs here are the only way traffic
-/// counters are touched — no more reaching through the cell's fields.
+/// An endpoint and the reactor connection that adopts its stream share
+/// one `Arc<SharedStats>`; the recording and snapshot APIs here are the
+/// only way traffic counters are touched.
 #[derive(Debug, Default)]
 pub(crate) struct SharedStats {
     stats: Mutex<TrafficStats>,
@@ -220,49 +219,20 @@ impl SharedStats {
     }
 }
 
-/// The reactor an in-memory endpoint's owner asked to be woken, set by
-/// [`Lane::wake_on_arrival`] and poked from the peer's side. Weak, so a
-/// dropped reactor is simply not woken.
-#[derive(Debug, Default)]
-struct ArrivalWaker(Mutex<Weak<Waker>>);
-
-impl ArrivalWaker {
-    fn wake(&self) {
-        if let Some(waker) = self.0.lock().upgrade() {
-            waker.wake();
-        }
-    }
-}
-
-/// The peer's [`ArrivalWaker`]: poked after every frame this endpoint
-/// sends and once more when it is dropped — after the sender it follows
-/// in its variant, so the woken reactor already sees the hang-up.
+/// The read side of an endpoint: the framed stream and the sub-frames
+/// of a coalesced batch not yet delivered, under one lock.
 #[derive(Debug)]
-struct PeerWaker(Arc<ArrivalWaker>);
-
-impl Drop for PeerWaker {
-    fn drop(&mut self) {
-        self.0.wake();
-    }
+struct ReadSide {
+    frames: FrameReader,
+    pending: VecDeque<Frame>,
 }
 
-/// The medium an endpoint speaks over.
-#[derive(Debug)]
-enum Backend {
-    /// In-memory crossbeam channels (tests, benches, co-located parties).
-    Memory {
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
-        waker: Arc<ArrivalWaker>,
-        peer_waker: PeerWaker,
-    },
-    /// A framed TCP socket (real distributed deployment; see
-    /// [`tcp_connect`](crate::tcp_connect) / [`tcp_accept`](crate::tcp_accept)).
-    Tcp(Mutex<crate::tcp::TcpConnection>),
-}
-
-/// One side of a duplex protocol connection — in-memory or TCP; the
-/// protocols are agnostic.
+/// One side of a duplex protocol connection: a framed socket, TCP
+/// between machines or one half of a Unix socket pair between threads
+/// ([`duplex`]). The protocols are agnostic.
+///
+/// Sends and receives take separate locks, so one thread may send while
+/// another waits in [`recv`](Endpoint::recv).
 ///
 /// # Examples
 ///
@@ -277,49 +247,60 @@ enum Backend {
 /// ```
 #[derive(Debug)]
 pub struct Endpoint {
-    backend: Backend,
+    reader: Mutex<ReadSide>,
+    writer: Mutex<FrameWriter>,
     stats: Arc<SharedStats>,
     /// Default timeout for blocking receives; `None` blocks forever.
     /// Behind a shared mutex so drivers can adjust it through a shared
     /// reference (see `Driver::with_timeout`) and so every lane of a
     /// [`duplex_pool`] side inherits one deadline cell.
     recv_timeout: Arc<Mutex<Option<Duration>>>,
-    /// Sub-frames unpacked from a coalesced frame, drained before the
-    /// backend is asked for more data.
-    pending: Mutex<VecDeque<Frame>>,
 }
 
 impl Endpoint {
-    /// Wraps a connected TCP stream.
+    /// Wraps a connected stream with the default receive deadline.
     ///
     /// # Errors
     ///
     /// Surfaces socket configuration failures.
-    pub(crate) fn from_tcp(stream: std::net::TcpStream) -> Result<Self, TransportError> {
+    pub(crate) fn from_stream(stream: Stream) -> Result<Self, TransportError> {
+        Self::with_cell(stream, Arc::new(Mutex::new(DEFAULT_RECV_TIMEOUT)))
+    }
+
+    fn with_cell(
+        stream: Stream,
+        recv_timeout: Arc<Mutex<Option<Duration>>>,
+    ) -> Result<Self, TransportError> {
+        let (frames, writer) = framed(stream)?;
         Ok(Self {
-            backend: Backend::Tcp(Mutex::new(crate::tcp::TcpConnection::new(stream)?)),
+            reader: Mutex::new(ReadSide {
+                frames,
+                pending: VecDeque::new(),
+            }),
+            writer: Mutex::new(writer),
             stats: Arc::new(SharedStats::default()),
-            recv_timeout: Arc::new(Mutex::new(Some(Duration::from_secs(30)))),
-            pending: Mutex::new(VecDeque::new()),
+            recv_timeout,
         })
+    }
+
+    /// Takes the endpoint apart for a new owner of its stream: the read
+    /// half (with any bytes it read ahead), the sub-frames it unpacked
+    /// but did not deliver, the write half and the traffic counters.
+    pub(crate) fn into_parts(
+        self,
+    ) -> (FrameReader, VecDeque<Frame>, FrameWriter, Arc<SharedStats>) {
+        let ReadSide { frames, pending } = self.reader.into_inner();
+        (frames, pending, self.writer.into_inner(), self.stats)
     }
 
     /// Sends a frame to the peer.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Disconnected`] if the peer was dropped.
+    /// Returns [`TransportError::Disconnected`] if the peer hung up.
     pub fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        let kind = frame.kind;
-        let len = frame.wire_len() as u64;
-        match &self.backend {
-            Backend::Memory { tx, peer_waker, .. } => {
-                tx.send(frame).map_err(|_| TransportError::Disconnected)?;
-                peer_waker.0.wake();
-            }
-            Backend::Tcp(conn) => conn.lock().send(&frame)?,
-        }
-        self.stats.record_sent(kind, len);
+        self.writer.lock().send(&frame)?;
+        self.stats.record_sent(frame.kind, frame.wire_len() as u64);
         Ok(())
     }
 
@@ -327,14 +308,14 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Disconnected`] if the peer was dropped.
+    /// Returns [`TransportError::Disconnected`] if the peer hung up.
     pub fn send_msg<T: Encodable>(&self, kind: u16, body: &T) -> Result<(), TransportError> {
         self.send(Frame::encode(kind, body))
     }
 
     /// Coalesces a batch of frames into one wire frame and sends it with
     /// a single write — one frame header crosses the wire instead of one
-    /// per sub-frame, and a TCP backend issues one syscall for the batch.
+    /// per sub-frame.
     ///
     /// The peer's [`recv`](Endpoint::recv) unpacks transparently, so the
     /// receiving protocol code is unchanged.
@@ -342,7 +323,7 @@ impl Endpoint {
     /// # Errors
     ///
     /// Returns [`TransportError::Decode`] for an empty batch and
-    /// [`TransportError::Disconnected`] if the peer was dropped.
+    /// [`TransportError::Disconnected`] if the peer hung up.
     pub fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
         self.send(coalesce_frames(frames)?)
     }
@@ -351,36 +332,24 @@ impl Endpoint {
     ///
     /// Coalesced frames (see [`Endpoint::send_coalesced`]) are unpacked
     /// here: the first sub-frame is returned and the rest are queued, so
-    /// subsequent calls drain the batch before touching the backend.
+    /// subsequent calls drain the batch before touching the socket.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Disconnected`] if the peer dropped its endpoint,
+    /// [`TransportError::Disconnected`] if the peer hung up,
     /// [`TransportError::Timeout`] if the configured deadline passed.
     pub fn recv(&self) -> Result<Frame, TransportError> {
-        if let Some(f) = self.pending.lock().pop_front() {
+        let timeout = *self.recv_timeout.lock();
+        let mut side = self.reader.lock();
+        if let Some(f) = side.pending.pop_front() {
             return Ok(f);
         }
-        let timeout = *self.recv_timeout.lock();
-        let frame = match &self.backend {
-            Backend::Memory { rx, .. } => match timeout {
-                None => rx.recv().map_err(|_| TransportError::Disconnected)?,
-                Some(limit) => rx.recv_timeout(limit).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => TransportError::Timeout,
-                    RecvTimeoutError::Disconnected => TransportError::Disconnected,
-                })?,
-            },
-            Backend::Tcp(conn) => {
-                let mut conn = conn.lock();
-                conn.set_read_timeout(timeout)?;
-                conn.recv()?
-            }
-        };
+        let frame = side.frames.recv(timeout)?;
         self.stats
             .record_received(frame.kind, frame.wire_len() as u64);
         if frame.kind == KIND_COALESCED {
             let (first, rest) = uncoalesce(&frame.payload)?;
-            self.pending.lock().extend(rest);
+            side.pending.extend(rest);
             return Ok(first);
         }
         Ok(frame)
@@ -461,7 +430,7 @@ pub fn coalesce_frames(frames: &[Frame]) -> Result<Frame, TransportError> {
 
 /// Splits a coalesced payload back into its sub-frames: the first one
 /// and the rest, so a batch is never empty. Shared by both receive
-/// paths, in-memory ([`Endpoint::recv`]) and TCP.
+/// paths, blocking ([`Endpoint::recv`]) and the reactor's.
 pub(crate) fn uncoalesce(payload: &Bytes) -> Result<(Frame, VecDeque<Frame>), TransportError> {
     let truncated = || TransportError::Decode("truncated coalesced frame".into());
     let read_u32 = |pos: usize| -> Result<u32, TransportError> {
@@ -547,45 +516,34 @@ pub(crate) fn uncoalesce(payload: &Bytes) -> Result<(Frame, VecDeque<Frame>), Tr
     Ok((first, frames))
 }
 
-/// Builds one connected in-memory pair whose endpoints use the given
+/// Builds one connected socket pair whose endpoints use the given
 /// (possibly shared) recv-deadline cells.
 fn duplex_with_cells(
     cell_a: Arc<Mutex<Option<Duration>>>,
     cell_b: Arc<Mutex<Option<Duration>>>,
 ) -> (Endpoint, Endpoint) {
-    let (tx_ab, rx_ab) = unbounded();
-    let (tx_ba, rx_ba) = unbounded();
-    let waker_a = Arc::new(ArrivalWaker::default());
-    let waker_b = Arc::new(ArrivalWaker::default());
-    let a = Endpoint {
-        backend: Backend::Memory {
-            tx: tx_ab,
-            rx: rx_ba,
-            waker: waker_a.clone(),
-            peer_waker: PeerWaker(waker_b.clone()),
-        },
-        stats: Arc::new(SharedStats::default()),
-        recv_timeout: cell_a,
-        pending: Mutex::new(VecDeque::new()),
-    };
-    let b = Endpoint {
-        backend: Backend::Memory {
-            tx: tx_ba,
-            rx: rx_ab,
-            waker: waker_b,
-            peer_waker: PeerWaker(waker_a),
-        },
-        stats: Arc::new(SharedStats::default()),
-        recv_timeout: cell_b,
-        pending: Mutex::new(VecDeque::new()),
-    };
-    (a, b)
+    let opened = Stream::pair()
+        .map_err(|e| TransportError::Io(e.to_string()))
+        .and_then(|(a, b)| {
+            Ok((
+                Endpoint::with_cell(a, cell_a)?,
+                Endpoint::with_cell(b, cell_b)?,
+            ))
+        });
+    opened.unwrap_or_else(|e| panic!("cannot open a Unix socket pair: {e}"))
 }
 
 /// Default blocking-receive deadline for freshly created endpoints.
 const DEFAULT_RECV_TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
 
-/// Creates a connected pair of endpoints.
+/// Creates a connected pair of endpoints over a Unix socket pair: the
+/// same framing, accounting and backpressure as TCP, for two parties in
+/// one process.
+///
+/// # Panics
+///
+/// If the process cannot open the pair's sockets (its file descriptors
+/// are exhausted).
 pub fn duplex() -> (Endpoint, Endpoint) {
     duplex_with_cells(
         Arc::new(Mutex::new(DEFAULT_RECV_TIMEOUT)),
@@ -602,28 +560,21 @@ pub fn duplex() -> (Endpoint, Endpoint) {
 /// any lane governs every lane of that side — a stalled pool lane times
 /// out exactly when its siblings would, instead of waiting forever on a
 /// deadline that was only set on one lane.
+///
+/// # Panics
+///
+/// As [`duplex`].
 pub fn duplex_pool(lanes: usize) -> (Vec<Endpoint>, Vec<Endpoint>) {
     let left_cell = Arc::new(Mutex::new(DEFAULT_RECV_TIMEOUT));
     let right_cell = Arc::new(Mutex::new(DEFAULT_RECV_TIMEOUT));
-    let mut left = Vec::with_capacity(lanes);
-    let mut right = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        let (a, b) = duplex_with_cells(left_cell.clone(), right_cell.clone());
-        left.push(a);
-        right.push(b);
-    }
-    (left, right)
+    (0..lanes)
+        .map(|_| duplex_with_cells(left_cell.clone(), right_cell.clone()))
+        .unzip()
 }
 
-/// A sendable/receivable frame lane: the minimal surface protocol
-/// drivers need, implemented by plain [`Endpoint`]s (in-memory or TCP)
-/// and by wrappers such as [`crate::FaultyLane`], which delays, stalls or
-/// cuts one side's sends.
-///
-/// Having the drivers and the parallel classification pipeline speak to
-/// this trait instead of `Endpoint` directly is what lets the chaos
-/// harness put a deterministic fault schedule on one side of any session
-/// without the protocol code, or the peer, knowing.
+/// A sendable/receivable frame lane: the minimal surface the blocking
+/// drivers need, implemented by [`Endpoint`] and by wrappers around one
+/// (an instrumented lane that counts or traces what crosses it).
 pub trait Lane: Send + Sync {
     /// Sends one frame to the peer.
     ///
@@ -653,13 +604,6 @@ pub trait Lane: Send + Sync {
 
     /// Snapshot of the lane's traffic counters.
     fn stats(&self) -> TrafficStats;
-
-    /// Asks the lane to wake `waker` whenever a frame reaches it or its
-    /// peer hangs up, so a reactor holding it can sleep until then.
-    /// Returns `false` when the lane cannot, which is the default.
-    fn wake_on_arrival(&self, _waker: &Arc<Waker>) -> bool {
-        false
-    }
 }
 
 impl Lane for Endpoint {
@@ -681,16 +625,6 @@ impl Lane for Endpoint {
 
     fn stats(&self) -> TrafficStats {
         Endpoint::stats(self)
-    }
-
-    /// In-memory endpoints can; TCP ones cannot, their peer lives in
-    /// another process.
-    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
-        let Backend::Memory { waker: cell, .. } = &self.backend else {
-            return false;
-        };
-        *cell.0.lock() = Arc::downgrade(waker);
-        true
     }
 }
 
@@ -715,10 +649,6 @@ impl<L: Lane + ?Sized> Lane for &L {
 
     fn stats(&self) -> TrafficStats {
         (**self).stats()
-    }
-
-    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
-        (**self).wake_on_arrival(waker)
     }
 }
 
@@ -1028,6 +958,46 @@ mod tests {
         // `b` was not reconfigured; it still sees queued traffic.
         a.send_msg(1, &1u64).unwrap();
         assert_eq!(b.recv_msg::<u64>(1).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_socket_buffer_crosses_between_threads() {
+        let (a, b) = duplex();
+        // Far past a Unix socket's few hundred KiB of buffer: the send
+        // completes only as the receiver reads.
+        let big = vec![0x5au8; 4 << 20];
+        let payload = big.clone();
+        let sender = std::thread::spawn(move || {
+            a.send_msg(9, &payload).unwrap();
+            a
+        });
+        assert_eq!(b.recv_msg::<Vec<u8>>(9).unwrap(), big);
+        let a = sender.join().unwrap();
+        assert_eq!(a.stats().bytes_sent, b.stats().bytes_received);
+    }
+
+    #[test]
+    fn an_oversized_announcement_is_refused_as_over_tcp() {
+        use std::io::Write;
+        let mut header = 7u16.to_le_bytes().to_vec();
+        header.extend_from_slice(&(crate::tcp::MAX_PAYLOAD + 1).to_le_bytes());
+
+        let (mut raw, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        let ep = Endpoint::from_stream(Stream::Unix(theirs)).unwrap();
+        raw.write_all(&header).unwrap();
+        let over_pair = ep.recv().unwrap_err();
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let ep = crate::tcp_accept(&listener).unwrap();
+        raw.write_all(&header).unwrap();
+        let over_tcp = ep.recv().unwrap_err();
+
+        assert!(
+            matches!(&over_pair, TransportError::Decode(msg) if msg.contains("cap")),
+            "{over_pair:?}"
+        );
+        assert_eq!(over_pair, over_tcp);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Drivers and transcripts: everything that moves engine frames.
 //!
-//! [`Driver`] pumps one [`ProtocolEngine`] over any [`Endpoint`](crate::Endpoint) backend
-//! (in-memory duplex, coalesced lanes, TCP) — the blocking protocol entry
+//! [`Driver`] pumps one [`ProtocolEngine`] over any [`Lane`]: an
+//! [`Endpoint`](crate::Endpoint) (a socket pair or TCP) or a wrapper
+//! around one — the blocking protocol entry
 //! points across the workspace are thin wrappers over it.
 //! [`run_engine_pair`] pumps two engines against each other with no
 //! threads and no transport at all, deterministically, with deadlock

@@ -9,7 +9,7 @@
 //! [`poll_output`](ProtocolEngine::poll_output) /
 //! [`handle_input`](ProtocolEngine::handle_input) /
 //! [`is_done`](ProtocolEngine::is_done) — so the same role logic runs over
-//! in-memory duplex, coalesced lanes, or TCP, driven by
+//! any [`Endpoint`](crate::Endpoint) (a socket pair or TCP), driven by
 //! [`Driver`](crate::Driver), a deterministic in-process pump
 //! ([`run_engine_pair`](crate::run_engine_pair)), or a recorded transcript
 //! ([`replay`](crate::replay)).

@@ -37,10 +37,6 @@ pub enum TransportError {
     /// exhausted: wall-clock deadline, frame count, wire-byte count, or a
     /// drain-deadline cut. The message names the budget that tripped.
     Budget(String),
-    /// [`AsyncDriver::add_lane`](crate::AsyncDriver::add_lane) refused a
-    /// lane that cannot wake the reactor (see
-    /// [`Lane::wake_on_arrival`](crate::Lane::wake_on_arrival)).
-    CannotNotify,
 }
 
 impl fmt::Display for TransportError {
@@ -69,7 +65,6 @@ impl fmt::Display for TransportError {
                 Ok(())
             }
             Self::Budget(msg) => write!(f, "session budget exhausted: {msg}"),
-            Self::CannotNotify => write!(f, "lane cannot wake a reactor when a frame arrives"),
         }
     }
 }
@@ -196,8 +191,7 @@ impl From<TransportError> for ProtocolError {
             | TransportError::Timeout
             | TransportError::Io(_)
             | TransportError::Busy { .. }
-            | TransportError::Budget(_)
-            | TransportError::CannotNotify => Self::new(ErrorLayer::Transport, err),
+            | TransportError::Budget(_) => Self::new(ErrorLayer::Transport, err),
             TransportError::Decode(_) => Self::new(ErrorLayer::Codec, err),
             TransportError::UnexpectedFrame { got, .. } => {
                 let got = *got;

@@ -1,14 +1,14 @@
-//! Deterministic fault injection for protocol lanes.
+//! Deterministic fault injection in the link between two endpoints.
 //!
-//! [`FaultyLane`] wraps one side of a connection — an in-memory
-//! [`Endpoint`] or a TCP one — and applies a seeded [`FaultSchedule`] to
-//! the frames that side sends. The faults are the ones a stream can
-//! have: a frame arrives late, the stream stops delivering while the
+//! [`faulty_pair`] and [`faulty_link`] hand out plain [`Endpoint`]s
+//! joined by a relay that applies a seeded [`FaultSchedule`] to each
+//! direction's wire frames. The faults are the ones a stream can have:
+//! a frame arrives late, the stream stops delivering while the
 //! connection stays open, or the connection dies. TCP never hands the
 //! application a duplicated, reordered or corrupted frame, so none is
 //! simulated; hostile bytes are the subject of the codec fuzz and
-//! adversarial suites. The peer needs no wrapper: it sees a plain
-//! stream.
+//! adversarial suites. Neither endpoint knows about the faults: the
+//! protocols, the drivers and the reactor carry no hooks for them.
 //!
 //! The chaos harness asserts the trichotomy on top: a faulted session
 //! either completes with the correct value, or both parties terminate
@@ -17,15 +17,11 @@
 //! frame; a coalesced batch is one), so a failing chaos seed reproduces
 //! exactly.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
-use crate::channel::{coalesce_frames, duplex, Endpoint, Frame, Lane, TrafficStats};
-use crate::error::TransportError;
-use crate::reactor::Waker;
+use crate::channel::{duplex, Endpoint, Frame};
+use crate::tcp::{framed, FrameReader, FrameWriter, Stream};
 
 /// How long a [`FaultKind::Delay`] fault holds the frame back.
 const DELAY_FAULT: Duration = Duration::from_millis(2);
@@ -44,16 +40,19 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// sequence number the schedule maps to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The frame is sent late (after a fixed sleep).
+    /// The frame arrives late (the link holds it for a fixed time).
     Delay,
-    /// The stream stops: this frame and every later one are silently
-    /// not sent, while sends keep succeeding and the connection stays
-    /// open, so the peer's deadline fires — what a lost segment does to
-    /// a stream. A later scheduled [`FaultKind::Cut`] still fires.
+    /// The stream stops: this frame and every later one in its
+    /// direction are silently dropped, while sends keep succeeding and
+    /// the connection stays open, so the peer's deadline fires — what a
+    /// lost segment does to a stream. A later scheduled
+    /// [`FaultKind::Cut`] still fires.
     Stall,
-    /// The connection dies: this send and every later send or receive
-    /// fails with [`TransportError::Disconnected`], and the peer sees
-    /// the same once the lane is dropped.
+    /// The connection dies: this frame is dropped and the link closes,
+    /// so both endpoints see the hang-up at once — every later receive
+    /// or send fails with
+    /// [`TransportError::Disconnected`](crate::TransportError::Disconnected)
+    /// once what was already delivered is read.
     Cut,
 }
 
@@ -121,107 +120,86 @@ impl FaultSchedule {
     }
 }
 
-/// Where the send path stands, under one lock.
-#[derive(Debug, Default)]
-struct SendState {
-    next_seq: u64,
-    stalled: bool,
-    cut: bool,
-}
-
-/// An [`Endpoint`] wrapper that applies a deterministic [`FaultSchedule`]
-/// to its sends; receives pass through.
+/// Two connected endpoints whose link applies `a` to the frames the
+/// first one sends and `b` to those the second one sends.
 ///
-/// Implements [`Lane`], so any engine-driven session — and the parallel
-/// classification pipeline — runs over it unchanged.
-#[derive(Debug)]
-pub struct FaultyLane {
-    inner: Endpoint,
-    schedule: FaultSchedule,
-    state: Mutex<SendState>,
+/// # Panics
+///
+/// As [`duplex`], or if the link's relay threads cannot be started.
+pub fn faulty_pair(a: FaultSchedule, b: FaultSchedule) -> (Endpoint, Endpoint) {
+    let (far, near) = duplex();
+    (link(far, a, b), near)
 }
 
-impl FaultyLane {
-    /// Wraps `inner` with a fault schedule.
-    pub fn new(inner: Endpoint, schedule: FaultSchedule) -> Self {
-        Self {
-            inner,
-            schedule,
-            state: Mutex::new(SendState::default()),
-        }
-    }
+/// An endpoint that speaks to `ep`'s peer through a link applying
+/// `schedule` to the frames it sends; the peer's frames pass untouched.
+/// `ep` may be a TCP endpoint: the faults then sit between a local
+/// socket pair and the real connection.
+///
+/// # Panics
+///
+/// As [`faulty_pair`].
+pub fn faulty_link(ep: Endpoint, schedule: FaultSchedule) -> Endpoint {
+    link(ep, schedule, FaultSchedule::none())
+}
 
-    /// Sends one wire frame under the schedule.
-    fn send_wire(&self, frame: Frame) -> Result<(), TransportError> {
-        let delay = {
-            let mut st = self.state.lock();
-            if st.cut {
-                return Err(TransportError::Disconnected);
-            }
-            let fault = self.schedule.get(st.next_seq);
-            st.next_seq += 1;
-            match fault {
-                Some(FaultKind::Cut) => {
-                    st.cut = true;
-                    return Err(TransportError::Disconnected);
-                }
-                Some(FaultKind::Stall) => st.stalled = true,
-                Some(FaultKind::Delay) | None => {}
-            }
-            if st.stalled {
-                return Ok(());
-            }
-            fault == Some(FaultKind::Delay)
+/// A fresh endpoint joined to `far`'s stream by two relay threads:
+/// `out` applies to what the new endpoint sends, `back` to what `far`'s
+/// peer sends it.
+fn link(far: Endpoint, out: FaultSchedule, back: FaultSchedule) -> Endpoint {
+    let (near, relay) = Stream::pair().expect("cannot open a Unix socket pair");
+    let near = Endpoint::from_stream(near).expect("cannot clone a socket handle");
+    let (relay_reader, relay_writer) = framed(relay).expect("cannot clone a socket handle");
+    let (far_reader, far_pending, far_writer, _) = far.into_parts();
+    let spawn = |from, to, schedule, undelivered| {
+        std::thread::Builder::new()
+            .name("fault-link".into())
+            .spawn(move || pump(from, to, &schedule, undelivered))
+            .expect("cannot start a fault-link relay thread");
+    };
+    spawn(relay_reader, far_writer, out, VecDeque::new());
+    // Sub-frames `far` unpacked but never delivered go to `near` first.
+    spawn(far_reader, relay_writer, back, far_pending);
+    near
+}
+
+/// Forwards `undelivered`, then wire frames from `from`, to `to` under
+/// `schedule` until the schedule cuts the link or either end hangs up;
+/// then closes the whole link, so both endpoints see the hang-up at
+/// once.
+fn pump(
+    mut from: FrameReader,
+    mut to: FrameWriter,
+    schedule: &FaultSchedule,
+    undelivered: VecDeque<Frame>,
+) {
+    let mut open = undelivered.iter().all(|f| to.send(f).is_ok());
+    let (mut seq, mut stalled) = (0u64, false);
+    while open {
+        let Ok(frame) = from.recv(None) else {
+            break;
         };
-        if delay {
-            std::thread::sleep(DELAY_FAULT);
+        match schedule.get(seq) {
+            Some(FaultKind::Cut) => break,
+            Some(FaultKind::Stall) => stalled = true,
+            Some(FaultKind::Delay) => std::thread::sleep(DELAY_FAULT),
+            None => {}
         }
-        self.inner.send(frame)
+        seq += 1;
+        open = stalled || to.send(&frame).is_ok();
     }
-}
-
-impl Lane for FaultyLane {
-    fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        self.send_wire(frame)
-    }
-
-    fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
-        self.send_wire(coalesce_frames(frames)?)
-    }
-
-    fn recv(&self) -> Result<Frame, TransportError> {
-        if self.state.lock().cut {
-            return Err(TransportError::Disconnected);
-        }
-        self.inner.recv()
-    }
-
-    fn set_recv_timeout(&self, timeout: Option<Duration>) {
-        self.inner.set_recv_timeout(timeout);
-    }
-
-    fn stats(&self) -> TrafficStats {
-        self.inner.stats()
-    }
-
-    fn wake_on_arrival(&self, waker: &Arc<Waker>) -> bool {
-        self.inner.wake_on_arrival(waker)
-    }
-}
-
-/// An in-memory connected pair of fault lanes, one schedule per side.
-pub fn faulty_pair(a: FaultSchedule, b: FaultSchedule) -> (FaultyLane, FaultyLane) {
-    let (ea, eb) = duplex();
-    (FaultyLane::new(ea, a), FaultyLane::new(eb, b))
+    from.shutdown();
+    to.shutdown();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{busy_frame, busy_retry_after, KIND_BUSY};
+    use crate::error::TransportError;
 
-    fn short_deadline(lane: &impl Lane) {
-        lane.set_recv_timeout(Some(Duration::from_millis(50)));
+    fn short_deadline(ep: &Endpoint) {
+        ep.set_recv_timeout(Some(Duration::from_millis(50)));
     }
 
     #[test]
@@ -265,10 +243,10 @@ mod tests {
         // The stalled side still hears its peer.
         b.send(Frame::encode(2, &9u64)).unwrap();
         assert_eq!(a.recv().unwrap().decode_as::<u64>(2).unwrap(), 9);
-        assert_eq!(
-            a.send(Frame::encode(1, &3u64)).unwrap_err(),
-            TransportError::Disconnected
-        );
+        // Send 3 is the cut: the link closes under both sides.
+        a.send(Frame::encode(1, &3u64)).unwrap();
+        assert_eq!(a.recv().unwrap_err(), TransportError::Disconnected);
+        assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
     }
 
     #[test]
@@ -278,19 +256,20 @@ mod tests {
             FaultSchedule::none(),
         );
         a.send(Frame::encode(1, &0u64)).unwrap();
+        // The cut frame itself leaves like any other; the link drops it
+        // and closes, and the peer sees that at once, with `a` alive.
+        a.send(Frame::encode(1, &1u64)).unwrap();
+        assert_eq!(b.recv().unwrap().decode_as::<u64>(1).unwrap(), 0);
+        assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
         assert_eq!(
-            a.send(Frame::encode(1, &1u64)).unwrap_err(),
+            b.send(Frame::encode(1, &3u64)).unwrap_err(),
             TransportError::Disconnected
         );
+        assert_eq!(a.recv().unwrap_err(), TransportError::Disconnected);
         assert_eq!(
             a.send(Frame::encode(1, &2u64)).unwrap_err(),
             TransportError::Disconnected
         );
-        b.send(Frame::encode(1, &3u64)).unwrap();
-        assert_eq!(a.recv().unwrap_err(), TransportError::Disconnected);
-        assert_eq!(b.recv().unwrap().decode_as::<u64>(1).unwrap(), 0);
-        drop(a);
-        assert_eq!(b.recv().unwrap_err(), TransportError::Disconnected);
     }
 
     #[test]
@@ -311,7 +290,7 @@ mod tests {
     #[test]
     fn a_plain_peers_busy_reply_reaches_the_faulty_side() {
         let (raw, inner) = duplex();
-        let lane = FaultyLane::new(inner, FaultSchedule::none());
+        let lane = faulty_link(inner, FaultSchedule::none());
         short_deadline(&lane);
         raw.send(busy_frame(Some(Duration::from_millis(250))))
             .unwrap();

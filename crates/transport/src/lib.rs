@@ -1,17 +1,21 @@
 //! # ppcs-transport
 //!
-//! The two-party messaging substrate for the ppcs protocols: in-memory
-//! duplex channels with per-endpoint traffic accounting, a compact wire
-//! codec, and a scoped-thread party runner.
+//! The two-party messaging substrate for the ppcs protocols: framed
+//! endpoints with per-endpoint traffic accounting, a compact wire codec,
+//! a scoped-thread party runner, and one reactor for serving.
 //!
 //! Every protocol in this workspace (`ppcs-ot`, `ppcs-ompe`, `ppcs-core`)
 //! is written sans-I/O against [`FrameIo`] — the role logic is a pure
 //! state machine ([`ProtocolEngine`]) that never sees a socket — and the
-//! [`Driver`] pumps any engine over any [`Endpoint`] backend: in-memory
-//! duplex, coalesced lanes, or TCP. The traffic counters report exactly
-//! what would cross the network, and any session can be captured to a
-//! byte-serializable [`Transcript`] and re-driven deterministically with
-//! [`replay`].
+//! [`Driver`] pumps any engine over an [`Endpoint`]. There is one kind of
+//! endpoint: a framed socket, TCP between machines ([`tcp_connect`]) or
+//! one half of a Unix socket pair between threads of one process
+//! ([`duplex`]), so the traffic counters report exactly what crosses the
+//! network and the [`AsyncDriver`] waits on file descriptors only. Any
+//! session can be captured to a byte-serializable [`Transcript`] and
+//! re-driven deterministically with [`replay`]. Faults for chaos testing
+//! live in the link between two endpoints ([`faulty_pair`]), not in
+//! either of them.
 //!
 //! A session lives on one lane from its first frame to its result: a
 //! lane failure is injected into the engine, which ends with a typed
@@ -65,9 +69,9 @@ pub use driver::{
 };
 pub use engine::{Engine, FrameIo, Outgoing, ProtocolEngine, RecvFut};
 pub use error::{ErrorLayer, ProtocolError, TransportError};
-pub use fault::{faulty_pair, FaultKind, FaultSchedule, FaultyLane};
+pub use fault::{faulty_link, faulty_pair, FaultKind, FaultSchedule};
 pub use health::{probe_health, probe_health_cancellable, HealthStatus, KIND_HEALTH};
-pub use reactor::{Reactor, ReactorEvent, TimerWheel, Waker};
+pub use reactor::{Reactor, ReactorEvent, TimerWheel};
 pub use session::DriveOptions;
 pub use tcp::{tcp_accept, tcp_connect};
 pub use wire::{decode_seq, encode_seq, Encodable};

@@ -10,24 +10,21 @@
 //! maybe-ready. Spurious readiness is safe by construction: consumers
 //! drive nonblocking try-I/O loops that simply find nothing to do.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Reactor`] — register an fd under a `u64` token, then
 //!   [`wait`](Reactor::wait) for readiness [`ReactorEvent`]s.
 //!   Registration is edge-triggered for both directions, so consumers
 //!   must drain reads to `WouldBlock` and flush writes to `WouldBlock`
-//!   on every event.
-//! * [`Waker`] — a cross-thread handle (a connected loopback UDP pair)
-//!   that interrupts a blocked [`Reactor::wait`], used by drain/cut
-//!   signals to make shutdown event-driven instead of poll-quantized.
+//!   on every event. Every connection is a socket, so file descriptors
+//!   are all it ever waits on.
 //! * [`TimerWheel`] — a 256-slot hashed wheel with millisecond-class
 //!   granularity carrying per-session budget deadlines (wall-clock,
 //!   per-receive, cancel-poll slices), at most one per token, replacing
 //!   the per-thread blocking deadlines of the synchronous driver.
 
 use std::collections::HashMap;
-use std::net::UdpSocket;
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
 use crate::error::TransportError;
@@ -43,9 +40,6 @@ pub struct ReactorEvent {
     /// The fd's send buffer has room again.
     pub writable: bool,
 }
-
-/// The token [`Reactor::wait`] never reports: reserved for the waker.
-const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Raw `epoll` syscalls, issued with inline assembly because the
 /// vendored dependency set has no libc. This module is the only
@@ -209,46 +203,29 @@ enum Backend {
 ///
 /// Register sockets with [`register`](Reactor::register) (interest is
 /// always read + write, edge-triggered), then loop on
-/// [`wait`](Reactor::wait). A [`Waker`] obtained before the loop can
-/// interrupt a blocked wait from any thread.
+/// [`wait`](Reactor::wait).
 #[derive(Debug)]
 pub struct Reactor {
     backend: Backend,
     /// Registered tokens and their fds — the sleep backend reports all
-    /// of them on every wait, and `Drop` uses the fds for cleanup.
+    /// of them on every wait.
     registered: HashMap<u64, RawFd>,
-    /// Receive side of the waker channel, registered under
-    /// [`WAKE_TOKEN`]; drained on every wake.
-    wake_rx: UdpSocket,
-    /// Template for new [`Waker`]s.
-    wake_tx: UdpSocket,
+}
+
+impl Default for Reactor {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Reactor {
-    /// Opens a reactor, choosing epoll when the platform offers it.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the loopback waker pair cannot be set
-    /// up (the readiness backend itself cannot fail: it degrades to the
-    /// sleep poller instead).
-    pub fn new() -> Result<Self, TransportError> {
-        let io = |e: std::io::Error| TransportError::Io(format!("reactor waker: {e}"));
-        let wake_rx = UdpSocket::bind("127.0.0.1:0").map_err(io)?;
-        let wake_tx = UdpSocket::bind("127.0.0.1:0").map_err(io)?;
-        wake_tx
-            .connect(wake_rx.local_addr().map_err(io)?)
-            .map_err(io)?;
-        wake_rx.set_nonblocking(true).map_err(io)?;
-        let backend = Self::pick_backend();
-        let mut reactor = Self {
-            backend,
+    /// Opens a reactor, choosing epoll when the platform offers it (it
+    /// degrades to the sleep poller rather than fail).
+    pub fn new() -> Self {
+        Self {
+            backend: Self::pick_backend(),
             registered: HashMap::new(),
-            wake_rx,
-            wake_tx,
-        };
-        reactor.register(reactor.wake_rx.as_raw_fd(), WAKE_TOKEN)?;
-        Ok(reactor)
+        }
     }
 
     #[cfg(all(
@@ -286,20 +263,6 @@ impl Reactor {
         {
             false
         }
-    }
-
-    /// A cross-thread handle that interrupts a blocked [`wait`](Reactor::wait).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the waker socket cannot be cloned.
-    pub fn waker(&self) -> Result<Waker, TransportError> {
-        Ok(Waker {
-            tx: self
-                .wake_tx
-                .try_clone()
-                .map_err(|e| TransportError::Io(format!("clone waker: {e}")))?,
-        })
     }
 
     /// Registers `fd` under `token` with edge-triggered read + write
@@ -346,10 +309,8 @@ impl Reactor {
         }
     }
 
-    /// Blocks until readiness arrives, the timeout elapses, or a
-    /// [`Waker`] fires, appending events to `out` (the waker's own
-    /// token is consumed internally and never reported). Returns the
-    /// number of events appended.
+    /// Blocks until readiness arrives or the timeout elapses, appending
+    /// events to `out`. Returns the number of events appended.
     pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<ReactorEvent>) -> usize {
         let before = out.len();
         match &self.backend {
@@ -367,14 +328,9 @@ impl Reactor {
                 };
                 let mut buf = [sys::EpollEvent::default(); 64];
                 let n = sys::epoll_wait(*epfd, &mut buf, timeout_ms);
-                let mut woke = false;
                 for ev in buf.iter().take(n.max(0) as usize) {
                     let token = ev.data;
                     let bits = ev.events;
-                    if token == WAKE_TOKEN {
-                        woke = true;
-                        continue;
-                    }
                     let hangup = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
                     out.push(ReactorEvent {
                         token,
@@ -383,9 +339,6 @@ impl Reactor {
                         writable: bits & sys::EPOLLOUT != 0,
                     });
                 }
-                if woke {
-                    self.drain_wakes();
-                }
             }
             Backend::Sleep => {
                 // Bounded nap, then report everything maybe-ready.
@@ -393,24 +346,14 @@ impl Reactor {
                 if !nap.is_zero() {
                     std::thread::sleep(nap);
                 }
-                self.drain_wakes();
-                for token in self.registered.keys() {
-                    if *token != WAKE_TOKEN {
-                        out.push(ReactorEvent {
-                            token: *token,
-                            readable: true,
-                            writable: true,
-                        });
-                    }
-                }
+                out.extend(self.registered.keys().map(|&token| ReactorEvent {
+                    token,
+                    readable: true,
+                    writable: true,
+                }));
             }
         }
         out.len() - before
-    }
-
-    fn drain_wakes(&self) {
-        let mut buf = [0u8; 16];
-        while self.wake_rx.recv(&mut buf).is_ok() {}
     }
 }
 
@@ -426,21 +369,6 @@ impl Drop for Reactor {
         if let Backend::Epoll { epfd } = self.backend {
             sys::close(epfd);
         }
-    }
-}
-
-/// Interrupts a blocked [`Reactor::wait`] from any thread. Cheap to
-/// clone through [`Reactor::waker`]; wakes coalesce.
-#[derive(Debug)]
-pub struct Waker {
-    tx: UdpSocket,
-}
-
-impl Waker {
-    /// Wakes the reactor. Never blocks; a full socket buffer means a
-    /// wake is already pending, which is all a wake can convey.
-    pub fn wake(&self) {
-        let _ = self.tx.send(&[1]);
     }
 }
 
@@ -669,6 +597,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
 
     fn nb_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -681,7 +610,7 @@ mod tests {
 
     #[test]
     fn epoll_reports_readability_edge() {
-        let mut reactor = Reactor::new().expect("reactor");
+        let mut reactor = Reactor::new();
         let (server, mut client) = nb_pair();
         reactor.register(server.as_raw_fd(), 7).expect("register");
         let mut events = Vec::new();
@@ -703,30 +632,8 @@ mod tests {
     }
 
     #[test]
-    fn waker_interrupts_wait() {
-        let mut reactor = Reactor::new().expect("reactor");
-        let waker = reactor.waker().expect("waker");
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-        });
-        let started = Instant::now();
-        let mut events = Vec::new();
-        reactor.wait(Some(Duration::from_secs(10)), &mut events);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "wake should interrupt the 10 s wait early"
-        );
-        assert!(
-            events.iter().all(|e| e.token != WAKE_TOKEN),
-            "the wake token never surfaces"
-        );
-        handle.join().expect("waker thread");
-    }
-
-    #[test]
     fn sleep_backend_reports_registered_tokens() {
-        let mut reactor = Reactor::new().expect("reactor");
+        let mut reactor = Reactor::new();
         reactor.backend = Backend::Sleep;
         let (server, _client) = nb_pair();
         reactor.register(server.as_raw_fd(), 3).expect("register");
@@ -742,7 +649,7 @@ mod tests {
 
     #[test]
     fn edge_triggered_requires_draining() {
-        let mut reactor = Reactor::new().expect("reactor");
+        let mut reactor = Reactor::new();
         if !reactor.is_epoll() {
             return; // Only meaningful on the epoll backend.
         }

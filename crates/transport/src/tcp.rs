@@ -1,17 +1,26 @@
-//! TCP backend for [`Endpoint`](crate::Endpoint): the same protocols
-//! that run over in-memory channels run across real sockets.
+//! The one kind of connection under every [`Endpoint`](crate::Endpoint)
+//! and reactor connection: a framed byte stream over a TCP socket, or
+//! over one half of a Unix socket pair ([`duplex`](crate::duplex)) when
+//! both parties live in one process. The framing code does not know
+//! which.
 //!
 //! Wire framing: `kind: u16 LE | payload_len: u32 LE | payload`, matching
 //! the byte accounting of [`Frame::wire_len`](crate::Frame::wire_len).
 
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::channel::Frame;
+use crate::channel::{coalesce_frames, Frame, SharedStats, TrafficStats, KIND_COALESCED};
+use crate::engine::Outgoing;
 use crate::error::TransportError;
+use crate::session::SessionIo;
 
 /// Maximum accepted payload size (64 MiB) — guards against a corrupt or
 /// hostile length prefix allocating unbounded memory. A held flight
@@ -27,57 +36,139 @@ fn decode_header(h: &[u8; Frame::HEADER_LEN]) -> (u16, u32) {
     )
 }
 
-/// A framed TCP connection carrying [`Frame`]s.
-#[derive(Debug)]
-pub(crate) struct TcpConnection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    /// The read timeout last applied to the socket, so the per-receive
-    /// [`set_read_timeout`](Self::set_read_timeout) only pays a syscall
-    /// when [`Endpoint::set_recv_timeout`](crate::Endpoint::set_recv_timeout)
-    /// actually changed the deadline. `None` = never applied.
-    applied_read_timeout: Option<Option<Duration>>,
+/// The wire header of `frame`, refusing a payload over [`MAX_PAYLOAD`].
+fn encode_header(frame: &Frame) -> Result<[u8; Frame::HEADER_LEN], TransportError> {
+    let len = u32::try_from(frame.payload.len())
+        .ok()
+        .filter(|len| *len <= MAX_PAYLOAD)
+        .ok_or_else(|| {
+            TransportError::Decode(format!(
+                "frame payload of {} bytes exceeds the {MAX_PAYLOAD}-byte cap",
+                frame.payload.len()
+            ))
+        })?;
+    let mut header = [0u8; Frame::HEADER_LEN];
+    header[..2].copy_from_slice(&frame.kind.to_le_bytes());
+    header[2..].copy_from_slice(&len.to_le_bytes());
+    Ok(header)
 }
 
-impl TcpConnection {
-    pub(crate) fn new(stream: TcpStream) -> Result<Self, TransportError> {
+/// The refusal of a peer's announced length over [`MAX_PAYLOAD`].
+fn oversized(len: u32) -> TransportError {
+    TransportError::Decode(format!(
+        "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
+    ))
+}
+
+/// The socket under a connection.
+#[derive(Debug)]
+pub(crate) enum Stream {
+    /// A TCP connection (Nagle off).
+    Tcp(TcpStream),
+    /// One half of a Unix socket pair: two parties of one process.
+    Unix(UnixStream),
+}
+
+/// `$body`, with `$s` bound to the socket `$stream` holds, whichever
+/// kind it is.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $body:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $body,
+            Stream::Unix($s) => $body,
+        }
+    };
+}
+
+impl Stream {
+    /// Wraps a TCP connection, switching Nagle's algorithm off: every
+    /// frame is a flight someone waits for.
+    pub(crate) fn tcp(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nodelay(true).map_err(io_err)?;
-        let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        let writer = BufWriter::new(stream);
-        Ok(Self {
-            reader,
-            writer,
-            applied_read_timeout: None,
+        Ok(Self::Tcp(stream))
+    }
+
+    /// A connected Unix socket pair.
+    pub(crate) fn pair() -> std::io::Result<(Self, Self)> {
+        let (a, b) = UnixStream::pair()?;
+        Ok((Self::Unix(a), Self::Unix(b)))
+    }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        Ok(match self {
+            Self::Tcp(s) => Self::Tcp(s.try_clone()?),
+            Self::Unix(s) => Self::Unix(s.try_clone()?),
         })
     }
 
-    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let len: u32 = frame
-            .payload
-            .len()
-            .try_into()
-            .map_err(|_| TransportError::Decode("frame payload exceeds u32 length".into()))?;
-        if len > MAX_PAYLOAD {
-            return Err(TransportError::Decode(format!(
-                "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-            )));
-        }
-        self.writer
-            .write_all(&frame.kind.to_le_bytes())
-            .and_then(|()| self.writer.write_all(&len.to_le_bytes()))
-            .and_then(|()| self.writer.write_all(&frame.payload))
-            .and_then(|()| self.writer.flush())
-            .map_err(io_err)
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        on_socket!(self, s => s.set_read_timeout(timeout))
     }
 
-    pub(crate) fn recv(&mut self) -> Result<Frame, TransportError> {
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        on_socket!(self, s => s.set_nonblocking(true))
+    }
+
+    /// Closes both directions for every handle on the socket: a
+    /// blocked read returns end-of-stream and the peer sees a hang-up.
+    pub(crate) fn shutdown(&self) {
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        on_socket!(self, s => s.as_raw_fd())
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        on_socket!(self, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        on_socket!(self, s => s.write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        on_socket!(self, s => s.flush())
+    }
+}
+
+/// Splits `stream` into its blocking framed halves.
+pub(crate) fn framed(stream: Stream) -> Result<(FrameReader, FrameWriter), TransportError> {
+    let writer = FrameWriter(BufWriter::new(stream.try_clone().map_err(io_err)?));
+    let reader = FrameReader {
+        reader: BufReader::new(stream),
+        applied_read_timeout: None,
+    };
+    Ok((reader, writer))
+}
+
+/// The blocking read half of a framed stream: one wire frame per call,
+/// coalesced batches still packed.
+#[derive(Debug)]
+pub(crate) struct FrameReader {
+    reader: BufReader<Stream>,
+    /// The read timeout last applied to the socket, so a receive only
+    /// pays a syscall when the deadline actually changed. `None` =
+    /// never applied.
+    applied_read_timeout: Option<Option<Duration>>,
+}
+
+impl FrameReader {
+    /// Reads the next wire frame, waiting up to `timeout` (`None`:
+    /// forever) for it to start.
+    pub(crate) fn recv(&mut self, timeout: Option<Duration>) -> Result<Frame, TransportError> {
+        self.set_read_timeout(timeout)?;
         let mut header = [0u8; Frame::HEADER_LEN];
         self.reader.read_exact(&mut header).map_err(io_err)?;
         let (kind, len) = decode_header(&header);
         if len > MAX_PAYLOAD {
-            return Err(TransportError::Decode(format!(
-                "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
-            )));
+            return Err(oversized(len));
         }
         let mut payload = vec![0u8; len as usize];
         self.reader.read_exact(&mut payload).map_err(io_err)?;
@@ -87,15 +178,12 @@ impl TcpConnection {
         })
     }
 
-    /// Applies the endpoint's receive deadline to the socket.
+    /// Applies the receive deadline to the socket.
     ///
     /// `std` rejects a zero read timeout, so `Some(0)` is clamped to the
     /// smallest representable deadline instead of erroring — callers get
     /// "time out as fast as the OS allows" semantics.
-    pub(crate) fn set_read_timeout(
-        &mut self,
-        timeout: Option<Duration>,
-    ) -> Result<(), TransportError> {
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
         let effective = match timeout {
             Some(d) if d.is_zero() => Some(Duration::from_nanos(1)),
             other => other,
@@ -109,6 +197,39 @@ impl TcpConnection {
             .map_err(io_err)?;
         self.applied_read_timeout = Some(effective);
         Ok(())
+    }
+
+    /// Closes the socket both ways (see [`Stream::shutdown`]).
+    pub(crate) fn shutdown(&self) {
+        self.reader.get_ref().shutdown();
+    }
+
+    /// The socket, with the bytes already read from it but not yet
+    /// parsed.
+    pub(crate) fn into_parts(self) -> (Stream, Vec<u8>) {
+        let read_ahead = self.reader.buffer().to_vec();
+        (self.reader.into_inner(), read_ahead)
+    }
+}
+
+/// The blocking write half of a framed stream.
+#[derive(Debug)]
+pub(crate) struct FrameWriter(BufWriter<Stream>);
+
+impl FrameWriter {
+    /// Writes one wire frame and flushes it.
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        let header = encode_header(frame)?;
+        self.0
+            .write_all(&header)
+            .and_then(|()| self.0.write_all(&frame.payload))
+            .and_then(|()| self.0.flush())
+            .map_err(io_err)
+    }
+
+    /// Closes the socket both ways (see [`Stream::shutdown`]).
+    pub(crate) fn shutdown(&self) {
+        self.0.get_ref().shutdown();
     }
 }
 
@@ -150,12 +271,10 @@ fn nb_would_block(e: &std::io::Error) -> bool {
     )
 }
 
-/// A **nonblocking** framed TCP connection for the async serving path:
-/// an incremental frame parser on the read side and a flush-on-ready
-/// backpressure queue on the write side, speaking the exact wire format
-/// of the blocking [`TcpConnection`] (`kind u16 LE | len u32 LE |
-/// payload`, coalesced batches under
-/// [`KIND_COALESCED`](crate::KIND_COALESCED)).
+/// A **nonblocking** framed connection for the reactor: an incremental
+/// frame parser on the read side and a flush-on-ready backpressure
+/// queue on the write side, speaking the exact wire format of the
+/// blocking halves (coalesced batches under [`KIND_COALESCED`]).
 ///
 /// All methods are try-style and never block: reads drain the socket to
 /// `WouldBlock` (as edge-triggered registration requires), writes queue
@@ -165,12 +284,12 @@ fn nb_would_block(e: &std::io::Error) -> bool {
 /// async driver's timer wheel.
 #[derive(Debug)]
 pub(crate) struct NbConn {
-    stream: TcpStream,
+    stream: Stream,
     /// Raw inbound bytes not yet parsed into frames.
     read_buf: Vec<u8>,
     /// Parsed logical frames (coalesced batches already unpacked),
     /// ready for delivery.
-    parsed: std::collections::VecDeque<Frame>,
+    parsed: VecDeque<Frame>,
     /// Encoded outbound bytes the kernel has not accepted yet;
     /// `write_pos` marks the flushed prefix.
     write_buf: Vec<u8>,
@@ -180,7 +299,7 @@ pub(crate) struct NbConn {
     /// A fatal framing/socket failure; sticky, reported from every
     /// subsequent call.
     failed: Option<TransportError>,
-    stats: std::sync::Arc<crate::channel::SharedStats>,
+    stats: Arc<SharedStats>,
     /// When the current `EPOLLOUT` stall began: set on the first
     /// backpressured flush, cleared when the queue fully drains.
     stall_since: Option<std::time::Instant>,
@@ -194,32 +313,37 @@ impl NbConn {
     /// [`fill`](Self::fill) is handed.
     pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
-    pub(crate) fn new(stream: TcpStream) -> Result<Self, TransportError> {
-        stream.set_nodelay(true).map_err(io_err)?;
-        stream.set_nonblocking(true).map_err(io_err)?;
-        Ok(Self {
+    /// Takes over `stream` in nonblocking mode, together with what a
+    /// blocking reader already took from it: `read_ahead`, the raw bytes
+    /// past its last frame, and `parsed`, sub-frames of a batch it
+    /// unpacked but did not deliver. Traffic keeps counting into
+    /// `stats`.
+    pub(crate) fn new(
+        stream: Stream,
+        read_ahead: Vec<u8>,
+        parsed: VecDeque<Frame>,
+        stats: Arc<SharedStats>,
+    ) -> Result<Self, TransportError> {
+        stream.set_nonblocking().map_err(io_err)?;
+        let mut conn = Self {
             stream,
-            read_buf: Vec::new(),
-            parsed: std::collections::VecDeque::new(),
+            read_buf: read_ahead,
+            parsed,
             write_buf: Vec::new(),
             write_pos: 0,
             eof: false,
             failed: None,
-            stats: std::sync::Arc::new(crate::channel::SharedStats::default()),
+            stats,
             stall_since: None,
             completed_stall_ns: None,
-        })
+        };
+        // A failure stays sticky and surfaces through `try_recv`.
+        let _ = conn.parse_frames();
+        Ok(conn)
     }
 
-    pub(crate) fn fd(&self) -> std::os::fd::RawFd {
-        use std::os::fd::AsRawFd;
+    pub(crate) fn fd(&self) -> RawFd {
         self.stream.as_raw_fd()
-    }
-
-    /// Snapshot of wire-traffic counters (sends counted when queued,
-    /// matching the blocking endpoint's count-at-`send` accounting).
-    pub(crate) fn stats(&self) -> crate::channel::TrafficStats {
-        self.stats.snapshot()
     }
 
     /// Reads everything the socket has (to `WouldBlock`) through
@@ -231,7 +355,7 @@ impl NbConn {
             return Err(e.clone());
         }
         loop {
-            match std::io::Read::read(&mut self.stream, chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -257,9 +381,7 @@ impl NbConn {
         while let Some(header) = self.read_buf[pos..].first_chunk() {
             let (kind, len) = decode_header(header);
             if len > MAX_PAYLOAD {
-                let err = TransportError::Decode(format!(
-                    "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
-                ));
+                let err = oversized(len);
                 self.failed = Some(err.clone());
                 return Err(err);
             }
@@ -272,7 +394,7 @@ impl NbConn {
             pos += total;
             let frame = Frame { kind, payload };
             self.stats.record_received(kind, frame.wire_len() as u64);
-            if kind == crate::channel::KIND_COALESCED {
+            if kind == KIND_COALESCED {
                 match crate::channel::uncoalesce(&frame.payload) {
                     Ok((first, rest)) => {
                         self.parsed.push_back(first);
@@ -295,40 +417,12 @@ impl NbConn {
         Ok(())
     }
 
-    /// Pops the next parsed logical frame: `Ok(Some)` on a frame,
-    /// `Ok(None)` when the peer simply has not sent one yet,
-    /// `Err(Disconnected)` once the stream is drained *and* closed.
-    pub(crate) fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
-        if let Some(f) = self.parsed.pop_front() {
-            return Ok(Some(f));
-        }
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if self.eof {
-            // A partial trailing frame is a truncated stream, exactly
-            // what the blocking path's read_exact reports.
-            return Err(TransportError::Disconnected);
-        }
-        Ok(None)
-    }
-
     /// Encodes `frame` onto the write queue and counts it as sent
     /// (matching the blocking endpoint, which counts at `send` time).
     /// Call [`flush`](Self::flush) to move bytes toward the kernel.
     pub(crate) fn queue(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let len: u32 = frame
-            .payload
-            .len()
-            .try_into()
-            .map_err(|_| TransportError::Decode("frame payload exceeds u32 length".into()))?;
-        if len > MAX_PAYLOAD {
-            return Err(TransportError::Decode(format!(
-                "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-            )));
-        }
-        self.write_buf.extend_from_slice(&frame.kind.to_le_bytes());
-        self.write_buf.extend_from_slice(&len.to_le_bytes());
+        let header = encode_header(frame)?;
+        self.write_buf.extend_from_slice(&header);
         self.write_buf.extend_from_slice(&frame.payload);
         self.stats.record_sent(frame.kind, frame.wire_len() as u64);
         Ok(())
@@ -342,7 +436,7 @@ impl NbConn {
             return Err(e.clone());
         }
         while self.write_pos < self.write_buf.len() {
-            match std::io::Write::write(&mut self.stream, &self.write_buf[self.write_pos..]) {
+            match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => {
                     let err = TransportError::Disconnected;
                     self.failed = Some(err.clone());
@@ -388,11 +482,50 @@ impl NbConn {
         self.completed_stall_ns.take()
     }
 
-    /// Whether [`try_recv`](Self::try_recv) has something to report
+    /// Whether [`try_recv`](SessionIo::try_recv) has something to report
     /// without a new readiness event: a parsed frame, the end of the
     /// stream, or a failure.
     pub(crate) fn recv_ready(&self) -> bool {
         !self.parsed.is_empty() || self.eof || self.failed.is_some()
+    }
+}
+
+/// The reactor's way of waiting: it doesn't. `try_recv` pops what
+/// [`NbConn::fill`] already parsed, and deadlines are the timer wheel's
+/// job (see the normalization notes on [`io_err`]).
+impl SessionIo for NbConn {
+    fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
+        match out {
+            Outgoing::Frame(f) => self.queue(f)?,
+            Outgoing::Batch(fs) => self.queue(&coalesce_frames(fs)?)?,
+        }
+        // Opportunistic flush: backpressure is not an error, the
+        // remainder rides the next writable event.
+        self.flush().map(|_| ())
+    }
+
+    /// `Ok(Some)` on a frame, `Ok(None)` when the peer simply has not
+    /// sent one yet, `Err(Disconnected)` once the stream is drained
+    /// *and* closed.
+    fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
+        if let Some(f) = self.parsed.pop_front() {
+            return Ok(Some(f));
+        }
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        if self.eof {
+            // A partial trailing frame is a truncated stream, exactly
+            // what the blocking path's read_exact reports.
+            return Err(TransportError::Disconnected);
+        }
+        Ok(None)
+    }
+
+    /// Sends count when queued, matching the blocking endpoint's
+    /// count-at-`send` accounting.
+    fn stats(&self) -> TrafficStats {
+        self.stats.snapshot()
     }
 }
 
@@ -403,7 +536,7 @@ impl NbConn {
 /// [`TransportError::Io`] wrapping the underlying socket error.
 pub fn tcp_connect<A: ToSocketAddrs>(addr: A) -> Result<crate::Endpoint, TransportError> {
     let stream = TcpStream::connect(addr).map_err(io_err)?;
-    crate::Endpoint::from_tcp(stream)
+    crate::Endpoint::from_stream(Stream::tcp(stream)?)
 }
 
 /// Accepts one inbound connection on `listener`.
@@ -413,7 +546,7 @@ pub fn tcp_connect<A: ToSocketAddrs>(addr: A) -> Result<crate::Endpoint, Transpo
 /// [`TransportError::Io`] wrapping the underlying socket error.
 pub fn tcp_accept(listener: &TcpListener) -> Result<crate::Endpoint, TransportError> {
     let (stream, _peer) = listener.accept().map_err(io_err)?;
-    crate::Endpoint::from_tcp(stream)
+    crate::Endpoint::from_stream(Stream::tcp(stream)?)
 }
 
 #[cfg(test)]
@@ -511,6 +644,15 @@ mod tests {
         assert_eq!(server.recv_msg::<Vec<u8>>(9).expect("recv"), big);
     }
 
+    fn nb(stream: TcpStream) -> NbConn {
+        let stream = Stream::tcp(stream).expect("nodelay");
+        NbConn::new(stream, Vec::new(), VecDeque::new(), Arc::default()).expect("nb conn")
+    }
+
+    fn endpoint(stream: TcpStream) -> Endpoint {
+        Endpoint::from_stream(Stream::tcp(stream).expect("nodelay")).expect("endpoint")
+    }
+
     fn raw_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -525,18 +667,18 @@ mod tests {
         // is Ok(None), not TransportError::Timeout — a Timeout can only
         // come from the async driver's timer wheel.
         let (server, _client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
         nb.fill(&mut buf)
             .expect("fill on an empty socket is not an error");
-        assert_eq!(nb.try_recv().expect("no frame is not an error"), None);
+        assert_eq!(nb.try_recv(None).expect("no frame is not an error"), None);
         assert!(nb.flush().expect("empty flush"), "nothing queued");
     }
 
     #[test]
     fn nb_conn_parses_incrementally_across_partial_reads() {
         let (server, mut client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
         let frame = Frame::encode(5, &vec![7u8; 1000]);
         let mut wire = Vec::new();
@@ -552,12 +694,16 @@ mod tests {
             nb.fill(&mut buf).expect("fill");
             assert!(std::time::Instant::now() < deadline, "first half lost");
         }
-        assert_eq!(nb.try_recv().expect("partial"), None, "incomplete frame");
+        assert_eq!(
+            nb.try_recv(None).expect("partial"),
+            None,
+            "incomplete frame"
+        );
         client.write_all(&wire[500..]).expect("second half");
         client.flush().expect("flush");
         let got = loop {
             nb.fill(&mut buf).expect("fill");
-            if let Some(f) = nb.try_recv().expect("recv") {
+            if let Some(f) = nb.try_recv(None).expect("recv") {
                 break f;
             }
             assert!(std::time::Instant::now() < deadline, "frame never parsed");
@@ -569,16 +715,16 @@ mod tests {
     #[test]
     fn nb_conn_unpacks_coalesced_batches() {
         let (server, client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
-        let sender = crate::Endpoint::from_tcp(client).expect("endpoint");
+        let sender = endpoint(client);
         let frames = vec![Frame::encode(2, &1u64), Frame::encode(2, &2u64)];
         sender.send_coalesced(&frames).expect("send");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         while got.len() < 2 {
             nb.fill(&mut buf).expect("fill");
-            while let Some(f) = nb.try_recv().expect("recv") {
+            while let Some(f) = nb.try_recv(None).expect("recv") {
                 got.push(f);
             }
             assert!(std::time::Instant::now() < deadline, "batch never arrived");
@@ -589,16 +735,16 @@ mod tests {
     #[test]
     fn nb_conn_detects_disconnect_after_drain() {
         let (server, client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
-        let sender = crate::Endpoint::from_tcp(client).expect("endpoint");
+        let sender = endpoint(client);
         sender.send(Frame::encode(1, &9u64)).expect("send");
         drop(sender);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         // The queued frame is still delivered before the EOF surfaces.
         let got = loop {
             nb.fill(&mut buf).expect("fill");
-            if let Some(f) = nb.try_recv().expect("recv") {
+            if let Some(f) = nb.try_recv(None).expect("recv") {
                 break f;
             }
             assert!(std::time::Instant::now() < deadline, "frame never arrived");
@@ -606,7 +752,7 @@ mod tests {
         assert_eq!(got.decode_as::<u64>(1).expect("decode"), 9);
         loop {
             nb.fill(&mut buf).expect("fill past EOF is not an error");
-            match nb.try_recv() {
+            match nb.try_recv(None) {
                 Err(TransportError::Disconnected) => break,
                 Ok(None) => {}
                 other => panic!("expected Disconnected, got {other:?}"),
@@ -618,7 +764,7 @@ mod tests {
     #[test]
     fn nb_conn_rejects_oversized_announcements_stickily() {
         let (server, mut client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
         use std::io::Write;
         let mut header = Vec::new();
@@ -638,20 +784,20 @@ mod tests {
             }
         }
         // Sticky: every subsequent call reports the same failure.
-        assert!(matches!(nb.try_recv(), Err(TransportError::Decode(_))));
+        assert!(matches!(nb.try_recv(None), Err(TransportError::Decode(_))));
         assert!(matches!(nb.flush(), Err(TransportError::Decode(_))));
     }
 
     #[test]
     fn nb_conn_flush_reports_backpressure_and_resumes() {
         let (server, client) = raw_pair();
-        let mut nb = NbConn::new(server).expect("nb conn");
+        let mut nb = nb(server);
         // Shrink buffers (best effort) and queue far more than the
         // kernel will take in one gulp so flush must backpressure.
         let big = Frame::encode(3, &vec![0x5au8; 4 << 20]);
         nb.queue(&big).expect("queue");
         assert!(nb.wants_write());
-        let receiver = crate::Endpoint::from_tcp(client).expect("endpoint");
+        let receiver = endpoint(client);
         let reader = std::thread::spawn(move || {
             receiver.set_recv_timeout(Some(Duration::from_secs(10)));
             receiver.recv().expect("receive the big frame")

@@ -3,7 +3,7 @@
 //!
 //! `serve_async_tcp` runs admission control, session budgets, and
 //! graceful drain on a single epoll reactor thread — the very loop
-//! [`TrainerServer::serve`] runs over in-memory lanes — and here 200
+//! [`TrainerServer::serve`] runs over endpoints handed to it — and here 200
 //! concurrent clients (each its own TCP connection) are served at
 //! once, then the supervisor drains and the summary plus the reactor's
 //! own telemetry counters are printed. The client fleet is multiplexed
@@ -88,7 +88,7 @@ fn main() {
         // The client fleet is one reactor too: every engine attached
         // before the first poll, so all sessions are in flight at once.
         let mut fleet: AsyncDriver<'_, Vec<(Label, f64)>, ppcs_core::PpcsError> =
-            AsyncDriver::new().expect("client reactor");
+            AsyncDriver::new();
         for i in 0..FLEET {
             let stream = std::net::TcpStream::connect(addr).expect("connect");
             let id = fleet.add_tcp(stream).expect("register");

@@ -129,7 +129,7 @@ fn main() {
             });
         }
         let summary = server
-            .serve(&server_lanes, &TrustedSimOt, 2026)
+            .serve(server_lanes, &TrustedSimOt, 2026)
             .expect("server reactor");
         done.store(true, Ordering::Release);
         summary

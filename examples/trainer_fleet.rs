@@ -28,7 +28,7 @@ use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
 use ppcs_telemetry::{
     FlightRecorder, MetricsRegistry, DETAIL_BREAKER_OPEN, DETAIL_FAILOVER, DETAIL_HEDGE_FIRED,
 };
-use ppcs_transport::{duplex, Endpoint, FaultKind, FaultSchedule, FaultyLane, TransportError};
+use ppcs_transport::{duplex, faulty_link, Endpoint, FaultKind, FaultSchedule, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,31 +71,20 @@ fn connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Like [`lane_bank`], but the client half of each pair is a
-/// [`FaultyLane`] that dies per `schedule` — the instant cut standing in
-/// for a process kill. The server half is a plain endpoint.
+/// Like [`lane_bank`], but each pair's link dies per `schedule` applied
+/// to the client's sends — the instant cut, seen by both halves at
+/// once, standing in for a process kill.
 fn killed_lane_bank(
     n: usize,
     schedule: FaultSchedule,
-) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
-    let mut server = Vec::with_capacity(n);
-    let mut client = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        let (s, c) = duplex();
-        server.push(s);
-        client.push_back(FaultyLane::new(c, schedule.clone()));
-    }
+) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<Endpoint>>>) {
+    let (server, client): (Vec<_>, VecDeque<_>) = (0..n)
+        .map(|_| {
+            let (s, c) = duplex();
+            (s, faulty_link(c, schedule.clone()))
+        })
+        .unzip();
     (server, Arc::new(Mutex::new(client)))
-}
-
-fn faulty_connector(bank: Arc<Mutex<VecDeque<FaultyLane>>>) -> Connector {
-    Box::new(move || {
-        bank.lock()
-            .expect("bank lock")
-            .pop_front()
-            .map(|l| Box::new(l) as Box<dyn ppcs_transport::Lane>)
-            .ok_or(TransportError::Disconnected)
-    })
 }
 
 fn main() {
@@ -127,7 +116,7 @@ fn main() {
             let trainer = &trainer;
             scope.spawn(move || {
                 TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&killed_server, &SIM, 7)
+                    .serve(killed_server, &SIM, 7)
                     .expect("reactor");
             });
         }
@@ -136,7 +125,7 @@ fn main() {
             let trainer = &trainer;
             scope.spawn(move || {
                 TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&server_lanes, &SIM, 7)
+                    .serve(server_lanes, &SIM, 7)
                     .expect("reactor");
             });
             client_banks.push(client_bank);
@@ -152,7 +141,7 @@ fn main() {
         let mut fleet = FleetClient::new(Client::new(alg, cfg), config)
             .with_metrics(metrics.clone())
             .with_flight_recorder(recorder.clone());
-        fleet.add_replica(faulty_connector(killed_bank.clone()));
+        fleet.add_replica(connector(killed_bank.clone()));
         fleet.add_replica(connector(client_banks[0].clone()));
         fleet.add_replica(connector(client_banks[1].clone()));
 
@@ -236,7 +225,7 @@ fn main() {
             let (server_ep, client_ep) = duplex();
             std::thread::spawn(move || {
                 TrainerServer::new(&trainer, ServerConfig::default())
-                    .serve(&[server_ep], &SIM, 3)
+                    .serve(vec![server_ep], &SIM, 3)
                     .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)

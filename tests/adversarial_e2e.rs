@@ -96,7 +96,7 @@ fn oversized_hello_is_rejected_and_the_lane_recovers() {
             drop(client_lanes);
         });
         server
-            .serve(&server_lanes, &TrustedSimOt, 1)
+            .serve(server_lanes, &TrustedSimOt, 1)
             .expect("reactor")
     });
 
@@ -133,7 +133,7 @@ fn wrong_round_frames_are_counted_and_skipped() {
             drop(client_lanes);
         });
         server
-            .serve(&server_lanes, &TrustedSimOt, 2)
+            .serve(server_lanes, &TrustedSimOt, 2)
             .expect("reactor")
     });
 
@@ -176,7 +176,7 @@ fn garbage_spec_kills_only_its_own_session() {
             drop(honest);
         });
         server
-            .serve(&server_lanes, &TrustedSimOt, 3)
+            .serve(server_lanes, &TrustedSimOt, 3)
             .expect("reactor")
     });
 
@@ -250,7 +250,7 @@ fn slow_loris_is_cut_inside_its_deadline() {
             drop(client_lanes);
         });
         let summary = server
-            .serve(&server_lanes, &TrustedSimOt, 4)
+            .serve(server_lanes, &TrustedSimOt, 4)
             .expect("reactor");
         done.store(true, Ordering::Release);
         summary
@@ -333,7 +333,7 @@ fn flood_beyond_capacity_is_shed_with_busy() {
         });
 
         let summary = server
-            .serve(&server_lanes, &TrustedSimOt, 5)
+            .serve(server_lanes, &TrustedSimOt, 5)
             .expect("reactor");
         coordinator.join().expect("coordinator");
         summary
@@ -416,7 +416,7 @@ fn shed_reply_hint_travels_wire_to_typed_error() {
         });
 
         server
-            .serve(&server_lanes, &TrustedSimOt, 5)
+            .serve(server_lanes, &TrustedSimOt, 5)
             .expect("reactor");
         coordinator.join().expect("coordinator");
     });
@@ -466,7 +466,7 @@ fn honest_clients_are_correct_amid_hostile_peers() {
             drop(oversized);
         });
         server
-            .serve(&server_lanes, &TrustedSimOt, 6)
+            .serve(server_lanes, &TrustedSimOt, 6)
             .expect("reactor")
     });
 
@@ -523,7 +523,7 @@ fn drain_stops_admission_and_cuts_stragglers() {
             drop(late);
         });
         let summary = server
-            .serve(&server_lanes, &TrustedSimOt, 7)
+            .serve(server_lanes, &TrustedSimOt, 7)
             .expect("reactor");
         release.store(true, Ordering::Release);
         summary
@@ -599,7 +599,7 @@ fn flood_of_sixty_four_clients_is_fully_accounted() {
             })
             .collect();
         let summary = server
-            .serve(&server_lanes, &TrustedSimOt, 8)
+            .serve(server_lanes, &TrustedSimOt, 8)
             .expect("reactor");
         let mut served = 0u64;
         let mut shed = 0u64;

@@ -2,8 +2,8 @@
 //! [`AsyncDriver`]: every protocol family (base OT, k/N OT, OMPE batch,
 //! classification, similarity) driven through the reactor must produce
 //! **byte-identical transcripts** and equal results to the blocking
-//! [`Driver`] oracle, including under seeded `FaultyLane` chaos
-//! schedules. (`TrainerServer`'s admission, budget and drain behavior
+//! [`Driver`] oracle, including under seeded chaos schedules in the
+//! link ([`faulty_pair`]). (`TrainerServer`'s admission, budget and drain behavior
 //! runs on the same reactor and is covered by `adversarial_e2e`.) The
 //! `#[ignore]`d stress test at the bottom multiplexes ≥1000 concurrent
 //! TCP classification sessions through one reactor thread (run by the
@@ -27,7 +27,7 @@ use ppcs_ot::{
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::{blob_dataset, rotated_model};
 use ppcs_transport::{
-    duplex, faulty_pair, AsyncDriver, DriveOptions, Driver, Endpoint, FaultSchedule, Lane,
+    duplex, faulty_pair, AsyncDriver, DriveOptions, Driver, Endpoint, FaultSchedule,
     ProtocolEngine, SessionLimits, TransportError,
 };
 use rand::rngs::StdRng;
@@ -64,8 +64,8 @@ where
     let (async_res, async_tr) = std::thread::scope(|scope| {
         let peer = &run_peer;
         scope.spawn(move || peer(peer_a));
-        let mut adrv: AsyncDriver<'_, T, E> = AsyncDriver::new().expect("reactor");
-        let id = adrv.add_lane(&ep_a).expect("mem lane");
+        let mut adrv: AsyncDriver<'_, T, E> = AsyncDriver::new();
+        let id = adrv.add_endpoint(ep_a).expect("socket pair");
         adrv.attach_engine(id, mk_engine(), DriveOptions::new().with_recording());
         let mut done = adrv.drive_all();
         assert_eq!(done.len(), 1, "{label}: exactly one session");
@@ -299,10 +299,9 @@ fn both_session_halves_multiplex_in_one_reactor() {
     let sel = SIM.select();
 
     let (ep_t, ep_c) = duplex();
-    let mut adrv: AsyncDriver<'_, ClsOutcome, ppcs_core::PpcsError> =
-        AsyncDriver::new().expect("reactor");
-    let trainer_id = adrv.add_lane(&ep_t).expect("mem lane");
-    let client_id = adrv.add_lane(&ep_c).expect("mem lane");
+    let mut adrv: AsyncDriver<'_, ClsOutcome, ppcs_core::PpcsError> = AsyncDriver::new();
+    let trainer_id = adrv.add_endpoint(ep_t).expect("socket pair");
+    let client_id = adrv.add_endpoint(ep_c).expect("socket pair");
     let (trainer, client, samples_ref) = (&trainer, &client, &samples);
     adrv.attach_engine(
         trainer_id,
@@ -389,7 +388,7 @@ mod proptest_transcripts {
     }
 }
 
-/// Chaos branch: seeded `FaultyLane` schedules replayed through the
+/// Chaos branch: seeded link fault schedules replayed through the
 /// reactor obey the same trichotomy as the blocking chaos sweep — any
 /// completed session carries the clean-run labels, lossless schedules
 /// must complete, and nothing hangs or panics.
@@ -424,11 +423,10 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
                 r
             });
             // The trainer side runs through the reactor, with the chaos
-            // schedule injecting on the way in/out of the lane. The
+            // schedule injecting in the link on the way in/out. The
             // per-receive deadline comes from the timer wheel.
-            let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> =
-                AsyncDriver::new().expect("reactor");
-            let id = adrv.add_lane(&server_lane).expect("mem lane");
+            let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> = AsyncDriver::new();
+            let id = adrv.add_endpoint(server_lane).expect("socket pair");
             adrv.attach_engine(
                 id,
                 trainer.serve_engine(sel, seed),
@@ -437,7 +435,6 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
             let mut done = adrv.drive_all();
             let (_, res, _) = done.pop().expect("one session");
             drop(adrv);
-            drop(server_lane);
             (res, hc.join().expect("client must not panic"))
         });
 
@@ -529,8 +526,7 @@ fn thousand_concurrent_tcp_sessions_on_one_reactor_thread() {
         // The whole client fleet runs in one reactor of its own: every
         // engine is attached before the first poll, so all SESSIONS
         // sessions are in flight together.
-        let mut cdrv: AsyncDriver<'_, Vec<(Label, f64)>, ppcs_core::PpcsError> =
-            AsyncDriver::new().expect("client reactor");
+        let mut cdrv: AsyncDriver<'_, Vec<(Label, f64)>, ppcs_core::PpcsError> = AsyncDriver::new();
         let samples = std::slice::from_ref(&sample);
         for i in 0..SESSIONS {
             let stream = std::net::TcpStream::connect(addr).expect("connect");

@@ -54,7 +54,7 @@ fn parallel(
     let (trainer_eps, client_eps) = duplex_pool(lanes);
     std::thread::scope(|scope| {
         let t = scope.spawn(|| {
-            let summary = server.serve(&trainer_eps, &SIM, seed).expect("serve");
+            let summary = server.serve(trainer_eps, &SIM, seed).expect("serve");
             summary.served_samples
         });
         let c = scope.spawn(|| {

@@ -1,6 +1,6 @@
 //! End-to-end tests for the sans-I/O protocol engines: every protocol
 //! (base OT, k/N OT, OMPE batch, linear/poly/RBF classification,
-//! similarity) driven through [`Driver`] over both in-memory duplex and
+//! similarity) driven through [`Driver`] over both a duplex socket pair and
 //! real TCP loopback, asserting outputs identical to a blocking run —
 //! each party on its own thread under `drive_blocking`, through the
 //! product's blocking entry points where it has them — plus transcript
@@ -46,7 +46,7 @@ where
     })
 }
 
-/// Runs two closures over an in-memory duplex AND over TCP loopback,
+/// Runs two closures over a duplex socket pair AND over TCP loopback,
 /// asserting both transports produce the same pair of results.
 fn both_transports<FA, FB, RA, RB>(a: FA, b: FB) -> (RA, RB)
 where
@@ -57,7 +57,7 @@ where
 {
     let in_memory = run_pair(&a, &b);
     let over_tcp = tcp_pair(&a, &b);
-    assert_eq!(in_memory, over_tcp, "in-memory and TCP results diverge");
+    assert_eq!(in_memory, over_tcp, "socket-pair and TCP results diverge");
     in_memory
 }
 
@@ -227,8 +227,8 @@ fn ompe_batch_engines_over_driver_match_blocking() {
     assert_eq!(got.expect("engine receive"), blocking.1);
 }
 
-/// Blocking classification baseline: serve / classify_batch over an
-/// in-memory duplex, exactly as before the engine refactor.
+/// Blocking classification baseline: serve / classify_batch over
+/// a duplex socket pair, exactly as before the engine refactor.
 fn blocking_labels(
     model: &SvmModel,
     cfg: ProtocolConfig,

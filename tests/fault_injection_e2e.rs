@@ -29,8 +29,8 @@ use ppcs_ot::{
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples, rotated_model, DrainOnUnwind};
 use ppcs_transport::{
-    drive_blocking, duplex_pool, faulty_pair, run_pair, tcp_connect, Driver, FaultKind,
-    FaultSchedule, FaultyLane, Lane, ProtocolEngine, SessionLimits, TransportError,
+    drive_blocking, duplex_pool, faulty_link, faulty_pair, run_pair, tcp_connect, Driver, Endpoint,
+    FaultKind, FaultSchedule, ProtocolEngine, SessionLimits, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,9 +49,9 @@ fn err_string<E: Debug>(e: E) -> String {
     format!("{e:?}")
 }
 
-/// A lane pair where the side picked by `seed % 2` injects the seeded
-/// schedule and the other side is clean.
-fn chaos_lanes(seed: u64) -> (FaultyLane, FaultyLane, FaultSchedule) {
+/// An endpoint pair whose link applies the seeded schedule to the sends
+/// of the side picked by `seed % 2`; the other direction is clean.
+fn chaos_lanes(seed: u64) -> (Endpoint, Endpoint, FaultSchedule) {
     let schedule = FaultSchedule::seeded(seed);
     let (a, b) = if seed.is_multiple_of(2) {
         faulty_pair(schedule.clone(), FaultSchedule::none())
@@ -67,8 +67,8 @@ fn chaos_lanes(seed: u64) -> (FaultyLane, FaultyLane, FaultSchedule) {
 /// expected (correct) values for the sweep.
 fn clean_run<RA, RB, FA, FB>(run_a: &FA, run_b: &FB) -> (RA, RB)
 where
-    FA: Fn(&FaultyLane) -> Result<RA, String> + Sync,
-    FB: Fn(&FaultyLane) -> Result<RB, String> + Sync,
+    FA: Fn(&Endpoint) -> Result<RA, String> + Sync,
+    FB: Fn(&Endpoint) -> Result<RB, String> + Sync,
     RA: Send,
     RB: Send,
 {
@@ -100,8 +100,8 @@ fn chaos_sweep<RA, RB, FA, FB>(
     run_b: FB,
 ) -> (u64, u64)
 where
-    FA: Fn(&FaultyLane) -> Result<RA, String> + Sync,
-    FB: Fn(&FaultyLane) -> Result<RB, String> + Sync,
+    FA: Fn(&Endpoint) -> Result<RA, String> + Sync,
+    FB: Fn(&Endpoint) -> Result<RB, String> + Sync,
     RA: PartialEq + Debug + Send,
     RB: PartialEq + Debug + Send,
 {
@@ -175,7 +175,7 @@ fn assert_both_branches(family: &str, (completed, both_failed): (u64, u64)) {
 fn chaos_base_ot_trichotomy() {
     let group = DhGroup::modp_768();
     let (m0, m1) = (b"message zero".to_vec(), b"message one!".to_vec());
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let (m0, m1) = (&m0, &m1);
         let mut rng = StdRng::seed_from_u64(100);
         let mut eng =
@@ -184,7 +184,7 @@ fn chaos_base_ot_trichotomy() {
             );
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let mut rng = StdRng::seed_from_u64(101);
         let mut eng = ProtocolEngine::new(|io| async move {
             ot12_receive_io(group, &io, &mut rng, true, 7).await
@@ -207,7 +207,7 @@ fn chaos_kn_ot_trichotomy() {
     let messages: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 12]).collect();
     let indices = [1usize, 4];
     let sel = SIM.select();
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let messages = &messages;
         let mut rng = StdRng::seed_from_u64(7);
         let mut eng = ProtocolEngine::new(|io| async move {
@@ -219,7 +219,7 @@ fn chaos_kn_ot_trichotomy() {
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let mut rng = StdRng::seed_from_u64(8);
         let mut eng = ProtocolEngine::new(|io| async move {
             let state = ot_begin_receive_io(sel, &io).await?;
@@ -250,7 +250,7 @@ fn chaos_ompe_batch_trichotomy() {
     ];
     let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
     let sel = SIM.select();
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let (alg, secrets) = (&alg, &secrets);
         let mut rng = StdRng::seed_from_u64(31);
         let mut eng = ProtocolEngine::new(|io| async move {
@@ -258,7 +258,7 @@ fn chaos_ompe_batch_trichotomy() {
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let (alg, alphas) = (&alg, &alphas);
         let mut rng = StdRng::seed_from_u64(32);
         let mut eng = ProtocolEngine::new(|io| async move {
@@ -280,11 +280,11 @@ fn chaos_classification_trichotomy() {
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 4, 33);
     let sel = SIM.select();
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let mut eng = trainer.serve_engine(sel, 40);
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let mut eng = client.classify_engine(sel, 41, &samples);
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
@@ -308,7 +308,7 @@ fn chaos_similarity_trichotomy() {
     let model_a = rotated_model(2, 15.0, 4, Kernel::Linear);
     let model_b = rotated_model(2, 60.0, 5, Kernel::Linear);
     let sel = SIM.select();
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let model_a = &model_a;
         let cfg = &cfg;
         let mut rng = StdRng::seed_from_u64(60);
@@ -317,7 +317,7 @@ fn chaos_similarity_trichotomy() {
         });
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let model_b = &model_b;
         let cfg = &cfg;
         let mut rng = StdRng::seed_from_u64(61);
@@ -350,11 +350,11 @@ fn chaos_randomized_seed_sweep() {
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 3, 56);
     let sel = SIM.select();
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let mut eng = trainer.serve_engine(sel, 57);
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let mut eng = client.classify_engine(sel, 58, &samples);
         drive_blocking(lane, &mut eng).map_err(err_string)
     };
@@ -412,7 +412,7 @@ fn parallel_classification_degrades_around_a_dead_lane() {
     // The trainer's lanes are plain; the client's lane 1 is cut before
     // its very first frame.
     let (t_lanes, c_eps) = duplex_pool(3);
-    let c_lanes: Vec<FaultyLane> = c_eps
+    let c_lanes: Vec<Endpoint> = c_eps
         .into_iter()
         .enumerate()
         .map(|(i, ep)| {
@@ -421,7 +421,7 @@ fn parallel_classification_degrades_around_a_dead_lane() {
             } else {
                 FaultSchedule::none()
             };
-            FaultyLane::new(ep, schedule)
+            faulty_link(ep, schedule)
         })
         .collect();
     c_lanes[0].set_recv_timeout(Some(Duration::from_secs(5)));
@@ -429,7 +429,6 @@ fn parallel_classification_degrades_around_a_dead_lane() {
     let server = TrainerServer::new(&trainer, ServerConfig::default());
     let (summary, labels) = std::thread::scope(|scope| {
         let server = &server;
-        let t_lanes = &t_lanes;
         let t = scope.spawn(move || server.serve(t_lanes, &SIM, 65));
         let client = &client;
         let samples = &samples;
@@ -468,7 +467,7 @@ fn chaos_with_session_budgets_keeps_the_trichotomy() {
             .with_max_frames(1 << 14)
             .with_max_wire_bytes(64 << 20)
     };
-    let run_a = |lane: &FaultyLane| {
+    let run_a = |lane: &Endpoint| {
         let mut eng = trainer.serve_engine(sel, 170);
         Driver::new()
             .with_limits(budget())
@@ -476,7 +475,7 @@ fn chaos_with_session_budgets_keeps_the_trichotomy() {
             .drive(lane, &mut eng)
             .map_err(err_string)
     };
-    let run_b = |lane: &FaultyLane| {
+    let run_b = |lane: &Endpoint| {
         let mut eng = client.classify_engine(sel, 171, &samples);
         Driver::new()
             .with_limits(budget())
@@ -501,7 +500,7 @@ fn transport_cause(e: &PpcsError) -> Option<&TransportError> {
 }
 
 /// A server at capacity answers with `KIND_BUSY` from a plain lane; the
-/// client behind a `FaultyLane` reads it like any other frame and gets
+/// client behind a faulty link reads it like any other frame and gets
 /// the typed `Busy` error.
 #[test]
 fn a_faulty_client_shed_at_capacity_gets_busy() {
@@ -514,11 +513,10 @@ fn a_faulty_client_shed_at_capacity_gets_busy() {
         },
     );
     let (t_lanes, mut c_eps) = duplex_pool(1);
-    let lane = FaultyLane::new(c_eps.remove(0), FaultSchedule::none());
+    let lane = faulty_link(c_eps.remove(0), FaultSchedule::none());
     lane.set_recv_timeout(Some(Duration::from_secs(5)));
     let (summary, res) = std::thread::scope(|scope| {
         let server = &server;
-        let t_lanes = &t_lanes;
         let t = scope.spawn(move || server.serve(t_lanes, &SIM, 3));
         let mut rng = StdRng::seed_from_u64(4);
         let res = client.classify_batch(&lane, &SIM, &mut rng, &samples);
@@ -533,7 +531,7 @@ fn a_faulty_client_shed_at_capacity_gets_busy() {
     assert_eq!(summary.expect("serve").sessions_shed, 1);
 }
 
-/// A `FaultyLane` on the client's side of a real TCP connection, against
+/// A faulty link on the client's side of a real TCP connection, against
 /// a reactor `TrainerServer` whose side is a plain socket. A delayed
 /// session returns the oracle labels; a stall (the client's coalesced
 /// flight, send 1, never leaves) ends in the client's deadline, and the
@@ -557,7 +555,7 @@ fn one_sided_faults_over_tcp_against_a_reactor_server() {
         let _drain = DrainOnUnwind(vec![sup.clone()]);
         let reactor = scope.spawn(|| server.serve_async_tcp(listener, &SIM, 7).expect("reactor"));
         let run = |schedule: FaultSchedule, seed: u64| {
-            let lane = FaultyLane::new(tcp_connect(addr).expect("connect"), schedule);
+            let lane = faulty_link(tcp_connect(addr).expect("connect"), schedule);
             lane.set_recv_timeout(Some(CHAOS_DEADLINE));
             let mut rng = StdRng::seed_from_u64(seed);
             client.classify_batch(&lane, &SIM, &mut rng, &samples)

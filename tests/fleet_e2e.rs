@@ -4,10 +4,16 @@
 //! drained underneath it — and the labels must be byte-identical to
 //! what a single healthy trainer would have produced.
 //!
-//! Kill schedules are deterministic: a replica "dies" through a
-//! [`FaultyLane`] whose seeded schedule cuts the connection at a fixed
-//! client-send sequence number (pre-handshake, mid-session) or through
-//! a connector that refuses to dial. One randomized run derives its
+//! Kill schedules are deterministic: a replica "dies" through a faulty
+//! link ([`faulty_link`]) whose seeded schedule cuts the connection, for
+//! both sides at once, at a fixed client-send sequence number
+//! (pre-handshake, mid-session) or through a connector that refuses to
+//! dial.
+//!
+//! Every scope that starts a replica holds an [`OnUnwind`] guard: a
+//! failed assertion drains the scope's replicas and empties its lane
+//! banks, so the test fails instead of hanging on servers nothing
+//! closes. One randomized run derives its
 //! schedule from `PPCS_CHAOS_SEED` (logged, so any failure is
 //! reproducible by exporting the printed seed).
 
@@ -15,11 +21,12 @@ use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::Scope;
 use std::time::Duration;
 
 use ppcs_core::{
     BreakerConfig, BreakerState, Client, Connector, FleetClient, FleetConfig, ManualClock,
-    ProtocolConfig, ServeSummary, ServerConfig, Trainer, TrainerServer,
+    ProtocolConfig, ServeSummary, ServerConfig, SessionSupervisor, Trainer, TrainerServer,
 };
 use ppcs_math::FixedFpAlgebra;
 use ppcs_ot::TrustedSimOt;
@@ -30,7 +37,7 @@ use ppcs_telemetry::{
 };
 use ppcs_tests::{blob_dataset, http_body, http_get, random_samples, DrainOnUnwind};
 use ppcs_transport::{
-    duplex, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, FaultyLane, Frame, Lane,
+    duplex, faulty_link, run_pair, tcp_connect, Endpoint, FaultKind, FaultSchedule, Frame, Lane,
     TrafficStats, TransportError, KIND_HEALTH,
 };
 
@@ -70,24 +77,20 @@ fn oracle_labels(model: &SvmModel, cfg: ProtocolConfig, samples: &[Vec<f64>]) ->
 
 use rand::SeedableRng;
 
+/// Client halves of pre-dialed lanes, popped one per dial.
+type Bank = Arc<Mutex<VecDeque<Endpoint>>>;
+
 /// A bank of pre-dialed duplex lanes to one replica: the server half is
 /// served by a `TrainerServer` on its own thread, the client half is
 /// popped by the fleet connector — one lane per dial, like a fresh TCP
 /// connect. An exhausted bank refuses the dial, i.e. the replica is
 /// unreachable.
-fn lane_bank(n: usize) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<Endpoint>>>) {
-    let mut server = Vec::with_capacity(n);
-    let mut client = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        let (s, c) = duplex();
-        server.push(s);
-        client.push_back(c);
-    }
-    (server, Arc::new(Mutex::new(client)))
+fn lane_bank(n: usize) -> (Vec<Endpoint>, Bank) {
+    bank_of(n, |c| c)
 }
 
-/// A connector popping plain lanes from `bank`.
-fn plain_connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
+/// A connector popping lanes from `bank`.
+fn plain_connector(bank: Bank) -> Connector {
     Box::new(move || {
         bank.lock()
             .expect("bank lock")
@@ -97,32 +100,68 @@ fn plain_connector(bank: Arc<Mutex<VecDeque<Endpoint>>>) -> Connector {
     })
 }
 
-/// Like [`lane_bank`], but the client half of each pair is a
-/// [`FaultyLane`] that dies per `schedule` — the deterministic "kill" of
-/// the chaos runs. The server half is a plain endpoint.
-fn killed_lane_bank(
-    n: usize,
-    schedule: FaultSchedule,
-) -> (Vec<Endpoint>, Arc<Mutex<VecDeque<FaultyLane>>>) {
-    let mut server = Vec::with_capacity(n);
-    let mut client = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        let (s, c) = duplex();
-        server.push(s);
-        client.push_back(FaultyLane::new(c, schedule.clone()));
-    }
-    (server, Arc::new(Mutex::new(client)))
+/// Like [`lane_bank`], but each lane's link dies per `schedule` applied
+/// to the client's sends — the deterministic "kill" of the chaos runs,
+/// which both halves see at once. Both halves are plain endpoints.
+fn killed_lane_bank(n: usize, schedule: FaultSchedule) -> (Vec<Endpoint>, Bank) {
+    bank_of(n, |c| faulty_link(c, schedule.clone()))
 }
 
-/// A connector popping fault lanes from a killed bank.
-fn faulty_connector(bank: Arc<Mutex<VecDeque<FaultyLane>>>) -> Connector {
-    Box::new(move || {
-        bank.lock()
-            .expect("bank lock")
-            .pop_front()
-            .map(|l| Box::new(l) as Box<dyn ppcs_transport::Lane>)
-            .ok_or(TransportError::Disconnected)
-    })
+/// `n` duplex pairs: the server halves, and a bank of `client(half)`.
+fn bank_of(n: usize, client: impl Fn(Endpoint) -> Endpoint) -> (Vec<Endpoint>, Bank) {
+    let (server, clients): (Vec<_>, VecDeque<_>) = (0..n)
+        .map(|_| {
+            let (s, c) = duplex();
+            (s, client(c))
+        })
+        .unzip();
+    (server, Arc::new(Mutex::new(clients)))
+}
+
+/// Serves `lanes` with a default `TrainerServer` for `trainer` on a
+/// thread of `scope`, and returns the server's supervisor for the
+/// scope's [`OnUnwind`] guard.
+fn serve_replica<'s, 'e>(
+    scope: &'s Scope<'s, 'e>,
+    trainer: &'e Trainer<FixedFpAlgebra>,
+    lanes: Vec<Endpoint>,
+) -> SessionSupervisor {
+    let server = TrainerServer::new(trainer, ServerConfig::default());
+    let supervisor = server.supervisor();
+    scope.spawn(move || {
+        server.serve(lanes, &SIM, 7).expect("reactor");
+    });
+    supervisor
+}
+
+/// Held inside a scope that starts replicas: when a failed assertion
+/// unwinds through the scope, drains the replicas and empties the lane
+/// banks, so the scope's join ends instead of waiting on servers whose
+/// lanes nothing closes.
+struct OnUnwind {
+    banks: Vec<Bank>,
+    _drain: DrainOnUnwind,
+}
+
+impl OnUnwind {
+    fn new(replicas: Vec<SessionSupervisor>, banks: &[&Bank]) -> Self {
+        Self {
+            banks: banks.iter().map(|b| Arc::clone(b)).collect(),
+            _drain: DrainOnUnwind(replicas),
+        }
+    }
+}
+
+impl Drop for OnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for bank in &self.banks {
+                if let Ok(mut lanes) = bank.lock() {
+                    lanes.clear();
+                }
+            }
+        }
+    }
 }
 
 fn fleet_config(threshold: u32, cooldown_ms: u64) -> FleetConfig {
@@ -160,31 +199,23 @@ fn killed_replica_mid_batch_completes_against_the_oracle() {
     let banks: Vec<_> = (0..2).map(|_| lane_bank(4)).collect();
 
     std::thread::scope(|scope| {
-        {
-            let trainer = &trainer;
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&killed_server, &SIM, 7)
-                    .expect("reactor");
-            });
-        }
+        let mut replicas = vec![serve_replica(scope, &trainer, killed_server)];
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in banks {
-            let trainer = &trainer;
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&server_lanes, &SIM, 7)
-                    .expect("reactor");
-            });
+            replicas.push(serve_replica(scope, &trainer, server_lanes));
             client_banks.push(client_bank);
         }
+        let _unwind = OnUnwind::new(
+            replicas,
+            &[&killed_bank, &client_banks[0], &client_banks[1]],
+        );
 
         let metrics = MetricsRegistry::new(1, "fleet-client");
         let recorder = FlightRecorder::new(256);
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000))
             .with_metrics(metrics.clone())
             .with_flight_recorder(recorder.clone());
-        fleet.add_replica(faulty_connector(killed_bank.clone()));
+        fleet.add_replica(plain_connector(killed_bank.clone()));
         fleet.add_replica(plain_connector(client_banks[0].clone()));
         fleet.add_replica(plain_connector(client_banks[1].clone()));
 
@@ -239,12 +270,8 @@ fn replica_dead_at_first_contact_is_absorbed() {
     let (server_lanes, client_bank) = lane_bank(4);
 
     std::thread::scope(|scope| {
-        let trainer = &trainer;
-        scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default())
-                .serve(&server_lanes, &SIM, 7)
-                .expect("reactor");
-        });
+        let replica = serve_replica(scope, &trainer, server_lanes);
+        let _unwind = OnUnwind::new(vec![replica], &[&client_bank]);
 
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000));
         // Replica 0 never answers anything: cut at send sequence 0 (no
@@ -252,7 +279,7 @@ fn replica_dead_at_first_contact_is_absorbed() {
         let (dead_server, dead_bank) =
             killed_lane_bank(2, FaultSchedule::single(0, FaultKind::Cut));
         drop(dead_server);
-        fleet.add_replica(faulty_connector(dead_bank));
+        fleet.add_replica(plain_connector(dead_bank));
         fleet.add_replica(plain_connector(client_bank.clone()));
 
         let got = fleet
@@ -295,7 +322,7 @@ fn breaker_cycle_is_deterministic_under_a_seeded_clock() {
             let trainer = trainer.clone();
             std::thread::spawn(move || {
                 TrainerServer::new(&trainer, ServerConfig::default())
-                    .serve(&[server_ep], &SIM, 3)
+                    .serve(vec![server_ep], &SIM, 3)
                     .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
@@ -375,7 +402,7 @@ fn restarted_replica_with_fresh_epoch_forces_cold_fallback() {
             let (server_ep, client_ep) = duplex();
             std::thread::spawn(move || {
                 TrainerServer::new(&trainer, ServerConfig::default())
-                    .serve(&[server_ep], &SIM, 3)
+                    .serve(vec![server_ep], &SIM, 3)
                     .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
@@ -434,17 +461,14 @@ fn draining_replica_is_skipped_without_breaker_penalty() {
         // Kill-mid-drain schedule: the drain begins before the client's
         // first dial, so its probe observes `draining` from the start.
         draining_server.supervisor().drain();
-        let trainer_ref = &trainer;
+        let drained = draining_server.supervisor();
         scope.spawn(move || {
             draining_server
-                .serve(&drain_lanes, &SIM, 7)
+                .serve(drain_lanes, &SIM, 7)
                 .expect("reactor");
         });
-        scope.spawn(move || {
-            TrainerServer::new(trainer_ref, ServerConfig::default())
-                .serve(&serve_lanes, &SIM, 7)
-                .expect("reactor");
-        });
+        let serving = serve_replica(scope, &trainer, serve_lanes);
+        let _unwind = OnUnwind::new(vec![drained, serving], &[&drain_bank, &serve_bank]);
 
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000))
             .with_metrics(metrics.clone());
@@ -498,27 +522,19 @@ fn randomized_kill_schedule_still_completes_correctly() {
     let banks: Vec<_> = (0..2).map(|_| lane_bank(4)).collect();
 
     std::thread::scope(|scope| {
-        {
-            let trainer = &trainer;
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&killed_server, &SIM, 7)
-                    .expect("reactor");
-            });
-        }
+        let mut replicas = vec![serve_replica(scope, &trainer, killed_server)];
         let mut client_banks = Vec::new();
         for (server_lanes, client_bank) in banks {
-            let trainer = &trainer;
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&server_lanes, &SIM, 7)
-                    .expect("reactor");
-            });
+            replicas.push(serve_replica(scope, &trainer, server_lanes));
             client_banks.push(client_bank);
         }
+        let _unwind = OnUnwind::new(
+            replicas,
+            &[&killed_bank, &client_banks[0], &client_banks[1]],
+        );
 
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000));
-        fleet.add_replica(faulty_connector(killed_bank.clone()));
+        fleet.add_replica(plain_connector(killed_bank.clone()));
         fleet.add_replica(plain_connector(client_banks[0].clone()));
         fleet.add_replica(plain_connector(client_banks[1].clone()));
 
@@ -576,14 +592,8 @@ fn kill_at_peak_concurrency_with_live_metrics_scrape() {
 
     let done = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
-        {
-            let trainer = &trainer;
-            scope.spawn(move || {
-                TrainerServer::new(trainer, ServerConfig::default())
-                    .serve(&killed_server, &SIM, 7)
-                    .expect("reactor");
-            });
-        }
+        let killed = serve_replica(scope, &trainer, killed_server);
+        let _unwind = OnUnwind::new(vec![killed, sup1.clone(), sup2.clone()], &[&killed_bank]);
         let t1 = scope.spawn(|| {
             server1
                 .serve_async_tcp(listener1, &SIM, 7)
@@ -615,7 +625,7 @@ fn kill_at_peak_concurrency_with_live_metrics_scrape() {
         let metrics = MetricsRegistry::new(4, "fleet-client");
         let mut fleet = FleetClient::new(Client::new(alg, cfg), fleet_config(1, 60_000))
             .with_metrics(metrics.clone());
-        fleet.add_replica(faulty_connector(killed_bank.clone()));
+        fleet.add_replica(plain_connector(killed_bank.clone()));
         fleet.add_replica(Box::new(move || {
             tcp_connect(addr1).map(|ep| Box::new(ep) as Box<dyn ppcs_transport::Lane>)
         }));
@@ -701,7 +711,7 @@ fn busy_probe_releases_the_slot_instead_of_wedging_half_open() {
                 if draining {
                     server.supervisor().drain();
                 }
-                server.serve(&[server_ep], &SIM, 3).expect("reactor");
+                server.serve(vec![server_ep], &SIM, 3).expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
         })
@@ -713,7 +723,7 @@ fn busy_probe_releases_the_slot_instead_of_wedging_half_open() {
             let trainer = trainer.clone();
             std::thread::spawn(move || {
                 TrainerServer::new(&trainer, ServerConfig::default())
-                    .serve(&[server_ep], &SIM, 3)
+                    .serve(vec![server_ep], &SIM, 3)
                     .expect("reactor");
             });
             Ok(Box::new(client_ep) as Box<dyn ppcs_transport::Lane>)
@@ -775,15 +785,11 @@ fn hedged_failure_is_charged_once_against_the_failing_replica() {
 
     let alg = FixedFpAlgebra::new(16);
     let trainer = Trainer::new(alg, &model, cfg).expect("trainer");
-    let (serve_lanes, serve_bank) = lane_bank(4);
+    let (lanes, serve_bank) = lane_bank(4);
 
     std::thread::scope(|scope| {
-        let trainer = &trainer;
-        scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default())
-                .serve(&serve_lanes, &SIM, 7)
-                .expect("reactor");
-        });
+        let replica = serve_replica(scope, &trainer, lanes);
+        let _unwind = OnUnwind::new(vec![replica], &[&serve_bank]);
 
         let config = FleetConfig {
             breaker: BreakerConfig {
@@ -836,21 +842,17 @@ fn hedge_fires_past_a_mute_primary() {
 
     let alg = FixedFpAlgebra::new(16);
     let trainer = Trainer::new(alg, &model, cfg).expect("trainer");
-    let (serve_lanes, serve_bank) = lane_bank(2);
+    let (lanes, serve_bank) = lane_bank(2);
 
     let metrics = MetricsRegistry::new(3, "fleet-client");
     std::thread::scope(|scope| {
-        let trainer = &trainer;
-        scope.spawn(move || {
-            TrainerServer::new(trainer, ServerConfig::default())
-                .serve(&serve_lanes, &SIM, 7)
-                .expect("reactor");
-        });
+        let replica = serve_replica(scope, &trainer, lanes);
 
         // The mute primary: lanes exist (the dial succeeds) but the
         // server halves are parked unanswered, so the probe times out
         // only after its window — long after the hedge has fired.
         let (mute_server, mute_bank) = lane_bank(2);
+        let _unwind = OnUnwind::new(vec![replica], &[&serve_bank, &mute_bank]);
 
         let config = FleetConfig {
             breaker: BreakerConfig {
@@ -1226,7 +1228,7 @@ fn transfers() -> Vec<(char, Vec<u16>)> {
     vec![('r', vec![SIM_MESSAGES])]
 }
 
-/// Dials a fresh in-memory lane to a one-lane server for `trainer` on
+/// Dials a fresh duplex lane to a one-lane server for `trainer` on
 /// its own thread. The server starts once `start` is set (at once
 /// without one), drains from its first turn when `drain`, and sends
 /// its run's summary to `summaries` when the lane closes.
@@ -1246,7 +1248,7 @@ fn dial_one_lane_server(
         if drain {
             server.supervisor().drain();
         }
-        let summary = server.serve(&[server_ep], &SIM, 3).expect("reactor");
+        let summary = server.serve(vec![server_ep], &SIM, 3).expect("reactor");
         let _ = summaries.send(summary);
     });
     client_ep

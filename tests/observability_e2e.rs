@@ -22,7 +22,7 @@ use ppcs_telemetry::{
 use ppcs_tests::{blob_dataset, http_body, http_get, random_samples};
 use ppcs_transport::{
     duplex_pool, faulty_pair, tcp_connect, AsyncDriver, DriveOptions, Driver, FaultSchedule, Frame,
-    Lane, SessionLimits,
+    SessionLimits,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,8 +35,10 @@ const CLS_HELLO: u16 = 0x0500;
 
 /// 32 concurrent sessions multiplexed through ONE reactor, each with its
 /// own registry attached via `DriveOptions::with_metrics`: every
-/// per-session report must reconcile *exactly* — kind by kind — with its
-/// own endpoint's `TrafficStats`, and the reactor-level registry must
+/// per-session report must reconcile *exactly* — kind by kind — with the
+/// `TrafficStats` of the peer endpoint at the other end of its socket
+/// (what one side sent, the other received), and the reactor-level
+/// registry must
 /// carry the health histograms.
 #[test]
 fn per_conn_attribution_reconciles_with_endpoint_traffic() {
@@ -63,11 +65,10 @@ fn per_conn_attribution_reconciles_with_endpoint_traffic() {
                 Driver::new().drive(ep_t, &mut eng).expect("serve")
             });
         }
-        let mut adrv: AsyncDriver<'_, Vec<(Label, f64)>, ppcs_core::PpcsError> = AsyncDriver::new()
-            .expect("reactor")
-            .with_metrics(reactor_reg.clone());
-        for (i, ep_c) in client_eps.iter().enumerate() {
-            let id = adrv.add_lane(ep_c).expect("mem lane");
+        let mut adrv: AsyncDriver<'_, Vec<(Label, f64)>, ppcs_core::PpcsError> =
+            AsyncDriver::new().with_metrics(reactor_reg.clone());
+        for (i, ep_c) in client_eps.into_iter().enumerate() {
+            let id = adrv.add_endpoint(ep_c).expect("socket pair");
             adrv.attach_engine(
                 id,
                 client.classify_engine(sel, 800 + i as u64, &samples),
@@ -85,34 +86,35 @@ fn per_conn_attribution_reconciles_with_endpoint_traffic() {
     });
 
     let (mut sum_reported, mut sum_endpoint) = (0u64, 0u64);
-    for (i, (reg, ep)) in regs.iter().zip(&client_eps).enumerate() {
+    for (i, (reg, ep)) in regs.iter().zip(&trainer_eps).enumerate() {
         let report = reg.report();
+        // The trainer's endpoint sees the client's traffic mirrored.
         let stats = ep.stats();
-        assert_eq!(report.bytes_sent(), stats.bytes_sent, "session {i}");
-        assert_eq!(report.bytes_received(), stats.bytes_received, "session {i}");
-        assert_eq!(report.frames_sent(), stats.frames_sent, "session {i}");
-        assert_eq!(
-            report.frames_received(),
-            stats.frames_received,
-            "session {i}"
-        );
+        assert_eq!(report.bytes_sent(), stats.bytes_received, "session {i}");
+        assert_eq!(report.bytes_received(), stats.bytes_sent, "session {i}");
+        assert_eq!(report.frames_sent(), stats.frames_received, "session {i}");
+        assert_eq!(report.frames_received(), stats.frames_sent, "session {i}");
         for k in &stats.by_kind {
             let row = report
                 .kind(k.kind)
                 .unwrap_or_else(|| panic!("session {i}: kind 0x{:04x} missing", k.kind));
             assert_eq!(
-                row.frames_sent, k.frames_sent,
-                "session {i} 0x{:04x}",
-                k.kind
-            );
-            assert_eq!(row.bytes_sent, k.bytes_sent, "session {i} 0x{:04x}", k.kind);
-            assert_eq!(
-                row.frames_received, k.frames_received,
+                row.frames_sent, k.frames_received,
                 "session {i} 0x{:04x}",
                 k.kind
             );
             assert_eq!(
-                row.bytes_received, k.bytes_received,
+                row.bytes_sent, k.bytes_received,
+                "session {i} 0x{:04x}",
+                k.kind
+            );
+            assert_eq!(
+                row.frames_received, k.frames_sent,
+                "session {i} 0x{:04x}",
+                k.kind
+            );
+            assert_eq!(
+                row.bytes_received, k.bytes_sent,
                 "session {i} 0x{:04x}",
                 k.kind
             );
@@ -137,7 +139,7 @@ fn per_conn_attribution_reconciles_with_endpoint_traffic() {
     }
 }
 
-/// Seeded `FaultyLane` chaos schedules replayed through a reactor with a
+/// Seeded link chaos schedules replayed through a reactor with a
 /// flight recorder attached: for every schedule the recorded event
 /// stream must carry exactly one admission and a terminal verdict that
 /// matches the session's actual outcome.
@@ -170,10 +172,9 @@ fn flight_recorder_reconstructs_chaos_outcomes() {
                 drop(client_lane);
                 r
             });
-            let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> =
-                AsyncDriver::new().expect("reactor");
+            let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> = AsyncDriver::new();
             adrv.set_flight_recorder(recorder.clone());
-            let id = adrv.add_lane(&server_lane).expect("mem lane");
+            let id = adrv.add_endpoint(server_lane).expect("socket pair");
             adrv.attach_engine(
                 id,
                 trainer.serve_engine(sel, seed),
@@ -182,7 +183,6 @@ fn flight_recorder_reconstructs_chaos_outcomes() {
             let mut done = adrv.drive_all();
             let (_, res, _) = done.pop().expect("one session");
             drop(adrv);
-            drop(server_lane);
             hc.join().expect("client must not panic").ok();
             res
         });

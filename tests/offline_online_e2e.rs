@@ -442,7 +442,7 @@ fn first_contact_race_converges_to_one_cache_entry() {
                 })
             })
             .collect();
-        let summary = server.serve(&server_lanes, &SIM, 311).expect("reactor");
+        let summary = server.serve(server_lanes, &SIM, 311).expect("reactor");
         for c in clients {
             c.join().expect("client thread");
         }
@@ -498,7 +498,7 @@ fn server_pool_hits_then_falls_back_gracefully() {
             lane.send(Frame::encode(CLS_FIN, &0u64)).expect("fin");
             drop(client_lanes);
         });
-        server.serve(&server_lanes, &SIM, 307).expect("reactor")
+        server.serve(server_lanes, &SIM, 307).expect("reactor")
     });
 
     assert_eq!(summary.sessions_admitted, 3);
