@@ -71,7 +71,7 @@ fn main() {
         let mb = model_of_dim(dim, 2000 + dim as u64);
         let ga = ModelGeometry::from_model(&ma, &cfg).expect("geometry A");
         let gb = ModelGeometry::from_model(&mb, &cfg).expect("geometry B");
-        let gb_dir = direction_input(&gb, &mb);
+        let gb_dir = direction_input(&gb, &mb).expect("direction B");
 
         // Ordinary: the metric formula over precomputed geometry.
         const ORD_REPS: usize = 20_000;

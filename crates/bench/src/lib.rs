@@ -158,9 +158,12 @@ pub fn private_classify_parallel_with_ot(
                 server.serve(vec![lane], ot, seed).expect("serve")
             });
         }
-        client
+        let labels = client
             .classify_batch_parallel(&client_eps, ot, seed + 1000, samples)
-            .expect("classify_batch_parallel")
+            .expect("classify_batch_parallel");
+        // Closing the lanes ends each trainer's serve loop.
+        drop(client_eps);
+        labels
     })
 }
 

@@ -45,9 +45,7 @@ use ppcs_ompe::{
 use ppcs_ot::{ObliviousTransfer, OtError, OtSelect};
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_telemetry::Phase;
-use ppcs_transport::{
-    drive_blocking, Encodable, Frame, FrameIo, Lane, ProtocolEngine, TransportError,
-};
+use ppcs_transport::{drive_blocking, Encodable, FrameIo, Lane, ProtocolEngine, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -57,9 +55,6 @@ use crate::expansion::{expand_model, BasisKind, ExpandedDecision};
 
 pub(crate) const KIND_CLS_HELLO: u16 = 0x0500;
 pub(crate) const KIND_CLS_SPEC: u16 = 0x0501;
-/// Sent by the parallel client to tell a trainer lane that no more
-/// sessions are coming, so its serve loop can finish cleanly.
-pub(crate) const KIND_CLS_FIN: u16 = 0x0502;
 /// Opens a **warm** session: `[num_samples, spec_hash, epoch]`. A repeat
 /// client presents the hash of the spec it cached from an earlier
 /// session so the trainer can skip re-announcing it, and sends its first
@@ -1087,13 +1082,6 @@ impl<A: Algebra> Client<A> {
             };
             labels.extend(chunk_labels);
         }
-
-        // Tell every lane's serve loop that no more sessions are coming.
-        // Best effort: a dead lane's trainer thread ends on disconnect
-        // or deadline instead.
-        for ep in lanes {
-            let _ = ep.send(Frame::encode(KIND_CLS_FIN, &0u64));
-        }
         Ok(labels)
     }
 
@@ -1321,7 +1309,7 @@ mod tests {
     use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::{NaorPinkasOt, TrustedSimOt};
     use ppcs_svm::{Dataset, SmoParams};
-    use ppcs_transport::{run_pair, Endpoint};
+    use ppcs_transport::{run_pair, Endpoint, Frame};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1568,6 +1556,8 @@ mod tests {
                     summary.served_samples
                 });
                 let c = scope.spawn(|| {
+                    // Dropping the lanes on return ends the trainer's loop.
+                    let client_eps = client_eps;
                     client
                         .classify_batch_parallel(&client_eps, &SIM, 92, &samples)
                         .unwrap()

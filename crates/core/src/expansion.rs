@@ -164,7 +164,9 @@ impl ExpandedDecision {
         assert!(!linear.is_empty(), "need at least one dimension");
         let dim = linear.len();
         let basis = BasisKind::UpTo { degree: 2 };
-        let mut coeffs = Vec::with_capacity(basis.len(dim).expect("small basis") as usize);
+        // A capacity hint only: `for_each` pushes one coefficient per
+        // monomial whatever the basis length says.
+        let mut coeffs = Vec::with_capacity(basis.len(dim).map_or(0, |len| len as usize));
         basis.for_each(dim, |tuple| {
             coeffs.push(match tuple {
                 [i] => linear[*i as usize],
@@ -293,8 +295,11 @@ fn expand_inhomogeneous(
 
     let mut coeffs = Vec::with_capacity(len);
     for j in 1..=p {
-        let binom =
-            ppcs_math::binomial(p as u64, j as u64).expect("small binomial cannot overflow") as f64;
+        // A basis within the cap can still have a degree whose middle
+        // binomials overflow (one input dimension, p ≥ 68).
+        let binom = ppcs_math::binomial(p as u64, j as u64)
+            .ok_or_else(|| PpcsError::Expansion(format!("binomial C({p}, {j}) overflows u64")))?
+            as f64;
         let scale = binom * b0.powi((p - j) as i32) * a0.powi(j as i32);
         for_each_multiset(dim, j, &mut |tuple| {
             let mult = ppcs_math::multinomial_coeff(j, &multiplicities(tuple));
@@ -510,6 +515,22 @@ mod tests {
     use ppcs_svm::{Dataset, Label, SmoParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn a_degree_whose_binomials_overflow_is_a_typed_error() {
+        // One input dimension keeps the basis at 70 monomials, far under
+        // the cap, while C(70, 35) does not fit a u64.
+        let kernel = Kernel::Polynomial {
+            a0: 1.0,
+            b0: 1.0,
+            degree: 70,
+        };
+        let model = SvmModel::from_parts(kernel, vec![vec![0.5]], vec![1.0], 0.0);
+        match expand_model(&model, &ProtocolConfig::default()) {
+            Err(PpcsError::Expansion(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected an Expansion error, got {other:?}"),
+        }
+    }
 
     fn toy_model(kernel: Kernel, dim: usize, seed: u64) -> SvmModel {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -178,15 +178,15 @@ pub fn least_squares_fit(points: &[Vec<f64>], values: &[f64]) -> (Vec<f64>, f64)
 fn gauss_solve(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
-        // Pivot.
-        let pivot = (col..n)
-            .max_by(|&i, &j| {
-                a[i][col]
-                    .abs()
-                    .partial_cmp(&a[j][col].abs())
-                    .expect("finite")
-            })
-            .expect("non-empty range");
+        // Pivot: the last row of largest magnitude (a NaN counts as
+        // largest, so a NaN input yields NaNs, not a panic).
+        let pivot = (col + 1..n).fold(col, |best, i| {
+            if a[i][col].abs().total_cmp(&a[best][col].abs()).is_ge() {
+                i
+            } else {
+                best
+            }
+        });
         a.swap(col, pivot);
         b.swap(col, pivot);
         let diag = a[col][col];
@@ -224,6 +224,13 @@ mod tests {
 
     const TRUE_W: [f64; 2] = [0.8, -0.6];
     const TRUE_B: f64 = 0.15;
+
+    #[test]
+    fn a_nan_value_gives_a_nan_fit_not_a_panic() {
+        let points = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
+        let (w, b) = least_squares_fit(&points, &[1.0, f64::NAN, 0.5]);
+        assert!(w.iter().chain([&b]).any(|v| v.is_nan()), "{w:?} {b}");
+    }
 
     #[test]
     fn unrandomized_values_leak_the_model() {

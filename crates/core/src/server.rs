@@ -40,9 +40,7 @@ use ppcs_transport::{
     SessionLimits, TransportError, KIND_HEALTH,
 };
 
-use crate::classify::{
-    transport_cause, Trainer, KIND_CLS_FIN, KIND_CLS_HELLO, KIND_CLS_WARM_HELLO,
-};
+use crate::classify::{transport_cause, Trainer, KIND_CLS_HELLO, KIND_CLS_WARM_HELLO};
 use crate::error::PpcsError;
 use crate::precompute::PrecomputePool;
 
@@ -242,8 +240,6 @@ enum Opening<'s> {
     /// instead of) admission, even at capacity or mid-drain, and never a
     /// reason to keep an otherwise-idle connection alive.
     Health(Frame),
-    /// The client is done with this connection.
-    Fin,
     /// Not a session opening: stale or hostile traffic, already counted.
     Malformed,
     /// At capacity or draining, already counted: answer with a
@@ -422,9 +418,6 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
         if first.kind == KIND_HEALTH {
             return Opening::Health(self.health_status(run.pool.as_ref()).reply());
         }
-        if first.kind == KIND_CLS_FIN {
-            return Opening::Fin;
-        }
         if first.kind != KIND_CLS_HELLO && first.kind != KIND_CLS_WARM_HELLO {
             // A session must open with a (cold or warm) HELLO.
             self.note_malformed();
@@ -500,7 +493,7 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
 
     /// Serves classification sessions on every lane from **one thread**,
     /// multiplexed through an [`AsyncDriver`] event loop, until each lane
-    /// closes (client `FIN`, disconnect, or idle timeout) or a drain
+    /// closes (the client closes its end, or the idle timeout) or a drain
     /// completes. One lane serves many back-to-back sessions; a hostile
     /// or failed session terminates with a structured error and costs
     /// only itself. Parked sessions cost no thread while they wait for
@@ -687,7 +680,6 @@ impl<'a, A: Algebra> TrainerServer<'a, A> {
                                 driver.attach_engine(conn, engine, opts);
                                 continue;
                             }
-                            Opening::Fin => true,
                             // Refused: mid-drain (or after a warm
                             // hello) the connection closes, otherwise it
                             // may try again.
@@ -801,7 +793,7 @@ mod tests {
     use ppcs_math::FixedFpAlgebra;
     use ppcs_ot::TrustedSimOt;
     use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
-    use ppcs_transport::{duplex_pool, Frame};
+    use ppcs_transport::duplex_pool;
 
     fn tiny_trainer() -> Trainer<FixedFpAlgebra> {
         let mut dataset = Dataset::new(2);
@@ -839,7 +831,7 @@ mod tests {
         let samples = [vec![0.9f64, 1.1], vec![-1.0, -0.8]];
         std::thread::scope(|scope| {
             let clients: Vec<_> = client_lanes
-                .iter()
+                .into_iter()
                 .zip(&samples)
                 .enumerate()
                 .map(|(i, (lane, s))| {
@@ -848,12 +840,10 @@ mod tests {
                         let client =
                             crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
                         let mut rng = rand::rngs::StdRng::seed_from_u64(1000 + i as u64);
-                        let labels = client
-                            .classify_batch(lane, &TrustedSimOt, &mut rng, std::slice::from_ref(s))
-                            .expect("honest session");
-                        lane.send(Frame::encode(super::KIND_CLS_FIN, &0u64))
-                            .unwrap();
-                        labels
+                        // The lane closes as the thread returns.
+                        client
+                            .classify_batch(&lane, &TrustedSimOt, &mut rng, std::slice::from_ref(s))
+                            .expect("honest session")
                     })
                 })
                 .collect();
@@ -903,12 +893,9 @@ mod tests {
                 let lane = ppcs_transport::tcp_connect(addr).expect("connect");
                 let client = crate::Client::new(FixedFpAlgebra::new(16), ProtocolConfig::default());
                 let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-                let labels = client
+                client
                     .classify_batch(&lane, &TrustedSimOt, &mut rng, &[vec![0.9f64, 1.1]])
-                    .expect("honest session");
-                lane.send(Frame::encode(super::KIND_CLS_FIN, &0u64))
-                    .unwrap();
-                labels
+                    .expect("honest session")
             });
             let drainer = scope.spawn(move || {
                 // Let the one client finish, then end the accepting run.

@@ -610,7 +610,7 @@ pub fn similarity_plain(
         &ga,
         &gb,
         model_a.kernel(),
-        &direction_input(&gb, model_b),
+        &direction_input(&gb, model_b)?,
         cfg,
     ))
 }
@@ -636,21 +636,32 @@ pub fn similarity_plain_geometry(
 /// the aggregated support-vector monomials `Z = Σ_u c_u τ(x_u)` for
 /// kernels (so that Alice's expansion coefficients dot with it to give
 /// `K(w_A, w_B)`).
-pub fn direction_input(g: &ModelGeometry, model: &SvmModel) -> Vec<f64> {
-    match g.expanded {
-        None => g.direction.clone(),
-        Some(basis) => {
-            // Not reachable from peer input: `g` and `model` are the
-            // caller's, and `from_model` has sized this basis.
-            let mut z = vec![0.0; basis.len(model.dim()).expect("validated") as usize];
-            for (sv, &c) in model.support_vectors().iter().zip(model.coefficients()) {
-                for (zi, f) in z.iter_mut().zip(basis.features(sv)) {
-                    *zi += c * f;
-                }
-            }
-            z
+///
+/// # Errors
+///
+/// [`PpcsError::Expansion`] if `g` is a kernel geometry that did not
+/// come from `model`: its basis over `model`'s dimension does not have
+/// one monomial per coefficient of `g`'s direction.
+pub fn direction_input(g: &ModelGeometry, model: &SvmModel) -> Result<Vec<f64>, PpcsError> {
+    let Some(basis) = g.expanded else {
+        return Ok(g.direction.clone());
+    };
+    // `from_model` expanded `g`'s direction over this basis, one
+    // coefficient per monomial of its model's dimension.
+    if basis.len(model.dim()) != Some(g.direction.len() as u64) {
+        return Err(PpcsError::Expansion(format!(
+            "a geometry with {} expanded coefficients is not from this {}-dimensional model",
+            g.direction.len(),
+            model.dim()
+        )));
+    }
+    let mut z = vec![0.0; g.direction.len()];
+    for (sv, &c) in model.support_vectors().iter().zip(model.coefficients()) {
+        for (zi, f) in z.iter_mut().zip(basis.features(sv)) {
+            *zi += c * f;
         }
     }
+    Ok(z)
 }
 
 /// Bob's OMPE-1 input: his centroid (linear) or its monomial features.
@@ -938,7 +949,7 @@ where
     A: Algebra,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
-    let direction_input = direction_input(&geom, model);
+    let direction_input = direction_input(&geom, model)?;
     similarity_request_geometry(alg, ep, ot, rng, &geom, &direction_input, model.dim(), cfg)
 }
 
@@ -960,7 +971,7 @@ where
     A: Algebra,
 {
     let geom = ModelGeometry::from_model(model, cfg)?;
-    let direction_input = direction_input(&geom, model);
+    let direction_input = direction_input(&geom, model)?;
     similarity_request_geometry_io(alg, io, sel, rng, &geom, &direction_input, model.dim(), cfg)
         .await
 }
@@ -1524,6 +1535,24 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_geometry_from_another_model_is_a_typed_error() {
+        let cfg = SimilarityConfig::default();
+        let kernel = Kernel::Polynomial {
+            a0: 1.0,
+            b0: 0.0,
+            degree: 2,
+        };
+        let two = train_rotated(2, 15.0, 4, kernel);
+        let three = train_rotated(3, 15.0, 4, kernel);
+        let g = ModelGeometry::from_model(&two, &cfg).unwrap();
+        assert_eq!(direction_input(&g, &two).unwrap().len(), g.direction.len());
+        assert!(matches!(
+            direction_input(&g, &three),
+            Err(PpcsError::Expansion(_))
+        ));
+    }
+
+    #[test]
     fn oversized_models_are_typed_errors() {
         let cfg = SimilarityConfig::default();
         for (dim, kernel) in [
@@ -1559,7 +1588,7 @@ mod tests {
         let ma = train_rotated(2, 15.0, 4, Kernel::Linear);
         let mb = train_rotated(2, 60.0, 5, Kernel::Linear);
         let mut gb = ModelGeometry::from_model(&mb, &cfg).unwrap();
-        let direction = direction_input(&gb, &mb);
+        let direction = direction_input(&gb, &mb).unwrap();
         gb.m_norm2 = m_norm2;
         gb.w_norm2 = w_norm2;
         let (res_a, _) = run_pair(

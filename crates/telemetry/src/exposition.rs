@@ -143,7 +143,7 @@ impl MetricsRegistry {
         counter(
             &mut out,
             "ppcs_timer_fires_total",
-            "Timer-wheel expiries delivered to parked sessions.",
+            "Reactor deadline expiries delivered to parked sessions.",
             report.timer_fires,
         );
         counter(

@@ -37,7 +37,7 @@ pub enum FlightEventKind {
     BudgetTrip,
     /// A malformed or protocol-violating frame terminated a session.
     Malformed,
-    /// A timer-wheel expiry was delivered to a parked session.
+    /// A reactor deadline expired for a parked session.
     TimerFire,
     /// A lifecycle state transition (session finished, connection
     /// closed, drain began/cut — see the `DETAIL_*` codes).

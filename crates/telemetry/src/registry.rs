@@ -87,8 +87,8 @@ pub enum ReactorMetric {
     LoopLagNs,
     /// Readiness events delivered per reactor wakeup.
     EventBatch,
-    /// Nanoseconds between a timer's armed deadline and the wheel
-    /// advancing past it (wheel granularity + loop lag combined).
+    /// Nanoseconds between a deadline the reactor armed and the turn
+    /// that fired it (the reactor's wake-up lag).
     TimerDriftNs,
     /// Bytes still queued in a connection's write buffer after a service
     /// pass (0 = fully flushed; sustained growth = backpressure).
@@ -313,7 +313,7 @@ impl MetricsRegistry {
         self.reactor_events.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one timer-wheel expiry delivered to a parked session.
+    /// Counts one reactor deadline expiry delivered to a parked session.
     pub fn record_timer_fire(&self) {
         self.timer_fires.fetch_add(1, Ordering::Relaxed);
     }

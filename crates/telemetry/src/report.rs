@@ -106,7 +106,7 @@ pub struct SessionReport {
     pub reactor_wakeups: u64,
     /// Readiness events delivered across all reactor wakeups.
     pub reactor_events: u64,
-    /// Timer-wheel expiries delivered to parked sessions.
+    /// Reactor deadline expiries delivered to parked sessions.
     pub timer_fires: u64,
     /// Precompute-pool entries produced by offline fill work.
     pub pool_filled: u64,
@@ -264,134 +264,96 @@ impl SessionReport {
     }
 
     /// Parses a report back from [`to_json`](SessionReport::to_json)
-    /// output.
+    /// output. Every field `to_json` writes is required; a key it does
+    /// not write is ignored.
     pub fn from_json(text: &str) -> Result<Self, JsonError> {
         let doc = Json::parse(text)?;
-        let field = |key: &str| -> Result<u64, JsonError> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError {
-                    message: format!("missing or non-integer field `{key}`"),
-                    offset: 0,
-                })
-        };
         let bad = |key: &str| JsonError {
             message: format!("missing or malformed field `{key}`"),
             offset: 0,
         };
+        let int = |j: &Json, key: &str| j.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+        let string = |j: &Json, key: &str| {
+            j.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| bad(key))
+        };
+        let list = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_array)
+                .ok_or_else(|| bad(key))
+        };
+        let field = |key: &str| int(&doc, key);
         let fs = doc.get("frame_sizes").ok_or_else(|| bad("frame_sizes"))?;
-        let fs_field = |key: &str| fs.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
-        let mut phases = Vec::new();
-        for p in doc
-            .get("phases")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("phases"))?
-        {
-            let pf = |key: &str| p.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
-            phases.push(PhaseReport {
-                name: p
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("phases[].name"))?
-                    .to_string(),
-                count: pf("count")?,
-                total_ns: pf("total_ns")?,
-                min_ns: pf("min_ns")?,
-                max_ns: pf("max_ns")?,
-                p50_ns: pf("p50_ns")?,
-                p95_ns: pf("p95_ns")?,
-            });
-        }
-        let mut kinds = Vec::new();
-        for k in doc
-            .get("kinds")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("kinds"))?
-        {
-            let kf = |key: &str| k.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
-            kinds.push(KindReport {
-                kind: kf("kind")? as u16,
-                frames_sent: kf("frames_sent")?,
-                bytes_sent: kf("bytes_sent")?,
-                frames_received: kf("frames_received")?,
-                bytes_received: kf("bytes_received")?,
-            });
-        }
-        // Reactor-health distributions postdate all the counters:
-        // missing section (old artifacts) parses as empty, and any
-        // malformed entry is skipped rather than failing the document.
-        let mut reactor_health = Vec::new();
-        if let Some(entries) = doc.get("reactor_health").and_then(Json::as_array) {
-            for h in entries {
-                let hf = |key: &str| h.get(key).and_then(Json::as_u64).unwrap_or(0);
-                let Some(name) = h.get("name").and_then(Json::as_str) else {
-                    continue;
-                };
-                reactor_health.push(HealthReport {
-                    name: name.to_string(),
-                    count: hf("count"),
-                    sum: hf("sum"),
-                    min: hf("min"),
-                    max: hf("max"),
-                    p50: hf("p50"),
-                    p95: hf("p95"),
-                });
-            }
-        }
+        let phases = list("phases")?
+            .iter()
+            .map(|p| {
+                Ok(PhaseReport {
+                    name: string(p, "name")?,
+                    count: int(p, "count")?,
+                    total_ns: int(p, "total_ns")?,
+                    min_ns: int(p, "min_ns")?,
+                    max_ns: int(p, "max_ns")?,
+                    p50_ns: int(p, "p50_ns")?,
+                    p95_ns: int(p, "p95_ns")?,
+                })
+            })
+            .collect::<Result<_, JsonError>>()?;
+        let kinds = list("kinds")?
+            .iter()
+            .map(|k| {
+                Ok(KindReport {
+                    kind: int(k, "kind")? as u16,
+                    frames_sent: int(k, "frames_sent")?,
+                    bytes_sent: int(k, "bytes_sent")?,
+                    frames_received: int(k, "frames_received")?,
+                    bytes_received: int(k, "bytes_received")?,
+                })
+            })
+            .collect::<Result<_, JsonError>>()?;
+        let reactor_health = list("reactor_health")?
+            .iter()
+            .map(|h| {
+                Ok(HealthReport {
+                    name: string(h, "name")?,
+                    count: int(h, "count")?,
+                    sum: int(h, "sum")?,
+                    min: int(h, "min")?,
+                    max: int(h, "max")?,
+                    p50: int(h, "p50")?,
+                    p95: int(h, "p95")?,
+                })
+            })
+            .collect::<Result<_, JsonError>>()?;
         Ok(SessionReport {
             session: field("session")?,
-            role: doc
-                .get("role")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("role"))?
-                .to_string(),
+            role: string(&doc, "role")?,
             elapsed_ns: field("elapsed_ns")?,
             polls: field("polls")?,
             rounds: field("rounds")?,
             timeouts: field("timeouts")?,
             warns: field("warns")?,
-            // Serving counters postdate the first report format: parse
-            // leniently so archived bench artifacts still load.
-            sessions_admitted: doc
-                .get("sessions_admitted")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            sessions_shed: doc.get("sessions_shed").and_then(Json::as_u64).unwrap_or(0),
-            budget_exceeded: doc
-                .get("budget_exceeded")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            malformed_rejected: doc
-                .get("malformed_rejected")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            // Reactor counters postdate the serving counters: lenient too.
-            reactor_wakeups: doc
-                .get("reactor_wakeups")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            reactor_events: doc
-                .get("reactor_events")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            timer_fires: doc.get("timer_fires").and_then(Json::as_u64).unwrap_or(0),
-            // Precompute-pool counters are newest: lenient, so archived
-            // artifacts from before the offline/online split still load.
-            pool_filled: doc.get("pool_filled").and_then(Json::as_u64).unwrap_or(0),
-            pool_hits: doc.get("pool_hits").and_then(Json::as_u64).unwrap_or(0),
-            pool_misses: doc.get("pool_misses").and_then(Json::as_u64).unwrap_or(0),
-            pool_depth: doc.get("pool_depth").and_then(Json::as_u64).unwrap_or(0),
-            // Fleet counters postdate the pool counters: lenient, so
-            // artifacts from before the resilience layer still load.
-            hedges_fired: doc.get("hedges_fired").and_then(Json::as_u64).unwrap_or(0),
-            failovers: doc.get("failovers").and_then(Json::as_u64).unwrap_or(0),
-            breaker_opens: doc.get("breaker_opens").and_then(Json::as_u64).unwrap_or(0),
+            sessions_admitted: field("sessions_admitted")?,
+            sessions_shed: field("sessions_shed")?,
+            budget_exceeded: field("budget_exceeded")?,
+            malformed_rejected: field("malformed_rejected")?,
+            reactor_wakeups: field("reactor_wakeups")?,
+            reactor_events: field("reactor_events")?,
+            timer_fires: field("timer_fires")?,
+            pool_filled: field("pool_filled")?,
+            pool_hits: field("pool_hits")?,
+            pool_misses: field("pool_misses")?,
+            pool_depth: field("pool_depth")?,
+            hedges_fired: field("hedges_fired")?,
+            failovers: field("failovers")?,
+            breaker_opens: field("breaker_opens")?,
             frame_sizes: FrameSizeReport {
-                count: fs_field("count")?,
-                min: fs_field("min")?,
-                max: fs_field("max")?,
-                p50: fs_field("p50")?,
-                p95: fs_field("p95")?,
+                count: int(fs, "count")?,
+                min: int(fs, "min")?,
+                max: int(fs, "max")?,
+                p50: int(fs, "p50")?,
+                p95: int(fs, "p95")?,
             },
             phases,
             kinds,
@@ -638,6 +600,43 @@ mod tests {
         let mut text = sample().to_json();
         text = text.replace("\"rounds\"", "\"wrong\"");
         assert!(SessionReport::from_json(&text).is_err());
+        // Dropping any one field `to_json` writes, at any depth, is
+        // refused.
+        let variants = without_each_field(&Json::parse(&sample().to_json()).unwrap());
+        assert!(variants.len() > 60, "{} variants", variants.len());
+        for doc in variants {
+            assert!(SessionReport::from_json(&doc.to_string()).is_err(), "{doc}");
+        }
+    }
+
+    /// Every copy of `doc` with exactly one object field removed.
+    fn without_each_field(doc: &Json) -> Vec<Json> {
+        let mut out = Vec::new();
+        match doc {
+            Json::Object(fields) => {
+                for (i, (_, value)) in fields.iter().enumerate() {
+                    let mut less = fields.clone();
+                    less.remove(i);
+                    out.push(Json::Object(less));
+                    for inner in without_each_field(value) {
+                        let mut changed = fields.clone();
+                        changed[i].1 = inner;
+                        out.push(Json::Object(changed));
+                    }
+                }
+            }
+            Json::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    for inner in without_each_field(item) {
+                        let mut changed = items.clone();
+                        changed[i] = inner;
+                        out.push(Json::Array(changed));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
     }
 
     #[test]
@@ -650,68 +649,6 @@ mod tests {
             "\"retries\":2,\"reconnects\":1,\"faults\":3,\"sessions_admitted\":",
         );
         assert_eq!(SessionReport::from_json(&retired).unwrap(), report);
-    }
-
-    #[test]
-    fn reports_without_serving_counters_still_parse() {
-        // Artifacts written before the serving runtime existed.
-        let mut report = sample();
-        let text = report
-            .to_json()
-            .replace("\"sessions_admitted\":5,", "")
-            .replace("\"sessions_shed\":2,", "")
-            .replace("\"budget_exceeded\":1,", "")
-            .replace("\"malformed_rejected\":4,", "");
-        let back = SessionReport::from_json(&text).unwrap();
-        report.sessions_admitted = 0;
-        report.sessions_shed = 0;
-        report.budget_exceeded = 0;
-        report.malformed_rejected = 0;
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn reports_without_reactor_counters_still_parse() {
-        // Artifacts written before the epoll reactor existed.
-        let mut report = sample();
-        let text = report
-            .to_json()
-            .replace("\"reactor_wakeups\":9,", "")
-            .replace("\"reactor_events\":17,", "")
-            .replace("\"timer_fires\":6,", "");
-        let back = SessionReport::from_json(&text).unwrap();
-        report.reactor_wakeups = 0;
-        report.reactor_events = 0;
-        report.timer_fires = 0;
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn reports_without_fleet_counters_still_parse() {
-        // Artifacts written before the fleet resilience layer existed.
-        let mut report = sample();
-        let text = report
-            .to_json()
-            .replace("\"hedges_fired\":2,", "")
-            .replace("\"failovers\":1,", "")
-            .replace("\"breaker_opens\":1,", "");
-        let back = SessionReport::from_json(&text).unwrap();
-        report.hedges_fired = 0;
-        report.failovers = 0;
-        report.breaker_opens = 0;
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn reports_without_reactor_health_still_parse() {
-        // Artifacts written before the observability plane existed.
-        let mut report = sample();
-        let full = report.to_json();
-        let start = full.find(",\"reactor_health\":").unwrap();
-        let text = format!("{}{}", &full[..start], "}");
-        let back = SessionReport::from_json(&text).unwrap();
-        report.reactor_health.clear();
-        assert_eq!(back, report);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Where [`Driver`](crate::Driver) parks an OS thread on every blocking
 //! receive, `AsyncDriver` parks a *session* — an engine, its transcript
 //! recorder, and its budget state — on a readiness event from the
-//! [`Reactor`] or a deadline on the
-//! [`TimerWheel`]. The session itself is the crate's
-//! one `SessionCore`, the same code [`Driver`](crate::Driver) steps, so
-//! transcripts, [`KIND_BUSY`](crate::KIND_BUSY) translation and
-//! [`TransportError::Budget`] trips cannot differ between the two; this
+//! [`Reactor`] or on the connection's one deadline. The session itself
+//! is the crate's one `SessionCore`, the same code
+//! [`Driver`](crate::Driver) steps, and the socket is framed by the
+//! same reader and writer an [`Endpoint`] holds, so transcripts,
+//! [`KIND_BUSY`](crate::KIND_BUSY) translation, [`TransportError::Budget`]
+//! trips and the bytes on the wire cannot differ between the two; this
 //! module only adds the reactor's way of waiting.
 //!
 //! Every connection is one kind: a nonblocking framed socket registered
@@ -17,14 +18,16 @@
 //! one or one half of a [`duplex`](crate::duplex) socket pair
 //! ([`AsyncDriver::add_endpoint`]). Reads drain to `WouldBlock`, writes
 //! queue under backpressure and resume on writable events, and a turn
-//! services only the connections the reactor or the timer wheel named.
+//! services only the connections the reactor named or whose deadline
+//! passed. Deadlines sit in one ordered set, at most one per
+//! connection.
 //!
 //! A connection with no engine attached is *pending*: its first frame
 //! surfaces as [`AsyncEvent::Opening`] so a serving layer can perform
 //! admission control (attach an engine, [`send_busy`](AsyncDriver::send_busy),
 //! or [`close`](AsyncDriver::close)) before any protocol work happens.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,9 +41,9 @@ use crate::channel::{Endpoint, Frame};
 use crate::driver::{busy_frame, Transcript};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::TransportError;
-use crate::reactor::{Reactor, ReactorEvent, TimerWheel};
+use crate::reactor::{Deadlines, Reactor, ReactorEvent};
 use crate::session::{DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
-use crate::tcp::{NbConn, Stream};
+use crate::tcp::{halves, NbConn, Stream};
 
 /// Token reserved for the accept listener.
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
@@ -167,10 +170,10 @@ struct Conn<'d, T, E> {
     session: Option<Session<'d, T, E>>,
     /// Idle deadline while pending (no engine). One-shot.
     idle_deadline: Option<Instant>,
-    /// Bumped whenever the connection's one timer is about to be
-    /// re-armed or cancelled: a fired timer counts only under the
-    /// current generation.
-    timer_gen: u64,
+    /// The connection's one armed entry in the driver's [`Deadlines`]:
+    /// the idle deadline while pending, the session's wake-up while it
+    /// is parked.
+    timer: Option<Instant>,
 }
 
 struct Slot<'d, T, E> {
@@ -185,7 +188,7 @@ struct Slot<'d, T, E> {
 /// [`poll`](AsyncDriver::poll) for the turn loop.
 pub struct AsyncDriver<'d, T, E> {
     reactor: Reactor,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     slots: Vec<Slot<'d, T, E>>,
     free: Vec<u32>,
     listener: Option<TcpListener>,
@@ -218,11 +221,11 @@ impl<T, E: From<TransportError>> Default for AsyncDriver<'_, T, E> {
 }
 
 impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
-    /// Opens a driver with its own reactor and timer wheel.
+    /// Opens a driver with its own reactor and deadline set.
     pub fn new() -> Self {
         Self {
             reactor: Reactor::new(),
-            wheel: TimerWheel::new(Instant::now()),
+            deadlines: Deadlines::default(),
             slots: Vec::new(),
             free: Vec::new(),
             listener: None,
@@ -326,39 +329,35 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// [`TransportError::Io`] on socket configuration or registration
     /// failure.
     pub fn add_tcp(&mut self, stream: TcpStream) -> Result<ConnId, TransportError> {
-        self.add(NbConn::new(
-            Stream::tcp(stream)?,
-            Vec::new(),
-            VecDeque::new(),
-            Arc::default(),
-        )?)
+        let (reader, writer) = halves(Stream::tcp(stream)?, &Arc::default());
+        self.add(NbConn::new(reader, writer)?)
     }
 
     /// Adds `endpoint` (a TCP one, or one half of a
     /// [`duplex`](crate::duplex) pair) as a pending connection. The
-    /// driver adopts its stream together with whatever the endpoint had
-    /// already read and not delivered, so no frame is lost, and its
-    /// traffic keeps counting into the endpoint's counters.
+    /// driver takes over the endpoint's reader and writer as they are:
+    /// whatever the reader had already read and not delivered is
+    /// delivered here, and traffic keeps counting into the endpoint's
+    /// counters.
     ///
     /// # Errors
     ///
     /// [`TransportError::Io`] on socket configuration or registration
     /// failure.
     pub fn add_endpoint(&mut self, endpoint: Endpoint) -> Result<ConnId, TransportError> {
-        let (reader, parsed, _writer, stats) = endpoint.into_parts();
-        let (stream, read_ahead) = reader.into_parts();
-        self.add(NbConn::new(stream, read_ahead, parsed, stats)?)
+        let (reader, writer) = endpoint.into_halves();
+        self.add(NbConn::new(reader, writer)?)
     }
 
     fn add(&mut self, lane: NbConn) -> Result<ConnId, TransportError> {
         let fd = lane.fd();
         // Frames an endpoint already read out of its socket raise no edge.
-        let buffered = lane.recv_ready();
+        let buffered = lane.reader.recv_ready();
         let id = self.insert(Conn {
             lane,
             session: None,
             idle_deadline: None,
-            timer_gen: 0,
+            timer: None,
         });
         self.reactor.register(fd, u64::from(id.slot))?;
         if buffered {
@@ -387,28 +386,17 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         }
     }
 
-    fn conn_mut(&mut self, id: ConnId) -> Option<&mut Conn<'d, T, E>> {
-        let s = self.slots.get_mut(id.slot as usize)?;
-        if s.epoch != id.epoch {
-            return None;
-        }
-        s.conn.as_mut()
-    }
-
     /// Arms (or clears) the pending-idle deadline: if no frame arrives
     /// on this pending connection within `after`, one
     /// [`AsyncEvent::IdleExpired`] fires.
     pub fn set_idle_deadline(&mut self, id: ConnId, after: Option<Duration>) {
-        let Some(conn) = self.conn_mut(id) else {
+        let Some(conn) = conn_mut(&mut self.slots, id) else {
             return;
         };
-        let deadline = after.map(|d| Instant::now() + d);
-        conn.idle_deadline = deadline;
-        conn.timer_gen += 1;
-        let generation = conn.timer_gen;
-        match deadline {
-            Some(t) => self.wheel.arm(t, u64::from(id.slot), generation),
-            None => self.wheel.cancel(u64::from(id.slot)),
+        conn.idle_deadline = after.map(|d| Instant::now() + d);
+        match conn.idle_deadline {
+            Some(at) => self.deadlines.arm(id.slot, &mut conn.timer, at),
+            None => self.deadlines.cancel(id.slot, &mut conn.timer),
         }
     }
 
@@ -435,7 +423,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         // attached only here and detached only by `poll`, which reports
         // it `Finished`. Both panics therefore mean that the caller
         // attached to an id it was told is gone, or attached twice.
-        let conn = self.conn_mut(id).expect("attach_engine: unknown conn");
+        let conn = conn_mut(&mut self.slots, id).expect("attach_engine: unknown conn");
         assert!(
             conn.session.is_none(),
             "attach_engine: session already attached"
@@ -497,7 +485,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// [`TransportError::Disconnected`] for an unknown connection, or
     /// any transport failure from the underlying lane.
     pub fn send_frame(&mut self, id: ConnId, frame: Frame) -> Result<(), TransportError> {
-        let Some(conn) = self.conn_mut(id) else {
+        let Some(conn) = conn_mut(&mut self.slots, id) else {
             return Err(TransportError::Disconnected);
         };
         conn.lane.send(&Outgoing::Frame(frame))
@@ -513,13 +501,13 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         if s.epoch != id.epoch {
             return;
         }
-        let Some(conn) = s.conn.take() else {
+        let Some(mut conn) = s.conn.take() else {
             return;
         };
         s.epoch = s.epoch.wrapping_add(1);
         s.queued = false;
         self.free.push(id.slot);
-        self.wheel.cancel(u64::from(id.slot));
+        self.deadlines.cancel(id.slot, &mut conn.timer);
         self.conns -= 1;
         if conn.session.is_some() {
             self.active_sessions -= 1;
@@ -573,18 +561,18 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     }
 
     /// One reactor turn: waits up to `max_wait` for readiness (bounded
-    /// by the next timer deadline and pending work), services every
-    /// ready connection, and returns what happened. An empty vector
-    /// means the turn was quiet — poll again.
+    /// by the next deadline and pending work), services every ready
+    /// connection, and returns what happened. An empty vector means the
+    /// turn was quiet — poll again.
     pub fn poll(&mut self, max_wait: Duration) -> Vec<AsyncEvent<T, E>> {
         let mut events = Vec::new();
         let now = Instant::now();
 
         // Bound the wait by whichever comes first: the caller's cap,
-        // the next armed timer, or pending ready work (which needs a
-        // zero wait).
+        // the next deadline, or pending ready work (which needs a zero
+        // wait).
         let mut wait = max_wait;
-        if let Some(due) = self.wheel.next_due(now) {
+        if let Some(due) = self.deadlines.next_due(now) {
             wait = wait.min(due);
         }
         if !self.ready_next.is_empty() {
@@ -631,8 +619,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             self.service_metrics(token);
         }
 
-        // Collect the service set: explicit readiness, fired timers and
-        // carried-over ready work.
+        // Collect the service set: explicit readiness, passed deadlines
+        // and carried-over ready work.
         let mut ready: Vec<u32> = Vec::new();
         let mut enqueue = |slots: &mut Vec<Slot<'d, T, E>>, slot: u32| {
             if let Some(s) = slots.get_mut(slot as usize) {
@@ -648,33 +636,29 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             }
             enqueue(&mut self.slots, ev.token as u32);
         }
-        let mut due: Vec<(u64, u64, Instant)> = Vec::new();
-        let advance_now = Instant::now();
-        self.wheel.advance_timed(advance_now, &mut due);
-        for (token, generation, deadline) in due {
-            let slot = token as u32;
-            let live = self
-                .slots
-                .get(slot as usize)
-                .and_then(|s| s.conn.as_ref())
-                .is_some_and(|c| c.timer_gen == generation);
-            if live {
-                let drift = advance_now.saturating_duration_since(deadline);
-                if let Some(reg) = &self.metrics {
-                    reg.record_timer_fire();
-                    reg.record_reactor(ReactorMetric::TimerDriftNs, drift.as_nanos() as u64);
-                }
-                if let Some(rec) = &self.recorder {
-                    let epoch = self.slots[slot as usize].epoch;
-                    rec.record(
-                        FlightEventKind::TimerFire,
-                        slot,
-                        epoch,
-                        drift.as_nanos() as u64,
-                    );
-                }
-                enqueue(&mut self.slots, slot);
+        let fired_at = Instant::now();
+        while let Some((deadline, slot)) = self.deadlines.pop_due(fired_at) {
+            // A closed connection cancelled its deadline: the slot is live.
+            let Some(s) = self.slots.get_mut(slot as usize) else {
+                continue;
+            };
+            if let Some(conn) = s.conn.as_mut() {
+                conn.timer = None;
             }
+            let drift = fired_at.saturating_duration_since(deadline);
+            if let Some(reg) = &self.metrics {
+                reg.record_timer_fire();
+                reg.record_reactor(ReactorMetric::TimerDriftNs, drift.as_nanos() as u64);
+            }
+            if let Some(rec) = &self.recorder {
+                rec.record(
+                    FlightEventKind::TimerFire,
+                    slot,
+                    s.epoch,
+                    drift.as_nanos() as u64,
+                );
+            }
+            enqueue(&mut self.slots, slot);
         }
         for slot in std::mem::take(&mut self.ready_next) {
             enqueue(&mut self.slots, slot);
@@ -742,22 +726,21 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         // that arrive after this drain raise a new edge. Sticky failures
         // surface through try_recv.
         let nb = &mut conn.lane;
-        let fill_err = nb.fill(&mut self.read_buf).err();
-        if nb.wants_write() {
+        let fill_err = nb.reader.fill(&mut self.read_buf).err();
+        if nb.writer.wants_write() {
             let _ = nb.flush();
         }
         if let Some(reg) = &self.metrics {
             reg.record_reactor(
                 ReactorMetric::WriteBufDepth,
-                nb.pending_write_bytes() as u64,
+                nb.writer.pending_write_bytes() as u64,
             );
-            if let Some(ns) = nb.take_stall_ns() {
+            if let Some(ns) = nb.writer.take_stall_ns() {
                 reg.record_reactor(ReactorMetric::WritableStallNs, ns);
             }
         }
 
         if let Some(s) = conn.session.as_mut() {
-            conn.timer_gen += 1;
             // Engines poll on this thread, so installing the session's
             // scope here captures every protocol-phase span — and
             // because the scope carries (slot, epoch, seq), interleaved
@@ -768,7 +751,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             });
             let result = match s.core.step(&mut s.engine, &mut conn.lane) {
                 Step::Parked { wake_at } => {
-                    self.wheel.arm(wake_at, u64::from(slot), conn.timer_gen);
+                    self.deadlines.arm(slot, &mut conn.timer, wake_at);
                     return;
                 }
                 Step::Finished(result) => result,
@@ -788,9 +771,9 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             let transcript = s.core.take_transcript();
             conn.session = None;
             self.active_sessions -= 1;
-            self.wheel.cancel(u64::from(slot));
+            self.deadlines.cancel(slot, &mut conn.timer);
             // A frame or the stream's end may already wait.
-            if conn.lane.recv_ready() {
+            if conn.lane.reader.recv_ready() {
                 self.ready_next.push(slot);
             }
             events.push(AsyncEvent::Finished {
@@ -805,10 +788,10 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         // caller can react (admit / shed / close) before the next one.
         match conn.lane.try_recv(None) {
             Ok(Some(frame)) => {
-                // The idle timer stays armed: a handler that leaves the
-                // deadline alone (a health probe does) must not keep
-                // the connection from being reaped on time.
-                if conn.lane.recv_ready() {
+                // The idle deadline stays armed: a handler that leaves
+                // it alone (a health probe does) must not keep the
+                // connection from being reaped on time.
+                if conn.lane.reader.recv_ready() {
                     self.ready_next.push(slot);
                 }
                 events.push(AsyncEvent::Opening { conn: id, frame });
@@ -1066,6 +1049,18 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         }
         out
     }
+}
+
+/// The open connection `id` names in `slots`, if any.
+fn conn_mut<'s, 'd, T, E>(
+    slots: &'s mut [Slot<'d, T, E>],
+    id: ConnId,
+) -> Option<&'s mut Conn<'d, T, E>> {
+    let s = slots.get_mut(id.slot as usize)?;
+    if s.epoch != id.epoch {
+        return None;
+    }
+    s.conn.as_mut()
 }
 
 /// A minimal `HTTP/1.0` response with `Connection: close` semantics.
@@ -1462,7 +1457,7 @@ mod tests {
             .expect("send hello");
         // No timer and no carried-over work: the turn services exactly
         // the connections the reactor reports.
-        assert!(ad.ready_next.is_empty() && ad.wheel.is_idle());
+        assert!(ad.ready_next.is_empty() && ad.deadlines.len() == 0);
         let before = reg.report().reactor_events;
         let events = ad.poll(Duration::from_secs(5));
         assert!(
@@ -1482,8 +1477,8 @@ mod tests {
     fn a_frame_read_ahead_by_a_blocking_recv_is_not_lost() {
         let (a, b) = duplex();
         // One write carries a batch of two, then a plain frame: the first
-        // blocking receive leaves a sub-frame unpacked and the plain
-        // frame's bytes in the read-ahead buffer.
+        // blocking receive leaves a sub-frame of the batch and the plain
+        // frame in the reader, which moves to the reactor as it is.
         let batch = [Frame::encode(0x0500, &1u64), Frame::encode(0x0500, &2u64)];
         b.send_coalesced(&batch).expect("batch");
         b.send(Frame::encode(0x0500, &3u64)).expect("plain");
@@ -1747,14 +1742,14 @@ mod tests {
                     }
                 }
                 assert!(
-                    ad.wheel.armed() <= ad.conns(),
+                    ad.deadlines.len() <= ad.conns(),
                     "{} timers for {} connections",
-                    ad.wheel.armed(),
+                    ad.deadlines.len(),
                     ad.conns()
                 );
             }
             assert_eq!(finished, SESSIONS);
-            assert_eq!((ad.conns(), ad.wheel.armed()), (0, 0));
+            assert_eq!((ad.conns(), ad.deadlines.len()), (0, 0));
         });
     }
 }

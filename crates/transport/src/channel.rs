@@ -14,7 +14,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use crate::error::TransportError;
-use crate::tcp::{framed, FrameReader, FrameWriter, Stream};
+use crate::tcp::{halves, FrameReader, FrameWriter, Stream};
 use crate::wire::Encodable;
 
 /// Frame kind reserved for coalesced batches: the payload of such a frame
@@ -219,14 +219,6 @@ impl SharedStats {
     }
 }
 
-/// The read side of an endpoint: the framed stream and the sub-frames
-/// of a coalesced batch not yet delivered, under one lock.
-#[derive(Debug)]
-struct ReadSide {
-    frames: FrameReader,
-    pending: VecDeque<Frame>,
-}
-
 /// One side of a duplex protocol connection: a framed socket, TCP
 /// between machines or one half of a Unix socket pair between threads
 /// ([`duplex`]). The protocols are agnostic.
@@ -247,8 +239,9 @@ struct ReadSide {
 /// ```
 #[derive(Debug)]
 pub struct Endpoint {
-    reader: Mutex<ReadSide>,
+    reader: Mutex<FrameReader>,
     writer: Mutex<FrameWriter>,
+    /// The counters both halves record into, read without their locks.
     stats: Arc<SharedStats>,
     /// Default timeout for blocking receives; `None` blocks forever.
     /// Behind a shared mutex so drivers can adjust it through a shared
@@ -259,38 +252,26 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Wraps a connected stream with the default receive deadline.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces socket configuration failures.
-    pub(crate) fn from_stream(stream: Stream) -> Result<Self, TransportError> {
+    pub(crate) fn from_stream(stream: Stream) -> Self {
         Self::with_cell(stream, Arc::new(Mutex::new(DEFAULT_RECV_TIMEOUT)))
     }
 
-    fn with_cell(
-        stream: Stream,
-        recv_timeout: Arc<Mutex<Option<Duration>>>,
-    ) -> Result<Self, TransportError> {
-        let (frames, writer) = framed(stream)?;
-        Ok(Self {
-            reader: Mutex::new(ReadSide {
-                frames,
-                pending: VecDeque::new(),
-            }),
+    fn with_cell(stream: Stream, recv_timeout: Arc<Mutex<Option<Duration>>>) -> Self {
+        let stats = Arc::default();
+        let (reader, writer) = halves(stream, &stats);
+        Self {
+            reader: Mutex::new(reader),
             writer: Mutex::new(writer),
-            stats: Arc::new(SharedStats::default()),
+            stats,
             recv_timeout,
-        })
+        }
     }
 
-    /// Takes the endpoint apart for a new owner of its stream: the read
-    /// half (with any bytes it read ahead), the sub-frames it unpacked
-    /// but did not deliver, the write half and the traffic counters.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (FrameReader, VecDeque<Frame>, FrameWriter, Arc<SharedStats>) {
-        let ReadSide { frames, pending } = self.reader.into_inner();
-        (frames, pending, self.writer.into_inner(), self.stats)
+    /// The endpoint's two halves, for a new owner of its socket: the
+    /// reader keeps whatever it read and did not deliver, and both keep
+    /// counting into the endpoint's counters.
+    pub(crate) fn into_halves(self) -> (FrameReader, FrameWriter) {
+        (self.reader.into_inner(), self.writer.into_inner())
     }
 
     /// Sends a frame to the peer.
@@ -299,9 +280,7 @@ impl Endpoint {
     ///
     /// Returns [`TransportError::Disconnected`] if the peer hung up.
     pub fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        self.writer.lock().send(&frame)?;
-        self.stats.record_sent(frame.kind, frame.wire_len() as u64);
-        Ok(())
+        self.writer.lock().send(&frame)
     }
 
     /// Encodes and sends a message in one call.
@@ -332,7 +311,9 @@ impl Endpoint {
     ///
     /// Coalesced frames (see [`Endpoint::send_coalesced`]) are unpacked
     /// here: the first sub-frame is returned and the rest are queued, so
-    /// subsequent calls drain the batch before touching the socket.
+    /// subsequent calls drain the batch before touching the socket. A
+    /// receive that times out in the middle of a frame keeps what it
+    /// read, and the next one picks the frame up where it stopped.
     ///
     /// # Errors
     ///
@@ -340,19 +321,7 @@ impl Endpoint {
     /// [`TransportError::Timeout`] if the configured deadline passed.
     pub fn recv(&self) -> Result<Frame, TransportError> {
         let timeout = *self.recv_timeout.lock();
-        let mut side = self.reader.lock();
-        if let Some(f) = side.pending.pop_front() {
-            return Ok(f);
-        }
-        let frame = side.frames.recv(timeout)?;
-        self.stats
-            .record_received(frame.kind, frame.wire_len() as u64);
-        if frame.kind == KIND_COALESCED {
-            let (first, rest) = uncoalesce(&frame.payload)?;
-            side.pending.extend(rest);
-            return Ok(first);
-        }
-        Ok(frame)
+        self.reader.lock().recv(timeout)
     }
 
     /// Receives and decodes a message of the expected kind.
@@ -429,8 +398,7 @@ pub fn coalesce_frames(frames: &[Frame]) -> Result<Frame, TransportError> {
 }
 
 /// Splits a coalesced payload back into its sub-frames: the first one
-/// and the rest, so a batch is never empty. Shared by both receive
-/// paths, blocking ([`Endpoint::recv`]) and the reactor's.
+/// and the rest, so a batch is never empty.
 pub(crate) fn uncoalesce(payload: &Bytes) -> Result<(Frame, VecDeque<Frame>), TransportError> {
     let truncated = || TransportError::Decode("truncated coalesced frame".into());
     let read_u32 = |pos: usize| -> Result<u32, TransportError> {
@@ -522,15 +490,11 @@ fn duplex_with_cells(
     cell_a: Arc<Mutex<Option<Duration>>>,
     cell_b: Arc<Mutex<Option<Duration>>>,
 ) -> (Endpoint, Endpoint) {
-    let opened = Stream::pair()
-        .map_err(|e| TransportError::Io(e.to_string()))
-        .and_then(|(a, b)| {
-            Ok((
-                Endpoint::with_cell(a, cell_a)?,
-                Endpoint::with_cell(b, cell_b)?,
-            ))
-        });
-    opened.unwrap_or_else(|e| panic!("cannot open a Unix socket pair: {e}"))
+    let (a, b) = Stream::pair().unwrap_or_else(|e| panic!("cannot open a Unix socket pair: {e}"));
+    (
+        Endpoint::with_cell(a, cell_a),
+        Endpoint::with_cell(b, cell_b),
+    )
 }
 
 /// Default blocking-receive deadline for freshly created endpoints.
@@ -983,7 +947,7 @@ mod tests {
         header.extend_from_slice(&(crate::tcp::MAX_PAYLOAD + 1).to_le_bytes());
 
         let (mut raw, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
-        let ep = Endpoint::from_stream(Stream::Unix(theirs)).unwrap();
+        let ep = Endpoint::from_stream(Stream::Unix(theirs));
         raw.write_all(&header).unwrap();
         let over_pair = ep.recv().unwrap_err();
 

@@ -3,8 +3,8 @@
 //! [`faulty_pair`] and [`faulty_link`] hand out plain [`Endpoint`]s
 //! joined by a relay that applies a seeded [`FaultSchedule`] to each
 //! direction's wire frames. The faults are the ones a stream can have:
-//! a frame arrives late, the stream stops delivering while the
-//! connection stays open, or the connection dies. TCP never hands the
+//! a frame arrives late or in pieces, the stream stops delivering while
+//! the connection stays open, or the connection dies. TCP never hands the
 //! application a duplicated, reordered or corrupted frame, so none is
 //! simulated; hostile bytes are the subject of the codec fuzz and
 //! adversarial suites. Neither endpoint knows about the faults: the
@@ -17,14 +17,20 @@
 //! frame; a coalesced batch is one), so a failing chaos seed reproduces
 //! exactly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::channel::{duplex, Endpoint, Frame};
-use crate::tcp::{framed, FrameReader, FrameWriter, Stream};
+use crate::error::TransportError;
+use crate::tcp::{halves, FrameReader, FrameWriter, Stream};
 
 /// How long a [`FaultKind::Delay`] fault holds the frame back.
 const DELAY_FAULT: Duration = Duration::from_millis(2);
+
+/// How long a [`FaultKind::Split`] frame's second half trails its first:
+/// longer than the 20 ms slices a budgeted blocking session waits in.
+const SPLIT_PAUSE: Duration = Duration::from_millis(30);
 
 /// splitmix64: the workspace's no-dependency seeded generator behind
 /// fault schedules.
@@ -42,6 +48,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub enum FaultKind {
     /// The frame arrives late (the link holds it for a fixed time).
     Delay,
+    /// The frame arrives in two pieces: its header and the first half
+    /// of its payload, then the rest 30 ms later.
+    Split,
     /// The stream stops: this frame and every later one in its
     /// direction are silently dropped, while sends keep succeeding and
     /// the connection stays open, so the peer's deadline fires — what a
@@ -50,9 +59,8 @@ pub enum FaultKind {
     Stall,
     /// The connection dies: this frame is dropped and the link closes,
     /// so both endpoints see the hang-up at once — every later receive
-    /// or send fails with
-    /// [`TransportError::Disconnected`](crate::TransportError::Disconnected)
-    /// once what was already delivered is read.
+    /// or send fails with [`TransportError::Disconnected`] once what was
+    /// already delivered is read.
     Cut,
 }
 
@@ -112,11 +120,13 @@ impl FaultSchedule {
     }
 
     /// Whether every scheduled fault loses no frame (only
-    /// [`FaultKind::Delay`]): such sessions must complete successfully,
-    /// which the chaos harness asserts as the strong branch of the
-    /// trichotomy.
+    /// [`FaultKind::Delay`] and [`FaultKind::Split`]): such sessions must
+    /// complete successfully, which the chaos harness asserts as the
+    /// strong branch of the trichotomy.
     pub fn is_lossless(&self) -> bool {
-        self.faults.values().all(|k| *k == FaultKind::Delay)
+        self.faults
+            .values()
+            .all(|k| matches!(k, FaultKind::Delay | FaultKind::Split))
     }
 }
 
@@ -148,55 +158,60 @@ pub fn faulty_link(ep: Endpoint, schedule: FaultSchedule) -> Endpoint {
 /// peer sends it.
 fn link(far: Endpoint, out: FaultSchedule, back: FaultSchedule) -> Endpoint {
     let (near, relay) = Stream::pair().expect("cannot open a Unix socket pair");
-    let near = Endpoint::from_stream(near).expect("cannot clone a socket handle");
-    let (relay_reader, relay_writer) = framed(relay).expect("cannot clone a socket handle");
-    let (far_reader, far_pending, far_writer, _) = far.into_parts();
-    let spawn = |from, to, schedule, undelivered| {
+    let (relay_reader, relay_writer) = halves(relay, &Arc::default());
+    // Whatever `far` read and did not deliver goes to `near` first.
+    let (far_reader, far_writer) = far.into_halves();
+    let spawn = |from, to, schedule| {
         std::thread::Builder::new()
             .name("fault-link".into())
-            .spawn(move || pump(from, to, &schedule, undelivered))
+            .spawn(move || pump(from, to, &schedule))
             .expect("cannot start a fault-link relay thread");
     };
-    spawn(relay_reader, far_writer, out, VecDeque::new());
-    // Sub-frames `far` unpacked but never delivered go to `near` first.
-    spawn(far_reader, relay_writer, back, far_pending);
-    near
+    spawn(relay_reader, far_writer, out);
+    spawn(far_reader, relay_writer, back);
+    Endpoint::from_stream(near)
 }
 
-/// Forwards `undelivered`, then wire frames from `from`, to `to` under
-/// `schedule` until the schedule cuts the link or either end hangs up;
-/// then closes the whole link, so both endpoints see the hang-up at
-/// once.
-fn pump(
-    mut from: FrameReader,
-    mut to: FrameWriter,
-    schedule: &FaultSchedule,
-    undelivered: VecDeque<Frame>,
-) {
-    let mut open = undelivered.iter().all(|f| to.send(f).is_ok());
+/// Forwards wire frames from `from` to `to` under `schedule` until the
+/// schedule cuts the link or either end hangs up; then closes the whole
+/// link, so both endpoints see the hang-up at once.
+fn pump(mut from: FrameReader, mut to: FrameWriter, schedule: &FaultSchedule) {
     let (mut seq, mut stalled) = (0u64, false);
-    while open {
-        let Ok(frame) = from.recv(None) else {
-            break;
-        };
-        match schedule.get(seq) {
-            Some(FaultKind::Cut) => break,
-            Some(FaultKind::Stall) => stalled = true,
-            Some(FaultKind::Delay) => std::thread::sleep(DELAY_FAULT),
-            None => {}
-        }
+    while let Ok(frame) = from.recv_wire(None) {
+        let fault = schedule.get(seq);
         seq += 1;
-        open = stalled || to.send(&frame).is_ok();
+        stalled |= fault == Some(FaultKind::Stall);
+        let forwarded = match fault {
+            Some(FaultKind::Cut) => break,
+            _ if stalled => Ok(()),
+            Some(FaultKind::Delay) => {
+                std::thread::sleep(DELAY_FAULT);
+                to.send(&frame)
+            }
+            Some(FaultKind::Split) => send_split(&mut to, &frame),
+            _ => to.send(&frame),
+        };
+        if forwarded.is_err() {
+            break;
+        }
     }
     from.shutdown();
     to.shutdown();
+}
+
+/// Sends `frame` in two writes [`SPLIT_PAUSE`] apart: its header and the
+/// first half of its payload, then the rest.
+fn send_split(to: &mut FrameWriter, frame: &Frame) -> Result<(), TransportError> {
+    to.queue(frame)?;
+    to.write_queued(Frame::HEADER_LEN + frame.payload.len() / 2)?;
+    std::thread::sleep(SPLIT_PAUSE);
+    to.flush().map(|_| ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{busy_frame, busy_retry_after, KIND_BUSY};
-    use crate::error::TransportError;
 
     fn short_deadline(ep: &Endpoint) {
         ep.set_recv_timeout(Some(Duration::from_millis(50)));
@@ -297,6 +312,25 @@ mod tests {
         let reply = lane.recv().unwrap();
         assert_eq!(reply.kind, KIND_BUSY);
         assert_eq!(busy_retry_after(&reply.payload), Some(250));
+    }
+
+    #[test]
+    fn a_split_frame_arrives_whole_and_loses_nothing() {
+        let (a, b) = faulty_pair(
+            FaultSchedule::single(0, FaultKind::Split),
+            FaultSchedule::none(),
+        );
+        let big = Frame::encode(1, &vec![0x5au8; 1000]);
+        a.send(big.clone()).unwrap();
+        a.send(Frame::encode(2, &3u64)).unwrap();
+        // The first half is in, the rest 30 ms behind it.
+        b.set_recv_timeout(Some(Duration::from_millis(10)));
+        assert_eq!(b.recv().unwrap_err(), TransportError::Timeout);
+        b.set_recv_timeout(Some(Duration::from_secs(5)));
+        assert_eq!(b.recv().unwrap(), big);
+        assert_eq!(b.recv().unwrap().decode_as::<u64>(2).unwrap(), 3);
+        let split = FaultSchedule::single(0, FaultKind::Split).with(2, FaultKind::Delay);
+        assert!(split.is_lossless());
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! endpoint: a framed socket, TCP between machines ([`tcp_connect`]) or
 //! one half of a Unix socket pair between threads of one process
 //! ([`duplex`]), so the traffic counters report exactly what crosses the
-//! network and the [`AsyncDriver`] waits on file descriptors only. Any
+//! network and the [`AsyncDriver`] waits on file descriptors only. The
+//! socket is framed in one place for both ways of waiting: the reader
+//! and writer an [`Endpoint`] holds over a blocking socket are the ones
+//! the reactor drives over a nonblocking one, so a receive that times
+//! out mid-frame keeps its bytes whichever waits. Any
 //! session can be captured to a byte-serializable [`Transcript`] and
 //! re-driven deterministically with [`replay`]. Faults for chaos testing
 //! live in the link between two endpoints ([`faulty_pair`]), not in
@@ -71,7 +75,7 @@ pub use engine::{Engine, FrameIo, Outgoing, ProtocolEngine, RecvFut};
 pub use error::{ErrorLayer, ProtocolError, TransportError};
 pub use fault::{faulty_link, faulty_pair, FaultKind, FaultSchedule};
 pub use health::{probe_health, probe_health_cancellable, HealthStatus, KIND_HEALTH};
-pub use reactor::{Reactor, ReactorEvent, TimerWheel};
+pub use reactor::{Reactor, ReactorEvent};
 pub use session::DriveOptions;
 pub use tcp::{tcp_accept, tcp_connect};
 pub use wire::{decode_seq, encode_seq, Encodable};

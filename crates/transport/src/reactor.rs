@@ -1,4 +1,4 @@
-//! A hand-rolled edge-triggered epoll reactor and hashed timer wheel —
+//! A hand-rolled edge-triggered epoll reactor and its deadline set —
 //! the readiness substrate under [`AsyncDriver`](crate::AsyncDriver).
 //!
 //! The workspace is fully vendored and offline, so there is no tokio,
@@ -18,12 +18,13 @@
 //!   must drain reads to `WouldBlock` and flush writes to `WouldBlock`
 //!   on every event. Every connection is a socket, so file descriptors
 //!   are all it ever waits on.
-//! * [`TimerWheel`] — a 256-slot hashed wheel with millisecond-class
-//!   granularity carrying per-session budget deadlines (wall-clock,
-//!   per-receive, cancel-poll slices), at most one per token, replacing
-//!   the per-thread blocking deadlines of the synchronous driver.
+//! * [`Deadlines`] — an ordered set of `(deadline, slot)` carrying each
+//!   connection's one armed deadline (a session's wall-clock budget,
+//!   receive window or cancel-poll slice, or a pending connection's
+//!   idle deadline): the reactor's way of imposing what a blocking
+//!   receive gets from its socket's read timeout.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
@@ -372,223 +373,55 @@ impl Drop for Reactor {
     }
 }
 
-/// A hashed timer wheel: 256 slots of [`TimerWheel::GRANULARITY`]
-/// covering the revolution ahead of the cursor, and one overflow slot
-/// for deadlines farther out, carrying `(deadline, token, generation)`
-/// entries. [`advance`](TimerWheel::advance) drains the slots the clock
-/// has passed and reports which tokens are due.
-///
-/// A token has at most one entry: [`arm`](TimerWheel::arm) replaces the
-/// token's previous entry and [`cancel`](TimerWheel::cancel) removes it,
-/// both in O(1) through a per-token index, so the wheel never holds more
-/// entries than tokens however often they are re-armed. An entry leaves
-/// the wheel when it fires or is replaced. [`next_due`](TimerWheel::next_due)
-/// reads an occupancy bitmap and each slot's earliest deadline, never
-/// the entries themselves.
-#[derive(Debug)]
-pub struct TimerWheel {
-    /// The wheel's `SLOTS` slots, then the overflow slot.
-    slots: Vec<Vec<TimerEntry>>,
-    /// Per wheel slot, a lower bound on its entries' deadlines: exact
-    /// after an insert, and possibly early after a removal until
-    /// `advance_timed` re-reads the slot as the current one. `None`
-    /// while the slot is empty.
-    earliest: Vec<Option<Instant>>,
-    /// Bit `s` is set while wheel slot `s` holds an entry.
-    occupied: [u64; Self::SLOTS / 64],
-    /// Where each armed token's one entry sits: `(slot, position)`.
-    index: HashMap<u64, (usize, usize)>,
-    /// The slot index the wheel has advanced to.
-    cursor: usize,
-    /// The wall-clock time of the cursor's slot boundary.
-    cursor_time: Instant,
-}
+/// The reactor's deadlines: an ordered set of `(deadline, slot)`, at
+/// most one per connection slot. The connection remembers the one
+/// deadline it armed, so [`arm`](Deadlines::arm) replaces that entry and
+/// [`cancel`](Deadlines::cancel) removes it, and the set never holds
+/// more entries than connections however often they re-arm.
+/// [`next_due`](Deadlines::next_due) is the first entry, and
+/// [`pop_due`](Deadlines::pop_due) hands each due entry back with the
+/// deadline it was armed for.
+#[derive(Debug, Default)]
+pub(crate) struct Deadlines(BTreeSet<(Instant, u32)>);
 
-#[derive(Clone, Copy, Debug)]
-struct TimerEntry {
-    deadline: Instant,
-    token: u64,
-    generation: u64,
-}
+impl Deadlines {
+    /// Arms `slot` at `at`, replacing its deadline `armed` (if any),
+    /// which then records `at`.
+    pub(crate) fn arm(&mut self, slot: u32, armed: &mut Option<Instant>, at: Instant) {
+        self.cancel(slot, armed);
+        self.0.insert((at, slot));
+        *armed = Some(at);
+    }
 
-impl TimerWheel {
-    /// Slot width: deadlines are observed within one granule plus the
-    /// reactor's wait latency, comfortably inside the 20 ms budget
-    /// slices the blocking driver polls at.
-    pub const GRANULARITY: Duration = Duration::from_millis(4);
-
-    const SLOTS: usize = 256;
-
-    /// The slot for deadlines at least one revolution past the cursor:
-    /// re-sorted into the wheel each time the cursor wraps.
-    const OVERFLOW: usize = Self::SLOTS;
-
-    /// An empty wheel anchored at `now`.
-    pub fn new(now: Instant) -> Self {
-        Self {
-            slots: vec![Vec::new(); Self::SLOTS + 1],
-            earliest: vec![None; Self::SLOTS],
-            occupied: [0; Self::SLOTS / 64],
-            index: HashMap::new(),
-            cursor: 0,
-            cursor_time: now,
+    /// Removes `slot`'s deadline `armed`, if it has one.
+    pub(crate) fn cancel(&mut self, slot: u32, armed: &mut Option<Instant>) {
+        if let Some(at) = armed.take() {
+            self.0.remove(&(at, slot));
         }
-    }
-
-    /// Arms a timer for `token` (under `generation`) at `deadline`,
-    /// replacing the token's previous entry, if any: only the latest
-    /// arm of a token can fire. Deadlines already in the past land in
-    /// the current slot and fire on the next
-    /// [`advance`](TimerWheel::advance).
-    pub fn arm(&mut self, deadline: Instant, token: u64, generation: u64) {
-        self.cancel(token);
-        self.insert(TimerEntry {
-            deadline,
-            token,
-            generation,
-        });
-    }
-
-    /// Removes `token`'s entry, if it has one.
-    pub fn cancel(&mut self, token: u64) {
-        let Some((slot, pos)) = self.index.remove(&token) else {
-            return;
-        };
-        let entries = &mut self.slots[slot];
-        entries.swap_remove(pos);
-        if let Some(moved) = entries.get(pos) {
-            self.index.insert(moved.token, (slot, pos));
-        }
-        if entries.is_empty() && slot != Self::OVERFLOW {
-            self.earliest[slot] = None;
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-        }
-    }
-
-    /// Files `e` in the slot its deadline hashes to from the cursor.
-    fn insert(&mut self, e: TimerEntry) {
-        let offset = e.deadline.saturating_duration_since(self.cursor_time);
-        let granules = offset.as_nanos() / Self::GRANULARITY.as_nanos();
-        let slot = if granules < Self::SLOTS as u128 {
-            let slot = (self.cursor + granules as usize) % Self::SLOTS;
-            let earliest = &mut self.earliest[slot];
-            *earliest = Some(earliest.map_or(e.deadline, |d| d.min(e.deadline)));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            slot
-        } else {
-            Self::OVERFLOW
-        };
-        self.index.insert(e.token, (slot, self.slots[slot].len()));
-        self.slots[slot].push(e);
-    }
-
-    /// Whether no entry is armed.
-    pub fn is_idle(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The number of armed entries: at most one per token.
-    pub fn armed(&self) -> usize {
-        self.index.len()
     }
 
     /// How long the reactor may sleep from `now` without missing a
-    /// timer; `None` when the wheel is idle. This is the earliest
-    /// deadline in the wheel's first occupied slot, or the cursor's
-    /// next wrap if that comes first and the overflow slot holds an
-    /// entry (the wrap is when overflow entries move into the wheel).
-    /// It is never later than the earliest armed deadline. A slot whose
-    /// earliest entry was cancelled or re-armed keeps that deadline as
-    /// its bound until the cursor reaches it: the reactor then wakes
-    /// once early, and [`advance`](TimerWheel::advance) re-reads the
-    /// slot. It costs a scan of a 256-bit bitmap, whatever the number
-    /// of entries.
-    pub fn next_due(&self, now: Instant) -> Option<Duration> {
-        let mut due = self.first_occupied().and_then(|slot| self.earliest[slot]);
-        if !self.slots[Self::OVERFLOW].is_empty() {
-            let wrap = self.cursor_time + Self::GRANULARITY * (Self::SLOTS - self.cursor) as u32;
-            due = Some(due.map_or(wrap, |d| d.min(wrap)));
-        }
-        due.map(|d| d.saturating_duration_since(now))
+    /// deadline; `None` when none is armed.
+    pub(crate) fn next_due(&self, now: Instant) -> Option<Duration> {
+        self.0
+            .first()
+            .map(|(at, _)| at.saturating_duration_since(now))
     }
 
-    /// The first occupied wheel slot at or after the cursor, in wheel
-    /// order (which is deadline order).
-    fn first_occupied(&self) -> Option<usize> {
-        let words = self.occupied.len();
-        let (start, bit) = (self.cursor / 64, self.cursor % 64);
-        // The cursor's word from its bit on, the other words in order,
-        // then the cursor's word below its bit.
-        (0..=words).find_map(|i| {
-            let w = (start + i) % words;
-            let bits = match i {
-                0 => self.occupied[w] & (!0u64 << bit),
-                _ if i == words => self.occupied[w] & !(!0u64 << bit),
-                _ => self.occupied[w],
-            };
-            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
-        })
+    /// Removes the earliest deadline if it has passed at `now`, and
+    /// returns it with its slot. The slot's owner must forget it.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<(Instant, u32)> {
+        let (at, _) = self.0.first()?;
+        if *at > now {
+            return None;
+        }
+        self.0.pop_first()
     }
 
-    /// Advances the wheel to `now`, appending `(token, generation)` for
-    /// every entry whose deadline has passed. A fired entry leaves the
-    /// wheel.
-    pub fn advance(&mut self, now: Instant, due: &mut Vec<(u64, u64)>) {
-        let mut timed = Vec::new();
-        self.advance_timed(now, &mut timed);
-        due.extend(
-            timed
-                .into_iter()
-                .map(|(token, generation, _)| (token, generation)),
-        );
-    }
-
-    /// Like [`advance`](TimerWheel::advance), but each fired entry also
-    /// carries the deadline it was armed for, so the caller can measure
-    /// wheel drift (`now - deadline`) as a reactor health metric.
-    pub fn advance_timed(&mut self, now: Instant, due: &mut Vec<(u64, u64, Instant)>) {
-        loop {
-            let slot_end = self.cursor_time + Self::GRANULARITY;
-            if slot_end > now {
-                break;
-            }
-            // Every entry of a passed slot is due: it was filed by a
-            // deadline before the slot's end.
-            let slot = self.cursor;
-            if self.earliest[slot].take().is_some() {
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-                for e in self.slots[slot].drain(..) {
-                    self.index.remove(&e.token);
-                    due.push((e.token, e.generation, e.deadline));
-                }
-            }
-            self.cursor = (self.cursor + 1) % Self::SLOTS;
-            self.cursor_time = slot_end;
-            if self.cursor == 0 {
-                // A new revolution: overflow entries now less than one
-                // revolution out move into the wheel.
-                for e in std::mem::take(&mut self.slots[Self::OVERFLOW]) {
-                    self.index.remove(&e.token);
-                    self.insert(e);
-                }
-            }
-        }
-        // Also fire entries in the *current* slot whose deadline has
-        // passed — sub-granule deadlines must not wait a revolution —
-        // and re-read its earliest deadline.
-        let slot = self.cursor;
-        let mut earliest: Option<Instant> = None;
-        let mut i = 0;
-        while let Some(e) = self.slots[slot].get(i).copied() {
-            if e.deadline <= now {
-                self.cancel(e.token);
-                due.push((e.token, e.generation, e.deadline));
-            } else {
-                earliest = Some(earliest.map_or(e.deadline, |d| d.min(e.deadline)));
-                i += 1;
-            }
-        }
-        self.earliest[slot] = earliest;
+    /// The number of armed deadlines: at most one per slot.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -686,121 +519,91 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_fires_in_order_and_respects_generations() {
+    fn deadlines_fire_in_order_and_a_re_arm_replaces() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.arm(start + Duration::from_millis(8), 1, 0);
-        wheel.arm(start + Duration::from_millis(40), 2, 0);
-        // Token 1 re-armed under a newer generation: the re-arm replaces
-        // the gen-0 entry, so only the live generation fires.
-        wheel.arm(start + Duration::from_millis(8), 1, 1);
-        assert_eq!(wheel.armed(), 2);
+        let ms = Duration::from_millis;
+        let mut deadlines = Deadlines::default();
+        let (mut one, mut two, mut far) = (None, None, None);
+        deadlines.arm(1, &mut one, start + ms(30));
+        deadlines.arm(2, &mut two, start + ms(40));
+        deadlines.arm(3, &mut far, start + ms(1500));
+        // Slot 1 re-armed earlier: the re-arm replaces its entry.
+        deadlines.arm(1, &mut one, start + ms(8));
+        assert_eq!(deadlines.len(), 3);
 
-        let mut due = Vec::new();
-        wheel.advance(start + Duration::from_millis(20), &mut due);
-        assert_eq!(due, vec![(1, 1)]);
-
-        due.clear();
-        wheel.advance(start + Duration::from_millis(60), &mut due);
-        assert_eq!(due, vec![(2, 0)]);
-        assert!(wheel.is_idle());
+        let due = |deadlines: &mut Deadlines, at| {
+            std::iter::from_fn(|| deadlines.pop_due(start + at))
+                .map(|(_, slot)| slot)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(due(&mut deadlines, ms(20)), [1]);
+        assert_eq!(due(&mut deadlines, ms(1100)), [2]);
+        assert_eq!(due(&mut deadlines, ms(1600)), [3]);
+        assert_eq!(deadlines.len(), 0);
     }
 
     #[test]
     fn re_arming_keeps_one_entry_per_token_and_next_due_exact() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
+        let mut deadlines = Deadlines::default();
         let ms = Duration::from_millis;
-        // 10⁵ arms over three tokens with rising generations, deadlines
-        // spread over the revolution and past it into the overflow slot.
+        let mut armed = [None; 3];
+        // 10⁵ arms over three slots, deadlines spread over 1.5 s.
+        let at = |i: u64| start + ms(5 + (i * 7919) % 1500);
         for i in 0..100_000u64 {
-            let deadline = start + ms(5 + (i * 7919) % 1500);
-            wheel.arm(deadline, i % 3, i);
-            assert!(wheel.armed() <= 3);
+            deadlines.arm((i % 3) as u32, &mut armed[(i % 3) as usize], at(i));
+            assert!(deadlines.len() <= 3);
         }
-        // The last arms left tokens 0, 1 and 2 at these deadlines.
-        let last = |i: u64| start + ms(5 + (i * 7919) % 1500);
-        let live = [99_999u64, 99_997, 99_998].map(last);
-        let earliest = live.into_iter().min().expect("three tokens");
-        assert!(earliest < start + ms(1024), "in the wheel: {earliest:?}");
-        assert_eq!(wheel.next_due(start), Some(earliest - start));
-        // Cancelling the earliest token moves `next_due` no earlier, and
-        // one advance to that point fires nothing and re-reads the slot.
-        let token = live.iter().position(|d| *d == earliest).expect("present") as u64;
-        wheel.cancel(token);
-        assert_eq!(wheel.armed(), 2);
-        let mut due = Vec::new();
-        wheel.advance(earliest, &mut due);
-        assert!(due.is_empty(), "{due:?}");
+        // The last arms left slots 0, 1 and 2 at these deadlines.
+        let live = [99_999u64, 99_997, 99_998].map(at);
+        let earliest = live.into_iter().min().expect("three slots");
+        assert_eq!(deadlines.next_due(start), Some(earliest - start));
+        // Cancelling the earliest slot moves `next_due` to the next one,
+        // and nothing fires at its old deadline.
+        let slot = live.iter().position(|d| *d == earliest).expect("present");
+        deadlines.cancel(slot as u32, &mut armed[slot]);
+        assert_eq!(deadlines.len(), 2);
+        assert_eq!(deadlines.pop_due(earliest), None);
         let next = live
             .into_iter()
             .filter(|d| *d != earliest)
             .min()
             .expect("two left");
-        let bound = wheel.next_due(earliest).expect("armed");
-        assert!(
-            bound > Duration::ZERO && earliest + bound <= next,
-            "{bound:?}"
-        );
-        // Everything fires once, under its latest generation only.
-        wheel.advance(start + ms(3000), &mut due);
-        due.sort_unstable();
-        let mut want: Vec<(u64, u64)> = [(0, 99_999), (1, 99_997), (2, 99_998)]
-            .into_iter()
-            .filter(|&(t, _)| t != token)
+        assert_eq!(deadlines.next_due(earliest), Some(next - earliest));
+        // Everything else fires once.
+        let mut fired: Vec<u32> = std::iter::from_fn(|| deadlines.pop_due(start + ms(3000)))
+            .map(|(_, slot)| slot)
             .collect();
-        want.sort_unstable();
-        assert_eq!(due, want);
-        assert!(wheel.is_idle());
-        assert_eq!(wheel.next_due(start), None);
-    }
-
-    #[test]
-    fn timer_wheel_handles_far_deadlines_beyond_one_revolution() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        // > 256 slots * 4 ms = 1.024 s away: wraps the wheel.
-        let far = start + Duration::from_millis(1500);
-        wheel.arm(far, 5, 0);
-        let mut due = Vec::new();
-        wheel.advance(start + Duration::from_millis(1100), &mut due);
-        assert!(due.is_empty(), "not due yet: {due:?}");
-        assert!(!wheel.is_idle(), "re-armed for the next revolution");
-        wheel.advance(start + Duration::from_millis(1600), &mut due);
-        assert_eq!(due, vec![(5, 0)]);
-    }
-
-    #[test]
-    fn timer_wheel_next_due_bounds_the_sleep() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        assert_eq!(wheel.next_due(start), None);
-        wheel.arm(start + Duration::from_millis(12), 1, 0);
-        let due = wheel.next_due(start).expect("armed");
-        assert!(due <= Duration::from_millis(12), "{due:?}");
+        fired.sort_unstable();
+        let want: Vec<u32> = (0..3).filter(|&s| s != slot as u32).collect();
+        assert_eq!(fired, want);
+        assert_eq!(deadlines.next_due(start), None);
     }
 
     #[test]
     fn past_deadlines_fire_immediately() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.arm(start, 4, 2);
-        let mut due = Vec::new();
-        wheel.advance(start + Duration::from_millis(1), &mut due);
-        assert_eq!(due, vec![(4, 2)]);
+        let mut deadlines = Deadlines::default();
+        deadlines.arm(4, &mut None, start);
+        assert_eq!(
+            deadlines.next_due(start + Duration::from_millis(1)),
+            Some(Duration::ZERO)
+        );
+        assert_eq!(deadlines.pop_due(start), Some((start, 4)));
     }
 
     #[test]
-    fn advance_timed_carries_the_armed_deadline() {
+    fn a_fired_deadline_carries_its_due_time() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
+        let mut deadlines = Deadlines::default();
         let deadline = start + Duration::from_millis(8);
-        wheel.arm(deadline, 6, 1);
-        let mut due = Vec::new();
+        deadlines.arm(6, &mut None, deadline);
         let now = start + Duration::from_millis(20);
-        wheel.advance_timed(now, &mut due);
-        assert_eq!(due, vec![(6, 1, deadline)]);
-        let drift = now.saturating_duration_since(due[0].2);
-        assert_eq!(drift, Duration::from_millis(12));
+        let (due, slot) = deadlines.pop_due(now).expect("due");
+        assert_eq!((due, slot), (deadline, 6));
+        assert_eq!(
+            now.saturating_duration_since(due),
+            Duration::from_millis(12)
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! attention. [`Driver`](crate::Driver) is the `SessionIo`
 //! that waits inside `try_recv` and steps again;
 //! [`AsyncDriver`](crate::AsyncDriver) is the one that never waits and
-//! arms its timer wheel instead.
+//! arms the connection's one deadline instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,23 +1,30 @@
 //! The one kind of connection under every [`Endpoint`](crate::Endpoint)
 //! and reactor connection: a framed byte stream over a TCP socket, or
 //! over one half of a Unix socket pair ([`duplex`](crate::duplex)) when
-//! both parties live in one process. The framing code does not know
-//! which.
+//! both parties live in one process. The framing code knows neither
+//! which socket it has nor how its owner waits: one [`FrameReader`] and
+//! one [`FrameWriter`] serve the blocking endpoint, whose socket blocks
+//! until a frame parses or the receive window closes, and the reactor's
+//! [`NbConn`], whose socket is nonblocking and read until `WouldBlock`.
+//! A read that stops early, either way, leaves the partial frame in the
+//! reader's buffer for the next one.
 //!
 //! Wire framing: `kind: u16 LE | payload_len: u32 LE | payload`, matching
 //! the byte accounting of [`Frame::wire_len`](crate::Frame::wire_len).
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::channel::{coalesce_frames, Frame, SharedStats, TrafficStats, KIND_COALESCED};
+use crate::channel::{
+    coalesce_frames, uncoalesce, Frame, SharedStats, TrafficStats, KIND_COALESCED,
+};
 use crate::engine::Outgoing;
 use crate::error::TransportError;
 use crate::session::SessionIo;
@@ -53,11 +60,20 @@ fn encode_header(frame: &Frame) -> Result<[u8; Frame::HEADER_LEN], TransportErro
     Ok(header)
 }
 
-/// The refusal of a peer's announced length over [`MAX_PAYLOAD`].
-fn oversized(len: u32) -> TransportError {
-    TransportError::Decode(format!(
-        "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
-    ))
+/// The wire length of the frame at the start of `buf` once all of it is
+/// there, refusing an announced payload over [`MAX_PAYLOAD`].
+fn complete_frame(buf: &[u8]) -> Result<Option<usize>, TransportError> {
+    let Some(header) = buf.first_chunk() else {
+        return Ok(None);
+    };
+    let (_, len) = decode_header(header);
+    if len > MAX_PAYLOAD {
+        return Err(TransportError::Decode(format!(
+            "peer announced a {len}-byte frame, cap is {MAX_PAYLOAD}"
+        )));
+    }
+    let total = Frame::HEADER_LEN + len as usize;
+    Ok((buf.len() >= total).then_some(total))
 }
 
 /// The socket under a connection.
@@ -69,8 +85,8 @@ pub(crate) enum Stream {
     Unix(UnixStream),
 }
 
-/// `$body`, with `$s` bound to the socket `$stream` holds, whichever
-/// kind it is.
+/// `$body`, with `$s` bound to a reference to the socket `$stream`
+/// holds, whichever kind it is.
 macro_rules! on_socket {
     ($stream:expr, $s:ident => $body:expr) => {
         match $stream {
@@ -94,13 +110,6 @@ impl Stream {
         Ok((Self::Unix(a), Self::Unix(b)))
     }
 
-    fn try_clone(&self) -> std::io::Result<Self> {
-        Ok(match self {
-            Self::Tcp(s) => Self::Tcp(s.try_clone()?),
-            Self::Unix(s) => Self::Unix(s.try_clone()?),
-        })
-    }
-
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         on_socket!(self, s => s.set_read_timeout(timeout))
     }
@@ -111,8 +120,26 @@ impl Stream {
 
     /// Closes both directions for every handle on the socket: a
     /// blocked read returns end-of-stream and the peer sees a hang-up.
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+    }
+
+    /// One read into `buf`.
+    fn read(&self, buf: &mut [u8]) -> std::io::Result<usize> {
+        on_socket!(self, s => (&mut &*s).read(buf))
+    }
+
+    /// Appends up to `limit` bytes to `buf`, reading straight into its
+    /// spare capacity (neither zero-filled first nor copied after),
+    /// until `limit`, the end of the stream or an error. Bytes read
+    /// before an error stay in `buf`.
+    fn read_to(&self, buf: &mut Vec<u8>, limit: usize) -> std::io::Result<usize> {
+        on_socket!(self, s => Read::take(s, limit as u64).read_to_end(buf))
+    }
+
+    /// One write of `bufs`, in order.
+    fn write_vectored(&self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        on_socket!(self, s => (&mut &*s).write_vectored(bufs))
     }
 }
 
@@ -122,37 +149,52 @@ impl AsRawFd for Stream {
     }
 }
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        on_socket!(self, s => s.read(buf))
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        on_socket!(self, s => s.write(buf))
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        on_socket!(self, s => s.flush())
-    }
-}
-
-/// Splits `stream` into its blocking framed halves.
-pub(crate) fn framed(stream: Stream) -> Result<(FrameReader, FrameWriter), TransportError> {
-    let writer = FrameWriter(BufWriter::new(stream.try_clone().map_err(io_err)?));
+/// The read and write halves of `stream`, sharing its one handle and
+/// counting traffic into `stats`.
+pub(crate) fn halves(stream: Stream, stats: &Arc<SharedStats>) -> (FrameReader, FrameWriter) {
+    let sock = Arc::new(stream);
     let reader = FrameReader {
-        reader: BufReader::new(stream),
+        sock: sock.clone(),
+        buf: Vec::new(),
+        wire: VecDeque::new(),
+        batch: VecDeque::new(),
+        eof: false,
+        failed: None,
+        stats: stats.clone(),
         applied_read_timeout: None,
     };
-    Ok((reader, writer))
+    let writer = FrameWriter {
+        sock,
+        queue: VecDeque::new(),
+        sent: 0,
+        failed: None,
+        stats: stats.clone(),
+        stall_since: None,
+        completed_stall_ns: None,
+    };
+    (reader, writer)
 }
 
-/// The blocking read half of a framed stream: one wire frame per call,
-/// coalesced batches still packed.
+/// The read half of a framed socket, however its owner waits: it parses
+/// wire frames out of what the socket delivered, refuses an announced
+/// length over [`MAX_PAYLOAD`], counts received traffic and splits
+/// coalesced batches into their sub-frames.
 #[derive(Debug)]
 pub(crate) struct FrameReader {
-    reader: BufReader<Stream>,
+    sock: Arc<Stream>,
+    /// Bytes read and not yet parsed. It starts at a frame boundary and
+    /// holds no complete frame.
+    buf: Vec<u8>,
+    /// Parsed wire frames not yet delivered, batches still packed.
+    wire: VecDeque<Frame>,
+    /// The undelivered sub-frames of the batch delivered last.
+    batch: VecDeque<Frame>,
+    /// The peer closed its end of the stream.
+    eof: bool,
+    /// A fatal framing or socket failure, reported once every frame
+    /// parsed before it was delivered.
+    failed: Option<TransportError>,
+    stats: Arc<SharedStats>,
     /// The read timeout last applied to the socket, so a receive only
     /// pays a syscall when the deadline actually changed. `None` =
     /// never applied.
@@ -160,22 +202,157 @@ pub(crate) struct FrameReader {
 }
 
 impl FrameReader {
-    /// Reads the next wire frame, waiting up to `timeout` (`None`:
-    /// forever) for it to start.
+    /// The read chunk of a blocking receive: a frame that still misses
+    /// at least this much is read straight into the buffer.
+    const CHUNK: usize = 8 * 1024;
+
+    /// Receives the next frame on a blocking socket, each read waiting
+    /// up to `timeout` (`None`: forever). A read that times out returns
+    /// [`TransportError::Timeout`] and keeps what it already read.
     pub(crate) fn recv(&mut self, timeout: Option<Duration>) -> Result<Frame, TransportError> {
-        self.set_read_timeout(timeout)?;
-        let mut header = [0u8; Frame::HEADER_LEN];
-        self.reader.read_exact(&mut header).map_err(io_err)?;
-        let (kind, len) = decode_header(&header);
-        if len > MAX_PAYLOAD {
-            return Err(oversized(len));
+        if let Some(f) = self.batch.pop_front() {
+            return Ok(f);
         }
-        let mut payload = vec![0u8; len as usize];
-        self.reader.read_exact(&mut payload).map_err(io_err)?;
-        Ok(Frame {
-            kind,
-            payload: Bytes::from(payload),
-        })
+        let frame = self.recv_wire(timeout)?;
+        self.split(frame)
+    }
+
+    /// Like [`recv`](Self::recv), but a coalesced batch comes back
+    /// packed, as it crossed the wire (sub-frames of a batch already
+    /// split come first, one by one).
+    pub(crate) fn recv_wire(&mut self, timeout: Option<Duration>) -> Result<Frame, TransportError> {
+        self.set_read_timeout(timeout)?;
+        loop {
+            if let Some(f) = self.batch.pop_front().or_else(|| self.wire.pop_front()) {
+                return Ok(f);
+            }
+            self.ended()?;
+            let mut chunk = [0u8; Self::CHUNK];
+            match self.read(&mut chunk) {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => match io_err(e) {
+                    TransportError::Timeout => return Err(TransportError::Timeout),
+                    fatal => self.failed = Some(fatal),
+                },
+            }
+        }
+    }
+
+    /// Reads everything a nonblocking socket has, to `WouldBlock`, as
+    /// edge-triggered registration requires, through `chunk`, the
+    /// reactor's one reusable read buffer. `WouldBlock` here is "not
+    /// ready": a [`TransportError::Timeout`] is the reactor's to impose.
+    pub(crate) fn fill(&mut self, chunk: &mut [u8]) -> Result<(), TransportError> {
+        while !self.eof && self.failed.is_none() {
+            match self.read(chunk) {
+                Ok(()) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => self.failed = Some(io_err(e)),
+            }
+        }
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// The next frame already read, without reading: `Ok(None)` when
+    /// there is none yet, `Err` once every frame before the end of the
+    /// stream or a failure was delivered.
+    pub(crate) fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
+        if let Some(f) = self.batch.pop_front() {
+            return Ok(Some(f));
+        }
+        match self.wire.pop_front() {
+            Some(frame) => self.split(frame).map(Some),
+            None => self.ended().map(|()| None),
+        }
+    }
+
+    /// Whether [`try_recv`](Self::try_recv) has something to report: a
+    /// frame, the end of the stream, or a failure.
+    pub(crate) fn recv_ready(&self) -> bool {
+        !self.batch.is_empty() || !self.wire.is_empty() || self.eof || self.failed.is_some()
+    }
+
+    /// The failure, or the end of the stream (a partial trailing frame
+    /// is a truncated stream), once nothing before it is left.
+    fn ended(&self) -> Result<(), TransportError> {
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None if self.eof => Err(TransportError::Disconnected),
+            None => Ok(()),
+        }
+    }
+
+    /// `frame`, or a batch's first sub-frame, its rest kept for the next
+    /// receives. A malformed batch fails the stream.
+    fn split(&mut self, frame: Frame) -> Result<Frame, TransportError> {
+        if frame.kind != KIND_COALESCED {
+            return Ok(frame);
+        }
+        let (first, rest) = uncoalesce(&frame.payload).inspect_err(|e| {
+            self.wire.clear();
+            self.failed = Some(e.clone());
+        })?;
+        self.batch = rest;
+        Ok(first)
+    }
+
+    /// One read from the socket into `buf`, then parses what completed.
+    /// A frame that still misses at least `chunk.len()` bytes is read
+    /// straight into `buf`; anything shorter goes through `chunk`, so
+    /// one read can take in several small frames.
+    fn read(&mut self, chunk: &mut [u8]) -> std::io::Result<()> {
+        let missing = self.buf.first_chunk().map(|header| {
+            let (_, len) = decode_header(header);
+            (Frame::HEADER_LEN + len as usize).saturating_sub(self.buf.len())
+        });
+        match missing {
+            Some(missing) if missing >= chunk.len() => {
+                self.buf.reserve_exact(missing);
+                self.eof = self.sock.read_to(&mut self.buf, missing)? < missing;
+            }
+            _ => {
+                let n = self.sock.read(chunk)?;
+                self.buf.extend_from_slice(&chunk[..n]);
+                self.eof = n == 0;
+            }
+        }
+        self.parse();
+        Ok(())
+    }
+
+    /// Moves every complete frame out of `buf` into `wire`, counting it
+    /// as received. The frames' payloads are windows on the buffer they
+    /// were read into; only a partial frame behind them is copied.
+    fn parse(&mut self) {
+        let mut end = 0;
+        loop {
+            match complete_frame(&self.buf[end..]) {
+                Ok(Some(total)) => end += total,
+                Ok(None) => break,
+                Err(e) => {
+                    self.failed = Some(e);
+                    break;
+                }
+            }
+        }
+        if end == 0 {
+            return;
+        }
+        let rest = self.buf[end..].to_vec();
+        let data = Bytes::from(std::mem::replace(&mut self.buf, rest));
+        let mut pos = 0;
+        while let Some(header) = data[pos..end].first_chunk() {
+            let (kind, len) = decode_header(header);
+            let total = Frame::HEADER_LEN + len as usize;
+            self.stats.record_received(kind, total as u64);
+            self.wire.push_back(Frame {
+                kind,
+                payload: data.slice(pos + Frame::HEADER_LEN..pos + total),
+            });
+            pos += total;
+        }
     }
 
     /// Applies the receive deadline to the socket.
@@ -191,45 +368,139 @@ impl FrameReader {
         if self.applied_read_timeout == Some(effective) {
             return Ok(());
         }
-        self.reader
-            .get_ref()
-            .set_read_timeout(effective)
-            .map_err(io_err)?;
+        self.sock.set_read_timeout(effective).map_err(io_err)?;
         self.applied_read_timeout = Some(effective);
         Ok(())
     }
 
     /// Closes the socket both ways (see [`Stream::shutdown`]).
     pub(crate) fn shutdown(&self) {
-        self.reader.get_ref().shutdown();
-    }
-
-    /// The socket, with the bytes already read from it but not yet
-    /// parsed.
-    pub(crate) fn into_parts(self) -> (Stream, Vec<u8>) {
-        let read_ahead = self.reader.buffer().to_vec();
-        (self.reader.into_inner(), read_ahead)
+        self.sock.shutdown();
     }
 }
 
-/// The blocking write half of a framed stream.
+/// The write half of a framed socket, however its owner waits: it
+/// queues each frame's header and payload (the payload shared, not
+/// copied), writes both with one vectored write, counts sent traffic as
+/// it queues, and times how long the kernel pushed back. On a blocking
+/// socket a [`flush`](Self::flush) returns once the queue drained.
 #[derive(Debug)]
-pub(crate) struct FrameWriter(BufWriter<Stream>);
+pub(crate) struct FrameWriter {
+    sock: Arc<Stream>,
+    /// Frames the kernel has not taken in full, as header and payload.
+    queue: VecDeque<([u8; Frame::HEADER_LEN], Bytes)>,
+    /// Bytes of the front frame already written.
+    sent: usize,
+    /// A fatal socket failure; sticky, reported from every later flush.
+    failed: Option<TransportError>,
+    stats: Arc<SharedStats>,
+    /// When the current `EPOLLOUT` stall began: set on the first
+    /// backpressured flush, cleared when the queue fully drains.
+    stall_since: Option<Instant>,
+    /// Duration of the most recently *completed* stall, waiting for
+    /// [`take_stall_ns`](Self::take_stall_ns) to collect it.
+    completed_stall_ns: Option<u64>,
+}
 
 impl FrameWriter {
-    /// Writes one wire frame and flushes it.
+    /// Sends `frame` over a blocking socket: queues it and writes until
+    /// the kernel took all of it.
     pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        self.queue(frame)?;
+        self.flush().map(|_| ())
+    }
+
+    /// Queues `frame` and counts it as sent. Call
+    /// [`flush`](Self::flush) to move bytes toward the kernel.
+    pub(crate) fn queue(&mut self, frame: &Frame) -> Result<(), TransportError> {
         let header = encode_header(frame)?;
-        self.0
-            .write_all(&header)
-            .and_then(|()| self.0.write_all(&frame.payload))
-            .and_then(|()| self.0.flush())
-            .map_err(io_err)
+        self.queue.push_back((header, frame.payload.clone()));
+        self.stats.record_sent(frame.kind, frame.wire_len() as u64);
+        Ok(())
+    }
+
+    /// Writes queued bytes until the queue drains (`Ok(true)`) or the
+    /// kernel pushes back (`Ok(false)`: the next writable event must
+    /// resume the flush).
+    pub(crate) fn flush(&mut self) -> Result<bool, TransportError> {
+        self.write_queued(usize::MAX)
+    }
+
+    /// [`flush`](Self::flush), stopping after at most `limit` bytes
+    /// (then `Ok(false)` if any are left).
+    pub(crate) fn write_queued(&mut self, mut limit: usize) -> Result<bool, TransportError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        while let Some((header, payload)) = self.queue.front() {
+            if limit == 0 {
+                return Ok(false);
+            }
+            let total = Frame::HEADER_LEN + payload.len();
+            let head = &header[self.sent.min(Frame::HEADER_LEN)..];
+            let body = &payload[self.sent.saturating_sub(Frame::HEADER_LEN)..];
+            let head = &head[..head.len().min(limit)];
+            let body = &body[..body.len().min(limit - head.len())];
+            let written = self
+                .sock
+                .write_vectored(&[IoSlice::new(head), IoSlice::new(body)]);
+            match written {
+                Ok(0) => return Err(self.fail(TransportError::Disconnected)),
+                Ok(n) => {
+                    limit -= n;
+                    self.sent += n;
+                    if self.sent == total {
+                        self.queue.pop_front();
+                        self.sent = 0;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    // The kernel pushed back: an EPOLLOUT stall begins
+                    // (or continues) until the queue fully drains.
+                    self.stall_since.get_or_insert_with(Instant::now);
+                    return Ok(false);
+                }
+                Err(e) => return Err(self.fail(io_err(e))),
+            }
+        }
+        if let Some(since) = self.stall_since.take() {
+            self.completed_stall_ns = Some(since.elapsed().as_nanos() as u64);
+        }
+        Ok(true)
+    }
+
+    fn fail(&mut self, e: TransportError) -> TransportError {
+        self.failed = Some(e.clone());
+        e
+    }
+
+    /// Whether backpressured bytes are waiting for a writable event.
+    pub(crate) fn wants_write(&self) -> bool {
+        !self.queue.is_empty()
+    }
+
+    /// Bytes queued but not yet accepted by the kernel — the
+    /// write-buffer depth health metric.
+    pub(crate) fn pending_write_bytes(&self) -> usize {
+        let queued: usize = self
+            .queue
+            .iter()
+            .map(|(_, payload)| Frame::HEADER_LEN + payload.len())
+            .sum();
+        queued - self.sent
+    }
+
+    /// Collects the duration of the most recently completed `EPOLLOUT`
+    /// stall, once per stall (`None` when no stall finished since the
+    /// last call).
+    pub(crate) fn take_stall_ns(&mut self) -> Option<u64> {
+        self.completed_stall_ns.take()
     }
 
     /// Closes the socket both ways (see [`Stream::shutdown`]).
     pub(crate) fn shutdown(&self) {
-        self.0.get_ref().shutdown();
+        self.sock.shutdown();
     }
 }
 
@@ -245,259 +516,67 @@ impl FrameWriter {
 ///
 /// On a **nonblocking** socket the same `WouldBlock` code means merely
 /// "no data yet", which is not an error at all, let alone a timeout.
-/// [`NbConn`] therefore intercepts `WouldBlock` before classification
-/// (see [`nb_would_block`]) and surfaces `Timeout` only when the async
-/// driver's timer wheel says the per-receive deadline truly elapsed —
-/// keeping `TransportError::Timeout` identical in meaning across the
-/// blocking and async paths.
+/// [`FrameReader::fill`] and [`FrameWriter::flush`] therefore intercept
+/// `WouldBlock` before classification and surface `Timeout` only when
+/// the reactor says the per-receive deadline truly elapsed — keeping
+/// `TransportError::Timeout` identical in meaning across the blocking
+/// and async paths.
 fn io_err(e: std::io::Error) -> TransportError {
     match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => TransportError::Timeout,
-        std::io::ErrorKind::UnexpectedEof
-        | std::io::ErrorKind::ConnectionReset
-        | std::io::ErrorKind::BrokenPipe
-        | std::io::ErrorKind::ConnectionAborted => TransportError::Disconnected,
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportError::Timeout,
+        ErrorKind::UnexpectedEof
+        | ErrorKind::ConnectionReset
+        | ErrorKind::BrokenPipe
+        | ErrorKind::ConnectionAborted => TransportError::Disconnected,
         _ => TransportError::Io(e.to_string()),
     }
 }
 
-/// Whether `e` is the nonblocking "no data yet" condition that must
-/// **not** be classified as a timeout. `Interrupted` is grouped here
-/// because the right response is the same: try again later.
-fn nb_would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-    )
-}
-
-/// A **nonblocking** framed connection for the reactor: an incremental
-/// frame parser on the read side and a flush-on-ready backpressure
-/// queue on the write side, speaking the exact wire format of the
-/// blocking halves (coalesced batches under [`KIND_COALESCED`]).
-///
-/// All methods are try-style and never block: reads drain the socket to
-/// `WouldBlock` (as edge-triggered registration requires), writes queue
-/// and flush as far as the kernel accepts. Per the normalization
-/// documented on [`io_err`], `WouldBlock` here is "not ready" — a
-/// [`TransportError::Timeout`] can only be imposed from above by the
-/// async driver's timer wheel.
+/// A framed socket in nonblocking mode for the reactor: the two halves
+/// an [`Endpoint`](crate::Endpoint) holds behind its locks, owned by
+/// one connection. Nothing here blocks: [`FrameReader::fill`] reads to
+/// `WouldBlock` and [`FrameWriter::flush`] writes until the kernel
+/// pushes back.
 #[derive(Debug)]
 pub(crate) struct NbConn {
-    stream: Stream,
-    /// Raw inbound bytes not yet parsed into frames.
-    read_buf: Vec<u8>,
-    /// Parsed logical frames (coalesced batches already unpacked),
-    /// ready for delivery.
-    parsed: VecDeque<Frame>,
-    /// Encoded outbound bytes the kernel has not accepted yet;
-    /// `write_pos` marks the flushed prefix.
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// The peer half-closed the stream (read side saw EOF).
-    eof: bool,
-    /// A fatal framing/socket failure; sticky, reported from every
-    /// subsequent call.
-    failed: Option<TransportError>,
-    stats: Arc<SharedStats>,
-    /// When the current `EPOLLOUT` stall began: set on the first
-    /// backpressured flush, cleared when the queue fully drains.
-    stall_since: Option<std::time::Instant>,
-    /// Duration of the most recently *completed* stall, waiting for
-    /// [`take_stall_ns`](Self::take_stall_ns) to collect it.
-    completed_stall_ns: Option<u64>,
+    pub(crate) reader: FrameReader,
+    pub(crate) writer: FrameWriter,
 }
 
 impl NbConn {
     /// Chunk size for socket reads: the size of the read buffer
-    /// [`fill`](Self::fill) is handed.
+    /// [`FrameReader::fill`] is handed.
     pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
-    /// Takes over `stream` in nonblocking mode, together with what a
-    /// blocking reader already took from it: `read_ahead`, the raw bytes
-    /// past its last frame, and `parsed`, sub-frames of a batch it
-    /// unpacked but did not deliver. Traffic keeps counting into
-    /// `stats`.
-    pub(crate) fn new(
-        stream: Stream,
-        read_ahead: Vec<u8>,
-        parsed: VecDeque<Frame>,
-        stats: Arc<SharedStats>,
-    ) -> Result<Self, TransportError> {
-        stream.set_nonblocking().map_err(io_err)?;
-        let mut conn = Self {
-            stream,
-            read_buf: read_ahead,
-            parsed,
-            write_buf: Vec::new(),
-            write_pos: 0,
-            eof: false,
-            failed: None,
-            stats,
-            stall_since: None,
-            completed_stall_ns: None,
-        };
-        // A failure stays sticky and surfaces through `try_recv`.
-        let _ = conn.parse_frames();
-        Ok(conn)
+    /// Takes over a framed socket in nonblocking mode, with whatever
+    /// its reader already holds.
+    pub(crate) fn new(reader: FrameReader, writer: FrameWriter) -> Result<Self, TransportError> {
+        reader.sock.set_nonblocking().map_err(io_err)?;
+        Ok(Self { reader, writer })
     }
 
     pub(crate) fn fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
+        self.reader.sock.as_raw_fd()
     }
 
-    /// Reads everything the socket has (to `WouldBlock`) through
-    /// `chunk`, the caller's reusable read buffer, and parses complete
-    /// frames. Call on every readable event — edge-triggered
-    /// registration delivers no second chance.
-    pub(crate) fn fill(&mut self, chunk: &mut [u8]) -> Result<(), TransportError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        loop {
-            match self.stream.read(chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
-                Err(e) if nb_would_block(&e) => break,
-                Err(e) => {
-                    // A reset/abort on the read side is a disconnect,
-                    // never a timeout: classify with the blocking rules
-                    // minus the WouldBlock arm filtered above.
-                    let err = io_err(e);
-                    self.failed = Some(err.clone());
-                    return Err(err);
-                }
-            }
-        }
-        self.parse_frames()
-    }
-
-    /// Parses as many complete frames as the buffer holds.
-    fn parse_frames(&mut self) -> Result<(), TransportError> {
-        let mut pos = 0usize;
-        while let Some(header) = self.read_buf[pos..].first_chunk() {
-            let (kind, len) = decode_header(header);
-            if len > MAX_PAYLOAD {
-                let err = oversized(len);
-                self.failed = Some(err.clone());
-                return Err(err);
-            }
-            let total = Frame::HEADER_LEN + len as usize;
-            if self.read_buf.len() - pos < total {
-                break;
-            }
-            let payload =
-                Bytes::copy_from_slice(&self.read_buf[pos + Frame::HEADER_LEN..pos + total]);
-            pos += total;
-            let frame = Frame { kind, payload };
-            self.stats.record_received(kind, frame.wire_len() as u64);
-            if kind == KIND_COALESCED {
-                match crate::channel::uncoalesce(&frame.payload) {
-                    Ok((first, rest)) => {
-                        self.parsed.push_back(first);
-                        self.parsed.extend(rest);
-                    }
-                    Err(e) => {
-                        self.failed = Some(e.clone());
-                        return Err(e);
-                    }
-                }
-            } else {
-                self.parsed.push_back(frame);
-            }
-        }
-        if pos == self.read_buf.len() {
-            self.read_buf.clear();
-        } else if pos > 0 {
-            self.read_buf.drain(..pos);
-        }
-        Ok(())
-    }
-
-    /// Encodes `frame` onto the write queue and counts it as sent
-    /// (matching the blocking endpoint, which counts at `send` time).
-    /// Call [`flush`](Self::flush) to move bytes toward the kernel.
-    pub(crate) fn queue(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let header = encode_header(frame)?;
-        self.write_buf.extend_from_slice(&header);
-        self.write_buf.extend_from_slice(&frame.payload);
-        self.stats.record_sent(frame.kind, frame.wire_len() as u64);
-        Ok(())
-    }
-
-    /// Writes queued bytes until the kernel pushes back. `Ok(true)`
-    /// when the queue fully drained, `Ok(false)` when backpressure
-    /// remains and the next writable event must resume the flush.
+    /// [`FrameWriter::flush`], unless the stream already failed to
+    /// read: a peer that sent garbage gets nothing more.
     pub(crate) fn flush(&mut self) -> Result<bool, TransportError> {
-        if let Some(e) = &self.failed {
+        if let Some(e) = &self.reader.failed {
             return Err(e.clone());
         }
-        while self.write_pos < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => {
-                    let err = TransportError::Disconnected;
-                    self.failed = Some(err.clone());
-                    return Err(err);
-                }
-                Ok(n) => self.write_pos += n,
-                Err(e) if nb_would_block(&e) => {
-                    // The kernel pushed back: an EPOLLOUT stall begins
-                    // (or continues) until the queue fully drains.
-                    self.stall_since.get_or_insert_with(std::time::Instant::now);
-                    return Ok(false);
-                }
-                Err(e) => {
-                    let err = io_err(e);
-                    self.failed = Some(err.clone());
-                    return Err(err);
-                }
-            }
-        }
-        self.write_buf.clear();
-        self.write_pos = 0;
-        if let Some(since) = self.stall_since.take() {
-            self.completed_stall_ns = Some(since.elapsed().as_nanos() as u64);
-        }
-        Ok(true)
-    }
-
-    /// Whether backpressured bytes are waiting for a writable event.
-    pub(crate) fn wants_write(&self) -> bool {
-        self.write_pos < self.write_buf.len()
-    }
-
-    /// Bytes queued but not yet accepted by the kernel — the
-    /// write-buffer depth health metric.
-    pub(crate) fn pending_write_bytes(&self) -> usize {
-        self.write_buf.len() - self.write_pos
-    }
-
-    /// Collects the duration of the most recently completed `EPOLLOUT`
-    /// stall, once per stall (`None` when no stall finished since the
-    /// last call).
-    pub(crate) fn take_stall_ns(&mut self) -> Option<u64> {
-        self.completed_stall_ns.take()
-    }
-
-    /// Whether [`try_recv`](SessionIo::try_recv) has something to report
-    /// without a new readiness event: a parsed frame, the end of the
-    /// stream, or a failure.
-    pub(crate) fn recv_ready(&self) -> bool {
-        !self.parsed.is_empty() || self.eof || self.failed.is_some()
+        self.writer.flush()
     }
 }
 
 /// The reactor's way of waiting: it doesn't. `try_recv` pops what
-/// [`NbConn::fill`] already parsed, and deadlines are the timer wheel's
-/// job (see the normalization notes on [`io_err`]).
+/// [`FrameReader::fill`] already parsed, and deadlines are the
+/// reactor's job (see the normalization notes on [`io_err`]).
 impl SessionIo for NbConn {
     fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
         match out {
-            Outgoing::Frame(f) => self.queue(f)?,
-            Outgoing::Batch(fs) => self.queue(&coalesce_frames(fs)?)?,
+            Outgoing::Frame(f) => self.writer.queue(f)?,
+            Outgoing::Batch(fs) => self.writer.queue(&coalesce_frames(fs)?)?,
         }
         // Opportunistic flush: backpressure is not an error, the
         // remainder rides the next writable event.
@@ -508,24 +587,12 @@ impl SessionIo for NbConn {
     /// sent one yet, `Err(Disconnected)` once the stream is drained
     /// *and* closed.
     fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
-        if let Some(f) = self.parsed.pop_front() {
-            return Ok(Some(f));
-        }
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if self.eof {
-            // A partial trailing frame is a truncated stream, exactly
-            // what the blocking path's read_exact reports.
-            return Err(TransportError::Disconnected);
-        }
-        Ok(None)
+        self.reader.try_recv()
     }
 
-    /// Sends count when queued, matching the blocking endpoint's
-    /// count-at-`send` accounting.
+    /// Sends count when queued, matching the blocking endpoint.
     fn stats(&self) -> TrafficStats {
-        self.stats.snapshot()
+        self.reader.stats.snapshot()
     }
 }
 
@@ -536,7 +603,7 @@ impl SessionIo for NbConn {
 /// [`TransportError::Io`] wrapping the underlying socket error.
 pub fn tcp_connect<A: ToSocketAddrs>(addr: A) -> Result<crate::Endpoint, TransportError> {
     let stream = TcpStream::connect(addr).map_err(io_err)?;
-    crate::Endpoint::from_stream(Stream::tcp(stream)?)
+    Ok(crate::Endpoint::from_stream(Stream::tcp(stream)?))
 }
 
 /// Accepts one inbound connection on `listener`.
@@ -546,12 +613,14 @@ pub fn tcp_connect<A: ToSocketAddrs>(addr: A) -> Result<crate::Endpoint, Transpo
 /// [`TransportError::Io`] wrapping the underlying socket error.
 pub fn tcp_accept(listener: &TcpListener) -> Result<crate::Endpoint, TransportError> {
     let (stream, _peer) = listener.accept().map_err(io_err)?;
-    crate::Endpoint::from_stream(Stream::tcp(stream)?)
+    Ok(crate::Endpoint::from_stream(Stream::tcp(stream)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Driver, SessionLimits};
+    use crate::engine::ProtocolEngine;
     use crate::Endpoint;
 
     fn tcp_pair() -> (Endpoint, Endpoint) {
@@ -645,12 +714,12 @@ mod tests {
     }
 
     fn nb(stream: TcpStream) -> NbConn {
-        let stream = Stream::tcp(stream).expect("nodelay");
-        NbConn::new(stream, Vec::new(), VecDeque::new(), Arc::default()).expect("nb conn")
+        let (reader, writer) = halves(Stream::tcp(stream).expect("nodelay"), &Arc::default());
+        NbConn::new(reader, writer).expect("nb conn")
     }
 
     fn endpoint(stream: TcpStream) -> Endpoint {
-        Endpoint::from_stream(Stream::tcp(stream).expect("nodelay")).expect("endpoint")
+        Endpoint::from_stream(Stream::tcp(stream).expect("nodelay"))
     }
 
     fn raw_pair() -> (TcpStream, TcpStream) {
@@ -665,11 +734,12 @@ mod tests {
     fn nb_conn_never_reports_timeout_for_would_block() {
         // Satellite semantics: on the nonblocking path, "no data yet"
         // is Ok(None), not TransportError::Timeout — a Timeout can only
-        // come from the async driver's timer wheel.
+        // come from the reactor's deadlines.
         let (server, _client) = raw_pair();
         let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
-        nb.fill(&mut buf)
+        nb.reader
+            .fill(&mut buf)
             .expect("fill on an empty socket is not an error");
         assert_eq!(nb.try_recv(None).expect("no frame is not an error"), None);
         assert!(nb.flush().expect("empty flush"), "nothing queued");
@@ -686,12 +756,11 @@ mod tests {
         wire.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
         wire.extend_from_slice(&frame.payload);
         // Feed the frame in two halves with a drain attempt in between.
-        use std::io::Write;
         client.write_all(&wire[..500]).expect("first half");
         client.flush().expect("flush");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while nb.read_buf.len() < 500 {
-            nb.fill(&mut buf).expect("fill");
+        while nb.reader.buf.len() < 500 {
+            nb.reader.fill(&mut buf).expect("fill");
             assert!(std::time::Instant::now() < deadline, "first half lost");
         }
         assert_eq!(
@@ -702,7 +771,7 @@ mod tests {
         client.write_all(&wire[500..]).expect("second half");
         client.flush().expect("flush");
         let got = loop {
-            nb.fill(&mut buf).expect("fill");
+            nb.reader.fill(&mut buf).expect("fill");
             if let Some(f) = nb.try_recv(None).expect("recv") {
                 break f;
             }
@@ -723,7 +792,7 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         while got.len() < 2 {
-            nb.fill(&mut buf).expect("fill");
+            nb.reader.fill(&mut buf).expect("fill");
             while let Some(f) = nb.try_recv(None).expect("recv") {
                 got.push(f);
             }
@@ -743,7 +812,7 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         // The queued frame is still delivered before the EOF surfaces.
         let got = loop {
-            nb.fill(&mut buf).expect("fill");
+            nb.reader.fill(&mut buf).expect("fill");
             if let Some(f) = nb.try_recv(None).expect("recv") {
                 break f;
             }
@@ -751,7 +820,9 @@ mod tests {
         };
         assert_eq!(got.decode_as::<u64>(1).expect("decode"), 9);
         loop {
-            nb.fill(&mut buf).expect("fill past EOF is not an error");
+            nb.reader
+                .fill(&mut buf)
+                .expect("fill past EOF is not an error");
             match nb.try_recv(None) {
                 Err(TransportError::Disconnected) => break,
                 Ok(None) => {}
@@ -766,7 +837,6 @@ mod tests {
         let (server, mut client) = raw_pair();
         let mut nb = nb(server);
         let mut buf = [0u8; NbConn::READ_CHUNK];
-        use std::io::Write;
         let mut header = Vec::new();
         header.extend_from_slice(&7u16.to_le_bytes());
         header.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
@@ -774,7 +844,7 @@ mod tests {
         client.flush().expect("flush");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            match nb.fill(&mut buf) {
+            match nb.reader.fill(&mut buf) {
                 Err(TransportError::Decode(msg)) => {
                     assert!(msg.contains("cap"), "names the cap: {msg}");
                     break;
@@ -795,8 +865,8 @@ mod tests {
         // Shrink buffers (best effort) and queue far more than the
         // kernel will take in one gulp so flush must backpressure.
         let big = Frame::encode(3, &vec![0x5au8; 4 << 20]);
-        nb.queue(&big).expect("queue");
-        assert!(nb.wants_write());
+        nb.writer.queue(&big).expect("queue");
+        assert!(nb.writer.wants_write());
         let receiver = endpoint(client);
         let reader = std::thread::spawn(move || {
             receiver.set_recv_timeout(Some(Duration::from_secs(10)));
@@ -806,9 +876,89 @@ mod tests {
         while !nb.flush().expect("flush") {
             assert!(std::time::Instant::now() < deadline, "flush never drained");
         }
-        assert!(!nb.wants_write());
+        assert!(!nb.writer.wants_write());
         let got = reader.join().expect("reader thread");
         assert_eq!(got, big);
         assert_eq!(nb.stats().bytes_sent, big.wire_len() as u64);
+    }
+
+    /// `frame` as it crosses the wire.
+    fn wire(frame: &Frame) -> Vec<u8> {
+        let mut out = frame.kind.to_le_bytes().to_vec();
+        out.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&frame.payload);
+        out
+    }
+
+    /// A frame with a 1 000-byte payload, and its wire bytes cut after
+    /// the header and half the payload.
+    fn halved_frame() -> (Frame, Vec<u8>, Vec<u8>) {
+        let frame = Frame {
+            kind: 5,
+            payload: Bytes::from(vec![7u8; 1000]),
+        };
+        let mut first = wire(&frame);
+        let second = first.split_off(Frame::HEADER_LEN + 500);
+        (frame, first, second)
+    }
+
+    /// The peer writes the header and half the payload, and only once
+    /// `ep`'s receive window expired the rest and a frame behind it: the
+    /// receive that timed out must keep the half it read.
+    fn a_window_that_expires_mid_frame(ep: Endpoint, mut peer: impl Write) {
+        let (frame, first, second) = halved_frame();
+        let next = Frame::encode(6, &42u64);
+        ep.set_recv_timeout(Some(Duration::from_millis(20)));
+        peer.write_all(&first).expect("first half");
+        assert_eq!(ep.recv(), Err(TransportError::Timeout));
+        peer.write_all(&second).expect("second half");
+        peer.write_all(&wire(&next)).expect("next frame");
+        assert_eq!(ep.recv(), Ok(frame));
+        assert_eq!(ep.recv(), Ok(next));
+    }
+
+    #[test]
+    fn a_receive_that_times_out_mid_frame_keeps_its_bytes_over_a_socket_pair() {
+        let (peer, ours) = UnixStream::pair().expect("socket pair");
+        a_window_that_expires_mid_frame(Endpoint::from_stream(Stream::Unix(ours)), peer);
+    }
+
+    #[test]
+    fn a_receive_that_times_out_mid_frame_keeps_its_bytes_over_tcp() {
+        let (ours, peer) = raw_pair();
+        a_window_that_expires_mid_frame(endpoint(ours), peer);
+    }
+
+    /// A budgeted session waits in 20 ms slices; the second half of its
+    /// frame arrives 60 ms after the first, and the frame must arrive
+    /// whole.
+    fn a_budgeted_session_reads_a_frame_sent_in_two(ep: Endpoint, mut peer: impl Write + Send) {
+        let (frame, first, second) = halved_frame();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                peer.write_all(&first).expect("first half");
+                std::thread::sleep(Duration::from_millis(60));
+                peer.write_all(&second).expect("second half");
+            });
+            let mut engine = ProtocolEngine::new(|io| async move { io.recv().await });
+            let limits = SessionLimits::unlimited().with_deadline(Duration::from_secs(5));
+            let got = Driver::new().with_limits(limits).drive(&ep, &mut engine);
+            assert_eq!(got, Ok(frame));
+        });
+    }
+
+    #[test]
+    fn a_budgeted_session_reads_a_split_frame_over_a_socket_pair() {
+        let (peer, ours) = UnixStream::pair().expect("socket pair");
+        a_budgeted_session_reads_a_frame_sent_in_two(
+            Endpoint::from_stream(Stream::Unix(ours)),
+            peer,
+        );
+    }
+
+    #[test]
+    fn a_budgeted_session_reads_a_split_frame_over_tcp() {
+        let (ours, peer) = raw_pair();
+        a_budgeted_session_reads_a_frame_sent_in_two(endpoint(ours), peer);
     }
 }

@@ -424,7 +424,7 @@ fn seeded_fault_schedules_replay_through_the_reactor() {
             });
             // The trainer side runs through the reactor, with the chaos
             // schedule injecting in the link on the way in/out. The
-            // per-receive deadline comes from the timer wheel.
+            // per-receive deadline comes from the reactor's deadlines.
             let mut adrv: AsyncDriver<'_, usize, ppcs_core::PpcsError> = AsyncDriver::new();
             let id = adrv.add_endpoint(server_lane).expect("socket pair");
             adrv.attach_engine(

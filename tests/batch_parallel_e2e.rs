@@ -58,6 +58,8 @@ fn parallel(
             summary.served_samples
         });
         let c = scope.spawn(|| {
+            // Dropping the lanes on return ends the trainer's loop.
+            let client_eps = client_eps;
             client
                 .classify_batch_parallel(&client_eps, &SIM, seed + 1000, samples)
                 .expect("classify_batch_parallel")

@@ -3,7 +3,9 @@
 //! every protocol family, asserting the resilience trichotomy — each
 //! session either completes with the correct value, or both parties
 //! terminate with a structured error. Never a hang, never a panic, never
-//! a wrong answer.
+//! a wrong answer. Every family also completes when one of its frames
+//! arrives in two pieces, further apart than a budgeted blocking
+//! session's wait slices.
 //!
 //! The same faults run on the client's side of a real TCP connection to
 //! a reactor `TrainerServer`, whose side is a plain socket. Also
@@ -29,8 +31,9 @@ use ppcs_ot::{
 use ppcs_svm::{Kernel, Label, SvmModel};
 use ppcs_tests::{blob_dataset, random_samples, rotated_model, DrainOnUnwind};
 use ppcs_transport::{
-    drive_blocking, duplex_pool, faulty_link, faulty_pair, run_pair, tcp_connect, Driver, Endpoint,
-    FaultKind, FaultSchedule, ProtocolEngine, SessionLimits, TransportError,
+    drive_blocking, duplex_pool, faulty_link, faulty_pair, run_pair, tcp_accept, tcp_connect,
+    AsyncDriver, DriveOptions, Driver, Endpoint, FaultKind, FaultSchedule, ProtocolEngine,
+    SessionLimits, TransportError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -171,30 +174,101 @@ fn assert_both_branches(family: &str, (completed, both_failed): (u64, u64)) {
     assert!(both_failed > 0, "{family}: no schedule failed both sides");
 }
 
+/// Two connected endpoints, over a socket pair or over TCP, whose link
+/// applies `schedule` to what the first (`a_sends`) or the second sends.
+fn split_lanes(over_tcp: bool, a_sends: bool, schedule: FaultSchedule) -> (Endpoint, Endpoint) {
+    let (a, b) = match (over_tcp, a_sends) {
+        (false, true) => return faulty_pair(schedule, FaultSchedule::none()),
+        (false, false) => return faulty_pair(FaultSchedule::none(), schedule),
+        (true, _) => {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let a = tcp_connect(listener.local_addr().expect("addr")).expect("connect");
+            (a, tcp_accept(&listener).expect("accept"))
+        }
+    };
+    if a_sends {
+        (faulty_link(a, schedule), b)
+    } else {
+        (a, faulty_link(b, schedule))
+    }
+}
+
+/// A family's session must come out oracle-equal when one of its first
+/// four wire frames, either way, arrives as its header and half its
+/// payload and 30 ms later the rest: past the 20 ms slices in which role
+/// A waits on a budgeted blocking driver, while role B runs on the
+/// reactor. Over a socket pair and over TCP.
+fn split_frames_arrive_whole<'e, A, EA, B, EB>(
+    family: &str,
+    expected_a: &A,
+    expected_b: &B,
+    make_a: &(impl Fn() -> ProtocolEngine<'e, A, EA> + Sync),
+    make_b: &impl Fn() -> ProtocolEngine<'e, B, EB>,
+) where
+    A: PartialEq + Debug + Send,
+    B: PartialEq + Debug,
+    EA: Debug + Send + From<TransportError>,
+    EB: Debug + From<TransportError>,
+{
+    for over_tcp in [false, true] {
+        for seq in 0..4 {
+            for a_sends in [true, false] {
+                let schedule = FaultSchedule::single(seq, FaultKind::Split);
+                let (a, b) = split_lanes(over_tcp, a_sends, schedule);
+                let (ra, rb) = std::thread::scope(|scope| {
+                    let blocking = scope.spawn(move || {
+                        let limits =
+                            SessionLimits::unlimited().with_deadline(Duration::from_secs(5));
+                        Driver::new().with_limits(limits).drive(&a, &mut make_a())
+                    });
+                    let mut reactor = AsyncDriver::new();
+                    let conn = reactor.add_endpoint(b).expect("adopt the lane");
+                    let opts = DriveOptions::new().with_timeout(Duration::from_secs(5));
+                    reactor.attach_engine(conn, make_b(), opts);
+                    let (_, rb, _) = reactor.drive_all().pop().expect("one session");
+                    // Keep the reactor turning until the blocking side has
+                    // read everything it queued.
+                    while !blocking.is_finished() {
+                        reactor.poll(Duration::from_millis(1));
+                    }
+                    (blocking.join().expect("side A must not panic"), rb)
+                });
+                let case = format!(
+                    "{family}: frame {seq} from side {} split, over {}",
+                    if a_sends { "A" } else { "B" },
+                    if over_tcp { "TCP" } else { "a socket pair" }
+                );
+                assert_eq!(ra.as_ref().ok(), Some(expected_a), "{case}: {ra:?}");
+                assert_eq!(rb.as_ref().ok(), Some(expected_b), "{case}: {rb:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn chaos_base_ot_trichotomy() {
     let group = DhGroup::modp_768();
     let (m0, m1) = (b"message zero".to_vec(), b"message one!".to_vec());
-    let run_a = |lane: &Endpoint| {
+    let send = || {
         let (m0, m1) = (&m0, &m1);
-        let mut rng = StdRng::seed_from_u64(100);
-        let mut eng =
-            ProtocolEngine::new(
-                |io| async move { ot12_send_io(group, &io, &mut rng, m0, m1, 7).await },
-            );
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(100);
+            ot12_send_io(group, &io, &mut rng, m0, m1, 7).await
+        })
     };
-    let run_b = |lane: &Endpoint| {
-        let mut rng = StdRng::seed_from_u64(101);
-        let mut eng = ProtocolEngine::new(|io| async move {
+    let receive = || {
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(101);
             ot12_receive_io(group, &io, &mut rng, true, 7).await
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
+    let run_a = |lane: &Endpoint| drive_blocking(lane, &mut send()).map_err(err_string);
+    let run_b = |lane: &Endpoint| drive_blocking(lane, &mut receive()).map_err(err_string);
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(eb, m1);
     let outcomes = chaos_sweep("base_ot", 1000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
     assert_both_branches("base_ot", outcomes);
+    split_frames_arrive_whole("base_ot", &ea, &eb, &send, &receive);
 }
 
 /// A 1-out-of-2 ideal transfer is one frame each way, and a schedule's
@@ -207,34 +281,35 @@ fn chaos_kn_ot_trichotomy() {
     let messages: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 12]).collect();
     let indices = [1usize, 4];
     let sel = SIM.select();
-    let run_a = |lane: &Endpoint| {
+    let send = || {
         let messages = &messages;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut eng = ProtocolEngine::new(|io| async move {
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(7);
             let state = ot_begin_send_io(sel, &io, &mut rng).await?;
             for _ in 0..KN_TRANSFERS {
                 ot_send_io(sel, &state, &io, &mut rng, messages, indices.len()).await?;
             }
             Ok::<_, OtError>(())
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
-    let run_b = |lane: &Endpoint| {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut eng = ProtocolEngine::new(|io| async move {
+    let receive = || {
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(8);
             let state = ot_begin_receive_io(sel, &io).await?;
             let mut got = Vec::with_capacity(KN_TRANSFERS);
             for _ in 0..KN_TRANSFERS {
                 got.push(ot_receive_io(sel, &state, &io, &mut rng, 6, &indices).await?);
             }
             Ok::<_, OtError>(got)
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
+    let run_a = |lane: &Endpoint| drive_blocking(lane, &mut send()).map_err(err_string);
+    let run_b = |lane: &Endpoint| drive_blocking(lane, &mut receive()).map_err(err_string);
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert!(eb.iter().all(|got| got[0] == messages[1]));
     let outcomes = chaos_sweep("kn_ot", 2000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
     assert_both_branches("kn_ot", outcomes);
+    split_frames_arrive_whole("kn_ot", &ea, &eb, &send, &receive);
 }
 
 #[test]
@@ -250,25 +325,26 @@ fn chaos_ompe_batch_trichotomy() {
     ];
     let alphas: Vec<Vec<Fp256>> = vec![enc(&[1.0, 2.0]), enc(&[-0.5, 0.25]), enc(&[3.0, -1.0])];
     let sel = SIM.select();
-    let run_a = |lane: &Endpoint| {
+    let send = || {
         let (alg, secrets) = (&alg, &secrets);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut eng = ProtocolEngine::new(|io| async move {
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(31);
             ompe_send_batch_io(alg, &io, sel, &mut rng, secrets, &params).await
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
-    let run_b = |lane: &Endpoint| {
+    let receive = || {
         let (alg, alphas) = (&alg, &alphas);
-        let mut rng = StdRng::seed_from_u64(32);
-        let mut eng = ProtocolEngine::new(|io| async move {
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(32);
             ompe_receive_batch_io(alg, &io, sel, &mut rng, alphas, &params).await
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
+    let run_a = |lane: &Endpoint| drive_blocking(lane, &mut send()).map_err(err_string);
+    let run_b = |lane: &Endpoint| drive_blocking(lane, &mut receive()).map_err(err_string);
     let (ea, eb) = clean_run(&run_a, &run_b);
     let outcomes = chaos_sweep("ompe_batch", 3000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
     assert_both_branches("ompe_batch", outcomes);
+    split_frames_arrive_whole("ompe_batch", &ea, &eb, &send, &receive);
 }
 
 #[test]
@@ -280,14 +356,10 @@ fn chaos_classification_trichotomy() {
     let client = Client::new(FixedFpAlgebra::new(16), cfg);
     let samples = random_samples(3, 4, 33);
     let sel = SIM.select();
-    let run_a = |lane: &Endpoint| {
-        let mut eng = trainer.serve_engine(sel, 40);
-        drive_blocking(lane, &mut eng).map_err(err_string)
-    };
-    let run_b = |lane: &Endpoint| {
-        let mut eng = client.classify_engine(sel, 41, &samples);
-        drive_blocking(lane, &mut eng).map_err(err_string)
-    };
+    let serve = || trainer.serve_engine(sel, 40);
+    let classify = || client.classify_engine(sel, 41, &samples);
+    let run_a = |lane: &Endpoint| drive_blocking(lane, &mut serve()).map_err(err_string);
+    let run_b = |lane: &Endpoint| drive_blocking(lane, &mut classify()).map_err(err_string);
     let (ea, eb) = clean_run(&run_a, &run_b);
     assert_eq!(ea, samples.len());
     let outcomes = chaos_sweep(
@@ -300,6 +372,7 @@ fn chaos_classification_trichotomy() {
         run_b,
     );
     assert_both_branches("classification", outcomes);
+    split_frames_arrive_whole("classification", &ea, &eb, &serve, &classify);
 }
 
 #[test]
@@ -308,27 +381,26 @@ fn chaos_similarity_trichotomy() {
     let model_a = rotated_model(2, 15.0, 4, Kernel::Linear);
     let model_b = rotated_model(2, 60.0, 5, Kernel::Linear);
     let sel = SIM.select();
-    let run_a = |lane: &Endpoint| {
-        let model_a = &model_a;
-        let cfg = &cfg;
-        let mut rng = StdRng::seed_from_u64(60);
-        let mut eng = ProtocolEngine::new(|io| async move {
+    let respond = || {
+        let (model_a, cfg) = (&model_a, &cfg);
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(60);
             similarity_respond_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_a, cfg).await
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
-    let run_b = |lane: &Endpoint| {
-        let model_b = &model_b;
-        let cfg = &cfg;
-        let mut rng = StdRng::seed_from_u64(61);
-        let mut eng = ProtocolEngine::new(|io| async move {
+    let request = || {
+        let (model_b, cfg) = (&model_b, &cfg);
+        ProtocolEngine::new(move |io| async move {
+            let mut rng = StdRng::seed_from_u64(61);
             similarity_request_io(&FixedFpAlgebra::new(16), &io, sel, &mut rng, model_b, cfg).await
-        });
-        drive_blocking(lane, &mut eng).map_err(err_string)
+        })
     };
+    let run_a = |lane: &Endpoint| drive_blocking(lane, &mut respond()).map_err(err_string);
+    let run_b = |lane: &Endpoint| drive_blocking(lane, &mut request()).map_err(err_string);
     let (ea, eb) = clean_run(&run_a, &run_b);
     let outcomes = chaos_sweep("similarity", 5000, SEEDS_PER_FAMILY, &ea, &eb, run_a, run_b);
     assert_both_branches("similarity", outcomes);
+    split_frames_arrive_whole("similarity", &ea, &eb, &respond, &request);
 }
 
 /// A randomized lane of the sweep: the base seed comes from

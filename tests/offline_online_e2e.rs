@@ -26,16 +26,11 @@ use ppcs_ot::{
 use ppcs_svm::{Kernel, MultiClassModel, MultiDataset, SmoParams, SvmModel};
 use ppcs_telemetry::MetricsRegistry;
 use ppcs_tests::{blob_dataset, random_samples, rotated_model};
-use ppcs_transport::{
-    drive_blocking, duplex_pool, run_engine_pair, run_pair, Frame, ProtocolEngine,
-};
+use ppcs_transport::{drive_blocking, duplex_pool, run_engine_pair, run_pair, ProtocolEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 static SIM: TrustedSimOt = TrustedSimOt;
-
-/// Client-side session-close marker (crate-private in ppcs-core).
-const CLS_FIN: u16 = 0x0502;
 
 fn classification_fixture() -> (
     SvmModel,
@@ -426,19 +421,19 @@ fn first_contact_race_converges_to_one_cache_entry() {
         let model = &model;
         let cache = &cache;
         let clients: Vec<_> = client_lanes
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, lane)| {
                 scope.spawn(move || {
                     let client = Client::new(FixedFpAlgebra::new(16), ProtocolConfig::functional());
                     let mut rng = StdRng::seed_from_u64(310 + i as u64);
                     let labels = client
-                        .classify_batch_values_warm(lane, &SIM, &mut rng, samples, cache, 13)
+                        .classify_batch_values_warm(&lane, &SIM, &mut rng, samples, cache, 13)
                         .expect("session");
                     for ((l, _), sample) in labels.iter().zip(samples) {
                         assert_eq!(*l, model.predict(sample));
                     }
-                    lane.send(Frame::encode(CLS_FIN, &0u64)).expect("fin");
+                    // The lane closes as the thread returns.
                 })
             })
             .collect();
@@ -495,7 +490,6 @@ fn server_pool_hits_then_falls_back_gracefully() {
                     assert_eq!(*l, model.predict(sample));
                 }
             }
-            lane.send(Frame::encode(CLS_FIN, &0u64)).expect("fin");
             drop(client_lanes);
         });
         server.serve(server_lanes, &SIM, 307).expect("reactor")
