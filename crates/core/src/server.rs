@@ -289,7 +289,7 @@ pub struct ServeSummary {
 /// # Examples
 ///
 /// ```
-/// use ppcs_core::{ProtocolConfig, ServerConfig, Trainer, TrainerServer};
+/// use ppcs_core::{PpcsError, ProtocolConfig, ServerConfig, Trainer, TrainerServer};
 /// use ppcs_math::FixedFpAlgebra;
 /// use ppcs_ot::TrustedSimOt;
 /// use ppcs_svm::{Dataset, Kernel, Label, SmoParams, SvmModel};
@@ -299,7 +299,7 @@ pub struct ServeSummary {
 /// dataset.push(vec![1.0, 1.0], Label::Positive);
 /// dataset.push(vec![-1.0, -1.0], Label::Negative);
 /// let model = SvmModel::train(&dataset, Kernel::Linear, &SmoParams::default());
-/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, ProtocolConfig::default()).unwrap();
+/// let trainer = Trainer::new(FixedFpAlgebra::new(16), &model, ProtocolConfig::default())?;
 ///
 /// let server = TrainerServer::new(&trainer, ServerConfig::default());
 /// let (server_lanes, client_lanes) = duplex_pool(2);
@@ -309,9 +309,11 @@ pub struct ServeSummary {
 ///         // Clients classify on `client_lanes` concurrently...
 ///         drop(client_lanes); // (here: nobody calls, lanes just close)
 ///     });
-///     let summary = server.serve(server_lanes, &ot, 7).unwrap();
+///     let summary = server.serve(server_lanes, &ot, 7)?;
 ///     assert_eq!(summary.sessions_shed, 0);
-/// });
+///     Ok::<_, PpcsError>(())
+/// })?;
+/// # Ok::<(), PpcsError>(())
 /// ```
 pub struct TrainerServer<'a, A: Algebra> {
     trainer: &'a Trainer<A>,

@@ -16,8 +16,12 @@
 //! ([`AsyncDriver::listen`]), handed over as a TCP stream
 //! ([`AsyncDriver::add_tcp`]), or adopted from an [`Endpoint`] — a TCP
 //! one or one half of a [`duplex`](crate::duplex) socket pair
-//! ([`AsyncDriver::add_endpoint`]). Reads drain to `WouldBlock`, writes
-//! queue under backpressure and resume on writable events, and a turn
+//! ([`AsyncDriver::add_endpoint`]). Reads drain to `WouldBlock`. A
+//! session's sends only queue: once its step returns, the connection
+//! writes everything the step queued with one `writev`, so the frames a
+//! session emits between two waits wake its peer once. Writes queue
+//! under backpressure and resume on writable events; control frames
+//! ([`send_frame`](AsyncDriver::send_frame)) leave at once. A turn
 //! services only the connections the reactor named or whose deadline
 //! passed. Deadlines sit in one ordered set, at most one per
 //! connection.
@@ -39,7 +43,7 @@ use ppcs_telemetry::{
 
 use crate::channel::{Endpoint, Frame};
 use crate::driver::{busy_frame, Transcript};
-use crate::engine::{Outgoing, ProtocolEngine};
+use crate::engine::ProtocolEngine;
 use crate::error::TransportError;
 use crate::reactor::{Deadlines, Reactor, ReactorEvent};
 use crate::session::{DriveOptions, SessionCore, SessionIo, Step, DEFAULT_PER_RECV};
@@ -479,6 +483,7 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
     /// Sends one raw control frame on a connection — the mechanism
     /// behind shed replies and [`KIND_HEALTH`](crate::KIND_HEALTH)
     /// probe answers, which must go out without attaching a session.
+    /// It is written at once, not at the end of the turn.
     ///
     /// # Errors
     ///
@@ -488,7 +493,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         let Some(conn) = conn_mut(&mut self.slots, id) else {
             return Err(TransportError::Disconnected);
         };
-        conn.lane.send(&Outgoing::Frame(frame))
+        conn.lane.writer.queue(&frame)?;
+        conn.lane.flush().map(|_| ())
     }
 
     /// Closes and removes a connection. An in-flight session's engine
@@ -712,8 +718,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         }
     }
 
-    /// Services one connection: fill + flush its transport, then pump
-    /// its session (or deliver pending frames).
+    /// Services one connection: fills its reader, pumps its session (or
+    /// delivers a pending frame), and writes what the step queued.
     fn service(&mut self, slot: u32, events: &mut Vec<AsyncEvent<T, E>>) {
         let epoch = self.slots[slot as usize].epoch;
         let id = ConnId { slot, epoch };
@@ -725,22 +731,8 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
         // and the pending path below only pop parsed frames, and bytes
         // that arrive after this drain raise a new edge. Sticky failures
         // surface through try_recv.
-        let nb = &mut conn.lane;
-        let fill_err = nb.reader.fill(&mut self.read_buf).err();
-        if nb.writer.wants_write() {
-            let _ = nb.flush();
-        }
-        if let Some(reg) = &self.metrics {
-            reg.record_reactor(
-                ReactorMetric::WriteBufDepth,
-                nb.writer.pending_write_bytes() as u64,
-            );
-            if let Some(ns) = nb.writer.take_stall_ns() {
-                reg.record_reactor(ReactorMetric::WritableStallNs, ns);
-            }
-        }
-
-        if let Some(s) = conn.session.as_mut() {
+        let fill_err = conn.lane.reader.fill(&mut self.read_buf).err();
+        let step = conn.session.as_mut().map(|s| {
             // Engines poll on this thread, so installing the session's
             // scope here captures every protocol-phase span — and
             // because the scope carries (slot, epoch, seq), interleaved
@@ -749,44 +741,65 @@ impl<'d, T, E: From<TransportError>> AsyncDriver<'d, T, E> {
             let _collector = s.core.metrics().cloned().map(|reg| {
                 ppcs_telemetry::install_scope(TraceScope::for_conn(reg, slot, epoch, s.seq))
             });
-            let result = match s.core.step(&mut s.engine, &mut conn.lane) {
-                Step::Parked { wake_at } => {
-                    self.deadlines.arm(slot, &mut conn.timer, wake_at);
-                    return;
-                }
-                Step::Finished(result) => result,
-            };
-            if let Some(rec) = &self.recorder {
-                if s.core.tripped() {
-                    let delivered = s.core.frames_delivered();
-                    rec.record(FlightEventKind::BudgetTrip, slot, epoch, delivered);
-                }
-                let detail = if result.is_ok() {
-                    DETAIL_SESSION_OK
-                } else {
-                    DETAIL_SESSION_ERR
-                };
-                rec.record(FlightEventKind::StateTransition, slot, epoch, detail);
+            s.core.step(&mut s.engine, &mut conn.lane)
+        });
+        // One write per flight: every frame the step queued leaves now,
+        // in one write behind whatever backpressure held back, which
+        // writable events otherwise resume.
+        let unsent = conn.lane.writer.wants_write() && conn.lane.flush().is_err();
+        if let Some(reg) = &self.metrics {
+            reg.record_reactor(
+                ReactorMetric::WriteBufDepth,
+                conn.lane.writer.pending_write_bytes() as u64,
+            );
+            if let Some(ns) = conn.lane.writer.take_stall_ns() {
+                reg.record_reactor(ReactorMetric::WritableStallNs, ns);
             }
-            let transcript = s.core.take_transcript();
-            conn.session = None;
-            self.active_sessions -= 1;
-            self.deadlines.cancel(slot, &mut conn.timer);
-            // A frame or the stream's end may already wait.
-            if conn.lane.reader.recv_ready() {
-                self.ready_next.push(slot);
+        }
+
+        match (step, conn.session.as_mut()) {
+            (Some(Step::Parked { wake_at }), _) => {
+                self.deadlines.arm(slot, &mut conn.timer, wake_at);
+                // The failed write fails the session at its next step.
+                if unsent {
+                    self.ready_next.push(slot);
+                }
+                return;
             }
-            events.push(AsyncEvent::Finished {
-                conn: id,
-                result,
-                transcript,
-            });
-            return;
+            (Some(Step::Finished(result)), Some(s)) => {
+                if let Some(rec) = &self.recorder {
+                    if s.core.tripped() {
+                        let delivered = s.core.frames_delivered();
+                        rec.record(FlightEventKind::BudgetTrip, slot, epoch, delivered);
+                    }
+                    let detail = if result.is_ok() {
+                        DETAIL_SESSION_OK
+                    } else {
+                        DETAIL_SESSION_ERR
+                    };
+                    rec.record(FlightEventKind::StateTransition, slot, epoch, detail);
+                }
+                let transcript = s.core.take_transcript();
+                conn.session = None;
+                self.active_sessions -= 1;
+                self.deadlines.cancel(slot, &mut conn.timer);
+                // A frame or the stream's end may already wait.
+                if conn.lane.reader.recv_ready() {
+                    self.ready_next.push(slot);
+                }
+                events.push(AsyncEvent::Finished {
+                    conn: id,
+                    result,
+                    transcript,
+                });
+                return;
+            }
+            _ => {}
         }
 
         // Pending connection: deliver at most one frame per turn so the
         // caller can react (admit / shed / close) before the next one.
-        match conn.lane.try_recv(None) {
+        match conn.lane.reader.try_recv() {
             Ok(Some(frame)) => {
                 // The idle deadline stays armed: a handler that leaves
                 // it alone (a health probe does) must not keep the
@@ -1434,6 +1447,62 @@ mod tests {
             let latency = woke.duration_since(sent);
             assert!(latency < Duration::from_millis(20), "woke {latency:?} late");
         });
+    }
+
+    #[test]
+    fn a_step_writes_its_flight_once_and_control_frames_leave_at_once() {
+        let (ours, peer) = duplex();
+        peer.set_recv_timeout(Some(Duration::from_secs(5)));
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad.add_endpoint(ours).expect("socket pair");
+        let writes = |ad: &AsyncDriver<'_, u64, TransportError>| {
+            let open = ad.slots[conn.slot as usize].conn.as_ref();
+            open.expect("open").lane.writer.writes
+        };
+        // A probe answer and a shed reply are written before the call
+        // returns, without a turn.
+        let health = crate::HealthStatus::default();
+        ad.send_frame(conn, health.reply()).expect("health reply");
+        assert_eq!(writes(&ad), 1);
+        assert_eq!(peer.recv(), Ok(health.reply()));
+        ad.send_busy(conn).expect("shed");
+        assert_eq!(writes(&ad), 2);
+        assert_eq!(peer.recv().map(|f| f.kind), Ok(KIND_BUSY));
+        // A step that emits a ticket and an answer writes them once.
+        peer.send_msg(1, &21u64).expect("hello");
+        ad.attach_engine(
+            conn,
+            ProtocolEngine::new(|io| async move {
+                let n: u64 = io.recv_msg(1).await?;
+                io.send_msg(2, &n)?;
+                io.send_msg(3, &(2 * n))?;
+                Ok(n)
+            }),
+            DriveOptions::new(),
+        );
+        let done = ad.drive_all();
+        assert_eq!(done[0].1, Ok(21));
+        assert_eq!(writes(&ad), 3);
+        assert_eq!(peer.recv_msg::<u64>(2), Ok(21));
+        assert_eq!(peer.recv_msg::<u64>(3), Ok(42));
+    }
+
+    #[test]
+    fn a_flight_that_cannot_leave_fails_its_session() {
+        // The peer stops reading but keeps its end open: the flight's
+        // write fails, and nothing arrives to wake the parked session.
+        let (ours, peer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        peer.shutdown(std::net::Shutdown::Read).expect("shutdown");
+        let mut ad: AsyncDriver<'_, u64, TransportError> = AsyncDriver::new();
+        let conn = ad
+            .add_endpoint(Endpoint::from_stream(Stream::Unix(ours)))
+            .expect("socket pair");
+        let opts = DriveOptions::new().with_timeout(Duration::from_secs(10));
+        ad.attach_engine(conn, ProtocolEngine::new(|io| requester(io, 1)), opts);
+        let started = Instant::now();
+        let done = ad.drive_all();
+        assert_eq!(done[0].1, Err(TransportError::Disconnected));
+        assert!(started.elapsed() < Duration::from_secs(5), "failed at once");
     }
 
     #[test]

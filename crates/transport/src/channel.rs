@@ -6,6 +6,7 @@
 //! the paper's Fig. 9/10 discussion attributes most private-protocol cost
 //! to the random-polynomial traffic, and these counters make that visible.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -224,7 +225,10 @@ impl SharedStats {
 /// ([`duplex`]). The protocols are agnostic.
 ///
 /// Sends and receives take separate locks, so one thread may send while
-/// another waits in [`recv`](Endpoint::recv).
+/// another waits in [`recv`](Endpoint::recv). A [`send`](Endpoint::send)
+/// has left for the peer when it returns, except inside a
+/// [`Driver`](crate::Driver)'s flight: there every frame the engine
+/// emits before it next waits leaves in one write, when it waits.
 ///
 /// # Examples
 ///
@@ -240,7 +244,8 @@ impl SharedStats {
 #[derive(Debug)]
 pub struct Endpoint {
     reader: Mutex<FrameReader>,
-    writer: Mutex<FrameWriter>,
+    /// Shared with this thread's open flight once a send joined it.
+    writer: Arc<Mutex<FrameWriter>>,
     /// The counters both halves record into, read without their locks.
     stats: Arc<SharedStats>,
     /// Default timeout for blocking receives; `None` blocks forever.
@@ -261,7 +266,7 @@ impl Endpoint {
         let (reader, writer) = halves(stream, &stats);
         Self {
             reader: Mutex::new(reader),
-            writer: Mutex::new(writer),
+            writer: Arc::new(Mutex::new(writer)),
             stats,
             recv_timeout,
         }
@@ -269,18 +274,26 @@ impl Endpoint {
 
     /// The endpoint's two halves, for a new owner of its socket: the
     /// reader keeps whatever it read and did not deliver, and both keep
-    /// counting into the endpoint's counters.
+    /// counting into the endpoint's counters. The writer takes what a
+    /// flight queued on it along, and the flight is left an empty one.
     pub(crate) fn into_halves(self) -> (FrameReader, FrameWriter) {
-        (self.reader.into_inner(), self.writer.into_inner())
+        (self.reader.into_inner(), self.writer.lock().take())
     }
 
-    /// Sends a frame to the peer.
+    /// Sends a frame to the peer: written before this returns, or, while
+    /// a flight is open on this thread, queued and written when the
+    /// flight closes.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Disconnected`] if the peer hung up.
     pub fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        self.writer.lock().send(&frame)
+        let mut writer = self.writer.lock();
+        writer.queue(&frame)?;
+        if join_flight(&self.writer) {
+            return Ok(());
+        }
+        writer.flush().map(|_| ())
     }
 
     /// Encodes and sends a message in one call.
@@ -350,6 +363,54 @@ impl Endpoint {
     pub fn reset_stats(&self) {
         self.stats.reset();
     }
+
+    /// Write syscalls this endpoint's socket took so far.
+    #[cfg(test)]
+    pub(crate) fn writes(&self) -> u64 {
+        self.writer.lock().writes
+    }
+}
+
+thread_local! {
+    /// The writers that joined this thread's open flight; `None` when no
+    /// flight is open.
+    static FLIGHT: RefCell<Option<Vec<Arc<Mutex<FrameWriter>>>>> = const { RefCell::new(None) };
+}
+
+/// Opens a flight on this thread, if none is open: until
+/// [`close_flight`], [`Endpoint::send`] queues instead of writing. A
+/// party opens one when it sends, and closes it when it is about to
+/// wait, so everything it sends in between leaves in one write per
+/// endpoint, however many lane wrappers the frames passed through.
+pub(crate) fn open_flight() {
+    FLIGHT.with_borrow_mut(|flight| {
+        flight.get_or_insert_with(Vec::new);
+    });
+}
+
+/// Closes this thread's flight: every endpoint that joined it writes
+/// what it queued, each with one write while the kernel keeps up. Every
+/// endpoint is flushed; the first failure is returned.
+pub(crate) fn close_flight() -> Result<(), TransportError> {
+    let joined = FLIGHT.with_borrow_mut(Option::take).unwrap_or_default();
+    joined
+        .iter()
+        .map(|writer| writer.lock().flush().map(|_| ()))
+        .fold(Ok(()), Result::and)
+}
+
+/// Adds `writer` to this thread's open flight; `false` when none is
+/// open.
+fn join_flight(writer: &Arc<Mutex<FrameWriter>>) -> bool {
+    FLIGHT.with_borrow_mut(|flight| {
+        let Some(joined) = flight else {
+            return false;
+        };
+        if !joined.iter().any(|w| Arc::ptr_eq(w, writer)) {
+            joined.push(writer.clone());
+        }
+        true
+    })
 }
 
 /// Packs a batch of frames into one [`KIND_COALESCED`] wire frame, the

@@ -9,6 +9,15 @@
 //! detection. [`Transcript`] records a session's logical frames and
 //! [`replay`] re-drives an engine from the recording, asserting it emits
 //! byte-identical output.
+//!
+//! A [`Driver`] writes when it is about to wait: the frames an engine
+//! emits between two receives are one flight, queued on each endpoint
+//! they pass through and written with one `writev` per endpoint before
+//! the thread blocks, or when the drive ends, however it ends. The
+//! flight belongs to the thread, so a lane wrapper that forwards its
+//! sends to an [`Endpoint`](crate::Endpoint) needs nothing new to take
+//! part; outside a drive, [`Endpoint::send`](crate::Endpoint::send)
+//! writes before it returns.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -17,7 +26,7 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use ppcs_telemetry::MetricsRegistry;
 
-use crate::channel::{Frame, Lane, TrafficStats};
+use crate::channel::{close_flight, open_flight, Frame, Lane, TrafficStats};
 use crate::engine::{Outgoing, ProtocolEngine};
 use crate::error::{ProtocolError, TransportError};
 use crate::session::{DriveOptions, SessionCore, SessionIo};
@@ -364,7 +373,12 @@ impl Driver {
 }
 
 /// The blocking way of waiting: `try_recv` parks the thread in
-/// `lane.recv()` for up to the wait the core allows.
+/// `lane.recv()` for up to the wait the core allows. A send opens a
+/// flight on the thread (see [`Endpoint::send`](crate::Endpoint::send)),
+/// and the flight closes before the thread waits and when the drive
+/// ends, however it ends: every frame the engine emits between two waits
+/// leaves its endpoint in one write, through any lane wrapper that
+/// forwards its sends to an endpoint.
 struct Waiting<L> {
     lane: L,
     /// The receive deadline last set on the lane, so a steady wait sets
@@ -380,6 +394,7 @@ impl<L: Lane> Waiting<L> {
 
 impl<L: Lane> SessionIo for Waiting<L> {
     fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
+        open_flight();
         match out {
             Outgoing::Frame(f) => self.lane.send(f.clone()),
             Outgoing::Batch(fs) => self.lane.send_coalesced(fs),
@@ -387,6 +402,7 @@ impl<L: Lane> SessionIo for Waiting<L> {
     }
 
     fn try_recv(&mut self, max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
+        close_flight()?;
         if max_wait.is_some() && max_wait != self.armed {
             self.lane.set_recv_timeout(max_wait);
             self.armed = max_wait;
@@ -400,6 +416,15 @@ impl<L: Lane> SessionIo for Waiting<L> {
 
     fn stats(&self) -> TrafficStats {
         self.lane.stats()
+    }
+}
+
+impl<L> Drop for Waiting<L> {
+    /// A drive that ends on a send (or unwinds mid-flight) still sends:
+    /// its peer waits for that frame, and the thread's next plain send
+    /// must not join a flight nobody will close.
+    fn drop(&mut self) {
+        let _ = close_flight();
     }
 }
 
@@ -561,7 +586,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::duplex;
+    use crate::channel::{duplex, Endpoint};
     use crate::engine::FrameIo;
     use std::sync::atomic::Ordering;
 
@@ -871,6 +896,148 @@ mod tests {
                 retry_after_ms: Some(40)
             }
         );
+    }
+
+    /// Sends kind-1 frames `0..n` without waiting between them, then
+    /// waits for their sum as kind 2.
+    async fn burst(io: FrameIo, n: u64) -> Result<u64, TransportError> {
+        for i in 0..n {
+            io.send_msg(1, &i)?;
+        }
+        io.recv_msg::<u64>(2).await
+    }
+
+    /// A lane that forwards every call to an endpoint, as instrumented
+    /// lanes do: it knows nothing of flights.
+    struct Forwarding<'a>(&'a Endpoint);
+
+    impl Lane for Forwarding<'_> {
+        fn send(&self, frame: Frame) -> Result<(), TransportError> {
+            self.0.send(frame)
+        }
+
+        fn send_coalesced(&self, frames: &[Frame]) -> Result<(), TransportError> {
+            self.0.send_coalesced(frames)
+        }
+
+        fn recv(&self) -> Result<Frame, TransportError> {
+            self.0.recv()
+        }
+
+        fn set_recv_timeout(&self, timeout: Option<Duration>) {
+            self.0.set_recv_timeout(timeout)
+        }
+
+        fn stats(&self) -> TrafficStats {
+            self.0.stats()
+        }
+    }
+
+    /// `a` drives a three-frame burst, directly and then through a
+    /// forwarding lane, while `b` answers each with the frames' sum:
+    /// each burst costs `a` one write.
+    fn a_burst_is_one_write(a: &Endpoint, b: &Endpoint) {
+        for forwarded in [false, true] {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let sum = (0..3)
+                        .map(|_| b.recv_msg::<u64>(1).expect("burst"))
+                        .sum::<u64>();
+                    b.send_msg(2, &sum).expect("reply");
+                });
+                let before = a.writes();
+                let mut engine = ProtocolEngine::new(|io| burst(io, 3));
+                let got = if forwarded {
+                    Driver::new().drive(&Forwarding(a), &mut engine)
+                } else {
+                    Driver::new().drive(a, &mut engine)
+                };
+                assert_eq!(got, Ok(3));
+                assert_eq!(a.writes() - before, 1, "forwarded: {forwarded}");
+            });
+        }
+    }
+
+    fn deadlined((a, b): (Endpoint, Endpoint)) -> (Endpoint, Endpoint) {
+        a.set_recv_timeout(Some(Duration::from_secs(5)));
+        b.set_recv_timeout(Some(Duration::from_secs(5)));
+        (a, b)
+    }
+
+    #[test]
+    fn a_driver_burst_is_one_write_over_a_socket_pair() {
+        let (a, b) = deadlined(duplex());
+        a_burst_is_one_write(&a, &b);
+    }
+
+    #[test]
+    fn a_driver_burst_is_one_write_over_tcp() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let a = crate::tcp::tcp_connect(addr).expect("connect");
+        let b = crate::tcp::tcp_accept(&listener).expect("accept");
+        let (a, b) = deadlined((a, b));
+        a_burst_is_one_write(&a, &b);
+    }
+
+    #[test]
+    fn a_drive_that_ends_on_a_send_delivers_it_while_its_endpoint_lives() {
+        let (a, b) = deadlined(duplex());
+        let mut engine = ProtocolEngine::new(|io: FrameIo| async move {
+            io.send_msg(1, &7u64)?;
+            io.send_msg(1, &8u64)?;
+            Ok::<_, TransportError>(())
+        });
+        Driver::new().drive(&a, &mut engine).expect("drive");
+        assert_eq!(a.writes(), 1);
+        assert_eq!(b.recv_msg::<u64>(1), Ok(7));
+        assert_eq!(b.recv_msg::<u64>(1), Ok(8));
+    }
+
+    #[test]
+    fn a_send_outside_a_driver_is_written_before_it_returns() {
+        let (a, b) = deadlined(duplex());
+        a.send_msg(1, &7u64).expect("send");
+        assert_eq!(a.writes(), 1);
+        assert_eq!(b.recv_msg::<u64>(1), Ok(7));
+    }
+
+    /// Pending on its first poll, panicking on its second.
+    struct PanicsWhenPolledAgain(bool);
+
+    impl std::future::Future for PanicsWhenPolledAgain {
+        type Output = ();
+
+        fn poll(
+            mut self: std::pin::Pin<&mut Self>,
+            _: &mut std::task::Context<'_>,
+        ) -> std::task::Poll<()> {
+            assert!(!self.0, "the engine panics mid-burst");
+            self.0 = true;
+            std::task::Poll::Pending
+        }
+    }
+
+    #[test]
+    fn an_engine_that_panics_mid_burst_leaves_no_flight_open() {
+        let (a, b) = deadlined(duplex());
+        let mut engine = ProtocolEngine::new(|io: FrameIo| async move {
+            io.send_msg(1, &7u64)?;
+            PanicsWhenPolledAgain(false).await;
+            Ok::<_, TransportError>(())
+        });
+        let drive = std::panic::AssertUnwindSafe(|| Driver::new().drive(&a, &mut engine));
+        assert!(
+            std::panic::catch_unwind(drive).is_err(),
+            "the engine panicked"
+        );
+        // The frame sent before the panic left with the unwind.
+        assert_eq!(a.writes(), 1);
+        assert_eq!(b.recv_msg::<u64>(1), Ok(7));
+        // And the thread's next plain send is written at once.
+        a.send_msg(1, &8u64).expect("send");
+        assert_eq!(a.writes(), 2);
+        assert_eq!(b.recv_msg::<u64>(1), Ok(8));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! socket is framed in one place for both ways of waiting: the reader
 //! and writer an [`Endpoint`] holds over a blocking socket are the ones
 //! the reactor drives over a nonblocking one, so a receive that times
-//! out mid-frame keeps its bytes whichever waits. Any
+//! out mid-frame keeps its bytes whichever waits, and a party writes
+//! when it is about to wait: every frame it sends between two waits
+//! leaves in one `writev`, whichever waits. Any
 //! session can be captured to a byte-serializable [`Transcript`] and
 //! re-driven deterministically with [`replay`]. Faults for chaos testing
 //! live in the link between two endpoints ([`faulty_pair`]), not in

@@ -101,9 +101,13 @@ impl DriveOptions {
 }
 
 /// The lane as the core sees it. The two implementations differ only in
-/// whether `try_recv` waits.
+/// whether `try_recv` waits, and they share one rule for writing: a
+/// party writes when it is about to wait, so the outputs sent between
+/// two waits leave in one write.
 pub(crate) trait SessionIo {
-    /// Transmits one engine output; a batch goes out coalesced.
+    /// Takes one engine output for the peer; a batch goes out coalesced.
+    /// It has left the lane by the time the party next waits or the
+    /// session ends.
     fn send(&mut self, out: &Outgoing) -> Result<(), TransportError>;
 
     /// The next frame, or `Ok(None)` when none arrived. A blocking

@@ -7,7 +7,10 @@
 //! until a frame parses or the receive window closes, and the reactor's
 //! [`NbConn`], whose socket is nonblocking and read until `WouldBlock`.
 //! A read that stops early, either way, leaves the partial frame in the
-//! reader's buffer for the next one.
+//! reader's buffer for the next one. The writer queues frames and writes
+//! its whole queue with one `writev`, so a party that writes when it is
+//! about to wait sends each flight of frames in one write, whichever
+//! way it waits.
 //!
 //! Wire framing: `kind: u16 LE | payload_len: u32 LE | payload`, matching
 //! the byte accounting of [`Frame::wire_len`](crate::Frame::wire_len).
@@ -163,16 +166,7 @@ pub(crate) fn halves(stream: Stream, stats: &Arc<SharedStats>) -> (FrameReader, 
         stats: stats.clone(),
         applied_read_timeout: None,
     };
-    let writer = FrameWriter {
-        sock,
-        queue: VecDeque::new(),
-        sent: 0,
-        failed: None,
-        stats: stats.clone(),
-        stall_since: None,
-        completed_stall_ns: None,
-    };
-    (reader, writer)
+    (reader, FrameWriter::new(sock, stats))
 }
 
 /// The read half of a framed socket, however its owner waits: it parses
@@ -381,9 +375,11 @@ impl FrameReader {
 
 /// The write half of a framed socket, however its owner waits: it
 /// queues each frame's header and payload (the payload shared, not
-/// copied), writes both with one vectored write, counts sent traffic as
-/// it queues, and times how long the kernel pushed back. On a blocking
-/// socket a [`flush`](Self::flush) returns once the queue drained.
+/// copied), counts sent traffic as it queues, writes everything queued
+/// with one vectored write, and times how long the kernel pushed back.
+/// Frames stay separate on the wire; only the syscalls are shared. On a
+/// blocking socket a [`flush`](Self::flush) returns once the queue
+/// drained.
 #[derive(Debug)]
 pub(crate) struct FrameWriter {
     sock: Arc<Stream>,
@@ -400,9 +396,38 @@ pub(crate) struct FrameWriter {
     /// Duration of the most recently *completed* stall, waiting for
     /// [`take_stall_ns`](Self::take_stall_ns) to collect it.
     completed_stall_ns: Option<u64>,
+    /// Write syscalls made, for the tests of the one-write-per-flight
+    /// rule.
+    #[cfg(test)]
+    pub(crate) writes: u64,
 }
 
 impl FrameWriter {
+    /// Frames one write takes at most: two slices each, far below the
+    /// kernel's 1 024-slice cap. A longer queue takes several writes.
+    const FRAMES_PER_WRITE: usize = 64;
+
+    fn new(sock: Arc<Stream>, stats: &Arc<SharedStats>) -> Self {
+        Self {
+            sock,
+            queue: VecDeque::new(),
+            sent: 0,
+            failed: None,
+            stats: stats.clone(),
+            stall_since: None,
+            completed_stall_ns: None,
+            #[cfg(test)]
+            writes: 0,
+        }
+    }
+
+    /// This writer, queue and all, leaving an empty writer on the same
+    /// socket in its place.
+    pub(crate) fn take(&mut self) -> Self {
+        let empty = Self::new(self.sock.clone(), &self.stats);
+        std::mem::replace(self, empty)
+    }
+
     /// Sends `frame` over a blocking socket: queues it and writes until
     /// the kernel took all of it.
     pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
@@ -427,32 +452,42 @@ impl FrameWriter {
     }
 
     /// [`flush`](Self::flush), stopping after at most `limit` bytes
-    /// (then `Ok(false)` if any are left).
+    /// (then `Ok(false)` if any are left). Each write hands the kernel
+    /// every queued frame, up to [`FRAMES_PER_WRITE`](Self::FRAMES_PER_WRITE),
+    /// and a partial write resumes wherever it stopped, across frame
+    /// boundaries.
     pub(crate) fn write_queued(&mut self, mut limit: usize) -> Result<bool, TransportError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        while let Some((header, payload)) = self.queue.front() {
+        while !self.queue.is_empty() {
             if limit == 0 {
                 return Ok(false);
             }
-            let total = Frame::HEADER_LEN + payload.len();
-            let head = &header[self.sent.min(Frame::HEADER_LEN)..];
-            let body = &payload[self.sent.saturating_sub(Frame::HEADER_LEN)..];
-            let head = &head[..head.len().min(limit)];
-            let body = &body[..body.len().min(limit - head.len())];
-            let written = self
-                .sock
-                .write_vectored(&[IoSlice::new(head), IoSlice::new(body)]);
-            match written {
+            let mut slices = [IoSlice::new(&[]); 2 * Self::FRAMES_PER_WRITE];
+            let (mut used, mut skip, mut room) = (0, self.sent, limit);
+            let parts = self.queue.iter().take(Self::FRAMES_PER_WRITE);
+            for part in parts.flat_map(|(header, payload)| [&header[..], &payload[..]]) {
+                let start = skip.min(part.len());
+                skip -= start;
+                let part = &part[start..];
+                let part = &part[..part.len().min(room)];
+                room -= part.len();
+                slices[used] = IoSlice::new(part);
+                used += 1;
+                if room == 0 {
+                    break;
+                }
+            }
+            #[cfg(test)]
+            {
+                self.writes += 1;
+            }
+            match self.sock.write_vectored(&slices[..used]) {
                 Ok(0) => return Err(self.fail(TransportError::Disconnected)),
                 Ok(n) => {
                     limit -= n;
-                    self.sent += n;
-                    if self.sent == total {
-                        self.queue.pop_front();
-                        self.sent = 0;
-                    }
+                    self.advance(n);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -468,6 +503,21 @@ impl FrameWriter {
             self.completed_stall_ns = Some(since.elapsed().as_nanos() as u64);
         }
         Ok(true)
+    }
+
+    /// Drops the `n` bytes the kernel just took from the front of the
+    /// queue.
+    fn advance(&mut self, mut n: usize) {
+        while let Some((_, payload)) = self.queue.front() {
+            let left = Frame::HEADER_LEN + payload.len() - self.sent;
+            if n < left {
+                self.sent += n;
+                return;
+            }
+            n -= left;
+            self.sent = 0;
+            self.queue.pop_front();
+        }
     }
 
     fn fail(&mut self, e: TransportError) -> TransportError {
@@ -569,25 +619,29 @@ impl NbConn {
     }
 }
 
-/// The reactor's way of waiting: it doesn't. `try_recv` pops what
-/// [`FrameReader::fill`] already parsed, and deadlines are the
+/// The reactor's way of waiting: it doesn't. `send` only queues: the
+/// reactor writes what a step queued with one write once the step
+/// returns (see [`AsyncDriver`](crate::AsyncDriver)). `try_recv` pops
+/// what [`FrameReader::fill`] already parsed, and deadlines are the
 /// reactor's job (see the normalization notes on [`io_err`]).
 impl SessionIo for NbConn {
     fn send(&mut self, out: &Outgoing) -> Result<(), TransportError> {
         match out {
-            Outgoing::Frame(f) => self.writer.queue(f)?,
-            Outgoing::Batch(fs) => self.writer.queue(&coalesce_frames(fs)?)?,
+            Outgoing::Frame(f) => self.writer.queue(f),
+            Outgoing::Batch(fs) => self.writer.queue(&coalesce_frames(fs)?),
         }
-        // Opportunistic flush: backpressure is not an error, the
-        // remainder rides the next writable event.
-        self.flush().map(|_| ())
     }
 
     /// `Ok(Some)` on a frame, `Ok(None)` when the peer simply has not
     /// sent one yet, `Err(Disconnected)` once the stream is drained
-    /// *and* closed.
+    /// *and* closed, and the writer's failure once nothing is left to
+    /// read: a flight that could not leave fails the session waiting
+    /// on its answer.
     fn try_recv(&mut self, _max_wait: Option<Duration>) -> Result<Option<Frame>, TransportError> {
-        self.reader.try_recv()
+        match self.reader.try_recv()? {
+            None => self.writer.failed.clone().map_or(Ok(None), Err),
+            frame => Ok(frame),
+        }
     }
 
     /// Sends count when queued, matching the blocking endpoint.

@@ -97,6 +97,34 @@ pub fn random_samples(dim: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Runs `body` on a thread of its own and fails the test `name` if the
+/// body is still running after `secs` seconds: a frame left queued, or
+/// a peer that never answers, then shows up as a failure naming the
+/// test and its budget instead of as a hang. A panic in the body fails
+/// the test with the body's own message. The overrunning body's thread
+/// is left behind; the test process ends it when it exits.
+pub fn with_deadline(name: &str, secs: u64, body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    // The sender drops when the body returns or unwinds: either ends
+    // the wait below.
+    let (running, finished) = channel::<()>();
+    let worker = std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(move || {
+            let _running = running;
+            body();
+        })
+        .expect("spawn the test body's thread");
+    if let Err(RecvTimeoutError::Timeout) =
+        finished.recv_timeout(std::time::Duration::from_secs(secs))
+    {
+        panic!("{name} is still running after its {secs} s deadline");
+    }
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
 /// Drains its supervisors if dropped while the test thread unwinds. A
 /// TCP reactor serves until it is drained, and `std::thread::scope`
 /// joins it before re-raising a panic: without the drain, a failed
